@@ -2,8 +2,9 @@
 //!
 //! Exactly two frame kinds exist: a request targeting an object, and its
 //! response. Everything else — object creation, destruction, shutdown,
-//! persistence — is a method call on the per-machine **daemon** (object 0),
-//! keeping the protocol surface minimal.
+//! persistence — is a method call on the per-machine **daemon** (object 0,
+//! whose verb table lives in `node::daemon`), keeping the protocol surface
+//! minimal.
 
 use wire::collections::Bytes;
 use wire::{wire_struct, V64};
@@ -83,17 +84,16 @@ impl wire::Wire for Frame {
                 rs_epoch,
                 deadline,
             } => {
-                w.put_varint(0);
-                wire::Wire::encode(req_id, w);
-                wire::Wire::encode(reply_to, w);
-                wire::Wire::encode(target, w);
-                wire::Wire::encode(payload, w);
-                wire::Wire::encode(trace, w);
-                wire::Wire::encode(epoch, w);
-                wire::Wire::encode(rs_epoch, w);
-                if *deadline != 0 {
-                    w.put_varint(*deadline);
-                }
+                let header = RequestHeader {
+                    req_id: *req_id,
+                    reply_to: *reply_to,
+                    target: *target,
+                    trace: *trace,
+                    epoch: *epoch,
+                    rs_epoch: *rs_epoch,
+                    deadline: *deadline,
+                };
+                header.write(&payload.0, w);
             }
             Frame::Response { req_id, result } => {
                 w.put_varint(1);
@@ -128,141 +128,50 @@ impl wire::Wire for Frame {
     }
 }
 
-/// Methods of the per-machine daemon. Encoded exactly like user-class calls
-/// (method-name string + arguments) so the dispatch path is uniform.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DaemonCall {
-    /// Liveness probe. Returns `()`.
-    Ping,
-    /// `new(machine m) Class(args...)`: construct an object. Returns the new
-    /// [`ObjectId`].
-    Create { class: String, args: Bytes },
-    /// `delete ptr`: run the destructor, terminating the object-process.
-    /// Returns `()`.
-    Destroy { object: ObjectId },
-    /// Stop this machine's serve loop (cluster shutdown). Returns `()`.
-    Shutdown,
-    /// Serialize an object's state without destroying it. Returns the
-    /// snapshot bytes. Fails for non-persistent classes.
-    Snapshot { object: ObjectId },
-    /// §5 deactivation: snapshot the object under `key`, then destroy it.
-    /// Returns `()`.
-    Deactivate { object: ObjectId, key: String },
-    /// §5 activation: restore the object stored under `key` as a fresh
-    /// process. Returns the new [`ObjectId`]. The snapshot stays stored.
-    Activate { key: String },
-    /// Remove a stored snapshot. Returns `true` if one existed.
-    DropSnapshot { key: String },
-    /// Store a snapshot taken elsewhere under `key` on this machine —
-    /// replication, so a crashed machine's objects can be reactivated from
-    /// a surviving replica. Returns `()`.
-    PutSnapshot {
-        key: String,
-        class: String,
-        state: Bytes,
-    },
-    /// Introspection. Returns [`NodeStats`].
-    Stats,
-    /// Begin a live migration: quiesce the object (defer new calls),
-    /// snapshot its state, and park it in the migrating set. Returns a
-    /// [`MigrationPayload`]. The object serves nothing until the
-    /// coordinator commits or rolls back.
-    MigrateOut { object: ObjectId },
-    /// Finish a migration on the source: drop the parked state and install
-    /// a forwarding stub at the old address pointing at `to`. Returns `()`.
-    MigrateCommit { object: ObjectId, to: ObjRef },
-    /// Abort a migration on the source: restore the parked state as a live
-    /// object under its **original** id, so old pointers stay valid.
-    /// Returns `()`.
-    MigrateRollback { object: ObjectId },
-    /// Target half of a migration: restore `state` as a fresh process of
-    /// `class` (like [`DaemonCall::Activate`], but the state travels inline
-    /// instead of via the snapshot store). Returns the new [`ObjectId`].
-    AdoptState { class: String, state: Bytes },
-    /// Per-object served-call counters, the placement subsystem's load
-    /// signal. Returns `Vec<(ObjectId, u64)>` sorted by object id.
-    Loads,
-    /// Supervisor liveness beacon. Renews this machine's serving lease for
-    /// `ttl_millis` (see DESIGN.md §10): while the lease is live the
-    /// machine may serve its supervised objects; once it expires the
-    /// machine self-fences them. Returns `()`.
-    Heartbeat { ttl_millis: u64 },
-    /// Place `object` under epoch fencing at `epoch` (supervision
-    /// registration, or a takeover bumping the incarnation). Returns `()`.
-    SetEpoch { object: ObjectId, epoch: u64 },
-    /// Takeover half of a recovery: restore the snapshot stored under `key`
-    /// as a fresh process *and* register it at `epoch` atomically, so no
-    /// call can reach the new incarnation unfenced. Returns the new
-    /// [`ObjectId`].
-    ActivateFenced { key: String, epoch: u64 },
-    /// Fence a (possibly still live) old incarnation after a takeover:
-    /// destroy the local object if present, record `epoch` as its fence,
-    /// and install a forwarding stub toward `to` so stale pointers learn
-    /// the new address via the `Moved` chase. Returns `()`.
-    Fence {
-        object: ObjectId,
-        epoch: u64,
-        to: ObjRef,
-    },
-    /// Materialize a read replica of a primary living elsewhere: restore
-    /// `state` as a fresh process of `class` marked replica-of-`primary`,
-    /// synced at `rs_epoch`, with a coherence lease of `lease_millis`.
-    /// Returns the new [`ObjectId`].
-    ReplicaAdopt {
-        class: String,
-        state: Bytes,
-        primary: ObjRef,
-        rs_epoch: u64,
-        lease_millis: u64,
-    },
-    /// Primary→replica write propagation: overwrite the replica's state
-    /// with `state` at `rs_epoch` and renew its coherence lease. A sync at
-    /// or below the replica's current epoch only renews the lease (the
-    /// state is already as new). Returns `()`.
-    ReplicaSync {
-        object: ObjectId,
-        state: Bytes,
-        rs_epoch: u64,
-        lease_millis: u64,
-    },
-    /// Lease renewal without a state transfer (bounded-staleness mode, or a
-    /// write-through primary confirming an idle replica). Renews only if
-    /// the replica is already at `rs_epoch`; returns `true` when renewed,
-    /// `false` when the replica has fallen behind and needs a full
-    /// [`DaemonCall::ReplicaSync`].
-    ReplicaRenew {
-        object: ObjectId,
-        rs_epoch: u64,
-        lease_millis: u64,
-    },
-    /// Tear down a replica: destroy the local copy and install a forwarding
-    /// stub toward the primary so stale routes heal through the `Moved`
-    /// chase. Returns `()`.
-    ReplicaDrop { object: ObjectId },
-    /// Install (or replace) the primary-side replica-set record on the
-    /// machine hosting `object`: the live replicas, the current replica-set
-    /// epoch, the coherence mode, and the lease ttl granted to replicas.
-    /// Subsequent write verbs served by `object` bump the epoch and
-    /// propagate per the mode. Returns `()`.
-    ReplicaAttach {
-        object: ObjectId,
-        replicas: Vec<ObjRef>,
-        rs_epoch: u64,
-        write_through: bool,
-        lease_millis: u64,
-    },
-    /// Introspection for the replica manager: returns
-    /// `(is_primary, rs_epoch, replicas)` — for a primary, its live set;
-    /// for a replica, its sync epoch and its primary as the single entry.
-    ReplicaStatus { object: ObjectId },
-    /// Failover: convert a local replica into a normal (primary-capable)
-    /// object fenced at incarnation `epoch`, clearing its replica metadata.
-    /// The replica manager then re-attaches the surviving set. Returns `()`.
-    ReplicaPromote { object: ObjectId, epoch: u64 },
+/// Every field of a [`Frame::Request`] but its payload. A node keeps one
+/// beside the encoded bytes of each call in flight, so a redirect can patch
+/// a field and re-encode without ever decoding a frame it wrote itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RequestHeader {
+    pub(crate) req_id: u64,
+    pub(crate) reply_to: usize,
+    pub(crate) target: ObjectId,
+    pub(crate) trace: TraceCtx,
+    pub(crate) epoch: u64,
+    pub(crate) rs_epoch: V64,
+    pub(crate) deadline: u64,
 }
 
-/// A quiesced object's portable identity: what [`DaemonCall::MigrateOut`]
-/// returns and [`DaemonCall::AdoptState`] consumes.
+impl RequestHeader {
+    /// Encode the request made of this header and `payload` — the one
+    /// place the request layout is written — and report the offset of the
+    /// payload within the encoding.
+    pub(crate) fn encode(&self, payload: &[u8]) -> (Vec<u8>, usize) {
+        let mut w = wire::Writer::new();
+        let payload_at = self.write(payload, &mut w);
+        (w.into_bytes(), payload_at)
+    }
+
+    fn write(&self, payload: &[u8], w: &mut wire::Writer) -> usize {
+        w.put_varint(0);
+        wire::Wire::encode(&self.req_id, w);
+        wire::Wire::encode(&self.reply_to, w);
+        wire::Wire::encode(&self.target, w);
+        w.put_varint(payload.len() as u64);
+        let payload_at = w.len();
+        w.put_bytes(payload);
+        wire::Wire::encode(&self.trace, w);
+        wire::Wire::encode(&self.epoch, w);
+        wire::Wire::encode(&self.rs_epoch, w);
+        if self.deadline != 0 {
+            w.put_varint(self.deadline);
+        }
+        payload_at
+    }
+}
+
+/// A quiesced object's portable identity: what the daemon's `migrate_out`
+/// verb returns and its `adopt_state` verb consumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationPayload {
     /// Registered class name (picks the restore constructor on the target).
@@ -273,9 +182,9 @@ pub struct MigrationPayload {
 
 wire_struct!(MigrationPayload { class, state });
 
-/// What [`DaemonCall::ReplicaStatus`] returns — the replication role and
-/// coherence position of one object, for the replica manager's reconcile
-/// loop.
+/// What [`NodeCtx::replica_status_of`](crate::NodeCtx::replica_status_of)
+/// returns — the replication role and coherence position of one object,
+/// for the replica manager's reconcile loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaStatus {
     /// True for a replicated primary; false for a read replica.
@@ -294,7 +203,8 @@ wire_struct!(ReplicaStatus {
     replicas
 });
 
-/// Per-machine runtime counters, returned by [`DaemonCall::Stats`].
+/// Per-machine runtime counters, returned by
+/// [`NodeCtx::stats_of`](crate::NodeCtx::stats_of).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeStats {
     /// Live (constructed, not yet destroyed) user objects.
@@ -382,157 +292,10 @@ wire_struct!(NodeStats {
     retries_suppressed
 });
 
-impl DaemonCall {
-    /// Encode as a standard method payload (name + args).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = wire::Writer::new();
-        match self {
-            DaemonCall::Ping => w.put_len_prefixed(b"ping"),
-            DaemonCall::Create { class, args } => {
-                w.put_len_prefixed(b"create");
-                wire::Wire::encode(class, &mut w);
-                wire::Wire::encode(args, &mut w);
-            }
-            DaemonCall::Destroy { object } => {
-                w.put_len_prefixed(b"destroy");
-                wire::Wire::encode(object, &mut w);
-            }
-            DaemonCall::Shutdown => w.put_len_prefixed(b"shutdown"),
-            DaemonCall::Snapshot { object } => {
-                w.put_len_prefixed(b"snapshot");
-                wire::Wire::encode(object, &mut w);
-            }
-            DaemonCall::Deactivate { object, key } => {
-                w.put_len_prefixed(b"deactivate");
-                wire::Wire::encode(object, &mut w);
-                wire::Wire::encode(key, &mut w);
-            }
-            DaemonCall::Activate { key } => {
-                w.put_len_prefixed(b"activate");
-                wire::Wire::encode(key, &mut w);
-            }
-            DaemonCall::DropSnapshot { key } => {
-                w.put_len_prefixed(b"drop_snapshot");
-                wire::Wire::encode(key, &mut w);
-            }
-            DaemonCall::PutSnapshot { key, class, state } => {
-                w.put_len_prefixed(b"put_snapshot");
-                wire::Wire::encode(key, &mut w);
-                wire::Wire::encode(class, &mut w);
-                wire::Wire::encode(state, &mut w);
-            }
-            DaemonCall::Stats => w.put_len_prefixed(b"stats"),
-            DaemonCall::MigrateOut { object } => {
-                w.put_len_prefixed(b"migrate_out");
-                wire::Wire::encode(object, &mut w);
-            }
-            DaemonCall::MigrateCommit { object, to } => {
-                w.put_len_prefixed(b"migrate_commit");
-                wire::Wire::encode(object, &mut w);
-                wire::Wire::encode(to, &mut w);
-            }
-            DaemonCall::MigrateRollback { object } => {
-                w.put_len_prefixed(b"migrate_rollback");
-                wire::Wire::encode(object, &mut w);
-            }
-            DaemonCall::AdoptState { class, state } => {
-                w.put_len_prefixed(b"adopt_state");
-                wire::Wire::encode(class, &mut w);
-                wire::Wire::encode(state, &mut w);
-            }
-            DaemonCall::Loads => w.put_len_prefixed(b"loads"),
-            DaemonCall::Heartbeat { ttl_millis } => {
-                w.put_len_prefixed(b"heartbeat");
-                wire::Wire::encode(ttl_millis, &mut w);
-            }
-            DaemonCall::SetEpoch { object, epoch } => {
-                w.put_len_prefixed(b"set_epoch");
-                wire::Wire::encode(object, &mut w);
-                wire::Wire::encode(epoch, &mut w);
-            }
-            DaemonCall::ActivateFenced { key, epoch } => {
-                w.put_len_prefixed(b"activate_fenced");
-                wire::Wire::encode(key, &mut w);
-                wire::Wire::encode(epoch, &mut w);
-            }
-            DaemonCall::Fence { object, epoch, to } => {
-                w.put_len_prefixed(b"fence");
-                wire::Wire::encode(object, &mut w);
-                wire::Wire::encode(epoch, &mut w);
-                wire::Wire::encode(to, &mut w);
-            }
-            DaemonCall::ReplicaAdopt {
-                class,
-                state,
-                primary,
-                rs_epoch,
-                lease_millis,
-            } => {
-                w.put_len_prefixed(b"replica_adopt");
-                wire::Wire::encode(class, &mut w);
-                wire::Wire::encode(state, &mut w);
-                wire::Wire::encode(primary, &mut w);
-                wire::Wire::encode(rs_epoch, &mut w);
-                wire::Wire::encode(lease_millis, &mut w);
-            }
-            DaemonCall::ReplicaSync {
-                object,
-                state,
-                rs_epoch,
-                lease_millis,
-            } => {
-                w.put_len_prefixed(b"replica_sync");
-                wire::Wire::encode(object, &mut w);
-                wire::Wire::encode(state, &mut w);
-                wire::Wire::encode(rs_epoch, &mut w);
-                wire::Wire::encode(lease_millis, &mut w);
-            }
-            DaemonCall::ReplicaRenew {
-                object,
-                rs_epoch,
-                lease_millis,
-            } => {
-                w.put_len_prefixed(b"replica_renew");
-                wire::Wire::encode(object, &mut w);
-                wire::Wire::encode(rs_epoch, &mut w);
-                wire::Wire::encode(lease_millis, &mut w);
-            }
-            DaemonCall::ReplicaDrop { object } => {
-                w.put_len_prefixed(b"replica_drop");
-                wire::Wire::encode(object, &mut w);
-            }
-            DaemonCall::ReplicaAttach {
-                object,
-                replicas,
-                rs_epoch,
-                write_through,
-                lease_millis,
-            } => {
-                w.put_len_prefixed(b"replica_attach");
-                wire::Wire::encode(object, &mut w);
-                wire::Wire::encode(replicas, &mut w);
-                wire::Wire::encode(rs_epoch, &mut w);
-                wire::Wire::encode(write_through, &mut w);
-                wire::Wire::encode(lease_millis, &mut w);
-            }
-            DaemonCall::ReplicaStatus { object } => {
-                w.put_len_prefixed(b"replica_status");
-                wire::Wire::encode(object, &mut w);
-            }
-            DaemonCall::ReplicaPromote { object, epoch } => {
-                w.put_len_prefixed(b"replica_promote");
-                wire::Wire::encode(object, &mut w);
-                wire::Wire::encode(epoch, &mut w);
-            }
-        }
-        w.into_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wire::{from_bytes, to_bytes, Reader, Wire};
+    use wire::{from_bytes, to_bytes, Wire};
 
     #[test]
     fn frames_roundtrip() {
@@ -578,20 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn daemon_calls_use_method_name_framing() {
-        let payload = DaemonCall::Create {
-            class: "PageDevice".into(),
-            args: Bytes(vec![9, 9]),
-        }
-        .encode();
-        let mut r = Reader::new(&payload);
-        assert_eq!(String::decode(&mut r).unwrap(), "create");
-        assert_eq!(String::decode(&mut r).unwrap(), "PageDevice");
-        assert_eq!(Bytes::decode(&mut r).unwrap(), Bytes(vec![9, 9]));
-        r.expect_end().unwrap();
-    }
-
-    #[test]
     fn node_stats_roundtrip() {
         let s = NodeStats {
             objects_live: 3,
@@ -621,170 +370,12 @@ mod tests {
     }
 
     #[test]
-    fn migration_calls_use_method_name_framing() {
-        let payload = DaemonCall::MigrateCommit {
-            object: 7,
-            to: ObjRef {
-                machine: 2,
-                object: 19,
-            },
-        }
-        .encode();
-        let mut r = Reader::new(&payload);
-        assert_eq!(String::decode(&mut r).unwrap(), "migrate_commit");
-        assert_eq!(u64::decode(&mut r).unwrap(), 7);
-        assert_eq!(
-            ObjRef::decode(&mut r).unwrap(),
-            ObjRef {
-                machine: 2,
-                object: 19
-            }
-        );
-        r.expect_end().unwrap();
-
-        let payload = DaemonCall::AdoptState {
-            class: "DoubleBlock".into(),
-            state: Bytes(vec![1, 2, 3]),
-        }
-        .encode();
-        let mut r = Reader::new(&payload);
-        assert_eq!(String::decode(&mut r).unwrap(), "adopt_state");
-        assert_eq!(String::decode(&mut r).unwrap(), "DoubleBlock");
-        assert_eq!(Bytes::decode(&mut r).unwrap(), Bytes(vec![1, 2, 3]));
-        r.expect_end().unwrap();
-    }
-
-    #[test]
-    fn supervision_calls_use_method_name_framing() {
-        let payload = DaemonCall::Heartbeat { ttl_millis: 250 }.encode();
-        let mut r = Reader::new(&payload);
-        assert_eq!(String::decode(&mut r).unwrap(), "heartbeat");
-        assert_eq!(u64::decode(&mut r).unwrap(), 250);
-        r.expect_end().unwrap();
-
-        let payload = DaemonCall::ActivateFenced {
-            key: "oopp://backup/7".into(),
-            epoch: 3,
-        }
-        .encode();
-        let mut r = Reader::new(&payload);
-        assert_eq!(String::decode(&mut r).unwrap(), "activate_fenced");
-        assert_eq!(String::decode(&mut r).unwrap(), "oopp://backup/7");
-        assert_eq!(u64::decode(&mut r).unwrap(), 3);
-        r.expect_end().unwrap();
-
-        let payload = DaemonCall::Fence {
-            object: 7,
-            epoch: 3,
-            to: ObjRef {
-                machine: 2,
-                object: 19,
-            },
-        }
-        .encode();
-        let mut r = Reader::new(&payload);
-        assert_eq!(String::decode(&mut r).unwrap(), "fence");
-        assert_eq!(u64::decode(&mut r).unwrap(), 7);
-        assert_eq!(u64::decode(&mut r).unwrap(), 3);
-        assert_eq!(
-            ObjRef::decode(&mut r).unwrap(),
-            ObjRef {
-                machine: 2,
-                object: 19
-            }
-        );
-        r.expect_end().unwrap();
-    }
-
-    #[test]
-    fn replica_calls_use_method_name_framing() {
-        let payload = DaemonCall::ReplicaAdopt {
-            class: "HotBlock".into(),
-            state: Bytes(vec![7, 7]),
-            primary: ObjRef {
-                machine: 1,
-                object: 4,
-            },
-            rs_epoch: 3,
-            lease_millis: 200,
-        }
-        .encode();
-        let mut r = Reader::new(&payload);
-        assert_eq!(String::decode(&mut r).unwrap(), "replica_adopt");
-        assert_eq!(String::decode(&mut r).unwrap(), "HotBlock");
-        assert_eq!(Bytes::decode(&mut r).unwrap(), Bytes(vec![7, 7]));
-        assert_eq!(
-            ObjRef::decode(&mut r).unwrap(),
-            ObjRef {
-                machine: 1,
-                object: 4
-            }
-        );
-        assert_eq!(u64::decode(&mut r).unwrap(), 3);
-        assert_eq!(u64::decode(&mut r).unwrap(), 200);
-        r.expect_end().unwrap();
-
-        let payload = DaemonCall::ReplicaAttach {
-            object: 4,
-            replicas: vec![ObjRef {
-                machine: 2,
-                object: 9,
-            }],
-            rs_epoch: 1,
-            write_through: true,
-            lease_millis: 200,
-        }
-        .encode();
-        let mut r = Reader::new(&payload);
-        assert_eq!(String::decode(&mut r).unwrap(), "replica_attach");
-        assert_eq!(u64::decode(&mut r).unwrap(), 4);
-        assert_eq!(
-            Vec::<ObjRef>::decode(&mut r).unwrap(),
-            vec![ObjRef {
-                machine: 2,
-                object: 9
-            }]
-        );
-        assert_eq!(u64::decode(&mut r).unwrap(), 1);
-        assert!(bool::decode(&mut r).unwrap());
-        assert_eq!(u64::decode(&mut r).unwrap(), 200);
-        r.expect_end().unwrap();
-
-        let payload = DaemonCall::ReplicaPromote {
-            object: 9,
-            epoch: 2,
-        }
-        .encode();
-        let mut r = Reader::new(&payload);
-        assert_eq!(String::decode(&mut r).unwrap(), "replica_promote");
-        assert_eq!(u64::decode(&mut r).unwrap(), 9);
-        assert_eq!(u64::decode(&mut r).unwrap(), 2);
-        r.expect_end().unwrap();
-    }
-
-    #[test]
     fn migration_payload_roundtrips() {
         let p = MigrationPayload {
             class: "Counter".into(),
             state: Bytes(vec![9; 40]),
         };
         assert_eq!(from_bytes::<MigrationPayload>(&to_bytes(&p)).unwrap(), p);
-    }
-
-    #[test]
-    fn put_snapshot_encodes_all_fields() {
-        let payload = DaemonCall::PutSnapshot {
-            key: "oopp://backup/7".into(),
-            class: "DoubleBlock".into(),
-            state: Bytes(vec![1, 2, 3]),
-        }
-        .encode();
-        let mut r = Reader::new(&payload);
-        assert_eq!(String::decode(&mut r).unwrap(), "put_snapshot");
-        assert_eq!(String::decode(&mut r).unwrap(), "oopp://backup/7");
-        assert_eq!(String::decode(&mut r).unwrap(), "DoubleBlock");
-        assert_eq!(Bytes::decode(&mut r).unwrap(), Bytes(vec![1, 2, 3]));
-        r.expect_end().unwrap();
     }
 
     #[test]

@@ -1,0 +1,1155 @@
+//! The per-machine daemon (object 0): object lifecycle, persistence,
+//! migration, supervision and replication verbs.
+//!
+//! The protocol is declared **once**, in the [`daemon_verbs!`] table below:
+//! each row gives a verb's wire name, its arguments in wire order and its
+//! reply type, and the macro derives from it the client stubs
+//! (`start_<verb>` / `call_<verb>`) and the server's decode-and-dispatch arm
+//! (`on_<verb>`). Adding a verb is one table row, one `on_<verb>` handler
+//! and, where callers want a friendlier signature, one public wrapper.
+
+use std::collections::HashMap;
+
+use simnet::MachineId;
+use wire::collections::Bytes;
+use wire::{Reader, Wire, Writer};
+
+use super::serve::ServeOutcome;
+use super::NodeCtx;
+use crate::error::{RemoteError, RemoteResult};
+use crate::frame::{MigrationPayload, NodeStats, ReplicaStatus};
+use crate::future::{Pending, PendingClient};
+use crate::ids::{ObjRef, ObjectId, DAEMON};
+use crate::process::{RemoteClient, ServerObject};
+use crate::shared::{bump, shard_of, IncomingReq, ObjEntry, PrimaryMeta, ReplicaMeta};
+use crate::trace::EventKind;
+
+/// Why a daemon handler produced no reply. Handlers return
+/// [`Handled`], so `?` carries both cases out of them.
+enum Refusal {
+    /// The verb's object is checked out by a lane (or mid-migration):
+    /// park the request and retry once the machine has made progress.
+    Busy,
+    /// Answer the caller with this error.
+    Failed(RemoteError),
+}
+
+impl From<RemoteError> for Refusal {
+    fn from(e: RemoteError) -> Self {
+        Refusal::Failed(e)
+    }
+}
+
+impl From<wire::WireError> for Refusal {
+    fn from(e: wire::WireError) -> Self {
+        Refusal::Failed(e.into())
+    }
+}
+
+type Handled<T> = Result<T, Refusal>;
+
+/// Derive the daemon protocol from its verb table. Per row
+/// `"name" => verb(arg: Ty, ...) -> Ret;` this generates
+///
+/// * `encode_<verb>(args) -> Vec<u8>`: the request payload — the wire name
+///   followed by the arguments in table order, exactly like a user-class
+///   call, so the dispatch path is uniform;
+/// * `NodeCtx::start_<verb>(machine, args) -> req_id`: issue the call to
+///   `machine`'s daemon without waiting;
+/// * `NodeCtx::call_<verb>(machine, args) -> Ret`: issue, wait, decode;
+/// * one arm of `NodeCtx::daemon_dispatch`: decode the arguments in the
+///   same order, reject trailing bytes, run `self.on_<verb>(args)`, encode
+///   its reply.
+macro_rules! daemon_verbs {
+    ($(
+        $(#[$doc:meta])*
+        $name:literal => $verb:ident ( $($arg:ident : $ty:ty),* ) -> $ret:ty;
+    )*) => { paste::paste! {
+        /// Wire names of every daemon verb, in table order.
+        pub const DAEMON_VERBS: &[&str] = &[$($name),*];
+
+        $(
+            pub(crate) fn [<encode_ $verb>]($($arg: $ty),*) -> Vec<u8> {
+                let mut w = Writer::new();
+                w.put_len_prefixed($name.as_bytes());
+                $( Wire::encode(&$arg, &mut w); )*
+                w.into_bytes()
+            }
+        )*
+
+        impl NodeCtx {
+            $(
+                $(#[$doc])*
+                ///
+                /// Asynchronous daemon stub: returns the request id for
+                /// [`wait_raw`](NodeCtx::wait_raw) /
+                /// [`try_take_reply`](NodeCtx::try_take_reply).
+                pub fn [<start_ $verb>](
+                    &mut self,
+                    machine: MachineId
+                    $(, $arg: $ty)*
+                ) -> RemoteResult<u64> {
+                    let payload = [<encode_ $verb>]($($arg),*);
+                    self.start_call_raw(ObjRef::daemon(machine), $name, payload)
+                }
+
+                // `heartbeat` is only ever issued asynchronously.
+                #[allow(dead_code)]
+                fn [<call_ $verb>](
+                    &mut self,
+                    machine: MachineId
+                    $(, $arg: $ty)*
+                ) -> RemoteResult<$ret> {
+                    let req_id = self.[<start_ $verb>](machine $(, $arg)*)?;
+                    Ok(wire::from_bytes(&self.wait_raw(req_id)?)?)
+                }
+            )*
+
+            /// Server side of the table: decode `method`'s arguments from
+            /// `args` and run its handler.
+            fn daemon_dispatch(&mut self, method: &str, args: &mut Reader<'_>) -> Handled<Vec<u8>> {
+                match method {
+                    $(
+                        $name => {
+                            $( let $arg = <$ty as Wire>::decode(args)?; )*
+                            args.expect_end()?;
+                            let reply: $ret = self.[<on_ $verb>]($($arg),*)?;
+                            Ok(wire::to_bytes(&reply))
+                        }
+                    )*
+                    other => Err(Refusal::Failed(RemoteError::NoSuchMethod {
+                        class: "<daemon>".to_string(),
+                        method: other.to_string(),
+                    })),
+                }
+            }
+        }
+    }};
+}
+
+daemon_verbs! {
+    /// Liveness probe of a machine's daemon; renews no lease.
+    "ping" => ping() -> ();
+    /// `new(machine m) Class(args...)`: construct an object of the
+    /// registered `class` from its encoded constructor arguments. Replies
+    /// the new object's id.
+    "create" => create(class: String, args: Bytes) -> ObjectId;
+    /// `delete ptr`: run the destructor, terminating the object-process.
+    "destroy" => destroy(object: ObjectId) -> ();
+    /// Stop the machine's serve loop (cluster shutdown).
+    "shutdown" => shutdown() -> ();
+    /// Serialize an object's state without destroying it. Fails for
+    /// non-persistent classes.
+    "snapshot" => snapshot(object: ObjectId) -> Bytes;
+    /// §5 deactivation: snapshot the object under `key`, then destroy it.
+    "deactivate" => deactivate(object: ObjectId, key: String) -> ();
+    /// §5 activation: restore the snapshot stored under `key` as a fresh
+    /// process (the snapshot stays stored). Replies the new object's id.
+    "activate" => activate(key: String) -> ObjectId;
+    /// Remove a stored snapshot. Replies whether one existed.
+    "drop_snapshot" => drop_snapshot(key: String) -> bool;
+    /// Store a snapshot taken elsewhere under `key`, so a crashed
+    /// machine's objects can be reactivated from a surviving copy.
+    "put_snapshot" => put_snapshot(key: String, class: String, state: Bytes) -> ();
+    /// The machine's runtime counters.
+    "stats" => stats() -> NodeStats;
+    /// Begin a live migration: quiesce the object (its calls defer),
+    /// snapshot it and park the state until the coordinator commits or
+    /// rolls back. Replies the object's portable identity.
+    "migrate_out" => migrate_out(object: ObjectId) -> MigrationPayload;
+    /// Finish a migration on the source: drop the parked state and install
+    /// a forwarding stub at the old address pointing at `to`.
+    "migrate_commit" => migrate_commit(object: ObjectId, to: ObjRef) -> ();
+    /// Abort a migration on the source: restore the parked state under the
+    /// object's **original** id, so old pointers stay valid.
+    "migrate_rollback" => migrate_rollback(object: ObjectId) -> ();
+    /// Target half of a migration: restore `state` as a fresh process of
+    /// `class` (like `activate`, but the state travels inline). Replies
+    /// the new object's id.
+    "adopt_state" => adopt_state(class: String, state: Bytes) -> ObjectId;
+    /// Per-object served-call counters, sorted by object id — the
+    /// placement subsystem's load signal.
+    "loads" => loads() -> Vec<(ObjectId, u64)>;
+    /// Fire one supervisor heartbeat at `machine` without waiting: the
+    /// reply (collected with [`try_take_reply`](NodeCtx::try_take_reply))
+    /// is the detector's liveness sample, and its arrival at the far side
+    /// renewed that machine's serving lease for `ttl_millis` (DESIGN.md
+    /// §10): once the lease expires the machine self-fences its supervised
+    /// objects.
+    "heartbeat" => heartbeat(ttl_millis: u64) -> ();
+    /// Place `object` under epoch fencing at `epoch` (supervision
+    /// registration, or a takeover bumping the incarnation).
+    "set_epoch" => set_epoch(object: ObjectId, epoch: u64) -> ();
+    /// Takeover half of a recovery: restore the snapshot under `key` *and*
+    /// register it at `epoch` atomically, so no call can reach the new
+    /// incarnation unfenced. Replies the new object's id.
+    "activate_fenced" => activate_fenced(key: String, epoch: u64) -> ObjectId;
+    /// Fence a (possibly still live) old incarnation after a takeover:
+    /// destroy the local object if present, record `epoch` as its fence,
+    /// and install a forwarding stub toward `to`.
+    "fence" => fence(object: ObjectId, epoch: u64, to: ObjRef) -> ();
+    /// Materialize a read replica of `primary`: restore `state` as a fresh
+    /// process of `class`, synced at `rs_epoch`, with a coherence lease of
+    /// `lease_millis`. Replies the new object's id.
+    "replica_adopt" => replica_adopt(
+        class: String, state: Bytes, primary: ObjRef, rs_epoch: u64, lease_millis: u64
+    ) -> ObjectId;
+    /// Primary→replica write propagation: overwrite the replica's state
+    /// with `state` at `rs_epoch` and renew its coherence lease. A sync
+    /// below the replica's current epoch only renews the lease.
+    "replica_sync" => replica_sync(
+        object: ObjectId, state: Bytes, rs_epoch: u64, lease_millis: u64
+    ) -> ();
+    /// Lease renewal without a state transfer. Renews only if the replica
+    /// is exactly at `rs_epoch`; replies `false` when it has drifted and
+    /// needs a full `replica_sync`.
+    "replica_renew" => replica_renew(object: ObjectId, rs_epoch: u64, lease_millis: u64) -> bool;
+    /// Tear down a replica and install a forwarding stub toward its
+    /// primary, so stale routes heal through the `Moved` chase.
+    "replica_drop" => replica_drop(object: ObjectId) -> ();
+    /// Install (or replace) the primary-side replica-set record of
+    /// `object`: the live replicas, the current replica-set epoch, the
+    /// coherence mode and the lease granted to replicas. An empty set with
+    /// no lease detaches.
+    "replica_attach" => replica_attach(
+        object: ObjectId, replicas: Vec<ObjRef>, rs_epoch: u64, write_through: bool,
+        lease_millis: u64
+    ) -> ();
+    /// Replication role and coherence position of `object`; both primaries
+    /// and replicas answer.
+    "replica_status" => replica_status(object: ObjectId) -> ReplicaStatus;
+    /// Failover: turn a local replica into a normal (primary-capable)
+    /// object fenced at incarnation `epoch`.
+    "replica_promote" => replica_promote(object: ObjectId, epoch: u64) -> ();
+}
+
+impl NodeCtx {
+    // ------------------------------------------------------------------
+    // Daemon conveniences (object lifecycle, persistence, introspection)
+    // ------------------------------------------------------------------
+
+    /// `new(machine m) class(args)`: construct an object remotely, blocking
+    /// until the constructor finishes.
+    pub fn create_object(
+        &mut self,
+        machine: MachineId,
+        class: &str,
+        args: Vec<u8>,
+    ) -> RemoteResult<ObjRef> {
+        let object = self.call_create(machine, class.to_string(), Bytes(args))?;
+        Ok(ObjRef { machine, object })
+    }
+
+    /// Async construction by class name; pair with
+    /// [`PendingClient`] via the typed wrapper below.
+    pub fn create_object_start(
+        &mut self,
+        machine: MachineId,
+        class: &str,
+        args: Vec<u8>,
+    ) -> RemoteResult<u64> {
+        self.start_create(machine, class.to_string(), Bytes(args))
+    }
+
+    /// Typed remote construction (sync). Prefer the generated
+    /// `Client::new_on` wrappers; this is their engine.
+    pub fn create<C: RemoteClient>(
+        &mut self,
+        machine: MachineId,
+        args: Vec<u8>,
+    ) -> RemoteResult<C> {
+        Ok(C::from_ref(self.create_object(machine, C::CLASS, args)?))
+    }
+
+    /// Typed remote construction (async).
+    pub fn create_async<C: RemoteClient>(
+        &mut self,
+        machine: MachineId,
+        args: Vec<u8>,
+    ) -> RemoteResult<PendingClient<C>> {
+        let req_id = self.create_object_start(machine, C::CLASS, args)?;
+        Ok(PendingClient::new(machine, req_id))
+    }
+
+    /// `delete ptr`: destroy a remote object, running its destructor and
+    /// terminating its process.
+    pub fn destroy(&mut self, r: ObjRef) -> RemoteResult<()> {
+        self.call_destroy(r.machine, r.object)
+    }
+
+    /// Async destroy.
+    pub fn destroy_async(&mut self, r: ObjRef) -> RemoteResult<Pending<()>> {
+        Ok(Pending::new(self.start_destroy(r.machine, r.object)?))
+    }
+
+    /// Liveness probe of a machine's daemon.
+    pub fn ping(&mut self, machine: MachineId) -> RemoteResult<()> {
+        self.call_ping(machine)
+    }
+
+    /// Fetch a machine's runtime counters.
+    pub fn stats_of(&mut self, machine: MachineId) -> RemoteResult<NodeStats> {
+        self.call_stats(machine)
+    }
+
+    /// Serialize a remote object's state (persistence, §5).
+    pub fn snapshot_of(&mut self, r: ObjRef) -> RemoteResult<Vec<u8>> {
+        Ok(self.call_snapshot(r.machine, r.object)?.0)
+    }
+
+    /// §5 deactivation: snapshot `r` under `key` on its machine, then
+    /// destroy the live process. Reactivate later with [`activate`].
+    ///
+    /// [`activate`]: NodeCtx::activate
+    pub fn deactivate(&mut self, r: ObjRef, key: &str) -> RemoteResult<()> {
+        self.call_deactivate(r.machine, r.object, key.to_string())
+    }
+
+    /// §5 activation: re-create the process stored under `key` on
+    /// `machine`. The snapshot remains stored (activate is not destructive).
+    pub fn activate<C: RemoteClient>(&mut self, machine: MachineId, key: &str) -> RemoteResult<C> {
+        let object = self.call_activate(machine, key.to_string())?;
+        Ok(C::from_ref(ObjRef { machine, object }))
+    }
+
+    /// Takeover activation: restore the snapshot under `key` on `machine`
+    /// with the incarnation registered at `epoch` before any call can
+    /// reach it. This node also records the epoch belief so its own calls
+    /// to the fresh incarnation are stamped correctly.
+    pub fn activate_fenced<C: RemoteClient>(
+        &mut self,
+        machine: MachineId,
+        key: &str,
+        epoch: u64,
+    ) -> RemoteResult<C> {
+        let r = self.activate_fenced_raw(machine, key, epoch)?;
+        Ok(C::from_ref(r))
+    }
+
+    /// Untyped [`activate_fenced`](NodeCtx::activate_fenced) — the
+    /// supervisor's form, which knows objects by name and snapshot rather
+    /// than by compile-time class.
+    pub fn activate_fenced_raw(
+        &mut self,
+        machine: MachineId,
+        key: &str,
+        epoch: u64,
+    ) -> RemoteResult<ObjRef> {
+        let object = self.call_activate_fenced(machine, key.to_string(), epoch)?;
+        let r = ObjRef { machine, object };
+        self.note_epoch(r, epoch);
+        Ok(r)
+    }
+
+    /// Register `r` for epoch fencing at `epoch` on its home machine
+    /// (supervision enrollment; see DESIGN.md §10).
+    pub fn set_epoch_of(&mut self, r: ObjRef, epoch: u64) -> RemoteResult<()> {
+        self.call_set_epoch(r.machine, r.object, epoch)?;
+        self.note_epoch(r, epoch);
+        Ok(())
+    }
+
+    /// Fence the (possibly still live) incarnation at `old` after a
+    /// takeover: its machine destroys the local copy, records `epoch`,
+    /// and forwards stale pointers to `to`.
+    pub fn fence_object(&mut self, old: ObjRef, epoch: u64, to: ObjRef) -> RemoteResult<()> {
+        self.call_fence(old.machine, old.object, epoch, to)
+    }
+
+    /// Remove a stored snapshot; true if one existed.
+    pub fn drop_snapshot(&mut self, machine: MachineId, key: &str) -> RemoteResult<bool> {
+        self.call_drop_snapshot(machine, key.to_string())
+    }
+
+    /// Store a snapshot taken elsewhere under `key` on `machine` — the
+    /// replication half of crash recovery. The snapshot can later be
+    /// [`activate`](NodeCtx::activate)d on that machine even though the
+    /// object never lived there.
+    pub fn put_snapshot(
+        &mut self,
+        machine: MachineId,
+        key: &str,
+        class: &str,
+        state: Vec<u8>,
+    ) -> RemoteResult<()> {
+        self.call_put_snapshot(machine, key.to_string(), class.to_string(), Bytes(state))
+    }
+
+    /// Snapshot a live object and store a copy under `key` on each of
+    /// `backups`. If the object's home machine later crashes, any backup
+    /// can reactivate it (see
+    /// [`resolve_or_activate_supervised`](crate::naming::resolve_or_activate_supervised)).
+    pub fn replicate_snapshot<C: RemoteClient>(
+        &mut self,
+        client: &C,
+        key: &str,
+        backups: &[MachineId],
+    ) -> RemoteResult<()> {
+        let state = self.snapshot_of(client.obj_ref())?;
+        for &m in backups {
+            self.put_snapshot(m, key, C::CLASS, state.clone())?;
+        }
+        Ok(())
+    }
+
+    /// Ask a machine's serve loop to stop (used by cluster shutdown).
+    pub fn shutdown_machine(&mut self, machine: MachineId) -> RemoteResult<()> {
+        self.call_shutdown(machine)
+    }
+
+    // ------------------------------------------------------------------
+    // Live migration (placement subsystem)
+    // ------------------------------------------------------------------
+
+    /// Live-migrate a **persistent** object to `target`, transparently to
+    /// its callers: quiesce (the source parks the object; its calls
+    /// defer), transfer (snapshot shipped through this coordinator),
+    /// reactivate on the target, commit (a forwarding stub replaces the
+    /// object at the old address; parked and in-flight calls redirect and
+    /// execute exactly once at the new home). Stale pointers on other
+    /// machines chase at most one forward before needing to re-resolve.
+    ///
+    /// On failure before the commit the object is rolled back — restored
+    /// at the source under its original id — so old pointers stay valid
+    /// and the object is never lost. Returns the object's new address.
+    pub fn migrate(&mut self, obj: ObjRef, target: MachineId) -> RemoteResult<ObjRef> {
+        if target >= self.machines() {
+            return Err(RemoteError::BadMachine {
+                machine: target,
+                machines: self.machines(),
+            });
+        }
+        if obj.object == DAEMON {
+            return Err(RemoteError::app("the daemon cannot migrate"));
+        }
+        let obj = self.forwarded_target(obj);
+        if obj.machine == target {
+            return Ok(obj); // already home
+        }
+        // The move's control-plane RMIs must survive a lossy fabric even
+        // under a caller's single-shot policy: a lost commit would strand
+        // the object in quiesce forever.
+        let saved_policy = self.policy;
+        self.policy = saved_policy.with_min_retries(3);
+        let result = match self.migrate_inner(obj, target) {
+            // The ref was stale (someone else moved it first): follow the
+            // forward once and retry — or accept it if it already ended up
+            // on the requested machine.
+            Err(RemoteError::Moved { to }) => {
+                self.note_move(obj, to);
+                if to.machine == target {
+                    Ok(to)
+                } else {
+                    self.migrate_inner(to, target)
+                }
+            }
+            r => r,
+        };
+        self.policy = saved_policy;
+        result
+    }
+
+    fn migrate_inner(&mut self, obj: ObjRef, target: MachineId) -> RemoteResult<ObjRef> {
+        let span = self.migration_marker(EventKind::MigrateBegin, obj.machine, 0, 0);
+        // 1. Quiesce + snapshot at the source.
+        let bundle = self.call_migrate_out(obj.machine, obj.object)?;
+        self.migration_marker(
+            EventKind::MigrateTransfer,
+            target,
+            span,
+            bundle.state.0.len() as u32,
+        );
+        // 2. Reactivate on the target from the shipped state.
+        match self.call_adopt_state(target, bundle.class, bundle.state) {
+            Ok(object) => {
+                let new_ref = ObjRef {
+                    machine: target,
+                    object,
+                };
+                // 3. Commit: install the forwarding stub at the source.
+                match self.call_migrate_commit(obj.machine, obj.object, new_ref) {
+                    Ok(()) => {
+                        self.migration_marker(EventKind::MigrateCommit, target, span, 0);
+                        self.note_move(obj, new_ref);
+                        Ok(new_ref)
+                    }
+                    Err(e) => {
+                        // Commit unreachable: the fresh copy must not
+                        // become a second live identity. Undo it and try
+                        // to restore the source; if the source is down,
+                        // its parked state survives for a later rollback.
+                        let _ = self.destroy(new_ref);
+                        let _ = self.call_migrate_rollback(obj.machine, obj.object);
+                        self.migration_marker(EventKind::MigrateRollback, obj.machine, span, 0);
+                        Err(e)
+                    }
+                }
+            }
+            Err(e) => {
+                // 2'. Target dead or rejected the state: roll back — the
+                // object is restored at the source under its original id.
+                self.call_migrate_rollback(obj.machine, obj.object)?;
+                self.migration_marker(EventKind::MigrateRollback, obj.machine, span, 0);
+                Err(e)
+            }
+        }
+    }
+
+    /// Record a coordinator-side migration lifecycle marker. Pass span 0
+    /// to open the move's span; the returned id threads the later markers
+    /// of the same move together.
+    fn migration_marker(&mut self, kind: EventKind, peer: MachineId, span: u64, bytes: u32) -> u64 {
+        if self.tracer.is_none() {
+            return span;
+        }
+        let span = if span == 0 { self.alloc_span() } else { span };
+        let trace_id = self.current_trace.map(|(tid, _)| tid).unwrap_or(span);
+        if let Some(tracer) = &self.tracer {
+            tracer.record(kind, peer, trace_id, span, 0, 0, 0, bytes, "migrate".into());
+        }
+        span
+    }
+
+    /// Per-object served-call counters of `machine` (sorted by object id)
+    /// — the placement subsystem's load probe.
+    pub fn loads_of(&mut self, machine: MachineId) -> RemoteResult<Vec<(u64, u64)>> {
+        self.call_loads(machine)
+    }
+
+    // ------------------------------------------------------------------
+    // Replication control plane (driven by crates/replica's manager)
+    // ------------------------------------------------------------------
+
+    /// Materialize a read replica of `class` on `machine` from `state`,
+    /// mirroring `primary` at `rs_epoch` under a `lease_millis` coherence
+    /// lease. Returns the replica's address.
+    pub fn replica_adopt(
+        &mut self,
+        machine: MachineId,
+        class: &str,
+        state: Vec<u8>,
+        primary: ObjRef,
+        rs_epoch: u64,
+        lease_millis: u64,
+    ) -> RemoteResult<ObjRef> {
+        let object = self.call_replica_adopt(
+            machine,
+            class.to_string(),
+            Bytes(state),
+            primary,
+            rs_epoch,
+            lease_millis,
+        )?;
+        Ok(ObjRef { machine, object })
+    }
+
+    /// Push `state` at `rs_epoch` to the replica at `r`, renewing its
+    /// coherence lease.
+    pub fn replica_sync_to(
+        &mut self,
+        r: ObjRef,
+        state: Vec<u8>,
+        rs_epoch: u64,
+        lease_millis: u64,
+    ) -> RemoteResult<()> {
+        self.call_replica_sync(r.machine, r.object, Bytes(state), rs_epoch, lease_millis)
+    }
+
+    /// Renew the coherence lease of the replica at `r` if it is exactly at
+    /// `rs_epoch`; `false` means it drifted and needs a full sync.
+    pub fn replica_renew(
+        &mut self,
+        r: ObjRef,
+        rs_epoch: u64,
+        lease_millis: u64,
+    ) -> RemoteResult<bool> {
+        self.call_replica_renew(r.machine, r.object, rs_epoch, lease_millis)
+    }
+
+    /// Tear down the replica at `r` (idempotent); a forwarding stub toward
+    /// its primary heals routes that still point there.
+    pub fn replica_drop(&mut self, r: ObjRef) -> RemoteResult<()> {
+        self.call_replica_drop(r.machine, r.object)
+    }
+
+    /// Install the primary-side replica-set record on `primary`'s machine.
+    pub fn replica_attach(
+        &mut self,
+        primary: ObjRef,
+        replicas: Vec<ObjRef>,
+        rs_epoch: u64,
+        write_through: bool,
+        lease_millis: u64,
+    ) -> RemoteResult<()> {
+        self.call_replica_attach(
+            primary.machine,
+            primary.object,
+            replicas,
+            rs_epoch,
+            write_through,
+            lease_millis,
+        )
+    }
+
+    /// Replication role and coherence position of the object at `r`.
+    pub fn replica_status_of(&mut self, r: ObjRef) -> RemoteResult<ReplicaStatus> {
+        self.call_replica_status(r.machine, r.object)
+    }
+
+    /// Promote the replica at `r` into a normal object fenced at `epoch`
+    /// (primary-death failover; pair with a directory CAS and a
+    /// `replica_attach` of the surviving set).
+    pub fn replica_promote(&mut self, r: ObjRef, epoch: u64) -> RemoteResult<()> {
+        self.call_replica_promote(r.machine, r.object, epoch)?;
+        self.note_epoch(r, epoch);
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Serving the daemon (dispatcher lane)
+    // ------------------------------------------------------------------
+
+    pub(super) fn serve_daemon(&mut self, req: IncomingReq) -> ServeOutcome {
+        let saved_trace = std::mem::replace(
+            &mut self.current_trace,
+            (req.span != 0).then_some((req.trace_id, req.span)),
+        );
+        // The reader borrows the request, not `self`, so handlers run with
+        // the whole node at hand and no payload is ever copied.
+        let mut reader = Reader::new(&req.payload);
+        let outcome = match String::decode(&mut reader) {
+            Ok(method) => {
+                self.trace_req(EventKind::ServerDispatch, &req, 0);
+                self.daemon_dispatch(&method, &mut reader)
+            }
+            Err(e) => Err(e.into()),
+        };
+        self.current_trace = saved_trace;
+        let result = match outcome {
+            Err(Refusal::Busy) => return ServeOutcome::Defer(req),
+            Err(Refusal::Failed(e)) => Err(e),
+            Ok(bytes) => {
+                bump!(self.shared.stats, calls_served);
+                Ok(bytes)
+            }
+        };
+        self.send_response(req.reply_to, req.req_id, result);
+        ServeOutcome::Served
+    }
+
+    /// Atomically remove `object`'s entry if it is present and idle — the
+    /// check-and-remove is one shard-lock critical section, so a worker
+    /// can never check the object out between the two. `None` means no
+    /// such entry; a checked-out object is [`Refusal::Busy`].
+    fn take_idle_entry(&self, object: ObjectId) -> Handled<Option<ObjEntry>> {
+        let mut guard = self.shared.shards[shard_of(object)].lock();
+        match guard.get(&object) {
+            None => Ok(None),
+            Some(e) if e.slot.is_none() => Err(Refusal::Busy),
+            Some(_) => Ok(guard.remove(&object)),
+        }
+    }
+
+    /// The idle process of `object` in its (locked) `shard`, for verbs
+    /// that read or replace it in place: an id with no live entry is
+    /// refused through [`absent`](NodeCtx::absent), a checked-out object is
+    /// [`Refusal::Busy`].
+    fn idle_object<'a>(
+        &self,
+        shard: &'a mut HashMap<ObjectId, ObjEntry>,
+        object: ObjectId,
+    ) -> Handled<&'a mut Box<dyn ServerObject>> {
+        let entry = shard.get_mut(&object).ok_or_else(|| self.absent(object))?;
+        entry.slot.as_mut().ok_or(Refusal::Busy)
+    }
+
+    /// Snapshot `object` and, on success, atomically remove its entry
+    /// (same shard-lock discipline as [`take_idle_entry`]), returning the
+    /// class name and serialized state with it so the caller can forward
+    /// or park them while no lock is held. A snapshot failure (a
+    /// non-persistent class) leaves the object untouched.
+    ///
+    /// [`take_idle_entry`]: NodeCtx::take_idle_entry
+    fn snapshot_and_remove(&self, object: ObjectId) -> Handled<(String, Vec<u8>, ObjEntry)> {
+        let mut shard = self.shared.shards[shard_of(object)].lock();
+        let obj = self.idle_object(&mut shard, object)?;
+        let (class, state) = (obj.class_name().to_string(), obj.snapshot_state()?);
+        let entry = shard.remove(&object).expect("present");
+        Ok((class, state, entry))
+    }
+
+    /// Answer every request still queued in a removed entry's mailbox
+    /// through the absent-object path (Moved / Fenced / NoSuchObject /
+    /// deferred), exactly as if each had arrived after the removal. The
+    /// caller must update the gates (forwards, epochs, migrating) for the
+    /// removal *before* draining.
+    fn drain_removed_mailbox(&mut self, entry: ObjEntry) {
+        // The whole mailbox leaves the queue at once: release the
+        // machine-wide in-flight budget before answering each request.
+        self.shared.queued.release(entry.mailbox.len() as u64);
+        for req in entry.mailbox {
+            match self.reject_absent(req) {
+                ServeOutcome::Served => {}
+                ServeOutcome::Defer(req) => self.push_deferred(req),
+            }
+        }
+    }
+
+    /// Daemon-side disposition of a lifecycle verb aimed at an object id
+    /// with no live entry: mid-migration ids ask the caller to retry
+    /// (quiesce), forwarded ids redirect, anything else never existed
+    /// here.
+    fn absent(&self, object: ObjectId) -> Refusal {
+        let gates = self.shared.gates.lock();
+        if gates.migrating.contains_key(&object) {
+            return Refusal::Busy;
+        }
+        Refusal::Failed(match gates.forwards.get(&object) {
+            Some(&to) => RemoteError::Moved { to },
+            None => RemoteError::NoSuchObject {
+                machine: self.machine,
+                object,
+            },
+        })
+    }
+
+    /// Build an object of the registered `class` from snapshot bytes; the
+    /// caller decides under which id it becomes reachable.
+    fn restore(&mut self, class: &str, state: &[u8]) -> RemoteResult<Box<dyn ServerObject>> {
+        let registry = self.registry.clone();
+        registry.restore(class, self, state)
+    }
+
+    /// [`restore`](NodeCtx::restore) from the snapshot stored under `key`
+    /// (which stays stored).
+    fn restore_snapshot(&mut self, key: String) -> RemoteResult<Box<dyn ServerObject>> {
+        let (class, state) = self
+            .snapshots
+            .get(&key)
+            .cloned()
+            .ok_or(RemoteError::NoSuchSnapshot { key })?;
+        self.restore(&class, &state)
+    }
+
+    /// The clock reading at which a lease of `millis` granted now runs
+    /// out. `millis` comes off the wire: saturate, so an absurd grant
+    /// means "never expires" rather than an overflow panic (debug) or a
+    /// wrapped, possibly already past, deadline (release).
+    fn lease_expiry(&self, millis: u64) -> u64 {
+        self.clock
+            .now_nanos()
+            .saturating_add(millis.saturating_mul(1_000_000))
+    }
+
+    // ------------------------------------------------------------------
+    // Verb handlers (`daemon_dispatch` decodes the arguments and calls
+    // these; they run on the dispatcher lane)
+    // ------------------------------------------------------------------
+
+    fn on_ping(&mut self) -> Handled<()> {
+        Ok(())
+    }
+
+    fn on_create(&mut self, class: String, args: Bytes) -> Handled<ObjectId> {
+        let registry = self.registry.clone();
+        let obj = registry.construct(&class, self, &mut Reader::new(&args.0))?;
+        Ok(self.adopt(obj).object)
+    }
+
+    fn on_destroy(&mut self, object: ObjectId) -> Handled<()> {
+        let Some(entry) = self.take_idle_entry(object)? else {
+            return Err(self.absent(object));
+        };
+        {
+            let mut gates = self.shared.gates.lock();
+            gates.object_calls.remove(&object);
+            gates.replica_meta.remove(&object);
+            gates.primaries.remove(&object);
+        }
+        // Queued requests answer NoSuchObject, as if they had arrived
+        // after the destroy. Dropping the entry runs the destructor.
+        self.drain_removed_mailbox(entry);
+        Ok(())
+    }
+
+    fn on_shutdown(&mut self) -> Handled<()> {
+        // The serve loop exits once this request has been answered.
+        self.alive = false;
+        Ok(())
+    }
+
+    fn on_snapshot(&mut self, object: ObjectId) -> Handled<Bytes> {
+        let mut shard = self.shared.shards[shard_of(object)].lock();
+        let obj = self.idle_object(&mut shard, object)?;
+        Ok(Bytes(obj.snapshot_state()?))
+    }
+
+    fn on_deactivate(&mut self, object: ObjectId, key: String) -> Handled<()> {
+        let (class, state, entry) = self.snapshot_and_remove(object)?;
+        self.snapshots.insert(key, (class, state));
+        self.shared.gates.lock().object_calls.remove(&object);
+        self.drain_removed_mailbox(entry);
+        Ok(())
+    }
+
+    fn on_activate(&mut self, key: String) -> Handled<ObjectId> {
+        let obj = self.restore_snapshot(key)?;
+        Ok(self.adopt(obj).object)
+    }
+
+    fn on_drop_snapshot(&mut self, key: String) -> Handled<bool> {
+        Ok(self.snapshots.remove(&key).is_some())
+    }
+
+    fn on_put_snapshot(&mut self, key: String, class: String, state: Bytes) -> Handled<()> {
+        self.snapshots.insert(key, (class, state.0));
+        Ok(())
+    }
+
+    fn on_stats(&mut self) -> Handled<NodeStats> {
+        Ok(self.local_stats())
+    }
+
+    /// Quiesce + transfer: park the object's state in `migrating` (its
+    /// requests defer from here on) and ship a snapshot to the
+    /// coordinator. The object is gone from the live table but fully
+    /// recoverable until commit.
+    fn on_migrate_out(&mut self, object: ObjectId) -> Handled<MigrationPayload> {
+        // Replicated objects are unmovable (DESIGN.md §11): a moving
+        // primary would race its own write propagation, and a moving
+        // replica is pointless — drop and re-adopt.
+        {
+            let gates = self.shared.gates.lock();
+            if gates.primaries.contains_key(&object) || gates.replica_meta.contains_key(&object) {
+                return Err(RemoteError::Replicated { object }.into());
+            }
+        }
+        // Busy mid-call (quiesce later); a non-persistent class fails with
+        // the object intact.
+        let (class, state, entry) = self.snapshot_and_remove(object)?;
+        // Park the state before draining the mailbox, so the queued
+        // requests land in the deferred queue (quiesce), not in
+        // NoSuchObject.
+        self.shared
+            .gates
+            .lock()
+            .migrating
+            .insert(object, (class.clone(), state.clone()));
+        self.drain_removed_mailbox(entry);
+        Ok(MigrationPayload {
+            class,
+            state: Bytes(state),
+        })
+    }
+
+    fn on_migrate_commit(&mut self, object: ObjectId, to: ObjRef) -> Handled<()> {
+        let mut gates = self.shared.gates.lock();
+        if gates.migrating.remove(&object).is_some() {
+            gates.forwards.insert(object, to);
+            gates.object_calls.remove(&object);
+            drop(gates);
+            bump!(self.shared.stats, migrated_out);
+            Ok(())
+        } else if gates.forwards.get(&object) == Some(&to) {
+            // Dedup normally absorbs commit retransmits; this arm
+            // keeps the verb idempotent even across a dedup reset.
+            Ok(())
+        } else {
+            Err(
+                RemoteError::app(format!("migrate_commit: object {object} is not migrating"))
+                    .into(),
+            )
+        }
+    }
+
+    fn on_migrate_rollback(&mut self, object: ObjectId) -> Handled<()> {
+        let parked = self.shared.gates.lock().migrating.remove(&object);
+        match parked {
+            Some((class, state)) => match self.restore(&class, &state) {
+                Ok(obj) => {
+                    // Restore under the ORIGINAL id: every pointer minted
+                    // before the aborted move stays valid, no directory
+                    // update needed.
+                    self.shared.insert_object(object, obj);
+                    Ok(())
+                }
+                Err(e) => {
+                    // Keep the state parked rather than lose the object; a
+                    // later rollback can retry.
+                    self.shared
+                        .gates
+                        .lock()
+                        .migrating
+                        .insert(object, (class, state));
+                    Err(e.into())
+                }
+            },
+            // Idempotent: already rolled back.
+            None if self.shared.shards[shard_of(object)]
+                .lock()
+                .contains_key(&object) =>
+            {
+                Ok(())
+            }
+            None => Err(RemoteError::app(format!(
+                "migrate_rollback: object {object} is not migrating"
+            ))
+            .into()),
+        }
+    }
+
+    /// Reactivation half of a migration: build the object from its shipped
+    /// snapshot under a fresh local id.
+    fn on_adopt_state(&mut self, class: String, state: Bytes) -> Handled<ObjectId> {
+        let obj = self.restore(&class, &state.0)?;
+        bump!(self.shared.stats, migrated_in);
+        Ok(self.adopt(obj).object)
+    }
+
+    /// Sorted by id so the reply is deterministic.
+    fn on_loads(&mut self) -> Handled<Vec<(ObjectId, u64)>> {
+        let mut loads: Vec<(u64, u64)> = {
+            let gates = self.shared.gates.lock();
+            gates.object_calls.iter().map(|(&o, &c)| (o, c)).collect()
+        };
+        loads.sort_unstable();
+        Ok(loads)
+    }
+
+    /// The reply is the detector's interval sample. Arrival also renews
+    /// the serving lease — the machine may serve supervised objects for
+    /// another `ttl_millis` from *now*.
+    fn on_heartbeat(&mut self, ttl_millis: u64) -> Handled<()> {
+        self.shared.gates.lock().lease_deadline = Some(self.lease_expiry(ttl_millis));
+        bump!(self.shared.stats, heartbeats_served);
+        Ok(())
+    }
+
+    /// Epochs only move forward; a lower value is a stale retransmit.
+    fn on_set_epoch(&mut self, object: ObjectId, epoch: u64) -> Handled<()> {
+        let mut gates = self.shared.gates.lock();
+        let e = gates.epochs.entry(object).or_insert(0);
+        if epoch > *e {
+            *e = epoch;
+        }
+        Ok(())
+    }
+
+    /// The restored incarnation is registered at its bumped epoch before
+    /// any call can reach it (the epoch lands before the object becomes
+    /// visible).
+    fn on_activate_fenced(&mut self, key: String, epoch: u64) -> Handled<ObjectId> {
+        let obj = self.restore_snapshot(key)?;
+        let id = self.shared.alloc_obj_id();
+        self.shared.gates.lock().epochs.insert(id, epoch);
+        self.shared.insert_object(id, obj);
+        Ok(id)
+    }
+
+    /// Idempotent: fencing an already-fenced or never-lived id just
+    /// (re)installs the epoch and the forwarding stub.
+    fn on_fence(&mut self, object: ObjectId, epoch: u64, to: ObjRef) -> Handled<()> {
+        let entry = self.take_idle_entry(object)?; // mid-call: fence after
+        {
+            let mut gates = self.shared.gates.lock();
+            gates.migrating.remove(&object);
+            gates.object_calls.remove(&object);
+            let e = gates.epochs.entry(object).or_insert(0);
+            if epoch > *e {
+                *e = epoch;
+            }
+            gates.forwards.insert(object, to);
+        }
+        // Gates first, then the drain: the queued requests resolve
+        // against the forwarding stub installed above.
+        if let Some(entry) = entry {
+            self.drain_removed_mailbox(entry);
+        }
+        Ok(())
+    }
+
+    /// The replica is an ordinary object plus a `replica_meta` entry that
+    /// gates what it may serve.
+    fn on_replica_adopt(
+        &mut self,
+        class: String,
+        state: Bytes,
+        primary: ObjRef,
+        rs_epoch: u64,
+        lease_millis: u64,
+    ) -> Handled<ObjectId> {
+        let obj = self.restore(&class, &state.0)?;
+        let read_verbs = obj.read_verbs();
+        if read_verbs.is_empty() {
+            return Err(RemoteError::app(format!(
+                "replica_adopt: class {class:?} declares no read verbs \
+                 (nothing a replica could serve)"
+            ))
+            .into());
+        }
+        let id = self.shared.alloc_obj_id();
+        // Meta before object: the coherence gate must already be
+        // in place when the first read can reach the entry.
+        self.shared.gates.lock().replica_meta.insert(
+            id,
+            ReplicaMeta {
+                primary,
+                rs_epoch,
+                lease_until: self.lease_expiry(lease_millis),
+                read_verbs,
+            },
+        );
+        self.shared.insert_object(id, obj);
+        Ok(id)
+    }
+
+    /// A sync at or above the replica's epoch replaces its state; an older
+    /// one (a raced propagation that lost) only renews the lease — state
+    /// never regresses.
+    fn on_replica_sync(
+        &mut self,
+        object: ObjectId,
+        state: Bytes,
+        rs_epoch: u64,
+        lease_millis: u64,
+    ) -> Handled<()> {
+        let fresh = match self.shared.gates.lock().replica_meta.get(&object) {
+            None => return Err(self.absent(object)),
+            Some(meta) => rs_epoch >= meta.rs_epoch,
+        };
+        // Busy mid-read: sync after.
+        let class = self
+            .idle_object(&mut self.shared.shards[shard_of(object)].lock(), object)?
+            .class_name();
+        if fresh {
+            let replaced = self.restore(class, &state.0)?;
+            // Re-take the shard lock (restore may itself serve):
+            // if a worker checked the replica out meanwhile, come
+            // back once it is idle rather than swap mid-read.
+            let mut shard = self.shared.shards[shard_of(object)].lock();
+            *self.idle_object(&mut shard, object)? = replaced;
+        }
+        let mut gates = self.shared.gates.lock();
+        let Some(meta) = gates.replica_meta.get_mut(&object) else {
+            drop(gates);
+            return Err(self.absent(object));
+        };
+        if rs_epoch > meta.rs_epoch {
+            meta.rs_epoch = rs_epoch;
+        }
+        meta.lease_until = self.lease_expiry(lease_millis);
+        Ok(())
+    }
+
+    fn on_replica_renew(
+        &mut self,
+        object: ObjectId,
+        rs_epoch: u64,
+        lease_millis: u64,
+    ) -> Handled<bool> {
+        let mut gates = self.shared.gates.lock();
+        let Some(meta) = gates.replica_meta.get_mut(&object) else {
+            drop(gates);
+            return Err(self.absent(object));
+        };
+        let current = meta.rs_epoch == rs_epoch;
+        if current {
+            meta.lease_until = self.lease_expiry(lease_millis);
+        }
+        Ok(current)
+    }
+
+    /// Idempotent.
+    fn on_replica_drop(&mut self, object: ObjectId) -> Handled<()> {
+        let entry = {
+            let mut guard = self.shared.shards[shard_of(object)].lock();
+            if matches!(guard.get(&object), Some(e) if e.slot.is_none()) {
+                return Err(Refusal::Busy); // mid-read: drop after
+            }
+            // Lock order shard → gates, both held so the removal
+            // and the forwarding stub appear atomically.
+            let mut gates = self.shared.gates.lock();
+            match gates.replica_meta.remove(&object) {
+                Some(meta) => {
+                    gates.object_calls.remove(&object);
+                    gates.forwards.insert(object, meta.primary);
+                    guard.remove(&object)
+                }
+                None => None,
+            }
+        };
+        if let Some(entry) = entry {
+            self.drain_removed_mailbox(entry);
+        }
+        Ok(())
+    }
+
+    /// From here on, write verbs served by `object` bump the replica-set
+    /// epoch and propagate per the mode.
+    fn on_replica_attach(
+        &mut self,
+        object: ObjectId,
+        replicas: Vec<ObjRef>,
+        rs_epoch: u64,
+        write_through: bool,
+        lease_millis: u64,
+    ) -> Handled<()> {
+        if !self.shared.shards[shard_of(object)]
+            .lock()
+            .contains_key(&object)
+        {
+            return Err(self.absent(object));
+        }
+        let mut gates = self.shared.gates.lock();
+        if replicas.is_empty() && lease_millis == 0 {
+            // Detach: an empty set with no lease is `unreplicate`
+            // tearing the record down — the object becomes a
+            // normal (and movable) single process again.
+            gates.primaries.remove(&object);
+        } else {
+            gates.primaries.insert(
+                object,
+                PrimaryMeta {
+                    replicas,
+                    rs_epoch,
+                    write_through,
+                    lease_millis,
+                },
+            );
+        }
+        Ok(())
+    }
+
+    fn on_replica_status(&mut self, object: ObjectId) -> Handled<ReplicaStatus> {
+        let gates = self.shared.gates.lock();
+        if let Some(pm) = gates.primaries.get(&object) {
+            return Ok(ReplicaStatus {
+                is_primary: true,
+                rs_epoch: pm.rs_epoch,
+                replicas: pm.replicas.clone(),
+            });
+        }
+        if let Some(meta) = gates.replica_meta.get(&object) {
+            return Ok(ReplicaStatus {
+                is_primary: false,
+                rs_epoch: meta.rs_epoch,
+                replicas: vec![meta.primary],
+            });
+        }
+        drop(gates);
+        Err(self.absent(object))
+    }
+
+    /// The manager re-attaches the surviving set afterwards.
+    fn on_replica_promote(&mut self, object: ObjectId, epoch: u64) -> Handled<()> {
+        // Busy mid-read: promote after.
+        self.idle_object(&mut self.shared.shards[shard_of(object)].lock(), object)?;
+        let mut gates = self.shared.gates.lock();
+        gates.replica_meta.remove(&object);
+        let e = gates.epochs.entry(object).or_insert(0);
+        if epoch > *e {
+            *e = epoch;
+        }
+        Ok(())
+    }
+}

@@ -1,0 +1,500 @@
+//! The per-machine progress engine.
+//!
+//! Every machine in an oopp cluster runs one **dispatcher** [`NodeCtx`]: the
+//! engine that owns the machine's network inbox, **admits** requests into
+//! their target objects' mailboxes, serves daemon verbs, and **issues**
+//! requests on behalf of the code currently running on it. Execution of
+//! object mailboxes happens either inline on the dispatcher (the classic
+//! single-threaded profile, still the default) or on an M:N pool of worker
+//! lanes with per-worker work-stealing deques (DESIGN.md §13) — each worker
+//! lane is itself a `NodeCtx` sharing the machine's `SharedNode` state, so
+//! methods running on a worker issue remote calls exactly like the paper's
+//! sequential RMI model prescribes.
+//!
+//! One process per object means calls to an object **serialize**: a mailbox
+//! is owned by at most one lane at a time (a single "task token" per object
+//! enforces it), so within an object the original semantics are untouched no
+//! matter how many workers the machine runs. A cycle of cross-object waits
+//! (A's method calls B while B's method calls A on the same lanes) is a
+//! genuine distributed deadlock; the engine converts it into
+//! [`RemoteError::Timeout`] rather than hanging forever.
+//!
+//! The engine is split along its roles: `call` issues requests and waits
+//! for replies (the client role), `serve` admits and executes incoming
+//! requests (the server role), and `daemon` is the per-machine daemon —
+//! the verb table, its public wrappers and its handlers.
+
+mod call;
+mod daemon;
+mod serve;
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+use std::time::Duration;
+
+use crossbeam::channel::Receiver;
+use simnet::{Clock, MachineId, Network, Packet, SimDisk};
+use wire::{Reader, Wire};
+
+use crate::error::{RemoteError, RemoteResult};
+use crate::frame::NodeStats;
+use crate::ids::{ObjRef, ObjectId};
+use crate::policy::{CallPolicy, OverloadConfig};
+use crate::process::{ClassRegistry, ServerClass, ServerObject};
+use crate::shared::{CallTrace, IncomingReq, Sched, SharedNode, WorkerMsg};
+use crate::trace::{EventKind, Tracer};
+
+use call::{Breaker, OutboundCall, ReplicaRoute};
+pub(crate) use daemon::encode_shutdown;
+pub use daemon::DAEMON_VERBS;
+
+/// Identity of an in-flight request, handed to objects that defer their
+/// replies (see [`DispatchResult::NoReply`](crate::DispatchResult::NoReply)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CallInfo {
+    /// Correlation id chosen by the caller.
+    pub req_id: u64,
+    /// Machine the response must go to.
+    pub reply_to: MachineId,
+}
+
+/// Worker-lane identity: the control channel the dispatcher routes into,
+/// the virtual-clock park label, and this worker's own work-stealing deque.
+pub(crate) struct WorkerLane {
+    pub(crate) rx: Receiver<WorkerMsg>,
+    pub(crate) label: u64,
+    pub(crate) index: usize,
+    pub(crate) deque: sched::Worker<ObjectId>,
+}
+
+/// Default reply window. Long enough for heavily costed benchmark runs,
+/// short enough that a deadlocked test fails rather than hangs.
+pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// One machine's runtime state: its objects, its link to the fabric, and
+/// the progress engine that serves and issues calls.
+pub struct NodeCtx {
+    machine: MachineId,
+    workers: usize,
+    net: Network,
+    /// The cluster clock (shared with the fabric): all timeouts, backoffs
+    /// and leases on this node are measured against it, so a virtual-time
+    /// cluster never blocks on a wall-clock-only timer.
+    clock: Clock,
+    /// The machine's network inbox. `Some` on dispatcher and driver lanes,
+    /// `None` on worker lanes (which receive through `lane` instead).
+    inbox: Option<Receiver<Packet>>,
+    /// Worker-lane state; `None` on dispatcher/driver lanes.
+    lane: Option<WorkerLane>,
+    /// Request-id lane number. Every lane on a machine allocates req_ids
+    /// congruent to its lane number modulo `stride`, so the dispatcher can
+    /// route a response to the lane that issued the call without any shared
+    /// correlation table. Lane 0 is the dispatcher; worker `w` is lane
+    /// `w + 1`.
+    lane_no: u64,
+    /// `sched workers + 1` on pooled machines, 1 everywhere else (which
+    /// makes req-id allocation byte-identical to the single-threaded
+    /// engine).
+    stride: u64,
+    registry: Arc<ClassRegistry>,
+    disks: Vec<Arc<SimDisk>>,
+    /// The machine's thread-shared server state: object shards, gates,
+    /// dedup window, counters, and the scheduler handle.
+    shared: Arc<SharedNode>,
+    /// Requests this lane must retry later (daemon verbs that reported
+    /// Busy, requests for mid-migration objects). Dispatcher-only in
+    /// practice; lane-local always.
+    deferred: VecDeque<IncomingReq>,
+    replies: HashMap<u64, Result<Vec<u8>, RemoteError>>,
+    /// Passivated object states (daemon verbs `deactivate`/`activate`).
+    /// Dispatcher-local: only daemon verbs touch it.
+    snapshots: HashMap<String, (String, Vec<u8>)>,
+    /// Client-side forwarding cache: addresses this node has learned are
+    /// stale, mapped to their replacement, so repeat calls start at the
+    /// object's last known home instead of re-chasing.
+    moved_cache: HashMap<ObjRef, ObjRef>,
+    /// Per-node cache of symbolic-address resolutions (see
+    /// [`crate::naming`]); invalidated when a cached pointer fails.
+    resolve_cache: HashMap<String, ObjRef>,
+    /// Client-side epoch beliefs: the incarnation epoch this node last
+    /// learned for a supervised address (from the naming directory or a
+    /// `Fenced` reply). Stamped onto outgoing frames.
+    believed_epochs: HashMap<ObjRef, u64>,
+    /// Client-side replica routes, keyed by the primary's address.
+    replica_routes: HashMap<ObjRef, ReplicaRoute>,
+    outstanding: HashMap<u64, OutboundCall>,
+    current_call: Option<CallInfo>,
+    next_req_id: u64,
+    alive: bool,
+    policy: CallPolicy,
+    /// Flight recorder handle; `None` (the default) disables tracing.
+    tracer: Option<Tracer>,
+    /// Monotone counter behind span-id allocation (see `alloc_span`).
+    next_span: u64,
+    /// Trace identity of the request currently being dispatched, so calls
+    /// issued from inside a method inherit its trace and parent span.
+    current_trace: Option<(u64, u64)>,
+    /// Absolute deadline of the request currently being dispatched, so
+    /// calls issued from inside a method inherit the caller's remaining
+    /// budget (deadline propagation across hops, DESIGN.md §15).
+    current_deadline: Option<u64>,
+    /// Per-destination circuit breakers (lane-local; each lane learns a
+    /// machine's health from its own calls).
+    breakers: HashMap<MachineId, Breaker>,
+    /// Per-destination retry-budget buckets, in millitokens: each first
+    /// attempt deposits, each retransmission spends 1000. A dry bucket
+    /// suppresses retransmission so retries cannot amplify an overload.
+    retry_tokens: HashMap<MachineId, u64>,
+    /// Round counter feeding the seeded steal-order permutation.
+    steal_round: u64,
+}
+
+impl std::fmt::Debug for NodeCtx {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NodeCtx")
+            .field("machine", &self.machine)
+            .field("lane", &self.lane_no)
+            .field("objects", &self.shared.objects_live())
+            .field("deferred", &self.deferred.len())
+            .finish()
+    }
+}
+
+impl Drop for NodeCtx {
+    fn drop(&mut self) {
+        // Leave the virtual clock's quiescence set (no-op in real mode).
+        // If this was the last running actor, deregistration advances the
+        // event loop so remaining deliveries (shutdown frames for peers)
+        // still fire — the teardown cascade depends on it.
+        self.clock.deregister_actor();
+    }
+}
+
+impl NodeCtx {
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        machine: MachineId,
+        workers: usize,
+        net: Network,
+        inbox: Receiver<Packet>,
+        registry: Arc<ClassRegistry>,
+        disks: Vec<Arc<SimDisk>>,
+        policy: CallPolicy,
+        tracer: Option<Tracer>,
+        overload: OverloadConfig,
+    ) -> Self {
+        let shared = Arc::new(SharedNode::new(Sched::Inline, overload));
+        Self::new_dispatcher(
+            machine, workers, net, inbox, registry, disks, policy, tracer, shared,
+        )
+    }
+
+    /// The dispatcher lane of a machine: owns the network inbox and the
+    /// admission path; executes objects inline when `shared.sched` is
+    /// [`Sched::Inline`], hands them to the pool otherwise.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new_dispatcher(
+        machine: MachineId,
+        workers: usize,
+        net: Network,
+        inbox: Receiver<Packet>,
+        registry: Arc<ClassRegistry>,
+        disks: Vec<Arc<SimDisk>>,
+        policy: CallPolicy,
+        tracer: Option<Tracer>,
+        shared: Arc<SharedNode>,
+    ) -> Self {
+        Self::new_lane(
+            machine,
+            workers,
+            net,
+            Some(inbox),
+            None,
+            registry,
+            disks,
+            policy,
+            tracer,
+            shared,
+        )
+    }
+
+    /// Worker lane `lane.index` of a pooled machine.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new_worker(
+        machine: MachineId,
+        workers: usize,
+        net: Network,
+        lane: WorkerLane,
+        registry: Arc<ClassRegistry>,
+        disks: Vec<Arc<SimDisk>>,
+        policy: CallPolicy,
+        tracer: Option<Tracer>,
+        shared: Arc<SharedNode>,
+    ) -> Self {
+        Self::new_lane(
+            machine,
+            workers,
+            net,
+            None,
+            Some(lane),
+            registry,
+            disks,
+            policy,
+            tracer,
+            shared,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn new_lane(
+        machine: MachineId,
+        workers: usize,
+        net: Network,
+        inbox: Option<Receiver<Packet>>,
+        lane: Option<WorkerLane>,
+        registry: Arc<ClassRegistry>,
+        disks: Vec<Arc<SimDisk>>,
+        policy: CallPolicy,
+        tracer: Option<Tracer>,
+        shared: Arc<SharedNode>,
+    ) -> Self {
+        let clock = net.clock().clone();
+        // Virtual time only advances while every actor is parked in the
+        // clock, so each NodeCtx — worker lanes included — enrolls here and
+        // leaves in its Drop.
+        clock.register_actor();
+        let stride = match &shared.sched {
+            Sched::Inline => 1,
+            Sched::Pool(pool) => pool.workers() as u64 + 1,
+        };
+        let lane_no = lane.as_ref().map_or(0, |l| l.index as u64 + 1);
+        NodeCtx {
+            machine,
+            workers,
+            net,
+            clock,
+            inbox,
+            lane,
+            lane_no,
+            stride,
+            registry,
+            disks,
+            shared,
+            deferred: VecDeque::new(),
+            replies: HashMap::new(),
+            snapshots: HashMap::new(),
+            moved_cache: HashMap::new(),
+            resolve_cache: HashMap::new(),
+            believed_epochs: HashMap::new(),
+            replica_routes: HashMap::new(),
+            outstanding: HashMap::new(),
+            current_call: None,
+            // Lane 0 starts at `stride` (so id 0 stays unused, and with
+            // stride 1 this is the classic "ids start at 1"); lane L
+            // starts at L. Stepping by `stride` keeps lanes disjoint.
+            next_req_id: if lane_no == 0 { stride } else { lane_no },
+            alive: true,
+            policy,
+            tracer,
+            next_span: 1,
+            current_trace: None,
+            current_deadline: None,
+            breakers: HashMap::new(),
+            retry_tokens: HashMap::new(),
+            steal_round: 0,
+        }
+    }
+
+    /// Cluster-unique span id: machine-prefixed so two machines can never
+    /// mint the same id (`machine + 1` so id 0 stays reserved for
+    /// "untraced"), lane-prefixed so two lanes of one machine cannot
+    /// either.
+    fn alloc_span(&mut self) -> u64 {
+        let span = ((self.machine as u64 + 1) << 48) | (self.lane_no << 40) | self.next_span;
+        self.next_span += 1;
+        span
+    }
+
+    /// Next request id on this lane's arithmetic progression (see
+    /// `lane_no`/`stride`).
+    fn alloc_req_id(&mut self) -> u64 {
+        let id = self.next_req_id;
+        self.next_req_id += self.stride;
+        id
+    }
+
+    // ------------------------------------------------------------------
+    // Identity and hardware
+    // ------------------------------------------------------------------
+
+    /// This machine's id.
+    pub fn machine(&self) -> MachineId {
+        self.machine
+    }
+
+    /// Number of worker machines (ids `0..workers()`). The driver program
+    /// runs on the extra endpoint `workers()`.
+    pub fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// Total endpoints, workers plus driver.
+    pub fn machines(&self) -> usize {
+        self.workers + 1
+    }
+
+    /// The cluster clock this node measures every timeout, backoff and
+    /// lease against. Virtual nanos under a virtual-time cluster.
+    pub fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
+    /// Current clock reading in nanoseconds since the cluster epoch.
+    pub fn now_nanos(&self) -> u64 {
+        self.clock.now_nanos()
+    }
+
+    /// Locally attached disks.
+    pub fn disks(&self) -> &[Arc<SimDisk>] {
+        &self.disks
+    }
+
+    /// One local disk handle.
+    ///
+    /// # Panics
+    /// If `i` is out of range for this machine.
+    pub fn disk(&self, i: usize) -> Arc<SimDisk> {
+        self.disks[i].clone()
+    }
+
+    // ------------------------------------------------------------------
+    // Flight recorder (every event this node emits goes through these)
+    // ------------------------------------------------------------------
+
+    /// Record an event of a call identified by a [`CallTrace`]: the client
+    /// side of a call this node issued (`peer` = its destination), or the
+    /// reply to one it served (`peer` = the caller). No-op when tracing is
+    /// off or the call is untraced.
+    fn trace_call(
+        &self,
+        kind: EventKind,
+        peer: MachineId,
+        trace: Option<&CallTrace>,
+        req_id: u64,
+        attempt: u32,
+        bytes: usize,
+    ) {
+        if let (Some(tracer), Some(t)) = (&self.tracer, trace) {
+            tracer.record(
+                kind,
+                peer,
+                t.trace_id,
+                t.span,
+                t.parent_span,
+                req_id,
+                attempt,
+                bytes as u32,
+                t.method.clone(),
+            );
+        }
+    }
+
+    /// Record a server-side event about the admitted request `req` (peer =
+    /// its caller; `value` lands in the `bytes` column).
+    fn trace_req(&self, kind: EventKind, req: &IncomingReq, value: u32) {
+        if let (Some(tracer), Some(method)) = (&self.tracer, &req.method) {
+            tracer.record(
+                kind,
+                req.reply_to,
+                req.trace_id,
+                req.span,
+                0,
+                req.req_id,
+                0,
+                value,
+                method.clone(),
+            );
+        }
+    }
+
+    /// Record an origin event — a marker that opens its own span rather
+    /// than belonging to a call: `value` lands in the `bytes` column and
+    /// `label` in the method column.
+    fn trace_marker(&mut self, kind: EventKind, peer: MachineId, value: u32, label: &str) {
+        if self.tracer.is_none() {
+            return;
+        }
+        let span = self.alloc_span();
+        if let Some(tracer) = &self.tracer {
+            tracer.record(kind, peer, span, span, 0, 0, 0, value, label.into());
+        }
+    }
+
+    /// Record a client-side overload marker event (breaker transitions,
+    /// fast-fails). These are origin events: `value` lands in the `bytes`
+    /// column and the peer column names the destination machine.
+    fn record_overload_marker(&mut self, kind: EventKind, dest: MachineId, value: u32) {
+        self.trace_marker(kind, dest, value, "overload");
+    }
+
+    /// Record a replica lifecycle marker in the flight recorder (no-op
+    /// when tracing is off). `peer` is the machine the event concerns;
+    /// `bytes` carries the marker's scalar payload (replica-set epoch, or
+    /// replica count for scale events).
+    pub fn replica_marker(&mut self, kind: EventKind, peer: MachineId, bytes: u32) {
+        self.trace_marker(kind, peer, bytes, "replicate");
+    }
+
+    /// Record a supervision lifecycle marker in the flight recorder (no-op
+    /// when tracing is off). `peer` is the machine the event is about;
+    /// `bytes` carries the marker's scalar payload (phi ×1000 for
+    /// suspicion events, MTTR in microseconds for reactivations).
+    pub fn supervision_marker(&mut self, kind: EventKind, peer: MachineId, bytes: u32) {
+        self.trace_marker(kind, peer, bytes, "supervise");
+    }
+
+    /// Number of live objects on this node (excluding the daemon).
+    pub fn objects_live(&self) -> usize {
+        self.shared.objects_live()
+    }
+
+    /// This node's own counters, without a network round trip — what
+    /// [`stats_of`](NodeCtx::stats_of) would report about this machine.
+    /// The driver uses it to read its client-role counters
+    /// (`calls_retried`) after a chaotic run.
+    pub fn local_stats(&self) -> NodeStats {
+        self.shared.stats.snapshot(
+            self.shared.objects_live() as u64,
+            self.snapshots.len() as u64,
+        )
+    }
+
+    /// Register a locally constructed object (used by the runtime to host
+    /// driver-side objects and by tests). Returns its reference.
+    pub fn adopt(&mut self, obj: Box<dyn ServerObject>) -> ObjRef {
+        let id = self.shared.alloc_obj_id();
+        self.shared.insert_object(id, obj);
+        ObjRef {
+            machine: self.machine,
+            object: id,
+        }
+    }
+
+    /// Construct and host an object of class `T` on **this** node directly
+    /// (no network round trip). Used by the runtime for built-ins.
+    pub fn adopt_new<T: ServerClass>(&mut self, args: Vec<u8>) -> RemoteResult<ObjRef> {
+        let mut reader = Reader::new(&args);
+        let obj = T::construct(self, &mut reader)?;
+        Ok(self.adopt(Box::new(obj)))
+    }
+}
+
+/// First len-prefixed string of a request payload — the method name. Only
+/// the flight recorder calls this; malformed payloads trace as `"?"`.
+fn payload_method(payload: &[u8]) -> Arc<str> {
+    let mut r = Reader::new(payload);
+    match String::decode(&mut r) {
+        Ok(m) => m.into(),
+        Err(_) => "?".into(),
+    }
+}

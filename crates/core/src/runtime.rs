@@ -434,7 +434,7 @@ impl Cluster {
                 req_id: u64::MAX,
                 reply_to: self.driver_id,
                 target: crate::ids::DAEMON,
-                payload: Bytes(crate::frame::DaemonCall::Shutdown.encode()),
+                payload: Bytes(crate::node::encode_shutdown()),
                 trace: TraceCtx::default(),
                 epoch: 0,
                 rs_epoch: 0.into(),

@@ -43,6 +43,9 @@ pub(crate) struct IncomingReq {
     pub(crate) reply_to: MachineId,
     pub(crate) target: ObjectId,
     pub(crate) payload: Vec<u8>,
+    /// The method name at the head of `payload`, parsed once at admission
+    /// for the flight recorder's events; `None` while tracing is off.
+    pub(crate) method: Option<std::sync::Arc<str>>,
     /// Trace identity from the request frame (zeros when untraced).
     pub(crate) trace_id: u64,
     pub(crate) span: u64,
@@ -174,7 +177,9 @@ pub(crate) struct SharedStats {
 
 macro_rules! bump {
     ($stats:expr, $field:ident) => {
-        $stats.$field.fetch_add(1, Ordering::Relaxed)
+        $stats
+            .$field
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     };
 }
 pub(crate) use bump;

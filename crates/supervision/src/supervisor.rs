@@ -464,7 +464,7 @@ impl Supervisor {
                 ctx.start_heartbeat(m, ttl)
             }
             // Probes must not renew the lease: a plain daemon ping.
-            BeatKind::Probe => ctx.start_method_raw(ObjRef::daemon(m), "ping", |_| {}),
+            BeatKind::Probe => ctx.start_ping(m),
         };
         // Stamp with the *actual* send time, not the step's entry time: a
         // stall earlier in this step (a takeover on another machine) must

@@ -1,0 +1,339 @@
+//! The daemon protocol, declared once (DESIGN.md §4, "daemon protocol —
+//! one table"): the frames its stubs put on the wire are pinned to golden
+//! bytes, every verb of the table is driven end to end through its public
+//! wrapper, and malformed requests are typed errors on one call — never a
+//! dead machine thread.
+
+use std::collections::BTreeSet;
+use std::time::Duration;
+
+use oopp_repro::oopp::node::DAEMON_VERBS;
+use oopp_repro::oopp::{
+    wire, CallPolicy, ClusterBuilder, Driver, EventKind, NodeCtx, ObjRef, RemoteClient,
+    RemoteError, RemoteResult,
+};
+
+/// Persistent counter with a read verb. A state of [`UNLUCKY`] refuses to
+/// be restored anywhere but machine 0 — the lever that fails a migration
+/// after `migrate_out` and so drives `migrate_rollback`.
+#[derive(Debug, Default)]
+pub struct Tally {
+    total: u64,
+}
+
+const UNLUCKY: u64 = 13;
+
+oopp_repro::oopp::remote_class! {
+    class Tally {
+        persistent;
+        reads(total);
+        ctor();
+        /// Add `n`; returns the new total.
+        fn add(&mut self, n: u64) -> u64;
+        /// Current total (replica-servable).
+        fn total(&mut self) -> u64;
+    }
+}
+
+impl Tally {
+    pub fn new(_ctx: &mut NodeCtx) -> RemoteResult<Self> {
+        Ok(Tally::default())
+    }
+
+    fn add(&mut self, _ctx: &mut NodeCtx, n: u64) -> RemoteResult<u64> {
+        self.total += n;
+        Ok(self.total)
+    }
+
+    fn total(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<u64> {
+        Ok(self.total)
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        wire::to_bytes(&self.total)
+    }
+
+    fn load_state(ctx: &mut NodeCtx, state: &[u8]) -> RemoteResult<Self> {
+        let total: u64 = wire::from_bytes(state)?;
+        if total == UNLUCKY && ctx.machine() != 0 {
+            return Err(RemoteError::app("an unlucky tally only lives on machine 0"));
+        }
+        Ok(Tally { total })
+    }
+}
+
+/// One worker machine (0) plus the driver endpoint (1). A short single-shot
+/// policy: a request the daemon mishandles must fail the test fast.
+fn one_machine(tracing: bool) -> (oopp_repro::oopp::Cluster, Driver) {
+    ClusterBuilder::new(1)
+        .register::<Tally>()
+        .call_policy(CallPolicy::no_retry(Duration::from_millis(500)))
+        .tracing(tracing)
+        .build()
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The frame in flight for `req_id`, as hex; then wait the call out.
+fn sent_frame(driver: &mut Driver, req_id: u64) -> String {
+    let frame = hex(driver.outstanding_frame(req_id).expect("call in flight"));
+    driver.wait_raw(req_id).expect("daemon call");
+    frame
+}
+
+/// Wire identity: the complete `Frame::Request` bytes of four daemon calls
+/// (string + bytes, no arguments, vector + bool, object references), as
+/// the parent commit's hand-written encoders produced them. The sequence
+/// matters: request ids count up from the cluster directory's `create`.
+#[test]
+fn daemon_request_frames_match_the_golden_bytes() {
+    let (cluster, mut driver) = one_machine(false);
+    let obj = ObjRef {
+        machine: 0,
+        object: 2,
+    };
+
+    let id = driver
+        .create_object_start(0, "DoubleBlock", wire::to_bytes(&8usize))
+        .unwrap();
+    assert_eq!(
+        sent_frame(&mut driver, id),
+        "00020000000000000001000000000000000015066372656174650b446f75626c65426c6f636b\
+         01080000000000000000000000"
+    );
+
+    let id = driver.start_ping(0).unwrap();
+    assert_eq!(
+        sent_frame(&mut driver, id),
+        "000300000000000000010000000000000000050470696e670000000000000000000000"
+    );
+
+    let replicas = vec![ObjRef {
+        machine: 1,
+        object: 9,
+    }];
+    let id = driver
+        .start_replica_attach(0, obj.object, replicas, 5, true, 200)
+        .unwrap();
+    assert_eq!(
+        sent_frame(&mut driver, id),
+        "000400000000000000010000000000000000320e7265706c6963615f617474616368\
+         020000000000000001010900000000000000050000000000000001c800000000000000\
+         0000000000000000000000"
+    );
+
+    let to = ObjRef {
+        machine: 1,
+        object: 19,
+    };
+    let id = driver.start_fence(0, obj.object, 3, to).unwrap();
+    assert_eq!(
+        sent_frame(&mut driver, id),
+        "0005000000000000000100000000000000001f0566656e6365020000000000000003\
+         000000000000000113000000000000000000000000000000000000"
+    );
+    cluster.shutdown(driver);
+}
+
+/// Every verb of the table, once, end to end through its public wrapper,
+/// each returning its typed reply; the flight recorder confirms that no
+/// row of the table went unserved.
+#[test]
+fn every_daemon_verb_round_trips_through_its_public_wrapper() {
+    let (cluster, mut driver) = one_machine(true);
+    let recorder = cluster.recorder().expect("tracing is on");
+    let d = &mut driver;
+    let lease = 3_600_000;
+
+    // ping, create, stats, loads, snapshot.
+    d.ping(0).unwrap();
+    let a = TallyClient::new_on(d, 0).unwrap();
+    assert_eq!(a.add(d, 5).unwrap(), 5);
+    assert!(d.stats_of(0).unwrap().objects_live >= 2, "directory + a");
+    assert!(d.loads_of(0).unwrap().contains(&(a.obj_ref().object, 1)));
+    let state = d.snapshot_of(a.obj_ref()).unwrap();
+    assert_eq!(state, wire::to_bytes(&5u64));
+
+    // put_snapshot, activate, drop_snapshot, deactivate, activate_fenced.
+    d.put_snapshot(0, "k1", "Tally", state.clone()).unwrap();
+    let b: TallyClient = d.activate(0, "k1").unwrap();
+    assert_eq!(b.total(d).unwrap(), 5);
+    assert!(d.drop_snapshot(0, "k1").unwrap());
+    assert!(!d.drop_snapshot(0, "k1").unwrap());
+    d.deactivate(b.obj_ref(), "k2").unwrap();
+    let c: TallyClient = d.activate_fenced(0, "k2", 3).unwrap();
+    assert_eq!(d.believed_epoch(c.obj_ref()), 3);
+
+    // set_epoch, heartbeat (the lease the two supervised objects now need),
+    // fence (stale pointers to `c` forward to `a`).
+    d.set_epoch_of(a.obj_ref(), 2).unwrap();
+    let beat = d.start_heartbeat(0, lease).unwrap();
+    d.wait_raw(beat).unwrap();
+    assert_eq!(c.total(d).unwrap(), 5);
+    d.fence_object(c.obj_ref(), 4, a.obj_ref()).unwrap();
+
+    // replica_adopt, replica_status (both roles), replica_attach,
+    // replica_sync, replica_renew, replica_promote, replica_drop.
+    let primary = a.obj_ref();
+    let r1 = d
+        .replica_adopt(0, "Tally", state.clone(), primary, 1, lease)
+        .unwrap();
+    let r2 = d
+        .replica_adopt(0, "Tally", state, primary, 1, lease)
+        .unwrap();
+    d.replica_attach(primary, vec![r1, r2], 1, false, lease)
+        .unwrap();
+    let status = d.replica_status_of(primary).unwrap();
+    assert!(status.is_primary);
+    assert_eq!(status.replicas, vec![r1, r2]);
+    let status = d.replica_status_of(r1).unwrap();
+    assert!(!status.is_primary);
+    assert_eq!((status.rs_epoch, status.replicas), (1, vec![primary]));
+    d.replica_sync_to(r1, wire::to_bytes(&9u64), 2, lease)
+        .unwrap();
+    assert!(d.replica_renew(r1, 2, lease).unwrap());
+    assert!(!d.replica_renew(r1, 7, lease).unwrap(), "drifted");
+    d.replica_promote(r2, 5).unwrap();
+    assert_eq!(d.believed_epoch(r2), 5);
+    d.replica_drop(r1).unwrap();
+
+    // migrate_out, adopt_state, migrate_commit: a move to the driver's own
+    // endpoint, which serves its half of the protocol re-entrantly.
+    let m = TallyClient::new_on(d, 0).unwrap();
+    m.add(d, 1).unwrap();
+    let moved = d.migrate(m.obj_ref(), 1).unwrap();
+    assert_eq!(moved.machine, 1);
+    assert_eq!(m.total(d).unwrap(), 1, "the old pointer forwards");
+    // migrate_rollback: the target refuses the state, the source restores
+    // the object under its original id.
+    let unlucky = TallyClient::new_on(d, 0).unwrap();
+    unlucky.add(d, UNLUCKY).unwrap();
+    assert!(matches!(
+        d.migrate(unlucky.obj_ref(), 1),
+        Err(RemoteError::App { .. })
+    ));
+    assert_eq!(unlucky.total(d).unwrap(), UNLUCKY);
+
+    // destroy; shutdown goes out with the cluster.
+    d.destroy(unlucky.obj_ref()).unwrap();
+    assert!(matches!(
+        unlucky.total(d),
+        Err(RemoteError::NoSuchObject { .. })
+    ));
+    cluster.shutdown(driver);
+
+    let served: BTreeSet<String> = recorder
+        .merge()
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::ServerDispatch)
+        .map(|e| e.method.to_string())
+        .collect();
+    let unserved: Vec<&str> = DAEMON_VERBS
+        .iter()
+        .copied()
+        .filter(|v| !served.contains(*v))
+        .collect();
+    assert!(unserved.is_empty(), "verbs never exercised: {unserved:?}");
+    assert_eq!(DAEMON_VERBS.len(), 26);
+}
+
+/// Call daemon verb `verb` on machine 0 with the raw argument bytes `args`.
+fn raw_call(driver: &mut Driver, verb: &str, args: &[u8]) -> RemoteResult<Vec<u8>> {
+    let id = driver.start_method_raw(ObjRef::daemon(0), verb, |w| w.put_bytes(args))?;
+    driver.wait_raw(id)
+}
+
+/// Malformed daemon requests — an unknown verb, truncated arguments,
+/// trailing garbage, and seeded random junk aimed at every verb — each
+/// fail (or succeed) as that one call; the machine keeps serving.
+#[test]
+fn junk_daemon_requests_are_typed_errors_on_one_call() {
+    let (cluster, mut driver) = one_machine(false);
+    let d = &mut driver;
+
+    match raw_call(d, "no_such_verb", &[]) {
+        Err(RemoteError::NoSuchMethod { class, method }) => {
+            assert_eq!(
+                (class.as_str(), method.as_str()),
+                ("<daemon>", "no_such_verb")
+            );
+        }
+        other => panic!("unknown verb: {other:?}"),
+    }
+    let truncated = [
+        ("destroy", &[][..]),
+        ("fence", &[2, 0, 0, 0, 0, 0, 0, 0, 3][..]),
+        ("put_snapshot", &[1, b'k'][..]),
+    ];
+    for (verb, args) in truncated {
+        assert!(
+            matches!(raw_call(d, verb, args), Err(RemoteError::Decode { .. })),
+            "truncated {verb}"
+        );
+    }
+    for verb in ["ping", "stats", "loads"] {
+        assert!(
+            matches!(raw_call(d, verb, &[0xAB]), Err(RemoteError::Decode { .. })),
+            "trailing garbage after {verb}"
+        );
+    }
+    d.ping(0).unwrap();
+
+    // Junk never panics the machine thread. Outcomes are opaque (random
+    // bytes can spell a valid request; one that parks a verb behind a
+    // quiesced object times out, which is the protocol working) — except
+    // `shutdown`, which would be obeyed.
+    d.set_call_policy(CallPolicy::no_retry(Duration::from_millis(20)));
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let verbs: Vec<&str> = DAEMON_VERBS
+        .iter()
+        .copied()
+        .filter(|v| *v != "shutdown")
+        .collect();
+    for _ in 0..300 {
+        let verb = verbs[next() as usize % verbs.len()];
+        let junk: Vec<u8> = (0..next() % 48).map(|_| next() as u8).collect();
+        let _ = raw_call(d, verb, &junk);
+    }
+    d.set_call_policy(CallPolicy::no_retry(Duration::from_millis(500)));
+    d.ping(0).unwrap();
+    cluster.shutdown(driver);
+}
+
+/// Regression: lease arithmetic on wire input. `heartbeat` and the replica
+/// verbs computed `now + millis * 1_000_000` unchecked; a huge grant
+/// panicked the machine thread (debug) or wrapped to an arbitrary, possibly
+/// past, lease (release). It must saturate to "never expires".
+#[test]
+fn absurd_lease_grants_saturate() {
+    let (cluster, mut driver) = one_machine(false);
+    let d = &mut driver;
+    let a = TallyClient::new_on(d, 0).unwrap();
+    a.add(d, 5).unwrap();
+    d.set_epoch_of(a.obj_ref(), 1).unwrap();
+
+    let beat = d.start_heartbeat(0, u64::MAX).unwrap();
+    d.wait_raw(beat).unwrap();
+    d.ping(0).unwrap();
+    assert_eq!(a.total(d).unwrap(), 5, "supervised object still served");
+
+    let state = wire::to_bytes(&5u64);
+    let r = d
+        .replica_adopt(0, "Tally", state.clone(), a.obj_ref(), 1, u64::MAX)
+        .unwrap();
+    assert!(d.replica_renew(r, 1, u64::MAX).unwrap());
+    d.replica_sync_to(r, state, 2, u64::MAX).unwrap();
+    d.ping(0).unwrap();
+    let read = d.start_method_direct::<u64>(r, "total", |_| {}).unwrap();
+    assert_eq!(read.wait(d).unwrap(), 5, "replica lease is live");
+    cluster.shutdown(driver);
+}

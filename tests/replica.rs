@@ -129,10 +129,28 @@ fn replicated_counter(
     ReplicaManager,
     Vec<oopp_repro::oopp::ObjRef>,
 ) {
+    replicated_counter_on(ClusterConfig::zero_cost(0), seed, home, targets, cfg)
+}
+
+/// [`replicated_counter`] on the substrate `sim` (e.g. under virtual time).
+fn replicated_counter_on(
+    sim: ClusterConfig,
+    seed: u64,
+    home: usize,
+    targets: &[usize],
+    cfg: ReplicaConfig,
+) -> (
+    oopp_repro::oopp::Cluster,
+    oopp_repro::oopp::Driver,
+    RCounterClient,
+    String,
+    ReplicaManager,
+    Vec<oopp_repro::oopp::ObjRef>,
+) {
     let (cluster, mut driver) = ClusterBuilder::new(4)
         .register::<RCounter>()
         .register::<WriteOnly>()
-        .sim_config(ClusterConfig::zero_cost(0))
+        .sim_config(sim)
         .call_policy(test_policy())
         .build();
     let dir = driver.directory();
@@ -470,6 +488,38 @@ fn broadcast_reaches_the_primary_and_every_replica_directly() {
     assert_eq!(group.len(), 1);
     let totals: Vec<u64> = group.broadcast(&mut driver, "total", |_| {}).unwrap();
     assert_eq!(totals, vec![0]);
+    cluster.shutdown(driver);
+}
+
+/// Regression: a `StaleReplica` verdict for a **directly addressed** call
+/// (`start_method_direct`, i.e. a replica-set broadcast member) is that
+/// call's answer. `wait_raw` used to take it for the replayed verdict of
+/// an already-redirected read, discard it, and wait out the whole retry
+/// budget for a `Timeout`.
+#[test]
+fn direct_call_to_a_lapsed_replica_surfaces_stale_replica() {
+    let cfg = ReplicaConfig {
+        mode: CoherenceMode::BoundedStaleness,
+        lease: Duration::from_millis(80),
+    };
+    let sim = ClusterConfig::zero_cost(0).with_virtual_time(7);
+    let (cluster, mut driver, c, _name, _mgr, replicas) =
+        replicated_counter_on(sim, 7, 0, &[1], cfg);
+
+    // Nobody renews the coherence lease while virtual time runs past it.
+    driver.serve_for(Duration::from_millis(160));
+
+    let at_replica = driver
+        .start_method_direct::<u64>(replicas[0], "total", |_| {})
+        .unwrap();
+    let at_primary = driver
+        .start_method_direct::<u64>(c.obj_ref(), "total", |_| {})
+        .unwrap();
+    match at_replica.wait(&mut driver) {
+        Err(RemoteError::StaleReplica { primary, .. }) => assert_eq!(primary, c.obj_ref()),
+        other => panic!("the lapsed replica must answer StaleReplica, got {other:?}"),
+    }
+    assert_eq!(at_primary.wait(&mut driver).unwrap(), 7);
     cluster.shutdown(driver);
 }
 
