@@ -6,6 +6,8 @@
 //! whose verb table lives in `node::daemon`), keeping the protocol surface
 //! minimal.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use wire::collections::Bytes;
 use wire::{wire_struct, V64};
 
@@ -203,94 +205,111 @@ wire_struct!(ReplicaStatus {
     replicas
 });
 
-/// Per-machine runtime counters, returned by
-/// [`NodeCtx::stats_of`](crate::NodeCtx::stats_of).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NodeStats {
+/// The counter table: one row per [`NodeStats`] field, in **wire order**
+/// (rows are append-only; the order is protocol). A `counter` row is an
+/// atomic in the machine's `SharedStats` that lanes bump; a `given` row is
+/// computed by whoever takes the snapshot. From the table come the public
+/// struct, its `Wire` impl, the atomics and `SharedStats::snapshot` — so a
+/// new counter is one row, and cannot be forgotten or mis-ordered anywhere.
+macro_rules! node_stats {
+    ($( $(#[$doc:meta])* $kind:ident $name:ident; )*) => {
+        /// Per-machine runtime counters, returned by
+        /// [`NodeCtx::stats_of`](crate::NodeCtx::stats_of).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct NodeStats {
+            $( $(#[$doc])* pub $name: u64, )*
+        }
+
+        wire_struct!(NodeStats { $($name),* });
+
+        node_stats!(@split [] [] $($kind $name;)*);
+    };
+    (@split [$($c:ident)*] [$($g:ident)*] counter $name:ident; $($rest:tt)*) => {
+        node_stats!(@split [$($c)* $name] [$($g)*] $($rest)*);
+    };
+    (@split [$($c:ident)*] [$($g:ident)*] given $name:ident; $($rest:tt)*) => {
+        node_stats!(@split [$($c)*] [$($g)* $name] $($rest)*);
+    };
+    (@split [$($c:ident)*] [$($g:ident)*]) => {
+        /// Machine-wide counters. Atomics, not a mutex: every lane bumps
+        /// them on every call and nobody reads them until a `stats` verb
+        /// asks.
+        #[derive(Default)]
+        pub(crate) struct SharedStats {
+            $( pub(crate) $c: AtomicU64, )*
+        }
+
+        impl SharedStats {
+            pub(crate) fn snapshot(&self, $($g: u64),*) -> NodeStats {
+                NodeStats {
+                    $( $g, )*
+                    $( $c: self.$c.load(Ordering::Relaxed), )*
+                }
+            }
+        }
+    };
+}
+
+node_stats! {
     /// Live (constructed, not yet destroyed) user objects.
-    pub objects_live: u64,
+    given objects_live;
     /// Requests this machine has served to completion.
-    pub calls_served: u64,
+    counter calls_served;
     /// Requests that had to be parked because their target was busy.
-    pub calls_deferred: u64,
+    counter calls_deferred;
     /// Snapshots currently stored on this machine.
-    pub snapshots_stored: u64,
+    given snapshots_stored;
     /// Outbound requests this machine retransmitted (client role).
-    pub calls_retried: u64,
+    counter calls_retried;
     /// Duplicate requests answered from the dedup window's response cache
     /// (the original executed; only its response had been lost).
-    pub dup_replayed: u64,
+    counter dup_replayed;
     /// Duplicate requests dropped because the original was still being
     /// served (or parked deferred) when the copy arrived.
-    pub dup_suppressed: u64,
+    counter dup_suppressed;
     /// Requests answered with a forwarding redirect because their target
     /// object had migrated away from this machine.
-    pub calls_forwarded: u64,
+    counter calls_forwarded;
     /// Objects this machine adopted through live migration.
-    pub migrated_in: u64,
+    counter migrated_in;
     /// Objects this machine migrated away (forwarding stubs installed).
-    pub migrated_out: u64,
+    counter migrated_out;
     /// Supervisor heartbeats this machine has answered (lease renewals).
-    pub heartbeats_served: u64,
+    counter heartbeats_served;
     /// Requests rejected with [`RemoteError::Fenced`] — stale-epoch
     /// callers plus calls refused because the serving lease had expired.
-    pub calls_fenced: u64,
+    counter calls_fenced;
     /// Read verbs served by replicas hosted on this machine.
-    pub replica_reads_served: u64,
+    counter replica_reads_served;
     /// Requests a replica refused with [`RemoteError::StaleReplica`]
     /// (expired coherence lease or caller ahead of the sync epoch).
-    pub replica_reads_stale: u64,
+    counter replica_reads_stale;
     /// Write propagations (`replica_sync`) this machine's primaries pushed.
-    pub replica_syncs_sent: u64,
+    counter replica_syncs_sent;
     /// Symbolic-name resolutions answered from this node's resolve cache
     /// (no directory round-trip).
-    pub dir_cache_hits: u64,
+    counter dir_cache_hits;
     /// Resolve-cache misses — resolutions that had to fall through to the
     /// control plane (a directory or shard lookup).
-    pub dir_cache_misses: u64,
+    counter dir_cache_misses;
     /// Requests rejected at admission with
     /// [`RemoteError::Overloaded`] — mailbox cap
     /// or machine in-flight budget exceeded (never queued).
-    pub calls_shed_overload: u64,
+    counter calls_shed_overload;
     /// Admitted requests shed at execution time because their queue
     /// sojourn exceeded the CoDel-style target (DESIGN.md §15).
-    pub calls_shed_sojourn: u64,
+    counter calls_shed_sojourn;
     /// Requests dropped (at admission or execution) because their
     /// propagated deadline had already expired.
-    pub calls_deadline_expired: u64,
+    counter calls_deadline_expired;
     /// Outbound calls failed fast by an open circuit breaker without
     /// touching the network (client role).
-    pub breaker_fast_fails: u64,
+    counter breaker_fast_fails;
     /// Retransmissions suppressed by an exhausted retry budget (client
     /// role): the retry would have amplified a brownout, so the call
     /// surfaced its timeout instead.
-    pub retries_suppressed: u64,
+    counter retries_suppressed;
 }
-
-wire_struct!(NodeStats {
-    objects_live,
-    calls_served,
-    calls_deferred,
-    snapshots_stored,
-    calls_retried,
-    dup_replayed,
-    dup_suppressed,
-    calls_forwarded,
-    migrated_in,
-    migrated_out,
-    heartbeats_served,
-    calls_fenced,
-    replica_reads_served,
-    replica_reads_stale,
-    replica_syncs_sent,
-    dir_cache_hits,
-    dir_cache_misses,
-    calls_shed_overload,
-    calls_shed_sojourn,
-    calls_deadline_expired,
-    breaker_fast_fails,
-    retries_suppressed
-});
 
 #[cfg(test)]
 mod tests {
@@ -340,13 +359,16 @@ mod tests {
         }
     }
 
+    /// The `NodeStats` encoding is protocol: field `i` (in wire order)
+    /// set to `i`, pinned against the bytes the hand-written struct and
+    /// `wire_struct!` list produced before the table macro replaced them.
     #[test]
-    fn node_stats_roundtrip() {
+    fn node_stats_wire_order_is_pinned() {
         let s = NodeStats {
-            objects_live: 3,
-            calls_served: 100,
+            objects_live: 0,
+            calls_served: 1,
             calls_deferred: 2,
-            snapshots_stored: 1,
+            snapshots_stored: 3,
             calls_retried: 4,
             dup_replayed: 5,
             dup_suppressed: 6,
@@ -366,7 +388,35 @@ mod tests {
             breaker_fast_fails: 20,
             retries_suppressed: 21,
         };
-        assert_eq!(from_bytes::<NodeStats>(&to_bytes(&s)).unwrap(), s);
+        const GOLDEN: &str = "\
+            0000000000000000010000000000000002000000000000000300000000000000\
+            0400000000000000050000000000000006000000000000000700000000000000\
+            080000000000000009000000000000000a000000000000000b00000000000000\
+            0c000000000000000d000000000000000e000000000000000f00000000000000\
+            1000000000000000110000000000000012000000000000001300000000000000\
+            14000000000000001500000000000000";
+        let bytes = to_bytes(&s);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        assert_eq!(from_bytes::<NodeStats>(&bytes).unwrap(), s);
+    }
+
+    /// `snapshot` puts every counter and both caller-supplied rows in the
+    /// field of the same name.
+    #[test]
+    fn shared_stats_snapshot_fills_every_field_by_name() {
+        let stats = SharedStats::default();
+        stats.calls_served.store(5, Ordering::Relaxed);
+        stats.retries_suppressed.store(9, Ordering::Relaxed);
+        let snap = stats.snapshot(3, 4);
+        let want = NodeStats {
+            objects_live: 3,
+            snapshots_stored: 4,
+            calls_served: 5,
+            retries_suppressed: 9,
+            ..NodeStats::default()
+        };
+        assert_eq!(snap, want);
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! (`on_<verb>`). Adding a verb is one table row, one `on_<verb>` handler
 //! and, where callers want a friendlier signature, one public wrapper.
 
-use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 
 use simnet::MachineId;
 use wire::collections::Bytes;
 use wire::{Reader, Wire, Writer};
 
+use super::judge::{judge, Verdict};
 use super::serve::ServeOutcome;
 use super::NodeCtx;
 use crate::error::{RemoteError, RemoteResult};
@@ -21,7 +22,10 @@ use crate::frame::{MigrationPayload, NodeStats, ReplicaStatus};
 use crate::future::{Pending, PendingClient};
 use crate::ids::{ObjRef, ObjectId, DAEMON};
 use crate::process::{RemoteClient, ServerObject};
-use crate::shared::{bump, shard_of, IncomingReq, ObjEntry, PrimaryMeta, ReplicaMeta};
+use crate::shared::{
+    bump, raise_epoch, take_live, Ask, IncomingReq, LiveObj, ObjRecord, PrimaryMeta, ReplicaMeta,
+    Role, Shard,
+};
 use crate::trace::EventKind;
 
 /// Why a daemon handler produced no reply. Handlers return
@@ -637,80 +641,61 @@ impl NodeCtx {
         ServeOutcome::Served
     }
 
-    /// Atomically remove `object`'s entry if it is present and idle — the
-    /// check-and-remove is one shard-lock critical section, so a worker
-    /// can never check the object out between the two. `None` means no
-    /// such entry; a checked-out object is [`Refusal::Busy`].
-    fn take_idle_entry(&self, object: ObjectId) -> Handled<Option<ObjEntry>> {
-        let mut guard = self.shared.shards[shard_of(object)].lock();
-        match guard.get(&object) {
-            None => Ok(None),
-            Some(e) if e.slot.is_none() => Err(Refusal::Busy),
-            Some(_) => Ok(guard.remove(&object)),
+    /// What a lifecycle verb aimed at `object` is told when its `record`
+    /// is not a live object: the request pipeline's answer for a caller
+    /// with no epoch belief — a quiesced (mid-migration) id asks the caller
+    /// to retry, a forwarded one redirects, a fenced one says so, and
+    /// anything else (`None` included) never existed here.
+    fn refuse(&self, record: Option<&ObjRecord>, object: ObjectId) -> Refusal {
+        // Neither clock nor lease gates anything but a live object.
+        let (here, ask) = (self.here(object), Ask::default());
+        match judge(record, here, &ask, &[], 0, u64::MAX, &self.shared.overload) {
+            Verdict::Reject(err) | Verdict::Quarantine { err, .. } => Refusal::Failed(err),
+            // (`Serve` is for live records, which no caller passes.)
+            Verdict::Defer | Verdict::Serve { .. } => Refusal::Busy,
         }
     }
 
-    /// The idle process of `object` in its (locked) `shard`, for verbs
-    /// that read or replace it in place: an id with no live entry is
-    /// refused through [`absent`](NodeCtx::absent), a checked-out object is
-    /// [`Refusal::Busy`].
-    fn idle_object<'a>(
+    /// The live object of `object` in its (locked) `shard`, for verbs that
+    /// read or edit its record in place; any other id is
+    /// [`refuse`](NodeCtx::refuse)d.
+    fn live<'a>(&self, shard: &'a mut Shard, object: ObjectId) -> Handled<&'a mut LiveObj> {
+        match shard.get_mut(&object) {
+            Some(ObjRecord::Live(live)) => Ok(live),
+            other => Err(self.refuse(other.as_deref(), object)),
+        }
+    }
+
+    /// The replica role of `object` and the slot holding its process; an
+    /// id that hosts no replica is `NoSuchObject`.
+    fn replica<'a>(
         &self,
-        shard: &'a mut HashMap<ObjectId, ObjEntry>,
+        shard: &'a mut Shard,
         object: ObjectId,
-    ) -> Handled<&'a mut Box<dyn ServerObject>> {
-        let entry = shard.get_mut(&object).ok_or_else(|| self.absent(object))?;
-        entry.slot.as_mut().ok_or(Refusal::Busy)
+    ) -> Handled<(&'a mut ReplicaMeta, &'a mut Option<Box<dyn ServerObject>>)> {
+        let live = self.live(shard, object)?;
+        match &mut live.role {
+            Role::Replica(meta) => Ok((meta, &mut live.slot)),
+            _ => Err(self.refuse(None, object)),
+        }
     }
 
-    /// Snapshot `object` and, on success, atomically remove its entry
-    /// (same shard-lock discipline as [`take_idle_entry`]), returning the
-    /// class name and serialized state with it so the caller can forward
-    /// or park them while no lock is held. A snapshot failure (a
-    /// non-persistent class) leaves the object untouched.
-    ///
-    /// [`take_idle_entry`]: NodeCtx::take_idle_entry
-    fn snapshot_and_remove(&self, object: ObjectId) -> Handled<(String, Vec<u8>, ObjEntry)> {
-        let mut shard = self.shared.shards[shard_of(object)].lock();
-        let obj = self.idle_object(&mut shard, object)?;
-        let (class, state) = (obj.class_name().to_string(), obj.snapshot_state()?);
-        let entry = shard.remove(&object).expect("present");
-        Ok((class, state, entry))
-    }
-
-    /// Answer every request still queued in a removed entry's mailbox
-    /// through the absent-object path (Moved / Fenced / NoSuchObject /
-    /// deferred), exactly as if each had arrived after the removal. The
-    /// caller must update the gates (forwards, epochs, migrating) for the
-    /// removal *before* draining.
-    fn drain_removed_mailbox(&mut self, entry: ObjEntry) {
+    /// Answer every request still queued on a retired object exactly as if
+    /// each had arrived after its record changed (Moved / Fenced /
+    /// NoSuchObject / deferred): admission judges them against what the
+    /// caller left in the table. Dropping `live` afterwards runs the
+    /// destructor.
+    fn drain_retired(&mut self, live: Option<LiveObj>) {
+        let Some(live) = live else { return };
         // The whole mailbox leaves the queue at once: release the
         // machine-wide in-flight budget before answering each request.
-        self.shared.queued.release(entry.mailbox.len() as u64);
-        for req in entry.mailbox {
-            match self.reject_absent(req) {
+        self.shared.queued.release(live.mailbox.len() as u64);
+        for req in live.mailbox {
+            match self.serve_object(req) {
                 ServeOutcome::Served => {}
                 ServeOutcome::Defer(req) => self.push_deferred(req),
             }
         }
-    }
-
-    /// Daemon-side disposition of a lifecycle verb aimed at an object id
-    /// with no live entry: mid-migration ids ask the caller to retry
-    /// (quiesce), forwarded ids redirect, anything else never existed
-    /// here.
-    fn absent(&self, object: ObjectId) -> Refusal {
-        let gates = self.shared.gates.lock();
-        if gates.migrating.contains_key(&object) {
-            return Refusal::Busy;
-        }
-        Refusal::Failed(match gates.forwards.get(&object) {
-            Some(&to) => RemoteError::Moved { to },
-            None => RemoteError::NoSuchObject {
-                machine: self.machine,
-                object,
-            },
-        })
     }
 
     /// Build an object of the registered `class` from snapshot bytes; the
@@ -757,18 +742,17 @@ impl NodeCtx {
     }
 
     fn on_destroy(&mut self, object: ObjectId) -> Handled<()> {
-        let Some(entry) = self.take_idle_entry(object)? else {
-            return Err(self.absent(object));
+        let live = {
+            let mut shard = self.shared.shard(object);
+            let live = self.live(&mut shard, object)?;
+            if live.slot.is_none() {
+                return Err(Refusal::Busy); // mid-call: destroy after
+            }
+            // A supervised incarnation leaves its fence behind.
+            let fence = ObjRecord::gone(live.epoch, None);
+            take_live(&mut shard, object, fence)
         };
-        {
-            let mut gates = self.shared.gates.lock();
-            gates.object_calls.remove(&object);
-            gates.replica_meta.remove(&object);
-            gates.primaries.remove(&object);
-        }
-        // Queued requests answer NoSuchObject, as if they had arrived
-        // after the destroy. Dropping the entry runs the destructor.
-        self.drain_removed_mailbox(entry);
+        self.drain_retired(live);
         Ok(())
     }
 
@@ -779,16 +763,24 @@ impl NodeCtx {
     }
 
     fn on_snapshot(&mut self, object: ObjectId) -> Handled<Bytes> {
-        let mut shard = self.shared.shards[shard_of(object)].lock();
-        let obj = self.idle_object(&mut shard, object)?;
-        Ok(Bytes(obj.snapshot_state()?))
+        let mut shard = self.shared.shard(object);
+        let obj = self.live(&mut shard, object)?.slot.as_deref();
+        Ok(Bytes(obj.ok_or(Refusal::Busy)?.snapshot_state()?))
     }
 
+    /// A snapshot failure (a non-persistent class) leaves the object
+    /// untouched.
     fn on_deactivate(&mut self, object: ObjectId, key: String) -> Handled<()> {
-        let (class, state, entry) = self.snapshot_and_remove(object)?;
-        self.snapshots.insert(key, (class, state));
-        self.shared.gates.lock().object_calls.remove(&object);
-        self.drain_removed_mailbox(entry);
+        let live = {
+            let mut shard = self.shared.shard(object);
+            let live = self.live(&mut shard, object)?;
+            let obj = live.slot.as_deref().ok_or(Refusal::Busy)?;
+            let snapshot = (obj.class_name().to_string(), obj.snapshot_state()?);
+            let fence = ObjRecord::gone(live.epoch, None);
+            self.snapshots.insert(key, snapshot);
+            take_live(&mut shard, object, fence)
+        };
+        self.drain_retired(live);
         Ok(())
     }
 
@@ -810,92 +802,96 @@ impl NodeCtx {
         Ok(self.local_stats())
     }
 
-    /// Quiesce + transfer: park the object's state in `migrating` (its
-    /// requests defer from here on) and ship a snapshot to the
-    /// coordinator. The object is gone from the live table but fully
-    /// recoverable until commit.
+    /// Quiesce + transfer: the record turns `Migrating` — the object's
+    /// state parked in it, its requests deferring from here on — and a
+    /// snapshot ships to the coordinator. The object is no longer live but
+    /// fully recoverable until commit.
     fn on_migrate_out(&mut self, object: ObjectId) -> Handled<MigrationPayload> {
-        // Replicated objects are unmovable (DESIGN.md §11): a moving
-        // primary would race its own write propagation, and a moving
-        // replica is pointless — drop and re-adopt.
-        {
-            let gates = self.shared.gates.lock();
-            if gates.primaries.contains_key(&object) || gates.replica_meta.contains_key(&object) {
+        let (payload, live) = {
+            let mut shard = self.shared.shard(object);
+            let live = self.live(&mut shard, object)?;
+            // Replicated objects are unmovable (DESIGN.md §11): a moving
+            // primary would race its own write propagation, and a moving
+            // replica is pointless — drop and re-adopt.
+            if !matches!(live.role, Role::Plain) {
                 return Err(RemoteError::Replicated { object }.into());
             }
-        }
-        // Busy mid-call (quiesce later); a non-persistent class fails with
-        // the object intact.
-        let (class, state, entry) = self.snapshot_and_remove(object)?;
-        // Park the state before draining the mailbox, so the queued
-        // requests land in the deferred queue (quiesce), not in
+            // Busy mid-call (quiesce later); a non-persistent class fails
+            // with the object intact.
+            let obj = live.slot.as_deref().ok_or(Refusal::Busy)?;
+            let payload = MigrationPayload {
+                class: obj.class_name().to_string(),
+                state: Bytes(obj.snapshot_state()?),
+            };
+            let parked = ObjRecord::Migrating {
+                class: payload.class.clone(),
+                state: payload.state.0.clone(),
+                epoch: live.epoch,
+                calls: live.calls,
+            };
+            (payload, take_live(&mut shard, object, Some(parked)))
+        };
+        // The record is `Migrating` before the mailbox drains, so the
+        // queued requests land in the deferred queue (quiesce), not in
         // NoSuchObject.
-        self.shared
-            .gates
-            .lock()
-            .migrating
-            .insert(object, (class.clone(), state.clone()));
-        self.drain_removed_mailbox(entry);
-        Ok(MigrationPayload {
-            class,
-            state: Bytes(state),
-        })
+        self.drain_retired(live);
+        Ok(payload)
     }
 
     fn on_migrate_commit(&mut self, object: ObjectId, to: ObjRef) -> Handled<()> {
-        let mut gates = self.shared.gates.lock();
-        if gates.migrating.remove(&object).is_some() {
-            gates.forwards.insert(object, to);
-            gates.object_calls.remove(&object);
-            drop(gates);
-            bump!(self.shared.stats, migrated_out);
-            Ok(())
-        } else if gates.forwards.get(&object) == Some(&to) {
+        let mut shard = self.shared.shard(object);
+        match shard.get_mut(&object) {
+            Some(record @ ObjRecord::Migrating { .. }) => {
+                // The parked state goes; the forwarding stub (and the
+                // fence, if the object had one) stays.
+                *record = ObjRecord::Gone {
+                    epoch: record.epoch(),
+                    forward: Some(to),
+                };
+                bump!(self.shared.stats, migrated_out);
+                Ok(())
+            }
             // Dedup normally absorbs commit retransmits; this arm
             // keeps the verb idempotent even across a dedup reset.
-            Ok(())
-        } else {
-            Err(
+            Some(ObjRecord::Gone {
+                forward: Some(at), ..
+            }) if *at == to => Ok(()),
+            _ => Err(
                 RemoteError::app(format!("migrate_commit: object {object} is not migrating"))
                     .into(),
-            )
+            ),
         }
     }
 
+    /// The record stays `Migrating` — requests keep deferring, even ones a
+    /// nested serve inside `restore` admits — until the restored object is
+    /// swapped in. A failed restore leaves the state parked rather than
+    /// lose the object; a later rollback can retry.
     fn on_migrate_rollback(&mut self, object: ObjectId) -> Handled<()> {
-        let parked = self.shared.gates.lock().migrating.remove(&object);
-        match parked {
-            Some((class, state)) => match self.restore(&class, &state) {
-                Ok(obj) => {
-                    // Restore under the ORIGINAL id: every pointer minted
-                    // before the aborted move stays valid, no directory
-                    // update needed.
-                    self.shared.insert_object(object, obj);
-                    Ok(())
-                }
-                Err(e) => {
-                    // Keep the state parked rather than lose the object; a
-                    // later rollback can retry.
-                    self.shared
-                        .gates
-                        .lock()
-                        .migrating
-                        .insert(object, (class, state));
-                    Err(e.into())
-                }
-            },
+        let (class, state) = match self.shared.shard(object).get(&object) {
+            Some(ObjRecord::Migrating { class, state, .. }) => (class.clone(), state.clone()),
             // Idempotent: already rolled back.
-            None if self.shared.shards[shard_of(object)]
-                .lock()
-                .contains_key(&object) =>
-            {
-                Ok(())
+            Some(ObjRecord::Live(_)) => return Ok(()),
+            _ => {
+                return Err(RemoteError::app(format!(
+                    "migrate_rollback: object {object} is not migrating"
+                ))
+                .into())
             }
-            None => Err(RemoteError::app(format!(
-                "migrate_rollback: object {object} is not migrating"
-            ))
-            .into()),
+        };
+        let obj = self.restore(&class, &state)?;
+        // Restore under the ORIGINAL id: every pointer minted before the
+        // aborted move stays valid, no directory update needed.
+        if let Some(record) = self.shared.shard(object).get_mut(&object) {
+            if let ObjRecord::Migrating { epoch, calls, .. } = *record {
+                *record = ObjRecord::Live(LiveObj {
+                    epoch,
+                    calls,
+                    ..LiveObj::new(obj)
+                });
+            }
         }
+        Ok(())
     }
 
     /// Reactivation half of a migration: build the object from its shipped
@@ -908,10 +904,23 @@ impl NodeCtx {
 
     /// Sorted by id so the reply is deterministic.
     fn on_loads(&mut self) -> Handled<Vec<(ObjectId, u64)>> {
-        let mut loads: Vec<(u64, u64)> = {
-            let gates = self.shared.gates.lock();
-            gates.object_calls.iter().map(|(&o, &c)| (o, c)).collect()
-        };
+        let mut loads = Vec::new();
+        for shard in &self.shared.shards {
+            loads.extend(
+                shard
+                    .lock()
+                    .iter()
+                    .filter_map(|(&id, record)| match record {
+                        ObjRecord::Live(LiveObj { calls, .. })
+                        | ObjRecord::Migrating { calls, .. }
+                            if *calls > 0 =>
+                        {
+                            Some((id, *calls))
+                        }
+                        _ => None,
+                    }),
+            );
+        }
         loads.sort_unstable();
         Ok(loads)
     }
@@ -920,56 +929,65 @@ impl NodeCtx {
     /// the serving lease — the machine may serve supervised objects for
     /// another `ttl_millis` from *now*.
     fn on_heartbeat(&mut self, ttl_millis: u64) -> Handled<()> {
-        self.shared.gates.lock().lease_deadline = Some(self.lease_expiry(ttl_millis));
+        let lease = self.lease_expiry(ttl_millis);
+        self.shared.lease.store(lease, Ordering::Relaxed);
         bump!(self.shared.stats, heartbeats_served);
         Ok(())
     }
 
-    /// Epochs only move forward; a lower value is a stale retransmit.
+    /// Raise the epoch of a live object or of what one left behind; an id
+    /// this machine has no record of is refused like any other verb's —
+    /// planting a fence for it would ambush whichever object is later
+    /// allocated that id.
     fn on_set_epoch(&mut self, object: ObjectId, epoch: u64) -> Handled<()> {
-        let mut gates = self.shared.gates.lock();
-        let e = gates.epochs.entry(object).or_insert(0);
-        if epoch > *e {
-            *e = epoch;
+        match self.shared.shard(object).get_mut(&object) {
+            Some(record) => {
+                raise_epoch(record.epoch_mut(), epoch);
+                Ok(())
+            }
+            None => Err(self.refuse(None, object)),
         }
-        Ok(())
     }
 
-    /// The restored incarnation is registered at its bumped epoch before
-    /// any call can reach it (the epoch lands before the object becomes
-    /// visible).
+    /// The restored incarnation is born at its bumped epoch: no call can
+    /// reach it unfenced.
     fn on_activate_fenced(&mut self, key: String, epoch: u64) -> Handled<ObjectId> {
         let obj = self.restore_snapshot(key)?;
         let id = self.shared.alloc_obj_id();
-        self.shared.gates.lock().epochs.insert(id, epoch);
-        self.shared.insert_object(id, obj);
+        let live = LiveObj {
+            epoch: Some(epoch),
+            ..LiveObj::new(obj)
+        };
+        self.shared.insert_object(id, live);
         Ok(id)
     }
 
     /// Idempotent: fencing an already-fenced or never-lived id just
-    /// (re)installs the epoch and the forwarding stub.
+    /// (re)installs the epoch and the forwarding stub. One swap retires
+    /// the local object (or its parked migration state) and leaves the
+    /// tombstone, so the queued requests drained afterwards resolve
+    /// against the stub.
     fn on_fence(&mut self, object: ObjectId, epoch: u64, to: ObjRef) -> Handled<()> {
-        let entry = self.take_idle_entry(object)?; // mid-call: fence after
-        {
-            let mut gates = self.shared.gates.lock();
-            gates.migrating.remove(&object);
-            gates.object_calls.remove(&object);
-            let e = gates.epochs.entry(object).or_insert(0);
-            if epoch > *e {
-                *e = epoch;
+        let live = {
+            let mut shard = self.shared.shard(object);
+            let record = shard.get(&object);
+            if matches!(record, Some(ObjRecord::Live(live)) if live.slot.is_none()) {
+                return Err(Refusal::Busy); // mid-call: fence after
             }
-            gates.forwards.insert(object, to);
-        }
-        // Gates first, then the drain: the queued requests resolve
-        // against the forwarding stub installed above.
-        if let Some(entry) = entry {
-            self.drain_removed_mailbox(entry);
-        }
+            let mut fence = record.and_then(ObjRecord::epoch);
+            raise_epoch(&mut fence, epoch);
+            let fence = ObjRecord::Gone {
+                epoch: fence,
+                forward: Some(to),
+            };
+            take_live(&mut shard, object, Some(fence))
+        };
+        self.drain_retired(live);
         Ok(())
     }
 
-    /// The replica is an ordinary object plus a `replica_meta` entry that
-    /// gates what it may serve.
+    /// The replica is an ordinary object whose `Replica` role gates what
+    /// it may serve; role and object become visible in one insert.
     fn on_replica_adopt(
         &mut self,
         class: String,
@@ -988,18 +1006,16 @@ impl NodeCtx {
             .into());
         }
         let id = self.shared.alloc_obj_id();
-        // Meta before object: the coherence gate must already be
-        // in place when the first read can reach the entry.
-        self.shared.gates.lock().replica_meta.insert(
-            id,
-            ReplicaMeta {
+        let live = LiveObj {
+            role: Role::Replica(Box::new(ReplicaMeta {
                 primary,
                 rs_epoch,
                 lease_until: self.lease_expiry(lease_millis),
                 read_verbs,
-            },
-        );
-        self.shared.insert_object(id, obj);
+            })),
+            ..LiveObj::new(obj)
+        };
+        self.shared.insert_object(id, live);
         Ok(id)
     }
 
@@ -1013,30 +1029,27 @@ impl NodeCtx {
         rs_epoch: u64,
         lease_millis: u64,
     ) -> Handled<()> {
-        let fresh = match self.shared.gates.lock().replica_meta.get(&object) {
-            None => return Err(self.absent(object)),
-            Some(meta) => rs_epoch >= meta.rs_epoch,
+        let (fresh, class) = {
+            let mut shard = self.shared.shard(object);
+            let (meta, slot) = self.replica(&mut shard, object)?;
+            // Busy mid-read: sync after.
+            let obj = slot.as_deref().ok_or(Refusal::Busy)?;
+            (rs_epoch >= meta.rs_epoch, obj.class_name())
         };
-        // Busy mid-read: sync after.
-        let class = self
-            .idle_object(&mut self.shared.shards[shard_of(object)].lock(), object)?
-            .class_name();
-        if fresh {
-            let replaced = self.restore(class, &state.0)?;
-            // Re-take the shard lock (restore may itself serve):
-            // if a worker checked the replica out meanwhile, come
-            // back once it is idle rather than swap mid-read.
-            let mut shard = self.shared.shards[shard_of(object)].lock();
-            *self.idle_object(&mut shard, object)? = replaced;
-        }
-        let mut gates = self.shared.gates.lock();
-        let Some(meta) = gates.replica_meta.get_mut(&object) else {
-            drop(gates);
-            return Err(self.absent(object));
+        let replaced = match fresh {
+            true => Some(self.restore(class, &state.0)?),
+            false => None,
         };
-        if rs_epoch > meta.rs_epoch {
-            meta.rs_epoch = rs_epoch;
+        // Re-take the shard lock (restore may itself serve): if a worker
+        // checked the replica out meanwhile, come back once it is idle
+        // rather than swap mid-read.
+        let mut shard = self.shared.shard(object);
+        let (meta, slot) = self.replica(&mut shard, object)?;
+        let obj = slot.as_mut().ok_or(Refusal::Busy)?;
+        if let Some(replaced) = replaced {
+            *obj = replaced;
         }
+        meta.rs_epoch = meta.rs_epoch.max(rs_epoch);
         meta.lease_until = self.lease_expiry(lease_millis);
         Ok(())
     }
@@ -1047,11 +1060,8 @@ impl NodeCtx {
         rs_epoch: u64,
         lease_millis: u64,
     ) -> Handled<bool> {
-        let mut gates = self.shared.gates.lock();
-        let Some(meta) = gates.replica_meta.get_mut(&object) else {
-            drop(gates);
-            return Err(self.absent(object));
-        };
+        let mut shard = self.shared.shard(object);
+        let (meta, _) = self.replica(&mut shard, object)?;
         let current = meta.rs_epoch == rs_epoch;
         if current {
             meta.lease_until = self.lease_expiry(lease_millis);
@@ -1059,28 +1069,28 @@ impl NodeCtx {
         Ok(current)
     }
 
-    /// Idempotent.
+    /// Idempotent. One swap: the replica goes and the forwarding stub
+    /// toward its primary appears atomically.
     fn on_replica_drop(&mut self, object: ObjectId) -> Handled<()> {
-        let entry = {
-            let mut guard = self.shared.shards[shard_of(object)].lock();
-            if matches!(guard.get(&object), Some(e) if e.slot.is_none()) {
-                return Err(Refusal::Busy); // mid-read: drop after
-            }
-            // Lock order shard → gates, both held so the removal
-            // and the forwarding stub appear atomically.
-            let mut gates = self.shared.gates.lock();
-            match gates.replica_meta.remove(&object) {
-                Some(meta) => {
-                    gates.object_calls.remove(&object);
-                    gates.forwards.insert(object, meta.primary);
-                    guard.remove(&object)
+        let live = {
+            let mut shard = self.shared.shard(object);
+            let stub = match shard.get(&object) {
+                Some(ObjRecord::Live(LiveObj {
+                    role: Role::Replica(meta),
+                    slot,
+                    epoch,
+                    ..
+                })) => {
+                    if slot.is_none() {
+                        return Err(Refusal::Busy); // mid-read: drop after
+                    }
+                    ObjRecord::gone(*epoch, Some(meta.primary))
                 }
-                None => None,
-            }
+                _ => return Ok(()),
+            };
+            take_live(&mut shard, object, stub)
         };
-        if let Some(entry) = entry {
-            self.drain_removed_mailbox(entry);
-        }
+        self.drain_retired(live);
         Ok(())
     }
 
@@ -1094,62 +1104,54 @@ impl NodeCtx {
         write_through: bool,
         lease_millis: u64,
     ) -> Handled<()> {
-        if !self.shared.shards[shard_of(object)]
-            .lock()
-            .contains_key(&object)
-        {
-            return Err(self.absent(object));
-        }
-        let mut gates = self.shared.gates.lock();
+        let mut shard = self.shared.shard(object);
+        let live = self.live(&mut shard, object)?;
         if replicas.is_empty() && lease_millis == 0 {
             // Detach: an empty set with no lease is `unreplicate`
             // tearing the record down — the object becomes a
             // normal (and movable) single process again.
-            gates.primaries.remove(&object);
+            if matches!(live.role, Role::Primary(_)) {
+                live.role = Role::Plain;
+            }
         } else {
-            gates.primaries.insert(
-                object,
-                PrimaryMeta {
-                    replicas,
-                    rs_epoch,
-                    write_through,
-                    lease_millis,
-                },
-            );
+            live.role = Role::Primary(Box::new(PrimaryMeta {
+                replicas,
+                rs_epoch,
+                write_through,
+                lease_millis,
+            }));
         }
         Ok(())
     }
 
     fn on_replica_status(&mut self, object: ObjectId) -> Handled<ReplicaStatus> {
-        let gates = self.shared.gates.lock();
-        if let Some(pm) = gates.primaries.get(&object) {
-            return Ok(ReplicaStatus {
+        let mut shard = self.shared.shard(object);
+        match &self.live(&mut shard, object)?.role {
+            Role::Primary(pm) => Ok(ReplicaStatus {
                 is_primary: true,
                 rs_epoch: pm.rs_epoch,
                 replicas: pm.replicas.clone(),
-            });
-        }
-        if let Some(meta) = gates.replica_meta.get(&object) {
-            return Ok(ReplicaStatus {
+            }),
+            Role::Replica(meta) => Ok(ReplicaStatus {
                 is_primary: false,
                 rs_epoch: meta.rs_epoch,
                 replicas: vec![meta.primary],
-            });
+            }),
+            Role::Plain => Err(self.refuse(None, object)),
         }
-        drop(gates);
-        Err(self.absent(object))
     }
 
     /// The manager re-attaches the surviving set afterwards.
     fn on_replica_promote(&mut self, object: ObjectId, epoch: u64) -> Handled<()> {
-        // Busy mid-read: promote after.
-        self.idle_object(&mut self.shared.shards[shard_of(object)].lock(), object)?;
-        let mut gates = self.shared.gates.lock();
-        gates.replica_meta.remove(&object);
-        let e = gates.epochs.entry(object).or_insert(0);
-        if epoch > *e {
-            *e = epoch;
+        let mut shard = self.shared.shard(object);
+        let live = self.live(&mut shard, object)?;
+        if live.slot.is_none() {
+            return Err(Refusal::Busy); // mid-read: promote after
         }
+        if matches!(live.role, Role::Replica(_)) {
+            live.role = Role::Plain;
+        }
+        raise_epoch(&mut live.epoch, epoch);
         Ok(())
     }
 }

@@ -26,6 +26,7 @@
 
 mod call;
 mod daemon;
+mod judge;
 mod serve;
 
 use std::collections::{HashMap, VecDeque};
@@ -41,7 +42,7 @@ use crate::frame::NodeStats;
 use crate::ids::{ObjRef, ObjectId};
 use crate::policy::{CallPolicy, OverloadConfig};
 use crate::process::{ClassRegistry, ServerClass, ServerObject};
-use crate::shared::{CallTrace, IncomingReq, Sched, SharedNode, WorkerMsg};
+use crate::shared::{CallTrace, IncomingReq, LiveObj, Sched, SharedNode, WorkerMsg};
 use crate::trace::{EventKind, Tracer};
 
 use call::{Breaker, OutboundCall, ReplicaRoute};
@@ -98,8 +99,8 @@ pub struct NodeCtx {
     stride: u64,
     registry: Arc<ClassRegistry>,
     disks: Vec<Arc<SimDisk>>,
-    /// The machine's thread-shared server state: object shards, gates,
-    /// dedup window, counters, and the scheduler handle.
+    /// The machine's thread-shared server state: the object table, dedup
+    /// window, counters, and the scheduler handle.
     shared: Arc<SharedNode>,
     /// Requests this lane must retry later (daemon verbs that reported
     /// Busy, requests for mid-migration objects). Dispatcher-only in
@@ -473,10 +474,15 @@ impl NodeCtx {
     /// driver-side objects and by tests). Returns its reference.
     pub fn adopt(&mut self, obj: Box<dyn ServerObject>) -> ObjRef {
         let id = self.shared.alloc_obj_id();
-        self.shared.insert_object(id, obj);
+        self.shared.insert_object(id, LiveObj::new(obj));
+        self.here(id)
+    }
+
+    /// The address of `object` on this machine.
+    fn here(&self, object: ObjectId) -> ObjRef {
         ObjRef {
             machine: self.machine,
-            object: id,
+            object,
         }
     }
 

@@ -9,13 +9,16 @@ use simnet::{MachineId, Packet};
 use wire::collections::Bytes;
 use wire::{Reader, Wire};
 
+use super::judge::{judge, Verdict};
 use super::{payload_method, CallInfo, NodeCtx};
 use crate::dedup::DedupVerdict;
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::Frame;
-use crate::ids::{ObjRef, ObjectId, DAEMON};
+use crate::ids::{ObjectId, DAEMON};
 use crate::process::{DispatchResult, ServerObject};
-use crate::shared::{bump, shard_of, CallTrace, IncomingReq, Sched, WorkerMsg};
+use crate::shared::{
+    bump, raise_epoch, take_live, Ask, CallTrace, IncomingReq, ObjRecord, Role, Sched, WorkerMsg,
+};
 use crate::trace::EventKind;
 
 pub(super) enum ServeOutcome {
@@ -31,46 +34,22 @@ const MAILBOX_BATCH: usize = 16;
 
 /// What `next_step` decided for the head of an object's mailbox.
 enum Step {
-    /// Mailbox empty (token retired) or entry gone (a lifecycle verb
-    /// removed the object and answered its queue).
+    /// Mailbox empty (token retired) or object gone (a lifecycle verb
+    /// retired it and answered its queue).
     Done,
-    /// An execution-time gate rejected the request without touching the
-    /// object.
-    Reject {
-        req: IncomingReq,
+    /// A gate rejected the request without touching the object.
+    Reject { req: IncomingReq, err: RemoteError },
+    /// This incarnation just learned it was superseded and is gone: answer
+    /// the triggering request and everything queued behind it with `err`.
+    Quarantine {
+        reqs: Vec<IncomingReq>,
         err: RemoteError,
-        kind: RejectKind,
     },
-    /// Stale-server: this incarnation just learned it was superseded. The
-    /// whole entry is gone; answer the triggering request and everything
-    /// queued behind it with the fence.
-    Quarantine { reqs: Vec<IncomingReq>, epoch: u64 },
     /// Gates passed: the object is checked out, dispatch the request.
     Dispatch {
         req: IncomingReq,
         obj: Box<dyn ServerObject>,
-        /// `Some(rs_epoch)` when this is a replica-served read (for the
-        /// coherence-hit stat and trace event).
         replica_hit: Option<u64>,
-    },
-}
-
-enum RejectKind {
-    Fenced,
-    Forwarded,
-    StaleReplica {
-        rs_epoch: u64,
-    },
-    /// The request's propagated deadline passed while it sat queued; it
-    /// is dropped without executing (`overshoot` = nanos past deadline).
-    DeadlineExpired {
-        overshoot: u64,
-    },
-    /// CoDel-style shed: the request's queue sojourn exceeded the
-    /// configured target, so the node is persistently behind and sheds
-    /// admitted work rather than serve it ever later.
-    Shed {
-        sojourn: u64,
     },
 }
 
@@ -360,10 +339,12 @@ impl NodeCtx {
                     payload: payload.0,
                     trace_id: trace.trace_id.0,
                     span: trace.span.0,
-                    epoch,
-                    rs_epoch: rs_epoch.0,
-                    deadline,
-                    admitted_at: self.clock.now_nanos(),
+                    ask: Ask {
+                        epoch,
+                        rs_epoch: rs_epoch.0,
+                        deadline,
+                        admitted_at: self.clock.now_nanos(),
+                    },
                 };
                 // At-most-once execution: a retransmitted request either
                 // replays its cached response or is dropped while the
@@ -487,34 +468,84 @@ impl NodeCtx {
 
     /// Admission (dispatcher lane): park the request in its target's
     /// mailbox and mint a task token if the object does not already have
-    /// one. All gate checking — fences, leases, replica coherence — now
-    /// happens at **execution** time in `next_step`, under the mailbox's
+    /// one. A live object's gates — fences, leases, replica coherence —
+    /// are judged at **execution** time in `next_step`, under the same
     /// shard lock, so a gate change landing between admission and
-    /// execution still wins.
-    fn serve_object(&mut self, req: IncomingReq) -> ServeOutcome {
-        let target = req.target;
+    /// execution still wins; an id with no live object is judged right
+    /// here.
+    pub(super) fn serve_object(&mut self, req: IncomingReq) -> ServeOutcome {
+        let (target, ask) = (req.target, req.ask);
         // Admission-time deadline check: work whose caller has already
         // given up is dropped *before* it costs a mailbox slot. Checked
-        // again at execution time in `next_step` — time queued counts.
-        if req.deadline != 0 && req.admitted_at >= req.deadline {
-            let overshoot = req.admitted_at - req.deadline;
-            bump!(self.shared.stats, calls_deadline_expired);
+        // again at execution time by `judge` — time queued counts.
+        if ask.deadline != 0 && ask.admitted_at >= ask.deadline {
+            let elapsed_nanos = ask.admitted_at - ask.deadline;
+            self.reject(&req, RemoteError::DeadlineExceeded { elapsed_nanos });
+            return ServeOutcome::Served;
+        }
+        let mut shard = self.shared.shard(target);
+        let live = match shard.get_mut(&target) {
+            Some(ObjRecord::Live(live)) => live,
+            mut record => {
+                let verdict = judge(
+                    record.as_deref(),
+                    self.here(target),
+                    &ask,
+                    &req.payload,
+                    ask.admitted_at,
+                    self.shared.lease.load(Ordering::Relaxed),
+                    &self.shared.overload,
+                );
+                let err = match verdict {
+                    Verdict::Reject(err) => err,
+                    Verdict::Quarantine { epoch, err } => {
+                        if let Some(record) = &mut record {
+                            raise_epoch(record.epoch_mut(), epoch);
+                        }
+                        err
+                    }
+                    // (`Serve` is for live records only.)
+                    Verdict::Defer | Verdict::Serve { .. } => return ServeOutcome::Defer(req),
+                };
+                drop(shard);
+                self.reject(&req, err);
+                return ServeOutcome::Served;
+            }
+        };
+        // Admission control (DESIGN.md §15): a full per-object mailbox or
+        // a spent machine-wide in-flight budget rejects the request right
+        // here — a cheap typed `Overloaded` reply instead of a queue slot
+        // the node cannot afford. Rejected requests are never queued.
+        let full = if live.mailbox.len() >= self.shared.overload.mailbox_cap {
+            Some(live.mailbox.len() as u64)
+        } else {
+            let cap = self.shared.overload.inflight_cap as u64;
+            self.shared.queued.try_acquire(cap).err()
+        };
+        if let Some(queue_depth) = full {
+            // An overload rejection is itself a load signal: count it
+            // against the target so the placement heat map sees the
+            // pressure even though the call never ran.
+            live.calls += 1;
+            drop(shard);
+            bump!(self.shared.stats, calls_shed_overload);
             self.record_overload_marker(
-                EventKind::ServerDeadlineDrop,
+                EventKind::ServerShed,
                 req.reply_to,
-                (overshoot / 1_000).min(u32::MAX as u64) as u32,
+                queue_depth.min(u32::MAX as u64) as u32,
             );
             self.send_response(
                 req.reply_to,
                 req.req_id,
-                Err(RemoteError::DeadlineExceeded {
-                    elapsed_nanos: overshoot,
+                Err(RemoteError::Overloaded {
+                    queue_depth,
+                    retry_after_nanos: self.shared.overload.retry_after.as_nanos() as u64,
                 }),
             );
             return ServeOutcome::Served;
         }
         // Kept aside for the `ServerDefer` event: the request itself moves
-        // into the mailbox below.
+        // into the mailbox.
         let (reply_to, req_id) = (req.reply_to, req.req_id);
         let deferred = req
             .method
@@ -526,75 +557,9 @@ impl NodeCtx {
                 parent_span: 0,
                 method,
             });
-        // Admission control (DESIGN.md §15): a full per-object mailbox or
-        // a spent machine-wide in-flight budget rejects the request right
-        // here — a cheap typed `Overloaded` reply instead of a queue slot
-        // the node cannot afford. Rejected requests are never queued.
-        let mut slot = Some(req);
-        let admitted = {
-            let mut guard = self.shared.shards[shard_of(target)].lock();
-            match guard.get_mut(&target) {
-                Some(entry) => {
-                    if entry.mailbox.len() >= self.shared.overload.mailbox_cap {
-                        Err(entry.mailbox.len() as u64)
-                    } else {
-                        match self
-                            .shared
-                            .queued
-                            .try_acquire(self.shared.overload.inflight_cap as u64)
-                        {
-                            Err(depth) => Err(depth),
-                            Ok(_) => {
-                                entry
-                                    .mailbox
-                                    .push_back(slot.take().expect("request unqueued"));
-                                if entry.scheduled {
-                                    Ok(false)
-                                } else {
-                                    entry.scheduled = true;
-                                    Ok(true)
-                                }
-                            }
-                        }
-                    }
-                }
-                None => {
-                    drop(guard);
-                    return self.reject_absent(slot.take().expect("request unqueued"));
-                }
-            }
-        };
-        let submit = match admitted {
-            Ok(submit) => submit,
-            Err(queue_depth) => {
-                let req = slot.take().expect("rejected request was queued");
-                bump!(self.shared.stats, calls_shed_overload);
-                self.record_overload_marker(
-                    EventKind::ServerShed,
-                    req.reply_to,
-                    queue_depth.min(u32::MAX as u64) as u32,
-                );
-                // An overload rejection is itself a load signal: count it
-                // against the target so the placement heat map sees the
-                // pressure even though the call never ran.
-                *self
-                    .shared
-                    .gates
-                    .lock()
-                    .object_calls
-                    .entry(target)
-                    .or_insert(0) += 1;
-                self.send_response(
-                    req.reply_to,
-                    req.req_id,
-                    Err(RemoteError::Overloaded {
-                        queue_depth,
-                        retry_after_nanos: self.shared.overload.retry_after.as_nanos() as u64,
-                    }),
-                );
-                return ServeOutcome::Served;
-            }
-        };
+        live.mailbox.push_back(req);
+        let submit = !std::mem::replace(&mut live.scheduled, true);
+        drop(shard);
         if submit {
             self.submit_task(target);
         } else {
@@ -613,219 +578,98 @@ impl NodeCtx {
         ServeOutcome::Served
     }
 
-    /// Disposition of a request whose target has no live entry, mirroring
-    /// the classic engine's gate order: epoch fences first (a stale caller
-    /// is fenced even mid-migration; a caller carrying proof of a missed
-    /// takeover bumps the quarantine epoch), then mid-migration quiesce,
-    /// then forwarding stubs, then the bare fence, then `NoSuchObject`.
-    pub(super) fn reject_absent(&mut self, req: IncomingReq) -> ServeOutcome {
-        enum Verdict {
-            Defer,
-            Fenced(u64),
-            Moved(ObjRef),
-            NoSuch,
-        }
-        let verdict = {
-            let mut gates = self.shared.gates.lock();
-            if let Some(&current) = gates.epochs.get(&req.target) {
-                if req.epoch != 0 && req.epoch < current {
-                    Verdict::Fenced(current)
-                } else if req.epoch > current {
-                    // Proof of a takeover this node never saw: move the
-                    // quarantine epoch forward.
-                    gates.epochs.insert(req.target, req.epoch);
-                    gates.object_calls.remove(&req.target);
-                    Verdict::Fenced(req.epoch)
-                } else if gates.migrating.contains_key(&req.target) {
-                    Verdict::Defer
-                } else if let Some(&to) = gates.forwards.get(&req.target) {
-                    Verdict::Moved(to)
-                } else {
-                    Verdict::Fenced(current)
-                }
-            } else if gates.migrating.contains_key(&req.target) {
-                Verdict::Defer
-            } else if let Some(&to) = gates.forwards.get(&req.target) {
-                Verdict::Moved(to)
-            } else {
-                Verdict::NoSuch
-            }
-        };
-        match verdict {
-            Verdict::Defer => ServeOutcome::Defer(req),
-            Verdict::Fenced(current_epoch) => {
+    /// Answer `req` with the rejection a gate decided; the error says which
+    /// gate, and so what to count and trace.
+    fn reject(&mut self, req: &IncomingReq, err: RemoteError) {
+        let micros = |nanos: u64| (nanos / 1_000).min(u32::MAX as u64) as u32;
+        match &err {
+            RemoteError::Fenced { .. } => {
                 bump!(self.shared.stats, calls_fenced);
-                self.send_response(
-                    req.reply_to,
-                    req.req_id,
-                    Err(RemoteError::Fenced { current_epoch }),
-                );
-                ServeOutcome::Served
             }
-            Verdict::Moved(to) => {
+            RemoteError::Moved { .. } => {
                 bump!(self.shared.stats, calls_forwarded);
-                self.send_response(req.reply_to, req.req_id, Err(RemoteError::Moved { to }));
-                ServeOutcome::Served
             }
-            Verdict::NoSuch => {
-                self.send_response(
-                    req.reply_to,
-                    req.req_id,
-                    Err(RemoteError::NoSuchObject {
-                        machine: self.machine,
-                        object: req.target,
-                    }),
-                );
-                ServeOutcome::Served
+            RemoteError::StaleReplica { rs_epoch, .. } => {
+                bump!(self.shared.stats, replica_reads_stale);
+                self.trace_req(EventKind::ReplicaStale, req, *rs_epoch as u32);
             }
+            // The propagated deadline passed (at admission, or while the
+            // request sat queued): dropped without executing.
+            RemoteError::DeadlineExceeded { elapsed_nanos } => {
+                bump!(self.shared.stats, calls_deadline_expired);
+                let over = micros(*elapsed_nanos);
+                self.record_overload_marker(EventKind::ServerDeadlineDrop, req.reply_to, over);
+            }
+            // CoDel-style shed: the request's queue sojourn exceeded the
+            // configured target.
+            RemoteError::Overloaded { .. } => {
+                bump!(self.shared.stats, calls_shed_sojourn);
+                let sojourn = self.clock.now_nanos().saturating_sub(req.ask.admitted_at);
+                let waited = micros(sojourn);
+                self.record_overload_marker(EventKind::ServerSojournDrop, req.reply_to, waited);
+            }
+            _ => {}
         }
+        self.send_response(req.reply_to, req.req_id, Err(err));
     }
 
     /// Claim the next unit of work for `target` under its shard lock and
-    /// run the **execution-time** admission gates (DESIGN.md §13): epoch
-    /// fences, the supervisor lease, and the replica coherence gate are
-    /// all evaluated here — at the moment the call would run — never at
-    /// enqueue, so a fence bump that lands while a request sits in the
-    /// mailbox still rejects it.
+    /// judge it **at execution time** (DESIGN.md §13) — at the moment the
+    /// call would run, never at enqueue, so a fence bump that lands while
+    /// a request sits in the mailbox still rejects it.
     fn next_step(&mut self, target: ObjectId) -> Step {
         let now = self.clock.now_nanos();
-        let mut guard = self.shared.shards[shard_of(target)].lock();
-        let req = match guard.get_mut(&target) {
-            None => return Step::Done, // a lifecycle verb removed the entry (and drained its queue)
-            Some(entry) => match entry.mailbox.pop_front() {
-                None => {
-                    // Mailbox dry: retire the task token.
-                    entry.scheduled = false;
-                    return Step::Done;
-                }
-                Some(req) => req,
-            },
+        let mut shard = self.shared.shard(target);
+        let Some(record) = shard.get_mut(&target) else {
+            return Step::Done;
+        };
+        let ObjRecord::Live(live) = record else {
+            return Step::Done;
+        };
+        let Some(req) = live.mailbox.pop_front() else {
+            // Mailbox dry: retire the task token.
+            live.scheduled = false;
+            return Step::Done;
         };
         // The request left its mailbox: give its slot back to the
         // machine-wide in-flight budget whatever happens next.
         self.shared.queued.release(1);
-        // Execution-time overload gates (DESIGN.md §15), judged at the
-        // moment the call would run so time spent queued counts: a
-        // request whose propagated deadline passed is dropped unexecuted,
-        // and when a sojourn target is configured, a request that waited
-        // longer than the target is shed — the node is persistently
-        // behind, and serving ever-later work helps nobody.
-        if req.deadline != 0 && now >= req.deadline {
-            return Step::Reject {
-                err: RemoteError::DeadlineExceeded {
-                    elapsed_nanos: now - req.deadline,
-                },
-                kind: RejectKind::DeadlineExpired {
-                    overshoot: now - req.deadline,
-                },
+        let verdict = judge(
+            Some(&*record),
+            self.here(target),
+            &req.ask,
+            &req.payload,
+            now,
+            self.shared.lease.load(Ordering::Relaxed),
+            &self.shared.overload,
+        );
+        match (verdict, record) {
+            // Check the object out for the duration of the call: the task
+            // token is exclusive, so the slot must be occupied.
+            (Verdict::Serve { replica_hit }, ObjRecord::Live(live)) => Step::Dispatch {
                 req,
-            };
-        }
-        let sojourn_target = self.shared.overload.sojourn_target.as_nanos() as u64;
-        if sojourn_target != 0 {
-            let sojourn = now.saturating_sub(req.admitted_at);
-            if sojourn > sojourn_target {
-                // Depth includes this request: a zero depth is reserved
-                // for client-side breaker fast-fails.
-                let queue_depth = guard.get(&target).map_or(0, |e| e.mailbox.len() as u64) + 1;
-                return Step::Reject {
-                    err: RemoteError::Overloaded {
-                        queue_depth,
-                        retry_after_nanos: self.shared.overload.retry_after.as_nanos() as u64,
-                    },
-                    kind: RejectKind::Shed { sojourn },
-                    req,
-                };
-            }
-        }
-        // Lock order: shard, then gates. Gates are never taken first.
-        let mut gates = self.shared.gates.lock();
-        if let Some(&current) = gates.epochs.get(&target) {
-            if req.epoch != 0 && req.epoch < current {
-                // Stale caller: its pointer names a superseded
-                // incarnation. Never execute; teach it the live epoch.
-                return Step::Reject {
-                    req,
-                    err: RemoteError::Fenced {
-                        current_epoch: current,
-                    },
-                    kind: RejectKind::Fenced,
-                };
-            }
-            if req.epoch > current {
-                // Stale *server*: the caller carries proof of a takeover
-                // this node never saw (it was partitioned through the
-                // recovery). Quarantine the superseded incarnation —
-                // defense in depth on top of the lease — and make every
-                // queued caller re-resolve.
-                let epoch = req.epoch;
-                gates.epochs.insert(target, epoch);
-                gates.object_calls.remove(&target);
-                drop(gates);
-                let entry = guard.remove(&target).expect("entry present above");
-                // Quarantined requests leave their mailbox for good.
-                self.shared.queued.release(entry.mailbox.len() as u64);
+                obj: live
+                    .slot
+                    .take()
+                    .expect("task token is exclusive: nobody else checks this object out"),
+                replica_hit,
+            },
+            (Verdict::Reject(err), _) => Step::Reject { req, err },
+            (Verdict::Quarantine { epoch, err }, _) => {
+                // Defense in depth on top of the lease: the superseded
+                // incarnation goes, a bare fence stays.
+                let fence = ObjRecord::gone(Some(epoch), None);
                 let mut reqs = vec![req];
-                reqs.extend(entry.mailbox);
-                return Step::Quarantine { reqs, epoch };
+                if let Some(live) = take_live(&mut shard, target, fence) {
+                    // Quarantined requests leave their mailbox for good.
+                    self.shared.queued.release(live.mailbox.len() as u64);
+                    reqs.extend(live.mailbox);
+                }
+                Step::Quarantine { reqs, err }
             }
-            // Lease self-fence: a supervised object is only served while
-            // the supervisor's lease is live. An isolated machine stops
-            // serving these *itself*, which is what makes takeover safe
-            // even when the suspicion was false (DESIGN.md §10).
-            if matches!(gates.lease_deadline, Some(d) if now > d) {
-                return Step::Reject {
-                    req,
-                    err: RemoteError::Fenced {
-                        current_epoch: current,
-                    },
-                    kind: RejectKind::Fenced,
-                };
+            (Verdict::Serve { .. } | Verdict::Defer, _) => {
+                unreachable!("judge serves live records only and defers only migrating ones")
             }
-        }
-        // Replica-side coherence gate (replica-hosted ids only). A write
-        // verb redirects to the primary through the standard `Moved`
-        // chase; a read is served only while the replica can prove
-        // coherence — its lease is live and it has synced at least as far
-        // as the caller's replica-set epoch — and otherwise answers
-        // `StaleReplica` so the caller falls back to the primary.
-        let mut replica_hit = None;
-        if let Some(meta) = gates.replica_meta.get(&target) {
-            let primary = meta.primary;
-            let rs_now = meta.rs_epoch;
-            let lease_live = now <= meta.lease_until;
-            let method = payload_method(&req.payload);
-            if !meta.read_verbs.iter().any(|v| *v == &*method) {
-                return Step::Reject {
-                    req,
-                    err: RemoteError::Moved { to: primary },
-                    kind: RejectKind::Forwarded,
-                };
-            }
-            if !lease_live || req.rs_epoch > rs_now {
-                return Step::Reject {
-                    req,
-                    err: RemoteError::StaleReplica {
-                        primary,
-                        rs_epoch: rs_now,
-                    },
-                    kind: RejectKind::StaleReplica { rs_epoch: rs_now },
-                };
-            }
-            replica_hit = Some(rs_now);
-        }
-        drop(gates);
-        // Check the object out for the duration of the call: the task
-        // token is exclusive, so the slot must be occupied.
-        let entry = guard.get_mut(&target).expect("entry present above");
-        let obj = entry
-            .slot
-            .take()
-            .expect("task token is exclusive: nobody else checks this object out");
-        Step::Dispatch {
-            req,
-            obj,
-            replica_hit,
         }
     }
 
@@ -851,50 +695,15 @@ impl NodeCtx {
             }
             match self.next_step(target) {
                 Step::Done => break,
-                Step::Reject { req, err, kind } => {
-                    match kind {
-                        RejectKind::Fenced => {
-                            bump!(self.shared.stats, calls_fenced);
-                        }
-                        RejectKind::Forwarded => {
-                            bump!(self.shared.stats, calls_forwarded);
-                        }
-                        RejectKind::StaleReplica { rs_epoch } => {
-                            bump!(self.shared.stats, replica_reads_stale);
-                            self.trace_req(EventKind::ReplicaStale, &req, rs_epoch as u32);
-                        }
-                        RejectKind::DeadlineExpired { overshoot } => {
-                            bump!(self.shared.stats, calls_deadline_expired);
-                            self.record_overload_marker(
-                                EventKind::ServerDeadlineDrop,
-                                req.reply_to,
-                                (overshoot / 1_000).min(u32::MAX as u64) as u32,
-                            );
-                        }
-                        RejectKind::Shed { sojourn } => {
-                            bump!(self.shared.stats, calls_shed_sojourn);
-                            self.record_overload_marker(
-                                EventKind::ServerSojournDrop,
-                                req.reply_to,
-                                (sojourn / 1_000).min(u32::MAX as u64) as u32,
-                            );
-                        }
-                    }
-                    self.send_response(req.reply_to, req.req_id, Err(err));
+                Step::Reject { req, err } => {
+                    self.reject(&req, err);
                     batch += 1;
                 }
-                Step::Quarantine { reqs, epoch } => {
+                Step::Quarantine { reqs, err } => {
                     for req in reqs {
-                        bump!(self.shared.stats, calls_fenced);
-                        self.send_response(
-                            req.reply_to,
-                            req.req_id,
-                            Err(RemoteError::Fenced {
-                                current_epoch: epoch,
-                            }),
-                        );
+                        self.reject(&req, err.clone());
                     }
-                    break; // the entry is gone; the token dies with it
+                    break; // the object is gone; the token dies with it
                 }
                 Step::Dispatch {
                     req,
@@ -919,7 +728,7 @@ impl NodeCtx {
                     // request's remaining deadline budget (propagation).
                     let saved_deadline = std::mem::replace(
                         &mut self.current_deadline,
-                        (req.deadline != 0).then_some(req.deadline),
+                        (req.ask.deadline != 0).then_some(req.ask.deadline),
                     );
                     let mut reader = Reader::new(&req.payload);
                     // Set when the call was a served write verb. Decided while
@@ -940,26 +749,27 @@ impl NodeCtx {
                     self.current_trace = saved_trace;
                     self.current_deadline = saved_deadline;
 
-                    // Primary-side write propagation, while this lane still
-                    // owns the object: a successful write verb served by a
-                    // replicated primary bumps the replica-set epoch and,
-                    // in write-through mode, re-syncs every live replica
-                    // BEFORE the ack below — the writer (and everyone else)
-                    // reads its write from any replica that still holds a
-                    // live coherence lease. Snapshotting the *owned* box
-                    // (not the checked-in slot) is what keeps the snapshot
-                    // race-free under multiple workers.
-                    if wrote && self.shared.gates.lock().primaries.contains_key(&target) {
-                        self.propagate_write(target, obj.as_ref());
-                    }
-
-                    // Check the object back in. The entry still exists:
-                    // lifecycle verbs report Busy (never remove) while the
-                    // slot is checked out.
+                    // The call is over: one critical section counts it (the
+                    // placement subsystem's load signal) and checks the object
+                    // back in. The record is still live — lifecycle verbs
+                    // report Busy (never retire an object) while its slot is
+                    // checked out. Only a replicated primary that just served
+                    // a write stays out a little longer: propagation happens
+                    // while this lane still owns the object.
+                    let mut owned = Some(obj);
+                    if let Some(ObjRecord::Live(live)) = self.shared.shard(target).get_mut(&target)
                     {
-                        let mut guard = self.shared.shards[shard_of(target)].lock();
-                        if let Some(entry) = guard.get_mut(&target) {
-                            entry.slot = Some(obj);
+                        live.calls += 1;
+                        if !(wrote && matches!(live.role, Role::Primary(_))) {
+                            live.slot = owned.take();
+                        }
+                    }
+                    if let Some(obj) = owned {
+                        self.propagate_write(target, obj.as_ref());
+                        if let Some(ObjRecord::Live(live)) =
+                            self.shared.shard(target).get_mut(&target)
+                        {
+                            live.slot = Some(obj);
                         }
                     }
 
@@ -971,14 +781,6 @@ impl NodeCtx {
                         Err(e) => self.send_response(req.reply_to, req.req_id, Err(e)),
                     }
                     bump!(self.shared.stats, calls_served);
-                    // Per-object load signal for the placement subsystem.
-                    *self
-                        .shared
-                        .gates
-                        .lock()
-                        .object_calls
-                        .entry(target)
-                        .or_insert(0) += 1;
                     batch += 1;
                 }
             }
@@ -995,19 +797,22 @@ impl NodeCtx {
 
     /// Bump the replica-set epoch after a served write and propagate per
     /// the attached mode. Write-through pushes `replica_sync` to every
-    /// live replica before returning (the write is acked only after); a
-    /// replica that cannot be reached is dropped from the live set and its
-    /// outstanding coherence lease is **waited out**, so once the ack
-    /// goes, no replica holding a live lease can be missing the write.
-    /// Bounded-staleness mode returns immediately — the replica manager
-    /// re-syncs on its cadence and staleness stays bounded by the lease.
+    /// live replica before returning (the write is acked only after, so
+    /// the writer — and everyone else — reads it from any replica still
+    /// holding a live coherence lease); a replica that cannot be reached
+    /// is dropped from the live set and its outstanding coherence lease is
+    /// **waited out**, so once the ack goes, no replica holding a live
+    /// lease can be missing the write. Bounded-staleness mode returns
+    /// immediately — the replica manager re-syncs on its cadence and
+    /// staleness stays bounded by the lease.
     ///
-    /// `obj` is the primary itself, still checked out by this lane, so the
-    /// snapshot is taken before any other call can touch it.
+    /// `obj` is the primary itself, still checked out by this lane:
+    /// snapshotting the *owned* box (not the checked-in slot) is what keeps
+    /// the snapshot race-free under multiple workers.
     fn propagate_write(&mut self, object: ObjectId, obj: &dyn ServerObject) {
         let (rs_epoch, write_through, lease_millis, replicas) = {
-            let mut gates = self.shared.gates.lock();
-            let Some(pm) = gates.primaries.get_mut(&object) else {
+            let mut shard = self.shared.shard(object);
+            let Some(pm) = shard.get_mut(&object).and_then(ObjRecord::primary_mut) else {
                 return;
             };
             pm.rs_epoch += 1;
@@ -1035,8 +840,8 @@ impl NodeCtx {
                 }
                 Err(_) => {
                     lost = true;
-                    let mut gates = self.shared.gates.lock();
-                    if let Some(pm) = gates.primaries.get_mut(&object) {
+                    let mut shard = self.shared.shard(object);
+                    if let Some(pm) = shard.get_mut(&object).and_then(ObjRecord::primary_mut) {
                         pm.replicas.retain(|x| *x != r);
                     }
                 }

@@ -5,12 +5,18 @@
 //! With the work-stealing scheduler (DESIGN.md §13) a machine is one
 //! **dispatcher** lane (the network endpoint: admission, daemon verbs,
 //! response routing) plus zero or more **worker** lanes that execute object
-//! mailboxes. Everything both sides touch lives here, behind locks sized to
-//! the contention: the object table is sharded, the admission gates share
-//! one mutex (they are read together), and the counters are plain atomics.
+//! mailboxes. Everything both sides touch lives here.
 //!
-//! Lock order, where two are held: **shard before gates**. Neither is ever
-//! held across a dispatch, a network send, or a clock park.
+//! **One record per object.** The sharded object table is the only home of
+//! per-object server state: an id maps to one [`ObjRecord`] — `Live` (the
+//! process, its mailbox, its fencing epoch, its replication role, its load
+//! counter), `Migrating` (quiesced, state parked for commit or rollback) or
+//! `Gone` (the fence / forwarding tombstone) — so every lifecycle verb is
+//! one edit of one record under one shard lock, and there is no second
+//! table to forget. The locks that remain are the shards, the dedup window
+//! and the serving-span table; they never nest, and none is held across a
+//! dispatch, a network send, or a clock park. The one machine-wide datum,
+//! the supervisor lease, is an atomic.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,7 +27,7 @@ use sched::{DepthGauge, Injector, StealOrder, Stealer};
 use simnet::{Clock, MachineId, Packet};
 
 use crate::dedup::DedupWindow;
-use crate::frame::NodeStats;
+use crate::frame::SharedStats;
 use crate::ids::{ObjRef, ObjectId, DAEMON};
 use crate::policy::OverloadConfig;
 use crate::process::ServerObject;
@@ -30,11 +36,6 @@ use crate::process::ServerObject;
 /// map fine-grained enough that a hot object's mailbox lock does not
 /// serialize unrelated objects.
 pub(crate) const OBJECT_SHARDS: usize = 8;
-
-#[inline]
-pub(crate) fn shard_of(object: ObjectId) -> usize {
-    (object as usize) & (OBJECT_SHARDS - 1)
-}
 
 /// A request admitted by the dispatcher, parked in its target's mailbox
 /// until a lane executes it.
@@ -49,6 +50,13 @@ pub(crate) struct IncomingReq {
     /// Trace identity from the request frame (zeros when untraced).
     pub(crate) trace_id: u64,
     pub(crate) span: u64,
+    pub(crate) ask: Ask,
+}
+
+/// The part of a request's header its gates read (see `node::judge`).
+/// `Default` is a caller with no beliefs and no deadline — a daemon verb.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Ask {
     /// Caller's believed incarnation epoch (0 = unfenced).
     pub(crate) epoch: u64,
     /// Caller's believed replica-set epoch (0 = not replica-routed).
@@ -72,9 +80,33 @@ pub(crate) struct CallTrace {
     pub(crate) method: std::sync::Arc<str>,
 }
 
-/// One live object: its process (absent while checked out by a lane) and
-/// the mailbox of admitted-but-unexecuted requests.
-pub(crate) struct ObjEntry {
+/// Everything this machine knows about one object id.
+pub(crate) enum ObjRecord {
+    /// The object lives here.
+    Live(LiveObj),
+    /// Mid-migration: quiesced, its snapshot parked until the coordinator
+    /// commits (→ `Gone` with a forward) or rolls back (→ `Live` again,
+    /// same id, same epoch, same load counter). Requests defer meanwhile.
+    Migrating {
+        class: String,
+        state: Vec<u8>,
+        epoch: Option<u64>,
+        calls: u64,
+    },
+    /// The object is no longer here: `forward` redirects stale pointers
+    /// (a committed migration, a takeover, a dropped replica); with no
+    /// forward, `epoch` alone fences them (a destroyed or quarantined
+    /// supervised incarnation).
+    Gone {
+        epoch: Option<u64>,
+        forward: Option<ObjRef>,
+    },
+}
+
+/// One live object: its process (absent while checked out by a lane), the
+/// mailbox of admitted-but-unexecuted requests, and the per-object state
+/// every request is judged against.
+pub(crate) struct LiveObj {
     /// The object itself; `None` while a lane is executing a call on it.
     pub(crate) slot: Option<Box<dyn ServerObject>>,
     /// Admitted requests awaiting execution, FIFO.
@@ -83,15 +115,97 @@ pub(crate) struct ObjEntry {
     /// At most one token at a time is what serializes the object: whoever
     /// holds it owns the mailbox until it drains or is re-parked.
     pub(crate) scheduled: bool,
+    /// Incarnation epoch of a supervised object (DESIGN.md §10); `None`
+    /// for an object never placed under fencing.
+    pub(crate) epoch: Option<u64>,
+    /// Replication role (DESIGN.md §11).
+    pub(crate) role: Role,
+    /// Calls served (plus admissions refused for overload) — the placement
+    /// subsystem's load signal (daemon verb `loads`).
+    pub(crate) calls: u64,
 }
 
-impl ObjEntry {
+impl LiveObj {
     pub(crate) fn new(obj: Box<dyn ServerObject>) -> Self {
-        ObjEntry {
+        LiveObj {
             slot: Some(obj),
             mailbox: VecDeque::new(),
             scheduled: false,
+            epoch: None,
+            role: Role::Plain,
+            calls: 0,
         }
+    }
+}
+
+/// What replication makes of a live object. The payloads are boxed: almost
+/// every object is `Plain`, and the record should not grow for the few
+/// that are not.
+pub(crate) enum Role {
+    Plain,
+    Primary(Box<PrimaryMeta>),
+    Replica(Box<ReplicaMeta>),
+}
+
+impl ObjRecord {
+    /// The tombstone an object leaves behind, or `None` when nothing
+    /// outlives it (an unfenced object simply disappears).
+    pub(crate) fn gone(epoch: Option<u64>, forward: Option<ObjRef>) -> Option<Self> {
+        (epoch.is_some() || forward.is_some()).then_some(ObjRecord::Gone { epoch, forward })
+    }
+
+    /// The incarnation epoch, whatever the state.
+    pub(crate) fn epoch_mut(&mut self) -> &mut Option<u64> {
+        match self {
+            ObjRecord::Live(live) => &mut live.epoch,
+            ObjRecord::Migrating { epoch, .. } | ObjRecord::Gone { epoch, .. } => epoch,
+        }
+    }
+
+    /// The replica-set record of a live replicated primary.
+    pub(crate) fn primary_mut(&mut self) -> Option<&mut PrimaryMeta> {
+        match self {
+            ObjRecord::Live(LiveObj {
+                role: Role::Primary(pm),
+                ..
+            }) => Some(pm),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn epoch(&self) -> Option<u64> {
+        match self {
+            ObjRecord::Live(live) => live.epoch,
+            ObjRecord::Migrating { epoch, .. } | ObjRecord::Gone { epoch, .. } => *epoch,
+        }
+    }
+}
+
+/// Move a fencing epoch forward to at least `to` (placing its id under
+/// fencing if it was not). Epochs never move back: a lower value is a stale
+/// retransmit.
+pub(crate) fn raise_epoch(epoch: &mut Option<u64>, to: u64) {
+    *epoch = Some(epoch.unwrap_or(0).max(to));
+}
+
+/// One shard of the object table.
+pub(crate) type Shard = HashMap<ObjectId, ObjRecord>;
+
+/// Replace `object`'s record with `leave` (or nothing) and hand back the
+/// live object that was there, if one was — mailbox, process and all. The
+/// caller holds the shard lock, so the swap is what every other lane sees.
+pub(crate) fn take_live(
+    shard: &mut Shard,
+    object: ObjectId,
+    leave: Option<ObjRecord>,
+) -> Option<LiveObj> {
+    let old = match leave {
+        Some(record) => shard.insert(object, record),
+        None => shard.remove(&object),
+    };
+    match old {
+        Some(ObjRecord::Live(live)) => Some(live),
+        _ => None,
     }
 }
 
@@ -123,58 +237,6 @@ pub(crate) struct PrimaryMeta {
     pub(crate) lease_millis: u64,
 }
 
-/// The admission gates: every piece of routing/fencing metadata a request
-/// must clear **at execution time** before its object is checked out.
-/// One mutex for all of them — they are read together on every call and
-/// written rarely (lifecycle verbs, heartbeats).
-#[derive(Default)]
-pub(crate) struct Gates {
-    /// Server-side incarnation epochs of supervised objects (DESIGN.md §10).
-    pub(crate) epochs: HashMap<ObjectId, u64>,
-    /// Serving lease granted by supervisor heartbeats; `None` until the
-    /// first heartbeat (unsupervised machines never check leases).
-    pub(crate) lease_deadline: Option<u64>,
-    /// Forwarding stubs left by committed migrations.
-    pub(crate) forwards: HashMap<ObjectId, ObjRef>,
-    /// Objects mid-migration: quiesced with their snapshot held for
-    /// rollback; their requests park in the dispatcher's deferred queue.
-    pub(crate) migrating: HashMap<ObjectId, (String, Vec<u8>)>,
-    /// Read replicas hosted here (coherence metadata; the replica objects
-    /// themselves live in the shards like any other).
-    pub(crate) replica_meta: HashMap<ObjectId, ReplicaMeta>,
-    /// Replicated primaries hosted here.
-    pub(crate) primaries: HashMap<ObjectId, PrimaryMeta>,
-    /// Served calls per live object — the placement subsystem's load
-    /// signal (daemon verb `loads`).
-    pub(crate) object_calls: HashMap<ObjectId, u64>,
-}
-
-/// Machine-wide counters. Atomics, not a mutex: every lane bumps them on
-/// every call and nobody reads them until a `stats` verb asks.
-#[derive(Default)]
-pub(crate) struct SharedStats {
-    pub(crate) calls_served: AtomicU64,
-    pub(crate) calls_deferred: AtomicU64,
-    pub(crate) calls_retried: AtomicU64,
-    pub(crate) dup_replayed: AtomicU64,
-    pub(crate) dup_suppressed: AtomicU64,
-    pub(crate) calls_forwarded: AtomicU64,
-    pub(crate) migrated_in: AtomicU64,
-    pub(crate) migrated_out: AtomicU64,
-    pub(crate) heartbeats_served: AtomicU64,
-    pub(crate) calls_fenced: AtomicU64,
-    pub(crate) replica_reads_served: AtomicU64,
-    pub(crate) replica_reads_stale: AtomicU64,
-    pub(crate) replica_syncs_sent: AtomicU64,
-    pub(crate) dir_cache_hits: AtomicU64,
-    pub(crate) dir_cache_misses: AtomicU64,
-    pub(crate) calls_shed_overload: AtomicU64,
-    pub(crate) calls_shed_sojourn: AtomicU64,
-    pub(crate) calls_deadline_expired: AtomicU64,
-    pub(crate) breaker_fast_fails: AtomicU64,
-    pub(crate) retries_suppressed: AtomicU64,
-}
-
 macro_rules! bump {
     ($stats:expr, $field:ident) => {
         $stats
@@ -183,36 +245,6 @@ macro_rules! bump {
     };
 }
 pub(crate) use bump;
-
-impl SharedStats {
-    pub(crate) fn snapshot(&self, objects_live: u64, snapshots_stored: u64) -> NodeStats {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        NodeStats {
-            objects_live,
-            snapshots_stored,
-            calls_served: g(&self.calls_served),
-            calls_deferred: g(&self.calls_deferred),
-            calls_retried: g(&self.calls_retried),
-            dup_replayed: g(&self.dup_replayed),
-            dup_suppressed: g(&self.dup_suppressed),
-            calls_forwarded: g(&self.calls_forwarded),
-            migrated_in: g(&self.migrated_in),
-            migrated_out: g(&self.migrated_out),
-            heartbeats_served: g(&self.heartbeats_served),
-            calls_fenced: g(&self.calls_fenced),
-            replica_reads_served: g(&self.replica_reads_served),
-            replica_reads_stale: g(&self.replica_reads_stale),
-            replica_syncs_sent: g(&self.replica_syncs_sent),
-            dir_cache_hits: g(&self.dir_cache_hits),
-            dir_cache_misses: g(&self.dir_cache_misses),
-            calls_shed_overload: g(&self.calls_shed_overload),
-            calls_shed_sojourn: g(&self.calls_shed_sojourn),
-            calls_deadline_expired: g(&self.calls_deadline_expired),
-            breaker_fast_fails: g(&self.breaker_fast_fails),
-            retries_suppressed: g(&self.retries_suppressed),
-        }
-    }
-}
 
 /// Message on a worker lane's control channel, fed by the dispatcher.
 pub(crate) enum WorkerMsg {
@@ -298,10 +330,15 @@ impl Pool {
 /// One machine's thread-shared state: everything the dispatcher lane and
 /// the worker lanes touch together.
 pub(crate) struct SharedNode {
-    /// The object table, sharded by id.
-    pub(crate) shards: Vec<Mutex<HashMap<ObjectId, ObjEntry>>>,
-    /// Fencing / routing / replication gates, checked at execution time.
-    pub(crate) gates: Mutex<Gates>,
+    /// The object table, sharded by id: one record per object.
+    pub(crate) shards: Vec<Mutex<Shard>>,
+    /// Serving lease granted by supervisor heartbeats: the clock reading
+    /// (nanos) until which this machine may serve supervised objects.
+    /// `u64::MAX` until the first heartbeat — unsupervised machines never
+    /// self-fence. Relaxed everywhere: the value stands alone (it
+    /// publishes no other data), and a lane that reads it a moment stale
+    /// judged as if its call had started that moment earlier.
+    pub(crate) lease: AtomicU64,
     /// At-most-once window, shared so any lane's `complete` is ordered
     /// against the dispatcher's `admit`.
     pub(crate) dedup: Mutex<DedupWindow>,
@@ -329,7 +366,7 @@ impl SharedNode {
             shards: (0..OBJECT_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            gates: Mutex::new(Gates::default()),
+            lease: AtomicU64::new(u64::MAX),
             dedup: Mutex::new(DedupWindow::default()),
             serving_spans: Mutex::new(HashMap::new()),
             stats: SharedStats::default(),
@@ -345,15 +382,27 @@ impl SharedNode {
         self.next_obj_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Number of live objects (excluding the daemon).
-    pub(crate) fn objects_live(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+    /// The shard holding `object`'s record, locked.
+    pub(crate) fn shard(&self, object: ObjectId) -> parking_lot::MutexGuard<'_, Shard> {
+        self.shards[object as usize & (OBJECT_SHARDS - 1)].lock()
     }
 
-    /// Park a freshly constructed object under `id`.
-    pub(crate) fn insert_object(&self, id: ObjectId, obj: Box<dyn ServerObject>) {
-        self.shards[shard_of(id)]
-            .lock()
-            .insert(id, ObjEntry::new(obj));
+    /// Number of live objects (excluding the daemon).
+    pub(crate) fn objects_live(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                let shard = s.lock();
+                shard
+                    .values()
+                    .filter(|r| matches!(r, ObjRecord::Live(_)))
+                    .count()
+            })
+            .sum()
+    }
+
+    /// Make `live` reachable under `id`.
+    pub(crate) fn insert_object(&self, id: ObjectId, live: LiveObj) {
+        self.shard(id).insert(id, ObjRecord::Live(live));
     }
 }

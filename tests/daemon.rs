@@ -309,6 +309,50 @@ fn junk_daemon_requests_are_typed_errors_on_one_call() {
     cluster.shutdown(driver);
 }
 
+/// Regression: `set_epoch` on an id that never lived used to plant a fence
+/// in the machine-wide epoch table without looking at the object table —
+/// calls to the id then answered `Fenced` instead of `NoSuchObject`, and
+/// the unsupervised object later allocated that id silently inherited the
+/// epoch (and with it the lease self-fence). An unknown id is refused like
+/// any other verb's; live objects and tombstones still take the epoch.
+#[test]
+fn set_epoch_on_an_id_that_never_lived_is_refused() {
+    let (cluster, mut driver) = one_machine(false);
+    let d = &mut driver;
+    let a = TallyClient::new_on(d, 0).unwrap();
+    let never = ObjRef {
+        machine: 0,
+        object: a.obj_ref().object + 1,
+    };
+
+    let set = d.set_epoch_of(never, 7);
+    assert!(
+        matches!(set, Err(RemoteError::NoSuchObject { .. })),
+        "set_epoch on a never-lived id: {set:?}"
+    );
+    d.forget_epoch(never);
+    let call = TallyClient::from_ref(never).total(d);
+    assert!(
+        matches!(call, Err(RemoteError::NoSuchObject { .. })),
+        "no fence was planted: {call:?}"
+    );
+    // The object that gets the id next is born unfenced.
+    let b = TallyClient::new_on(d, 0).unwrap();
+    assert_eq!(b.obj_ref(), never);
+    assert_eq!(b.add(d, 3).unwrap(), 3);
+
+    // A live object takes the epoch; so does the tombstone it leaves.
+    d.set_epoch_of(a.obj_ref(), 2).unwrap();
+    d.destroy(a.obj_ref()).unwrap();
+    d.set_epoch_of(a.obj_ref(), 4).unwrap();
+    let call = a.total(d);
+    assert!(
+        matches!(call, Err(RemoteError::Fenced { current_epoch: 4 })),
+        "the tombstone's fence moved forward: {call:?}"
+    );
+    cluster.shutdown(driver);
+}
+
 /// Regression: lease arithmetic on wire input. `heartbeat` and the replica
 /// verbs computed `now + millis * 1_000_000` unchecked; a huge grant
 /// panicked the machine thread (debug) or wrapped to an arbitrary, possibly

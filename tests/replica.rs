@@ -523,6 +523,80 @@ fn direct_call_to_a_lapsed_replica_surfaces_stale_replica() {
     cluster.shutdown(driver);
 }
 
+/// Regression: a replication role is part of its object's record and dies
+/// with it. The roles used to live in machine-wide tables that
+/// `deactivate`, `fence` and the stale-server quarantine forgot to clean,
+/// so `replica_status` / `replica_renew` kept answering `Ok` for objects
+/// that no longer existed — and the manager kept renewing and routing to
+/// them. Both verbs must answer what any other verb aimed at the id gets.
+#[test]
+fn replication_roles_die_with_their_object() {
+    let (cluster, mut driver) = ClusterBuilder::new(4)
+        .register::<RCounter>()
+        .call_policy(test_policy())
+        .build();
+    let d = &mut driver;
+    let c = RCounterClient::new_on(d, 0).unwrap();
+    let primary = c.obj_ref();
+    let state = d.snapshot_of(primary).unwrap();
+    let adopt =
+        |d: &mut NodeCtx, m| d.replica_adopt(m, "RCounter", state.clone(), primary, 1, 60_000);
+    let (gone, fenced, stale) = (
+        adopt(d, 1).unwrap(),
+        adopt(d, 2).unwrap(),
+        adopt(d, 3).unwrap(),
+    );
+    d.replica_attach(primary, vec![gone, fenced, stale], 1, true, 60_000)
+        .unwrap();
+    assert!(!d.replica_status_of(gone).unwrap().is_primary);
+
+    // Both role verbs, aimed at `r`, must fail the way `want` accepts.
+    let check = |d: &mut NodeCtx, r, what: &str, want: &dyn Fn(&RemoteError) -> bool| {
+        let status = d.replica_status_of(r).map(|s| s.is_primary);
+        let renew = d.replica_renew(r, 1, 60_000);
+        assert!(
+            matches!(&status, Err(e) if want(e)),
+            "replica_status after {what}: {status:?}"
+        );
+        assert!(
+            matches!(&renew, Err(e) if want(e)),
+            "replica_renew after {what}: {renew:?}"
+        );
+    };
+
+    d.deactivate(gone, "parked-replica").unwrap();
+    check(d, gone, "deactivate (replica)", &|e| {
+        matches!(e, RemoteError::NoSuchObject { .. })
+    });
+
+    d.fence_object(fenced, 5, primary).unwrap();
+    check(
+        d,
+        fenced,
+        "fence",
+        &|e| matches!(e, RemoteError::Moved { to } if *to == primary),
+    );
+
+    // Quarantine: the replica is supervised at epoch 1 and meets a call
+    // carrying proof of a takeover at epoch 2.
+    d.set_epoch_of(stale, 1).unwrap();
+    d.note_epoch(stale, 2);
+    let call = RCounterClient::from_ref(stale).total(d);
+    assert!(
+        matches!(call, Err(RemoteError::Fenced { current_epoch: 2 })),
+        "the superseded incarnation must fence itself, got {call:?}"
+    );
+    check(d, stale, "quarantine", &|e| {
+        matches!(e, RemoteError::Fenced { current_epoch: 2 })
+    });
+
+    d.deactivate(primary, "parked-primary").unwrap();
+    check(d, primary, "deactivate (primary)", &|e| {
+        matches!(e, RemoteError::NoSuchObject { .. })
+    });
+    cluster.shutdown(driver);
+}
+
 /// Step `sup` until `done` (or panic after 15s).
 fn settle(
     sup: &mut supervision::Supervisor,
