@@ -10,17 +10,24 @@
 //! `(reply_to, req_id)` — unique per caller, since each caller numbers its
 //! requests from a private counter.
 //!
-//! Three states per key:
+//! Four states per key:
 //! - **new** — never seen: execute it (and remember it is in flight).
 //! - **in flight** — received but not yet answered (executing now, or
 //!   parked deferred): *suppress* the copy; the original will answer.
 //! - **done** — answered already: *replay* the cached response without
 //!   re-executing.
+//! - **done, bytes dropped** — answered long enough ago that the reply's
+//!   bytes were given back (see below): *suppress* the copy. It is never
+//!   re-executed; it just cannot be answered a second time.
 //!
-//! Completed entries are evicted FIFO once the window exceeds its capacity.
-//! An evicted entry makes a very late duplicate executable again — the
-//! window trades unbounded memory for a duplicate-suppression horizon, the
-//! standard at-most-once compromise.
+//! The window has two bounds. It remembers [`DEFAULT_DEDUP_CAPACITY`]
+//! completed **keys**, evicted FIFO: an evicted key makes a very late
+//! duplicate executable again — the window trades unbounded memory for a
+//! duplicate-suppression horizon, the standard at-most-once compromise. And
+//! it holds at most [`DEDUP_BYTE_BUDGET`] of cached reply **bytes**: beyond
+//! that the oldest replies are dropped (their keys stay), so a server
+//! answering 2 MiB reads pins 64 MiB, not 1 024 × 2 MiB. Execution is at
+//! most once per retained key; replay is per retained bytes.
 //!
 //! In-flight entries get the same treatment. A request can be admitted and
 //! then *never* completed — the canonical case is a deferred reply whose
@@ -37,6 +44,7 @@ use std::collections::{HashMap, VecDeque};
 use simnet::MachineId;
 
 use crate::error::RemoteResult;
+use crate::frame::encode_response;
 
 /// Identity of a request as the server sees it.
 pub(crate) type ReqKey = (MachineId, u64);
@@ -46,10 +54,14 @@ pub(crate) type ReqKey = (MachineId, u64);
 pub(crate) enum DedupVerdict {
     /// First sighting: execute.
     New,
-    /// A copy is already being served (or parked): drop this one.
+    /// Nothing to do for this copy: drop it. Either the original is still
+    /// being served (or parked) and will answer, or it was answered so long
+    /// ago that the reply's bytes are gone — the caller's retry budget then
+    /// ends in a timeout, as against an unreachable server.
     InFlight,
-    /// Already executed: re-send this cached response, do not re-execute.
-    Done(RemoteResult<Vec<u8>>),
+    /// Already executed: re-send this response frame (encoded straight
+    /// from the cached reply), do not re-execute.
+    Done(Vec<u8>),
 }
 
 /// Completed-call cache capacity. Old enough entries stop being protected
@@ -57,6 +69,12 @@ pub(crate) enum DedupVerdict {
 /// (a caller retransmits at most `max_retries` times, immediately or after
 /// millisecond-scale backoff).
 pub(crate) const DEFAULT_DEDUP_CAPACITY: usize = 1024;
+
+/// Most reply bytes the window keeps for replay. What it bounds is the
+/// *replay* horizon of large replies (32 of 2 MiB), never execution; it
+/// also keeps a bulk server's reply buffers cycling through the same few
+/// pages instead of 1 024 fresh ones.
+pub(crate) const DEDUP_BYTE_BUDGET: usize = 64 << 20;
 
 #[derive(Debug)]
 pub(crate) struct DedupWindow {
@@ -67,27 +85,49 @@ pub(crate) struct DedupWindow {
     in_flight: HashMap<ReqKey, u64>,
     in_flight_order: VecDeque<(u64, ReqKey)>,
     next_seq: u64,
-    done: HashMap<ReqKey, RemoteResult<Vec<u8>>>,
+    /// Completed keys and their replies; `None` once the bytes were dropped.
+    done: HashMap<ReqKey, Option<RemoteResult<Vec<u8>>>>,
+    /// Completed keys, oldest first.
     order: VecDeque<ReqKey>,
+    /// How many keys at the front of `order` the byte bound has already
+    /// passed over: none of them holds reply bytes any more.
+    stripped: usize,
+    /// Reply bytes held in `done`.
+    bytes: usize,
     capacity: usize,
+    byte_budget: usize,
+}
+
+/// What a cached reply counts against the byte budget: its payload. An
+/// error weighs nothing (and so is never dropped before its key).
+fn weight(result: &RemoteResult<Vec<u8>>) -> usize {
+    result.as_ref().map_or(0, Vec::len)
 }
 
 impl DedupWindow {
-    pub(crate) fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize, byte_budget: usize) -> Self {
         DedupWindow {
             in_flight: HashMap::new(),
             in_flight_order: VecDeque::new(),
             next_seq: 0,
             done: HashMap::new(),
             order: VecDeque::new(),
+            stripped: 0,
+            bytes: 0,
             capacity,
+            byte_budget,
         }
     }
 
     /// Classify an incoming request and, if new, mark it in flight.
     pub(crate) fn admit(&mut self, key: ReqKey) -> DedupVerdict {
-        if let Some(result) = self.done.get(&key) {
-            return DedupVerdict::Done(clone_result(result));
+        match self.done.get(&key) {
+            Some(Some(result)) => {
+                let result = result.as_ref().map(Vec::as_slice);
+                return DedupVerdict::Done(encode_response(key.1, result));
+            }
+            Some(None) => return DedupVerdict::InFlight,
+            None => {}
         }
         if self.in_flight.contains_key(&key) {
             return DedupVerdict::InFlight;
@@ -101,18 +141,39 @@ impl DedupWindow {
     }
 
     /// Record the response sent for `key`, making later duplicates replay
-    /// it. Evicts the oldest completed entries beyond capacity.
-    pub(crate) fn complete(&mut self, key: ReqKey, result: &RemoteResult<Vec<u8>>) {
+    /// it. Evicts the oldest completed keys beyond capacity, then drops the
+    /// oldest reply bytes beyond the byte budget — never the newest
+    /// entry's, so the reply just sent can always be replayed.
+    pub(crate) fn complete(&mut self, key: ReqKey, result: RemoteResult<Vec<u8>>) {
         self.in_flight.remove(&key);
         self.trim_in_flight_order();
-        if self.done.insert(key, clone_result(result)).is_none() {
-            self.order.push_back(key);
+        if self.done.contains_key(&key) {
+            // Answered before (the request re-executed past a horizon):
+            // the first answer stands, and stays where it is in `order`.
+            return;
         }
+        self.bytes += weight(&result);
+        self.done.insert(key, Some(result));
+        self.order.push_back(key);
         while self.done.len() > self.capacity {
             let Some(oldest) = self.order.pop_front() else {
                 break;
             };
-            self.done.remove(&oldest);
+            if let Some(Some(result)) = self.done.remove(&oldest) {
+                self.bytes -= weight(&result);
+            }
+            self.stripped = self.stripped.saturating_sub(1);
+        }
+        while self.bytes > self.byte_budget && self.stripped + 1 < self.order.len() {
+            let key = self.order[self.stripped];
+            self.stripped += 1;
+            if let Some(slot) = self.done.get_mut(&key) {
+                let held = slot.as_ref().map_or(0, weight);
+                if held > 0 {
+                    self.bytes -= held;
+                    *slot = None;
+                }
+            }
         }
     }
 
@@ -156,6 +217,12 @@ impl DedupWindow {
         self.done.len()
     }
 
+    /// Reply bytes currently held for replay.
+    #[cfg(test)]
+    pub(crate) fn held_bytes(&self) -> usize {
+        self.bytes
+    }
+
     /// Keys admitted but not yet completed.
     #[cfg(test)]
     pub(crate) fn in_flight_len(&self) -> usize {
@@ -171,14 +238,7 @@ impl DedupWindow {
 
 impl Default for DedupWindow {
     fn default() -> Self {
-        DedupWindow::new(DEFAULT_DEDUP_CAPACITY)
-    }
-}
-
-fn clone_result(r: &RemoteResult<Vec<u8>>) -> RemoteResult<Vec<u8>> {
-    match r {
-        Ok(b) => Ok(b.clone()),
-        Err(e) => Err(e.clone()),
+        DedupWindow::new(DEFAULT_DEDUP_CAPACITY, DEDUP_BYTE_BUDGET)
     }
 }
 
@@ -186,6 +246,23 @@ fn clone_result(r: &RemoteResult<Vec<u8>>) -> RemoteResult<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::error::RemoteError;
+    use crate::frame::Frame;
+
+    /// Admit `key` as a duplicate and decode the reply its `Done` verdict
+    /// carries back out of the frame.
+    fn replay(w: &mut DedupWindow, key: ReqKey) -> RemoteResult<Vec<u8>> {
+        let verdict = w.admit(key);
+        let DedupVerdict::Done(frame) = verdict else {
+            panic!("expected a replay, got {verdict:?}");
+        };
+        match wire::from_bytes::<Frame>(&frame).expect("a replay is a well-formed frame") {
+            Frame::Response { req_id, result } => {
+                assert_eq!(req_id, key.1);
+                result.map(|b| b.0)
+            }
+            other => panic!("expected a response frame, got {other:?}"),
+        }
+    }
 
     #[test]
     fn first_sighting_is_new_then_in_flight() {
@@ -200,15 +277,15 @@ mod tests {
     fn completed_requests_replay_their_response() {
         let mut w = DedupWindow::default();
         assert_eq!(w.admit((0, 1)), DedupVerdict::New);
-        w.complete((0, 1), &Ok(vec![9, 9]));
-        match w.admit((0, 1)) {
-            DedupVerdict::Done(Ok(bytes)) => assert_eq!(bytes, vec![9, 9]),
-            other => panic!("expected cached response, got {other:?}"),
-        }
+        w.complete((0, 1), Ok(vec![9, 9]));
+        assert_eq!(replay(&mut w, (0, 1)), Ok(vec![9, 9]));
         // Errors are cached too: a failed create must not re-run either.
         assert_eq!(w.admit((0, 2)), DedupVerdict::New);
-        w.complete((0, 2), &Err(RemoteError::NoSuchClass { class: "X".into() }));
-        assert!(matches!(w.admit((0, 2)), DedupVerdict::Done(Err(_))));
+        w.complete((0, 2), Err(RemoteError::NoSuchClass { class: "X".into() }));
+        assert_eq!(
+            replay(&mut w, (0, 2)),
+            Err(RemoteError::NoSuchClass { class: "X".into() })
+        );
     }
 
     #[test]
@@ -225,34 +302,23 @@ mod tests {
                 object: 9,
             },
         });
-        w.complete((5, 1), &moved);
-        match w.admit((5, 1)) {
-            DedupVerdict::Done(Err(RemoteError::Moved { to })) => {
-                assert_eq!(
-                    to,
-                    crate::ids::ObjRef {
-                        machine: 2,
-                        object: 9
-                    }
-                );
-            }
-            other => panic!("expected cached redirect, got {other:?}"),
-        }
+        w.complete((5, 1), moved.clone());
+        assert_eq!(replay(&mut w, (5, 1)), moved);
     }
 
     #[test]
     fn eviction_is_fifo_and_bounded() {
-        let mut w = DedupWindow::new(3);
+        let mut w = DedupWindow::new(3, DEDUP_BYTE_BUDGET);
         for id in 0..5u64 {
             assert_eq!(w.admit((0, id)), DedupVerdict::New);
-            w.complete((0, id), &Ok(vec![id as u8]));
+            w.complete((0, id), Ok(vec![id as u8]));
         }
         assert_eq!(w.done_len(), 3);
         // The two oldest were evicted: their duplicates execute again.
         assert_eq!(w.admit((0, 0)), DedupVerdict::New);
         assert_eq!(w.admit((0, 1)), DedupVerdict::New);
         // The newest three still replay.
-        assert!(matches!(w.admit((0, 4)), DedupVerdict::Done(Ok(_))));
+        assert_eq!(replay(&mut w, (0, 4)), Ok(vec![4]));
     }
 
     #[test]
@@ -260,7 +326,7 @@ mod tests {
         // Regression: keys admitted but never completed (e.g. a Barrier
         // destroyed with deferred waiters parked) used to accumulate in the
         // in-flight set forever. They must now be evicted FIFO at capacity.
-        let mut w = DedupWindow::new(64);
+        let mut w = DedupWindow::new(64, DEDUP_BYTE_BUDGET);
         for id in 0..5_000u64 {
             assert_eq!(w.admit((0, id)), DedupVerdict::New);
         }
@@ -285,10 +351,10 @@ mod tests {
         // Every admission pushes a queue entry; completion leaves it stale
         // in place. Compaction must keep the queue proportional to the live
         // set, not to the total call count.
-        let mut w = DedupWindow::new(32);
+        let mut w = DedupWindow::new(32, DEDUP_BYTE_BUDGET);
         for id in 0..10_000u64 {
             assert_eq!(w.admit((1, id)), DedupVerdict::New);
-            w.complete((1, id), &Ok(vec![]));
+            w.complete((1, id), Ok(vec![]));
         }
         assert_eq!(w.in_flight_len(), 0);
         assert!(
@@ -303,14 +369,14 @@ mod tests {
         // The original executes, gets evicted from in-flight by pressure,
         // then finishes: its response must still enter the done cache so
         // late duplicates replay instead of re-executing.
-        let mut w = DedupWindow::new(4);
+        let mut w = DedupWindow::new(4, DEDUP_BYTE_BUDGET);
         assert_eq!(w.admit((2, 0)), DedupVerdict::New);
         for id in 1..=8u64 {
             assert_eq!(w.admit((2, id)), DedupVerdict::New);
         }
         // (2,0) was evicted; completing it anyway records the response.
-        w.complete((2, 0), &Ok(vec![7]));
-        assert!(matches!(w.admit((2, 0)), DedupVerdict::Done(Ok(_))));
+        w.complete((2, 0), Ok(vec![7]));
+        assert_eq!(replay(&mut w, (2, 0)), Ok(vec![7]));
     }
 
     #[test]
@@ -318,7 +384,7 @@ mod tests {
         // Evict (3,0), re-admit it, then evict again: the stale first-stamp
         // queue entry must not cause the fresh admission to be dropped out
         // of order or double-removed.
-        let mut w = DedupWindow::new(2);
+        let mut w = DedupWindow::new(2, DEDUP_BYTE_BUDGET);
         assert_eq!(w.admit((3, 0)), DedupVerdict::New);
         assert_eq!(w.admit((3, 1)), DedupVerdict::New);
         assert_eq!(w.admit((3, 2)), DedupVerdict::New); // evicts (3,0)
@@ -328,15 +394,96 @@ mod tests {
     }
 
     #[test]
-    fn completing_twice_does_not_double_count() {
-        let mut w = DedupWindow::new(2);
+    fn completing_twice_keeps_the_first_answer_and_an_exact_byte_account() {
+        let mut w = DedupWindow::new(2, DEDUP_BYTE_BUDGET);
         w.admit((1, 1));
-        w.complete((1, 1), &Ok(vec![1]));
-        w.complete((1, 1), &Ok(vec![2])); // replayed response re-completed
+        w.complete((1, 1), Ok(vec![1; 100]));
+        w.complete((1, 1), Ok(vec![2; 50])); // re-executed past a horizon
+        assert_eq!(w.held_bytes(), 100);
         w.admit((1, 2));
-        w.complete((1, 2), &Ok(vec![3]));
-        assert_eq!(w.done_len(), 2);
+        w.complete((1, 2), Ok(vec![3]));
+        assert_eq!((w.done_len(), w.held_bytes()), (2, 101));
         // (1,1) was not evicted by its own double-complete.
-        assert!(matches!(w.admit((1, 1)), DedupVerdict::Done(Ok(_))));
+        assert_eq!(replay(&mut w, (1, 1)), Ok(vec![1; 100]));
+        // Count eviction gives the bytes back exactly.
+        w.admit((1, 3));
+        w.complete((1, 3), Ok(vec![4; 7]));
+        assert_eq!((w.done_len(), w.held_bytes()), (2, 8));
+    }
+
+    /// Complete `ids` of caller 0, each with a reply of `len` bytes of its id.
+    fn complete_all(w: &mut DedupWindow, ids: std::ops::Range<u64>, len: usize) {
+        for id in ids {
+            assert_eq!(w.admit((0, id)), DedupVerdict::New);
+            w.complete((0, id), Ok(vec![id as u8; len]));
+        }
+    }
+
+    #[test]
+    fn bytes_are_dropped_before_keys_and_keys_outlive_their_bytes() {
+        // Room for 8 keys but only 3 replies of 100 bytes.
+        let mut w = DedupWindow::new(8, 300);
+        complete_all(&mut w, 0..6, 100);
+        assert_eq!((w.done_len(), w.held_bytes()), (6, 300));
+        // The three oldest lost their bytes, not their keys: a duplicate is
+        // suppressed — never `New`, so never executed again.
+        for id in 0..3 {
+            assert_eq!(w.admit((0, id)), DedupVerdict::InFlight);
+        }
+        for id in 3..6 {
+            assert_eq!(replay(&mut w, (0, id)), Ok(vec![id as u8; 100]));
+        }
+        // Past the key horizon a duplicate executes again, as it always has.
+        complete_all(&mut w, 6..10, 100);
+        assert_eq!((w.done_len(), w.held_bytes()), (8, 300));
+        assert_eq!(w.admit((0, 0)), DedupVerdict::New);
+        assert_eq!(w.admit((0, 1)), DedupVerdict::New);
+        assert_eq!(w.admit((0, 2)), DedupVerdict::InFlight);
+    }
+
+    #[test]
+    fn a_reply_larger_than_the_budget_replays_while_it_is_the_newest() {
+        let mut w = DedupWindow::new(8, 300);
+        complete_all(&mut w, 0..1, 1000);
+        assert_eq!(w.held_bytes(), 1000);
+        assert_eq!(replay(&mut w, (0, 0)), Ok(vec![0; 1000]));
+        // The next reply makes it the oldest, and over budget: dropped.
+        complete_all(&mut w, 1..2, 10);
+        assert_eq!(w.held_bytes(), 10);
+        assert_eq!(w.admit((0, 0)), DedupVerdict::InFlight);
+        assert_eq!(replay(&mut w, (0, 1)), Ok(vec![1; 10]));
+    }
+
+    #[test]
+    fn errors_and_empty_replies_weigh_nothing_and_replay_to_the_key_horizon() {
+        let mut w = DedupWindow::new(8, 300);
+        let err = Err(RemoteError::NoSuchClass { class: "X".into() });
+        assert_eq!(w.admit((1, 0)), DedupVerdict::New);
+        w.complete((1, 0), err.clone());
+        assert_eq!(w.admit((1, 1)), DedupVerdict::New);
+        w.complete((1, 1), Ok(Vec::new()));
+        assert_eq!(w.held_bytes(), 0);
+        // Heavy replies push each other out by bytes; the weightless
+        // entries in front of them stay replayable.
+        complete_all(&mut w, 0..5, 200);
+        assert_eq!(w.held_bytes(), 200);
+        assert_eq!(replay(&mut w, (1, 0)), err);
+        assert_eq!(replay(&mut w, (1, 1)), Ok(Vec::new()));
+        assert_eq!(w.admit((0, 3)), DedupVerdict::InFlight);
+        assert_eq!(replay(&mut w, (0, 4)), Ok(vec![4; 200]));
+    }
+
+    #[test]
+    fn small_replies_fill_the_whole_key_window() {
+        // The byte bound is out of reach of ordinary replies: the default
+        // window still replays its 1 024 most recent calls, and only those.
+        let mut w = DedupWindow::default();
+        complete_all(&mut w, 0..1030, 64);
+        assert_eq!(w.done_len(), DEFAULT_DEDUP_CAPACITY);
+        assert_eq!(w.held_bytes(), DEFAULT_DEDUP_CAPACITY * 64);
+        assert_eq!(w.admit((0, 5)), DedupVerdict::New);
+        for id in [6, 500, 1029] {
+            assert_eq!(replay(&mut w, (0, id)), Ok(vec![id as u8; 64]));
+        }
     }
 }

@@ -6,10 +6,11 @@
 //! whose verb table lives in `node::daemon`), keeping the protocol surface
 //! minimal.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wire::collections::Bytes;
-use wire::{wire_struct, V64};
+use wire::{wire_struct, Reader, Wire, WireError, WireResult, V64};
 
 use crate::error::RemoteError;
 use crate::ids::{ObjRef, ObjectId};
@@ -70,10 +71,12 @@ pub enum Frame {
 
 // Hand-written `Wire` impl instead of `wire_enum!`: the trailing `deadline`
 // field is *optional on the wire* (omitted when 0), which the positional
-// macro cannot express. Safe because a packet carries exactly one frame and
-// `from_bytes` enforces `expect_end()` — "reader empty" unambiguously means
-// "field absent". Fields stay in append order; tags are protocol.
-impl wire::Wire for Frame {
+// macro cannot express. Safe because a packet carries exactly one frame:
+// decoding takes the rest of the reader, and "nothing left" unambiguously
+// means "field absent". Fields stay in append order; tags are protocol.
+// The layout itself is spelled once per direction: `RequestHeader::write`
+// and `write_response` encode, `FrameView::parse` decodes.
+impl Wire for Frame {
     fn encode(&self, w: &mut wire::Writer) {
         match self {
             Frame::Request {
@@ -98,37 +101,122 @@ impl wire::Wire for Frame {
                 header.write(&payload.0, w);
             }
             Frame::Response { req_id, result } => {
-                w.put_varint(1);
-                wire::Wire::encode(req_id, w);
-                wire::Wire::encode(result, w);
+                write_response(*req_id, result.as_ref().map(|b| b.0.as_slice()), w);
             }
         }
     }
 
-    fn decode(r: &mut wire::Reader<'_>) -> wire::WireResult<Self> {
-        let tag = r.take_varint()?;
-        match tag {
-            0 => Ok(Frame::Request {
-                req_id: wire::Wire::decode(r)?,
-                reply_to: wire::Wire::decode(r)?,
-                target: wire::Wire::decode(r)?,
-                payload: wire::Wire::decode(r)?,
-                trace: wire::Wire::decode(r)?,
-                epoch: wire::Wire::decode(r)?,
-                rs_epoch: wire::Wire::decode(r)?,
-                deadline: if r.is_empty() { 0 } else { r.take_varint()? },
-            }),
-            1 => Ok(Frame::Response {
-                req_id: wire::Wire::decode(r)?,
-                result: wire::Wire::decode(r)?,
-            }),
-            other => Err(wire::WireError::UnknownVariant {
-                ty: "Frame",
-                tag: other,
-            }),
+    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+        let buf = r.take(r.remaining())?;
+        let copy = |range: Range<usize>| Bytes(buf[range].to_vec());
+        Ok(match FrameView::parse(buf)? {
+            FrameView::Request { header, payload } => Frame::Request {
+                req_id: header.req_id,
+                reply_to: header.reply_to,
+                target: header.target,
+                payload: copy(payload),
+                trace: header.trace,
+                epoch: header.epoch,
+                rs_epoch: header.rs_epoch,
+                deadline: header.deadline,
+            },
+            FrameView::Response { req_id, result } => Frame::Response {
+                req_id,
+                result: result.map(copy),
+            },
+        })
+    }
+}
+
+/// A frame parsed where it lies: header fields by value, the payload as a
+/// byte range of the buffer it was parsed from. This is how a node reads
+/// its packets — the payload is never copied out of one (see
+/// [`PacketBytes`]).
+pub(crate) enum FrameView {
+    Request {
+        header: RequestHeader,
+        payload: Range<usize>,
+    },
+    Response {
+        req_id: u64,
+        result: Result<Range<usize>, RemoteError>,
+    },
+}
+
+impl FrameView {
+    /// Parse the one frame `buf` holds — the one place the frame layout is
+    /// read. Every range returned lies inside `buf`; anything else —
+    /// truncation, an unknown tag, bytes after the frame — is a typed
+    /// error.
+    pub(crate) fn parse(buf: &[u8]) -> WireResult<FrameView> {
+        let r = &mut Reader::new(buf);
+        let view = match r.take_varint()? {
+            0 => {
+                let req_id = Wire::decode(r)?;
+                let reply_to = Wire::decode(r)?;
+                let target = Wire::decode(r)?;
+                let payload = take_range(r)?;
+                let header = RequestHeader {
+                    req_id,
+                    reply_to,
+                    target,
+                    trace: Wire::decode(r)?,
+                    epoch: Wire::decode(r)?,
+                    rs_epoch: Wire::decode(r)?,
+                    deadline: if r.is_empty() { 0 } else { r.take_varint()? },
+                };
+                FrameView::Request { header, payload }
+            }
+            1 => FrameView::Response {
+                req_id: Wire::decode(r)?,
+                // `Result<Bytes, RemoteError>` as `wire` lays it out.
+                result: match r.take_u8()? {
+                    0 => Ok(take_range(r)?),
+                    1 => Err(Wire::decode(r)?),
+                    b => return Err(WireError::InvalidOptionTag(b)),
+                },
+            },
+            tag => return Err(WireError::UnknownVariant { ty: "Frame", tag }),
+        };
+        r.expect_end()?;
+        Ok(view)
+    }
+}
+
+/// Step over a length-prefixed byte string, reporting where it lies.
+fn take_range(r: &mut Reader<'_>) -> WireResult<Range<usize>> {
+    let len = r.take_len_prefixed()?.len();
+    Ok(r.position() - len..r.position())
+}
+
+/// Encode the response frame carrying `result` for `req_id` — the one place
+/// the response layout is written. Both a first answer and a replay from
+/// the dedup window go through here, straight from the borrowed result.
+pub(crate) fn encode_response(req_id: u64, result: Result<&[u8], &RemoteError>) -> Vec<u8> {
+    let payload_len = result.map_or(0, <[u8]>::len);
+    let mut w = wire::Writer::with_capacity(RESPONSE_HEADER_BOUND + payload_len);
+    write_response(req_id, result, &mut w);
+    w.into_bytes()
+}
+
+fn write_response(req_id: u64, result: Result<&[u8], &RemoteError>, w: &mut wire::Writer) {
+    w.put_varint(1);
+    Wire::encode(&req_id, w);
+    match result {
+        Ok(payload) => {
+            w.put_u8(0);
+            w.put_len_prefixed(payload);
+        }
+        Err(e) => {
+            w.put_u8(1);
+            Wire::encode(e, w);
         }
     }
 }
+
+/// Most bytes an `Ok` response frame spends outside its payload (tag,
+/// `req_id`, result tag, payload length). An `Err` grows from here.
+const RESPONSE_HEADER_BOUND: usize = 1 + 8 + 1 + 10;
 
 /// Every field of a [`Frame::Request`] but its payload. A node keeps one
 /// beside the encoded bytes of each call in flight, so a redirect can patch
@@ -149,6 +237,14 @@ impl RequestHeader {
     /// place the request layout is written — and report the offset of the
     /// payload within the encoding.
     pub(crate) fn encode(&self, payload: &[u8]) -> (Vec<u8>, usize) {
+        // Grown from empty, not pre-sized — measured, not an oversight.
+        // glibc's heap trimming is bistable on the bulk-write path, and
+        // which state it lands in follows this buffer's allocation history:
+        // sized exactly up front, started at a header's worth, or reserved
+        // once before the payload, `bulk_write` ran at 1 000–1 500 page
+        // faults per call and half its rate; grown by doubling it runs at
+        // none (CHANGES.md, PR 12–14). The response encoder has no such
+        // history to keep and is sized once.
         let mut w = wire::Writer::new();
         let payload_at = self.write(payload, &mut w);
         (w.into_bytes(), payload_at)
@@ -156,19 +252,60 @@ impl RequestHeader {
 
     fn write(&self, payload: &[u8], w: &mut wire::Writer) -> usize {
         w.put_varint(0);
-        wire::Wire::encode(&self.req_id, w);
-        wire::Wire::encode(&self.reply_to, w);
-        wire::Wire::encode(&self.target, w);
+        Wire::encode(&self.req_id, w);
+        Wire::encode(&self.reply_to, w);
+        Wire::encode(&self.target, w);
         w.put_varint(payload.len() as u64);
         let payload_at = w.len();
         w.put_bytes(payload);
-        wire::Wire::encode(&self.trace, w);
-        wire::Wire::encode(&self.epoch, w);
-        wire::Wire::encode(&self.rs_epoch, w);
+        Wire::encode(&self.trace, w);
+        Wire::encode(&self.epoch, w);
+        Wire::encode(&self.rs_epoch, w);
         if self.deadline != 0 {
             w.put_varint(self.deadline);
         }
         payload_at
+    }
+}
+
+/// A byte range of a received packet, owning the packet's buffer: how
+/// request arguments reach a method and how a return value reaches its
+/// caller, without being copied out of the packet that carried them.
+/// Dereferences to the bytes of the range.
+pub struct PacketBytes {
+    buf: Vec<u8>,
+    range: Range<usize>,
+}
+
+impl PacketBytes {
+    /// `range` of `buf`.
+    ///
+    /// # Panics
+    /// If `range` does not lie inside `buf`.
+    pub(crate) fn new(buf: Vec<u8>, range: Range<usize>) -> Self {
+        assert!(range.start <= range.end && range.end <= buf.len());
+        PacketBytes { buf, range }
+    }
+}
+
+impl std::ops::Deref for PacketBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl std::fmt::Debug for PacketBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl From<Vec<u8>> for PacketBytes {
+    fn from(buf: Vec<u8>) -> Self {
+        let range = 0..buf.len();
+        PacketBytes { buf, range }
     }
 }
 
@@ -314,7 +451,8 @@ node_stats! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wire::{from_bytes, to_bytes, Wire};
+    use rand::prelude::*;
+    use wire::{from_bytes, to_bytes};
 
     #[test]
     fn frames_roundtrip() {
@@ -529,6 +667,164 @@ mod tests {
         );
         // Deadline-free frames stay byte-identical to the classic format.
         assert_eq!(to_bytes(&decoded), classic);
+    }
+
+    /// The positional decoder the in-place parser replaced, kept as the
+    /// oracle: tag, then every field through `wire`'s generic impls.
+    fn reference_decode(bytes: &[u8]) -> WireResult<Frame> {
+        let r = &mut Reader::new(bytes);
+        let frame = match r.take_varint()? {
+            0 => Frame::Request {
+                req_id: Wire::decode(r)?,
+                reply_to: Wire::decode(r)?,
+                target: Wire::decode(r)?,
+                payload: Wire::decode(r)?,
+                trace: Wire::decode(r)?,
+                epoch: Wire::decode(r)?,
+                rs_epoch: Wire::decode(r)?,
+                deadline: if r.is_empty() { 0 } else { r.take_varint()? },
+            },
+            1 => Frame::Response {
+                req_id: Wire::decode(r)?,
+                result: Wire::decode(r)?,
+            },
+            tag => return Err(WireError::UnknownVariant { ty: "Frame", tag }),
+        };
+        r.expect_end()?;
+        Ok(frame)
+    }
+
+    /// A value of any magnitude: small ones take one varint byte, the
+    /// rest up to ten.
+    fn any_u64(rng: &mut StdRng) -> u64 {
+        rng.next_u64() >> rng.gen_range(0..64)
+    }
+
+    fn random_frame(rng: &mut StdRng) -> Frame {
+        let mut bytes = vec![0u8; rng.gen_range(0..200)];
+        bytes.fill_with(|| rng.next_u64() as u8);
+        if rng.gen_bool(0.5) {
+            return Frame::Request {
+                req_id: any_u64(rng),
+                reply_to: any_u64(rng) as usize,
+                target: any_u64(rng),
+                payload: Bytes(bytes),
+                trace: TraceCtx {
+                    trace_id: any_u64(rng).into(),
+                    span: any_u64(rng).into(),
+                },
+                epoch: any_u64(rng),
+                rs_epoch: any_u64(rng).into(),
+                deadline: if rng.gen_bool(0.5) { 0 } else { any_u64(rng) },
+            };
+        }
+        let text = || String::from_utf8_lossy(&bytes).into_owned();
+        let result = match rng.gen_range(0..5) {
+            0 => Err(RemoteError::App { detail: text() }),
+            1 => Err(RemoteError::NoSuchMethod {
+                class: text(),
+                method: "m".into(),
+            }),
+            2 => Err(RemoteError::StaleReplica {
+                primary: ObjRef {
+                    machine: any_u64(rng) as usize,
+                    object: any_u64(rng),
+                },
+                rs_epoch: any_u64(rng),
+            }),
+            _ => Ok(Bytes(bytes)),
+        };
+        Frame::Response {
+            req_id: any_u64(rng),
+            result,
+        }
+    }
+
+    #[test]
+    fn in_place_parser_agrees_with_the_positional_decoder_on_random_frames() {
+        let rng = &mut StdRng::seed_from_u64(0x14_F4A3);
+        let (mut requests, mut with_deadline, mut errors) = (0, 0, 0);
+        for _ in 0..1_000 {
+            let frame = random_frame(rng);
+            match &frame {
+                Frame::Request { deadline, .. } => {
+                    requests += 1;
+                    with_deadline += (*deadline != 0) as u32;
+                }
+                Frame::Response { result, .. } => errors += result.is_err() as u32,
+            }
+            let bytes = to_bytes(&frame);
+            // `from_bytes::<Frame>` is the in-place parser plus a copy of
+            // the ranges it reports.
+            assert_eq!(from_bytes::<Frame>(&bytes).unwrap(), frame);
+            assert_eq!(reference_decode(&bytes).unwrap(), frame);
+        }
+        // Both kinds, deadlines present and absent, and `Err` results all
+        // came up often enough to mean something.
+        assert!((300..700).contains(&requests), "{requests} requests");
+        assert!(with_deadline > 100 && with_deadline + 100 < requests);
+        assert!(errors > 100, "{errors} error responses");
+    }
+
+    /// ROADMAP 4d for `Frame`: whatever bytes arrive, parsing returns —
+    /// the frame the positional decoder would have produced, or its typed
+    /// error — and never reports a range outside the buffer (copying such a
+    /// range out, as `from_bytes::<Frame>` does, would panic).
+    #[test]
+    fn junk_truncated_and_trailing_buffers_are_typed_errors_never_panics() {
+        let rng = &mut StdRng::seed_from_u64(0x14_D00D);
+        let mut rejected = 0;
+        for i in 0..10_000 {
+            let frame = random_frame(rng);
+            let mut buf = to_bytes(&frame);
+            let must_fail = match i % 4 {
+                // Cut anywhere short of the end. (A request cut exactly
+                // before its trailing deadline is still a frame — the
+                // deadline-free one — so leave "may parse" to the oracle.)
+                0 => {
+                    buf.truncate(rng.gen_range(0..buf.len()));
+                    false
+                }
+                // A whole frame, then garbage — which only a request without
+                // a deadline could take for one.
+                1 => {
+                    let extra = rng.gen_range(1..9);
+                    buf.extend((0..extra).map(|_| rng.next_u64() as u8));
+                    !matches!(frame, Frame::Request { deadline: 0, .. })
+                }
+                // A frame with a few bytes flipped.
+                2 => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let at = rng.gen_range(0..buf.len());
+                        buf[at] = rng.next_u64() as u8;
+                    }
+                    false
+                }
+                // Noise, biased toward the two valid tags.
+                _ => {
+                    buf.truncate(rng.gen_range(0..64).min(buf.len()));
+                    buf.fill_with(|| rng.next_u64() as u8);
+                    if let Some(tag) = buf.first_mut() {
+                        *tag %= 3;
+                    }
+                    false
+                }
+            };
+            let parsed = from_bytes::<Frame>(&buf);
+            assert_eq!(parsed, reference_decode(&buf), "buffer {buf:02x?}");
+            assert!(!(must_fail && parsed.is_ok()), "accepted {buf:02x?}");
+            rejected += parsed.is_err() as u32;
+        }
+        assert!(rejected > 5_000, "only {rejected} of 10 000 rejected");
+    }
+
+    #[test]
+    fn packet_bytes_dereference_to_their_range() {
+        let whole = PacketBytes::from(vec![1, 2, 3, 4]);
+        assert_eq!(&*whole, &[1, 2, 3, 4]);
+        let part = PacketBytes::new(vec![1, 2, 3, 4], 1..3);
+        assert_eq!(&*part, &[2, 3]);
+        assert_eq!(format!("{part:?}"), "[2, 3]");
     }
 
     mod frame_props {

@@ -64,7 +64,7 @@ pub mod trace;
 
 pub use array::{ByteBlock, ByteBlockClient, DoubleBlock, DoubleBlockClient};
 pub use error::{RemoteError, RemoteResult};
-pub use frame::{MigrationPayload, NodeStats, ReplicaStatus};
+pub use frame::{MigrationPayload, NodeStats, PacketBytes, ReplicaStatus};
 pub use future::{join, join_clients, Pending, PendingClient};
 pub use group::{Barrier, BarrierClient, ProcessGroup};
 pub use ids::{ObjRef, ObjectId, DAEMON};

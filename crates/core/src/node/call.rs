@@ -10,7 +10,7 @@ use wire::{Wire, Writer};
 
 use super::NodeCtx;
 use crate::error::{RemoteError, RemoteResult};
-use crate::frame::RequestHeader;
+use crate::frame::{PacketBytes, RequestHeader};
 use crate::future::Pending;
 use crate::ids::{ObjRef, DAEMON};
 use crate::policy::CallPolicy;
@@ -589,7 +589,7 @@ impl NodeCtx {
     /// server's dedup window guarantees at-most-once execution). When the
     /// budget is exhausted the call fails with an enriched
     /// [`RemoteError::Timeout`] naming the target and attempt count.
-    pub fn wait_raw(&mut self, mut req_id: u64) -> RemoteResult<Vec<u8>> {
+    pub fn wait_raw(&mut self, mut req_id: u64) -> RemoteResult<PacketBytes> {
         let started = self.clock.now_nanos();
         let timeout = self.policy.timeout.as_nanos() as u64;
         // A zero reply window can never be satisfied: surface a typed
@@ -1017,7 +1017,7 @@ impl NodeCtx {
     /// [`start_method_raw`](NodeCtx::start_method_raw) whose latency the
     /// caller measures itself (heartbeats). No retransmission, no `Moved`
     /// chase: absent replies are simply not there yet.
-    pub fn try_take_reply(&mut self, req_id: u64) -> Option<RemoteResult<Vec<u8>>> {
+    pub fn try_take_reply(&mut self, req_id: u64) -> Option<RemoteResult<PacketBytes>> {
         let result = self.replies.remove(&req_id)?;
         self.outstanding.remove(&req_id);
         Some(result)

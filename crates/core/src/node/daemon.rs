@@ -621,10 +621,10 @@ impl NodeCtx {
         // The reader borrows the request, not `self`, so handlers run with
         // the whole node at hand and no payload is ever copied.
         let mut reader = Reader::new(&req.payload);
-        let outcome = match String::decode(&mut reader) {
+        let outcome = match reader.take_str() {
             Ok(method) => {
                 self.trace_req(EventKind::ServerDispatch, &req, 0);
-                self.daemon_dispatch(&method, &mut reader)
+                self.daemon_dispatch(method, &mut reader)
             }
             Err(e) => Err(e.into()),
         };

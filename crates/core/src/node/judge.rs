@@ -170,7 +170,7 @@ mod tests {
             req_id: 1,
             reply_to: 0,
             target: HERE.object,
-            payload: Vec::new(),
+            payload: Vec::new().into(),
             method: None,
             trace_id: 0,
             span: 0,

@@ -35,10 +35,10 @@ use std::time::Duration;
 
 use crossbeam::channel::Receiver;
 use simnet::{Clock, MachineId, Network, Packet, SimDisk};
-use wire::{Reader, Wire};
+use wire::Reader;
 
 use crate::error::{RemoteError, RemoteResult};
-use crate::frame::NodeStats;
+use crate::frame::{NodeStats, PacketBytes};
 use crate::ids::{ObjRef, ObjectId};
 use crate::policy::{CallPolicy, OverloadConfig};
 use crate::process::{ClassRegistry, ServerClass, ServerObject};
@@ -106,7 +106,9 @@ pub struct NodeCtx {
     /// Busy, requests for mid-migration objects). Dispatcher-only in
     /// practice; lane-local always.
     deferred: VecDeque<IncomingReq>,
-    replies: HashMap<u64, Result<Vec<u8>, RemoteError>>,
+    /// Replies that have arrived for calls still `outstanding`, each still
+    /// inside the packet that brought it.
+    replies: HashMap<u64, Result<PacketBytes, RemoteError>>,
     /// Passivated object states (daemon verbs `deactivate`/`activate`).
     /// Dispatcher-local: only daemon verbs touch it.
     snapshots: HashMap<String, (String, Vec<u8>)>,
@@ -498,9 +500,5 @@ impl NodeCtx {
 /// First len-prefixed string of a request payload — the method name. Only
 /// the flight recorder calls this; malformed payloads trace as `"?"`.
 fn payload_method(payload: &[u8]) -> Arc<str> {
-    let mut r = Reader::new(payload);
-    match String::decode(&mut r) {
-        Ok(m) => m.into(),
-        Err(_) => "?".into(),
-    }
+    Reader::new(payload).take_str().unwrap_or("?").into()
 }

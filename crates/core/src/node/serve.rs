@@ -6,14 +6,13 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use simnet::{MachineId, Packet};
-use wire::collections::Bytes;
-use wire::{Reader, Wire};
+use wire::Reader;
 
 use super::judge::{judge, Verdict};
 use super::{payload_method, CallInfo, NodeCtx};
 use crate::dedup::DedupVerdict;
 use crate::error::{RemoteError, RemoteResult};
-use crate::frame::Frame;
+use crate::frame::{encode_response, FrameView, PacketBytes};
 use crate::ids::{ObjectId, DAEMON};
 use crate::process::{DispatchResult, ServerObject};
 use crate::shared::{
@@ -307,62 +306,59 @@ impl NodeCtx {
     }
 
     fn handle_packet(&mut self, pkt: Packet) {
-        let frame = match wire::from_bytes::<Frame>(&pkt.payload) {
-            Ok(f) => f,
+        // Parsed where it lies: the payload stays in the packet's buffer,
+        // which then travels on as the request's arguments or the reply's
+        // return value.
+        let view = match FrameView::parse(&pkt.payload) {
+            Ok(v) => v,
             Err(_) => return, // malformed; nothing to reply to
         };
-        match frame {
-            Frame::Request {
-                req_id,
-                reply_to,
-                target,
-                payload,
-                trace,
-                epoch,
-                rs_epoch,
-                deadline,
-            } => {
+        match view {
+            FrameView::Request { header, payload } => {
                 // Requests arriving at a worker lane would mean the fabric
                 // delivered to a non-endpoint; drop defensively.
                 if self.inbox.is_none() && self.lane.is_some() {
                     debug_assert!(false, "request frame delivered to a worker lane");
                     return;
                 }
+                let (req_id, reply_to) = (header.req_id, header.reply_to);
                 let req = IncomingReq {
                     req_id,
                     reply_to,
-                    target,
+                    target: header.target,
                     // The flight recorder's events all want the method
                     // name; parse it from the payload head only when
                     // tracing is on.
-                    method: self.tracer.as_ref().map(|_| payload_method(&payload.0)),
-                    payload: payload.0,
-                    trace_id: trace.trace_id.0,
-                    span: trace.span.0,
+                    method: self
+                        .tracer
+                        .as_ref()
+                        .map(|_| payload_method(&pkt.payload[payload.clone()])),
+                    payload: PacketBytes::new(pkt.payload, payload),
+                    trace_id: header.trace.trace_id.0,
+                    span: header.trace.span.0,
                     ask: Ask {
-                        epoch,
-                        rs_epoch: rs_epoch.0,
-                        deadline,
+                        epoch: header.epoch,
+                        rs_epoch: header.rs_epoch.0,
+                        deadline: header.deadline,
                         admitted_at: self.clock.now_nanos(),
                     },
                 };
                 // At-most-once execution: a retransmitted request either
-                // replays its cached response or is dropped while the
-                // original is still in flight. Only genuinely new requests
-                // reach dispatch.
-                match self.shared.dedup.lock().admit((reply_to, req_id)) {
-                    DedupVerdict::Done(result) => {
+                // replays its cached response or is dropped. Only genuinely
+                // new requests reach dispatch.
+                let verdict = self.shared.dedup.lock().admit((reply_to, req_id));
+                match verdict {
+                    DedupVerdict::Done(frame) => {
                         bump!(self.shared.stats, dup_replayed);
                         self.trace_req(EventKind::ServerAdmitDone, &req, 0);
-                        let frame = Frame::Response {
-                            req_id,
-                            result: result.map(Bytes),
-                        };
-                        let _ = self
-                            .net
-                            .send(self.machine, reply_to, wire::to_bytes(&frame));
+                        let _ = self.net.send(self.machine, reply_to, frame);
                         return;
                     }
+                    // The original is still being served (or parked) and
+                    // will answer — or it answered so long ago that the
+                    // window gave the reply's bytes back (DESIGN.md §6):
+                    // the request is not executed again, and this copy
+                    // goes unanswered.
                     DedupVerdict::InFlight => {
                         bump!(self.shared.stats, dup_suppressed);
                         self.trace_req(EventKind::ServerAdmitInFlight, &req, 0);
@@ -382,8 +378,8 @@ impl NodeCtx {
                             spans.insert(
                                 (reply_to, req_id),
                                 CallTrace {
-                                    trace_id: trace.trace_id.0,
-                                    span: trace.span.0,
+                                    trace_id: req.trace_id,
+                                    span: req.span,
                                     parent_span: 0,
                                     method: method.clone(),
                                 },
@@ -400,11 +396,11 @@ impl NodeCtx {
                     }
                 }
             }
-            Frame::Response { req_id, result } => {
+            FrameView::Response { req_id, result } => {
                 // Responses for calls issued by another lane of this
                 // machine (workers allocate req_ids on their own residue
                 // class mod `stride`) are routed there raw; the lane
-                // decodes and files them itself.
+                // parses and files them itself.
                 let lane = req_id % self.stride;
                 if lane != self.lane_no {
                     if let Sched::Pool(pool) = &self.shared.sched {
@@ -421,7 +417,8 @@ impl NodeCtx {
                 // out, abandoned) are dropped, not hoarded: the reply
                 // table only ever holds answers someone can still take.
                 if self.outstanding.contains_key(&req_id) {
-                    self.replies.insert(req_id, result.map(|b| b.0));
+                    let result = result.map(|range| PacketBytes::new(pkt.payload, range));
+                    self.replies.insert(req_id, result);
                 }
             }
         }
@@ -731,16 +728,13 @@ impl NodeCtx {
                         (req.ask.deadline != 0).then_some(req.ask.deadline),
                     );
                     let mut reader = Reader::new(&req.payload);
-                    // Set when the call was a served write verb. Decided while
-                    // the method name is at hand, so the name is released
-                    // here and the reply below is built into the allocation
-                    // it frees, rather than held until the reply is sent.
+                    // Set when the call was a served write verb.
                     let mut wrote = false;
-                    let outcome = match String::decode(&mut reader) {
+                    let outcome = match reader.take_str() {
                         Ok(method) => {
                             self.trace_req(EventKind::ServerDispatch, &req, 0);
-                            let out = obj.dispatch_named(self, &method, &mut reader);
-                            wrote = out.is_ok() && !obj.read_verbs().contains(&method.as_str());
+                            let out = obj.dispatch_named(self, method, &mut reader);
+                            wrote = out.is_ok() && !obj.read_verbs().contains(&method);
                             out
                         }
                         Err(e) => Err(e.into()),
@@ -869,17 +863,13 @@ impl NodeCtx {
         req_id: u64,
         result: RemoteResult<Vec<u8>>,
     ) {
-        // Cache the response so a retransmitted copy of this request is
-        // answered without re-executing (at-most-once).
+        let bytes = encode_response(req_id, result.as_ref().map(Vec::as_slice));
+        // Cache the response — moved, not copied — so a retransmitted copy
+        // of this request is answered without re-executing (at-most-once).
         self.shared
             .dedup
             .lock()
-            .complete((reply_to, req_id), &result);
-        let frame = Frame::Response {
-            req_id,
-            result: result.map(Bytes),
-        };
-        let bytes = wire::to_bytes(&frame);
+            .complete((reply_to, req_id), result);
         if self.tracer.is_some() {
             let t = self.shared.serving_spans.lock().remove(&(reply_to, req_id));
             self.trace_call(

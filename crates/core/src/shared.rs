@@ -27,7 +27,7 @@ use sched::{DepthGauge, Injector, StealOrder, Stealer};
 use simnet::{Clock, MachineId, Packet};
 
 use crate::dedup::DedupWindow;
-use crate::frame::SharedStats;
+use crate::frame::{PacketBytes, SharedStats};
 use crate::ids::{ObjRef, ObjectId, DAEMON};
 use crate::policy::OverloadConfig;
 use crate::process::ServerObject;
@@ -43,7 +43,9 @@ pub(crate) struct IncomingReq {
     pub(crate) req_id: u64,
     pub(crate) reply_to: MachineId,
     pub(crate) target: ObjectId,
-    pub(crate) payload: Vec<u8>,
+    /// Method name + encoded arguments, still inside the packet that
+    /// brought them.
+    pub(crate) payload: PacketBytes,
     /// The method name at the head of `payload`, parsed once at admission
     /// for the flight recorder's events; `None` while tracing is off.
     pub(crate) method: Option<std::sync::Arc<str>>,

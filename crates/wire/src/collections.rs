@@ -18,8 +18,7 @@ impl Wire for String {
         w.put_len_prefixed(self.as_bytes());
     }
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        let bytes = r.take_len_prefixed()?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::InvalidUtf8)
+        Ok(r.take_str()?.to_owned())
     }
     fn encoded_len_hint(&self) -> usize {
         crate::varint::encoded_len(self.len() as u64) + self.len()

@@ -105,6 +105,13 @@ impl<'a> Reader<'a> {
         let len = self.take_len(1)?;
         self.take(len)
     }
+
+    /// Take a length-prefixed UTF-8 string, borrowed from the buffer: what
+    /// `String` decodes, without the allocation.
+    #[inline]
+    pub fn take_str(&mut self) -> WireResult<&'a str> {
+        std::str::from_utf8(self.take_len_prefixed()?).map_err(|_| WireError::InvalidUtf8)
+    }
 }
 
 macro_rules! take_le {
@@ -205,6 +212,23 @@ mod tests {
         let _ = r.take_u16().unwrap();
         assert_eq!(r.position(), 2);
         assert_eq!(r.remaining(), 2);
+    }
+
+    #[test]
+    fn take_str_borrows_what_string_decodes() {
+        let mut w = Writer::new();
+        w.put_len_prefixed("héllo".as_bytes());
+        w.put_len_prefixed(&[0xff, 0xfe]);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.take_str().unwrap(), "héllo");
+        assert_eq!(r.take_str(), Err(WireError::InvalidUtf8));
+        // The bad string was consumed like any other, as `String::decode` does.
+        r.expect_end().unwrap();
+        assert!(matches!(
+            Reader::new(&[5, b'a']).take_str(),
+            Err(WireError::LengthOverrun { .. })
+        ));
     }
 
     #[test]

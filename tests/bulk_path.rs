@@ -1,0 +1,254 @@
+//! The bulk byte path (DESIGN.md §4 "byte path", §6): what a 2 MiB transfer
+//! may allocate, what the dedup window may keep, and that bounding the
+//! window's bytes never lets a request execute twice.
+//!
+//! The allocation budget is counted, not timed, so it holds on any machine:
+//! a copy that comes back, or a window that stops giving bytes back, fails
+//! here with the count in the message.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
+use std::time::Duration;
+
+use oopp_repro::oopp::wire::collections::F64s;
+use oopp_repro::oopp::wire::{self, Wire};
+use oopp_repro::oopp::{
+    Backoff, CallPolicy, ClusterBuilder, DoubleBlockClient, Driver, RemoteClient,
+};
+use oopp_repro::simnet::{ClusterConfig, FaultPlan};
+
+/// Blocks at least this big are "large": a bulk payload or a copy of one.
+const LARGE: usize = 64 << 10;
+
+/// Large blocks allocated so far, and large bytes currently live.
+static LARGE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
+static LARGE_LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// `System`, counting large blocks. A `realloc` that ends large counts as
+/// a block of its own: growing a buffer into the MiB range is an allocation
+/// (and, unless it can grow in place, a copy) like any other.
+struct Counting;
+
+fn note_alloc(size: usize) {
+    if size >= LARGE {
+        LARGE_BLOCKS.fetch_add(1, Relaxed);
+        LARGE_LIVE.fetch_add(size, Relaxed);
+    }
+}
+
+fn note_free(size: usize) {
+    if size >= LARGE {
+        LARGE_LIVE.fetch_sub(size, Relaxed);
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_free(layout.size());
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_free(layout.size());
+        note_alloc(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The counters are process-wide and the harness runs tests on parallel
+/// threads: every test in this file holds this for its whole body.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// 2 MiB of doubles, the benchmark's bulk payload.
+const N: usize = 256 << 10;
+const PAYLOAD: usize = N * 8;
+
+/// Reads the chaos test makes: enough to overrun the window's byte budget.
+const READS: u64 = 40;
+const _: () = assert!(READS as usize * PAYLOAD > 64 << 20);
+
+/// Whole numbers, so sums over them are exact.
+fn pattern() -> Vec<f64> {
+    (0..N).map(|i| (i % 1000) as f64).collect()
+}
+
+/// Large blocks allocated while `f` ran (on any thread).
+fn large_blocks_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = LARGE_BLOCKS.load(Relaxed);
+    let out = f();
+    (LARGE_BLOCKS.load(Relaxed) - before, out)
+}
+
+/// The copy inventory of DESIGN.md §4, as a budget. Measured with this
+/// allocator at the parent of the PR that introduced it: 6 large blocks per
+/// `read_range`, 6 per `write_range`, and 200 reads left 400 MiB live.
+#[test]
+fn a_bulk_call_stays_within_its_allocation_budget() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (cluster, mut driver) = ClusterBuilder::new(1).build();
+    // What an idle cluster holds (its simulated disks, mostly).
+    let idle = LARGE_LIVE.load(Relaxed);
+    let d = &mut driver;
+    let block = DoubleBlockClient::new_on(d, 0, N).unwrap();
+    let data = pattern();
+    // Warm: set-up allocations (tables growing, first buffers) are not the
+    // steady state being budgeted.
+    for _ in 0..3 {
+        block.write_range(d, 0, F64s(data.clone())).unwrap();
+        assert_eq!(block.read_range(d, 0, N).unwrap().0, data);
+    }
+
+    // A read: the class's own `to_vec`, its encoded return value (which the
+    // dedup window then keeps), the response frame, and the caller's
+    // `Vec<f64>`. The frame is parsed in place on arrival, so nothing else.
+    let (blocks, reply) = large_blocks_during(|| block.read_range(d, 0, N).unwrap());
+    assert_eq!(reply.0, data);
+    assert!(
+        blocks <= 4,
+        "one 2 MiB read_range allocated {blocks} large blocks (budget 4): a copy came back"
+    );
+
+    // A write: the encoded arguments, the request frame (grown in two
+    // steps, see `RequestHeader::encode`), the copy kept for
+    // retransmission, and the server's `Vec<f64>`.
+    let arg = F64s(data.clone());
+    let (blocks, ()) = large_blocks_during(|| block.write_range(d, 0, arg).unwrap());
+    assert!(
+        blocks <= 5,
+        "one 2 MiB write_range allocated {blocks} large blocks (budget 5): a copy came back"
+    );
+
+    // The window gives reply bytes back: 200 reads leave at most its byte
+    // budget live, plus the block, this test's copy of it and a call's
+    // worth of buffers.
+    const WINDOW_BUDGET: usize = 64 << 20;
+    for _ in 0..200 {
+        assert_eq!(block.read_range(d, 0, N).unwrap().0.len(), N);
+    }
+    let live = LARGE_LIVE.load(Relaxed) - idle;
+    assert!(
+        live <= WINDOW_BUDGET + (16 << 20),
+        "{} MiB of large blocks live after 200 reads (budget {} MiB): \
+         the dedup window is not giving reply bytes back",
+        live >> 20,
+        (WINDOW_BUDGET >> 20) + 16
+    );
+    cluster.shutdown(driver);
+}
+
+/// Start `method(args…)` on `block`, keep the frame it put on the wire,
+/// and wait the call out.
+fn call_keeping_frame(
+    d: &mut Driver,
+    block: &DoubleBlockClient,
+    method: &str,
+    args: impl FnOnce(&mut wire::Writer),
+) -> (Vec<u8>, Vec<u8>) {
+    let id = d.start_method_raw(block.obj_ref(), method, args).unwrap();
+    let frame = d.outstanding_frame(id).expect("call in flight").to_vec();
+    let reply = d.wait_raw(id).expect("reliable call");
+    (frame, reply.to_vec())
+}
+
+/// At-most-once survives the byte bound. Under a duplicating, lossy fabric
+/// an `axpy_range` (not idempotent) is followed by `READS` reads of 2 MiB, which
+/// push each other's replies out of the window by bytes; then the `axpy`
+/// frame and the first read's frame are sent again by hand. The `axpy`
+/// (its `()` reply weighs nothing) is replayed, the read (its bytes long
+/// gone) is suppressed, neither runs again — and every request frame the
+/// server ever received is accounted for as new, replayed or suppressed.
+#[test]
+fn bounding_the_window_by_bytes_never_executes_a_request_twice() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let plan = FaultPlan::seeded(0xB0_1C).with_drop(0.05).with_dup(0.2);
+    let policy = CallPolicy::reliable(Duration::from_millis(150))
+        .with_max_retries(6)
+        .with_backoff(Backoff::fixed(Duration::from_millis(5)));
+    let (cluster, mut driver) = ClusterBuilder::new(1)
+        .sim_config(ClusterConfig::zero_cost(0).with_faults(plan))
+        .call_policy(policy)
+        .build();
+    let d = &mut driver;
+    // Distinct requests sent to machine 0; the first is the `create` of the
+    // cluster's own directory, sent by `build`.
+    let mut calls = 1u64;
+
+    let block = DoubleBlockClient::new_on(d, 0, N).unwrap();
+    let mut expect = pattern();
+    block.write_range(d, 0, F64s(expect.clone())).unwrap();
+    calls += 2;
+
+    // data[..1024] += 2 * 1.5, exactly once.
+    let (axpy_frame, _) = call_keeping_frame(d, &block, "axpy_range", |w| {
+        0usize.encode(w);
+        2.0f64.encode(w);
+        F64s(vec![1.5; 1024]).encode(w);
+    });
+    expect[..1024].iter_mut().for_each(|v| *v += 3.0);
+    calls += 1;
+
+    let (read_frame, first) = call_keeping_frame(d, &block, "read_range", |w| {
+        0usize.encode(w);
+        N.encode(w);
+    });
+    assert_eq!(wire::from_bytes::<F64s>(&first).unwrap().0, expect);
+    for _ in 1..READS {
+        // Bit for bit: compare the encodings.
+        let got = block.read_range(d, 0, N).unwrap();
+        assert!(wire::to_bytes(&got) == wire::to_bytes(&F64s(expect.clone())));
+    }
+    calls += READS;
+
+    // From here on the fabric is quiet, so what happens to the two frames
+    // sent by hand is exactly what the counters show.
+    cluster.sim().faults().calm();
+    let before = d.stats_of(0).unwrap();
+    calls += 1;
+    let me = d.machine();
+    cluster.sim().net().send(me, 0, axpy_frame).unwrap();
+    cluster.sim().net().send(me, 0, read_frame).unwrap();
+    // Served after both (one inbox, in order): the axpy ran exactly once.
+    let sum = block.sum_range(d, 0, N).unwrap();
+    assert_eq!(sum, expect.iter().sum::<f64>());
+    let after = d.stats_of(0).unwrap();
+    calls += 2;
+    assert_eq!(
+        (after.dup_replayed, after.dup_suppressed),
+        (before.dup_replayed + 1, before.dup_suppressed + 1),
+        "the re-sent axpy is replayed, the re-sent read (bytes dropped) suppressed"
+    );
+
+    // Every request frame delivered to the server was a first sighting, a
+    // replay or a suppression: nothing slipped through to run twice.
+    let net = cluster.snapshot();
+    assert!(
+        net.faults_duplicated > 0 && net.faults_dropped > 0,
+        "{net:?}"
+    );
+    assert_eq!(
+        net.per_machine_received[0],
+        calls + after.dup_replayed + after.dup_suppressed,
+        "frames received by machine 0 vs {calls} calls + {after:?}"
+    );
+    cluster.shutdown(driver);
+}

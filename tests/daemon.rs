@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use oopp_repro::oopp::node::DAEMON_VERBS;
 use oopp_repro::oopp::{
-    wire, CallPolicy, ClusterBuilder, Driver, EventKind, NodeCtx, ObjRef, RemoteClient,
-    RemoteError, RemoteResult,
+    wire, CallPolicy, ClusterBuilder, Driver, EventKind, NodeCtx, ObjRef, PacketBytes,
+    RemoteClient, RemoteError, RemoteResult,
 };
 
 /// Persistent counter with a read verb. A state of [`UNLUCKY`] refuses to
@@ -241,7 +241,7 @@ fn every_daemon_verb_round_trips_through_its_public_wrapper() {
 }
 
 /// Call daemon verb `verb` on machine 0 with the raw argument bytes `args`.
-fn raw_call(driver: &mut Driver, verb: &str, args: &[u8]) -> RemoteResult<Vec<u8>> {
+fn raw_call(driver: &mut Driver, verb: &str, args: &[u8]) -> RemoteResult<PacketBytes> {
     let id = driver.start_method_raw(ObjRef::daemon(0), verb, |w| w.put_bytes(args))?;
     driver.wait_raw(id)
 }
