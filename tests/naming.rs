@@ -11,11 +11,13 @@
 use std::time::Duration;
 
 use oopp_repro::oopp::{
-    shard_addr, shard_of_name, symbolic_addr, Backoff, CallPolicy, Cluster, ClusterBuilder, Driver,
-    NameService, ObjRef, DIRSVC_PREFIX,
+    shard_addr, shard_of_name, symbolic_addr, wire, Backoff, CallPolicy, Cluster, ClusterBuilder,
+    DirShardClient, DirectoryClient, Driver, NameService, ObjRef, RemoteClient, DIRSVC_PREFIX,
 };
 use oopp_repro::simnet::ClusterConfig;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn build() -> (Cluster, Driver, NameService) {
     build_sharded(0)
@@ -677,4 +679,228 @@ fn lookup_sees_old_or_new_epoch_but_never_a_poisoned_entry() {
         "lease_of still reports the poisoned record for supervisors"
     );
     cluster.shutdown(driver);
+}
+
+// ---------------------------------------------------------------------
+// Wire identity and deployment equivalence (DESIGN.md §14.1)
+// ---------------------------------------------------------------------
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The request frame in flight under `req_id`, as hex.
+fn sent_frame(driver: &Driver, req_id: u64) -> String {
+    hex(driver.outstanding_frame(req_id).expect("call in flight"))
+}
+
+/// Bytes the driver put on the wire while `op` ran, and how many frames.
+fn driver_traffic(
+    cluster: &Cluster,
+    driver: &mut Driver,
+    op: impl FnOnce(&mut Driver),
+) -> (u64, u64) {
+    let me = driver.machine();
+    let before = cluster.snapshot();
+    op(driver);
+    let after = cluster.snapshot();
+    (
+        after.per_machine_bytes_sent[me] - before.per_machine_bytes_sent[me],
+        after.per_machine_sent[me] - before.per_machine_sent[me],
+    )
+}
+
+/// Wire identity of the directory protocol: the complete `Frame::Request`
+/// bytes of the root's `create`, a shard's `create`, a seat `bind` to the
+/// root, and a `lookup` + `claim` aimed at a shard's seat — then the
+/// routing facade is held to the same bytes: a routed call is exactly one
+/// frame of exactly the pinned length. Request ids count up from the
+/// builder's own seven calls (root create, then create + seat per shard).
+#[test]
+fn directory_request_frames_match_the_golden_bytes() {
+    let (cluster, mut driver, dir) = build_sharded(3);
+
+    let root = DirectoryClient::new_on_async(&mut driver, 0).unwrap();
+    assert_eq!(
+        sent_frame(&driver, 8),
+        "0008000000000000000200000000000000001206637265617465094469726563746f7279\
+         000000000000000000000000"
+    );
+    root.wait(&mut driver).unwrap();
+
+    let shard = DirShardClient::new_on_async(&mut driver, 1, 1, 3).unwrap();
+    assert_eq!(
+        sent_frame(&driver, 9),
+        "000900000000000000020000000000000000210663726561746508446972536861726410\
+         010000000000000003000000000000000000000000000000000000"
+    );
+    let shard = shard.wait(&mut driver).unwrap();
+
+    let seated = dir
+        .root_client()
+        .bind_async(&mut driver, shard_addr(7), shard.obj_ref())
+        .unwrap();
+    let golden_bind = "000a00000000000000020100000000000000250462696e64166f6f70703a2f2f5f646972\
+         7376632f73686172642f370102000000000000000000000000000000000000";
+    assert_eq!(sent_frame(&driver, 10), golden_bind);
+    seated.wait(&mut driver).unwrap();
+
+    // What the facade sends a shard: the directory stub aimed at the seat.
+    let name = names_on_shards("golden", 3, &[1]).remove(0);
+    let seat = dir
+        .root_client()
+        .lookup(&mut driver, shard_addr(1))
+        .unwrap()
+        .expect("shard 1 is seated");
+    let at_seat = DirectoryClient::from_ref(seat);
+    let found = at_seat.lookup_async(&mut driver, name.clone()).unwrap();
+    let golden_lookup = "000c000000000000000201000000000000001e066c6f6f6b7570166f6f70703a2f2f6e61\
+         6d696e672f676f6c64656e2f300000000000000000000000";
+    assert_eq!(sent_frame(&driver, 12), golden_lookup);
+    assert_eq!(found.wait(&mut driver).unwrap(), None);
+    let claimed = at_seat.claim_async(&mut driver, name.clone(), 0).unwrap();
+    let golden_claim = "000d000000000000000201000000000000002505636c61696d166f6f70703a2f2f6e616d\
+         696e672f676f6c64656e2f3000000000000000000000000000000000000000";
+    assert_eq!(sent_frame(&driver, 13), golden_claim);
+    assert_eq!(claimed.wait(&mut driver).unwrap(), None);
+
+    // The facade, seat cached by the first call: one frame each, same size.
+    dir.lookup(&mut driver, name.clone()).unwrap();
+    let frame_len = |golden: &str| (golden.len() / 2) as u64;
+    let sent = driver_traffic(&cluster, &mut driver, |d| {
+        dir.lookup(d, name.clone()).unwrap();
+    });
+    assert_eq!(sent, (frame_len(golden_lookup), 1));
+    let sent = driver_traffic(&cluster, &mut driver, |d| {
+        dir.claim(d, name.clone(), 0).unwrap();
+    });
+    assert_eq!(sent, (frame_len(golden_claim), 1));
+    let sent = driver_traffic(&cluster, &mut driver, |d| {
+        dir.bind(d, shard_addr(7), shard.obj_ref()).unwrap();
+    });
+    assert_eq!(sent, (frame_len(golden_bind), 1));
+    cluster.shutdown(driver);
+}
+
+/// A shard snapshot in the layout every release so far has written —
+/// `index, total, count, then per record name, target, epoch, poisoned,
+/// replicas, rs_epoch` — built by hand, restores into a serving shard and
+/// snapshots back to the same bytes.
+#[test]
+fn hand_built_shard_snapshot_restores_and_round_trips() {
+    let (cluster, mut driver, _dir) = build();
+    let name = names_on_shards("snap", 3, &[1]).remove(0);
+    let mut w = wire::Writer::new();
+    for field in [1u64, 3, 1] {
+        wire::Wire::encode(&field, &mut w);
+    }
+    wire::Wire::encode(&name, &mut w);
+    wire::Wire::encode(&obj(1, 77), &mut w);
+    wire::Wire::encode(&5u64, &mut w);
+    wire::Wire::encode(&true, &mut w);
+    wire::Wire::encode(&vec![obj(0, 78)], &mut w);
+    wire::Wire::encode(&2u64, &mut w);
+    let snapshot = w.into_bytes();
+
+    let key = shard_addr(1);
+    driver
+        .put_snapshot(1, &key, "DirShard", snapshot.clone())
+        .unwrap();
+    let shard: DirShardClient = driver.activate(1, &key).unwrap();
+    assert_eq!(shard.shard_info(&mut driver).unwrap(), (1, 3));
+    let records = DirectoryClient::from_ref(shard.obj_ref());
+    assert_eq!(
+        records.lease_of(&mut driver, name.clone()).unwrap(),
+        Some((obj(1, 77), 5, true))
+    );
+    assert_eq!(
+        records.replica_set(&mut driver, name).unwrap(),
+        Some((vec![obj(0, 78)], 2))
+    );
+    assert_eq!(driver.snapshot_of(shard.obj_ref()).unwrap(), snapshot);
+    cluster.shutdown(driver);
+}
+
+/// Drive one seeded script of all twelve directory verbs through the
+/// facade of a `shards`-way deployment; returns every answer and the
+/// final observable state as text.
+fn run_directory_script(shards: u32) -> Vec<String> {
+    let (cluster, mut driver, dir) = build_sharded(shards);
+    let d = &mut driver;
+    let rng = &mut StdRng::seed_from_u64(0x15_D1CE);
+    let names: Vec<String> = (0..8)
+        .map(|i| symbolic_addr(&["naming", "equiv", &i.to_string()]))
+        .collect();
+    let mut out = Vec::new();
+    for step in 0..400 {
+        let name = names[rng.gen_range(0..names.len())].clone();
+        let expect = rng.gen_range_u64(0..4);
+        let machine = rng.gen_range(0..3);
+        let target = obj(machine, 100 + rng.gen_range_u64(0..8));
+        let answer = match rng.gen_range(0..12) {
+            0 => format!("bind {:?}", dir.bind(d, name, target)),
+            1 => format!("lookup {:?}", dir.lookup(d, name)),
+            2 => format!("unbind {:?}", dir.unbind(d, name)),
+            3 => format!("list {:?}", dir.list(d, "oopp://naming/equiv/".into())),
+            4 => format!("len {:?}", dir.len(d)),
+            5 => format!("lease_of {:?}", dir.lease_of(d, name)),
+            6 => format!("claim {:?}", dir.claim(d, name, expect)),
+            7 => format!("bind_fenced {:?}", dir.bind_fenced(d, name, target, expect)),
+            8 => format!("poison {:?}", dir.poison(d, name)),
+            9 => format!("replica_set {:?}", dir.replica_set(d, name)),
+            10 => format!(
+                "set_replicas {:?}",
+                dir.set_replicas(d, name, vec![target, obj(2, 9)], expect)
+            ),
+            _ => format!("purge_replicas_on {:?}", dir.purge_replicas_on(d, machine)),
+        };
+        out.push(format!("{step}: {answer}"));
+    }
+    out.push(format!("list {:?}", dir.list(d, "oopp://".into())));
+    out.push(format!("len {:?}", dir.len(d)));
+    for name in &names {
+        out.push(format!(
+            "{name}: {:?} {:?}",
+            dir.lease_of(d, name.clone()),
+            dir.replica_set(d, name.clone())
+        ));
+    }
+    cluster.shutdown(driver);
+    out
+}
+
+/// One directory, however it is deployed: the same script gets the same
+/// answers — CAS winners and losers, poison refusals, purge counts — and
+/// leaves the same names, count and records whether every name lives in
+/// the root, in one shard, or is spread over three.
+#[test]
+fn root_only_one_shard_and_three_shards_answer_alike() {
+    let root_only = run_directory_script(0);
+    for needle in [
+        "claim Ok(Some(",
+        "claim Ok(None)",
+        "set_replicas Ok(Some(",
+        "set_replicas Ok(None)",
+        "bind_fenced Ok(false)",
+        "unbind Ok(true)",
+        ", true))) Ok(Some(", // a record left poisoned at the end
+    ] {
+        assert!(
+            root_only.iter().any(|line| line.contains(needle)),
+            "the script never produced `{needle}`"
+        );
+    }
+    assert!(
+        root_only
+            .iter()
+            .any(|l| l.contains("purge_replicas_on Ok(") && !l.ends_with("Ok(0)")),
+        "the script never purged a replica"
+    );
+    for shards in [1, 3] {
+        let sharded = run_directory_script(shards);
+        for (a, b) in root_only.iter().zip(&sharded) {
+            assert_eq!(a, b, "root-only vs {shards} shard(s)");
+        }
+        assert_eq!(root_only.len(), sharded.len());
+    }
 }
