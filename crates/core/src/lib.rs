@@ -17,10 +17,10 @@
 //! | remote method call, sequential semantics (§2) | `client.method(&mut ctx, args)` — blocks until complete |
 //! | `new(machine 2) double[1024]`, `data[7] = 3.1415` (§2) | [`DoubleBlockClient`] `::new_on`, `.set`, `.get` |
 //! | `delete ptr` terminates the process (§2) | `client.destroy(&mut ctx)` |
-//! | process inheritance (§3) | `remote_class!(class Derived: Base { ... })` — name-based dispatch falls through to the base, so base-typed pointers work on derived objects |
+//! | process inheritance (§3) | `remote_class!(class Derived: Base { ... })` — name-based dispatch falls through to the base, so base-typed pointers work on derived objects (the control plane's own [`DirShard`] is-a [`Directory`]) |
 //! | compiler loop-splitting (§4) | `client.method_async(...)` → [`Pending`], [`join`], [`ProcessGroup::par_each`] |
 //! | `fft->barrier()` (§4) | [`BarrierClient`], [`ProcessGroup`] |
-//! | persistent processes, symbolic addresses (§5) | [`NodeCtx::deactivate`]/[`NodeCtx::activate`], [`naming::Directory`] with `oopp://…` names |
+//! | persistent processes, symbolic addresses (§5) | [`NodeCtx::deactivate`]/[`NodeCtx::activate`], [`naming::Directory`] with `oopp://…` names — root only by default, partitioned over shards by [`ClusterBuilder::dir_shards`] |
 //!
 //! ## Quick start
 //!

@@ -12,13 +12,14 @@
 //! At scale one directory object is a choke point and a single point of
 //! failure, so the control plane dogfoods the paper's own model: the
 //! namespace can be hash-partitioned over N [`DirShard`] objects — each a
-//! normal `remote_class!` object holding one partition of the lease
-//! records, persistent (snapshot-recoverable) and replicated for reads.
+//! [`Directory`] by process inheritance (§3) holding one partition of the
+//! lease records, persistent (snapshot-recoverable) and replicated for
+//! reads.
 //! [`NameService`] is the client-side router: a `Copy` facade that sends
 //! each name to its shard, caches shard locations in the per-node resolve
 //! cache, and re-resolves through the root directory when a shard's
-//! primary fails over (DESIGN.md §14). `ClusterBuilder::dir_shards(0)`
-//! keeps the classic single directory, byte-compatible.
+//! primary fails over (DESIGN.md §14). With
+//! `ClusterBuilder::dir_shards(0)` there is the root only.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -98,167 +99,31 @@ impl LeaseRecord {
     }
 }
 
-/// One partition of lease records — the whole table in the classic
-/// single directory, one shard's slice in the sharded control plane. The
-/// [`Directory`] and [`DirShard`] server classes are both thin wrappers
-/// around this map, so record semantics (CAS rules, poison, replica-set
-/// fencing) cannot drift between the two deployments.
-#[derive(Debug, Default)]
-struct LeaseMap {
-    entries: BTreeMap<String, LeaseRecord>,
-}
+wire::wire_struct!(LeaseRecord {
+    target,
+    epoch,
+    poisoned,
+    replicas,
+    rs_epoch
+});
 
-impl LeaseMap {
-    fn bind(&mut self, name: String, target: ObjRef) {
-        let epoch = self.entries.get(&name).map(|r| r.epoch).unwrap_or(0);
-        // Rebinding drops any replica set: the replicas mirror the *old*
-        // target and must be rebuilt against the new one.
-        self.entries.insert(name, LeaseRecord::fresh(target, epoch));
-    }
-
-    fn lookup(&self, name: &str) -> Option<ObjRef> {
-        self.entries
-            .get(name)
-            .filter(|r| !r.poisoned)
-            .map(|r| r.target)
-    }
-
-    fn unbind(&mut self, name: &str) -> bool {
-        self.entries.remove(name).is_some()
-    }
-
-    fn list(&self, prefix: &str) -> Vec<String> {
-        self.entries
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn lease_of(&self, name: &str) -> Option<(ObjRef, u64, bool)> {
-        self.entries
-            .get(name)
-            .map(|r| (r.target, r.epoch, r.poisoned))
-    }
-
-    fn claim(&mut self, name: &str, expect: u64) -> Option<u64> {
-        match self.entries.get_mut(name) {
-            Some(r) if !r.poisoned && r.epoch == expect => {
-                r.epoch += 1;
-                Some(r.epoch)
-            }
-            _ => None,
-        }
-    }
-
-    fn bind_fenced(&mut self, name: String, target: ObjRef, epoch: u64) -> bool {
-        match self.entries.get_mut(&name) {
-            Some(r) if r.epoch <= epoch => {
-                r.target = target;
-                r.epoch = epoch;
-                r.poisoned = false;
-                // A takeover installs a fresh incarnation; any replica set
-                // mirrored the dead one and must be rebuilt against it.
-                r.replicas.clear();
-                r.rs_epoch += 1;
-                true
-            }
-            Some(_) => false,
-            None => {
-                self.entries.insert(name, LeaseRecord::fresh(target, epoch));
-                true
-            }
-        }
-    }
-
-    fn poison(&mut self, name: &str) {
-        if let Some(r) = self.entries.get_mut(name) {
-            r.poisoned = true;
-        }
-    }
-
-    fn replica_set(&self, name: &str) -> Option<(Vec<ObjRef>, u64)> {
-        self.entries
-            .get(name)
-            .map(|r| (r.replicas.clone(), r.rs_epoch))
-    }
-
-    fn set_replicas(&mut self, name: &str, replicas: Vec<ObjRef>, expect: u64) -> Option<u64> {
-        match self.entries.get_mut(name) {
-            Some(r) if !r.poisoned && r.rs_epoch == expect => {
-                r.replicas = replicas;
-                r.rs_epoch += 1;
-                Some(r.rs_epoch)
-            }
-            _ => None,
-        }
-    }
-
-    fn purge_replicas_on(&mut self, machine: usize) -> usize {
-        let mut changed = 0;
-        for r in self.entries.values_mut() {
-            let before = r.replicas.len();
-            r.replicas.retain(|rep| rep.machine != machine);
-            if r.replicas.len() != before {
-                r.rs_epoch += 1;
-                changed += 1;
-            }
-        }
-        changed
-    }
-
-    fn encode(&self, w: &mut wire::Writer) {
-        wire::Wire::encode(&(self.entries.len() as u64), w);
-        for (name, r) in &self.entries {
-            wire::Wire::encode(name, w);
-            wire::Wire::encode(&r.target, w);
-            wire::Wire::encode(&r.epoch, w);
-            wire::Wire::encode(&r.poisoned, w);
-            wire::Wire::encode(&r.replicas, w);
-            wire::Wire::encode(&r.rs_epoch, w);
-        }
-    }
-
-    fn decode(r: &mut wire::Reader<'_>) -> wire::WireResult<Self> {
-        let n = <u64 as wire::Wire>::decode(r)?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
-            let name = <String as wire::Wire>::decode(r)?;
-            let target = <ObjRef as wire::Wire>::decode(r)?;
-            let epoch = <u64 as wire::Wire>::decode(r)?;
-            let poisoned = <bool as wire::Wire>::decode(r)?;
-            let replicas = <Vec<ObjRef> as wire::Wire>::decode(r)?;
-            let rs_epoch = <u64 as wire::Wire>::decode(r)?;
-            entries.insert(
-                name,
-                LeaseRecord {
-                    target,
-                    epoch,
-                    poisoned,
-                    replicas,
-                    rs_epoch,
-                },
-            );
-        }
-        Ok(LeaseMap { entries })
-    }
-}
-
-/// Server state of the cluster name service.
+/// Server state of the cluster name service: the lease records of one
+/// partition of the namespace. The root directory's partition is the
+/// whole namespace (`None`); a [`DirShard`] is the same object seated as
+/// slice `index` of `total` — so record semantics (CAS rules, poison,
+/// replica-set fencing) are written once, for every deployment.
 #[derive(Debug, Default)]
 pub struct Directory {
-    map: LeaseMap,
+    entries: BTreeMap<String, LeaseRecord>,
+    partition: Option<(u32, u32)>,
 }
 
 remote_class! {
-    /// Client for the cluster name service root (one instance lives on
-    /// machine 0; user code should usually go through the routing
-    /// [`NameService`] from [`Driver::directory`](crate::Driver::directory)
-    /// instead of this raw client).
+    /// Client for a directory object — the root on machine 0, or (as a
+    /// base-class pointer, §3) any [`DirShard`] seat. User code should
+    /// usually go through the routing [`NameService`] from
+    /// [`Driver::directory`](crate::Driver::directory) instead of this raw
+    /// client.
     class Directory {
         ctor();
         /// Bind `name` to a live object. Rebinding replaces the old entry
@@ -268,9 +133,10 @@ remote_class! {
         fn lookup(&mut self, name: String) -> Option<ObjRef>;
         /// Remove a binding; true if it existed.
         fn unbind(&mut self, name: String) -> bool;
-        /// All bound names with the given prefix (sorted).
+        /// All names bound in this directory's partition with the given
+        /// prefix (sorted).
         fn list(&mut self, prefix: String) -> Vec<String>;
-        /// Number of bindings.
+        /// Number of bindings in this directory's partition.
         fn len(&mut self) -> usize;
         /// Full lease record of a name: `(target, epoch, poisoned)`.
         fn lease_of(&mut self, name: String) -> Option<(ObjRef, u64, bool)>;
@@ -306,30 +172,56 @@ remote_class! {
 }
 
 impl Directory {
-    /// Constructor: an empty directory.
+    /// Constructor: an empty directory over the whole namespace.
     pub fn new(_ctx: &mut NodeCtx) -> RemoteResult<Self> {
         Ok(Directory::default())
     }
 
+    /// First line of every by-name verb. A request for a name outside this
+    /// partition means the caller's shard map is wrong (or the seat was
+    /// rebound to the wrong shard object); answering it would silently
+    /// fork the namespace.
+    fn guard(&self, name: &str) -> RemoteResult<()> {
+        match self.partition {
+            Some((index, total)) if total > 1 && shard_of_name(name, total) != index => {
+                Err(RemoteError::app(format!(
+                    "{name}: routed to shard {index}/{total} but hashes elsewhere"
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
+
     fn bind(&mut self, _ctx: &mut NodeCtx, name: String, target: ObjRef) -> RemoteResult<()> {
-        self.map.bind(name, target);
+        self.guard(&name)?;
+        let epoch = self.entries.get(&name).map(|r| r.epoch).unwrap_or(0);
+        // Rebinding drops any replica set: the replicas mirror the *old*
+        // target and must be rebuilt against the new one.
+        self.entries.insert(name, LeaseRecord::fresh(target, epoch));
         Ok(())
     }
 
     fn lookup(&mut self, _ctx: &mut NodeCtx, name: String) -> RemoteResult<Option<ObjRef>> {
-        Ok(self.map.lookup(&name))
+        self.guard(&name)?;
+        let live = self.entries.get(&name).filter(|r| !r.poisoned);
+        Ok(live.map(|r| r.target))
     }
 
     fn unbind(&mut self, _ctx: &mut NodeCtx, name: String) -> RemoteResult<bool> {
-        Ok(self.map.unbind(&name))
+        self.guard(&name)?;
+        Ok(self.entries.remove(&name).is_some())
     }
 
     fn list(&mut self, _ctx: &mut NodeCtx, prefix: String) -> RemoteResult<Vec<String>> {
-        Ok(self.map.list(&prefix))
+        let from = self.entries.range(prefix.clone()..);
+        Ok(from
+            .take_while(|(k, _)| k.starts_with(&prefix))
+            .map(|(k, _)| k.clone())
+            .collect())
     }
 
     fn len(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<usize> {
-        Ok(self.map.len())
+        Ok(self.entries.len())
     }
 
     fn lease_of(
@@ -337,7 +229,9 @@ impl Directory {
         _ctx: &mut NodeCtx,
         name: String,
     ) -> RemoteResult<Option<(ObjRef, u64, bool)>> {
-        Ok(self.map.lease_of(&name))
+        self.guard(&name)?;
+        let r = self.entries.get(&name);
+        Ok(r.map(|r| (r.target, r.epoch, r.poisoned)))
     }
 
     fn claim(
@@ -346,7 +240,14 @@ impl Directory {
         name: String,
         expect: u64,
     ) -> RemoteResult<Option<u64>> {
-        Ok(self.map.claim(&name, expect))
+        self.guard(&name)?;
+        Ok(match self.entries.get_mut(&name) {
+            Some(r) if !r.poisoned && r.epoch == expect => {
+                r.epoch += 1;
+                Some(r.epoch)
+            }
+            _ => None,
+        })
     }
 
     fn bind_fenced(
@@ -356,11 +257,30 @@ impl Directory {
         target: ObjRef,
         epoch: u64,
     ) -> RemoteResult<bool> {
-        Ok(self.map.bind_fenced(name, target, epoch))
+        self.guard(&name)?;
+        Ok(match self.entries.get_mut(&name) {
+            Some(r) if r.epoch <= epoch => {
+                // A takeover installs a fresh incarnation; any replica set
+                // mirrored the dead one and must be rebuilt against it.
+                *r = LeaseRecord {
+                    rs_epoch: r.rs_epoch + 1,
+                    ..LeaseRecord::fresh(target, epoch)
+                };
+                true
+            }
+            Some(_) => false,
+            None => {
+                self.entries.insert(name, LeaseRecord::fresh(target, epoch));
+                true
+            }
+        })
     }
 
     fn poison(&mut self, _ctx: &mut NodeCtx, name: String) -> RemoteResult<()> {
-        self.map.poison(&name);
+        self.guard(&name)?;
+        if let Some(r) = self.entries.get_mut(&name) {
+            r.poisoned = true;
+        }
         Ok(())
     }
 
@@ -369,7 +289,9 @@ impl Directory {
         _ctx: &mut NodeCtx,
         name: String,
     ) -> RemoteResult<Option<(Vec<ObjRef>, u64)>> {
-        Ok(self.map.replica_set(&name))
+        self.guard(&name)?;
+        let r = self.entries.get(&name);
+        Ok(r.map(|r| (r.replicas.clone(), r.rs_epoch)))
     }
 
     fn set_replicas(
@@ -379,62 +301,57 @@ impl Directory {
         replicas: Vec<ObjRef>,
         expect: u64,
     ) -> RemoteResult<Option<u64>> {
-        Ok(self.map.set_replicas(&name, replicas, expect))
+        self.guard(&name)?;
+        Ok(match self.entries.get_mut(&name) {
+            Some(r) if !r.poisoned && r.rs_epoch == expect => {
+                r.replicas = replicas;
+                r.rs_epoch += 1;
+                Some(r.rs_epoch)
+            }
+            _ => None,
+        })
     }
 
     fn purge_replicas_on(&mut self, _ctx: &mut NodeCtx, machine: usize) -> RemoteResult<usize> {
-        Ok(self.map.purge_replicas_on(machine))
+        let mut changed = 0;
+        for r in self.entries.values_mut() {
+            let before = r.replicas.len();
+            r.replicas.retain(|rep| rep.machine != machine);
+            if r.replicas.len() != before {
+                r.rs_epoch += 1;
+                changed += 1;
+            }
+        }
+        Ok(changed)
     }
 }
 
-/// One shard of the partitioned control plane: the same lease-record
-/// semantics as [`Directory`], over the slice of the namespace whose
+/// One shard of the partitioned control plane: a [`Directory`] (§3: the
+/// derived class — every lease verb is the base's, reached by the name
+/// dispatch's fall-through) seated over the slice of the namespace whose
 /// names hash to `index` (see [`shard_of_name`]). A shard is a perfectly
 /// ordinary oopp object — the whole point (§5: the directory "is itself
-/// an ordinary oopp object"): it is `persistent` so the supervisor can
-/// snapshot-restore it onto a survivor, and it declares its query verbs
-/// as `reads(...)` so the replica manager can scale and fail over its
-/// partition with write-through coherence.
+/// an ordinary oopp object"): what it adds to its base is being
+/// `persistent`, so the supervisor can snapshot-restore it onto a
+/// survivor, and declaring the query verbs as `reads(...)`, so the replica
+/// manager can scale and fail over its partition with write-through
+/// coherence.
 #[derive(Debug)]
 pub struct DirShard {
-    index: u64,
-    total: u64,
-    map: LeaseMap,
+    base: Directory,
 }
 
 remote_class! {
-    /// Client for one control-plane shard. User code should not hold one
-    /// of these directly — [`NameService`] routes to shards and handles
-    /// shard failover; this client exists for the management plane
+    /// A shard's own surface: construction and
+    /// [`shard_info`](DirShardClient::shard_info). The lease verbs are
+    /// called through [`as_base`](DirShardClient::as_base) — a
+    /// [`DirectoryClient`] aimed at the seat, which is how [`NameService`]
+    /// routes. This client exists for the management plane
     /// (`crates/dirsvc`) and tests.
-    class DirShard {
+    class DirShard: Directory {
         persistent;
         reads(lookup, list, len, lease_of, replica_set, shard_info);
         ctor(index: u64, total: u64);
-        /// Bind `name` to a live object (see [`DirectoryClient::bind`]).
-        fn bind(&mut self, name: String, target: ObjRef) -> ();
-        /// Resolve a name, if bound and not poisoned.
-        fn lookup(&mut self, name: String) -> Option<ObjRef>;
-        /// Remove a binding; true if it existed.
-        fn unbind(&mut self, name: String) -> bool;
-        /// All names in this shard's partition with the given prefix.
-        fn list(&mut self, prefix: String) -> Vec<String>;
-        /// Number of bindings in this shard's partition.
-        fn len(&mut self) -> usize;
-        /// Full lease record of a name: `(target, epoch, poisoned)`.
-        fn lease_of(&mut self, name: String) -> Option<(ObjRef, u64, bool)>;
-        /// Epoch CAS (see [`DirectoryClient::claim`]).
-        fn claim(&mut self, name: String, expect: u64) -> Option<u64>;
-        /// Fenced rebind (see [`DirectoryClient::bind_fenced`]).
-        fn bind_fenced(&mut self, name: String, target: ObjRef, epoch: u64) -> bool;
-        /// Poison a name (see [`DirectoryClient::poison`]).
-        fn poison(&mut self, name: String) -> ();
-        /// The name's read-replica set and replica-set epoch, if bound.
-        fn replica_set(&mut self, name: String) -> Option<(Vec<ObjRef>, u64)>;
-        /// Replica-set CAS (see [`DirectoryClient::set_replicas`]).
-        fn set_replicas(&mut self, name: String, replicas: Vec<ObjRef>, expect: u64) -> Option<u64>;
-        /// Scrub a dead machine's replicas from this partition's records.
-        fn purge_replicas_on(&mut self, machine: usize) -> usize;
         /// This shard's `(index, total)` in the shard map — lets a client
         /// audit that a seat really serves the partition it claims.
         fn shard_info(&mut self) -> (u64, u64);
@@ -442,137 +359,64 @@ remote_class! {
 }
 
 impl DirShard {
+    /// The one way a shard comes to be, fresh or restored: seat `index`
+    /// must lie inside a shard map of `total`.
+    fn seated(
+        index: u64,
+        total: u64,
+        entries: BTreeMap<String, LeaseRecord>,
+    ) -> RemoteResult<Self> {
+        // `u32` because that is the shard count every client hashes with
+        // ([`shard_of_name`]).
+        match (u32::try_from(index), u32::try_from(total)) {
+            (Ok(index), Ok(total)) if index < total => {
+                let partition = Some((index, total));
+                Ok(DirShard {
+                    base: Directory { entries, partition },
+                })
+            }
+            _ => Err(RemoteError::app(format!(
+                "DirShard: seat {index} outside shard map of {total}"
+            ))),
+        }
+    }
+
     /// Constructor: an empty partition `index` of `total`.
     pub fn new(_ctx: &mut NodeCtx, index: u64, total: u64) -> RemoteResult<Self> {
-        if total == 0 || index >= total {
-            return Err(RemoteError::app(format!(
-                "DirShard: seat {index} outside shard map of {total}"
-            )));
-        }
-        Ok(DirShard {
-            index,
-            total,
-            map: LeaseMap::default(),
-        })
+        Self::seated(index, total, BTreeMap::new())
     }
 
     /// Snapshot the partition (the `persistent;` contract).
     pub fn save_state(&self) -> Vec<u8> {
         let mut w = wire::Writer::new();
-        wire::Wire::encode(&self.index, &mut w);
-        wire::Wire::encode(&self.total, &mut w);
-        self.map.encode(&mut w);
+        wire::Wire::encode(&self.seat(), &mut w);
+        wire::Wire::encode(&(self.base.entries.len() as u64), &mut w);
+        for (name, record) in &self.base.entries {
+            wire::Wire::encode(name, &mut w);
+            wire::Wire::encode(record, &mut w);
+        }
         w.into_bytes()
     }
 
     /// Restore a partition from its snapshot (the `persistent;` contract).
     pub fn load_state(_ctx: &mut NodeCtx, state: &[u8]) -> RemoteResult<Self> {
-        let mut r = wire::Reader::new(state);
-        let index = <u64 as wire::Wire>::decode(&mut r)?;
-        let total = <u64 as wire::Wire>::decode(&mut r)?;
-        let map = LeaseMap::decode(&mut r)?;
-        Ok(DirShard { index, total, map })
-    }
-
-    fn guard(&self, name: &str) -> RemoteResult<()> {
-        // A request for a name outside this partition means the caller's
-        // shard map is wrong (or the seat was rebound to the wrong shard
-        // object); answering it would silently fork the namespace.
-        if self.total > 1 && shard_of_name(name, self.total as u32) != self.index as u32 {
-            return Err(RemoteError::app(format!(
-                "{name}: routed to shard {}/{} but hashes elsewhere",
-                self.index, self.total
-            )));
+        let r = &mut wire::Reader::new(state);
+        let (index, total, count) = <(u64, u64, u64) as wire::Wire>::decode(r)?;
+        let mut entries = BTreeMap::new();
+        for _ in 0..count {
+            let (name, record) = <(String, LeaseRecord) as wire::Wire>::decode(r)?;
+            entries.insert(name, record);
         }
-        Ok(())
+        Self::seated(index, total, entries)
     }
 
-    fn bind(&mut self, _ctx: &mut NodeCtx, name: String, target: ObjRef) -> RemoteResult<()> {
-        self.guard(&name)?;
-        self.map.bind(name, target);
-        Ok(())
-    }
-
-    fn lookup(&mut self, _ctx: &mut NodeCtx, name: String) -> RemoteResult<Option<ObjRef>> {
-        self.guard(&name)?;
-        Ok(self.map.lookup(&name))
-    }
-
-    fn unbind(&mut self, _ctx: &mut NodeCtx, name: String) -> RemoteResult<bool> {
-        self.guard(&name)?;
-        Ok(self.map.unbind(&name))
-    }
-
-    fn list(&mut self, _ctx: &mut NodeCtx, prefix: String) -> RemoteResult<Vec<String>> {
-        Ok(self.map.list(&prefix))
-    }
-
-    fn len(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<usize> {
-        Ok(self.map.len())
-    }
-
-    fn lease_of(
-        &mut self,
-        _ctx: &mut NodeCtx,
-        name: String,
-    ) -> RemoteResult<Option<(ObjRef, u64, bool)>> {
-        self.guard(&name)?;
-        Ok(self.map.lease_of(&name))
-    }
-
-    fn claim(
-        &mut self,
-        _ctx: &mut NodeCtx,
-        name: String,
-        expect: u64,
-    ) -> RemoteResult<Option<u64>> {
-        self.guard(&name)?;
-        Ok(self.map.claim(&name, expect))
-    }
-
-    fn bind_fenced(
-        &mut self,
-        _ctx: &mut NodeCtx,
-        name: String,
-        target: ObjRef,
-        epoch: u64,
-    ) -> RemoteResult<bool> {
-        self.guard(&name)?;
-        Ok(self.map.bind_fenced(name, target, epoch))
-    }
-
-    fn poison(&mut self, _ctx: &mut NodeCtx, name: String) -> RemoteResult<()> {
-        self.guard(&name)?;
-        self.map.poison(&name);
-        Ok(())
-    }
-
-    fn replica_set(
-        &mut self,
-        _ctx: &mut NodeCtx,
-        name: String,
-    ) -> RemoteResult<Option<(Vec<ObjRef>, u64)>> {
-        self.guard(&name)?;
-        Ok(self.map.replica_set(&name))
-    }
-
-    fn set_replicas(
-        &mut self,
-        _ctx: &mut NodeCtx,
-        name: String,
-        replicas: Vec<ObjRef>,
-        expect: u64,
-    ) -> RemoteResult<Option<u64>> {
-        self.guard(&name)?;
-        Ok(self.map.set_replicas(&name, replicas, expect))
-    }
-
-    fn purge_replicas_on(&mut self, _ctx: &mut NodeCtx, machine: usize) -> RemoteResult<usize> {
-        Ok(self.map.purge_replicas_on(machine))
+    fn seat(&self) -> (u64, u64) {
+        let (index, total) = self.base.partition.expect("a shard is built seated");
+        (index.into(), total.into())
     }
 
     fn shard_info(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<(u64, u64)> {
-        Ok((self.index, self.total))
+        Ok(self.seat())
     }
 }
 
@@ -587,12 +431,12 @@ const SHARD_RETRY_ROUNDS: usize = 10;
 const SHARD_RETRY_BEAT: Duration = Duration::from_millis(25);
 
 /// The cluster name service, as clients see it: a `Copy` routing facade
-/// over either the classic single [`Directory`] (`shards == 0`) or a
-/// hash-partitioned set of [`DirShard`]s (DESIGN.md §14).
+/// over the root [`Directory`] and, when the namespace is partitioned,
+/// the [`DirShard`]s seated in it (DESIGN.md §14) — all of them spoken to
+/// through the one [`DirectoryClient`].
 ///
-/// Routing rules:
-/// * `shards == 0` — every call goes to the root directory object; this
-///   is byte-compatible with the pre-sharding protocol.
+/// Routing rules ([`shard_for`](NameService::shard_for)):
+/// * `shards == 0` — root only: every name lives in the root directory;
 /// * names under [`DIRSVC_PREFIX`] — always the root (the shard seats
 ///   live there; routing them through a shard would be circular);
 /// * everything else — the shard [`shard_of_name`] picks.
@@ -609,7 +453,7 @@ pub struct NameService {
 }
 
 impl NameService {
-    /// The classic single-directory service: every name lives in `root`.
+    /// The root-only service: every name lives in `root`.
     pub fn classic(root: ObjRef) -> Self {
         NameService { root, shards: 0 }
     }
@@ -625,7 +469,7 @@ impl NameService {
         self.root
     }
 
-    /// Number of partitions (0 = classic single directory).
+    /// Number of partitions (0 = root only).
     pub fn shards(&self) -> u32 {
         self.shards
     }
@@ -636,7 +480,7 @@ impl NameService {
     }
 
     /// The shard `name` routes to; `None` when the name is served by the
-    /// root (classic mode, or a reserved `_dirsvc` name).
+    /// root (no shards, or a reserved `_dirsvc` name).
     pub fn shard_for(&self, name: &str) -> Option<u32> {
         if self.shards == 0 || name.starts_with(DIRSVC_PREFIX) {
             None
@@ -647,15 +491,15 @@ impl NameService {
 
     /// Locate shard `index`'s seat: per-node resolve cache first, root
     /// directory on a miss.
-    fn shard_seat(&self, ctx: &mut NodeCtx, index: u32) -> RemoteResult<ObjRef> {
+    fn shard_seat(&self, ctx: &mut NodeCtx, index: u32) -> RemoteResult<DirectoryClient> {
         let addr = shard_addr(index);
         if let Some(r) = ctx.cached_resolve(&addr) {
-            return Ok(r);
+            return Ok(crate::RemoteClient::from_ref(r));
         }
         match self.root_client().lookup(ctx, addr.clone())? {
             Some(r) => {
                 ctx.cache_resolve(&addr, r);
-                Ok(r)
+                Ok(crate::RemoteClient::from_ref(r))
             }
             None => Err(RemoteError::app(format!(
                 "{addr}: shard seat not bound in the root directory"
@@ -670,7 +514,7 @@ impl NameService {
         &self,
         ctx: &mut NodeCtx,
         index: u32,
-        mut op: impl FnMut(&mut NodeCtx, &DirShardClient) -> RemoteResult<T>,
+        mut op: impl FnMut(&mut NodeCtx, &DirectoryClient) -> RemoteResult<T>,
     ) -> RemoteResult<T> {
         let addr = shard_addr(index);
         let mut last: Option<RemoteError> = None;
@@ -689,8 +533,7 @@ impl NameService {
                     continue;
                 }
             };
-            let client: DirShardClient = crate::RemoteClient::from_ref(seat);
-            match op(ctx, &client) {
+            match op(ctx, &seat) {
                 Ok(v) => return Ok(v),
                 Err(
                     e @ (RemoteError::Timeout { .. }
@@ -709,39 +552,42 @@ impl NameService {
         Err(last.unwrap_or(RemoteError::NoSuchSnapshot { key: addr }))
     }
 
+    /// Run `op` on the directory that holds `name`: the root as is, a
+    /// shard through [`with_shard`](Self::with_shard)'s seat chase (`op`
+    /// runs once per round, on a fresh copy of the name).
+    fn on<T>(
+        &self,
+        ctx: &mut NodeCtx,
+        name: String,
+        mut op: impl FnMut(&mut NodeCtx, &DirectoryClient, String) -> RemoteResult<T>,
+    ) -> RemoteResult<T> {
+        match self.shard_for(&name) {
+            None => op(ctx, &self.root_client(), name),
+            Some(i) => self.with_shard(ctx, i, |ctx, dir| op(ctx, dir, name.clone())),
+        }
+    }
+
     /// Bind `name` to a live object (see [`DirectoryClient::bind`]).
     pub fn bind(&self, ctx: &mut NodeCtx, name: String, target: ObjRef) -> RemoteResult<()> {
-        match self.shard_for(&name) {
-            None => self.root_client().bind(ctx, name, target),
-            Some(i) => self.with_shard(ctx, i, |ctx, s| s.bind(ctx, name.clone(), target)),
-        }
+        self.on(ctx, name, |ctx, dir, name| dir.bind(ctx, name, target))
     }
 
     /// Resolve a name, if bound and not poisoned.
     pub fn lookup(&self, ctx: &mut NodeCtx, name: String) -> RemoteResult<Option<ObjRef>> {
-        match self.shard_for(&name) {
-            None => self.root_client().lookup(ctx, name),
-            Some(i) => self.with_shard(ctx, i, |ctx, s| s.lookup(ctx, name.clone())),
-        }
+        self.on(ctx, name, |ctx, dir, name| dir.lookup(ctx, name))
     }
 
     /// Remove a binding; true if it existed.
     pub fn unbind(&self, ctx: &mut NodeCtx, name: String) -> RemoteResult<bool> {
-        match self.shard_for(&name) {
-            None => self.root_client().unbind(ctx, name),
-            Some(i) => self.with_shard(ctx, i, |ctx, s| s.unbind(ctx, name.clone())),
-        }
+        self.on(ctx, name, |ctx, dir, name| dir.unbind(ctx, name))
     }
 
-    /// All bound names with the given prefix, across every partition
-    /// (sorted). In sharded mode the control plane's own reserved names
-    /// are reported only when explicitly asked for (a prefix inside
+    /// All bound names with the given prefix, across the root and every
+    /// partition (sorted). The control plane's own reserved names are
+    /// reported only when explicitly asked for (a prefix inside
     /// [`DIRSVC_PREFIX`]) — `list("oopp://…")` of user names must not
     /// change meaning when sharding is switched on.
     pub fn list(&self, ctx: &mut NodeCtx, prefix: String) -> RemoteResult<Vec<String>> {
-        if self.shards == 0 {
-            return self.root_client().list(ctx, prefix);
-        }
         let mut names: Vec<String> = self
             .root_client()
             .list(ctx, prefix.clone())?
@@ -756,12 +602,9 @@ impl NameService {
         Ok(names)
     }
 
-    /// Number of user-visible bindings across every partition (reserved
-    /// control-plane names excluded in sharded mode).
+    /// Number of user-visible bindings across the root and every
+    /// partition (reserved control-plane names excluded).
     pub fn len(&self, ctx: &mut NodeCtx) -> RemoteResult<usize> {
-        if self.shards == 0 {
-            return self.root_client().len(ctx);
-        }
         let reserved = self.root_client().list(ctx, DIRSVC_PREFIX.to_string())?;
         let mut n = self.root_client().len(ctx)? - reserved.len();
         for i in 0..self.shards {
@@ -776,18 +619,12 @@ impl NameService {
         ctx: &mut NodeCtx,
         name: String,
     ) -> RemoteResult<Option<(ObjRef, u64, bool)>> {
-        match self.shard_for(&name) {
-            None => self.root_client().lease_of(ctx, name),
-            Some(i) => self.with_shard(ctx, i, |ctx, s| s.lease_of(ctx, name.clone())),
-        }
+        self.on(ctx, name, |ctx, dir, name| dir.lease_of(ctx, name))
     }
 
     /// Epoch CAS (see [`DirectoryClient::claim`]).
     pub fn claim(&self, ctx: &mut NodeCtx, name: String, expect: u64) -> RemoteResult<Option<u64>> {
-        match self.shard_for(&name) {
-            None => self.root_client().claim(ctx, name, expect),
-            Some(i) => self.with_shard(ctx, i, |ctx, s| s.claim(ctx, name.clone(), expect)),
-        }
+        self.on(ctx, name, |ctx, dir, name| dir.claim(ctx, name, expect))
     }
 
     /// Fenced rebind (see [`DirectoryClient::bind_fenced`]).
@@ -798,20 +635,14 @@ impl NameService {
         target: ObjRef,
         epoch: u64,
     ) -> RemoteResult<bool> {
-        match self.shard_for(&name) {
-            None => self.root_client().bind_fenced(ctx, name, target, epoch),
-            Some(i) => self.with_shard(ctx, i, |ctx, s| {
-                s.bind_fenced(ctx, name.clone(), target, epoch)
-            }),
-        }
+        self.on(ctx, name, |ctx, dir, name| {
+            dir.bind_fenced(ctx, name, target, epoch)
+        })
     }
 
     /// Poison a name (see [`DirectoryClient::poison`]).
     pub fn poison(&self, ctx: &mut NodeCtx, name: String) -> RemoteResult<()> {
-        match self.shard_for(&name) {
-            None => self.root_client().poison(ctx, name),
-            Some(i) => self.with_shard(ctx, i, |ctx, s| s.poison(ctx, name.clone())),
-        }
+        self.on(ctx, name, |ctx, dir, name| dir.poison(ctx, name))
     }
 
     /// The name's read-replica set and replica-set epoch, if bound.
@@ -820,10 +651,7 @@ impl NameService {
         ctx: &mut NodeCtx,
         name: String,
     ) -> RemoteResult<Option<(Vec<ObjRef>, u64)>> {
-        match self.shard_for(&name) {
-            None => self.root_client().replica_set(ctx, name),
-            Some(i) => self.with_shard(ctx, i, |ctx, s| s.replica_set(ctx, name.clone())),
-        }
+        self.on(ctx, name, |ctx, dir, name| dir.replica_set(ctx, name))
     }
 
     /// Replica-set CAS (see [`DirectoryClient::set_replicas`]).
@@ -834,12 +662,9 @@ impl NameService {
         replicas: Vec<ObjRef>,
         expect: u64,
     ) -> RemoteResult<Option<u64>> {
-        match self.shard_for(&name) {
-            None => self.root_client().set_replicas(ctx, name, replicas, expect),
-            Some(i) => self.with_shard(ctx, i, |ctx, s| {
-                s.set_replicas(ctx, name.clone(), replicas.clone(), expect)
-            }),
-        }
+        self.on(ctx, name, |ctx, dir, name| {
+            dir.set_replicas(ctx, name, replicas.clone(), expect)
+        })
     }
 
     /// Scrub a dead machine's replicas from every record, in the root and
@@ -861,8 +686,7 @@ impl NameService {
             let Ok(seat) = self.shard_seat(ctx, i) else {
                 continue;
             };
-            let client: DirShardClient = crate::RemoteClient::from_ref(seat);
-            match client.purge_replicas_on(ctx, machine) {
+            match seat.purge_replicas_on(ctx, machine) {
                 Ok(n) => changed += n,
                 // Stale seat: drop it so the next routed op re-resolves.
                 Err(_) => ctx.invalidate_resolve(&shard_addr(i)),
@@ -1046,6 +870,7 @@ pub fn migrate_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::prelude::*;
 
     #[test]
     fn symbolic_addresses_compose() {
@@ -1090,5 +915,71 @@ mod tests {
         assert_eq!(classic.shard_for("oopp://user/name"), None);
         assert_eq!(classic.shards(), 0);
         assert_eq!(classic.obj_ref(), root);
+    }
+
+    /// ROADMAP 4d for the shard snapshot: truncated, bit-flipped, noisy
+    /// and count-inflated buffers restore to a typed error or to a shard
+    /// whose seat lies inside its map (and so can judge any name) — never
+    /// a panic, never a shard `DirShard::new` would have refused.
+    #[test]
+    fn junk_snapshots_are_typed_errors_or_seated_shards_never_panics() {
+        let (cluster, mut driver) = crate::ClusterBuilder::new(1).build();
+        let ctx: &mut NodeCtx = &mut driver;
+        let mut shard = DirShard::new(ctx, 2, 5).unwrap();
+        let homed = (0..200)
+            .map(|i| symbolic_addr(&["junk", &i.to_string()]))
+            .filter(|n| shard_of_name(n, 5) == 2);
+        for (i, name) in homed.take(6).enumerate() {
+            let target = ObjRef {
+                machine: i % 2,
+                object: 10 + i as u64,
+            };
+            shard.base.bind(ctx, name.clone(), target).unwrap();
+            let set = shard.base.set_replicas(ctx, name, vec![target; i], 0);
+            assert_eq!(set.unwrap(), Some(1));
+        }
+        let good = shard.save_state();
+        let restored = DirShard::load_state(ctx, &good).unwrap();
+        assert_eq!(restored.save_state(), good);
+        assert!(DirShard::new(ctx, 5, 5).is_err() && DirShard::new(ctx, 0, 0).is_err());
+        assert!(DirShard::new(ctx, 0, 1 << 32).is_err());
+
+        let rng = &mut StdRng::seed_from_u64(0x15_5EA7);
+        let (mut rejected, mut restored) = (0, 0);
+        for i in 0..10_000 {
+            let mut buf = good.clone();
+            match i % 4 {
+                0 => buf.truncate(rng.gen_range(0..buf.len())),
+                1 => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let at = rng.gen_range(0..buf.len());
+                        buf[at] ^= 1 << rng.gen_range(0..8);
+                    }
+                }
+                // The header fields (index, total, record count) replaced
+                // by anything at all, `u64::MAX` records included.
+                2 => {
+                    let at = 8 * rng.gen_range(0..3);
+                    let field = rng.next_u64() >> rng.gen_range(0..64);
+                    buf[at..at + 8].copy_from_slice(&field.to_le_bytes());
+                }
+                _ => {
+                    buf.truncate(rng.gen_range(0..64));
+                    buf.fill_with(|| rng.next_u64() as u8);
+                }
+            }
+            match DirShard::load_state(ctx, &buf) {
+                Ok(mut shard) => {
+                    let (index, total) = shard.seat();
+                    assert!(index < total && total <= u32::MAX as u64, "{buf:02x?}");
+                    let _ = shard.base.lookup(ctx, "oopp://any/name".into());
+                    restored += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(rejected > 5_000, "only {rejected} of 10 000 rejected");
+        assert!(restored > 500, "only {restored} of 10 000 restored");
+        cluster.shutdown(driver);
     }
 }

@@ -61,7 +61,8 @@ enum BreakerState {
     /// Fail fast until the cluster clock reads `until`.
     Open { until: u64 },
     /// Cooldown lapsed: the next call is the single trial. Success
-    /// closes the breaker; an overload-class failure re-opens it.
+    /// closes the breaker; an overload-class failure — or a trial that
+    /// ends without any outcome — re-opens it.
     HalfOpen,
 }
 
@@ -146,14 +147,23 @@ impl NodeCtx {
     /// Feed a finished call's outcome into the destination's breaker. Any
     /// reply — even an application error — counts as success (the machine
     /// is alive and serving); only overload-class outcomes (timeout,
-    /// overload, deadline, disconnect) count as failures.
-    fn breaker_note(&mut self, dest: MachineId, failed: bool) {
+    /// overload, deadline, disconnect) count as failures. `None` is a call
+    /// that ended without an outcome (abandoned, never waited for): no
+    /// evidence about the machine, except that a half-open breaker must
+    /// not go on waiting for a trial that will never report — it re-opens
+    /// for another cooldown, as after a failed trial.
+    fn breaker_note(&mut self, dest: MachineId, failed: Option<bool>) {
         let Some(bc) = self.policy.breaker else {
             return;
         };
         if self.policy.breaker_exempt || dest == self.machine {
             return;
         }
+        let half_open =
+            matches!(self.breakers.get(&dest), Some(b) if b.state == BreakerState::HalfOpen);
+        let Some(failed) = failed.or(half_open.then_some(true)) else {
+            return;
+        };
         let now = self.clock.now_nanos();
         let cooldown = bc.cooldown.as_nanos() as u64;
         enum Transition {
@@ -440,11 +450,16 @@ impl NodeCtx {
             1,
             bytes.len(),
         );
-        self.net
+        if self
+            .net
             .send(self.machine, target.machine, bytes.clone())
-            .map_err(|_| RemoteError::Disconnected {
+            .is_err()
+        {
+            self.breaker_note(target.machine, Some(true));
+            return Err(RemoteError::Disconnected {
                 machine: target.machine,
-            })?;
+            });
+        }
         // Kept for retransmission until the reply is consumed (or retries
         // are exhausted). On a lossy fabric the send above may silently
         // vanish; the stored frame is what wait_raw resends.
@@ -595,7 +610,7 @@ impl NodeCtx {
         // A zero reply window can never be satisfied: surface a typed
         // error instead of busy-looping through instant timeouts.
         if timeout == 0 {
-            self.outstanding.remove(&req_id);
+            self.retire_call(req_id, None);
             return Err(RemoteError::DeadlineExceeded { elapsed_nanos: 0 });
         }
         // Absolute budget stamped at issue time; redirects and refences
@@ -697,7 +712,8 @@ impl NodeCtx {
                 }
                 let reply_len = result.as_ref().map_or(0, |b| b.len());
                 self.trace_client(EventKind::ClientRecv, req_id, attempts, reply_len);
-                let call = self.outstanding.remove(&req_id);
+                let failed = result.as_ref().err().is_some_and(Self::is_overload_failure);
+                let call = self.retire_call(req_id, Some(failed));
                 // A fence at the frame's own epoch (lapsed lease,
                 // poisoned home) surfaces to the caller; still remember
                 // the incarnation epoch so the caller's next attempt
@@ -710,10 +726,6 @@ impl NodeCtx {
                     // resolution to it must re-resolve.
                     self.purge_resolutions_to(target);
                 }
-                if let Some(call) = &call {
-                    let failed = result.as_ref().err().is_some_and(Self::is_overload_failure);
-                    self.breaker_note(call.target.machine, failed);
-                }
                 return result;
             }
             // Deadline enforcement on the waiting side: once the stamped
@@ -723,10 +735,7 @@ impl NodeCtx {
             if deadline_at != 0 {
                 let now = self.clock.now_nanos();
                 if now >= deadline_at {
-                    let dest = self.outstanding.remove(&req_id).map(|c| c.target.machine);
-                    if let Some(dest) = dest {
-                        self.breaker_note(dest, true);
-                    }
+                    self.retire_call(req_id, Some(true));
                     return Err(RemoteError::DeadlineExceeded {
                         elapsed_nanos: now - deadline_at,
                     });
@@ -775,14 +784,12 @@ impl NodeCtx {
                             }
                         }
                         let target = self
-                            .outstanding
-                            .remove(&req_id)
+                            .retire_call(req_id, Some(true))
                             .map(|c| c.target)
                             .unwrap_or(ObjRef {
                                 machine: self.machine,
                                 object: DAEMON,
                             });
-                        self.breaker_note(target.machine, true);
                         return Err(RemoteError::Timeout {
                             machine: target.machine,
                             object: target.object,
@@ -1019,7 +1026,8 @@ impl NodeCtx {
     /// chase: absent replies are simply not there yet.
     pub fn try_take_reply(&mut self, req_id: u64) -> Option<RemoteResult<PacketBytes>> {
         let result = self.replies.remove(&req_id)?;
-        self.outstanding.remove(&req_id);
+        let failed = result.as_ref().err().is_some_and(Self::is_overload_failure);
+        self.retire_call(req_id, Some(failed));
         Some(result)
     }
 
@@ -1027,7 +1035,17 @@ impl NodeCtx {
     /// dropped on the floor instead of accumulating. Heartbeats to a dead
     /// machine are abandoned once the detector has made up its mind.
     pub fn abandon_call(&mut self, req_id: u64) {
-        self.outstanding.remove(&req_id);
+        self.retire_call(req_id, None);
         self.replies.remove(&req_id);
+    }
+
+    /// The one way an issued call leaves `outstanding` for good: drop its
+    /// retransmission slot and tell the destination's breaker how it ended
+    /// (see [`breaker_note`](Self::breaker_note)) — so no exit, however
+    /// unusual, can strand a half-open trial.
+    fn retire_call(&mut self, req_id: u64, failed: Option<bool>) -> Option<OutboundCall> {
+        let call = self.outstanding.remove(&req_id)?;
+        self.breaker_note(call.target.machine, failed);
+        Some(call)
     }
 }

@@ -105,11 +105,11 @@ impl ClusterBuilder {
     }
 
     /// Partition the control plane over `n` [`DirShard`] objects
-    /// (DESIGN.md §14). With `n = 0` (the default) the cluster keeps the
-    /// classic single [`Directory`] on machine 0 — byte-compatible with
-    /// every prior release. With `n > 0` the builder creates `n` shard
-    /// objects round-robin across the worker machines, seats them in the
-    /// root directory under `oopp://_dirsvc/shard/<i>`, and
+    /// (DESIGN.md §14). With `n = 0` (the default) there is the root
+    /// only: one [`Directory`] on machine 0 holds every name. With
+    /// `n > 0` the builder also creates `n` shards — each a `Directory`
+    /// by inheritance — round-robin across the worker machines, seats
+    /// them in the root under `oopp://_dirsvc/shard/<i>`, and
     /// [`Driver::directory`] returns a [`NameService`] that routes each
     /// name to its shard by a stable hash. Shards are persistent and
     /// declare read verbs, so `crates/dirsvc`'s management plane can
@@ -325,30 +325,25 @@ impl ClusterBuilder {
         );
 
         // The cluster name service root lives on machine 0 (§5 symbolic
-        // addresses resolve against it). In sharded mode the root only
-        // holds the reserved `_dirsvc` seats; user names live in the
-        // shards, created round-robin across the workers and seated in
-        // the root so clients can locate them (DESIGN.md §14).
+        // addresses resolve against it). With shards, the root only holds
+        // the reserved `_dirsvc` seats; user names live in the shards,
+        // created round-robin across the workers and seated in the root
+        // so clients can locate them (DESIGN.md §14).
         let root_dir =
             DirectoryClient::new_on(&mut driver_ctx, 0).expect("create cluster directory");
-        let root = root_dir.obj_ref();
-        let directory = if dir_shards == 0 {
-            NameService::classic(root)
-        } else {
-            for i in 0..dir_shards {
-                let shard = DirShardClient::new_on(
-                    &mut driver_ctx,
-                    i as usize % workers,
-                    i as u64,
-                    dir_shards as u64,
-                )
-                .expect("create directory shard");
-                root_dir
-                    .bind(&mut driver_ctx, shard_addr(i), shard.obj_ref())
-                    .expect("seat directory shard");
-            }
-            NameService::sharded(root, dir_shards)
-        };
+        for i in 0..dir_shards {
+            let shard = DirShardClient::new_on(
+                &mut driver_ctx,
+                i as usize % workers,
+                i as u64,
+                dir_shards as u64,
+            )
+            .expect("create directory shard");
+            root_dir
+                .bind(&mut driver_ctx, shard_addr(i), shard.obj_ref())
+                .expect("seat directory shard");
+        }
+        let directory = NameService::sharded(root_dir.obj_ref(), dir_shards);
 
         let cluster = Cluster {
             sim,
@@ -415,6 +410,11 @@ impl Cluster {
     /// Stop every machine and join its thread. The driver is consumed: a
     /// cluster without machines has nothing left to talk to.
     pub fn shutdown(mut self, mut driver: Driver) {
+        // An open circuit breaker must not swallow the stop order (the
+        // join below would wait for ever on a machine never told to stop).
+        let mut policy = driver.ctx.call_policy();
+        policy.breaker_exempt = true;
+        driver.ctx.set_call_policy(policy);
         for m in 0..self.workers {
             // A machine stuck in a deadlocked dispatch can miss the
             // shutdown; best effort, the join below still bounds cleanup.
@@ -477,9 +477,9 @@ impl std::fmt::Debug for Driver {
 }
 
 impl Driver {
-    /// The cluster name service (§5 symbolic addresses): the classic
-    /// single directory, or the sharded control plane when the cluster
-    /// was built with [`ClusterBuilder::dir_shards`].
+    /// The cluster name service (§5 symbolic addresses): root only, or
+    /// routing over the shards seated in the root when the cluster was
+    /// built with [`ClusterBuilder::dir_shards`].
     pub fn directory(&self) -> NameService {
         self.directory
     }

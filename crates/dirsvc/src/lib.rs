@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use oopp::naming::shard_addr;
 use oopp::{DirShardClient, NameService, NodeCtx, ObjRef, RemoteClient, RemoteError, RemoteResult};
-use placement::{reactivation_target, MachineSample};
+use placement::{probe_loads, reactivation_target};
 use replica::{ReplicaConfig, ReplicaManager};
 use supervision::{Recovery, Supervisor, SupervisorConfig};
 
@@ -154,20 +154,8 @@ impl DirService {
     /// shares its fate). Best-effort: machines whose stats probe fails
     /// are skipped, and fewer than `n` may come back on a small cluster.
     fn pick_targets(&self, ctx: &mut NodeCtx, exclude: usize, n: usize) -> Vec<usize> {
-        let mut samples = Vec::new();
-        for &m in &self.machines {
-            if m == exclude {
-                continue;
-            }
-            if let Ok(st) = ctx.stats_of(m) {
-                samples.push(MachineSample {
-                    machine: m,
-                    calls: st.calls_served,
-                    deferred: st.calls_deferred,
-                    ..MachineSample::default()
-                });
-            }
-        }
+        let others = self.machines.iter().copied().filter(|&m| m != exclude);
+        let samples = probe_loads(ctx, others);
         let mut excluded = vec![exclude];
         let mut picked = Vec::with_capacity(n);
         while picked.len() < n {

@@ -94,6 +94,31 @@ pub fn reactivation_target(samples: &[MachineSample], excluded: &[usize]) -> Opt
         .map(|s| s.machine)
 }
 
+/// The load signal [`reactivation_target`] ranks: one lifetime sample
+/// (calls served and deferred, from the daemon's stats) per candidate
+/// machine that answers the probe — a machine that does not answer is no
+/// candidate. Every control loop that picks a home for something (the
+/// supervisor's takeovers, the directory service's backups and replicas)
+/// samples through here, so they cannot come to weigh machines
+/// differently. Runs under the caller's call policy.
+pub fn probe_loads(
+    ctx: &mut NodeCtx,
+    candidates: impl IntoIterator<Item = usize>,
+) -> Vec<MachineSample> {
+    let mut samples = Vec::new();
+    for machine in candidates {
+        if let Ok(st) = ctx.stats_of(machine) {
+            samples.push(MachineSample {
+                machine,
+                calls: st.calls_served,
+                deferred: st.calls_deferred,
+                ..MachineSample::default()
+            });
+        }
+    }
+    samples
+}
+
 /// One planned move: migrate `object` to `target`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationPlan {

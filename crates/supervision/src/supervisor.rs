@@ -42,7 +42,7 @@ use std::time::Duration;
 use oopp::{
     Backoff, CallPolicy, EventKind, NameService, NodeCtx, ObjRef, RemoteClient, RemoteResult,
 };
-use placement::{reactivation_target, MachineSample};
+use placement::{probe_loads, reactivation_target, MachineSample};
 use simnet::Metrics;
 
 use crate::detector::{DetectorConfig, FailureDetector, Verdict};
@@ -681,21 +681,11 @@ impl Supervisor {
     ) -> Vec<MachineSample> {
         let saved = ctx.call_policy();
         ctx.set_call_policy(CallPolicy::probe(self.config.lease_ttl));
-        let mut samples = Vec::new();
-        for &b in backups {
-            let up = b != dead && matches!(self.state.get(&b), None | Some(MState::Up { .. }));
-            if !up {
-                continue;
-            }
-            if let Ok(st) = ctx.stats_of(b) {
-                samples.push(MachineSample {
-                    machine: b,
-                    calls: st.calls_served,
-                    deferred: st.calls_deferred,
-                    ..MachineSample::default()
-                });
-            }
-        }
+        let up = backups
+            .iter()
+            .copied()
+            .filter(|&b| b != dead && matches!(self.state.get(&b), None | Some(MState::Up { .. })));
+        let samples = probe_loads(ctx, up);
         ctx.set_call_policy(saved);
         samples
     }

@@ -3,7 +3,7 @@
 //! The build environment vendors no TOML crate, so this module carries
 //! a deliberately small parser for the subset the harness needs:
 //! `[section]` headers, `key = value` pairs (integers, floats, quoted
-//! strings, booleans), and `#` comments. Unknown sections or keys are
+//! strings), and `#` comments. Unknown sections or keys are
 //! errors — a typo in an SLO threshold must not silently become the
 //! default.
 
@@ -13,91 +13,133 @@ use std::time::Duration;
 use crate::loadgen::ArrivalCurve;
 use crate::slo::{SloSpec, SloTargets};
 
-/// Everything a run needs; `seed` plus this struct determine the run
-/// byte for byte (DESIGN.md §16 determinism contract).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSpec {
-    // [cluster]
-    /// Worker machines (the driver is an extra, separate node).
-    pub machines: usize,
-    /// Directory shards (0 = classic single-object directory).
-    pub dir_shards: u32,
-    /// Scheduler worker lanes per machine (0 = single-threaded).
-    pub sched_workers: usize,
-    /// Virtual-time seed; `SIMNET_SEED` overrides it for replay.
-    pub seed: u64,
-    /// Per-object mailbox admission cap.
-    pub mailbox_cap: usize,
-    // [scenario]
-    /// `User` objects.
-    pub users: usize,
-    /// `Session` objects.
-    pub sessions: usize,
-    /// `Feed` objects; feed 0 is the Zipf head and gets the replicas.
-    pub feeds: usize,
-    /// Read replicas materialized for the hot feed.
-    pub hot_replicas: usize,
-    /// Modeled service time per verb, microseconds.
-    pub service_us: u64,
-    /// Zipf skew across feeds.
-    pub zipf_s: f64,
-    // [load]
-    /// Peak closed-loop window (the N virtual clients).
-    pub clients: usize,
-    /// Total requests to issue.
-    pub requests: usize,
-    /// Writes per thousand requests.
-    pub write_permille: u32,
-    /// Arrival curve shaping the window over the run.
-    pub curve: ArrivalCurve,
-    /// Per-request deadline, milliseconds.
-    pub deadline_ms: u64,
-    // [faults]
-    /// Crash the hot feed's home machine this far into the run
-    /// (virtual ms); 0 disables the episode.
-    pub crash_at_ms: u64,
-    /// Latency-spike a replica machine this far into the run
-    /// (virtual ms); 0 disables the episode.
-    pub spike_at_ms: u64,
-    /// Spike duration, virtual ms.
-    pub spike_dur_ms: u64,
-    /// Extra per-message latency while spiked, milliseconds.
-    pub spike_extra_ms: u64,
-    // [slo]
-    /// The gates `reproduce e16` asserts.
-    pub slo: SloTargets,
+/// The sections of a scenario file, in canonical order.
+const SECTIONS: [&str; 5] = ["cluster", "scenario", "load", "faults", "slo"];
+
+/// The scalar keys of a scenario file, declared once: a struct from a
+/// table of `[section]` headers over `key: type = default;` rows (then,
+/// after `..`, fields with a hand-written file syntax). From the table
+/// come the public struct, its `Default`, the parser's `[section] key`
+/// dispatch (`assign`) and the canonical rendering of a section
+/// (`render`) — so a new key is one row, and cannot be parsed under one
+/// name, rendered under another, or left out of either.
+macro_rules! spec_fields {
+    (@read f64 $v:expr) => { $crate::config::num($v).ok_or("a number") };
+    (@read $int:ident $v:expr) => {
+        // Never narrow silently: `dir_shards = 4294967297` is not 1.
+        $crate::config::int($v)
+            .and_then(|i| $int::try_from(i).ok())
+            .ok_or(concat!("an integer that fits ", stringify!($int)))
+    };
+    (@show f64 $x:expr) => { $crate::config::fmt_f64($x) };
+    (@show $int:ident $x:expr) => { $x.to_string() };
+    (
+        $(#[$meta:meta])*
+        pub struct $Spec:ident {
+            $( [$section:ident] $( $(#[$doc:meta])* $key:ident: $ty:ident = $default:expr; )+ )+
+            $( .. $( $(#[$xdoc:meta])* $xkey:ident: $xty:ty = $xdefault:expr; )+ )?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $Spec {
+            $($( $(#[$doc])* pub $key: $ty, )+)+
+            $($( $(#[$xdoc])* pub $xkey: $xty, )+)?
+        }
+
+        impl Default for $Spec {
+            fn default() -> Self {
+                $Spec {
+                    $($( $key: $default, )+)+
+                    $($( $xkey: $xdefault, )+)?
+                }
+            }
+        }
+
+        impl $Spec {
+            /// Store `value` under `[section] key` if the table has that
+            /// row (`None` if not); `Err` names the type the row wants.
+            pub(crate) fn assign(
+                &mut self,
+                section: &str,
+                key: &str,
+                value: &str,
+            ) -> Option<Result<(), &'static str>> {
+                $($( if section == stringify!($section) && key == stringify!($key) {
+                    return Some($crate::config::spec_fields!(@read $ty value).map(|v| self.$key = v));
+                } )+)+
+                None
+            }
+
+            /// Append the table's `key = value` lines of `section`.
+            pub(crate) fn render(&self, section: &str, out: &mut String) {
+                $($( if section == stringify!($section) {
+                    let value = $crate::config::spec_fields!(@show $ty self.$key);
+                    out.push_str(&format!("{} = {value}\n", stringify!($key)));
+                } )+)+
+            }
+        }
+    };
 }
 
-impl Default for ScenarioSpec {
-    fn default() -> Self {
-        ScenarioSpec {
-            machines: 6,
-            dir_shards: 2,
-            sched_workers: 2,
-            seed: 0xE16_2026,
-            mailbox_cap: 64,
-            users: 24,
-            sessions: 24,
-            feeds: 12,
-            hot_replicas: 2,
-            service_us: 120,
-            zipf_s: 1.1,
-            clients: 24,
-            requests: 2400,
-            write_permille: 120,
-            curve: ArrivalCurve::Diurnal {
-                period_ms: 400,
-                trough: 0.4,
-            },
-            deadline_ms: 40,
-            crash_at_ms: 0,
-            spike_at_ms: 0,
-            spike_dur_ms: 150,
-            spike_extra_ms: 2,
-            slo: SloTargets::default(),
-        }
+spec_fields! {
+    /// Everything a run needs; `seed` plus this struct determine the run
+    /// byte for byte (DESIGN.md §16 determinism contract).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScenarioSpec {
+        [cluster]
+        /// Worker machines (the driver is an extra, separate node).
+        machines: usize = 6;
+        /// Directory shards (0 = root directory only).
+        dir_shards: u32 = 2;
+        /// Scheduler worker lanes per machine (0 = single-threaded).
+        sched_workers: usize = 2;
+        /// Virtual-time seed; `SIMNET_SEED` overrides it for replay.
+        seed: u64 = 0xE16_2026;
+        /// Per-object mailbox admission cap.
+        mailbox_cap: usize = 64;
+        [scenario]
+        /// `User` objects.
+        users: usize = 24;
+        /// `Session` objects.
+        sessions: usize = 24;
+        /// `Feed` objects; feed 0 is the Zipf head and gets the replicas.
+        feeds: usize = 12;
+        /// Read replicas materialized for the hot feed.
+        hot_replicas: usize = 2;
+        /// Modeled service time per verb, microseconds.
+        service_us: u64 = 120;
+        /// Zipf skew across feeds.
+        zipf_s: f64 = 1.1;
+        [load]
+        /// Peak closed-loop window (the N virtual clients).
+        clients: usize = 24;
+        /// Total requests to issue.
+        requests: usize = 2400;
+        /// Writes per thousand requests.
+        write_permille: u32 = 120;
+        /// Per-request deadline, milliseconds.
+        deadline_ms: u64 = 40;
+        [faults]
+        /// Crash the hot feed's home machine this far into the run
+        /// (virtual ms); 0 disables the episode.
+        crash_at_ms: u64 = 0;
+        /// Latency-spike a replica machine this far into the run
+        /// (virtual ms); 0 disables the episode.
+        spike_at_ms: u64 = 0;
+        /// Spike duration, virtual ms.
+        spike_dur_ms: u64 = 150;
+        /// Extra per-message latency while spiked, milliseconds.
+        spike_extra_ms: u64 = 2;
+        ..
+        /// Arrival curve shaping the window over the run (`[load] curve`
+        /// and its `curve_*` arguments).
+        curve: ArrivalCurve = ArrivalCurve::Diurnal { period_ms: 400, trough: 0.4 };
+        /// The gates `reproduce e16` asserts (`[slo]`).
+        slo: SloTargets = SloTargets::default();
     }
 }
+
+pub(crate) use spec_fields;
 
 impl ScenarioSpec {
     /// The per-request deadline as a `Duration`.
@@ -111,11 +153,7 @@ impl ScenarioSpec {
     pub fn effective_seed(&self) -> u64 {
         std::env::var("SIMNET_SEED")
             .ok()
-            .and_then(|s| {
-                let s = s.trim();
-                s.strip_prefix("0x")
-                    .map_or_else(|| s.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
-            })
+            .and_then(|s| int(s.trim()))
             .unwrap_or(self.seed)
     }
 
@@ -128,113 +166,47 @@ impl ScenarioSpec {
     /// values are errors.
     pub fn from_toml(text: &str) -> Result<ScenarioSpec, String> {
         let mut spec = ScenarioSpec::default();
-        let mut curve_name: Option<String> = None;
-        let mut curve_args: BTreeMap<String, Value> = BTreeMap::new();
-        let mut section = String::new();
+        let mut curve_name = None;
+        let mut curve_args: BTreeMap<&str, &str> = BTreeMap::new();
+        let mut section = "";
         for (lineno, raw) in text.lines().enumerate() {
             let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
             }
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                section = name.trim().to_string();
-                match section.as_str() {
-                    "cluster" | "scenario" | "load" | "faults" | "slo" => {}
-                    other => return Err(format!("line {}: unknown section [{other}]", lineno + 1)),
+                section = name.trim();
+                if !SECTIONS.contains(&section) {
+                    return Err(format!("line {}: unknown section [{section}]", lineno + 1));
                 }
                 continue;
             }
             let (key, value) = line
                 .split_once('=')
                 .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            let key = key.trim();
-            let value =
-                Value::parse(value.trim()).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let unknown = || format!("line {}: unknown key [{section}] {key}", lineno + 1);
+            let (key, value) = (key.trim(), value.trim());
             let bad = |want: &str| format!("line {}: [{section}] {key} must be {want}", lineno + 1);
-            match (section.as_str(), key) {
-                ("cluster", "machines") => {
-                    spec.machines = value.usize().ok_or_else(|| bad("an integer"))?
+            let assigned = spec
+                .assign(section, key, value)
+                .or_else(|| spec.slo.assign(section, key, value));
+            match (assigned, section, key) {
+                (Some(stored), ..) => stored.map_err(bad)?,
+                (None, "load", "curve") => {
+                    curve_name = Some(string(value).ok_or_else(|| bad("a string"))?)
                 }
-                ("cluster", "dir_shards") => {
-                    spec.dir_shards = value.u64().ok_or_else(|| bad("an integer"))? as u32
+                (None, "load", k) if CURVE_ARGS.contains(&k) => {
+                    curve_args.insert(key, value);
                 }
-                ("cluster", "sched_workers") => {
-                    spec.sched_workers = value.usize().ok_or_else(|| bad("an integer"))?
+                _ => {
+                    return Err(format!(
+                        "line {}: unknown key [{section}] {key}",
+                        lineno + 1
+                    ))
                 }
-                ("cluster", "seed") => spec.seed = value.u64().ok_or_else(|| bad("an integer"))?,
-                ("cluster", "mailbox_cap") => {
-                    spec.mailbox_cap = value.usize().ok_or_else(|| bad("an integer"))?
-                }
-                ("scenario", "users") => {
-                    spec.users = value.usize().ok_or_else(|| bad("an integer"))?
-                }
-                ("scenario", "sessions") => {
-                    spec.sessions = value.usize().ok_or_else(|| bad("an integer"))?
-                }
-                ("scenario", "feeds") => {
-                    spec.feeds = value.usize().ok_or_else(|| bad("an integer"))?
-                }
-                ("scenario", "hot_replicas") => {
-                    spec.hot_replicas = value.usize().ok_or_else(|| bad("an integer"))?
-                }
-                ("scenario", "service_us") => {
-                    spec.service_us = value.u64().ok_or_else(|| bad("an integer"))?
-                }
-                ("scenario", "zipf_s") => {
-                    spec.zipf_s = value.f64().ok_or_else(|| bad("a number"))?
-                }
-                ("load", "clients") => {
-                    spec.clients = value.usize().ok_or_else(|| bad("an integer"))?
-                }
-                ("load", "requests") => {
-                    spec.requests = value.usize().ok_or_else(|| bad("an integer"))?
-                }
-                ("load", "write_permille") => {
-                    spec.write_permille = value.u64().ok_or_else(|| bad("an integer"))? as u32
-                }
-                ("load", "deadline_ms") => {
-                    spec.deadline_ms = value.u64().ok_or_else(|| bad("an integer"))?
-                }
-                ("load", "curve") => {
-                    curve_name = Some(value.string().ok_or_else(|| bad("a string"))?)
-                }
-                ("load", "curve_period_ms")
-                | ("load", "curve_trough")
-                | ("load", "curve_at_ms")
-                | ("load", "curve_dur_ms")
-                | ("load", "curve_factor") => {
-                    curve_args.insert(key.to_string(), value);
-                }
-                ("faults", "crash_at_ms") => {
-                    spec.crash_at_ms = value.u64().ok_or_else(|| bad("an integer"))?
-                }
-                ("faults", "spike_at_ms") => {
-                    spec.spike_at_ms = value.u64().ok_or_else(|| bad("an integer"))?
-                }
-                ("faults", "spike_dur_ms") => {
-                    spec.spike_dur_ms = value.u64().ok_or_else(|| bad("an integer"))?
-                }
-                ("faults", "spike_extra_ms") => {
-                    spec.spike_extra_ms = value.u64().ok_or_else(|| bad("an integer"))?
-                }
-                ("slo", "read_p99_ms") => {
-                    spec.slo.read_p99_ms = value.f64().ok_or_else(|| bad("a number"))?
-                }
-                ("slo", "read_goodput") => {
-                    spec.slo.read_goodput = value.f64().ok_or_else(|| bad("a number"))?
-                }
-                ("slo", "write_p99_ms") => {
-                    spec.slo.write_p99_ms = value.f64().ok_or_else(|| bad("a number"))?
-                }
-                ("slo", "write_goodput") => {
-                    spec.slo.write_goodput = value.f64().ok_or_else(|| bad("a number"))?
-                }
-                _ => return Err(unknown()),
             }
         }
         if let Some(name) = curve_name {
-            spec.curve = curve_from_parts(&name, &curve_args)?;
+            spec.curve = curve_from_parts(name, &curve_args)?;
         } else if !curve_args.is_empty() {
             return Err("curve_* keys given without a `curve` name".into());
         }
@@ -255,71 +227,51 @@ impl ScenarioSpec {
     /// Canonical rendering; `from_toml(to_toml(s)) == s`.
     pub fn to_toml(&self) -> String {
         let mut out = String::new();
-        out.push_str("[cluster]\n");
-        out.push_str(&format!("machines = {}\n", self.machines));
-        out.push_str(&format!("dir_shards = {}\n", self.dir_shards));
-        out.push_str(&format!("sched_workers = {}\n", self.sched_workers));
-        out.push_str(&format!("seed = {}\n", self.seed));
-        out.push_str(&format!("mailbox_cap = {}\n", self.mailbox_cap));
-        out.push_str("\n[scenario]\n");
-        out.push_str(&format!("users = {}\n", self.users));
-        out.push_str(&format!("sessions = {}\n", self.sessions));
-        out.push_str(&format!("feeds = {}\n", self.feeds));
-        out.push_str(&format!("hot_replicas = {}\n", self.hot_replicas));
-        out.push_str(&format!("service_us = {}\n", self.service_us));
-        out.push_str(&format!("zipf_s = {}\n", fmt_f64(self.zipf_s)));
-        out.push_str("\n[load]\n");
-        out.push_str(&format!("clients = {}\n", self.clients));
-        out.push_str(&format!("requests = {}\n", self.requests));
-        out.push_str(&format!("write_permille = {}\n", self.write_permille));
-        out.push_str(&format!("deadline_ms = {}\n", self.deadline_ms));
-        match &self.curve {
-            ArrivalCurve::Steady => out.push_str("curve = \"steady\"\n"),
-            ArrivalCurve::Diurnal { period_ms, trough } => {
-                out.push_str("curve = \"diurnal\"\n");
-                out.push_str(&format!("curve_period_ms = {period_ms}\n"));
-                out.push_str(&format!("curve_trough = {}\n", fmt_f64(*trough)));
+        for section in SECTIONS {
+            let gap = if out.is_empty() { "" } else { "\n" };
+            out.push_str(&format!("{gap}[{section}]\n"));
+            self.render(section, &mut out);
+            self.slo.render(section, &mut out);
+            if section == "load" {
+                self.render_curve(&mut out);
             }
+        }
+        out
+    }
+
+    fn render_curve(&self, out: &mut String) {
+        let (name, args) = match &self.curve {
+            ArrivalCurve::Steady => ("steady", vec![]),
+            ArrivalCurve::Diurnal { period_ms, trough } => (
+                "diurnal",
+                vec![
+                    ("period_ms", period_ms.to_string()),
+                    ("trough", fmt_f64(*trough)),
+                ],
+            ),
             ArrivalCurve::Spike {
                 at_ms,
                 dur_ms,
                 factor,
-            } => {
-                out.push_str("curve = \"spike\"\n");
-                out.push_str(&format!("curve_at_ms = {at_ms}\n"));
-                out.push_str(&format!("curve_dur_ms = {dur_ms}\n"));
-                out.push_str(&format!("curve_factor = {}\n", fmt_f64(*factor)));
-            }
+            } => (
+                "spike",
+                vec![
+                    ("at_ms", at_ms.to_string()),
+                    ("dur_ms", dur_ms.to_string()),
+                    ("factor", fmt_f64(*factor)),
+                ],
+            ),
+        };
+        out.push_str(&format!("curve = \"{name}\"\n"));
+        for (arg, value) in args {
+            out.push_str(&format!("curve_{arg} = {value}\n"));
         }
-        out.push_str("\n[faults]\n");
-        out.push_str(&format!("crash_at_ms = {}\n", self.crash_at_ms));
-        out.push_str(&format!("spike_at_ms = {}\n", self.spike_at_ms));
-        out.push_str(&format!("spike_dur_ms = {}\n", self.spike_dur_ms));
-        out.push_str(&format!("spike_extra_ms = {}\n", self.spike_extra_ms));
-        out.push_str("\n[slo]\n");
-        out.push_str(&format!(
-            "read_p99_ms = {}\n",
-            fmt_f64(self.slo.read_p99_ms)
-        ));
-        out.push_str(&format!(
-            "read_goodput = {}\n",
-            fmt_f64(self.slo.read_goodput)
-        ));
-        out.push_str(&format!(
-            "write_p99_ms = {}\n",
-            fmt_f64(self.slo.write_p99_ms)
-        ));
-        out.push_str(&format!(
-            "write_goodput = {}\n",
-            fmt_f64(self.slo.write_goodput)
-        ));
-        out
     }
 }
 
 /// Render a float so the TOML round trip is exact and canonical
 /// (`1` becomes `1.0`, everything else uses the shortest repr).
-fn fmt_f64(x: f64) -> String {
+pub(crate) fn fmt_f64(x: f64) -> String {
     let s = format!("{x}");
     if s.contains('.') || s.contains('e') {
         s
@@ -341,9 +293,18 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn curve_from_parts(name: &str, args: &BTreeMap<String, Value>) -> Result<ArrivalCurve, String> {
-    let u = |k: &str, d: u64| args.get(k).map_or(Some(d), Value::u64);
-    let f = |k: &str, d: f64| args.get(k).map_or(Some(d), Value::f64);
+/// The `[load]` keys that parameterize the arrival curve.
+const CURVE_ARGS: [&str; 5] = [
+    "curve_period_ms",
+    "curve_trough",
+    "curve_at_ms",
+    "curve_dur_ms",
+    "curve_factor",
+];
+
+fn curve_from_parts(name: &str, args: &BTreeMap<&str, &str>) -> Result<ArrivalCurve, String> {
+    let u = |k: &str, d: u64| args.get(k).map_or(Some(d), |v| int(v));
+    let f = |k: &str, d: f64| args.get(k).map_or(Some(d), |v| num(v));
     match name {
         "steady" => Ok(ArrivalCurve::Steady),
         "diurnal" => Ok(ArrivalCurve::Diurnal {
@@ -359,68 +320,25 @@ fn curve_from_parts(name: &str, args: &BTreeMap<String, Value>) -> Result<Arriva
     }
 }
 
-/// A parsed TOML scalar.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Int(u64),
-    Float(f64),
-    Str(String),
-    Bool(bool),
+/// An integer as a scenario file spells it: decimal or `0x` hex, with
+/// `_` separators allowed.
+pub(crate) fn int(text: &str) -> Option<u64> {
+    let clean = text.replace('_', "");
+    match clean.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => clean.parse().ok(),
+    }
 }
 
-impl Value {
-    fn parse(text: &str) -> Result<Value, String> {
-        if let Some(rest) = text.strip_prefix('"') {
-            let inner = rest
-                .strip_suffix('"')
-                .ok_or_else(|| format!("unterminated string: {text}"))?;
-            return Ok(Value::Str(inner.to_string()));
-        }
-        match text {
-            "true" => return Ok(Value::Bool(true)),
-            "false" => return Ok(Value::Bool(false)),
-            _ => {}
-        }
-        if let Some(hex) = text.strip_prefix("0x") {
-            return u64::from_str_radix(&hex.replace('_', ""), 16)
-                .map(Value::Int)
-                .map_err(|_| format!("bad hex integer: {text}"));
-        }
-        let clean = text.replace('_', "");
-        if let Ok(i) = clean.parse::<u64>() {
-            return Ok(Value::Int(i));
-        }
-        if let Ok(f) = clean.parse::<f64>() {
-            return Ok(Value::Float(f));
-        }
-        Err(format!("unparseable value: {text}"))
-    }
+/// A number: any integer, or a float.
+pub(crate) fn num(text: &str) -> Option<f64> {
+    let float = || text.replace('_', "").parse().ok();
+    int(text).map(|i| i as f64).or_else(float)
+}
 
-    fn u64(&self) -> Option<u64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    fn usize(&self) -> Option<usize> {
-        self.u64().map(|i| i as usize)
-    }
-
-    fn f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    fn string(&self) -> Option<String> {
-        match self {
-            Value::Str(s) => Some(s.clone()),
-            _ => None,
-        }
-    }
+/// A double-quoted string.
+fn string(text: &str) -> Option<&str> {
+    text.strip_prefix('"')?.strip_suffix('"')
 }
 
 #[cfg(test)]
@@ -481,5 +399,49 @@ mod tests {
             .unwrap_err()
             .contains("unknown arrival curve"));
         assert!(ScenarioSpec::from_toml("[cluster]\nmachines = 2\n").is_err());
+    }
+
+    /// The canonical rendering is a file format: pinned text, not just a
+    /// round trip.
+    #[test]
+    fn rendering_matches_the_golden_text() {
+        let spec = ScenarioSpec {
+            curve: ArrivalCurve::Spike {
+                at_ms: 30,
+                dur_ms: 60,
+                factor: 3.0,
+            },
+            ..ScenarioSpec::default()
+        };
+        assert_eq!(
+            spec.to_toml(),
+            "[cluster]\nmachines = 6\ndir_shards = 2\nsched_workers = 2\nseed = 236331046\n\
+             mailbox_cap = 64\n\n[scenario]\nusers = 24\nsessions = 24\nfeeds = 12\n\
+             hot_replicas = 2\nservice_us = 120\nzipf_s = 1.1\n\n[load]\nclients = 24\n\
+             requests = 2400\nwrite_permille = 120\ndeadline_ms = 40\ncurve = \"spike\"\n\
+             curve_at_ms = 30\ncurve_dur_ms = 60\ncurve_factor = 3.0\n\n[faults]\n\
+             crash_at_ms = 0\nspike_at_ms = 0\nspike_dur_ms = 150\nspike_extra_ms = 2\n\n\
+             [slo]\nread_p99_ms = 8.0\nread_goodput = 0.95\nwrite_p99_ms = 12.0\n\
+             write_goodput = 0.9\n"
+        );
+    }
+
+    /// An integer too large for its key is an error on its line, never a
+    /// silent narrowing (`4294967297` shards must not parse as 1).
+    #[test]
+    fn out_of_range_integers_are_line_numbered_errors() {
+        let err = ScenarioSpec::from_toml("[cluster]\ndir_shards = 4294967297\n").unwrap_err();
+        assert!(
+            err.contains("line 2") && err.contains("dir_shards"),
+            "{err}"
+        );
+        let err = ScenarioSpec::from_toml("[load]\n\nwrite_permille = 0x1_0000_0000\n");
+        let err = err.unwrap_err();
+        assert!(err.contains("line 3") && err.contains("fits u32"), "{err}");
+        let max = ScenarioSpec::from_toml("[cluster]\ndir_shards = 4294967295\n").unwrap();
+        assert_eq!(max.dir_shards, u32::MAX);
+        // Wrong type altogether: same shape of error.
+        let err = ScenarioSpec::from_toml("[slo]\nread_p99_ms = \"fast\"\n").unwrap_err();
+        assert!(err.contains("line 2") && err.contains("a number"), "{err}");
     }
 }

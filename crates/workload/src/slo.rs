@@ -18,27 +18,20 @@ use oopp::{EventKind, Trace};
 
 use crate::loadgen::{Observation, Outcome, ReqClass};
 
-/// The thresholds `reproduce e16` gates on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloTargets {
-    /// Read-class p99 ceiling, milliseconds.
-    pub read_p99_ms: f64,
-    /// Read-class goodput floor, fraction of issued requests.
-    pub read_goodput: f64,
-    /// Write-class p99 ceiling, milliseconds.
-    pub write_p99_ms: f64,
-    /// Write-class goodput floor.
-    pub write_goodput: f64,
-}
-
-impl Default for SloTargets {
-    fn default() -> Self {
-        SloTargets {
-            read_p99_ms: 8.0,
-            read_goodput: 0.95,
-            write_p99_ms: 12.0,
-            write_goodput: 0.90,
-        }
+crate::config::spec_fields! {
+    /// The thresholds `reproduce e16` gates on (the `[slo]` section of a
+    /// scenario file).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SloTargets {
+        [slo]
+        /// Read-class p99 ceiling, milliseconds.
+        read_p99_ms: f64 = 8.0;
+        /// Read-class goodput floor, fraction of issued requests.
+        read_goodput: f64 = 0.95;
+        /// Write-class p99 ceiling, milliseconds.
+        write_p99_ms: f64 = 12.0;
+        /// Write-class goodput floor.
+        write_goodput: f64 = 0.90;
     }
 }
 

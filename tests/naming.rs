@@ -12,7 +12,8 @@ use std::time::Duration;
 
 use oopp_repro::oopp::{
     shard_addr, shard_of_name, symbolic_addr, wire, Backoff, CallPolicy, Cluster, ClusterBuilder,
-    DirShardClient, DirectoryClient, Driver, NameService, ObjRef, RemoteClient, DIRSVC_PREFIX,
+    DirShardClient, DirectoryClient, Driver, NameService, ObjRef, RemoteClient, RemoteError,
+    DIRSVC_PREFIX,
 };
 use oopp_repro::simnet::ClusterConfig;
 use proptest::prelude::*;
@@ -819,6 +820,24 @@ fn hand_built_shard_snapshot_restores_and_round_trips() {
     );
     assert_eq!(driver.snapshot_of(shard.obj_ref()).unwrap(), snapshot);
     cluster.shutdown(driver);
+}
+
+/// The root is the plain, non-persistent base class on machine 0: it
+/// arbitrates every takeover, so it is the one object that cannot move —
+/// which is also what keeps it out of the balancer's plans.
+#[test]
+fn the_root_directory_refuses_to_migrate() {
+    for shards in [0, 2] {
+        let (cluster, mut driver, dir) = build_sharded(shards);
+        let root = dir.obj_ref();
+        assert_eq!(root.machine, 0);
+        let err = driver.migrate(root, 1).unwrap_err();
+        assert!(
+            matches!(&err, RemoteError::NotPersistent { class } if class == "Directory"),
+            "{err}"
+        );
+        cluster.shutdown(driver);
+    }
 }
 
 /// Drive one seeded script of all twelve directory verbs through the

@@ -14,8 +14,8 @@
 use std::time::Duration;
 
 use oopp_repro::oopp::{
-    Backoff, BreakerConfig, CallPolicy, ClusterBuilder, NodeCtx, OverloadConfig, RemoteError,
-    RemoteResult, RetryBudgetConfig,
+    Backoff, BreakerConfig, CallPolicy, ClusterBuilder, Driver, NodeCtx, OverloadConfig,
+    RemoteClient, RemoteError, RemoteResult, RetryBudgetConfig,
 };
 use oopp_repro::simnet::ClusterConfig;
 
@@ -371,6 +371,100 @@ fn breaker_opens_fast_fails_and_recloses_after_cooldown() {
     assert_eq!(s.count(&mut driver).unwrap(), 0, "half-open trial");
     assert_eq!(s.count(&mut driver).unwrap(), 0, "breaker closed again");
 
+    cluster.sim().faults().calm();
+    cluster.shutdown(driver);
+}
+
+/// Regression: a half-open trial that leaves the client's hands without
+/// an answer must not wedge the breaker. Whichever way the trial exits —
+/// abandoned, waited for with a zero window, collected by
+/// `try_take_reply` — the breaker hears of it; a wedged breaker would
+/// fast-fail every later call to a healthy machine for ever,
+/// `shutdown_machine` included.
+#[test]
+fn unanswered_half_open_trials_do_not_wedge_the_breaker() {
+    let (cluster, mut driver) = ClusterBuilder::new(2)
+        .register::<Slow>()
+        .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(0xB4EB))
+        .call_policy(CallPolicy::reliable(Duration::from_secs(5)))
+        .build();
+    let s = SlowClient::new_on(&mut driver, 1).unwrap();
+    let policy = CallPolicy::reliable(Duration::from_millis(10))
+        .with_max_retries(0)
+        .with_breaker(BreakerConfig {
+            failure_threshold: 2,
+            cooldown: Duration::from_millis(100),
+        });
+    let cooldown = Duration::from_millis(150);
+
+    // Open the breaker against a crashed machine, bring the machine
+    // back, wait out the cooldown: the next call is the half-open trial.
+    let half_open = |driver: &mut Driver| {
+        driver.set_call_policy(policy);
+        cluster.sim().faults().crash(1);
+        for _ in 0..2 {
+            let err = s.count(driver).unwrap_err();
+            assert!(matches!(err, RemoteError::Timeout { .. }), "got: {err}");
+        }
+        cluster.sim().faults().restart(1);
+        driver.serve_for(cooldown);
+    };
+    let start_trial = |driver: &mut Driver| {
+        driver
+            .start_method_raw(s.obj_ref(), "count", |_| {})
+            .expect("the trial is admitted")
+    };
+    // Twenty calls, a cooldown apart, against the healthy machine.
+    let admitted = |driver: &mut Driver| {
+        (0..20)
+            .filter(|_| {
+                driver.serve_for(cooldown);
+                s.count(driver).is_ok()
+            })
+            .count()
+    };
+
+    // The trial is abandoned.
+    half_open(&mut driver);
+    let trial = start_trial(&mut driver);
+    driver.abandon_call(trial);
+    assert!(
+        matches!(s.count(&mut driver), Err(RemoteError::Overloaded { .. })),
+        "an unresolved trial re-opens the breaker for one cooldown"
+    );
+    assert_eq!(admitted(&mut driver), 20, "abandoned trial");
+
+    // The trial is waited for with a zero reply window.
+    half_open(&mut driver);
+    let trial = start_trial(&mut driver);
+    driver.set_call_policy(CallPolicy {
+        timeout: Duration::ZERO,
+        ..policy
+    });
+    let err = driver.wait_raw(trial).unwrap_err();
+    assert!(matches!(err, RemoteError::DeadlineExceeded { .. }), "{err}");
+    driver.set_call_policy(policy);
+    assert_eq!(admitted(&mut driver), 20, "zero-window trial");
+
+    // The trial's reply is collected by `try_take_reply`: an answer, so
+    // the breaker closes on the spot.
+    half_open(&mut driver);
+    let trial = start_trial(&mut driver);
+    driver.serve_for(Duration::from_millis(1));
+    driver
+        .try_take_reply(trial)
+        .expect("the healthy machine answered")
+        .expect("count");
+    assert_eq!(
+        s.count(&mut driver).unwrap(),
+        0,
+        "closed without a cooldown"
+    );
+
+    // An open breaker must not swallow the stop order either.
+    half_open(&mut driver);
+    let trial = start_trial(&mut driver);
+    driver.abandon_call(trial);
     cluster.sim().faults().calm();
     cluster.shutdown(driver);
 }
