@@ -41,10 +41,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use simnet::MachineId;
-
-use crate::error::RemoteResult;
-use crate::frame::encode_response;
+use simnet::{MachineId, PacketBytes};
 
 /// Identity of a request as the server sees it.
 pub(crate) type ReqKey = (MachineId, u64);
@@ -59,9 +56,9 @@ pub(crate) enum DedupVerdict {
     /// ago that the reply's bytes are gone — the caller's retry budget then
     /// ends in a timeout, as against an unreachable server.
     InFlight,
-    /// Already executed: re-send this response frame (encoded straight
-    /// from the cached reply), do not re-execute.
-    Done(Vec<u8>),
+    /// Already executed: re-send this response frame — the very buffer the
+    /// first answer went out in — do not re-execute.
+    Done(PacketBytes),
 }
 
 /// Completed-call cache capacity. Old enough entries stop being protected
@@ -86,7 +83,7 @@ pub(crate) struct DedupWindow {
     in_flight_order: VecDeque<(u64, ReqKey)>,
     next_seq: u64,
     /// Completed keys and their replies; `None` once the bytes were dropped.
-    done: HashMap<ReqKey, Option<RemoteResult<Vec<u8>>>>,
+    done: HashMap<ReqKey, Option<Reply>>,
     /// Completed keys, oldest first.
     order: VecDeque<ReqKey>,
     /// How many keys at the front of `order` the byte bound has already
@@ -98,10 +95,14 @@ pub(crate) struct DedupWindow {
     byte_budget: usize,
 }
 
-/// What a cached reply counts against the byte budget: its payload. An
-/// error weighs nothing (and so is never dropped before its key).
-fn weight(result: &RemoteResult<Vec<u8>>) -> usize {
-    result.as_ref().map_or(0, Vec::len)
+/// A cached reply: the response frame as it was sent, held by reference
+/// count, and what it counts against the byte budget — its payload. An
+/// error or an empty reply weighs nothing (and so is never dropped before
+/// its key).
+#[derive(Debug)]
+struct Reply {
+    frame: PacketBytes,
+    weight: usize,
 }
 
 impl DedupWindow {
@@ -122,10 +123,7 @@ impl DedupWindow {
     /// Classify an incoming request and, if new, mark it in flight.
     pub(crate) fn admit(&mut self, key: ReqKey) -> DedupVerdict {
         match self.done.get(&key) {
-            Some(Some(result)) => {
-                let result = result.as_ref().map(Vec::as_slice);
-                return DedupVerdict::Done(encode_response(key.1, result));
-            }
+            Some(Some(reply)) => return DedupVerdict::Done(reply.frame.clone()),
             Some(None) => return DedupVerdict::InFlight,
             None => {}
         }
@@ -140,11 +138,12 @@ impl DedupWindow {
         DedupVerdict::New
     }
 
-    /// Record the response sent for `key`, making later duplicates replay
-    /// it. Evicts the oldest completed keys beyond capacity, then drops the
-    /// oldest reply bytes beyond the byte budget — never the newest
-    /// entry's, so the reply just sent can always be replayed.
-    pub(crate) fn complete(&mut self, key: ReqKey, result: RemoteResult<Vec<u8>>) {
+    /// Record the response `frame` sent for `key`, weighing `weight` bytes,
+    /// making later duplicates replay it. Evicts the oldest completed keys
+    /// beyond capacity, then drops the oldest reply bytes beyond the byte
+    /// budget — never the newest entry's, so the reply just sent can always
+    /// be replayed.
+    pub(crate) fn complete(&mut self, key: ReqKey, frame: PacketBytes, weight: usize) {
         self.in_flight.remove(&key);
         self.trim_in_flight_order();
         if self.done.contains_key(&key) {
@@ -152,15 +151,15 @@ impl DedupWindow {
             // the first answer stands, and stays where it is in `order`.
             return;
         }
-        self.bytes += weight(&result);
-        self.done.insert(key, Some(result));
+        self.bytes += weight;
+        self.done.insert(key, Some(Reply { frame, weight }));
         self.order.push_back(key);
         while self.done.len() > self.capacity {
             let Some(oldest) = self.order.pop_front() else {
                 break;
             };
-            if let Some(Some(result)) = self.done.remove(&oldest) {
-                self.bytes -= weight(&result);
+            if let Some(Some(reply)) = self.done.remove(&oldest) {
+                self.bytes -= reply.weight;
             }
             self.stripped = self.stripped.saturating_sub(1);
         }
@@ -168,7 +167,7 @@ impl DedupWindow {
             let key = self.order[self.stripped];
             self.stripped += 1;
             if let Some(slot) = self.done.get_mut(&key) {
-                let held = slot.as_ref().map_or(0, weight);
+                let held = slot.as_ref().map_or(0, |reply| reply.weight);
                 if held > 0 {
                     self.bytes -= held;
                     *slot = None;
@@ -245,8 +244,20 @@ impl Default for DedupWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::RemoteError;
-    use crate::frame::Frame;
+    use crate::error::{RemoteError, RemoteResult};
+    use crate::frame::{encode_response, Body, Frame};
+
+    /// Answer `key` with `result` the way a node does: the reply encoded
+    /// into a response frame, the frame handed to the window.
+    fn complete(w: &mut DedupWindow, key: ReqKey, result: RemoteResult<Vec<u8>>) {
+        let body = result.map(|bytes| {
+            let mut body = Body::with_capacity(bytes.len());
+            body.writer().put_bytes(&bytes);
+            body
+        });
+        let (frame, weight) = encode_response(key.1, body);
+        w.complete(key, frame, weight);
+    }
 
     /// Admit `key` as a duplicate and decode the reply its `Done` verdict
     /// carries back out of the frame.
@@ -277,11 +288,15 @@ mod tests {
     fn completed_requests_replay_their_response() {
         let mut w = DedupWindow::default();
         assert_eq!(w.admit((0, 1)), DedupVerdict::New);
-        w.complete((0, 1), Ok(vec![9, 9]));
+        complete(&mut w, (0, 1), Ok(vec![9, 9]));
         assert_eq!(replay(&mut w, (0, 1)), Ok(vec![9, 9]));
         // Errors are cached too: a failed create must not re-run either.
         assert_eq!(w.admit((0, 2)), DedupVerdict::New);
-        w.complete((0, 2), Err(RemoteError::NoSuchClass { class: "X".into() }));
+        complete(
+            &mut w,
+            (0, 2),
+            Err(RemoteError::NoSuchClass { class: "X".into() }),
+        );
         assert_eq!(
             replay(&mut w, (0, 2)),
             Err(RemoteError::NoSuchClass { class: "X".into() })
@@ -302,7 +317,7 @@ mod tests {
                 object: 9,
             },
         });
-        w.complete((5, 1), moved.clone());
+        complete(&mut w, (5, 1), moved.clone());
         assert_eq!(replay(&mut w, (5, 1)), moved);
     }
 
@@ -311,7 +326,7 @@ mod tests {
         let mut w = DedupWindow::new(3, DEDUP_BYTE_BUDGET);
         for id in 0..5u64 {
             assert_eq!(w.admit((0, id)), DedupVerdict::New);
-            w.complete((0, id), Ok(vec![id as u8]));
+            complete(&mut w, (0, id), Ok(vec![id as u8]));
         }
         assert_eq!(w.done_len(), 3);
         // The two oldest were evicted: their duplicates execute again.
@@ -354,7 +369,7 @@ mod tests {
         let mut w = DedupWindow::new(32, DEDUP_BYTE_BUDGET);
         for id in 0..10_000u64 {
             assert_eq!(w.admit((1, id)), DedupVerdict::New);
-            w.complete((1, id), Ok(vec![]));
+            complete(&mut w, (1, id), Ok(vec![]));
         }
         assert_eq!(w.in_flight_len(), 0);
         assert!(
@@ -375,7 +390,7 @@ mod tests {
             assert_eq!(w.admit((2, id)), DedupVerdict::New);
         }
         // (2,0) was evicted; completing it anyway records the response.
-        w.complete((2, 0), Ok(vec![7]));
+        complete(&mut w, (2, 0), Ok(vec![7]));
         assert_eq!(replay(&mut w, (2, 0)), Ok(vec![7]));
     }
 
@@ -397,17 +412,17 @@ mod tests {
     fn completing_twice_keeps_the_first_answer_and_an_exact_byte_account() {
         let mut w = DedupWindow::new(2, DEDUP_BYTE_BUDGET);
         w.admit((1, 1));
-        w.complete((1, 1), Ok(vec![1; 100]));
-        w.complete((1, 1), Ok(vec![2; 50])); // re-executed past a horizon
+        complete(&mut w, (1, 1), Ok(vec![1; 100]));
+        complete(&mut w, (1, 1), Ok(vec![2; 50])); // re-executed past a horizon
         assert_eq!(w.held_bytes(), 100);
         w.admit((1, 2));
-        w.complete((1, 2), Ok(vec![3]));
+        complete(&mut w, (1, 2), Ok(vec![3]));
         assert_eq!((w.done_len(), w.held_bytes()), (2, 101));
         // (1,1) was not evicted by its own double-complete.
         assert_eq!(replay(&mut w, (1, 1)), Ok(vec![1; 100]));
         // Count eviction gives the bytes back exactly.
         w.admit((1, 3));
-        w.complete((1, 3), Ok(vec![4; 7]));
+        complete(&mut w, (1, 3), Ok(vec![4; 7]));
         assert_eq!((w.done_len(), w.held_bytes()), (2, 8));
     }
 
@@ -415,7 +430,7 @@ mod tests {
     fn complete_all(w: &mut DedupWindow, ids: std::ops::Range<u64>, len: usize) {
         for id in ids {
             assert_eq!(w.admit((0, id)), DedupVerdict::New);
-            w.complete((0, id), Ok(vec![id as u8; len]));
+            complete(w, (0, id), Ok(vec![id as u8; len]));
         }
     }
 
@@ -459,9 +474,9 @@ mod tests {
         let mut w = DedupWindow::new(8, 300);
         let err = Err(RemoteError::NoSuchClass { class: "X".into() });
         assert_eq!(w.admit((1, 0)), DedupVerdict::New);
-        w.complete((1, 0), err.clone());
+        complete(&mut w, (1, 0), err.clone());
         assert_eq!(w.admit((1, 1)), DedupVerdict::New);
-        w.complete((1, 1), Ok(Vec::new()));
+        complete(&mut w, (1, 1), Ok(Vec::new()));
         assert_eq!(w.held_bytes(), 0);
         // Heavy replies push each other out by bytes; the weightless
         // entries in front of them stay replayable.

@@ -9,10 +9,12 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use simnet::PacketBytes;
 use wire::collections::Bytes;
-use wire::{wire_struct, Reader, Wire, WireError, WireResult, V64};
+use wire::varint::MAX_VARINT_LEN;
+use wire::{wire_struct, Reader, Wire, WireError, WireResult, Writer, V64};
 
-use crate::error::RemoteError;
+use crate::error::{RemoteError, RemoteResult};
 use crate::ids::{ObjRef, ObjectId};
 use crate::trace::TraceCtx;
 
@@ -74,8 +76,9 @@ pub enum Frame {
 // macro cannot express. Safe because a packet carries exactly one frame:
 // decoding takes the rest of the reader, and "nothing left" unambiguously
 // means "field absent". Fields stay in append order; tags are protocol.
-// The layout itself is spelled once per direction: `RequestHeader::write`
-// and `write_response` encode, `FrameView::parse` decodes.
+// The layout itself is spelled once per direction: `write_prefix` /
+// `write_trailer` and `write_response_prefix` encode, `FrameView::parse`
+// decodes.
 impl Wire for Frame {
     fn encode(&self, w: &mut wire::Writer) {
         match self {
@@ -98,10 +101,16 @@ impl Wire for Frame {
                     rs_epoch: *rs_epoch,
                     deadline: *deadline,
                 };
-                header.write(&payload.0, w);
+                header.write_prefix(payload.0.len(), w);
+                w.put_bytes(&payload.0);
+                header.write_trailer(w);
             }
             Frame::Response { req_id, result } => {
-                write_response(*req_id, result.as_ref().map(|b| b.0.as_slice()), w);
+                write_response_prefix(*req_id, result.as_ref().ok().map(|p| p.0.len()), w);
+                match result {
+                    Ok(payload) => w.put_bytes(&payload.0),
+                    Err(e) => e.encode(w),
+                }
             }
         }
     }
@@ -130,8 +139,8 @@ impl Wire for Frame {
 
 /// A frame parsed where it lies: header fields by value, the payload as a
 /// byte range of the buffer it was parsed from. This is how a node reads
-/// its packets — the payload is never copied out of one (see
-/// [`PacketBytes`]).
+/// its packets — the payload is never copied out of one, the packet's
+/// buffer is [narrowed](PacketBytes::narrow) to it.
 pub(crate) enum FrameView {
     Request {
         header: RequestHeader,
@@ -189,34 +198,111 @@ fn take_range(r: &mut Reader<'_>) -> WireResult<Range<usize>> {
     Ok(r.position() - len..r.position())
 }
 
-/// Encode the response frame carrying `result` for `req_id` — the one place
-/// the response layout is written. Both a first answer and a replay from
-/// the dedup window go through here, straight from the borrowed result.
-pub(crate) fn encode_response(req_id: u64, result: Result<&[u8], &RemoteError>) -> Vec<u8> {
-    let payload_len = result.map_or(0, <[u8]>::len);
-    let mut w = wire::Writer::with_capacity(RESPONSE_HEADER_BOUND + payload_len);
-    write_response(req_id, result, &mut w);
-    w.into_bytes()
-}
+/// Most bytes a frame spends in front of its payload — a request's tag,
+/// `req_id`, `reply_to`, `target` and payload length (a response's prefix
+/// is shorter) — and so the room a [`Body`] keeps in front of itself.
+const PREFIX_ROOM: usize = 1 + 8 + MAX_VARINT_LEN + 8 + MAX_VARINT_LEN;
 
-fn write_response(req_id: u64, result: Result<&[u8], &RemoteError>, w: &mut wire::Writer) {
-    w.put_varint(1);
-    Wire::encode(&req_id, w);
-    match result {
-        Ok(payload) => {
-            w.put_u8(0);
-            w.put_len_prefixed(payload);
-        }
-        Err(e) => {
-            w.put_u8(1);
-            Wire::encode(e, w);
-        }
+/// Most bytes written behind a complete body: a request's trailer (trace
+/// context, epoch, replica-set epoch, deadline), then the prefix on its way
+/// to the front. Kept free behind a bulk append, so finishing a frame never
+/// moves the payload to a larger allocation.
+const TAIL_ROOM: usize = (2 * MAX_VARINT_LEN + 8 + 2 * MAX_VARINT_LEN) + PREFIX_ROOM;
+
+/// A message body being encoded — a method name and its arguments, or a
+/// return value — behind room for the frame prefix that will precede it:
+/// the frame is finished in the buffer its body was written to, the one the
+/// packet, the retransmission slot or the dedup window then share. How every
+/// request and every reply ([`DispatchResult::Reply`](crate::DispatchResult))
+/// is built.
+#[derive(Debug)]
+pub struct Body(Writer);
+
+impl Body {
+    /// An empty body in `spare`'s allocation: a retired message's buffer,
+    /// or an empty `Vec` — then the buffer starts small and only a bulk
+    /// append makes room for itself and the tail at once.
+    pub(crate) fn reusing(mut spare: Vec<u8>) -> Self {
+        spare.clear();
+        spare.resize(PREFIX_ROOM, 0);
+        Body(Writer::appending_to(spare).tail_room(TAIL_ROOM))
+    }
+
+    /// `value` encoded as a body — a return value, sized once from its
+    /// length hint: room in front, the value, and the response prefix on
+    /// its way to the front.
+    pub fn of<T: Wire>(value: &T) -> Self {
+        let room = 2 * PREFIX_ROOM + value.encoded_len_hint();
+        let mut body = Body::reusing(Vec::with_capacity(room));
+        value.encode(&mut body.0);
+        body
+    }
+
+    /// An empty body with room for `payload` bytes, for a bulk payload
+    /// written in pieces; write to it through [`writer`](Self::writer).
+    pub fn with_capacity(payload: usize) -> Self {
+        Body::reusing(Vec::with_capacity(PREFIX_ROOM + payload + TAIL_ROOM))
+    }
+
+    /// Where the body's bytes go.
+    pub fn writer(&mut self) -> &mut Writer {
+        &mut self.0
+    }
+
+    /// Bytes written to the body so far.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len() - PREFIX_ROOM
+    }
+
+    /// Finish the frame. The prefix ends in the payload's length, known
+    /// only now: `write_prefix` encodes it behind everything written so far
+    /// and it is moved, right-aligned, into the room in front. The result
+    /// runs from the prefix's first byte to the last byte written before it.
+    fn seal(mut self, write_prefix: impl FnOnce(&mut Writer)) -> PacketBytes {
+        let end = self.0.len();
+        write_prefix(&mut self.0);
+        let mut buf = self.0.into_bytes();
+        let start = (PREFIX_ROOM + end)
+            .checked_sub(buf.len())
+            .expect("a prefix fits its room");
+        buf.copy_within(end.., start);
+        buf.truncate(end);
+        let frame = PacketBytes::from(buf).narrow(start..end);
+        frame.expect("the frame lies inside its buffer")
     }
 }
 
-/// Most bytes an `Ok` response frame spends outside its payload (tag,
-/// `req_id`, result tag, payload length). An `Err` grows from here.
-const RESPONSE_HEADER_BOUND: usize = 1 + 8 + 1 + 10;
+/// A response frame's bytes up to its payload (`Some(len)`, an `Ok` result)
+/// or up to its error (`None`) — the one place the response layout is
+/// written: tag, `req_id`, then `Result<Bytes, RemoteError>` as `wire` lays
+/// it out.
+fn write_response_prefix(req_id: u64, payload_len: Option<usize>, w: &mut Writer) {
+    w.put_varint(1);
+    Wire::encode(&req_id, w);
+    match payload_len {
+        Some(len) => {
+            w.put_u8(0);
+            w.put_varint(len as u64);
+        }
+        None => w.put_u8(1),
+    }
+}
+
+/// Finish the response frame for `req_id` in the buffer its return value
+/// (or its error) was encoded into: what goes on the wire *and* what the
+/// dedup window keeps for replay. Beside it, what it weighs there — the
+/// payload, so an error or an empty reply weighs nothing.
+pub(crate) fn encode_response(req_id: u64, result: RemoteResult<Body>) -> (PacketBytes, usize) {
+    let (body, payload_len) = match result {
+        Ok(body) => {
+            let len = body.len();
+            (body, Some(len))
+        }
+        Err(e) => (Body::of(&e), None),
+    };
+    let frame = body.seal(|w| write_response_prefix(req_id, payload_len, w));
+    (frame, payload_len.unwrap_or(0))
+}
 
 /// Every field of a [`Frame::Request`] but its payload. A node keeps one
 /// beside the encoded bytes of each call in flight, so a redirect can patch
@@ -233,79 +319,34 @@ pub(crate) struct RequestHeader {
 }
 
 impl RequestHeader {
-    /// Encode the request made of this header and `payload` — the one
-    /// place the request layout is written — and report the offset of the
-    /// payload within the encoding.
-    pub(crate) fn encode(&self, payload: &[u8]) -> (Vec<u8>, usize) {
-        // Grown from empty, not pre-sized — measured, not an oversight.
-        // glibc's heap trimming is bistable on the bulk-write path, and
-        // which state it lands in follows this buffer's allocation history:
-        // sized exactly up front, started at a header's worth, or reserved
-        // once before the payload, `bulk_write` ran at 1 000–1 500 page
-        // faults per call and half its rate; grown by doubling it runs at
-        // none (CHANGES.md, PR 12–14). The response encoder has no such
-        // history to keep and is sized once.
-        let mut w = wire::Writer::new();
-        let payload_at = self.write(payload, &mut w);
-        (w.into_bytes(), payload_at)
+    /// Finish the request frame made of this header around `body`, in the
+    /// buffer the body was encoded into, and report where the payload lies
+    /// in the frame. `write_prefix` and `write_trailer` are the one place
+    /// the request layout is written.
+    pub(crate) fn seal(&self, mut body: Body) -> (PacketBytes, Range<usize>) {
+        let payload_len = body.len();
+        self.write_trailer(body.writer());
+        let trailer_len = body.len() - payload_len;
+        let frame = body.seal(|w| self.write_prefix(payload_len, w));
+        let payload_end = frame.len() - trailer_len;
+        (frame, payload_end - payload_len..payload_end)
     }
 
-    fn write(&self, payload: &[u8], w: &mut wire::Writer) -> usize {
+    fn write_prefix(&self, payload_len: usize, w: &mut Writer) {
         w.put_varint(0);
         Wire::encode(&self.req_id, w);
         Wire::encode(&self.reply_to, w);
         Wire::encode(&self.target, w);
-        w.put_varint(payload.len() as u64);
-        let payload_at = w.len();
-        w.put_bytes(payload);
+        w.put_varint(payload_len as u64);
+    }
+
+    fn write_trailer(&self, w: &mut Writer) {
         Wire::encode(&self.trace, w);
         Wire::encode(&self.epoch, w);
         Wire::encode(&self.rs_epoch, w);
         if self.deadline != 0 {
             w.put_varint(self.deadline);
         }
-        payload_at
-    }
-}
-
-/// A byte range of a received packet, owning the packet's buffer: how
-/// request arguments reach a method and how a return value reaches its
-/// caller, without being copied out of the packet that carried them.
-/// Dereferences to the bytes of the range.
-pub struct PacketBytes {
-    buf: Vec<u8>,
-    range: Range<usize>,
-}
-
-impl PacketBytes {
-    /// `range` of `buf`.
-    ///
-    /// # Panics
-    /// If `range` does not lie inside `buf`.
-    pub(crate) fn new(buf: Vec<u8>, range: Range<usize>) -> Self {
-        assert!(range.start <= range.end && range.end <= buf.len());
-        PacketBytes { buf, range }
-    }
-}
-
-impl std::ops::Deref for PacketBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.buf[self.range.clone()]
-    }
-}
-
-impl std::fmt::Debug for PacketBytes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl From<Vec<u8>> for PacketBytes {
-    fn from(buf: Vec<u8>) -> Self {
-        let range = 0..buf.len();
-        PacketBytes { buf, range }
     }
 }
 
@@ -766,6 +807,65 @@ mod tests {
         assert!(errors > 100, "{errors} error responses");
     }
 
+    /// A node never builds a `Frame`: it finishes requests and responses in
+    /// the buffer their body was encoded into. Both ways of writing a frame
+    /// go through the same prefix and trailer, and must agree byte for byte
+    /// — with a fresh buffer or a reused one, whatever it held before.
+    #[test]
+    fn frames_sealed_around_their_body_are_the_frames_the_codec_encodes() {
+        let rng = &mut StdRng::seed_from_u64(0x16_5EA1);
+        let mut spare = Vec::new();
+        for _ in 0..1_000 {
+            let frame = random_frame(rng);
+            let reference = to_bytes(&frame);
+            let body_of = |payload: &Bytes, spare: Vec<u8>| {
+                let mut body = Body::reusing(spare);
+                assert_eq!(body.len(), 0);
+                body.writer().put_bytes(&payload.0);
+                assert_eq!(body.len(), payload.0.len());
+                body
+            };
+            let sealed = match &frame {
+                Frame::Request {
+                    req_id,
+                    reply_to,
+                    target,
+                    payload,
+                    trace,
+                    epoch,
+                    rs_epoch,
+                    deadline,
+                } => {
+                    let header = RequestHeader {
+                        req_id: *req_id,
+                        reply_to: *reply_to,
+                        target: *target,
+                        trace: *trace,
+                        epoch: *epoch,
+                        rs_epoch: *rs_epoch,
+                        deadline: *deadline,
+                    };
+                    let (sealed, at) = header.seal(body_of(payload, std::mem::take(&mut spare)));
+                    assert_eq!(sealed[at], payload.0[..]);
+                    sealed
+                }
+                Frame::Response { req_id, result } => {
+                    let payload_len = result.as_ref().map_or(0, |payload| payload.0.len());
+                    let result = result
+                        .clone()
+                        .map(|payload| body_of(&payload, std::mem::take(&mut spare)));
+                    let (sealed, weight) = encode_response(*req_id, result);
+                    assert_eq!(weight, payload_len);
+                    sealed
+                }
+            };
+            assert_eq!(sealed, reference);
+            // The next frame is built in this one's allocation.
+            spare = sealed.into_unshared().unwrap_or_default();
+        }
+        assert_eq!(Body::of(&(7u32, "x".to_string())).len(), 4 + 2);
+    }
+
     /// ROADMAP 4d for `Frame`: whatever bytes arrive, parsing returns —
     /// the frame the positional decoder would have produced, or its typed
     /// error — and never reports a range outside the buffer (copying such a
@@ -816,15 +916,6 @@ mod tests {
             rejected += parsed.is_err() as u32;
         }
         assert!(rejected > 5_000, "only {rejected} of 10 000 rejected");
-    }
-
-    #[test]
-    fn packet_bytes_dereference_to_their_range() {
-        let whole = PacketBytes::from(vec![1, 2, 3, 4]);
-        assert_eq!(&*whole, &[1, 2, 3, 4]);
-        let part = PacketBytes::new(vec![1, 2, 3, 4], 1..3);
-        assert_eq!(&*part, &[2, 3]);
-        assert_eq!(format!("{part:?}"), "[2, 3]");
     }
 
     mod frame_props {

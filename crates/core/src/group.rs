@@ -15,6 +15,7 @@
 use wire::{Reader, Wire};
 
 use crate::error::{RemoteError, RemoteResult};
+use crate::frame::Body;
 use crate::future::{join, join_clients, Pending, PendingClient};
 use crate::ids::ObjRef;
 use crate::node::{CallInfo, NodeCtx};
@@ -64,13 +65,13 @@ impl ServerObject for Barrier {
                     // Last party: release everyone (including this caller).
                     self.generations += 1;
                     for waiter in self.waiting.drain(..) {
-                        ctx.send_reply(waiter, Ok(wire::to_bytes(&())));
+                        ctx.send_reply(waiter, Ok(Body::of(&())));
                     }
                 }
                 Ok(DispatchResult::NoReply)
             }
-            "generations" => Ok(DispatchResult::Reply(wire::to_bytes(&self.generations))),
-            "parties" => Ok(DispatchResult::Reply(wire::to_bytes(&self.parties))),
+            "generations" => Ok(DispatchResult::Reply(Body::of(&self.generations))),
+            "parties" => Ok(DispatchResult::Reply(Body::of(&self.parties))),
             other => Err(RemoteError::NoSuchMethod {
                 class: "Barrier".into(),
                 method: other.into(),

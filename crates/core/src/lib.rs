@@ -64,7 +64,7 @@ pub mod trace;
 
 pub use array::{ByteBlock, ByteBlockClient, DoubleBlock, DoubleBlockClient};
 pub use error::{RemoteError, RemoteResult};
-pub use frame::{MigrationPayload, NodeStats, PacketBytes, ReplicaStatus};
+pub use frame::{Body, MigrationPayload, NodeStats, ReplicaStatus};
 pub use future::{join, join_clients, Pending, PendingClient};
 pub use group::{Barrier, BarrierClient, ProcessGroup};
 pub use ids::{ObjRef, ObjectId, DAEMON};
@@ -77,6 +77,7 @@ pub use node::{CallInfo, NodeCtx, DEFAULT_TIMEOUT};
 pub use policy::{Backoff, BreakerConfig, CallPolicy, OverloadConfig, RetryBudgetConfig};
 pub use process::{ClassRegistry, DispatchResult, RemoteClient, ServerClass, ServerObject};
 pub use runtime::{Cluster, ClusterBuilder, Driver};
+pub use simnet::PacketBytes;
 pub use trace::{
     EventKind, MethodStats, Recorder, SpanEvent, Trace, TraceCtx, DEFAULT_TRACE_CAPACITY,
 };

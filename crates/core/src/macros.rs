@@ -301,7 +301,7 @@ macro_rules! remote_class {
                             stringify!($method) => {
                                 $( let $marg = <$mty as $crate::wire::Wire>::decode(args)?; )*
                                 let ret: $ret = self.$method(ctx, $($marg),*)?;
-                                Ok($crate::DispatchResult::Reply($crate::wire::to_bytes(&ret)))
+                                Ok($crate::DispatchResult::Reply($crate::Body::of(&ret)))
                             }
                         )*
                         _ => $crate::__dispatch_fallthrough!(

@@ -5,12 +5,13 @@
 
 use std::ops::Range;
 
-use simnet::MachineId;
+use simnet::network::NetError;
+use simnet::{MachineId, PacketBytes};
 use wire::{Wire, Writer};
 
 use super::NodeCtx;
 use crate::error::{RemoteError, RemoteResult};
-use crate::frame::{PacketBytes, RequestHeader};
+use crate::frame::{Body, RequestHeader};
 use crate::future::Pending;
 use crate::ids::{ObjRef, DAEMON};
 use crate::policy::CallPolicy;
@@ -23,8 +24,10 @@ use crate::trace::{EventKind, TraceCtx};
 /// server's dedup window can recognize the copy.
 pub(super) struct OutboundCall {
     target: ObjRef,
-    bytes: Vec<u8>,
-    /// The header `bytes` was encoded from and where the payload sits in
+    /// The frame as sent: the buffer the packet carries, shared, not a
+    /// copy of it. A retransmission sends it again.
+    frame: PacketBytes,
+    /// The header `frame` was encoded from and where the payload sits in
     /// it: a redirect patches the header and re-encodes around the same
     /// payload (see `reissue`) — the node never decodes its own frames.
     /// `header.deadline` is the absolute cluster-clock deadline stamped on
@@ -255,10 +258,7 @@ impl NodeCtx {
         method: &str,
         encode_args: impl FnOnce(&mut Writer),
     ) -> RemoteResult<u64> {
-        let mut w = Writer::new();
-        w.put_len_prefixed(method.as_bytes());
-        encode_args(&mut w);
-        self.start_call_raw(target, method, w.into_bytes())
+        self.start_call(target, method, encode_args, true)
     }
 
     /// Typed async call: returns a [`Pending`] decodable as `Ret`.
@@ -300,31 +300,23 @@ impl NodeCtx {
         method: &str,
         encode_args: impl FnOnce(&mut Writer),
     ) -> RemoteResult<Pending<Ret>> {
-        let mut w = Writer::new();
-        w.put_len_prefixed(method.as_bytes());
-        encode_args(&mut w);
-        Ok(Pending::new(self.start_call_opts(
+        Ok(Pending::new(self.start_call(
             target,
             method,
-            w.into_bytes(),
+            encode_args,
             false,
         )?))
     }
 
-    pub(super) fn start_call_raw(
+    /// Issue one request. The frame is built once, in one buffer — method
+    /// name and arguments encoded where the frame will hold them, header
+    /// fields placed around them — and that buffer is what the fabric
+    /// carries and what the retransmission slot keeps.
+    fn start_call(
         &mut self,
         target: ObjRef,
         method: &str,
-        payload: Vec<u8>,
-    ) -> RemoteResult<u64> {
-        self.start_call_opts(target, method, payload, true)
-    }
-
-    fn start_call_opts(
-        &mut self,
-        target: ObjRef,
-        method: &str,
-        payload: Vec<u8>,
+        encode_args: impl FnOnce(&mut Writer),
         route: bool,
     ) -> RemoteResult<u64> {
         // Start at the object's last known address: a pointer this node
@@ -441,20 +433,20 @@ impl NodeCtx {
             rs_epoch: rs_epoch.into(),
             deadline,
         };
-        let (bytes, payload_at) = header.encode(&payload);
-        self.trace_call(
-            EventKind::ClientSend,
-            target.machine,
-            call_trace.as_ref(),
-            req_id,
-            1,
-            bytes.len(),
-        );
-        if self
-            .net
-            .send(self.machine, target.machine, bytes.clone())
-            .is_err()
-        {
+        let mut body = Body::reusing(std::mem::take(&mut self.spare_frame));
+        body.writer().put_len_prefixed(method.as_bytes());
+        encode_args(body.writer());
+        let (frame, payload) = header.seal(body);
+        let call = OutboundCall {
+            target,
+            frame,
+            header,
+            payload,
+            trace: call_trace,
+            hops: 0,
+            read_primary,
+        };
+        if self.transmit(&call, EventKind::ClientSend, 1).is_err() {
             self.breaker_note(target.machine, Some(true));
             return Err(RemoteError::Disconnected {
                 machine: target.machine,
@@ -463,19 +455,18 @@ impl NodeCtx {
         // Kept for retransmission until the reply is consumed (or retries
         // are exhausted). On a lossy fabric the send above may silently
         // vanish; the stored frame is what wait_raw resends.
-        self.outstanding.insert(
-            req_id,
-            OutboundCall {
-                target,
-                bytes,
-                header,
-                payload: payload_at..payload_at + payload.len(),
-                trace: call_trace,
-                hops: 0,
-                read_primary,
-            },
-        );
+        self.outstanding.insert(req_id, call);
         Ok(req_id)
+    }
+
+    /// Put `call`'s frame on the wire — the one it keeps, by reference
+    /// count — towards wherever the call is currently addressed, recording
+    /// `kind` for it.
+    fn transmit(&self, call: &OutboundCall, kind: EventKind, attempt: u32) -> Result<(), NetError> {
+        let (dst, frame) = (call.target.machine, PacketBytes::clone(&call.frame));
+        let req_id = call.header.req_id;
+        self.trace_call(kind, dst, call.trace.as_ref(), req_id, attempt, frame.len());
+        self.net.send(self.machine, dst, frame)
     }
 
     /// Record a client-side event of the in-flight call `req_id` (peer =
@@ -713,13 +704,14 @@ impl NodeCtx {
                 let reply_len = result.as_ref().map_or(0, |b| b.len());
                 self.trace_client(EventKind::ClientRecv, req_id, attempts, reply_len);
                 let failed = result.as_ref().err().is_some_and(Self::is_overload_failure);
-                let call = self.retire_call(req_id, Some(failed));
+                let target = self.retire_call(req_id, Some(failed));
                 // A fence at the frame's own epoch (lapsed lease,
                 // poisoned home) surfaces to the caller; still remember
                 // the incarnation epoch so the caller's next attempt
                 // (after re-resolving) is stamped correctly.
-                if let (Err(RemoteError::Fenced { current_epoch }), Some(c)) = (&result, &call) {
-                    let target = c.target;
+                if let (Err(RemoteError::Fenced { current_epoch }), Some(target)) =
+                    (&result, target)
+                {
                     self.note_epoch(target, *current_epoch);
                     // The fence surfaced (not transparently upgraded): the
                     // pointer names a dead incarnation. Any cached name
@@ -783,13 +775,10 @@ impl NodeCtx {
                                 continue;
                             }
                         }
-                        let target = self
-                            .retire_call(req_id, Some(true))
-                            .map(|c| c.target)
-                            .unwrap_or(ObjRef {
-                                machine: self.machine,
-                                object: DAEMON,
-                            });
+                        let target = self.retire_call(req_id, Some(true)).unwrap_or(ObjRef {
+                            machine: self.machine,
+                            object: DAEMON,
+                        });
                         return Err(RemoteError::Timeout {
                             machine: target.machine,
                             object: target.object,
@@ -813,14 +802,7 @@ impl NodeCtx {
                         }
                     }
                     if let Some(call) = self.outstanding.get(&req_id) {
-                        let (dst, bytes) = (call.target.machine, call.bytes.clone());
-                        self.trace_client(
-                            EventKind::ClientRetransmit,
-                            req_id,
-                            attempts + 1,
-                            bytes.len(),
-                        );
-                        let _ = self.net.send(self.machine, dst, bytes);
+                        let _ = self.transmit(call, EventKind::ClientRetransmit, attempts + 1);
                         bump!(self.shared.stats, calls_retried);
                     }
                     attempts += 1;
@@ -888,12 +870,14 @@ impl NodeCtx {
             Reroute::ToPrimary { .. } => call.read_primary = None,
             Reroute::Refence { .. } => {}
         }
-        let (bytes, payload_at) = call.header.encode(&call.bytes[call.payload.clone()]);
-        call.payload = payload_at..payload_at + call.payload.len();
-        call.bytes = bytes.clone();
+        // The patched header may differ in length, and the old frame may
+        // still be held by whoever received it: the payload moves to a
+        // fresh buffer, once.
+        let mut body = Body::with_capacity(call.payload.len());
+        body.writer().put_bytes(&call.frame[call.payload.clone()]);
+        (call.frame, call.payload) = call.header.seal(body);
+        let _ = self.transmit(&call, kind, attempt);
         self.outstanding.insert(new_id, call);
-        self.trace_client(kind, new_id, attempt, bytes.len());
-        let _ = self.net.send(self.machine, dest.machine, bytes);
         Some(new_id)
     }
 
@@ -901,7 +885,7 @@ impl NodeCtx {
     /// as a (re)transmission puts it on the wire. Lets tests pin the wire
     /// format of what this node sends.
     pub fn outstanding_frame(&self, req_id: u64) -> Option<&[u8]> {
-        Some(&self.outstanding.get(&req_id)?.bytes)
+        Some(&self.outstanding.get(&req_id)?.frame)
     }
 
     // ------------------------------------------------------------------
@@ -1042,10 +1026,17 @@ impl NodeCtx {
     /// The one way an issued call leaves `outstanding` for good: drop its
     /// retransmission slot and tell the destination's breaker how it ended
     /// (see [`breaker_note`](Self::breaker_note)) — so no exit, however
-    /// unusual, can strand a half-open trial.
-    fn retire_call(&mut self, req_id: u64, failed: Option<bool>) -> Option<OutboundCall> {
+    /// unusual, can strand a half-open trial. Returns where the call was
+    /// last addressed. The frame's buffer, when this slot was its last
+    /// holder (the receiver is done with it and kept no part), becomes the
+    /// node's spare for the next call: a node that sends requests of a
+    /// size keeps reusing one allocation of that size.
+    fn retire_call(&mut self, req_id: u64, failed: Option<bool>) -> Option<ObjRef> {
         let call = self.outstanding.remove(&req_id)?;
         self.breaker_note(call.target.machine, failed);
-        Some(call)
+        if let Some(buf) = call.frame.into_unshared() {
+            self.spare_frame = buf;
+        }
+        Some(call.target)
     }
 }

@@ -12,13 +12,13 @@ use std::sync::atomic::Ordering;
 
 use simnet::MachineId;
 use wire::collections::Bytes;
-use wire::{Reader, Wire, Writer};
+use wire::{Reader, Wire};
 
 use super::judge::{judge, Verdict};
 use super::serve::ServeOutcome;
 use super::NodeCtx;
 use crate::error::{RemoteError, RemoteResult};
-use crate::frame::{MigrationPayload, NodeStats, ReplicaStatus};
+use crate::frame::{Body, MigrationPayload, NodeStats, ReplicaStatus};
 use crate::future::{Pending, PendingClient};
 use crate::ids::{ObjRef, ObjectId, DAEMON};
 use crate::process::{RemoteClient, ServerObject};
@@ -55,11 +55,10 @@ type Handled<T> = Result<T, Refusal>;
 /// Derive the daemon protocol from its verb table. Per row
 /// `"name" => verb(arg: Ty, ...) -> Ret;` this generates
 ///
-/// * `encode_<verb>(args) -> Vec<u8>`: the request payload — the wire name
-///   followed by the arguments in table order, exactly like a user-class
-///   call, so the dispatch path is uniform;
 /// * `NodeCtx::start_<verb>(machine, args) -> req_id`: issue the call to
-///   `machine`'s daemon without waiting;
+///   `machine`'s daemon without waiting — the wire name followed by the
+///   arguments in table order, exactly like a user-class call, so the
+///   dispatch path is uniform;
 /// * `NodeCtx::call_<verb>(machine, args) -> Ret`: issue, wait, decode;
 /// * one arm of `NodeCtx::daemon_dispatch`: decode the arguments in the
 ///   same order, reject trailing bytes, run `self.on_<verb>(args)`, encode
@@ -71,15 +70,6 @@ macro_rules! daemon_verbs {
     )*) => { paste::paste! {
         /// Wire names of every daemon verb, in table order.
         pub const DAEMON_VERBS: &[&str] = &[$($name),*];
-
-        $(
-            pub(crate) fn [<encode_ $verb>]($($arg: $ty),*) -> Vec<u8> {
-                let mut w = Writer::new();
-                w.put_len_prefixed($name.as_bytes());
-                $( Wire::encode(&$arg, &mut w); )*
-                w.into_bytes()
-            }
-        )*
 
         impl NodeCtx {
             $(
@@ -93,8 +83,10 @@ macro_rules! daemon_verbs {
                     machine: MachineId
                     $(, $arg: $ty)*
                 ) -> RemoteResult<u64> {
-                    let payload = [<encode_ $verb>]($($arg),*);
-                    self.start_call_raw(ObjRef::daemon(machine), $name, payload)
+                    self.start_method_raw(ObjRef::daemon(machine), $name, |w| {
+                        let _ = &w;
+                        $( Wire::encode(&$arg, w); )*
+                    })
                 }
 
                 // `heartbeat` is only ever issued asynchronously.
@@ -111,14 +103,14 @@ macro_rules! daemon_verbs {
 
             /// Server side of the table: decode `method`'s arguments from
             /// `args` and run its handler.
-            fn daemon_dispatch(&mut self, method: &str, args: &mut Reader<'_>) -> Handled<Vec<u8>> {
+            fn daemon_dispatch(&mut self, method: &str, args: &mut Reader<'_>) -> Handled<Body> {
                 match method {
                     $(
                         $name => {
                             $( let $arg = <$ty as Wire>::decode(args)?; )*
                             args.expect_end()?;
                             let reply: $ret = self.[<on_ $verb>]($($arg),*)?;
-                            Ok(wire::to_bytes(&reply))
+                            Ok(Body::of(&reply))
                         }
                     )*
                     other => Err(Refusal::Failed(RemoteError::NoSuchMethod {

@@ -34,11 +34,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::Receiver;
-use simnet::{Clock, MachineId, Network, Packet, SimDisk};
+use simnet::{Clock, MachineId, Network, Packet, PacketBytes, SimDisk};
 use wire::Reader;
 
 use crate::error::{RemoteError, RemoteResult};
-use crate::frame::{NodeStats, PacketBytes};
+use crate::frame::NodeStats;
 use crate::ids::{ObjRef, ObjectId};
 use crate::policy::{CallPolicy, OverloadConfig};
 use crate::process::{ClassRegistry, ServerClass, ServerObject};
@@ -46,7 +46,6 @@ use crate::shared::{CallTrace, IncomingReq, LiveObj, Sched, SharedNode, WorkerMs
 use crate::trace::{EventKind, Tracer};
 
 use call::{Breaker, OutboundCall, ReplicaRoute};
-pub(crate) use daemon::encode_shutdown;
 pub use daemon::DAEMON_VERBS;
 
 /// Identity of an in-flight request, handed to objects that defer their
@@ -126,7 +125,14 @@ pub struct NodeCtx {
     /// Client-side replica routes, keyed by the primary's address.
     replica_routes: HashMap<ObjRef, ReplicaRoute>,
     outstanding: HashMap<u64, OutboundCall>,
+    /// The buffer of the last call retired with nobody else holding its
+    /// frame (empty when there is none): the next call is encoded into it
+    /// instead of a fresh allocation (see `retire_call`).
+    spare_frame: Vec<u8>,
     current_call: Option<CallInfo>,
+    /// Method name and arguments of the request being dispatched, for
+    /// [`request_bytes`](NodeCtx::request_bytes).
+    current_args: Option<PacketBytes>,
     next_req_id: u64,
     alive: bool,
     policy: CallPolicy,
@@ -291,7 +297,9 @@ impl NodeCtx {
             believed_epochs: HashMap::new(),
             replica_routes: HashMap::new(),
             outstanding: HashMap::new(),
+            spare_frame: Vec::new(),
             current_call: None,
+            current_args: None,
             // Lane 0 starts at `stride` (so id 0 stays unused, and with
             // stride 1 this is the classic "ids start at 1"); lane L
             // starts at L. Stepping by `stride` keeps lanes disjoint.

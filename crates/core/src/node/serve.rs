@@ -5,14 +5,14 @@
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use simnet::{MachineId, Packet};
+use simnet::{MachineId, Packet, PacketBytes};
 use wire::Reader;
 
 use super::judge::{judge, Verdict};
 use super::{payload_method, CallInfo, NodeCtx};
 use crate::dedup::DedupVerdict;
 use crate::error::{RemoteError, RemoteResult};
-use crate::frame::{encode_response, FrameView, PacketBytes};
+use crate::frame::{encode_response, Body, FrameView};
 use crate::ids::{ObjectId, DAEMON};
 use crate::process::{DispatchResult, ServerObject};
 use crate::shared::{
@@ -65,9 +65,18 @@ impl NodeCtx {
         self.current_call
     }
 
+    /// Keep part of the request being dispatched alive where it arrived:
+    /// the bytes `range` of it, offsets as the argument reader's
+    /// [`position`](Reader::position) reports them. For an object that
+    /// stores or relays a bulk argument without decoding (copying) it.
+    /// `None` outside a dispatch, or for a range not inside the request.
+    pub fn request_bytes(&self, range: std::ops::Range<usize>) -> Option<PacketBytes> {
+        self.current_args.as_ref()?.slice(range)
+    }
+
     /// Send a response for a call whose dispatch returned
     /// [`DispatchResult::NoReply`].
-    pub fn send_reply(&mut self, call: CallInfo, result: RemoteResult<Vec<u8>>) {
+    pub fn send_reply(&mut self, call: CallInfo, result: RemoteResult<Body>) {
         self.send_response(call.reply_to, call.req_id, result);
     }
 
@@ -333,7 +342,10 @@ impl NodeCtx {
                         .tracer
                         .as_ref()
                         .map(|_| payload_method(&pkt.payload[payload.clone()])),
-                    payload: PacketBytes::new(pkt.payload, payload),
+                    payload: pkt
+                        .payload
+                        .narrow(payload)
+                        .expect("a parsed range lies inside its packet"),
                     trace_id: header.trace.trace_id.0,
                     span: header.trace.span.0,
                     ask: Ask {
@@ -417,7 +429,10 @@ impl NodeCtx {
                 // out, abandoned) are dropped, not hoarded: the reply
                 // table only ever holds answers someone can still take.
                 if self.outstanding.contains_key(&req_id) {
-                    let result = result.map(|range| PacketBytes::new(pkt.payload, range));
+                    let result = result.map(|range| {
+                        let reply = pkt.payload.narrow(range);
+                        reply.expect("a parsed range lies inside its packet")
+                    });
                     self.replies.insert(req_id, result);
                 }
             }
@@ -715,6 +730,7 @@ impl NodeCtx {
                         req_id: req.req_id,
                         reply_to: req.reply_to,
                     });
+                    let saved_args = self.current_args.replace(req.payload.clone());
                     // Calls the method issues while running inherit this
                     // request's trace identity (nested spans).
                     let saved_trace = std::mem::replace(
@@ -740,8 +756,14 @@ impl NodeCtx {
                         Err(e) => Err(e.into()),
                     };
                     self.current_call = saved;
+                    self.current_args = saved_args;
                     self.current_trace = saved_trace;
                     self.current_deadline = saved_deadline;
+                    // Done with the request before the reply leaves: unless
+                    // the object kept part of it, the caller is then the
+                    // buffer's last holder and can reuse it.
+                    let (reply_to, req_id) = (req.reply_to, req.req_id);
+                    drop(req);
 
                     // The call is over: one critical section counts it (the
                     // placement subsystem's load signal) and checks the object
@@ -768,11 +790,11 @@ impl NodeCtx {
                     }
 
                     match outcome {
-                        Ok(DispatchResult::Reply(bytes)) => {
-                            self.send_response(req.reply_to, req.req_id, Ok(bytes))
+                        Ok(DispatchResult::Reply(body)) => {
+                            self.send_response(reply_to, req_id, Ok(body))
                         }
                         Ok(DispatchResult::NoReply) => {}
-                        Err(e) => self.send_response(req.reply_to, req.req_id, Err(e)),
+                        Err(e) => self.send_response(reply_to, req_id, Err(e)),
                     }
                     bump!(self.shared.stats, calls_served);
                     batch += 1;
@@ -861,15 +883,17 @@ impl NodeCtx {
         &mut self,
         reply_to: MachineId,
         req_id: u64,
-        result: RemoteResult<Vec<u8>>,
+        result: RemoteResult<Body>,
     ) {
-        let bytes = encode_response(req_id, result.as_ref().map(Vec::as_slice));
-        // Cache the response — moved, not copied — so a retransmitted copy
-        // of this request is answered without re-executing (at-most-once).
+        // The return value's own buffer becomes the frame.
+        let (frame, weight) = encode_response(req_id, result);
+        // Cache the response — the frame itself, shared with the packet —
+        // so a retransmitted copy of this request is answered without
+        // re-executing (at-most-once).
         self.shared
             .dedup
             .lock()
-            .complete((reply_to, req_id), result);
+            .complete((reply_to, req_id), PacketBytes::clone(&frame), weight);
         if self.tracer.is_some() {
             let t = self.shared.serving_spans.lock().remove(&(reply_to, req_id));
             self.trace_call(
@@ -878,10 +902,10 @@ impl NodeCtx {
                 t.as_ref(),
                 req_id,
                 0,
-                bytes.len(),
+                frame.len(),
             );
         }
         // A dead caller is not an error for the server.
-        let _ = self.net.send(self.machine, reply_to, bytes);
+        let _ = self.net.send(self.machine, reply_to, frame);
     }
 }

@@ -12,14 +12,16 @@ use std::collections::HashMap;
 use wire::Reader;
 
 use crate::error::{RemoteError, RemoteResult};
+use crate::frame::Body;
 use crate::ids::ObjRef;
 use crate::node::NodeCtx;
 
 /// What a dispatched method produced.
 #[derive(Debug)]
 pub enum DispatchResult {
-    /// Send this encoded return value back to the caller now.
-    Reply(Vec<u8>),
+    /// Send this encoded return value back to the caller now: the response
+    /// frame is finished in the body's own buffer.
+    Reply(Body),
     /// Do not reply yet; the object took responsibility for replying later
     /// via [`NodeCtx::send_reply`] (e.g. a barrier parks callers until the
     /// last party arrives).

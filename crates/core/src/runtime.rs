@@ -434,7 +434,8 @@ impl Cluster {
                 req_id: u64::MAX,
                 reply_to: self.driver_id,
                 target: crate::ids::DAEMON,
-                payload: Bytes(crate::node::encode_shutdown()),
+                // The daemon verb's wire name, no arguments.
+                payload: Bytes(wire::to_bytes(&"shutdown".to_string())),
                 trace: TraceCtx::default(),
                 epoch: 0,
                 rs_epoch: 0.into(),

@@ -24,10 +24,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use sched::{DepthGauge, Injector, StealOrder, Stealer};
-use simnet::{Clock, MachineId, Packet};
+use simnet::{Clock, MachineId, Packet, PacketBytes};
 
 use crate::dedup::DedupWindow;
-use crate::frame::{PacketBytes, SharedStats};
+use crate::frame::SharedStats;
 use crate::ids::{ObjRef, ObjectId, DAEMON};
 use crate::policy::OverloadConfig;
 use crate::process::ServerObject;

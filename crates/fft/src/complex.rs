@@ -5,7 +5,12 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A double-precision complex number.
+///
+/// `#[repr(C)]`: exactly two `f64`s, `re` then `im`, no padding — the
+/// layout [`as_f64s`] relies on, and the interleaved form blocks of complex
+/// values take on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     /// Real part.
     pub re: f64,
@@ -16,6 +21,24 @@ pub struct Complex {
 /// Shorthand constructor.
 pub const fn c64(re: f64, im: f64) -> Complex {
     Complex { re, im }
+}
+
+/// `data` as interleaved `re, im` doubles, where it lies: what a
+/// [`wire::Writer::put_f64s`] sends for a slice of complex values.
+pub fn as_f64s(data: &[Complex]) -> &[f64] {
+    // SAFETY: `Complex` is `#[repr(C)]` over two `f64`s, so `data` is
+    // `2 * data.len()` initialised, `f64`-aligned doubles with no padding
+    // between them; the returned borrow takes over `data`'s lifetime.
+    unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<f64>(), 2 * data.len()) }
+}
+
+/// [`as_f64s`] for writing: where an
+/// [`F64sView::copy_to`](wire::collections::F64sView::copy_to) lands
+/// received doubles in a slice of complex values.
+pub fn as_f64s_mut(data: &mut [Complex]) -> &mut [f64] {
+    // SAFETY: as in `as_f64s`; any two `f64`s are a valid `Complex`, and the
+    // exclusive borrow of `data` is held by the returned slice.
+    unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr().cast::<f64>(), 2 * data.len()) }
 }
 
 impl Complex {

@@ -34,69 +34,53 @@
 use std::collections::HashMap;
 
 use oopp::{
-    join, remote_class, CallInfo, DispatchResult, NodeCtx, ObjRef, RemoteClient, RemoteError,
-    RemoteResult, ServerClass, ServerObject,
+    join, remote_class, Body, CallInfo, DispatchResult, NodeCtx, ObjRef, PacketBytes, Pending,
+    RemoteClient, RemoteError, RemoteResult, ServerClass, ServerObject,
 };
-use wire::collections::F64s;
+use wire::collections::{F64s, F64sView};
 use wire::{Reader, Wire};
 
-use crate::complex::Complex;
+use crate::complex::{as_f64s, as_f64s_mut, Complex};
 use crate::dft::Direction;
 use crate::plan::Fft;
-
-// ---------------------------------------------------------------------
-// Interleaved complex <-> f64 wire helpers
-// ---------------------------------------------------------------------
-
-/// Pack complex values as interleaved `re, im` doubles for the wire.
-pub fn pack(data: &[Complex]) -> F64s {
-    let mut out = Vec::with_capacity(data.len() * 2);
-    for z in data {
-        out.push(z.re);
-        out.push(z.im);
-    }
-    F64s(out)
-}
-
-/// Unpack interleaved `re, im` doubles.
-pub fn unpack(data: &F64s) -> RemoteResult<Vec<Complex>> {
-    if !data.0.len().is_multiple_of(2) {
-        return Err(RemoteError::app(
-            "interleaved complex payload has odd length",
-        ));
-    }
-    Ok(data
-        .0
-        .chunks_exact(2)
-        .map(|c| Complex { re: c[0], im: c[1] })
-        .collect())
-}
 
 // ---------------------------------------------------------------------
 // BlockInbox: transpose-block rendezvous (hand-written ServerObject)
 // ---------------------------------------------------------------------
 
 /// Mailbox for transpose blocks, one per FFT worker.
+///
+/// A block is interleaved `re, im` doubles encoded as [`F64s`], and the
+/// inbox never decodes one: `put` checks the encoding and keeps that range
+/// of its request alive, `take_all` relays the ranges — `Vec<(u64, F64s)>`
+/// on the wire, read on the other side through [`Blocks`].
 #[derive(Debug, Default)]
 pub struct BlockInbox {
-    /// Blocks received, bucketed by exchange epoch.
-    buckets: HashMap<u64, Vec<(u64, F64s)>>,
+    /// Blocks received, bucketed by exchange epoch: the sender, and the
+    /// block's encoding.
+    buckets: HashMap<u64, Vec<(u64, PacketBytes)>>,
     /// A parked `take_all`, waiting for its epoch's bucket to fill.
     waiter: Option<(CallInfo, u64, usize)>,
 }
 
 impl BlockInbox {
-    fn reply_bytes(blocks: Vec<(u64, F64s)>) -> Vec<u8> {
-        wire::to_bytes(&blocks)
-    }
-
+    /// Answer the parked `take_all` once its bucket is full: the kept
+    /// ranges, written once, straight behind the response header.
     fn try_release(&mut self, ctx: &mut NodeCtx) {
         if let Some((call, epoch, expect)) = self.waiter {
             let ready = self.buckets.get(&epoch).map_or(0, Vec::len);
             if ready >= expect {
                 let blocks = self.buckets.remove(&epoch).unwrap_or_default();
                 self.waiter = None;
-                ctx.send_reply(call, Ok(Self::reply_bytes(blocks)));
+                let payload: usize = blocks.iter().map(|(_, block)| 8 + block.len()).sum();
+                let mut reply = Body::with_capacity(wire::varint::MAX_VARINT_LEN + payload);
+                let w = reply.writer();
+                w.put_varint(blocks.len() as u64);
+                for (from, block) in &blocks {
+                    from.encode(w);
+                    w.put_bytes(block);
+                }
+                ctx.send_reply(call, Ok(reply));
             }
         }
     }
@@ -117,10 +101,15 @@ impl ServerObject for BlockInbox {
             "put" => {
                 let epoch = u64::decode(args)?;
                 let from = u64::decode(args)?;
-                let data = F64s::decode(args)?;
-                self.buckets.entry(epoch).or_default().push((from, data));
+                // Checked here, so `take_all` never relays a malformed block.
+                let start = args.position();
+                F64sView::decode(args)?;
+                let block = ctx
+                    .request_bytes(start..args.position())
+                    .ok_or_else(|| RemoteError::app("put dispatched outside its request"))?;
+                self.buckets.entry(epoch).or_default().push((from, block));
                 self.try_release(ctx);
-                Ok(DispatchResult::Reply(wire::to_bytes(&())))
+                Ok(DispatchResult::Reply(Body::of(&())))
             }
             "take_all" => {
                 let epoch = u64::decode(args)?;
@@ -128,15 +117,12 @@ impl ServerObject for BlockInbox {
                 if self.waiter.is_some() {
                     return Err(RemoteError::app("inbox already has a waiter"));
                 }
-                let ready = self.buckets.get(&epoch).map_or(0, Vec::len);
-                if ready >= expect {
-                    let blocks = self.buckets.remove(&epoch).unwrap_or_default();
-                    Ok(DispatchResult::Reply(Self::reply_bytes(blocks)))
-                } else {
-                    let call = ctx.current_call().expect("dispatched outside a call");
-                    self.waiter = Some((call, epoch, expect));
-                    Ok(DispatchResult::NoReply)
-                }
+                // Answered by `try_release`: now if the bucket is full, by
+                // the `put` that fills it otherwise.
+                let call = ctx.current_call().expect("dispatched outside a call");
+                self.waiter = Some((call, epoch, expect));
+                self.try_release(ctx);
+                Ok(DispatchResult::NoReply)
             }
             other => Err(RemoteError::NoSuchMethod {
                 class: "BlockInbox".into(),
@@ -165,42 +151,80 @@ impl BlockInboxClient {
         ctx.create::<Self>(machine, Vec::new())
     }
 
-    /// Deposit a block for exchange `epoch` from worker `from`.
-    pub fn put(&self, ctx: &mut NodeCtx, epoch: u64, from: u64, data: F64s) -> RemoteResult<()> {
-        ctx.call_method(self.r, "put", |w| {
-            epoch.encode(w);
-            from.encode(w);
-            data.encode(w);
-        })
-    }
-
-    /// Asynchronous [`put`](Self::put).
-    pub fn put_async(
+    /// Deposit a block for exchange `epoch` from worker `from`: the
+    /// concatenation of `rows` as one [`F64s`] of interleaved `re, im`
+    /// doubles, each row copied once, from where it lies into the request.
+    pub fn put_async<'a>(
         &self,
         ctx: &mut NodeCtx,
         epoch: u64,
         from: u64,
-        data: F64s,
-    ) -> RemoteResult<oopp::Pending<()>> {
-        ctx.start_method(self.r, "put", move |w| {
+        rows: impl Iterator<Item = &'a [Complex]> + Clone,
+    ) -> RemoteResult<Pending<()>> {
+        ctx.start_method(self.r, "put", |w| {
             epoch.encode(w);
             from.encode(w);
-            data.encode(w);
+            let doubles: usize = rows.clone().map(|row| 2 * row.len()).sum();
+            w.put_varint(doubles as u64);
+            w.reserve(8 * doubles);
+            for row in rows {
+                w.put_f64s(as_f64s(row));
+            }
         })
     }
 
     /// Collect all `expect` blocks of `epoch`, blocking (server-side
     /// deferred reply) until they have arrived.
-    pub fn take_all(
-        &self,
-        ctx: &mut NodeCtx,
-        epoch: u64,
-        expect: usize,
-    ) -> RemoteResult<Vec<(u64, F64s)>> {
-        ctx.call_method(self.r, "take_all", |w| {
+    pub fn take_all(&self, ctx: &mut NodeCtx, epoch: u64, expect: usize) -> RemoteResult<Blocks> {
+        let req_id = ctx.start_method_raw(self.r, "take_all", |w| {
             epoch.encode(w);
             expect.encode(w);
-        })
+        })?;
+        Ok(Blocks(ctx.wait_raw(req_id)?))
+    }
+}
+
+/// What [`BlockInboxClient::take_all`] collected, still inside the reply
+/// packet that brought it: the blocks are scattered from there.
+#[derive(Debug)]
+pub struct Blocks(PacketBytes);
+
+impl Blocks {
+    /// The blocks of one exchange among `parts` workers, in sender order,
+    /// the whole reply checked first: every sender is a worker of the
+    /// group, each sent exactly once, each block is exactly `len` complex
+    /// values. A stray or short block is a `RemoteError::app` — never an
+    /// index out of range where the blocks are scattered.
+    pub fn by_sender(&self, parts: usize, len: usize) -> RemoteResult<Vec<F64sView<'_>>> {
+        let r = &mut Reader::new(&self.0);
+        let mut by_sender = vec![None; parts];
+        // A block is at least its sender and an empty count.
+        for _ in 0..r.take_len(8 + 1)? {
+            let (from, block) = (u64::decode(r)?, F64sView::decode(r)?);
+            let slot = usize::try_from(from)
+                .ok()
+                .and_then(|q| by_sender.get_mut(q));
+            let slot = slot.ok_or_else(|| {
+                RemoteError::app(format!("transpose block from worker {from} of {parts}"))
+            })?;
+            if block.len() != 2 * len {
+                return Err(RemoteError::app(format!(
+                    "transpose block of {} doubles from worker {from}, expected {}",
+                    block.len(),
+                    2 * len
+                )));
+            }
+            if slot.replace(block).is_some() {
+                return Err(RemoteError::app(format!(
+                    "two transpose blocks from worker {from}"
+                )));
+            }
+        }
+        r.expect_end()?;
+        let all = by_sender.into_iter().enumerate().map(|(q, block)| {
+            block.ok_or_else(|| RemoteError::app(format!("no transpose block from worker {q}")))
+        });
+        all.collect()
     }
 }
 
@@ -234,18 +258,20 @@ impl Wire for BlockInboxClient {
 #[derive(Debug)]
 pub struct FftWorker {
     id: u64,
-    shape: [u64; 3],
-    parts: u64,
+    /// Grid shape `[n1, n2, n3]` and the number of slabs it is cut into.
+    shape: [usize; 3],
+    parts: usize,
     peers: Vec<FftWorkerClient>,
     inboxes: Vec<BlockInboxClient>,
-    my_inbox: Option<BlockInboxClient>,
     slab: Vec<Complex>,
     epoch: u64,
     /// Epoch of the exchange currently in flight (set by the sending
     /// phase, consumed by the collecting phase).
     pending_epoch: Option<u64>,
-    /// Intermediate [n1][s2][n3] buffer between the exchange phases.
-    gathered: Vec<Complex>,
+    /// One plan per axis, and the line an axis-0 or axis-1 transform
+    /// gathers a strided column into (`max(n1, n2)` long).
+    plans: [Fft; 3],
+    line: Vec<Complex>,
 }
 
 remote_class! {
@@ -288,23 +314,27 @@ impl FftWorker {
                 "worker id {id} out of range for {parts} parts"
             )));
         }
+        if n1 == 0 || n2 == 0 || n3 == 0 {
+            return Err(RemoteError::app(format!("empty grid {n1}x{n2}x{n3}")));
+        }
         if !n1.is_multiple_of(parts) || !n2.is_multiple_of(parts) {
             return Err(RemoteError::app(format!(
                 "shape {n1}x{n2}x{n3} not divisible into {parts} slabs on axes 0 and 1"
             )));
         }
-        let slab_len = (n1 / parts * n2 * n3) as usize;
+        let shape = [n1 as usize, n2 as usize, n3 as usize];
+        let parts = parts as usize;
         Ok(FftWorker {
             id,
-            shape: [n1, n2, n3],
+            shape,
             parts,
             peers: Vec::new(),
             inboxes: Vec::new(),
-            my_inbox: None,
-            slab: vec![Complex::ZERO; slab_len],
+            slab: vec![Complex::ZERO; shape[0] / parts * shape[1] * shape[2]],
             epoch: 0,
             pending_epoch: None,
-            gathered: Vec::new(),
+            plans: shape.map(Fft::new),
+            line: vec![Complex::ZERO; shape[0].max(shape[1])],
         })
     }
 
@@ -314,36 +344,31 @@ impl FftWorker {
         peers: Vec<FftWorkerClient>,
         inboxes: Vec<BlockInboxClient>,
     ) -> RemoteResult<()> {
-        if peers.len() as u64 != self.parts || inboxes.len() as u64 != self.parts {
+        if peers.len() != self.parts || inboxes.len() != self.parts {
             return Err(RemoteError::app(
                 "group tables must have one entry per part",
             ));
         }
-        self.my_inbox = Some(inboxes[self.id as usize]);
         self.peers = peers;
         self.inboxes = inboxes;
         Ok(())
     }
 
     fn load_slab(&mut self, _ctx: &mut NodeCtx, data: F64s) -> RemoteResult<()> {
-        let loaded = unpack(&data)?;
-        if loaded.len() != self.slab.len() {
-            return Err(RemoteError::app(format!(
-                "slab of {} elements loaded into worker expecting {}",
-                loaded.len(),
-                self.slab.len()
-            )));
+        let slab = as_f64s_mut(&mut self.slab);
+        if data.0.len() != slab.len() {
+            return Err(RemoteError::app("the slab loaded has the wrong size"));
         }
-        self.slab = loaded;
+        slab.copy_from_slice(&data.0);
         Ok(())
     }
 
     fn read_slab(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<F64s> {
-        Ok(pack(&self.slab))
+        Ok(F64s(as_f64s(&self.slab).to_vec()))
     }
 
     fn describe(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<(u64, u64)> {
-        Ok((self.id, self.parts))
+        Ok((self.id, self.parts as u64))
     }
 
     /// Why three phases instead of one `transform` method: a machine may
@@ -353,35 +378,28 @@ impl FftWorker {
     /// between phases, so every wait's data is already in flight no matter
     /// how dispatches nest (see DESIGN.md §4.1).
     fn transform_local(&mut self, ctx: &mut NodeCtx, sign: i64) -> RemoteResult<()> {
-        if self.my_inbox.is_none() {
+        if self.inboxes.is_empty() {
             return Err(RemoteError::app("SetGroup must be called before transform"));
         }
         if self.pending_epoch.is_some() {
             return Err(RemoteError::app("transform phases called out of order"));
         }
         let dir = Direction::from_sign(sign as i32);
-        let [n1, n2, n3] = [
-            self.shape[0] as usize,
-            self.shape[1] as usize,
-            self.shape[2] as usize,
-        ];
-        let p = self.parts as usize;
-        let (s1, s2) = (n1 / p, n2 / p);
+        let [n1, n2, n3] = self.shape;
+        let (s1, s2) = (n1 / self.parts, n2 / self.parts);
 
         // 2-D FFTs (axes 1, 2) on each local plane.
-        let plan2 = Fft::new(n2);
-        let plan3 = Fft::new(n3);
-        for i in 0..s1 {
-            let plane = &mut self.slab[i * n2 * n3..(i + 1) * n2 * n3];
-            for j in 0..n2 {
-                plan3.process(&mut plane[j * n3..(j + 1) * n3], dir);
+        let [_, plan2, plan3] = &self.plans;
+        let line = &mut self.line[..n2];
+        for plane in self.slab.chunks_exact_mut(n2 * n3) {
+            for row in plane.chunks_exact_mut(n3) {
+                plan3.process(row, dir);
             }
-            let mut line = vec![Complex::ZERO; n2];
             for k in 0..n3 {
                 for j in 0..n2 {
                     line[j] = plane[j * n3 + k];
                 }
-                plan2.process(&mut line, dir);
+                plan2.process(line, dir);
                 for j in 0..n2 {
                     plane[j * n3 + k] = line[j];
                 }
@@ -389,19 +407,16 @@ impl FftWorker {
         }
 
         // Send the forward-transpose block (my planes x q's columns) to
-        // every peer's inbox.
-        let epoch = self.next_epoch();
-        self.pending_epoch = Some(epoch);
-        let mut sends = Vec::with_capacity(p);
-        for q in 0..p {
-            let mut block = Vec::with_capacity(s1 * s2 * n3);
-            for i in 0..s1 {
-                for j in 0..s2 {
-                    let row = (i * n2 + q * s2 + j) * n3;
-                    block.extend_from_slice(&self.slab[row..row + n3]);
-                }
-            }
-            sends.push(self.inboxes[q].put_async(ctx, epoch, self.id, pack(&block))?);
+        // every peer's inbox: per plane, q's columns are one run of rows.
+        let epoch = self.begin_exchange();
+        let slab = &self.slab;
+        let mut sends = Vec::with_capacity(self.parts);
+        for (q, inbox) in self.inboxes.iter().enumerate() {
+            let runs = (0..s1).map(|i| {
+                let run = (i * n2 + q * s2) * n3;
+                &slab[run..run + s2 * n3]
+            });
+            sends.push(inbox.put_async(ctx, epoch, self.id, runs)?);
         }
         join(ctx, sends)?;
         Ok(())
@@ -413,37 +428,33 @@ impl FftWorker {
             .take()
             .ok_or_else(|| RemoteError::app("transform_exchange before transform_local"))?;
         let dir = Direction::from_sign(sign as i32);
-        let [n1, n2, n3] = [
-            self.shape[0] as usize,
-            self.shape[1] as usize,
-            self.shape[2] as usize,
-        ];
-        let p = self.parts as usize;
-        let (s1, s2) = (n1 / p, n2 / p);
+        let [n1, n2, n3] = self.shape;
+        let (s1, s2) = (n1 / self.parts, n2 / self.parts);
+        // One block: a worker's planes x another's columns.
+        let block = s1 * s2 * n3;
 
         // Collect the forward-transpose blocks (all in flight: the driver
-        // joined transform_local across the whole group).
-        let blocks = self.my_inbox.unwrap().take_all(ctx, epoch, p)?;
+        // joined transform_local across the whole group). Worker q's block
+        // is planes `[q·s1, (q+1)·s1)` of the [n1][s2][n3] buffer: one run.
+        let blocks = self.inboxes[self.id as usize].take_all(ctx, epoch, self.parts)?;
         let mut gathered = vec![Complex::ZERO; n1 * s2 * n3];
-        for (from, data) in blocks {
-            let block = unpack(&data)?;
-            let q = from as usize;
-            for i in 0..s1 {
-                let dst = ((q * s1 + i) * s2) * n3;
-                let src = (i * s2) * n3;
-                gathered[dst..dst + s2 * n3].copy_from_slice(&block[src..src + s2 * n3]);
-            }
+        for (from, dst) in blocks
+            .by_sender(self.parts, block)?
+            .iter()
+            .zip(gathered.chunks_exact_mut(block))
+        {
+            from.copy_to(0, as_f64s_mut(dst));
         }
+        drop(blocks);
 
         // Axis-0 FFTs on the columns I now own.
-        let plan1 = Fft::new(n1);
-        let mut line = vec![Complex::ZERO; n1];
+        let line = &mut self.line[..n1];
         for j in 0..s2 {
             for k in 0..n3 {
                 for i1 in 0..n1 {
                     line[i1] = gathered[(i1 * s2 + j) * n3 + k];
                 }
-                plan1.process(&mut line, dir);
+                self.plans[0].process(line, dir);
                 for i1 in 0..n1 {
                     gathered[(i1 * s2 + j) * n3 + k] = line[i1];
                 }
@@ -451,20 +462,12 @@ impl FftWorker {
         }
 
         // Send the blocks back (worker q's planes are contiguous runs).
-        let epoch = self.next_epoch();
-        self.pending_epoch = Some(epoch);
-        let mut sends = Vec::with_capacity(p);
-        for (q, inbox) in self.inboxes.iter().enumerate() {
-            let start = q * s1 * s2 * n3;
-            sends.push(inbox.put_async(
-                ctx,
-                epoch,
-                self.id,
-                pack(&gathered[start..start + s1 * s2 * n3]),
-            )?);
+        let epoch = self.begin_exchange();
+        let mut sends = Vec::with_capacity(self.parts);
+        for (inbox, back) in self.inboxes.iter().zip(gathered.chunks_exact(block)) {
+            sends.push(inbox.put_async(ctx, epoch, self.id, std::iter::once(back))?);
         }
         join(ctx, sends)?;
-        self.gathered = gathered; // kept only for introspection/debugging
         Ok(())
     }
 
@@ -473,35 +476,28 @@ impl FftWorker {
             .pending_epoch
             .take()
             .ok_or_else(|| RemoteError::app("transform_finish before transform_exchange"))?;
-        let [n1, n2, n3] = [
-            self.shape[0] as usize,
-            self.shape[1] as usize,
-            self.shape[2] as usize,
-        ];
-        let p = self.parts as usize;
-        let (s1, s2) = (n1 / p, n2 / p);
-        let _ = n1;
+        let [n1, n2, n3] = self.shape;
+        let (s1, s2) = (n1 / self.parts, n2 / self.parts);
 
-        let blocks = self.my_inbox.unwrap().take_all(ctx, epoch, p)?;
-        for (from, data) in blocks {
-            let block = unpack(&data)?;
-            let q = from as usize;
+        // Worker q's block is my planes x its columns: per plane, one run
+        // of rows of the slab.
+        let blocks = self.inboxes[self.id as usize].take_all(ctx, epoch, self.parts)?;
+        let views = blocks.by_sender(self.parts, s1 * s2 * n3)?;
+        for (q, from) in views.iter().enumerate() {
             for i in 0..s1 {
-                for j in 0..s2 {
-                    let src = (i * s2 + j) * n3;
-                    let dst = (i * n2 + q * s2 + j) * n3;
-                    self.slab[dst..dst + n3].copy_from_slice(&block[src..src + n3]);
-                }
+                let run = (i * n2 + q * s2) * n3;
+                let dst = &mut self.slab[run..run + s2 * n3];
+                from.copy_to(2 * i * s2 * n3, as_f64s_mut(dst));
             }
         }
-        self.gathered = Vec::new();
         Ok(())
     }
 
-    fn next_epoch(&mut self) -> u64 {
-        let e = self.epoch;
+    /// The next exchange's epoch, now the one in flight.
+    fn begin_exchange(&mut self) -> u64 {
+        self.pending_epoch = Some(self.epoch);
         self.epoch += 1;
-        e
+        self.epoch - 1
     }
 }
 
@@ -580,8 +576,7 @@ impl DistributedFft3 {
     }
 
     fn slab_elems(&self) -> usize {
-        ((self.shape[0] as usize / self.parts) * self.shape[1] as usize * self.shape[2] as usize)
-            .max(1)
+        (self.shape[0] as usize / self.parts) * self.shape[1] as usize * self.shape[2] as usize
     }
 
     /// Distribute a full grid (row-major, `n1*n2*n3` values) to the
@@ -599,7 +594,7 @@ impl DistributedFft3 {
         let mut pending = Vec::with_capacity(self.parts);
         for (id, w) in self.workers.iter().enumerate() {
             let part = &data[id * slab..(id + 1) * slab];
-            pending.push(w.load_slab_async(ctx, pack(part))?);
+            pending.push(w.load_slab_async(ctx, F64s(as_f64s(part).to_vec()))?);
         }
         join(ctx, pending)?;
         Ok(())
@@ -612,9 +607,14 @@ impl DistributedFft3 {
             pending.push(w.read_slab_async(ctx)?);
         }
         let slabs = join(ctx, pending)?;
-        let mut out = Vec::with_capacity((self.shape[0] * self.shape[1] * self.shape[2]) as usize);
-        for s in &slabs {
-            out.extend(unpack(s)?);
+        let slab = self.slab_elems();
+        let mut out = vec![Complex::ZERO; self.parts * slab];
+        for (s, dst) in slabs.iter().zip(out.chunks_exact_mut(slab)) {
+            let dst = as_f64s_mut(dst);
+            if s.0.len() != dst.len() {
+                return Err(RemoteError::app("a worker's slab has the wrong size"));
+            }
+            dst.copy_from_slice(&s.0);
         }
         Ok(out)
     }

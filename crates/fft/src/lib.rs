@@ -35,10 +35,10 @@ pub mod radix4;
 pub mod real;
 
 pub use bluestein::Bluestein;
-pub use complex::{c64, max_error, Complex};
+pub use complex::{as_f64s, as_f64s_mut, c64, max_error, Complex};
 pub use dft::{dft, Direction};
 pub use distributed::{
-    pack, unpack, BlockInbox, BlockInboxClient, DistributedFft3, FftWorker, FftWorkerClient,
+    BlockInbox, BlockInboxClient, Blocks, DistributedFft3, FftWorker, FftWorkerClient,
 };
 pub use nd::{dft3, Fft3, Grid3};
 pub use nd2::{Fft2, Grid2};

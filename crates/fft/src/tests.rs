@@ -93,6 +93,75 @@ fn invalid_configurations_are_rejected() {
     cluster.shutdown(driver);
 }
 
+/// A transpose block nobody should have sent — from a worker outside the
+/// group, of the wrong size, or a second one from the same worker — used to
+/// index `gathered`/`slab` unchecked: the machine's thread panicked and the
+/// driver's call never returned. Each is now the phase's `App` error, the
+/// worker stays usable, and the cluster shuts down cleanly.
+#[test]
+fn stray_transpose_blocks_are_refused_not_indexed() {
+    let (cluster, mut driver) = cluster(1);
+    let d = &mut driver;
+    let inbox = BlockInboxClient::new_on(d, 0).unwrap();
+    let w = FftWorkerClient::new_on(d, 0, 0, 4, 4, 2, 1).unwrap();
+    w.set_group(d, vec![w], vec![inbox]).unwrap();
+    let grid = sample_grid([4, 4, 2], 9);
+    let load = |d: &mut Driver| {
+        let slab = wire::collections::F64s(as_f64s(grid.data()).to_vec());
+        w.load_slab(d, slab).unwrap();
+    };
+    let app_error = |r: oopp::RemoteResult<()>, needle: &str| match r {
+        Err(oopp::RemoteError::App { detail }) => {
+            assert!(detail.contains(needle), "{detail:?} lacks {needle:?}")
+        }
+        other => panic!("expected an App error about {needle:?}, got {other:?}"),
+    };
+    let put = |d: &mut Driver, epoch: u64, from: u64, block: &[Complex]| {
+        let sent = inbox.put_async(d, epoch, from, std::iter::once(block));
+        sent.unwrap().wait(d).unwrap();
+    };
+    let one = [c64(1.0, 2.0)];
+    let whole = vec![c64(0.5, -0.5); 4 * 4 * 2];
+
+    // The worker's exchanges are epochs 0, 1, 2, ... in order. From a
+    // worker the group does not have (the parent's panic: "range start
+    // index 320 out of range for slice of length 64").
+    load(d);
+    put(d, 0, 5, &one);
+    w.transform_local(d, -1).unwrap();
+    app_error(w.transform_exchange(d, -1), "from worker 5 of 1");
+    // Too short, from a worker the group does have.
+    put(d, 1, 0, &one);
+    w.transform_local(d, -1).unwrap();
+    app_error(w.transform_exchange(d, -1), "block of 2 doubles");
+    // The right size, but the worker's second block of the exchange.
+    put(d, 2, 0, &whole);
+    w.transform_local(d, -1).unwrap();
+    app_error(w.transform_exchange(d, -1), "two transpose blocks");
+    // The return exchange checks the same way.
+    w.transform_local(d, -1).unwrap();
+    put(d, 4, 7, &one);
+    w.transform_exchange(d, -1).unwrap();
+    app_error(w.transform_finish(d), "from worker 7 of 1");
+
+    // A slab of the wrong size (here: half a complex value) is refused too.
+    assert!(w
+        .load_slab(d, wire::collections::F64s(vec![1.0; 3]))
+        .is_err());
+
+    // None of it wedged the worker: a whole transform still agrees with
+    // the local one.
+    load(d);
+    w.transform_local(d, -1).unwrap();
+    w.transform_exchange(d, -1).unwrap();
+    w.transform_finish(d).unwrap();
+    let mut got = vec![Complex::ZERO; grid.data().len()];
+    as_f64s_mut(&mut got).copy_from_slice(&w.read_slab(d).unwrap().0);
+    let expected = Fft3::new([4, 4, 2]).transform(&grid, Direction::Forward);
+    assert!(max_error(&got, expected.data()) < 1e-9);
+    cluster.shutdown(driver);
+}
+
 #[test]
 fn workers_report_identity() {
     let (cluster, mut driver) = cluster(3);
@@ -105,12 +174,12 @@ fn workers_report_identity() {
 }
 
 #[test]
-fn pack_unpack_roundtrip_and_odd_length_rejected() {
-    let xs = vec![c64(1.0, 2.0), c64(-3.0, 0.5)];
-    let packed = pack(&xs);
-    assert_eq!(packed.0, vec![1.0, 2.0, -3.0, 0.5]);
-    assert_eq!(unpack(&packed).unwrap(), xs);
-    assert!(unpack(&wire::collections::F64s(vec![1.0, 2.0, 3.0])).is_err());
+fn complex_slices_read_and_write_as_interleaved_doubles_where_they_lie() {
+    let mut xs = vec![c64(1.0, 2.0), c64(-3.0, 0.5)];
+    assert_eq!(as_f64s(&xs), [1.0, 2.0, -3.0, 0.5]);
+    as_f64s_mut(&mut xs[1..])[1] = 7.0;
+    assert_eq!(xs[1], c64(-3.0, 7.0));
+    assert!(as_f64s(&[]).is_empty());
 }
 
 proptest! {

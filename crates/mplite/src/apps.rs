@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fft::{pack, unpack, Complex, Direction, Fft};
+use fft::{as_f64s, as_f64s_mut, Complex, Direction, Fft};
 use simnet::ClusterConfig;
 
 use crate::comm::{Comm, MpResult};
@@ -53,28 +53,36 @@ pub fn fft_slab_step(
         }
     }
 
-    // Phase 2: forward transpose via alltoall.
+    // A block is one rank's planes x another's columns, as interleaved
+    // `re, im` doubles — the same slice codec the oopp workers use.
+    let block = s1 * s2 * n3;
+    let whole_blocks = |incoming: &[Vec<f64>]| match incoming.iter().find(|b| b.len() != 2 * block)
+    {
+        None => Ok(()),
+        Some(b) => Err(crate::MpError::Decode(format!(
+            "transpose block of {} doubles, expected {}",
+            b.len(),
+            2 * block
+        ))),
+    };
+
+    // Phase 2: forward transpose via alltoall. Per plane, rank q's columns
+    // are one run of rows; its block lands as planes `[q·s1, (q+1)·s1)` of
+    // the [n1][s2][n3] buffer.
     let mut outgoing = Vec::with_capacity(p);
     for q in 0..p {
-        let mut block = Vec::with_capacity(s1 * s2 * n3);
+        let mut out = Vec::with_capacity(2 * block);
         for i in 0..s1 {
-            for j in 0..s2 {
-                let row = (i * n2 + q * s2 + j) * n3;
-                block.extend_from_slice(&slab[row..row + n3]);
-            }
+            let run = (i * n2 + q * s2) * n3;
+            out.extend_from_slice(as_f64s(&slab[run..run + s2 * n3]));
         }
-        outgoing.push(pack(&block).0);
+        outgoing.push(out);
     }
     let incoming = comm.alltoall_f64(outgoing)?;
+    whole_blocks(&incoming)?;
     let mut gathered = vec![Complex::ZERO; n1 * s2 * n3];
-    for (q, data) in incoming.iter().enumerate() {
-        let block = unpack(&wire::collections::F64s(data.clone()))
-            .map_err(|e| crate::MpError::Decode(e.to_string()))?;
-        for i in 0..s1 {
-            let dst = ((q * s1 + i) * s2) * n3;
-            let src = (i * s2) * n3;
-            gathered[dst..dst + s2 * n3].copy_from_slice(&block[src..src + s2 * n3]);
-        }
+    for (data, dst) in incoming.iter().zip(gathered.chunks_exact_mut(block)) {
+        as_f64s_mut(dst).copy_from_slice(data);
     }
 
     // Phase 3: axis-0 FFTs.
@@ -93,21 +101,16 @@ pub fn fft_slab_step(
     }
 
     // Phase 4: transpose back.
-    let mut outgoing = Vec::with_capacity(p);
-    for q in 0..p {
-        let start = q * s1 * s2 * n3;
-        outgoing.push(pack(&gathered[start..start + s1 * s2 * n3]).0);
-    }
+    let outgoing = gathered
+        .chunks_exact(block)
+        .map(|back| as_f64s(back).to_vec())
+        .collect();
     let incoming = comm.alltoall_f64(outgoing)?;
+    whole_blocks(&incoming)?;
     for (q, data) in incoming.iter().enumerate() {
-        let block = unpack(&wire::collections::F64s(data.clone()))
-            .map_err(|e| crate::MpError::Decode(e.to_string()))?;
-        for i in 0..s1 {
-            for j in 0..s2 {
-                let src = (i * s2 + j) * n3;
-                let dst = (i * n2 + q * s2 + j) * n3;
-                slab[dst..dst + n3].copy_from_slice(&block[src..src + n3]);
-            }
+        for (i, rows) in data.chunks_exact(2 * s2 * n3).enumerate() {
+            let run = (i * n2 + q * s2) * n3;
+            as_f64s_mut(&mut slab[run..run + s2 * n3]).copy_from_slice(rows);
         }
     }
     Ok(slab)

@@ -44,7 +44,7 @@ pub use cluster::SimCluster;
 pub use config::{ClusterConfig, DiskBackend, DiskConfig, NetCost, TimeMode, TopologySpec};
 pub use disk::SimDisk;
 pub use faults::{FaultInjector, FaultPlan};
-pub use message::{MachineId, Packet};
+pub use message::{MachineId, Packet, PacketBytes};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use network::Network;
 pub use time::TraceClock;

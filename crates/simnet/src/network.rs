@@ -24,7 +24,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use crate::clock::Clock;
 use crate::config::NetCost;
 use crate::faults::{FaultInjector, FaultState, Verdict};
-use crate::message::{MachineId, Packet};
+use crate::message::{MachineId, Packet, PacketBytes};
 use crate::metrics::Metrics;
 use crate::time::{sleep_until_with, transfer_time};
 use crate::topology::Topology;
@@ -168,14 +168,24 @@ impl Network {
     }
 
     /// Send `payload` from `src` to `dst`. Returns immediately; the packet
-    /// arrives in `dst`'s inbox after the modeled link delay.
+    /// arrives in `dst`'s inbox after the modeled link delay. A `Vec<u8>`
+    /// becomes the packet's buffer without a copy; a [`PacketBytes`] — a
+    /// frame the sender keeps for retransmission, a payload being echoed —
+    /// travels by reference count, as does the second copy when the fault
+    /// layer duplicates.
     ///
     /// Packets removed by the fault layer (seeded drops, partitions,
     /// crashed machines) are counted in [`Metrics`] but do **not** error:
     /// a lossy link gives the sender no failure signal. `Err` is reserved
     /// for structural problems — an unknown machine id, or a destination
     /// whose inbox is gone.
-    pub fn send(&self, src: MachineId, dst: MachineId, payload: Vec<u8>) -> Result<(), NetError> {
+    pub fn send(
+        &self,
+        src: MachineId,
+        dst: MachineId,
+        payload: impl Into<PacketBytes>,
+    ) -> Result<(), NetError> {
+        let payload = payload.into();
         let route = self.routes.get(dst).ok_or(NetError::NoSuchMachine(dst))?;
         self.metrics.record_send(src, payload.len());
         let (copies, extra_delay) = match self.faults.verdict(src, dst) {
@@ -537,6 +547,39 @@ mod tests {
         let s = net.metrics().snapshot();
         assert_eq!(s.faults_duplicated, 1);
         assert_eq!(s.per_machine_received, vec![0, 2]);
+    }
+
+    /// What is sent is a range of a buffer, and the range is the message:
+    /// a duplicated packet is a second handle on the same allocation, and
+    /// every count — `Packet::len`, bytes sent, bytes received — is the
+    /// range's length, whatever the buffer holds around it.
+    #[test]
+    fn a_sent_range_is_shared_not_copied_and_counted_by_its_own_length() {
+        let (net, inboxes) = net_faulty(
+            2,
+            TopologySpec::Uniform(NetCost::zero()),
+            FaultPlan::seeded(5).with_dup(1.0),
+        );
+        let buffer = PacketBytes::from((0u8..100).collect::<Vec<_>>());
+        let frame = buffer.slice(10..40).unwrap();
+        // The sender keeps its handle (a retransmission slot would).
+        net.send(0, 1, frame.clone()).unwrap();
+        let (first, second) = (inboxes[1].recv().unwrap(), inboxes[1].recv().unwrap());
+        for p in [&first, &second] {
+            assert_eq!(p.payload, (10u8..40).collect::<Vec<_>>());
+            assert_eq!(p.len(), 30);
+            assert!(p.payload.shares_buffer_with(&buffer));
+        }
+        let s = net.metrics().snapshot();
+        assert_eq!((s.messages_sent, s.bytes_sent), (1, 30));
+        assert_eq!(s.per_machine_bytes_sent, vec![30, 0]);
+        assert_eq!(s.per_machine_bytes_received, vec![0, 60]);
+        // Still held three times over: nobody can take the buffer ...
+        assert!(frame.into_unshared().is_none());
+        assert!(first.payload.into_unshared().is_none());
+        drop(buffer);
+        // ... until the last holder does, whole.
+        assert_eq!(second.payload.into_unshared().unwrap().len(), 100);
     }
 
     #[test]

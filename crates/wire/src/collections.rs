@@ -208,44 +208,70 @@ pub struct F64s(pub Vec<f64>);
 
 impl Wire for F64s {
     fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.0.len() as u64);
-        #[cfg(target_endian = "little")]
-        {
-            // Safety: f64 has no invalid bit patterns and we only reinterpret
-            // for copying; alignment of u8 is 1.
-            let bytes = unsafe {
-                std::slice::from_raw_parts(self.0.as_ptr() as *const u8, self.0.len() * 8)
-            };
-            w.put_bytes(bytes);
-        }
-        #[cfg(not(target_endian = "little"))]
-        {
-            for v in &self.0 {
-                w.put_f64(*v);
-            }
-        }
+        encode_f64s(&self.0, w);
     }
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        let len = r.take_len(8)?;
-        let raw = r.take(len * 8)?;
-        let mut out = vec![0.0f64; len];
-        #[cfg(target_endian = "little")]
-        {
-            // Safety: writing raw LE bytes into the f64 buffer we just sized.
-            unsafe {
-                std::ptr::copy_nonoverlapping(raw.as_ptr(), out.as_mut_ptr() as *mut u8, len * 8);
-            }
-        }
-        #[cfg(not(target_endian = "little"))]
-        {
-            for (i, chunk) in raw.chunks_exact(8).enumerate() {
-                out[i] = f64::from_le_bytes(chunk.try_into().unwrap());
-            }
-        }
-        Ok(F64s(out))
+        Ok(F64s(F64sView::decode(r)?.to_vec()))
     }
     fn encoded_len_hint(&self) -> usize {
         crate::varint::encoded_len(self.0.len() as u64) + self.0.len() * 8
+    }
+}
+
+/// Encode `data` byte for byte as [`F64s`] would, from wherever the slice
+/// lies — no owned `Vec<f64>` needed to send one.
+pub fn encode_f64s(data: &[f64], w: &mut Writer) {
+    w.put_varint(data.len() as u64);
+    w.put_f64s(data);
+}
+
+/// What [`F64s`] decodes, left where it lies: a checked view of the doubles
+/// inside the buffer being read. The bytes may sit at any alignment, so the
+/// view hands doubles out by copying them to where they are wanted
+/// ([`copy_to`](Self::copy_to)) rather than as a `&[f64]`.
+#[derive(Debug, Clone, Copy)]
+pub struct F64sView<'a> {
+    /// `8 * len` bytes: the count was checked against them on decode.
+    raw: &'a [u8],
+}
+
+impl<'a> F64sView<'a> {
+    /// Step over one encoded [`F64s`], keeping a view of its doubles. The
+    /// declared count is checked against the bytes present before anything
+    /// is sized by it, exactly as `F64s::decode` checks it.
+    pub fn decode(r: &mut Reader<'a>) -> WireResult<Self> {
+        let len = r.take_len(8)?;
+        Ok(F64sView {
+            raw: r.take(len * 8)?,
+        })
+    }
+
+    /// Number of doubles in view.
+    pub fn len(&self) -> usize {
+        self.raw.len() / 8
+    }
+
+    /// True for a view of no doubles.
+    pub fn is_empty(&self) -> bool {
+        self.raw.is_empty()
+    }
+
+    /// Copy the doubles `[at, at + dst.len())` of the view into `dst`.
+    ///
+    /// # Panics
+    /// If that range does not lie inside the view, as slice indexing does.
+    pub fn copy_to(&self, at: usize, dst: &mut [f64]) {
+        let raw = &self.raw[at * 8..(at + dst.len()) * 8];
+        for (v, bytes) in dst.iter_mut().zip(raw.chunks_exact(8)) {
+            *v = f64::from_le_bytes(bytes.try_into().expect("chunks of 8"));
+        }
+    }
+
+    /// The doubles in view, copied out.
+    pub fn to_vec(&self) -> Vec<f64> {
+        let mut out = vec![0.0; self.len()];
+        self.copy_to(0, &mut out);
+        out
     }
 }
 

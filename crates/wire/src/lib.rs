@@ -17,7 +17,11 @@
 //! * [`collections::Bytes`] and [`collections::F64s`] wrap `Vec<u8>` /
 //!   `Vec<f64>` with bulk (memcpy-style) encodings, byte-compatible with the
 //!   elementwise forms, because pages of bytes and blocks of doubles are the
-//!   dominant payloads in the paper's workloads.
+//!   dominant payloads in the paper's workloads. Blocks of doubles can
+//!   also be sent from, and read back to, wherever they lie:
+//!   [`collections::encode_f64s`] / [`Writer::put_f64s`] encode from a
+//!   slice and [`collections::F64sView`] decodes to a checked view, both
+//!   byte-identical to `F64s`.
 //!
 //! ## Deriving codecs
 //!

@@ -121,3 +121,121 @@ proptest! {
         prop_assert_eq!(out.len(), crate::varint::encoded_len(v));
     }
 }
+
+mod f64_slices {
+    use rand::prelude::*;
+
+    use crate::collections::{encode_f64s, F64s, F64sView};
+    use crate::{from_bytes, to_bytes, Reader, Wire, WireError, Writer};
+
+    fn doubles(rng: &mut StdRng, len: usize) -> Vec<f64> {
+        // Any bit pattern: NaNs and denormals travel like everything else.
+        (0..len).map(|_| f64::from_bits(rng.next_u64())).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The slice encoder and the view against the elementwise `Vec<f64>`
+    /// codec (count, then each double through `f64`'s own impl) — and
+    /// against `F64s`, which is built from them — on lengths up to 4 096,
+    /// decoding at every misalignment of the buffer.
+    #[test]
+    fn slice_encoder_and_view_agree_with_the_elementwise_codec() {
+        let rng = &mut StdRng::seed_from_u64(0x16_F64);
+        let lengths = (0..64).chain((0..200).map(|_| rng.gen_range(0..4097)));
+        for len in lengths.collect::<Vec<_>>() {
+            let data = doubles(rng, len);
+            let reference = to_bytes(&data);
+
+            // Encoded from one slice, and gathered from two.
+            let mut whole = Writer::new();
+            encode_f64s(&data, &mut whole);
+            assert!(whole.as_slice() == reference, "len {len}");
+            let split = rng.gen_range(0..len + 1);
+            let mut gathered = Writer::new();
+            gathered.put_varint(len as u64);
+            gathered.put_f64s(&data[..split]);
+            gathered.put_f64s(&data[split..]);
+            assert!(gathered.as_slice() == reference, "len {len} split {split}");
+            assert!(to_bytes(&F64s(data.clone())) == reference, "len {len}");
+
+            for shift in 0..8 {
+                // `shift` bytes in front move the doubles to every
+                // alignment; a byte behind proves the view stops in time.
+                let mut buf = vec![0xEE; shift];
+                buf.extend_from_slice(&reference);
+                buf.push(0x5A);
+                let r = &mut Reader::new(&buf[shift..]);
+                let view = F64sView::decode(r).unwrap();
+                assert_eq!(r.remaining(), 1);
+                assert_eq!((view.len(), view.is_empty()), (len, len == 0));
+                let want = bits(&from_bytes::<Vec<f64>>(&reference).unwrap());
+                assert_eq!(bits(&view.to_vec()), want);
+                let r = &mut Reader::new(&buf[shift..]);
+                assert_eq!(bits(&F64s::decode(r).unwrap().0), want);
+                // Any sub-range lands where it is sent.
+                let at = rng.gen_range(0..len + 1);
+                let mut part = vec![0.0; rng.gen_range(0..len - at + 1)];
+                view.copy_to(at, &mut part);
+                assert_eq!(bits(&part), want[at..at + part.len()]);
+            }
+        }
+    }
+
+    /// Whatever arrives, the view is a typed error or a view of bytes that
+    /// are there: never a panic, and nothing is ever sized by a count the
+    /// buffer does not back (the view allocates nothing at all; `to_vec`
+    /// runs only on a checked count).
+    #[test]
+    fn damaged_buffers_are_wire_errors_never_panics() {
+        let rng = &mut StdRng::seed_from_u64(0x16_BAD);
+        let (mut refused, mut overruns) = (0, 0);
+        for i in 0..10_000 {
+            let len = rng.gen_range(0..40);
+            let data = doubles(rng, len);
+            let mut buf = to_bytes(&F64s(data));
+            let must_fail = match i % 3 {
+                // Cut anywhere short of the end.
+                0 => {
+                    buf.truncate(rng.gen_range(0..buf.len()));
+                    true
+                }
+                // A count the bytes do not back, up to `u64::MAX` doubles.
+                1 => {
+                    let excess = rng.next_u64() >> rng.gen_range(0..64);
+                    let count = excess.saturating_add(len as u64 + 1);
+                    let mut w = Writer::new();
+                    w.put_varint(count);
+                    w.put_bytes(&buf[1..]);
+                    buf = w.into_bytes();
+                    true
+                }
+                // A few bytes flipped: damage to the doubles is just other
+                // doubles, damage to the count is caught.
+                _ => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let at = rng.gen_range(0..buf.len());
+                        buf[at] ^= 1 << rng.gen_range(0..8);
+                    }
+                    false
+                }
+            };
+            let r = &mut Reader::new(&buf);
+            match F64sView::decode(r) {
+                Ok(view) => {
+                    assert!(!must_fail, "accepted {buf:02x?}");
+                    assert!(view.len() * 8 <= buf.len());
+                    assert_eq!(view.to_vec().len(), view.len());
+                }
+                Err(e) => {
+                    refused += 1;
+                    overruns += matches!(e, WireError::LengthOverrun { .. }) as u32;
+                }
+            }
+        }
+        assert!(refused > 6_000, "only {refused} of 10 000 refused");
+        assert!(overruns > 3_000, "only {overruns} length overruns");
+    }
+}

@@ -10,12 +10,14 @@ use crate::varint;
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
+    /// See [`tail_room`](Self::tail_room).
+    tail: usize,
 }
 
 impl Writer {
     /// New, empty writer.
     pub fn new() -> Self {
-        Writer { buf: Vec::new() }
+        Writer::default()
     }
 
     /// New writer with `cap` bytes pre-reserved — use when the payload size
@@ -23,7 +25,33 @@ impl Writer {
     pub fn with_capacity(cap: usize) -> Self {
         Writer {
             buf: Vec::with_capacity(cap),
+            tail: 0,
         }
+    }
+
+    /// Keep `bytes` free behind a bulk append. A bulk append that has to
+    /// grow the buffer grows it to fit exactly, so the next byte written
+    /// would move the whole payload to a larger allocation; an owner that
+    /// appends a few bytes after whatever its caller wrote (a frame's
+    /// trailer behind its payload) asks for their room here, and the payload
+    /// stays put. Small writes grow the buffer by doubling, as ever.
+    pub fn tail_room(mut self, bytes: usize) -> Self {
+        self.tail = bytes;
+        self
+    }
+
+    /// A writer that goes on where `buf` ends, in `buf`'s allocation — for
+    /// a buffer that has served its purpose and serves again instead of
+    /// being freed and allocated anew.
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        Writer { buf, tail: 0 }
+    }
+
+    /// Make room for at least `additional` more bytes — for a caller about
+    /// to append a payload of known size in several pieces, so the buffer
+    /// grows once instead of doubling its way there.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional + self.tail);
     }
 
     /// Bytes written so far.
@@ -55,6 +83,9 @@ impl Writer {
     /// Append raw bytes verbatim (no length prefix).
     #[inline]
     pub fn put_bytes(&mut self, bytes: &[u8]) {
+        if self.buf.capacity() - self.buf.len() < bytes.len() {
+            self.reserve(bytes.len());
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -75,6 +106,32 @@ impl Writer {
     pub fn put_len_prefixed(&mut self, bytes: &[u8]) {
         self.put_varint(bytes.len() as u64);
         self.put_bytes(bytes);
+    }
+
+    /// Append `data` as little-endian doubles, nothing in front: one bulk
+    /// copy from wherever the slice lies. The body of an
+    /// [`F64s`](crate::collections::F64s) encoding — a caller that gathers
+    /// one block from several slices writes the count once
+    /// ([`put_varint`](Self::put_varint)) and then each slice with this.
+    #[inline]
+    pub fn put_f64s(&mut self, data: &[f64]) {
+        #[cfg(target_endian = "little")]
+        {
+            // SAFETY: `data` is `size_of_val(data)` initialised bytes, `u8`
+            // has alignment 1 and no invalid values, and the borrow of
+            // `data` outlives the byte view. On a little-endian target an
+            // `f64`'s bytes in memory are its wire encoding.
+            let bytes = unsafe {
+                std::slice::from_raw_parts(data.as_ptr().cast::<u8>(), size_of_val(data))
+            };
+            self.put_bytes(bytes);
+        }
+        #[cfg(not(target_endian = "little"))]
+        {
+            for v in data {
+                self.put_f64(*v);
+            }
+        }
     }
 }
 

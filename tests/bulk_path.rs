@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use oopp_repro::fft::{c64, Complex, Direction, DistributedFft3};
 use oopp_repro::oopp::wire::collections::F64s;
 use oopp_repro::oopp::wire::{self, Wire};
 use oopp_repro::oopp::{
@@ -21,9 +22,11 @@ use oopp_repro::simnet::{ClusterConfig, FaultPlan};
 /// Blocks at least this big are "large": a bulk payload or a copy of one.
 const LARGE: usize = 64 << 10;
 
-/// Large blocks allocated so far, and large bytes currently live.
+/// Large blocks allocated so far, large bytes currently live, and blocks of
+/// any size allocated so far.
 static LARGE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
 static LARGE_LIVE: AtomicUsize = AtomicUsize::new(0);
+static ALL_BLOCKS: AtomicUsize = AtomicUsize::new(0);
 
 /// `System`, counting large blocks. A `realloc` that ends large counts as
 /// a block of its own: growing a buffer into the MiB range is an allocation
@@ -31,6 +34,7 @@ static LARGE_LIVE: AtomicUsize = AtomicUsize::new(0);
 struct Counting;
 
 fn note_alloc(size: usize) {
+    ALL_BLOCKS.fetch_add(1, Relaxed);
     if size >= LARGE {
         LARGE_BLOCKS.fetch_add(1, Relaxed);
         LARGE_LIVE.fetch_add(size, Relaxed);
@@ -99,6 +103,13 @@ fn large_blocks_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (LARGE_BLOCKS.load(Relaxed) - before, out)
 }
 
+/// Blocks of any size allocated while `f` ran (on any thread).
+fn all_blocks_during<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = ALL_BLOCKS.load(Relaxed);
+    let out = f();
+    (ALL_BLOCKS.load(Relaxed) - before, out)
+}
+
 /// The copy inventory of DESIGN.md §4, as a budget. Measured with this
 /// allocator at the parent of the PR that introduced it: 6 large blocks per
 /// `read_range`, 6 per `write_range`, and 200 reads left 400 MiB live.
@@ -118,24 +129,41 @@ fn a_bulk_call_stays_within_its_allocation_budget() {
         assert_eq!(block.read_range(d, 0, N).unwrap().0, data);
     }
 
-    // A read: the class's own `to_vec`, its encoded return value (which the
-    // dedup window then keeps), the response frame, and the caller's
-    // `Vec<f64>`. The frame is parsed in place on arrival, so nothing else.
+    // A read: the class's own `to_vec`, the response frame its return value
+    // is encoded into (which the packet, the dedup window and the caller's
+    // reply then share), and the caller's `Vec<f64>`. The frame is parsed
+    // in place on arrival, so nothing else. (4 at the parent of the PR
+    // that made the reply one buffer.)
     let (blocks, reply) = large_blocks_during(|| block.read_range(d, 0, N).unwrap());
     assert_eq!(reply.0, data);
+    println!("read_range: {blocks} large blocks (budget 3)");
     assert!(
-        blocks <= 4,
-        "one 2 MiB read_range allocated {blocks} large blocks (budget 4): a copy came back"
+        blocks <= 3,
+        "one 2 MiB read_range allocated {blocks} large blocks (budget 3): a copy came back"
     );
 
-    // A write: the encoded arguments, the request frame (grown in two
-    // steps, see `RequestHeader::encode`), the copy kept for
-    // retransmission, and the server's `Vec<f64>`.
+    // A write: the request frame the arguments are encoded into (which the
+    // packet and the retransmission slot share — and which is the previous
+    // call's buffer when that one was retired unshared, so steady state
+    // allocates none) and the server's `Vec<f64>`. (5 at the parent.)
     let arg = F64s(data.clone());
     let (blocks, ()) = large_blocks_during(|| block.write_range(d, 0, arg).unwrap());
+    println!("write_range: {blocks} large blocks (budget 3)");
     assert!(
-        blocks <= 5,
-        "one 2 MiB write_range allocated {blocks} large blocks (budget 5): a copy came back"
+        blocks <= 3,
+        "one 2 MiB write_range allocated {blocks} large blocks (budget 3): a copy came back"
+    );
+
+    // A null call, all sizes: one `get` allocated 8 blocks at the parent
+    // (three request buffers grown from empty, two reply buffers, the
+    // dedup and reply-table entries around them).
+    let _ = block.get(d, 7).unwrap();
+    let (blocks, v) = all_blocks_during(|| block.get(d, 7).unwrap());
+    assert_eq!(v, data[7]);
+    println!("get: {blocks} blocks of any size (parent {GET_BLOCKS_AT_PARENT})");
+    assert!(
+        blocks <= GET_BLOCKS_AT_PARENT,
+        "one get allocated {blocks} blocks, {GET_BLOCKS_AT_PARENT} at the parent"
     );
 
     // The window gives reply bytes back: 200 reads leave at most its byte
@@ -153,6 +181,54 @@ fn a_bulk_call_stays_within_its_allocation_budget() {
         live >> 20,
         (WINDOW_BUDGET >> 20) + 16
     );
+    cluster.shutdown(driver);
+}
+
+/// Blocks of any size one `DoubleBlock::get` allocated at the parent of the
+/// PR that gave a message one buffer, measured with this test.
+const GET_BLOCKS_AT_PARENT: usize = 8;
+
+/// Large blocks one 64³ two-worker `transform` allocated at that parent,
+/// measured with the test below: per 1 MiB transpose block, a gathered
+/// copy, its packed doubles, the argument buffer, the request frame, the
+/// retransmission copy and the inbox's `Vec<f64>`; per exchange and worker,
+/// the reply bytes, the response frame, the decoded blocks and their
+/// unpacked values.
+const TRANSFORM_BLOCKS_AT_PARENT: usize = 78;
+
+/// The §4 transpose, as a budget: what one `transform` of a 64³ grid over
+/// two workers may allocate in blocks of a MiB. Each transpose block now
+/// has one buffer (the request it is gathered into, kept by the inbox) and
+/// each exchange one reply (the response frame, scattered from in place),
+/// so the count must stay at or under 40 % of the parent's.
+#[test]
+fn a_distributed_transform_stays_within_its_allocation_budget() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    const EDGE: usize = 64;
+    let (cluster, mut driver) = DistributedFft3::register(ClusterBuilder::new(2)).build();
+    let d = &mut driver;
+    let grid: Vec<Complex> = (0..EDGE * EDGE * EDGE)
+        .map(|i| c64((i % 17) as f64, (i % 5) as f64 - 2.0))
+        .collect();
+    let dfft = DistributedFft3::new(d, [EDGE as u64; 3], 2).unwrap();
+    dfft.scatter(d, &grid).unwrap();
+    // Warm, and back at the input.
+    dfft.transform(d, Direction::Forward).unwrap();
+    dfft.transform(d, Direction::Inverse).unwrap();
+
+    let (blocks, ()) = large_blocks_during(|| dfft.transform(d, Direction::Forward).unwrap());
+    let budget = TRANSFORM_BLOCKS_AT_PARENT * 2 / 5;
+    println!(
+        "transform: {blocks} large blocks (parent {TRANSFORM_BLOCKS_AT_PARENT}, budget {budget})"
+    );
+    assert!(
+        blocks <= budget,
+        "one 64^3 transform allocated {blocks} large blocks (budget {budget}, \
+         {TRANSFORM_BLOCKS_AT_PARENT} at the parent): a copy of the transpose came back"
+    );
+    dfft.transform(d, Direction::Inverse).unwrap();
+    let back = dfft.gather(d).unwrap();
+    assert!(oopp_repro::fft::max_error(&back, &grid) < 1e-9);
     cluster.shutdown(driver);
 }
 
@@ -250,5 +326,57 @@ fn bounding_the_window_by_bytes_never_executes_a_request_twice() {
         calls + after.dup_replayed + after.dup_suppressed,
         "frames received by machine 0 vs {calls} calls + {after:?}"
     );
+    cluster.shutdown(driver);
+}
+
+/// A retransmission sends the frame the first transmission sent — the same
+/// buffer, by reference count — and the server still runs the call once.
+/// On a fabric that drops three packets in ten, 2 MiB `axpy_range` calls
+/// (not idempotent) are retransmitted again and again: the sums come out
+/// exact, every request frame the server received is a first sighting, a
+/// replay or a suppression, and however many retransmissions it took, no
+/// call allocated more than a first transmission does (at the parent each
+/// retransmission cloned its 2 MiB frame).
+#[test]
+fn a_retransmitted_frame_is_shared_and_still_executes_once() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    const CALLS: usize = 30;
+    let plan = FaultPlan::seeded(0x5A_4ED).with_drop(0.3);
+    let policy = CallPolicy::reliable(Duration::from_millis(60))
+        .with_max_retries(20)
+        .with_backoff(Backoff::fixed(Duration::from_millis(2)));
+    let (cluster, mut driver) = ClusterBuilder::new(1)
+        .sim_config(ClusterConfig::zero_cost(0).with_faults(plan))
+        .call_policy(policy)
+        .build();
+    let d = &mut driver;
+    let block = DoubleBlockClient::new_on(d, 0, N).unwrap();
+    let ones = vec![1.0; N];
+    // Warm: the first call grows the request buffer the rest reuse.
+    block.axpy_range(d, 0, 1.0, F64s(ones.clone())).unwrap();
+
+    let retried_before = d.local_stats().calls_retried;
+    let (blocks, ()) = large_blocks_during(|| {
+        for _ in 0..CALLS {
+            block.axpy_range(d, 0, 2.0, F64s(ones.clone())).unwrap();
+        }
+    });
+    let retried = d.local_stats().calls_retried - retried_before;
+    assert!(retried >= 5, "only {retried} retransmissions at drop 0.3");
+    // Per call: this test's `ones.clone()`, the server's `Vec<f64>`, and at
+    // most a fresh request buffer — whatever `retried` is.
+    println!("{CALLS} axpy_range calls, {retried} retransmissions: {blocks} large blocks");
+    assert!(
+        blocks <= 3 * CALLS,
+        "{CALLS} calls and {retried} retransmissions allocated {blocks} large blocks: \
+         a retransmission copied its frame"
+    );
+
+    cluster.sim().faults().calm();
+    // data[i] = 1 + 2 * CALLS, each update applied exactly once.
+    let sum = block.sum_range(d, 0, N).unwrap();
+    assert_eq!(sum, (N * (1 + 2 * CALLS)) as f64);
+    let stats = d.stats_of(0).unwrap();
+    assert!(stats.dup_replayed + stats.dup_suppressed > 0, "{stats:?}");
     cluster.shutdown(driver);
 }
