@@ -22,8 +22,10 @@ use crate::process::RemoteClient;
 
 /// A reply that has been requested but not yet collected.
 ///
-/// Dropping a `Pending` without waiting leaks the (eventual) reply into the
-/// caller's stash until the node is dropped — hence `#[must_use]`.
+/// Dropping a `Pending` without waiting pins the call's retransmission
+/// slot — the encoded request frame included, 2 MiB for a bulk write — and
+/// its eventual reply on the node until the node is dropped: hence
+/// `#[must_use]`. [`NodeCtx::abandon_call`] is the way to give a call up.
 #[must_use = "a Pending reply must be waited on (or the call had no effect you can observe)"]
 #[derive(Debug)]
 pub struct Pending<T> {
@@ -50,10 +52,20 @@ impl<T: Wire> Pending<T> {
 /// Wait for every pending reply, in order. Returns the first error after
 /// draining the rest (so no reply is leaked into the stash).
 pub fn join<T: Wire>(ctx: &mut NodeCtx, pendings: Vec<Pending<T>>) -> RemoteResult<Vec<T>> {
+    drain(ctx, pendings, Pending::wait)
+}
+
+/// The receive-loop of the split loop: `wait` for each of `pendings` in
+/// order, all of them even after one fails.
+fn drain<P, T>(
+    ctx: &mut NodeCtx,
+    pendings: Vec<P>,
+    wait: impl Fn(P, &mut NodeCtx) -> RemoteResult<T>,
+) -> RemoteResult<Vec<T>> {
     let mut out = Vec::with_capacity(pendings.len());
     let mut first_err = None;
     for p in pendings {
-        match p.wait(ctx) {
+        match wait(p, ctx) {
             Ok(v) => out.push(v),
             Err(e) if first_err.is_none() => first_err = Some(e),
             Err(_) => {}
@@ -100,17 +112,5 @@ pub fn join_clients<C: RemoteClient>(
     ctx: &mut NodeCtx,
     pendings: Vec<PendingClient<C>>,
 ) -> RemoteResult<Vec<C>> {
-    let mut out = Vec::with_capacity(pendings.len());
-    let mut first_err = None;
-    for p in pendings {
-        match p.wait(ctx) {
-            Ok(v) => out.push(v),
-            Err(e) if first_err.is_none() => first_err = Some(e),
-            Err(_) => {}
-        }
-    }
-    match first_err {
-        None => Ok(out),
-        Some(e) => Err(e),
-    }
+    drain(ctx, pendings, PendingClient::wait)
 }

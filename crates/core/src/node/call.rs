@@ -1,7 +1,8 @@
 //! The client role: issuing requests, waiting for replies with the
 //! reliability policy (retransmission, backoff, deadlines, breakers, retry
-//! budgets), re-issuing redirected calls, and the client-side caches
-//! (forwards, epoch beliefs, replica routes, name resolutions).
+//! budgets), and re-issuing redirected calls. What the lane believes about
+//! its targets lives in `beliefs`; this module decides what a reply means
+//! for the call it answers ([`verdict`]) and acts on it.
 
 use std::ops::Range;
 
@@ -9,12 +10,13 @@ use simnet::network::NetError;
 use simnet::{MachineId, PacketBytes};
 use wire::{Wire, Writer};
 
+use super::beliefs::{Breaker, Gate, Transition};
 use super::NodeCtx;
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::{Body, RequestHeader};
 use crate::future::Pending;
 use crate::ids::{ObjRef, DAEMON};
-use crate::policy::CallPolicy;
+use crate::policy::{BreakerConfig, CallPolicy};
 use crate::process::RemoteClient;
 use crate::shared::{bump, CallTrace};
 use crate::trace::{EventKind, TraceCtx};
@@ -48,58 +50,17 @@ pub(super) struct OutboundCall {
     read_primary: Option<ObjRef>,
 }
 
-/// Client-side circuit breaker for one destination machine (DESIGN.md
-/// §15). All transitions are measured on the cluster clock, so a
-/// virtual-time run replays them bit-for-bit.
-pub(super) struct Breaker {
-    /// Consecutive overload-class failures observed while closed.
-    failures: u32,
-    state: BreakerState,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum BreakerState {
-    /// Calls flow; failures are counted.
-    Closed,
-    /// Fail fast until the cluster clock reads `until`.
-    Open { until: u64 },
-    /// Cooldown lapsed: the next call is the single trial. Success
-    /// closes the breaker; an overload-class failure — or a trial that
-    /// ends without any outcome — re-opens it.
-    HalfOpen,
-}
-
-/// What the breaker decided for an outbound call (computed under the
-/// borrow of the breaker table, acted on after it is released).
-enum BreakerGate {
-    /// Closed (or no breaker state yet): send normally.
-    Pass,
-    /// Half-open trial: send, and the outcome decides the breaker.
-    PassTrial,
-    /// Open: fail fast, suggesting the caller wait this many nanos.
-    Fail(u64),
-}
-
-/// Client-side route for a replicated object: read verbs fan out over the
-/// replica set, everything else goes to the primary key.
-pub(super) struct ReplicaRoute {
-    replicas: Vec<ObjRef>,
-    rs_epoch: u64,
-    reads: &'static [&'static str],
-    /// Round-robin cursor over `replicas`.
-    next: usize,
-}
-
 /// How an outstanding call is re-issued after a redirecting verdict (see
 /// `NodeCtx::reissue`).
-#[derive(Clone, Copy)]
-enum Reroute {
-    /// A `Moved` forwarding stub: the same request, at the object's new
-    /// home.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) enum Reroute {
+    /// A `Moved` forwarding stub: the same request (same `req_id`, so the
+    /// new home's dedup window still recognizes retransmits), at the
+    /// object's new home.
     Moved { to: ObjRef },
     /// A `Fenced` rejection teaching a newer incarnation epoch: the same
-    /// call at that epoch. Safe for at-most-once — a fence is a rejection,
-    /// the call never executed.
+    /// call at that epoch — the pointer was stale, not the call. Safe for
+    /// at-most-once: a fence is a rejection, the call never executed.
     Refence { taught: u64 },
     /// A replica that is stale or stopped answering: the same read at the
     /// primary, which is always coherent. Safe to re-execute — read verbs
@@ -107,113 +68,117 @@ enum Reroute {
     ToPrimary { primary: ObjRef },
 }
 
-/// Bound on the client-side forwarding cache; clearing it on overflow only
-/// costs the next call through each stale pointer one extra chase.
-const MOVED_CACHE_CAPACITY: usize = 4096;
+/// What happened to an outstanding call that [`verdict`] must rule on.
+#[derive(Clone, Copy)]
+pub(super) enum Event<'a> {
+    /// A reply arrived carrying this error.
+    Reply(&'a RemoteError),
+    /// A reply window lapsed with the retransmission budget spent.
+    Exhausted,
+}
 
-/// Bound on the per-node symbolic-address resolution cache.
-const RESOLVE_CACHE_CAPACITY: usize = 1024;
+#[derive(Debug, PartialEq)]
+pub(super) enum Verdict {
+    /// The event is the call's outcome and goes to the caller. A redirect
+    /// the call may not follow is still learned from: `Some(how)` names it.
+    Surface(Option<Reroute>),
+    /// A replayed verdict from the address the call already left (a
+    /// retransmit raced the redirect): the real reply is still coming.
+    Ignore,
+    /// Not an answer: re-issue the call along this route and keep waiting.
+    Reissue(Reroute),
+}
+
+/// Rule on `event` for the outstanding `call`, in a cluster of `machines`
+/// endpoints. A pure function — the only place a reply is classified;
+/// `reissue` and `learn` are the only places the rulings take effect.
+pub(super) fn verdict(call: &OutboundCall, event: Event<'_>, machines: usize) -> Verdict {
+    // Daemon addresses are never forwarded, fenced or routed: whatever a
+    // daemon verb is told is its answer.
+    if call.target.object == DAEMON {
+        return Verdict::Surface(None);
+    }
+    match event {
+        Event::Reply(&RemoteError::Moved { to }) => {
+            let how = Reroute::Moved { to };
+            if to == call.target {
+                Verdict::Ignore
+            } else if call.hops == 0 && to.machine < machines {
+                // At most one forward chase per call; a *second* redirect
+                // surfaces: the signal to re-resolve through the naming
+                // directory.
+                Verdict::Reissue(how)
+            } else {
+                Verdict::Surface(Some(how))
+            }
+        }
+        Event::Reply(&RemoteError::Fenced { current_epoch }) => {
+            let how = Reroute::Refence {
+                taught: current_epoch,
+            };
+            // Each refence strictly raises the frame's epoch, so the
+            // upgrade loop terminates. A fence at the frame's own epoch
+            // names the *current* incarnation (a lapsed lease, a poisoned
+            // home): the caller has to re-resolve.
+            if call.header.epoch < current_epoch {
+                Verdict::Reissue(how)
+            } else {
+                Verdict::Surface(Some(how))
+            }
+        }
+        Event::Reply(&RemoteError::StaleReplica { primary, .. }) => match call.read_primary {
+            Some(_) if primary.machine < machines => {
+                Verdict::Reissue(Reroute::ToPrimary { primary })
+            }
+            None if call.target == primary => Verdict::Ignore,
+            // A directly addressed call (`start_method_direct`) named this
+            // replica itself: the verdict is its answer.
+            _ => Verdict::Surface(None),
+        },
+        // A replica-routed read that exhausted its budget presumes the
+        // replica dead and falls back to the primary with a fresh budget.
+        Event::Exhausted => match call.read_primary {
+            Some(primary) if primary.machine < machines => {
+                Verdict::Reissue(Reroute::ToPrimary { primary })
+            }
+            _ => Verdict::Surface(None),
+        },
+        Event::Reply(_) => Verdict::Surface(None),
+    }
+}
 
 impl NodeCtx {
     // ------------------------------------------------------------------
     // Overload protection: circuit breakers and retry budgets
     // ------------------------------------------------------------------
 
-    /// Consult (and advance) the breaker guarding `dest` before a send.
-    /// Loopback and `breaker_exempt` policies (supervision probes) bypass
-    /// the breaker entirely — a probe must be able to observe a machine
-    /// the breaker has written off.
-    fn breaker_admit(&mut self, dest: MachineId, now: u64) -> BreakerGate {
-        let Some(bc) = self.policy.breaker else {
-            return BreakerGate::Pass;
-        };
+    /// The breaker guarding `dest`, its configuration and the clock's
+    /// reading — or `None` when this lane's calls bypass it: no breaker
+    /// policy, loopback, or a `breaker_exempt` policy (a supervision probe
+    /// must be able to observe a machine the breaker has written off).
+    fn breaker(&mut self, dest: MachineId) -> Option<(&mut Breaker, BreakerConfig, u64)> {
+        let cfg = self.policy.breaker?;
         if self.policy.breaker_exempt || dest == self.machine {
-            return BreakerGate::Pass;
+            return None;
         }
-        match self.breakers.get_mut(&dest) {
-            None => BreakerGate::Pass,
-            Some(b) => match b.state {
-                BreakerState::Closed => BreakerGate::Pass,
-                BreakerState::Open { until } if now < until => BreakerGate::Fail(until - now),
-                BreakerState::Open { .. } => {
-                    // Cooldown lapsed: this call is the half-open trial.
-                    b.state = BreakerState::HalfOpen;
-                    BreakerGate::PassTrial
-                }
-                // A trial is already in flight on this lane; hold further
-                // calls back for one more cooldown.
-                BreakerState::HalfOpen => BreakerGate::Fail(bc.cooldown.as_nanos() as u64),
-            },
-        }
+        let now = self.clock.now_nanos();
+        Some((&mut self.beliefs.peer(dest).breaker, cfg, now))
     }
 
-    /// Feed a finished call's outcome into the destination's breaker. Any
-    /// reply — even an application error — counts as success (the machine
-    /// is alive and serving); only overload-class outcomes (timeout,
-    /// overload, deadline, disconnect) count as failures. `None` is a call
-    /// that ended without an outcome (abandoned, never waited for): no
-    /// evidence about the machine, except that a half-open breaker must
-    /// not go on waiting for a trial that will never report — it re-opens
-    /// for another cooldown, as after a failed trial.
+    /// Tell `dest`'s breaker how a call to it ended (see
+    /// [`Breaker::note`]) and record the transition, if any.
     fn breaker_note(&mut self, dest: MachineId, failed: Option<bool>) {
-        let Some(bc) = self.policy.breaker else {
+        let Some((breaker, cfg, now)) = self.breaker(dest) else {
             return;
         };
-        if self.policy.breaker_exempt || dest == self.machine {
-            return;
-        }
-        let half_open =
-            matches!(self.breakers.get(&dest), Some(b) if b.state == BreakerState::HalfOpen);
-        let Some(failed) = failed.or(half_open.then_some(true)) else {
-            return;
-        };
-        let now = self.clock.now_nanos();
-        let cooldown = bc.cooldown.as_nanos() as u64;
-        enum Transition {
-            None,
-            Opened(u32),
-            Closed,
-        }
-        let transition = {
-            let b = self.breakers.entry(dest).or_insert(Breaker {
-                failures: 0,
-                state: BreakerState::Closed,
-            });
-            if failed {
-                b.failures = b.failures.saturating_add(1);
-                match b.state {
-                    BreakerState::Closed if b.failures >= bc.failure_threshold => {
-                        b.state = BreakerState::Open {
-                            until: now.saturating_add(cooldown),
-                        };
-                        Transition::Opened(b.failures)
-                    }
-                    // A failed half-open trial re-opens for another cooldown.
-                    BreakerState::HalfOpen => {
-                        b.state = BreakerState::Open {
-                            until: now.saturating_add(cooldown),
-                        };
-                        Transition::Opened(b.failures)
-                    }
-                    _ => Transition::None,
-                }
-            } else {
-                let was_closed = b.state == BreakerState::Closed;
-                b.failures = 0;
-                b.state = BreakerState::Closed;
-                if was_closed {
-                    Transition::None
-                } else {
-                    Transition::Closed
-                }
-            }
-        };
-        match transition {
-            Transition::Opened(failures) => {
+        match breaker.note(failed, now, &cfg) {
+            Some(Transition::Opened(failures)) => {
                 self.record_overload_marker(EventKind::BreakerOpen, dest, failures)
             }
-            Transition::Closed => self.record_overload_marker(EventKind::BreakerClose, dest, 0),
-            Transition::None => {}
+            Some(Transition::Closed) => {
+                self.record_overload_marker(EventKind::BreakerClose, dest, 0)
+            }
+            None => {}
         }
     }
 
@@ -236,7 +201,7 @@ impl NodeCtx {
         if self.policy.retry_budget.is_none() {
             return true;
         }
-        let tokens = self.retry_tokens.entry(dest).or_insert(0);
+        let tokens = &mut self.beliefs.peer(dest).retry_millitokens;
         if *tokens >= 1000 {
             *tokens -= 1000;
             true
@@ -319,36 +284,12 @@ impl NodeCtx {
         encode_args: impl FnOnce(&mut Writer),
         route: bool,
     ) -> RemoteResult<u64> {
-        // Start at the object's last known address: a pointer this node
+        // Start at the object's last known address — a pointer this node
         // has already learned is stale is rewritten before the send, so
-        // only the *first* call through it pays the forward chase.
-        let mut target = self.forwarded_target(target);
-        // Replica routing: a read verb aimed at a registered primary is
-        // redirected to a replica — a local one when the set has one,
-        // round-robin otherwise. The frame carries the route's replica-set
-        // epoch so a lagging replica rejects itself; the primary stays
-        // recorded for the stale/dead fallback.
-        let mut read_primary = None;
-        let mut rs_epoch = 0u64;
-        if route && target.object != DAEMON {
-            if let Some(route) = self.replica_routes.get_mut(&target) {
-                if !route.replicas.is_empty() && route.reads.contains(&method) {
-                    let machine = self.machine;
-                    let pick = route
-                        .replicas
-                        .iter()
-                        .position(|r| r.machine == machine)
-                        .unwrap_or_else(|| {
-                            let i = route.next % route.replicas.len();
-                            route.next = route.next.wrapping_add(1);
-                            i
-                        });
-                    read_primary = Some(target);
-                    rs_epoch = route.rs_epoch;
-                    target = route.replicas[pick];
-                }
-            }
-        }
+        // only the *first* call through it pays the forward chase — or,
+        // for a read verb of a routed primary, at one of its replicas.
+        let at = self.beliefs.address(target, method, route, self.machine);
+        let target = at.target;
         if target.machine >= self.machines() {
             return Err(RemoteError::BadMachine {
                 machine: target.machine,
@@ -376,24 +317,26 @@ impl NodeCtx {
                 elapsed_nanos: now - deadline,
             });
         }
-        match self.breaker_admit(target.machine, now) {
-            BreakerGate::Fail(retry_after_nanos) => {
-                bump!(self.shared.stats, breaker_fast_fails);
-                self.record_overload_marker(EventKind::ClientFastFail, target.machine, 0);
-                return Err(RemoteError::Overloaded {
-                    queue_depth: 0,
-                    retry_after_nanos,
-                });
+        if let Some((breaker, cfg, now)) = self.breaker(target.machine) {
+            match breaker.admit(now, &cfg) {
+                Gate::Fail(retry_after_nanos) => {
+                    bump!(self.shared.stats, breaker_fast_fails);
+                    self.record_overload_marker(EventKind::ClientFastFail, target.machine, 0);
+                    return Err(RemoteError::Overloaded {
+                        queue_depth: 0,
+                        retry_after_nanos,
+                    });
+                }
+                Gate::Trial => {
+                    self.record_overload_marker(EventKind::BreakerHalfOpen, target.machine, 0);
+                }
+                Gate::Pass => {}
             }
-            BreakerGate::PassTrial => {
-                self.record_overload_marker(EventKind::BreakerHalfOpen, target.machine, 0);
-            }
-            BreakerGate::Pass => {}
         }
         // Each admitted first attempt earns the destination's retry bucket
         // a deposit; retransmissions later spend from it (see `wait_raw`).
         if let Some(rb) = self.policy.retry_budget {
-            let tokens = self.retry_tokens.entry(target.machine).or_insert(0);
+            let tokens = &mut self.beliefs.peer(target.machine).retry_millitokens;
             *tokens = (*tokens + rb.deposit_millitokens as u64).min(rb.max_millitokens as u64);
         }
         let req_id = self.alloc_req_id();
@@ -427,10 +370,8 @@ impl NodeCtx {
             reply_to: self.machine,
             target: target.object,
             trace,
-            // Fence stamp: 0 (no check) unless this node has learned an
-            // incarnation epoch for the target address.
-            epoch: self.believed_epochs.get(&target).copied().unwrap_or(0),
-            rs_epoch: rs_epoch.into(),
+            epoch: at.epoch,
+            rs_epoch: at.rs_epoch.into(),
             deadline,
         };
         let mut body = Body::reusing(std::mem::take(&mut self.spare_frame));
@@ -444,7 +385,7 @@ impl NodeCtx {
             payload,
             trace: call_trace,
             hops: 0,
-            read_primary,
+            read_primary: at.read_primary,
         };
         if self.transmit(&call, EventKind::ClientSend, 1).is_err() {
             self.breaker_note(target.machine, Some(true));
@@ -469,57 +410,11 @@ impl NodeCtx {
         self.net.send(self.machine, dst, frame)
     }
 
-    /// Record a client-side event of the in-flight call `req_id` (peer =
-    /// the machine it is currently addressed to).
-    fn trace_client(&self, kind: EventKind, req_id: u64, attempt: u32, bytes: usize) {
-        if self.tracer.is_none() {
-            return;
-        }
-        if let Some(call) = self.outstanding.get(&req_id) {
-            let peer = call.target.machine;
-            self.trace_call(kind, peer, call.trace.as_ref(), req_id, attempt, bytes);
-        }
-    }
-
-    /// Resolve `target` through the client-side forwarding cache (with
-    /// path compression, so a chain learned over several migrations costs
-    /// one lookup next time). Daemon addresses never forward.
-    pub(super) fn forwarded_target(&mut self, start: ObjRef) -> ObjRef {
-        if start.object == DAEMON || self.moved_cache.is_empty() {
-            return start;
-        }
-        let mut target = start;
-        // Bounded walk: the cache is only ever appended with commit-time
-        // facts, but a bound keeps even a corrupted chain finite.
-        for _ in 0..8 {
-            match self.moved_cache.get(&target) {
-                Some(&next) if next != target => target = next,
-                _ => break,
-            }
-        }
-        if target != start {
-            self.moved_cache.insert(start, target);
-        }
-        target
-    }
-
-    /// Learn a forwarding fact (from a `Moved` reply or a migration this
-    /// node coordinated).
-    pub(super) fn note_move(&mut self, old: ObjRef, new: ObjRef) {
-        if old == new || old.object == DAEMON || new.object == DAEMON {
-            return;
-        }
-        if self.moved_cache.len() >= MOVED_CACHE_CAPACITY {
-            self.moved_cache.clear();
-        }
-        self.moved_cache.insert(old, new);
-    }
-
     /// Drop a learned forwarding fact so the next call to `old` pays the
     /// redirect again. Benchmarks and tests use this to measure the
     /// stale-pointer path; production code never needs it.
     pub fn forget_move(&mut self, old: ObjRef) {
-        self.moved_cache.remove(&old);
+        self.beliefs.forget_move(old);
     }
 
     /// Drop a learned epoch belief so the next call to `target` can be
@@ -528,51 +423,30 @@ impl NodeCtx {
     /// [`note_epoch`](NodeCtx::note_epoch)); production code never needs
     /// it.
     pub fn forget_epoch(&mut self, target: ObjRef) {
-        self.believed_epochs.remove(&target);
+        self.beliefs.forget_epoch(target);
     }
 
     /// Drop every client-side fact that points **at** `machine`: learned
-    /// forwards whose replacement lives there and cached symbolic
-    /// resolutions. Called when a machine is declared dead, so a chase
-    /// never hops *through* a corpse — the next call re-resolves and finds
-    /// the reactivated incarnation instead of timing out on the old one.
-    pub fn purge_moves_to(&mut self, machine: MachineId) {
-        self.moved_cache.retain(|_, to| to.machine != machine);
-        self.resolve_cache.retain(|_, r| r.machine != machine);
-        // Replica routes: the whole route dies with its primary (the
-        // failover promotes a replica at a new address and the manager
-        // re-registers); a dead machine's replicas are just dropped from
-        // the surviving sets.
-        self.replica_routes.retain(|p, _| p.machine != machine);
-        for route in self.replica_routes.values_mut() {
-            route.replicas.retain(|r| r.machine != machine);
-        }
+    /// forwards whose replacement lives there, cached symbolic resolutions
+    /// to it, replica routes of primaries on it and its replicas in the
+    /// surviving routes. Called when a machine is declared dead, so a
+    /// chase never hops *through* a corpse — the next call re-resolves and
+    /// finds the reactivated incarnation instead of timing out on the old
+    /// one.
+    pub fn forget_machine(&mut self, machine: MachineId) {
+        self.beliefs.forget_machine(machine);
     }
 
     /// Record the incarnation epoch this node believes `target` is at.
     /// Epochs only move forward; outgoing frames to `target` are stamped
     /// with the recorded value (0 = never supervised, no fencing).
     pub fn note_epoch(&mut self, target: ObjRef, epoch: u64) {
-        if epoch == 0 || target.object == DAEMON {
-            return;
-        }
-        if self.believed_epochs.len() >= MOVED_CACHE_CAPACITY
-            && !self.believed_epochs.contains_key(&target)
-        {
-            // Losing a belief is safe: an unstamped (epoch-0) frame skips
-            // the staleness check but an old incarnation is still fenced
-            // server-side by its lease and its own epoch table.
-            self.believed_epochs.clear();
-        }
-        let e = self.believed_epochs.entry(target).or_insert(0);
-        if epoch > *e {
-            *e = epoch;
-        }
+        self.beliefs.note_epoch(target, epoch);
     }
 
     /// The epoch this node last learned for `target` (0 = none).
     pub fn believed_epoch(&self, target: ObjRef) -> u64 {
-        self.believed_epochs.get(&target).copied().unwrap_or(0)
+        self.beliefs.epoch_of(target)
     }
 
     /// The reliability policy applied by [`wait_raw`](NodeCtx::wait_raw).
@@ -595,6 +469,10 @@ impl NodeCtx {
     /// server's dedup window guarantees at-most-once execution). When the
     /// budget is exhausted the call fails with an enriched
     /// [`RemoteError::Timeout`] naming the target and attempt count.
+    ///
+    /// A reply that redirects the call (a forwarding stub, a fence teaching
+    /// a newer epoch, a stale replica) is followed transparently, and so is
+    /// an exhausted budget on a replica; `verdict` rules which is which.
     pub fn wait_raw(&mut self, mut req_id: u64) -> RemoteResult<PacketBytes> {
         let started = self.clock.now_nanos();
         let timeout = self.policy.timeout.as_nanos() as u64;
@@ -614,111 +492,29 @@ impl NodeCtx {
         let mut deadline = started + timeout;
         loop {
             if let Some(result) = self.replies.remove(&req_id) {
-                // A `Moved` reply is a forwarding stub redirecting us, not
-                // an answer. Chase exactly one hop — re-issue the same
-                // frame (same `req_id`) at the new address — and keep
-                // waiting. A *second* redirect surfaces to the caller: the
-                // signal to re-resolve through the naming directory.
-                if let Err(RemoteError::Moved { to }) = &result {
-                    let to = *to;
-                    let learned = match self.outstanding.get(&req_id) {
-                        Some(c) if c.target.object != DAEMON => Some((c.target, c.hops)),
-                        _ => None,
-                    };
-                    if let Some((old, hops)) = learned {
-                        if old == to {
-                            // Stale replay: a retransmit that raced the
-                            // chase bounced off the old address again.
-                            // The real reply is still coming from `to`.
-                            continue;
-                        }
-                        // A replica-routed read that bounced off a dropped
-                        // replica's forwarding stub: scrub the replica
-                        // from the route — the chase lands at the primary.
-                        let stale_route = self
-                            .outstanding
-                            .get_mut(&req_id)
-                            .and_then(|c| c.read_primary.take());
-                        if let Some(primary) = stale_route {
-                            self.drop_replica_from_route(primary, old);
-                        }
-                        self.note_move(old, to);
-                        self.rebind_resolutions(old, to);
-                        if hops == 0
-                            && to.machine < self.machines()
-                            && self
-                                .reissue(req_id, Reroute::Moved { to }, attempts)
-                                .is_some()
-                        {
-                            deadline = self.clock.now_nanos() + timeout;
-                            continue;
-                        }
-                    }
-                }
-                // A fence rejection that teaches a *newer* epoch than the
-                // frame carried means the pointer was stale, not the
-                // call: retry transparently at the taught epoch, under a
-                // fresh request id (the server's dedup window cached the
-                // Fenced verdict for the old one). Safe for at-most-once:
-                // a fence is a rejection — the call never executed.
-                if let Err(RemoteError::Fenced { current_epoch }) = &result {
-                    let taught = *current_epoch;
-                    if let Some(fresh) = self.reissue(req_id, Reroute::Refence { taught }, 1) {
-                        req_id = fresh;
-                        attempts = 1;
+                match self.rule(req_id, result.as_ref().err().map(Event::Reply)) {
+                    Verdict::Ignore => continue,
+                    Verdict::Reissue(how) => {
+                        req_id = self.reissue(req_id, how, &mut attempts);
                         deadline = self.clock.now_nanos() + timeout;
                         continue;
                     }
-                }
-                // A stale replica cannot prove it has every acknowledged
-                // write: drop it from the local route and redirect the
-                // same request (same `req_id` — a different server, so
-                // dedup is unaffected) to the primary, which is always
-                // coherent. Read verbs are side-effect-free, so this
-                // re-execution is safe by the `reads(...)` contract.
-                if let Err(RemoteError::StaleReplica { primary, .. }) = &result {
-                    let primary = *primary;
-                    match self.outstanding.get(&req_id) {
-                        Some(c) if c.read_primary.is_some() => {
-                            let replica = c.target;
-                            self.drop_replica_from_route(primary, replica);
-                            self.purge_resolutions_to(replica);
-                            let rerouted =
-                                self.reissue(req_id, Reroute::ToPrimary { primary }, attempts);
-                            if rerouted.is_some() {
-                                attempts = 1;
-                                deadline = self.clock.now_nanos() + timeout;
-                                continue;
+                    Verdict::Surface(lesson) => {
+                        if let Some(call) = self.outstanding.get(&req_id) {
+                            let reply_len = result.as_ref().map_or(0, |b| b.len());
+                            let (at, trace) = (call.target, call.trace.as_ref());
+                            let kind = EventKind::ClientRecv;
+                            self.trace_call(kind, at.machine, trace, req_id, attempts, reply_len);
+                            let routed = call.read_primary.is_some();
+                            if let Some(how) = lesson {
+                                self.learn(at, routed, how, false);
                             }
                         }
-                        // Already redirected: a retransmit's replayed
-                        // verdict from the replica. The primary's answer
-                        // is still coming.
-                        Some(c) if c.target == primary => continue,
-                        // A directly addressed call (`start_method_direct`)
-                        // named this replica itself: the verdict is its
-                        // answer and surfaces to the caller.
-                        _ => {}
+                        let failed = result.as_ref().err().is_some_and(Self::is_overload_failure);
+                        self.retire_call(req_id, Some(failed));
+                        return result;
                     }
                 }
-                let reply_len = result.as_ref().map_or(0, |b| b.len());
-                self.trace_client(EventKind::ClientRecv, req_id, attempts, reply_len);
-                let failed = result.as_ref().err().is_some_and(Self::is_overload_failure);
-                let target = self.retire_call(req_id, Some(failed));
-                // A fence at the frame's own epoch (lapsed lease,
-                // poisoned home) surfaces to the caller; still remember
-                // the incarnation epoch so the caller's next attempt
-                // (after re-resolving) is stamped correctly.
-                if let (Err(RemoteError::Fenced { current_epoch }), Some(target)) =
-                    (&result, target)
-                {
-                    self.note_epoch(target, *current_epoch);
-                    // The fence surfaced (not transparently upgraded): the
-                    // pointer names a dead incarnation. Any cached name
-                    // resolution to it must re-resolve.
-                    self.purge_resolutions_to(target);
-                }
-                return result;
             }
             // Deadline enforcement on the waiting side: once the stamped
             // budget passes, stop waiting *and* stop retransmitting — the
@@ -756,24 +552,10 @@ impl NodeCtx {
                         dest.is_some_and(|d| !self.spend_retry_token(d))
                     };
                     if exhausted || suppressed {
-                        // A replica-routed read that exhausted its budget
-                        // presumes the replica dead: drop it from the
-                        // route and fall back to the primary with a fresh
-                        // budget (safe to re-execute — reads are
-                        // side-effect-free by contract).
-                        let fallback = self
-                            .outstanding
-                            .get(&req_id)
-                            .and_then(|c| c.read_primary.map(|p| (p, c.target)));
-                        if let Some((primary, replica)) = fallback {
-                            self.drop_replica_from_route(primary, replica);
-                            let rerouted =
-                                self.reissue(req_id, Reroute::ToPrimary { primary }, attempts);
-                            if rerouted.is_some() {
-                                attempts = 1;
-                                deadline = self.clock.now_nanos() + timeout;
-                                continue;
-                            }
+                        if let Verdict::Reissue(how) = self.rule(req_id, Some(Event::Exhausted)) {
+                            req_id = self.reissue(req_id, how, &mut attempts);
+                            deadline = self.clock.now_nanos() + timeout;
+                            continue;
                         }
                         let target = self.retire_call(req_id, Some(true)).unwrap_or(ObjRef {
                             machine: self.machine,
@@ -812,64 +594,90 @@ impl NodeCtx {
         }
     }
 
-    /// Re-issue the outstanding call `req_id` along `how`: patch the stored
-    /// request's header, re-encode, record the event and send. Everything
-    /// the caller chose — payload, trace identity, deadline budget — is
-    /// untouched, so a re-issue is the same logical call. Returns the id
-    /// the call now waits under, or `None` when it must not be re-issued
-    /// and the triggering verdict surfaces to the caller instead.
-    fn reissue(&mut self, req_id: u64, how: Reroute, attempt: u32) -> Option<u64> {
-        let call = self.outstanding.get(&req_id)?;
-        let (dest, kind) = match how {
-            Reroute::Moved { to } => (to, EventKind::ClientForward),
-            Reroute::ToPrimary { primary } if primary.machine < self.machines() => {
-                (primary, EventKind::ReplicaFallback)
+    /// [`verdict`] on `event` for the outstanding call `req_id`. No event
+    /// (the reply is a success) and no such call both surface.
+    fn rule(&self, req_id: u64, event: Option<Event<'_>>) -> Verdict {
+        match (self.outstanding.get(&req_id), event) {
+            (Some(call), Some(event)) => verdict(call, event, self.machines()),
+            _ => Verdict::Surface(None),
+        }
+    }
+
+    /// What a redirect teaches this lane about `from`, the address that
+    /// issued it, whether the call goes on to follow it (`followed`) or
+    /// surfaces. `routed`: the call was a read routed at the replica
+    /// `from`.
+    fn learn(&mut self, from: ObjRef, routed: bool, how: Reroute, followed: bool) {
+        match how {
+            Reroute::Moved { to } => {
+                self.beliefs.learn_move(from, to);
+                // A routed read that bounced off a dropped replica's
+                // forwarding stub (the chase lands at the primary).
+                if routed {
+                    self.beliefs.distrust(from);
+                }
             }
-            // The frame already carried `taught` or newer: the fence names
-            // the *current* incarnation (a lapsed lease, a poisoned home)
-            // and the caller has to re-resolve. Each retry strictly raises
-            // the frame's epoch, so the upgrade loop terminates.
-            Reroute::Refence { taught }
-                if call.target.object != DAEMON && taught != 0 && call.header.epoch < taught =>
-            {
-                (call.target, EventKind::ClientForward)
+            Reroute::Refence { taught } => {
+                self.beliefs.note_epoch(from, taught);
+                // A fence that surfaces names a dead incarnation: names
+                // resolving to it must re-resolve. One that is followed
+                // only corrects the pointer's epoch — the address stands.
+                if !followed {
+                    self.beliefs.distrust(from);
+                }
             }
-            _ => return None,
+            Reroute::ToPrimary { .. } => self.beliefs.distrust(from),
+        }
+    }
+
+    /// Re-issue the outstanding call `req_id` along `how`: learn what the
+    /// redirect teaches, patch the stored request's header, re-encode,
+    /// record the event and send — every side effect of a redirect, once.
+    /// Everything the caller chose — payload, trace identity, deadline
+    /// budget — is untouched, so a re-issue is the same logical call.
+    /// Returns the id the call now waits under; `attempts` restarts at 1
+    /// unless the call merely chased its object to a new home.
+    fn reissue(&mut self, req_id: u64, how: Reroute, attempts: &mut u32) -> u64 {
+        let Some(mut call) = self.outstanding.remove(&req_id) else {
+            return req_id;
         };
+        self.learn(call.target, call.read_primary.is_some(), how, true);
         // A fence rejection is cached in the server's dedup window under
         // the old id, so a refence needs a **fresh** one; a move or a
         // fallback reaches a different server and keeps its id (the new
         // home's dedup window treats retransmits normally).
-        let new_id = match how {
-            Reroute::Refence { taught } => {
-                self.note_epoch(dest, taught);
-                self.alloc_req_id()
+        let (dest, new_id, kind, attempt) = match how {
+            Reroute::Moved { to } => {
+                call.hops += 1;
+                (to, req_id, EventKind::ClientForward, *attempts)
             }
-            _ => req_id,
+            Reroute::Refence { taught } => {
+                call.header.epoch = taught;
+                let fresh = self.alloc_req_id();
+                (call.target, fresh, EventKind::ClientForward, 1)
+            }
+            Reroute::ToPrimary { primary } => {
+                (primary, req_id, EventKind::ReplicaFallback, *attempts)
+            }
         };
-        let believed = self.believed_epoch(dest);
-        let mut call = self.outstanding.remove(&req_id)?;
-        call.target = dest;
-        call.header.req_id = new_id;
-        call.header.target = dest.object;
-        if let Reroute::Refence { taught } = how {
-            call.header.epoch = taught;
-        } else {
+        if !matches!(how, Reroute::Refence { .. }) {
             // A redirect may cross a takeover: carry the freshest epoch
             // this node knows for the new address so the frame is not
             // fenced for being stale. It always ends at a real object (a
             // migrated home or a replica's primary), never at a replica,
-            // so the replica-set epoch is cleared.
-            call.header.epoch = call.header.epoch.max(believed);
+            // so the replica-set epoch is cleared — and so is the
+            // fallback, so a late replayed verdict from the replica is
+            // ignored.
+            call.header.epoch = call.header.epoch.max(self.beliefs.epoch_of(dest));
             call.header.rs_epoch = 0.into();
+            call.read_primary = None;
         }
-        match how {
-            Reroute::Moved { .. } => call.hops += 1,
-            // Clears the fallback so a late replayed verdict from the
-            // replica is ignored.
-            Reroute::ToPrimary { .. } => call.read_primary = None,
-            Reroute::Refence { .. } => {}
+        if !matches!(how, Reroute::Moved { .. }) {
+            *attempts = 1;
         }
+        call.target = dest;
+        call.header.req_id = new_id;
+        call.header.target = dest.object;
         // The patched header may differ in length, and the old frame may
         // still be held by whoever received it: the payload moves to a
         // fresh buffer, once.
@@ -878,7 +686,7 @@ impl NodeCtx {
         (call.frame, call.payload) = call.header.seal(body);
         let _ = self.transmit(&call, kind, attempt);
         self.outstanding.insert(new_id, call);
-        Some(new_id)
+        new_id
     }
 
     /// The encoded request frame of the in-flight call `req_id`, exactly
@@ -903,18 +711,8 @@ impl NodeCtx {
         rs_epoch: u64,
         reads: &'static [&'static str],
     ) {
-        if reads.is_empty() || primary.object == DAEMON {
-            return;
-        }
-        self.replica_routes.insert(
-            primary,
-            ReplicaRoute {
-                replicas,
-                rs_epoch,
-                reads,
-                next: 0,
-            },
-        );
+        self.beliefs
+            .install_route(primary, replicas, rs_epoch, reads);
     }
 
     /// Typed [`register_replica_route_raw`](NodeCtx::register_replica_route_raw):
@@ -932,21 +730,13 @@ impl NodeCtx {
     /// The replicas and replica-set epoch this node routes reads of
     /// `primary` to, if a route is installed.
     pub fn replica_route_of(&self, primary: ObjRef) -> Option<(Vec<ObjRef>, u64)> {
-        self.replica_routes
-            .get(&primary)
-            .map(|r| (r.replicas.clone(), r.rs_epoch))
+        self.beliefs.route_of(primary)
     }
 
     /// Remove the replica route for `primary`; reads go back to the
     /// primary itself.
     pub fn drop_replica_route(&mut self, primary: ObjRef) {
-        self.replica_routes.remove(&primary);
-    }
-
-    fn drop_replica_from_route(&mut self, primary: ObjRef, replica: ObjRef) {
-        if let Some(route) = self.replica_routes.get_mut(&primary) {
-            route.replicas.retain(|r| *r != replica);
-        }
+        self.beliefs.drop_route(primary);
     }
 
     // ------------------------------------------------------------------
@@ -960,7 +750,7 @@ impl NodeCtx {
     /// counters in [`NodeStats`](crate::NodeStats) — the measure of how
     /// much resolution traffic the cache keeps off the control plane.
     pub fn cached_resolve(&self, addr: &str) -> Option<ObjRef> {
-        let hit = self.resolve_cache.get(addr).copied();
+        let hit = self.beliefs.name(addr);
         if hit.is_some() {
             bump!(self.shared.stats, dir_cache_hits);
         } else {
@@ -971,36 +761,13 @@ impl NodeCtx {
 
     /// Remember a verified resolution for `addr`.
     pub fn cache_resolve(&mut self, addr: &str, r: ObjRef) {
-        if self.resolve_cache.len() >= RESOLVE_CACHE_CAPACITY
-            && !self.resolve_cache.contains_key(addr)
-        {
-            self.resolve_cache.clear();
-        }
-        self.resolve_cache.insert(addr.to_string(), r);
+        self.beliefs.learn_name(addr, r);
     }
 
     /// Drop a cached resolution that turned out stale (its machine
     /// crashed, or the pointer double-forwarded).
     pub fn invalidate_resolve(&mut self, addr: &str) {
-        self.resolve_cache.remove(addr);
-    }
-
-    /// Re-point every cached resolution at `old` to `new` — called when a
-    /// `Moved` redirect teaches this node that the object migrated, so
-    /// names resolving to it keep hitting the cache at the new home.
-    fn rebind_resolutions(&mut self, old: ObjRef, new: ObjRef) {
-        for v in self.resolve_cache.values_mut() {
-            if *v == old {
-                *v = new;
-            }
-        }
-    }
-
-    /// Drop every cached resolution pointing at `stale` — called when a
-    /// surfaced `Fenced` or `StaleReplica` verdict proves the pointer no
-    /// longer names the object's current incarnation.
-    fn purge_resolutions_to(&mut self, stale: ObjRef) {
-        self.resolve_cache.retain(|_, v| *v != stale);
+        self.beliefs.forget_name(addr);
     }
 
     /// Take the reply for `req_id` if it has arrived — the non-blocking
@@ -1038,5 +805,151 @@ impl NodeCtx {
             self.spare_frame = buf;
         }
         Some(call.target)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Event::{Exhausted, Reply};
+    use super::Verdict::{Ignore, Reissue, Surface};
+    use super::*;
+
+    const MACHINES: usize = 4;
+    /// The epoch every call's frame carries.
+    const EPOCH: u64 = 5;
+    const PRIMARY: ObjRef = ObjRef {
+        machine: 2,
+        object: 4,
+    };
+    const ELSEWHERE: ObjRef = ObjRef {
+        machine: 3,
+        object: 7,
+    };
+    /// An address no machine of the cluster has.
+    const NOWHERE: ObjRef = ObjRef {
+        machine: MACHINES,
+        object: 7,
+    };
+
+    fn call(target: ObjRef, hops: u8, read_primary: Option<ObjRef>) -> OutboundCall {
+        OutboundCall {
+            target,
+            frame: Vec::new().into(),
+            header: RequestHeader {
+                req_id: 1,
+                reply_to: 0,
+                target: target.object,
+                trace: TraceCtx::default(),
+                epoch: EPOCH,
+                rs_epoch: 0.into(),
+                deadline: 0,
+            },
+            payload: 0..0,
+            trace: None,
+            hops,
+            read_primary,
+        }
+    }
+
+    /// Every event × forward chases so far × replica-routed or not ×
+    /// daemon or object target gets exactly one verdict, and the rules
+    /// DESIGN.md states hold by name.
+    #[test]
+    fn every_event_gets_one_verdict() {
+        let moved = |to| RemoteError::Moved { to };
+        let fenced = |current_epoch| RemoteError::Fenced { current_epoch };
+        let stale = |primary| RemoteError::StaleReplica {
+            primary,
+            rs_epoch: 1,
+        };
+        let others = [
+            RemoteError::app("no"),
+            RemoteError::Disconnected { machine: 1 },
+            RemoteError::DeadlineExceeded { elapsed_nanos: 1 },
+        ];
+        let mut ruled = 0;
+        for bits in 0..8u8 {
+            let object = if bits & 1 == 0 { 9 } else { DAEMON };
+            let (hops, routed) = ((bits >> 1) & 1, bits & 4 != 0);
+            let target = ObjRef { machine: 1, object };
+            let call = call(target, hops, routed.then_some(PRIMARY));
+            let mut rule = |event: Event<'_>| {
+                ruled += 1;
+                verdict(&call, event, MACHINES)
+            };
+            if object == DAEMON {
+                // Daemon addresses are never forwarded, fenced or routed.
+                let redirects = [moved(ELSEWHERE), fenced(EPOCH + 1), stale(PRIMARY)];
+                for err in redirects.iter().chain(&others) {
+                    assert_eq!(rule(Reply(err)), Surface(None), "daemon: {err}");
+                }
+                assert_eq!(rule(Exhausted), Surface(None));
+                continue;
+            }
+
+            let chase = Reroute::Moved { to: ELSEWHERE };
+            let one_chase = if hops == 0 {
+                Reissue(chase)
+            } else {
+                Surface(Some(chase))
+            };
+            assert_eq!(
+                rule(Reply(&moved(ELSEWHERE))),
+                one_chase,
+                "at most one forward chase per call"
+            );
+            assert_eq!(
+                rule(Reply(&moved(target))),
+                Ignore,
+                "a replayed verdict from the address already left is ignored"
+            );
+            assert_eq!(
+                rule(Reply(&moved(NOWHERE))),
+                Surface(Some(Reroute::Moved { to: NOWHERE })),
+                "a forward off the cluster is learned (the next call through \
+                 it is `BadMachine`), never followed"
+            );
+
+            for taught in [0, EPOCH - 1, EPOCH, EPOCH + 1] {
+                let how = Reroute::Refence { taught };
+                let raises = if taught > EPOCH {
+                    Reissue(how)
+                } else {
+                    Surface(Some(how))
+                };
+                assert_eq!(
+                    rule(Reply(&fenced(taught))),
+                    raises,
+                    "a refence strictly raises the frame's epoch"
+                );
+            }
+
+            let fallback = Reissue(Reroute::ToPrimary { primary: PRIMARY });
+            if routed {
+                assert_eq!(rule(Reply(&stale(PRIMARY))), fallback);
+                assert_eq!(rule(Reply(&stale(NOWHERE))), Surface(None));
+                assert_eq!(rule(Exhausted), fallback, "a silent replica");
+            } else {
+                assert_eq!(
+                    rule(Reply(&stale(target))),
+                    Ignore,
+                    "a replayed verdict from the address already left is ignored"
+                );
+                assert_eq!(
+                    rule(Reply(&stale(PRIMARY))),
+                    Surface(None),
+                    "a directly addressed replica's `StaleReplica` surfaces"
+                );
+                assert_eq!(rule(Exhausted), Surface(None));
+            }
+            for err in &others {
+                assert_eq!(rule(Reply(err)), Surface(None), "{err}");
+            }
+        }
+        assert_eq!(ruled, 4 * 7 + 4 * 13);
+
+        // A route installed for a primary off the cluster has no fallback.
+        let lost = call(ELSEWHERE, 0, Some(NOWHERE));
+        assert_eq!(verdict(&lost, Exhausted, MACHINES), Surface(None));
     }
 }

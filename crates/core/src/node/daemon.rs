@@ -418,7 +418,7 @@ impl NodeCtx {
         if obj.object == DAEMON {
             return Err(RemoteError::app("the daemon cannot migrate"));
         }
-        let obj = self.forwarded_target(obj);
+        let obj = self.beliefs.forwarded(obj);
         if obj.machine == target {
             return Ok(obj); // already home
         }
@@ -432,7 +432,7 @@ impl NodeCtx {
             // forward once and retry — or accept it if it already ended up
             // on the requested machine.
             Err(RemoteError::Moved { to }) => {
-                self.note_move(obj, to);
+                self.beliefs.learn_move(obj, to);
                 if to.machine == target {
                     Ok(to)
                 } else {
@@ -466,7 +466,7 @@ impl NodeCtx {
                 match self.call_migrate_commit(obj.machine, obj.object, new_ref) {
                     Ok(()) => {
                         self.migration_marker(EventKind::MigrateCommit, target, span, 0);
-                        self.note_move(obj, new_ref);
+                        self.beliefs.learn_move(obj, new_ref);
                         Ok(new_ref)
                     }
                     Err(e) => {

@@ -20,10 +20,13 @@
 //! [`RemoteError::Timeout`] rather than hanging forever.
 //!
 //! The engine is split along its roles: `call` issues requests and waits
-//! for replies (the client role), `serve` admits and executes incoming
-//! requests (the server role), and `daemon` is the per-machine daemon —
-//! the verb table, its public wrappers and its handlers.
+//! for replies (the client role) and `beliefs` is what that role has
+//! learned about its targets — one record per object, one per machine;
+//! `serve` admits and executes incoming requests (the server role) through
+//! the gates of `judge`; and `daemon` is the per-machine daemon — the verb
+//! table, its public wrappers and its handlers.
 
+mod beliefs;
 mod call;
 mod daemon;
 mod judge;
@@ -40,12 +43,13 @@ use wire::Reader;
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::NodeStats;
 use crate::ids::{ObjRef, ObjectId};
-use crate::policy::{CallPolicy, OverloadConfig};
+use crate::policy::CallPolicy;
 use crate::process::{ClassRegistry, ServerClass, ServerObject};
 use crate::shared::{CallTrace, IncomingReq, LiveObj, Sched, SharedNode, WorkerMsg};
-use crate::trace::{EventKind, Tracer};
+use crate::trace::{EventKind, Recorder, Tracer};
 
-use call::{Breaker, OutboundCall, ReplicaRoute};
+use beliefs::Beliefs;
+use call::OutboundCall;
 pub use daemon::DAEMON_VERBS;
 
 /// Identity of an in-flight request, handed to objects that defer their
@@ -65,6 +69,29 @@ pub(crate) struct WorkerLane {
     pub(crate) label: u64,
     pub(crate) index: usize,
     pub(crate) deque: sched::Worker<ObjectId>,
+}
+
+/// What every lane of one machine is built from.
+pub(crate) struct MachineEnv<'a> {
+    pub(crate) machine: MachineId,
+    pub(crate) workers: usize,
+    pub(crate) net: &'a Network,
+    pub(crate) registry: &'a Arc<ClassRegistry>,
+    pub(crate) disks: &'a [Arc<SimDisk>],
+    pub(crate) policy: CallPolicy,
+    /// The cluster's flight recorder, when tracing is on.
+    pub(crate) recorder: Option<&'a Arc<Recorder>>,
+    pub(crate) shared: Arc<SharedNode>,
+}
+
+/// A lane's role on its machine, with what only that role receives through.
+pub(crate) enum LaneRole {
+    /// Owns the machine's network inbox and the admission path; executes
+    /// objects inline when the machine's `sched` is [`Sched::Inline`],
+    /// hands them to the pool otherwise. The driver endpoint is one too.
+    Dispatcher(Receiver<Packet>),
+    /// Worker lane `index` of a pooled machine.
+    Worker(WorkerLane),
 }
 
 /// Default reply window. Long enough for heavily costed benchmark runs,
@@ -111,19 +138,9 @@ pub struct NodeCtx {
     /// Passivated object states (daemon verbs `deactivate`/`activate`).
     /// Dispatcher-local: only daemon verbs touch it.
     snapshots: HashMap<String, (String, Vec<u8>)>,
-    /// Client-side forwarding cache: addresses this node has learned are
-    /// stale, mapped to their replacement, so repeat calls start at the
-    /// object's last known home instead of re-chasing.
-    moved_cache: HashMap<ObjRef, ObjRef>,
-    /// Per-node cache of symbolic-address resolutions (see
-    /// [`crate::naming`]); invalidated when a cached pointer fails.
-    resolve_cache: HashMap<String, ObjRef>,
-    /// Client-side epoch beliefs: the incarnation epoch this node last
-    /// learned for a supervised address (from the naming directory or a
-    /// `Fenced` reply). Stamped onto outgoing frames.
-    believed_epochs: HashMap<ObjRef, u64>,
-    /// Client-side replica routes, keyed by the primary's address.
-    replica_routes: HashMap<ObjRef, ReplicaRoute>,
+    /// Everything this lane believes about the objects, machines and
+    /// names it calls.
+    beliefs: Beliefs,
     outstanding: HashMap<u64, OutboundCall>,
     /// The buffer of the last call retired with nobody else holding its
     /// frame (empty when there is none): the next call is encoded into it
@@ -147,13 +164,6 @@ pub struct NodeCtx {
     /// calls issued from inside a method inherit the caller's remaining
     /// budget (deadline propagation across hops, DESIGN.md §15).
     current_deadline: Option<u64>,
-    /// Per-destination circuit breakers (lane-local; each lane learns a
-    /// machine's health from its own calls).
-    breakers: HashMap<MachineId, Breaker>,
-    /// Per-destination retry-budget buckets, in millitokens: each first
-    /// attempt deposits, each retransmission spends 1000. A dry bucket
-    /// suppresses retransmission so retries cannot amplify an overload.
-    retry_tokens: HashMap<MachineId, u64>,
     /// Round counter feeding the seeded steal-order permutation.
     steal_round: u64,
 }
@@ -180,122 +190,38 @@ impl Drop for NodeCtx {
 }
 
 impl NodeCtx {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        machine: MachineId,
-        workers: usize,
-        net: Network,
-        inbox: Receiver<Packet>,
-        registry: Arc<ClassRegistry>,
-        disks: Vec<Arc<SimDisk>>,
-        policy: CallPolicy,
-        tracer: Option<Tracer>,
-        overload: OverloadConfig,
-    ) -> Self {
-        let shared = Arc::new(SharedNode::new(Sched::Inline, overload));
-        Self::new_dispatcher(
-            machine, workers, net, inbox, registry, disks, policy, tracer, shared,
-        )
-    }
-
-    /// The dispatcher lane of a machine: owns the network inbox and the
-    /// admission path; executes objects inline when `shared.sched` is
-    /// [`Sched::Inline`], hands them to the pool otherwise.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new_dispatcher(
-        machine: MachineId,
-        workers: usize,
-        net: Network,
-        inbox: Receiver<Packet>,
-        registry: Arc<ClassRegistry>,
-        disks: Vec<Arc<SimDisk>>,
-        policy: CallPolicy,
-        tracer: Option<Tracer>,
-        shared: Arc<SharedNode>,
-    ) -> Self {
-        Self::new_lane(
-            machine,
-            workers,
-            net,
-            Some(inbox),
-            None,
-            registry,
-            disks,
-            policy,
-            tracer,
-            shared,
-        )
-    }
-
-    /// Worker lane `lane.index` of a pooled machine.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new_worker(
-        machine: MachineId,
-        workers: usize,
-        net: Network,
-        lane: WorkerLane,
-        registry: Arc<ClassRegistry>,
-        disks: Vec<Arc<SimDisk>>,
-        policy: CallPolicy,
-        tracer: Option<Tracer>,
-        shared: Arc<SharedNode>,
-    ) -> Self {
-        Self::new_lane(
-            machine,
-            workers,
-            net,
-            None,
-            Some(lane),
-            registry,
-            disks,
-            policy,
-            tracer,
-            shared,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn new_lane(
-        machine: MachineId,
-        workers: usize,
-        net: Network,
-        inbox: Option<Receiver<Packet>>,
-        lane: Option<WorkerLane>,
-        registry: Arc<ClassRegistry>,
-        disks: Vec<Arc<SimDisk>>,
-        policy: CallPolicy,
-        tracer: Option<Tracer>,
-        shared: Arc<SharedNode>,
-    ) -> Self {
-        let clock = net.clock().clone();
+    /// Build one lane of `env`'s machine.
+    pub(crate) fn new(env: &MachineEnv<'_>, role: LaneRole) -> Self {
+        let (inbox, lane) = match role {
+            LaneRole::Dispatcher(inbox) => (Some(inbox), None),
+            LaneRole::Worker(lane) => (None, Some(lane)),
+        };
+        let clock = env.net.clock().clone();
         // Virtual time only advances while every actor is parked in the
         // clock, so each NodeCtx — worker lanes included — enrolls here and
         // leaves in its Drop.
         clock.register_actor();
-        let stride = match &shared.sched {
+        let stride = match &env.shared.sched {
             Sched::Inline => 1,
             Sched::Pool(pool) => pool.workers() as u64 + 1,
         };
         let lane_no = lane.as_ref().map_or(0, |l| l.index as u64 + 1);
         NodeCtx {
-            machine,
-            workers,
-            net,
+            machine: env.machine,
+            workers: env.workers,
+            net: env.net.clone(),
             clock,
             inbox,
             lane,
             lane_no,
             stride,
-            registry,
-            disks,
-            shared,
+            registry: env.registry.clone(),
+            disks: env.disks.to_vec(),
+            shared: env.shared.clone(),
             deferred: VecDeque::new(),
             replies: HashMap::new(),
             snapshots: HashMap::new(),
-            moved_cache: HashMap::new(),
-            resolve_cache: HashMap::new(),
-            believed_epochs: HashMap::new(),
-            replica_routes: HashMap::new(),
+            beliefs: Beliefs::new(env.workers + 1),
             outstanding: HashMap::new(),
             spare_frame: Vec::new(),
             current_call: None,
@@ -305,13 +231,13 @@ impl NodeCtx {
             // starts at L. Stepping by `stride` keeps lanes disjoint.
             next_req_id: if lane_no == 0 { stride } else { lane_no },
             alive: true,
-            policy,
-            tracer,
+            policy: env.policy,
+            tracer: env
+                .recorder
+                .map(|r| r.tracer_lane(env.machine, lane_no as usize)),
             next_span: 1,
             current_trace: None,
             current_deadline: None,
-            breakers: HashMap::new(),
-            retry_tokens: HashMap::new(),
             steal_round: 0,
         }
     }

@@ -19,7 +19,7 @@ use crate::group::Barrier;
 use crate::naming::{
     shard_addr, DirShard, DirShardClient, Directory, DirectoryClient, NameService,
 };
-use crate::node::{NodeCtx, WorkerLane};
+use crate::node::{LaneRole, MachineEnv, NodeCtx, WorkerLane};
 use crate::policy::{CallPolicy, OverloadConfig};
 use crate::process::{ClassRegistry, RemoteClient, ServerClass};
 use crate::shared::{Pool, Sched, SharedNode};
@@ -216,112 +216,68 @@ impl ClusterBuilder {
         // time run replays its steal order exactly (tests/determinism.rs).
         let steal_seed = sim.clock().seed().unwrap_or(0x9e37_79b9_7f4a_7c15);
 
+        // What a lane of machine `m` is built from, around that machine's
+        // thread-shared server state.
+        let env = |m: MachineId, sched: Sched| MachineEnv {
+            machine: m,
+            workers,
+            net: sim.net(),
+            registry: &registry,
+            disks: sim.disks(m),
+            policy,
+            recorder: recorder.as_ref(),
+            shared: Arc::new(SharedNode::new(sched, overload)),
+        };
+
         let mut threads = Vec::with_capacity(workers * (sched_workers + 1));
         for m in 0..workers {
-            if sched_workers == 0 {
-                let mut ctx = NodeCtx::new(
-                    m,
-                    workers,
-                    sim.net().clone(),
-                    sim.take_inbox(m),
-                    registry.clone(),
-                    sim.disks(m).to_vec(),
-                    policy,
-                    recorder.as_ref().map(|r| r.tracer_lane(m, 0)),
-                    overload,
-                );
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("oopp-machine-{m}"))
-                        .spawn(move || ctx.serve_loop())
-                        .expect("spawn machine thread"),
-                );
-                continue;
-            }
-
-            // Pooled machine: build the deques and control channels first,
-            // wire the shared half into `SharedNode`, then spawn the lanes.
+            // A pooled machine gets its deques and control channels first:
+            // their shared half goes into `SharedNode`, then the lanes spawn.
             let deques: Vec<sched::Worker<_>> =
                 (0..sched_workers).map(|_| sched::Worker::new()).collect();
-            let stealers = deques.iter().map(|d| d.stealer()).collect();
-            let mut txs = Vec::with_capacity(sched_workers);
-            let mut rxs = Vec::with_capacity(sched_workers);
-            for _ in 0..sched_workers {
-                let (tx, rx) = unbounded();
-                txs.push(tx);
-                rxs.push(rx);
-            }
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..sched_workers).map(|_| unbounded()).unzip();
             let labels: Vec<u64> = (0..sched_workers)
                 .map(|w| WORKER_LABEL_BASE + (m as u64) * 256 + w as u64)
                 .collect();
-            let pool = Pool {
-                injector: Injector::new(),
-                stealers,
-                txs,
-                labels: labels.clone(),
-                idle: Mutex::new(vec![false; sched_workers]),
-                steal_order: StealOrder::new(sched::mix64(steal_seed ^ (m as u64 + 1))),
-            };
-            let shared = Arc::new(SharedNode::new(Sched::Pool(pool), overload));
-
-            for (w, (rx, deque)) in rxs.into_iter().zip(deques).enumerate() {
+            let env = env(
+                m,
+                if sched_workers == 0 {
+                    Sched::Inline
+                } else {
+                    Sched::Pool(Pool {
+                        injector: Injector::new(),
+                        stealers: deques.iter().map(|d| d.stealer()).collect(),
+                        txs,
+                        labels: labels.clone(),
+                        idle: Mutex::new(vec![false; sched_workers]),
+                        steal_order: StealOrder::new(sched::mix64(steal_seed ^ (m as u64 + 1))),
+                    })
+                },
+            );
+            for (index, (rx, deque)) in rxs.into_iter().zip(deques).enumerate() {
+                let label = labels[index];
                 let lane = WorkerLane {
                     rx,
-                    label: labels[w],
-                    index: w,
+                    label,
+                    index,
                     deque,
                 };
-                let mut ctx = NodeCtx::new_worker(
-                    m,
-                    workers,
-                    sim.net().clone(),
-                    lane,
-                    registry.clone(),
-                    sim.disks(m).to_vec(),
-                    policy,
-                    recorder.as_ref().map(|r| r.tracer_lane(m, w + 1)),
-                    shared.clone(),
-                );
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("oopp-machine-{m}-w{w}"))
-                        .spawn(move || ctx.worker_loop())
-                        .expect("spawn worker lane thread"),
-                );
+                let mut ctx = NodeCtx::new(&env, LaneRole::Worker(lane));
+                let name = format!("oopp-machine-{m}-w{index}");
+                threads.push(spawn_lane(name, move || ctx.worker_loop()));
             }
-
-            let mut ctx = NodeCtx::new_dispatcher(
-                m,
-                workers,
-                sim.net().clone(),
-                sim.take_inbox(m),
-                registry.clone(),
-                sim.disks(m).to_vec(),
-                policy,
-                recorder.as_ref().map(|r| r.tracer_lane(m, 0)),
-                shared,
-            );
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("oopp-machine-{m}"))
-                    .spawn(move || ctx.serve_loop())
-                    .expect("spawn machine thread"),
-            );
+            let mut ctx = NodeCtx::new(&env, LaneRole::Dispatcher(sim.take_inbox(m)));
+            threads.push(spawn_lane(format!("oopp-machine-{m}"), move || {
+                ctx.serve_loop()
+            }));
         }
 
+        // The driver endpoint serves no objects: the overload caps are
+        // irrelevant there, but keep one config for the whole cluster.
         let driver_id = workers;
         let mut driver_ctx = NodeCtx::new(
-            driver_id,
-            workers,
-            sim.net().clone(),
-            sim.take_inbox(driver_id),
-            registry.clone(),
-            sim.disks(driver_id).to_vec(),
-            policy,
-            recorder.as_ref().map(|r| r.tracer_lane(driver_id, 0)),
-            // The driver endpoint serves no objects: the default caps are
-            // irrelevant there, but keep one config for the whole cluster.
-            overload,
+            &env(driver_id, Sched::Inline),
+            LaneRole::Dispatcher(sim.take_inbox(driver_id)),
         );
 
         // The cluster name service root lives on machine 0 (§5 symbolic
@@ -358,6 +314,12 @@ impl ClusterBuilder {
         };
         (cluster, driver)
     }
+}
+
+/// One OS thread per lane, named after it.
+fn spawn_lane(name: String, run: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    let thread = std::thread::Builder::new().name(name).spawn(run);
+    thread.expect("spawn lane thread")
 }
 
 /// A running oopp cluster: the simulated machines and their serve threads.

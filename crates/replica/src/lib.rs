@@ -367,7 +367,7 @@ impl ReplicaManager {
         ctx: &mut NodeCtx,
         dead: usize,
     ) -> RemoteResult<Vec<(String, ObjRef)>> {
-        ctx.purge_moves_to(dead);
+        ctx.forget_machine(dead);
         let mut promoted = Vec::new();
         for i in 0..self.managed.len() {
             if self.managed[i].primary.machine == dead {

@@ -549,7 +549,7 @@ impl Supervisor {
         // Our own routing caches must not send anyone *to* the corpse:
         // drop forwarding-chase, resolution, and replica-route entries
         // targeting it.
-        ctx.purge_moves_to(m);
+        ctx.forget_machine(m);
         // The directory's replica-set records must not advertise replicas
         // on the corpse either: a resolver that refreshed its read route
         // from a stale record would aim reads at the dead machine. The
