@@ -62,10 +62,11 @@ pub(super) enum Reroute {
     /// call at that epoch — the pointer was stale, not the call. Safe for
     /// at-most-once: a fence is a rejection, the call never executed.
     Refence { taught: u64 },
-    /// A replica that is stale or stopped answering: the same read at the
-    /// primary, which is always coherent. Safe to re-execute — read verbs
-    /// are side-effect-free by the `reads(...)` contract.
-    ToPrimary { primary: ObjRef },
+    /// A replica that is stale (`answered`: it said so) or stopped
+    /// answering: the same read at the primary, which is always coherent.
+    /// Safe to re-execute — read verbs are side-effect-free by the
+    /// `reads(...)` contract.
+    ToPrimary { primary: ObjRef, answered: bool },
 }
 
 /// What happened to an outstanding call that [`verdict`] must rule on.
@@ -127,9 +128,10 @@ pub(super) fn verdict(call: &OutboundCall, event: Event<'_>, machines: usize) ->
             }
         }
         Event::Reply(&RemoteError::StaleReplica { primary, .. }) => match call.read_primary {
-            Some(_) if primary.machine < machines => {
-                Verdict::Reissue(Reroute::ToPrimary { primary })
-            }
+            Some(_) if primary.machine < machines => Verdict::Reissue(Reroute::ToPrimary {
+                primary,
+                answered: true,
+            }),
             None if call.target == primary => Verdict::Ignore,
             // A directly addressed call (`start_method_direct`) named this
             // replica itself: the verdict is its answer.
@@ -138,9 +140,10 @@ pub(super) fn verdict(call: &OutboundCall, event: Event<'_>, machines: usize) ->
         // A replica-routed read that exhausted its budget presumes the
         // replica dead and falls back to the primary with a fresh budget.
         Event::Exhausted => match call.read_primary {
-            Some(primary) if primary.machine < machines => {
-                Verdict::Reissue(Reroute::ToPrimary { primary })
-            }
+            Some(primary) if primary.machine < machines => Verdict::Reissue(Reroute::ToPrimary {
+                primary,
+                answered: false,
+            }),
             _ => Verdict::Surface(None),
         },
         Event::Reply(_) => Verdict::Surface(None),
@@ -656,10 +659,25 @@ impl NodeCtx {
                 let fresh = self.alloc_req_id();
                 (call.target, fresh, EventKind::ClientForward, 1)
             }
-            Reroute::ToPrimary { primary } => {
+            Reroute::ToPrimary { primary, .. } => {
                 (primary, req_id, EventKind::ReplicaFallback, *attempts)
             }
         };
+        if dest.machine != call.target.machine {
+            // The call leaves that machine for good, so its breaker hears
+            // how the call ended *there*, as it would from `retire_call`: a
+            // redirect is an answer — the machine is alive and serving — a
+            // replica gone silent is a failure. Without this a half-open
+            // trial that is re-addressed would strand its breaker.
+            let failed = matches!(
+                how,
+                Reroute::ToPrimary {
+                    answered: false,
+                    ..
+                }
+            );
+            self.breaker_note(call.target.machine, Some(failed));
+        }
         if !matches!(how, Reroute::Refence { .. }) {
             // A redirect may cross a takeover: carry the freshest epoch
             // this node knows for the new address so the frame is not
@@ -793,7 +811,8 @@ impl NodeCtx {
     /// The one way an issued call leaves `outstanding` for good: drop its
     /// retransmission slot and tell the destination's breaker how it ended
     /// (see [`breaker_note`](Self::breaker_note)) — so no exit, however
-    /// unusual, can strand a half-open trial. Returns where the call was
+    /// unusual, can strand a half-open trial (`reissue` does the same for
+    /// a machine the call leaves on the way). Returns where the call was
     /// last addressed. The frame's buffer, when this slot was its last
     /// holder (the receiver is done with it and kept no part), becomes the
     /// node's spare for the next call: a node that sends requests of a
@@ -924,11 +943,16 @@ mod tests {
                 );
             }
 
-            let fallback = Reissue(Reroute::ToPrimary { primary: PRIMARY });
+            let fallback = |answered| {
+                Reissue(Reroute::ToPrimary {
+                    primary: PRIMARY,
+                    answered,
+                })
+            };
             if routed {
-                assert_eq!(rule(Reply(&stale(PRIMARY))), fallback);
+                assert_eq!(rule(Reply(&stale(PRIMARY))), fallback(true));
                 assert_eq!(rule(Reply(&stale(NOWHERE))), Surface(None));
-                assert_eq!(rule(Exhausted), fallback, "a silent replica");
+                assert_eq!(rule(Exhausted), fallback(false), "a silent replica");
             } else {
                 assert_eq!(
                     rule(Reply(&stale(target))),

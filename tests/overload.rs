@@ -14,15 +14,16 @@
 use std::time::Duration;
 
 use oopp_repro::oopp::{
-    Backoff, BreakerConfig, CallPolicy, ClusterBuilder, Driver, NodeCtx, OverloadConfig,
-    RemoteClient, RemoteError, RemoteResult, RetryBudgetConfig,
+    wire, Backoff, BreakerConfig, CallPolicy, ClusterBuilder, DoubleBlockClient, Driver, NodeCtx,
+    OverloadConfig, RemoteClient, RemoteError, RemoteResult, RetryBudgetConfig,
 };
 use oopp_repro::simnet::ClusterConfig;
 
 /// A deliberately slow server: `work(nanos)` parks the executing lane on
 /// the *cluster* clock for `nanos`, then bumps a counter. The counter makes
 /// shed work observable: if a dropped request had secretly executed,
-/// `count` exposes it.
+/// `count` exposes it. Persistent, with `count` a read verb, so one can
+/// stand in as a replica that refuses reads (the breaker tests below).
 #[derive(Debug, Default)]
 pub struct Slow {
     done: u64,
@@ -30,6 +31,8 @@ pub struct Slow {
 
 oopp_repro::oopp::remote_class! {
     class Slow {
+        persistent;
+        reads(count);
         ctor();
         /// Sleep `nanos` of cluster time, then count one unit of work.
         fn work(&mut self, nanos: u64) -> u64;
@@ -51,6 +54,15 @@ impl Slow {
 
     fn count(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<u64> {
         Ok(self.done)
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        wire::to_bytes(&self.done)
+    }
+
+    fn load_state(_ctx: &mut NodeCtx, state: &[u8]) -> RemoteResult<Self> {
+        let done = wire::from_bytes(state)?;
+        Ok(Slow { done })
     }
 }
 
@@ -460,6 +472,64 @@ fn unanswered_half_open_trials_do_not_wedge_the_breaker() {
         0,
         "closed without a cooldown"
     );
+
+    // The trial is answered with `Moved` and chased to another machine
+    // (a balancer moving objects off an overloaded machine is precisely
+    // when breakers are open): machine 1 answered, so its breaker closes.
+    let unguarded = CallPolicy::reliable(Duration::from_secs(5));
+    let block = DoubleBlockClient::new_on(&mut driver, 1, 4).unwrap();
+    half_open(&mut driver);
+    driver.set_call_policy(unguarded);
+    driver.migrate(block.obj_ref(), 0).unwrap();
+    driver.forget_move(block.obj_ref());
+    driver.set_call_policy(policy);
+    assert_eq!(
+        block.get(&mut driver, 0).unwrap(),
+        0.0,
+        "chased to machine 0"
+    );
+    assert_eq!(admitted(&mut driver), 20, "re-routed trial");
+
+    // The trial is a read routed at a replica on machine 1 whose lease
+    // has lapsed: `StaleReplica` is an answer too, and the read lands at
+    // the primary on machine 0.
+    driver.set_call_policy(unguarded);
+    let primary = SlowClient::new_on(&mut driver, 0).unwrap();
+    let state = driver.snapshot_of(primary.obj_ref()).unwrap();
+    let replica = driver
+        .replica_adopt(1, "Slow", state, primary.obj_ref(), 1, 1)
+        .unwrap();
+    driver.register_replica_route(&primary, vec![replica], 1);
+    half_open(&mut driver);
+    assert_eq!(
+        primary.count(&mut driver).unwrap(),
+        0,
+        "fell back to machine 0"
+    );
+    assert_eq!(
+        driver.replica_route_of(primary.obj_ref()),
+        Some((vec![], 1)),
+        "the trial did go to the replica, which refused it"
+    );
+    assert_eq!(admitted(&mut driver), 20, "trial redirected to the primary");
+
+    // The same read at a replica that never answers: it falls back too,
+    // but silence is a failed trial — machine 1's breaker re-opens for one
+    // cooldown, then admits again.
+    driver.register_replica_route(&primary, vec![replica], 1);
+    half_open(&mut driver);
+    cluster.sim().faults().crash(1);
+    assert_eq!(
+        primary.count(&mut driver).unwrap(),
+        0,
+        "fell back to machine 0"
+    );
+    cluster.sim().faults().restart(1);
+    assert!(
+        matches!(s.count(&mut driver), Err(RemoteError::Overloaded { .. })),
+        "a silent trial re-opens the breaker for one cooldown"
+    );
+    assert_eq!(admitted(&mut driver), 20, "trial abandoned for the primary");
 
     // An open breaker must not swallow the stop order either.
     half_open(&mut driver);
