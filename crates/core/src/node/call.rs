@@ -495,7 +495,12 @@ impl NodeCtx {
         let mut deadline = started + timeout;
         loop {
             if let Some(result) = self.replies.remove(&req_id) {
-                match self.rule(req_id, result.as_ref().err().map(Event::Reply)) {
+                // Only an error can be anything but the call's answer.
+                let ruling = match &result {
+                    Err(err) => self.rule(req_id, Event::Reply(err)),
+                    Ok(_) => Verdict::Surface(None),
+                };
+                match ruling {
                     Verdict::Ignore => continue,
                     Verdict::Reissue(how) => {
                         req_id = self.reissue(req_id, how, &mut attempts);
@@ -503,18 +508,18 @@ impl NodeCtx {
                         continue;
                     }
                     Verdict::Surface(lesson) => {
-                        if let Some(call) = self.outstanding.get(&req_id) {
+                        if let Some(call) = self.outstanding.remove(&req_id) {
                             let reply_len = result.as_ref().map_or(0, |b| b.len());
                             let (at, trace) = (call.target, call.trace.as_ref());
                             let kind = EventKind::ClientRecv;
                             self.trace_call(kind, at.machine, trace, req_id, attempts, reply_len);
-                            let routed = call.read_primary.is_some();
                             if let Some(how) = lesson {
-                                self.learn(at, routed, how, false);
+                                self.learn(at, call.read_primary.is_some(), how, false);
                             }
+                            let failed =
+                                result.as_ref().err().is_some_and(Self::is_overload_failure);
+                            self.retire(call, Some(failed));
                         }
-                        let failed = result.as_ref().err().is_some_and(Self::is_overload_failure);
-                        self.retire_call(req_id, Some(failed));
                         return result;
                     }
                 }
@@ -555,7 +560,7 @@ impl NodeCtx {
                         dest.is_some_and(|d| !self.spend_retry_token(d))
                     };
                     if exhausted || suppressed {
-                        if let Verdict::Reissue(how) = self.rule(req_id, Some(Event::Exhausted)) {
+                        if let Verdict::Reissue(how) = self.rule(req_id, Event::Exhausted) {
                             req_id = self.reissue(req_id, how, &mut attempts);
                             deadline = self.clock.now_nanos() + timeout;
                             continue;
@@ -597,13 +602,13 @@ impl NodeCtx {
         }
     }
 
-    /// [`verdict`] on `event` for the outstanding call `req_id`. No event
-    /// (the reply is a success) and no such call both surface.
-    fn rule(&self, req_id: u64, event: Option<Event<'_>>) -> Verdict {
-        match (self.outstanding.get(&req_id), event) {
-            (Some(call), Some(event)) => verdict(call, event, self.machines()),
-            _ => Verdict::Surface(None),
-        }
+    /// [`verdict`] on `event` for the outstanding call `req_id` (an event
+    /// for a call nobody is waiting on surfaces).
+    fn rule(&self, req_id: u64, event: Event<'_>) -> Verdict {
+        let call = self.outstanding.get(&req_id);
+        call.map_or(Verdict::Surface(None), |c| {
+            verdict(c, event, self.machines())
+        })
     }
 
     /// What a redirect teaches this lane about `from`, the address that
@@ -819,11 +824,17 @@ impl NodeCtx {
     /// size keeps reusing one allocation of that size.
     fn retire_call(&mut self, req_id: u64, failed: Option<bool>) -> Option<ObjRef> {
         let call = self.outstanding.remove(&req_id)?;
+        Some(self.retire(call, failed))
+    }
+
+    /// [`retire_call`](Self::retire_call) for a call already taken out of
+    /// `outstanding`.
+    fn retire(&mut self, call: OutboundCall, failed: Option<bool>) -> ObjRef {
         self.breaker_note(call.target.machine, failed);
         if let Some(buf) = call.frame.into_unshared() {
             self.spare_frame = buf;
         }
-        Some(call.target)
+        call.target
     }
 }
 

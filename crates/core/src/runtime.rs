@@ -218,7 +218,7 @@ impl ClusterBuilder {
 
         // What a lane of machine `m` is built from, around that machine's
         // thread-shared server state.
-        let env = |m: MachineId, sched: Sched| MachineEnv {
+        let machine_env = |m: MachineId, sched: Sched| MachineEnv {
             machine: m,
             workers,
             net: sim.net(),
@@ -239,7 +239,7 @@ impl ClusterBuilder {
             let labels: Vec<u64> = (0..sched_workers)
                 .map(|w| WORKER_LABEL_BASE + (m as u64) * 256 + w as u64)
                 .collect();
-            let env = env(
+            let env = machine_env(
                 m,
                 if sched_workers == 0 {
                     Sched::Inline
@@ -276,7 +276,7 @@ impl ClusterBuilder {
         // irrelevant there, but keep one config for the whole cluster.
         let driver_id = workers;
         let mut driver_ctx = NodeCtx::new(
-            &env(driver_id, Sched::Inline),
+            &machine_env(driver_id, Sched::Inline),
             LaneRole::Dispatcher(sim.take_inbox(driver_id)),
         );
 
