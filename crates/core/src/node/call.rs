@@ -508,18 +508,13 @@ impl NodeCtx {
                         continue;
                     }
                     Verdict::Surface(lesson) => {
-                        if let Some(call) = self.outstanding.remove(&req_id) {
-                            let reply_len = result.as_ref().map_or(0, |b| b.len());
-                            let (at, trace) = (call.target, call.trace.as_ref());
-                            let kind = EventKind::ClientRecv;
-                            self.trace_call(kind, at.machine, trace, req_id, attempts, reply_len);
-                            if let Some(how) = lesson {
-                                self.learn(at, call.read_primary.is_some(), how, false);
-                            }
-                            let failed =
-                                result.as_ref().err().is_some_and(Self::is_overload_failure);
-                            self.retire(call, Some(failed));
+                        // The common answer — nothing to trace, nothing to
+                        // learn — goes straight to `retire_call`.
+                        if self.tracer.is_some() || lesson.is_some() {
+                            self.note_answer(req_id, attempts, &result, lesson);
                         }
+                        let failed = result.as_ref().err().is_some_and(Self::is_overload_failure);
+                        self.retire_call(req_id, Some(failed));
                         return result;
                     }
                 }
@@ -609,6 +604,37 @@ impl NodeCtx {
         call.map_or(Verdict::Surface(None), |c| {
             verdict(c, event, self.machines())
         })
+    }
+
+    /// Before the outstanding call `req_id` retires with `result` as its
+    /// answer: record the receipt, and learn what a redirect it may not
+    /// follow still teaches.
+    fn note_answer(
+        &mut self,
+        req_id: u64,
+        attempts: u32,
+        result: &RemoteResult<PacketBytes>,
+        lesson: Option<Reroute>,
+    ) {
+        let Some(call) = self.outstanding.get(&req_id) else {
+            return;
+        };
+        let (from, routed) = (call.target, call.read_primary.is_some());
+        let (kind, len) = (
+            EventKind::ClientRecv,
+            result.as_ref().map_or(0, |b| b.len()),
+        );
+        self.trace_call(
+            kind,
+            from.machine,
+            call.trace.as_ref(),
+            req_id,
+            attempts,
+            len,
+        );
+        if let Some(how) = lesson {
+            self.learn(from, routed, how, false);
+        }
     }
 
     /// What a redirect teaches this lane about `from`, the address that
@@ -824,17 +850,11 @@ impl NodeCtx {
     /// size keeps reusing one allocation of that size.
     fn retire_call(&mut self, req_id: u64, failed: Option<bool>) -> Option<ObjRef> {
         let call = self.outstanding.remove(&req_id)?;
-        Some(self.retire(call, failed))
-    }
-
-    /// [`retire_call`](Self::retire_call) for a call already taken out of
-    /// `outstanding`.
-    fn retire(&mut self, call: OutboundCall, failed: Option<bool>) -> ObjRef {
         self.breaker_note(call.target.machine, failed);
         if let Some(buf) = call.frame.into_unshared() {
             self.spare_frame = buf;
         }
-        call.target
+        Some(call.target)
     }
 }
 
