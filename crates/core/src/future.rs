@@ -56,10 +56,8 @@ pub fn join<T: Wire>(ctx: &mut NodeCtx, pendings: Vec<Pending<T>>) -> RemoteResu
 }
 
 /// The receive-loop of the split loop: `wait` for each of `pendings` in
-/// order, all of them even after one fails. `#[inline]`: as a call of its
-/// own it cost the 64-get `split_loop` benchmark 2 % (seven alternating
-/// runs a side, best and median alike); folded back into `join` it costs
-/// nothing.
+/// order, all of them even after one fails. Inlined, so `join` stays the
+/// single loop around `wait_raw` that the `split_loop` benchmark times.
 #[inline]
 fn drain<P, T>(
     ctx: &mut NodeCtx,
