@@ -106,6 +106,27 @@ impl Bluestein {
             }
         }
     }
+
+    /// Transform every column of the row-major `[n][width]` matrix `data`
+    /// in place. The chirp convolution works on one contiguous line, so
+    /// this is the one column form that gathers each column into a line
+    /// and scatters it back.
+    ///
+    /// # Panics
+    /// If `data.len() != self.len() * width`.
+    pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
+        assert_eq!(data.len(), self.n * width, "buffer must be [n][width]");
+        let mut line = vec![Complex::ZERO; self.n];
+        for col in 0..width {
+            for (j, slot) in line.iter_mut().enumerate() {
+                *slot = data[j * width + col];
+            }
+            self.process(&mut line, dir);
+            for (j, &v) in line.iter().enumerate() {
+                data[j * width + col] = v;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

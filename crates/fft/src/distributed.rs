@@ -42,7 +42,7 @@ use wire::{Reader, Wire};
 
 use crate::complex::{as_f64s, as_f64s_mut, Complex};
 use crate::dft::Direction;
-use crate::plan::Fft;
+use crate::nd::Fft3;
 
 // ---------------------------------------------------------------------
 // BlockInbox: transpose-block rendezvous (hand-written ServerObject)
@@ -265,13 +265,39 @@ pub struct FftWorker {
     inboxes: Vec<BlockInboxClient>,
     slab: Vec<Complex>,
     epoch: u64,
-    /// Epoch of the exchange currently in flight (set by the sending
-    /// phase, consumed by the collecting phase).
-    pending_epoch: Option<u64>,
-    /// One plan per axis, and the line an axis-0 or axis-1 transform
-    /// gathers a strided column into (`max(n1, n2)` long).
-    plans: [Fft; 3],
-    line: Vec<Complex>,
+    phase: Phase,
+    plan: Fft3,
+    /// The one scratch: the `[n1][n2/P][n3]` buffer the forward transpose
+    /// is collected into, transformed along axis 0 in place and sent back
+    /// from.
+    gathered: Vec<Complex>,
+}
+
+/// Where a worker stands in one `transform`: which exchange it has sent
+/// and not yet collected. Each phase is accepted in one state only.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    Idle,
+    /// `transform_local` ran in `dir` and sent the forward blocks of `epoch`.
+    Sent {
+        epoch: u64,
+        dir: Direction,
+    },
+    /// `transform_exchange` sent the return blocks of `epoch`.
+    Returned {
+        epoch: u64,
+    },
+}
+
+/// The paper's integer `sign`, checked: −1 forward, +1 inverse.
+fn direction(sign: i64) -> RemoteResult<Direction> {
+    match sign {
+        -1 => Ok(Direction::Forward),
+        1 => Ok(Direction::Inverse),
+        _ => Err(RemoteError::app(format!(
+            "sign must be -1 (forward) or +1 (inverse), got {sign}"
+        ))),
+    }
 }
 
 remote_class! {
@@ -332,9 +358,9 @@ impl FftWorker {
             inboxes: Vec::new(),
             slab: vec![Complex::ZERO; shape[0] / parts * shape[1] * shape[2]],
             epoch: 0,
-            pending_epoch: None,
-            plans: shape.map(Fft::new),
-            line: vec![Complex::ZERO; shape[0].max(shape[1])],
+            phase: Phase::Idle,
+            plan: Fft3::new(shape),
+            gathered: vec![Complex::ZERO; shape[0] * (shape[1] / parts) * shape[2]],
         })
     }
 
@@ -381,34 +407,20 @@ impl FftWorker {
         if self.inboxes.is_empty() {
             return Err(RemoteError::app("SetGroup must be called before transform"));
         }
-        if self.pending_epoch.is_some() {
+        if !matches!(self.phase, Phase::Idle) {
             return Err(RemoteError::app("transform phases called out of order"));
         }
-        let dir = Direction::from_sign(sign as i32);
+        let dir = direction(sign)?;
         let [n1, n2, n3] = self.shape;
         let (s1, s2) = (n1 / self.parts, n2 / self.parts);
 
         // 2-D FFTs (axes 1, 2) on each local plane.
-        let [_, plan2, plan3] = &self.plans;
-        let line = &mut self.line[..n2];
-        for plane in self.slab.chunks_exact_mut(n2 * n3) {
-            for row in plane.chunks_exact_mut(n3) {
-                plan3.process(row, dir);
-            }
-            for k in 0..n3 {
-                for j in 0..n2 {
-                    line[j] = plane[j * n3 + k];
-                }
-                plan2.process(line, dir);
-                for j in 0..n2 {
-                    plane[j * n3 + k] = line[j];
-                }
-            }
-        }
+        self.plan.process_planes(&mut self.slab, dir);
 
         // Send the forward-transpose block (my planes x q's columns) to
         // every peer's inbox: per plane, q's columns are one run of rows.
-        let epoch = self.begin_exchange();
+        let epoch = self.next_epoch();
+        self.phase = Phase::Sent { epoch, dir };
         let slab = &self.slab;
         let mut sends = Vec::with_capacity(self.parts);
         for (q, inbox) in self.inboxes.iter().enumerate() {
@@ -423,11 +435,19 @@ impl FftWorker {
     }
 
     fn transform_exchange(&mut self, ctx: &mut NodeCtx, sign: i64) -> RemoteResult<()> {
-        let epoch = self
-            .pending_epoch
-            .take()
-            .ok_or_else(|| RemoteError::app("transform_exchange before transform_local"))?;
-        let dir = Direction::from_sign(sign as i32);
+        let Phase::Sent { epoch, dir } = self.phase else {
+            return Err(RemoteError::app(
+                "transform_exchange before transform_local",
+            ));
+        };
+        if direction(sign)? != dir {
+            return Err(RemoteError::app(format!(
+                "transform_exchange({sign}) after transform_local({})",
+                dir.sign()
+            )));
+        }
+        // Whatever the exchange finds, the worker is free to start over.
+        self.phase = Phase::Idle;
         let [n1, n2, n3] = self.shape;
         let (s1, s2) = (n1 / self.parts, n2 / self.parts);
         // One block: a worker's planes x another's columns.
@@ -437,34 +457,23 @@ impl FftWorker {
         // joined transform_local across the whole group). Worker q's block
         // is planes `[q·s1, (q+1)·s1)` of the [n1][s2][n3] buffer: one run.
         let blocks = self.inboxes[self.id as usize].take_all(ctx, epoch, self.parts)?;
-        let mut gathered = vec![Complex::ZERO; n1 * s2 * n3];
         for (from, dst) in blocks
             .by_sender(self.parts, block)?
             .iter()
-            .zip(gathered.chunks_exact_mut(block))
+            .zip(self.gathered.chunks_exact_mut(block))
         {
             from.copy_to(0, as_f64s_mut(dst));
         }
         drop(blocks);
 
         // Axis-0 FFTs on the columns I now own.
-        let line = &mut self.line[..n1];
-        for j in 0..s2 {
-            for k in 0..n3 {
-                for i1 in 0..n1 {
-                    line[i1] = gathered[(i1 * s2 + j) * n3 + k];
-                }
-                self.plans[0].process(line, dir);
-                for i1 in 0..n1 {
-                    gathered[(i1 * s2 + j) * n3 + k] = line[i1];
-                }
-            }
-        }
+        self.plan.process_axis0(&mut self.gathered, dir);
 
         // Send the blocks back (worker q's planes are contiguous runs).
-        let epoch = self.begin_exchange();
+        let epoch = self.next_epoch();
+        self.phase = Phase::Returned { epoch };
         let mut sends = Vec::with_capacity(self.parts);
-        for (inbox, back) in self.inboxes.iter().zip(gathered.chunks_exact(block)) {
+        for (inbox, back) in self.inboxes.iter().zip(self.gathered.chunks_exact(block)) {
             sends.push(inbox.put_async(ctx, epoch, self.id, std::iter::once(back))?);
         }
         join(ctx, sends)?;
@@ -472,10 +481,12 @@ impl FftWorker {
     }
 
     fn transform_finish(&mut self, ctx: &mut NodeCtx) -> RemoteResult<()> {
-        let epoch = self
-            .pending_epoch
-            .take()
-            .ok_or_else(|| RemoteError::app("transform_finish before transform_exchange"))?;
+        let Phase::Returned { epoch } = self.phase else {
+            return Err(RemoteError::app(
+                "transform_finish before transform_exchange",
+            ));
+        };
+        self.phase = Phase::Idle;
         let [n1, n2, n3] = self.shape;
         let (s1, s2) = (n1 / self.parts, n2 / self.parts);
 
@@ -493,9 +504,8 @@ impl FftWorker {
         Ok(())
     }
 
-    /// The next exchange's epoch, now the one in flight.
-    fn begin_exchange(&mut self) -> u64 {
-        self.pending_epoch = Some(self.epoch);
+    /// The epoch of the exchange about to be sent.
+    fn next_epoch(&mut self) -> u64 {
         self.epoch += 1;
         self.epoch - 1
     }

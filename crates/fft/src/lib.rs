@@ -33,6 +33,7 @@ pub mod plan;
 pub mod radix2;
 pub mod radix4;
 pub mod real;
+mod tile;
 
 pub use bluestein::Bluestein;
 pub use complex::{as_f64s, as_f64s_mut, c64, max_error, Complex};
@@ -47,5 +48,7 @@ pub use radix2::Radix2;
 pub use radix4::Radix4;
 pub use real::RealFft;
 
+#[cfg(test)]
+mod oracle;
 #[cfg(test)]
 mod tests;

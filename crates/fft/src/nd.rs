@@ -6,6 +6,7 @@
 
 use crate::complex::Complex;
 use crate::dft::Direction;
+use crate::nd2::Fft2;
 use crate::plan::Fft;
 
 /// Row-major 3-D buffer of complex values.
@@ -75,11 +76,18 @@ impl Grid3 {
     }
 }
 
-/// 3-D FFT plan: one 1-D plan per axis.
+/// 3-D FFT plan: a 2-D plan for the `n2 × n3` planes and a 1-D plan for
+/// axis 0.
+///
+/// The two passes are public because a slab decomposition runs them apart,
+/// with a transpose between: [`FftWorker`](crate::FftWorker) and the
+/// message-passing baseline call the same two functions
+/// [`process`](Self::process) does.
 #[derive(Debug, Clone)]
 pub struct Fft3 {
     shape: [usize; 3],
-    plans: [Fft; 3],
+    planes: Fft2,
+    axis0: Fft,
 }
 
 impl Fft3 {
@@ -87,7 +95,8 @@ impl Fft3 {
     pub fn new(shape: [usize; 3]) -> Self {
         Fft3 {
             shape,
-            plans: [Fft::new(shape[0]), Fft::new(shape[1]), Fft::new(shape[2])],
+            planes: Fft2::new([shape[1], shape[2]]),
+            axis0: Fft::new(shape[0]),
         }
     }
 
@@ -102,41 +111,32 @@ impl Fft3 {
     /// If the grid shape does not match the plan.
     pub fn process(&self, grid: &mut Grid3, dir: Direction) {
         assert_eq!(grid.shape(), self.shape, "grid shape must match plan");
-        let [n1, n2, n3] = self.shape;
+        self.process_planes(grid.data_mut(), dir);
+        self.process_axis0(grid.data_mut(), dir);
+    }
 
-        // Axis 2 (contiguous rows).
-        for i in 0..n1 {
-            for j in 0..n2 {
-                let start = grid.idx(i, j, 0);
-                self.plans[2].process(&mut grid.data_mut()[start..start + n3], dir);
-            }
+    /// Axes 1 and 2: the 2-D transform of every `n2 × n3` plane of `slab`,
+    /// any number of whole planes, where they lie.
+    ///
+    /// # Panics
+    /// If `slab` is not a whole number of planes.
+    pub fn process_planes(&self, slab: &mut [Complex], dir: Direction) {
+        let plane = self.shape[1] * self.shape[2];
+        assert_eq!(slab.len() % plane, 0, "slab must be whole planes");
+        for plane in slab.chunks_exact_mut(plane) {
+            self.planes.process_plane(plane, dir);
         }
-        // Axis 1 (stride n3).
-        let mut line = vec![Complex::ZERO; n2];
-        for i in 0..n1 {
-            for k in 0..n3 {
-                for (j, slot) in line.iter_mut().enumerate() {
-                    *slot = grid.at(i, j, k);
-                }
-                self.plans[1].process(&mut line, dir);
-                for (j, &v) in line.iter().enumerate() {
-                    *grid.at_mut(i, j, k) = v;
-                }
-            }
-        }
-        // Axis 0 (stride n2*n3).
-        let mut line = vec![Complex::ZERO; n1];
-        for j in 0..n2 {
-            for k in 0..n3 {
-                for (i, slot) in line.iter_mut().enumerate() {
-                    *slot = grid.at(i, j, k);
-                }
-                self.plans[0].process(&mut line, dir);
-                for (i, &v) in line.iter().enumerate() {
-                    *grid.at_mut(i, j, k) = v;
-                }
-            }
-        }
+    }
+
+    /// Axis 0: all columns of the row-major `[n1][width]` buffer `columns`
+    /// — the whole grid (`width = n2·n3`), or the part of every plane a
+    /// slab-decomposed transform gathered (`width = (n2/P)·n3`).
+    ///
+    /// # Panics
+    /// If `columns` is not `n1` rows of one width.
+    pub fn process_axis0(&self, columns: &mut [Complex], dir: Direction) {
+        let width = columns.len() / self.shape[0];
+        self.axis0.process_columns(columns, width, dir);
     }
 
     /// Out-of-place convenience.

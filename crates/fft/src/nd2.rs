@@ -83,22 +83,21 @@ impl Fft2 {
     /// If the grid shape does not match the plan.
     pub fn process(&self, grid: &mut Grid2, dir: Direction) {
         assert_eq!(grid.shape(), self.shape, "grid shape must match plan");
+        self.process_plane(grid.data_mut(), dir);
+    }
+
+    /// In-place 2-D transform of one row-major `n1 × n2` plane where it
+    /// lies: the contiguous rows one by one, then all columns at once.
+    ///
+    /// # Panics
+    /// If `plane.len() != n1 * n2`.
+    pub fn process_plane(&self, plane: &mut [Complex], dir: Direction) {
         let [n1, n2] = self.shape;
-        // Rows (contiguous).
-        for i in 0..n1 {
-            self.plans[1].process(&mut grid.data_mut()[i * n2..(i + 1) * n2], dir);
+        assert_eq!(plane.len(), n1 * n2, "plane size must match plan");
+        for row in plane.chunks_exact_mut(n2) {
+            self.plans[1].process(row, dir);
         }
-        // Columns (strided).
-        let mut line = vec![Complex::ZERO; n1];
-        for j in 0..n2 {
-            for (i, slot) in line.iter_mut().enumerate() {
-                *slot = grid.at(i, j);
-            }
-            self.plans[0].process(&mut line, dir);
-            for (i, &v) in line.iter().enumerate() {
-                *grid.at_mut(i, j) = v;
-            }
-        }
+        self.plans[0].process_columns(plane, n2, dir);
     }
 
     /// Out-of-place convenience.

@@ -1,0 +1,278 @@
+//! The kernels this crate had before its column forms, kept as the oracle:
+//! one line at a time, one twiddle table read at a stride, a conjugation
+//! and a complex multiply by `±i` per butterfly, a strided column gathered
+//! into a line and scattered back. The new kernels do the same arithmetic
+//! in the same order on every element, so the tests here ask for `==`, not
+//! for a tolerance.
+
+use crate::complex::{c64, Complex};
+use crate::dft::Direction;
+use crate::*;
+
+/// `Radix2::process` as it was.
+fn radix2_reference(data: &mut [Complex], dir: Direction) {
+    let n = data.len();
+    assert!(n.is_power_of_two());
+    if n <= 1 {
+        return;
+    }
+    let bits = n.trailing_zeros();
+    let twiddles: Vec<Complex> = (0..n / 2)
+        .map(|k| Complex::cis(-std::f64::consts::TAU * k as f64 / n as f64))
+        .collect();
+    for i in 0..n {
+        let j = ((i as u32).reverse_bits() >> (32 - bits)) as usize;
+        if i < j {
+            data.swap(i, j);
+        }
+    }
+    let conj = dir == Direction::Inverse;
+    let mut len = 2;
+    while len <= n {
+        let stride = n / len;
+        for start in (0..n).step_by(len) {
+            for j in 0..len / 2 {
+                let mut w = twiddles[j * stride];
+                if conj {
+                    w = w.conj();
+                }
+                let a = data[start + j];
+                let b = data[start + j + len / 2] * w;
+                data[start + j] = a + b;
+                data[start + j + len / 2] = a - b;
+            }
+        }
+        len <<= 1;
+    }
+    if conj {
+        let inv = 1.0 / n as f64;
+        for v in data.iter_mut() {
+            *v = v.scale(inv);
+        }
+    }
+}
+
+/// `Radix4::process` as it was.
+fn radix4_reference(data: &mut [Complex], dir: Direction) {
+    let n = data.len();
+    assert!(radix4::is_power_of_four(n));
+    if n <= 1 {
+        return;
+    }
+    let pairs = n.trailing_zeros() / 2;
+    let twiddles: Vec<Complex> = (0..n)
+        .map(|k| Complex::cis(-std::f64::consts::TAU * k as f64 / n as f64))
+        .collect();
+    for i in 0..n {
+        let (mut v, mut j) = (i, 0);
+        for _ in 0..pairs {
+            j = (j << 2) | (v & 3);
+            v >>= 2;
+        }
+        if i < j {
+            data.swap(i, j);
+        }
+    }
+    let conj = dir == Direction::Inverse;
+    let rot = if conj { Complex::I } else { -Complex::I };
+    let mut len = 4;
+    while len <= n {
+        let quarter = len / 4;
+        let stride = n / len;
+        for start in (0..n).step_by(len) {
+            for j in 0..quarter {
+                let mut w = [1, 2, 3].map(|m| twiddles[m * j * stride]);
+                if conj {
+                    w = w.map(Complex::conj);
+                }
+                let a = data[start + j];
+                let b = data[start + j + quarter] * w[0];
+                let c = data[start + j + 2 * quarter] * w[1];
+                let d = data[start + j + 3 * quarter] * w[2];
+
+                let ac_sum = a + c;
+                let ac_diff = a - c;
+                let bd_sum = b + d;
+                let bd_diff = (b - d) * rot;
+
+                data[start + j] = ac_sum + bd_sum;
+                data[start + j + quarter] = ac_diff + bd_diff;
+                data[start + j + 2 * quarter] = ac_sum - bd_sum;
+                data[start + j + 3 * quarter] = ac_diff - bd_diff;
+            }
+        }
+        len <<= 2;
+    }
+    if conj {
+        let inv = 1.0 / n as f64;
+        for v in data.iter_mut() {
+            *v = v.scale(inv);
+        }
+    }
+}
+
+/// The old power-of-two kernel `Fft::new(n)` would have picked.
+fn pow2_reference(data: &mut [Complex], dir: Direction) {
+    if radix4::is_power_of_four(data.len()) && data.len() > 1 {
+        radix4_reference(data, dir)
+    } else {
+        radix2_reference(data, dir)
+    }
+}
+
+/// Every strided axis as it was run: each column of the row-major
+/// `[n][width]` matrix gathered into a line, transformed, scattered back.
+fn columns_by_line(data: &mut [Complex], width: usize, mut process: impl FnMut(&mut [Complex])) {
+    let n = data.len() / width;
+    let mut line = vec![Complex::ZERO; n];
+    for col in 0..width {
+        for j in 0..n {
+            line[j] = data[j * width + col];
+        }
+        process(&mut line);
+        for j in 0..n {
+            data[j * width + col] = line[j];
+        }
+    }
+}
+
+/// `Fft3::process` as it was, over `line`, the 1-D transform of the day.
+fn fft3_by_line(grid: &mut Grid3, mut line: impl FnMut(&mut [Complex])) {
+    let [n1, n2, n3] = grid.shape();
+    for row in grid.data_mut().chunks_exact_mut(n3) {
+        line(row);
+    }
+    for plane in grid.data_mut().chunks_exact_mut(n2 * n3) {
+        columns_by_line(plane, n3, &mut line);
+    }
+    columns_by_line(grid.data_mut(), n2 * n3, &mut line);
+    assert_eq!(grid.data().len(), n1 * n2 * n3);
+}
+
+/// Finite values in `[-0.5, 0.5)`, the same for the same seed.
+fn seeded(len: usize, seed: u64) -> Vec<Complex> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    };
+    (0..len).map(|_| c64(next(), next())).collect()
+}
+
+const BOTH: [Direction; 2] = [Direction::Forward, Direction::Inverse];
+
+#[test]
+fn lines_equal_the_old_kernels_for_every_power_of_two() {
+    for bits in 1..=10 {
+        let n = 1usize << bits;
+        for dir in BOTH {
+            let x = seeded(n, bits as u64);
+            let mut old = x.clone();
+            pow2_reference(&mut old, dir);
+            assert_eq!(Fft::new(n).transform(&x, dir), old, "n={n} {dir:?}");
+
+            // Both kernels serve every size they can plan, whichever the
+            // plan picks.
+            let mut old = x.clone();
+            radix2_reference(&mut old, dir);
+            let mut new = x.clone();
+            Radix2::new(n).process(&mut new, dir);
+            assert_eq!(new, old, "radix-2 n={n} {dir:?}");
+        }
+    }
+}
+
+#[test]
+fn columns_equal_the_old_kernels_line_by_line() {
+    // Tile edges, widths that are no multiple of a tile, the worker's real
+    // width (32 rows of 64 at 64³ over two workers).
+    for width in [1usize, 3, 64, 65, 130, 2048] {
+        // Every power of two up to 1 024; at the real width, the real sizes.
+        let bits = if width == 2048 { 5..=6 } else { 1..=10 };
+        for n in bits.map(|b| 1usize << b) {
+            for dir in BOTH {
+                let x = seeded(n * width, (n + width) as u64);
+                let mut old = x.clone();
+                columns_by_line(&mut old, width, |line| pow2_reference(line, dir));
+                let mut new = x;
+                Fft::new(n).process_columns(&mut new, width, dir);
+                assert!(new == old, "n={n} width={width} {dir:?}");
+            }
+        }
+    }
+    // The radix-2 column form at powers of four, where no plan picks it.
+    for n in [4usize, 16, 64] {
+        for dir in BOTH {
+            let x = seeded(n * 65, n as u64);
+            let mut old = x.clone();
+            columns_by_line(&mut old, 65, |line| radix2_reference(line, dir));
+            let mut new = x;
+            Radix2::new(n).process_columns(&mut new, 65, dir);
+            assert!(new == old, "radix-2 n={n} {dir:?}");
+        }
+    }
+}
+
+#[test]
+fn bluestein_columns_equal_its_lines() {
+    for n in [12usize, 60] {
+        let plan = Fft::new(n);
+        assert!(!plan.is_radix2());
+        for width in [1usize, 3, 65] {
+            for dir in BOTH {
+                let x = seeded(n * width, (n * width) as u64);
+                let mut old = x.clone();
+                columns_by_line(&mut old, width, |line| plan.process(line, dir));
+                let mut new = x;
+                plan.process_columns(&mut new, width, dir);
+                assert!(new == old, "n={n} width={width} {dir:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_matrix_of_no_columns_or_one_row_is_left_alone() {
+    for n in [1usize, 2, 4, 12] {
+        Fft::new(n).process_columns(&mut [], 0, Direction::Forward);
+    }
+    let x = seeded(7, 1);
+    let mut y = x.clone();
+    Fft::new(1).process_columns(&mut y, 7, Direction::Inverse);
+    assert_eq!(x, y);
+}
+
+#[test]
+#[should_panic(expected = "[n][width]")]
+fn columns_reject_a_buffer_of_the_wrong_size() {
+    Fft::new(4).process_columns(&mut [Complex::ZERO; 9], 2, Direction::Forward);
+}
+
+#[test]
+fn fft3_equals_the_old_passes_and_the_definition() {
+    // Powers of two: `==` against the old passes over the old kernels.
+    for shape in [[4usize, 8, 16], [16, 16, 16], [2, 64, 32]] {
+        for dir in BOTH {
+            let len = shape.iter().product();
+            let mut old = Grid3::new(shape, seeded(len, len as u64));
+            let mut new = old.clone();
+            fft3_by_line(&mut old, |line| pow2_reference(line, dir));
+            Fft3::new(shape).process(&mut new, dir);
+            assert!(new == old, "{shape:?} {dir:?}");
+        }
+    }
+    // One axis of each kind — radix-4, Bluestein, Bluestein — against the
+    // O(N²) definition, and `==` against the passes line by line.
+    let shape = [4usize, 6, 10];
+    let grid = Grid3::new(shape, seeded(240, 7));
+    for dir in BOTH {
+        let fast = Fft3::new(shape).transform(&grid, dir);
+        let err = max_error(fast.data(), dft3(&grid, dir).data());
+        assert!(err < 1e-9, "{dir:?}: error {err}");
+        let mut old = grid.clone();
+        fft3_by_line(&mut old, |line| Fft::new(line.len()).process(line, dir));
+        assert!(fast == old, "{dir:?}");
+    }
+}

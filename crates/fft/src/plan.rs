@@ -74,6 +74,32 @@ impl Fft {
         }
     }
 
+    /// Transform every column of the row-major `[n][width]` matrix `data`
+    /// in place — how every strided axis of a 2-D or 3-D transform is run:
+    /// no column is gathered into a line (but for Bluestein sizes), and a
+    /// butterfly's twiddles are read once for a run of columns.
+    ///
+    /// ```
+    /// use fft::{c64, Complex, Direction, Fft};
+    ///
+    /// let plan = Fft::new(4);
+    /// // Three columns, each the sequence 1, 0, 0, 0 scaled.
+    /// let mut m = vec![Complex::ZERO; 4 * 3];
+    /// m[..3].copy_from_slice(&[c64(1.0, 0.0), c64(2.0, 0.0), c64(3.0, 0.0)]);
+    /// plan.process_columns(&mut m, 3, Direction::Forward);
+    /// assert!(m.chunks(3).all(|row| row == &m[..3]));
+    /// ```
+    ///
+    /// # Panics
+    /// If `data.len() != self.len() * width`.
+    pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
+        match &self.strategy {
+            Strategy::Radix2(p) => p.process_columns(data, width, dir),
+            Strategy::Radix4(p) => p.process_columns(data, width, dir),
+            Strategy::Bluestein(p) => p.process_columns(data, width, dir),
+        }
+    }
+
     /// Out-of-place transform.
     pub fn transform(&self, input: &[Complex], dir: Direction) -> Vec<Complex> {
         let mut out = input.to_vec();

@@ -1,16 +1,29 @@
 //! Iterative radix-2 Cooley–Tukey FFT for power-of-two sizes.
+//!
+//! Laid out like [`Radix4`](crate::radix4::Radix4): the bit reversal as a
+//! list of exchanges, the twiddles per stage in the order they are read, a
+//! conjugated copy for the inverse, a first stage that multiplies nothing.
 
 use crate::complex::Complex;
 use crate::dft::Direction;
+use crate::tile::{scale_rows, swap_pairs, swap_rows, tiles};
 
-/// Precomputed machinery for power-of-two transforms: the bit-reversal
-/// permutation and the forward twiddle table (inverse runs conjugate).
+/// Precomputed machinery for power-of-two transforms.
 #[derive(Debug, Clone)]
 pub struct Radix2 {
     n: usize,
-    bitrev: Vec<u32>,
-    /// `e^{-2πi k / n}` for `k in 0..n/2`.
-    twiddles: Vec<Complex>,
+    /// The exchanges `(i, j)`, `i < j`, of the bit reversal.
+    swaps: Vec<(u32, u32)>,
+    /// `w^j` for `j in 0..len/2`, `w = e^{-2πi/len}`, the stages
+    /// `len = 4, 8, …, n` one after the other; `[1]` holds the conjugates.
+    /// Indexed by `Direction as usize`.
+    twiddles: [Vec<Complex>; 2],
+}
+
+/// One butterfly: the twiddled `b` and `a` in, sum and difference out.
+#[inline(always)]
+fn butterfly(tb: Complex, a: &mut Complex, b: &mut Complex) {
+    (*a, *b) = (*a + tb, *a - tb);
 }
 
 impl Radix2 {
@@ -25,22 +38,20 @@ impl Radix2 {
             "Radix2 requires a power-of-two size, got {n}"
         );
         let bits = n.trailing_zeros();
-        let bitrev = (0..n as u32)
-            .map(|i| {
-                if n > 1 {
-                    i.reverse_bits() >> (32 - bits)
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let twiddles = (0..n / 2)
-            .map(|k| Complex::cis(-std::f64::consts::TAU * k as f64 / n as f64))
-            .collect();
+        let swaps = swap_pairs(n, |i| i.reverse_bits().checked_shr(32 - bits).unwrap_or(0));
+        // Every stage reads the one table `e^{-2πi k / n}` at a stride.
+        let root = |k: usize| Complex::cis(-std::f64::consts::TAU * k as f64 / n as f64);
+        let mut forward = Vec::with_capacity(n);
+        let mut len = 4;
+        while len <= n {
+            forward.extend((0..len / 2).map(|j| root(j * (n / len))));
+            len <<= 1;
+        }
+        let inverse = forward.iter().map(|w| w.conj()).collect();
         Radix2 {
             n,
-            bitrev,
-            twiddles,
+            swaps,
+            twiddles: [forward, inverse],
         }
     }
 
@@ -60,44 +71,74 @@ impl Radix2 {
     /// If `data.len() != self.len()`.
     pub fn process(&self, data: &mut [Complex], dir: Direction) {
         assert_eq!(data.len(), self.n, "buffer length must equal plan size");
-        let n = self.n;
-        if n <= 1 {
+        if self.n <= 1 {
             return;
         }
-
-        // Bit-reversal permutation.
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
+        for &(i, j) in &self.swaps {
+            data.swap(i as usize, j as usize);
         }
-
-        // Butterfly passes. For stage length `len`, the twiddle for offset j
-        // is twiddles[j * (n / len)] (conjugated for the inverse).
-        let conj = dir == Direction::Inverse;
-        let mut len = 2;
-        while len <= n {
-            let stride = n / len;
-            for start in (0..n).step_by(len) {
-                for j in 0..len / 2 {
-                    let mut w = self.twiddles[j * stride];
-                    if conj {
-                        w = w.conj();
-                    }
-                    let a = data[start + j];
-                    let b = data[start + j + len / 2] * w;
-                    data[start + j] = a + b;
-                    data[start + j + len / 2] = a - b;
+        for pair in data.chunks_exact_mut(2) {
+            let [a, b] = pair else { unreachable!() };
+            butterfly(*b, a, b);
+        }
+        let mut twiddles = &self.twiddles[dir as usize][..];
+        let mut half = 2;
+        while 2 * half <= self.n {
+            let (stage, rest) = twiddles.split_at(half);
+            for group in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = group.split_at_mut(half);
+                for ((a, b), w) in lo.iter_mut().zip(hi).zip(stage) {
+                    butterfly(*b * *w, a, b);
                 }
             }
-            len <<= 1;
+            twiddles = rest;
+            half *= 2;
         }
-
-        if conj {
-            let inv = 1.0 / n as f64;
-            for v in data.iter_mut() {
+        if dir == Direction::Inverse {
+            let inv = 1.0 / self.n as f64;
+            for v in data {
                 *v = v.scale(inv);
+            }
+        }
+    }
+
+    /// Transform every column of the row-major `[n][width]` matrix `data`
+    /// in place, a tile of columns at a time: each butterfly reads its
+    /// twiddle once and sweeps the tile's run of columns.
+    ///
+    /// # Panics
+    /// If `data.len() != self.len() * width`.
+    pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
+        assert_eq!(data.len(), self.n * width, "buffer must be [n][width]");
+        if self.n <= 1 {
+            return;
+        }
+        for cols in tiles(width) {
+            swap_rows(data, width, &cols, &self.swaps);
+            for pair in data.chunks_exact_mut(2 * width) {
+                let (r0, r1) = pair.split_at_mut(width);
+                for (a, b) in r0[cols.clone()].iter_mut().zip(&mut r1[cols.clone()]) {
+                    butterfly(*b, a, b);
+                }
+            }
+            let mut twiddles = &self.twiddles[dir as usize][..];
+            let mut half = 2;
+            while 2 * half <= self.n {
+                let (stage, rest) = twiddles.split_at(half);
+                for group in data.chunks_exact_mut(2 * half * width) {
+                    let (lo, hi) = group.split_at_mut(half * width);
+                    let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
+                    for ((r0, r1), w) in rows.zip(stage) {
+                        for (a, b) in r0[cols.clone()].iter_mut().zip(&mut r1[cols.clone()]) {
+                            butterfly(*b * *w, a, b);
+                        }
+                    }
+                }
+                twiddles = rest;
+                half *= 2;
+            }
+            if dir == Direction::Inverse {
+                scale_rows(data, width, &cols, 1.0 / self.n as f64);
             }
         }
     }

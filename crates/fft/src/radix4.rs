@@ -2,24 +2,58 @@
 //!
 //! Radix-4 butterflies do the work of two radix-2 stages with ~25% fewer
 //! multiplies; [`Fft`](crate::plan::Fft) selects this path when `n = 4^k`.
+//!
+//! The plan stores what a transform reads in the order it reads it: the
+//! exchanges of the digit reversal as a list of pairs, and per stage the
+//! three twiddles of each butterfly side by side, once as they are and once
+//! conjugated for the inverse. The first stage's twiddles are all 1 and it
+//! multiplies nothing; `±i` is a swap and a negation.
 
-use crate::complex::Complex;
+use crate::complex::{c64, Complex};
 use crate::dft::Direction;
+use crate::tile::{scale_rows, swap_pairs, swap_rows, tiles};
 
 /// Precomputed radix-4 plan.
 #[derive(Debug, Clone)]
 pub struct Radix4 {
     n: usize,
-    /// Base-4 digit-reversal permutation.
-    digitrev: Vec<u32>,
-    /// `e^{-2πi k / n}` for `k in 0..n` (the three twiddles per butterfly
-    /// are `w^j, w^{2j}, w^{3j}`, all read from this table).
-    twiddles: Vec<Complex>,
+    /// The exchanges `(i, j)`, `i < j`, of the base-4 digit reversal.
+    swaps: Vec<(u32, u32)>,
+    /// `[w^j, w^2j, w^3j]` for `j in 0..len/4`, `w = e^{-2πi/len}`, the
+    /// stages `len = 16, 64, …, n` one after the other; `[1]` holds the
+    /// conjugates. Indexed by `Direction as usize`.
+    twiddles: [Vec<[Complex; 3]>; 2],
 }
 
 /// True if `n` is a power of four.
 pub fn is_power_of_four(n: usize) -> bool {
     n.is_power_of_two() && n.trailing_zeros().is_multiple_of(2)
+}
+
+/// `group` cut into its four quarters.
+fn quarters(group: &mut [Complex]) -> [&mut [Complex]; 4] {
+    let (lo, hi) = group.split_at_mut(group.len() / 2);
+    let (q0, q1) = lo.split_at_mut(lo.len() / 2);
+    let (q2, q3) = hi.split_at_mut(hi.len() / 2);
+    [q0, q1, q2, q3]
+}
+
+/// One butterfly: the twiddled `b`, `c`, `d` and `a` in, the four outputs
+/// written through `a`, `b`, `c`, `d`. The rotation of `b - d` is by `-i`
+/// forward and by `+i` inverse.
+#[inline(always)]
+fn butterfly<const INVERSE: bool>([tb, tc, td]: [Complex; 3], [a, b, c, d]: [&mut Complex; 4]) {
+    let (ac_sum, ac_diff) = (*a + tc, *a - tc);
+    let (bd_sum, t) = (tb + td, tb - td);
+    let bd_diff = if INVERSE {
+        c64(-t.im, t.re)
+    } else {
+        c64(t.im, -t.re)
+    };
+    *a = ac_sum + bd_sum;
+    *b = ac_diff + bd_diff;
+    *c = ac_sum - bd_sum;
+    *d = ac_diff - bd_diff;
 }
 
 impl Radix4 {
@@ -33,24 +67,31 @@ impl Radix4 {
             "Radix4 requires a power-of-four size, got {n}"
         );
         let pairs = n.trailing_zeros() / 2; // base-4 digits
-        let digitrev = (0..n as u32)
-            .map(|i| {
-                let mut v = i;
-                let mut r = 0u32;
-                for _ in 0..pairs {
-                    r = (r << 2) | (v & 3);
-                    v >>= 2;
-                }
-                r
-            })
-            .collect();
-        let twiddles = (0..n)
-            .map(|k| Complex::cis(-std::f64::consts::TAU * k as f64 / n as f64))
-            .collect();
+        let swaps = swap_pairs(n, |mut v| {
+            let mut r = 0u32;
+            for _ in 0..pairs {
+                r = (r << 2) | (v & 3);
+                v >>= 2;
+            }
+            r
+        });
+        // Every stage reads the one table `e^{-2πi k / n}` at a stride.
+        let root = |k: usize| Complex::cis(-std::f64::consts::TAU * k as f64 / n as f64);
+        let mut forward = Vec::new();
+        let mut len = 16;
+        while len <= n {
+            let stride = n / len;
+            forward.extend(
+                (0..len / 4)
+                    .map(|j| [root(j * stride), root(2 * j * stride), root(3 * j * stride)]),
+            );
+            len <<= 2;
+        }
+        let inverse = forward.iter().map(|w| w.map(Complex::conj)).collect();
         Radix4 {
             n,
-            digitrev,
-            twiddles,
+            swaps,
+            twiddles: [forward, inverse],
         }
     }
 
@@ -70,67 +111,88 @@ impl Radix4 {
     /// If `data.len() != self.len()`.
     pub fn process(&self, data: &mut [Complex], dir: Direction) {
         assert_eq!(data.len(), self.n, "buffer length must equal plan size");
-        let n = self.n;
-        if n <= 1 {
+        match dir {
+            Direction::Forward => self.line::<false>(data),
+            Direction::Inverse => self.line::<true>(data),
+        }
+    }
+
+    /// Transform every column of the row-major `[n][width]` matrix `data`
+    /// in place, a tile of columns at a time: each butterfly reads its
+    /// twiddles once and sweeps the tile's run of columns.
+    ///
+    /// # Panics
+    /// If `data.len() != self.len() * width`.
+    pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
+        assert_eq!(data.len(), self.n * width, "buffer must be [n][width]");
+        match dir {
+            Direction::Forward => self.columns::<false>(data, width),
+            Direction::Inverse => self.columns::<true>(data, width),
+        }
+    }
+
+    fn line<const INVERSE: bool>(&self, data: &mut [Complex]) {
+        if self.n <= 1 {
             return;
         }
-        // Digit-reversal permutation.
-        for i in 0..n {
-            let j = self.digitrev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
+        for &(i, j) in &self.swaps {
+            data.swap(i as usize, j as usize);
         }
-
-        let conj = dir == Direction::Inverse;
-        // For the forward transform the radix-4 butterfly's "rotation by i"
-        // is -i; for the inverse it is +i.
-        let rot = if conj { Complex::I } else { -Complex::I };
-
-        let mut len = 4;
-        while len <= n {
-            let quarter = len / 4;
-            let stride = n / len;
-            for start in (0..n).step_by(len) {
-                for j in 0..quarter {
-                    let (w1, w2, w3);
-                    {
-                        let t1 = self.twiddles[j * stride];
-                        let t2 = self.twiddles[2 * j * stride];
-                        let t3 = self.twiddles[3 * j * stride];
-                        if conj {
-                            w1 = t1.conj();
-                            w2 = t2.conj();
-                            w3 = t3.conj();
-                        } else {
-                            w1 = t1;
-                            w2 = t2;
-                            w3 = t3;
-                        }
-                    }
-                    let a = data[start + j];
-                    let b = data[start + j + quarter] * w1;
-                    let c = data[start + j + 2 * quarter] * w2;
-                    let d = data[start + j + 3 * quarter] * w3;
-
-                    let ac_sum = a + c;
-                    let ac_diff = a - c;
-                    let bd_sum = b + d;
-                    let bd_diff = (b - d) * rot;
-
-                    data[start + j] = ac_sum + bd_sum;
-                    data[start + j + quarter] = ac_diff + bd_diff;
-                    data[start + j + 2 * quarter] = ac_sum - bd_sum;
-                    data[start + j + 3 * quarter] = ac_diff - bd_diff;
+        for group in data.chunks_exact_mut(4) {
+            let [a, b, c, d] = group else { unreachable!() };
+            butterfly::<INVERSE>([*b, *c, *d], [a, b, c, d]);
+        }
+        let mut twiddles = &self.twiddles[INVERSE as usize][..];
+        let mut quarter = 4;
+        while 4 * quarter <= self.n {
+            let (stage, rest) = twiddles.split_at(quarter);
+            for group in data.chunks_exact_mut(4 * quarter) {
+                let [q0, q1, q2, q3] = quarters(group);
+                for ((((a, b), c), d), w) in q0.iter_mut().zip(q1).zip(q2).zip(q3).zip(stage) {
+                    butterfly::<INVERSE>([*b * w[0], *c * w[1], *d * w[2]], [a, b, c, d]);
                 }
             }
-            len <<= 2;
+            twiddles = rest;
+            quarter *= 4;
         }
-
-        if conj {
-            let inv = 1.0 / n as f64;
-            for v in data.iter_mut() {
+        if INVERSE {
+            let inv = 1.0 / self.n as f64;
+            for v in data {
                 *v = v.scale(inv);
+            }
+        }
+    }
+
+    fn columns<const INVERSE: bool>(&self, data: &mut [Complex], width: usize) {
+        if self.n <= 1 {
+            return;
+        }
+        for cols in tiles(width) {
+            swap_rows(data, width, &cols, &self.swaps);
+            for group in data.chunks_exact_mut(4 * width) {
+                let [r0, r1, r2, r3] = quarters(group).map(|r| &mut r[cols.clone()]);
+                for (((a, b), c), d) in r0.iter_mut().zip(r1).zip(r2).zip(r3) {
+                    butterfly::<INVERSE>([*b, *c, *d], [a, b, c, d]);
+                }
+            }
+            let mut twiddles = &self.twiddles[INVERSE as usize][..];
+            let mut quarter = 4;
+            while 4 * quarter <= self.n {
+                let (stage, rest) = twiddles.split_at(quarter);
+                for group in data.chunks_exact_mut(4 * quarter * width) {
+                    let [q0, q1, q2, q3] = quarters(group).map(|q| q.chunks_exact_mut(width));
+                    for ((((r0, r1), r2), r3), w) in q0.zip(q1).zip(q2).zip(q3).zip(stage) {
+                        let [r0, r1, r2, r3] = [r0, r1, r2, r3].map(|r| &mut r[cols.clone()]);
+                        for (((a, b), c), d) in r0.iter_mut().zip(r1).zip(r2).zip(r3) {
+                            butterfly::<INVERSE>([*b * w[0], *c * w[1], *d * w[2]], [a, b, c, d]);
+                        }
+                    }
+                }
+                twiddles = rest;
+                quarter *= 4;
+            }
+            if INVERSE {
+                scale_rows(data, width, &cols, 1.0 / self.n as f64);
             }
         }
     }

@@ -162,6 +162,75 @@ fn stray_transpose_blocks_are_refused_not_indexed() {
     cluster.shutdown(driver);
 }
 
+/// `transform_finish` straight after `transform_local` used to be accepted:
+/// it took the *forward* blocks (the same size as the return blocks) for the
+/// return blocks and scattered them into the slab. `sign as i32` ran
+/// `1 << 32` and `0` as an inverse, and nothing held phase 2 to the sign of
+/// phase 1. Each is an `App` error now, and none of them moves the worker
+/// out of the phase it is in.
+#[test]
+fn phases_out_of_order_and_bad_signs_are_refused() {
+    let (cluster, mut driver) = cluster(1);
+    let d = &mut driver;
+    let inbox = BlockInboxClient::new_on(d, 0).unwrap();
+    let w = FftWorkerClient::new_on(d, 0, 0, 4, 4, 2, 1).unwrap();
+    w.set_group(d, vec![w], vec![inbox]).unwrap();
+    let grid = sample_grid([4, 4, 2], 11);
+    w.load_slab(d, wire::collections::F64s(as_f64s(grid.data()).to_vec()))
+        .unwrap();
+    let refused = |r: oopp::RemoteResult<()>, needle: &str| match r {
+        Err(oopp::RemoteError::App { detail }) => {
+            assert!(detail.contains(needle), "{detail:?} lacks {needle:?}")
+        }
+        other => panic!("expected an App error about {needle:?}, got {other:?}"),
+    };
+
+    w.transform_local(d, -1).unwrap();
+    // The skipped exchange (accepted at the parent), and a second phase 1.
+    refused(w.transform_finish(d), "before transform_exchange");
+    refused(w.transform_local(d, -1), "out of order");
+    // Phase 2 in another direction than phase 1, or in none.
+    refused(w.transform_exchange(d, 1), "after transform_local(-1)");
+    refused(w.transform_exchange(d, 0), "sign must be");
+    w.transform_exchange(d, -1).unwrap();
+    refused(w.transform_exchange(d, -1), "before transform_local");
+    refused(w.transform_local(d, -1), "out of order");
+    w.transform_finish(d).unwrap();
+    refused(w.transform_finish(d), "before transform_exchange");
+    // Not a sign: nothing runs, the worker stays idle.
+    for sign in [0, 2, -2, 1 << 32, i64::MIN] {
+        refused(w.transform_local(d, sign), "sign must be");
+    }
+
+    // Every refusal left the phase alone: that was one clean transform.
+    let mut got = vec![Complex::ZERO; grid.data().len()];
+    as_f64s_mut(&mut got).copy_from_slice(&w.read_slab(d).unwrap().0);
+    let expected = Fft3::new([4, 4, 2]).transform(&grid, Direction::Forward);
+    assert!(got == expected.data());
+    cluster.shutdown(driver);
+}
+
+/// The workers run the two passes `Fft3` runs, on the same values in the
+/// same order, whatever the number of slabs: not close, equal.
+#[test]
+fn distributed_equals_local_element_for_element() {
+    let shape = [16usize; 3];
+    let grid = sample_grid(shape, 5);
+    let plan = Fft3::new(shape);
+    for dir in [Direction::Forward, Direction::Inverse] {
+        let expected = plan.transform(&grid, dir);
+        for parts in [1usize, 2, 4] {
+            let (cluster, mut driver) = cluster(parts.max(2));
+            let dfft = DistributedFft3::new(&mut driver, [16; 3], parts).unwrap();
+            dfft.scatter(&mut driver, grid.data()).unwrap();
+            dfft.transform(&mut driver, dir).unwrap();
+            let got = dfft.gather(&mut driver).unwrap();
+            assert!(got == expected.data(), "parts={parts} {dir:?}");
+            cluster.shutdown(driver);
+        }
+    }
+}
+
 #[test]
 fn workers_report_identity() {
     let (cluster, mut driver) = cluster(3);

@@ -11,22 +11,22 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fft::{as_f64s, as_f64s_mut, Complex, Direction, Fft};
+use fft::{as_f64s, as_f64s_mut, Complex, Direction, Fft3};
 use simnet::ClusterConfig;
 
 use crate::comm::{Comm, MpResult};
 use crate::world::MpiWorld;
 
 /// One distributed 3-D FFT step for this rank's slab (planes
-/// `[rank·n1/P, (rank+1)·n1/P)` of an `n1 × n2 × n3` grid, row-major).
-/// `n1` and `n2` must be divisible by the world size.
+/// `[rank·n1/P, (rank+1)·n1/P)` of `plan`'s `n1 × n2 × n3` grid,
+/// row-major). `n1` and `n2` must be divisible by the world size.
 pub fn fft_slab_step(
     comm: &mut Comm,
-    shape: [usize; 3],
+    plan: &Fft3,
     mut slab: Vec<Complex>,
     dir: Direction,
 ) -> MpResult<Vec<Complex>> {
-    let [n1, n2, n3] = shape;
+    let [n1, n2, n3] = plan.shape();
     let p = comm.size();
     assert_eq!(n1 % p, 0, "n1 must divide into {p} slabs");
     assert_eq!(n2 % p, 0, "n2 must divide into {p} slabs");
@@ -34,24 +34,7 @@ pub fn fft_slab_step(
     assert_eq!(slab.len(), s1 * n2 * n3, "slab size mismatch");
 
     // Phase 1: 2-D FFTs (axes 1, 2) on each local plane.
-    let plan2 = Fft::new(n2);
-    let plan3 = Fft::new(n3);
-    for i in 0..s1 {
-        let plane = &mut slab[i * n2 * n3..(i + 1) * n2 * n3];
-        for j in 0..n2 {
-            plan3.process(&mut plane[j * n3..(j + 1) * n3], dir);
-        }
-        let mut line = vec![Complex::ZERO; n2];
-        for k in 0..n3 {
-            for j in 0..n2 {
-                line[j] = plane[j * n3 + k];
-            }
-            plan2.process(&mut line, dir);
-            for j in 0..n2 {
-                plane[j * n3 + k] = line[j];
-            }
-        }
-    }
+    plan.process_planes(&mut slab, dir);
 
     // A block is one rank's planes x another's columns, as interleaved
     // `re, im` doubles — the same slice codec the oopp workers use.
@@ -86,19 +69,7 @@ pub fn fft_slab_step(
     }
 
     // Phase 3: axis-0 FFTs.
-    let plan1 = Fft::new(n1);
-    let mut line = vec![Complex::ZERO; n1];
-    for j in 0..s2 {
-        for k in 0..n3 {
-            for i1 in 0..n1 {
-                line[i1] = gathered[(i1 * s2 + j) * n3 + k];
-            }
-            plan1.process(&mut line, dir);
-            for i1 in 0..n1 {
-                gathered[(i1 * s2 + j) * n3 + k] = line[i1];
-            }
-        }
-    }
+    plan.process_axis0(&mut gathered, dir);
 
     // Phase 4: transpose back.
     let outgoing = gathered
@@ -128,10 +99,11 @@ pub fn fft_run(
     let p = world.size();
     let slab_len = shape[0] / p * shape[1] * shape[2];
     let grid = Arc::new(grid);
+    let plan = Arc::new(Fft3::new(shape));
     let (slabs, _) = world.run(move |comm| {
         let rank = comm.rank();
         let slab = grid[rank * slab_len..(rank + 1) * slab_len].to_vec();
-        fft_slab_step(comm, shape, slab, dir).expect("fft step failed")
+        fft_slab_step(comm, &plan, slab, dir).expect("fft step failed")
     });
     slabs.into_iter().flatten().collect()
 }
