@@ -8,9 +8,9 @@ use crate::complex::Complex;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Forward transform (sign = −1).
-    Forward,
+    Forward = 0,
     /// Inverse transform (sign = +1, normalized by 1/n).
-    Inverse,
+    Inverse = 1,
 }
 
 impl Direction {

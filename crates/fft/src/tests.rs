@@ -23,6 +23,16 @@ fn sample_grid(shape: [usize; 3], seed: u64) -> Grid3 {
     Grid3::new(shape, (0..n).map(|_| c64(next(), next())).collect())
 }
 
+/// `r` is the `App` error whose detail mentions `needle`.
+fn app_error(r: oopp::RemoteResult<()>, needle: &str) {
+    match r {
+        Err(oopp::RemoteError::App { detail }) => {
+            assert!(detail.contains(needle), "{detail:?} lacks {needle:?}")
+        }
+        other => panic!("expected an App error about {needle:?}, got {other:?}"),
+    }
+}
+
 #[test]
 fn distributed_matches_local_for_various_part_counts() {
     let shape = [8usize, 8, 4];
@@ -110,12 +120,6 @@ fn stray_transpose_blocks_are_refused_not_indexed() {
         let slab = wire::collections::F64s(as_f64s(grid.data()).to_vec());
         w.load_slab(d, slab).unwrap();
     };
-    let app_error = |r: oopp::RemoteResult<()>, needle: &str| match r {
-        Err(oopp::RemoteError::App { detail }) => {
-            assert!(detail.contains(needle), "{detail:?} lacks {needle:?}")
-        }
-        other => panic!("expected an App error about {needle:?}, got {other:?}"),
-    };
     let put = |d: &mut Driver, epoch: u64, from: u64, block: &[Complex]| {
         let sent = inbox.put_async(d, epoch, from, std::iter::once(block));
         sent.unwrap().wait(d).unwrap();
@@ -169,7 +173,7 @@ fn stray_transpose_blocks_are_refused_not_indexed() {
 /// phase 1. Each is an `App` error now, and none of them moves the worker
 /// out of the phase it is in.
 #[test]
-fn phases_out_of_order_and_bad_signs_are_refused() {
+fn phases_out_of_order_and_bad_signs_are_app_error() {
     let (cluster, mut driver) = cluster(1);
     let d = &mut driver;
     let inbox = BlockInboxClient::new_on(d, 0).unwrap();
@@ -178,28 +182,22 @@ fn phases_out_of_order_and_bad_signs_are_refused() {
     let grid = sample_grid([4, 4, 2], 11);
     w.load_slab(d, wire::collections::F64s(as_f64s(grid.data()).to_vec()))
         .unwrap();
-    let refused = |r: oopp::RemoteResult<()>, needle: &str| match r {
-        Err(oopp::RemoteError::App { detail }) => {
-            assert!(detail.contains(needle), "{detail:?} lacks {needle:?}")
-        }
-        other => panic!("expected an App error about {needle:?}, got {other:?}"),
-    };
 
     w.transform_local(d, -1).unwrap();
     // The skipped exchange (accepted at the parent), and a second phase 1.
-    refused(w.transform_finish(d), "before transform_exchange");
-    refused(w.transform_local(d, -1), "out of order");
+    app_error(w.transform_finish(d), "before transform_exchange");
+    app_error(w.transform_local(d, -1), "out of order");
     // Phase 2 in another direction than phase 1, or in none.
-    refused(w.transform_exchange(d, 1), "after transform_local(-1)");
-    refused(w.transform_exchange(d, 0), "sign must be");
+    app_error(w.transform_exchange(d, 1), "after transform_local(-1)");
+    app_error(w.transform_exchange(d, 0), "sign must be");
     w.transform_exchange(d, -1).unwrap();
-    refused(w.transform_exchange(d, -1), "before transform_local");
-    refused(w.transform_local(d, -1), "out of order");
+    app_error(w.transform_exchange(d, -1), "before transform_local");
+    app_error(w.transform_local(d, -1), "out of order");
     w.transform_finish(d).unwrap();
-    refused(w.transform_finish(d), "before transform_exchange");
+    app_error(w.transform_finish(d), "before transform_exchange");
     // Not a sign: nothing runs, the worker stays idle.
     for sign in [0, 2, -2, 1 << 32, i64::MIN] {
-        refused(w.transform_local(d, sign), "sign must be");
+        app_error(w.transform_local(d, sign), "sign must be");
     }
 
     // Every refusal left the phase alone: that was one clean transform.
