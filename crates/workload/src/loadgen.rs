@@ -303,6 +303,49 @@ mod tests {
         assert!((300..=500).contains(&writes), "writes {writes} of 2000");
     }
 
+    /// The sampler block E10-E13 and E15 each carry inline (E13's copy,
+    /// verbatim but for the three parameters), behind a closure.
+    fn pasted_zipf(seed: u64, nobj: usize, zipf_s: f64) -> impl FnMut() -> usize {
+        let mut cdf = Vec::with_capacity(nobj);
+        let mut acc = 0.0f64;
+        for k in 0..nobj {
+            acc += 1.0 / ((k + 1) as f64).powf(zipf_s);
+            cdf.push(acc);
+        }
+        let total = acc;
+        fn splitmix(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let mut rng = seed;
+        move || {
+            let u = (splitmix(&mut rng) >> 11) as f64 / (1u64 << 53) as f64 * total;
+            cdf.iter().position(|&c| u < c).unwrap_or(nobj - 1)
+        }
+    }
+
+    /// The first 32 draws of E13's and E12's schedules: the refactoring
+    /// oracle for every experiment table that replays a Zipf stream.
+    #[test]
+    fn zipf_draws_the_experiments_schedules() {
+        const E13: [usize; 32] = [
+            155, 1418, 267, 70, 25, 302, 575, 498, 4, 429, 535, 140, 361, 141, 2, 103, 15, 60, 11,
+            531, 478, 266, 90, 0, 0, 114, 1133, 147, 324, 12, 16, 789,
+        ];
+        const E12: [usize; 32] = [
+            0, 0, 0, 1, 2, 0, 3, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 2, 0, 0, 1, 0, 0, 0,
+            2, 1, 0,
+        ];
+        for (seed, n, s, golden) in [(0xE13_2026, 1600, 0.9, E13), (0xE12_2026, 4, 1.2, E12)] {
+            let mut draw = pasted_zipf(seed, n, s);
+            let got: Vec<usize> = (0..32).map(|_| draw()).collect();
+            assert_eq!(got, golden, "Zipf({s}) over {n} ranks from seed {seed:#x}");
+        }
+    }
+
     #[test]
     fn zipf_head_dominates_feed_reads() {
         let mut mix = RequestMix::new(3, 12, 1.1, 0);
