@@ -19,6 +19,8 @@ use pagestore::{ArrayPage, ArrayPageDevice, ArrayPageDeviceClient, Page, PageDev
 use placement::{Balancer, PlacementPolicy};
 use simnet::{ClusterConfig, FaultPlan};
 use wire::collections::F64s;
+use workload::loadgen::Zipf;
+use workload::slo::ClassLedger;
 
 use crate::{
     lan_config, method_stats_table, ms, spinny_disk, time_median, time_once, us, GroupTable,
@@ -705,23 +707,6 @@ pub fn e10_placement() -> Vec<Table> {
     const CALLS: usize = 48;
     const ZIPF_S: f64 = 0.9;
 
-    // Zipf(s) CDF over object ranks; sampled with a splitmix64 stream so
-    // every run draws the identical schedule.
-    let mut cdf = Vec::with_capacity(NOBJ);
-    let mut acc = 0.0f64;
-    for k in 0..NOBJ {
-        acc += 1.0 / ((k + 1) as f64).powf(ZIPF_S);
-        cdf.push(acc);
-    }
-    let total = acc;
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     struct Outcome {
         data: Vec<f64>,
         p50: u64,
@@ -756,7 +741,7 @@ pub fn e10_placement() -> Vec<Table> {
         // can deterministically aim a migration at the crashed machine.
         balancer.pin(blocks[NOBJ - 1].obj_ref());
 
-        let mut rng = 0xE10_2026u64;
+        let mut zipf = Zipf::new(0xE10_2026, NOBJ, ZIPF_S);
         let mut rolled_back = None;
         let t0 = std::time::Instant::now();
         for round in 0..ROUNDS {
@@ -780,8 +765,7 @@ pub fn e10_placement() -> Vec<Table> {
             }
             let sums: Vec<_> = (0..CALLS)
                 .map(|_| {
-                    let u = (splitmix(&mut rng) >> 11) as f64 / (1u64 << 53) as f64 * total;
-                    let k = cdf.iter().position(|&c| u < c).unwrap_or(NOBJ - 1);
+                    let k = zipf.sample();
                     blocks[k].work_async(&mut driver, SERVICE_US).unwrap()
                 })
                 .collect();
@@ -918,21 +902,6 @@ pub fn e11_self_healing() -> Vec<Table> {
     const ZIPF_S: f64 = 0.9;
     const HOMES: [usize; 3] = [1, 2, 3];
 
-    let mut cdf = Vec::with_capacity(NOBJ);
-    let mut acc = 0.0f64;
-    for k in 0..NOBJ {
-        acc += 1.0 / ((k + 1) as f64).powf(ZIPF_S);
-        cdf.push(acc);
-    }
-    let total = acc;
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     #[derive(Clone, Copy, PartialEq)]
     enum Fault {
         None,
@@ -1000,7 +969,7 @@ pub fn e11_self_healing() -> Vec<Table> {
             driver.serve_for(Duration::from_millis(3));
         }
 
-        let mut rng = 0xE11_2026u64;
+        let mut zipf = Zipf::new(0xE11_2026, NOBJ, ZIPF_S);
         let mut recoveries = Vec::new();
         let mut write_retries = 0u64;
         let mut failed_reads = 0u64;
@@ -1023,8 +992,7 @@ pub fn e11_self_healing() -> Vec<Table> {
                 // round of synchronous calls would starve the heartbeat
                 // pump past the lease and fail the whole cluster.
                 recoveries.extend(sup.step(&mut driver).unwrap());
-                let u = (splitmix(&mut rng) >> 11) as f64 / (1u64 << 53) as f64 * total;
-                let k = cdf.iter().position(|&c| u < c).unwrap_or(NOBJ - 1);
+                let k = zipf.sample();
                 let target = HotBlockClient::from_ref(sup.current_of(&addrs[k]).unwrap());
                 // `work` is read-only; a call that dies with the machine is
                 // counted and dropped, not replayed (the client would
@@ -1153,7 +1121,8 @@ oopp::remote_class! {
         reads(work, version, read);
         ctor(n: usize);
         /// The hot read: one reduction over the block plus `micros` of
-        /// modeled device-side compute (see [`HotBlock::work`]).
+        /// modeled device-side compute, charged on the cluster clock (see
+        /// [`SchedCell`]).
         fn work(&mut self, micros: u64) -> f64;
         /// Write counter — the read-your-writes probe.
         fn version(&mut self) -> u64;
@@ -1172,12 +1141,12 @@ impl RepBlock {
         })
     }
 
-    fn work(&mut self, _ctx: &mut oopp::NodeCtx, micros: u64) -> oopp::RemoteResult<f64> {
+    fn work(&mut self, ctx: &mut oopp::NodeCtx, micros: u64) -> oopp::RemoteResult<f64> {
         let mut s = 0.0f64;
         for &x in &self.data {
             s = s * 0.999_999_9 + x;
         }
-        simnet::time::precise_sleep(Duration::from_micros(micros));
+        ctx.clock().sleep(Duration::from_micros(micros));
         Ok(s)
     }
 
@@ -1227,6 +1196,11 @@ impl RepBlock {
 /// the set, CAS-promotes a surviving replica, and the run must end with
 /// the exact version count (exactly-once writes) and data byte-identical
 /// to every fault-free variant.
+///
+/// Everything rides the seeded virtual clock (`RepBlock::work` charges
+/// its service time there), so the makespans, the `>= 3x` gate and every
+/// counter are the same on any host, and a second chaos run must replay
+/// the first exactly.
 pub fn e12_replication() -> Vec<Table> {
     use oopp::symbolic_addr;
     use replica::{CoherenceMode, ReplicaConfig, ReplicaManager};
@@ -1241,26 +1215,13 @@ pub fn e12_replication() -> Vec<Table> {
     const HOT_HOME: usize = 1; // machine 0 keeps the directory
     const COLD_HOMES: [usize; 3] = [2, 3, 4];
     const REPLICA_HOMES: [usize; 4] = [2, 3, 4, 5];
+    const SEED: u64 = 0xE12_2026;
 
-    let mut cdf = Vec::with_capacity(NOBJ);
-    let mut acc = 0.0f64;
-    for k in 0..NOBJ {
-        acc += 1.0 / ((k + 1) as f64).powf(ZIPF_S);
-        cdf.push(acc);
-    }
-    let total = acc;
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
+    #[derive(PartialEq, Debug)]
     struct Outcome {
         data: Vec<f64>,
         version: u64,
-        elapsed: Duration,
+        makespan_nanos: u64,
         hot_reads: u64,
         replica_served: u64,
         syncs: u64,
@@ -1274,7 +1235,7 @@ pub fn e12_replication() -> Vec<Table> {
             .with_backoff(Backoff::fixed(Duration::from_millis(5)));
         let (cluster, mut driver) = ClusterBuilder::new(WORKERS)
             .register::<RepBlock>()
-            .sim_config(ClusterConfig::zero_cost(0))
+            .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(SEED))
             .call_policy(call_policy)
             .build();
         let dir = driver.directory();
@@ -1297,11 +1258,11 @@ pub fn e12_replication() -> Vec<Table> {
                 .unwrap();
         }
 
-        let mut rng = 0xE12_2026u64;
+        let mut zipf = Zipf::new(SEED, NOBJ, ZIPF_S);
         let mut hot_reads = 0u64;
         let mut ryw_misses = 0u64;
         let mut dead: Vec<usize> = Vec::new();
-        let t0 = std::time::Instant::now();
+        let t0 = driver.now_nanos();
         for round in 0..ROUNDS {
             // The chaos schedule: first a replica dies, later the primary
             // itself. The harness plays the supervisor's declare-dead role
@@ -1330,8 +1291,7 @@ pub fn e12_replication() -> Vec<Table> {
             let mut hot_pending = Vec::new();
             let mut cold_pending = Vec::new();
             for _ in 0..READS {
-                let u = (splitmix(&mut rng) >> 11) as f64 / (1u64 << 53) as f64 * total;
-                let k = cdf.iter().position(|&c| u < c).unwrap_or(NOBJ - 1);
+                let k = zipf.sample();
                 if k == 0 {
                     hot_pending.push(hot_now.work_async(&mut driver, SERVICE_US).unwrap());
                 } else {
@@ -1351,7 +1311,7 @@ pub fn e12_replication() -> Vec<Table> {
                 ryw_misses += 1;
             }
         }
-        let elapsed = t0.elapsed();
+        let makespan_nanos = driver.now_nanos() - t0;
 
         let primary = mgr.primary_of(&name).unwrap_or(hot.obj_ref());
         let hot_now = RepBlockClient::from_ref(primary);
@@ -1372,7 +1332,7 @@ pub fn e12_replication() -> Vec<Table> {
         Outcome {
             data,
             version,
-            elapsed,
+            makespan_nanos,
             hot_reads,
             replica_served,
             syncs,
@@ -1386,10 +1346,10 @@ pub fn e12_replication() -> Vec<Table> {
     let four = run(4, false);
     let chaos = run(4, true);
 
-    let tp = |o: &Outcome| o.hot_reads as f64 / o.elapsed.as_secs_f64();
+    let tp = |o: &Outcome| o.hot_reads as f64 / (o.makespan_nanos as f64 / 1e9);
     let mut t = Table::new(&[
         "variant",
-        "wall ms",
+        "modeled ms",
         "hot reads",
         "hot reads/s",
         "speedup",
@@ -1412,7 +1372,7 @@ pub fn e12_replication() -> Vec<Table> {
         );
         t.row(&[
             label.into(),
-            ms(o.elapsed),
+            ms(Duration::from_nanos(o.makespan_nanos)),
             o.hot_reads.to_string(),
             format!("{:.0}", tp(o)),
             format!("{:.1}x", tp(o) / tp(&single)),
@@ -1424,6 +1384,11 @@ pub fn e12_replication() -> Vec<Table> {
         ]);
     }
     assert_eq!(chaos.promotions, 1, "chaos run must promote a replica");
+    assert_eq!(
+        chaos,
+        run(4, true),
+        "same-seed chaos runs must replay the same makespan and counters"
+    );
     assert!(
         chaos.data == single.data && four.data == single.data && two.data == single.data,
         "replicated runs must stay byte-identical to the primary-only run"
@@ -1655,23 +1620,6 @@ pub fn e13_sched() -> Vec<Table> {
     const ZIPF_S: f64 = 0.9;
     const SEED: u64 = 0xE13_2026;
 
-    // Zipf(s) CDF over object ranks, sampled with a splitmix64 stream:
-    // every engine replays the identical call schedule.
-    let mut cdf = Vec::with_capacity(NOBJ);
-    let mut acc = 0.0f64;
-    for k in 0..NOBJ {
-        acc += 1.0 / ((k + 1) as f64).powf(ZIPF_S);
-        cdf.push(acc);
-    }
-    let total = acc;
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     struct Outcome {
         makespan_nanos: u64,
         state: Vec<f64>,
@@ -1693,13 +1641,12 @@ pub fn e13_sched() -> Vec<Table> {
             .map(|k| SchedCellClient::new_on(&mut driver, k % MACHINES).unwrap())
             .collect();
 
-        let mut rng = SEED;
+        let mut zipf = Zipf::new(SEED, NOBJ, ZIPF_S);
         let t0 = driver.now_nanos();
         for _ in 0..ROUNDS {
             let pending: Vec<_> = (0..WINDOW)
                 .map(|_| {
-                    let u = (splitmix(&mut rng) >> 11) as f64 / (1u64 << 53) as f64 * total;
-                    let k = cdf.iter().position(|&c| u < c).unwrap_or(NOBJ - 1);
+                    let k = zipf.sample();
                     cells[k]
                         .work_async(&mut driver, SERVICE_US, (k + 1) as f64 * 0.25)
                         .unwrap()
@@ -1834,15 +1781,6 @@ impl DirHammer {
     }
 }
 
-/// Percentile over a drained latency set (µs). `q` in [0, 1].
-fn percentile_us(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let i = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[i.min(sorted.len() - 1)]
-}
-
 /// E14 (DESIGN.md §14): sharded control plane — directory ops/s vs shard
 /// count, and resolve latency through a shard-primary crash.
 ///
@@ -1893,7 +1831,7 @@ pub fn e14_dirsvc() -> Vec<Table> {
 
     struct Run {
         ops_per_sec: f64,
-        lat_us: Vec<f64>, // sorted
+        lat: ClassLedger,
         failed: u64,
         cache_hits: u64,
         cache_misses: u64,
@@ -1935,7 +1873,6 @@ pub fn e14_dirsvc() -> Vec<Table> {
             failed += d.remove(0) as u64;
             lat_us.extend(d);
         }
-        lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let (mut cache_hits, mut cache_misses) = (0, 0);
         for m in 0..MACHINES {
             let st = driver.stats_of(m).unwrap();
@@ -1945,7 +1882,7 @@ pub fn e14_dirsvc() -> Vec<Table> {
         cluster.shutdown(driver);
         Run {
             ops_per_sec: (MACHINES as u64 * WAVE) as f64 / (makespan as f64 / 1e9),
-            lat_us,
+            lat: ClassLedger::of_completed(lat_us),
             failed,
             cache_hits,
             cache_misses,
@@ -1987,8 +1924,8 @@ pub fn e14_dirsvc() -> Vec<Table> {
             },
             format!("{:.0}", r.ops_per_sec),
             speedup,
-            format!("{:.0}", percentile_us(&r.lat_us, 0.50)),
-            format!("{:.0}", percentile_us(&r.lat_us, 0.99)),
+            format!("{:.0}", r.lat.percentile_us(0.50)),
+            format!("{:.0}", r.lat.percentile_us(0.99)),
             r.cache_hits.to_string(),
             r.cache_misses.to_string(),
             r.failed.to_string(),
@@ -2089,11 +2026,10 @@ pub fn e14_dirsvc() -> Vec<Table> {
             failed += d.remove(0) as u64;
             lat_us.extend(d);
         }
-        lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let stats = svc.stats();
         let run = Run {
             ops_per_sec: done as f64 / (makespan as f64 / 1e9),
-            lat_us,
+            lat: ClassLedger::of_completed(lat_us),
             failed,
             cache_hits: 0,
             cache_misses: 0,
@@ -2120,7 +2056,6 @@ pub fn e14_dirsvc() -> Vec<Table> {
     ]);
     for crash in [false, true] {
         let (r, takeovers, dead) = chaos_run(crash);
-        let n = r.lat_us.len();
         chaos.row(&[
             if crash {
                 "shard-1 primary crash at t+100ms"
@@ -2128,11 +2063,11 @@ pub fn e14_dirsvc() -> Vec<Table> {
                 "calm"
             }
             .into(),
-            n.to_string(),
+            r.lat.ok.to_string(),
             r.failed.to_string(),
-            format!("{:.0}", percentile_us(&r.lat_us, 0.50)),
-            format!("{:.0}", percentile_us(&r.lat_us, 0.99)),
-            format!("{:.1}", percentile_us(&r.lat_us, 1.0) / 1e3),
+            format!("{:.0}", r.lat.percentile_us(0.50)),
+            format!("{:.0}", r.lat.percentile_us(0.99)),
+            format!("{:.1}", r.lat.percentile_us(1.0) / 1e3),
             takeovers.to_string(),
             dead.to_string(),
         ]);
@@ -2185,21 +2120,6 @@ pub fn e15_overload() -> Vec<Table> {
     const DEADLINE: Duration = Duration::from_millis(2);
     const MAILBOX_CAP: usize = 16;
 
-    let mut cdf = Vec::with_capacity(NOBJ);
-    let mut acc = 0.0f64;
-    for k in 0..NOBJ {
-        acc += 1.0 / ((k + 1) as f64).powf(ZIPF_S);
-        cdf.push(acc);
-    }
-    let zipf_total = acc;
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     #[derive(Default)]
     struct Run {
         ok: u64,
@@ -2207,8 +2127,8 @@ pub fn e15_overload() -> Vec<Table> {
         deadline: u64,
         timeout: u64,
         goodput: f64,
-        ok_lat_us: Vec<f64>,   // sorted closed-loop completion times
-        shed_lat_us: Vec<f64>, // sorted fail-fast probe rejections
+        ok_lat: ClassLedger,   // closed-loop completion times
+        shed_lat: ClassLedger, // fail-fast probe rejections
         sample_overloaded: Option<String>,
         sample_deadline: Option<String>,
     }
@@ -2242,14 +2162,14 @@ pub fn e15_overload() -> Vec<Table> {
         });
 
         let mut out = Run::default();
-        let mut rng = SEED ^ (window as u64) << 1 ^ shed as u64;
+        let (mut ok_lat_us, mut shed_lat_us) = (Vec::new(), Vec::new());
+        let mut zipf = Zipf::new(SEED ^ (window as u64) << 1 ^ shed as u64, NOBJ, ZIPF_S);
         let mut inflight = VecDeque::new();
         let mut issued = 0usize;
         let t0 = driver.now_nanos();
         while issued < TOTAL_CALLS || !inflight.is_empty() {
             if issued < TOTAL_CALLS && inflight.len() < window {
-                let u = (splitmix(&mut rng) >> 11) as f64 / (1u64 << 53) as f64 * zipf_total;
-                let k = cdf.iter().position(|&c| u < c).unwrap_or(NOBJ - 1);
+                let k = zipf.sample();
                 let p = cells[k]
                     .work_async(&mut driver, SERVICE_US, (k + 1) as f64 * 0.25)
                     .unwrap();
@@ -2264,8 +2184,7 @@ pub fn e15_overload() -> Vec<Table> {
                     if let Err(RemoteError::Overloaded { .. }) =
                         cells[0].work(&mut driver, SERVICE_US, 0.5)
                     {
-                        out.shed_lat_us
-                            .push(driver.now_nanos().saturating_sub(s0) as f64 / 1e3);
+                        shed_lat_us.push(driver.now_nanos().saturating_sub(s0) as f64 / 1e3);
                     }
                 }
                 continue;
@@ -2276,7 +2195,7 @@ pub fn e15_overload() -> Vec<Table> {
             match r {
                 Ok(_) => {
                     out.ok += 1;
-                    out.ok_lat_us.push(elapsed_us);
+                    ok_lat_us.push(elapsed_us);
                 }
                 Err(e @ RemoteError::Overloaded { .. }) => {
                     out.overloaded += 1;
@@ -2292,8 +2211,8 @@ pub fn e15_overload() -> Vec<Table> {
         }
         let makespan = driver.now_nanos() - t0;
         out.goodput = out.ok as f64 / (makespan as f64 / 1e9);
-        out.ok_lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        out.shed_lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        out.ok_lat = ClassLedger::of_completed(ok_lat_us);
+        out.shed_lat = ClassLedger::of_completed(shed_lat_us);
         cluster.shutdown(driver);
         out
     };
@@ -2323,9 +2242,9 @@ pub fn e15_overload() -> Vec<Table> {
             r.deadline.to_string(),
             r.timeout.to_string(),
             format!("{:.0}", r.goodput),
-            format!("{:.0}", percentile_us(&r.ok_lat_us, 0.50)),
-            format!("{:.0}", percentile_us(&r.ok_lat_us, 0.99)),
-            format!("{:.1}", percentile_us(&r.shed_lat_us, 0.99)),
+            format!("{:.0}", r.ok_lat.percentile_us(0.50)),
+            format!("{:.0}", r.ok_lat.percentile_us(0.99)),
+            format!("{:.1}", r.shed_lat.percentile_us(0.99)),
         ]);
         if window >= 2 * BASE_WINDOW {
             past_capacity.push((window, r));
@@ -2339,10 +2258,10 @@ pub fn e15_overload() -> Vec<Table> {
             r.goodput
         );
         assert!(
-            percentile_us(&r.ok_lat_us, 0.99) <= 5.0 * DEADLINE.as_micros() as f64,
+            r.ok_lat.percentile_us(0.99) <= 5.0 * DEADLINE.as_micros() as f64,
             "E15 gate: past capacity the successful-call p99 must stay near the \
              deadline, got {:.0} us",
-            percentile_us(&r.ok_lat_us, 0.99)
+            r.ok_lat.percentile_us(0.99)
         );
     }
     let top = &past_capacity.last().unwrap().1;
@@ -2351,10 +2270,10 @@ pub fn e15_overload() -> Vec<Table> {
         "E15 gate: the 4x point must actually shed load"
     );
     assert!(
-        !top.shed_lat_us.is_empty() && percentile_us(&top.shed_lat_us, 0.99) < SERVICE_US as f64,
+        top.shed_lat.ok > 0 && top.shed_lat.percentile_us(0.99) < SERVICE_US as f64,
         "E15 gate: a shed request must fail fast (p99 {:.1} us vs {SERVICE_US} us \
          of service)",
-        percentile_us(&top.shed_lat_us, 0.99)
+        top.shed_lat.percentile_us(0.99)
     );
 
     // Bounded-tail comparison at the 4x point: shedding on vs off.
@@ -2376,8 +2295,8 @@ pub fn e15_overload() -> Vec<Table> {
             r.ok.to_string(),
             (r.overloaded + r.deadline).to_string(),
             format!("{:.0}", r.goodput),
-            format!("{:.0}", percentile_us(&r.ok_lat_us, 0.99)),
-            format!("{:.0}", percentile_us(&r.ok_lat_us, 1.0)),
+            format!("{:.0}", r.ok_lat.percentile_us(0.99)),
+            format!("{:.0}", r.ok_lat.percentile_us(1.0)),
         ]);
     }
     assert_eq!(
@@ -2386,7 +2305,7 @@ pub fn e15_overload() -> Vec<Table> {
         "the baseline must queue everything"
     );
     assert!(
-        percentile_us(&top.ok_lat_us, 0.99) < percentile_us(&unbounded.ok_lat_us, 0.99),
+        top.ok_lat.percentile_us(0.99) < unbounded.ok_lat.percentile_us(0.99),
         "E15 gate: degradation knobs must buy a strictly better tail than the \
          fail-slow baseline"
     );
@@ -2606,17 +2525,7 @@ pub fn e16_workload() -> Vec<Table> {
         );
     }
 
-    // Re-render the workload report's sections as bench tables so E16
-    // prints like every other experiment.
-    let mut out = Vec::new();
-    for (_title, tt) in &a.report.sections {
-        let headers: Vec<&str> = tt.headers().iter().map(String::as_str).collect();
-        let mut t = Table::new(&headers);
-        for row in tt.rows() {
-            t.row(row);
-        }
-        out.push(t);
-    }
+    let mut out: Vec<Table> = a.report.sections.into_iter().map(|(_, t)| t).collect();
     let mut verdicts = Table::new(&["objective", "target", "observed", "verdict"]);
     for v in &a.report.verdicts {
         verdicts.row(&[
@@ -2628,9 +2537,4 @@ pub fn e16_workload() -> Vec<Table> {
     }
     out.push(verdicts);
     out
-}
-
-/// Sanity config used by the experiment smoke tests.
-pub fn tiny_zero_cost(n: usize) -> ClusterConfig {
-    ClusterConfig::zero_cost(n)
 }

@@ -1,6 +1,6 @@
 //! Shared machinery for the experiment harness: costed cluster
-//! configurations, timing helpers, table rendering, and two small remote
-//! classes the ablation experiments need.
+//! configurations, timing helpers, the table writer (`workload`'s), and two
+//! small remote classes the ablation experiments need.
 
 use std::time::{Duration, Instant};
 
@@ -8,6 +8,10 @@ use oopp::{remote_class, BarrierClient, NodeCtx, ObjRef, RemoteResult};
 use simnet::{ClusterConfig, DiskConfig, NetCost, TopologySpec};
 
 pub mod experiments;
+
+/// The experiment table writer: the one aligned-column renderer, shared
+/// with the `workload` reports.
+pub use workload::report::TextTable as Table;
 
 /// The canonical costed network of the experiments: 50 µs one-way latency,
 /// 10 Gb/s links — a commodity cluster interconnect.
@@ -19,7 +23,7 @@ pub fn lan_config() -> ClusterConfig {
         disks_per_machine: 1,
         disk_capacity: 256 << 20,
         faults: simnet::FaultPlan::none(),
-        // Benches measure modeled time against wall time: real mode, with
+        // E1-E8 and A2/A3 time modeled delays on the wall clock: real mode, with
         // the spin tail for sub-100us delay precision.
         time: simnet::TimeMode::Real { spin_tail: true },
     }
@@ -98,56 +102,6 @@ pub fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
     times[times.len() / 2]
 }
 
-/// Fixed-width experiment table writer.
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// A table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row (must match the header count).
-    pub fn row(&mut self, cells: &[String]) {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells.to_vec());
-    }
-
-    /// Render with aligned columns.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:>w$}", w = w))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// Format a `Duration` as microseconds with 1 decimal.
 pub fn us(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64() * 1e6)
@@ -221,16 +175,6 @@ impl GroupTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new(&["n", "time"]);
-        t.row(&["1".into(), "10.0".into()]);
-        t.row(&["128".into(), "3.5".into()]);
-        let s = t.render();
-        assert!(s.contains("n  time") || s.contains("  n  time"));
-        assert!(s.lines().count() == 4);
-    }
 
     #[test]
     fn median_is_stable() {

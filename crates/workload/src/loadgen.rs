@@ -147,10 +147,8 @@ impl Observation {
 /// The seeded request chooser: which verb the next virtual client
 /// issues. Pure state machine — the runner owns the actual calls.
 pub struct RequestMix {
-    rng: u64,
+    zipf: Zipf,
     write_permille: u32,
-    zipf_cdf: Vec<f64>,
-    zipf_total: f64,
 }
 
 /// What the chooser picked.
@@ -185,55 +183,75 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-impl RequestMix {
-    pub fn new(seed: u64, feeds: usize, zipf_s: f64, write_permille: u32) -> Self {
-        let mut cdf = Vec::with_capacity(feeds);
+/// A seeded Zipf(s) sampler over ranks `0..n` (rank 0 is the hot head):
+/// one SplitMix64 stream walked against the cumulative weights
+/// `1 / (k + 1)^s`. The same seed draws the same ranks on every host —
+/// the schedule every experiment table and `workload` run replays.
+pub struct Zipf {
+    rng: u64,
+    cdf: Vec<f64>,
+}
+
+impl Zipf {
+    pub fn new(seed: u64, n: usize, s: f64) -> Self {
+        assert!(n > 0, "a Zipf sampler needs at least one rank");
         let mut acc = 0.0f64;
-        for k in 0..feeds {
-            acc += 1.0 / ((k + 1) as f64).powf(zipf_s);
-            cdf.push(acc);
-        }
-        RequestMix {
-            rng: seed ^ 0x10AD_4E4E,
-            write_permille,
-            zipf_cdf: cdf,
-            zipf_total: acc,
-        }
+        let cdf = (0..n)
+            .map(|k| {
+                acc += 1.0 / ((k + 1) as f64).powf(s);
+                acc
+            })
+            .collect();
+        Zipf { rng: seed, cdf }
     }
 
-    fn zipf_feed(&mut self) -> usize {
-        let u = (splitmix(&mut self.rng) >> 11) as f64 / (1u64 << 53) as f64 * self.zipf_total;
-        self.zipf_cdf
-            .iter()
-            .position(|&c| u < c)
-            .unwrap_or(self.zipf_cdf.len() - 1)
+    /// The next raw word of the sampler's stream, for callers that
+    /// interleave uniform draws with [`sample`](Self::sample).
+    pub fn next_u64(&mut self) -> u64 {
+        splitmix(&mut self.rng)
+    }
+
+    /// The next rank.
+    pub fn sample(&mut self) -> usize {
+        let last = self.cdf.len() - 1;
+        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * self.cdf[last];
+        self.cdf.iter().position(|&c| u < c).unwrap_or(last)
+    }
+}
+
+impl RequestMix {
+    pub fn new(seed: u64, feeds: usize, zipf_s: f64, write_permille: u32) -> Self {
+        RequestMix {
+            zipf: Zipf::new(seed ^ 0x10AD_4E4E, feeds, zipf_s),
+            write_permille,
+        }
     }
 
     /// The next request, given the population sizes.
     pub fn next(&mut self, users: usize, sessions: usize) -> Request {
-        let is_write = splitmix(&mut self.rng) % 1000 < self.write_permille as u64;
+        let is_write = self.zipf.next_u64() % 1000 < self.write_permille as u64;
         if is_write {
-            match splitmix(&mut self.rng) % 4 {
+            match self.zipf.next_u64() % 4 {
                 // Half the writes land on feeds — the write burst the
                 // replica coherence has to absorb.
                 0 | 1 => Request::FeedPost {
-                    feed: self.zipf_feed(),
+                    feed: self.zipf.sample(),
                 },
                 2 => Request::UserFollow {
-                    user: (splitmix(&mut self.rng) % users as u64) as usize,
+                    user: (self.zipf.next_u64() % users as u64) as usize,
                 },
                 _ => Request::SessionTouch {
-                    session: (splitmix(&mut self.rng) % sessions as u64) as usize,
+                    session: (self.zipf.next_u64() % sessions as u64) as usize,
                 },
             }
-        } else if splitmix(&mut self.rng) % 10 < 7 {
+        } else if self.zipf.next_u64() % 10 < 7 {
             // 70% of reads hit feeds (Zipf); 30% validate sessions.
             Request::FeedRead {
-                feed: self.zipf_feed(),
+                feed: self.zipf.sample(),
             }
         } else {
             Request::SessionValidate {
-                session: (splitmix(&mut self.rng) % sessions as u64) as usize,
+                session: (self.zipf.next_u64() % sessions as u64) as usize,
             }
         }
     }
@@ -303,30 +321,6 @@ mod tests {
         assert!((300..=500).contains(&writes), "writes {writes} of 2000");
     }
 
-    /// The sampler block E10-E13 and E15 each carry inline (E13's copy,
-    /// verbatim but for the three parameters), behind a closure.
-    fn pasted_zipf(seed: u64, nobj: usize, zipf_s: f64) -> impl FnMut() -> usize {
-        let mut cdf = Vec::with_capacity(nobj);
-        let mut acc = 0.0f64;
-        for k in 0..nobj {
-            acc += 1.0 / ((k + 1) as f64).powf(zipf_s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        fn splitmix(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        let mut rng = seed;
-        move || {
-            let u = (splitmix(&mut rng) >> 11) as f64 / (1u64 << 53) as f64 * total;
-            cdf.iter().position(|&c| u < c).unwrap_or(nobj - 1)
-        }
-    }
-
     /// The first 32 draws of E13's and E12's schedules: the refactoring
     /// oracle for every experiment table that replays a Zipf stream.
     #[test]
@@ -340,8 +334,8 @@ mod tests {
             2, 1, 0,
         ];
         for (seed, n, s, golden) in [(0xE13_2026, 1600, 0.9, E13), (0xE12_2026, 4, 1.2, E12)] {
-            let mut draw = pasted_zipf(seed, n, s);
-            let got: Vec<usize> = (0..32).map(|_| draw()).collect();
+            let mut zipf = Zipf::new(seed, n, s);
+            let got: Vec<usize> = (0..32).map(|_| zipf.sample()).collect();
             assert_eq!(got, golden, "Zipf({s}) over {n} ranks from seed {seed:#x}");
         }
     }

@@ -14,9 +14,9 @@ use std::path::Path;
 use crate::config::ScenarioSpec;
 use crate::slo::{BurnRow, Ledger, ServerAccount, Verdict};
 
-/// A plain aligned-column table, rendered identically to the bench
-/// harness's tables (right-aligned cells, dashed rule under the
-/// header) so E16 output reads like every other experiment.
+/// A plain aligned-column table (right-aligned cells, dashed rule under
+/// the header): the one renderer behind every `workload` report section
+/// and every `reproduce` experiment table (`bench::Table` is this type).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TextTable {
     headers: Vec<String>,
@@ -34,14 +34,6 @@ impl TextTable {
     pub fn row(&mut self, cells: &[String]) {
         assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
         self.rows.push(cells.to_vec());
-    }
-
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
     }
 
     pub fn render(&self) -> String {
@@ -62,7 +54,8 @@ impl TextTable {
         let mut out = String::new();
         out.push_str(&fmt_row(&self.headers));
         out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+        let gaps = 2 * widths.len().saturating_sub(1);
+        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + gaps));
         out.push('\n');
         for row in &self.rows {
             out.push_str(&fmt_row(row));
@@ -290,6 +283,17 @@ mod tests {
         });
         ledger.seal(4_000_000);
         ledger
+    }
+
+    #[test]
+    fn table_renders_aligned_at_any_width() {
+        let mut t = TextTable::new(&["n", "time"]);
+        t.row(&["1".into(), "10.0".into()]);
+        t.row(&["128".into(), "3.5".into()]);
+        assert_eq!(t.render(), "  n  time\n---------\n  1  10.0\n128   3.5\n");
+        // One column has no gap to rule over; none has nothing at all.
+        assert_eq!(TextTable::new(&["only"]).render(), "only\n----\n");
+        assert_eq!(TextTable::new(&[]).render(), "\n\n");
     }
 
     #[test]

@@ -74,6 +74,21 @@ pub struct ClassLedger {
 }
 
 impl ClassLedger {
+    /// A sealed tally of completed requests alone, from their latencies
+    /// in microseconds (any order): for a caller that timed its own
+    /// requests and wants the ledger's percentile.
+    pub fn of_completed(lat_us: Vec<f64>) -> Self {
+        let n = lat_us.len() as u64;
+        let mut c = ClassLedger {
+            issued: n,
+            ok: n,
+            lat_us,
+            ..ClassLedger::default()
+        };
+        c.seal();
+        c
+    }
+
     fn record(&mut self, outcome: Outcome, lat_us: f64) {
         self.issued += 1;
         match outcome {
@@ -442,6 +457,11 @@ mod tests {
         assert_eq!(ledger.read.percentile_us(0.99), 6_000.0);
         assert_eq!(ledger.read.goodput(), 0.75);
         assert_eq!(ledger.write.goodput(), 1.0);
+        // The same tally from bare latencies sorts them itself.
+        let timed = ClassLedger::of_completed(vec![3e3, 1e3, 2e3]);
+        assert_eq!((timed.ok, timed.percentile_us(0.5)), (3, 2e3));
+        assert_eq!(timed.percentile_us(1.0), 3e3);
+        assert_eq!(ClassLedger::of_completed(vec![]).percentile_us(0.99), 0.0);
 
         let verdicts = ledger.evaluate(&[
             SloSpec {
