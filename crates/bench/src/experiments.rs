@@ -2270,7 +2270,7 @@ pub fn e15_overload() -> Vec<Table> {
         "E15 gate: the 4x point must actually shed load"
     );
     assert!(
-        top.shed_lat.ok > 0 && top.shed_lat.percentile_us(0.99) < SERVICE_US as f64,
+        top.shed_lat.issued > 0 && top.shed_lat.percentile_us(0.99) < SERVICE_US as f64,
         "E15 gate: a shed request must fail fast (p99 {:.1} us vs {SERVICE_US} us \
          of service)",
         top.shed_lat.percentile_us(0.99)
@@ -2525,16 +2525,7 @@ pub fn e16_workload() -> Vec<Table> {
         );
     }
 
-    let mut out: Vec<Table> = a.report.sections.into_iter().map(|(_, t)| t).collect();
-    let mut verdicts = Table::new(&["objective", "target", "observed", "verdict"]);
-    for v in &a.report.verdicts {
-        verdicts.row(&[
-            v.name.clone(),
-            v.target.clone(),
-            v.observed.clone(),
-            if v.pass { "pass" } else { "FAIL" }.into(),
-        ]);
-    }
-    out.push(verdicts);
-    out
+    let verdicts = workload::report::verdict_table(&a.report.verdicts);
+    let sections = a.report.sections.into_iter().map(|(_, table)| table);
+    sections.chain([verdicts]).collect()
 }

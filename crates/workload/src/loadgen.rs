@@ -195,19 +195,18 @@ pub struct Zipf {
 impl Zipf {
     pub fn new(seed: u64, n: usize, s: f64) -> Self {
         assert!(n > 0, "a Zipf sampler needs at least one rank");
+        let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
-        let cdf = (0..n)
-            .map(|k| {
-                acc += 1.0 / ((k + 1) as f64).powf(s);
-                acc
-            })
-            .collect();
+        for k in 0..n {
+            acc += 1.0 / ((k + 1) as f64).powf(s);
+            cdf.push(acc);
+        }
         Zipf { rng: seed, cdf }
     }
 
-    /// The next raw word of the sampler's stream, for callers that
-    /// interleave uniform draws with [`sample`](Self::sample).
-    pub fn next_u64(&mut self) -> u64 {
+    /// The next raw word of the stream: [`RequestMix`] interleaves its
+    /// uniform draws with [`sample`](Self::sample) on one seed.
+    fn next_u64(&mut self) -> u64 {
         splitmix(&mut self.rng)
     }
 

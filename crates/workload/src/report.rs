@@ -96,7 +96,8 @@ impl RunReport {
     }
 }
 
-fn verdict_table(verdicts: &[Verdict]) -> TextTable {
+/// The SLO verdict table.
+pub fn verdict_table(verdicts: &[Verdict]) -> TextTable {
     let mut t = TextTable::new(&["objective", "target", "observed", "verdict"]);
     for v in verdicts {
         t.row(&[
