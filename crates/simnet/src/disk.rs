@@ -425,6 +425,61 @@ mod tests {
         );
     }
 
+    /// One costed op from each of two threads, released together: on one
+    /// disk the second queues behind the first, on two disks they overlap.
+    /// Returns the pair's wall-clock time and how far the clock moved.
+    fn two_concurrent_ops(clock: &Clock, same_disk: bool, op: Duration) -> (Duration, u64) {
+        let cfg = DiskConfig {
+            seek: op,
+            bytes_per_sec: f64::INFINITY,
+            backend: DiskBackend::Memory,
+        };
+        let disk = || {
+            let metrics = Arc::new(Metrics::new(0));
+            Arc::new(SimDisk::with_clock(cfg, 64, metrics, clock.clone()))
+        };
+        let first = disk();
+        let second = if same_disk { first.clone() } else { disk() };
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let (t0, before) = (Instant::now(), clock.now_nanos());
+        let threads: Vec<_> = [first, second]
+            .into_iter()
+            .map(|d| {
+                // Enrolled before either runs: virtual time cannot move
+                // until both ops are parked on their device.
+                clock.register_actor();
+                let (clock, start) = (clock.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    d.write(0, &[1]).unwrap();
+                    clock.deregister_actor();
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        (t0.elapsed(), clock.now_nanos() - before)
+    }
+
+    #[test]
+    fn one_disk_serializes_and_two_disks_overlap_on_the_real_clock() {
+        let op = Duration::from_millis(5);
+        let (same, _) = two_concurrent_ops(&Clock::real(true), true, op);
+        assert!(same >= op, "two ops on one disk took {same:?}");
+        let (apart, _) = two_concurrent_ops(&Clock::real(true), false, op);
+        assert!(apart >= op, "two ops on two disks took {apart:?}");
+    }
+
+    #[test]
+    fn one_disk_serializes_and_two_disks_overlap_on_the_virtual_clock() {
+        let op = Duration::from_secs(5);
+        let (_, same) = two_concurrent_ops(&Clock::virtual_time(3), true, op);
+        assert_eq!(same, 10_000_000_000, "the second op queues behind the first");
+        let (_, apart) = two_concurrent_ops(&Clock::virtual_time(3), false, op);
+        assert_eq!(apart, 5_000_000_000, "ops on different disks overlap");
+    }
+
     #[test]
     fn zero_cost_ops_are_fast() {
         let d = mem_disk(1 << 20);
