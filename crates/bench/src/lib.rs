@@ -23,9 +23,9 @@ pub fn lan_config() -> ClusterConfig {
         disks_per_machine: 1,
         disk_capacity: 256 << 20,
         faults: simnet::FaultPlan::none(),
-        // E1-E8 and A2/A3 time modeled delays on the wall clock: real mode, with
-        // the spin tail for sub-100us delay precision.
-        time: simnet::TimeMode::Real { spin_tail: true },
+        // E1-E8 and A2/A3 time modeled delays on the wall clock: real mode
+        // (costed, so sleeps end in the spin tail for sub-100us precision).
+        time: simnet::TimeMode::Real,
     }
 }
 
@@ -35,7 +35,6 @@ pub fn spinny_disk() -> DiskConfig {
     DiskConfig {
         seek: Duration::from_millis(1),
         bytes_per_sec: 400e6,
-        backend: simnet::DiskBackend::Memory,
     }
 }
 

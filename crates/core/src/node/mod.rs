@@ -32,6 +32,7 @@ mod daemon;
 mod judge;
 mod serve;
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,11 +109,9 @@ pub struct NodeCtx {
     /// and leases on this node are measured against it, so a virtual-time
     /// cluster never blocks on a wall-clock-only timer.
     clock: Clock,
-    /// The machine's network inbox. `Some` on dispatcher and driver lanes,
-    /// `None` on worker lanes (which receive through `lane` instead).
-    inbox: Option<Receiver<Packet>>,
-    /// Worker-lane state; `None` on dispatcher/driver lanes.
-    lane: Option<WorkerLane>,
+    /// What this lane is, and with it what it receives through: the
+    /// machine's network inbox, or a worker lane's control channel.
+    role: LaneRole,
     /// Request-id lane number. Every lane on a machine allocates req_ids
     /// congruent to its lane number modulo `stride`, so the dispatcher can
     /// route a response to the lane that issued the call without any shared
@@ -165,7 +164,7 @@ pub struct NodeCtx {
     /// budget (deadline propagation across hops, DESIGN.md §15).
     current_deadline: Option<u64>,
     /// Round counter feeding the seeded steal-order permutation.
-    steal_round: u64,
+    steal_round: Cell<u64>,
 }
 
 impl std::fmt::Debug for NodeCtx {
@@ -192,10 +191,6 @@ impl Drop for NodeCtx {
 impl NodeCtx {
     /// Build one lane of `env`'s machine.
     pub(crate) fn new(env: &MachineEnv<'_>, role: LaneRole) -> Self {
-        let (inbox, lane) = match role {
-            LaneRole::Dispatcher(inbox) => (Some(inbox), None),
-            LaneRole::Worker(lane) => (None, Some(lane)),
-        };
         let clock = env.net.clock().clone();
         // Virtual time only advances while every actor is parked in the
         // clock, so each NodeCtx — worker lanes included — enrolls here and
@@ -205,14 +200,16 @@ impl NodeCtx {
             Sched::Inline => 1,
             Sched::Pool(pool) => pool.workers() as u64 + 1,
         };
-        let lane_no = lane.as_ref().map_or(0, |l| l.index as u64 + 1);
+        let lane_no = match &role {
+            LaneRole::Dispatcher(_) => 0,
+            LaneRole::Worker(lane) => lane.index as u64 + 1,
+        };
         NodeCtx {
             machine: env.machine,
             workers: env.workers,
             net: env.net.clone(),
             clock,
-            inbox,
-            lane,
+            role,
             lane_no,
             stride,
             registry: env.registry.clone(),
@@ -238,7 +235,7 @@ impl NodeCtx {
             next_span: 1,
             current_trace: None,
             current_deadline: None,
-            steal_round: 0,
+            steal_round: Cell::new(0),
         }
     }
 

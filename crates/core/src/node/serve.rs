@@ -9,7 +9,7 @@ use simnet::{MachineId, Packet, PacketBytes};
 use wire::Reader;
 
 use super::judge::{judge, Verdict};
-use super::{payload_method, CallInfo, NodeCtx};
+use super::{payload_method, CallInfo, LaneRole, NodeCtx};
 use crate::dedup::DedupVerdict;
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::{encode_response, Body, FrameView};
@@ -104,14 +104,10 @@ impl NodeCtx {
     /// [`try_take_reply`](NodeCtx::try_take_reply) while any requests
     /// aimed at this node still get served.
     pub fn poll(&mut self) {
-        loop {
-            let pkt = match &self.inbox {
-                Some(rx) => rx.try_recv().ok(),
-                None => None,
-            };
-            match pkt {
-                Some(p) => self.handle_packet(p),
-                None => break,
+        while let LaneRole::Dispatcher(inbox) = &self.role {
+            match inbox.try_recv() {
+                Ok(p) => self.handle_packet(p),
+                Err(_) => break,
             }
         }
         self.drain_deferred();
@@ -125,80 +121,60 @@ impl NodeCtx {
     /// its own call is still in flight (the M:N analogue of the classic
     /// engine serving other objects while blocked).
     pub(super) fn pump_until(&mut self, deadline: u64) -> Result<(), ()> {
-        if self.inbox.is_some() {
-            let recvd = {
-                let rx = self.inbox.as_ref().expect("checked above");
-                self.clock.recv_deadline_nanos(rx, self.machine, deadline)
-            };
-            match recvd {
-                Ok(pkt) => {
-                    self.handle_packet(pkt);
-                    self.drain_deferred();
-                    Ok(())
-                }
-                Err(_) => Err(()),
+        let lane = match &self.role {
+            LaneRole::Dispatcher(inbox) => {
+                let pkt = self
+                    .clock
+                    .recv_deadline_nanos(inbox, self.machine, deadline)
+                    .map_err(|_| ())?;
+                self.handle_packet(pkt);
+                self.drain_deferred();
+                return Ok(());
             }
-        } else {
-            // Routed responses and control first; when the channel is dry,
-            // serve the machine's queues before parking. The scan is what
-            // makes nudges race-free: a task admitted while this lane was
-            // draining control messages may have had its Nudge consumed as
-            // a no-op above (worker_loop runs one task per wakeup), and a
-            // task admitted *after* this scan sends a fresh channel message
-            // the park below sees immediately — so no token ever strands
-            // in the injector behind a blocked lane.
-            let early = {
-                let lane = self.lane.as_ref().expect("lane-less NodeCtx");
-                lane.rx.try_recv().ok()
-            };
-            let recvd = match early {
-                Some(msg) => Ok(msg),
-                None => {
-                    if let Some(obj) = self.find_task() {
-                        self.run_object(obj);
-                        return Ok(());
-                    }
-                    let lane = self.lane.as_ref().expect("lane-less NodeCtx");
-                    self.clock
-                        .recv_any_deadline_nanos(&lane.rx, lane.label, deadline)
+            LaneRole::Worker(lane) => lane,
+        };
+        // Routed responses and control first; when the channel is dry,
+        // serve the machine's queues before parking. The scan is what
+        // makes nudges race-free: a task admitted while this lane was
+        // draining control messages may have had its Nudge consumed as
+        // a no-op above (worker_loop runs one task per wakeup), and a
+        // task admitted *after* this scan sends a fresh channel message
+        // the park below sees immediately — so no token ever strands
+        // in the injector behind a blocked lane.
+        let recvd = match lane.rx.try_recv() {
+            Ok(msg) => Ok(msg),
+            Err(_) => {
+                if let Some(obj) = self.find_task() {
+                    self.run_object(obj);
+                    return Ok(());
                 }
-            };
-            match recvd {
-                Ok(WorkerMsg::Packet(pkt)) => {
-                    self.handle_packet(pkt);
-                    Ok(())
-                }
-                Ok(WorkerMsg::Nudge) => {
-                    if let Some(obj) = self.find_task() {
-                        self.run_object(obj);
-                    }
-                    Ok(())
-                }
-                Ok(WorkerMsg::Shutdown) => {
-                    self.alive = false;
-                    Ok(())
-                }
-                Err(_) => Err(()),
+                self.clock
+                    .recv_any_deadline_nanos(&lane.rx, lane.label, deadline)
             }
+        };
+        match recvd {
+            Ok(WorkerMsg::Packet(pkt)) => self.handle_packet(pkt),
+            Ok(WorkerMsg::Nudge) => {
+                if let Some(obj) = self.find_task() {
+                    self.run_object(obj);
+                }
+            }
+            Ok(WorkerMsg::Shutdown) => self.alive = false,
+            Err(_) => return Err(()),
         }
+        Ok(())
     }
 
     pub(crate) fn serve_loop(&mut self) {
         while self.alive {
-            let recvd = {
-                let rx = self
-                    .inbox
-                    .as_ref()
-                    .expect("serve_loop runs on the dispatcher lane");
-                self.clock.recv(rx, self.machine)
+            let LaneRole::Dispatcher(inbox) = &self.role else {
+                break;
             };
-            match recvd {
-                Ok(pkt) => {
-                    self.handle_packet(pkt);
-                    self.drain_deferred();
-                }
-                Err(_) => break,
-            }
+            let Ok(pkt) = self.clock.recv(inbox, self.machine) else {
+                break;
+            };
+            self.handle_packet(pkt);
+            self.drain_deferred();
         }
         // Dispatcher exit stops the machine's worker pool. Workers drain
         // their channel before parking, so the message is seen even if one
@@ -215,19 +191,19 @@ impl NodeCtx {
     /// siblings); park idle when everything is dry.
     pub(crate) fn worker_loop(&mut self) {
         loop {
+            let LaneRole::Worker(lane) = &self.role else {
+                return;
+            };
             // Control first: routed responses and shutdown must not sit
             // behind queue scans.
-            loop {
-                let msg = match &self.lane {
-                    Some(l) => l.rx.try_recv().ok(),
-                    None => return,
-                };
-                match msg {
-                    Some(WorkerMsg::Packet(pkt)) => self.handle_packet(pkt),
-                    Some(WorkerMsg::Nudge) => {}
-                    Some(WorkerMsg::Shutdown) => return,
-                    None => break,
+            match lane.rx.try_recv() {
+                Ok(WorkerMsg::Packet(pkt)) => {
+                    self.handle_packet(pkt);
+                    continue;
                 }
+                Ok(WorkerMsg::Nudge) => continue,
+                Ok(WorkerMsg::Shutdown) => return,
+                Err(_) => {}
             }
             if !self.alive {
                 return;
@@ -241,26 +217,19 @@ impl NodeCtx {
             // idle workers and nudged everyone, but one injected *after*
             // the flag nudges us specifically, so this second scan is what
             // closes the lost-wakeup window — and only then park.
-            let (index, label) = {
-                let l = self.lane.as_ref().expect("worker lane");
-                (l.index, l.label)
-            };
             if let Sched::Pool(pool) = &self.shared.sched {
-                pool.set_idle(index, true);
+                pool.set_idle(lane.index, true);
             }
             if let Some(obj) = self.find_task() {
                 if let Sched::Pool(pool) = &self.shared.sched {
-                    pool.set_idle(index, false);
+                    pool.set_idle(lane.index, false);
                 }
                 self.run_object(obj);
                 continue;
             }
-            let msg = {
-                let l = self.lane.as_ref().expect("worker lane");
-                self.clock.recv_any(&l.rx, label)
-            };
+            let msg = self.clock.recv_any(&lane.rx, lane.label);
             if let Sched::Pool(pool) = &self.shared.sched {
-                pool.set_idle(index, false);
+                pool.set_idle(lane.index, false);
             }
             match msg {
                 Ok(WorkerMsg::Packet(pkt)) => self.handle_packet(pkt),
@@ -273,9 +242,11 @@ impl NodeCtx {
     /// Pop the next runnable object: own deque first (locality), then the
     /// machine's injector (fresh admissions), then steal from siblings in
     /// the seed-determined order for this `(worker, round)`.
-    fn find_task(&mut self) -> Option<ObjectId> {
-        let index = self.lane.as_ref()?.index;
-        if let Some(obj) = self.lane.as_ref().expect("just checked").deque.pop() {
+    fn find_task(&self) -> Option<ObjectId> {
+        let LaneRole::Worker(lane) = &self.role else {
+            return None;
+        };
+        if let Some(obj) = lane.deque.pop() {
             return Some(obj);
         }
         let Sched::Pool(pool) = &self.shared.sched else {
@@ -284,10 +255,13 @@ impl NodeCtx {
         if let Some(obj) = pool.injector.pop() {
             return Some(obj);
         }
-        let round = self.steal_round;
-        self.steal_round = round.wrapping_add(1);
-        for victim in pool.steal_order.victims(index, round, pool.stealers.len()) {
-            if victim == index {
+        let round = self.steal_round.get();
+        self.steal_round.set(round.wrapping_add(1));
+        for victim in pool
+            .steal_order
+            .victims(lane.index, round, pool.stealers.len())
+        {
+            if victim == lane.index {
                 continue;
             }
             loop {
@@ -326,7 +300,7 @@ impl NodeCtx {
             FrameView::Request { header, payload } => {
                 // Requests arriving at a worker lane would mean the fabric
                 // delivered to a non-endpoint; drop defensively.
-                if self.inbox.is_none() && self.lane.is_some() {
+                if let LaneRole::Worker(_) = self.role {
                     debug_assert!(false, "request frame delivered to a worker lane");
                     return;
                 }
@@ -694,7 +668,7 @@ impl NodeCtx {
         let mut batch = 0usize;
         loop {
             if batch >= MAILBOX_BATCH {
-                if let Some(lane) = &self.lane {
+                if let LaneRole::Worker(lane) = &self.role {
                     // Yield the rest of the mailbox: the token moves to this
                     // worker's deque, where a sibling can steal it.
                     // `scheduled` stays true — the token still exists.
@@ -806,7 +780,9 @@ impl NodeCtx {
         // on its network inbox, so wake it with an empty loopback packet
         // (decode fails harmlessly; the serve loop retries its deferred
         // queue after every receive).
-        if self.lane.is_some() && self.shared.daemon_parked.load(Ordering::Relaxed) > 0 {
+        if matches!(self.role, LaneRole::Worker(_))
+            && self.shared.daemon_parked.load(Ordering::Relaxed) > 0
+        {
             let _ = self.net.send(self.machine, self.machine, Vec::new());
         }
     }
@@ -871,7 +847,7 @@ impl NodeCtx {
             // serving while it waits; a worker lane just sleeps (its
             // siblings keep the machine live).
             let window = Duration::from_millis(lease_millis);
-            if self.lane.is_some() {
+            if let LaneRole::Worker(_) = self.role {
                 self.clock.sleep(window);
             } else {
                 self.serve_for(window);

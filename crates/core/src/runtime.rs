@@ -8,9 +8,7 @@ use std::time::Duration;
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 use sched::{Injector, StealOrder};
-use simnet::{
-    ClusterConfig, MachineId, Metrics, MetricsSnapshot, SimCluster, TraceClock, WORKER_LABEL_BASE,
-};
+use simnet::{ClusterConfig, MachineId, Metrics, MetricsSnapshot, SimCluster, WORKER_LABEL_BASE};
 use wire::collections::Bytes;
 
 use crate::array::{ByteBlock, DoubleBlock};
@@ -205,11 +203,11 @@ impl ClusterBuilder {
         let sim = SimCluster::new(sim_config);
         let registry = Arc::new(registry);
         let recorder = tracing.then(|| {
-            Arc::new(Recorder::with_lanes(
+            Arc::new(Recorder::new(
                 workers + 1,
                 sched_workers + 1,
                 DEFAULT_TRACE_CAPACITY,
-                TraceClock::from_clock(sim.clock()),
+                sim.clock().clone(),
             ))
         });
         // Victim permutations derive from the simulation seed so a virtual-

@@ -6,8 +6,8 @@
 //! [`NodeStats`](crate::frame::NodeStats) aggregate that structure away;
 //! the flight recorder keeps it. Every call attempt leaves a trail of
 //! [`SpanEvent`]s — queued, sent, dispatched, replied, plus retransmits and
-//! dedup verdicts — in a per-machine lock-free ring, stamped by a cluster
-//! wide [`simnet::TraceClock`]. At teardown the rings merge
+//! dedup verdicts — in a per-machine lock-free ring, stamped by the
+//! cluster's [`simnet::Clock`]. At teardown the rings merge
 //! into a [`Trace`] that can answer causal questions ("which original send
 //! does this retransmit belong to?"), render per-method latency statistics
 //! ([`MethodStats`]), and export Chrome/Perfetto `trace_event` JSON.
@@ -31,7 +31,7 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use simnet::{MachineId, TraceClock};
+use simnet::{Clock, MachineId};
 use wire::{wire_struct, V64};
 
 /// Per-call trace identity carried in every request frame.
@@ -365,7 +365,7 @@ impl std::fmt::Debug for SpanRing {
 pub struct Tracer {
     machine: MachineId,
     worker: u32,
-    clock: TraceClock,
+    clock: Clock,
     ring: Arc<SpanRing>,
 }
 
@@ -424,7 +424,7 @@ impl std::fmt::Debug for Tracer {
 /// safety contract requires the machine threads to be joined first.
 #[derive(Debug)]
 pub struct Recorder {
-    clock: TraceClock,
+    clock: Clock,
     /// One ring per lane, laid out `machine * lanes + lane`.
     rings: Vec<Arc<SpanRing>>,
     /// Rings per machine: 1 for single-threaded machines, `sched_workers + 1`
@@ -433,23 +433,13 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// A recorder for `machines` endpoints (workers + driver), each with a
-    /// ring of `capacity` events.
-    pub fn new(machines: usize, capacity: usize) -> Self {
-        Self::with_clock(machines, capacity, TraceClock::new())
-    }
-
-    /// A recorder stamping events from `clock` — pass a
-    /// [`TraceClock::from_clock`] handle so virtual-time runs record virtual
-    /// nanos and replay byte-for-byte.
-    pub fn with_clock(machines: usize, capacity: usize, clock: TraceClock) -> Self {
-        Self::with_lanes(machines, 1, capacity, clock)
-    }
-
-    /// A recorder for machines running `lanes` scheduler lanes each
-    /// (dispatcher + pool workers). Every lane records into its own
-    /// single-producer ring.
-    pub fn with_lanes(machines: usize, lanes: usize, capacity: usize, clock: TraceClock) -> Self {
+    /// A recorder for `machines` endpoints (workers + driver) running
+    /// `lanes` scheduler lanes each (dispatcher + pool workers). Every lane
+    /// records into its own single-producer ring of `capacity` events,
+    /// stamped from `clock` — the cluster's, so a stamp is on the axis
+    /// leases and deadlines use, and a virtual-time run records virtual
+    /// nanos and replays byte-for-byte.
+    pub fn new(machines: usize, lanes: usize, capacity: usize, clock: Clock) -> Self {
         assert!(lanes > 0, "a machine has at least its dispatcher lane");
         let rings = (0..machines * lanes)
             .map(|_| Arc::new(SpanRing::new(capacity)))
@@ -1003,7 +993,7 @@ mod tests {
 
     #[test]
     fn recorder_merge_orders_events_and_counts_drops() {
-        let rec = Recorder::new(2, 4);
+        let rec = Recorder::new(2, 1, 4, Clock::default());
         let t0 = rec.tracer(0);
         let t1 = rec.tracer(1);
         t0.record(EventKind::ClientSend, 1, 5, 5, 0, 5, 1, 10, "a".into());

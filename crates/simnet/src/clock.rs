@@ -6,8 +6,8 @@
 //! `thread::sleep` directly. The clock has two backends:
 //!
 //! * **Real** (the default): nanoseconds since a shared epoch, sleeps via
-//!   [`crate::time`] (with a configurable spin tail). Latency-accurate;
-//!   what the benchmarks use.
+//!   [`crate::time`] (with a spin tail when the cluster is costed).
+//!   Latency-accurate; what the benchmarks use.
 //! * **Virtual**: a discrete-event simulation in the FoundationDB style.
 //!   Machines still run on OS threads, but every blocking wait parks the
 //!   thread in the clock. When *all* registered actors are parked the
@@ -34,9 +34,11 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 use crate::config::NetCost;
+use crate::faults::mix;
 use crate::message::{MachineId, Packet};
 use crate::metrics::Metrics;
-use crate::time::{sleep_until_with, transfer_time};
+use crate::network::{hand_over, link_delivery};
+use crate::time::sleep_until;
 
 /// Why a clock-mediated receive returned without a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,14 +73,6 @@ impl fmt::Display for SimSchedule {
             self.seed, self.events, self.digest
         )
     }
-}
-
-/// splitmix64 finalizer: the seeded tiebreak hash.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 enum EventKind {
@@ -236,7 +230,7 @@ impl VirtualCore {
             if let Some((_, w)) = hit {
                 w.woken = true;
                 s.fired += 1;
-                s.digest = mix64(s.digest ^ s.now ^ (3 << 62) ^ label.rotate_left(32));
+                s.digest = mix(s.digest ^ s.now ^ (3 << 62) ^ label.rotate_left(32));
                 s.tokens = 1;
                 self.cv.notify_all();
                 return;
@@ -255,7 +249,7 @@ impl VirtualCore {
                     }
                     s.now = s.now.max(ev.time);
                     s.fired += 1;
-                    s.digest = mix64(s.digest ^ ev.time ^ (1 << 62) ^ (waiter << 32) ^ ev.seq);
+                    s.digest = mix(s.digest ^ ev.time ^ (1 << 62) ^ (waiter << 32) ^ ev.seq);
                     let w = s.waiters.get_mut(&waiter).expect("live waiter");
                     w.woken = true;
                     s.tokens = 1;
@@ -266,19 +260,11 @@ impl VirtualCore {
                     s.now = s.now.max(ev.time);
                     s.fired += 1;
                     let dst = packet.dst;
-                    s.digest =
-                        mix64(s.digest ^ ev.time ^ (2 << 62) ^ ((dst as u64) << 32) ^ ev.seq);
-                    let bytes = packet.len();
-                    let mut delivered = false;
-                    if let Some(net) = &s.net {
-                        if net.senders[dst].send(packet).is_ok() {
-                            net.metrics.record_delivery(dst, bytes);
-                            delivered = true;
-                        } else {
-                            // Inbox gone (machine shut down mid-delivery).
-                            net.metrics.record_delivery_dropped();
-                        }
-                    }
+                    s.digest = mix(s.digest ^ ev.time ^ (2 << 62) ^ ((dst as u64) << 32) ^ ev.seq);
+                    let delivered = s
+                        .net
+                        .as_ref()
+                        .is_some_and(|net| hand_over(&net.senders[dst], packet, &net.metrics));
                     if delivered {
                         // At most one actor can be parked receiving for a
                         // given machine, so this lookup is deterministic.
@@ -325,7 +311,7 @@ impl VirtualCore {
             let time = d.max(s.now);
             s.heap.push(Reverse(Event {
                 time,
-                tie: mix64(self.seed ^ seq),
+                tie: mix(self.seed ^ seq),
                 seq,
                 kind: EventKind::Timer { waiter: id },
             }));
@@ -348,24 +334,11 @@ impl VirtualCore {
         let dst = packet.dst;
         let seq = s.next_seq;
         s.next_seq += 1;
-        let arrival = s.now + cost.latency.as_nanos() as u64;
-        let prior = s.link_free.get(dst).copied().flatten();
-        let start = arrival.max(prior.unwrap_or(0));
-        let mut done = start + transfer_time(packet.len(), cost.bytes_per_sec).as_nanos() as u64;
-        if let Some(p) = prior {
-            if done <= p {
-                // Keep per-destination delivery strictly in send order: a
-                // link is FIFO even at zero cost.
-                done = p + 1;
-            }
-        }
-        if dst >= s.link_free.len() {
-            s.link_free.resize(dst + 1, None);
-        }
-        s.link_free[dst] = Some(done);
+        let sent = s.now;
+        let done = link_delivery(sent, packet.len(), cost, &mut s.link_free[dst]);
         s.heap.push(Reverse(Event {
             time: done,
-            tie: mix64(self.seed ^ seq),
+            tie: mix(self.seed ^ seq),
             seq,
             kind: EventKind::Deliver { packet },
         }));
@@ -392,8 +365,8 @@ pub struct Clock {
 }
 
 impl Clock {
-    /// Wall-clock mode. `spin` enables the precision spin tail on modeled
-    /// sleeps (benches want it; tests don't).
+    /// Wall-clock mode. `spin` ends modeled sleeps in the precision spin
+    /// tail: on when something is costed, off when sleeps are only timeouts.
     pub fn real(spin: bool) -> Self {
         Clock {
             inner: ClockInner::Real {
@@ -413,14 +386,6 @@ impl Clock {
     /// True for the virtual backend.
     pub fn is_virtual(&self) -> bool {
         matches!(self.inner, ClockInner::Virtual(_))
-    }
-
-    /// Whether real-mode sleeps use the precision spin tail.
-    pub fn spin(&self) -> bool {
-        match &self.inner {
-            ClockInner::Real { spin, .. } => *spin,
-            ClockInner::Virtual(_) => false,
-        }
     }
 
     /// The virtual seed, if virtual.
@@ -481,14 +446,7 @@ impl Clock {
         if dur.is_zero() {
             return;
         }
-        match &self.inner {
-            ClockInner::Real { epoch: _, spin } => {
-                sleep_until_with(Instant::now() + dur, *spin);
-            }
-            ClockInner::Virtual(_) => {
-                self.sleep_until_nanos(self.now_nanos() + dur.as_nanos() as u64);
-            }
-        }
+        self.sleep_until_nanos(self.now_nanos() + dur.as_nanos() as u64);
     }
 
     /// Sleep until the clock reads at least `deadline` nanos.
@@ -499,7 +457,7 @@ impl Clock {
     pub fn sleep_until_nanos(&self, deadline: u64) {
         match &self.inner {
             ClockInner::Real { epoch, spin } => {
-                sleep_until_with(*epoch + Duration::from_nanos(deadline), *spin);
+                sleep_until(*epoch + Duration::from_nanos(deadline), *spin);
             }
             ClockInner::Virtual(core) => {
                 let s = core.lock();
@@ -518,22 +476,7 @@ impl Clock {
 
     /// Blocking receive on machine `me`'s inbox.
     pub fn recv(&self, rx: &Receiver<Packet>, me: MachineId) -> Result<Packet, ClockRecvError> {
-        match &self.inner {
-            ClockInner::Real { .. } => rx.recv().map_err(|_| ClockRecvError::Disconnected),
-            ClockInner::Virtual(core) => {
-                let mut s = core.lock();
-                loop {
-                    match rx.try_recv() {
-                        Ok(p) => return Ok(p),
-                        Err(TryRecvError::Disconnected) => {
-                            return Err(ClockRecvError::Disconnected)
-                        }
-                        Err(TryRecvError::Empty) => {}
-                    }
-                    s = core.park(s, Some(me as u64), None);
-                }
-            }
-        }
+        self.recv_on(rx, me as u64, None)
     }
 
     /// Receive on machine `me`'s inbox with a deadline in clock nanos.
@@ -543,30 +486,7 @@ impl Clock {
         me: MachineId,
         deadline: u64,
     ) -> Result<Packet, ClockRecvError> {
-        match &self.inner {
-            ClockInner::Real { epoch, .. } => rx
-                .recv_deadline(*epoch + Duration::from_nanos(deadline))
-                .map_err(|e| match e {
-                    RecvTimeoutError::Timeout => ClockRecvError::Timeout,
-                    RecvTimeoutError::Disconnected => ClockRecvError::Disconnected,
-                }),
-            ClockInner::Virtual(core) => {
-                let mut s = core.lock();
-                loop {
-                    match rx.try_recv() {
-                        Ok(p) => return Ok(p),
-                        Err(TryRecvError::Disconnected) => {
-                            return Err(ClockRecvError::Disconnected)
-                        }
-                        Err(TryRecvError::Empty) => {}
-                    }
-                    if s.now >= deadline {
-                        return Err(ClockRecvError::Timeout);
-                    }
-                    s = core.park(s, Some(me as u64), Some(deadline));
-                }
-            }
-        }
+        self.recv_on(rx, me as u64, Some(deadline))
     }
 
     /// Mark the actor parked under `label` runnable. No-op in real mode
@@ -594,22 +514,7 @@ impl Clock {
     /// [`Clock::notify_label`]`(label)` or the park never wakes (packet
     /// deliveries only wake machine-inbox labels).
     pub fn recv_any<T>(&self, rx: &Receiver<T>, label: u64) -> Result<T, ClockRecvError> {
-        match &self.inner {
-            ClockInner::Real { .. } => rx.recv().map_err(|_| ClockRecvError::Disconnected),
-            ClockInner::Virtual(core) => {
-                let mut s = core.lock();
-                loop {
-                    match rx.try_recv() {
-                        Ok(p) => return Ok(p),
-                        Err(TryRecvError::Disconnected) => {
-                            return Err(ClockRecvError::Disconnected)
-                        }
-                        Err(TryRecvError::Empty) => {}
-                    }
-                    s = core.park(s, Some(label), None);
-                }
-            }
-        }
+        self.recv_on(rx, label, None)
     }
 
     /// Receive on an arbitrary channel with a deadline in clock nanos,
@@ -620,27 +525,45 @@ impl Clock {
         label: u64,
         deadline: u64,
     ) -> Result<T, ClockRecvError> {
+        self.recv_on(rx, label, Some(deadline))
+    }
+
+    /// The one receive: every blocking wait on a channel, on either
+    /// backend, parks here. Real time blocks on the channel itself. Virtual
+    /// time drains the channel and, finding it empty, parks under `label`
+    /// until a delivery to that machine, a [`Clock::notify_label`] or the
+    /// deadline's timer wakes it — then drains again.
+    fn recv_on<T>(
+        &self,
+        rx: &Receiver<T>,
+        label: u64,
+        deadline: Option<u64>,
+    ) -> Result<T, ClockRecvError> {
         match &self.inner {
-            ClockInner::Real { epoch, .. } => rx
-                .recv_deadline(*epoch + Duration::from_nanos(deadline))
-                .map_err(|e| match e {
-                    RecvTimeoutError::Timeout => ClockRecvError::Timeout,
-                    RecvTimeoutError::Disconnected => ClockRecvError::Disconnected,
-                }),
+            ClockInner::Real { epoch, .. } => match deadline {
+                None => rx.recv().map_err(|_| ClockRecvError::Disconnected),
+                Some(d) => {
+                    rx.recv_deadline(*epoch + Duration::from_nanos(d))
+                        .map_err(|e| match e {
+                            RecvTimeoutError::Timeout => ClockRecvError::Timeout,
+                            RecvTimeoutError::Disconnected => ClockRecvError::Disconnected,
+                        })
+                }
+            },
             ClockInner::Virtual(core) => {
                 let mut s = core.lock();
                 loop {
                     match rx.try_recv() {
-                        Ok(p) => return Ok(p),
+                        Ok(got) => return Ok(got),
                         Err(TryRecvError::Disconnected) => {
                             return Err(ClockRecvError::Disconnected)
                         }
                         Err(TryRecvError::Empty) => {}
                     }
-                    if s.now >= deadline {
+                    if deadline.is_some_and(|d| s.now >= d) {
                         return Err(ClockRecvError::Timeout);
                     }
-                    s = core.park(s, Some(label), Some(deadline));
+                    s = core.park(s, Some(label), deadline);
                 }
             }
         }

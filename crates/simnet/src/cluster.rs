@@ -12,7 +12,6 @@ use crate::faults::{FaultInjector, FaultState};
 use crate::message::{MachineId, Packet};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::network::Network;
-use crate::topology;
 
 /// A fully assembled simulated cluster.
 ///
@@ -42,15 +41,17 @@ impl SimCluster {
     pub fn new(config: ClusterConfig) -> Self {
         assert!(config.machines > 0, "a cluster needs at least one machine");
         let clock = match config.time {
-            TimeMode::Real { spin_tail } => Clock::real(spin_tail),
+            // The precision spin tail is for modeled delays: with nothing
+            // costed, every sleep is a timeout and a busy core per sleeping
+            // machine thread buys nothing.
+            TimeMode::Real => Clock::real(!(config.topology.is_zero() && config.disk.is_zero())),
             TimeMode::Virtual { seed } => Clock::virtual_time(seed),
         };
         let metrics = Arc::new(Metrics::new(config.machines));
-        let topo = topology::build(&config.topology);
         let faults = Arc::new(FaultState::new(config.faults.clone(), config.machines));
         let (network, inbox_rxs) = Network::build(
             config.machines,
-            topo,
+            config.topology,
             metrics.clone(),
             faults,
             clock.clone(),

@@ -3,6 +3,7 @@
 use std::time::Duration;
 
 use crate::faults::FaultPlan;
+use crate::topology::TopologySpec;
 
 /// Cost of sending one message over one link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,17 +46,6 @@ impl Default for NetCost {
     }
 }
 
-/// How a simulated disk stores its blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskBackend {
-    /// In-memory buffer: deterministic, used for tests and benchmarks (the
-    /// *simulated* seek/transfer costs still apply).
-    Memory,
-    /// A real temporary file (exercises the OS I/O path; costs still apply
-    /// on top).
-    TempFile,
-}
-
 /// Performance model of one simulated disk.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskConfig {
@@ -64,17 +54,14 @@ pub struct DiskConfig {
     /// Sequential transfer rate in bytes per second; `f64::INFINITY`
     /// disables the charge.
     pub bytes_per_sec: f64,
-    /// Storage backend.
-    pub backend: DiskBackend,
 }
 
 impl DiskConfig {
-    /// Free, in-memory disk (tests).
+    /// Free disk (tests).
     pub const fn zero() -> Self {
         DiskConfig {
             seek: Duration::ZERO,
             bytes_per_sec: f64::INFINITY,
-            backend: DiskBackend::Memory,
         }
     }
 
@@ -88,7 +75,6 @@ impl DiskConfig {
         DiskConfig {
             seek: Duration::from_millis(4),
             bytes_per_sec: 150e6,
-            backend: DiskBackend::Memory,
         }
     }
 
@@ -97,7 +83,6 @@ impl DiskConfig {
         DiskConfig {
             seek: Duration::from_micros(20),
             bytes_per_sec: 3e9,
-            backend: DiskBackend::Memory,
         }
     }
 }
@@ -109,15 +94,13 @@ impl Default for DiskConfig {
 }
 
 /// Which time backend a cluster runs on (see [`crate::Clock`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TimeMode {
-    /// Wall-clock time. `spin_tail` enables the sub-timer-slack spin at the
-    /// end of modeled sleeps — benches want the precision, tests don't want
-    /// a busy core per sleeping machine thread.
-    Real {
-        /// Spin the final ~120µs of each modeled sleep for precision.
-        spin_tail: bool,
-    },
+    /// Wall-clock time (the default). Modeled sleeps end in a sub-timer-slack spin
+    /// exactly when the cluster has something costed to sleep for — a
+    /// link or a disk that is not free.
+    #[default]
+    Real,
     /// Deterministic discrete-event virtual time, seeded. Modeled delays
     /// are charged logically and a run's event order is a replayable
     /// function of this seed (see [`crate::SimSchedule`]).
@@ -125,37 +108,6 @@ pub enum TimeMode {
         /// Seed for the event-order tiebreak.
         seed: u64,
     },
-}
-
-impl Default for TimeMode {
-    fn default() -> Self {
-        TimeMode::Real { spin_tail: false }
-    }
-}
-
-/// Which [`Topology`](crate::topology::Topology) to build.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TopologySpec {
-    /// Every pair of distinct machines shares one [`NetCost`]; loopback
-    /// (src == dst) is free.
-    Uniform(NetCost),
-    /// Machines grouped into racks of `rack_size`; intra-rack links use
-    /// `intra`, inter-rack links use `inter`.
-    Racks {
-        rack_size: usize,
-        intra: NetCost,
-        inter: NetCost,
-    },
-}
-
-impl TopologySpec {
-    /// True if no link in this topology ever charges anything.
-    pub fn is_zero(&self) -> bool {
-        match self {
-            TopologySpec::Uniform(c) => c.is_zero(),
-            TopologySpec::Racks { intra, inter, .. } => intra.is_zero() && inter.is_zero(),
-        }
-    }
 }
 
 /// Full description of a simulated cluster.
@@ -190,12 +142,11 @@ impl ClusterConfig {
             disks_per_machine: 1,
             disk_capacity: 64 << 20,
             faults: FaultPlan::none(),
-            time: TimeMode::Real { spin_tail: false },
+            time: TimeMode::Real,
         }
     }
 
-    /// `n` machines on a uniform costed network. Latency-accurate, so the
-    /// precision spin tail is on.
+    /// `n` machines on a uniform costed network.
     pub fn lan(n: usize, latency_us: u64, gbps: f64) -> Self {
         ClusterConfig {
             machines: n,
@@ -204,7 +155,7 @@ impl ClusterConfig {
             disks_per_machine: 1,
             disk_capacity: 64 << 20,
             faults: FaultPlan::none(),
-            time: TimeMode::Real { spin_tail: true },
+            time: TimeMode::Real,
         }
     }
 
@@ -218,15 +169,6 @@ impl ClusterConfig {
     /// style).
     pub fn with_virtual_time(mut self, seed: u64) -> Self {
         self.time = TimeMode::Virtual { seed };
-        self
-    }
-
-    /// Toggle the real-time precision spin tail (builder style). No effect
-    /// in virtual mode, which never spins.
-    pub fn with_spin_tail(mut self, spin_tail: bool) -> Self {
-        if let TimeMode::Real { .. } = self.time {
-            self.time = TimeMode::Real { spin_tail };
-        }
         self
     }
 
@@ -289,15 +231,11 @@ mod tests {
     #[test]
     fn time_mode_builders() {
         let c = ClusterConfig::zero_cost(2);
-        assert_eq!(c.time, TimeMode::Real { spin_tail: false });
+        assert_eq!(c.time, TimeMode::Real);
         let c = ClusterConfig::lan(2, 50, 1.0);
-        assert_eq!(c.time, TimeMode::Real { spin_tail: true });
-        let c = c.with_spin_tail(false);
-        assert_eq!(c.time, TimeMode::Real { spin_tail: false });
+        assert_eq!(c.time, TimeMode::Real);
         let c = c.with_virtual_time(42);
         assert_eq!(c.time, TimeMode::Virtual { seed: 42 });
-        // Spin tail is a real-time concept: virtual mode ignores it.
-        assert_eq!(c.with_spin_tail(true).time, TimeMode::Virtual { seed: 42 });
     }
 
     #[test]

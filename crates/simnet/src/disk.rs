@@ -2,26 +2,22 @@
 //!
 //! A [`SimDisk`] is the hardware behind the paper's `PageDevice` (§2): a
 //! flat byte range with explicit positioning and transfer costs. Operations
-//! on one disk serialize (the device lock is held for the modeled duration),
-//! while operations on *different* disks proceed in parallel — exactly the
-//! property the paper's §4 parallel-I/O example exploits ("when each
+//! on one disk serialize (each queues behind the device's last scheduled
+//! op), while operations on *different* disks proceed in parallel — exactly
+//! the property the paper's §4 parallel-I/O example exploits ("when each
 //! ArrayPageDevice … is assigned to a different hard drive, the processes
 //! … will carry out disk I/O in parallel").
 
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use crate::clock::Clock;
-use crate::config::{DiskBackend, DiskConfig};
+use crate::config::DiskConfig;
 use crate::metrics::Metrics;
-use crate::time::{precise_sleep_with, transfer_time};
+use crate::time::transfer_time;
 
 /// Errors from disk operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +30,6 @@ pub enum DiskError {
     },
     /// An allocation request exceeds the free space.
     OutOfSpace { requested: usize, free: usize },
-    /// The file backend failed (message carries the OS error text).
-    Io(String),
 }
 
 impl fmt::Display for DiskError {
@@ -52,70 +46,23 @@ impl fmt::Display for DiskError {
             DiskError::OutOfSpace { requested, free } => {
                 write!(f, "allocation of {requested} bytes exceeds {free} free")
             }
-            DiskError::Io(msg) => write!(f, "disk I/O error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for DiskError {}
 
-enum Backend {
-    Memory(Vec<u8>),
-    File { file: File, path: PathBuf },
-}
-
-impl Backend {
-    fn read(&mut self, offset: usize, buf: &mut [u8]) -> Result<(), DiskError> {
-        match self {
-            Backend::Memory(data) => {
-                buf.copy_from_slice(&data[offset..offset + buf.len()]);
-                Ok(())
-            }
-            Backend::File { file, .. } => {
-                file.seek(SeekFrom::Start(offset as u64))
-                    .map_err(|e| DiskError::Io(e.to_string()))?;
-                file.read_exact(buf)
-                    .map_err(|e| DiskError::Io(e.to_string()))
-            }
-        }
-    }
-
-    fn write(&mut self, offset: usize, data: &[u8]) -> Result<(), DiskError> {
-        match self {
-            Backend::Memory(store) => {
-                store[offset..offset + data.len()].copy_from_slice(data);
-                Ok(())
-            }
-            Backend::File { file, .. } => {
-                file.seek(SeekFrom::Start(offset as u64))
-                    .map_err(|e| DiskError::Io(e.to_string()))?;
-                file.write_all(data)
-                    .map_err(|e| DiskError::Io(e.to_string()))
-            }
-        }
-    }
-}
-
-impl Drop for Backend {
-    fn drop(&mut self) {
-        if let Backend::File { path, .. } = self {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-static NEXT_DISK_FILE: AtomicU64 = AtomicU64::new(0);
-
 /// One simulated disk: a bounds-checked byte range with a cost model.
 pub struct SimDisk {
     config: DiskConfig,
     capacity: usize,
-    backend: Mutex<Backend>,
+    data: Mutex<Vec<u8>>,
     metrics: Arc<Metrics>,
     clock: Clock,
-    /// Virtual instant the device finishes its queued work (virtual mode
-    /// replaces lock-held sleeping with this, so a parked waiter can't hide
-    /// a second actor blocked on the device mutex from the clock).
+    /// Clock instant the device finishes its queued work. An op sleeps on
+    /// the clock until its own slot behind this watermark ends, holding no
+    /// lock: under virtual time a thread blocked on a mutex is invisible to
+    /// the clock's quiescence rule and would deadlock the simulation.
     busy_until: Mutex<u64>,
     ops: AtomicU64,
     next_alloc: AtomicU64,
@@ -135,7 +82,7 @@ impl SimDisk {
     /// clock. Cluster-built disks use [`SimDisk::with_clock`] instead so
     /// modeled delays follow the cluster's time mode.
     pub fn new(config: DiskConfig, capacity: usize, metrics: Arc<Metrics>) -> Self {
-        SimDisk::with_clock(config, capacity, metrics, Clock::real(true))
+        SimDisk::with_clock(config, capacity, metrics, Clock::real(!config.is_zero()))
     }
 
     /// Create a disk charging its costs on the given clock.
@@ -145,28 +92,10 @@ impl SimDisk {
         metrics: Arc<Metrics>,
         clock: Clock,
     ) -> Self {
-        let backend = match config.backend {
-            DiskBackend::Memory => Backend::Memory(vec![0u8; capacity]),
-            DiskBackend::TempFile => {
-                let n = NEXT_DISK_FILE.fetch_add(1, Ordering::Relaxed);
-                let path = std::env::temp_dir()
-                    .join(format!("simnet-disk-{}-{n}.bin", std::process::id()));
-                let file = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .create(true)
-                    .truncate(true)
-                    .open(&path)
-                    .expect("create disk backing file");
-                file.set_len(capacity as u64)
-                    .expect("size disk backing file");
-                Backend::File { file, path }
-            }
-        };
         SimDisk {
             config,
             capacity,
-            backend: Mutex::new(backend),
+            data: Mutex::new(vec![0u8; capacity]),
             metrics,
             clock,
             busy_until: Mutex::new(0),
@@ -227,78 +156,46 @@ impl SimDisk {
         Ok(())
     }
 
-    fn op_cost_nanos(&self, bytes: usize) -> u64 {
-        (self.config.seek + transfer_time(bytes, self.config.bytes_per_sec)).as_nanos() as u64
-    }
-
-    /// Charge `busy` nanos of device time after the data portion of an op.
+    /// One device operation over `[offset, offset + len)`: bounds, the
+    /// copy, then the modeled time. Returns the device time it took.
     ///
-    /// Real mode is called with the backend lock still held, so concurrent
-    /// operations on one disk serialize, as on real hardware. Virtual mode
-    /// must **not** sleep under that lock (a thread blocked on a mutex is
-    /// invisible to the clock's quiescence rule and would deadlock the
-    /// simulation); instead the device keeps a `busy_until` watermark that
-    /// serializes the modeled time, and the caller parks lock-free.
-    fn charge(&self, busy: u64, op_start: Instant) {
-        if self.config.is_zero() {
-            return;
-        }
-        if self.clock.is_virtual() {
+    /// The op is scheduled from the instant it was issued, behind whatever
+    /// the device already has queued, and the caller sleeps on the clock
+    /// until its slot ends — the same rule on both clocks, so concurrent
+    /// ops on one disk serialize as on real hardware.
+    fn op(
+        &self,
+        offset: usize,
+        len: usize,
+        copy: impl FnOnce(&mut [u8]),
+    ) -> Result<u64, DiskError> {
+        self.check_bounds(offset, len)?;
+        let busy =
+            (self.config.seek + transfer_time(len, self.config.bytes_per_sec)).as_nanos() as u64;
+        let issued = self.clock.now_nanos();
+        copy(&mut self.data.lock()[offset..offset + len]);
+        if !self.config.is_zero() {
             let done = {
-                let now = self.clock.now_nanos();
-                let mut b = self.busy_until.lock();
-                let done = now.max(*b) + busy;
-                *b = done;
-                done
+                let mut busy_until = self.busy_until.lock();
+                *busy_until = issued.max(*busy_until) + busy;
+                *busy_until
             };
             self.clock.sleep_until_nanos(done);
-        } else {
-            let target = std::time::Duration::from_nanos(busy);
-            let spent = op_start.elapsed();
-            if target > spent {
-                precise_sleep_with(target - spent, self.clock.spin());
-            }
         }
+        self.ops.fetch_add(1, Ordering::Relaxed);
+        Ok(busy)
     }
 
     /// Read `buf.len()` bytes starting at `offset`.
-    ///
-    /// The device serializes: in real mode the lock is held for the modeled
-    /// duration, in virtual mode the op queues on the device's virtual
-    /// busy-time (see `SimDisk::charge`).
     pub fn read(&self, offset: usize, buf: &mut [u8]) -> Result<(), DiskError> {
-        self.check_bounds(offset, buf.len())?;
-        let busy = self.op_cost_nanos(buf.len());
-        let op_start = Instant::now();
-        let mut backend = self.backend.lock();
-        backend.read(offset, buf)?;
-        if !self.clock.is_virtual() {
-            self.charge(busy, op_start);
-        }
-        drop(backend);
-        if self.clock.is_virtual() {
-            self.charge(busy, op_start);
-        }
-        self.ops.fetch_add(1, Ordering::Relaxed);
+        let busy = self.op(offset, buf.len(), |data| buf.copy_from_slice(data))?;
         self.metrics.record_disk_read(buf.len(), busy);
         Ok(())
     }
 
     /// Write `data` starting at `offset`.
     pub fn write(&self, offset: usize, data: &[u8]) -> Result<(), DiskError> {
-        self.check_bounds(offset, data.len())?;
-        let busy = self.op_cost_nanos(data.len());
-        let op_start = Instant::now();
-        let mut backend = self.backend.lock();
-        backend.write(offset, data)?;
-        if !self.clock.is_virtual() {
-            self.charge(busy, op_start);
-        }
-        drop(backend);
-        if self.clock.is_virtual() {
-            self.charge(busy, op_start);
-        }
-        self.ops.fetch_add(1, Ordering::Relaxed);
+        let busy = self.op(offset, data.len(), |store| store.copy_from_slice(data))?;
         self.metrics.record_disk_write(data.len(), busy);
         Ok(())
     }
@@ -307,7 +204,7 @@ impl SimDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn mem_disk(capacity: usize) -> SimDisk {
         SimDisk::new(DiskConfig::zero(), capacity, Arc::new(Metrics::new(0)))
@@ -356,26 +253,11 @@ mod tests {
     }
 
     #[test]
-    fn file_backend_roundtrips_and_cleans_up() {
-        let cfg = DiskConfig {
-            backend: DiskBackend::TempFile,
-            ..DiskConfig::zero()
-        };
-        let d = SimDisk::new(cfg, 4096, Arc::new(Metrics::new(0)));
-        d.write(1000, b"persistent").unwrap();
-        let mut buf = vec![0u8; 10];
-        d.read(1000, &mut buf).unwrap();
-        assert_eq!(&buf, b"persistent");
-        drop(d); // backing file removed on drop; nothing to assert beyond no panic
-    }
-
-    #[test]
     fn metrics_capture_bytes_and_busy_time() {
         let metrics = Arc::new(Metrics::new(0));
         let cfg = DiskConfig {
             seek: Duration::from_micros(100),
             bytes_per_sec: 1e9,
-            backend: DiskBackend::Memory,
         };
         let d = SimDisk::new(cfg, 1 << 20, metrics.clone());
         d.write(0, &vec![0u8; 1000]).unwrap();
@@ -395,7 +277,6 @@ mod tests {
         let cfg = DiskConfig {
             seek: Duration::from_millis(2),
             bytes_per_sec: f64::INFINITY,
-            backend: DiskBackend::Memory,
         };
         let d = SimDisk::new(cfg, 64, Arc::new(Metrics::new(0)));
         let t0 = Instant::now();
@@ -406,9 +287,8 @@ mod tests {
     #[test]
     fn virtual_disk_charges_modeled_time_logically() {
         let cfg = DiskConfig {
-            seek: Duration::from_millis(2),
+            seek: Duration::from_secs(20),
             bytes_per_sec: f64::INFINITY,
-            backend: DiskBackend::Memory,
         };
         let clock = Clock::virtual_time(5);
         let d = SimDisk::with_clock(cfg, 64, Arc::new(Metrics::new(0)), clock.clone());
@@ -417,10 +297,10 @@ mod tests {
         let mut buf = [0u8; 1];
         d.read(0, &mut buf).unwrap();
         assert_eq!(buf, [1]);
-        // 2 ops × 2ms seek, serialized on the device's virtual busy-time.
-        assert_eq!(clock.now_nanos(), 4_000_000);
+        // 2 ops × 20 s seek, serialized on the device's virtual busy-time.
+        assert_eq!(clock.now_nanos(), 40_000_000_000);
         assert!(
-            t0.elapsed() < Duration::from_millis(4),
+            t0.elapsed() < Duration::from_secs(1),
             "virtual disk cost paid in wall-clock"
         );
     }
@@ -432,7 +312,6 @@ mod tests {
         let cfg = DiskConfig {
             seek: op,
             bytes_per_sec: f64::INFINITY,
-            backend: DiskBackend::Memory,
         };
         let disk = || {
             let metrics = Arc::new(Metrics::new(0));
@@ -466,7 +345,7 @@ mod tests {
     fn one_disk_serializes_and_two_disks_overlap_on_the_real_clock() {
         let op = Duration::from_millis(5);
         let (same, _) = two_concurrent_ops(&Clock::real(true), true, op);
-        assert!(same >= op, "two ops on one disk took {same:?}");
+        assert!(same >= op * 2, "two ops on one disk took {same:?}");
         let (apart, _) = two_concurrent_ops(&Clock::real(true), false, op);
         assert!(apart >= op, "two ops on two disks took {apart:?}");
     }
@@ -475,7 +354,10 @@ mod tests {
     fn one_disk_serializes_and_two_disks_overlap_on_the_virtual_clock() {
         let op = Duration::from_secs(5);
         let (_, same) = two_concurrent_ops(&Clock::virtual_time(3), true, op);
-        assert_eq!(same, 10_000_000_000, "the second op queues behind the first");
+        assert_eq!(
+            same, 10_000_000_000,
+            "the second op queues behind the first"
+        );
         let (_, apart) = two_concurrent_ops(&Clock::virtual_time(3), false, op);
         assert_eq!(apart, 5_000_000_000, "ops on different disks overlap");
     }
@@ -487,6 +369,6 @@ mod tests {
         for i in 0..1000 {
             d.write(i * 8, &[0u8; 8]).unwrap();
         }
-        assert!(t0.elapsed() < Duration::from_millis(500));
+        assert!(t0.elapsed() < Duration::from_secs(1));
     }
 }

@@ -102,8 +102,10 @@ impl Default for FaultPlan {
     }
 }
 
-/// SplitMix64 finalizer: one well-mixed word from one input word.
-fn mix(mut z: u64) -> u64 {
+/// SplitMix64 finalizer: one well-mixed word from one input word. Every
+/// seeded decision of the substrate — a packet's fate here, the virtual
+/// clock's event tiebreak — is a draw of this hash.
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -261,11 +263,14 @@ impl FaultState {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     state: Arc<FaultState>,
+    /// Whether the fabric has somewhere to apply a delay (see
+    /// [`spike`](FaultInjector::spike)).
+    timed: bool,
 }
 
 impl FaultInjector {
-    pub(crate) fn new(state: Arc<FaultState>) -> Self {
-        FaultInjector { state }
+    pub(crate) fn new(state: Arc<FaultState>, timed: bool) -> Self {
+        FaultInjector { state, timed }
     }
 
     /// Cut the links between `a` and `b` in both directions.
@@ -332,10 +337,21 @@ impl FaultInjector {
     /// overload shape (queues grow, timeouts fire, breakers open) that
     /// DESIGN.md §15's degradation machinery exists for. Deterministic:
     /// no random draw is consumed, so a virtual-time chaos run replays
-    /// byte-for-byte. Only effective on timed delivery routes (a costed
-    /// topology or virtual time); the zero-cost direct route ignores
-    /// delay by construction.
+    /// byte-for-byte.
+    ///
+    /// # Panics
+    /// On a fabric with no timed delivery path — real time, a free
+    /// topology and no delay in the fault plan — where `send` pushes
+    /// straight into the inbox and the spike would be counted
+    /// (`spike_delayed`) without delaying anything.
     pub fn spike(&self, m: MachineId, extra: Duration) {
+        assert!(
+            self.timed,
+            "FaultInjector::spike({m}, {extra:?}): this fabric delivers directly (real time, \
+             free topology, no delay in its fault plan), so nothing would be delayed; build \
+             the cluster on virtual time (`ClusterConfig::with_virtual_time`) or with a \
+             fault plan that can delay (`FaultPlan::with_delay`)"
+        );
         self.state.activate();
         if let Some(s) = self.state.spiked.get(m) {
             s.store(extra.as_nanos() as u64, Ordering::Relaxed);
@@ -455,7 +471,7 @@ mod tests {
     #[test]
     fn crash_and_restart_gate_traffic() {
         let s = Arc::new(FaultState::new(FaultPlan::none(), 3));
-        let inj = FaultInjector::new(s.clone());
+        let inj = FaultInjector::new(s.clone(), true);
         inj.crash(1);
         assert_eq!(s.verdict(0, 1), Verdict::DropCrashed);
         assert_eq!(s.verdict(1, 2), Verdict::DropCrashed);
@@ -468,7 +484,7 @@ mod tests {
     #[test]
     fn partition_cuts_both_directions_until_healed() {
         let s = Arc::new(FaultState::new(FaultPlan::none(), 3));
-        let inj = FaultInjector::new(s.clone());
+        let inj = FaultInjector::new(s.clone(), true);
         inj.partition(0, 2);
         assert_eq!(s.verdict(0, 2), Verdict::DropPartitioned);
         assert_eq!(s.verdict(2, 0), Verdict::DropPartitioned);
@@ -481,7 +497,7 @@ mod tests {
     #[test]
     fn isolate_cuts_every_listed_peer_and_rejoin_restores() {
         let s = Arc::new(FaultState::new(FaultPlan::none(), 4));
-        let inj = FaultInjector::new(s.clone());
+        let inj = FaultInjector::new(s.clone(), true);
         inj.isolate(1, &[0, 2, 3, 1]); // own id in the list is ignored
         for p in [0, 2, 3] {
             assert_eq!(s.verdict(p, 1), Verdict::DropPartitioned);
@@ -505,7 +521,7 @@ mod tests {
     #[test]
     fn calm_mutes_the_plan_but_not_scripted_faults() {
         let s = Arc::new(FaultState::new(FaultPlan::seeded(3).with_drop(1.0), 3));
-        let inj = FaultInjector::new(s.clone());
+        let inj = FaultInjector::new(s.clone(), true);
         assert_eq!(s.verdict(0, 1), Verdict::DropRandom);
         inj.calm();
         assert!(matches!(s.verdict(0, 1), Verdict::Deliver { .. }));
@@ -518,7 +534,7 @@ mod tests {
     #[test]
     fn spike_delays_inbound_packets_until_unspiked() {
         let s = Arc::new(FaultState::new(FaultPlan::none(), 3));
-        let inj = FaultInjector::new(s.clone());
+        let inj = FaultInjector::new(s.clone(), true);
         let extra = Duration::from_millis(2);
         inj.spike(1, extra);
         assert!(inj.is_spiked(1));

@@ -41,14 +41,13 @@ pub mod topology;
 
 pub use clock::{Clock, ClockRecvError, SimSchedule, WORKER_LABEL_BASE};
 pub use cluster::SimCluster;
-pub use config::{ClusterConfig, DiskBackend, DiskConfig, NetCost, TimeMode, TopologySpec};
+pub use config::{ClusterConfig, DiskConfig, NetCost, TimeMode};
 pub use disk::SimDisk;
 pub use faults::{FaultInjector, FaultPlan};
 pub use message::{MachineId, Packet, PacketBytes};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use network::Network;
-pub use time::TraceClock;
-pub use topology::Topology;
+pub use topology::TopologySpec;
 
 #[cfg(test)]
 mod proptests;

@@ -8,124 +8,136 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters shared by every component of a cluster.
-#[derive(Debug)]
-pub struct Metrics {
-    messages_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-    per_machine_sent: Vec<AtomicU64>,
-    per_machine_bytes_sent: Vec<AtomicU64>,
-    per_machine_received: Vec<AtomicU64>,
-    per_machine_bytes_received: Vec<AtomicU64>,
-    disk_reads: AtomicU64,
-    disk_writes: AtomicU64,
-    disk_bytes_read: AtomicU64,
-    disk_bytes_written: AtomicU64,
-    disk_busy_nanos: AtomicU64,
-    deliveries_dropped: AtomicU64,
-    faults_dropped: AtomicU64,
-    faults_duplicated: AtomicU64,
-    partition_dropped: AtomicU64,
-    crash_dropped: AtomicU64,
-    spike_delayed: AtomicU64,
-    suspicions_raised: AtomicU64,
-    false_suspicions: AtomicU64,
-    recoveries: AtomicU64,
-    recovery_detect_nanos: AtomicU64,
-    recovery_total_nanos: AtomicU64,
+/// What a row of the counter table is, by kind: its live and snapshot
+/// types, a zeroed live cell for a cluster of `$n` machines, a copy of a
+/// live cell, and the saturating difference of two copies.
+macro_rules! cell {
+    (live scalar) => { AtomicU64 };
+    (live per_machine) => { Vec<AtomicU64> };
+    (copy scalar) => { u64 };
+    (copy per_machine) => { Vec<u64> };
+    (new scalar $n:expr) => { AtomicU64::new(0) };
+    (new per_machine $n:expr) => { (0..$n).map(|_| AtomicU64::new(0)).collect() };
+    (load scalar $c:expr) => { $c.load(Ordering::Relaxed) };
+    (load per_machine $c:expr) => { $c.iter().map(|c| c.load(Ordering::Relaxed)).collect() };
+    (since scalar $now:expr, $then:expr) => { $now.saturating_sub($then) };
+    (since per_machine $now:expr, $then:expr) => {
+        $now.iter()
+            .enumerate()
+            .map(|(i, &v)| v.saturating_sub($then.get(i).copied().unwrap_or(0)))
+            .collect()
+    };
 }
 
-/// Point-in-time copy of [`Metrics`], cheap to diff.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
+/// The counter table: one row per counter, `scalar` (one cluster-wide
+/// count) or `per_machine` (one count per endpoint). From it come the live
+/// [`Metrics`], its constructor, the [`MetricsSnapshot`] copy and the
+/// snapshot difference — so a new counter is one row plus the `record_*`
+/// that bumps it, and cannot be forgotten in any of them.
+macro_rules! metrics {
+    ($( $(#[$doc:meta])* $kind:ident $name:ident; )*) => {
+        /// Live counters shared by every component of a cluster.
+        #[derive(Debug)]
+        pub struct Metrics {
+            $( $name: cell!(live $kind), )*
+        }
+
+        /// Point-in-time copy of [`Metrics`], cheap to diff.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $( $(#[$doc])* pub $name: cell!(copy $kind), )*
+        }
+
+        impl Metrics {
+            /// Counters for a cluster of `machines` endpoints.
+            pub fn new(machines: usize) -> Self {
+                Metrics {
+                    $( $name: cell!(new $kind machines), )*
+                }
+            }
+
+            /// Copy every counter.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $name: cell!(load $kind self.$name), )*
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Counter-wise difference `self - earlier`: activity between
+            /// two snapshots. Saturating, so a mismatched pair never
+            /// underflows.
+            pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $name: cell!(since $kind self.$name, earlier.$name), )*
+                }
+            }
+        }
+    };
+}
+
+metrics! {
     /// Total messages injected into the network.
-    pub messages_sent: u64,
+    scalar messages_sent;
     /// Total payload bytes injected into the network.
-    pub bytes_sent: u64,
+    scalar bytes_sent;
     /// Messages sent, per source machine.
-    pub per_machine_sent: Vec<u64>,
+    per_machine per_machine_sent;
     /// Payload bytes injected, per source machine. The sender-side load
     /// signal the placement balancer consumes: a machine serving hot
     /// objects shows up here through its reply traffic even when its
     /// receive side is quiet.
-    pub per_machine_bytes_sent: Vec<u64>,
+    per_machine per_machine_bytes_sent;
     /// Messages delivered, per destination machine.
-    pub per_machine_received: Vec<u64>,
+    per_machine per_machine_received;
     /// Payload bytes delivered, per destination machine. Under faults this
     /// diverges from a sender-side view: a machine behind a lossy or
     /// partitioned link *receives* fewer bytes than its peers sent it, and
     /// that asymmetry is only visible receiver-side.
-    pub per_machine_bytes_received: Vec<u64>,
+    per_machine per_machine_bytes_received;
     /// Disk read operations across all disks.
-    pub disk_reads: u64,
+    scalar disk_reads;
     /// Disk write operations across all disks.
-    pub disk_writes: u64,
+    scalar disk_writes;
     /// Bytes read from disks.
-    pub disk_bytes_read: u64,
+    scalar disk_bytes_read;
     /// Bytes written to disks.
-    pub disk_bytes_written: u64,
+    scalar disk_bytes_written;
     /// Modeled disk busy time, summed over all disks, in nanoseconds.
     /// `disk_busy_nanos / wall_clock` estimates achieved I/O parallelism.
-    pub disk_busy_nanos: u64,
+    scalar disk_busy_nanos;
     /// Packets that reached a NIC whose machine inbox was already gone
     /// (machine shut down mid-delivery).
-    pub deliveries_dropped: u64,
+    scalar deliveries_dropped;
     /// Packets dropped by the seeded [`FaultPlan`](crate::FaultPlan).
-    pub faults_dropped: u64,
+    scalar faults_dropped;
     /// Packets duplicated by the seeded fault plan.
-    pub faults_duplicated: u64,
+    scalar faults_duplicated;
     /// Packets dropped because their (src, dst) pair was partitioned.
-    pub partition_dropped: u64,
+    scalar partition_dropped;
     /// Packets dropped because their source or destination was crashed.
-    pub crash_dropped: u64,
+    scalar crash_dropped;
     /// Packets delivered late because their destination was load-spiked
     /// (see [`FaultInjector::spike`](crate::FaultInjector::spike)).
-    pub spike_delayed: u64,
+    scalar spike_delayed;
     /// Machines the failure detector moved to `Suspect` or beyond.
-    pub suspicions_raised: u64,
+    scalar suspicions_raised;
     /// Suspicions that proved false — a machine declared dead heartbeated
     /// again. The detector's measured false-positive count.
-    pub false_suspicions: u64,
+    scalar false_suspicions;
     /// Objects the supervisor reactivated after a death verdict.
-    pub recoveries: u64,
+    scalar recoveries;
     /// Detection latency summed over recoveries (last heartbeat → death
     /// verdict), in nanoseconds. `/ recoveries` is the mean detection
     /// share of MTTR.
-    pub recovery_detect_nanos: u64,
+    scalar recovery_detect_nanos;
     /// Full MTTR summed over recoveries (last heartbeat → object serving
     /// again), in nanoseconds.
-    pub recovery_total_nanos: u64,
+    scalar recovery_total_nanos;
 }
 
 impl Metrics {
-    /// Counters for a cluster of `machines` endpoints.
-    pub fn new(machines: usize) -> Self {
-        Metrics {
-            messages_sent: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            per_machine_sent: (0..machines).map(|_| AtomicU64::new(0)).collect(),
-            per_machine_bytes_sent: (0..machines).map(|_| AtomicU64::new(0)).collect(),
-            per_machine_received: (0..machines).map(|_| AtomicU64::new(0)).collect(),
-            per_machine_bytes_received: (0..machines).map(|_| AtomicU64::new(0)).collect(),
-            disk_reads: AtomicU64::new(0),
-            disk_writes: AtomicU64::new(0),
-            disk_bytes_read: AtomicU64::new(0),
-            disk_bytes_written: AtomicU64::new(0),
-            disk_busy_nanos: AtomicU64::new(0),
-            deliveries_dropped: AtomicU64::new(0),
-            faults_dropped: AtomicU64::new(0),
-            faults_duplicated: AtomicU64::new(0),
-            partition_dropped: AtomicU64::new(0),
-            crash_dropped: AtomicU64::new(0),
-            spike_delayed: AtomicU64::new(0),
-            suspicions_raised: AtomicU64::new(0),
-            false_suspicions: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            recovery_detect_nanos: AtomicU64::new(0),
-            recovery_total_nanos: AtomicU64::new(0),
-        }
-    }
-
     /// Record the failure detector crossing its suspect threshold.
     pub fn record_suspicion(&self) {
         self.suspicions_raised.fetch_add(1, Ordering::Relaxed);
@@ -217,113 +229,9 @@ impl Metrics {
         self.disk_busy_nanos
             .fetch_add(busy_nanos, Ordering::Relaxed);
     }
-
-    /// Copy every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            messages_sent: self.messages_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            per_machine_sent: self
-                .per_machine_sent
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            per_machine_bytes_sent: self
-                .per_machine_bytes_sent
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            per_machine_received: self
-                .per_machine_received
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            per_machine_bytes_received: self
-                .per_machine_bytes_received
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            disk_reads: self.disk_reads.load(Ordering::Relaxed),
-            disk_writes: self.disk_writes.load(Ordering::Relaxed),
-            disk_bytes_read: self.disk_bytes_read.load(Ordering::Relaxed),
-            disk_bytes_written: self.disk_bytes_written.load(Ordering::Relaxed),
-            disk_busy_nanos: self.disk_busy_nanos.load(Ordering::Relaxed),
-            deliveries_dropped: self.deliveries_dropped.load(Ordering::Relaxed),
-            faults_dropped: self.faults_dropped.load(Ordering::Relaxed),
-            faults_duplicated: self.faults_duplicated.load(Ordering::Relaxed),
-            partition_dropped: self.partition_dropped.load(Ordering::Relaxed),
-            crash_dropped: self.crash_dropped.load(Ordering::Relaxed),
-            spike_delayed: self.spike_delayed.load(Ordering::Relaxed),
-            suspicions_raised: self.suspicions_raised.load(Ordering::Relaxed),
-            false_suspicions: self.false_suspicions.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            recovery_detect_nanos: self.recovery_detect_nanos.load(Ordering::Relaxed),
-            recovery_total_nanos: self.recovery_total_nanos.load(Ordering::Relaxed),
-        }
-    }
 }
 
 impl MetricsSnapshot {
-    /// Counter-wise difference `self - earlier`: activity between two
-    /// snapshots. Saturating, so a mismatched pair never underflows.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        fn sub_vec(a: &[u64], b: &[u64]) -> Vec<u64> {
-            a.iter()
-                .enumerate()
-                .map(|(i, &v)| v.saturating_sub(b.get(i).copied().unwrap_or(0)))
-                .collect()
-        }
-        MetricsSnapshot {
-            messages_sent: self.messages_sent.saturating_sub(earlier.messages_sent),
-            bytes_sent: self.bytes_sent.saturating_sub(earlier.bytes_sent),
-            per_machine_sent: sub_vec(&self.per_machine_sent, &earlier.per_machine_sent),
-            per_machine_bytes_sent: sub_vec(
-                &self.per_machine_bytes_sent,
-                &earlier.per_machine_bytes_sent,
-            ),
-            per_machine_received: sub_vec(
-                &self.per_machine_received,
-                &earlier.per_machine_received,
-            ),
-            per_machine_bytes_received: sub_vec(
-                &self.per_machine_bytes_received,
-                &earlier.per_machine_bytes_received,
-            ),
-            disk_reads: self.disk_reads.saturating_sub(earlier.disk_reads),
-            disk_writes: self.disk_writes.saturating_sub(earlier.disk_writes),
-            disk_bytes_read: self.disk_bytes_read.saturating_sub(earlier.disk_bytes_read),
-            disk_bytes_written: self
-                .disk_bytes_written
-                .saturating_sub(earlier.disk_bytes_written),
-            disk_busy_nanos: self.disk_busy_nanos.saturating_sub(earlier.disk_busy_nanos),
-            deliveries_dropped: self
-                .deliveries_dropped
-                .saturating_sub(earlier.deliveries_dropped),
-            faults_dropped: self.faults_dropped.saturating_sub(earlier.faults_dropped),
-            faults_duplicated: self
-                .faults_duplicated
-                .saturating_sub(earlier.faults_duplicated),
-            partition_dropped: self
-                .partition_dropped
-                .saturating_sub(earlier.partition_dropped),
-            crash_dropped: self.crash_dropped.saturating_sub(earlier.crash_dropped),
-            spike_delayed: self.spike_delayed.saturating_sub(earlier.spike_delayed),
-            suspicions_raised: self
-                .suspicions_raised
-                .saturating_sub(earlier.suspicions_raised),
-            false_suspicions: self
-                .false_suspicions
-                .saturating_sub(earlier.false_suspicions),
-            recoveries: self.recoveries.saturating_sub(earlier.recoveries),
-            recovery_detect_nanos: self
-                .recovery_detect_nanos
-                .saturating_sub(earlier.recovery_detect_nanos),
-            recovery_total_nanos: self
-                .recovery_total_nanos
-                .saturating_sub(earlier.recovery_total_nanos),
-        }
-    }
-
     /// Mean time to repair across recorded recoveries, in nanoseconds
     /// (0 when none happened). Detection share via
     /// `recovery_detect_nanos / recoveries`.

@@ -2,8 +2,8 @@
 //!
 //! Send semantics: `send` stamps the packet with the current instant,
 //! charges nothing to the *sender* beyond the channel push, and hands the
-//! packet to the destination machine's **NIC** — a delivery thread that
-//! models the receive side of the link:
+//! packet to the destination machine's link, which models the receive
+//! side:
 //!
 //! * each packet becomes visible no earlier than `sent_at + latency`
 //!   (latency overlaps across concurrent packets — this is what makes the
@@ -12,12 +12,21 @@
 //!   machine drinking pages from many devices is limited by its own link,
 //!   which is what saturates E3's speedup curve at high fan-in.
 //!
-//! With a zero-cost topology the NIC threads are skipped entirely and
-//! `send` pushes straight into the destination inbox (deterministic and
-//! channel-fast, for tests).
+//! That rule is written once (`link_delivery`) and charged on one of three
+//! routes, fixed for the whole fabric when it is built:
+//!
+//! * **virtual time** — a delivery is a clock event: no threads, no
+//!   wall-clock sleeping, and costed topologies stay deterministic;
+//! * **real time, nothing to charge** (a free topology and a fault plan
+//!   without delay) — `send` pushes straight into the destination inbox,
+//!   channel-fast;
+//! * **real time, costed** — a NIC thread per machine sleeps each packet's
+//!   delay out on the wall clock. It is kept beside the virtual route
+//!   because it is the reference the virtual model is checked against:
+//!   the nightly real-clock soak, and E1–E8 on microsecond-scale links.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
@@ -26,8 +35,8 @@ use crate::config::NetCost;
 use crate::faults::{FaultInjector, FaultState, Verdict};
 use crate::message::{MachineId, Packet, PacketBytes};
 use crate::metrics::Metrics;
-use crate::time::{sleep_until_with, transfer_time};
-use crate::topology::Topology;
+use crate::time::transfer_time;
+use crate::topology::TopologySpec;
 
 /// Error returned by [`Network::send`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +60,8 @@ impl std::error::Error for NetError {}
 
 struct TimedPacket {
     packet: Packet,
-    sent_at: Instant,
+    /// Clock nanos at the send.
+    sent_at: u64,
     cost: NetCost,
 }
 
@@ -67,24 +77,13 @@ enum Route {
 
 /// Handle for sending packets between machines. Cloneable and shareable;
 /// all clones refer to the same simulated fabric.
+#[derive(Clone)]
 pub struct Network {
     routes: Arc<Vec<Route>>,
-    topology: Arc<dyn Topology>,
+    topology: TopologySpec,
     metrics: Arc<Metrics>,
     faults: Arc<FaultState>,
     clock: Clock,
-}
-
-impl Clone for Network {
-    fn clone(&self) -> Self {
-        Network {
-            routes: self.routes.clone(),
-            topology: self.topology.clone(),
-            metrics: self.metrics.clone(),
-            faults: self.faults.clone(),
-            clock: self.clock.clone(),
-        }
-    }
 }
 
 impl std::fmt::Debug for Network {
@@ -100,15 +99,13 @@ impl Network {
     /// and one inbox receiver per machine.
     pub(crate) fn build(
         machines: usize,
-        topology: Box<dyn Topology>,
+        topology: TopologySpec,
         metrics: Arc<Metrics>,
         faults: Arc<FaultState>,
         clock: Clock,
     ) -> (Network, Vec<Receiver<Packet>>) {
-        let topology: Arc<dyn Topology> = Arc::from(topology);
         // Injected delay needs the timed NIC path even on a free topology.
         let zero = topology.is_zero() && !faults.plan().has_delay();
-        let spin = clock.spin();
         let mut routes = Vec::with_capacity(machines);
         let mut inboxes = Vec::with_capacity(machines);
         let mut sim_txs = Vec::with_capacity(machines);
@@ -124,10 +121,10 @@ impl Network {
                 routes.push(Route::Direct(inbox_tx));
             } else {
                 let (nic_tx, nic_rx) = unbounded::<TimedPacket>();
-                let nic_metrics = metrics.clone();
+                let (nic_metrics, nic_clock) = (metrics.clone(), clock.clone());
                 std::thread::Builder::new()
                     .name(format!("simnet-nic-{dst}"))
-                    .spawn(move || nic_loop(nic_rx, inbox_tx, nic_metrics, dst, spin))
+                    .spawn(move || nic_loop(nic_rx, inbox_tx, nic_metrics, nic_clock))
                     .expect("spawn NIC thread");
                 routes.push(Route::Nic(nic_tx));
             }
@@ -164,7 +161,10 @@ impl Network {
 
     /// Runtime handle for scripting partitions and machine crashes.
     pub fn fault_injector(&self) -> FaultInjector {
-        FaultInjector::new(self.faults.clone())
+        // A fabric is one kind of route throughout; only the direct one
+        // has nowhere to apply a delay.
+        let timed = !matches!(self.routes.first(), Some(Route::Direct(_)));
+        FaultInjector::new(self.faults.clone(), timed)
     }
 
     /// Send `payload` from `src` to `dst`. Returns immediately; the packet
@@ -228,71 +228,90 @@ impl Network {
         extra_delay: Duration,
     ) -> Result<(), NetError> {
         let (src, dst) = (packet.src, packet.dst);
+        let cost = || {
+            let mut cost = self.topology.cost(src, dst);
+            cost.latency += extra_delay;
+            cost
+        };
         match route {
             Route::Direct(tx) => {
+                // Nowhere to apply a delay, and none to apply: this route
+                // means the plan has none and `spike` is refused.
                 self.metrics.record_delivery(dst, packet.len());
                 tx.send(packet).map_err(|_| NetError::Disconnected(dst))
             }
-            Route::Nic(tx) => {
-                let mut cost = self.topology.cost(src, dst);
-                cost.latency += extra_delay;
-                tx.send(TimedPacket {
+            Route::Nic(tx) => tx
+                .send(TimedPacket {
                     packet,
-                    sent_at: Instant::now(),
-                    cost,
+                    sent_at: self.clock.now_nanos(),
+                    cost: cost(),
                 })
-                .map_err(|_| NetError::Disconnected(dst))
-            }
+                .map_err(|_| NetError::Disconnected(dst)),
             Route::Sim => {
-                let mut cost = self.topology.cost(src, dst);
-                cost.latency += extra_delay;
                 // A dead inbox is only discoverable when the event fires;
                 // like the NIC path, it is counted then, not surfaced here.
-                self.clock.schedule_delivery(packet, &cost);
+                self.clock.schedule_delivery(packet, &cost());
                 Ok(())
             }
         }
     }
 }
 
-/// Receive-side link model. Runs until the senders disconnect.
-fn nic_loop(
-    rx: Receiver<TimedPacket>,
-    inbox: Sender<Packet>,
-    metrics: Arc<Metrics>,
-    dst: MachineId,
-    spin: bool,
-) {
-    // The instant this machine's link finishes its current transfer.
-    let mut link_free_at = Instant::now();
+/// The link model, for both timed routes: a packet of `bytes` sent at
+/// `sent` arrives after the link's latency, then queues FIFO behind the
+/// link's last delivery (`link_free`, which it advances) for its transfer
+/// time. Returns when it is delivered. All times are clock nanos.
+pub(crate) fn link_delivery(
+    sent: u64,
+    bytes: usize,
+    cost: &NetCost,
+    link_free: &mut Option<u64>,
+) -> u64 {
+    let arrival = sent + cost.latency.as_nanos() as u64;
+    let start = arrival.max(link_free.unwrap_or(0));
+    let mut done = start + transfer_time(bytes, cost.bytes_per_sec).as_nanos() as u64;
+    if let Some(prior) = *link_free {
+        // Keep per-destination delivery strictly in send order: a link is
+        // FIFO even at zero cost.
+        done = done.max(prior + 1);
+    }
+    *link_free = Some(done);
+    done
+}
+
+/// Put a packet whose link delay has elapsed into its machine's inbox and
+/// count it — delivered, or lost because the machine shut down meanwhile.
+pub(crate) fn hand_over(inbox: &Sender<Packet>, packet: Packet, metrics: &Metrics) -> bool {
+    let (dst, bytes) = (packet.dst, packet.len());
+    let delivered = inbox.send(packet).is_ok();
+    if delivered {
+        metrics.record_delivery(dst, bytes);
+    } else {
+        metrics.record_delivery_dropped();
+    }
+    delivered
+}
+
+/// The real-time receive side of one machine's link. Runs until the
+/// senders disconnect, so senders never block on a dead machine.
+fn nic_loop(rx: Receiver<TimedPacket>, inbox: Sender<Packet>, metrics: Arc<Metrics>, clock: Clock) {
+    let mut link_free = None;
     for TimedPacket {
         packet,
         sent_at,
         cost,
     } in rx
     {
-        let arrival = sent_at + cost.latency;
-        let start = arrival.max(link_free_at);
-        let done = start + transfer_time(packet.len(), cost.bytes_per_sec);
-        link_free_at = done;
-        sleep_until_with(done, spin);
-        let bytes = packet.len();
-        if inbox.send(packet).is_err() {
-            // Machine shut down mid-delivery; keep draining so senders
-            // never block, and count the loss instead of swallowing it.
-            metrics.record_delivery_dropped();
-        } else {
-            metrics.record_delivery(dst, bytes);
-        }
+        clock.sleep_until_nanos(link_delivery(sent_at, packet.len(), &cost, &mut link_free));
+        hand_over(&inbox, packet, &metrics);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{NetCost, TopologySpec};
-    use crate::topology::build;
-    use std::time::Duration;
+    use crate::config::NetCost;
+    use std::time::{Duration, Instant};
 
     use crate::faults::FaultPlan;
 
@@ -307,7 +326,7 @@ mod tests {
     ) -> (Network, Vec<Receiver<Packet>>) {
         Network::build(
             machines,
-            build(&spec),
+            spec,
             Arc::new(Metrics::new(machines)),
             Arc::new(FaultState::new(plan, machines)),
             Clock::real(true),
@@ -321,7 +340,7 @@ mod tests {
     ) -> (Network, Vec<Receiver<Packet>>) {
         Network::build(
             machines,
-            build(&spec),
+            spec,
             Arc::new(Metrics::new(machines)),
             Arc::new(FaultState::new(FaultPlan::none(), machines)),
             Clock::virtual_time(seed),
@@ -376,28 +395,40 @@ mod tests {
     #[test]
     fn latency_overlaps_across_concurrent_sends() {
         // 10 packets sent back-to-back each pay 3ms latency, but the
-        // latencies overlap: total should be ~3ms, nowhere near 30ms.
+        // latencies overlap: the last lands at ~3ms, nowhere near 30ms.
         let lat = Duration::from_millis(3);
-        let (net, inboxes) = net(
-            2,
-            TopologySpec::Uniform(NetCost {
-                latency: lat,
-                bytes_per_sec: f64::INFINITY,
-            }),
-        );
-        let t0 = Instant::now();
-        for i in 0..10u8 {
-            net.send(0, 1, vec![i]).unwrap();
+        let spec = TopologySpec::Uniform(NetCost {
+            latency: lat,
+            bytes_per_sec: f64::INFINITY,
+        });
+        let send_ten = |net: &Network| {
+            for i in 0..10u8 {
+                net.send(0, 1, vec![i]).unwrap();
+            }
+        };
+
+        // Exactly, on the virtual clock. The sender is a registered actor,
+        // so no delivery fires until it parks in its first receive.
+        let (net, inboxes) = net_virtual(2, spec, 7);
+        let clock = net.clock();
+        clock.register_actor();
+        send_ten(&net);
+        for _ in 0..10 {
+            clock.recv(&inboxes[1], 1).unwrap();
         }
+        clock.deregister_actor();
+        // All ten arrive at 3ms; the FIFO link lands them 1ns apart.
+        assert_eq!(clock.now_nanos(), 3_000_000 + 9);
+
+        // On the real clock only the lower bound is the model's to keep:
+        // how late a busy host runs the NIC thread is not.
+        let (net, inboxes) = self::net(2, spec);
+        let t0 = Instant::now();
+        send_ten(&net);
         for _ in 0..10 {
             inboxes[1].recv().unwrap();
         }
-        let elapsed = t0.elapsed();
-        assert!(elapsed >= lat);
-        assert!(
-            elapsed < lat * 5,
-            "latency failed to overlap: {elapsed:?} for 10 packets"
-        );
+        assert!(t0.elapsed() >= lat);
     }
 
     #[test]
@@ -426,10 +457,12 @@ mod tests {
 
     #[test]
     fn loopback_is_free_even_on_costed_network() {
+        // A link that would take a minute, so that "did not pay it" needs
+        // no tight wall-clock bound.
         let (net, inboxes) = net(
             2,
             TopologySpec::Uniform(NetCost {
-                latency: Duration::from_millis(50),
+                latency: Duration::from_secs(60),
                 bytes_per_sec: 1.0,
             }),
         );
@@ -437,7 +470,7 @@ mod tests {
         net.send(1, 1, vec![0u8; 1000]).unwrap();
         inboxes[1].recv().unwrap();
         assert!(
-            t0.elapsed() < Duration::from_millis(40),
+            t0.elapsed() < Duration::from_secs(30),
             "loopback paid link cost"
         );
     }
@@ -614,13 +647,13 @@ mod tests {
 
     #[test]
     fn virtual_network_charges_costs_without_wall_clock() {
-        // 3ms latency + 2KB at 1MB/s: ~5ms of modeled time per packet,
+        // 3s latency + 2KB at 1KB/s: 5s of modeled time per packet,
         // serialized per receiver — but zero wall-clock sleeping.
         let (net, inboxes) = net_virtual(
             2,
             TopologySpec::Uniform(NetCost {
-                latency: Duration::from_millis(3),
-                bytes_per_sec: 1e6,
+                latency: Duration::from_secs(3),
+                bytes_per_sec: 1e3,
             }),
             7,
         );
@@ -634,17 +667,71 @@ mod tests {
         }
         assert!(net.clock().is_virtual());
         // With no registered actors each send drains the loop inline, so
-        // the packets run back to back: 4 × (3ms latency + 2ms transfer).
-        // (Sends from *registered* actors overlap their latencies — the
-        // runtime-level determinism suite covers that path.)
-        assert_eq!(net.clock().now_nanos(), 20_000_000);
+        // the packets run back to back: 4 × (3s latency + 2s transfer).
+        // (Sends from *registered* actors overlap their latencies — see
+        // `latency_overlaps_across_concurrent_sends`.)
+        assert_eq!(net.clock().now_nanos(), 20_000_000_000);
         assert!(
-            t0.elapsed() < Duration::from_millis(11),
+            t0.elapsed() < Duration::from_secs(1),
             "virtual delays must not be paid in wall-clock"
         );
         let s = net.metrics().snapshot();
         assert_eq!(s.messages_sent, 4);
         assert_eq!(s.per_machine_received, vec![0, 4]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "`ClusterConfig::with_virtual_time`) or with a fault plan that can delay (`FaultPlan::with_delay`)"
+    )]
+    fn spike_is_refused_where_no_delivery_can_be_delayed() {
+        let (net, _inboxes) = net(2, TopologySpec::Uniform(NetCost::zero()));
+        net.fault_injector().spike(1, Duration::from_millis(5));
+    }
+
+    #[test]
+    fn a_spiked_delivery_is_late_and_counted_on_the_nic_route() {
+        // A plan that can delay (here: by next to nothing) puts even a free
+        // topology on the timed NIC route, where a spike has effect.
+        let plan = FaultPlan::seeded(1).with_delay(1e-9, Duration::from_nanos(1));
+        let (net, inboxes) = net_faulty(3, TopologySpec::Uniform(NetCost::zero()), plan);
+        let spike = Duration::from_millis(5);
+        net.fault_injector().spike(1, spike);
+        let t0 = Instant::now();
+        net.send(0, 2, vec![2]).unwrap(); // another destination: prompt
+        net.send(1, 1, vec![1]).unwrap(); // loopback never crosses the link
+        net.send(0, 1, vec![0]).unwrap();
+        while inboxes[1].recv().unwrap().payload != vec![0] {}
+        assert!(t0.elapsed() >= spike, "spiked packet arrived early");
+        inboxes[2].recv().unwrap();
+        assert_eq!(net.metrics().snapshot().spike_delayed, 1);
+    }
+
+    #[test]
+    fn a_spiked_delivery_is_late_and_counted_on_the_virtual_route() {
+        let (net, inboxes) = net_virtual(3, TopologySpec::Uniform(NetCost::zero()), 7);
+        let inj = net.fault_injector();
+        inj.spike(1, Duration::from_secs(7));
+        // No registered actors: each send drains the event loop inline.
+        net.send(0, 2, vec![2]).unwrap();
+        net.send(1, 1, vec![1]).unwrap();
+        assert_eq!(
+            net.clock().now_nanos(),
+            0,
+            "only machine 1's link is spiked"
+        );
+        net.send(0, 1, vec![0]).unwrap();
+        assert_eq!(net.clock().now_nanos(), 7_000_000_000);
+        inj.unspike(1);
+        net.send(0, 1, vec![3]).unwrap();
+        assert_eq!(
+            net.clock().now_nanos(),
+            7_000_000_001,
+            "prompt, FIFO behind the last"
+        );
+        let landed = |m: usize| std::iter::from_fn(|| inboxes[m].try_recv().ok()).count();
+        assert_eq!((landed(1), landed(2)), (3, 1));
+        assert_eq!(net.metrics().snapshot().spike_delayed, 1);
     }
 
     #[test]

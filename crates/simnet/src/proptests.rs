@@ -6,11 +6,11 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use crate::config::{DiskConfig, NetCost, TopologySpec};
+use crate::config::{DiskConfig, NetCost};
 use crate::disk::SimDisk;
 use crate::metrics::Metrics;
 use crate::time::transfer_time;
-use crate::topology::{build, Racks, Topology, Uniform};
+use crate::topology::TopologySpec;
 
 proptest! {
     /// transfer_time is monotone in bytes and inversely monotone in rate.
@@ -26,7 +26,7 @@ proptest! {
     #[test]
     fn uniform_topology_is_uniform(src in 0usize..64, dst in 0usize..64,
                                    lat_us in 0u64..1000) {
-        let t = Uniform::new(NetCost::lan(lat_us, 1.0));
+        let t = TopologySpec::Uniform(NetCost::lan(lat_us, 1.0));
         let c = t.cost(src, dst);
         if src == dst {
             prop_assert!(c.is_zero());
@@ -43,7 +43,7 @@ proptest! {
                                 rack in 1usize..9) {
         let intra = NetCost::lan(5, 10.0);
         let inter = NetCost::lan(50, 1.0);
-        let t = Racks::new(rack, intra, inter);
+        let t = TopologySpec::Racks { rack_size: rack, intra, inter };
         let c = t.cost(src, dst);
         if src == dst {
             prop_assert!(c.is_zero());
@@ -113,16 +113,16 @@ proptest! {
         prop_assert_eq!(got_b, data_b);
     }
 
-    /// The topology builder honours the spec kind.
+    /// The cost honours the spec kind.
     #[test]
     fn build_matches_spec(lat in 0u64..100, rack in 1usize..5) {
-        let uni = build(&TopologySpec::Uniform(NetCost::lan(lat, 1.0)));
+        let uni = TopologySpec::Uniform(NetCost::lan(lat, 1.0));
         prop_assert_eq!(uni.cost(0, 1).latency, Duration::from_micros(lat));
-        let racks = build(&TopologySpec::Racks {
+        let racks = TopologySpec::Racks {
             rack_size: rack,
             intra: NetCost::zero(),
             inter: NetCost::lan(lat, 1.0),
-        });
+        };
         prop_assert!(racks.cost(0, rack).latency >= racks.cost(0, 0).latency);
     }
 }

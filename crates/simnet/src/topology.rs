@@ -1,101 +1,60 @@
 //! Network topologies: which cost a message pays depends on which link it
 //! crosses.
 
-use crate::config::{NetCost, TopologySpec};
+use crate::config::NetCost;
 use crate::message::MachineId;
 
-/// Maps a (source, destination) pair to the cost of that link.
-///
-/// Implementations must be cheap and pure: `cost` is called once per message
-/// on the send path.
-pub trait Topology: Send + Sync + 'static {
-    /// Cost of one message from `src` to `dst`.
-    fn cost(&self, src: MachineId, dst: MachineId) -> NetCost;
+/// The links of a cluster. Machines grouped into racks model the two-level
+/// networks the paper's petascale array (§5, hundreds of drives on multiple
+/// nodes) would live on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TopologySpec {
+    /// Every pair of distinct machines shares one [`NetCost`]; loopback
+    /// (src == dst) is free.
+    Uniform(NetCost),
+    /// Machines grouped into racks of `rack_size`; intra-rack links use
+    /// `intra`, inter-rack links use `inter`.
+    Racks {
+        rack_size: usize,
+        intra: NetCost,
+        inter: NetCost,
+    },
+}
 
-    /// True if no link ever charges (lets the cluster skip delivery threads
-    /// entirely).
-    fn is_zero(&self) -> bool {
-        false
+impl TopologySpec {
+    /// True if no link in this topology ever charges anything (lets the
+    /// cluster skip delivery threads entirely).
+    pub fn is_zero(&self) -> bool {
+        match self {
+            TopologySpec::Uniform(c) => c.is_zero(),
+            TopologySpec::Racks { intra, inter, .. } => intra.is_zero() && inter.is_zero(),
+        }
     }
-}
 
-/// Every distinct pair pays the same cost; loopback is free.
-#[derive(Debug, Clone, Copy)]
-pub struct Uniform {
-    cost: NetCost,
-}
-
-impl Uniform {
-    /// Build a uniform topology with the given per-link cost.
-    pub fn new(cost: NetCost) -> Self {
-        Uniform { cost }
-    }
-}
-
-impl Topology for Uniform {
-    fn cost(&self, src: MachineId, dst: MachineId) -> NetCost {
+    /// Cost of one message from `src` to `dst`; loopback is free. Pure and
+    /// cheap: it is called once per message on the send path.
+    ///
+    /// # Panics
+    /// If a rack topology has `rack_size == 0`.
+    pub fn cost(&self, src: MachineId, dst: MachineId) -> NetCost {
         if src == dst {
-            NetCost::zero()
-        } else {
-            self.cost
+            return NetCost::zero();
         }
-    }
-    fn is_zero(&self) -> bool {
-        self.cost.is_zero()
-    }
-}
-
-/// Machines grouped into fixed-size racks: cheap links inside a rack,
-/// expensive links between racks. Models the two-level networks the paper's
-/// petascale array (§5, hundreds of drives on multiple nodes) would live on.
-#[derive(Debug, Clone, Copy)]
-pub struct Racks {
-    rack_size: usize,
-    intra: NetCost,
-    inter: NetCost,
-}
-
-impl Racks {
-    /// Build a rack topology. `rack_size` must be non-zero.
-    pub fn new(rack_size: usize, intra: NetCost, inter: NetCost) -> Self {
-        assert!(rack_size > 0, "rack_size must be positive");
-        Racks {
-            rack_size,
-            intra,
-            inter,
+        match *self {
+            TopologySpec::Uniform(cost) => cost,
+            TopologySpec::Racks {
+                rack_size,
+                intra,
+                inter,
+            } => {
+                assert!(rack_size > 0, "rack_size must be positive");
+                if src / rack_size == dst / rack_size {
+                    intra
+                } else {
+                    inter
+                }
+            }
         }
-    }
-
-    /// Which rack a machine lives in.
-    pub fn rack_of(&self, m: MachineId) -> usize {
-        m / self.rack_size
-    }
-}
-
-impl Topology for Racks {
-    fn cost(&self, src: MachineId, dst: MachineId) -> NetCost {
-        if src == dst {
-            NetCost::zero()
-        } else if self.rack_of(src) == self.rack_of(dst) {
-            self.intra
-        } else {
-            self.inter
-        }
-    }
-    fn is_zero(&self) -> bool {
-        self.intra.is_zero() && self.inter.is_zero()
-    }
-}
-
-/// Materialize a [`TopologySpec`] into a boxed topology.
-pub fn build(spec: &TopologySpec) -> Box<dyn Topology> {
-    match *spec {
-        TopologySpec::Uniform(cost) => Box::new(Uniform::new(cost)),
-        TopologySpec::Racks {
-            rack_size,
-            intra,
-            inter,
-        } => Box::new(Racks::new(rack_size, intra, inter)),
     }
 }
 
@@ -106,7 +65,7 @@ mod tests {
 
     #[test]
     fn uniform_charges_distinct_pairs_only() {
-        let t = Uniform::new(NetCost::lan(10, 1.0));
+        let t = TopologySpec::Uniform(NetCost::lan(10, 1.0));
         assert!(t.cost(3, 3).is_zero(), "loopback must be free");
         assert_eq!(t.cost(0, 1).latency, Duration::from_micros(10));
         assert_eq!(t.cost(1, 0).latency, Duration::from_micros(10));
@@ -115,37 +74,46 @@ mod tests {
 
     #[test]
     fn zero_uniform_reports_zero() {
-        assert!(Uniform::new(NetCost::zero()).is_zero());
+        assert!(TopologySpec::Uniform(NetCost::zero()).is_zero());
     }
 
     #[test]
     fn racks_distinguish_intra_and_inter() {
-        let intra = NetCost::lan(5, 10.0);
-        let inter = NetCost::lan(50, 1.0);
-        let t = Racks::new(4, intra, inter);
+        let t = TopologySpec::Racks {
+            rack_size: 4,
+            intra: NetCost::lan(5, 10.0),
+            inter: NetCost::lan(50, 1.0),
+        };
         // Machines 0-3 are rack 0; 4-7 rack 1.
         assert_eq!(t.cost(0, 3).latency, Duration::from_micros(5));
         assert_eq!(t.cost(0, 4).latency, Duration::from_micros(50));
         assert_eq!(t.cost(7, 4).latency, Duration::from_micros(5));
         assert!(t.cost(6, 6).is_zero());
-        assert_eq!(t.rack_of(11), 2);
+        // Machine 11 lives in rack 2 (machines 8-11).
+        assert_eq!(t.cost(11, 8).latency, Duration::from_micros(5));
+        assert_eq!(t.cost(11, 7).latency, Duration::from_micros(50));
     }
 
     #[test]
     #[should_panic(expected = "rack_size")]
     fn zero_rack_size_panics() {
-        let _ = Racks::new(0, NetCost::zero(), NetCost::zero());
+        let t = TopologySpec::Racks {
+            rack_size: 0,
+            intra: NetCost::zero(),
+            inter: NetCost::zero(),
+        };
+        let _ = t.cost(0, 1);
     }
 
     #[test]
     fn build_dispatches_on_spec() {
-        let t = build(&TopologySpec::Uniform(NetCost::zero()));
+        let t = TopologySpec::Uniform(NetCost::zero());
         assert!(t.is_zero());
-        let t = build(&TopologySpec::Racks {
+        let t = TopologySpec::Racks {
             rack_size: 2,
             intra: NetCost::zero(),
             inter: NetCost::lan(1, 1.0),
-        });
+        };
         assert!(!t.is_zero());
         assert!(t.cost(0, 1).is_zero());
         assert!(!t.cost(0, 2).is_zero());

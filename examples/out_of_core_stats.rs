@@ -22,7 +22,7 @@ fn main() {
         disks_per_machine: 1,
         disk_capacity: 256 << 20,
         faults: simnet::FaultPlan::none(),
-        time: simnet::TimeMode::Real { spin_tail: true },
+        time: simnet::TimeMode::Real,
     };
     let (cluster, mut driver) = register_classes(ClusterBuilder::new(workers))
         .sim_config(config)
