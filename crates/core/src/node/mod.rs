@@ -163,7 +163,9 @@ pub struct NodeCtx {
     /// calls issued from inside a method inherit the caller's remaining
     /// budget (deadline propagation across hops, DESIGN.md §15).
     current_deadline: Option<u64>,
-    /// Round counter feeding the seeded steal-order permutation.
+    /// Round counter feeding the seeded steal-order permutation. A `Cell`
+    /// so a worker can scan for a task while holding its lane (borrowed
+    /// from `role`) for the park that follows an empty scan.
     steal_round: Cell<u64>,
 }
 

@@ -172,9 +172,11 @@ impl SimDisk {
         self.check_bounds(offset, len)?;
         let busy =
             (self.config.seek + transfer_time(len, self.config.bytes_per_sec)).as_nanos() as u64;
-        let issued = self.clock.now_nanos();
+        // A free disk never reads the clock (under virtual time that is a
+        // lock every actor shares).
+        let issued = (!self.config.is_zero()).then(|| self.clock.now_nanos());
         copy(&mut self.data.lock()[offset..offset + len]);
-        if !self.config.is_zero() {
+        if let Some(issued) = issued {
             let done = {
                 let mut busy_until = self.busy_until.lock();
                 *busy_until = issued.max(*busy_until) + busy;

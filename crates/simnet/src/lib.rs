@@ -16,6 +16,17 @@
 //! (deterministic, as fast as channels); benchmarks run with
 //! microsecond-scale costs so the paper's shapes emerge in wall-clock time.
 //!
+//! Each mechanism is written once. Time is one [`Clock`] per cluster —
+//! wall-clock, or a seeded discrete-event simulation that replays bit for
+//! bit — and everything that waits, charges a delay or stamps an event
+//! does it on that clock, through one blocking receive and one sleep. A
+//! link's cost is [`TopologySpec::cost`]; when a packet lands is one
+//! function, whichever route of the [`network`] carries it; a disk queues
+//! its ops behind one watermark on either clock; the counters are one
+//! table ([`metrics`]); every seeded draw is one hash. A cluster has no
+//! option the code can derive: the precision spin of real-time sleeps is
+//! on exactly when the config has a cost to sleep for.
+//!
 //! ```
 //! use simnet::{ClusterConfig, SimCluster};
 //!

@@ -422,7 +422,7 @@ mod tests {
 
         // On the real clock only the lower bound is the model's to keep:
         // how late a busy host runs the NIC thread is not.
-        let (net, inboxes) = self::net(2, spec);
+        let (net, inboxes) = net_faulty(2, spec, FaultPlan::none());
         let t0 = Instant::now();
         send_ten(&net);
         for _ in 0..10 {

@@ -3,11 +3,13 @@
 # Rust file that differs between BASE-REF (default HEAD) and the working
 # tree, `wc -l` of the whole file and of its non-test part — the lines
 # before the first `#[cfg(test)]`; a `tests.rs` is all test — at both ends,
-# then the `crates/core/src` non-test total (ROADMAP needle 2).
+# then the non-test total of DIR (default `crates/core/src`, ROADMAP
+# needle 2).
 #
-#   scripts/loc-table.sh [BASE-REF]
+#   scripts/loc-table.sh [BASE-REF] [DIR]
 set -euo pipefail
 base=${1:-HEAD}
+dir=${2:-crates/core/src}
 cd "$(git rev-parse --show-toplevel)"
 
 # stdin: a file's text; $1: its path. Prints "all non-test".
@@ -34,8 +36,8 @@ done
 parent=0 change=0
 while read -r f; do
     read -r _ n < <(at_base "$f"); parent=$((parent + n))
-done < <(git ls-tree -r --name-only "$base" -- crates/core/src | grep '\.rs$')
+done < <(git ls-tree -r --name-only "$base" -- "$dir" | grep '\.rs$')
 while read -r f; do
     read -r _ n < <(at_tree "$f"); change=$((change + n))
-done < <(tree_files 'crates/core/src/*.rs')
-printf '| **total `crates/core/src` non-test** | %d | %d | %+d |\n' "$parent" "$change" $((change - parent))
+done < <(tree_files "$dir/*.rs")
+printf '| **total `%s` non-test** | %d | %d | %+d |\n' "$dir" "$parent" "$change" $((change - parent))
