@@ -216,7 +216,11 @@ const TAIL_ROOM: usize = (2 * MAX_VARINT_LEN + 8 + 2 * MAX_VARINT_LEN) + PREFIX_
 /// request and every reply ([`DispatchResult::Reply`](crate::DispatchResult))
 /// is built.
 #[derive(Debug)]
-pub struct Body(Writer);
+pub struct Body {
+    w: Writer,
+    /// Where the body starts in `w`; at least [`PREFIX_ROOM`].
+    start: usize,
+}
 
 impl Body {
     /// An empty body in `spare`'s allocation: a retired message's buffer,
@@ -225,7 +229,10 @@ impl Body {
     pub(crate) fn reusing(mut spare: Vec<u8>) -> Self {
         spare.clear();
         spare.resize(PREFIX_ROOM, 0);
-        Body(Writer::appending_to(spare).tail_room(TAIL_ROOM))
+        Body {
+            w: Writer::appending_to(spare).tail_room(TAIL_ROOM),
+            start: PREFIX_ROOM,
+        }
     }
 
     /// `value` encoded as a body — a return value, sized once from its
@@ -234,7 +241,7 @@ impl Body {
     pub fn of<T: Wire>(value: &T) -> Self {
         let room = 2 * PREFIX_ROOM + value.encoded_len_hint();
         let mut body = Body::reusing(Vec::with_capacity(room));
-        value.encode(&mut body.0);
+        value.encode(&mut body.w);
         body
     }
 
@@ -244,14 +251,42 @@ impl Body {
         Body::reusing(Vec::with_capacity(PREFIX_ROOM + payload + TAIL_ROOM))
     }
 
+    /// `bytes` as a body, in a buffer of their own sized for them.
+    pub(crate) fn copying(bytes: &[u8]) -> Self {
+        let mut body = Body::with_capacity(bytes.len());
+        body.w.put_bytes(bytes);
+        body
+    }
+
+    /// `kept` — bytes of a request kept with
+    /// [`request_bytes`](crate::NodeCtx::request_bytes) — as a body, for an
+    /// object that passes on what it was sent. The bytes stay where they
+    /// arrived when `kept` is the last holder of its buffer (the sender has
+    /// retired the call, the dispatch that kept them is over) and lies at
+    /// least a frame prefix into it: the frame is finished around them, in
+    /// the tail room their sender left. Otherwise they are copied, once.
+    pub fn relaying(kept: PacketBytes) -> Self {
+        match kept.into_unshared_range() {
+            Ok((mut buf, range)) if range.start >= PREFIX_ROOM => {
+                buf.truncate(range.end);
+                Body {
+                    w: Writer::appending_to(buf).tail_room(TAIL_ROOM),
+                    start: range.start,
+                }
+            }
+            Ok((buf, range)) => Body::copying(&buf[range]),
+            Err(kept) => Body::copying(&kept),
+        }
+    }
+
     /// Where the body's bytes go.
     pub fn writer(&mut self) -> &mut Writer {
-        &mut self.0
+        &mut self.w
     }
 
     /// Bytes written to the body so far.
     pub(crate) fn len(&self) -> usize {
-        self.0.len() - PREFIX_ROOM
+        self.w.len() - self.start
     }
 
     /// Finish the frame. The prefix ends in the payload's length, known
@@ -259,10 +294,10 @@ impl Body {
     /// and it is moved, right-aligned, into the room in front. The result
     /// runs from the prefix's first byte to the last byte written before it.
     fn seal(mut self, write_prefix: impl FnOnce(&mut Writer)) -> PacketBytes {
-        let end = self.0.len();
-        write_prefix(&mut self.0);
-        let mut buf = self.0.into_bytes();
-        let start = (PREFIX_ROOM + end)
+        let end = self.w.len();
+        write_prefix(&mut self.w);
+        let mut buf = self.w.into_bytes();
+        let start = (self.start + end)
             .checked_sub(buf.len())
             .expect("a prefix fits its room");
         buf.copy_within(end.., start);
@@ -864,6 +899,82 @@ mod tests {
             spare = sealed.into_unshared().unwrap_or_default();
         }
         assert_eq!(Body::of(&(7u32, "x".to_string())).len(), 4 + 2);
+    }
+
+    /// A request carrying `block` as its last argument, and the bytes of it
+    /// an object would keep with `request_bytes`.
+    fn put_request(header: &RequestHeader, block: &Bytes) -> (PacketBytes, PacketBytes) {
+        let mut body = Body::reusing(Vec::new());
+        body.writer().put_len_prefixed(b"put");
+        7u64.encode(body.writer());
+        block.encode(body.writer());
+        let (frame, payload) = header.seal(body);
+        let kept = payload.end - to_bytes(block).len()..payload.end;
+        let kept = frame.slice(kept).expect("inside the frame");
+        (frame, kept)
+    }
+
+    /// `Body::relaying` builds the frame around bytes kept from a request:
+    /// where they arrived once everyone else has let go of the request, in
+    /// a buffer of their own while someone still holds it or when nothing
+    /// in front of them could take the prefix. Whichever way, the frame is
+    /// the one `Body::of` the same value makes — a response or a request.
+    #[test]
+    fn a_relayed_body_stays_where_it_arrived_or_is_copied_and_seals_alike() {
+        let rng = &mut StdRng::seed_from_u64(0x21_4E1A);
+        let mut block = Bytes(vec![0u8; 5_000]);
+        block.0.fill_with(|| rng.next_u64() as u8);
+        let header = RequestHeader {
+            req_id: 9,
+            reply_to: 300,
+            target: 4,
+            trace: TraceCtx::default(),
+            epoch: 2,
+            rs_epoch: 0.into(),
+            deadline: 77,
+        };
+        let (reference, _) = encode_response(12, Ok(Body::of(&block)));
+        // Where the payload of a sealed frame lies in memory.
+        let payload_at = |frame: &PacketBytes| match FrameView::parse(frame).unwrap() {
+            FrameView::Response { result, .. } => frame[result.unwrap()].as_ptr(),
+            FrameView::Request { payload, .. } => frame[payload].as_ptr(),
+        };
+
+        // The last holder: the reply is the request's buffer.
+        let (request, kept) = put_request(&header, &block);
+        let arrived_at = kept.as_ptr();
+        drop(request);
+        let (in_place, weight) = encode_response(12, Ok(Body::relaying(kept)));
+        assert_eq!(in_place, reference);
+        assert_eq!(weight, to_bytes(&block).len());
+        assert_eq!(payload_at(&in_place), arrived_at);
+
+        // A second holder (the serve loop mid-dispatch, a sender yet to
+        // retire the call): copied, and the holder's bytes are untouched.
+        let (request, kept) = put_request(&header, &block);
+        let before = request.to_vec();
+        let (copied, _) = encode_response(12, Ok(Body::relaying(kept)));
+        assert_eq!(copied, reference);
+        assert!(!copied.shares_buffer_with(&request));
+        assert_eq!(request, before);
+
+        // Alone, but with less than a prefix in front: copied.
+        let tight = PacketBytes::from(to_bytes(&block));
+        let arrived_at = tight.as_ptr();
+        let (copied, _) = encode_response(12, Ok(Body::relaying(tight)));
+        assert_eq!(copied, reference);
+        assert_ne!(payload_at(&copied), arrived_at);
+
+        // As a request body, both arms.
+        let (request, kept) = put_request(&header, &block);
+        let reference = header.seal(Body::copying(&kept)).0;
+        assert_eq!(header.seal(Body::relaying(kept.clone())).0, reference);
+        let arrived_at = kept.as_ptr();
+        drop(request);
+        let (in_place, payload) = header.seal(Body::relaying(kept));
+        assert_eq!(in_place, reference);
+        assert_eq!(in_place[payload].as_ptr(), arrived_at);
+        assert_eq!(payload_at(&in_place), arrived_at);
     }
 
     /// ROADMAP 4d for `Frame`: whatever bytes arrive, parsing returns —

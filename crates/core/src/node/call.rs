@@ -730,8 +730,7 @@ impl NodeCtx {
         // The patched header may differ in length, and the old frame may
         // still be held by whoever received it: the payload moves to a
         // fresh buffer, once.
-        let mut body = Body::with_capacity(call.payload.len());
-        body.writer().put_bytes(&call.frame[call.payload.clone()]);
+        let body = Body::copying(&call.frame[call.payload.clone()]);
         (call.frame, call.payload) = call.header.seal(body);
         let _ = self.transmit(&call, kind, attempt);
         self.outstanding.insert(new_id, call);

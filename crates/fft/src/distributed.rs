@@ -27,15 +27,25 @@
 //! `BlockInbox` object on the same machine. Inboxes are never busy (their
 //! methods return immediately or defer only their *reply*), so block
 //! transfers flow while every worker is deep inside `transform`. The inbox
-//! parks the worker's `take_all` with [`DispatchResult::NoReply`] until the
-//! last block arrives — the same deferred-reply mechanism as the group
+//! parks a worker's `take` with [`DispatchResult::NoReply`] until the block
+//! it asks for arrives — the same deferred-reply mechanism as the group
 //! barrier.
+//!
+//! ## What it no longer carries
+//!
+//! A process's own data is a memory access; only remote data is a message.
+//! The block a worker keeps — its planes × its own columns — is copied
+//! slab → `gathered` and back, and never enters an inbox: a group of one
+//! sends no transpose message at all. A block that does travel is touched
+//! twice: gathered from the slab rows into the `put` request, and scattered
+//! from the `take` reply — which *is* that request's buffer, the frame
+//! rebuilt around the block where it arrived ([`Body::relaying`]).
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use oopp::{
     join, remote_class, Body, CallInfo, DispatchResult, NodeCtx, ObjRef, PacketBytes, Pending,
-    RemoteClient, RemoteError, RemoteResult, ServerClass, ServerObject,
+    ProcessGroup, RemoteClient, RemoteError, RemoteResult, ServerClass, ServerObject,
 };
 use wire::collections::{F64s, F64sView};
 use wire::{Reader, Wire};
@@ -52,38 +62,14 @@ use crate::nd::Fft3;
 ///
 /// A block is interleaved `re, im` doubles encoded as [`F64s`], and the
 /// inbox never decodes one: `put` checks the encoding and keeps that range
-/// of its request alive, `take_all` relays the ranges — `Vec<(u64, F64s)>`
-/// on the wire, read on the other side through [`Blocks`].
+/// of its request alive, `take` sends the range on as its reply.
 #[derive(Debug, Default)]
 pub struct BlockInbox {
-    /// Blocks received, bucketed by exchange epoch: the sender, and the
-    /// block's encoding.
-    buckets: HashMap<u64, Vec<(u64, PacketBytes)>>,
-    /// A parked `take_all`, waiting for its epoch's bucket to fill.
-    waiter: Option<(CallInfo, u64, usize)>,
-}
-
-impl BlockInbox {
-    /// Answer the parked `take_all` once its bucket is full: the kept
-    /// ranges, written once, straight behind the response header.
-    fn try_release(&mut self, ctx: &mut NodeCtx) {
-        if let Some((call, epoch, expect)) = self.waiter {
-            let ready = self.buckets.get(&epoch).map_or(0, Vec::len);
-            if ready >= expect {
-                let blocks = self.buckets.remove(&epoch).unwrap_or_default();
-                self.waiter = None;
-                let payload: usize = blocks.iter().map(|(_, block)| 8 + block.len()).sum();
-                let mut reply = Body::with_capacity(wire::varint::MAX_VARINT_LEN + payload);
-                let w = reply.writer();
-                w.put_varint(blocks.len() as u64);
-                for (from, block) in &blocks {
-                    from.encode(w);
-                    w.put_bytes(block);
-                }
-                ctx.send_reply(call, Ok(reply));
-            }
-        }
-    }
+    /// Blocks put and not yet taken, by exchange epoch and sender: the
+    /// block's encoding, where it arrived.
+    kept: HashMap<(u64, u64), PacketBytes>,
+    /// Takes that came before their block: the `put` answers them.
+    waiting: HashMap<(u64, u64), CallInfo>,
 }
 
 impl ServerObject for BlockInbox {
@@ -99,29 +85,37 @@ impl ServerObject for BlockInbox {
     ) -> RemoteResult<DispatchResult> {
         match method {
             "put" => {
-                let epoch = u64::decode(args)?;
-                let from = u64::decode(args)?;
-                // Checked here, so `take_all` never relays a malformed block.
+                let key @ (epoch, from) = (u64::decode(args)?, u64::decode(args)?);
+                // Checked here, so `take` never relays a malformed block.
                 let start = args.position();
                 F64sView::decode(args)?;
                 let block = ctx
                     .request_bytes(start..args.position())
                     .ok_or_else(|| RemoteError::app("put dispatched outside its request"))?;
-                self.buckets.entry(epoch).or_default().push((from, block));
-                self.try_release(ctx);
+                if let Some(call) = self.waiting.remove(&key) {
+                    ctx.send_reply(call, Ok(Body::relaying(block)));
+                } else if let Entry::Vacant(slot) = self.kept.entry(key) {
+                    slot.insert(block);
+                } else {
+                    return Err(RemoteError::app(format!(
+                        "two transpose blocks from worker {from} in exchange {epoch}"
+                    )));
+                }
                 Ok(DispatchResult::Reply(Body::of(&())))
             }
-            "take_all" => {
-                let epoch = u64::decode(args)?;
-                let expect = usize::decode(args)?;
-                if self.waiter.is_some() {
-                    return Err(RemoteError::app("inbox already has a waiter"));
+            "take" => {
+                let key @ (epoch, _) = (u64::decode(args)?, u64::decode(args)?);
+                // The worker has moved on: what an older exchange left here
+                // — a stray block, an abandoned take — nobody will ask for.
+                self.kept.retain(|&(older, _), _| older >= epoch);
+                self.waiting.retain(|&(older, _), _| older >= epoch);
+                if let Some(block) = self.kept.remove(&key) {
+                    return Ok(DispatchResult::Reply(Body::relaying(block)));
                 }
-                // Answered by `try_release`: now if the bucket is full, by
-                // the `put` that fills it otherwise.
-                let call = ctx.current_call().expect("dispatched outside a call");
-                self.waiter = Some((call, epoch, expect));
-                self.try_release(ctx);
+                let Entry::Vacant(slot) = self.waiting.entry(key) else {
+                    return Err(RemoteError::app("transpose block already awaited"));
+                };
+                slot.insert(ctx.current_call().expect("dispatched outside a call"));
                 Ok(DispatchResult::NoReply)
             }
             other => Err(RemoteError::NoSuchMethod {
@@ -173,58 +167,51 @@ impl BlockInboxClient {
         })
     }
 
-    /// Collect all `expect` blocks of `epoch`, blocking (server-side
-    /// deferred reply) until they have arrived.
-    pub fn take_all(&self, ctx: &mut NodeCtx, epoch: u64, expect: usize) -> RemoteResult<Blocks> {
-        let req_id = ctx.start_method_raw(self.r, "take_all", |w| {
-            epoch.encode(w);
-            expect.encode(w);
-        })?;
-        Ok(Blocks(ctx.wait_raw(req_id)?))
-    }
-}
-
-/// What [`BlockInboxClient::take_all`] collected, still inside the reply
-/// packet that brought it: the blocks are scattered from there.
-#[derive(Debug)]
-pub struct Blocks(PacketBytes);
-
-impl Blocks {
-    /// The blocks of one exchange among `parts` workers, in sender order,
-    /// the whole reply checked first: every sender is a worker of the
-    /// group, each sent exactly once, each block is exactly `len` complex
-    /// values. A stray or short block is a `RemoteError::app` — never an
-    /// index out of range where the blocks are scattered.
-    pub fn by_sender(&self, parts: usize, len: usize) -> RemoteResult<Vec<F64sView<'_>>> {
-        let r = &mut Reader::new(&self.0);
-        let mut by_sender = vec![None; parts];
-        // A block is at least its sender and an empty count.
-        for _ in 0..r.take_len(8 + 1)? {
-            let (from, block) = (u64::decode(r)?, F64sView::decode(r)?);
-            let slot = usize::try_from(from)
-                .ok()
-                .and_then(|q| by_sender.get_mut(q));
-            let slot = slot.ok_or_else(|| {
-                RemoteError::app(format!("transpose block from worker {from} of {parts}"))
-            })?;
+    /// What worker `me` of `parts` does with its own inbox: take the block
+    /// of exchange `epoch` from every other worker — all the takes before
+    /// the first wait — and hand each, by sender, to `scatter` where the
+    /// reply brought it. A block that is not exactly `len` complex values
+    /// is a `RemoteError::app`, never an index out of range in `scatter`.
+    fn collect(
+        &self,
+        ctx: &mut NodeCtx,
+        epoch: u64,
+        me: usize,
+        parts: usize,
+        len: usize,
+        mut scatter: impl FnMut(usize, F64sView<'_>),
+    ) -> RemoteResult<()> {
+        let senders = (0..parts).filter(|&q| q != me);
+        let takes = senders.map(|q| Ok((q, self.take_async(ctx, epoch, q as u64)?)));
+        let mut takes = takes.collect::<RemoteResult<Vec<_>>>()?.into_iter();
+        let scattered = takes.try_for_each(|(q, take)| {
+            let reply = ctx.wait_raw(take)?;
+            let r = &mut Reader::new(&reply);
+            let block = F64sView::decode(r)?;
+            r.expect_end()?;
             if block.len() != 2 * len {
                 return Err(RemoteError::app(format!(
-                    "transpose block of {} doubles from worker {from}, expected {}",
+                    "transpose block of {} doubles from worker {q}, expected {}",
                     block.len(),
                     2 * len
                 )));
             }
-            if slot.replace(block).is_some() {
-                return Err(RemoteError::app(format!(
-                    "two transpose blocks from worker {from}"
-                )));
-            }
-        }
-        r.expect_end()?;
-        let all = by_sender.into_iter().enumerate().map(|(q, block)| {
-            block.ok_or_else(|| RemoteError::app(format!("no transpose block from worker {q}")))
+            scatter(q, block);
+            Ok(())
         });
-        all.collect()
+        // After an error nobody waits for the rest.
+        takes.for_each(|(_, take)| ctx.abandon_call(take));
+        scattered
+    }
+
+    /// Ask for the block worker `from` put for exchange `epoch`. The reply,
+    /// deferred until the block is there, is the block: one [`F64s`], to be
+    /// read where [`wait_raw`](NodeCtx::wait_raw) hands it over.
+    pub fn take_async(&self, ctx: &mut NodeCtx, epoch: u64, from: u64) -> RemoteResult<u64> {
+        ctx.start_method_raw(self.r, "take", |w| {
+            epoch.encode(w);
+            from.encode(w);
+        })
     }
 }
 
@@ -350,17 +337,31 @@ impl FftWorker {
         }
         let shape = [n1 as usize, n2 as usize, n3 as usize];
         let parts = parts as usize;
+        // A slab or the transposed buffer: the same count either way. Sized
+        // before the plan is, which allocates by the edge lengths too.
+        let too_large = || RemoteError::app(format!("no memory for a {n1}x{n2}x{n3} grid"));
+        let cells = (shape[0] / parts)
+            .checked_mul(shape[1])
+            .and_then(|cells| cells.checked_mul(shape[2]))
+            .ok_or_else(too_large)?;
+        let zeros = || -> RemoteResult<Vec<Complex>> {
+            let mut buf = Vec::new();
+            buf.try_reserve_exact(cells).map_err(|_| too_large())?;
+            buf.resize(cells, Complex::ZERO);
+            Ok(buf)
+        };
+        let (slab, gathered) = (zeros()?, zeros()?);
         Ok(FftWorker {
             id,
             shape,
             parts,
             peers: Vec::new(),
             inboxes: Vec::new(),
-            slab: vec![Complex::ZERO; shape[0] / parts * shape[1] * shape[2]],
+            slab,
             epoch: 0,
             phase: Phase::Idle,
             plan: Fft3::new(shape),
-            gathered: vec![Complex::ZERO; shape[0] * (shape[1] / parts) * shape[2]],
+            gathered,
         })
     }
 
@@ -417,18 +418,28 @@ impl FftWorker {
         // 2-D FFTs (axes 1, 2) on each local plane.
         self.plan.process_planes(&mut self.slab, dir);
 
-        // Send the forward-transpose block (my planes x q's columns) to
-        // every peer's inbox: per plane, q's columns are one run of rows.
+        // The forward-transpose block for worker q is my planes x q's
+        // columns: per plane, one run of rows. My own goes straight to
+        // where the exchange would have put it, the others to their inboxes.
         let epoch = self.next_epoch();
         self.phase = Phase::Sent { epoch, dir };
+        let me = self.id as usize;
         let slab = &self.slab;
-        let mut sends = Vec::with_capacity(self.parts);
-        for (q, inbox) in self.inboxes.iter().enumerate() {
-            let runs = (0..s1).map(|i| {
+        let runs = |q: usize| {
+            (0..s1).map(move |i| {
                 let run = (i * n2 + q * s2) * n3;
                 &slab[run..run + s2 * n3]
-            });
-            sends.push(inbox.put_async(ctx, epoch, self.id, runs)?);
+            })
+        };
+        let own = &mut self.gathered[me * s1 * s2 * n3..][..s1 * s2 * n3];
+        for (dst, run) in own.chunks_exact_mut(s2 * n3).zip(runs(me)) {
+            dst.copy_from_slice(run);
+        }
+        let mut sends = Vec::with_capacity(self.parts - 1);
+        for (q, inbox) in self.inboxes.iter().enumerate() {
+            if q != me {
+                sends.push(inbox.put_async(ctx, epoch, self.id, runs(q))?);
+            }
         }
         join(ctx, sends)?;
         Ok(())
@@ -452,29 +463,34 @@ impl FftWorker {
         let (s1, s2) = (n1 / self.parts, n2 / self.parts);
         // One block: a worker's planes x another's columns.
         let block = s1 * s2 * n3;
+        let me = self.id as usize;
 
         // Collect the forward-transpose blocks (all in flight: the driver
         // joined transform_local across the whole group). Worker q's block
         // is planes `[q·s1, (q+1)·s1)` of the [n1][s2][n3] buffer: one run.
-        let blocks = self.inboxes[self.id as usize].take_all(ctx, epoch, self.parts)?;
-        for (from, dst) in blocks
-            .by_sender(self.parts, block)?
-            .iter()
-            .zip(self.gathered.chunks_exact_mut(block))
-        {
-            from.copy_to(0, as_f64s_mut(dst));
-        }
-        drop(blocks);
+        let gathered = &mut self.gathered;
+        self.inboxes[me].collect(ctx, epoch, me, self.parts, block, |q, from| {
+            from.copy_to(0, as_f64s_mut(&mut gathered[q * block..][..block]));
+        })?;
 
         // Axis-0 FFTs on the columns I now own.
         self.plan.process_axis0(&mut self.gathered, dir);
 
-        // Send the blocks back (worker q's planes are contiguous runs).
+        // Send the blocks back (worker q's planes are contiguous runs); my
+        // own planes x my own columns go back into the slab rows as they are.
         let epoch = self.next_epoch();
         self.phase = Phase::Returned { epoch };
-        let mut sends = Vec::with_capacity(self.parts);
-        for (inbox, back) in self.inboxes.iter().zip(self.gathered.chunks_exact(block)) {
-            sends.push(inbox.put_async(ctx, epoch, self.id, std::iter::once(back))?);
+        let mut sends = Vec::with_capacity(self.parts - 1);
+        for (q, back) in self.gathered.chunks_exact(block).enumerate() {
+            if q != me {
+                let back = std::iter::once(back);
+                sends.push(self.inboxes[q].put_async(ctx, epoch, self.id, back)?);
+                continue;
+            }
+            for (i, row) in back.chunks_exact(s2 * n3).enumerate() {
+                let run = (i * n2 + me * s2) * n3;
+                self.slab[run..run + s2 * n3].copy_from_slice(row);
+            }
         }
         join(ctx, sends)?;
         Ok(())
@@ -489,19 +505,18 @@ impl FftWorker {
         self.phase = Phase::Idle;
         let [n1, n2, n3] = self.shape;
         let (s1, s2) = (n1 / self.parts, n2 / self.parts);
+        let me = self.id as usize;
 
         // Worker q's block is my planes x its columns: per plane, one run
         // of rows of the slab.
-        let blocks = self.inboxes[self.id as usize].take_all(ctx, epoch, self.parts)?;
-        let views = blocks.by_sender(self.parts, s1 * s2 * n3)?;
-        for (q, from) in views.iter().enumerate() {
+        let slab = &mut self.slab;
+        self.inboxes[me].collect(ctx, epoch, me, self.parts, s1 * s2 * n3, |q, from| {
             for i in 0..s1 {
                 let run = (i * n2 + q * s2) * n3;
-                let dst = &mut self.slab[run..run + s2 * n3];
+                let dst = &mut slab[run..run + s2 * n3];
                 from.copy_to(2 * i * s2 * n3, as_f64s_mut(dst));
             }
-        }
-        Ok(())
+        })
     }
 
     /// The epoch of the exchange about to be sent.
@@ -521,8 +536,8 @@ impl FftWorker {
 pub struct DistributedFft3 {
     shape: [u64; 3],
     parts: usize,
-    workers: Vec<FftWorkerClient>,
-    inboxes: Vec<BlockInboxClient>,
+    workers: ProcessGroup<FftWorkerClient>,
+    inboxes: ProcessGroup<BlockInboxClient>,
 }
 
 impl DistributedFft3 {
@@ -560,18 +575,16 @@ impl DistributedFft3 {
                 parts as u64,
             )?);
         }
-        let workers = oopp::join_clients(ctx, pending_workers)?;
+        let workers = ProcessGroup::from_members(oopp::join_clients(ctx, pending_workers)?);
         // for (id = 0; id < N; id++) fft[id]->SetGroup(N, fft);
-        let mut pending = Vec::with_capacity(parts);
-        for w in &workers {
-            pending.push(w.set_group_async(ctx, workers.clone(), inboxes.clone())?);
-        }
-        join(ctx, pending)?;
+        workers.par_each(ctx, |ctx, w, _| {
+            w.set_group_async(ctx, workers.members().to_vec(), inboxes.clone())
+        })?;
         Ok(DistributedFft3 {
             shape,
             parts,
             workers,
-            inboxes,
+            inboxes: ProcessGroup::from_members(inboxes),
         })
     }
 
@@ -583,6 +596,11 @@ impl DistributedFft3 {
     /// Number of FFT processes.
     pub fn parts(&self) -> usize {
         self.parts
+    }
+
+    /// The workers' inboxes, by worker id.
+    pub fn inboxes(&self) -> &[BlockInboxClient] {
+        self.inboxes.members()
     }
 
     fn slab_elems(&self) -> usize {
@@ -601,23 +619,20 @@ impl DistributedFft3 {
             )));
         }
         let slab = self.slab_elems();
-        let mut pending = Vec::with_capacity(self.parts);
-        for (id, w) in self.workers.iter().enumerate() {
-            let part = &data[id * slab..(id + 1) * slab];
-            pending.push(w.load_slab_async(ctx, F64s(as_f64s(part).to_vec()))?);
-        }
-        join(ctx, pending)?;
+        // `load_slab(F64s)`, each slab written once: into its request.
+        self.workers.par_each(ctx, |ctx, w, id| {
+            ctx.start_method::<()>(w.obj_ref(), "load_slab", |w| {
+                w.put_varint(2 * slab as u64);
+                w.put_f64s(as_f64s(&data[id * slab..][..slab]));
+            })
+        })?;
         Ok(())
     }
 
     /// Collect the distributed grid back into one buffer.
     pub fn gather(&self, ctx: &mut NodeCtx) -> RemoteResult<Vec<Complex>> {
-        let mut pending = Vec::with_capacity(self.parts);
-        for w in &self.workers {
-            pending.push(w.read_slab_async(ctx)?);
-        }
-        let slabs = join(ctx, pending)?;
-        let slab = self.slab_elems();
+        let (fft, slab) = (&self.workers, self.slab_elems());
+        let slabs = fft.par_each(ctx, |ctx, w, _| w.read_slab_async(ctx))?;
         let mut out = vec![Complex::ZERO; self.parts * slab];
         for (s, dst) in slabs.iter().zip(out.chunks_exact_mut(slab)) {
             let dst = as_f64s_mut(dst);
@@ -636,35 +651,16 @@ impl DistributedFft3 {
     /// transpose+axis-0, transpose back) so any number of workers may
     /// share a machine without deadlock.
     pub fn transform(&self, ctx: &mut NodeCtx, dir: Direction) -> RemoteResult<()> {
-        let sign = dir.sign() as i64;
-        let mut pending = Vec::with_capacity(self.parts);
-        for w in &self.workers {
-            pending.push(w.transform_local_async(ctx, sign)?);
-        }
-        join(ctx, pending)?;
-        let mut pending = Vec::with_capacity(self.parts);
-        for w in &self.workers {
-            pending.push(w.transform_exchange_async(ctx, sign)?);
-        }
-        join(ctx, pending)?;
-        let mut pending = Vec::with_capacity(self.parts);
-        for w in &self.workers {
-            pending.push(w.transform_finish_async(ctx)?);
-        }
-        join(ctx, pending)?;
+        let (sign, fft) = (dir.sign() as i64, &self.workers);
+        fft.par_each(ctx, |ctx, w, _| w.transform_local_async(ctx, sign))?;
+        fft.par_each(ctx, |ctx, w, _| w.transform_exchange_async(ctx, sign))?;
+        fft.par_each(ctx, |ctx, w, _| w.transform_finish_async(ctx))?;
         Ok(())
     }
 
     /// Destroy the worker and inbox processes.
     pub fn destroy(self, ctx: &mut NodeCtx) -> RemoteResult<()> {
-        let mut pending = Vec::new();
-        for w in &self.workers {
-            pending.push(ctx.destroy_async(w.obj_ref())?);
-        }
-        for i in &self.inboxes {
-            pending.push(ctx.destroy_async(i.obj_ref())?);
-        }
-        join(ctx, pending)?;
-        Ok(())
+        self.workers.destroy(ctx)?;
+        self.inboxes.destroy(ctx)
     }
 }

@@ -38,9 +38,7 @@ mod tile;
 pub use bluestein::Bluestein;
 pub use complex::{as_f64s, as_f64s_mut, c64, max_error, Complex};
 pub use dft::{dft, Direction};
-pub use distributed::{
-    BlockInbox, BlockInboxClient, Blocks, DistributedFft3, FftWorker, FftWorkerClient,
-};
+pub use distributed::{BlockInbox, BlockInboxClient, DistributedFft3, FftWorker, FftWorkerClient};
 pub use nd::{dft3, Fft3, Grid3};
 pub use nd2::{Fft2, Grid2};
 pub use plan::Fft;

@@ -23,6 +23,19 @@ fn sample_grid(shape: [usize; 3], seed: u64) -> Grid3 {
     Grid3::new(shape, (0..n).map(|_| c64(next(), next())).collect())
 }
 
+/// Put `block` into `inbox` as worker `from`'s block of exchange `epoch`,
+/// and wait for the inbox's answer.
+fn put(
+    d: &mut Driver,
+    inbox: BlockInboxClient,
+    epoch: u64,
+    from: u64,
+    block: &[Complex],
+) -> oopp::RemoteResult<()> {
+    let sent = inbox.put_async(d, epoch, from, std::iter::once(block));
+    sent?.wait(d)
+}
+
 /// `r` is the `App` error whose detail mentions `needle`.
 fn app_error(r: oopp::RemoteResult<()>, needle: &str) {
     match r {
@@ -103,67 +116,167 @@ fn invalid_configurations_are_rejected() {
     cluster.shutdown(driver);
 }
 
-/// A transpose block nobody should have sent — from a worker outside the
-/// group, of the wrong size, or a second one from the same worker — used to
-/// index `gathered`/`slab` unchecked: the machine's thread panicked and the
-/// driver's call never returned. Each is now the phase's `App` error, the
-/// worker stays usable, and the cluster shuts down cleanly.
+/// A transpose block nobody should have sent — of the wrong size, a second
+/// one from the same worker, from a worker outside the group, or claiming to
+/// come from the inbox's own worker — used to index `gathered`/`slab`
+/// unchecked: the machine's thread panicked and the driver's call never
+/// returned. The first is the phase's `App` error, the second the `put`'s
+/// own, the last two are never asked for; the worker stays usable, and the
+/// cluster shuts down cleanly. Worker 0 of a group of two is the real one;
+/// this test plays worker 1.
 #[test]
 fn stray_transpose_blocks_are_refused_not_indexed() {
+    const SHAPE: [usize; 3] = [4, 4, 2];
+    // A block: two planes x two columns of rows of two.
+    const BLOCK: usize = 2 * 2 * 2;
     let (cluster, mut driver) = cluster(1);
     let d = &mut driver;
     let inbox = BlockInboxClient::new_on(d, 0).unwrap();
-    let w = FftWorkerClient::new_on(d, 0, 0, 4, 4, 2, 1).unwrap();
-    w.set_group(d, vec![w], vec![inbox]).unwrap();
-    let grid = sample_grid([4, 4, 2], 9);
+    // Where worker 0 sends what is meant for worker 1; nobody takes it.
+    let sink = BlockInboxClient::new_on(d, 0).unwrap();
+    let w = FftWorkerClient::new_on(d, 0, 0, 4, 4, 2, 2).unwrap();
+    w.set_group(d, vec![w, w], vec![inbox, sink]).unwrap();
+    // Worker 1's planes are zero, so its forward block is too.
+    let mut grid = sample_grid(SHAPE, 9);
+    grid.data_mut()[2 * BLOCK..].fill(Complex::ZERO);
     let load = |d: &mut Driver| {
-        let slab = wire::collections::F64s(as_f64s(grid.data()).to_vec());
+        let slab = wire::collections::F64s(as_f64s(&grid.data()[..2 * BLOCK]).to_vec());
         w.load_slab(d, slab).unwrap();
     };
-    let put = |d: &mut Driver, epoch: u64, from: u64, block: &[Complex]| {
-        let sent = inbox.put_async(d, epoch, from, std::iter::once(block));
-        sent.unwrap().wait(d).unwrap();
-    };
+    let put = |d: &mut Driver, epoch, from, block: &[Complex]| put(d, inbox, epoch, from, block);
     let one = [c64(1.0, 2.0)];
-    let whole = vec![c64(0.5, -0.5); 4 * 4 * 2];
+    let zeros = [Complex::ZERO; BLOCK];
+    let junk = [c64(7.0, -7.0); BLOCK];
 
-    // The worker's exchanges are epochs 0, 1, 2, ... in order. From a
-    // worker the group does not have (the parent's panic: "range start
-    // index 320 out of range for slice of length 64").
+    // The worker's exchanges are epochs 0, 1, 2, ... in order. Too short
+    // (the parent's panic was an index out of range where it is scattered).
     load(d);
-    put(d, 0, 5, &one);
-    w.transform_local(d, -1).unwrap();
-    app_error(w.transform_exchange(d, -1), "from worker 5 of 1");
-    // Too short, from a worker the group does have.
-    put(d, 1, 0, &one);
+    put(d, 0, 1, &one).unwrap();
     w.transform_local(d, -1).unwrap();
     app_error(w.transform_exchange(d, -1), "block of 2 doubles");
-    // The right size, but the worker's second block of the exchange.
-    put(d, 2, 0, &whole);
-    w.transform_local(d, -1).unwrap();
-    app_error(w.transform_exchange(d, -1), "two transpose blocks");
+    // A second block from the same worker: refused where it is put, and the
+    // first one stands.
+    put(d, 1, 1, &zeros).unwrap();
+    app_error(put(d, 1, 1, &junk), "two transpose blocks from worker 1");
     // The return exchange checks the same way.
     w.transform_local(d, -1).unwrap();
-    put(d, 4, 7, &one);
     w.transform_exchange(d, -1).unwrap();
-    app_error(w.transform_finish(d), "from worker 7 of 1");
+    put(d, 2, 1, &one).unwrap();
+    app_error(w.transform_finish(d), "block of 2 doubles");
 
     // A slab of the wrong size (here: half a complex value) is refused too.
     assert!(w
         .load_slab(d, wire::collections::F64s(vec![1.0; 3]))
         .is_err());
 
-    // None of it wedged the worker: a whole transform still agrees with
-    // the local one.
+    // None of it wedged the worker, and blocks from a worker the group does
+    // not have (the parent indexed `gathered` with them) or from worker 0
+    // itself are never looked at: a whole transform still agrees with the
+    // local one. What worker 1 returns is cut from the local result.
+    let expected = Fft3::new(SHAPE).transform(&grid, Direction::Forward);
+    let returned: Vec<Complex> = (0..2)
+        .flat_map(|plane| expected.data()[(plane * 4 + 2) * 2..][..2 * 2].to_vec())
+        .collect();
     load(d);
+    for (epoch, block) in [(3, &zeros[..]), (4, &returned[..])] {
+        put(d, epoch, 5, &junk).unwrap();
+        put(d, epoch, 0, &junk).unwrap();
+        put(d, epoch, 1, block).unwrap();
+    }
     w.transform_local(d, -1).unwrap();
     w.transform_exchange(d, -1).unwrap();
     w.transform_finish(d).unwrap();
-    let mut got = vec![Complex::ZERO; grid.data().len()];
+    let mut got = vec![Complex::ZERO; 2 * BLOCK];
     as_f64s_mut(&mut got).copy_from_slice(&w.read_slab(d).unwrap().0);
-    let expected = Fft3::new([4, 4, 2]).transform(&grid, Direction::Forward);
-    assert!(max_error(&got, expected.data()) < 1e-9);
+    assert!(max_error(&got, &expected.data()[..2 * BLOCK]) < 1e-9);
     cluster.shutdown(driver);
+}
+
+/// A grid whose slab cannot be sized or allocated is the constructor's
+/// `App` error: at the parent `1 << 40` cubed wrapped to a short slab in
+/// release (then an index panic on the machine's thread inside
+/// `transform_local`) and `1 << 20` cubed aborted the process in the
+/// allocator. The machine answers the next call either way.
+#[test]
+fn a_grid_too_large_is_an_app_error_and_the_machine_lives() {
+    let (cluster, mut driver) = cluster(1);
+    let d = &mut driver;
+    for edge in [1u64 << 40, 1 << 20] {
+        let refused = FftWorkerClient::new_on(d, 0, 0, edge, edge, edge, 1);
+        app_error(refused.map(drop), "no memory for a");
+    }
+    let w = FftWorkerClient::new_on(d, 0, 0, 4, 4, 2, 1).unwrap();
+    assert_eq!(w.describe(d).unwrap(), (0, 1));
+    cluster.shutdown(driver);
+}
+
+/// The inbox hands over the block whichever of `put` and `take` comes
+/// first, and a `take` drops what older exchanges left behind: blocks
+/// nobody took, takes nobody answered.
+#[test]
+fn put_before_take_and_take_before_put_deliver_the_same_block() {
+    let (cluster, mut driver) = cluster(1);
+    let d = &mut driver;
+    let inbox = BlockInboxClient::new_on(d, 0).unwrap();
+    let block = [c64(1.0, -2.0), c64(0.25, 8.0), c64(-3.0, 0.0)];
+    let put = |d: &mut Driver, epoch, from| put(d, inbox, epoch, from, &block);
+    let doubles = |reply: oopp::PacketBytes| wire::from_bytes::<wire::collections::F64s>(&reply);
+    let expected = wire::collections::F64s(as_f64s(&block).to_vec());
+
+    put(d, 3, 1).unwrap();
+    let late = inbox.take_async(d, 3, 1).unwrap();
+    let early = inbox.take_async(d, 3, 2).unwrap();
+    put(d, 3, 2).unwrap();
+    assert_eq!(doubles(d.wait_raw(late).unwrap()).unwrap(), expected);
+    assert_eq!(doubles(d.wait_raw(early).unwrap()).unwrap(), expected);
+    // One taker per block.
+    let first = inbox.take_async(d, 3, 7).unwrap();
+    let second = inbox.take_async(d, 3, 7).unwrap();
+    app_error(d.wait_raw(second).map(drop), "already awaited");
+
+    // Exchange 3 is history once anyone takes from exchange 4: its unclaimed
+    // block may be put again, its parked take is never answered.
+    put(d, 3, 9).unwrap();
+    app_error(put(d, 3, 9), "two transpose blocks from worker 9");
+    put(d, 4, 1).unwrap();
+    let next = inbox.take_async(d, 4, 1).unwrap();
+    assert_eq!(doubles(d.wait_raw(next).unwrap()).unwrap(), expected);
+    put(d, 3, 9).unwrap();
+    put(d, 3, 7).unwrap();
+    assert!(d.try_take_reply(first).is_none());
+    d.abandon_call(first);
+    cluster.shutdown(driver);
+}
+
+/// What one forward `transform` puts on a free fabric, for the CI log: per
+/// phase a request and a reply per worker, per exchange a `put` and a `take`
+/// (two messages each) per worker and peer — and each block that leaves its
+/// worker travels twice, into the peer's inbox and out of it, while the
+/// block a worker keeps never travels.
+#[test]
+fn transpose_traffic_is_what_the_remote_blocks_cost() {
+    let shape = [16usize; 3];
+    let grid = sample_grid(shape, 21);
+    let grid_bytes = (16 * grid.data().len()) as u64;
+    for parts in [1usize, 2, 4, 8] {
+        let (cluster, mut driver) = cluster(parts);
+        let dfft = DistributedFft3::new(&mut driver, [16; 3], parts).unwrap();
+        dfft.scatter(&mut driver, grid.data()).unwrap();
+        let before = cluster.snapshot();
+        dfft.transform(&mut driver, Direction::Forward).unwrap();
+        let sent = cluster.snapshot().since(&before);
+        let p = parts as u64;
+        let payload = 2 * 2 * grid_bytes * (p - 1) / p;
+        println!(
+            "transpose_traffic P={parts}: {} messages, {} bytes ({payload} of blocks)",
+            sent.messages_sent, sent.bytes_sent
+        );
+        assert_eq!(sent.messages_sent, 3 * 2 * p + 2 * p * 4 * (p - 1));
+        // Around the blocks: a frame's header, a method name, two integers.
+        let framing = sent.bytes_sent - payload;
+        assert!(framing <= 64 * sent.messages_sent, "{framing} bytes");
+        cluster.shutdown(driver);
+    }
 }
 
 /// `transform_finish` straight after `transform_local` used to be accepted:

@@ -221,8 +221,12 @@ impl Comm {
         Ok(out)
     }
 
-    /// Typed alltoall over double payloads (the FFT's block exchange).
-    pub fn alltoall_f64(&mut self, data: Vec<Vec<f64>>) -> MpResult<Vec<Vec<f64>>> {
+    /// Typed alltoall over double payloads (the FFT's block exchange). The
+    /// rank's own block is never sent, so it is not encoded either: it is
+    /// moved through as it is.
+    pub fn alltoall_f64(&mut self, mut data: Vec<Vec<f64>>) -> MpResult<Vec<Vec<f64>>> {
+        let rank = self.rank();
+        let mut own = data.get_mut(rank).map(std::mem::take);
         let encoded = data
             .into_iter()
             .map(|v| wire::to_bytes(&wire::collections::F64s(v)))
@@ -230,7 +234,11 @@ impl Comm {
         let exchanged = self.alltoall(encoded)?;
         exchanged
             .into_iter()
-            .map(|b| {
+            .enumerate()
+            .map(|(r, b)| {
+                if let Some(own) = own.take_if(|_| r == rank) {
+                    return Ok(own);
+                }
                 wire::from_bytes::<wire::collections::F64s>(&b)
                     .map(|f| f.0)
                     .map_err(|e| crate::MpError::Decode(e.to_string()))

@@ -49,7 +49,19 @@ impl PacketBytes {
     /// gives a retired message's allocation to its next one. `None` (and
     /// nothing lost) while anyone else still holds the bytes.
     pub fn into_unshared(self) -> Option<Vec<u8>> {
-        Arc::try_unwrap(self.buf).ok()
+        self.into_unshared_range().ok().map(|(buf, _)| buf)
+    }
+
+    /// [`into_unshared`](Self::into_unshared) for a holder that goes on
+    /// with the bytes either way: the buffer and where these bytes lie in
+    /// it — for a receiver that sends a part it kept onward in the buffer it
+    /// arrived in — or, while anyone else holds the buffer, the handle back.
+    pub fn into_unshared_range(self) -> Result<(Vec<u8>, Range<usize>), PacketBytes> {
+        let PacketBytes { buf, range } = self;
+        match Arc::try_unwrap(buf) {
+            Ok(buf) => Ok((buf, range)),
+            Err(buf) => Err(PacketBytes { buf, range }),
+        }
     }
 
     /// True when `self` and `other` are ranges of one allocation.
@@ -181,5 +193,18 @@ mod tests {
         assert_eq!(mid.clone().narrow(1..3).unwrap(), inner);
         assert!(mid.clone().narrow(0..7).is_none());
         assert!(!PacketBytes::from(vec![2, 3]).shares_buffer_with(&whole));
+    }
+
+    #[test]
+    fn the_last_holder_gets_buffer_and_range_anyone_else_the_handle_back() {
+        let whole = PacketBytes::from((0u8..10).collect::<Vec<_>>());
+        let mid = whole.slice(2..8).unwrap();
+        // Two holders: the handle comes back as it went in.
+        let mid = mid.into_unshared_range().unwrap_err();
+        assert_eq!(&*mid, &[2, 3, 4, 5, 6, 7]);
+        assert!(mid.shares_buffer_with(&whole));
+        drop(whole);
+        let (buf, range) = mid.into_unshared_range().unwrap();
+        assert_eq!((buf, range), ((0u8..10).collect(), 2..8));
     }
 }

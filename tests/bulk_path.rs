@@ -189,15 +189,18 @@ fn a_bulk_call_stays_within_its_allocation_budget() {
 const GET_BLOCKS_AT_PARENT: usize = 8;
 
 /// Large blocks one 64³ two-worker `transform` allocates, and its budget:
-/// per worker and exchange, the two requests its blocks are gathered into
-/// (kept by the inboxes) and the one reply they come back in (scattered
-/// from in place) — 2 workers × 2 exchanges × 3. The buffer the axis-0 pass
-/// works in is the worker's own, built once, so a thirteenth block is a
-/// copy of the transpose come back. (78 before a message had one buffer: a
-/// gathered copy, packed doubles, argument buffer, request frame,
-/// retransmission copy and the inbox's `Vec<f64>` per block, four more per
-/// reply. 14 while every exchange allocated its gather buffer.)
-const TRANSFORM_BLOCKS: usize = 12;
+/// per worker and exchange, the one `put` request the block for the other
+/// worker is gathered into — which the inbox keeps and then *is* the `take`
+/// reply, finished around the block where it arrived — 2 workers × 2
+/// exchanges. The block a worker keeps goes slab → `gathered` → slab and
+/// the buffer the axis-0 pass works in is the worker's own, built once, so
+/// a fifth block is a copy of the transpose come back: the relay not in
+/// place. (78 before a message had one buffer: a gathered copy, packed
+/// doubles, argument buffer, request frame, retransmission copy and the
+/// inbox's `Vec<f64>` per block, four more per reply. 14 while every
+/// exchange allocated its gather buffer; 12 while a worker mailed itself
+/// its own block and every reply was a fresh buffer.)
+const TRANSFORM_BLOCKS: usize = 4;
 
 /// The §4 transpose, as a budget: what one `transform` of a 64³ grid over
 /// two workers may allocate in blocks of a MiB.
@@ -226,6 +229,58 @@ fn a_distributed_transform_stays_within_its_allocation_budget() {
     dfft.transform(d, Direction::Inverse).unwrap();
     let back = dfft.gather(d).unwrap();
     assert!(oopp_repro::fft::max_error(&back, &grid) < 1e-9);
+    cluster.shutdown(driver);
+}
+
+/// A block put for an exchange nobody takes — a stray, or what a transform
+/// abandoned after an error leaves behind — stays in the inbox only until
+/// its worker's next `take`: N stray MiB in, one transform, and what is live
+/// is what a transform leaves live anyway (its replies, in the dedup window).
+#[test]
+fn stray_transpose_blocks_do_not_outlive_the_next_transform() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    const EDGE: usize = 64;
+    const STRAYS: usize = 8;
+    // One transpose block of a 64³ grid over two workers, in bytes.
+    const BLOCK: usize = EDGE * EDGE * EDGE / 4 * 16;
+    let (cluster, mut driver) = DistributedFft3::register(ClusterBuilder::new(2)).build();
+    let d = &mut driver;
+    let grid = vec![c64(1.0, -1.0); EDGE * EDGE * EDGE];
+    let dfft = DistributedFft3::new(d, [EDGE as u64; 3], 2).unwrap();
+    dfft.scatter(d, &grid).unwrap();
+    dfft.transform(d, Direction::Forward).unwrap();
+    let live = || LARGE_LIVE.load(Relaxed);
+    let idle = live();
+    dfft.transform(d, Direction::Inverse).unwrap();
+    let per_transform = live() - idle;
+
+    // From senders no group has, for an exchange long past.
+    let inbox = dfft.inboxes()[0];
+    let idle = live();
+    for stray in 0..STRAYS as u64 {
+        let block = &grid[..BLOCK / 16];
+        let put = inbox.put_async(d, 0, 100 + stray, std::iter::once(block));
+        put.unwrap().wait(d).unwrap();
+    }
+    let kept = live() - idle;
+    assert!(
+        kept >= STRAYS * BLOCK,
+        "{kept} bytes kept of {STRAYS} blocks"
+    );
+
+    dfft.transform(d, Direction::Forward).unwrap();
+    let left = live().saturating_sub(idle);
+    println!(
+        "{STRAYS} stray blocks: {} MiB kept, {} KiB live after a transform ({} per transform)",
+        kept >> 20,
+        left >> 10,
+        per_transform >> 10
+    );
+    // Slack: a node's spare request buffer comes and goes.
+    assert!(
+        left <= per_transform + 2 * BLOCK,
+        "{left} bytes live after a transform, {per_transform} after one without strays"
+    );
     cluster.shutdown(driver);
 }
 
