@@ -668,8 +668,8 @@ impl HotBlock {
         Ok(())
     }
 
-    fn read(&mut self, _ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<F64s> {
-        Ok(F64s(self.data.clone()))
+    fn read(&mut self, _ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<&[f64]> {
+        Ok(&self.data)
     }
 
     fn probe(&mut self, _ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<u64> {
@@ -677,7 +677,7 @@ impl HotBlock {
     }
 
     fn save_state(&self) -> Vec<u8> {
-        wire::to_bytes(&F64s(self.data.clone()))
+        wire::to_bytes_as::<F64s, _>(&self.data.as_slice())
     }
 
     fn load_state(_ctx: &mut oopp::NodeCtx, state: &[u8]) -> oopp::RemoteResult<Self> {
@@ -1154,8 +1154,8 @@ impl RepBlock {
         Ok(self.version)
     }
 
-    fn read(&mut self, _ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<F64s> {
-        Ok(F64s(self.data.clone()))
+    fn read(&mut self, _ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<&[f64]> {
+        Ok(&self.data)
     }
 
     fn bump(&mut self, _ctx: &mut oopp::NodeCtx, delta: f64) -> oopp::RemoteResult<u64> {

@@ -13,8 +13,15 @@
 //! have something to compute). [`ByteBlock`] is the raw-byte analogue.
 //! Both are **persistent** (§5): a block can be deactivated to a snapshot
 //! and reactivated later.
+//!
+//! The bulk verbs touch each byte once on the server and allocate nothing
+//! there: `write_range`, `dot_range` and `axpy_range` take a view of their
+//! argument where it arrived ([`F64sView`], `&[u8]`), `read_range` returns
+//! a borrow of the block and the reply is encoded from it — the
+//! [`remote_class!`](crate::macros) contract's view forms. The clients are
+//! the declared ones: `F64s` / `Bytes` in, `F64s` / `Bytes` out.
 
-use wire::collections::{Bytes, F64s};
+use wire::collections::{Bytes, F64s, F64sView};
 
 use crate::error::{RemoteError, RemoteResult};
 use crate::node::NodeCtx;
@@ -92,14 +99,22 @@ impl DoubleBlock {
         Ok(self.data.len())
     }
 
-    fn read_range(&mut self, _ctx: &mut NodeCtx, start: usize, len: usize) -> RemoteResult<F64s> {
+    /// The reply is encoded straight from the block: no copy is made to be
+    /// encoded and dropped.
+    fn read_range(&mut self, _ctx: &mut NodeCtx, start: usize, len: usize) -> RemoteResult<&[f64]> {
         self.check_range(start, len)?;
-        Ok(F64s(self.data[start..start + len].to_vec()))
+        Ok(&self.data[start..start + len])
     }
 
-    fn write_range(&mut self, _ctx: &mut NodeCtx, start: usize, data: F64s) -> RemoteResult<()> {
-        self.check_range(start, data.0.len())?;
-        self.data[start..start + data.0.len()].copy_from_slice(&data.0);
+    /// The doubles go from the request, where they arrived, into the block.
+    fn write_range(
+        &mut self,
+        _ctx: &mut NodeCtx,
+        start: usize,
+        data: F64sView<'_>,
+    ) -> RemoteResult<()> {
+        self.check_range(start, data.len())?;
+        data.copy_to(0, &mut self.data[start..start + data.len()]);
         Ok(())
     }
 
@@ -108,11 +123,16 @@ impl DoubleBlock {
         Ok(self.data[start..start + len].iter().sum())
     }
 
-    fn dot_range(&mut self, _ctx: &mut NodeCtx, start: usize, other: F64s) -> RemoteResult<f64> {
-        self.check_range(start, other.0.len())?;
-        Ok(self.data[start..start + other.0.len()]
+    fn dot_range(
+        &mut self,
+        _ctx: &mut NodeCtx,
+        start: usize,
+        other: F64sView<'_>,
+    ) -> RemoteResult<f64> {
+        self.check_range(start, other.len())?;
+        Ok(self.data[start..start + other.len()]
             .iter()
-            .zip(&other.0)
+            .zip(other.iter())
             .map(|(a, b)| a * b)
             .sum())
     }
@@ -122,12 +142,12 @@ impl DoubleBlock {
         _ctx: &mut NodeCtx,
         start: usize,
         alpha: f64,
-        other: F64s,
+        other: F64sView<'_>,
     ) -> RemoteResult<()> {
-        self.check_range(start, other.0.len())?;
-        for (dst, src) in self.data[start..start + other.0.len()]
+        self.check_range(start, other.len())?;
+        for (dst, src) in self.data[start..start + other.len()]
             .iter_mut()
-            .zip(&other.0)
+            .zip(other.iter())
         {
             *dst += alpha * src;
         }
@@ -136,7 +156,7 @@ impl DoubleBlock {
 
     /// Persistence hook (§5): the state is just the elements.
     pub fn save_state(&self) -> Vec<u8> {
-        wire::to_bytes(&F64s(self.data.clone()))
+        wire::to_bytes_as::<F64s, _>(&self.data.as_slice())
     }
 
     /// Persistence hook (§5).
@@ -204,20 +224,20 @@ impl ByteBlock {
         Ok(self.data.len())
     }
 
-    fn read_range(&mut self, _ctx: &mut NodeCtx, start: usize, len: usize) -> RemoteResult<Bytes> {
+    fn read_range(&mut self, _ctx: &mut NodeCtx, start: usize, len: usize) -> RemoteResult<&[u8]> {
         self.check_range(start, len)?;
-        Ok(Bytes(self.data[start..start + len].to_vec()))
+        Ok(&self.data[start..start + len])
     }
 
-    fn write_range(&mut self, _ctx: &mut NodeCtx, start: usize, data: Bytes) -> RemoteResult<()> {
-        self.check_range(start, data.0.len())?;
-        self.data[start..start + data.0.len()].copy_from_slice(&data.0);
+    fn write_range(&mut self, _ctx: &mut NodeCtx, start: usize, data: &[u8]) -> RemoteResult<()> {
+        self.check_range(start, data.len())?;
+        self.data[start..start + data.len()].copy_from_slice(data);
         Ok(())
     }
 
     /// Persistence hook (§5).
     pub fn save_state(&self) -> Vec<u8> {
-        wire::to_bytes(&Bytes(self.data.clone()))
+        wire::to_bytes_as::<Bytes, _>(&self.data.as_slice())
     }
 
     /// Persistence hook (§5).

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use simnet::PacketBytes;
 use wire::collections::Bytes;
 use wire::varint::MAX_VARINT_LEN;
-use wire::{wire_struct, Reader, Wire, WireError, WireResult, Writer, V64};
+use wire::{wire_struct, EncodesAs, Reader, Wire, WireError, WireResult, Writer, V64};
 
 use crate::error::{RemoteError, RemoteResult};
 use crate::ids::{ObjRef, ObjectId};
@@ -239,9 +239,17 @@ impl Body {
     /// length hint: room in front, the value, and the response prefix on
     /// its way to the front.
     pub fn of<T: Wire>(value: &T) -> Self {
-        let room = 2 * PREFIX_ROOM + value.encoded_len_hint();
+        Body::of_as::<T, T>(value)
+    }
+
+    /// `value` encoded as a body that decodes as a `T`: `T` itself, or a
+    /// borrow of the same data that [encodes alike](EncodesAs) — a slice of
+    /// the object's own state written straight into the reply. How
+    /// `remote_class!` encodes what a method returns.
+    pub fn of_as<T: Wire, V: EncodesAs<T>>(value: &V) -> Self {
+        let room = 2 * PREFIX_ROOM + value.encoded_len_as();
         let mut body = Body::reusing(Vec::with_capacity(room));
-        value.encode(&mut body.w);
+        value.encode_as(&mut body.w);
         body
     }
 
@@ -899,6 +907,24 @@ mod tests {
             spare = sealed.into_unshared().unwrap_or_default();
         }
         assert_eq!(Body::of(&(7u32, "x".to_string())).len(), 4 + 2);
+    }
+
+    /// A reply encoded from a borrow of the object's state is the reply its
+    /// owned copy would have made: the same frame, in a buffer sized alike.
+    #[test]
+    fn a_body_of_a_borrow_is_the_body_of_the_owned_value() {
+        use wire::collections::F64s;
+        let doubles: Vec<f64> = (0..40_000).map(|i| i as f64 * -0.5).collect();
+        let bytes: Vec<u8> = (0..70_000).map(|i| i as u8).collect();
+        let sealed = |body: Body| encode_response(5, Ok(body));
+        let (owned, weight) = sealed(Body::of(&F64s(doubles.clone())));
+        let (borrowed, same) = sealed(Body::of_as::<F64s, _>(&doubles.as_slice()));
+        assert_eq!((&borrowed, same), (&owned, weight));
+        let room = |frame: PacketBytes| frame.into_unshared().unwrap().capacity();
+        assert_eq!(room(borrowed), room(owned));
+        let (owned, _) = sealed(Body::of(&Bytes(bytes.clone())));
+        let (borrowed, _) = sealed(Body::of_as::<Bytes, _>(&bytes.as_slice()));
+        assert_eq!(borrowed, owned);
     }
 
     /// A request carrying `block` as its last argument, and the bytes of it

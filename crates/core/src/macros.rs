@@ -26,6 +26,32 @@
 //! fn m(&mut self, ctx: &mut NodeCtx, x: X) -> RemoteResult<Y>;
 //! ```
 //!
+//! The class description fixes the **wire** and the client stubs; the
+//! inherent method may ask for less. It may take, in place of a declared
+//! argument `X`, any [`ViewOf<X>`](wire::ViewOf) — the argument left where
+//! it arrived, in the request — and return, in place of `Y`, anything that
+//! [`EncodesAs<Y>`](wire::EncodesAs) — a borrow of the object's own state,
+//! written straight into the reply. The one generated dispatcher decodes
+//! each argument as the type the method's signature names and encodes what
+//! the method returns (both by inference), so a bulk verb costs no copy and
+//! no allocation of the server's own:
+//!
+//! ```text
+//! class DoubleBlock {
+//!     fn read_range(&mut self, start: usize, len: usize) -> F64s;
+//!     fn write_range(&mut self, start: usize, data: F64s) -> ();
+//! }
+//! fn read_range(&mut self, ctx: &mut NodeCtx, start: usize, len: usize) -> RemoteResult<&[f64]>;
+//! fn write_range(&mut self, ctx: &mut NodeCtx, start: usize, data: F64sView<'_>) -> RemoteResult<()>;
+//! ```
+//!
+//! `DoubleBlockClient::read_range` still returns `F64s` and `write_range`
+//! still takes one; the bytes on the wire are the same. A view is checked
+//! as its owned type is (a declared count against the bytes present)
+//! before the method runs, and borrows the request, which outlives the
+//! method whatever calls it makes meanwhile. A method that keeps or changes
+//! the argument takes the owned type, as every method did before.
+//!
 //! # Inheritance (§3)
 //!
 //! `class Derived: Base { ... }` requires the struct `Derived` to have a
@@ -299,9 +325,14 @@ macro_rules! remote_class {
                     match method {
                         $(
                             stringify!($method) => {
-                                $( let $marg = <$mty as $crate::wire::Wire>::decode(args)?; )*
-                                let ret: $ret = self.$method(ctx, $($marg),*)?;
-                                Ok($crate::DispatchResult::Reply($crate::Body::of(&ret)))
+                                // The method's own signature picks, by
+                                // inference, what each argument is decoded
+                                // as and what is encoded as the result.
+                                $( let $marg = <_ as $crate::wire::ViewOf<'_, $mty>>::view(args)?; )*
+                                let ret = self.$method(ctx, $($marg),*)?;
+                                Ok($crate::DispatchResult::Reply(
+                                    $crate::Body::of_as::<$ret, _>(&ret),
+                                ))
                             }
                         )*
                         _ => $crate::__dispatch_fallthrough!(

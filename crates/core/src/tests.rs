@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use wire::collections::F64s;
+use wire::collections::{F64s, F64sView};
 
 use crate::*;
 
@@ -150,9 +150,46 @@ impl ScaledCounter {
     }
 }
 
+/// Takes its bulk argument as a view of the request and goes on reading it
+/// across the nested calls it makes.
+#[derive(Debug)]
+pub struct Courier;
+
+remote_class! {
+    class Courier {
+        ctor();
+        /// Write `data` to `to`, half by half, and return its sum.
+        fn deliver(&mut self, to: DoubleBlockClient, data: F64s) -> f64;
+    }
+}
+
+impl Courier {
+    fn new(_ctx: &mut NodeCtx) -> RemoteResult<Self> {
+        Ok(Courier)
+    }
+
+    fn deliver(
+        &mut self,
+        ctx: &mut NodeCtx,
+        to: DoubleBlockClient,
+        data: F64sView<'_>,
+    ) -> RemoteResult<f64> {
+        let half = data.len() / 2;
+        for (at, len) in [(0, half), (half, data.len() - half)] {
+            let mut part = vec![0.0; len];
+            data.copy_to(at, &mut part);
+            // Another request is encoded, and on `to`'s machine another
+            // dispatched, while the view is held.
+            to.write_range(ctx, at, F64s(part))?;
+        }
+        Ok(data.iter().sum())
+    }
+}
+
 fn cluster(workers: usize) -> (Cluster, Driver) {
     ClusterBuilder::new(workers)
         .register::<Computer>()
+        .register::<Courier>()
         .register::<Counter>()
         .register::<ScaledCounter>()
         .timeout(Duration::from_secs(10))
@@ -291,6 +328,95 @@ fn bulk_ranges_roundtrip() {
     d.axpy_range(&mut driver, 25, -1.0, F64s(payload.clone()))
         .unwrap();
     assert_eq!(d.sum_range(&mut driver, 0, 100).unwrap(), 0.0);
+    cluster.shutdown(driver);
+}
+
+/// What a block of eight holds after `mark`, and that it still holds it.
+fn assert_untouched(d: &DoubleBlockClient, driver: &mut Driver, mark: &[f64]) {
+    assert_eq!(d.read_range(driver, 0, mark.len()).unwrap().0, mark);
+}
+
+#[test]
+fn a_bulk_argument_that_is_junk_changes_nothing() {
+    let (cluster, mut driver) = cluster(1);
+    let d = DoubleBlockClient::new_on(&mut driver, 0, 8).unwrap();
+    let mark: Vec<f64> = (1..=8).map(f64::from).collect();
+    d.write_range(&mut driver, 0, F64s(mark.clone())).unwrap();
+
+    // Eight doubles declared, three present: refused where `F64s::decode`
+    // refused it, before the method runs.
+    for method in ["write_range", "dot_range"] {
+        let err: RemoteResult<()> = driver.call_method(d.obj_ref(), method, |w| {
+            wire::Wire::encode(&0usize, w);
+            w.put_varint(8);
+            w.put_f64s(&[9.0; 3]);
+        });
+        assert!(matches!(err.unwrap_err(), RemoteError::Decode { .. }));
+        assert_untouched(&d, &mut driver, &mark);
+    }
+
+    // A range past the block: the application error it always was.
+    let past = d.write_range(&mut driver, 6, F64s(vec![9.0; 5]));
+    assert_eq!(
+        past.unwrap_err(),
+        RemoteError::app("range [6, 6+5) out of bounds for block of 8")
+    );
+    let wraps = d.axpy_range(&mut driver, usize::MAX, 2.0, F64s(vec![9.0; 2]));
+    assert!(matches!(wraps.unwrap_err(), RemoteError::App { .. }));
+    let read_past = d.read_range(&mut driver, 4, 5);
+    assert_eq!(
+        read_past.unwrap_err(),
+        RemoteError::app("range [4, 4+5) out of bounds for block of 8")
+    );
+    assert_untouched(&d, &mut driver, &mark);
+
+    // And the machine answers the next call.
+    assert_eq!(d.get(&mut driver, 7).unwrap(), 8.0);
+    cluster.shutdown(driver);
+}
+
+#[test]
+fn empty_bulk_ranges_roundtrip() {
+    let (cluster, mut driver) = cluster(1);
+    let d = DoubleBlockClient::new_on(&mut driver, 0, 8).unwrap();
+    d.fill(&mut driver, 1.5).unwrap();
+    for start in [0, 3, 8] {
+        d.write_range(&mut driver, start, F64s(vec![])).unwrap();
+        assert_eq!(d.read_range(&mut driver, start, 0).unwrap(), F64s(vec![]));
+        assert_eq!(d.dot_range(&mut driver, start, F64s(vec![])).unwrap(), 0.0);
+    }
+    assert_eq!(d.sum_range(&mut driver, 0, 8).unwrap(), 12.0);
+    let b = ByteBlockClient::new_on(&mut driver, 0, 4).unwrap();
+    b.write_range(&mut driver, 4, wire::collections::Bytes(vec![]))
+        .unwrap();
+    assert_eq!(b.read_range(&mut driver, 4, 0).unwrap().0, Vec::<u8>::new());
+    let past = b.write_range(&mut driver, 3, wire::collections::Bytes(vec![1, 2]));
+    assert_eq!(
+        past.unwrap_err(),
+        RemoteError::app("range [3, 3+2) out of bounds for block of 4")
+    );
+    assert_eq!(b.read_range(&mut driver, 0, 4).unwrap().0, vec![0; 4]);
+    cluster.shutdown(driver);
+}
+
+/// A view is of the request the method was dispatched with, whatever else
+/// its node encodes, sends, receives and dispatches while the method holds
+/// it: calls to a block on the courier's own machine (served nested, on the
+/// same node) and to one on another.
+#[test]
+fn a_view_argument_reads_its_own_request_across_nested_calls() {
+    let (cluster, mut driver) = cluster(2);
+    let courier = CourierClient::new_on(&mut driver, 0).unwrap();
+    // Large enough that a reused buffer would be overwritten, odd so the
+    // halves differ.
+    let payload: Vec<f64> = (0..4097).map(|i| i as f64 - 0.25).collect();
+    for machine in [0, 1] {
+        let to = DoubleBlockClient::new_on(&mut driver, machine, payload.len()).unwrap();
+        let sum = courier.deliver(&mut driver, to, F64s(payload.clone()));
+        assert_eq!(sum.unwrap(), payload.iter().sum::<f64>());
+        let landed = to.read_range(&mut driver, 0, payload.len()).unwrap();
+        assert_eq!(landed.0, payload);
+    }
     cluster.shutdown(driver);
 }
 

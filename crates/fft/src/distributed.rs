@@ -381,17 +381,19 @@ impl FftWorker {
         Ok(())
     }
 
-    fn load_slab(&mut self, _ctx: &mut NodeCtx, data: F64s) -> RemoteResult<()> {
+    /// The slab is filled from the request, where it arrived.
+    fn load_slab(&mut self, _ctx: &mut NodeCtx, data: F64sView<'_>) -> RemoteResult<()> {
         let slab = as_f64s_mut(&mut self.slab);
-        if data.0.len() != slab.len() {
+        if data.len() != slab.len() {
             return Err(RemoteError::app("the slab loaded has the wrong size"));
         }
-        slab.copy_from_slice(&data.0);
+        data.copy_to(0, slab);
         Ok(())
     }
 
-    fn read_slab(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<F64s> {
-        Ok(F64s(as_f64s(&self.slab).to_vec()))
+    /// The reply is encoded from the slab itself.
+    fn read_slab(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<&[f64]> {
+        Ok(as_f64s(&self.slab))
     }
 
     fn describe(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<(u64, u64)> {

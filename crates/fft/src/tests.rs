@@ -342,6 +342,115 @@ fn distributed_equals_local_element_for_element() {
     }
 }
 
+/// The phases of one two-worker 64³ `transform` as the workers run them,
+/// without the runtime: `process_planes` on each slab, the forward
+/// transpose (a worker's own block slab → `gathered`; the other's gathered
+/// into a message buffer and scattered out of it), `process_axis0`, the
+/// transpose back. Six block copies of 1 MiB per worker and transform.
+/// Returns the time spent in (planes, axis 0, copies).
+fn replay_transform(
+    plan: &Fft3,
+    dir: Direction,
+    slabs: &mut [Vec<Complex>],
+    gathered: &mut [Vec<Complex>],
+    message: &mut [Complex],
+) -> [std::time::Duration; 3] {
+    use std::time::Instant;
+    let [n1, n2, n3] = plan.shape();
+    let parts = slabs.len();
+    let (s1, s2) = (n1 / parts, n2 / parts);
+    let (block, rows) = (s1 * s2 * n3, s2 * n3);
+    let run = |i: usize, q: usize| (i * n2 + q * s2) * n3;
+
+    let t0 = Instant::now();
+    for slab in slabs.iter_mut() {
+        plan.process_planes(slab, dir);
+    }
+    let t1 = Instant::now();
+    for (p, slab) in slabs.iter().enumerate() {
+        for (q, into) in gathered.iter_mut().enumerate() {
+            let into = &mut into[p * block..][..block];
+            let target = if p == q { &mut *into } else { &mut *message };
+            for (i, dst) in target.chunks_exact_mut(rows).enumerate() {
+                dst.copy_from_slice(&slab[run(i, q)..][..rows]);
+            }
+            if p != q {
+                into.copy_from_slice(message);
+            }
+        }
+    }
+    let t2 = Instant::now();
+    for columns in gathered.iter_mut() {
+        plan.process_axis0(columns, dir);
+    }
+    let t3 = Instant::now();
+    for (q, from) in gathered.iter().enumerate() {
+        for (p, slab) in slabs.iter_mut().enumerate() {
+            let mut back = &from[p * block..][..block];
+            if p != q {
+                message.copy_from_slice(back);
+                back = message;
+            }
+            for (i, row) in back.chunks_exact(rows).enumerate() {
+                slab[run(i, q)..][..rows].copy_from_slice(row);
+            }
+        }
+    }
+    let t4 = Instant::now();
+    [t1 - t0, t3 - t2, (t2 - t1) + (t4 - t3)]
+}
+
+/// Where the worker time of one `fft3d` op (a forward and an inverse 64³
+/// transform over two workers) goes, so the ROADMAP's split can be re-read:
+/// `cargo test --release -p fft --lib replay -- --ignored --nocapture`, on
+/// one pinned CPU (`taskset -c 1`) to compare with the benchmark.
+#[test]
+#[ignore = "prints a timing split; meaningful in --release only"]
+fn replay_of_one_fft3d_op_splits_worker_time_into_arithmetic_and_copies() {
+    const PARTS: usize = 2;
+    const OPS: u32 = 200;
+    let shape = [64usize; 3];
+    let plan = Fft3::new(shape);
+    let grid = sample_grid(shape, 11);
+    let cells = grid.data().len();
+    let slabs = grid.data().chunks_exact(cells / PARTS);
+    let mut slabs: Vec<Vec<Complex>> = slabs.map(<[_]>::to_vec).collect();
+    let mut gathered = vec![vec![Complex::ZERO; cells / PARTS]; PARTS];
+    let mut message = vec![Complex::ZERO; cells / PARTS / PARTS];
+
+    // The replay is the workers' dataflow: one forward equals `Fft3`.
+    replay_transform(
+        &plan,
+        Direction::Forward,
+        &mut slabs,
+        &mut gathered,
+        &mut message,
+    );
+    assert!(slabs.concat() == plan.transform(&grid, Direction::Forward).data());
+    replay_transform(
+        &plan,
+        Direction::Inverse,
+        &mut slabs,
+        &mut gathered,
+        &mut message,
+    );
+
+    let mut split = [std::time::Duration::ZERO; 3];
+    for _ in 0..OPS {
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let took = replay_transform(&plan, dir, &mut slabs, &mut gathered, &mut message);
+            split.iter_mut().zip(took).for_each(|(sum, t)| *sum += t);
+        }
+    }
+    let [planes, axis0, copies] = split.map(|t| t.as_secs_f64() * 1e3 / f64::from(OPS));
+    println!(
+        "one fft3d op, worker phases replayed: planes {planes:.2} ms + axis 0 {axis0:.2} ms \
+         = {:.2} ms arithmetic, {copies:.2} ms of block copies",
+        planes + axis0
+    );
+    assert!(max_error(&slabs.concat(), grid.data()) < 1e-9);
+}
+
 #[test]
 fn workers_report_identity() {
     let (cluster, mut driver) = cluster(3);

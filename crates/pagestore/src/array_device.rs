@@ -8,7 +8,7 @@
 //! unchanged.
 
 use oopp::{remote_class, NodeCtx, RemoteError, RemoteResult};
-use wire::collections::F64s;
+use wire::collections::{F64s, F64sView};
 
 use crate::device::{PageDevice, PageDeviceClient};
 use crate::page::ArrayPage;
@@ -164,20 +164,22 @@ impl ArrayPageDevice {
         (self.n1 * self.n2 * self.n3) as usize
     }
 
-    fn load(&self, page_index: u64) -> RemoteResult<Vec<f64>> {
-        let bytes = self.base.read_page_raw(page_index)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+    /// A page as it lies in the base device's page buffer: doubles in wire
+    /// order already.
+    fn page(&mut self, page_index: u64) -> RemoteResult<F64sView<'_>> {
+        F64sView::of_le_bytes(self.base.read_page_raw(page_index)?)
+            .ok_or_else(|| RemoteError::app("page size is not a whole number of doubles"))
+    }
+
+    /// A page decoded, for the verbs that index into it or change it.
+    fn load(&mut self, page_index: u64) -> RemoteResult<Vec<f64>> {
+        Ok(self.page(page_index)?.to_vec())
     }
 
     fn store(&self, page_index: u64, data: &[f64]) -> RemoteResult<()> {
-        let mut bytes = Vec::with_capacity(data.len() * 8);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.base.write_page_raw(page_index, &bytes)
+        let mut bytes = wire::Writer::with_capacity(size_of_val(data));
+        bytes.put_f64s(data);
+        self.base.write_page_raw(page_index, bytes.as_slice())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -207,21 +209,16 @@ impl ArrayPageDevice {
     }
 
     fn sum(&mut self, _ctx: &mut NodeCtx, page_index: u64) -> RemoteResult<f64> {
-        Ok(self.load(page_index)?.iter().sum())
+        Ok(self.page(page_index)?.iter().sum())
     }
 
     fn min(&mut self, _ctx: &mut NodeCtx, page_index: u64) -> RemoteResult<f64> {
-        Ok(self
-            .load(page_index)?
-            .into_iter()
-            .fold(f64::INFINITY, f64::min))
+        Ok(self.page(page_index)?.iter().fold(f64::INFINITY, f64::min))
     }
 
     fn max(&mut self, _ctx: &mut NodeCtx, page_index: u64) -> RemoteResult<f64> {
-        Ok(self
-            .load(page_index)?
-            .into_iter()
-            .fold(f64::NEG_INFINITY, f64::max))
+        let page = self.page(page_index)?;
+        Ok(page.iter().fold(f64::NEG_INFINITY, f64::max))
     }
 
     fn scale(&mut self, _ctx: &mut NodeCtx, page_index: u64, alpha: f64) -> RemoteResult<()> {
@@ -232,19 +229,27 @@ impl ArrayPageDevice {
         self.store(page_index, &data)
     }
 
-    fn read_array(&mut self, _ctx: &mut NodeCtx, page_index: u64) -> RemoteResult<F64s> {
-        Ok(F64s(self.load(page_index)?))
+    /// The reply is the page's bytes behind their count: never decoded.
+    fn read_array(&mut self, _ctx: &mut NodeCtx, page_index: u64) -> RemoteResult<F64sView<'_>> {
+        self.page(page_index)
     }
 
-    fn write_array(&mut self, _ctx: &mut NodeCtx, page_index: u64, data: F64s) -> RemoteResult<()> {
-        if data.0.len() != self.elems() {
+    /// The doubles go to the disk as they arrived: a page stores them in
+    /// wire order.
+    fn write_array(
+        &mut self,
+        _ctx: &mut NodeCtx,
+        page_index: u64,
+        data: F64sView<'_>,
+    ) -> RemoteResult<()> {
+        if data.len() != self.elems() {
             return Err(RemoteError::app(format!(
                 "array page of {} elements written to device expecting {}",
-                data.0.len(),
+                data.len(),
                 self.elems()
             )));
         }
-        self.store(page_index, &data.0)
+        self.base.write_page_raw(page_index, data.as_le_bytes())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -283,25 +288,25 @@ impl ArrayPageDevice {
         b2: u64,
         a3: u64,
         b3: u64,
-        data: F64s,
+        data: F64sView<'_>,
     ) -> RemoteResult<()> {
         let sb = self.check_sub(a1, b1, a2, b2, a3, b3)?;
         let expect = (sb.b1 - sb.a1) * (sb.b2 - sb.a2) * (sb.b3 - sb.a3);
-        if data.0.len() != expect {
+        if data.len() != expect {
             return Err(RemoteError::app(format!(
                 "sub-box write of {} elements, expected {expect}",
-                data.0.len()
+                data.len()
             )));
         }
         let mut page = self.load(page_index)?;
         let (n2, n3) = (self.n2 as usize, self.n3 as usize);
-        let mut src = data.0.iter();
+        // Row by row from the request; the length was checked above.
+        let mut at = 0;
         for i1 in sb.a1..sb.b1 {
             for i2 in sb.a2..sb.b2 {
                 let row = (i1 * n2 + i2) * n3;
-                for dst in &mut page[row + sb.a3..row + sb.b3] {
-                    *dst = *src.next().expect("length checked above");
-                }
+                data.copy_to(at, &mut page[row + sb.a3..row + sb.b3]);
+                at += sb.b3 - sb.a3;
             }
         }
         self.store(page_index, &page)
@@ -333,7 +338,7 @@ impl ArrayPageDevice {
     }
 
     fn fold_sub(
-        &self,
+        &mut self,
         page_index: u64,
         sb: &SubBox,
         init: f64,

@@ -22,6 +22,9 @@ pub struct PageDevice {
     /// Base offset of this device's region on the shared disk.
     base: usize,
     disk: Arc<SimDisk>,
+    /// The device's page buffer: a read lands here and the reply is encoded
+    /// from here. Empty until the first read.
+    page: Vec<u8>,
 }
 
 impl std::fmt::Debug for PageDevice {
@@ -114,6 +117,7 @@ impl PageDevice {
             disk_index,
             base,
             disk,
+            page: Vec::new(),
         })
     }
 
@@ -133,6 +137,7 @@ impl PageDevice {
             disk_index: s.disk_index,
             base: s.base as usize,
             disk,
+            page: Vec::new(),
         })
     }
 
@@ -146,27 +151,20 @@ impl PageDevice {
         Ok(self.base + (page_index * self.page_size) as usize)
     }
 
-    fn write(&mut self, _ctx: &mut NodeCtx, page_index: u64, data: Bytes) -> RemoteResult<()> {
-        if data.0.len() as u64 != self.page_size {
+    /// The page goes from the request, where it arrived, to the disk.
+    fn write(&mut self, _ctx: &mut NodeCtx, page_index: u64, data: &[u8]) -> RemoteResult<()> {
+        if data.len() as u64 != self.page_size {
             return Err(RemoteError::app(format!(
                 "page of {} bytes written to device with page_size {}",
-                data.0.len(),
+                data.len(),
                 self.page_size
             )));
         }
-        let offset = self.offset_of(page_index)?;
-        self.disk
-            .write(offset, &data.0)
-            .map_err(|e| RemoteError::app(e.to_string()))
+        self.write_page_raw(page_index, data)
     }
 
-    fn read(&mut self, _ctx: &mut NodeCtx, page_index: u64) -> RemoteResult<Bytes> {
-        let offset = self.offset_of(page_index)?;
-        let mut buf = vec![0u8; self.page_size as usize];
-        self.disk
-            .read(offset, &mut buf)
-            .map_err(|e| RemoteError::app(e.to_string()))?;
-        Ok(Bytes(buf))
+    fn read(&mut self, _ctx: &mut NodeCtx, page_index: u64) -> RemoteResult<&[u8]> {
+        self.read_page_raw(page_index)
     }
 
     fn number_of_pages(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<u64> {
@@ -183,13 +181,14 @@ impl PageDevice {
 
     // --- internal accessors used by the derived ArrayPageDevice ---
 
-    pub(crate) fn read_page_raw(&self, page_index: u64) -> RemoteResult<Vec<u8>> {
+    /// Read a page into the device's page buffer.
+    pub(crate) fn read_page_raw(&mut self, page_index: u64) -> RemoteResult<&[u8]> {
         let offset = self.offset_of(page_index)?;
-        let mut buf = vec![0u8; self.page_size as usize];
+        self.page.resize(self.page_size as usize, 0);
         self.disk
-            .read(offset, &mut buf)
+            .read(offset, &mut self.page)
             .map_err(|e| RemoteError::app(e.to_string()))?;
-        Ok(buf)
+        Ok(&self.page)
     }
 
     pub(crate) fn write_page_raw(&self, page_index: u64, data: &[u8]) -> RemoteResult<()> {

@@ -60,6 +60,52 @@ fn page_index_and_size_validation() {
     cluster.shutdown(driver);
 }
 
+/// A device encodes every read from its one page buffer and writes a page
+/// to the disk from the request it arrived in: reads of different pages,
+/// through either interface, never show each other's bytes, and a page that
+/// arrives short or malformed leaves the disk as it was.
+#[test]
+fn the_page_buffer_holds_the_page_asked_for_and_junk_never_reaches_the_disk() {
+    let (cluster, mut driver) = cluster(1);
+    let d = &mut driver;
+    let dev = ArrayPageDeviceClient::new_on(d, 0, "a".into(), 3, 2, 2, 2, 0, None).unwrap();
+    let page = |p: u64| F64s((0..8).map(|i| (10 * p + i) as f64 - 0.5).collect());
+    for p in 0..3 {
+        dev.write_array(d, p, page(p)).unwrap();
+    }
+    for p in [2, 0, 1, 1, 2] {
+        assert_eq!(dev.read_array(d, p).unwrap(), page(p));
+        // The same page through the base interface: its bytes, undecoded.
+        assert_eq!(
+            dev.as_base().read(d, p).unwrap().0,
+            wire::to_bytes(&page(p))[1..]
+        );
+        assert_eq!(dev.sum(d, p).unwrap(), page(p).0.iter().sum::<f64>());
+    }
+
+    // Eight doubles declared, five present; then a page one double short.
+    let short: Result<(), _> = d.call_method(dev.obj_ref(), "write_array", |w| {
+        wire::Wire::encode(&1u64, w);
+        w.put_varint(8);
+        w.put_f64s(&[99.0; 5]);
+    });
+    assert!(matches!(short, Err(RemoteError::Decode { .. })));
+    assert!(matches!(
+        dev.write_array(d, 1, F64s(vec![99.0; 7])),
+        Err(RemoteError::App { .. })
+    ));
+    assert!(matches!(
+        dev.as_base().write(d, 1, Bytes(vec![9; 63])),
+        Err(RemoteError::App { .. })
+    ));
+    assert!(matches!(
+        dev.write_sub(d, 1, 0, 2, 0, 2, 0, 1, F64s(vec![99.0; 5])),
+        Err(RemoteError::App { .. })
+    ));
+    assert_eq!(dev.read_array(d, 1).unwrap(), page(1));
+    cluster.shutdown(driver);
+}
+
 #[test]
 fn devices_on_separate_machines_are_independent() {
     let (cluster, mut driver) = cluster(3);

@@ -24,10 +24,60 @@ pub trait Wire: Sized {
     }
 }
 
+/// A type that decodes what `T` encodes — `T` itself, or a **view** of the
+/// same bytes left where they lie in the buffer being read (`'a`): what a
+/// method takes when it only reads a bulk argument, or copies it once to
+/// where it is kept. The checks are `T::decode`'s; only the copy is gone.
+///
+/// `remote_class!`'s dispatcher decodes every argument through this trait,
+/// so the parameter type of the class's own method picks the impl.
+pub trait ViewOf<'a, T: Wire>: Sized {
+    /// Decode one `T` from the front of `r`, as `Self`.
+    fn view(r: &mut Reader<'a>) -> WireResult<Self>;
+}
+
+impl<'a, T: Wire> ViewOf<'a, T> for T {
+    #[inline]
+    fn view(r: &mut Reader<'a>) -> WireResult<Self> {
+        T::decode(r)
+    }
+}
+
+/// A type whose encoding is byte for byte the one `T` has — `T` itself, or
+/// a borrow of the same data from wherever it lies: what a method returns
+/// when its result is part of its own state, so the reply is written from
+/// there and no owned `T` is built to be encoded once and dropped.
+pub trait EncodesAs<T: Wire> {
+    /// Append the encoding `T` would have to `w`.
+    fn encode_as(&self, w: &mut Writer);
+
+    /// [`Wire::encoded_len_hint`] of that encoding.
+    fn encoded_len_as(&self) -> usize {
+        0
+    }
+}
+
+impl<T: Wire> EncodesAs<T> for T {
+    #[inline]
+    fn encode_as(&self, w: &mut Writer) {
+        self.encode(w);
+    }
+    #[inline]
+    fn encoded_len_as(&self) -> usize {
+        self.encoded_len_hint()
+    }
+}
+
 /// Encode a single value to a fresh byte buffer.
 pub fn to_bytes<T: Wire>(value: &T) -> Vec<u8> {
-    let mut w = Writer::with_capacity(value.encoded_len_hint());
-    value.encode(&mut w);
+    to_bytes_as::<T, T>(value)
+}
+
+/// The bytes [`to_bytes`] makes of a `T`, from a value that
+/// [encodes alike](EncodesAs) — a snapshot written from the state itself.
+pub fn to_bytes_as<T: Wire, V: EncodesAs<T>>(value: &V) -> Vec<u8> {
+    let mut w = Writer::with_capacity(value.encoded_len_as());
+    value.encode_as(&mut w);
     w.into_bytes()
 }
 

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::codec::Wire;
+use crate::codec::{EncodesAs, ViewOf, Wire};
 use crate::error::{WireError, WireResult};
 use crate::reader::Reader;
 use crate::writer::Writer;
@@ -182,7 +182,27 @@ impl Wire for Bytes {
         Ok(Bytes(r.take_len_prefixed()?.to_vec()))
     }
     fn encoded_len_hint(&self) -> usize {
-        crate::varint::encoded_len(self.0.len() as u64) + self.0.len()
+        self.0.as_slice().encoded_len_as()
+    }
+}
+
+/// What [`Bytes`] decodes, left where it lies.
+impl<'a> ViewOf<'a, Bytes> for &'a [u8] {
+    #[inline]
+    fn view(r: &mut Reader<'a>) -> WireResult<Self> {
+        r.take_len_prefixed()
+    }
+}
+
+/// What [`Bytes`] encodes, from wherever the bytes lie.
+impl EncodesAs<Bytes> for &[u8] {
+    #[inline]
+    fn encode_as(&self, w: &mut Writer) {
+        w.put_len_prefixed(self);
+    }
+    #[inline]
+    fn encoded_len_as(&self) -> usize {
+        crate::varint::encoded_len(self.len() as u64) + self.len()
     }
 }
 
@@ -214,7 +234,19 @@ impl Wire for F64s {
         Ok(F64s(F64sView::decode(r)?.to_vec()))
     }
     fn encoded_len_hint(&self) -> usize {
-        crate::varint::encoded_len(self.0.len() as u64) + self.0.len() * 8
+        self.0.as_slice().encoded_len_as()
+    }
+}
+
+/// What [`F64s`] encodes, from wherever the doubles lie.
+impl EncodesAs<F64s> for &[f64] {
+    #[inline]
+    fn encode_as(&self, w: &mut Writer) {
+        encode_f64s(self, w);
+    }
+    #[inline]
+    fn encoded_len_as(&self) -> usize {
+        crate::varint::encoded_len(self.len() as u64) + self.len() * 8
     }
 }
 
@@ -256,14 +288,48 @@ impl<'a> F64sView<'a> {
         self.raw.is_empty()
     }
 
-    /// Copy the doubles `[at, at + dst.len())` of the view into `dst`.
+    /// A view of doubles that already lie in wire order — a page as a
+    /// device stores it. `None` unless `raw` is a whole number of doubles.
+    pub fn of_le_bytes(raw: &'a [u8]) -> Option<Self> {
+        raw.len().is_multiple_of(8).then_some(F64sView { raw })
+    }
+
+    /// The doubles in view as they lie: little-endian, at any alignment.
+    pub fn as_le_bytes(&self) -> &'a [u8] {
+        self.raw
+    }
+
+    /// The doubles in view, one by one.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        let doubles = self.raw.chunks_exact(8);
+        doubles.map(|bytes| f64::from_le_bytes(bytes.try_into().expect("chunks of 8")))
+    }
+
+    /// Copy the doubles `[at, at + dst.len())` of the view into `dst`: one
+    /// bulk copy to wherever `dst` lies, the mirror of
+    /// [`Writer::put_f64s`].
     ///
     /// # Panics
     /// If that range does not lie inside the view, as slice indexing does.
     pub fn copy_to(&self, at: usize, dst: &mut [f64]) {
         let raw = &self.raw[at * 8..(at + dst.len()) * 8];
-        for (v, bytes) in dst.iter_mut().zip(raw.chunks_exact(8)) {
-            *v = f64::from_le_bytes(bytes.try_into().expect("chunks of 8"));
+        #[cfg(target_endian = "little")]
+        {
+            // SAFETY: `dst` is `size_of_val(dst)` writable bytes borrowed
+            // mutably for as long as the byte view lives, `u8` has alignment
+            // 1, and every bit pattern is a valid `f64`, so any bytes may be
+            // written there. On a little-endian target an `f64`'s wire
+            // encoding is its bytes in memory.
+            let bytes = unsafe {
+                std::slice::from_raw_parts_mut(dst.as_mut_ptr().cast::<u8>(), size_of_val(dst))
+            };
+            bytes.copy_from_slice(raw);
+        }
+        #[cfg(not(target_endian = "little"))]
+        {
+            for (v, double) in dst.iter_mut().zip(F64sView { raw }.iter()) {
+                *v = double;
+            }
         }
     }
 
@@ -272,6 +338,27 @@ impl<'a> F64sView<'a> {
         let mut out = vec![0.0; self.len()];
         self.copy_to(0, &mut out);
         out
+    }
+}
+
+/// What [`F64s`] decodes, left where it lies.
+impl<'a> ViewOf<'a, F64s> for F64sView<'a> {
+    #[inline]
+    fn view(r: &mut Reader<'a>) -> WireResult<Self> {
+        F64sView::decode(r)
+    }
+}
+
+/// A view encodes as what it was decoded from: its bytes, behind their count.
+impl EncodesAs<F64s> for F64sView<'_> {
+    #[inline]
+    fn encode_as(&self, w: &mut Writer) {
+        w.put_varint(self.len() as u64);
+        w.put_bytes(self.raw);
+    }
+    #[inline]
+    fn encoded_len_as(&self) -> usize {
+        crate::varint::encoded_len(self.len() as u64) + self.raw.len()
     }
 }
 
@@ -405,6 +492,107 @@ mod tests {
             from_bytes::<F64s>(&enc),
             Err(WireError::LengthOverrun { .. } | WireError::UnexpectedEof { .. })
         ));
+    }
+
+    /// Encode → view → `copy_to` gives back the very bits, wherever the
+    /// payload lies in the buffer being read and whichever part is asked
+    /// for: a byte copy has no opinion on NaN payloads or the sign of zero.
+    #[test]
+    fn copy_to_is_bit_exact_at_every_misalignment_and_sub_range() {
+        let bits = [
+            0x7ff8_0000_0000_0001u64, // quiet NaN with a payload
+            0x7ff4_0000_dead_beef,    // signalling NaN
+            0xfff8_0000_0000_0000,    // negative NaN
+            (-0.0f64).to_bits(),
+            0.0f64.to_bits(),
+            f64::MIN_POSITIVE.to_bits() >> 3, // subnormal
+            f64::NEG_INFINITY.to_bits(),
+            1.5f64.to_bits(),
+            0x0123_4567_89ab_cdef,
+        ];
+        let doubles: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        for pad in 0..8 {
+            let mut w = Writer::new();
+            w.put_bytes(&vec![0xa5; pad]);
+            encode_f64s(&doubles, &mut w);
+            let buf = w.into_bytes();
+            let r = &mut Reader::new(&buf[pad..]);
+            let view = F64sView::decode(r).unwrap();
+            r.expect_end().unwrap();
+            assert_eq!(view.len(), bits.len());
+            let got = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(got(&view.to_vec()), bits, "pad {pad}");
+            assert_eq!(got(&view.iter().collect::<Vec<_>>()), bits, "pad {pad}");
+            for at in 0..=bits.len() {
+                for len in 0..=bits.len() - at {
+                    // Into a destination that is itself part of a longer
+                    // slice, so a copy past its end would show.
+                    let mut dst = vec![7.0; len + 2];
+                    view.copy_to(at, &mut dst[1..=len]);
+                    assert_eq!(got(&dst[1..=len]), bits[at..at + len], "pad {pad} at {at}");
+                    assert_eq!((dst[0], dst[len + 1]), (7.0, 7.0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn copy_to_past_the_view_panics_like_a_slice_index() {
+        let enc = to_bytes(&F64s(vec![1.0, 2.0]));
+        let view = F64sView::decode(&mut Reader::new(&enc)).unwrap();
+        view.copy_to(1, &mut [0.0; 2]);
+    }
+
+    /// The view and borrow forms are the owned types' encodings and accept
+    /// exactly what the owned types' decoders accept.
+    #[test]
+    fn views_and_borrows_are_wire_identical_to_the_owned_types() {
+        let doubles = vec![1.0, -2.5, f64::INFINITY, -0.0];
+        let owned = to_bytes(&F64s(doubles.clone()));
+        assert_eq!(crate::to_bytes_as::<F64s, _>(&doubles.as_slice()), owned);
+        let view = <F64sView as ViewOf<F64s>>::view(&mut Reader::new(&owned)).unwrap();
+        assert_eq!(view.to_vec(), doubles);
+        assert_eq!(crate::to_bytes_as::<F64s, _>(&view), owned);
+        assert_eq!(
+            EncodesAs::<F64s>::encoded_len_as(&doubles.as_slice()),
+            owned.len()
+        );
+        assert_eq!(EncodesAs::<F64s>::encoded_len_as(&view), owned.len());
+        // A page as a device stores it is a view already.
+        let page = F64sView::of_le_bytes(view.as_le_bytes()).unwrap();
+        assert_eq!(page.to_vec(), doubles);
+        assert!(F64sView::of_le_bytes(&owned[..7]).is_none());
+
+        let bytes: Vec<u8> = (0..=255).collect();
+        let owned = to_bytes(&Bytes(bytes.clone()));
+        assert_eq!(crate::to_bytes_as::<Bytes, _>(&bytes.as_slice()), owned);
+        let view = <&[u8] as ViewOf<Bytes>>::view(&mut Reader::new(&owned)).unwrap();
+        assert_eq!(view, bytes);
+        assert_eq!(
+            EncodesAs::<Bytes>::encoded_len_as(&bytes.as_slice()),
+            owned.len()
+        );
+
+        // Truncated: both refuse, with the same error.
+        for cut in 1..4 {
+            let short = &owned[..owned.len() - cut];
+            assert_eq!(
+                <&[u8] as ViewOf<Bytes>>::view(&mut Reader::new(short)).unwrap_err(),
+                Bytes::decode(&mut Reader::new(short)).unwrap_err()
+            );
+        }
+        let mut enc = to_bytes(&F64s(doubles));
+        enc.truncate(enc.len() - 3);
+        assert_eq!(
+            <F64sView as ViewOf<F64s>>::view(&mut Reader::new(&enc)).unwrap_err(),
+            F64s::decode(&mut Reader::new(&enc)).unwrap_err()
+        );
+        // The owned type views as itself.
+        assert_eq!(
+            <u32 as ViewOf<u32>>::view(&mut Reader::new(&to_bytes(&7u32))),
+            Ok(7)
+        );
     }
 
     #[test]

@@ -21,7 +21,11 @@
 //!   also be sent from, and read back to, wherever they lie:
 //!   [`collections::encode_f64s`] / [`Writer::put_f64s`] encode from a
 //!   slice and [`collections::F64sView`] decodes to a checked view, both
-//!   byte-identical to `F64s`.
+//!   byte-identical to `F64s`. [`ViewOf`] and [`EncodesAs`] say so in the
+//!   type system — `F64sView: ViewOf<F64s>`, `&[f64]: EncodesAs<F64s>`,
+//!   `&[u8]` both ways for `Bytes` — which is how a `remote_class!` method
+//!   takes a bulk argument where it arrived and returns one from where it
+//!   lies.
 //!
 //! ## Deriving codecs
 //!
@@ -52,7 +56,7 @@ pub mod writer;
 #[macro_use]
 mod macros;
 
-pub use codec::{from_bytes, to_bytes, Wire};
+pub use codec::{from_bytes, to_bytes, to_bytes_as, EncodesAs, ViewOf, Wire};
 pub use error::{WireError, WireResult};
 pub use primitives::V64;
 pub use reader::Reader;
