@@ -2,8 +2,13 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin reproduce            # all experiments
-//! cargo run --release -p bench --bin reproduce e3 e4     # a subset
+//! cargo run --release -p bench --bin reproduce e3 a2     # a subset
 //! ```
+//!
+//! Every table is modeled time on the seeded virtual clock, so stdout is
+//! the same bytes on every host and run: the full output is committed as
+//! `crates/bench/golden/reproduce.txt` and CI `diff`s it. How long the
+//! host took per experiment goes to stderr.
 //!
 //! Ids match case-insensitively; an argument that names no experiment is
 //! an error (exit 2), so a typo cannot silently skip a table.
@@ -112,9 +117,6 @@ const ALL: &[Experiment] = &[
         "macro-workload serving: SLO gates through crash + spike, byte-identical replay",
         ex::e16_workload,
     ),
-    ("A1", "ablation: wire codec throughput", || {
-        vec![ex::a1_wire()]
-    }),
     ("A2", "ablation: oopp barrier vs mplite collectives", || {
         vec![ex::a2_collectives()]
     }),
@@ -132,7 +134,7 @@ fn main() {
         std::process::exit(2);
     });
     println!("oopp reproduction harness — experiment tables");
-    println!("(substrate: simulated cluster; costs per DESIGN.md; shapes, not absolute numbers)");
+    println!("(substrate: simulated cluster on the seeded virtual clock; costs per DESIGN.md)");
     for (id, title, run) in chosen {
         println!("\n=== {id}: {title} ===");
         let t0 = std::time::Instant::now();
@@ -143,7 +145,7 @@ fn main() {
             }
             print!("{}", table.render());
         }
-        println!("[{id} took {:.1?}]", t0.elapsed());
+        eprintln!("[{id} took {:.1?}]", t0.elapsed());
     }
 }
 
@@ -158,7 +160,7 @@ mod tests {
 
     #[test]
     fn select_matches_known_ids_and_refuses_unknown_ones() {
-        assert_eq!(ids(&[]).unwrap().len(), 19, "no arguments = every table");
+        assert_eq!(ids(&[]).unwrap().len(), 18, "no arguments = every table");
         // Case-insensitive, table order, duplicates run once.
         assert_eq!(ids(&["a2", "E9", "e9"]).unwrap(), ["E9", "A2"]);
         let err = ids(&["e9", "e99"]).unwrap_err();
@@ -166,7 +168,11 @@ mod tests {
             err.contains("`e99`") && err.contains("E16") && err.contains("A3"),
             "{err}"
         );
-        // A prefix of an id is not the id.
+        // A prefix of an id is not the id, and A1 (host nanoseconds: now
+        // `benchmark/`'s wire probes) is no longer one.
         assert!(ids(&["e1"]).unwrap() == ["E1"] && ids(&["e"]).is_err());
+        assert!(ids(&["a1"])
+            .unwrap_err()
+            .contains("unknown experiment id `a1`"));
     }
 }

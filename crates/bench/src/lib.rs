@@ -1,11 +1,19 @@
-//! Shared machinery for the experiment harness: costed cluster
-//! configurations, timing helpers, the table writer (`workload`'s), and two
-//! small remote classes the ablation experiments need.
+//! Shared machinery for the experiment harness: the costed cluster
+//! configuration, the modeled-time stopwatch and the cost model's own
+//! price of a call to hold it to, the table writer (`workload`'s) and its
+//! cell formatters, and two small remote classes the ablation experiments
+//! need.
+//!
+//! Every experiment runs on the seeded virtual clock: a time cell is a
+//! difference of two readings of the cluster clock, the same on every host
+//! and every run, and `reproduce`'s whole output is a golden file
+//! (`golden/reproduce.txt`). Host nanoseconds are `benchmark/`'s business.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use oopp::{remote_class, BarrierClient, NodeCtx, ObjRef, RemoteResult};
-use simnet::{ClusterConfig, DiskConfig, NetCost, TopologySpec};
+use simnet::time::transfer_time;
+use simnet::{Clock, ClusterConfig, DiskConfig, MetricsSnapshot, NetCost, TopologySpec};
 
 pub mod experiments;
 
@@ -13,19 +21,24 @@ pub mod experiments;
 /// with the `workload` reports.
 pub use workload::report::TextTable as Table;
 
-/// The canonical costed network of the experiments: 50 µs one-way latency,
-/// 10 Gb/s links — a commodity cluster interconnect.
+/// The canonical link of the experiments: 50 µs one-way latency, 10 Gb/s —
+/// a commodity cluster interconnect.
+pub fn lan() -> NetCost {
+    NetCost::lan(50, 10.0)
+}
+
+/// The canonical costed cluster of E1–E8, A2 and A3: [`lan`] links,
+/// NVMe-class disks, and — like every experiment's cluster — the seeded
+/// virtual clock, where those costs are charged exactly.
 pub fn lan_config() -> ClusterConfig {
     ClusterConfig {
         machines: 0, // set by the builder / world
-        topology: TopologySpec::Uniform(NetCost::lan(50, 10.0)),
+        topology: TopologySpec::Uniform(lan()),
         disk: DiskConfig::nvme(),
         disks_per_machine: 1,
         disk_capacity: 256 << 20,
         faults: simnet::FaultPlan::none(),
-        // E1-E8 and A2/A3 time modeled delays on the wall clock: real mode
-        // (costed, so sleeps end in the spin tail for sub-100us precision).
-        time: simnet::TimeMode::Real,
+        time: simnet::TimeMode::Virtual { seed: 0xE1_2026 },
     }
 }
 
@@ -79,26 +92,43 @@ pub fn method_stats_table(trace: &oopp::Trace) -> Table {
     t
 }
 
-/// Time one closure invocation.
-pub fn time_once<R>(f: impl FnOnce() -> R) -> (Duration, R) {
-    let t0 = Instant::now();
-    let r = f();
-    (t0.elapsed(), r)
+/// How far `f` moved the cluster clock: the time cell of every table. On
+/// the seeded virtual clock one run is the measurement — there is no
+/// spread to take a median of.
+pub fn modeled<R>(clock: &Clock, f: impl FnOnce() -> R) -> Duration {
+    let t0 = clock.now_nanos();
+    f();
+    Duration::from_nanos(clock.now_nanos() - t0)
 }
 
-/// Median of `reps` timed invocations (the harness's robust statistic —
-/// cheap experiments repeat, expensive ones run once).
-pub fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
-    assert!(reps >= 1);
-    let mut times: Vec<Duration> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            let _ = f();
-            t0.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
+/// One synchronous call on a [`lan_config`] cluster, held to the cost
+/// model: its modeled time must be, to the nanosecond, what `link_delivery`
+/// charges its request and its reply on idle links — a latency plus its
+/// bytes over the bandwidth, each — plus the device time it was served
+/// with. Returns that time and the call's traffic.
+pub fn priced(
+    cluster: &oopp::Cluster,
+    what: &str,
+    call: impl FnOnce(),
+) -> (Duration, MetricsSnapshot) {
+    let before = cluster.snapshot();
+    let time = modeled(cluster.sim().clock(), call);
+    let delta = cluster.snapshot().since(&before);
+    // One message per sender, so a machine's byte count is a message's.
+    assert!(
+        delta.per_machine_sent.iter().all(|&n| n <= 1),
+        "{what}: not one call"
+    );
+    let wire: Duration = (delta
+        .per_machine_sent
+        .iter()
+        .zip(&delta.per_machine_bytes_sent))
+    .filter(|(&sent, _)| sent == 1)
+    .map(|(_, &bytes)| lan().latency + transfer_time(bytes as usize, lan().bytes_per_sec))
+    .sum();
+    let model = wire + Duration::from_nanos(delta.disk_busy_nanos);
+    assert_eq!(time, model, "{what}: modeled time is not the cost model's");
+    (time, delta)
 }
 
 /// Format a `Duration` as microseconds with 1 decimal.
@@ -109,6 +139,16 @@ pub fn us(d: Duration) -> String {
 /// Format a `Duration` as milliseconds with 2 decimals.
 pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
+}
+
+/// Format `num / den` as a factor with 1 decimal, `-` when `den` is zero:
+/// on an exact clock a phase that sends nothing takes no time at all, and
+/// a table never prints `inf` or `NaN`.
+pub fn ratio(num: Duration, den: Duration) -> String {
+    if den.is_zero() {
+        return "-".into();
+    }
+    format!("{:.1}x", num.as_secs_f64() / den.as_secs_f64())
 }
 
 // ---------------------------------------------------------------------
@@ -176,15 +216,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn median_is_stable() {
-        let d = time_median(5, || std::hint::black_box(1 + 1));
-        assert!(d < Duration::from_millis(50));
-    }
-
-    #[test]
     fn duration_formatters() {
         assert_eq!(us(Duration::from_micros(1500)), "1500.0");
         assert_eq!(ms(Duration::from_micros(1500)), "1.50");
+        let (a, b) = (Duration::from_micros(300), Duration::from_micros(200));
+        assert_eq!(ratio(a, b), "1.5x");
+        assert_eq!(ratio(Duration::ZERO, b), "0.0x");
+        assert_eq!(ratio(a, Duration::ZERO), "-");
+        assert_eq!(ratio(Duration::ZERO, Duration::ZERO), "-");
+    }
+
+    #[test]
+    fn a_call_is_priced_by_the_link_model_and_two_are_not_one() {
+        let (cluster, mut driver) = oopp::ClusterBuilder::new(1)
+            .sim_config(lan_config())
+            .build();
+        let block = oopp::DoubleBlockClient::new_on(&mut driver, 0, 4).unwrap();
+        let (time, delta) = priced(&cluster, "get", || {
+            block.get(&mut driver, 0).unwrap();
+        });
+        assert_eq!(delta.messages_sent, 2);
+        assert!(time > 2 * lan().latency && time < 2 * lan().latency + Duration::from_micros(1));
+        let two = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            priced(&cluster, "two gets", || {
+                block.get(&mut driver, 0).unwrap();
+                block.get(&mut driver, 1).unwrap();
+            })
+        }));
+        assert!(two.is_err(), "two calls must not pass for one");
+        cluster.shutdown(driver);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use std::ops::Range;
 
 use simnet::network::NetError;
+use simnet::time::after;
 use simnet::{MachineId, PacketBytes};
 use wire::{Wire, Writer};
 
@@ -306,7 +307,7 @@ impl NodeCtx {
         let own = if self.policy.deadline.is_zero() {
             0
         } else {
-            now.saturating_add(self.policy.deadline.as_nanos() as u64)
+            after(now, self.policy.deadline)
         };
         let deadline = match (own, self.current_deadline) {
             (0, None) => 0,
@@ -478,10 +479,10 @@ impl NodeCtx {
     /// an exhausted budget on a replica; `verdict` rules which is which.
     pub fn wait_raw(&mut self, mut req_id: u64) -> RemoteResult<PacketBytes> {
         let started = self.clock.now_nanos();
-        let timeout = self.policy.timeout.as_nanos() as u64;
+        let timeout = self.policy.timeout;
         // A zero reply window can never be satisfied: surface a typed
         // error instead of busy-looping through instant timeouts.
-        if timeout == 0 {
+        if timeout.is_zero() {
             self.retire_call(req_id, None);
             return Err(RemoteError::DeadlineExceeded { elapsed_nanos: 0 });
         }
@@ -492,7 +493,7 @@ impl NodeCtx {
             .get(&req_id)
             .map_or(0, |call| call.header.deadline);
         let mut attempts: u32 = 1;
-        let mut deadline = started + timeout;
+        let mut deadline = after(started, timeout);
         loop {
             if let Some(result) = self.replies.remove(&req_id) {
                 // Only an error can be anything but the call's answer.
@@ -504,7 +505,7 @@ impl NodeCtx {
                     Verdict::Ignore => continue,
                     Verdict::Reissue(how) => {
                         req_id = self.reissue(req_id, how, &mut attempts);
-                        deadline = self.clock.now_nanos() + timeout;
+                        deadline = after(self.clock.now_nanos(), timeout);
                         continue;
                     }
                     Verdict::Surface(lesson) => {
@@ -557,7 +558,7 @@ impl NodeCtx {
                     if exhausted || suppressed {
                         if let Verdict::Reissue(how) = self.rule(req_id, Event::Exhausted) {
                             req_id = self.reissue(req_id, how, &mut attempts);
-                            deadline = self.clock.now_nanos() + timeout;
+                            deadline = after(self.clock.now_nanos(), timeout);
                             continue;
                         }
                         let target = self.retire_call(req_id, Some(true)).unwrap_or(ObjRef {
@@ -573,7 +574,7 @@ impl NodeCtx {
                     }
                     let pause = self.policy.backoff.delay(attempts);
                     if !pause.is_zero() {
-                        let mut pause_deadline = self.clock.now_nanos() + pause.as_nanos() as u64;
+                        let mut pause_deadline = after(self.clock.now_nanos(), pause);
                         if deadline_at != 0 {
                             pause_deadline = pause_deadline.min(deadline_at);
                         }
@@ -591,7 +592,7 @@ impl NodeCtx {
                         bump!(self.shared.stats, calls_retried);
                     }
                     attempts += 1;
-                    deadline = self.clock.now_nanos() + timeout;
+                    deadline = after(self.clock.now_nanos(), timeout);
                 }
             }
         }

@@ -84,7 +84,7 @@ impl NodeCtx {
     /// that hosts objects make them reachable while it has nothing else to
     /// do. Machines never need this — their serve loop runs continuously.
     pub fn serve_for(&mut self, dur: Duration) {
-        let deadline = self.clock.now_nanos() + dur.as_nanos() as u64;
+        let deadline = simnet::time::after(self.clock.now_nanos(), dur);
         // Re-read the clock before every receive: handling a packet can
         // advance time (draining a batch under virtual time, a costed
         // dispatch under real time) past the deadline, and under a steady

@@ -9,10 +9,10 @@
 //!   hand-pipelined form — baseline for experiment E3.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fft::{as_f64s, as_f64s_mut, Complex, Direction, Fft3};
-use simnet::ClusterConfig;
+use simnet::{ClusterConfig, SimCluster};
 
 use crate::comm::{Comm, MpResult};
 use crate::world::MpiWorld;
@@ -88,24 +88,38 @@ pub fn fft_slab_step(
 }
 
 /// Run a full distributed FFT over a fresh world: scatter `grid` (row-major
-/// `n1·n2·n3`), transform, gather. Returns the transformed grid.
+/// `n1·n2·n3`), transform, gather. Returns the transformed grid and the
+/// transform's time on the cluster clock — the slowest rank's step, which
+/// on a virtual-time world is the two transposes' modeled link time (host
+/// arithmetic is not modeled).
 pub fn fft_run(
     config: ClusterConfig,
     shape: [usize; 3],
     grid: Vec<Complex>,
     dir: Direction,
-) -> Vec<Complex> {
-    let world = MpiWorld::new(config);
-    let p = world.size();
-    let slab_len = shape[0] / p * shape[1] * shape[2];
+) -> (Vec<Complex>, Duration) {
+    fft_on(&SimCluster::new(config), shape, grid, dir)
+}
+
+fn fft_on(
+    sim: &SimCluster,
+    shape: [usize; 3],
+    grid: Vec<Complex>,
+    dir: Direction,
+) -> (Vec<Complex>, Duration) {
+    let slab_len = shape[0] / sim.machines() * shape[1] * shape[2];
     let grid = Arc::new(grid);
     let plan = Arc::new(Fft3::new(shape));
-    let (slabs, _) = world.run(move |comm| {
+    let ranks = MpiWorld::launch(sim, move |comm| {
         let rank = comm.rank();
         let slab = grid[rank * slab_len..(rank + 1) * slab_len].to_vec();
-        fft_slab_step(comm, &plan, slab, dir).expect("fft step failed")
+        let t0 = comm.now_nanos();
+        let slab = fft_slab_step(comm, &plan, slab, dir).expect("fft step failed");
+        (slab, comm.now_nanos() - t0)
     });
-    slabs.into_iter().flatten().collect()
+    let slowest = ranks.iter().map(|(_, nanos)| *nanos).max().unwrap_or(0);
+    let grid = ranks.into_iter().flat_map(|(slab, _)| slab).collect();
+    (grid, Duration::from_nanos(slowest))
 }
 
 /// Transfer discipline for the page-I/O baseline.
@@ -125,7 +139,8 @@ const STOP: u64 = u64::MAX;
 /// The §4 parallel-read example, message-passing style. Ranks
 /// `0..size-1` act as page servers (one disk-backed page file each); the
 /// last rank is the client reading one page from every server. Returns the
-/// client's elapsed time for the read round (servers return zero).
+/// client's time for the read round on the cluster clock (servers return
+/// zero).
 pub fn pageio_run(
     config: ClusterConfig,
     page_size: usize,
@@ -170,7 +185,7 @@ fn page_client(
     pages_per_device: u64,
     mode: IoMode,
 ) -> Duration {
-    let t0 = Instant::now();
+    let t0 = comm.now_nanos();
     match mode {
         IoMode::Sequential => {
             for s in 0..servers {
@@ -191,7 +206,7 @@ fn page_client(
             }
         }
     }
-    let elapsed = t0.elapsed();
+    let elapsed = Duration::from_nanos(comm.now_nanos() - t0);
     for s in 0..servers {
         comm.send_val(s, TAG_REQ, &STOP).expect("client stop");
     }
@@ -217,7 +232,7 @@ mod tests {
         let expected =
             Fft3::new(shape).transform(&Grid3::new(shape, data.clone()), Direction::Forward);
         for ranks in [1, 2, 4] {
-            let got = fft_run(
+            let (got, _) = fft_run(
                 ClusterConfig::zero_cost(ranks),
                 shape,
                 data.clone(),
@@ -232,13 +247,13 @@ mod tests {
     fn mpi_fft_roundtrip() {
         let shape = [4usize, 4, 4];
         let data = sample(shape);
-        let forward = fft_run(
+        let (forward, _) = fft_run(
             ClusterConfig::zero_cost(2),
             shape,
             data.clone(),
             Direction::Forward,
         );
-        let back = fft_run(
+        let (back, _) = fft_run(
             ClusterConfig::zero_cost(2),
             shape,
             forward,
@@ -260,15 +275,38 @@ mod tests {
 
     #[test]
     fn pipelined_is_not_slower_under_latency() {
-        // With 2ms of one-way latency and 4 servers, the sequential loop
-        // pays 4 round trips (~16ms); the pipelined loop overlaps them
-        // (~4ms). Generous factor to keep CI stable.
-        let config = ClusterConfig::lan(5, 2000, 100.0);
+        // 2ms of one-way latency (and nothing else) under 4 servers: the
+        // sequential loop pays 4 round trips, the pipelined loop overlaps
+        // them into one — its four pages land 1ns apart on the client's
+        // FIFO link.
+        let config = ClusterConfig::lan(5, 2000, f64::INFINITY).with_virtual_time(5);
         let (seq, _) = pageio_run(config.clone(), 512, 4, IoMode::Sequential);
         let (pipe, _) = pageio_run(config, 512, 4, IoMode::Pipelined);
+        assert_eq!(seq, Duration::from_millis(16));
+        assert_eq!(pipe, Duration::from_millis(4) + Duration::from_nanos(3));
+    }
+
+    #[test]
+    fn one_seed_replays_the_fft_to_the_event() {
+        let shape = [8usize, 8, 4];
+        let run = |seed: u64| {
+            let sim = SimCluster::new(ClusterConfig::lan(4, 50, 10.0).with_virtual_time(seed));
+            let (grid, modeled) = fft_on(&sim, shape, sample(shape), Direction::Forward);
+            (grid, modeled, sim.clock().schedule().expect("virtual"))
+        };
+        let (a, b) = (run(11), run(11));
         assert!(
-            pipe < seq,
-            "pipelined ({pipe:?}) should beat sequential ({seq:?}) under latency"
+            a.1 > Duration::from_micros(100),
+            "two transposes cross a 50us link"
         );
+        assert_eq!(a.2.events, b.2.events);
+        assert_eq!(
+            a, b,
+            "same seed: same grid, same modeled time, same schedule"
+        );
+        // Another seed permutes same-instant deliveries, not the outcome.
+        let c = run(12);
+        assert_eq!((&a.0, a.1), (&c.0, c.1));
+        assert_ne!(a.2.digest, c.2.digest);
     }
 }

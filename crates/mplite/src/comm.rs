@@ -2,9 +2,10 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::Receiver;
+use simnet::time::{after, nanos};
 use simnet::{Network, Packet, SimDisk};
 use wire::{Reader, Wire, Writer};
 
@@ -41,7 +42,9 @@ pub type MpResult<T> = Result<T, MpError>;
 pub const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One rank's endpoint: identity, network handle, and the unexpected-message
-/// queue that implements (src, tag) matching.
+/// queue that implements (src, tag) matching. A `Comm` is an actor of the
+/// cluster clock from construction to drop: every wait of a rank is a park
+/// in that clock, so on virtual time a world's run is exact and replayable.
 pub struct Comm {
     rank: usize,
     size: usize,
@@ -64,6 +67,14 @@ impl std::fmt::Debug for Comm {
     }
 }
 
+impl Drop for Comm {
+    fn drop(&mut self) {
+        // Also on unwind: a rank that panicked must not hold virtual time
+        // still for the ranks that are waiting on it.
+        self.net.clock().deregister_actor();
+    }
+}
+
 impl Comm {
     pub(crate) fn new(
         rank: usize,
@@ -72,6 +83,7 @@ impl Comm {
         inbox: Receiver<Packet>,
         disks: Vec<Arc<SimDisk>>,
     ) -> Self {
+        net.clock().register_actor();
         Comm {
             rank,
             size,
@@ -102,6 +114,12 @@ impl Comm {
     /// One local disk.
     pub fn disk(&self, i: usize) -> Arc<SimDisk> {
         self.disks[i].clone()
+    }
+
+    /// The cluster clock's reading, in nanoseconds: what a rank times its
+    /// own phases with (modeled time on a virtual-time world).
+    pub fn now_nanos(&self) -> u64 {
+        self.net.clock().now_nanos()
     }
 
     /// Change the receive window (tests of failure paths use short ones).
@@ -136,15 +154,15 @@ impl Comm {
         {
             return Ok(self.unexpected.remove(pos).expect("position just found").2);
         }
-        let deadline = Instant::now() + self.timeout;
+        let clock = self.net.clock();
+        let deadline = after(clock.now_nanos(), self.timeout);
         loop {
-            let pkt = self
-                .inbox
-                .recv_deadline(deadline)
+            let pkt = clock
+                .recv_deadline_nanos(&self.inbox, self.rank, deadline)
                 .map_err(|_| MpError::Timeout {
                     src,
                     tag,
-                    millis: self.timeout.as_millis() as u64,
+                    millis: nanos(self.timeout) / 1_000_000,
                 })?;
             let mut r = Reader::new(&pkt.payload);
             let got_tag = r
@@ -251,6 +269,32 @@ mod tests {
             results[0],
             crate::MpError::Timeout { tag: 99, .. }
         ));
+    }
+
+    #[test]
+    fn on_virtual_time_a_round_trip_costs_two_latencies_and_a_silent_peer_the_timeout() {
+        let world = MpiWorld::new(ClusterConfig::lan(2, 50, f64::INFINITY).with_virtual_time(9));
+        let (results, _) = world.run(|comm| {
+            let t0 = comm.now_nanos();
+            if comm.rank() == 0 {
+                comm.send(1, 7, b"ping").unwrap();
+                comm.recv(1, 8).unwrap();
+            } else {
+                comm.recv(0, 7).unwrap();
+                comm.send(0, 8, b"pong").unwrap();
+            }
+            let round_trip = comm.now_nanos() - t0;
+            // Nobody sends tag 99: the wait ends at the window, to the
+            // nanosecond, without a wall-clock second passing.
+            let t1 = comm.now_nanos();
+            comm.set_timeout(Duration::from_secs(3600));
+            let err = comm.recv(1 - comm.rank(), 99).unwrap_err();
+            assert!(matches!(err, crate::MpError::Timeout { tag: 99, .. }));
+            (round_trip, comm.now_nanos() - t1)
+        });
+        // Rank 1's stopwatch stops at its send, one latency in.
+        assert_eq!(results[0], (100_000, 3_600_000_000_000));
+        assert_eq!(results[1], (50_000, 3_600_000_000_000));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use simnet::{ClusterConfig, MetricsSnapshot, SimCluster};
+use simnet::{ClusterConfig, MetricsSnapshot, SimCluster, WORKER_LABEL_BASE};
 
 use crate::comm::Comm;
 
@@ -39,30 +39,51 @@ impl MpiWorld {
         F: Fn(&mut Comm) -> R + Send + Sync + 'static,
     {
         let sim = SimCluster::new(self.config.clone());
+        let results = Self::launch(&sim, program);
+        (results, sim.snapshot())
+    }
+
+    /// [`run`](MpiWorld::run) on a cluster the caller built (and can read
+    /// the clock of afterwards): one rank per machine of `sim`.
+    pub(crate) fn launch<R, F>(sim: &SimCluster, program: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(&mut Comm) -> R + Send + Sync + 'static,
+    {
         let program = Arc::new(program);
-        let size = self.size();
+        let (size, clock) = (sim.machines(), sim.clock());
+        // Every `Comm` enrolls in the cluster clock here, before any rank
+        // runs, and every rank opens at a start gate the clock serves in
+        // rank order: on virtual time one rank runs at a time from its
+        // first instruction, and time moves only when all are parked.
+        let comms: Vec<Comm> = (0..size)
+            .map(|rank| {
+                let (inbox, disks) = (sim.take_inbox(rank), sim.disks(rank).to_vec());
+                Comm::new(rank, size, sim.net().clone(), inbox, disks)
+            })
+            .collect();
         let mut handles = Vec::with_capacity(size);
-        for rank in 0..size {
-            let mut comm = Comm::new(
-                rank,
-                size,
-                sim.net().clone(),
-                sim.take_inbox(rank),
-                sim.disks(rank).to_vec(),
-            );
-            let program = program.clone();
+        for (rank, mut comm) in comms.into_iter().enumerate() {
+            let gate = WORKER_LABEL_BASE + rank as u64;
+            clock.notify_label(gate);
+            let (program, clock) = (program.clone(), clock.clone());
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("mplite-rank-{rank}"))
-                    .spawn(move || program(&mut comm))
+                    .spawn(move || {
+                        clock.wait_label(gate);
+                        program(&mut comm)
+                    })
                     .expect("spawn rank thread"),
             );
         }
-        let results: Vec<R> = handles
+        // Join all before surfacing a panic: a rank drops its `Comm` (and
+        // leaves the clock) as it unwinds, so the others run to their end.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
             .into_iter()
-            .map(|h| h.join().expect("rank panicked"))
-            .collect();
-        (results, sim.snapshot())
+            .map(|r| r.expect("rank panicked"))
+            .collect()
     }
 }
 
@@ -84,6 +105,29 @@ mod tests {
         let (a, _) = world.run(|c| c.size());
         let (b, _) = world.run(|c| c.size());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_panicking_rank_leaves_the_clock_so_the_others_finish() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let finished = Arc::new(AtomicUsize::new(0));
+        let seen = finished.clone();
+        let world = MpiWorld::new(ClusterConfig::lan(3, 50, 1.0).with_virtual_time(3));
+        let outcome = std::panic::catch_unwind(move || {
+            world.run(move |comm| {
+                if comm.rank() == 1 {
+                    panic!("boom");
+                }
+                // Were the dead rank still enrolled, virtual time could
+                // never reach this receive's deadline: a hang, not an error.
+                let err = comm.recv(1, 7).unwrap_err();
+                assert!(matches!(err, crate::MpError::Timeout { src: 1, .. }));
+                seen.fetch_add(1, Ordering::SeqCst);
+            })
+        });
+        let panic = outcome.expect_err("the rank's panic must propagate");
+        assert!(format!("{:?}", panic.downcast_ref::<String>()).contains("rank panicked"));
+        assert_eq!(finished.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! The cluster clock: real time or deterministic virtual time.
 //!
-//! Every layer that waits — NIC delivery, disk delay charging, RMI
+//! Every layer that waits — link delivery, disk delay charging, RMI
 //! timeout/backoff, supervision heartbeats, coherence leases — reads time
 //! and parks through a [`Clock`] instead of touching `Instant::now()` or
 //! `thread::sleep` directly. The clock has two backends:
 //!
-//! * **Real** (the default): nanoseconds since a shared epoch, sleeps via
-//!   [`crate::time`] (with a spin tail when the cluster is costed).
-//!   Latency-accurate; what the benchmarks use.
+//! * **Real** (the default): nanoseconds since a shared epoch, plain OS
+//!   sleeps. For fabrics with nothing to charge: the wall-clock benchmark
+//!   and the real-clock soak.
 //! * **Virtual**: a discrete-event simulation in the FoundationDB style.
 //!   Machines still run on OS threads, but every blocking wait parks the
 //!   thread in the clock. When *all* registered actors are parked the
 //!   clock is quiescent; it then pops the earliest pending event from a
 //!   seeded total order, advances the shared logical `now`, and wakes
-//!   exactly one actor. Execution is therefore fully serialized — one
+//!   exactly one actor — the thread it chose, through the handle that
+//!   actor left in its waiter record. Execution is therefore fully serialized — one
 //!   runnable thread at a time — which makes a chaos run a deterministic
 //!   function of (program, fault plan, clock seed), replayable bit for
 //!   bit from its [`SimSchedule`].
@@ -28,7 +29,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -38,7 +40,7 @@ use crate::faults::mix;
 use crate::message::{MachineId, Packet};
 use crate::metrics::Metrics;
 use crate::network::{hand_over, link_delivery};
-use crate::time::sleep_until;
+use crate::time::{after, nanos, sleep_until};
 
 /// Why a clock-mediated receive returned without a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,6 +128,16 @@ struct Waiter {
     label: Option<u64>,
     /// Set by the advancer when this waiter's wake event fired.
     woken: bool,
+    /// The parked actor, unparked when `woken` is set: a wake costs one
+    /// thread its sleep, not every parked actor theirs.
+    thread: Thread,
+}
+
+impl Waiter {
+    fn wake(&mut self) {
+        self.woken = true;
+        self.thread.unpark();
+    }
 }
 
 /// The network endpoints, installed once by `Network::build` in virtual
@@ -171,7 +183,6 @@ struct VState {
 struct VirtualCore {
     seed: u64,
     state: Mutex<VState>,
-    cv: Condvar,
 }
 
 impl fmt::Debug for VirtualCore {
@@ -201,7 +212,6 @@ impl VirtualCore {
                 fired: 0,
                 digest: 0,
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -221,18 +231,17 @@ impl VirtualCore {
     /// Notified labels (the ready queue) are served before the event heap:
     /// they represent work that became runnable at the current instant,
     /// while heap events live in the future.
-    fn advance(&self, s: &mut VState) {
+    fn advance(s: &mut VState) {
         while let Some(label) = s.ready.pop_front() {
             let hit = s
                 .waiters
                 .iter_mut()
                 .find(|(_, w)| w.label == Some(label) && !w.woken);
             if let Some((_, w)) = hit {
-                w.woken = true;
+                w.wake();
                 s.fired += 1;
                 s.digest = mix(s.digest ^ s.now ^ (3 << 62) ^ label.rotate_left(32));
                 s.tokens = 1;
-                self.cv.notify_all();
                 return;
             }
             // No parked waiter with that label (it deregistered, or is in a
@@ -250,10 +259,8 @@ impl VirtualCore {
                     s.now = s.now.max(ev.time);
                     s.fired += 1;
                     s.digest = mix(s.digest ^ ev.time ^ (1 << 62) ^ (waiter << 32) ^ ev.seq);
-                    let w = s.waiters.get_mut(&waiter).expect("live waiter");
-                    w.woken = true;
+                    s.waiters.get_mut(&waiter).expect("live waiter").wake();
                     s.tokens = 1;
-                    self.cv.notify_all();
                     return;
                 }
                 EventKind::Deliver { packet } => {
@@ -273,9 +280,8 @@ impl VirtualCore {
                             .iter_mut()
                             .find(|(_, w)| w.label == Some(dst as u64) && !w.woken);
                         if let Some((_, w)) = hit {
-                            w.woken = true;
+                            w.wake();
                             s.tokens = 1;
-                            self.cv.notify_all();
                             return;
                         }
                     }
@@ -303,6 +309,7 @@ impl VirtualCore {
             Waiter {
                 label,
                 woken: false,
+                thread: std::thread::current(),
             },
         );
         if let Some(d) = deadline {
@@ -318,10 +325,14 @@ impl VirtualCore {
         }
         s.parked += 1;
         if Self::quiescent(&s) {
-            self.advance(&mut s);
+            Self::advance(&mut s);
         }
+        // `thread::park` may return early (a stale token, a spurious
+        // wake): `woken`, read under the lock, is what ends the park.
         while !s.waiters.get(&id).map(|w| w.woken).unwrap_or(true) {
-            s = self.cv.wait(s).unwrap_or_else(|e| e.into_inner());
+            drop(s);
+            std::thread::park();
+            s = self.lock();
         }
         s.waiters.remove(&id);
         s.parked -= 1;
@@ -346,14 +357,14 @@ impl VirtualCore {
         // simnet-level tests with no registered actors) must advance the
         // simulation itself — every actor may already be parked.
         if Self::quiescent(&s) {
-            self.advance(&mut s);
+            Self::advance(&mut s);
         }
     }
 }
 
 #[derive(Debug, Clone)]
 enum ClockInner {
-    Real { epoch: Instant, spin: bool },
+    Real { epoch: Instant },
     Virtual(Arc<VirtualCore>),
 }
 
@@ -365,13 +376,11 @@ pub struct Clock {
 }
 
 impl Clock {
-    /// Wall-clock mode. `spin` ends modeled sleeps in the precision spin
-    /// tail: on when something is costed, off when sleeps are only timeouts.
-    pub fn real(spin: bool) -> Self {
+    /// Wall-clock mode.
+    pub fn real() -> Self {
         Clock {
             inner: ClockInner::Real {
                 epoch: Instant::now(),
-                spin,
             },
         }
     }
@@ -414,7 +423,7 @@ impl Clock {
     /// Nanoseconds since the clock's epoch (virtual: the logical now).
     pub fn now_nanos(&self) -> u64 {
         match &self.inner {
-            ClockInner::Real { epoch, .. } => epoch.elapsed().as_nanos() as u64,
+            ClockInner::Real { epoch } => nanos(epoch.elapsed()),
             ClockInner::Virtual(core) => core.lock().now,
         }
     }
@@ -436,7 +445,7 @@ impl Clock {
             let mut s = core.lock();
             s.registered = s.registered.saturating_sub(1);
             if VirtualCore::quiescent(&s) {
-                core.advance(&mut s);
+                VirtualCore::advance(&mut s);
             }
         }
     }
@@ -446,7 +455,7 @@ impl Clock {
         if dur.is_zero() {
             return;
         }
-        self.sleep_until_nanos(self.now_nanos() + dur.as_nanos() as u64);
+        self.sleep_until_nanos(after(self.now_nanos(), dur));
     }
 
     /// Sleep until the clock reads at least `deadline` nanos.
@@ -456,9 +465,7 @@ impl Clock {
     /// (single-threaded convenience for simnet-level tests).
     pub fn sleep_until_nanos(&self, deadline: u64) {
         match &self.inner {
-            ClockInner::Real { epoch, spin } => {
-                sleep_until(*epoch + Duration::from_nanos(deadline), *spin);
-            }
+            ClockInner::Real { epoch } => sleep_until(*epoch + Duration::from_nanos(deadline)),
             ClockInner::Virtual(core) => {
                 let s = core.lock();
                 if s.now >= deadline {
@@ -504,8 +511,23 @@ impl Clock {
             let mut s = core.lock();
             s.ready.push_back(label);
             if VirtualCore::quiescent(&s) {
-                core.advance(&mut s);
+                VirtualCore::advance(&mut s);
             }
+        }
+    }
+
+    /// A start gate: park the calling actor until a
+    /// [`Clock::notify_label`]`(label)` is served (use a label at or above
+    /// [`WORKER_LABEL_BASE`]). Actors that would otherwise all be running
+    /// when they are spawned — SPMD ranks — enroll, have their notifies
+    /// queued in the order they are to start, and open with this: the clock
+    /// serves the queue at its first quiescence, so they run one at a time
+    /// from their first instruction and the schedule owes nothing to the
+    /// host's thread start-up order. Returns at once on the real clock,
+    /// whose actors run concurrently anyway.
+    pub fn wait_label(&self, label: u64) {
+        if let ClockInner::Virtual(core) = &self.inner {
+            let _s = core.park(core.lock(), Some(label), None);
         }
     }
 
@@ -540,7 +562,7 @@ impl Clock {
         deadline: Option<u64>,
     ) -> Result<T, ClockRecvError> {
         match &self.inner {
-            ClockInner::Real { epoch, .. } => match deadline {
+            ClockInner::Real { epoch } => match deadline {
                 None => rx.recv().map_err(|_| ClockRecvError::Disconnected),
                 Some(d) => {
                     rx.recv_deadline(*epoch + Duration::from_nanos(d))
@@ -591,7 +613,7 @@ impl Clock {
 
 impl Default for Clock {
     fn default() -> Self {
-        Clock::real(false)
+        Clock::real()
     }
 }
 
@@ -620,6 +642,9 @@ mod tests {
         assert_eq!(clock.now_nanos(), 5_000_000);
         clock.sleep_until_nanos(1_000); // already past: no-op
         assert_eq!(clock.now_nanos(), 5_000_000);
+        // "For ever" is the end of the clock, not a wrapped instant before now.
+        clock.sleep(Duration::MAX);
+        assert_eq!(clock.now_nanos(), u64::MAX);
     }
 
     #[test]
@@ -769,6 +794,39 @@ mod tests {
     }
 
     #[test]
+    fn start_gates_release_actors_one_at_a_time_in_notify_order() {
+        // Three actors, enrolled and notified (2, 0, 1) before any runs.
+        // Each appends its id, sleeps (parks), appends again: were two ever
+        // running at once, or released in thread start-up order, the log
+        // would differ from run to run.
+        let clock = Clock::virtual_time(4);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for _ in 0..3 {
+            clock.register_actor();
+        }
+        let threads: Vec<_> = [2u64, 0, 1]
+            .into_iter()
+            .map(|id| {
+                clock.notify_label(WORKER_LABEL_BASE + id);
+                let (clock, log) = (clock.clone(), log.clone());
+                std::thread::spawn(move || {
+                    clock.wait_label(WORKER_LABEL_BASE + id);
+                    log.lock().unwrap().push((id, clock.now_nanos()));
+                    clock.sleep(Duration::from_nanos(10 + id));
+                    log.lock().unwrap().push((id, clock.now_nanos()));
+                    clock.deregister_actor();
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let log = log.lock().unwrap().clone();
+        assert_eq!(log, [(2, 0), (0, 0), (1, 0), (0, 10), (1, 11), (2, 12)]);
+        assert_eq!(clock.schedule().unwrap().events, 6);
+    }
+
+    #[test]
     fn unmatched_notify_is_dropped_and_timer_still_fires() {
         // Notify a label nobody holds; a pure timed sleep must still wake
         // at its own deadline (the stale ready entry is discarded).
@@ -795,7 +853,7 @@ mod tests {
 
     #[test]
     fn real_clock_recv_deadline_times_out() {
-        let clock = Clock::real(false);
+        let clock = Clock::real();
         let (_tx, rx) = unbounded::<Packet>();
         let deadline = clock.now_nanos() + 2_000_000;
         let err = clock.recv_deadline_nanos(&rx, 0, deadline).unwrap_err();

@@ -38,13 +38,15 @@ impl std::fmt::Debug for SimCluster {
 
 impl SimCluster {
     /// Build a cluster from `config`.
+    ///
+    /// # Panics
+    /// If `config` has no machines, or asks a real-time fabric to charge a
+    /// link cost or a fault-plan delay (see [`crate::network`]): everything
+    /// costed runs `with_virtual_time`.
     pub fn new(config: ClusterConfig) -> Self {
         assert!(config.machines > 0, "a cluster needs at least one machine");
         let clock = match config.time {
-            // The precision spin tail is for modeled delays: with nothing
-            // costed, every sleep is a timeout and a busy core per sleeping
-            // machine thread buys nothing.
-            TimeMode::Real => Clock::real(!(config.topology.is_zero() && config.disk.is_zero())),
+            TimeMode::Real => Clock::real(),
             TimeMode::Virtual { seed } => Clock::virtual_time(seed),
         };
         let metrics = Arc::new(Metrics::new(config.machines));

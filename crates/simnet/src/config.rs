@@ -96,9 +96,9 @@ impl Default for DiskConfig {
 /// Which time backend a cluster runs on (see [`crate::Clock`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TimeMode {
-    /// Wall-clock time (the default). Modeled sleeps end in a sub-timer-slack spin
-    /// exactly when the cluster has something costed to sleep for — a
-    /// link or a disk that is not free.
+    /// Wall-clock time (the default), for fabrics with nothing to charge:
+    /// a cluster with a costed topology or a delaying fault plan must be
+    /// [`Virtual`](TimeMode::Virtual).
     #[default]
     Real,
     /// Deterministic discrete-event virtual time, seeded. Modeled delays
@@ -146,7 +146,9 @@ impl ClusterConfig {
         }
     }
 
-    /// `n` machines on a uniform costed network.
+    /// `n` machines on a uniform costed network. Costs are charged on the
+    /// virtual clock: follow with
+    /// [`with_virtual_time`](ClusterConfig::with_virtual_time).
     pub fn lan(n: usize, latency_us: u64, gbps: f64) -> Self {
         ClusterConfig {
             machines: n,

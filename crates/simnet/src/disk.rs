@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use crate::clock::Clock;
 use crate::config::DiskConfig;
 use crate::metrics::Metrics;
-use crate::time::transfer_time;
+use crate::time::{nanos, transfer_time};
 
 /// Errors from disk operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,7 +82,7 @@ impl SimDisk {
     /// clock. Cluster-built disks use [`SimDisk::with_clock`] instead so
     /// modeled delays follow the cluster's time mode.
     pub fn new(config: DiskConfig, capacity: usize, metrics: Arc<Metrics>) -> Self {
-        SimDisk::with_clock(config, capacity, metrics, Clock::real(!config.is_zero()))
+        SimDisk::with_clock(config, capacity, metrics, Clock::real())
     }
 
     /// Create a disk charging its costs on the given clock.
@@ -170,8 +170,8 @@ impl SimDisk {
         copy: impl FnOnce(&mut [u8]),
     ) -> Result<u64, DiskError> {
         self.check_bounds(offset, len)?;
-        let busy =
-            (self.config.seek + transfer_time(len, self.config.bytes_per_sec)).as_nanos() as u64;
+        let transfer = transfer_time(len, self.config.bytes_per_sec);
+        let busy = nanos(self.config.seek.saturating_add(transfer));
         // A free disk never reads the clock (under virtual time that is a
         // lock every actor shares).
         let issued = (!self.config.is_zero()).then(|| self.clock.now_nanos());
@@ -179,7 +179,7 @@ impl SimDisk {
         if let Some(issued) = issued {
             let done = {
                 let mut busy_until = self.busy_until.lock();
-                *busy_until = issued.max(*busy_until) + busy;
+                *busy_until = issued.max(*busy_until).saturating_add(busy);
                 *busy_until
             };
             self.clock.sleep_until_nanos(done);
@@ -346,9 +346,9 @@ mod tests {
     #[test]
     fn one_disk_serializes_and_two_disks_overlap_on_the_real_clock() {
         let op = Duration::from_millis(5);
-        let (same, _) = two_concurrent_ops(&Clock::real(true), true, op);
+        let (same, _) = two_concurrent_ops(&Clock::real(), true, op);
         assert!(same >= op * 2, "two ops on one disk took {same:?}");
-        let (apart, _) = two_concurrent_ops(&Clock::real(true), false, op);
+        let (apart, _) = two_concurrent_ops(&Clock::real(), false, op);
         assert!(apart >= op, "two ops on two disks took {apart:?}");
     }
 

@@ -15,8 +15,8 @@
 //! restart models a transient outage; durable recovery of the *objects* on
 //! a machine that stays dark goes through the oopp snapshot store instead.
 //!
-//! Faults are applied in [`Network::send`](crate::network::Network::send)
-//! and the NIC delivery threads; dropped packets vanish silently (lossy
+//! Faults are applied in [`Network::send`](crate::network::Network::send);
+//! dropped packets vanish silently (lossy
 //! links do not report loss to senders) but are always counted in
 //! [`Metrics`](crate::metrics::Metrics).
 
@@ -89,8 +89,8 @@ impl FaultPlan {
         self.drop_p == 0.0 && self.dup_p == 0.0 && self.delay_p == 0.0
     }
 
-    /// True if this plan can inject extra delay (which requires the timed
-    /// NIC delivery path even on an otherwise free topology).
+    /// True if this plan can inject extra delay (which only a virtual-time
+    /// fabric can apply: a real-time one refuses such a plan).
     pub fn has_delay(&self) -> bool {
         self.delay_p > 0.0 && !self.max_delay.is_zero()
     }
@@ -249,7 +249,7 @@ impl FaultState {
         };
         Verdict::Deliver {
             copies,
-            extra_delay: extra_delay + spike,
+            extra_delay: extra_delay.saturating_add(spike),
         }
     }
 
@@ -263,8 +263,8 @@ impl FaultState {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     state: Arc<FaultState>,
-    /// Whether the fabric has somewhere to apply a delay (see
-    /// [`spike`](FaultInjector::spike)).
+    /// Whether the fabric has somewhere to apply a delay — it runs on
+    /// virtual time (see [`spike`](FaultInjector::spike)).
     timed: bool,
 }
 
@@ -340,21 +340,19 @@ impl FaultInjector {
     /// byte-for-byte.
     ///
     /// # Panics
-    /// On a fabric with no timed delivery path — real time, a free
-    /// topology and no delay in the fault plan — where `send` pushes
-    /// straight into the inbox and the spike would be counted
-    /// (`spike_delayed`) without delaying anything.
+    /// On a real-time fabric, where `send` pushes straight into the inbox
+    /// and the spike would be counted (`spike_delayed`) without delaying
+    /// anything.
     pub fn spike(&self, m: MachineId, extra: Duration) {
         assert!(
             self.timed,
-            "FaultInjector::spike({m}, {extra:?}): this fabric delivers directly (real time, \
-             free topology, no delay in its fault plan), so nothing would be delayed; build \
-             the cluster on virtual time (`ClusterConfig::with_virtual_time`) or with a \
-             fault plan that can delay (`FaultPlan::with_delay`)"
+            "FaultInjector::spike({m}, {extra:?}): a real-time fabric delivers directly, so \
+             nothing would be delayed; build the cluster on virtual time \
+             (`ClusterConfig::with_virtual_time`)"
         );
         self.state.activate();
         if let Some(s) = self.state.spiked.get(m) {
-            s.store(extra.as_nanos() as u64, Ordering::Relaxed);
+            s.store(crate::time::nanos(extra), Ordering::Relaxed);
         }
     }
 

@@ -12,20 +12,21 @@
 //! The cost model is the point: the paper's claims are all statements about
 //! communication structure — round trips, overlap, data movement — and those
 //! become *measurable* once messages and disk operations have explicit,
-//! configurable costs. Tests run with [`ClusterConfig::zero_cost`]
-//! (deterministic, as fast as channels); benchmarks run with
-//! microsecond-scale costs so the paper's shapes emerge in wall-clock time.
+//! configurable costs. Tests run with [`ClusterConfig::zero_cost`] (as fast
+//! as channels); experiments run with microsecond-scale costs on the
+//! virtual clock, where the paper's shapes come out exact and repeatable.
 //!
 //! Each mechanism is written once. Time is one [`Clock`] per cluster —
 //! wall-clock, or a seeded discrete-event simulation that replays bit for
 //! bit — and everything that waits, charges a delay or stamps an event
 //! does it on that clock, through one blocking receive and one sleep. A
 //! link's cost is [`TopologySpec::cost`]; when a packet lands is one
-//! function, whichever route of the [`network`] carries it; a disk queues
-//! its ops behind one watermark on either clock; the counters are one
-//! table ([`metrics`]); every seeded draw is one hash. A cluster has no
-//! option the code can derive: the precision spin of real-time sleeps is
-//! on exactly when the config has a cost to sleep for.
+//! function, charged on the virtual clock only (a real-time fabric
+//! delivers directly and refuses a cost it could not charge); a disk
+//! queues its ops behind one watermark on either clock; the counters are
+//! one table ([`metrics`]); every seeded draw is one hash; every
+//! `Duration` becomes clock nanos in one saturating conversion
+//! ([`time::after`]).
 //!
 //! ```
 //! use simnet::{ClusterConfig, SimCluster};

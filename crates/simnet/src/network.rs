@@ -12,18 +12,16 @@
 //!   machine drinking pages from many devices is limited by its own link,
 //!   which is what saturates E3's speedup curve at high fan-in.
 //!
-//! That rule is written once (`link_delivery`) and charged on one of three
-//! routes, fixed for the whole fabric when it is built:
+//! That rule is written once (`link_delivery`) and a fabric is one of two
+//! routes, fixed when it is built:
 //!
 //! * **virtual time** — a delivery is a clock event: no threads, no
-//!   wall-clock sleeping, and costed topologies stay deterministic;
-//! * **real time, nothing to charge** (a free topology and a fault plan
-//!   without delay) — `send` pushes straight into the destination inbox,
-//!   channel-fast;
-//! * **real time, costed** — a NIC thread per machine sleeps each packet's
-//!   delay out on the wall clock. It is kept beside the virtual route
-//!   because it is the reference the virtual model is checked against:
-//!   the nightly real-clock soak, and E1–E8 on microsecond-scale links.
+//!   wall-clock sleeping, and every modeled delay (a costed topology, a
+//!   delaying fault plan, a load spike) is exact and deterministic;
+//! * **real time** — `send` pushes straight into the destination inbox,
+//!   channel-fast. There is nowhere to apply a delay, so a fabric with one
+//!   to apply is refused when it is built: modeled time is the virtual
+//!   clock's to keep.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,7 +33,7 @@ use crate::config::NetCost;
 use crate::faults::{FaultInjector, FaultState, Verdict};
 use crate::message::{MachineId, Packet, PacketBytes};
 use crate::metrics::Metrics;
-use crate::time::transfer_time;
+use crate::time::{after, transfer_time};
 use crate::topology::TopologySpec;
 
 /// Error returned by [`Network::send`].
@@ -58,17 +56,8 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-struct TimedPacket {
-    packet: Packet,
-    /// Clock nanos at the send.
-    sent_at: u64,
-    cost: NetCost,
-}
-
 enum Route {
-    /// Costed path: packets go through the NIC delivery thread.
-    Nic(Sender<TimedPacket>),
-    /// Free path: packets go straight to the machine inbox.
+    /// Real-time path: packets go straight to the machine inbox.
     Direct(Sender<Packet>),
     /// Virtual-time path: delivery becomes a clock event; the clock owns
     /// the inbox sender and pushes the packet when the event fires.
@@ -97,6 +86,10 @@ impl std::fmt::Debug for Network {
 impl Network {
     /// Build the fabric for `machines` endpoints. Returns the network handle
     /// and one inbox receiver per machine.
+    ///
+    /// # Panics
+    /// On a real clock, if the topology has a cost or the fault plan a
+    /// delay: a real-time fabric delivers directly and would charge neither.
     pub(crate) fn build(
         machines: usize,
         topology: TopologySpec,
@@ -104,29 +97,29 @@ impl Network {
         faults: Arc<FaultState>,
         clock: Clock,
     ) -> (Network, Vec<Receiver<Packet>>) {
-        // Injected delay needs the timed NIC path even on a free topology.
-        let zero = topology.is_zero() && !faults.plan().has_delay();
+        assert!(
+            clock.is_virtual() || (topology.is_zero() && !faults.plan().has_delay()),
+            "a real-time fabric delivers directly and cannot charge {}; modeled delays are \
+             charged on the virtual clock: build the cluster on virtual time \
+             (`ClusterConfig::with_virtual_time`)",
+            if topology.is_zero() {
+                "the delay of its fault plan (`FaultPlan::with_delay`)"
+            } else {
+                "a costed topology"
+            }
+        );
         let mut routes = Vec::with_capacity(machines);
         let mut inboxes = Vec::with_capacity(machines);
         let mut sim_txs = Vec::with_capacity(machines);
-        for dst in 0..machines {
+        for _ in 0..machines {
             let (inbox_tx, inbox_rx) = unbounded::<Packet>();
             inboxes.push(inbox_rx);
             if clock.is_virtual() {
-                // No NIC threads: link delays become clock events, so even
-                // costed topologies are deterministic and wall-clock free.
+                // Link delays become clock events: the clock owns the inbox.
                 sim_txs.push(inbox_tx);
                 routes.push(Route::Sim);
-            } else if zero {
-                routes.push(Route::Direct(inbox_tx));
             } else {
-                let (nic_tx, nic_rx) = unbounded::<TimedPacket>();
-                let (nic_metrics, nic_clock) = (metrics.clone(), clock.clone());
-                std::thread::Builder::new()
-                    .name(format!("simnet-nic-{dst}"))
-                    .spawn(move || nic_loop(nic_rx, inbox_tx, nic_metrics, nic_clock))
-                    .expect("spawn NIC thread");
-                routes.push(Route::Nic(nic_tx));
+                routes.push(Route::Direct(inbox_tx));
             }
         }
         if clock.is_virtual() {
@@ -161,10 +154,7 @@ impl Network {
 
     /// Runtime handle for scripting partitions and machine crashes.
     pub fn fault_injector(&self) -> FaultInjector {
-        // A fabric is one kind of route throughout; only the direct one
-        // has nowhere to apply a delay.
-        let timed = !matches!(self.routes.first(), Some(Route::Direct(_)));
-        FaultInjector::new(self.faults.clone(), timed)
+        FaultInjector::new(self.faults.clone(), self.clock.is_virtual())
     }
 
     /// Send `payload` from `src` to `dst`. Returns immediately; the packet
@@ -228,52 +218,42 @@ impl Network {
         extra_delay: Duration,
     ) -> Result<(), NetError> {
         let (src, dst) = (packet.src, packet.dst);
-        let cost = || {
-            let mut cost = self.topology.cost(src, dst);
-            cost.latency += extra_delay;
-            cost
-        };
         match route {
             Route::Direct(tx) => {
-                // Nowhere to apply a delay, and none to apply: this route
-                // means the plan has none and `spike` is refused.
+                // Nowhere to apply a delay, and none to apply: `build`
+                // refused a cost or a delaying plan, `spike` is refused.
                 self.metrics.record_delivery(dst, packet.len());
                 tx.send(packet).map_err(|_| NetError::Disconnected(dst))
             }
-            Route::Nic(tx) => tx
-                .send(TimedPacket {
-                    packet,
-                    sent_at: self.clock.now_nanos(),
-                    cost: cost(),
-                })
-                .map_err(|_| NetError::Disconnected(dst)),
             Route::Sim => {
-                // A dead inbox is only discoverable when the event fires;
-                // like the NIC path, it is counted then, not surfaced here.
-                self.clock.schedule_delivery(packet, &cost());
+                let mut cost = self.topology.cost(src, dst);
+                cost.latency = cost.latency.saturating_add(extra_delay);
+                // A dead inbox is only discoverable when the event fires:
+                // it is counted then, not surfaced here.
+                self.clock.schedule_delivery(packet, &cost);
                 Ok(())
             }
         }
     }
 }
 
-/// The link model, for both timed routes: a packet of `bytes` sent at
-/// `sent` arrives after the link's latency, then queues FIFO behind the
-/// link's last delivery (`link_free`, which it advances) for its transfer
-/// time. Returns when it is delivered. All times are clock nanos.
+/// The link model: a packet of `bytes` sent at `sent` arrives after the
+/// link's latency, then queues FIFO behind the link's last delivery
+/// (`link_free`, which it advances) for its transfer time. Returns when it
+/// is delivered. All times are clock nanos, saturating at "never".
 pub(crate) fn link_delivery(
     sent: u64,
     bytes: usize,
     cost: &NetCost,
     link_free: &mut Option<u64>,
 ) -> u64 {
-    let arrival = sent + cost.latency.as_nanos() as u64;
+    let arrival = after(sent, cost.latency);
     let start = arrival.max(link_free.unwrap_or(0));
-    let mut done = start + transfer_time(bytes, cost.bytes_per_sec).as_nanos() as u64;
+    let mut done = after(start, transfer_time(bytes, cost.bytes_per_sec));
     if let Some(prior) = *link_free {
         // Keep per-destination delivery strictly in send order: a link is
         // FIFO even at zero cost.
-        done = done.max(prior + 1);
+        done = done.max(prior.saturating_add(1));
     }
     *link_free = Some(done);
     done
@@ -290,21 +270,6 @@ pub(crate) fn hand_over(inbox: &Sender<Packet>, packet: Packet, metrics: &Metric
         metrics.record_delivery_dropped();
     }
     delivered
-}
-
-/// The real-time receive side of one machine's link. Runs until the
-/// senders disconnect, so senders never block on a dead machine.
-fn nic_loop(rx: Receiver<TimedPacket>, inbox: Sender<Packet>, metrics: Arc<Metrics>, clock: Clock) {
-    let mut link_free = None;
-    for TimedPacket {
-        packet,
-        sent_at,
-        cost,
-    } in rx
-    {
-        clock.sleep_until_nanos(link_delivery(sent_at, packet.len(), &cost, &mut link_free));
-        hand_over(&inbox, packet, &metrics);
-    }
 }
 
 #[cfg(test)]
@@ -329,7 +294,7 @@ mod tests {
             spec,
             Arc::new(Metrics::new(machines)),
             Arc::new(FaultState::new(plan, machines)),
-            Clock::real(true),
+            Clock::real(),
         )
     }
 
@@ -371,108 +336,69 @@ mod tests {
         assert_eq!(net.send(0, 1, vec![1]), Err(NetError::Disconnected(1)));
     }
 
+    fn lan(latency: Duration, bytes_per_sec: f64) -> TopologySpec {
+        TopologySpec::Uniform(NetCost {
+            latency,
+            bytes_per_sec,
+        })
+    }
+
     #[test]
     fn latency_delays_delivery() {
-        let lat = Duration::from_millis(3);
-        let (net, inboxes) = net(
-            2,
-            TopologySpec::Uniform(NetCost {
-                latency: lat,
-                bytes_per_sec: f64::INFINITY,
-            }),
-        );
-        let t0 = Instant::now();
+        let (net, inboxes) = net_virtual(2, lan(Duration::from_millis(3), f64::INFINITY), 7);
+        // No registered actors: the send itself runs the event loop.
         net.send(0, 1, vec![42]).unwrap();
-        let pkt = inboxes[1].recv().unwrap();
-        assert!(
-            t0.elapsed() >= lat,
-            "delivered too early: {:?}",
-            t0.elapsed()
-        );
-        assert_eq!(pkt.payload, vec![42]);
+        assert_eq!(inboxes[1].try_recv().unwrap().payload, vec![42]);
+        assert_eq!(net.clock().now_nanos(), 3_000_000);
     }
 
     #[test]
     fn latency_overlaps_across_concurrent_sends() {
         // 10 packets sent back-to-back each pay 3ms latency, but the
         // latencies overlap: the last lands at ~3ms, nowhere near 30ms.
-        let lat = Duration::from_millis(3);
-        let spec = TopologySpec::Uniform(NetCost {
-            latency: lat,
-            bytes_per_sec: f64::INFINITY,
-        });
-        let send_ten = |net: &Network| {
-            for i in 0..10u8 {
-                net.send(0, 1, vec![i]).unwrap();
-            }
-        };
-
-        // Exactly, on the virtual clock. The sender is a registered actor,
-        // so no delivery fires until it parks in its first receive.
-        let (net, inboxes) = net_virtual(2, spec, 7);
+        // The sender is a registered actor, so no delivery fires until it
+        // parks in its first receive.
+        let (net, inboxes) = net_virtual(2, lan(Duration::from_millis(3), f64::INFINITY), 7);
         let clock = net.clock();
         clock.register_actor();
-        send_ten(&net);
+        for i in 0..10u8 {
+            net.send(0, 1, vec![i]).unwrap();
+        }
         for _ in 0..10 {
             clock.recv(&inboxes[1], 1).unwrap();
         }
         clock.deregister_actor();
         // All ten arrive at 3ms; the FIFO link lands them 1ns apart.
         assert_eq!(clock.now_nanos(), 3_000_000 + 9);
-
-        // On the real clock only the lower bound is the model's to keep:
-        // how late a busy host runs the NIC thread is not.
-        let (net, inboxes) = net_faulty(2, spec, FaultPlan::none());
-        let t0 = Instant::now();
-        send_ten(&net);
-        for _ in 0..10 {
-            inboxes[1].recv().unwrap();
-        }
-        assert!(t0.elapsed() >= lat);
     }
 
     #[test]
     fn bandwidth_serializes_per_receiver() {
-        // 1 MB/s link, 4 packets of 2 KB each => ~8ms of serialized transfer.
-        let (net, inboxes) = net(
-            2,
-            TopologySpec::Uniform(NetCost {
-                latency: Duration::ZERO,
-                bytes_per_sec: 1e6,
-            }),
-        );
-        let t0 = Instant::now();
+        // 1 MB/s link, 4 packets of 2 KB from a registered sender: their
+        // 1ms latencies overlap, their 2ms transfers queue on the
+        // receiver's link.
+        let (net, inboxes) = net_virtual(2, lan(Duration::from_millis(1), 1e6), 7);
+        let clock = net.clock();
+        clock.register_actor();
         for _ in 0..4 {
             net.send(0, 1, vec![0u8; 2000]).unwrap();
         }
-        for _ in 0..4 {
-            inboxes[1].recv().unwrap();
+        for k in 1..=4 {
+            clock.recv(&inboxes[1], 1).unwrap();
+            assert_eq!(clock.now_nanos(), 1_000_000 + k * 2_000_000);
         }
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed >= Duration::from_millis(8),
-            "transfers failed to serialize: {elapsed:?}"
-        );
+        clock.deregister_actor();
     }
 
     #[test]
     fn loopback_is_free_even_on_costed_network() {
-        // A link that would take a minute, so that "did not pay it" needs
-        // no tight wall-clock bound.
-        let (net, inboxes) = net(
-            2,
-            TopologySpec::Uniform(NetCost {
-                latency: Duration::from_secs(60),
-                bytes_per_sec: 1.0,
-            }),
-        );
-        let t0 = Instant::now();
+        let (net, inboxes) = net_virtual(2, lan(Duration::from_secs(60), 1.0), 7);
         net.send(1, 1, vec![0u8; 1000]).unwrap();
-        inboxes[1].recv().unwrap();
-        assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "loopback paid link cost"
-        );
+        inboxes[1].try_recv().unwrap();
+        assert_eq!(net.clock().now_nanos(), 0, "loopback paid link cost");
+        // The same bytes over the link: 60s of latency, 1000s of transfer.
+        net.send(0, 1, vec![0u8; 1000]).unwrap();
+        assert_eq!(net.clock().now_nanos(), 1_060_000_000_000);
     }
 
     #[test]
@@ -522,22 +448,13 @@ mod tests {
 
     #[test]
     fn nic_counts_deliveries_to_a_dead_inbox() {
-        // Costed path so delivery goes through the NIC thread; drop the
-        // destination inbox before the packet lands.
-        let (net, mut inboxes) = net(
-            2,
-            TopologySpec::Uniform(NetCost {
-                latency: Duration::from_millis(1),
-                bytes_per_sec: f64::INFINITY,
-            }),
-        );
+        // The destination's inbox is gone before the packet lands: the
+        // sender is told nothing, the delivery is counted as dropped when
+        // its event fires.
+        let (net, mut inboxes) = net_virtual(2, lan(Duration::from_millis(1), f64::INFINITY), 7);
         drop(inboxes.remove(1));
         net.send(0, 1, vec![1, 2, 3]).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while net.metrics().snapshot().deliveries_dropped == 0 {
-            assert!(Instant::now() < deadline, "delivery drop never counted");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        assert_eq!(net.clock().now_nanos(), 1_000_000);
         let s = net.metrics().snapshot();
         assert_eq!(s.deliveries_dropped, 1);
         assert_eq!(s.per_machine_received, vec![0, 0]);
@@ -682,7 +599,7 @@ mod tests {
 
     #[test]
     #[should_panic(
-        expected = "`ClusterConfig::with_virtual_time`) or with a fault plan that can delay (`FaultPlan::with_delay`)"
+        expected = "build the cluster on virtual time (`ClusterConfig::with_virtual_time`)"
     )]
     fn spike_is_refused_where_no_delivery_can_be_delayed() {
         let (net, _inboxes) = net(2, TopologySpec::Uniform(NetCost::zero()));
@@ -690,21 +607,33 @@ mod tests {
     }
 
     #[test]
-    fn a_spiked_delivery_is_late_and_counted_on_the_nic_route() {
-        // A plan that can delay (here: by next to nothing) puts even a free
-        // topology on the timed NIC route, where a spike has effect.
-        let plan = FaultPlan::seeded(1).with_delay(1e-9, Duration::from_nanos(1));
-        let (net, inboxes) = net_faulty(3, TopologySpec::Uniform(NetCost::zero()), plan);
-        let spike = Duration::from_millis(5);
-        net.fault_injector().spike(1, spike);
-        let t0 = Instant::now();
-        net.send(0, 2, vec![2]).unwrap(); // another destination: prompt
-        net.send(1, 1, vec![1]).unwrap(); // loopback never crosses the link
-        net.send(0, 1, vec![0]).unwrap();
-        while inboxes[1].recv().unwrap().payload != vec![0] {}
-        assert!(t0.elapsed() >= spike, "spiked packet arrived early");
-        inboxes[2].recv().unwrap();
-        assert_eq!(net.metrics().snapshot().spike_delayed, 1);
+    #[should_panic(
+        expected = "cannot charge a costed topology; modeled delays are charged on the virtual clock: build the cluster on virtual time (`ClusterConfig::with_virtual_time`)"
+    )]
+    fn a_costed_topology_is_refused_on_the_real_clock() {
+        let _ = net(2, TopologySpec::Uniform(NetCost::lan(50, 10.0)));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cannot charge the delay of its fault plan (`FaultPlan::with_delay`); modeled delays are charged on the virtual clock: build the cluster on virtual time (`ClusterConfig::with_virtual_time`)"
+    )]
+    fn a_delaying_fault_plan_is_refused_on_the_real_clock() {
+        let plan = FaultPlan::seeded(1).with_delay(0.5, Duration::from_millis(1));
+        let _ = net_faulty(2, TopologySpec::Uniform(NetCost::zero()), plan);
+    }
+
+    #[test]
+    fn a_delay_past_the_end_of_the_clock_lands_on_never() {
+        // A spike of `Duration::MAX` is added to the link's latency.
+        let never = NetCost {
+            latency: Duration::from_micros(50).saturating_add(Duration::MAX),
+            bytes_per_sec: 1e6,
+        };
+        let mut link_free = None;
+        assert_eq!(link_delivery(5, 1000, &never, &mut link_free), u64::MAX);
+        // ... and the next packet queues behind it without wrapping.
+        assert_eq!(link_delivery(6, 1000, &never, &mut link_free), u64::MAX);
     }
 
     #[test]

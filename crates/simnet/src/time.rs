@@ -1,48 +1,20 @@
-//! Time arithmetic and precise sleeping for the cost model.
-//!
-//! The network and disk models charge microsecond-scale delays. A bare
-//! `thread::sleep` has ~50µs–1ms of jitter depending on the OS timer slack,
-//! which would swamp the quantities the benchmarks measure, so
-//! [`sleep_until`] can end a coarse sleep with a short spin tail.
+//! Time arithmetic for the cost model, and the real clock's sleep.
 
 use std::time::{Duration, Instant};
 
-/// Spin tail length: sleep coarsely until this close to the deadline, then
-/// spin. 120µs covers typical Linux timer slack without burning real CPU.
-const SPIN_TAIL: Duration = Duration::from_micros(120);
-
-/// Sleep until `deadline`, spinning the final `SPIN_TAIL` only if `spin`.
-/// Deadlines already in the past return immediately.
-///
-/// Without the spin tail the sleep still never *undershoots* (it keeps
-/// sleeping until `Instant::now() >= deadline`), it just tolerates the OS
-/// timer slack as overshoot — the right trade when nothing in the cluster
-/// is costed and a sleeper is only waiting out a timeout.
-pub fn sleep_until(deadline: Instant, spin: bool) {
+/// Sleep until `deadline`; one already in the past returns immediately.
+/// Never undershoots (it keeps sleeping until `Instant::now() >= deadline`)
+/// and tolerates the OS timer slack as overshoot: whatever sleeps on the
+/// real clock is waiting out a timeout or a disk's delay, and every
+/// modeled link time is charged on the virtual clock instead.
+pub fn sleep_until(deadline: Instant) {
     loop {
         let now = Instant::now();
         if now >= deadline {
             return;
         }
-        let remaining = deadline - now;
-        if !spin {
-            std::thread::sleep(remaining);
-        } else if remaining > SPIN_TAIL {
-            std::thread::sleep(remaining - SPIN_TAIL);
-        } else {
-            // Short tail: spin. `spin_loop` hints the CPU to relax.
-            while Instant::now() < deadline {
-                std::hint::spin_loop();
-            }
-            return;
-        }
+        std::thread::sleep(deadline - now);
     }
-}
-
-/// Sleep for `dur` with sub-timer-slack precision: host-side work of a
-/// modeled length, outside any cluster clock.
-pub fn precise_sleep(dur: Duration) {
-    sleep_until(Instant::now() + dur, true);
 }
 
 /// Time to push `bytes` through a link or device of `bytes_per_sec`.
@@ -53,6 +25,20 @@ pub fn transfer_time(bytes: usize, bytes_per_sec: f64) -> Duration {
         return Duration::ZERO;
     }
     Duration::from_secs_f64(bytes as f64 / bytes_per_sec)
+}
+
+/// `dur` in clock nanoseconds, saturating: a `Duration` reaches 2^64
+/// *seconds*, a clock reading is 2^64 nanoseconds (584 years), and "as
+/// long as a `Duration` can say" means "for ever", not a wrapped-around
+/// instant in the past.
+pub fn nanos(dur: Duration) -> u64 {
+    u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The clock instant `dur` after `now`, saturating at `u64::MAX` ("never").
+/// Every deadline in the tree is built here, so none overflows.
+pub fn after(now: u64, dur: Duration) -> u64 {
+    now.saturating_add(nanos(dur))
 }
 
 #[cfg(test)]
@@ -75,27 +61,19 @@ mod tests {
     }
 
     #[test]
-    fn precise_sleep_zero_returns_immediately() {
-        let t0 = Instant::now();
-        precise_sleep(Duration::ZERO);
-        assert!(t0.elapsed() < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn precise_sleep_hits_target_within_tolerance() {
-        // Only the lower bound is the sleep's to keep: how late a busy
-        // host wakes the thread is not.
-        let target = Duration::from_micros(300);
-        let t0 = Instant::now();
-        precise_sleep(target);
-        let elapsed = t0.elapsed();
-        assert!(elapsed >= target, "slept {elapsed:?} < {target:?}");
+    fn a_duration_too_long_for_the_clock_saturates() {
+        assert_eq!(nanos(Duration::from_micros(3)), 3_000);
+        assert_eq!(nanos(Duration::from_nanos(u64::MAX)), u64::MAX);
+        assert_eq!(nanos(Duration::MAX), u64::MAX);
+        assert_eq!(after(7, Duration::from_nanos(5)), 12);
+        assert_eq!(after(7, Duration::from_nanos(u64::MAX - 7)), u64::MAX);
+        assert_eq!(after(7, Duration::MAX), u64::MAX);
     }
 
     #[test]
     fn sleep_until_past_deadline_is_noop() {
         let t0 = Instant::now();
-        sleep_until(t0, true); // already-elapsed deadline
+        sleep_until(t0); // already-elapsed deadline
         assert!(t0.elapsed() < Duration::from_secs(1));
     }
 
@@ -103,7 +81,7 @@ mod tests {
     fn sleep_until_with_no_spin_never_undershoots() {
         let target = Duration::from_micros(300);
         let t0 = Instant::now();
-        sleep_until(t0 + target, false);
-        assert!(t0.elapsed() >= target, "undershot without spin tail");
+        sleep_until(t0 + target);
+        assert!(t0.elapsed() >= target, "undershot");
     }
 }

@@ -6,14 +6,15 @@
 //! cargo run --release --example out_of_core_stats
 //! ```
 
-use std::time::Instant;
+use std::time::Duration;
 
 use distarray::{parallel_sum, register_classes, Array, BlockStorage, PageMap};
 use oopp::ClusterBuilder;
 use simnet::{ClusterConfig, NetCost, TopologySpec};
 
 fn main() {
-    // A costed network so the two strategies differ measurably.
+    // A costed network so the two strategies differ measurably — on the
+    // virtual clock, where costs are charged: every time below is modeled.
     let workers = 4;
     let config = ClusterConfig {
         machines: 0,                                             // overridden by the builder
@@ -22,11 +23,13 @@ fn main() {
         disks_per_machine: 1,
         disk_capacity: 256 << 20,
         faults: simnet::FaultPlan::none(),
-        time: simnet::TimeMode::Real,
+        time: simnet::TimeMode::Virtual { seed: 42 },
     };
     let (cluster, mut driver) = register_classes(ClusterBuilder::new(workers))
         .sim_config(config)
         .build();
+    let clock = cluster.sim().clock();
+    let since = |t0: u64| Duration::from_nanos(clock.now_nanos() - t0);
 
     // A 64 x 64 x 64 array in 16³ pages over 8 devices (2 per machine).
     let n = [64u64, 64, 64];
@@ -60,26 +63,26 @@ fn main() {
     let data: Vec<f64> = (0..array.len())
         .map(|i| ((i % 1000) as f64) / 100.0)
         .collect();
-    let t = Instant::now();
+    let t = clock.now_nanos();
     array
         .write(&mut driver, &whole, &data)
         .expect("load dataset");
-    println!("loaded in {:?}", t.elapsed());
+    println!("loaded in {:?}", since(t));
     let expected: f64 = data.iter().sum();
 
     // Strategy A (§3): move the computation to the data — device-side
     // partial sums, 8 bytes back per page.
-    let t = Instant::now();
+    let t = clock.now_nanos();
     let device_side = array.sum(&mut driver, &whole).expect("device-side sum");
-    let ta = t.elapsed();
+    let ta = since(t);
 
     // Strategy B: move the data to the computation — ship every page to
     // the driver and sum locally.
-    let t = Instant::now();
+    let t = clock.now_nanos();
     let client_side = array
         .sum_by_moving_data(&mut driver, &whole)
         .expect("client-side sum");
-    let tb = t.elapsed();
+    let tb = since(t);
 
     assert!((device_side - expected).abs() < 1e-6);
     assert!((client_side - expected).abs() < 1e-6);
@@ -93,12 +96,12 @@ fn main() {
 
     // §5: "deploying multiple Array clients in parallel".
     for clients in [1usize, 2, 4] {
-        let t = Instant::now();
+        let t = clock.now_nanos();
         let s = parallel_sum(&mut driver, &array, &whole, clients).expect("parallel sum");
         assert!((s - expected).abs() < 1e-6);
         println!(
             "  parallel sum with {clients} Array client(s): {:?}",
-            t.elapsed()
+            since(t)
         );
     }
 

@@ -57,7 +57,7 @@ fn main() {
 
         // --- mplite: the same algorithm, hand-written message passing.
         let t = Instant::now();
-        let got = fft_run(
+        let (got, _) = fft_run(
             ClusterConfig::zero_cost(parts),
             shape,
             data.clone(),

@@ -32,7 +32,7 @@ fn fft_same_answer_under_both_models() {
     cluster.shutdown(driver);
 
     // mplite ranks.
-    let mpi_result = fft_run(ClusterConfig::zero_cost(2), shape, data, Direction::Forward);
+    let (mpi_result, _) = fft_run(ClusterConfig::zero_cost(2), shape, data, Direction::Forward);
 
     assert!(max_error(&oopp_result, expected.data()) < 1e-9);
     assert!(max_error(&mpi_result, expected.data()) < 1e-9);
@@ -88,25 +88,40 @@ fn pageio_traffic_comparable_across_models() {
     assert_eq!(oopp_delta.messages_sent, 2 * n as u64);
 }
 
-/// A costed rack topology end to end: correctness is cost-independent.
+/// A costed rack topology end to end: correctness is cost-independent, and
+/// a call costs what its path does — the driver sits in a rack of its own,
+/// so its round trip to any worker is two inter-rack link crossings.
 #[test]
 fn costed_rack_topology_end_to_end() {
+    let inter = NetCost::lan(100, 1.0);
     let config = ClusterConfig {
         machines: 0,
         topology: TopologySpec::Racks {
             rack_size: 2,
             intra: NetCost::lan(20, 10.0),
-            inter: NetCost::lan(100, 1.0),
+            inter,
         },
         disk: DiskConfig::nvme(),
         disks_per_machine: 1,
         disk_capacity: 8 << 20,
         faults: simnet::FaultPlan::none(),
-        time: simnet::TimeMode::default(),
+        time: simnet::TimeMode::Virtual { seed: 0x2AC5 },
     };
     let (cluster, mut driver) = DistributedFft3::register(ClusterBuilder::new(4))
         .sim_config(config)
         .build();
+    let (before, t0) = (cluster.snapshot(), driver.now_nanos());
+    driver.ping(3).unwrap();
+    let (rtt, sent) = (driver.now_nanos() - t0, cluster.snapshot().since(&before));
+    let wire = |machine: usize| {
+        let bytes = sent.per_machine_bytes_sent[machine] as usize;
+        simnet::time::nanos(inter.latency + simnet::time::transfer_time(bytes, inter.bytes_per_sec))
+    };
+    assert_eq!(
+        rtt,
+        wire(4) + wire(3),
+        "request and reply, one inter-rack link each"
+    );
     let shape = [8usize, 8, 4];
     let data = sample(shape);
     let expected = Fft3::new(shape).transform(&Grid3::new(shape, data.clone()), Direction::Forward);

@@ -137,6 +137,28 @@ fn zero_timeout_is_a_typed_error_not_a_busy_loop() {
     cluster.shutdown(driver);
 }
 
+/// The other end of the range: "wait for ever" (`Duration::MAX`) is a
+/// deadline at the end of the clock — not an overflow panic (debug) or a
+/// window that wrapped into the past and timed out at once (release), on
+/// either clock.
+#[test]
+fn an_endless_timeout_waits_for_the_answer() {
+    for sim in [
+        ClusterConfig::zero_cost(0),
+        ClusterConfig::lan(0, 50, 1.0).with_virtual_time(0xE7E2),
+    ] {
+        let (cluster, mut driver) = ClusterBuilder::new(2)
+            .register::<Slow>()
+            .sim_config(sim)
+            .build();
+        let s = SlowClient::new_on(&mut driver, 1).unwrap();
+        driver.set_call_policy(CallPolicy::no_retry(Duration::MAX));
+        assert_eq!(s.count(&mut driver).unwrap(), 0);
+        driver.set_call_policy(CallPolicy::reliable(Duration::from_secs(5)));
+        cluster.shutdown(driver);
+    }
+}
+
 /// Tentpole: a request whose deadline expires while it waits behind a slow
 /// call is dropped with a typed `DeadlineExceeded` — and the dropped work
 /// is *never executed* (the server-side counter proves it).
