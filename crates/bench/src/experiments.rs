@@ -23,11 +23,12 @@ use placement::{Balancer, PlacementPolicy};
 use simnet::time::transfer_time;
 use simnet::{ClusterConfig, FaultPlan};
 use wire::collections::F64s;
-use workload::loadgen::Zipf;
+use wire::V64;
+use workload::loadgen::{ClosedLoop, ReqClass, Zipf};
 use workload::slo::ClassLedger;
 
 use crate::{
-    lan, lan_config, method_stats_table, modeled, ms, priced, ratio, spinny_disk, us, GroupTable,
+    lan, lan_config, method_stats_table, modeled, ms, priced, ratio, spinny_config, us, GroupTable,
     GroupTableClient, Syncer, SyncerClient, Table,
 };
 
@@ -78,6 +79,27 @@ pub fn e1_rmi_overhead() -> Vec<Table> {
     vec![t, method_stats_table(&recorder.merge())]
 }
 
+/// The device fixture of E2, E3 and E8: an [`ArrayPageDevice`] of `pages`
+/// pages of `dims` doubles on `machine`, its page `page` written with
+/// generated data.
+fn device_with_page(
+    driver: &mut oopp::Driver,
+    machine: usize,
+    name: String,
+    pages: u64,
+    dims: [usize; 3],
+    page: u64,
+    seed: u64,
+) -> ArrayPageDeviceClient {
+    let [n1, n2, n3] = dims;
+    let (b1, b2, b3) = (n1 as u64, n2 as u64, n3 as u64);
+    let dev =
+        ArrayPageDeviceClient::new_on(driver, machine, name, pages, b1, b2, b3, 0, None).unwrap();
+    let data = ArrayPage::generate(n1, n2, n3, seed).into_f64s();
+    dev.write_array(driver, page, data).unwrap();
+    dev
+}
+
 /// E2 (§3): "moving the data to the computation" vs "moving the computation
 /// to the data" for the page-sum, across page sizes. Both calls read the
 /// page off the device's disk; what moving the computation saves is
@@ -96,24 +118,7 @@ pub fn e2_move_compute() -> Table {
             .register::<ArrayPageDevice>()
             .sim_config(lan_config())
             .build();
-        let dev = ArrayPageDeviceClient::new_on(
-            &mut driver,
-            0,
-            "e2".into(),
-            2,
-            side as u64,
-            side as u64,
-            side as u64,
-            0,
-            None,
-        )
-        .unwrap();
-        dev.write_array(
-            &mut driver,
-            0,
-            ArrayPage::generate(side, side, side, 1).into_f64s(),
-        )
-        .unwrap();
+        let dev = device_with_page(&mut driver, 0, "e2".into(), 2, [side; 3], 0, 1);
         let (ship, _) = priced(&cluster, "E2 ship", || {
             let data = dev.read_array(&mut driver, 0).unwrap();
             std::hint::black_box(data.0.iter().sum::<f64>());
@@ -151,36 +156,24 @@ pub fn e3_parallel_io() -> Vec<Table> {
     let page_elems = 1 << 14; // 128 KiB pages
     let mut last_trace = None;
     for n in [1usize, 2, 4, 8, 16] {
-        let mut cfg = lan_config();
-        cfg.disk = spinny_disk();
         let (cluster, mut driver) = ClusterBuilder::new(n)
             .register::<PageDevice>()
             .register::<ArrayPageDevice>()
-            .sim_config(cfg.clone())
+            .sim_config(spinny_config())
             .tracing(true)
             .build();
         let clock = cluster.sim().clock();
         let devices: Vec<_> = (0..n)
             .map(|m| {
-                let d = ArrayPageDeviceClient::new_on(
+                device_with_page(
                     &mut driver,
                     m,
                     format!("e3.{m}"),
                     4,
-                    32,
-                    32,
-                    16,
-                    0,
-                    None,
-                )
-                .unwrap();
-                d.write_array(
-                    &mut driver,
+                    [32, 32, 16],
                     1,
-                    ArrayPage::generate(32, 32, 16, m as u64).into_f64s(),
+                    m as u64,
                 )
-                .unwrap();
-                d
             })
             .collect();
 
@@ -220,7 +213,7 @@ pub fn e3_parallel_io() -> Vec<Table> {
         last_trace = Some(recorder.merge());
 
         // The message-passing baseline: n servers + 1 client.
-        let mut mp_cfg = cfg.clone();
+        let mut mp_cfg = spinny_config();
         mp_cfg.machines = n + 1;
         let (mp, _) = pageio_run(mp_cfg, page_elems * 8, 4, IoMode::Pipelined);
         // Same structure, leaner framing: the hand-written pipeline beats
@@ -334,10 +327,8 @@ pub fn e5_pagemap() -> Table {
         ("hashed", PageMap::hashed(grid, devices, 7)),
         ("z-curve", PageMap::zcurve(grid, devices)),
     ] {
-        let mut cfg = lan_config();
-        cfg.disk = spinny_disk();
         let (cluster, mut driver) = register_classes(ClusterBuilder::new(devices as usize))
-            .sim_config(cfg)
+            .sim_config(spinny_config())
             .build();
         let storage = BlockStorage::create(
             &mut driver,
@@ -537,36 +528,14 @@ pub fn e8_shared_memory() -> Table {
         "1 object parallel ms",
     ]);
     for n in [2usize, 4, 8] {
-        let mut cfg = lan_config();
-        cfg.disk = spinny_disk();
         let (cluster, mut driver) = ClusterBuilder::new(n)
             .register::<PageDevice>()
             .register::<ArrayPageDevice>()
-            .sim_config(cfg)
+            .sim_config(spinny_config())
             .build();
         let clock = cluster.sim().clock();
         let devices: Vec<_> = (0..n)
-            .map(|m| {
-                let d = ArrayPageDeviceClient::new_on(
-                    &mut driver,
-                    m,
-                    format!("e8.{m}"),
-                    2,
-                    16,
-                    16,
-                    16,
-                    0,
-                    None,
-                )
-                .unwrap();
-                d.write_array(
-                    &mut driver,
-                    0,
-                    ArrayPage::generate(16, 16, 16, m as u64).into_f64s(),
-                )
-                .unwrap();
-                d
-            })
+            .map(|m| device_with_page(&mut driver, m, format!("e8.{m}"), 2, [16; 3], 0, m as u64))
             .collect();
 
         // One call, priced: the wire time of its two small messages and
@@ -622,6 +591,18 @@ pub fn e8_shared_memory() -> Table {
     t
 }
 
+/// The reply window and backoff of the lossy-fabric experiments (E9, E10):
+/// short, so a drop costs 55 ms, not `DEFAULT_TIMEOUT`.
+const LOSSY_WINDOW: Duration = Duration::from_millis(50);
+const LOSSY_BACKOFF: Duration = Duration::from_millis(5);
+
+/// The retrying policy E9 and E10 run under.
+fn lossy_policy() -> CallPolicy {
+    CallPolicy::reliable(LOSSY_WINDOW)
+        .with_max_retries(8)
+        .with_backoff(Backoff::fixed(LOSSY_BACKOFF))
+}
+
 /// E9 (robustness): completion time of an E3-style split-loop workload as
 /// the seeded per-packet drop rate rises, under a retrying [`CallPolicy`].
 ///
@@ -642,20 +623,15 @@ pub fn e9_faults() -> Vec<Table> {
     let workers = 4usize;
     let n = 256usize;
     let rounds = 6usize;
-    // Short windows: a drop costs 55 ms, not DEFAULT_TIMEOUT.
-    let (window, backoff) = (Duration::from_millis(50), Duration::from_millis(5));
 
     let run = |plan: FaultPlan| -> (Vec<f64>, u64, u64, Duration, oopp::Trace) {
-        let policy = CallPolicy::reliable(window)
-            .with_max_retries(8)
-            .with_backoff(Backoff::fixed(backoff));
         let (cluster, mut driver) = ClusterBuilder::new(workers)
             .sim_config(
                 ClusterConfig::zero_cost(0)
                     .with_faults(plan)
                     .with_virtual_time(0xE9_2026),
             )
-            .call_policy(policy)
+            .call_policy(lossy_policy())
             .tracing(true)
             .build();
         let t0 = driver.now_nanos();
@@ -683,8 +659,6 @@ pub fn e9_faults() -> Vec<Table> {
         }
         let elapsed = Duration::from_nanos(driver.now_nanos() - t0);
         let retries = driver.local_stats().calls_retried;
-        // Quiesce the fault plan so the shutdown frames cannot be dropped.
-        cluster.sim().faults().calm();
         let drops = cluster.snapshot().total_fault_drops();
         let recorder = cluster.recorder().expect("tracing enabled");
         cluster.shutdown(driver);
@@ -710,7 +684,7 @@ pub fn e9_faults() -> Vec<Table> {
         // free FIFO link puts between two deliveries. One retransmission
         // recovers each loss.
         assert!(
-            elapsed < (window + backoff) * retries as u32 + Duration::from_micros(1),
+            elapsed < (LOSSY_WINDOW + LOSSY_BACKOFF) * retries as u32 + Duration::from_micros(1),
             "E9 {p}: {elapsed:?} for {retries} retransmissions"
         );
         assert_eq!(retries, drops, "E9 {p}");
@@ -728,38 +702,53 @@ pub fn e9_faults() -> Vec<Table> {
     vec![t, method_stats_table(&lossiest_trace.expect("loop ran"))]
 }
 
-/// E10's workload object: modest state (so migrations are cheap) with a
-/// *modeled* device-side service cost per call. Like the substrate's
-/// network and disk, compute is costed analytically — a sleep on the
-/// cluster clock — so each simulated machine's service capacity is
-/// independent of the host (machines park in the clock concurrently,
-/// exactly as real cluster machines would compute concurrently).
+/// The experiments' one work object: a block of doubles, a write counter
+/// and a hit counter, with a *modeled* device-side service cost per call.
+/// Like the substrate's network and disk, compute is costed analytically —
+/// a sleep on the cluster clock — so each simulated machine's (and each
+/// worker lane's) service capacity is independent of the host: servers
+/// park in the clock concurrently, exactly as real cores would compute
+/// concurrently. `work`, `version` and `read` are replica-servable (E12);
+/// `bump` is the write only the primary executes, and the write counter is
+/// its exactly-once witness (the data bytes would diverge on any
+/// double-apply). The hit counter is the sequential-server witness of E13:
+/// a lost or doubled call to an object changes it.
 #[derive(Debug)]
 pub struct HotBlock {
     data: Vec<f64>,
+    writes: u64,
+    hits: u64,
 }
 
 oopp::remote_class! {
     class HotBlock {
         persistent;
+        reads(work, version, read);
         ctor(n: usize);
         /// Fill the whole block with `v`.
         fn fill(&mut self, v: f64) -> ();
         /// The synthetic hot method: one reduction over the block plus
-        /// `micros` of modeled compute.
+        /// `micros` of modeled compute; counts a hit.
         fn work(&mut self, micros: u64) -> f64;
-        /// Deterministic state mutation (adds `delta` to every element).
+        /// The write verb (adds `delta` to every element); counts a write.
         fn bump(&mut self, delta: f64) -> ();
+        /// Write counter — the read-your-writes probe.
+        fn version(&mut self) -> u64;
         /// The whole block, for the byte-identical witness.
         fn read(&mut self) -> F64s;
-        /// Cheap no-op; called once as the steady-state trace marker.
+        /// Hit counter; cheap enough to double as E10's once-only
+        /// steady-state trace marker.
         fn probe(&mut self) -> u64;
     }
 }
 
 impl HotBlock {
     pub fn new(_ctx: &mut oopp::NodeCtx, n: usize) -> oopp::RemoteResult<Self> {
-        Ok(HotBlock { data: vec![0.0; n] })
+        Ok(HotBlock {
+            data: vec![0.0; n],
+            writes: 0,
+            hits: 0,
+        })
     }
 
     fn fill(&mut self, _ctx: &mut oopp::NodeCtx, v: f64) -> oopp::RemoteResult<()> {
@@ -768,6 +757,7 @@ impl HotBlock {
     }
 
     fn work(&mut self, ctx: &mut oopp::NodeCtx, micros: u64) -> oopp::RemoteResult<f64> {
+        self.hits += 1;
         // Dependent chain so the reduction isn't folded away; the result
         // is a pure function of the state, so it is placement-invariant.
         let mut s = 0.0f64;
@@ -782,7 +772,12 @@ impl HotBlock {
         for x in &mut self.data {
             *x += delta;
         }
+        self.writes += 1;
         Ok(())
+    }
+
+    fn version(&mut self, _ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<u64> {
+        Ok(self.writes)
     }
 
     fn read(&mut self, _ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<&[f64]> {
@@ -790,17 +785,16 @@ impl HotBlock {
     }
 
     fn probe(&mut self, _ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<u64> {
-        Ok(self.data.len() as u64)
+        Ok(self.hits)
     }
 
     fn save_state(&self) -> Vec<u8> {
-        wire::to_bytes_as::<F64s, _>(&self.data.as_slice())
+        wire::to_bytes(&(V64(self.writes), V64(self.hits), F64s(self.data.clone())))
     }
 
     fn load_state(_ctx: &mut oopp::NodeCtx, state: &[u8]) -> oopp::RemoteResult<Self> {
-        Ok(HotBlock {
-            data: wire::from_bytes::<F64s>(state)?.0,
-        })
+        let (V64(writes), V64(hits), F64s(data)) = wire::from_bytes(state)?;
+        Ok(HotBlock { data, writes, hits })
     }
 }
 
@@ -836,9 +830,6 @@ pub fn e10_placement() -> Vec<Table> {
     }
 
     let run = |policy: PlacementPolicy, plan: FaultPlan, chaos: bool| -> Outcome {
-        let call_policy = CallPolicy::reliable(Duration::from_millis(50))
-            .with_max_retries(8)
-            .with_backoff(Backoff::fixed(Duration::from_millis(5)));
         let (cluster, mut driver) = ClusterBuilder::new(WORKERS)
             .register::<HotBlock>()
             .sim_config(
@@ -846,7 +837,7 @@ pub fn e10_placement() -> Vec<Table> {
                     .with_faults(plan)
                     .with_virtual_time(0xE10_2026),
             )
-            .call_policy(call_policy)
+            .call_policy(lossy_policy())
             .tracing(true)
             .build();
         let blocks: Vec<_> = (0..NOBJ)
@@ -909,7 +900,6 @@ pub fn e10_placement() -> Vec<Table> {
         let per_machine: Vec<u64> = (0..WORKERS)
             .map(|m| driver.stats_of(m).unwrap().calls_served)
             .collect();
-        cluster.sim().faults().calm();
         let recorder = cluster.recorder().expect("tracing enabled");
         let moves = balancer.moves_executed();
         cluster.shutdown(driver);
@@ -1008,6 +998,25 @@ pub fn e10_placement() -> Vec<Table> {
     vec![t, method_stats_table(&balanced.trace)]
 }
 
+/// The supervision cadence of E11 and E14's chaos phase: a 10 ms heartbeat
+/// the detector expects, a `lease_ttl` lease, two restart attempts 10 ms
+/// apart.
+fn supervisor_config(lease_ttl: Duration) -> supervision::SupervisorConfig {
+    let heartbeat_interval = Duration::from_millis(10);
+    supervision::SupervisorConfig {
+        heartbeat_interval,
+        lease_ttl,
+        detector: supervision::DetectorConfig {
+            expected_interval: heartbeat_interval,
+            ..Default::default()
+        },
+        restart: supervision::RestartPolicy::Retries {
+            max_retries: 2,
+            backoff: Backoff::fixed(heartbeat_interval),
+        },
+    }
+}
+
 /// E11 (DESIGN.md §10): self-healing under the E10-style Zipf workload.
 ///
 /// Supervised [`HotBlock`]s live on machines 1–3 (machine 0 keeps the
@@ -1024,7 +1033,7 @@ pub fn e10_placement() -> Vec<Table> {
 /// recovery ledger.
 pub fn e11_self_healing() -> Vec<Table> {
     use oopp::symbolic_addr;
-    use supervision::{DetectorConfig, RestartPolicy, Supervisor, SupervisorConfig};
+    use supervision::Supervisor;
 
     const WORKERS: usize = 4;
     const NOBJ: usize = 6;
@@ -1068,21 +1077,8 @@ pub fn e11_self_healing() -> Vec<Table> {
             .call_policy(call_policy)
             .build();
         let dir = driver.directory();
-        let heartbeat_interval = Duration::from_millis(10);
-        let config = SupervisorConfig {
-            heartbeat_interval,
-            lease_ttl: LEASE,
-            detector: DetectorConfig {
-                expected_interval: heartbeat_interval,
-                ..DetectorConfig::default()
-            },
-            restart: RestartPolicy::Retries {
-                max_retries: 2,
-                backoff: Backoff::fixed(Duration::from_millis(10)),
-            },
-        };
-        let mut sup =
-            Supervisor::new(config, HOMES.to_vec(), dir).with_metrics(cluster.metrics().clone());
+        let mut sup = Supervisor::new(supervisor_config(LEASE), HOMES.to_vec(), dir)
+            .with_metrics(cluster.metrics().clone());
 
         // Object k lives on HOMES[k % 3]; the hottest (k = 0) on machine 1,
         // which is the machine every fault variant kills.
@@ -1157,12 +1153,8 @@ pub fn e11_self_healing() -> Vec<Table> {
         }
         let elapsed = Duration::from_nanos(driver.now_nanos() - t0);
 
-        // Heal and readmit, so shutdown finds every machine reachable.
-        match fault {
-            Fault::Crash => cluster.sim().faults().restart(VICTIM),
-            Fault::Partition => cluster.sim().faults().rejoin(VICTIM, &peers),
-            Fault::None => {}
-        }
+        // Heal and readmit: the witness below reads from every machine.
+        cluster.sim().faults().heal_all();
         let deadline = simnet::time::after(driver.now_nanos(), Duration::from_secs(30));
         while fault != Fault::None && sup.is_dead(VICTIM) {
             assert!(driver.now_nanos() < deadline, "readmission stalled");
@@ -1257,81 +1249,6 @@ pub fn e11_self_healing() -> Vec<Table> {
     vec![t]
 }
 
-/// E12's workload object: a read-hot block whose `work`/`version`/`read`
-/// verbs are declared replica-servable, while `bump` stays a write that
-/// only the primary executes. State is versioned so every acknowledged
-/// write has an exactly-once witness (the version counts acks; the data
-/// bytes would diverge on any double-apply).
-#[derive(Debug)]
-pub struct RepBlock {
-    data: Vec<f64>,
-    version: u64,
-}
-
-oopp::remote_class! {
-    class RepBlock {
-        persistent;
-        reads(work, version, read);
-        ctor(n: usize);
-        /// The hot read: one reduction over the block plus `micros` of
-        /// modeled device-side compute, charged on the cluster clock (see
-        /// [`SchedCell`]).
-        fn work(&mut self, micros: u64) -> f64;
-        /// Write counter — the read-your-writes probe.
-        fn version(&mut self) -> u64;
-        /// The whole block, for the byte-identical witness.
-        fn read(&mut self) -> F64s;
-        /// The write verb: add `delta` everywhere; returns the version.
-        fn bump(&mut self, delta: f64) -> u64;
-    }
-}
-
-impl RepBlock {
-    pub fn new(_ctx: &mut oopp::NodeCtx, n: usize) -> oopp::RemoteResult<Self> {
-        Ok(RepBlock {
-            data: vec![0.0; n],
-            version: 0,
-        })
-    }
-
-    fn work(&mut self, ctx: &mut oopp::NodeCtx, micros: u64) -> oopp::RemoteResult<f64> {
-        let mut s = 0.0f64;
-        for &x in &self.data {
-            s = s * 0.999_999_9 + x;
-        }
-        ctx.clock().sleep(Duration::from_micros(micros));
-        Ok(s)
-    }
-
-    fn version(&mut self, _ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<u64> {
-        Ok(self.version)
-    }
-
-    fn read(&mut self, _ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<&[f64]> {
-        Ok(&self.data)
-    }
-
-    fn bump(&mut self, _ctx: &mut oopp::NodeCtx, delta: f64) -> oopp::RemoteResult<u64> {
-        for x in &mut self.data {
-            *x += delta;
-        }
-        self.version += 1;
-        Ok(self.version)
-    }
-
-    fn save_state(&self) -> Vec<u8> {
-        wire::to_bytes(&(self.version, F64s(self.data.clone())))
-    }
-
-    fn load_state(_ctx: &mut oopp::NodeCtx, state: &[u8]) -> oopp::RemoteResult<Self> {
-        let (version, data) = wire::from_bytes::<(u64, F64s)>(state)?;
-        Ok(RepBlock {
-            data: data.0,
-            version,
-        })
-    }
-}
-
 /// E12 (DESIGN.md §11): coherent read replication under a read-heavy
 /// Zipf workload.
 ///
@@ -1350,7 +1267,7 @@ impl RepBlock {
 /// the exact version count (exactly-once writes) and data byte-identical
 /// to every fault-free variant.
 ///
-/// Everything rides the seeded virtual clock (`RepBlock::work` charges
+/// Everything rides the seeded virtual clock (`HotBlock::work` charges
 /// its service time there), so the makespans, the `>= 3x` gate and every
 /// counter are the same on any host, and a second chaos run must replay
 /// the first exactly.
@@ -1387,17 +1304,17 @@ pub fn e12_replication() -> Vec<Table> {
             .with_max_retries(2)
             .with_backoff(Backoff::fixed(Duration::from_millis(5)));
         let (cluster, mut driver) = ClusterBuilder::new(WORKERS)
-            .register::<RepBlock>()
+            .register::<HotBlock>()
             .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(SEED))
             .call_policy(call_policy)
             .build();
         let dir = driver.directory();
-        let name = symbolic_addr(&["e12", "RepBlock", "hot"]);
-        let hot = RepBlockClient::new_on(&mut driver, HOT_HOME, N).unwrap();
+        let name = symbolic_addr(&["e12", "HotBlock", "hot"]);
+        let hot = HotBlockClient::new_on(&mut driver, HOT_HOME, N).unwrap();
         dir.bind(&mut driver, name.clone(), hot.obj_ref()).unwrap();
-        let cold: Vec<RepBlockClient> = COLD_HOMES
+        let cold: Vec<HotBlockClient> = COLD_HOMES
             .iter()
-            .map(|&m| RepBlockClient::new_on(&mut driver, m, 8).unwrap())
+            .map(|&m| HotBlockClient::new_on(&mut driver, m, 8).unwrap())
             .collect();
         let mut mgr = ReplicaManager::new(
             ReplicaConfig {
@@ -1437,7 +1354,7 @@ pub fn e12_replication() -> Vec<Table> {
                 );
             }
             let primary = mgr.primary_of(&name).unwrap_or(hot.obj_ref());
-            let hot_now = RepBlockClient::from_ref(primary);
+            let hot_now = HotBlockClient::from_ref(primary);
 
             // The split-loop read batch: issue every request before
             // awaiting any reply. Hot reads fan out over the replica set.
@@ -1457,17 +1374,17 @@ pub fn e12_replication() -> Vec<Table> {
 
             // The round's one write, and its read-your-writes witness: the
             // very next read — routed to a replica — must see the ack.
-            let v = hot_now
+            hot_now
                 .bump(&mut driver, round as f64 * 0.5 + 0.125)
                 .unwrap();
-            if hot_now.version(&mut driver).unwrap() != v {
+            if hot_now.version(&mut driver).unwrap() != round as u64 + 1 {
                 ryw_misses += 1;
             }
         }
         let makespan_nanos = driver.now_nanos() - t0;
 
         let primary = mgr.primary_of(&name).unwrap_or(hot.obj_ref());
-        let hot_now = RepBlockClient::from_ref(primary);
+        let hot_now = HotBlockClient::from_ref(primary);
         let data = hot_now.read(&mut driver).unwrap().0;
         let version = hot_now.version(&mut driver).unwrap();
         let live = (0..WORKERS).filter(|m| !dead.contains(m));
@@ -1476,9 +1393,6 @@ pub fn e12_replication() -> Vec<Table> {
             let s = driver.stats_of(m).unwrap();
             replica_served += s.replica_reads_served;
             syncs += s.replica_syncs_sent;
-        }
-        for &m in &dead {
-            cluster.sim().faults().restart(m);
         }
         let promotions = mgr.stats().promotions;
         cluster.shutdown(driver);
@@ -1677,51 +1591,6 @@ pub fn a3_deepcopy() -> Table {
     t
 }
 
-/// E13's workload object: tiny state with per-call compute charged on the
-/// *cluster clock* (`ctx.clock().sleep`), as `HotBlock::work` and
-/// `RepBlock::work` charge theirs. Under `TimeMode::Virtual` a worker lane
-/// serving this call parks in the discrete-event clock for the modeled
-/// duration, so lanes overlap their service time exactly as real cores
-/// would — and the virtual makespan measures pool scaling on any host,
-/// including the single-core CI runner.
-#[derive(Debug, Default)]
-pub struct SchedCell {
-    hits: u64,
-    acc: f64,
-}
-
-oopp::remote_class! {
-    class SchedCell {
-        ctor();
-        /// One Zipf-stream call: fold `x` into the accumulator, charge
-        /// `micros` of modeled compute, return the hit count at execution
-        /// (the sequential-server witness: per object these are 1..=n).
-        fn work(&mut self, micros: u64, x: f64) -> u64;
-        /// `(hits, accumulator)` for the cross-engine state witness.
-        fn snapshot(&mut self) -> F64s;
-    }
-}
-
-impl SchedCell {
-    pub fn new(_ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<Self> {
-        Ok(SchedCell::default())
-    }
-
-    fn work(&mut self, ctx: &mut oopp::NodeCtx, micros: u64, x: f64) -> oopp::RemoteResult<u64> {
-        self.hits += 1;
-        // Order-sensitive fold: a reordered or doubled call changes the
-        // accumulator, so byte-identical snapshots across engines certify
-        // per-object execution order, not just call counts.
-        self.acc = self.acc * 0.75 + x;
-        ctx.clock().sleep(Duration::from_micros(micros));
-        Ok(self.hits)
-    }
-
-    fn snapshot(&mut self, _ctx: &mut oopp::NodeCtx) -> oopp::RemoteResult<F64s> {
-        Ok(F64s(vec![self.hits as f64, self.acc]))
-    }
-}
-
 /// E13 (DESIGN.md §13): M:N work-stealing scheduler throughput on a skewed
 /// workload, at 100× the E10 object population.
 ///
@@ -1730,9 +1599,9 @@ impl SchedCell {
 /// repeats under the classic single-threaded engine and under pools of 1,
 /// 2 and 4 worker lanes per machine; everything rides one virtual clock,
 /// so "makespan" is the modeled completion time and the speedup column is
-/// host-independent. The final per-object `(hits, acc)` snapshot must be
-/// byte-identical across engines: however lanes steal the mailboxes, every
-/// object stays one sequential server.
+/// host-independent. The final per-object hit counts must be identical
+/// across engines: however lanes steal the mailboxes, no call to an object
+/// is lost or served twice.
 pub fn e13_sched() -> Vec<Table> {
     const MACHINES: usize = 4;
     const NOBJ: usize = 1600; // 100x E10's population
@@ -1744,7 +1613,7 @@ pub fn e13_sched() -> Vec<Table> {
 
     struct Outcome {
         makespan_nanos: u64,
-        state: Vec<f64>,
+        state: Vec<u64>,
     }
 
     // `lanes == 0` is the classic single-threaded engine; otherwise an
@@ -1752,7 +1621,7 @@ pub fn e13_sched() -> Vec<Table> {
     let run = |lanes: usize| -> Outcome {
         let (cluster, mut driver) = ClusterBuilder::new(MACHINES)
             .sched_workers(lanes)
-            .register::<SchedCell>()
+            .register::<HotBlock>()
             .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(SEED))
             .call_policy(CallPolicy::reliable(Duration::from_millis(500)))
             .build();
@@ -1760,7 +1629,7 @@ pub fn e13_sched() -> Vec<Table> {
         // on distinct machines and the bottleneck is per-machine service
         // capacity — the thing the pool is supposed to multiply.
         let cells: Vec<_> = (0..NOBJ)
-            .map(|k| SchedCellClient::new_on(&mut driver, k % MACHINES).unwrap())
+            .map(|k| HotBlockClient::new_on(&mut driver, k % MACHINES, 0).unwrap())
             .collect();
 
         let mut zipf = Zipf::new(SEED, NOBJ, ZIPF_S);
@@ -1769,18 +1638,16 @@ pub fn e13_sched() -> Vec<Table> {
             let pending: Vec<_> = (0..WINDOW)
                 .map(|_| {
                     let k = zipf.sample();
-                    cells[k]
-                        .work_async(&mut driver, SERVICE_US, (k + 1) as f64 * 0.25)
-                        .unwrap()
+                    cells[k].work_async(&mut driver, SERVICE_US).unwrap()
                 })
                 .collect();
             join(&mut driver, pending).unwrap();
         }
         let makespan_nanos = driver.now_nanos() - t0;
-        let mut state = Vec::with_capacity(NOBJ * 2);
-        for c in &cells {
-            state.extend(c.snapshot(&mut driver).unwrap().0);
-        }
+        let state = cells
+            .iter()
+            .map(|c| c.probe(&mut driver).unwrap())
+            .collect();
         cluster.shutdown(driver);
         Outcome {
             makespan_nanos,
@@ -1797,7 +1664,7 @@ pub fn e13_sched() -> Vec<Table> {
         "speedup vs 1 lane",
         "state identical",
     ]);
-    let mut baseline_state: Option<Vec<f64>> = None;
+    let mut baseline_state: Option<Vec<u64>> = None;
     let mut one_lane_nanos = 0u64;
     for lanes in [0usize, 1, 2, 4] {
         let out = run(lanes);
@@ -1924,7 +1791,6 @@ impl DirHammer {
 /// in both tables is deterministic.
 pub fn e14_dirsvc() -> Vec<Table> {
     use dirsvc::{DirService, DirServiceConfig};
-    use supervision::{DetectorConfig, RestartPolicy, SupervisorConfig};
 
     const MACHINES: usize = 8;
     const NAMES: u64 = 64;
@@ -1937,24 +1803,45 @@ pub fn e14_dirsvc() -> Vec<Table> {
     // machine queue on its link — the resource sharding multiplies.
     let thin_net = || ClusterConfig::lan(0, 20, 0.01);
 
-    let bind_names = |ns: &oopp::NameService, driver: &mut oopp::Driver| {
+    // The deployment both phases share: the names bound, and a warmed hammer
+    // on each of `machines` — one pass fills its resolve cache with the shard
+    // seats, and the warm latencies are discarded.
+    let deploy = |driver: &mut oopp::Driver, machines: std::ops::Range<usize>| {
+        let ns = driver.directory();
         for i in 0..NAMES {
-            ns.bind(
-                driver,
-                format!("{PREFIX}/{i}"),
-                oopp::ObjRef {
-                    machine: i as usize % MACHINES,
-                    object: 40_000 + i,
-                },
-            )
-            .unwrap();
+            let target = oopp::ObjRef {
+                machine: i as usize % MACHINES,
+                object: 40_000 + i,
+            };
+            ns.bind(driver, format!("{PREFIX}/{i}"), target).unwrap();
         }
+        let hammers: Vec<_> = machines
+            .map(|m| DirHammerClient::new_on(driver, m, ns, PREFIX.into(), NAMES).unwrap())
+            .collect();
+        for h in &hammers {
+            h.run(driver, NAMES).unwrap();
+            h.drain(driver).unwrap();
+        }
+        hammers
+    };
+    // What a wave measured, as one tally: every hammer's resolve latencies
+    // and its count of failed resolves.
+    let harvest = |driver: &mut oopp::Driver, hammers: &[DirHammerClient]| {
+        let (mut failed, mut lat_us) = (0, Vec::new());
+        for h in hammers {
+            let mut d = h.drain(driver).unwrap().0;
+            failed += d.remove(0) as u64;
+            lat_us.extend(d);
+        }
+        let mut resolves = ClassLedger::of_completed(lat_us);
+        resolves.issued += failed;
+        resolves.other = failed;
+        resolves
     };
 
     struct Run {
         ops_per_sec: f64,
-        lat: ClassLedger,
-        failed: u64,
+        resolves: ClassLedger,
         cache_hits: u64,
         cache_misses: u64,
     }
@@ -1969,32 +1856,16 @@ pub fn e14_dirsvc() -> Vec<Table> {
             .sim_config(thin_net().with_virtual_time(SEED))
             .call_policy(CallPolicy::reliable(Duration::from_millis(250)))
             .build();
-        let ns = driver.directory();
-        bind_names(&ns, &mut driver);
-        let hammers: Vec<_> = (0..MACHINES)
-            .map(|m| DirHammerClient::new_on(&mut driver, m, ns, PREFIX.into(), NAMES).unwrap())
-            .collect();
-        // Warm pass: fill every hammer's resolve cache with the shard
-        // seats, then discard the warm latencies.
-        for h in &hammers {
-            h.run(&mut driver, NAMES).unwrap();
-            h.drain(&mut driver).unwrap();
-        }
+        let hammers = deploy(&mut driver, 0..MACHINES);
         let t0 = driver.now_nanos();
         let pending: Vec<_> = hammers
             .iter()
             .map(|h| h.run_async(&mut driver, WAVE).unwrap())
             .collect();
-        let done: u64 = join(&mut driver, pending).unwrap().into_iter().sum();
+        join(&mut driver, pending).unwrap();
         let makespan = driver.now_nanos() - t0;
 
-        let mut lat_us = Vec::new();
-        let mut failed = (MACHINES as u64 * WAVE) - done;
-        for h in &hammers {
-            let mut d = h.drain(&mut driver).unwrap().0;
-            failed += d.remove(0) as u64;
-            lat_us.extend(d);
-        }
+        let resolves = harvest(&mut driver, &hammers);
         let (mut cache_hits, mut cache_misses) = (0, 0);
         for m in 0..MACHINES {
             let st = driver.stats_of(m).unwrap();
@@ -2004,8 +1875,7 @@ pub fn e14_dirsvc() -> Vec<Table> {
         cluster.shutdown(driver);
         Run {
             ops_per_sec: (MACHINES as u64 * WAVE) as f64 / (makespan as f64 / 1e9),
-            lat: ClassLedger::of_completed(lat_us),
-            failed,
+            resolves,
             cache_hits,
             cache_misses,
         }
@@ -2046,11 +1916,11 @@ pub fn e14_dirsvc() -> Vec<Table> {
             },
             format!("{:.0}", r.ops_per_sec),
             speedup,
-            format!("{:.0}", r.lat.percentile_us(0.50)),
-            format!("{:.0}", r.lat.percentile_us(0.99)),
+            format!("{:.0}", r.resolves.percentile_us(0.50)),
+            format!("{:.0}", r.resolves.percentile_us(0.99)),
             r.cache_hits.to_string(),
             r.cache_misses.to_string(),
-            r.failed.to_string(),
+            r.resolves.other.to_string(),
         ]);
     }
     assert!(
@@ -2064,7 +1934,7 @@ pub fn e14_dirsvc() -> Vec<Table> {
     // — shard 1's primary — crashed 100 ms into the wave.
     const CHAOS_SHARDS: u32 = 4;
     const CHAOS_OPS: u64 = 2000;
-    let chaos_run = |crash: bool| -> (Run, u64, u64) {
+    let chaos_run = |crash: bool| -> (ClassLedger, u64, u64) {
         let (cluster, mut driver) = ClusterBuilder::new(MACHINES)
             .dir_shards(CHAOS_SHARDS)
             .register::<DirHammer>()
@@ -2080,32 +1950,14 @@ pub fn e14_dirsvc() -> Vec<Table> {
             DirServiceConfig {
                 read_replicas: 0,
                 snapshot_backups: 2,
-                supervisor: SupervisorConfig {
-                    heartbeat_interval: Duration::from_millis(10),
-                    lease_ttl: Duration::from_millis(500),
-                    detector: DetectorConfig {
-                        expected_interval: Duration::from_millis(10),
-                        ..DetectorConfig::default()
-                    },
-                    restart: RestartPolicy::Retries {
-                        max_retries: 2,
-                        backoff: Backoff::fixed(Duration::from_millis(10)),
-                    },
-                },
+                supervisor: supervisor_config(Duration::from_millis(500)),
                 ..DirServiceConfig::default()
             },
             vec![1, 2, 3],
             ns,
         );
         assert_eq!(svc.attach(&mut driver).unwrap(), CHAOS_SHARDS as usize);
-        bind_names(&ns, &mut driver);
-        let hammers: Vec<_> = (4..MACHINES)
-            .map(|m| DirHammerClient::new_on(&mut driver, m, ns, PREFIX.into(), NAMES).unwrap())
-            .collect();
-        for h in &hammers {
-            h.run(&mut driver, NAMES).unwrap();
-            h.drain(&mut driver).unwrap();
-        }
+        let hammers = deploy(&mut driver, 4..MACHINES);
         // Warm the detector, then snapshot every partition: takeover
         // restores the last checkpoint, which must include every binding.
         loop {
@@ -2138,32 +1990,15 @@ pub fn e14_dirsvc() -> Vec<Table> {
         // Fixed drive-out window — detection (one lease), takeover, and
         // the post-heal tail all fit; fixed so the schedule is replayable.
         step_until(&mut driver, &mut svc, t0 + 2_000_000_000);
-        let done: u64 = join(&mut driver, pending).unwrap().into_iter().sum();
-        let makespan = driver.now_nanos() - t0;
-
-        let mut lat_us = Vec::new();
-        let mut failed = (hammers.len() as u64 * CHAOS_OPS) - done;
-        for h in &hammers {
-            let mut d = h.drain(&mut driver).unwrap().0;
-            failed += d.remove(0) as u64;
-            lat_us.extend(d);
-        }
+        join(&mut driver, pending).unwrap();
+        let resolves = harvest(&mut driver, &hammers);
         let stats = svc.stats();
-        let run = Run {
-            ops_per_sec: done as f64 / (makespan as f64 / 1e9),
-            lat: ClassLedger::of_completed(lat_us),
-            failed,
-            cache_hits: 0,
-            cache_misses: 0,
-        };
-        // Heal and readmit before teardown: shutdown joins every machine
-        // thread, and a still-crashed machine's thread never parks out.
-        if crash {
-            cluster.sim().faults().restart(1);
-        }
-        cluster.sim().faults().calm();
         cluster.shutdown(driver);
-        (run, stats.shard_takeovers, stats.machines_declared_dead)
+        (
+            resolves,
+            stats.shard_takeovers,
+            stats.machines_declared_dead,
+        )
     };
 
     let mut chaos = Table::new(&[
@@ -2185,11 +2020,11 @@ pub fn e14_dirsvc() -> Vec<Table> {
                 "calm"
             }
             .into(),
-            r.lat.ok.to_string(),
-            r.failed.to_string(),
-            format!("{:.0}", r.lat.percentile_us(0.50)),
-            format!("{:.0}", r.lat.percentile_us(0.99)),
-            format!("{:.1}", r.lat.percentile_us(1.0) / 1e3),
+            r.ok.to_string(),
+            r.other.to_string(),
+            format!("{:.0}", r.percentile_us(0.50)),
+            format!("{:.0}", r.percentile_us(0.99)),
+            format!("{:.1}", r.percentile_us(1.0) / 1e3),
             takeovers.to_string(),
             dead.to_string(),
         ]);
@@ -2202,7 +2037,7 @@ pub fn e14_dirsvc() -> Vec<Table> {
 ///
 /// Three claims, three tables, all on the seeded virtual clock:
 ///
-/// **Goodput sweep.** A closed-loop Zipf(0.9) stream over 16 `SchedCell`
+/// **Goodput sweep.** A closed-loop Zipf(0.9) stream over 16 [`HotBlock`]
 /// objects (200 µs of modeled service each) on 4 machines × 2 lanes, with
 /// per-call 2 ms deadlines and 16-deep mailbox caps. The in-flight window
 /// sweeps from far below saturation to 4× past it; the offered column is
@@ -2229,8 +2064,6 @@ pub fn e14_dirsvc() -> Vec<Table> {
 /// trial re-closes the breaker after the spike lifts and every call lands
 /// again.
 pub fn e15_overload() -> Vec<Table> {
-    use std::collections::VecDeque;
-
     const MACHINES: usize = 4;
     const LANES: usize = 2;
     const NOBJ: usize = 16;
@@ -2242,14 +2075,9 @@ pub fn e15_overload() -> Vec<Table> {
     const DEADLINE: Duration = Duration::from_millis(2);
     const MAILBOX_CAP: usize = 16;
 
-    #[derive(Default)]
     struct Run {
-        ok: u64,
-        overloaded: u64,
-        deadline: u64,
-        timeout: u64,
+        tally: ClassLedger, // closed-loop completion times
         goodput: f64,
-        ok_lat: ClassLedger,   // closed-loop completion times
         shed_lat: ClassLedger, // fail-fast probe rejections
         sample_overloaded: Option<String>,
         sample_deadline: Option<String>,
@@ -2268,13 +2096,13 @@ pub fn e15_overload() -> Vec<Table> {
         };
         let (cluster, mut driver) = ClusterBuilder::new(MACHINES)
             .sched_workers(LANES)
-            .register::<SchedCell>()
+            .register::<HotBlock>()
             .overload(overload)
             .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(SEED))
             .call_policy(CallPolicy::reliable(Duration::from_millis(250)))
             .build();
         let cells: Vec<_> = (0..NOBJ)
-            .map(|k| SchedCellClient::new_on(&mut driver, k % MACHINES).unwrap())
+            .map(|k| HotBlockClient::new_on(&mut driver, k % MACHINES, 0).unwrap())
             .collect();
         let policy = CallPolicy::reliable(Duration::from_millis(250));
         driver.set_call_policy(if shed {
@@ -2283,19 +2111,15 @@ pub fn e15_overload() -> Vec<Table> {
             policy
         });
 
-        let mut out = Run::default();
-        let (mut ok_lat_us, mut shed_lat_us) = (Vec::new(), Vec::new());
+        let (mut sample_overloaded, mut sample_deadline) = (None, None);
+        let mut shed_lat_us = Vec::new();
         let mut zipf = Zipf::new(SEED ^ (window as u64) << 1 ^ shed as u64, NOBJ, ZIPF_S);
-        let mut inflight = VecDeque::new();
         let mut issued = 0usize;
-        let t0 = driver.now_nanos();
-        while issued < TOTAL_CALLS || !inflight.is_empty() {
-            if issued < TOTAL_CALLS && inflight.len() < window {
-                let k = zipf.sample();
-                let p = cells[k]
-                    .work_async(&mut driver, SERVICE_US, (k + 1) as f64 * 0.25)
-                    .unwrap();
-                inflight.push_back((p, driver.now_nanos()));
+        let mut load = ClosedLoop::new(TOTAL_CALLS, driver.now_nanos());
+        while load.running() {
+            if load.has_room(window) {
+                let call = cells[zipf.sample()].work_async(&mut driver, SERVICE_US);
+                load.issue(&driver, ReqClass::Read, driver.now_nanos(), call);
                 issued += 1;
                 // Fail-fast witness: every 64th issue, one *synchronous*
                 // call at the hottest object, timed in isolation. When its
@@ -2304,39 +2128,34 @@ pub fn e15_overload() -> Vec<Table> {
                 if shed && issued.is_multiple_of(64) {
                     let s0 = driver.now_nanos();
                     if let Err(RemoteError::Overloaded { .. }) =
-                        cells[0].work(&mut driver, SERVICE_US, 0.5)
+                        cells[0].work(&mut driver, SERVICE_US)
                     {
                         shed_lat_us.push(driver.now_nanos().saturating_sub(s0) as f64 / 1e3);
                     }
                 }
                 continue;
             }
-            let (p, t_issue) = inflight.pop_front().unwrap();
-            let r = p.wait(&mut driver);
-            let elapsed_us = driver.now_nanos().saturating_sub(t_issue) as f64 / 1e3;
-            match r {
-                Ok(_) => {
-                    out.ok += 1;
-                    ok_lat_us.push(elapsed_us);
-                }
+            match load.retire(&mut driver) {
+                Ok(_) | Err(RemoteError::Timeout { .. }) => {}
                 Err(e @ RemoteError::Overloaded { .. }) => {
-                    out.overloaded += 1;
-                    out.sample_overloaded.get_or_insert_with(|| e.to_string());
+                    sample_overloaded.get_or_insert_with(|| e.to_string());
                 }
                 Err(e @ RemoteError::DeadlineExceeded { .. }) => {
-                    out.deadline += 1;
-                    out.sample_deadline.get_or_insert_with(|| e.to_string());
+                    sample_deadline.get_or_insert_with(|| e.to_string());
                 }
-                Err(RemoteError::Timeout { .. }) => out.timeout += 1,
                 Err(e) => panic!("unexpected E15 error class: {e}"),
             }
         }
-        let makespan = driver.now_nanos() - t0;
-        out.goodput = out.ok as f64 / (makespan as f64 / 1e9);
-        out.ok_lat = ClassLedger::of_completed(ok_lat_us);
-        out.shed_lat = ClassLedger::of_completed(shed_lat_us);
+        let ledger = load.finish(driver.now_nanos());
         cluster.shutdown(driver);
-        out
+        assert_eq!(ledger.read.other, 0, "E15: a call failed at issue");
+        Run {
+            goodput: ledger.read.ok as f64 / ((ledger.t1_nanos - ledger.t0_nanos) as f64 / 1e9),
+            tally: ledger.read,
+            shed_lat: ClassLedger::of_completed(shed_lat_us),
+            sample_overloaded,
+            sample_deadline,
+        }
     };
 
     let mut sweep = Table::new(&[
@@ -2359,13 +2178,13 @@ pub fn e15_overload() -> Vec<Table> {
         sweep.row(&[
             format!("{:.2}x", window as f64 / BASE_WINDOW as f64),
             window.to_string(),
-            r.ok.to_string(),
-            r.overloaded.to_string(),
-            r.deadline.to_string(),
-            r.timeout.to_string(),
+            r.tally.ok.to_string(),
+            r.tally.overloaded.to_string(),
+            r.tally.deadline.to_string(),
+            r.tally.timeout.to_string(),
             format!("{:.0}", r.goodput),
-            format!("{:.0}", r.ok_lat.percentile_us(0.50)),
-            format!("{:.0}", r.ok_lat.percentile_us(0.99)),
+            format!("{:.0}", r.tally.percentile_us(0.50)),
+            format!("{:.0}", r.tally.percentile_us(0.99)),
             format!("{:.1}", r.shed_lat.percentile_us(0.99)),
         ]);
         if window >= 2 * BASE_WINDOW {
@@ -2380,15 +2199,15 @@ pub fn e15_overload() -> Vec<Table> {
             r.goodput
         );
         assert!(
-            r.ok_lat.percentile_us(0.99) <= 5.0 * DEADLINE.as_micros() as f64,
+            r.tally.percentile_us(0.99) <= 5.0 * DEADLINE.as_micros() as f64,
             "E15 gate: past capacity the successful-call p99 must stay near the \
              deadline, got {:.0} us",
-            r.ok_lat.percentile_us(0.99)
+            r.tally.percentile_us(0.99)
         );
     }
     let top = &past_capacity.last().unwrap().1;
     assert!(
-        top.overloaded + top.deadline > 0,
+        top.tally.overloaded + top.tally.deadline > 0,
         "E15 gate: the 4x point must actually shed load"
     );
     assert!(
@@ -2414,20 +2233,20 @@ pub fn e15_overload() -> Vec<Table> {
     ] {
         tail.row(&[
             label.into(),
-            r.ok.to_string(),
-            (r.overloaded + r.deadline).to_string(),
+            r.tally.ok.to_string(),
+            (r.tally.overloaded + r.tally.deadline).to_string(),
             format!("{:.0}", r.goodput),
-            format!("{:.0}", r.ok_lat.percentile_us(0.99)),
-            format!("{:.0}", r.ok_lat.percentile_us(1.0)),
+            format!("{:.0}", r.tally.percentile_us(0.99)),
+            format!("{:.0}", r.tally.percentile_us(1.0)),
         ]);
     }
     assert_eq!(
-        unbounded.overloaded + unbounded.deadline,
+        unbounded.tally.overloaded + unbounded.tally.deadline,
         0,
         "the baseline must queue everything"
     );
     assert!(
-        top.ok_lat.percentile_us(0.99) < unbounded.ok_lat.percentile_us(0.99),
+        top.tally.percentile_us(0.99) < unbounded.tally.percentile_us(0.99),
         "E15 gate: degradation knobs must buy a strictly better tail than the \
          fail-slow baseline"
     );
@@ -2445,11 +2264,11 @@ pub fn e15_overload() -> Vec<Table> {
         sample_fast_fail: Option<String>,
     }
     let (cluster, mut driver) = ClusterBuilder::new(2)
-        .register::<SchedCell>()
+        .register::<HotBlock>()
         .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(SEED ^ 0x5B1))
         .call_policy(CallPolicy::reliable(Duration::from_millis(100)))
         .build();
-    let cell = SchedCellClient::new_on(&mut driver, 1).unwrap();
+    let cell = HotBlockClient::new_on(&mut driver, 1, 0).unwrap();
     driver.set_call_policy(
         CallPolicy::reliable(Duration::from_millis(20))
             .with_max_retries(1)
@@ -2480,7 +2299,7 @@ pub fn e15_overload() -> Vec<Table> {
             sample_fast_fail: None,
         };
         for _ in 0..PHASE_CALLS {
-            match cell.work(&mut driver, 50, 0.5) {
+            match cell.work(&mut driver, 50) {
                 Ok(_) => ph.ok += 1,
                 Err(e @ RemoteError::Timeout { .. }) => {
                     if let RemoteError::Timeout {
@@ -2502,7 +2321,6 @@ pub fn e15_overload() -> Vec<Table> {
         }
         phases.push(ph);
     }
-    cluster.sim().faults().calm();
     cluster.shutdown(driver);
 
     let mean = |v: &[f64]| {
@@ -2554,12 +2372,12 @@ pub fn e15_overload() -> Vec<Table> {
     for (class, count, example) in [
         (
             "server shed: mailbox/in-flight",
-            top.overloaded,
+            top.tally.overloaded,
             top.sample_overloaded.clone(),
         ),
         (
             "server shed: deadline expired",
-            top.deadline,
+            top.tally.deadline,
             top.sample_deadline.clone(),
         ),
         (
@@ -2650,4 +2468,44 @@ pub fn e16_workload() -> Vec<Table> {
     let verdicts = workload::report::verdict_table(&a.report.verdicts);
     let sections = a.report.sections.into_iter().map(|(_, table)| table);
     sections.chain([verdicts]).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A migrated, reactivated or replicated `HotBlock` is its snapshot:
+    /// the data and both witnesses travel, and bytes nobody wrote are a
+    /// `Decode` error, never a panic.
+    #[test]
+    fn hot_block_snapshot_round_trips_and_refuses_junk() {
+        let (cluster, mut driver) = ClusterBuilder::new(1).build();
+        let mut block = HotBlock::new(&mut driver, 3).unwrap();
+        block.fill(&mut driver, -0.0).unwrap();
+        for round in 0..300 {
+            block.work(&mut driver, 0).unwrap();
+            if round % 100 == 0 {
+                block.bump(&mut driver, 0.25).unwrap();
+            }
+        }
+        let bytes = block.save_state();
+        let back = HotBlock::load_state(&mut driver, &bytes).unwrap();
+        assert_eq!(back.data, [0.75; 3]);
+        assert_eq!((back.writes, back.hits), (3, 300), "a two-byte varint too");
+        assert_eq!(back.save_state(), bytes);
+
+        let mut junk: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+        junk.push([bytes.as_slice(), &[0]].concat());
+        junk.push(vec![0xff; 32]);
+        // A length that promises 2^40 doubles in a handful of bytes.
+        junk.push(wire::to_bytes(&(V64(1), V64(1), V64(1 << 40))));
+        for bad in junk {
+            let refused = HotBlock::load_state(&mut driver, &bad);
+            assert!(
+                matches!(refused, Err(RemoteError::Decode { .. })),
+                "{bad:?} loaded as {refused:?}"
+            );
+        }
+        cluster.shutdown(driver);
+    }
 }

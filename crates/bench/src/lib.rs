@@ -42,12 +42,15 @@ pub fn lan_config() -> ClusterConfig {
     }
 }
 
-/// A slower, seek-dominated disk profile for the I/O-parallelism
-/// experiments (1 ms positioning, 400 MB/s transfer).
-pub fn spinny_disk() -> DiskConfig {
-    DiskConfig {
-        seek: Duration::from_millis(1),
-        bytes_per_sec: 400e6,
+/// [`lan_config`] with a slower, seek-dominated disk for the
+/// I/O-parallelism experiments (1 ms positioning, 400 MB/s transfer).
+pub fn spinny_config() -> ClusterConfig {
+    ClusterConfig {
+        disk: DiskConfig {
+            seek: Duration::from_millis(1),
+            bytes_per_sec: 400e6,
+        },
+        ..lan_config()
     }
 }
 

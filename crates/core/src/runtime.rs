@@ -367,9 +367,13 @@ impl Cluster {
         self.recorder.clone()
     }
 
-    /// Stop every machine and join its thread. The driver is consumed: a
-    /// cluster without machines has nothing left to talk to.
+    /// Stop every machine and join its thread, healing the fabric first
+    /// ([`FaultInjector::heal_all`](simnet::FaultInjector::heal_all)): the
+    /// join waits for ever on a machine the stop order cannot reach. The
+    /// driver is consumed: a cluster without machines has nothing left to
+    /// talk to.
     pub fn shutdown(mut self, mut driver: Driver) {
+        self.sim.faults().heal_all();
         // An open circuit breaker must not swallow the stop order (the
         // join below would wait for ever on a machine never told to stop).
         let mut policy = driver.ctx.call_policy();
@@ -387,6 +391,7 @@ impl Cluster {
     }
 
     fn emergency_shutdown(&mut self) {
+        self.sim.faults().heal_all();
         // Fire shutdown frames directly into the fabric (no driver context
         // needed; replies land nowhere, which is fine).
         for m in 0..self.workers {

@@ -8,8 +8,7 @@
 //! * a naive [`dft`](mod@dft) as the testing oracle;
 //! * [`Radix2`]/[`Radix4`] (iterative Cooley–Tukey) and [`Bluestein`]
 //!   (arbitrary n) 1-D transforms behind the size-dispatching [`Fft`] plan;
-//! * [`Fft2`]/[`Fft3`] row–column 2-D/3-D transforms and [`RealFft`] for
-//!   real-valued input (half-spectrum);
+//! * [`Fft2`]/[`Fft3`] row–column 2-D/3-D transforms;
 //! * [`DistributedFft3`] — the paper's §4 example: slab decomposition over
 //!   a group of [`FftWorker`] object-processes exchanging transpose blocks
 //!   by remote method invocation.
@@ -32,7 +31,6 @@ pub mod nd2;
 pub mod plan;
 pub mod radix2;
 pub mod radix4;
-pub mod real;
 mod tile;
 
 pub use bluestein::Bluestein;
@@ -44,7 +42,6 @@ pub use nd2::{Fft2, Grid2};
 pub use plan::Fft;
 pub use radix2::Radix2;
 pub use radix4::Radix4;
-pub use real::RealFft;
 
 #[cfg(test)]
 mod oracle;

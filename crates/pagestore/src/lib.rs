@@ -36,12 +36,10 @@
 //! assigned to a different hard drive" (§4).
 
 pub mod array_device;
-pub mod cache;
 pub mod device;
 pub mod page;
 
 pub use array_device::{ArrayPageDevice, ArrayPageDeviceClient};
-pub use cache::{CacheStats, CachedDevice};
 pub use device::{PageDevice, PageDeviceClient};
 pub use page::{ArrayPage, Page};
 

@@ -276,83 +276,6 @@ impl PlacementPolicy {
     }
 }
 
-/// One planned scale-out: give `object` a read replica on each machine
-/// in `targets` (see the `replica` crate for execution).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScalePlan {
-    /// The read-hot object, at its primary address.
-    pub object: ObjRef,
-    /// Machines that should each host one new read replica, coolest
-    /// first.
-    pub targets: Vec<usize>,
-    /// The load (per-object call delta) that motivated the scale-out.
-    pub load: u64,
-}
-
-/// Plan read-replication for hot objects — the scale-*out* alternative to
-/// the scale-*sideways* migration policies. Migration helps when a
-/// machine hosts several warm objects; it cannot help when **one** object
-/// carries the load (moving it just relocates the hotspot — see
-/// `greedy_never_swaps_hot_for_hot`). Replication splits that object's
-/// read traffic instead.
-///
-/// Pure, like [`PlacementPolicy::plan`]: any object whose call delta
-/// exceeds `hot_ratio` × the mean *machine* load is proposed for one
-/// replica on each of the `fanout` least-loaded machines other than its
-/// own (ties broken by machine id), hottest objects first. `occupied`
-/// filters machines that already hold a copy of the object (its current
-/// footprint, from `replica::ReplicaManager::footprint`). Whether the
-/// class has read verbs at all is the executor's check, not the
-/// planner's — samples don't carry class information.
-pub fn plan_scale_out(
-    samples: &[MachineSample],
-    hot_ratio: f64,
-    fanout: usize,
-    occupied: &dyn Fn(ObjRef) -> Vec<usize>,
-) -> Vec<ScalePlan> {
-    if samples.len() < 2 || fanout == 0 {
-        return Vec::new();
-    }
-    let mean = samples.iter().map(|s| s.load()).sum::<u64>() as f64 / samples.len() as f64;
-    if mean == 0.0 {
-        return Vec::new();
-    }
-    let mut hot: Vec<(ObjRef, u64)> = samples
-        .iter()
-        .flat_map(|s| {
-            s.objects.iter().map(|&(o, c)| {
-                (
-                    ObjRef {
-                        machine: s.machine,
-                        object: o,
-                    },
-                    c,
-                )
-            })
-        })
-        .filter(|&(_, c)| c as f64 > hot_ratio * mean)
-        .collect();
-    hot.sort_by_key(|&(r, c)| (u64::MAX - c, r.machine, r.object));
-    let mut coolest: Vec<(u64, usize)> = samples.iter().map(|s| (s.load(), s.machine)).collect();
-    coolest.sort_unstable();
-    hot.into_iter()
-        .filter_map(|(object, load)| {
-            let taken = occupied(object);
-            let targets: Vec<usize> = coolest
-                .iter()
-                .map(|&(_, m)| m)
-                .filter(|&m| m != object.machine && !taken.contains(&m))
-                .take(fanout)
-                .collect();
-            (!targets.is_empty()).then_some(ScalePlan {
-                object,
-                targets,
-                load,
-            })
-        })
-        .collect()
-}
-
 /// Closed-loop placement controller for one cluster.
 ///
 /// Owns the polling state (previous counter values, so each round works
@@ -725,73 +648,6 @@ mod tests {
         let samples = vec![sample(2, &[]), sample(1, &[]), sample(3, &[])];
         // Equal loads: lowest machine id wins regardless of sample order.
         assert_eq!(reactivation_target(&samples, &[]), Some(1));
-    }
-
-    #[test]
-    fn scale_out_targets_coolest_machines_for_the_hot_object() {
-        // Exactly the shape migration cannot fix: one object is the load.
-        let samples = vec![
-            sample(0, &[(1, 1000)]),
-            sample(1, &[(5, 10)]),
-            sample(2, &[]),
-            sample(3, &[(6, 40)]),
-        ];
-        let plans = plan_scale_out(&samples, 2.0, 2, &|_| Vec::new());
-        assert_eq!(plans.len(), 1);
-        assert_eq!(
-            plans[0].object,
-            ObjRef {
-                machine: 0,
-                object: 1
-            }
-        );
-        // Coolest first, never the object's own machine.
-        assert_eq!(plans[0].targets, vec![2, 1]);
-        assert_eq!(plans[0].load, 1000);
-    }
-
-    #[test]
-    fn scale_out_skips_machines_already_holding_a_copy() {
-        let samples = vec![
-            sample(0, &[(1, 1000)]),
-            sample(1, &[]),
-            sample(2, &[]),
-            sample(3, &[]),
-        ];
-        let plans = plan_scale_out(&samples, 2.0, 3, &|_| vec![1, 2]);
-        assert_eq!(plans.len(), 1);
-        assert_eq!(plans[0].targets, vec![3]);
-        // Footprint covering every other machine: nothing left to plan.
-        assert!(plan_scale_out(&samples, 2.0, 3, &|_| vec![1, 2, 3]).is_empty());
-    }
-
-    #[test]
-    fn scale_out_plans_nothing_on_a_balanced_or_idle_cluster() {
-        let balanced = vec![
-            sample(0, &[(1, 100)]),
-            sample(1, &[(2, 110)]),
-            sample(2, &[(3, 95)]),
-        ];
-        assert!(plan_scale_out(&balanced, 2.0, 2, &|_| Vec::new()).is_empty());
-        let idle = vec![sample(0, &[]), sample(1, &[])];
-        assert!(plan_scale_out(&idle, 2.0, 2, &|_| Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn scale_out_is_deterministic_and_ranks_hottest_first() {
-        let samples = vec![
-            sample(0, &[(1, 500), (2, 800)]),
-            sample(1, &[]),
-            sample(2, &[]),
-        ];
-        // Mean machine load is (1300+0+0)/3 ≈ 433; ratio 1.0 makes both
-        // objects hot (500 and 800 exceed it).
-        let a = plan_scale_out(&samples, 1.0, 1, &|_| Vec::new());
-        let b = plan_scale_out(&samples, 1.0, 1, &|_| Vec::new());
-        assert_eq!(a, b);
-        assert!(a.len() >= 2);
-        assert_eq!(a[0].object.object, 2, "hottest object must lead");
-        assert!(a[0].load >= a[1].load);
     }
 
     #[test]

@@ -599,7 +599,7 @@ impl ReplicaManager {
     }
 
     /// The machines currently hosting any copy (primary or replica) of a
-    /// managed name — the set a scale-out planner must not target again.
+    /// managed name — the set a new replica of it must not be placed on.
     pub fn footprint(&self, name: &str) -> HashSet<usize> {
         let mut s = HashSet::new();
         if let Some(e) = self.entry(name) {

@@ -380,12 +380,25 @@ impl FaultInjector {
     }
 
     /// Mute the seeded probabilistic plan (drops, dups, delays). Scripted
-    /// crashes and partitions still apply. A chaos test calls this before
-    /// shutdown so control frames cannot be lost; note that calm segments
+    /// crashes and partitions still apply. Note that calm segments
     /// do not consume link sequence numbers, so the replay property holds
     /// as long as calm/resume points are program-deterministic.
     pub fn calm(&self) {
         self.state.plan_suppressed.store(true, Ordering::Relaxed);
+    }
+
+    /// Make every machine reachable: restart the crashed, heal every
+    /// partition, lift every spike and [`calm`](FaultInjector::calm) the
+    /// seeded plan. What a cluster does before it sends its stop orders —
+    /// a machine that never hears one is never joined.
+    pub fn heal_all(&self) {
+        for down in self.state.crashed.iter().chain(&self.state.partitioned) {
+            down.store(false, Ordering::Relaxed);
+        }
+        for spike in &self.state.spiked {
+            spike.store(0, Ordering::Relaxed);
+        }
+        self.calm();
     }
 
     /// Undo [`calm`](FaultInjector::calm): the seeded plan applies again.
@@ -527,6 +540,24 @@ mod tests {
         assert_eq!(s.verdict(0, 2), Verdict::DropCrashed);
         inj.resume();
         assert_eq!(s.verdict(0, 1), Verdict::DropRandom);
+    }
+
+    #[test]
+    fn heal_all_lifts_every_scripted_fault_and_mutes_the_plan() {
+        let s = Arc::new(FaultState::new(FaultPlan::seeded(3).with_drop(1.0), 3));
+        let inj = FaultInjector::new(s.clone(), true);
+        inj.crash(0);
+        inj.partition(1, 2);
+        inj.spike(2, Duration::from_secs(1));
+        inj.heal_all();
+        const PROMPT: Verdict = Verdict::Deliver {
+            copies: 1,
+            extra_delay: Duration::ZERO,
+        };
+        for (src, dst) in [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)] {
+            assert_eq!(s.verdict(src, dst), PROMPT, "{src} -> {dst}");
+        }
+        assert!(!inj.is_crashed(0) && !inj.is_partitioned(2, 1) && !inj.is_spiked(2));
     }
 
     #[test]

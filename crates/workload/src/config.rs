@@ -218,6 +218,10 @@ impl ScenarioSpec {
         if spec.feeds == 0 || spec.clients == 0 || spec.requests == 0 {
             return Err("scenario.feeds, load.clients and load.requests must be > 0".into());
         }
+        // The request mix draws `% users` and `% sessions`.
+        if spec.users == 0 || spec.sessions == 0 {
+            return Err("scenario.users and scenario.sessions must be > 0".into());
+        }
         if spec.hot_replicas + 2 > spec.machines {
             return Err("scenario.hot_replicas needs machines >= hot_replicas + 2".into());
         }
@@ -399,6 +403,10 @@ mod tests {
             .unwrap_err()
             .contains("unknown arrival curve"));
         assert!(ScenarioSpec::from_toml("[cluster]\nmachines = 2\n").is_err());
+        for key in ["users", "sessions"] {
+            let refused = ScenarioSpec::from_toml(&format!("[scenario]\n{key} = 0\n"));
+            assert!(refused.unwrap_err().contains(&format!("scenario.{key}")));
+        }
     }
 
     /// The canonical rendering is a file format: pinned text, not just a

@@ -1,10 +1,10 @@
 //! The closed-loop load generator: N virtual clients on one driver.
 //!
-//! The generator is a single closed loop over async calls — the same
-//! shape E15 used to find the goodput plateau — whose in-flight window
-//! is the "number of virtual clients" and is re-shaped every issue by
-//! an [`ArrivalCurve`]. All timing comes from the cluster clock
-//! (`driver.now_nanos()`), so under `with_virtual_time(seed)` the
+//! [`ClosedLoop`] is the one sliding-window loop over async calls in the
+//! tree: `runner::run` drives it, re-shaping the in-flight window (the
+//! "number of virtual clients") every turn by an [`ArrivalCurve`], and so
+//! does E15 to find the goodput plateau. All timing comes from the cluster
+//! clock (`driver.now_nanos()`), so under `with_virtual_time(seed)` the
 //! whole load schedule, including the diurnal sine, is deterministic.
 //!
 //! The request mix is seeded SplitMix64: feed reads follow a Zipf
@@ -12,7 +12,12 @@
 //! uniform, and `write_permille` of requests are writes split across
 //! feed posts, user follows, and session touches.
 
-use oopp::RemoteError;
+use std::collections::VecDeque;
+
+use oopp::wire::Wire;
+use oopp::{NodeCtx, Pending, RemoteError, RemoteResult};
+
+use crate::slo::Ledger;
 
 /// How the closed-loop window (the live virtual clients) evolves over
 /// the run.
@@ -141,6 +146,82 @@ impl Observation {
     /// Closed-loop latency in microseconds.
     pub fn lat_us(&self) -> f64 {
         self.done_nanos.saturating_sub(self.issued_nanos) as f64 / 1e3
+    }
+}
+
+/// The closed loop's state: `total` requests, the calls in flight (oldest
+/// first) and the [`Ledger`] they retire into. The caller turns it
+/// `while running()`: with room under its current window it makes one call
+/// and hands it to [`issue`](Self::issue), otherwise it
+/// [`retire`](Self::retire)s the oldest — so a window that shrinks mid-run
+/// only retires until the loop is under it again. What runs between two
+/// turns (fault episodes, a control beat, a probe) is the caller's.
+pub struct ClosedLoop<T> {
+    total: usize,
+    issued: usize,
+    inflight: VecDeque<(Pending<T>, u64, ReqClass)>,
+    ledger: Ledger,
+}
+
+impl<T: Wire> ClosedLoop<T> {
+    /// A loop of `total` requests opening at `t0_nanos` on the cluster clock.
+    pub fn new(total: usize, t0_nanos: u64) -> Self {
+        ClosedLoop {
+            total,
+            issued: 0,
+            inflight: VecDeque::new(),
+            ledger: Ledger::new(t0_nanos),
+        }
+    }
+
+    /// True until every request is issued and retired.
+    pub fn running(&self) -> bool {
+        self.issued < self.total || !self.inflight.is_empty()
+    }
+
+    /// Whether this turn issues: requests left, fewer than `window` in flight.
+    pub fn has_room(&self, window: usize) -> bool {
+        self.issued < self.total && self.inflight.len() < window
+    }
+
+    /// Count the request made at `at_nanos`. A `call` that went out is in
+    /// flight; one that failed at issue (open breaker, local shed) is a
+    /// completed observation that waited for nothing.
+    pub fn issue(
+        &mut self,
+        ctx: &NodeCtx,
+        class: ReqClass,
+        at_nanos: u64,
+        call: RemoteResult<Pending<T>>,
+    ) {
+        self.issued += 1;
+        match call {
+            Ok(p) => self.inflight.push_back((p, at_nanos, class)),
+            Err(e) => self.observe(ctx, at_nanos, class, &Err(e)),
+        }
+    }
+
+    /// Wait for the oldest call in flight, record how it ended, return it.
+    pub fn retire(&mut self, ctx: &mut NodeCtx) -> RemoteResult<T> {
+        let (p, at_nanos, class) = self.inflight.pop_front().expect("a call in flight");
+        let r = p.wait(ctx);
+        self.observe(ctx, at_nanos, class, &r);
+        r
+    }
+
+    fn observe(&mut self, ctx: &NodeCtx, issued_nanos: u64, class: ReqClass, r: &RemoteResult<T>) {
+        self.ledger.record(&Observation {
+            issued_nanos,
+            done_nanos: ctx.now_nanos(),
+            class,
+            outcome: Outcome::classify(r),
+        });
+    }
+
+    /// The ledger of the run, sealed at `t1_nanos`.
+    pub fn finish(mut self, t1_nanos: u64) -> Ledger {
+        self.ledger.seal(t1_nanos);
+        self.ledger
     }
 }
 
@@ -318,6 +399,68 @@ mod tests {
         assert_ne!(a, c, "different seeds must diverge");
         // 200‰ nominal: allow generous sampling slack.
         assert!((300..=500).contains(&writes), "writes {writes} of 2000");
+    }
+
+    /// The loop's contract, on a one-machine virtual cluster: never a call
+    /// issued with the window full — a window that shrinks mid-run only
+    /// retires until the loop is under it again — calls retired in issue
+    /// order, and a ledger that accounts for every request.
+    #[test]
+    fn closed_loop_keeps_under_its_window_and_retires_in_issue_order() {
+        const TOTAL: usize = 48;
+        let (cluster, mut driver) = oopp::ClusterBuilder::new(1)
+            .sim_config(simnet::ClusterConfig::zero_cost(0).with_virtual_time(7))
+            .build();
+        let block = oopp::DoubleBlockClient::new_on(&mut driver, 0, TOTAL).unwrap();
+        for i in 0..TOTAL {
+            block.set(&mut driver, i, i as f64).unwrap();
+        }
+        let mut load = ClosedLoop::new(TOTAL, driver.now_nanos());
+        let (mut retired, mut most_in_flight) = (0usize, 0usize);
+        while load.running() {
+            // Eight clients for the first half of the issues, then two.
+            let window = if load.issued < TOTAL / 2 { 8 } else { 2 };
+            if load.has_room(window) {
+                assert!(load.inflight.len() < window, "issued with the window full");
+                let call = block.get_async(&mut driver, load.issued);
+                load.issue(&driver, ReqClass::Read, driver.now_nanos(), call);
+                most_in_flight = most_in_flight.max(load.inflight.len());
+                continue;
+            }
+            assert!(load.inflight.len() >= window || load.issued == TOTAL);
+            let before = load.inflight.len();
+            let oldest = load.retire(&mut driver).unwrap();
+            assert_eq!(oldest, retired as f64, "retired out of issue order");
+            assert_eq!(load.inflight.len(), before - 1);
+            retired += 1;
+        }
+        assert_eq!((retired, most_in_flight), (TOTAL, 8));
+        let ledger = load.finish(driver.now_nanos());
+        assert_eq!(ledger.total_issued(), TOTAL as u64);
+        assert_eq!((ledger.read.ok, ledger.write.issued), (TOTAL as u64, 0));
+        assert_eq!(ledger.t1_nanos, driver.now_nanos());
+        cluster.shutdown(driver);
+    }
+
+    /// A call that fails at issue never enters the queue: it is one
+    /// observation, done the instant it was issued.
+    #[test]
+    fn closed_loop_records_an_error_at_issue_as_a_zero_wait_observation() {
+        let (cluster, driver) = oopp::ClusterBuilder::new(1)
+            .sim_config(simnet::ClusterConfig::zero_cost(0).with_virtual_time(7))
+            .build();
+        let now = driver.now_nanos();
+        let mut load = ClosedLoop::<u64>::new(1, now);
+        let shed = RemoteError::Disconnected { machine: 0 };
+        load.issue(&driver, ReqClass::Write, now, Err(shed));
+        assert!(!load.running() && load.inflight.is_empty());
+        let ledger = load.finish(driver.now_nanos());
+        assert_eq!((ledger.total_issued(), ledger.write.other), (1, 1));
+        assert_eq!(
+            ledger.to_csv().lines().nth(1),
+            Some(format!("{now},{now},write,other").as_str())
+        );
+        cluster.shutdown(driver);
     }
 
     /// The first 32 draws of E13's and E12's schedules: the refactoring

@@ -13,11 +13,10 @@
 //! replica mid-run — all on virtual time, so the entire composition
 //! replays byte-identically from one seed.
 
-use std::collections::VecDeque;
 use std::time::Duration;
 
 use oopp::{
-    Backoff, BreakerConfig, CallPolicy, ClusterBuilder, OverloadConfig, Pending, RemoteClient,
+    Backoff, BreakerConfig, CallPolicy, ClusterBuilder, OverloadConfig, RemoteClient,
     RetryBudgetConfig, Trace,
 };
 use placement::{Balancer, PlacementPolicy};
@@ -25,7 +24,7 @@ use replica::{CoherenceMode, ReplicaConfig, ReplicaManager};
 use simnet::ClusterConfig;
 
 use crate::config::ScenarioSpec;
-use crate::loadgen::{Observation, Outcome, ReqClass, Request, RequestMix};
+use crate::loadgen::{ClosedLoop, ReqClass, Request, RequestMix};
 use crate::report::{build_report, RunReport};
 use crate::scenario::{self, Feed, FeedClient, Session, User};
 use crate::slo::{Ledger, ServerAccount};
@@ -142,10 +141,8 @@ pub fn run(spec: &ScenarioSpec) -> RunArtifacts {
     // --- The closed loop ----------------------------------------------------
     let loadgen_policy = client_policy(spec);
     let mut mix = RequestMix::new(seed, spec.feeds, spec.zipf_s, spec.write_permille);
-    let mut inflight: VecDeque<(Pending<u64>, u64, ReqClass)> = VecDeque::new();
-    let mut issued = 0usize;
     let t0 = driver.now_nanos();
-    let mut ledger = Ledger::new(t0);
+    let mut load = ClosedLoop::<u64>::new(spec.requests, t0);
     let mut next_control = t0 + CONTROL_MS * 1_000_000;
     let mut crash_pending = spec.crash_at_ms > 0;
     let mut spike_pending = spec.spike_at_ms > 0;
@@ -155,7 +152,7 @@ pub fn run(spec: &ScenarioSpec) -> RunArtifacts {
     let spike_machine = if spec.hot_replicas > 0 { 1 } else { victim - 1 };
 
     driver.set_call_policy(loadgen_policy);
-    while issued < spec.requests || !inflight.is_empty() {
+    while load.running() {
         let now = driver.now_nanos();
         let elapsed = now - t0;
 
@@ -193,7 +190,7 @@ pub fn run(spec: &ScenarioSpec) -> RunArtifacts {
 
         // Issue up to the arrival curve's current window.
         let window = spec.curve.window_at(elapsed, spec.clients);
-        if issued < spec.requests && inflight.len() < window {
+        if load.has_room(window) {
             let req = mix.next(spec.users, spec.sessions);
             let class = req.class();
             let pending = match req {
@@ -221,50 +218,24 @@ pub fn run(spec: &ScenarioSpec) -> RunArtifacts {
                 }
                 Request::UserFollow { user } => deployment.users[user].follow_async(&mut driver),
             };
-            issued += 1;
-            match pending {
-                Ok(p) => inflight.push_back((p, now, class)),
-                Err(e) => {
-                    // Fast-failed at issue (open breaker, local shed):
-                    // a completed observation with zero wait.
-                    ledger.record(&Observation {
-                        issued_nanos: now,
-                        done_nanos: driver.now_nanos(),
-                        class,
-                        outcome: Outcome::classify::<u64>(&Err(e)),
-                    });
-                }
-            }
+            load.issue(&driver, class, now, pending);
             continue;
         }
 
         // Window full (or everything issued): retire the oldest call.
-        let (p, t_issue, class) = inflight.pop_front().unwrap();
-        let r = p.wait(&mut driver);
-        ledger.record(&Observation {
-            issued_nanos: t_issue,
-            done_nanos: driver.now_nanos(),
-            class,
-            outcome: Outcome::classify(&r),
-        });
+        let _ = load.retire(&mut driver);
     }
-    ledger.seal(driver.now_nanos());
+    let ledger = load.finish(driver.now_nanos());
 
     // --- Distill + shut down ------------------------------------------------
     let balancer_moves = balancer.moves_executed();
     let balancer_skips_replicated = balancer.moves_skipped_replicated();
     let promotions = mgr.stats().promotions;
-    // Crashed machines are dark: restart them (and clear any live
-    // spike) so shutdown's control frames can reach every machine,
-    // then serve briefly so straggling work on the readmitted machine
-    // drains while the driver still holds the virtual clock.
-    if spec.crash_at_ms > 0 {
-        cluster.sim().faults().restart(victim);
-    }
-    if unspike_pending {
-        cluster.sim().faults().unspike(spike_machine);
-    }
-    cluster.sim().faults().calm();
+    // Heal the fabric now rather than leave it to shutdown (the crashed
+    // machine is dark, a spike may be live), and serve briefly: straggling
+    // work on the readmitted machine drains while the driver still holds
+    // the virtual clock.
+    cluster.sim().faults().heal_all();
     driver.serve_for(Duration::from_millis(5));
     // Clone the recorder handle out before shutdown consumes the
     // cluster; the rings are only safe to merge once threads joined.

@@ -96,7 +96,6 @@ fn split_loop_run(workers: usize, n: usize, faults: FaultPlan) -> (Vec<f64>, u64
 
     let retried = driver.local_stats().calls_retried;
     let dropped = cluster.snapshot().total_fault_drops();
-    cluster.sim().faults().calm(); // shutdown frames must not be lost
     cluster.shutdown(driver);
     (out, retried, dropped)
 }
@@ -281,11 +280,78 @@ fn crash_mid_run_recovers_from_replicated_snapshot() {
         resolve_or_activate_supervised(&mut driver, &dir, &addr, &[1, 2]).unwrap();
     assert_eq!(again.obj_ref(), recovered.obj_ref());
 
-    // Restart the dark machine so shutdown can reach it, quiesce the plan,
-    // and tear down.
-    cluster.sim().faults().restart(1);
-    cluster.sim().faults().calm();
+    // Machine 1 is still dark: `shutdown` heals the fabric before it stops.
     cluster.shutdown(driver);
+}
+
+/// Runs `scenario` on its own thread and fails, instead of hanging the
+/// suite, when it has not come back in 30 s of wall time.
+fn bounded(what: String, scenario: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        scenario();
+        let _ = done.send(());
+    });
+    let outcome = finished.recv_timeout(Duration::from_secs(30));
+    assert!(outcome.is_ok(), "{what}: still waiting for a machine");
+}
+
+/// Two workers on a free fabric, machine 1 made unreachable by `fault`;
+/// the driver is machine 2.
+fn unreachable_cluster(
+    virtual_time: bool,
+    fault: &str,
+) -> (oopp_repro::oopp::Cluster, oopp_repro::oopp::Driver) {
+    let mut config = ClusterConfig::zero_cost(0);
+    if virtual_time {
+        config = config.with_virtual_time(0x5707);
+    }
+    let (cluster, driver) = ClusterBuilder::new(2).sim_config(config).build();
+    let faults = cluster.sim().faults();
+    match fault {
+        "crash" => faults.crash(1),
+        "partition" => faults.partition(1, 2),
+        "spike" => faults.spike(1, Duration::from_secs(3600)),
+        other => unreachable!("{other}"),
+    }
+    (cluster, driver)
+}
+
+/// A cluster can always be shut down: `shutdown` heals the fabric before
+/// it sends its stop orders, so a machine that is dark, cut off from the
+/// driver or an hour behind on its inbound link is still told to stop and
+/// joined — on both clocks (a spike needs the virtual one).
+#[test]
+fn shutdown_reaches_a_crashed_a_partitioned_and_a_spiked_machine() {
+    for (virtual_time, fault) in [
+        (false, "crash"),
+        (false, "partition"),
+        (true, "crash"),
+        (true, "partition"),
+        (true, "spike"),
+    ] {
+        bounded(format!("{fault}, virtual time {virtual_time}"), move || {
+            let (cluster, driver) = unreachable_cluster(virtual_time, fault);
+            cluster.shutdown(driver);
+        });
+    }
+}
+
+/// A failed assertion while a machine is dark must report, not hang: the
+/// unwind drops the cluster, and the emergency path heals before it stops.
+#[test]
+fn a_panic_with_a_machine_dark_unwinds_instead_of_hanging() {
+    for virtual_time in [false, true] {
+        bounded(format!("panic, virtual time {virtual_time}"), move || {
+            let red = std::panic::catch_unwind(|| {
+                // Bound as every program binds them: the driver drops first.
+                let (_cluster, _driver) = unreachable_cluster(virtual_time, "crash");
+                // No panic hook output: this is the expected path.
+                std::panic::resume_unwind(Box::new("a red assertion mid-chaos"));
+            });
+            assert!(red.is_err());
+        });
+    }
 }
 
 /// The split-loop workload again, with the flight recorder on. Returns the
