@@ -34,6 +34,7 @@ mod serve;
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -95,6 +96,36 @@ pub(crate) enum LaneRole {
     Worker(WorkerLane),
 }
 
+/// A lane's place among the virtual clock's actors (DESIGN §12.2): taken
+/// when the lane is built, given up exactly once — by the lane's drop, or,
+/// for the driver, by the cluster's when that runs first (the driver never
+/// parks, so while it holds its place the clock delivers nothing). A no-op
+/// on the real clock.
+#[derive(Clone)]
+pub(crate) struct ActorSeat {
+    clock: Clock,
+    held: Arc<AtomicBool>,
+}
+
+impl ActorSeat {
+    fn take(clock: &Clock) -> Self {
+        clock.register_actor();
+        ActorSeat {
+            clock: clock.clone(),
+            held: Arc::new(AtomicBool::new(true)),
+        }
+    }
+
+    /// Leave the clock's actors, unless this seat already has. If that
+    /// leaves every remaining actor parked, the clock runs on before this
+    /// returns — the shutdown cascade depends on it.
+    pub(crate) fn release(&self) {
+        if self.held.swap(false, Ordering::AcqRel) {
+            self.clock.deregister_actor();
+        }
+    }
+}
+
 /// Default reply window. Long enough for heavily costed benchmark runs,
 /// short enough that a deadlocked test fails rather than hangs.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -109,6 +140,8 @@ pub struct NodeCtx {
     /// and leases on this node are measured against it, so a virtual-time
     /// cluster never blocks on a wall-clock-only timer.
     clock: Clock,
+    /// This lane's place among the virtual clock's actors.
+    seat: ActorSeat,
     /// What this lane is, and with it what it receives through: the
     /// machine's network inbox, or a worker lane's control channel.
     role: LaneRole,
@@ -182,11 +215,7 @@ impl std::fmt::Debug for NodeCtx {
 
 impl Drop for NodeCtx {
     fn drop(&mut self) {
-        // Leave the virtual clock's quiescence set (no-op in real mode).
-        // If this was the last running actor, deregistration advances the
-        // event loop so remaining deliveries (shutdown frames for peers)
-        // still fire — the teardown cascade depends on it.
-        self.clock.deregister_actor();
+        self.seat.release();
     }
 }
 
@@ -195,9 +224,8 @@ impl NodeCtx {
     pub(crate) fn new(env: &MachineEnv<'_>, role: LaneRole) -> Self {
         let clock = env.net.clock().clone();
         // Virtual time only advances while every actor is parked in the
-        // clock, so each NodeCtx — worker lanes included — enrolls here and
-        // leaves in its Drop.
-        clock.register_actor();
+        // clock, so each NodeCtx — worker lanes included — takes a seat.
+        let seat = ActorSeat::take(&clock);
         let stride = match &env.shared.sched {
             Sched::Inline => 1,
             Sched::Pool(pool) => pool.workers() as u64 + 1,
@@ -211,6 +239,7 @@ impl NodeCtx {
             workers: env.workers,
             net: env.net.clone(),
             clock,
+            seat,
             role,
             lane_no,
             stride,
@@ -277,6 +306,11 @@ impl NodeCtx {
     /// Total endpoints, workers plus driver.
     pub fn machines(&self) -> usize {
         self.workers + 1
+    }
+
+    /// This lane's place among the virtual clock's actors.
+    pub(crate) fn seat(&self) -> &ActorSeat {
+        &self.seat
     }
 
     /// The cluster clock this node measures every timeout, backoff and

@@ -17,7 +17,7 @@ use crate::group::Barrier;
 use crate::naming::{
     shard_addr, DirShard, DirShardClient, Directory, DirectoryClient, NameService,
 };
-use crate::node::{LaneRole, MachineEnv, NodeCtx, WorkerLane};
+use crate::node::{ActorSeat, LaneRole, MachineEnv, NodeCtx, WorkerLane};
 use crate::policy::{CallPolicy, OverloadConfig};
 use crate::process::{ClassRegistry, RemoteClient, ServerClass};
 use crate::shared::{Pool, Sched, SharedNode};
@@ -304,6 +304,7 @@ impl ClusterBuilder {
             threads,
             workers,
             driver_id,
+            driver_seat: driver_ctx.seat().clone(),
             recorder,
         };
         let driver = Driver {
@@ -326,6 +327,10 @@ pub struct Cluster {
     threads: Vec<JoinHandle<()>>,
     workers: usize,
     driver_id: MachineId,
+    /// The driver's place among the virtual clock's actors: a cluster
+    /// dropped before its driver gives it up, or its stop orders would wait
+    /// for a driver that never parks.
+    driver_seat: ActorSeat,
     recorder: Option<Arc<Recorder>>,
 }
 
@@ -411,6 +416,7 @@ impl Cluster {
                 .net()
                 .send(self.driver_id, m, wire::to_bytes(&frame));
         }
+        self.driver_seat.release();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

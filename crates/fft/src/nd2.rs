@@ -87,16 +87,14 @@ impl Fft2 {
     }
 
     /// In-place 2-D transform of one row-major `n1 × n2` plane where it
-    /// lies: the contiguous rows one by one, then all columns at once.
+    /// lies: all rows, then all columns.
     ///
     /// # Panics
     /// If `plane.len() != n1 * n2`.
     pub fn process_plane(&self, plane: &mut [Complex], dir: Direction) {
         let [n1, n2] = self.shape;
         assert_eq!(plane.len(), n1 * n2, "plane size must match plan");
-        for row in plane.chunks_exact_mut(n2) {
-            self.plans[1].process(row, dir);
-        }
+        self.plans[1].process_rows(plane, dir);
         self.plans[0].process_columns(plane, n2, dir);
     }
 

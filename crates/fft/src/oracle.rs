@@ -275,3 +275,88 @@ fn fft3_equals_the_old_passes_and_the_definition() {
         assert!(fast == old, "{dir:?}");
     }
 }
+
+/// Which build of the kernel a test runs: the one this host dispatches to,
+/// or the baseline build every other host runs.
+fn in_build<T>(baseline: bool, f: impl FnOnce() -> T) -> T {
+    if baseline {
+        tile::baseline_only(f)
+    } else {
+        f()
+    }
+}
+
+/// Both builds of the sweep `==` the old kernels, for every kind of line:
+/// one line, rows (tile edges: fewer rows than a run, a run and one more,
+/// a plane's worth), columns (the widths above). Radix-4 at n = 4…1 024,
+/// radix-2 at n = 2…512 — powers of four included, where no plan picks it.
+/// On an AVX2 host nothing else runs the baseline build.
+#[test]
+fn both_builds_of_the_kernel_equal_the_old_kernels() {
+    let host = if tile::avx2() { "avx2" } else { "baseline" };
+    println!("this host dispatches to the {host} build; both are checked");
+    let radix4 = (1..=5).map(|k| 1usize << (2 * k));
+    let radix2 = (1..=9).map(|k| 1usize << k);
+    let plans = radix4.map(|n| (n, true)).chain(radix2.map(|n| (n, false)));
+    for (n, four) in plans {
+        let reference = |line: &mut [Complex], dir| {
+            if four {
+                radix4_reference(line, dir)
+            } else {
+                radix2_reference(line, dir)
+            }
+        };
+        let (r4, r2) = (four.then(|| Radix4::new(n)), Radix2::new(n));
+        for baseline in [false, true] {
+            for dir in BOTH {
+                let what = format!(
+                    "n={n} radix-{} {dir:?} baseline={baseline}",
+                    if four { 4 } else { 2 }
+                );
+                // One line.
+                let x = seeded(n, n as u64);
+                let mut old = x.clone();
+                reference(&mut old, dir);
+                let mut new = x;
+                in_build(baseline, || match &r4 {
+                    Some(p) => p.process(&mut new, dir),
+                    None => r2.process(&mut new, dir),
+                });
+                assert!(new == old, "line, {what}");
+                // Rows.
+                for rows in [1, tile::RUN - 1, tile::RUN, tile::RUN + 1, 64] {
+                    let x = seeded(n * rows, (n + rows) as u64);
+                    let mut old = x.clone();
+                    old.chunks_exact_mut(n).for_each(|row| reference(row, dir));
+                    let mut new = x;
+                    in_build(baseline, || match &r4 {
+                        Some(p) => p.process_rows(&mut new, dir),
+                        None => r2.process_rows(&mut new, dir),
+                    });
+                    assert!(new == old, "{rows} rows, {what}");
+                }
+                // Columns.
+                for width in [1usize, 3, 64, 65, 130, 2048] {
+                    if width == 2048 && n > 64 {
+                        continue;
+                    }
+                    let x = seeded(n * width, (n * width) as u64);
+                    let mut old = x.clone();
+                    columns_by_line(&mut old, width, |line| reference(line, dir));
+                    let mut new = x;
+                    in_build(baseline, || match &r4 {
+                        Some(p) => p.process_columns(&mut new, width, dir),
+                        None => r2.process_columns(&mut new, width, dir),
+                    });
+                    assert!(new == old, "width {width}, {what}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "not whole rows of 4")]
+fn rows_reject_a_buffer_that_is_not_whole_rows() {
+    Fft::new(4).process_rows(&mut [Complex::ZERO; 6], Direction::Forward);
+}

@@ -5,6 +5,7 @@ use crate::complex::Complex;
 use crate::dft::Direction;
 use crate::radix2::Radix2;
 use crate::radix4::{is_power_of_four, Radix4};
+use crate::tile::assert_whole_rows;
 
 #[derive(Debug, Clone)]
 enum Strategy {
@@ -100,6 +101,26 @@ impl Fft {
         }
     }
 
+    /// Transform every row of the row-major `[rows][n]` matrix `data` in
+    /// place — how the contiguous axis of a 2-D or 3-D transform is run:
+    /// a few rows at a time through the sweep the columns go through (but
+    /// for Bluestein sizes, whose rows go one by one).
+    ///
+    /// # Panics
+    /// If `data` is not whole rows of `n`.
+    pub fn process_rows(&self, data: &mut [Complex], dir: Direction) {
+        match &self.strategy {
+            Strategy::Radix2(p) => p.process_rows(data, dir),
+            Strategy::Radix4(p) => p.process_rows(data, dir),
+            Strategy::Bluestein(p) => {
+                assert_whole_rows(data.len(), self.n);
+                for row in data.chunks_exact_mut(self.n) {
+                    p.process(row, dir);
+                }
+            }
+        }
+    }
+
     /// Out-of-place transform.
     pub fn transform(&self, input: &[Complex], dir: Direction) -> Vec<Complex> {
         let mut out = input.to_vec();
@@ -142,6 +163,22 @@ mod tests {
                 .collect();
             let err = max_error(&plan.forward(&x), &dft(&x, Direction::Forward));
             assert!(err < 1e-7, "n={n}: error {err}");
+        }
+    }
+
+    #[test]
+    fn rows_are_lines_for_every_strategy() {
+        // Radix-4, radix-2, Bluestein.
+        for n in [16, 8, 12] {
+            let plan = Fft::new(n);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let x: Vec<Complex> = (0..5 * n).map(|i| c64(i as f64, 0.5)).collect();
+                let mut rows = x.clone();
+                plan.process_rows(&mut rows, dir);
+                let lines: Vec<Complex> =
+                    x.chunks(n).flat_map(|l| plan.transform(l, dir)).collect();
+                assert!(rows == lines, "n={n} {dir:?}");
+            }
         }
     }
 

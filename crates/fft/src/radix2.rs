@@ -1,29 +1,64 @@
 //! Iterative radix-2 Cooley–Tukey FFT for power-of-two sizes.
 //!
-//! Laid out like [`Radix4`](crate::radix4::Radix4): the bit reversal as a
-//! list of exchanges, the twiddles per stage in the order they are read, a
-//! conjugated copy for the inverse, a first stage that multiplies nothing.
+//! Laid out like [`Radix4`](crate::radix4::Radix4): the bit reversal, the
+//! twiddles per stage in the order they are read, a conjugated copy for the
+//! inverse, a first stage that multiplies nothing, one sweep of
+//! `tile.rs` for lines, rows and columns.
+
+use std::ops::Range;
 
 use crate::complex::Complex;
 use crate::dft::Direction;
-use crate::tile::{scale_rows, swap_pairs, swap_rows, tiles};
+use crate::tile::{runs, sweep, Butterfly, Lines, Run, Stages, Twiddle};
 
 /// Precomputed machinery for power-of-two transforms.
 #[derive(Debug, Clone)]
 pub struct Radix2 {
     n: usize,
-    /// The exchanges `(i, j)`, `i < j`, of the bit reversal.
-    swaps: Vec<(u32, u32)>,
+    /// The bit reversal of `0..n`.
+    reversal: Vec<u32>,
     /// `w^j` for `j in 0..len/2`, `w = e^{-2πi/len}`, the stages
     /// `len = 4, 8, …, n` one after the other; `[1]` holds the conjugates.
     /// Indexed by `Direction as usize`.
-    twiddles: [Vec<Complex>; 2],
+    twiddles: [Vec<Twiddle>; 2],
 }
 
-/// One butterfly: the twiddled `b` and `a` in, sum and difference out.
-#[inline(always)]
-fn butterfly(tb: Complex, a: &mut Complex, b: &mut Complex) {
-    (*a, *b) = (*a + tb, *a - tb);
+/// One butterfly: row 1 times its twiddle (none in the first stage), then
+/// sum and difference.
+struct Pair(Option<Twiddle>);
+
+impl Butterfly<2> for Pair {
+    #[inline(always)]
+    fn run<const R: usize>(&self, [a, mut b]: [Run<R>; 2]) -> [Run<R>; 2] {
+        if let Some(w) = self.0 {
+            b = b.twiddle(w);
+        }
+        [a + b, a - b]
+    }
+}
+
+impl Stages for Radix2 {
+    fn reversal(&self) -> &[u32] {
+        &self.reversal
+    }
+
+    #[inline(always)]
+    fn stages<const INVERSE: bool>(&self, data: &mut [Complex], width: usize, cols: &Range<usize>) {
+        let mut twiddles = &self.twiddles[INVERSE as usize][..];
+        let mut half = 1;
+        while 2 * half <= self.n {
+            let stage;
+            (stage, twiddles) = twiddles.split_at(if half == 1 { 0 } else { half });
+            for group in data.chunks_exact_mut(2 * half * width) {
+                let (lo, hi) = group.split_at_mut(half * width);
+                let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
+                for (j, (r0, r1)) in rows.enumerate() {
+                    runs(Pair(stage.get(j).copied()), [r0, r1], cols);
+                }
+            }
+            half *= 2;
+        }
+    }
 }
 
 impl Radix2 {
@@ -38,7 +73,9 @@ impl Radix2 {
             "Radix2 requires a power-of-two size, got {n}"
         );
         let bits = n.trailing_zeros();
-        let swaps = swap_pairs(n, |i| i.reverse_bits().checked_shr(32 - bits).unwrap_or(0));
+        let reversal = (0..n as u32)
+            .map(|i| i.reverse_bits().checked_shr(32 - bits).unwrap_or(0))
+            .collect();
         // Every stage reads the one table `e^{-2πi k / n}` at a stride.
         let root = |k: usize| Complex::cis(-std::f64::consts::TAU * k as f64 / n as f64);
         let mut forward = Vec::with_capacity(n);
@@ -48,10 +85,12 @@ impl Radix2 {
             len <<= 1;
         }
         let inverse = forward.iter().map(|w| w.conj()).collect();
+        let twiddles =
+            [forward, inverse].map(|t: Vec<Complex>| t.into_iter().map(Twiddle::new).collect());
         Radix2 {
             n,
-            swaps,
-            twiddles: [forward, inverse],
+            reversal,
+            twiddles,
         }
     }
 
@@ -65,82 +104,31 @@ impl Radix2 {
         false
     }
 
-    /// In-place transform.
+    /// In-place transform: the one column of an `[n][1]` matrix.
     ///
     /// # Panics
     /// If `data.len() != self.len()`.
     pub fn process(&self, data: &mut [Complex], dir: Direction) {
         assert_eq!(data.len(), self.n, "buffer length must equal plan size");
-        if self.n <= 1 {
-            return;
-        }
-        for &(i, j) in &self.swaps {
-            data.swap(i as usize, j as usize);
-        }
-        for pair in data.chunks_exact_mut(2) {
-            let [a, b] = pair else { unreachable!() };
-            butterfly(*b, a, b);
-        }
-        let mut twiddles = &self.twiddles[dir as usize][..];
-        let mut half = 2;
-        while 2 * half <= self.n {
-            let (stage, rest) = twiddles.split_at(half);
-            for group in data.chunks_exact_mut(2 * half) {
-                let (lo, hi) = group.split_at_mut(half);
-                for ((a, b), w) in lo.iter_mut().zip(hi).zip(stage) {
-                    butterfly(*b * *w, a, b);
-                }
-            }
-            twiddles = rest;
-            half *= 2;
-        }
-        if dir == Direction::Inverse {
-            let inv = 1.0 / self.n as f64;
-            for v in data {
-                *v = v.scale(inv);
-            }
-        }
+        sweep(self, data, Lines::Columns(1), dir);
     }
 
     /// Transform every column of the row-major `[n][width]` matrix `data`
-    /// in place, a tile of columns at a time: each butterfly reads its
-    /// twiddle once and sweeps the tile's run of columns.
+    /// in place, a tile of columns at a time.
     ///
     /// # Panics
     /// If `data.len() != self.len() * width`.
     pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
-        assert_eq!(data.len(), self.n * width, "buffer must be [n][width]");
-        if self.n <= 1 {
-            return;
-        }
-        for cols in tiles(width) {
-            swap_rows(data, width, &cols, &self.swaps);
-            for pair in data.chunks_exact_mut(2 * width) {
-                let (r0, r1) = pair.split_at_mut(width);
-                for (a, b) in r0[cols.clone()].iter_mut().zip(&mut r1[cols.clone()]) {
-                    butterfly(*b, a, b);
-                }
-            }
-            let mut twiddles = &self.twiddles[dir as usize][..];
-            let mut half = 2;
-            while 2 * half <= self.n {
-                let (stage, rest) = twiddles.split_at(half);
-                for group in data.chunks_exact_mut(2 * half * width) {
-                    let (lo, hi) = group.split_at_mut(half * width);
-                    let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
-                    for ((r0, r1), w) in rows.zip(stage) {
-                        for (a, b) in r0[cols.clone()].iter_mut().zip(&mut r1[cols.clone()]) {
-                            butterfly(*b * *w, a, b);
-                        }
-                    }
-                }
-                twiddles = rest;
-                half *= 2;
-            }
-            if dir == Direction::Inverse {
-                scale_rows(data, width, &cols, 1.0 / self.n as f64);
-            }
-        }
+        sweep(self, data, Lines::Columns(width), dir);
+    }
+
+    /// Transform every row of the row-major `[rows][n]` matrix `data` in
+    /// place, a few rows at a time as the columns of a small tile.
+    ///
+    /// # Panics
+    /// If `data` is not whole rows of `n`.
+    pub fn process_rows(&self, data: &mut [Complex], dir: Direction) {
+        sweep(self, data, Lines::Rows, dir);
     }
 }
 

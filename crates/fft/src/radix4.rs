@@ -4,25 +4,28 @@
 //! multiplies; [`Fft`](crate::plan::Fft) selects this path when `n = 4^k`.
 //!
 //! The plan stores what a transform reads in the order it reads it: the
-//! exchanges of the digit reversal as a list of pairs, and per stage the
-//! three twiddles of each butterfly side by side, once as they are and once
-//! conjugated for the inverse. The first stage's twiddles are all 1 and it
-//! multiplies nothing; `±i` is a swap and a negation.
+//! digit reversal, and per stage the three twiddles of each butterfly side
+//! by side, once as they are and once conjugated for the inverse. The first
+//! stage's twiddles are all 1 and it multiplies nothing; `±i` is a swap and
+//! a negation. Lines, rows and columns all go through the one sweep of
+//! `tile.rs`, a run of values per butterfly.
 
-use crate::complex::{c64, Complex};
+use std::ops::Range;
+
+use crate::complex::Complex;
 use crate::dft::Direction;
-use crate::tile::{scale_rows, swap_pairs, swap_rows, tiles};
+use crate::tile::{runs, sweep, Butterfly, Lines, Run, Stages, Twiddle};
 
 /// Precomputed radix-4 plan.
 #[derive(Debug, Clone)]
 pub struct Radix4 {
     n: usize,
-    /// The exchanges `(i, j)`, `i < j`, of the base-4 digit reversal.
-    swaps: Vec<(u32, u32)>,
+    /// The base-4 digit reversal of `0..n`.
+    reversal: Vec<u32>,
     /// `[w^j, w^2j, w^3j]` for `j in 0..len/4`, `w = e^{-2πi/len}`, the
     /// stages `len = 16, 64, …, n` one after the other; `[1]` holds the
     /// conjugates. Indexed by `Direction as usize`.
-    twiddles: [Vec<[Complex; 3]>; 2],
+    twiddles: [Vec<[Twiddle; 3]>; 2],
 }
 
 /// True if `n` is a power of four.
@@ -30,30 +33,53 @@ pub fn is_power_of_four(n: usize) -> bool {
     n.is_power_of_two() && n.trailing_zeros().is_multiple_of(2)
 }
 
-/// `group` cut into its four quarters.
-fn quarters(group: &mut [Complex]) -> [&mut [Complex]; 4] {
-    let (lo, hi) = group.split_at_mut(group.len() / 2);
-    let (q0, q1) = lo.split_at_mut(lo.len() / 2);
-    let (q2, q3) = hi.split_at_mut(hi.len() / 2);
-    [q0, q1, q2, q3]
+/// One butterfly: rows 1–3 times their twiddles (none in the first stage,
+/// whose twiddles are all 1), then the four outputs. The rotation of
+/// `b - d` is by `-i` forward and by `+i` inverse.
+struct Quad<const INVERSE: bool>(Option<[Twiddle; 3]>);
+
+impl<const INVERSE: bool> Butterfly<4> for Quad<INVERSE> {
+    #[inline(always)]
+    fn run<const R: usize>(&self, [a, mut b, mut c, mut d]: [Run<R>; 4]) -> [Run<R>; 4] {
+        if let Some([wb, wc, wd]) = self.0 {
+            [b, c, d] = [b.twiddle(wb), c.twiddle(wc), d.twiddle(wd)];
+        }
+        let (ac_sum, ac_diff) = (a + c, a - c);
+        let (bd_sum, bd_diff) = (b + d, (b - d).rotate::<INVERSE>());
+        [
+            ac_sum + bd_sum,
+            ac_diff + bd_diff,
+            ac_sum - bd_sum,
+            ac_diff - bd_diff,
+        ]
+    }
 }
 
-/// One butterfly: the twiddled `b`, `c`, `d` and `a` in, the four outputs
-/// written through `a`, `b`, `c`, `d`. The rotation of `b - d` is by `-i`
-/// forward and by `+i` inverse.
-#[inline(always)]
-fn butterfly<const INVERSE: bool>([tb, tc, td]: [Complex; 3], [a, b, c, d]: [&mut Complex; 4]) {
-    let (ac_sum, ac_diff) = (*a + tc, *a - tc);
-    let (bd_sum, t) = (tb + td, tb - td);
-    let bd_diff = if INVERSE {
-        c64(-t.im, t.re)
-    } else {
-        c64(t.im, -t.re)
-    };
-    *a = ac_sum + bd_sum;
-    *b = ac_diff + bd_diff;
-    *c = ac_sum - bd_sum;
-    *d = ac_diff - bd_diff;
+impl Stages for Radix4 {
+    fn reversal(&self) -> &[u32] {
+        &self.reversal
+    }
+
+    #[inline(always)]
+    fn stages<const INVERSE: bool>(&self, data: &mut [Complex], width: usize, cols: &Range<usize>) {
+        let mut twiddles = &self.twiddles[INVERSE as usize][..];
+        let mut quarter = 1;
+        while 4 * quarter <= self.n {
+            let stage;
+            (stage, twiddles) = twiddles.split_at(if quarter == 1 { 0 } else { quarter });
+            let rows = quarter * width;
+            for group in data.chunks_exact_mut(4 * rows) {
+                let (lo, hi) = group.split_at_mut(2 * rows);
+                let ((q0, q1), (q2, q3)) = (lo.split_at_mut(rows), hi.split_at_mut(rows));
+                let [q0, q1, q2, q3] = [q0, q1, q2, q3].map(|q| q.chunks_exact_mut(width));
+                for (j, (((r0, r1), r2), r3)) in q0.zip(q1).zip(q2).zip(q3).enumerate() {
+                    let butterfly = Quad::<INVERSE>(stage.get(j).copied());
+                    runs(butterfly, [r0, r1, r2, r3], cols);
+                }
+            }
+            quarter *= 4;
+        }
+    }
 }
 
 impl Radix4 {
@@ -67,14 +93,16 @@ impl Radix4 {
             "Radix4 requires a power-of-four size, got {n}"
         );
         let pairs = n.trailing_zeros() / 2; // base-4 digits
-        let swaps = swap_pairs(n, |mut v| {
-            let mut r = 0u32;
-            for _ in 0..pairs {
-                r = (r << 2) | (v & 3);
-                v >>= 2;
-            }
-            r
-        });
+        let reversal = (0..n as u32)
+            .map(|mut v| {
+                let mut r = 0u32;
+                for _ in 0..pairs {
+                    r = (r << 2) | (v & 3);
+                    v >>= 2;
+                }
+                r
+            })
+            .collect();
         // Every stage reads the one table `e^{-2πi k / n}` at a stride.
         let root = |k: usize| Complex::cis(-std::f64::consts::TAU * k as f64 / n as f64);
         let mut forward = Vec::new();
@@ -88,10 +116,12 @@ impl Radix4 {
             len <<= 2;
         }
         let inverse = forward.iter().map(|w| w.map(Complex::conj)).collect();
+        let twiddles = [forward, inverse]
+            .map(|t: Vec<[Complex; 3]>| t.into_iter().map(|w| w.map(Twiddle::new)).collect());
         Radix4 {
             n,
-            swaps,
-            twiddles: [forward, inverse],
+            reversal,
+            twiddles,
         }
     }
 
@@ -105,96 +135,31 @@ impl Radix4 {
         false
     }
 
-    /// In-place transform.
+    /// In-place transform: the one column of an `[n][1]` matrix.
     ///
     /// # Panics
     /// If `data.len() != self.len()`.
     pub fn process(&self, data: &mut [Complex], dir: Direction) {
         assert_eq!(data.len(), self.n, "buffer length must equal plan size");
-        match dir {
-            Direction::Forward => self.line::<false>(data),
-            Direction::Inverse => self.line::<true>(data),
-        }
+        sweep(self, data, Lines::Columns(1), dir);
     }
 
     /// Transform every column of the row-major `[n][width]` matrix `data`
-    /// in place, a tile of columns at a time: each butterfly reads its
-    /// twiddles once and sweeps the tile's run of columns.
+    /// in place, a tile of columns at a time.
     ///
     /// # Panics
     /// If `data.len() != self.len() * width`.
     pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
-        assert_eq!(data.len(), self.n * width, "buffer must be [n][width]");
-        match dir {
-            Direction::Forward => self.columns::<false>(data, width),
-            Direction::Inverse => self.columns::<true>(data, width),
-        }
+        sweep(self, data, Lines::Columns(width), dir);
     }
 
-    fn line<const INVERSE: bool>(&self, data: &mut [Complex]) {
-        if self.n <= 1 {
-            return;
-        }
-        for &(i, j) in &self.swaps {
-            data.swap(i as usize, j as usize);
-        }
-        for group in data.chunks_exact_mut(4) {
-            let [a, b, c, d] = group else { unreachable!() };
-            butterfly::<INVERSE>([*b, *c, *d], [a, b, c, d]);
-        }
-        let mut twiddles = &self.twiddles[INVERSE as usize][..];
-        let mut quarter = 4;
-        while 4 * quarter <= self.n {
-            let (stage, rest) = twiddles.split_at(quarter);
-            for group in data.chunks_exact_mut(4 * quarter) {
-                let [q0, q1, q2, q3] = quarters(group);
-                for ((((a, b), c), d), w) in q0.iter_mut().zip(q1).zip(q2).zip(q3).zip(stage) {
-                    butterfly::<INVERSE>([*b * w[0], *c * w[1], *d * w[2]], [a, b, c, d]);
-                }
-            }
-            twiddles = rest;
-            quarter *= 4;
-        }
-        if INVERSE {
-            let inv = 1.0 / self.n as f64;
-            for v in data {
-                *v = v.scale(inv);
-            }
-        }
-    }
-
-    fn columns<const INVERSE: bool>(&self, data: &mut [Complex], width: usize) {
-        if self.n <= 1 {
-            return;
-        }
-        for cols in tiles(width) {
-            swap_rows(data, width, &cols, &self.swaps);
-            for group in data.chunks_exact_mut(4 * width) {
-                let [r0, r1, r2, r3] = quarters(group).map(|r| &mut r[cols.clone()]);
-                for (((a, b), c), d) in r0.iter_mut().zip(r1).zip(r2).zip(r3) {
-                    butterfly::<INVERSE>([*b, *c, *d], [a, b, c, d]);
-                }
-            }
-            let mut twiddles = &self.twiddles[INVERSE as usize][..];
-            let mut quarter = 4;
-            while 4 * quarter <= self.n {
-                let (stage, rest) = twiddles.split_at(quarter);
-                for group in data.chunks_exact_mut(4 * quarter * width) {
-                    let [q0, q1, q2, q3] = quarters(group).map(|q| q.chunks_exact_mut(width));
-                    for ((((r0, r1), r2), r3), w) in q0.zip(q1).zip(q2).zip(q3).zip(stage) {
-                        let [r0, r1, r2, r3] = [r0, r1, r2, r3].map(|r| &mut r[cols.clone()]);
-                        for (((a, b), c), d) in r0.iter_mut().zip(r1).zip(r2).zip(r3) {
-                            butterfly::<INVERSE>([*b * w[0], *c * w[1], *d * w[2]], [a, b, c, d]);
-                        }
-                    }
-                }
-                twiddles = rest;
-                quarter *= 4;
-            }
-            if INVERSE {
-                scale_rows(data, width, &cols, 1.0 / self.n as f64);
-            }
-        }
+    /// Transform every row of the row-major `[rows][n]` matrix `data` in
+    /// place, a few rows at a time as the columns of a small tile.
+    ///
+    /// # Panics
+    /// If `data` is not whole rows of `n`.
+    pub fn process_rows(&self, data: &mut [Complex], dir: Direction) {
+        sweep(self, data, Lines::Rows, dir);
     }
 }
 

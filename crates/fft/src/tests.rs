@@ -403,7 +403,9 @@ fn replay_transform(
 /// Where the worker time of one `fft3d` op (a forward and an inverse 64³
 /// transform over two workers) goes, so the ROADMAP's split can be re-read:
 /// `cargo test --release -p fft --lib replay -- --ignored --nocapture`, on
-/// one pinned CPU (`taskset -c 1`) to compare with the benchmark.
+/// one pinned CPU (`taskset -c 1`) to compare with the benchmark. Both
+/// builds of the kernel are read, one op each in turn: the one this host
+/// dispatches to and the baseline build every other host runs.
 #[test]
 #[ignore = "prints a timing split; meaningful in --release only"]
 fn replay_of_one_fft3d_op_splits_worker_time_into_arithmetic_and_copies() {
@@ -413,41 +415,57 @@ fn replay_of_one_fft3d_op_splits_worker_time_into_arithmetic_and_copies() {
     let plan = Fft3::new(shape);
     let grid = sample_grid(shape, 11);
     let cells = grid.data().len();
-    let slabs = grid.data().chunks_exact(cells / PARTS);
-    let mut slabs: Vec<Vec<Complex>> = slabs.map(<[_]>::to_vec).collect();
+    let load = || {
+        grid.data()
+            .chunks(cells / PARTS)
+            .map(<[_]>::to_vec)
+            .collect::<Vec<_>>()
+    };
+    let mut slabs = load();
     let mut gathered = vec![vec![Complex::ZERO; cells / PARTS]; PARTS];
     let mut message = vec![Complex::ZERO; cells / PARTS / PARTS];
+    // One transform, in the dispatched build or in the baseline build.
+    let mut op = |baseline: bool, dir, slabs: &mut [Vec<Complex>]| {
+        let mut go = || replay_transform(&plan, dir, slabs, &mut gathered, &mut message);
+        if baseline {
+            tile::baseline_only(go)
+        } else {
+            go()
+        }
+    };
 
-    // The replay is the workers' dataflow: one forward equals `Fft3`.
-    replay_transform(
-        &plan,
-        Direction::Forward,
-        &mut slabs,
-        &mut gathered,
-        &mut message,
-    );
-    assert!(slabs.concat() == plan.transform(&grid, Direction::Forward).data());
-    replay_transform(
-        &plan,
-        Direction::Inverse,
-        &mut slabs,
-        &mut gathered,
-        &mut message,
-    );
+    // The replay is the workers' dataflow: a forward equals `Fft3`, and the
+    // inverse takes it back, in either build.
+    let forward = plan.transform(&grid, Direction::Forward);
+    for baseline in [false, true] {
+        slabs = load();
+        op(baseline, Direction::Forward, &mut slabs);
+        assert!(
+            slabs.concat() == forward.data(),
+            "baseline build: {baseline}"
+        );
+        op(baseline, Direction::Inverse, &mut slabs);
+    }
 
-    let mut split = [std::time::Duration::ZERO; 3];
+    let builds = [if tile::avx2() { "avx2" } else { "baseline" }, "baseline"];
+    let mut split = [[std::time::Duration::ZERO; 3]; 2];
     for _ in 0..OPS {
-        for dir in [Direction::Forward, Direction::Inverse] {
-            let took = replay_transform(&plan, dir, &mut slabs, &mut gathered, &mut message);
-            split.iter_mut().zip(took).for_each(|(sum, t)| *sum += t);
+        for (b, sum) in split.iter_mut().enumerate() {
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let took = op(b == 1, dir, &mut slabs);
+                sum.iter_mut().zip(took).for_each(|(sum, t)| *sum += t);
+            }
         }
     }
-    let [planes, axis0, copies] = split.map(|t| t.as_secs_f64() * 1e3 / f64::from(OPS));
-    println!(
-        "one fft3d op, worker phases replayed: planes {planes:.2} ms + axis 0 {axis0:.2} ms \
-         = {:.2} ms arithmetic, {copies:.2} ms of block copies",
-        planes + axis0
-    );
+    for (build, split) in builds.iter().zip(split) {
+        let [planes, axis0, copies] = split.map(|t| t.as_secs_f64() * 1e3 / f64::from(OPS));
+        println!(
+            "one fft3d op, worker phases replayed, {build} build: planes {planes:.2} ms + \
+             axis 0 {axis0:.2} ms = {:.2} ms arithmetic, {copies:.2} ms of block copies",
+            planes + axis0
+        );
+    }
+    println!("this host dispatches to the {} build", builds[0]);
     assert!(max_error(&slabs.concat(), grid.data()) < 1e-9);
 }
 

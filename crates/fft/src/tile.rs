@@ -1,48 +1,333 @@
-//! What the column forms of the power-of-two kernels share: a transform of
-//! all `width` columns of a row-major `[n][width]` matrix goes a tile of
-//! columns at a time, through every stage, so that the `n × TILE` values it
-//! works on stay in cache from the digit reversal to the last butterfly.
+//! The one sweep both power-of-two kernels run, for every kind of line —
+//! the columns of a row-major `[n][width]` matrix, its rows, a single line —
+//! and everything about it that is not a radix's own butterflies: tiles of
+//! columns, runs of values per butterfly, the transposed row scratch, the
+//! twiddles' form and the two builds (DESIGN §4 3d). Every output is bit
+//! for bit what a line-at-a-time kernel computes.
 
 use std::ops::Range;
 
-use crate::complex::Complex;
+use crate::complex::{c64, Complex};
+use crate::dft::Direction;
 
-/// Columns per tile. A constant, not a parameter: tiles of 16 to 64 run
-/// alike and 128 is slower (DESIGN §4, "the FFT kernel").
+/// Columns per tile. A constant, not a parameter: 64 and 128 run alike,
+/// and at 32 the benchmark's `[64][2048]` column pass loses its gain on
+/// AVX2 (DESIGN §4 3d).
 const TILE: usize = 64;
 
+/// Complex values per run. A constant, not a parameter: 2 and 4 read
+/// alike on AVX2, 4 is slower on the baseline build, and at 8 the baseline
+/// build spills its locals (DESIGN §4 3d).
+pub(crate) const RUN: usize = 2;
+
+/// One radix's butterflies, as the sweep drives them.
+pub(crate) trait Stages {
+    /// `reversal()[i]` is the index whose value the stages expect at `i`;
+    /// its length is the transform's size.
+    fn reversal(&self) -> &[u32];
+
+    /// Every stage's butterflies, unscaled, on columns `cols` of the
+    /// row-major `[n][width]` matrix `data`, whose rows are in reversed
+    /// order. Implementations are `#[inline(always)]`, so that each build
+    /// of the sweep compiles them for its own target features.
+    fn stages<const INVERSE: bool>(&self, data: &mut [Complex], width: usize, cols: &Range<usize>);
+}
+
+/// One butterfly of a stage: what it makes of `ROWS` runs, one per row.
+/// Passed by value, so that its twiddles stay in registers.
+pub(crate) trait Butterfly<const ROWS: usize> {
+    /// The butterfly on runs of `R` values. `#[inline(always)]`.
+    fn run<const R: usize>(&self, runs: [Run<R>; ROWS]) -> [Run<R>; ROWS];
+}
+
+/// Where the values of a buffer's transforms lie.
+#[derive(Clone, Copy)]
+pub(crate) enum Lines {
+    /// Down the columns of a row-major `[n][width]` matrix.
+    Columns(usize),
+    /// Along the rows of a row-major `[rows][n]` matrix.
+    Rows,
+}
+
+/// Transform the lines of `data` with `plan`, in the build of the sweep
+/// the CPU runs ([`avx2`]).
+///
+/// # Panics
+/// If `data` is not a whole number of lines.
+pub(crate) fn sweep<S: Stages>(plan: &S, data: &mut [Complex], lines: Lines, dir: Direction) {
+    let n = plan.reversal().len();
+    match lines {
+        Lines::Columns(width) => assert_eq!(data.len(), n * width, "buffer must be [n][width]"),
+        Lines::Rows => assert_whole_rows(data.len(), n),
+    }
+    if n <= 1 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `sweep_avx2` asks only that the CPU has AVX2, which
+        // `avx2` has just checked.
+        return unsafe { sweep_avx2(plan, data, lines, dir) };
+    }
+    sweep_baseline(plan, data, lines, dir)
+}
+
+/// Panics unless `len` values are whole rows of `n`.
+pub(crate) fn assert_whole_rows(len: usize, n: usize) {
+    assert!(
+        len.is_multiple_of(n),
+        "buffer of {len} values is not whole rows of {n}"
+    );
+}
+
+/// True when [`sweep`] runs its AVX2 build: on an `x86_64` CPU that has
+/// AVX2 (and in a test, unless inside `baseline_only`).
+pub(crate) fn avx2() -> bool {
+    #[cfg(test)]
+    if BASELINE_ONLY.get() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    let avx2 = std::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let avx2 = false;
+    avx2
+}
+
+/// The sweep for any CPU: SSE2 on `x86_64`.
+fn sweep_baseline<S: Stages>(plan: &S, data: &mut [Complex], lines: Lines, dir: Direction) {
+    by_direction(plan, data, lines, dir)
+}
+
+/// The sweep compiled for AVX2: 256-bit vectors for the runs.
+///
+/// # Safety
+/// Outside code built for AVX2 a call is `unsafe`: the CPU must have AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2<S: Stages>(plan: &S, data: &mut [Complex], lines: Lines, dir: Direction) {
+    by_direction(plan, data, lines, dir)
+}
+
+#[inline(always)]
+fn by_direction<S: Stages>(plan: &S, data: &mut [Complex], lines: Lines, dir: Direction) {
+    match dir {
+        Direction::Forward => by_lines::<S, false>(plan, data, lines),
+        Direction::Inverse => by_lines::<S, true>(plan, data, lines),
+    }
+}
+
+#[inline(always)]
+fn by_lines<S: Stages, const INVERSE: bool>(plan: &S, data: &mut [Complex], lines: Lines) {
+    let reversal = plan.reversal();
+    let n = reversal.len();
+    match lines {
+        // A line, compiled for its one column: through the arm below, where
+        // every butterfly is a run of one value of unknown width, it read
+        // twice as slow as the old line kernel.
+        Lines::Columns(1) => in_place::<S, INVERSE>(plan, data, 1, 0..1),
+        Lines::Columns(width) => {
+            for cols in tiles(width) {
+                in_place::<S, INVERSE>(plan, data, width, cols);
+            }
+        }
+        Lines::Rows => {
+            // Always `RUN` columns wide, so that the sweep is compiled for
+            // that width: a last block of fewer rows leaves stale columns,
+            // transformed and never copied back.
+            let mut scratch = vec![Complex::ZERO; n * RUN];
+            for rows in data.chunks_mut(n * RUN) {
+                for (to, &j) in scratch.chunks_exact_mut(RUN).zip(reversal) {
+                    for (v, row) in to.iter_mut().zip(rows.chunks_exact(n)) {
+                        *v = row[j as usize];
+                    }
+                }
+                tile::<S, INVERSE>(plan, &mut scratch, RUN, 0..RUN);
+                for (i, from) in scratch.chunks_exact(RUN).enumerate() {
+                    for (v, row) in from.iter().zip(rows.chunks_exact_mut(n)) {
+                        row[i] = *v;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The column ranges of the tiles of a `width`-column matrix, in order.
-pub(crate) fn tiles(width: usize) -> impl Iterator<Item = Range<usize>> {
+fn tiles(width: usize) -> impl Iterator<Item = Range<usize>> {
     (0..width)
         .step_by(TILE)
         .map(move |c| c..(c + TILE).min(width))
 }
 
-/// The exchanges `(i, j)`, `i < j`, of the index reversal `reversed` of
-/// `0..n`, in the order of `i`.
-pub(crate) fn swap_pairs(n: usize, reversed: impl Fn(u32) -> u32) -> Vec<(u32, u32)> {
-    let pairs = (0..n as u32).map(|i| (i, reversed(i)));
-    pairs.filter(|(i, j)| i < j).collect()
-}
-
-/// Exchange columns `cols` of rows `i` and `j` for every `(i, j)` of `swaps`.
-pub(crate) fn swap_rows(
+/// Columns `cols` of `data` put in reversed order, then [`tile`].
+#[inline(always)]
+fn in_place<S: Stages, const INVERSE: bool>(
+    plan: &S,
     data: &mut [Complex],
     width: usize,
-    cols: &Range<usize>,
-    swaps: &[(u32, u32)],
+    cols: Range<usize>,
 ) {
-    for &(i, j) in swaps {
-        let (lo, hi) = data.split_at_mut(j as usize * width);
-        lo[i as usize * width..][cols.clone()].swap_with_slice(&mut hi[cols.clone()]);
+    for (i, &j) in plan.reversal().iter().enumerate() {
+        let j = j as usize;
+        if i < j {
+            // Value by value: `swap_with_slice` read 15–20 % slower.
+            let (lo, hi) = data.split_at_mut(j * width);
+            let pairs = lo[i * width..][cols.clone()]
+                .iter_mut()
+                .zip(&mut hi[cols.clone()]);
+            for (a, b) in pairs {
+                std::mem::swap(a, b);
+            }
+        }
+    }
+    tile::<S, INVERSE>(plan, data, width, cols);
+}
+
+/// Every stage on columns `cols` of `data`, rows reversed, then the
+/// inverse's `1/n`.
+#[inline(always)]
+fn tile<S: Stages, const INVERSE: bool>(
+    plan: &S,
+    data: &mut [Complex],
+    width: usize,
+    cols: Range<usize>,
+) {
+    plan.stages::<INVERSE>(data, width, &cols);
+    if INVERSE {
+        let k = 1.0 / plan.reversal().len() as f64;
+        for row in data.chunks_exact_mut(width) {
+            for v in &mut row[cols.clone()] {
+                *v = v.scale(k);
+            }
+        }
     }
 }
 
-/// Scale columns `cols` of every row by `k`.
-pub(crate) fn scale_rows(data: &mut [Complex], width: usize, cols: &Range<usize>, k: f64) {
-    for row in data.chunks_exact_mut(width) {
-        for v in &mut row[cols.clone()] {
-            *v = v.scale(k);
+/// `b` on columns `cols` of `rows`: `RUN` values of each row at a time,
+/// then what is left one value at a time.
+#[inline(always)]
+pub(crate) fn runs<const ROWS: usize>(
+    b: impl Butterfly<ROWS>,
+    rows: [&mut [Complex]; ROWS],
+    cols: &Range<usize>,
+) {
+    let mut rows = rows.map(|row| &mut row[cols.clone()]);
+    let (len, mut at) = (cols.len(), 0);
+    while at + RUN <= len {
+        run::<ROWS, RUN>(&b, &mut rows, at);
+        at += RUN;
+    }
+    while at < len {
+        run::<ROWS, 1>(&b, &mut rows, at);
+        at += 1;
+    }
+}
+
+/// `b` on the values `at..at + R` of every row of `rows`.
+#[inline(always)]
+fn run<const ROWS: usize, const R: usize>(
+    b: &impl Butterfly<ROWS>,
+    rows: &mut [&mut [Complex]; ROWS],
+    at: usize,
+) {
+    let mut runs = [Run([Complex::ZERO; R]); ROWS];
+    for (run, row) in runs.iter_mut().zip(rows.iter()) {
+        run.0.copy_from_slice(&row[at..at + R]);
+    }
+    for (run, row) in b.run(runs).iter().zip(rows.iter_mut()) {
+        row[at..at + R].copy_from_slice(&run.0);
+    }
+}
+
+/// A twiddle `w` as the two factors a vector unit multiplies a complex
+/// value `v = x + iy` by: `v·w = (x, y)·(w.re, w.re) + (y, x)·(−w.im, w.im)`.
+/// The real part `x·w.re + y·(−w.im)` is `x·w.re − y·w.im` to the bit (a
+/// difference is the sum with the negation, and `y·(−w.im)` is `−(y·w.im)`)
+/// and the imaginary part `y·w.re + x·w.im` is `x·w.im + y·w.re`, the same
+/// two products in the other order. Kept as data, the two factors reach
+/// the vector unit as they are: given `w` alone, the compiler folds the
+/// sum back into the difference, splits real from imaginary parts with
+/// shuffles around every multiply, and the baseline build read 10–20 %
+/// slower than the old kernels.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Twiddle {
+    re: Complex,
+    im: Complex,
+}
+
+impl Twiddle {
+    /// The factors of `w`.
+    pub(crate) fn new(w: Complex) -> Self {
+        Twiddle {
+            re: c64(w.re, w.re),
+            im: c64(-w.im, w.im),
         }
     }
+}
+
+/// `R` consecutive complex values of one row, and their arithmetic.
+#[derive(Clone, Copy)]
+pub(crate) struct Run<const R: usize>([Complex; R]);
+
+impl<const R: usize> Run<R> {
+    /// Every value times `w`, to the bit what `Complex`'s `*` computes.
+    #[inline(always)]
+    pub(crate) fn twiddle(mut self, w: Twiddle) -> Self {
+        let Twiddle { re, im } = w;
+        for v in &mut self.0 {
+            *v = c64(v.re * re.re + v.im * im.re, v.im * re.im + v.re * im.im);
+        }
+        self
+    }
+
+    /// Every value times `-i`, or `+i` for the inverse: a swap and a
+    /// negation.
+    #[inline(always)]
+    pub(crate) fn rotate<const INVERSE: bool>(mut self) -> Self {
+        for v in &mut self.0 {
+            *v = if INVERSE {
+                c64(-v.im, v.re)
+            } else {
+                c64(v.im, -v.re)
+            };
+        }
+        self
+    }
+}
+
+impl<const R: usize> std::ops::Add for Run<R> {
+    type Output = Self;
+    #[inline(always)]
+    fn add(mut self, other: Self) -> Self {
+        for (v, w) in self.0.iter_mut().zip(other.0) {
+            *v += w;
+        }
+        self
+    }
+}
+
+impl<const R: usize> std::ops::Sub for Run<R> {
+    type Output = Self;
+    #[inline(always)]
+    fn sub(mut self, other: Self) -> Self {
+        for (v, w) in self.0.iter_mut().zip(other.0) {
+            *v -= w;
+        }
+        self
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    static BASELINE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// `f`, with every [`sweep`] on this thread running the baseline build.
+#[cfg(test)]
+pub(crate) fn baseline_only<T>(f: impl FnOnce() -> T) -> T {
+    let was = BASELINE_ONLY.replace(true);
+    let out = f();
+    BASELINE_ONLY.set(was);
+    out
 }

@@ -354,6 +354,36 @@ fn a_panic_with_a_machine_dark_unwinds_instead_of_hanging() {
     }
 }
 
+/// A cluster and its driver may be dropped in either order, on either
+/// clock. On the virtual clock the driver is one of the clock's actors, and
+/// one that never parks: until it leaves, the stop orders the cluster's
+/// drop sends are never delivered, and dropping the cluster first (or the
+/// `(cluster, driver)` pair whole, which drops its fields in that order)
+/// waited for ever. Whichever drop runs first now releases the driver's
+/// place among the actors, once.
+#[test]
+fn a_cluster_and_its_driver_drop_in_either_order() {
+    for virtual_time in [false, true] {
+        for cluster_first in [false, true] {
+            let what = format!("virtual time {virtual_time}, cluster first {cluster_first}");
+            bounded(what, move || {
+                let mut config = ClusterConfig::zero_cost(0);
+                if virtual_time {
+                    config = config.with_virtual_time(7);
+                }
+                let both = ClusterBuilder::new(2).sim_config(config).build();
+                if cluster_first {
+                    drop(both);
+                } else {
+                    let (cluster, driver) = both;
+                    drop(driver);
+                    drop(cluster);
+                }
+            });
+        }
+    }
+}
+
 /// The split-loop workload again, with the flight recorder on. Returns the
 /// gathered data, the merged trace, the driver's retransmission counter,
 /// and the fabric's (drops, duplicates).
