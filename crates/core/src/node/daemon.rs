@@ -12,7 +12,7 @@ use std::sync::atomic::Ordering;
 
 use simnet::MachineId;
 use wire::collections::Bytes;
-use wire::{Reader, Wire};
+use wire::{Reader, Wire, Writer};
 
 use super::judge::{judge, Verdict};
 use super::serve::ServeOutcome;
@@ -59,6 +59,7 @@ type Handled<T> = Result<T, Refusal>;
 ///   `machine`'s daemon without waiting — the wire name followed by the
 ///   arguments in table order, exactly like a user-class call, so the
 ///   dispatch path is uniform;
+/// * `NodeCtx::<verb>_payload(args)`: the payload `start_<verb>` sends;
 /// * `NodeCtx::call_<verb>(machine, args) -> Ret`: issue, wait, decode;
 /// * one arm of `NodeCtx::daemon_dispatch`: decode the arguments in the
 ///   same order, reject trailing bytes, run `self.on_<verb>(args)`, encode
@@ -87,6 +88,17 @@ macro_rules! daemon_verbs {
                         let _ = &w;
                         $( Wire::encode(&$arg, w); )*
                     })
+                }
+
+                /// The request payload this verb's `start_` stub sends: the
+                /// wire name, then the arguments. For a frame sent without a
+                /// node context (the cluster's emergency stop).
+                #[allow(dead_code)]
+                pub(crate) fn [<$verb _payload>]($($arg: $ty),*) -> Vec<u8> {
+                    let mut w = Writer::new();
+                    w.put_len_prefixed($name.as_bytes());
+                    $( Wire::encode(&$arg, &mut w); )*
+                    w.into_bytes()
                 }
 
                 // `heartbeat` is only ever issued asynchronously.

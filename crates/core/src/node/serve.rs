@@ -257,22 +257,10 @@ impl NodeCtx {
         }
         let round = self.steal_round.get();
         self.steal_round.set(round.wrapping_add(1));
-        for victim in pool
-            .steal_order
+        pool.steal_order
             .victims(lane.index, round, pool.stealers.len())
-        {
-            if victim == lane.index {
-                continue;
-            }
-            loop {
-                match pool.stealers[victim].steal() {
-                    sched::Steal::Success(obj) => return Some(obj),
-                    sched::Steal::Empty => break,
-                    sched::Steal::Retry => continue,
-                }
-            }
-        }
-        None
+            .into_iter()
+            .find_map(|victim| pool.stealers[victim].steal().success())
     }
 
     /// Hand an object with fresh mailbox work to the execution layer: the

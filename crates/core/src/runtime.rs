@@ -366,8 +366,8 @@ impl Cluster {
     /// The flight recorder, when the cluster was built with
     /// [`ClusterBuilder::tracing`]. Clone the `Arc` out *before* calling
     /// [`shutdown`](Cluster::shutdown) (which consumes the cluster), then
-    /// [`merge`](Recorder::merge) *after* it — the rings are only safe to
-    /// read once the machine threads have joined.
+    /// [`merge`](Recorder::merge) *after* it: each lane gives its ring back
+    /// when its thread ends, so only then does the merge hold every event.
     pub fn recorder(&self) -> Option<Arc<Recorder>> {
         self.recorder.clone()
     }
@@ -404,8 +404,7 @@ impl Cluster {
                 req_id: u64::MAX,
                 reply_to: self.driver_id,
                 target: crate::ids::DAEMON,
-                // The daemon verb's wire name, no arguments.
-                payload: Bytes(wire::to_bytes(&"shutdown".to_string())),
+                payload: Bytes(NodeCtx::shutdown_payload()),
                 trace: TraceCtx::default(),
                 epoch: 0,
                 rs_epoch: 0.into(),

@@ -209,6 +209,23 @@ fn ping_every_machine() {
     cluster.shutdown(driver);
 }
 
+/// A cluster dropped without `shutdown` stops its machines with the very
+/// payload `start_shutdown` sends: the verb is spelled once, in the daemon
+/// table.
+#[test]
+fn emergency_stop_sends_the_shutdown_verbs_payload() {
+    let (cluster, mut driver) = cluster(1);
+    let req_id = driver.start_shutdown(0).unwrap();
+    let frame = driver.outstanding_frame(req_id).expect("call in flight");
+    let Ok(crate::frame::Frame::Request { payload, .. }) = wire::from_bytes(frame) else {
+        panic!("not a request frame");
+    };
+    assert_eq!(payload.0, NodeCtx::shutdown_payload());
+    driver.wait_raw(req_id).unwrap();
+    drop(driver);
+    drop(cluster);
+}
+
 #[test]
 fn paper_listing_remote_double_array() {
     // double *data = new(machine 2) double[1024];

@@ -6,7 +6,7 @@
 //! [`NodeStats`](crate::frame::NodeStats) aggregate that structure away;
 //! the flight recorder keeps it. Every call attempt leaves a trail of
 //! [`SpanEvent`]s — queued, sent, dispatched, replied, plus retransmits and
-//! dedup verdicts — in a per-machine lock-free ring, stamped by the
+//! dedup verdicts — in a ring owned by the recording lane, stamped by the
 //! cluster's [`simnet::Clock`]. At teardown the rings merge
 //! into a [`Trace`] that can answer causal questions ("which original send
 //! does this retransmit belong to?"), render per-method latency statistics
@@ -27,10 +27,11 @@
 //! Tracing off (the default) costs two zero bytes per request frame and
 //! one branch per event site.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use simnet::{Clock, MachineId};
 use wire::{wire_struct, V64};
 
@@ -276,97 +277,51 @@ pub struct SpanEvent {
     pub method: Arc<str>,
 }
 
-/// Default per-machine ring capacity (events). At ~100 bytes per event a
-/// machine's ring tops out around 3 MB; longer runs wrap, and the merge
+/// Default per-lane ring capacity (events). At ~100 bytes per event a
+/// lane's ring tops out around 3 MB; longer runs wrap, and the merge
 /// reports how many events were overwritten.
 pub const DEFAULT_TRACE_CAPACITY: usize = 32_768;
 
-/// A lock-free single-producer ring of [`SpanEvent`]s.
-///
-/// ## Safety contract
-///
-/// Exactly one thread — the owning machine's engine — calls
-/// [`record`](SpanRing::record); the runtime hands each machine its own
-/// ring. [`drain`](SpanRing::drain) must only run after the producer has
-/// quiesced (the machine thread is joined, or the driver context dropped):
-/// the `Release` store in `record` paired with the `Acquire` load in
-/// `drain` then makes every slot write visible. The runtime upholds this by
-/// merging at cluster teardown.
-pub struct SpanRing {
-    slots: Box<[UnsafeCell<Option<SpanEvent>>]>,
-    /// Total events ever recorded (not clamped to capacity).
-    head: AtomicU64,
+/// One lane's ring: its newest `capacity` events, oldest first, and a
+/// count of the older ones it let go.
+#[derive(Debug, Default)]
+struct Ring {
+    events: VecDeque<SpanEvent>,
+    capacity: usize,
+    dropped: u64,
 }
 
-// SAFETY: slots are only written by the single producer and only read
-// after it quiesces (see the struct-level contract above).
-unsafe impl Sync for SpanRing {}
-unsafe impl Send for SpanRing {}
-
-impl SpanRing {
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "a trace ring needs at least one slot");
-        let slots = (0..capacity)
-            .map(|_| UnsafeCell::new(None))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        SpanRing {
-            slots,
-            head: AtomicU64::new(0),
+impl Ring {
+    /// Append an event, letting the oldest go once full.
+    fn record(&mut self, ev: SpanEvent) {
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
         }
-    }
-
-    /// Append an event, overwriting the oldest once full. Producer-only.
-    pub fn record(&self, ev: SpanEvent) {
-        let h = self.head.load(Ordering::Relaxed);
-        let idx = (h % self.slots.len() as u64) as usize;
-        // SAFETY: single producer (struct contract); no reader runs
-        // concurrently with this write.
-        unsafe { *self.slots[idx].get() = Some(ev) };
-        self.head.store(h + 1, Ordering::Release);
-    }
-
-    /// Total events ever recorded, including overwritten ones.
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Copy out the retained events, oldest first. Only safe to call after
-    /// the producer has quiesced (struct contract).
-    pub fn drain(&self) -> Vec<SpanEvent> {
-        let h = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let retained = h.min(cap);
-        let mut out = Vec::with_capacity(retained as usize);
-        for i in (h - retained)..h {
-            let idx = (i % cap) as usize;
-            // SAFETY: producer quiesced; Acquire pairs with its Release.
-            if let Some(ev) = unsafe { (*self.slots[idx].get()).clone() } {
-                out.push(ev);
-            }
-        }
-        out
+        self.events.push_back(ev);
     }
 }
 
-impl std::fmt::Debug for SpanRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanRing")
-            .field("capacity", &self.slots.len())
-            .field("recorded", &self.head.load(Ordering::Relaxed))
-            .finish()
-    }
+/// Where a lane's ring is: never handed out, out with the lane's
+/// [`Tracer`], or back in the recorder for [`Recorder::merge`] to read.
+#[derive(Debug)]
+enum Slot {
+    Unclaimed,
+    Out,
+    Returned(Ring),
 }
 
-/// One lane's handle into the recorder: its ring plus the shared clock.
-/// Each scheduler lane of a machine gets its **own** ring (the ring is
-/// single-producer), all stamped with the machine's id plus the lane number.
-#[derive(Clone)]
+/// One lane's handle into the recorder. It owns the lane's ring while it
+/// lives, so recording is a plain push with no atomics, and puts the ring
+/// back in its recorder slot when it drops (with the lane's `NodeCtx`, so
+/// when the lane's thread ends). Each scheduler lane of a machine has its
+/// own, stamped with the machine's id plus the lane number.
 pub struct Tracer {
     machine: MachineId,
     worker: u32,
     clock: Clock,
-    ring: Arc<SpanRing>,
+    ring: RefCell<Ring>,
+    slot: Arc<Mutex<Slot>>,
 }
 
 impl Tracer {
@@ -390,8 +345,9 @@ impl Tracer {
         bytes: u32,
         method: Arc<str>,
     ) {
-        self.ring.record(SpanEvent {
-            at_nanos: self.clock.now_nanos(),
+        let at_nanos = self.clock.now_nanos();
+        self.ring.borrow_mut().record(SpanEvent {
+            at_nanos,
             kind,
             machine: self.machine,
             worker: self.worker,
@@ -407,6 +363,12 @@ impl Tracer {
     }
 }
 
+impl Drop for Tracer {
+    fn drop(&mut self) {
+        *self.slot.lock() = Slot::Returned(std::mem::take(self.ring.get_mut()));
+    }
+}
+
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
@@ -415,39 +377,43 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-/// The cluster-wide flight recorder: one ring per machine, one clock.
+/// The cluster-wide flight recorder: one ring per lane, one clock.
 ///
 /// Built by the runtime when tracing is enabled
 /// ([`ClusterBuilder::tracing`](crate::ClusterBuilder::tracing)); clone the
 /// `Arc` out of [`Cluster::recorder`](crate::Cluster::recorder) *before*
-/// shutdown, then call [`merge`](Recorder::merge) *after* it — the rings'
-/// safety contract requires the machine threads to be joined first.
+/// shutdown, then call [`merge`](Recorder::merge) *after* it, once every
+/// lane has given its ring back.
 #[derive(Debug)]
 pub struct Recorder {
     clock: Clock,
-    /// One ring per lane, laid out `machine * lanes + lane`.
-    rings: Vec<Arc<SpanRing>>,
+    /// One slot per lane, laid out `machine * lanes + lane`.
+    slots: Vec<Arc<Mutex<Slot>>>,
     /// Rings per machine: 1 for single-threaded machines, `sched_workers + 1`
     /// when an execution pool is attached (lane 0 is the dispatcher).
     lanes: usize,
+    /// Events a ring keeps before it wraps.
+    capacity: usize,
 }
 
 impl Recorder {
     /// A recorder for `machines` endpoints (workers + driver) running
     /// `lanes` scheduler lanes each (dispatcher + pool workers). Every lane
-    /// records into its own single-producer ring of `capacity` events,
-    /// stamped from `clock` — the cluster's, so a stamp is on the axis
-    /// leases and deadlines use, and a virtual-time run records virtual
-    /// nanos and replays byte-for-byte.
+    /// records into its own ring of `capacity` events, stamped from
+    /// `clock` — the cluster's, so a stamp is on the axis leases and
+    /// deadlines use, and a virtual-time run records virtual nanos and
+    /// replays byte-for-byte.
     pub fn new(machines: usize, lanes: usize, capacity: usize, clock: Clock) -> Self {
         assert!(lanes > 0, "a machine has at least its dispatcher lane");
-        let rings = (0..machines * lanes)
-            .map(|_| Arc::new(SpanRing::new(capacity)))
+        assert!(capacity > 0, "a trace ring needs at least one slot");
+        let slots = (0..machines * lanes)
+            .map(|_| Arc::new(Mutex::new(Slot::Unclaimed)))
             .collect();
         Recorder {
             clock,
-            rings,
+            slots,
             lanes,
+            capacity,
         }
     }
 
@@ -457,26 +423,45 @@ impl Recorder {
     }
 
     /// The handle lane `lane` of machine `m` records through. Lane 0 is the
-    /// dispatcher; pool worker `w` is lane `w + 1`.
+    /// dispatcher; pool worker `w` is lane `w + 1`. Each lane's ring is
+    /// handed out once: a second request for it panics.
     pub fn tracer_lane(&self, machine: MachineId, lane: usize) -> Tracer {
         assert!(lane < self.lanes, "lane {lane} out of range");
+        let slot = &self.slots[machine * self.lanes + lane];
+        {
+            let mut state = slot.lock();
+            assert!(
+                matches!(*state, Slot::Unclaimed),
+                "the trace ring of machine {machine} lane {lane} was already handed out"
+            );
+            *state = Slot::Out;
+        }
         Tracer {
             machine,
             worker: lane as u32,
             clock: self.clock.clone(),
-            ring: self.rings[machine * self.lanes + lane].clone(),
+            ring: RefCell::new(Ring {
+                capacity: self.capacity,
+                ..Ring::default()
+            }),
+            slot: slot.clone(),
         }
     }
 
-    /// Merge every lane's retained events into one time-ordered
-    /// [`Trace`]. Only call after the producers quiesced (post-shutdown).
+    /// Merge the rings their lanes have given back into one time-ordered
+    /// [`Trace`], in slot order, so events that tie sort by machine, lane
+    /// and span, then in recording order. A lane gives its ring back when
+    /// its [`Tracer`] drops; after [`Cluster::shutdown`](crate::Cluster::shutdown)
+    /// every ring is back. Merging earlier is sound and reads only the
+    /// lanes already gone.
     pub fn merge(&self) -> Trace {
         let mut events = Vec::new();
         let mut dropped = 0u64;
-        for ring in &self.rings {
-            let retained = ring.drain();
-            dropped += ring.recorded() - retained.len() as u64;
-            events.extend(retained);
+        for slot in &self.slots {
+            if let Slot::Returned(ring) = &*slot.lock() {
+                events.extend(ring.events.iter().cloned());
+                dropped += ring.dropped;
+            }
         }
         events.sort_by_key(|e| (e.at_nanos, e.machine, e.worker, e.span_id));
         Trace { events, dropped }
@@ -980,15 +965,16 @@ mod tests {
 
     #[test]
     fn ring_retains_most_recent_events_after_wrap() {
-        let ring = SpanRing::new(4);
+        let rec = Recorder::new(1, 1, 4, Clock::default());
+        let tracer = rec.tracer(0);
         for i in 0..10u64 {
-            ring.record(ev(EventKind::ClientSend, i, i, "m"));
+            tracer.record(EventKind::ClientSend, 1, i, i, 0, i, 1, 10, "m".into());
         }
-        let drained = ring.drain();
-        assert_eq!(ring.recorded(), 10);
-        assert_eq!(drained.len(), 4);
-        let ats: Vec<u64> = drained.iter().map(|e| e.at_nanos).collect();
-        assert_eq!(ats, vec![6, 7, 8, 9]);
+        drop(tracer);
+        let trace = rec.merge();
+        assert_eq!(trace.dropped, 6);
+        let ids: Vec<u64> = trace.events.iter().map(|e| e.req_id).collect();
+        assert_eq!(ids, vec![6, 7, 8, 9]);
     }
 
     #[test]
@@ -998,6 +984,7 @@ mod tests {
         let t1 = rec.tracer(1);
         t0.record(EventKind::ClientSend, 1, 5, 5, 0, 5, 1, 10, "a".into());
         t1.record(EventKind::ServerDispatch, 0, 5, 5, 0, 5, 0, 0, "a".into());
+        drop((t0, t1));
         let trace = rec.merge();
         assert_eq!(trace.events.len(), 2);
         assert_eq!(trace.dropped, 0);
@@ -1005,6 +992,63 @@ mod tests {
             .events
             .windows(2)
             .all(|w| w[0].at_nanos <= w[1].at_nanos));
+    }
+
+    #[test]
+    #[should_panic(expected = "machine 1 lane 0 was already handed out")]
+    fn a_lane_ring_is_handed_out_once() {
+        let rec = Recorder::new(2, 1, 4, Clock::default());
+        drop(rec.tracer_lane(1, 0));
+        rec.tracer_lane(1, 0);
+    }
+
+    #[test]
+    fn merge_reads_only_the_rings_already_returned() {
+        let rec = Recorder::new(2, 1, 4, Clock::default());
+        let t0 = rec.tracer(0);
+        let t1 = rec.tracer(1);
+        t0.record(EventKind::ClientSend, 1, 5, 5, 0, 5, 1, 10, "a".into());
+        t1.record(EventKind::ServerDispatch, 0, 5, 5, 0, 5, 0, 0, "a".into());
+        assert!(
+            rec.merge().events.is_empty(),
+            "both lanes still hold their rings"
+        );
+        drop(t1);
+        let early = rec.merge();
+        assert_eq!(early.events.len(), 1);
+        assert_eq!(early.events[0].machine, 1);
+        drop(t0);
+        assert_eq!(rec.merge().events.len(), 2);
+    }
+
+    /// Every lane, pool workers included, gives its ring back as its thread
+    /// ends: merged after shutdown, the trace holds both halves of every
+    /// call the run made, its shutdown orders included.
+    #[test]
+    fn merge_after_shutdown_holds_every_event() {
+        let (cluster, mut driver) = crate::ClusterBuilder::new(2)
+            .sched_workers(2)
+            .tracing(true)
+            .build();
+        let recorder = cluster.recorder().expect("tracing enabled");
+        let block = crate::DoubleBlockClient::new_on(&mut driver, 1, 8).unwrap();
+        for i in 0..5 {
+            block.set(&mut driver, i, 1.0).unwrap();
+        }
+        assert!(recorder.merge().events.is_empty(), "no lane has ended yet");
+        cluster.shutdown(driver);
+        let trace = recorder.merge();
+        // The root directory, the block, five sets and two shutdowns.
+        for kind in [
+            EventKind::ClientSend,
+            EventKind::ServerDispatch,
+            EventKind::ServerReply,
+            EventKind::ClientRecv,
+        ] {
+            assert_eq!(trace.count(kind), 9, "{}", kind.label());
+        }
+        assert_eq!(trace.dropped, 0);
+        assert!(trace.causal_violations().is_empty());
     }
 
     #[test]

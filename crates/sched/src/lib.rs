@@ -5,32 +5,27 @@
 //! pieces that let a small pool of workers serve them concurrently while each
 //! object still runs one call at a time:
 //!
-//! * [`Worker`] / [`Stealer`] — a Chase–Lev work-stealing deque. The owning
-//!   worker pushes and pops tasks LIFO at the bottom (cache-warm, no
-//!   contention in the common case); thieves steal FIFO from the top with a
-//!   single CAS.
+//! * [`Worker`] / [`Stealer`] — a work-stealing deque: two handles on one
+//!   locked `VecDeque`. The owning worker pushes and pops tasks LIFO at the
+//!   back (the object it readied last, still cache-warm); thieves steal FIFO
+//!   from the front.
 //! * [`Injector`] — a shared FIFO inbox for tasks produced off-pool (the
 //!   machine's dispatcher thread admitting requests).
 //! * [`StealOrder`] — a seeded victim permutation, so that under virtual time
 //!   the order in which an idle worker probes its peers is a replayable
 //!   function of `(seed, thief, round)` rather than of OS scheduling noise.
+//! * [`DepthGauge`] — an admitted-minus-drained counter for bounded queueing.
 //!
 //! Tasks carry no locking themselves: the deque hands out each pushed value
 //! exactly once (to the owner or to one thief), which is the scheduler-side
 //! half of the run-to-completion guarantee. The object-side half (an object
-//! is owned by at most one worker at a time) lives in `oopp::node`.
-//!
-//! The deque is the Le–Pop–Cohen–Nardelli formulation of Chase–Lev with C11
-//! orderings. Buffers grow geometrically and retired buffers are parked until
-//! the deque drops, so a thief holding a stale buffer pointer never reads
-//! freed memory.
+//! is owned by at most one worker at a time) lives in `oopp::node`: each
+//! object has one task token, queued once, so the deque only has to hand a
+//! token out once — which a lock does without any `unsafe` code.
 
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicI64, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// SplitMix64 finalizer: the same bit mixer simnet's virtual clock uses for
 /// event tiebreaks, duplicated here so `sched` stays dependency-free.
@@ -45,12 +40,10 @@ pub fn mix64(mut x: u64) -> u64 {
 /// Outcome of a [`Stealer::steal`] attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Steal<T> {
-    /// The deque was observed empty.
+    /// The deque was empty.
     Empty,
     /// One task was stolen.
     Success(T),
-    /// Lost a race with the owner or another thief; worth retrying.
-    Retry,
 }
 
 impl<T> Steal<T> {
@@ -58,135 +51,48 @@ impl<T> Steal<T> {
     pub fn success(self) -> Option<T> {
         match self {
             Steal::Success(v) => Some(v),
-            _ => None,
+            Steal::Empty => None,
         }
     }
 }
 
-/// Fixed-capacity circular buffer; capacity is a power of two so index
-/// wrapping is a mask. Slots are `MaybeUninit`: ownership of an element is
-/// tracked by the deque's `top`/`bottom` indices, not by the buffer.
-struct Buffer<T> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    mask: usize,
+/// Lock a queue. No task runs under the lock, so a panic elsewhere leaves
+/// it consistent and a poisoned lock is taken as is.
+fn lock<T>(q: &Mutex<VecDeque<T>>) -> MutexGuard<'_, VecDeque<T>> {
+    q.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl<T> Buffer<T> {
-    fn alloc(cap: usize) -> *mut Buffer<T> {
-        debug_assert!(cap.is_power_of_two());
-        let slots = (0..cap)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Box::into_raw(Box::new(Buffer {
-            slots,
-            mask: cap - 1,
-        }))
-    }
-
-    fn cap(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Write the slot for logical index `i`. Caller must own that slot.
-    unsafe fn write(&self, i: i64, v: T) {
-        let slot = self.slots[(i as usize) & self.mask].get();
-        (*slot).write(v);
-    }
-
-    /// Copy the bits at logical index `i`. The caller is responsible for
-    /// making at most one of the copies ever act as the owned value.
-    unsafe fn read(&self, i: i64) -> T {
-        let slot = self.slots[(i as usize) & self.mask].get();
-        (*slot).as_ptr().read()
-    }
-}
-
-struct Inner<T> {
-    /// Steal end. Only ever incremented (by a successful steal or by the
-    /// owner taking the last element).
-    top: AtomicI64,
-    /// Owner end. Only the owner writes it.
-    bottom: AtomicI64,
-    /// Current buffer. Swapped by the owner on grow.
-    buf: AtomicPtr<Buffer<T>>,
-    /// Buffers retired by grow, freed when the deque drops. A thief that
-    /// loaded the old pointer may still be reading from one.
-    retired: Mutex<Vec<*mut Buffer<T>>>,
-}
-
-unsafe impl<T: Send> Send for Inner<T> {}
-unsafe impl<T: Send> Sync for Inner<T> {}
-
-impl<T> Drop for Inner<T> {
-    fn drop(&mut self) {
-        let t = *self.top.get_mut();
-        let b = *self.bottom.get_mut();
-        let buf = *self.buf.get_mut();
-        unsafe {
-            for i in t..b {
-                drop((*buf).read(i));
-            }
-            drop(Box::from_raw(buf));
-            let retired = self.retired.lock().unwrap_or_else(|e| e.into_inner());
-            for old in retired.iter() {
-                drop(Box::from_raw(*old));
-            }
-        }
-    }
-}
-
-/// The owning side of a work-stealing deque. Exactly one thread holds it;
-/// it pushes and pops at the bottom without contending with thieves except
-/// on the final element.
+/// The owning side of a work-stealing deque: its worker pushes and pops at
+/// the back.
 pub struct Worker<T> {
-    inner: Arc<Inner<T>>,
-    /// `Worker` is Send (the pool moves it into its thread) but not Sync.
-    _not_sync: PhantomData<std::cell::Cell<()>>,
+    q: Arc<Mutex<VecDeque<T>>>,
 }
-
-unsafe impl<T: Send> Send for Worker<T> {}
 
 /// The stealing side: clone freely, one per peer worker.
 pub struct Stealer<T> {
-    inner: Arc<Inner<T>>,
+    q: Arc<Mutex<VecDeque<T>>>,
 }
 
 impl<T> Clone for Stealer<T> {
     fn clone(&self) -> Self {
-        Stealer {
-            inner: self.inner.clone(),
-        }
+        Stealer { q: self.q.clone() }
     }
 }
 
-impl<T: Send> Worker<T> {
-    /// A fresh deque with a small initial buffer.
+impl<T> Worker<T> {
+    /// A fresh, empty deque.
     pub fn new() -> Self {
-        Worker {
-            inner: Arc::new(Inner {
-                top: AtomicI64::new(0),
-                bottom: AtomicI64::new(0),
-                buf: AtomicPtr::new(Buffer::alloc(64)),
-                retired: Mutex::new(Vec::new()),
-            }),
-            _not_sync: PhantomData,
-        }
+        Worker { q: Arc::default() }
     }
 
     /// A handle thieves steal through.
     pub fn stealer(&self) -> Stealer<T> {
-        Stealer {
-            inner: self.inner.clone(),
-        }
+        Stealer { q: self.q.clone() }
     }
 
     /// Number of queued tasks (racy; for heuristics and tests only).
     pub fn len(&self) -> usize {
-        let i = &self.inner;
-        let b = i.bottom.load(Ordering::Relaxed);
-        let t = i.top.load(Ordering::Relaxed);
-        b.saturating_sub(t).max(0) as usize
+        lock(&self.q).len()
     }
 
     /// True when no tasks are queued (racy; heuristics only).
@@ -194,125 +100,35 @@ impl<T: Send> Worker<T> {
         self.len() == 0
     }
 
-    /// Push a task at the bottom (owner side).
+    /// Push a task at the back (owner side).
     pub fn push(&self, v: T) {
-        let i = &self.inner;
-        let b = i.bottom.load(Ordering::Relaxed);
-        let t = i.top.load(Ordering::Acquire);
-        let mut buf = i.buf.load(Ordering::Relaxed);
-        unsafe {
-            if b - t >= (*buf).cap() as i64 {
-                buf = self.grow(buf, b, t);
-            }
-            (*buf).write(b, v);
-        }
-        // Publish the slot write before advancing bottom, so a thief that
-        // observes the new bottom also observes the element.
-        i.bottom.store(b + 1, Ordering::Release);
+        lock(&self.q).push_back(v);
     }
 
-    /// Pop a task from the bottom, LIFO (owner side).
+    /// Pop a task from the back, LIFO (owner side).
     pub fn pop(&self) -> Option<T> {
-        let i = &self.inner;
-        let b = i.bottom.load(Ordering::Relaxed) - 1;
-        i.bottom.store(b, Ordering::Relaxed);
-        // The owner's bottom decrement must be globally visible before it
-        // reads top, or a concurrent thief and owner could both take the
-        // last element.
-        fence(Ordering::SeqCst);
-        let t = i.top.load(Ordering::Relaxed);
-        if b < t {
-            // Empty: restore.
-            i.bottom.store(t, Ordering::Relaxed);
-            return None;
-        }
-        let buf = i.buf.load(Ordering::Relaxed);
-        let v = unsafe { (*buf).read(b) };
-        if b > t {
-            return Some(v);
-        }
-        // Last element: race the thieves for it.
-        let won = i
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok();
-        i.bottom.store(t + 1, Ordering::Relaxed);
-        if won {
-            Some(v)
-        } else {
-            // A thief owns it; our bitwise copy must not drop.
-            std::mem::forget(v);
-            None
-        }
-    }
-
-    /// Double the buffer, copying live elements. The old buffer is retired,
-    /// not freed: a thief may still hold its pointer.
-    unsafe fn grow(&self, old: *mut Buffer<T>, b: i64, t: i64) -> *mut Buffer<T> {
-        let new = Buffer::alloc((*old).cap() * 2);
-        for idx in t..b {
-            (*new).write(idx, (*old).read(idx));
-        }
-        self.inner.buf.store(new, Ordering::Release);
-        self.inner
-            .retired
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(old);
-        new
+        lock(&self.q).pop_back()
     }
 }
 
-impl<T: Send> Default for Worker<T> {
+impl<T> Default for Worker<T> {
     fn default() -> Self {
         Worker::new()
     }
 }
 
-impl<T: Send> Stealer<T> {
-    /// Steal one task from the top, FIFO.
+impl<T> Stealer<T> {
+    /// Steal one task from the front, FIFO.
     pub fn steal(&self) -> Steal<T> {
-        let i = &self.inner;
-        let t = i.top.load(Ordering::Acquire);
-        // Order the top read before the bottom read, so we never see a
-        // bottom that predates the top we claim against.
-        fence(Ordering::SeqCst);
-        let b = i.bottom.load(Ordering::Acquire);
-        if t >= b {
-            return Steal::Empty;
+        match lock(&self.q).pop_front() {
+            Some(v) => Steal::Success(v),
+            None => Steal::Empty,
         }
-        // Read the element *before* claiming it: after the CAS the owner may
-        // immediately overwrite the slot. The buffer itself can be stale
-        // (owner grew concurrently) but is never freed while we run —
-        // retired buffers are parked until the deque drops — and a stale
-        // buffer still holds index `t` intact, because grow only retires a
-        // buffer after copying the live range and the owner can't reuse
-        // slot `t` until top moves past it.
-        let buf = i.buf.load(Ordering::Acquire);
-        let v = unsafe { (*buf).read(t) };
-        if i.top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_err()
-        {
-            // Someone else claimed index t; our copy is not ours to drop.
-            std::mem::forget(v);
-            return Steal::Retry;
-        }
-        Steal::Success(v)
-    }
-
-    /// Racy emptiness check (heuristics only).
-    pub fn is_empty(&self) -> bool {
-        let t = self.inner.top.load(Ordering::Acquire);
-        let b = self.inner.bottom.load(Ordering::Acquire);
-        t >= b
     }
 }
 
 /// A shared FIFO inbox: the machine dispatcher pushes admitted tasks here;
-/// idle workers drain it before stealing from peers. A plain mutexed queue —
-/// it is the cold path (one push per admitted request), and correctness
-/// under the virtual clock matters more than lock-freedom.
+/// idle workers drain it before stealing from peers.
 pub struct Injector<T> {
     q: Mutex<VecDeque<T>>,
 }
@@ -326,25 +142,22 @@ impl<T> Injector<T> {
 
     /// Enqueue at the back.
     pub fn push(&self, v: T) {
-        self.q
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(v);
+        lock(&self.q).push_back(v);
     }
 
     /// Dequeue from the front.
     pub fn pop(&self) -> Option<T> {
-        self.q.lock().unwrap_or_else(|e| e.into_inner()).pop_front()
+        lock(&self.q).pop_front()
     }
 
     /// Racy emptiness check (heuristics only).
     pub fn is_empty(&self) -> bool {
-        self.q.lock().unwrap_or_else(|e| e.into_inner()).is_empty()
+        lock(&self.q).is_empty()
     }
 
     /// Racy length (heuristics and stats).
     pub fn len(&self) -> usize {
-        self.q.lock().unwrap_or_else(|e| e.into_inner()).len()
+        lock(&self.q).len()
     }
 }
 
@@ -362,13 +175,13 @@ impl<T> Default for Injector<T> {
 /// rather than discover overload after the queue has already grown.
 #[derive(Debug, Default)]
 pub struct DepthGauge {
-    depth: std::sync::atomic::AtomicU64,
+    depth: AtomicU64,
 }
 
 impl DepthGauge {
     pub const fn new() -> Self {
         DepthGauge {
-            depth: std::sync::atomic::AtomicU64::new(0),
+            depth: AtomicU64::new(0),
         }
     }
 
@@ -483,12 +296,8 @@ mod tests {
         assert_eq!(w.len(), n);
         let mut seen = vec![false; n];
         // Interleave pops and steals to cross buffer generations.
-        loop {
-            match s.steal() {
-                Steal::Success(i) => seen[i] = true,
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
+        while let Steal::Success(i) = s.steal() {
+            seen[i] = true;
             if let Some(i) = w.pop() {
                 seen[i] = true;
             }
@@ -546,7 +355,6 @@ mod tests {
                             sum.fetch_add(v, Ordering::Relaxed);
                             claimed.fetch_add(1, Ordering::Relaxed);
                         }
-                        Steal::Retry => {}
                         Steal::Empty => {
                             if done.load(Ordering::Acquire) == 1 {
                                 break;
