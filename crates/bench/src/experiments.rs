@@ -888,9 +888,7 @@ pub fn e10_placement() -> Vec<Table> {
                 .unwrap();
             join(&mut driver, sums).unwrap();
             join(&mut driver, vec![write]).unwrap();
-            balancer
-                .step(&mut driver, Some(&cluster.snapshot()))
-                .unwrap();
+            balancer.step(&mut driver);
         }
         let elapsed = Duration::from_nanos(driver.now_nanos() - t0);
         let mut data = Vec::with_capacity(NOBJ * N);
@@ -1077,8 +1075,7 @@ pub fn e11_self_healing() -> Vec<Table> {
             .call_policy(call_policy)
             .build();
         let dir = driver.directory();
-        let mut sup = Supervisor::new(supervisor_config(LEASE), HOMES.to_vec(), dir)
-            .with_metrics(cluster.metrics().clone());
+        let mut sup = Supervisor::new(supervisor_config(LEASE), HOMES.to_vec(), dir);
 
         // Object k lives on HOMES[k % 3]; the hottest (k = 0) on machine 1,
         // which is the machine every fault variant kills.
@@ -1992,11 +1989,11 @@ pub fn e14_dirsvc() -> Vec<Table> {
         step_until(&mut driver, &mut svc, t0 + 2_000_000_000);
         join(&mut driver, pending).unwrap();
         let resolves = harvest(&mut driver, &hammers);
-        let stats = svc.stats();
+        let stats = svc.supervisor().stats();
         cluster.shutdown(driver);
         (
             resolves,
-            stats.shard_takeovers,
+            stats.objects_reactivated,
             stats.machines_declared_dead,
         )
     };

@@ -70,7 +70,7 @@ pub use group::{Barrier, BarrierClient, ProcessGroup};
 pub use ids::{ObjRef, ObjectId, DAEMON};
 pub use naming::{
     migrate_bound, resolve_or_activate, resolve_or_activate_supervised, shard_addr, shard_of_name,
-    symbolic_addr, DirShard, DirShardClient, Directory, DirectoryClient, NameService,
+    symbolic_addr, DirShard, DirShardClient, Directory, DirectoryClient, NameService, Takeover,
     DIRSVC_PREFIX,
 };
 pub use node::{CallInfo, NodeCtx, DEFAULT_TIMEOUT};

@@ -627,6 +627,27 @@ impl NameService {
         self.on(ctx, name, |ctx, dir, name| dir.claim(ctx, name, expect))
     }
 
+    /// The one takeover arbitration (DESIGN.md §10.3): given that `name`'s
+    /// home machine `dead` is gone, read its lease, claim it at the read
+    /// epoch, and after a lost CAS read it once more. The winner alone may
+    /// activate or promote a new incarnation and `bind_fenced` it at the
+    /// won epoch.
+    pub fn take_over(&self, ctx: &mut NodeCtx, name: &str, dead: usize) -> RemoteResult<Takeover> {
+        let Some((bound, epoch, false)) = self.lease_of(ctx, name.to_string())? else {
+            return Ok(Takeover::Gone);
+        };
+        if bound.machine != dead {
+            return Ok(Takeover::Recovered { at: bound, epoch });
+        }
+        if let Some(epoch) = self.claim(ctx, name.to_string(), epoch)? {
+            return Ok(Takeover::Won { epoch });
+        }
+        Ok(match self.lease_of(ctx, name.to_string())? {
+            Some((at, epoch, false)) if at.machine != dead => Takeover::Recovered { at, epoch },
+            _ => Takeover::Lost,
+        })
+    }
+
     /// Fenced rebind (see [`DirectoryClient::bind_fenced`]).
     pub fn bind_fenced(
         &self,
@@ -697,6 +718,21 @@ impl NameService {
 }
 
 wire::wire_struct!(NameService { root, shards });
+
+/// What [`NameService::take_over`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Takeover {
+    /// The name is unbound or poisoned: there is nothing to recover.
+    Gone,
+    /// The name is already bound off the dead machine: adopt incarnation
+    /// `at`, fenced at `epoch`.
+    Recovered { at: ObjRef, epoch: u64 },
+    /// Another claimant won the CAS and the record still points at the
+    /// dead machine: its recovery is in flight.
+    Lost,
+    /// This caller won the claim: bind the new incarnation at `epoch`.
+    Won { epoch: u64 },
+}
 
 /// Dereference a symbolic address — the paper's
 /// `PageDevice *pd = "http://data/set/PageDevice/34";`.

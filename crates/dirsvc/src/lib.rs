@@ -28,11 +28,10 @@
 //! snapshot backups of unreplicated shards).
 
 use std::collections::HashSet;
-use std::time::Duration;
 
 use oopp::naming::shard_addr;
 use oopp::{DirShardClient, NameService, NodeCtx, ObjRef, RemoteClient, RemoteError, RemoteResult};
-use placement::{probe_loads, reactivation_target};
+use placement::{probe_loads, rank_by_load};
 use replica::{ReplicaConfig, ReplicaManager};
 use supervision::{Recovery, Supervisor, SupervisorConfig};
 
@@ -63,28 +62,16 @@ impl Default for DirServiceConfig {
     }
 }
 
-/// Lifetime counters of one [`DirService`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirServiceStats {
-    /// Shards enrolled at attach.
-    pub shards_attached: u64,
-    /// Machines the service has declared dead.
-    pub machines_declared_dead: u64,
-    /// Shard primaries healed by snapshot takeover.
-    pub shard_takeovers: u64,
-    /// Shard primaries healed by replica promotion.
-    pub shard_promotions: u64,
-}
-
-/// What one [`DirService::step`] did.
+/// What one [`DirService::step`] did. The lifetime counts are the wrapped
+/// loops' own: [`Supervisor::stats`] for deaths and takeovers,
+/// [`ReplicaManager::stats`] for promotions — every name either one
+/// manages here is a shard.
 #[derive(Debug, Clone, Default)]
 pub struct DirStep {
     /// Snapshot takeovers completed this round (unreplicated shards).
     pub takeovers: Vec<Recovery>,
     /// Replica promotions completed this round: `(seat name, new primary)`.
     pub promotions: Vec<(String, ObjRef)>,
-    /// Replicas re-synced by the coherence maintenance pass.
-    pub synced: u64,
 }
 
 /// Supervises and replicates the [`DirShard`](oopp::DirShard) fleet of a
@@ -104,7 +91,6 @@ pub struct DirService {
     /// `handle_dead_machine` exactly once per death (a resurrection
     /// re-arms it).
     dead: HashSet<usize>,
-    stats: DirServiceStats,
 }
 
 impl DirService {
@@ -120,18 +106,7 @@ impl DirService {
             supervisor: Supervisor::new(config.supervisor, machines, ns),
             replicas: ReplicaManager::new(config.replica, ns),
             dead: HashSet::new(),
-            stats: DirServiceStats::default(),
         }
-    }
-
-    /// The name service this plane manages.
-    pub fn name_service(&self) -> NameService {
-        self.ns
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> DirServiceStats {
-        self.stats
     }
 
     /// The wrapped supervisor (detector state, supervision counters).
@@ -155,19 +130,8 @@ impl DirService {
     /// are skipped, and fewer than `n` may come back on a small cluster.
     fn pick_targets(&self, ctx: &mut NodeCtx, exclude: usize, n: usize) -> Vec<usize> {
         let others = self.machines.iter().copied().filter(|&m| m != exclude);
-        let samples = probe_loads(ctx, others);
-        let mut excluded = vec![exclude];
-        let mut picked = Vec::with_capacity(n);
-        while picked.len() < n {
-            match reactivation_target(&samples, &excluded) {
-                Some(m) => {
-                    excluded.push(m);
-                    picked.push(m);
-                }
-                None => break,
-            }
-        }
-        picked
+        let ranked = rank_by_load(&probe_loads(ctx, others));
+        ranked.into_iter().take(n).collect()
     }
 
     /// Enroll every shard of the cluster's shard map: snapshot-register
@@ -211,7 +175,6 @@ impl DirService {
                 }
                 self.replicas.replicate(ctx, &name, &client, &targets)?;
             }
-            self.stats.shards_attached += 1;
         }
         Ok(shards as usize)
     }
@@ -223,12 +186,11 @@ impl DirService {
     /// shard that lost a replica or its primary there.
     pub fn step(&mut self, ctx: &mut NodeCtx) -> RemoteResult<DirStep> {
         let takeovers = self.supervisor.step(ctx)?;
-        let synced = self.replicas.step(ctx)?;
+        self.replicas.step(ctx)?;
         let mut promotions = Vec::new();
         for m in self.machines.clone() {
             if self.supervisor.is_dead(m) {
                 if self.dead.insert(m) {
-                    self.stats.machines_declared_dead += 1;
                     promotions.extend(self.replicas.handle_dead_machine(ctx, m)?);
                 }
             } else {
@@ -237,12 +199,9 @@ impl DirService {
                 self.dead.remove(&m);
             }
         }
-        self.stats.shard_takeovers += takeovers.len() as u64;
-        self.stats.shard_promotions += promotions.len() as u64;
         Ok(DirStep {
             takeovers,
             promotions,
-            synced,
         })
     }
 
@@ -252,32 +211,6 @@ impl DirService {
     /// Returns how many shards were refreshed.
     pub fn checkpoint(&mut self, ctx: &mut NodeCtx) -> usize {
         self.supervisor.checkpoint(ctx)
-    }
-
-    /// Convenience driver: step until `machine`'s death has been detected
-    /// (takeovers and promotions land in the same step as the verdict) or
-    /// `budget` elapses on the cluster clock. Returns the steps'
-    /// aggregated outcome. Intended for tests and benchmarks; production
-    /// loops call [`step`](DirService::step) on their own cadence.
-    pub fn heal_after_crash(
-        &mut self,
-        ctx: &mut NodeCtx,
-        machine: usize,
-        budget: Duration,
-    ) -> RemoteResult<DirStep> {
-        let mut out = DirStep::default();
-        let deadline = ctx.now_nanos() + budget.as_nanos() as u64;
-        loop {
-            let round = self.step(ctx)?;
-            out.takeovers.extend(round.takeovers);
-            out.promotions.extend(round.promotions);
-            out.synced += round.synced;
-            if self.dead.contains(&machine) || ctx.now_nanos() >= deadline {
-                break;
-            }
-            ctx.serve_for(Duration::from_millis(5));
-        }
-        Ok(out)
     }
 }
 
@@ -290,19 +223,5 @@ mod tests {
         let c = DirServiceConfig::default();
         assert_eq!(c.read_replicas, 0);
         assert_eq!(c.snapshot_backups, 2);
-    }
-
-    #[test]
-    fn attach_refuses_a_classic_cluster() {
-        let ns = NameService::classic(ObjRef {
-            machine: 0,
-            object: 1,
-        });
-        let svc = DirService::new(DirServiceConfig::default(), vec![0, 1], ns);
-        assert_eq!(svc.name_service().shards(), 0);
-        // `attach` needs a live ctx to fail remotely; the shard-count
-        // refusal is pure, so check the guard's precondition here and the
-        // remote path in tests/dirsvc.rs.
-        assert_eq!(svc.stats().shards_attached, 0);
     }
 }

@@ -5,11 +5,10 @@
 //! lifetime. Under a skewed workload that static choice is the whole
 //! performance story: one machine serializes the hot objects while the
 //! rest of the cluster idles. This crate closes the loop. A [`Balancer`]
-//! polls per-machine load signals — served calls and queueing pressure
-//! from the daemons' runtime counters, per-object call counts from the
-//! `loads` probe, sender-side bytes from the simnet metrics — feeds them
-//! to a pluggable [`PlacementPolicy`], and executes the resulting
-//! [`MigrationPlan`]s with the core's live migration
+//! polls per-machine load signals — served, deferred and shed calls from
+//! the daemons' runtime counters, per-object call counts from the `loads`
+//! probe — feeds them to a pluggable [`PlacementPolicy`], and executes the
+//! resulting [`MigrationPlan`]s with the core's live migration
 //! ([`NodeCtx::migrate`]): quiesce, transfer, commit, forward.
 //!
 //! Planning is **pure** (`policy.plan(&samples)` is a function of the
@@ -24,8 +23,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use oopp::{NodeCtx, ObjRef, RemoteError, RemoteResult};
-use simnet::MetricsSnapshot;
+use oopp::{NodeCtx, ObjRef, RemoteError};
 
 /// One machine's load over the window since the previous poll.
 ///
@@ -42,10 +40,6 @@ pub struct MachineSample {
     /// machine can show few served calls precisely because it is
     /// saturated.
     pub deferred: u64,
-    /// Payload bytes this machine injected into the fabric this window
-    /// (reply traffic of hot objects), when a [`MetricsSnapshot`] was
-    /// supplied.
-    pub bytes_sent: u64,
     /// Requests this machine *shed* this window — `Overloaded` admission
     /// rejections plus CoDel-style sojourn drops (DESIGN.md §15). Shed
     /// calls are demand the machine turned away, so they never show up in
@@ -73,34 +67,28 @@ impl MachineSample {
     }
 }
 
-/// Pick the machine that should adopt an object whose home died.
+/// The sampled machines, least loaded first, ties broken by the lower
+/// machine id so a seeded recovery is deterministic.
 ///
-/// Pure, like [`PlacementPolicy::plan`]: the least-loaded sampled machine
-/// that is not in `excluded` (the dead machine itself, plus any peers the
-/// supervisor currently suspects), ties broken by the lower machine id so
-/// a seeded recovery is deterministic. Returns `None` when every sampled
-/// machine is excluded — the caller should treat that as "no survivors"
-/// and escalate rather than reactivate onto a corpse.
-///
-/// The supervisor uses this instead of [`PlacementPolicy`] because
-/// reactivation is not rebalancing: the object *must* land somewhere even
-/// on a perfectly balanced cluster, and it must never land on a machine
-/// the failure detector distrusts.
-pub fn reactivation_target(samples: &[MachineSample], excluded: &[usize]) -> Option<usize> {
-    samples
-        .iter()
-        .filter(|s| !excluded.contains(&s.machine))
-        .min_by_key(|s| (s.load(), s.machine))
-        .map(|s| s.machine)
+/// Pure, like [`PlacementPolicy::plan`]. Every control loop that picks a
+/// home for something walks this one ranking: the supervisor tries its
+/// survivors in this order, the directory service takes the first `n` as
+/// backups or replicas. They use it instead of [`PlacementPolicy`] because
+/// finding a home is not rebalancing: the object *must* land somewhere
+/// even on a perfectly balanced cluster. An empty ranking means "no
+/// survivors": escalate rather than reactivate onto a corpse.
+pub fn rank_by_load(samples: &[MachineSample]) -> Vec<usize> {
+    let mut ranked: Vec<&MachineSample> = samples.iter().collect();
+    ranked.sort_by_key(|s| (s.load(), s.machine));
+    ranked.into_iter().map(|s| s.machine).collect()
 }
 
-/// The load signal [`reactivation_target`] ranks: one lifetime sample
+/// The load signal [`rank_by_load`] ranks: one lifetime sample
 /// (calls served and deferred, from the daemon's stats) per candidate
 /// machine that answers the probe — a machine that does not answer is no
-/// candidate. Every control loop that picks a home for something (the
-/// supervisor's takeovers, the directory service's backups and replicas)
-/// samples through here, so they cannot come to weigh machines
-/// differently. Runs under the caller's call policy.
+/// candidate. Every control loop that picks a home for something samples
+/// through here, so they cannot come to weigh machines differently. Runs
+/// under the caller's call policy.
 pub fn probe_loads(
     ctx: &mut NodeCtx,
     candidates: impl IntoIterator<Item = usize>,
@@ -291,12 +279,10 @@ pub struct Balancer {
     cooldown: u32,
     prev_object_calls: HashMap<usize, HashMap<u64, u64>>,
     prev_node: HashMap<usize, (u64, u64, u64)>,
-    prev_bytes_sent: Vec<u64>,
     unmovable: HashSet<ObjRef>,
     pinned: HashSet<ObjRef>,
     replicated: HashSet<ObjRef>,
     moves_executed: u64,
-    moves_failed: u64,
     moves_skipped_replicated: u64,
 }
 
@@ -311,12 +297,10 @@ impl Balancer {
             cooldown: 0,
             prev_object_calls: HashMap::new(),
             prev_node: HashMap::new(),
-            prev_bytes_sent: Vec::new(),
             unmovable: HashSet::new(),
             pinned: HashSet::new(),
             replicated: HashSet::new(),
             moves_executed: 0,
-            moves_failed: 0,
             moves_skipped_replicated: 0,
         }
     }
@@ -353,11 +337,6 @@ impl Balancer {
         self.moves_executed
     }
 
-    /// Planned migrations that failed (and blacklisted their object).
-    pub fn moves_failed(&self) -> u64 {
-        self.moves_failed
-    }
-
     /// Plans skipped because their object is a replicated primary — via
     /// the [`set_replicated`](Balancer::set_replicated) footprint, or via
     /// a `Replicated` refusal when the footprint feed was stale.
@@ -366,17 +345,15 @@ impl Balancer {
     }
 
     /// Poll every managed machine and return this window's load deltas.
-    /// `net` is the cluster's current metrics snapshot, if the caller
-    /// wants byte counts in the samples.
-    pub fn sample(
-        &mut self,
-        ctx: &mut NodeCtx,
-        net: Option<&MetricsSnapshot>,
-    ) -> RemoteResult<Vec<MachineSample>> {
+    /// A machine that does not answer both probes is left out of this
+    /// window, as [`probe_loads`] leaves it out: one dark machine must not
+    /// stop the rest of the cluster from being planned.
+    pub fn sample(&mut self, ctx: &mut NodeCtx) -> Vec<MachineSample> {
         let mut samples = Vec::with_capacity(self.machines.len());
         for &m in &self.machines.clone() {
-            let stats = ctx.stats_of(m)?;
-            let loads = ctx.loads_of(m)?;
+            // A dark machine costs one probe window per step, not two.
+            let Ok(stats) = ctx.stats_of(m) else { continue };
+            let Ok(loads) = ctx.loads_of(m) else { continue };
             // Both admission rejections and sojourn drops are turned-away
             // demand; either alone means the machine is past saturation.
             let shed_total = stats.calls_shed_overload + stats.calls_shed_sojourn;
@@ -393,38 +370,27 @@ impl Balancer {
             // Objects that disappeared (destroyed or migrated away) drop
             // out of the previous-poll table too.
             prev_objects.retain(|o, _| loads.binary_search_by_key(o, |&(id, _)| id).is_ok());
-            let bytes_now = net
-                .and_then(|s| s.per_machine_bytes_sent.get(m).copied())
-                .unwrap_or(0);
-            let bytes_before = self.prev_bytes_sent.get(m).copied().unwrap_or(0);
-            if self.prev_bytes_sent.len() <= m {
-                self.prev_bytes_sent.resize(m + 1, 0);
-            }
-            self.prev_bytes_sent[m] = bytes_now;
             samples.push(MachineSample {
                 machine: m,
                 calls: stats.calls_served.saturating_sub(pc),
                 deferred: stats.calls_deferred.saturating_sub(pd),
-                bytes_sent: bytes_now.saturating_sub(bytes_before),
                 shed: shed_total.saturating_sub(ps),
                 objects,
             });
         }
-        Ok(samples)
+        samples
     }
 
     /// One control round: poll, plan, execute. Returns the plans that
     /// were actually executed. During a cooldown the balancer still polls
-    /// (so the deltas stay one window wide) but plans nothing.
-    pub fn step(
-        &mut self,
-        ctx: &mut NodeCtx,
-        net: Option<&MetricsSnapshot>,
-    ) -> RemoteResult<Vec<MigrationPlan>> {
-        let samples = self.sample(ctx, net)?;
+    /// (so the deltas stay one window wide) but plans nothing. A failed
+    /// move is the balancer's to absorb, never the caller's: it rolls back
+    /// and its object is not proposed again.
+    pub fn step(&mut self, ctx: &mut NodeCtx) -> Vec<MigrationPlan> {
+        let samples = self.sample(ctx);
         if self.cooldown > 0 {
             self.cooldown -= 1;
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let mut executed = Vec::new();
         for plan in self.policy.plan(&samples) {
@@ -459,7 +425,6 @@ impl Balancer {
                 Err(_) => {
                     // NotPersistent, dead target, mid-move crash — the
                     // core rolled back; don't propose this object again.
-                    self.moves_failed += 1;
                     self.unmovable.insert(plan.object);
                 }
             }
@@ -467,7 +432,7 @@ impl Balancer {
         if !executed.is_empty() {
             self.cooldown = self.cooldown_rounds;
         }
-        Ok(executed)
+        executed
     }
 }
 
@@ -480,7 +445,6 @@ mod tests {
             machine,
             calls: objects.iter().map(|&(_, c)| c).sum(),
             deferred: 0,
-            bytes_sent: 0,
             shed: 0,
             objects: objects.to_vec(),
         }
@@ -635,19 +599,17 @@ mod tests {
             sample(1, &[(2, 10)]),
             sample(2, &[(3, 200)]),
         ];
-        // Machine 1 is the coolest survivor once the dead machine is out.
-        assert_eq!(reactivation_target(&samples, &[0]), Some(1));
-        // Excluding the coolest too falls through to the next one.
-        assert_eq!(reactivation_target(&samples, &[0, 1]), Some(2));
-        // No survivors at all: refuse rather than pick a corpse.
-        assert_eq!(reactivation_target(&samples, &[0, 1, 2]), None);
+        // Machine 1 is the coolest, then 2; the hot machine comes last.
+        assert_eq!(rank_by_load(&samples), vec![1, 2, 0]);
+        // No samples, no survivors: refuse rather than pick a corpse.
+        assert!(rank_by_load(&[]).is_empty());
     }
 
     #[test]
     fn reactivation_target_breaks_ties_deterministically() {
         let samples = vec![sample(2, &[]), sample(1, &[]), sample(3, &[])];
         // Equal loads: lowest machine id wins regardless of sample order.
-        assert_eq!(reactivation_target(&samples, &[]), Some(1));
+        assert_eq!(rank_by_load(&samples), vec![1, 2, 3]);
     }
 
     #[test]

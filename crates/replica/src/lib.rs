@@ -44,7 +44,9 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use oopp::{EventKind, NameService, NodeCtx, ObjRef, RemoteClient, RemoteError, RemoteResult};
+use oopp::{
+    EventKind, NameService, NodeCtx, ObjRef, RemoteClient, RemoteError, RemoteResult, Takeover,
+};
 
 /// How a replica set stays coherent with its primary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,11 +359,11 @@ impl ReplicaManager {
     /// CAS-promote a surviving replica into the primary role. Returns the
     /// promotions performed as `(name, new_primary)`.
     ///
-    /// Promotion reuses the supervisor's takeover arbitration — the
-    /// directory `claim` CAS on the name's incarnation epoch — so a
-    /// manager racing a snapshot-restoring supervisor cannot split the
-    /// brain: exactly one wins the claim, and the loser adopts the
-    /// winner's incarnation.
+    /// Promotion goes through the supervisor's takeover arbitration —
+    /// [`NameService::take_over`], a CAS on the name's incarnation epoch —
+    /// so a manager racing a snapshot-restoring supervisor cannot split
+    /// the brain: exactly one wins the claim, and the loser adopts the
+    /// winner's incarnation once it is bound.
     pub fn handle_dead_machine(
         &mut self,
         ctx: &mut NodeCtx,
@@ -448,28 +450,17 @@ impl ReplicaManager {
     ) -> RemoteResult<Option<ObjRef>> {
         let dir = self.dir;
         let name = self.managed[i].name.clone();
-        let Some((bound, epoch, poisoned)) = dir.lease_of(ctx, name.clone())? else {
-            return Ok(None);
-        };
-        if poisoned {
-            return Ok(None);
-        }
-        if bound.machine != dead {
-            // Someone else already recovered the name (supervisor restore
-            // or a racing manager): adopt the new incarnation. Its replica
-            // set was cleared by `bind_fenced`; rebuilding is a fresh
-            // `replicate` decision, not ours to make here.
-            self.adopt_recovered(ctx, i, bound, epoch, dead)?;
-            return Ok(None);
-        }
-        let Some(new_epoch) = dir.claim(ctx, name.clone(), epoch)? else {
-            // Lost the CAS; a concurrent recovery holds the claim.
-            if let Some((r2, e2, false)) = dir.lease_of(ctx, name.clone())? {
-                if r2.machine != dead {
-                    self.adopt_recovered(ctx, i, r2, e2, dead)?;
-                }
+        let new_epoch = match dir.take_over(ctx, &name, dead)? {
+            Takeover::Won { epoch } => epoch,
+            Takeover::Recovered { at, epoch } => {
+                // Someone else already recovered the name (supervisor
+                // restore or a racing manager): adopt the new incarnation.
+                // Its replica set was cleared by `bind_fenced`; rebuilding
+                // is a fresh `replicate` decision, not ours to make here.
+                self.adopt_recovered(ctx, i, at, epoch, dead)?;
+                return Ok(None);
             }
-            return Ok(None);
+            Takeover::Gone | Takeover::Lost => return Ok(None),
         };
         let candidates: Vec<ObjRef> = self.managed[i]
             .replicas

@@ -84,8 +84,7 @@ metrics! {
     scalar bytes_sent;
     /// Messages sent, per source machine.
     per_machine per_machine_sent;
-    /// Payload bytes injected, per source machine. The sender-side load
-    /// signal the placement balancer consumes: a machine serving hot
+    /// Payload bytes injected, per source machine: a machine serving hot
     /// objects shows up here through its reply traffic even when its
     /// receive side is quiet.
     per_machine per_machine_bytes_sent;
@@ -121,44 +120,9 @@ metrics! {
     /// Packets delivered late because their destination was load-spiked
     /// (see [`FaultInjector::spike`](crate::FaultInjector::spike)).
     scalar spike_delayed;
-    /// Machines the failure detector moved to `Suspect` or beyond.
-    scalar suspicions_raised;
-    /// Suspicions that proved false — a machine declared dead heartbeated
-    /// again. The detector's measured false-positive count.
-    scalar false_suspicions;
-    /// Objects the supervisor reactivated after a death verdict.
-    scalar recoveries;
-    /// Detection latency summed over recoveries (last heartbeat → death
-    /// verdict), in nanoseconds. `/ recoveries` is the mean detection
-    /// share of MTTR.
-    scalar recovery_detect_nanos;
-    /// Full MTTR summed over recoveries (last heartbeat → object serving
-    /// again), in nanoseconds.
-    scalar recovery_total_nanos;
 }
 
 impl Metrics {
-    /// Record the failure detector crossing its suspect threshold.
-    pub fn record_suspicion(&self) {
-        self.suspicions_raised.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a suspicion that proved false (the machine came back).
-    pub fn record_false_suspicion(&self) {
-        self.false_suspicions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one completed object recovery: `detect_nanos` from last
-    /// heartbeat to the death verdict, `total_nanos` to the object serving
-    /// again.
-    pub fn record_recovery(&self, detect_nanos: u64, total_nanos: u64) {
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
-        self.recovery_detect_nanos
-            .fetch_add(detect_nanos, Ordering::Relaxed);
-        self.recovery_total_nanos
-            .fetch_add(total_nanos, Ordering::Relaxed);
-    }
-
     /// Record one message of `bytes` payload from `src`.
     pub fn record_send(&self, src: usize, bytes: usize) {
         self.messages_sent.fetch_add(1, Ordering::Relaxed);
@@ -232,15 +196,6 @@ impl Metrics {
 }
 
 impl MetricsSnapshot {
-    /// Mean time to repair across recorded recoveries, in nanoseconds
-    /// (0 when none happened). Detection share via
-    /// `recovery_detect_nanos / recoveries`.
-    pub fn mean_mttr_nanos(&self) -> u64 {
-        self.recovery_total_nanos
-            .checked_div(self.recoveries)
-            .unwrap_or(0)
-    }
-
     /// Total packets the fault layer removed from the fabric.
     pub fn total_fault_drops(&self) -> u64 {
         self.faults_dropped + self.partition_dropped + self.crash_dropped
@@ -322,31 +277,6 @@ mod tests {
         assert_eq!(delta.per_machine_sent, vec![0, 1]);
         assert_eq!(delta.per_machine_bytes_sent, vec![0, 20]);
         assert_eq!(delta.disk_reads, 1);
-    }
-
-    #[test]
-    fn supervision_counters_accumulate_and_diff() {
-        let m = Metrics::new(2);
-        m.record_suspicion();
-        m.record_suspicion();
-        m.record_false_suspicion();
-        m.record_recovery(1_000, 5_000);
-        m.record_recovery(3_000, 7_000);
-        let s = m.snapshot();
-        assert_eq!(s.suspicions_raised, 2);
-        assert_eq!(s.false_suspicions, 1);
-        assert_eq!(s.recoveries, 2);
-        assert_eq!(s.recovery_detect_nanos, 4_000);
-        assert_eq!(s.recovery_total_nanos, 12_000);
-        assert_eq!(s.mean_mttr_nanos(), 6_000);
-        assert_eq!(MetricsSnapshot::default().mean_mttr_nanos(), 0);
-
-        let before = s;
-        m.record_recovery(10, 20);
-        let delta = m.snapshot().since(&before);
-        assert_eq!(delta.recoveries, 1);
-        assert_eq!(delta.recovery_total_nanos, 20);
-        assert_eq!(delta.suspicions_raised, 0);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! to supervised objects with [`Fenced`](oopp::RemoteError::Fenced).
 //! Taking over after that point cannot split the brain: the old
 //! incarnation is self-fenced, the new one carries a higher epoch won by
-//! a CAS [`claim`](oopp::DirectoryClient) in the directory, and stale
-//! pointers learn the new epoch from the fence replies.
+//! the directory's CAS ([`NameService::take_over`]), and stale pointers
+//! learn the new epoch from the fence replies.
 //!
 //! ## Resurrection
 //!
@@ -36,14 +36,13 @@
 //! first would revive the old incarnations' lease while two copies exist.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use std::time::Duration;
 
 use oopp::{
     Backoff, CallPolicy, EventKind, NameService, NodeCtx, ObjRef, RemoteClient, RemoteResult,
+    Takeover,
 };
-use placement::{probe_loads, reactivation_target, MachineSample};
-use simnet::Metrics;
+use placement::{probe_loads, rank_by_load};
 
 use crate::detector::{DetectorConfig, FailureDetector, Verdict};
 
@@ -235,7 +234,6 @@ pub struct Supervisor {
     in_flight: HashMap<u64, InFlight>,
     regs: Vec<Registration>,
     stats: SupervisionStats,
-    metrics: Option<Arc<Metrics>>,
 }
 
 impl Supervisor {
@@ -269,15 +267,7 @@ impl Supervisor {
             in_flight: HashMap::new(),
             regs: Vec::new(),
             stats: SupervisionStats::default(),
-            metrics: None,
         }
-    }
-
-    /// Also mirror supervision events into the substrate metrics (so
-    /// `MetricsSnapshot` carries suspicion/recovery counters and MTTR).
-    pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
     }
 
     /// Lifetime counters.
@@ -506,9 +496,6 @@ impl Supervisor {
                 if !*suspected {
                     *suspected = true;
                     self.stats.suspicions_raised += 1;
-                    if let Some(mx) = &self.metrics {
-                        mx.record_suspicion();
-                    }
                     let phi = self.detector.phi(m, off);
                     let milli_phi = (phi * 1000.0).min(u32::MAX as f64) as u32;
                     ctx.supervision_marker(EventKind::SuspectRaised, m, milli_phi);
@@ -573,9 +560,6 @@ impl Supervisor {
                 let total = detect + Duration::from_nanos(ctx.now_nanos().saturating_sub(begun));
                 taken.push(i);
                 self.stats.objects_reactivated += 1;
-                if let Some(mx) = &self.metrics {
-                    mx.record_recovery(detect.as_nanos() as u64, total.as_nanos() as u64);
-                }
                 let micros = total.as_micros().min(u32::MAX as u128) as u32;
                 ctx.supervision_marker(EventKind::ObjectReactivated, m, micros);
                 recoveries.push(Recovery {
@@ -600,65 +584,47 @@ impl Supervisor {
 
     /// Reactivate registration `i` away from dead machine `m`. Returns
     /// the old incarnation on success (for later re-fencing), `None` when
-    /// someone else already recovered it or the name was poisoned.
+    /// someone else recovered it, holds the claim, or the name is gone.
     fn takeover(&mut self, ctx: &mut NodeCtx, i: usize, m: usize) -> RemoteResult<Option<ObjRef>> {
         let dir = self.dir;
         let name = self.regs[i].name.clone();
-        let Some((bound, epoch, poisoned)) = dir.lease_of(ctx, name.clone())? else {
-            return Ok(None);
-        };
-        if poisoned {
-            return Ok(None);
-        }
-        if bound.machine != m {
-            // A client's supervised resolution beat us to it; adopt.
-            self.regs[i].current = bound;
-            self.regs[i].epoch = epoch;
-            return Ok(None);
-        }
-        let new_epoch = match dir.claim(ctx, name.clone(), epoch)? {
-            Some(e) => e,
-            None => {
-                // Lost the CAS: a concurrent recovery holds the claim.
-                if let Some((r2, e2, false)) = dir.lease_of(ctx, name.clone())? {
-                    self.regs[i].current = r2;
-                    self.regs[i].epoch = e2;
-                }
+        let new_epoch = match dir.take_over(ctx, &name, m)? {
+            Takeover::Won { epoch } => epoch,
+            Takeover::Recovered { at, epoch } => {
+                // A client's supervised resolution or a replica promotion
+                // beat us to it; adopt.
+                self.regs[i].current = at;
+                self.regs[i].epoch = epoch;
                 return Ok(None);
             }
+            Takeover::Gone | Takeover::Lost => return Ok(None),
         };
-        let samples = self.sample_survivors(ctx, &self.regs[i].backups.clone(), m);
+        let targets = self.rank_survivors(ctx, &self.regs[i].backups.clone(), m);
         for attempt in 0..self.config.restart.max_attempts() {
             if attempt > 0 {
                 ctx.serve_for(self.config.restart.delay(attempt));
             }
-            let mut excluded: Vec<usize> = Vec::new();
-            while let Some(target) = reactivation_target(&samples, &excluded) {
-                match ctx.activate_fenced_raw(target, &name, new_epoch) {
-                    Ok(fresh) => {
-                        dir.bind_fenced(ctx, name.clone(), fresh, new_epoch)?;
-                        // Keep every *live* old home forwarding straight
-                        // to the newest incarnation — without this, a
-                        // pointer from two takeovers ago would chase a
-                        // forward into the machine that died in between.
-                        for h in self.regs[i].history.clone() {
-                            let live = h.machine != m
-                                && matches!(
-                                    self.state.get(&h.machine),
-                                    None | Some(MState::Up { .. })
-                                );
-                            if live {
-                                let _ = ctx.fence_object(h, new_epoch, fresh);
-                            }
-                        }
-                        let old = self.regs[i].current;
-                        self.regs[i].history.push(old);
-                        self.regs[i].current = fresh;
-                        self.regs[i].epoch = new_epoch;
-                        return Ok(Some(old));
+            for &target in &targets {
+                let Ok(fresh) = ctx.activate_fenced_raw(target, &name, new_epoch) else {
+                    continue;
+                };
+                dir.bind_fenced(ctx, name.clone(), fresh, new_epoch)?;
+                // Keep every *live* old home forwarding straight to the
+                // newest incarnation — without this, a pointer from two
+                // takeovers ago would chase a forward into the machine
+                // that died in between.
+                for h in self.regs[i].history.clone() {
+                    let live = h.machine != m
+                        && matches!(self.state.get(&h.machine), None | Some(MState::Up { .. }));
+                    if live {
+                        let _ = ctx.fence_object(h, new_epoch, fresh);
                     }
-                    Err(_) => excluded.push(target),
                 }
+                let old = self.regs[i].current;
+                self.regs[i].history.push(old);
+                self.regs[i].current = fresh;
+                self.regs[i].epoch = new_epoch;
+                return Ok(Some(old));
             }
         }
         // Restart policy exhausted: the name is unrecoverable. Poison it
@@ -669,25 +635,20 @@ impl Supervisor {
         Ok(None)
     }
 
-    /// Load-sample the live backups of a registration, excluding the dead
-    /// machine and anything else not currently Up. Runs under a probe
-    /// call policy: a backup that just died must cost one short window,
-    /// not a full retry cycle.
-    fn sample_survivors(
-        &mut self,
-        ctx: &mut NodeCtx,
-        backups: &[usize],
-        dead: usize,
-    ) -> Vec<MachineSample> {
+    /// The live backups of a registration, least loaded first, excluding
+    /// the dead machine and anything else not currently Up. Runs under a
+    /// probe call policy: a backup that just died must cost one short
+    /// window, not a full retry cycle.
+    fn rank_survivors(&mut self, ctx: &mut NodeCtx, backups: &[usize], dead: usize) -> Vec<usize> {
         let saved = ctx.call_policy();
         ctx.set_call_policy(CallPolicy::probe(self.config.lease_ttl));
         let up = backups
             .iter()
             .copied()
             .filter(|&b| b != dead && matches!(self.state.get(&b), None | Some(MState::Up { .. })));
-        let samples = probe_loads(ctx, up);
+        let ranked = rank_by_load(&probe_loads(ctx, up));
         ctx.set_call_policy(saved);
-        samples
+        ranked
     }
 
     /// A probe reply arrived from a machine we declared dead.
@@ -696,9 +657,6 @@ impl Supervisor {
             if !*seen_alive {
                 *seen_alive = true;
                 self.stats.false_suspicions += 1;
-                if let Some(mx) = &self.metrics {
-                    mx.record_false_suspicion();
-                }
                 ctx.supervision_marker(EventKind::FalseSuspicion, m, 0);
             }
         }

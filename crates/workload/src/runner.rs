@@ -184,7 +184,7 @@ pub fn run(spec: &ScenarioSpec) -> RunArtifacts {
             next_control = now + CONTROL_MS * 1_000_000;
             driver.set_call_policy(control_policy());
             balancer.set_replicated(mgr.primary_of(&hot_name));
-            let _ = balancer.step(&mut driver, None);
+            balancer.step(&mut driver);
             driver.set_call_policy(loadgen_policy);
         }
 

@@ -71,10 +71,7 @@ fn main() {
                 b.set(&mut driver, i, round as f64).unwrap();
             }
         }
-        let moved = balancer
-            .step(&mut driver, Some(&cluster.snapshot()))
-            .unwrap();
-        for plan in &moved {
+        for plan in &balancer.step(&mut driver) {
             println!(
                 "round {round}: balancer moved object {} (load {}) to machine {}",
                 plan.object.object, plan.load, plan.target

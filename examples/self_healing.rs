@@ -41,7 +41,7 @@ fn main() {
             backoff: Backoff::fixed(Duration::from_millis(10)),
         },
     };
-    let mut sup = Supervisor::new(config, vec![1, 2], dir).with_metrics(cluster.metrics().clone());
+    let mut sup = Supervisor::new(config, vec![1, 2], dir);
 
     // A block on machine 1, registered for supervision with machine 2 as
     // its snapshot backup. Registration binds the name at epoch 1 and
@@ -116,12 +116,6 @@ fn main() {
         stats.objects_reactivated,
         stats.false_suspicions,
         stats.names_poisoned,
-    );
-    let snap = cluster.snapshot();
-    println!(
-        "substrate accounting: mean MTTR {:.1} ms over {} recoveries",
-        snap.mean_mttr_nanos() as f64 / 1e6,
-        snap.recoveries,
     );
 
     cluster.shutdown(driver);

@@ -82,14 +82,14 @@ fn settle(
         let round = svc.step(driver).expect("control plane must keep stepping");
         out.takeovers.extend(round.takeovers);
         out.promotions.extend(round.promotions);
-        out.synced += round.synced;
         if done(svc, &out) {
             return out;
         }
         assert!(
             driver.now_nanos() < deadline,
-            "dirsvc did not settle in {limit:?}: stats {:?}",
-            svc.stats()
+            "dirsvc did not settle in {limit:?}: stats {:?} {:?}",
+            svc.supervisor().stats(),
+            svc.replicas().stats()
         );
         driver.serve_for(Duration::from_millis(2));
     }
@@ -222,7 +222,7 @@ fn unreplicated_shard_survives_primary_crash_by_snapshot_takeover() {
         assert!(
             driver.now_nanos() < deadline,
             "takeover never landed: {:?}",
-            svc.stats()
+            svc.supervisor().stats()
         );
         driver.serve_for(Duration::from_millis(2));
     }
@@ -276,10 +276,10 @@ fn unreplicated_shard_survives_primary_crash_by_snapshot_takeover() {
         Some(probe_target)
     );
 
-    let stats = svc.stats();
+    let stats = svc.supervisor().stats();
     assert!(stats.machines_declared_dead >= 1);
-    assert!(stats.shard_takeovers >= 1);
-    assert_eq!(stats.shard_promotions, 0);
+    assert!(stats.objects_reactivated >= 1);
+    assert_eq!(svc.replicas().stats().promotions, 0);
 
     cluster.shutdown(driver);
 }
@@ -357,9 +357,8 @@ fn replicated_shard_survives_primary_crash_by_promotion() {
         Some(target)
     );
 
-    let stats = svc.stats();
-    assert!(stats.shard_promotions >= 1);
-    assert_eq!(stats.shard_takeovers, 0);
+    assert!(svc.replicas().stats().promotions >= 1);
+    assert_eq!(svc.supervisor().stats().objects_reactivated, 0);
 
     cluster.shutdown(driver);
 }

@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use oopp_repro::oopp::{
     shard_addr, shard_of_name, symbolic_addr, wire, Backoff, CallPolicy, Cluster, ClusterBuilder,
-    DirShardClient, DirectoryClient, Driver, NameService, ObjRef, RemoteClient, RemoteError,
-    DIRSVC_PREFIX,
+    DirShardClient, DirectoryClient, Driver, NameService, NodeCtx, ObjRef, RemoteClient,
+    RemoteError, RemoteResult, Takeover, DIRSVC_PREFIX,
 };
 use oopp_repro::simnet::ClusterConfig;
 use proptest::prelude::*;
@@ -119,6 +119,108 @@ fn claims_at_stale_epochs_lose_the_cas() {
             .unwrap(),
         None
     );
+    cluster.shutdown(driver);
+}
+
+/// A rival claimant on a worker machine: claims a name at `expect` and,
+/// when it wins and is given a target, rebinds the name there.
+#[derive(Debug)]
+pub struct Rival {
+    dir: ObjRef,
+}
+
+oopp_repro::oopp::remote_class! {
+    class Rival {
+        ctor(dir: ObjRef);
+        /// Claim `name` at `expect`; on a win, `bind_fenced` it to `rebind`.
+        fn claim(&mut self, name: String, expect: u64, rebind: Option<ObjRef>) -> Option<u64>;
+    }
+}
+
+impl Rival {
+    pub fn new(_ctx: &mut NodeCtx, dir: ObjRef) -> RemoteResult<Self> {
+        Ok(Rival { dir })
+    }
+
+    fn claim(
+        &mut self,
+        ctx: &mut NodeCtx,
+        name: String,
+        expect: u64,
+        rebind: Option<ObjRef>,
+    ) -> RemoteResult<Option<u64>> {
+        let dir = NameService::classic(self.dir);
+        let won = dir.claim(ctx, name.clone(), expect)?;
+        if let (Some(epoch), Some(at)) = (won, rebind) {
+            dir.bind_fenced(ctx, name, at, epoch)?;
+        }
+        Ok(won)
+    }
+}
+
+/// `NameService::take_over`, the one takeover arbitration the supervisor
+/// and the replica manager share, answers every state of a lease record.
+/// For the lost-CAS rows a rival on machine 1 claims the same name while
+/// the driver's take-over runs: every hop costs 1 ms of virtual time, so
+/// the directory sees the driver's first `lease_of` (at 1 ms), the rival's
+/// `claim` (2 ms), the driver's `claim` (3 ms), the rival's rebind, if it
+/// makes one (4 ms), and the driver's second `lease_of` (5 ms), in that
+/// order.
+#[test]
+fn take_over_answers_every_state_of_the_lease() {
+    const DEAD: usize = 2;
+    let (cluster, mut driver) = ClusterBuilder::new(3)
+        .register::<Rival>()
+        .sim_config(ClusterConfig::lan(0, 1_000, 100.0).with_virtual_time(0x7A6E_0FE5))
+        .build();
+    let dir = driver.directory();
+    let rival = RivalClient::new_on(&mut driver, 1, dir.obj_ref()).unwrap();
+    cluster.sim().faults().crash(DEAD);
+    let (home, away, new) = (obj(DEAD, 10), obj(1, 11), obj(1, 12));
+
+    // (row, bound at epoch 1, poisoned, the rival's rebind target if it
+    // races, expected outcome)
+    use Takeover::{Gone, Lost, Won};
+    let recovered = |at, epoch| Takeover::Recovered { at, epoch };
+    let rows = [
+        ("unbound", None, false, None, Gone),
+        ("poisoned", Some(home), true, None, Gone),
+        ("bound-away", Some(away), false, None, recovered(away, 1)),
+        ("claim-won", Some(home), false, None, Won { epoch: 2 }),
+        ("lost", Some(home), false, Some(None), Lost),
+        (
+            "lost-rebound",
+            Some(home),
+            false,
+            Some(Some(new)),
+            recovered(new, 2),
+        ),
+    ];
+    for (row, bound, poisoned, race, expected) in rows {
+        let name = symbolic_addr(&["naming", "take-over", row]);
+        if let Some(target) = bound {
+            assert!(dir
+                .bind_fenced(&mut driver, name.clone(), target, 1)
+                .unwrap());
+        }
+        if poisoned {
+            dir.poison(&mut driver, name.clone()).unwrap();
+        }
+        let racing = race.map(|rebind| {
+            rival
+                .claim_async(&mut driver, name.clone(), 1, rebind)
+                .unwrap()
+        });
+        let outcome = dir.take_over(&mut driver, &name, DEAD).unwrap();
+        assert_eq!(outcome, expected, "row {row}");
+        if let Some(pending) = racing {
+            assert_eq!(
+                pending.wait(&mut driver).unwrap(),
+                Some(2),
+                "row {row}: rival"
+            );
+        }
+    }
     cluster.shutdown(driver);
 }
 

@@ -328,7 +328,7 @@ fn balancer_spreads_hot_objects_and_cooldown_prevents_thrash() {
     };
 
     drive_round(&mut driver, &counters);
-    let moved = balancer.step(&mut driver, None).unwrap();
+    let moved = balancer.step(&mut driver);
     assert!(
         !moved.is_empty(),
         "a 3-machine cluster with all load on one machine must rebalance"
@@ -338,13 +338,13 @@ fn balancer_spreads_hot_objects_and_cooldown_prevents_thrash() {
     // Hysteresis: the very next round is a cooldown round — no moves even
     // though the load is still skewed.
     drive_round(&mut driver, &counters);
-    let quiet = balancer.step(&mut driver, None).unwrap();
+    let quiet = balancer.step(&mut driver);
     assert!(quiet.is_empty(), "cooldown round must not migrate");
 
     // The loop keeps converging afterwards, and clients kept working
     // through every move (totals are per-object monotone).
     drive_round(&mut driver, &counters);
-    let _ = balancer.step(&mut driver, None).unwrap();
+    balancer.step(&mut driver);
     assert!(balancer.moves_executed() >= 1);
     let spread: usize = (0..3)
         .map(|m| (driver.stats_of(m).unwrap().migrated_in > 0) as usize)
@@ -357,6 +357,49 @@ fn balancer_spreads_hot_objects_and_cooldown_prevents_thrash() {
         c.add(&mut driver, 1).unwrap(); // still reachable wherever they live
     }
 
+    cluster.shutdown(driver);
+}
+
+/// Regression: a managed machine that does not answer its probes must not
+/// switch the balancer off. The balancer manages three machines with every
+/// counter on machine 0; the cold machine 2 crashes, and the next step
+/// still moves hot counters — to machine 1, the one cold machine it could
+/// sample. (The step used to return the dead machine's `Timeout`, and so
+/// planned nothing until the machine came back.)
+#[test]
+fn a_dead_managed_machine_does_not_stop_the_balancer() {
+    let (cluster, mut driver) = ClusterBuilder::new(3)
+        .register::<PCounter>()
+        .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(0xBA1A_2027))
+        .call_policy(CallPolicy::no_retry(Duration::from_millis(20)))
+        .build();
+    let counters: Vec<_> = (0..4)
+        .map(|_| PCounterClient::new_on(&mut driver, 0).unwrap())
+        .collect();
+    for (i, c) in counters.iter().enumerate() {
+        for _ in 0..(8 - i) {
+            c.add(&mut driver, 1).unwrap();
+        }
+    }
+    let mut balancer = Balancer::new(
+        PlacementPolicy::GreedyRebalance {
+            imbalance_ratio: 1.2,
+            max_moves_per_round: 2,
+        },
+        vec![0, 1, 2],
+    );
+    balancer.pin(driver.directory().obj_ref());
+
+    cluster.sim().faults().crash(2);
+    let moved = balancer.step(&mut driver);
+    assert!(!moved.is_empty(), "the live machines must still rebalance");
+    assert!(
+        moved.iter().all(|p| p.object.machine == 0 && p.target == 1),
+        "hot counters go to the surviving cold machine: {moved:?}"
+    );
+    for c in &counters {
+        c.add(&mut driver, 1).unwrap(); // still reachable wherever they live
+    }
     cluster.shutdown(driver);
 }
 
@@ -494,7 +537,7 @@ fn balancer_skips_replicated_primaries_and_recovers_after_unreplicate() {
     fed.pin(dir.obj_ref());
     fed.pin(warm.obj_ref());
     fed.set_replicated([mgr.primary_of(&addr).unwrap()]);
-    fed.step(&mut driver, None).unwrap();
+    fed.step(&mut driver);
     assert_eq!(fed.moves_skipped_replicated(), 1);
     assert_eq!(fed.moves_executed(), 0);
     assert_eq!(driver.stats_of(0).unwrap().migrated_out, 0);
@@ -511,7 +554,7 @@ fn balancer_skips_replicated_primaries_and_recovers_after_unreplicate() {
     let mut blind = Balancer::new(policy(), vec![0, 1, 2]).with_cooldown(0);
     blind.pin(dir.obj_ref());
     blind.pin(warm.obj_ref());
-    blind.step(&mut driver, None).unwrap();
+    blind.step(&mut driver);
     assert_eq!(blind.moves_skipped_replicated(), 1);
     assert_eq!(blind.moves_executed(), 0);
     assert_eq!(
@@ -531,7 +574,7 @@ fn balancer_skips_replicated_primaries_and_recovers_after_unreplicate() {
     for _ in 0..8 {
         warm.add(&mut driver, 1).unwrap();
     }
-    let moved = blind.step(&mut driver, None).unwrap();
+    let moved = blind.step(&mut driver);
     assert_eq!(blind.moves_executed(), 1, "unreplicated object must move");
     assert!(moved.iter().any(|p| p.object == hot.obj_ref()));
     assert_eq!(hot.peek(&mut driver).unwrap(), 60);
