@@ -39,9 +39,11 @@
 //! `capacity`, with the same horizon compromise: a duplicate of an evicted
 //! in-flight request becomes executable again.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use simnet::{MachineId, PacketBytes};
+
+use crate::ids::IdMap;
 
 /// Identity of a request as the server sees it.
 pub(crate) type ReqKey = (MachineId, u64);
@@ -79,11 +81,11 @@ pub(crate) struct DedupWindow {
     /// positions it in `in_flight_order`. The stamp lets eviction tell a
     /// live queue entry from a stale one (completed, or evicted and later
     /// re-admitted under a fresh stamp).
-    in_flight: HashMap<ReqKey, u64>,
+    in_flight: IdMap<ReqKey, u64>,
     in_flight_order: VecDeque<(u64, ReqKey)>,
     next_seq: u64,
     /// Completed keys and their replies; `None` once the bytes were dropped.
-    done: HashMap<ReqKey, Option<Reply>>,
+    done: IdMap<ReqKey, Option<Reply>>,
     /// Completed keys, oldest first.
     order: VecDeque<ReqKey>,
     /// How many keys at the front of `order` the byte bound has already
@@ -108,10 +110,10 @@ struct Reply {
 impl DedupWindow {
     pub(crate) fn new(capacity: usize, byte_budget: usize) -> Self {
         DedupWindow {
-            in_flight: HashMap::new(),
+            in_flight: IdMap::default(),
             in_flight_order: VecDeque::new(),
             next_seq: 0,
-            done: HashMap::new(),
+            done: IdMap::default(),
             order: VecDeque::new(),
             stripped: 0,
             bytes: 0,
@@ -243,6 +245,8 @@ impl Default for DedupWindow {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::error::{RemoteError, RemoteResult};
     use crate::frame::{encode_response, Body, Frame};
@@ -486,6 +490,176 @@ mod tests {
         assert_eq!(replay(&mut w, (1, 1)), Ok(Vec::new()));
         assert_eq!(w.admit((0, 3)), DedupVerdict::InFlight);
         assert_eq!(replay(&mut w, (0, 4)), Ok(vec![4; 200]));
+    }
+
+    /// A verdict as the model states it: `Done` carries the reply its frame
+    /// decodes to.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        New,
+        InFlight,
+        Done(RemoteResult<Vec<u8>>),
+    }
+
+    fn seen(verdict: DedupVerdict) -> Seen {
+        match verdict {
+            DedupVerdict::New => Seen::New,
+            DedupVerdict::InFlight => Seen::InFlight,
+            DedupVerdict::Done(frame) => match wire::from_bytes::<Frame>(&frame) {
+                Ok(Frame::Response { result, .. }) => Seen::Done(result.map(|b| b.0)),
+                other => panic!("a replay is a response frame, got {other:?}"),
+            },
+        }
+    }
+
+    /// A completed key's reply, and its weight.
+    type Kept = (RemoteResult<Vec<u8>>, usize);
+
+    /// The window's contract restated on ordered maps, none of its
+    /// bookkeeping kept: in-flight keys by admission number, completed keys
+    /// by completion number, each with its reply and weight — `None` once
+    /// the bytes were dropped.
+    #[derive(Default)]
+    struct Model {
+        capacity: usize,
+        budget: usize,
+        next: u64,
+        in_flight: BTreeMap<ReqKey, u64>,
+        admitted: BTreeMap<u64, ReqKey>,
+        done: BTreeMap<ReqKey, Option<Kept>>,
+        completed: BTreeMap<u64, ReqKey>,
+        evicted: usize,
+        dropped: usize,
+    }
+
+    impl Model {
+        fn admit(&mut self, key: ReqKey) -> Seen {
+            match self.done.get(&key) {
+                Some(Some((reply, _))) => return Seen::Done(reply.clone()),
+                Some(None) => return Seen::InFlight,
+                None if self.in_flight.contains_key(&key) => return Seen::InFlight,
+                None => {}
+            }
+            self.next += 1;
+            self.in_flight.insert(key, self.next);
+            self.admitted.insert(self.next, key);
+            while self.in_flight.len() > self.capacity {
+                let (_, oldest) = self.admitted.pop_first().expect("over capacity");
+                self.in_flight.remove(&oldest);
+            }
+            Seen::New
+        }
+
+        fn complete(&mut self, key: ReqKey, reply: RemoteResult<Vec<u8>>, weight: usize) {
+            if let Some(n) = self.in_flight.remove(&key) {
+                self.admitted.remove(&n);
+            }
+            if self.done.contains_key(&key) {
+                return;
+            }
+            self.next += 1;
+            self.done.insert(key, Some((reply, weight)));
+            self.completed.insert(self.next, key);
+            while self.done.len() > self.capacity {
+                let (_, oldest) = self.completed.pop_first().expect("over capacity");
+                self.done.remove(&oldest);
+                self.evicted += 1;
+            }
+            // Oldest bytes first, the newest reply's never.
+            let order: Vec<ReqKey> = self.completed.values().copied().collect();
+            for key in &order[..order.len() - 1] {
+                if self.held_bytes() <= self.budget {
+                    break;
+                }
+                let slot = self.done.get_mut(key).expect("completed keys are done");
+                if slot.as_ref().is_some_and(|(_, weight)| *weight > 0) {
+                    *slot = None;
+                    self.dropped += 1;
+                }
+            }
+        }
+
+        fn held_bytes(&self) -> usize {
+            self.done.values().flatten().map(|(_, weight)| weight).sum()
+        }
+    }
+
+    /// Seeded admit / complete / duplicate sequences from four callers
+    /// numbering their requests with strides 1, 3, 8 and 1, on windows small
+    /// enough that key eviction and byte dropping both run: every verdict,
+    /// `done_len`, `held_bytes` and `in_flight_len` agree with the model.
+    #[test]
+    fn the_window_agrees_with_a_model_on_ordered_maps() {
+        const STRIDES: [u64; 4] = [1, 3, 8, 1];
+        let (mut evicted, mut dropped) = (0, 0);
+        for seed in 1..=24u64 {
+            let mut state = seed;
+            let mut rand = move |n: usize| {
+                // splitmix64
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % n as u64) as usize
+            };
+            let (capacity, budget) = (2 + rand(14), 50 * (1 + rand(8)));
+            let mut w = DedupWindow::new(capacity, budget);
+            let mut model = Model {
+                capacity,
+                budget,
+                ..Model::default()
+            };
+            let mut counters = [0u64; 4];
+            let (mut issued, mut open) = (Vec::<ReqKey>::new(), Vec::<ReqKey>::new());
+            for _ in 0..600 {
+                let op = rand(10);
+                let key = match op {
+                    0..=3 => {
+                        let caller = rand(4);
+                        counters[caller] += STRIDES[caller];
+                        issued.push((caller, counters[caller]));
+                        issued[issued.len() - 1]
+                    }
+                    4..=6 if !open.is_empty() => open.swap_remove(rand(open.len())),
+                    _ if !issued.is_empty() => issued[rand(issued.len())],
+                    _ => continue,
+                };
+                if matches!(op, 0..=3 | 7 | 8) {
+                    // A fresh request, or a duplicate of one issued before.
+                    let got = seen(w.admit(key));
+                    assert_eq!(got, model.admit(key), "seed {seed}: admit {key:?}");
+                    if got == Seen::New {
+                        open.push(key);
+                    }
+                } else {
+                    // An answer: to an open request, or — a re-execution
+                    // past a horizon — to any issued one.
+                    let reply = match rand(6) {
+                        0 => Err(RemoteError::app("refused")),
+                        1 => Ok(Vec::new()),
+                        n => Ok(vec![n as u8; rand(120)]),
+                    };
+                    let body = reply.clone().map(|bytes| {
+                        let mut body = Body::with_capacity(bytes.len());
+                        body.writer().put_bytes(&bytes);
+                        body
+                    });
+                    let (frame, weight) = encode_response(key.1, body);
+                    w.complete(key, frame, weight);
+                    model.complete(key, reply, weight);
+                }
+                assert_eq!(
+                    (w.done_len(), w.held_bytes(), w.in_flight_len()),
+                    (model.done.len(), model.held_bytes(), model.in_flight.len()),
+                    "seed {seed}: after {key:?}"
+                );
+            }
+            (evicted, dropped) = (evicted + model.evicted, dropped + model.dropped);
+        }
+        assert!(
+            evicted > 0 && dropped > 0,
+            "evicted {evicted}, dropped {dropped}"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use simnet::MachineId;
 
-use crate::ids::{ObjRef, DAEMON};
+use crate::ids::{IdMap, ObjRef, DAEMON};
 use crate::policy::BreakerConfig;
 
 /// Bound on each keyed collection below. One overflow rule for both (see
@@ -72,7 +72,7 @@ pub(super) struct Addressed {
 }
 
 pub(super) struct Beliefs {
-    objects: HashMap<ObjRef, Target>,
+    objects: IdMap<ObjRef, Target>,
     /// Indexed by `MachineId`; one entry per endpoint of the cluster.
     peers: Vec<Peer>,
     /// Symbolic-address resolutions (see [`crate::naming`]): hints, which
@@ -83,7 +83,7 @@ pub(super) struct Beliefs {
 impl Beliefs {
     pub(super) fn new(machines: usize) -> Self {
         Beliefs {
-            objects: HashMap::new(),
+            objects: IdMap::default(),
             peers: vec![Peer::default(); machines],
             names: HashMap::new(),
         }

@@ -302,25 +302,28 @@ impl NodeCtx {
         }
         // Deadline stamp: the tighter of this policy's own budget and the
         // budget inherited from the request currently being served, so a
-        // caller's deadline propagates across every downstream hop.
-        let now = self.clock.now_nanos();
-        let own = if self.policy.deadline.is_zero() {
-            0
-        } else {
-            after(now, self.policy.deadline)
+        // caller's deadline propagates across every downstream hop. The
+        // clock is read only when one of the two applies.
+        let deadline = match (self.policy.deadline, self.current_deadline) {
+            (own, None) if own.is_zero() => 0,
+            (own, inherited) => {
+                let now = self.clock.now_nanos();
+                let own = if own.is_zero() {
+                    u64::MAX
+                } else {
+                    after(now, own)
+                };
+                let deadline = own.min(inherited.unwrap_or(u64::MAX));
+                if now >= deadline {
+                    // The budget is already spent: fail before touching the
+                    // network.
+                    return Err(RemoteError::DeadlineExceeded {
+                        elapsed_nanos: now - deadline,
+                    });
+                }
+                deadline
+            }
         };
-        let deadline = match (own, self.current_deadline) {
-            (0, None) => 0,
-            (0, Some(inherited)) => inherited,
-            (own, None) => own,
-            (own, Some(inherited)) => own.min(inherited),
-        };
-        if deadline != 0 && now >= deadline {
-            // The budget is already spent: fail before touching the network.
-            return Err(RemoteError::DeadlineExceeded {
-                elapsed_nanos: now - deadline,
-            });
-        }
         if let Some((breaker, cfg, now)) = self.breaker(target.machine) {
             match breaker.admit(now, &cfg) {
                 Gate::Fail(retry_after_nanos) => {
@@ -478,7 +481,6 @@ impl NodeCtx {
     /// a newer epoch, a stale replica) is followed transparently, and so is
     /// an exhausted budget on a replica; `verdict` rules which is which.
     pub fn wait_raw(&mut self, mut req_id: u64) -> RemoteResult<PacketBytes> {
-        let started = self.clock.now_nanos();
         let timeout = self.policy.timeout;
         // A zero reply window can never be satisfied: surface a typed
         // error instead of busy-looping through instant timeouts.
@@ -493,7 +495,12 @@ impl NodeCtx {
             .get(&req_id)
             .map_or(0, |call| call.header.deadline);
         let mut attempts: u32 = 1;
-        let mut deadline = after(started, timeout);
+        // The clock is read once the wait has to block: a reply already
+        // filed is taken on the loop's first pass without it. `started` is
+        // when it first blocked; `window` closes the current attempt's
+        // reply window, opened at the first block after each (re)send.
+        let mut started = None;
+        let mut window = None;
         loop {
             if let Some(result) = self.replies.remove(&req_id) {
                 // Only an error can be anything but the call's answer.
@@ -505,7 +512,7 @@ impl NodeCtx {
                     Verdict::Ignore => continue,
                     Verdict::Reissue(how) => {
                         req_id = self.reissue(req_id, how, &mut attempts);
-                        deadline = after(self.clock.now_nanos(), timeout);
+                        window = None;
                         continue;
                     }
                     Verdict::Surface(lesson) => {
@@ -533,10 +540,15 @@ impl NodeCtx {
                     });
                 }
             }
+            let window_end = *window.get_or_insert_with(|| {
+                let now = self.clock.now_nanos();
+                started.get_or_insert(now);
+                after(now, timeout)
+            });
             let pump_to = if deadline_at == 0 {
-                deadline
+                window_end
             } else {
-                deadline.min(deadline_at)
+                window_end.min(deadline_at)
             };
             match self.pump_until(pump_to) {
                 Ok(()) => {}
@@ -558,7 +570,7 @@ impl NodeCtx {
                     if exhausted || suppressed {
                         if let Verdict::Reissue(how) = self.rule(req_id, Event::Exhausted) {
                             req_id = self.reissue(req_id, how, &mut attempts);
-                            deadline = after(self.clock.now_nanos(), timeout);
+                            window = None;
                             continue;
                         }
                         let target = self.retire_call(req_id, Some(true)).unwrap_or(ObjRef {
@@ -569,7 +581,7 @@ impl NodeCtx {
                             machine: target.machine,
                             object: target.object,
                             attempts,
-                            millis: (self.clock.now_nanos() - started) / 1_000_000,
+                            millis: started.map_or(0, |at| self.clock.now_nanos() - at) / 1_000_000,
                         });
                     }
                     let pause = self.policy.backoff.delay(attempts);
@@ -592,7 +604,7 @@ impl NodeCtx {
                         bump!(self.shared.stats, calls_retried);
                     }
                     attempts += 1;
-                    deadline = after(self.clock.now_nanos(), timeout);
+                    window = None;
                 }
             }
         }

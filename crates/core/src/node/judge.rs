@@ -12,7 +12,7 @@ use wire::Reader;
 use crate::error::RemoteError;
 use crate::ids::ObjRef;
 use crate::policy::OverloadConfig;
-use crate::shared::{Ask, ObjRecord, Role};
+use crate::shared::{Ask, LiveObj, ObjRecord, Role};
 
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Verdict {
@@ -33,10 +33,27 @@ pub(crate) enum Verdict {
     Quarantine { epoch: u64, err: RemoteError },
 }
 
+/// Whether the queue gates — the request's deadline, the machine's sojourn
+/// target — can judge a request carrying `ask`. Only then does the
+/// dispatcher stamp its `admitted_at`.
+pub(crate) fn queue_gated(ask: &Ask, overload: &OverloadConfig) -> bool {
+    ask.deadline != 0 || !overload.sojourn_target.is_zero()
+}
+
+/// Whether [`judge`] has a time gate to apply to `ask` at the live object
+/// `live`: a queue gate, the supervisor's lease (a supervised object) or
+/// replica coherence. Only then does the caller read the clock for `now`;
+/// otherwise no gate reads it and the verdict is the same at any `now`.
+/// (No gate of a record that is not live reads `now` at all.)
+pub(crate) fn reads_clock(live: &LiveObj, ask: &Ask, overload: &OverloadConfig) -> bool {
+    queue_gated(ask, overload) || live.epoch.is_some() || matches!(live.role, Role::Replica(_))
+}
+
 /// Judge a request for `target` carrying `ask` (and `payload`, read only
 /// for the method name when a replica must tell reads from writes) against
 /// `record` — `None` when the id was never seen or left nothing behind.
-/// `now` is the cluster clock, `lease` the supervisor's serving lease.
+/// `now` is the cluster clock (see [`reads_clock`]), `lease` the
+/// supervisor's serving lease.
 ///
 /// Gate order for a live object, judged as its request leaves the mailbox
 /// (so the mailbox holds what is queued *behind* it): deadline → sojourn →
@@ -143,7 +160,7 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::shared::{IncomingReq, LiveObj, PrimaryMeta, ReplicaMeta};
+    use crate::shared::{IncomingReq, PrimaryMeta, ReplicaMeta};
 
     const NOW: u64 = 1_000_000;
     const HERE: ObjRef = ObjRef {
@@ -424,6 +441,95 @@ mod tests {
             &OverloadConfig::new(),
         );
         assert_eq!(late, plain);
+    }
+
+    /// The clock predicate. A live object that is neither supervised nor a
+    /// replica, judging a request with no deadline under no sojourn target,
+    /// gets one verdict at every `now` — so `reads_clock` may skip the
+    /// read; a replicated primary's gates are not time gates either. Arming
+    /// any one time gate makes the predicate read, and that gate does move
+    /// the verdict with `now`.
+    #[test]
+    fn the_clock_is_read_only_for_a_time_gate() {
+        let quiet = OverloadConfig::new();
+        let untimed = Ask {
+            epoch: EPOCH,
+            ..Ask::default()
+        };
+        for record in [live(None, Role::Plain), live(None, primary())] {
+            let ObjRecord::Live(obj) = &record else {
+                unreachable!()
+            };
+            assert!(!reads_clock(obj, &untimed, &quiet));
+            assert!(!queue_gated(&untimed, &quiet));
+            for (verb, lease) in [("add", 0), ("total", NOW), ("add", u64::MAX)] {
+                for now in [0, NOW, u64::MAX] {
+                    let verdict = judge(
+                        Some(&record),
+                        HERE,
+                        &untimed,
+                        &payload(verb),
+                        now,
+                        lease,
+                        &quiet,
+                    );
+                    assert_eq!(verdict, Verdict::Serve { replica_hit: None }, "now {now}");
+                }
+            }
+        }
+
+        let deadline = Ask {
+            deadline: NOW,
+            ..Ask::default()
+        };
+        let rows = [
+            ("deadline", live(None, Role::Plain), deadline, quiet, true),
+            (
+                "sojourn target",
+                live(None, Role::Plain),
+                Ask::default(),
+                overload(),
+                true,
+            ),
+            (
+                "supervised lease",
+                live(Some(EPOCH), Role::Plain),
+                Ask::default(),
+                quiet,
+                false,
+            ),
+            (
+                "replica coherence",
+                live(None, replica(NOW)),
+                Ask::default(),
+                quiet,
+                false,
+            ),
+        ];
+        for (gate, record, ask, overload, queue) in rows {
+            let ObjRecord::Live(obj) = &record else {
+                unreachable!()
+            };
+            assert!(reads_clock(obj, &ask, &overload), "{gate}");
+            assert_eq!(
+                queue_gated(&ask, &overload),
+                queue,
+                "{gate}: the admission stamp"
+            );
+            let at = |now| {
+                judge(
+                    Some(&record),
+                    HERE,
+                    &ask,
+                    &payload("total"),
+                    now,
+                    NOW,
+                    &overload,
+                )
+            };
+            assert!(matches!(at(0), Verdict::Serve { .. }), "{gate}");
+            assert!(matches!(at(u64::MAX), Verdict::Reject(_)), "{gate}");
+        }
     }
 
     /// The same for an id with no live object: stale caller → stale server

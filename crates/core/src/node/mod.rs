@@ -44,7 +44,7 @@ use wire::Reader;
 
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::NodeStats;
-use crate::ids::{ObjRef, ObjectId};
+use crate::ids::{IdMap, ObjRef, ObjectId};
 use crate::policy::CallPolicy;
 use crate::process::{ClassRegistry, ServerClass, ServerObject};
 use crate::shared::{CallTrace, IncomingReq, LiveObj, Sched, SharedNode, WorkerMsg};
@@ -166,14 +166,14 @@ pub struct NodeCtx {
     deferred: VecDeque<IncomingReq>,
     /// Replies that have arrived for calls still `outstanding`, each still
     /// inside the packet that brought it.
-    replies: HashMap<u64, Result<PacketBytes, RemoteError>>,
+    replies: IdMap<u64, Result<PacketBytes, RemoteError>>,
     /// Passivated object states (daemon verbs `deactivate`/`activate`).
     /// Dispatcher-local: only daemon verbs touch it.
     snapshots: HashMap<String, (String, Vec<u8>)>,
     /// Everything this lane believes about the objects, machines and
     /// names it calls.
     beliefs: Beliefs,
-    outstanding: HashMap<u64, OutboundCall>,
+    outstanding: IdMap<u64, OutboundCall>,
     /// The buffer of the last call retired with nobody else holding its
     /// frame (empty when there is none): the next call is encoded into it
     /// instead of a fresh allocation (see `retire_call`).
@@ -247,10 +247,10 @@ impl NodeCtx {
             disks: env.disks.to_vec(),
             shared: env.shared.clone(),
             deferred: VecDeque::new(),
-            replies: HashMap::new(),
+            replies: IdMap::default(),
             snapshots: HashMap::new(),
             beliefs: Beliefs::new(env.workers + 1),
-            outstanding: HashMap::new(),
+            outstanding: IdMap::default(),
             spare_frame: Vec::new(),
             current_call: None,
             current_args: None,

@@ -8,7 +8,7 @@ use std::time::Duration;
 use simnet::{MachineId, Packet, PacketBytes};
 use wire::Reader;
 
-use super::judge::{judge, Verdict};
+use super::judge::{judge, queue_gated, reads_clock, Verdict};
 use super::{payload_method, CallInfo, LaneRole, NodeCtx};
 use crate::dedup::DedupVerdict;
 use crate::error::{RemoteError, RemoteResult};
@@ -293,6 +293,15 @@ impl NodeCtx {
                     return;
                 }
                 let (req_id, reply_to) = (header.req_id, header.reply_to);
+                let mut ask = Ask {
+                    epoch: header.epoch,
+                    rs_epoch: header.rs_epoch.0,
+                    deadline: header.deadline,
+                    admitted_at: 0,
+                };
+                if queue_gated(&ask, &self.shared.overload) {
+                    ask.admitted_at = self.clock.now_nanos();
+                }
                 let req = IncomingReq {
                     req_id,
                     reply_to,
@@ -310,12 +319,7 @@ impl NodeCtx {
                         .expect("a parsed range lies inside its packet"),
                     trace_id: header.trace.trace_id.0,
                     span: header.trace.span.0,
-                    ask: Ask {
-                        epoch: header.epoch,
-                        rs_epoch: header.rs_epoch.0,
-                        deadline: header.deadline,
-                        admitted_at: self.clock.now_nanos(),
-                    },
+                    ask,
                 };
                 // At-most-once execution: a retransmitted request either
                 // replays its cached response or is dropped. Only genuinely
@@ -592,7 +596,6 @@ impl NodeCtx {
     /// call would run, never at enqueue, so a fence bump that lands while
     /// a request sits in the mailbox still rejects it.
     fn next_step(&mut self, target: ObjectId) -> Step {
-        let now = self.clock.now_nanos();
         let mut shard = self.shared.shard(target);
         let Some(record) = shard.get_mut(&target) else {
             return Step::Done;
@@ -608,6 +611,13 @@ impl NodeCtx {
         // The request left its mailbox: give its slot back to the
         // machine-wide in-flight budget whatever happens next.
         self.shared.queued.release(1);
+        // The clock only when a gate reads it (a virtual clock's lock is a
+        // leaf, so taking it under the shard lock nests nothing).
+        let now = if reads_clock(live, &req.ask, &self.shared.overload) {
+            self.clock.now_nanos()
+        } else {
+            0
+        };
         let verdict = judge(
             Some(&*record),
             self.here(target),

@@ -18,7 +18,7 @@
 //! dispatch, a network send, or a clock park. The one machine-wide datum,
 //! the supervisor lease, is an atomic.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::channel::Sender;
@@ -28,7 +28,7 @@ use simnet::{Clock, MachineId, Packet, PacketBytes};
 
 use crate::dedup::DedupWindow;
 use crate::frame::SharedStats;
-use crate::ids::{ObjRef, ObjectId, DAEMON};
+use crate::ids::{IdMap, ObjRef, ObjectId, DAEMON};
 use crate::policy::OverloadConfig;
 use crate::process::ServerObject;
 
@@ -67,7 +67,8 @@ pub(crate) struct Ask {
     /// admission and re-checked at execution time under the shard lock.
     pub(crate) deadline: u64,
     /// Cluster-clock reading when the dispatcher admitted the request —
-    /// the sojourn clock for CoDel-style shedding.
+    /// the sojourn clock for CoDel-style shedding. Stamped only when a
+    /// queue gate can read it (`judge::queue_gated`), 0 otherwise.
     pub(crate) admitted_at: u64,
 }
 
@@ -191,7 +192,7 @@ pub(crate) fn raise_epoch(epoch: &mut Option<u64>, to: u64) {
 }
 
 /// One shard of the object table.
-pub(crate) type Shard = HashMap<ObjectId, ObjRecord>;
+pub(crate) type Shard = IdMap<ObjectId, ObjRecord>;
 
 /// Replace `object`'s record with `leave` (or nothing) and hand back the
 /// live object that was there, if one was — mailbox, process and all. The
@@ -345,7 +346,7 @@ pub(crate) struct SharedNode {
     /// against the dispatcher's `admit`.
     pub(crate) dedup: Mutex<DedupWindow>,
     /// Traced requests admitted but not yet answered.
-    pub(crate) serving_spans: Mutex<HashMap<(MachineId, u64), CallTrace>>,
+    pub(crate) serving_spans: Mutex<IdMap<(MachineId, u64), CallTrace>>,
     pub(crate) stats: SharedStats,
     pub(crate) next_obj_id: AtomicU64,
     /// Daemon verbs currently parked in the dispatcher's deferred queue
@@ -366,11 +367,11 @@ impl SharedNode {
     pub(crate) fn new(sched: Sched, overload: OverloadConfig) -> Self {
         SharedNode {
             shards: (0..OBJECT_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             lease: AtomicU64::new(u64::MAX),
             dedup: Mutex::new(DedupWindow::default()),
-            serving_spans: Mutex::new(HashMap::new()),
+            serving_spans: Mutex::new(IdMap::default()),
             stats: SharedStats::default(),
             next_obj_id: AtomicU64::new(DAEMON + 1),
             daemon_parked: AtomicU64::new(0),

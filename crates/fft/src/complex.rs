@@ -23,12 +23,20 @@ pub const fn c64(re: f64, im: f64) -> Complex {
     Complex { re, im }
 }
 
+// The premise of the two casts below, checked at compile time: two
+// `f64`s' size, at `f64`'s alignment.
+const _: () = assert!(
+    std::mem::size_of::<Complex>() == 2 * std::mem::size_of::<f64>()
+        && std::mem::align_of::<Complex>() == std::mem::align_of::<f64>()
+);
+
 /// `data` as interleaved `re, im` doubles, where it lies: what a
 /// [`wire::Writer::put_f64s`] sends for a slice of complex values.
 pub fn as_f64s(data: &[Complex]) -> &[f64] {
-    // SAFETY: `Complex` is `#[repr(C)]` over two `f64`s, so `data` is
-    // `2 * data.len()` initialised, `f64`-aligned doubles with no padding
-    // between them; the returned borrow takes over `data`'s lifetime.
+    // SAFETY: `Complex` is `#[repr(C)]` over two `f64`s — 16 bytes at
+    // `f64` alignment, asserted above — so `data` is `2 * data.len()`
+    // initialised, `f64`-aligned doubles with no padding between them; the
+    // returned borrow takes over `data`'s lifetime.
     unsafe { std::slice::from_raw_parts(data.as_ptr().cast::<f64>(), 2 * data.len()) }
 }
 

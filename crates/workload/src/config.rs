@@ -222,7 +222,9 @@ impl ScenarioSpec {
         if spec.users == 0 || spec.sessions == 0 {
             return Err("scenario.users and scenario.sessions must be > 0".into());
         }
-        if spec.hot_replicas + 2 > spec.machines {
+        // (`machines >= 3` above: the subtraction cannot wrap, where
+        // `hot_replicas + 2` could.)
+        if spec.hot_replicas > spec.machines - 2 {
             return Err("scenario.hot_replicas needs machines >= hot_replicas + 2".into());
         }
         Ok(spec)
@@ -451,5 +453,106 @@ mod tests {
         // Wrong type altogether: same shape of error.
         let err = ScenarioSpec::from_toml("[slo]\nread_p99_ms = \"fast\"\n").unwrap_err();
         assert!(err.contains("line 2") && err.contains("a number"), "{err}");
+    }
+
+    /// Regression: `hot_replicas + 2 > machines` overflowed on a junk
+    /// `hot_replicas` — a panic in a debug build; in release it wrapped
+    /// and the spec was accepted.
+    #[test]
+    fn a_junk_hot_replica_count_is_refused() {
+        for junk in ["0xffffffffffffffff", "18446744073709551614", "5"] {
+            let text = format!("[scenario]\nhot_replicas = {junk}\n");
+            let err = ScenarioSpec::from_toml(&text).unwrap_err();
+            assert!(err.contains("hot_replicas"), "{junk}: {err}");
+        }
+        // Six machines seat the primary, four replicas and the tail.
+        let most = ScenarioSpec::from_toml("[scenario]\nhot_replicas = 4\n").unwrap();
+        assert_eq!(most.hot_replicas, 4);
+    }
+
+    /// Junk input for the TOML subset: seeded mutations of canonical
+    /// scenarios — every line truncated at every character, bytes flipped,
+    /// every value replaced by an edge value — each parse to `Ok` or `Err`,
+    /// never a panic, and every spec that parses has an arrival curve that
+    /// answers at every point of its run.
+    #[test]
+    fn junk_scenarios_parse_or_refuse_and_never_panic() {
+        const EDGES: [&str; 6] = [
+            "0",
+            "-1",
+            "nan",
+            "inf",
+            "18446744073709551615",
+            "0x10000000000000000",
+        ];
+        let spike = ArrivalCurve::Spike {
+            at_ms: 30,
+            dur_ms: 60,
+            factor: 3.0,
+        };
+        let bases: Vec<String> = [ArrivalCurve::Steady, spike, ScenarioSpec::default().curve]
+            .into_iter()
+            .map(|curve| {
+                ScenarioSpec {
+                    curve,
+                    ..ScenarioSpec::default()
+                }
+                .to_toml()
+            })
+            .collect();
+        let mut mutants = Vec::new();
+        for base in &bases {
+            let lines: Vec<&str> = base.lines().collect();
+            let with_line = |i: usize, line: &str| {
+                let mut edited = lines.clone();
+                edited[i] = line;
+                edited.join("\n")
+            };
+            for (i, line) in lines.iter().enumerate() {
+                for (cut, _) in line.char_indices() {
+                    mutants.push(with_line(i, &line[..cut]));
+                }
+                if let Some((key, _)) = line.split_once('=') {
+                    for edge in EDGES {
+                        mutants.push(with_line(i, &format!("{key}= {edge}")));
+                    }
+                }
+            }
+            let mut state = base.len() as u64;
+            for _ in 0..2000 {
+                let mut bytes = base.clone().into_bytes();
+                for _ in 0..1 + state % 3 {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1);
+                    let at = (state >> 33) as usize % bytes.len();
+                    // Bits 0–6 only: the text stays ASCII.
+                    bytes[at] ^= 1 << ((state >> 29) % 7);
+                }
+                mutants.push(String::from_utf8(bytes).expect("ASCII"));
+            }
+        }
+        let (mut parsed, mut refused) = (0, 0);
+        for text in &mutants {
+            let spec = std::panic::catch_unwind(|| ScenarioSpec::from_toml(text))
+                .unwrap_or_else(|_| panic!("the parser panicked on:\n{text}"));
+            let Ok(spec) = spec else {
+                refused += 1;
+                continue;
+            };
+            parsed += 1;
+            // Two seconds in steps of a little over 4 ms, then the far end.
+            let run = (0..500u64).map(|i| i * 4_000_001);
+            for elapsed in run.chain([u64::MAX / 2, u64::MAX - 1, u64::MAX]) {
+                let window =
+                    std::panic::catch_unwind(|| spec.curve.window_at(elapsed, spec.clients))
+                        .unwrap_or_else(|_| panic!("{:?} at {elapsed} panicked", spec.curve));
+                assert!(window >= 1, "{:?} at {elapsed}", spec.curve);
+            }
+        }
+        assert!(
+            parsed > 100 && refused > 100,
+            "{parsed} parsed, {refused} refused"
+        );
     }
 }

@@ -13,9 +13,11 @@
 //! feed posts, user follows, and session touches.
 
 use std::collections::VecDeque;
+use std::time::Duration;
 
 use oopp::wire::Wire;
 use oopp::{NodeCtx, Pending, RemoteError, RemoteResult};
+use simnet::time::after;
 
 use crate::slo::Ledger;
 
@@ -54,8 +56,10 @@ impl ArrivalCurve {
                 dur_ms,
                 factor,
             } => {
-                let at = at_ms * 1_000_000;
-                let until = at + dur_ms * 1_000_000;
+                // Saturating: a spike too far off to reach never starts,
+                // one too long to end never does.
+                let at = after(0, Duration::from_millis(*at_ms));
+                let until = after(at, Duration::from_millis(*dur_ms));
                 if (at..until).contains(&elapsed_nanos) {
                     clients as f64 * factor
                 } else {
@@ -373,6 +377,30 @@ mod tests {
         assert_eq!(spike.window_at(100 * MS, 10), 30);
         assert_eq!(spike.window_at(149 * MS, 10), 30);
         assert_eq!(spike.window_at(150 * MS, 10), 10);
+    }
+
+    /// Regression: `at_ms * 1_000_000` and `dur_ms * 1_000_000` overflowed
+    /// (a panic in a debug build, a wrapped interval in release). Both
+    /// saturate now: a spike past the clock's end never starts, and one too
+    /// long to end lasts to the end.
+    #[test]
+    fn a_spike_past_the_clocks_end_saturates() {
+        let never = ArrivalCurve::Spike {
+            at_ms: u64::MAX,
+            dur_ms: 100,
+            factor: 3.0,
+        };
+        for elapsed in [0, 100 * MS, u64::MAX - 1, u64::MAX] {
+            assert_eq!(never.window_at(elapsed, 10), 10);
+        }
+        let endless = ArrivalCurve::Spike {
+            at_ms: 1,
+            dur_ms: u64::MAX,
+            factor: 3.0,
+        };
+        assert_eq!(endless.window_at(0, 10), 10);
+        assert_eq!(endless.window_at(MS, 10), 30);
+        assert_eq!(endless.window_at(u64::MAX - 1, 10), 30);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use oopp::{
 };
 use placement::{Balancer, PlacementPolicy};
 use replica::{CoherenceMode, ReplicaConfig, ReplicaManager};
+use simnet::time::after;
 use simnet::ClusterConfig;
 
 use crate::config::ScenarioSpec;
@@ -150,6 +151,11 @@ pub fn run(spec: &ScenarioSpec) -> RunArtifacts {
     // Spike the first replica's home (it serves hot reads), or the
     // first spread machine when nothing is replicated.
     let spike_machine = if spec.hot_replicas > 0 { 1 } else { victim - 1 };
+    // Episode times off the spec, saturating: an episode too far off to
+    // reach never starts.
+    let at = |millis| after(0, Duration::from_millis(millis));
+    let (crash_at, spike_at) = (at(spec.crash_at_ms), at(spec.spike_at_ms));
+    let unspike_at = after(spike_at, Duration::from_millis(spec.spike_dur_ms));
 
     driver.set_call_policy(loadgen_policy);
     while load.running() {
@@ -157,7 +163,7 @@ pub fn run(spec: &ScenarioSpec) -> RunArtifacts {
         let elapsed = now - t0;
 
         // Fault episodes, on the virtual clock.
-        if crash_pending && elapsed >= spec.crash_at_ms * 1_000_000 {
+        if crash_pending && elapsed >= crash_at {
             crash_pending = false;
             driver.set_call_policy(control_policy());
             cluster.sim().faults().crash(victim);
@@ -165,7 +171,7 @@ pub fn run(spec: &ScenarioSpec) -> RunArtifacts {
                 .expect("handle dead hot-feed home");
             driver.set_call_policy(loadgen_policy);
         }
-        if spike_pending && elapsed >= spec.spike_at_ms * 1_000_000 {
+        if spike_pending && elapsed >= spike_at {
             spike_pending = false;
             unspike_pending = true;
             cluster
@@ -173,7 +179,7 @@ pub fn run(spec: &ScenarioSpec) -> RunArtifacts {
                 .faults()
                 .spike(spike_machine, Duration::from_millis(spec.spike_extra_ms));
         }
-        if unspike_pending && elapsed >= (spec.spike_at_ms + spec.spike_dur_ms) * 1_000_000 {
+        if unspike_pending && elapsed >= unspike_at {
             unspike_pending = false;
             cluster.sim().faults().unspike(spike_machine);
         }
