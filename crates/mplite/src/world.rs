@@ -45,7 +45,7 @@ impl MpiWorld {
 
     /// [`run`](MpiWorld::run) on a cluster the caller built (and can read
     /// the clock of afterwards): one rank per machine of `sim`.
-    pub(crate) fn launch<R, F>(sim: &SimCluster, program: F) -> Vec<R>
+    pub fn launch<R, F>(sim: &SimCluster, program: F) -> Vec<R>
     where
         R: Send + 'static,
         F: Fn(&mut Comm) -> R + Send + Sync + 'static,
