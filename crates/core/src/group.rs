@@ -106,12 +106,6 @@ impl BarrierClient {
         ctx.call_method(self.r, "enter", |_| {})
     }
 
-    /// Enter asynchronously (a worker typically has nothing else to do, but
-    /// the driver may overlap its own entry with other work).
-    pub fn enter_async(&self, ctx: &mut NodeCtx) -> RemoteResult<Pending<()>> {
-        ctx.start_method(self.r, "enter", |_| {})
-    }
-
     /// How many rounds this barrier has completed.
     pub fn generations(&self, ctx: &mut NodeCtx) -> RemoteResult<u64> {
         ctx.call_method(self.r, "generations", |_| {})

@@ -498,9 +498,11 @@ impl NodeCtx {
         // The clock is read once the wait has to block: a reply already
         // filed is taken on the loop's first pass without it. `started` is
         // when it first blocked; `window` closes the current attempt's
-        // reply window, opened at the first block after each (re)send.
+        // reply window, opened at the first block after each (re)send;
+        // `pause` ends the backoff before the next retransmission.
         let mut started = None;
         let mut window = None;
+        let mut pause = None;
         loop {
             if let Some(result) = self.replies.remove(&req_id) {
                 // Only an error can be anything but the call's answer.
@@ -512,7 +514,7 @@ impl NodeCtx {
                     Verdict::Ignore => continue,
                     Verdict::Reissue(how) => {
                         req_id = self.reissue(req_id, how, &mut attempts);
-                        window = None;
+                        (window, pause) = (None, None);
                         continue;
                     }
                     Verdict::Surface(lesson) => {
@@ -540,73 +542,69 @@ impl NodeCtx {
                     });
                 }
             }
-            let window_end = *window.get_or_insert_with(|| {
-                let now = self.clock.now_nanos();
-                started.get_or_insert(now);
-                after(now, timeout)
-            });
-            let pump_to = if deadline_at == 0 {
-                window_end
-            } else {
-                window_end.min(deadline_at)
+            // Serve until the pause or the reply window ends, never past
+            // the deadline.
+            let until = match pause {
+                Some(end) => end,
+                None => *window.get_or_insert_with(|| {
+                    let now = self.clock.now_nanos();
+                    started.get_or_insert(now);
+                    after(now, timeout)
+                }),
             };
-            match self.pump_until(pump_to) {
-                Ok(()) => {}
-                Err(()) => {
-                    // Re-enter the loop on deadline expiry (handled above)
-                    // rather than treating it as an attempt timeout.
-                    if deadline_at != 0 && self.clock.now_nanos() >= deadline_at {
+            let until = if deadline_at == 0 {
+                until
+            } else {
+                until.min(deadline_at)
+            };
+            if self.step(Some(until)).is_ok() {
+                continue;
+            }
+            // Nothing came. A passed deadline is answered above, not as an
+            // attempt timeout; an ended pause retransmits below.
+            if deadline_at != 0 && self.clock.now_nanos() >= deadline_at {
+                continue;
+            }
+            if pause.take().is_none() {
+                // The reply window lapsed. Retry-budget gate: a
+                // retransmission spends a token; a dry bucket converts the
+                // remaining retries into an immediate timeout so retries
+                // cannot amplify an overload (DESIGN.md §15).
+                let exhausted = attempts > self.policy.max_retries;
+                let suppressed = !exhausted && {
+                    let dest = self.outstanding.get(&req_id).map(|c| c.target.machine);
+                    dest.is_some_and(|d| !self.spend_retry_token(d))
+                };
+                if exhausted || suppressed {
+                    if let Verdict::Reissue(how) = self.rule(req_id, Event::Exhausted) {
+                        req_id = self.reissue(req_id, how, &mut attempts);
+                        window = None;
                         continue;
                     }
-                    // Retry-budget gate: a retransmission spends a token;
-                    // a dry bucket converts the remaining retries into an
-                    // immediate timeout so retries cannot amplify an
-                    // overload (DESIGN.md §15).
-                    let exhausted = attempts > self.policy.max_retries;
-                    let suppressed = !exhausted && {
-                        let dest = self.outstanding.get(&req_id).map(|c| c.target.machine);
-                        dest.is_some_and(|d| !self.spend_retry_token(d))
-                    };
-                    if exhausted || suppressed {
-                        if let Verdict::Reissue(how) = self.rule(req_id, Event::Exhausted) {
-                            req_id = self.reissue(req_id, how, &mut attempts);
-                            window = None;
-                            continue;
-                        }
-                        let target = self.retire_call(req_id, Some(true)).unwrap_or(ObjRef {
-                            machine: self.machine,
-                            object: DAEMON,
-                        });
-                        return Err(RemoteError::Timeout {
-                            machine: target.machine,
-                            object: target.object,
-                            attempts,
-                            millis: started.map_or(0, |at| self.clock.now_nanos() - at) / 1_000_000,
-                        });
-                    }
-                    let pause = self.policy.backoff.delay(attempts);
-                    if !pause.is_zero() {
-                        let mut pause_deadline = after(self.clock.now_nanos(), pause);
-                        if deadline_at != 0 {
-                            pause_deadline = pause_deadline.min(deadline_at);
-                        }
-                        while !self.replies.contains_key(&req_id) {
-                            if self.pump_until(pause_deadline).is_err() {
-                                break;
-                            }
-                        }
-                        if self.replies.contains_key(&req_id) {
-                            continue; // answered during the backoff
-                        }
-                    }
-                    if let Some(call) = self.outstanding.get(&req_id) {
-                        let _ = self.transmit(call, EventKind::ClientRetransmit, attempts + 1);
-                        bump!(self.shared.stats, calls_retried);
-                    }
-                    attempts += 1;
-                    window = None;
+                    let target = self.retire_call(req_id, Some(true)).unwrap_or(ObjRef {
+                        machine: self.machine,
+                        object: DAEMON,
+                    });
+                    return Err(RemoteError::Timeout {
+                        machine: target.machine,
+                        object: target.object,
+                        attempts,
+                        millis: started.map_or(0, |at| self.clock.now_nanos() - at) / 1_000_000,
+                    });
+                }
+                // Back off before retransmitting, still serving.
+                let delay = self.policy.backoff.delay(attempts);
+                if !delay.is_zero() {
+                    pause = Some(after(self.clock.now_nanos(), delay));
+                    continue;
                 }
             }
+            if let Some(call) = self.outstanding.get(&req_id) {
+                let _ = self.transmit(call, EventKind::ClientRetransmit, attempts + 1);
+                bump!(self.shared.stats, calls_retried);
+            }
+            attempts += 1;
+            window = None;
         }
     }
 

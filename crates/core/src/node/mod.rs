@@ -34,20 +34,19 @@ mod serve;
 
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::Receiver;
-use simnet::{Clock, MachineId, Network, Packet, PacketBytes, SimDisk};
+use simnet::{ActorSeat, Clock, MachineId, Network, Packet, PacketBytes, SimDisk};
 use wire::Reader;
 
-use crate::error::{RemoteError, RemoteResult};
+use crate::error::RemoteError;
 use crate::frame::NodeStats;
 use crate::ids::{IdMap, ObjRef, ObjectId};
 use crate::policy::CallPolicy;
-use crate::process::{ClassRegistry, ServerClass, ServerObject};
-use crate::shared::{CallTrace, IncomingReq, LiveObj, Sched, SharedNode, WorkerMsg};
+use crate::process::{ClassRegistry, ServerObject};
+use crate::shared::{CallTrace, IncomingReq, LiveObj, SharedNode, WorkerMsg};
 use crate::trace::{EventKind, Recorder, Tracer};
 
 use beliefs::Beliefs;
@@ -89,41 +88,11 @@ pub(crate) struct MachineEnv<'a> {
 /// A lane's role on its machine, with what only that role receives through.
 pub(crate) enum LaneRole {
     /// Owns the machine's network inbox and the admission path; executes
-    /// objects inline when the machine's `sched` is [`Sched::Inline`],
-    /// hands them to the pool otherwise. The driver endpoint is one too.
+    /// objects inline when the machine's pool has no workers, hands them to
+    /// the pool otherwise. The driver endpoint is one too.
     Dispatcher(Receiver<Packet>),
     /// Worker lane `index` of a pooled machine.
     Worker(WorkerLane),
-}
-
-/// A lane's place among the virtual clock's actors (DESIGN §12.2): taken
-/// when the lane is built, given up exactly once — by the lane's drop, or,
-/// for the driver, by the cluster's when that runs first (the driver never
-/// parks, so while it holds its place the clock delivers nothing). A no-op
-/// on the real clock.
-#[derive(Clone)]
-pub(crate) struct ActorSeat {
-    clock: Clock,
-    held: Arc<AtomicBool>,
-}
-
-impl ActorSeat {
-    fn take(clock: &Clock) -> Self {
-        clock.register_actor();
-        ActorSeat {
-            clock: clock.clone(),
-            held: Arc::new(AtomicBool::new(true)),
-        }
-    }
-
-    /// Leave the clock's actors, unless this seat already has. If that
-    /// leaves every remaining actor parked, the clock runs on before this
-    /// returns — the shutdown cascade depends on it.
-    pub(crate) fn release(&self) {
-        if self.held.swap(false, Ordering::AcqRel) {
-            self.clock.deregister_actor();
-        }
-    }
 }
 
 /// Default reply window. Long enough for heavily costed benchmark runs,
@@ -133,6 +102,12 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 /// One machine's runtime state: its objects, its link to the fabric, and
 /// the progress engine that serves and issues calls.
 pub struct NodeCtx {
+    /// This lane's place among the virtual clock's actors (DESIGN §12.2),
+    /// given up when the lane drops — first of its fields, so before its
+    /// inbox and its trace ring go — or, for the driver, by the cluster's
+    /// drop when that runs first (the driver never parks, so while it holds
+    /// its place the clock delivers nothing).
+    seat: ActorSeat,
     machine: MachineId,
     workers: usize,
     net: Network,
@@ -140,8 +115,6 @@ pub struct NodeCtx {
     /// and leases on this node are measured against it, so a virtual-time
     /// cluster never blocks on a wall-clock-only timer.
     clock: Clock,
-    /// This lane's place among the virtual clock's actors.
-    seat: ActorSeat,
     /// What this lane is, and with it what it receives through: the
     /// machine's network inbox, or a worker lane's control channel.
     role: LaneRole,
@@ -213,33 +186,23 @@ impl std::fmt::Debug for NodeCtx {
     }
 }
 
-impl Drop for NodeCtx {
-    fn drop(&mut self) {
-        self.seat.release();
-    }
-}
-
 impl NodeCtx {
     /// Build one lane of `env`'s machine.
     pub(crate) fn new(env: &MachineEnv<'_>, role: LaneRole) -> Self {
         let clock = env.net.clock().clone();
-        // Virtual time only advances while every actor is parked in the
-        // clock, so each NodeCtx — worker lanes included — takes a seat.
-        let seat = ActorSeat::take(&clock);
-        let stride = match &env.shared.sched {
-            Sched::Inline => 1,
-            Sched::Pool(pool) => pool.workers() as u64 + 1,
-        };
+        let stride = env.shared.pool.workers() as u64 + 1;
         let lane_no = match &role {
             LaneRole::Dispatcher(_) => 0,
             LaneRole::Worker(lane) => lane.index as u64 + 1,
         };
         NodeCtx {
+            // Virtual time only advances while every actor is parked in
+            // the clock, so each lane — workers included — takes a seat.
+            seat: clock.seat(),
             machine: env.machine,
             workers: env.workers,
             net: env.net.clone(),
             clock,
-            seat,
             role,
             lane_no,
             stride,
@@ -453,14 +416,6 @@ impl NodeCtx {
             machine: self.machine,
             object,
         }
-    }
-
-    /// Construct and host an object of class `T` on **this** node directly
-    /// (no network round trip). Used by the runtime for built-ins.
-    pub fn adopt_new<T: ServerClass>(&mut self, args: Vec<u8>) -> RemoteResult<ObjRef> {
-        let mut reader = Reader::new(&args);
-        let obj = T::construct(self, &mut reader)?;
-        Ok(self.adopt(Box::new(obj)))
     }
 }
 

@@ -5,7 +5,7 @@
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use simnet::{MachineId, Packet, PacketBytes};
+use simnet::{ClockRecvError, MachineId, Packet, PacketBytes};
 use wire::Reader;
 
 use super::judge::{judge, queue_gated, reads_clock, Verdict};
@@ -16,7 +16,7 @@ use crate::frame::{encode_response, Body, FrameView};
 use crate::ids::{ObjectId, DAEMON};
 use crate::process::{DispatchResult, ServerObject};
 use crate::shared::{
-    bump, raise_epoch, take_live, Ask, CallTrace, IncomingReq, ObjRecord, Role, Sched, WorkerMsg,
+    bump, raise_epoch, take_live, Ask, CallTrace, IncomingReq, ObjRecord, Role, WorkerMsg,
 };
 use crate::trace::EventKind;
 
@@ -85,17 +85,13 @@ impl NodeCtx {
     /// do. Machines never need this — their serve loop runs continuously.
     pub fn serve_for(&mut self, dur: Duration) {
         let deadline = simnet::time::after(self.clock.now_nanos(), dur);
-        // Re-read the clock before every receive: handling a packet can
+        // Re-read the clock before every step: handling a packet can
         // advance time (draining a batch under virtual time, a costed
         // dispatch under real time) past the deadline, and under a steady
-        // inbound stream the receive below would otherwise keep returning
+        // inbound stream the receive would otherwise keep returning
         // packets — and this loop keep serving them — long after the
         // window closed.
-        while self.clock.now_nanos() < deadline {
-            if self.pump_until(deadline).is_err() {
-                break;
-            }
-        }
+        while self.clock.now_nanos() < deadline && self.step(Some(deadline)).is_ok() {}
     }
 
     /// Drain whatever is already in the inbox without blocking. The
@@ -113,130 +109,95 @@ impl NodeCtx {
         self.drain_deferred();
     }
 
-    /// Make one unit of blocked-wait progress, or report the deadline
-    /// passed. On a dispatcher/driver lane that means receiving and
-    /// handling one packet then retrying deferred work; on a worker lane
-    /// it means taking one control message — a routed response, or a nudge
-    /// that lets this lane run one scheduler task **re-entrantly** while
-    /// its own call is still in flight (the M:N analogue of the classic
-    /// engine serving other objects while blocked).
-    pub(super) fn pump_until(&mut self, deadline: u64) -> Result<(), ()> {
-        let lane = match &self.role {
+    /// The progress engine, one turn of it: receive one thing on this
+    /// lane, then handle it — every wait of a lane, at the top of its
+    /// thread or inside a call, is a loop of these. `deadline` bounds the
+    /// receive (clock nanos); `None` waits for ever, and only a lane with
+    /// nothing on its stack does that. `Err` when the deadline passed, or
+    /// the lane's channel closed, with nothing received.
+    ///
+    /// A dispatcher (the driver included) receives a packet from the
+    /// machine's inbox. A worker takes a control message — a routed
+    /// response, a nudge, the stop order — and when its channel is dry it
+    /// runs one scheduler task instead, **re-entrantly** if it is inside a
+    /// call (the M:N analogue of the classic engine serving other objects
+    /// while blocked). The scan before the park is what makes nudges
+    /// race-free: a task whose nudge a busier step took still sits in the
+    /// queues the scan reads, and a task admitted *after* the scan sends a
+    /// fresh message the park sees at once — so no token strands in the
+    /// injector behind a blocked lane.
+    pub(super) fn step(&mut self, deadline: Option<u64>) -> Result<(), ClockRecvError> {
+        let msg = match &self.role {
             LaneRole::Dispatcher(inbox) => {
                 let pkt = self
                     .clock
-                    .recv_deadline_nanos(inbox, self.machine, deadline)
-                    .map_err(|_| ())?;
+                    .recv_until(inbox, self.machine as u64, deadline)?;
+                WorkerMsg::Packet(pkt)
+            }
+            LaneRole::Worker(lane) => match lane.rx.try_recv() {
+                Ok(msg) => msg,
+                Err(_) => {
+                    if let Some(obj) = self.find_task() {
+                        self.run_object(obj);
+                        return Ok(());
+                    }
+                    // A lane about to wait for ever is idle: it says so,
+                    // then scans again — a task injected before the flag
+                    // saw no idle worker and nudged everyone, one injected
+                    // after it nudges this lane, so the second scan closes
+                    // the lost-wakeup window. A lane waiting inside a call
+                    // stays "busy": a nudge then reaches every worker.
+                    let pool = &self.shared.pool;
+                    let idle = deadline.is_none();
+                    if idle {
+                        pool.set_idle(lane.index, true);
+                        if let Some(obj) = self.find_task() {
+                            pool.set_idle(lane.index, false);
+                            self.run_object(obj);
+                            return Ok(());
+                        }
+                    }
+                    let msg = self.clock.recv_until(&lane.rx, lane.label, deadline);
+                    if idle {
+                        pool.set_idle(lane.index, false);
+                    }
+                    msg?
+                }
+            },
+        };
+        match msg {
+            WorkerMsg::Packet(pkt) => {
                 self.handle_packet(pkt);
                 self.drain_deferred();
-                return Ok(());
             }
-            LaneRole::Worker(lane) => lane,
-        };
-        // Routed responses and control first; when the channel is dry,
-        // serve the machine's queues before parking. The scan is what
-        // makes nudges race-free: a task admitted while this lane was
-        // draining control messages may have had its Nudge consumed as
-        // a no-op above (worker_loop runs one task per wakeup), and a
-        // task admitted *after* this scan sends a fresh channel message
-        // the park below sees immediately — so no token ever strands
-        // in the injector behind a blocked lane.
-        let recvd = match lane.rx.try_recv() {
-            Ok(msg) => Ok(msg),
-            Err(_) => {
-                if let Some(obj) = self.find_task() {
-                    self.run_object(obj);
-                    return Ok(());
-                }
-                self.clock
-                    .recv_any_deadline_nanos(&lane.rx, lane.label, deadline)
-            }
-        };
-        match recvd {
-            Ok(WorkerMsg::Packet(pkt)) => self.handle_packet(pkt),
-            Ok(WorkerMsg::Nudge) => {
+            // "The queues may have work": run one task now, re-entrantly
+            // inside a call (the wait that follows still sees whatever
+            // else is in the channel first).
+            WorkerMsg::Nudge => {
                 if let Some(obj) = self.find_task() {
                     self.run_object(obj);
                 }
             }
-            Ok(WorkerMsg::Shutdown) => self.alive = false,
-            Err(_) => return Err(()),
+            WorkerMsg::Shutdown => self.alive = false,
         }
         Ok(())
     }
 
+    /// A dispatcher's thread: step until the daemon's `shutdown` verb
+    /// clears `alive`, then stop the machine's workers. They drain their
+    /// channel before parking, so the stop order is seen even by a worker
+    /// blocked inside a wait.
     pub(crate) fn serve_loop(&mut self) {
-        while self.alive {
-            let LaneRole::Dispatcher(inbox) = &self.role else {
-                break;
-            };
-            let Ok(pkt) = self.clock.recv(inbox, self.machine) else {
-                break;
-            };
-            self.handle_packet(pkt);
-            self.drain_deferred();
-        }
-        // Dispatcher exit stops the machine's worker pool. Workers drain
-        // their channel before parking, so the message is seen even if one
-        // is currently blocked inside a wait.
-        if let Sched::Pool(pool) = &self.shared.sched {
-            for i in 0..pool.workers() {
-                pool.wake(i, WorkerMsg::Shutdown, &self.clock);
-            }
+        while self.alive && self.step(None).is_ok() {}
+        let pool = &self.shared.pool;
+        for i in 0..pool.workers() {
+            pool.wake(i, WorkerMsg::Shutdown, &self.clock);
         }
     }
 
-    /// A worker lane's main loop: drain control messages, then scan the
-    /// queues (own deque → machine injector → seeded steal sweep over
-    /// siblings); park idle when everything is dry.
+    /// A worker lane's thread: step until the dispatcher's stop order.
     pub(crate) fn worker_loop(&mut self) {
-        loop {
-            let LaneRole::Worker(lane) = &self.role else {
-                return;
-            };
-            // Control first: routed responses and shutdown must not sit
-            // behind queue scans.
-            match lane.rx.try_recv() {
-                Ok(WorkerMsg::Packet(pkt)) => {
-                    self.handle_packet(pkt);
-                    continue;
-                }
-                Ok(WorkerMsg::Nudge) => continue,
-                Ok(WorkerMsg::Shutdown) => return,
-                Err(_) => {}
-            }
-            if !self.alive {
-                return;
-            }
-            if let Some(obj) = self.find_task() {
-                self.run_object(obj);
-                continue;
-            }
-            // Nothing runnable: advertise idleness, then re-scan — a task
-            // injected between the scan above and the flag below saw no
-            // idle workers and nudged everyone, but one injected *after*
-            // the flag nudges us specifically, so this second scan is what
-            // closes the lost-wakeup window — and only then park.
-            if let Sched::Pool(pool) = &self.shared.sched {
-                pool.set_idle(lane.index, true);
-            }
-            if let Some(obj) = self.find_task() {
-                if let Sched::Pool(pool) = &self.shared.sched {
-                    pool.set_idle(lane.index, false);
-                }
-                self.run_object(obj);
-                continue;
-            }
-            let msg = self.clock.recv_any(&lane.rx, lane.label);
-            if let Sched::Pool(pool) = &self.shared.sched {
-                pool.set_idle(lane.index, false);
-            }
-            match msg {
-                Ok(WorkerMsg::Packet(pkt)) => self.handle_packet(pkt),
-                Ok(WorkerMsg::Nudge) => {}
-                Ok(WorkerMsg::Shutdown) | Err(_) => return,
-            }
-        }
+        while self.alive && self.step(None).is_ok() {}
     }
 
     /// Pop the next runnable object: own deque first (locality), then the
@@ -249,9 +210,7 @@ impl NodeCtx {
         if let Some(obj) = lane.deque.pop() {
             return Some(obj);
         }
-        let Sched::Pool(pool) = &self.shared.sched else {
-            return None;
-        };
+        let pool = &self.shared.pool;
         if let Some(obj) = pool.injector.pop() {
             return Some(obj);
         }
@@ -264,16 +223,17 @@ impl NodeCtx {
     }
 
     /// Hand an object with fresh mailbox work to the execution layer: the
-    /// worker pool's injector when one is attached, an immediate inline
-    /// run otherwise (the classic single-threaded profile, where this call
+    /// pool's injector, or — on a machine with no workers — an immediate
+    /// inline run (the classic single-threaded profile, where this call
     /// happens at the same point the old engine dispatched the request).
     fn submit_task(&mut self, target: ObjectId) {
-        if let Sched::Pool(pool) = &self.shared.sched {
-            pool.injector.push(target);
-            pool.nudge(&self.clock);
+        let pool = &self.shared.pool;
+        if pool.workers() == 0 {
+            self.run_object(target);
             return;
         }
-        self.run_object(target);
+        pool.injector.push(target);
+        pool.nudge(&self.clock);
     }
 
     fn handle_packet(&mut self, pkt: Packet) {
@@ -288,7 +248,7 @@ impl NodeCtx {
             FrameView::Request { header, payload } => {
                 // Requests arriving at a worker lane would mean the fabric
                 // delivered to a non-endpoint; drop defensively.
-                if let LaneRole::Worker(_) = self.role {
+                if self.lane_no != 0 {
                     debug_assert!(false, "request frame delivered to a worker lane");
                     return;
                 }
@@ -381,13 +341,11 @@ impl NodeCtx {
                 // parses and files them itself.
                 let lane = req_id % self.stride;
                 if lane != self.lane_no {
-                    if let Sched::Pool(pool) = &self.shared.sched {
-                        let w = lane as usize;
-                        if w >= 1 && w <= pool.workers() {
-                            pool.wake(w - 1, WorkerMsg::Packet(pkt), &self.clock);
-                        }
-                        // Lane-0 responses reaching a worker (or an
-                        // out-of-range lane) have nobody waiting: drop.
+                    // Lane-0 responses reaching a worker have nobody
+                    // waiting: drop.
+                    if let Some(w) = (lane as usize).checked_sub(1) {
+                        let pool = &self.shared.pool;
+                        pool.wake(w, WorkerMsg::Packet(pkt), &self.clock);
                     }
                     return;
                 }
@@ -671,9 +629,7 @@ impl NodeCtx {
                     // worker's deque, where a sibling can steal it.
                     // `scheduled` stays true — the token still exists.
                     lane.deque.push(target);
-                    if let Sched::Pool(pool) = &self.shared.sched {
-                        pool.nudge(&self.clock);
-                    }
+                    self.shared.pool.nudge(&self.clock);
                     return;
                 }
             }
@@ -778,9 +734,7 @@ impl NodeCtx {
         // on its network inbox, so wake it with an empty loopback packet
         // (decode fails harmlessly; the serve loop retries its deferred
         // queue after every receive).
-        if matches!(self.role, LaneRole::Worker(_))
-            && self.shared.daemon_parked.load(Ordering::Relaxed) > 0
-        {
+        if self.lane_no != 0 && self.shared.daemon_parked.load(Ordering::Relaxed) > 0 {
             let _ = self.net.send(self.machine, self.machine, Vec::new());
         }
     }
@@ -845,7 +799,7 @@ impl NodeCtx {
             // serving while it waits; a worker lane just sleeps (its
             // siblings keep the machine live).
             let window = Duration::from_millis(lease_millis);
-            if let LaneRole::Worker(_) = self.role {
+            if self.lane_no != 0 {
                 self.clock.sleep(window);
             } else {
                 self.serve_for(window);

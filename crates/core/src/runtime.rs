@@ -5,10 +5,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::unbounded;
-use parking_lot::Mutex;
-use sched::{Injector, StealOrder};
-use simnet::{ClusterConfig, MachineId, Metrics, MetricsSnapshot, SimCluster, WORKER_LABEL_BASE};
+use simnet::{ActorSeat, ClusterConfig, MachineId, Metrics, MetricsSnapshot, SimCluster};
 use wire::collections::Bytes;
 
 use crate::array::{ByteBlock, DoubleBlock};
@@ -17,10 +14,10 @@ use crate::group::Barrier;
 use crate::naming::{
     shard_addr, DirShard, DirShardClient, Directory, DirectoryClient, NameService,
 };
-use crate::node::{ActorSeat, LaneRole, MachineEnv, NodeCtx, WorkerLane};
+use crate::node::{LaneRole, MachineEnv, NodeCtx};
 use crate::policy::{CallPolicy, OverloadConfig};
 use crate::process::{ClassRegistry, RemoteClient, ServerClass};
-use crate::shared::{Pool, Sched, SharedNode};
+use crate::shared::{Pool, SharedNode};
 use crate::trace::{Recorder, TraceCtx, DEFAULT_TRACE_CAPACITY};
 
 /// Configures and launches an oopp cluster.
@@ -215,53 +212,29 @@ impl ClusterBuilder {
         let steal_seed = sim.clock().seed().unwrap_or(0x9e37_79b9_7f4a_7c15);
 
         // What a lane of machine `m` is built from, around that machine's
-        // thread-shared server state.
-        let machine_env = |m: MachineId, sched: Sched| MachineEnv {
-            machine: m,
-            workers,
-            net: sim.net(),
-            registry: &registry,
-            disks: sim.disks(m),
-            policy,
-            recorder: recorder.as_ref(),
-            shared: Arc::new(SharedNode::new(sched, overload)),
+        // thread-shared server state and its pool of `lanes` workers; and
+        // the workers' own halves.
+        let machine_env = |m: MachineId, lanes: usize| {
+            let (pool, lanes) = Pool::new(m, lanes, steal_seed);
+            let env = MachineEnv {
+                machine: m,
+                workers,
+                net: sim.net(),
+                registry: &registry,
+                disks: sim.disks(m),
+                policy,
+                recorder: recorder.as_ref(),
+                shared: Arc::new(SharedNode::new(pool, overload)),
+            };
+            (env, lanes)
         };
 
         let mut threads = Vec::with_capacity(workers * (sched_workers + 1));
         for m in 0..workers {
-            // A pooled machine gets its deques and control channels first:
-            // their shared half goes into `SharedNode`, then the lanes spawn.
-            let deques: Vec<sched::Worker<_>> =
-                (0..sched_workers).map(|_| sched::Worker::new()).collect();
-            let (txs, rxs): (Vec<_>, Vec<_>) = (0..sched_workers).map(|_| unbounded()).unzip();
-            let labels: Vec<u64> = (0..sched_workers)
-                .map(|w| WORKER_LABEL_BASE + (m as u64) * 256 + w as u64)
-                .collect();
-            let env = machine_env(
-                m,
-                if sched_workers == 0 {
-                    Sched::Inline
-                } else {
-                    Sched::Pool(Pool {
-                        injector: Injector::new(),
-                        stealers: deques.iter().map(|d| d.stealer()).collect(),
-                        txs,
-                        labels: labels.clone(),
-                        idle: Mutex::new(vec![false; sched_workers]),
-                        steal_order: StealOrder::new(sched::mix64(steal_seed ^ (m as u64 + 1))),
-                    })
-                },
-            );
-            for (index, (rx, deque)) in rxs.into_iter().zip(deques).enumerate() {
-                let label = labels[index];
-                let lane = WorkerLane {
-                    rx,
-                    label,
-                    index,
-                    deque,
-                };
+            let (env, lanes) = machine_env(m, sched_workers);
+            for lane in lanes {
+                let name = format!("oopp-machine-{m}-w{}", lane.index);
                 let mut ctx = NodeCtx::new(&env, LaneRole::Worker(lane));
-                let name = format!("oopp-machine-{m}-w{index}");
                 threads.push(spawn_lane(name, move || ctx.worker_loop()));
             }
             let mut ctx = NodeCtx::new(&env, LaneRole::Dispatcher(sim.take_inbox(m)));
@@ -274,7 +247,7 @@ impl ClusterBuilder {
         // irrelevant there, but keep one config for the whole cluster.
         let driver_id = workers;
         let mut driver_ctx = NodeCtx::new(
-            &machine_env(driver_id, Sched::Inline),
+            &machine_env(driver_id, 0).0,
             LaneRole::Dispatcher(sim.take_inbox(driver_id)),
         );
 

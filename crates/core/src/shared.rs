@@ -21,14 +21,15 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam::channel::Sender;
+use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use sched::{DepthGauge, Injector, StealOrder, Stealer};
-use simnet::{Clock, MachineId, Packet, PacketBytes};
+use simnet::{Clock, MachineId, Packet, PacketBytes, WORKER_LABEL_BASE};
 
 use crate::dedup::DedupWindow;
 use crate::frame::SharedStats;
 use crate::ids::{IdMap, ObjRef, ObjectId, DAEMON};
+use crate::node::WorkerLane;
 use crate::policy::OverloadConfig;
 use crate::process::ServerObject;
 
@@ -260,18 +261,12 @@ pub(crate) enum WorkerMsg {
     Shutdown,
 }
 
-/// The execution layer behind a machine's dispatcher.
-pub(crate) enum Sched {
-    /// No worker pool: the dispatcher runs object tasks inline — the
-    /// classic single-threaded profile, still the default.
-    Inline,
-    /// An M:N work-stealing pool (DESIGN.md §13).
-    Pool(Pool),
-}
-
-/// Shared half of a machine's worker pool: the overflow injector, each
-/// worker's steal handle and control channel, and the idle map the
-/// dispatcher consults to wake exactly one sleeper per new task.
+/// Shared half of a machine's M:N work-stealing pool (DESIGN.md §13): the
+/// overflow injector, each worker's steal handle and control channel, and
+/// the idle map the dispatcher consults to wake exactly one sleeper per new
+/// task. A pool of zero workers is the classic single-threaded machine
+/// (still the default, and the driver's): its dispatcher runs every object
+/// task inline (`submit_task`).
 pub(crate) struct Pool {
     pub(crate) injector: Injector<ObjectId>,
     pub(crate) stealers: Vec<Stealer<ObjectId>>,
@@ -285,6 +280,42 @@ pub(crate) struct Pool {
 }
 
 impl Pool {
+    /// Machine `machine`'s pool of `workers` lanes, and the lanes' own
+    /// halves: a deque, a control channel and a virtual-clock park label
+    /// each. Victim permutations derive from `steal_seed`, so a
+    /// virtual-time run replays its steal order exactly.
+    pub(crate) fn new(
+        machine: MachineId,
+        workers: usize,
+        steal_seed: u64,
+    ) -> (Self, Vec<WorkerLane>) {
+        let mut pool = Pool {
+            injector: Injector::new(),
+            stealers: Vec::with_capacity(workers),
+            txs: Vec::with_capacity(workers),
+            labels: Vec::with_capacity(workers),
+            idle: Mutex::new(vec![false; workers]),
+            steal_order: StealOrder::new(sched::mix64(steal_seed ^ (machine as u64 + 1))),
+        };
+        let lanes = (0..workers)
+            .map(|index| {
+                let (tx, rx) = unbounded();
+                let deque = sched::Worker::new();
+                let label = WORKER_LABEL_BASE + (machine as u64) * 256 + index as u64;
+                pool.stealers.push(deque.stealer());
+                pool.txs.push(tx);
+                pool.labels.push(label);
+                WorkerLane {
+                    rx,
+                    label,
+                    index,
+                    deque,
+                }
+            })
+            .collect();
+        (pool, lanes)
+    }
+
     pub(crate) fn workers(&self) -> usize {
         self.txs.len()
     }
@@ -353,7 +384,7 @@ pub(crate) struct SharedNode {
     /// (they reported Busy against a checked-out object). Workers read
     /// this when an object goes idle to know the dispatcher needs a kick.
     pub(crate) daemon_parked: AtomicU64,
-    pub(crate) sched: Sched,
+    pub(crate) pool: Pool,
     /// Admission-control knobs (immutable after build).
     pub(crate) overload: OverloadConfig,
     /// Admitted-but-unexecuted requests across all object mailboxes — the
@@ -364,7 +395,7 @@ pub(crate) struct SharedNode {
 }
 
 impl SharedNode {
-    pub(crate) fn new(sched: Sched, overload: OverloadConfig) -> Self {
+    pub(crate) fn new(pool: Pool, overload: OverloadConfig) -> Self {
         SharedNode {
             shards: (0..OBJECT_SHARDS)
                 .map(|_| Mutex::new(Shard::default()))
@@ -375,7 +406,7 @@ impl SharedNode {
             stats: SharedStats::default(),
             next_obj_id: AtomicU64::new(DAEMON + 1),
             daemon_parked: AtomicU64::new(0),
-            sched,
+            pool,
             overload,
             queued: DepthGauge::new(),
         }

@@ -6,8 +6,6 @@
 //! collective sequence number, so user point-to-point traffic and earlier
 //! collectives can never match a collective's messages.
 
-use wire::collections::Bytes;
-
 use crate::comm::{Comm, MpResult};
 
 /// Reduction operators for the `*_f64` collectives.
@@ -244,13 +242,6 @@ impl Comm {
                     .map_err(|e| crate::MpError::Decode(e.to_string()))
             })
             .collect()
-    }
-
-    /// Gather a `Bytes` payload and flatten at root (convenience).
-    pub fn gather_bytes(&mut self, root: usize, data: Bytes) -> MpResult<Option<Vec<Bytes>>> {
-        Ok(self
-            .gather(root, data.0)?
-            .map(|v| v.into_iter().map(Bytes).collect()))
     }
 }
 

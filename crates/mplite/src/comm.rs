@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use crossbeam::channel::Receiver;
 use simnet::time::{after, nanos};
-use simnet::{Network, Packet, SimDisk};
+use simnet::{ActorSeat, Network, Packet, SimDisk};
 use wire::{Reader, Wire, Writer};
 
 /// Errors from message-passing operations.
@@ -42,10 +42,15 @@ pub type MpResult<T> = Result<T, MpError>;
 pub const RECV_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One rank's endpoint: identity, network handle, and the unexpected-message
-/// queue that implements (src, tag) matching. A `Comm` is an actor of the
-/// cluster clock from construction to drop: every wait of a rank is a park
-/// in that clock, so on virtual time a world's run is exact and replayable.
+/// queue that implements (src, tag) matching. A `Comm` holds a seat among
+/// the cluster clock's actors from construction to drop: every wait of a
+/// rank is a park in that clock, so on virtual time a world's run is exact
+/// and replayable.
 pub struct Comm {
+    /// First, so it is given up before anything else of the rank goes —
+    /// also on unwind: a rank that panicked must not hold virtual time
+    /// still for the ranks that are waiting on it.
+    _seat: ActorSeat,
     rank: usize,
     size: usize,
     net: Network,
@@ -67,14 +72,6 @@ impl std::fmt::Debug for Comm {
     }
 }
 
-impl Drop for Comm {
-    fn drop(&mut self) {
-        // Also on unwind: a rank that panicked must not hold virtual time
-        // still for the ranks that are waiting on it.
-        self.net.clock().deregister_actor();
-    }
-}
-
 impl Comm {
     pub(crate) fn new(
         rank: usize,
@@ -83,8 +80,8 @@ impl Comm {
         inbox: Receiver<Packet>,
         disks: Vec<Arc<SimDisk>>,
     ) -> Self {
-        net.clock().register_actor();
         Comm {
+            _seat: net.clock().seat(),
             rank,
             size,
             net,
@@ -158,7 +155,7 @@ impl Comm {
         let deadline = after(clock.now_nanos(), self.timeout);
         loop {
             let pkt = clock
-                .recv_deadline_nanos(&self.inbox, self.rank, deadline)
+                .recv_until(&self.inbox, self.rank as u64, Some(deadline))
                 .map_err(|_| MpError::Timeout {
                     src,
                     tag,

@@ -29,6 +29,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -428,25 +429,16 @@ impl Clock {
         }
     }
 
-    /// Enroll the calling context as a simulation actor: virtual time only
-    /// advances while every registered actor is parked in the clock.
-    /// No-op in real mode. Pair with [`Clock::deregister_actor`].
-    pub fn register_actor(&self) {
+    /// Take a place among the clock's actors for the calling context:
+    /// virtual time only advances while every seated actor is parked in the
+    /// clock. A no-op on the real clock.
+    pub fn seat(&self) -> ActorSeat {
         if let ClockInner::Virtual(core) = &self.inner {
             core.lock().registered += 1;
         }
-    }
-
-    /// Remove an actor from the quiescence set (it will never park again).
-    /// If this completes quiescence, the caller drives the event loop
-    /// forward before returning — shutdown cascades rely on this.
-    pub fn deregister_actor(&self) {
-        if let ClockInner::Virtual(core) = &self.inner {
-            let mut s = core.lock();
-            s.registered = s.registered.saturating_sub(1);
-            if VirtualCore::quiescent(&s) {
-                VirtualCore::advance(&mut s);
-            }
+        ActorSeat {
+            clock: self.clone(),
+            held: Arc::new(AtomicBool::new(true)),
         }
     }
 
@@ -481,19 +473,10 @@ impl Clock {
         }
     }
 
-    /// Blocking receive on machine `me`'s inbox.
+    /// Blocking receive on machine `me`'s inbox: [`Clock::recv_until`]
+    /// with no deadline.
     pub fn recv(&self, rx: &Receiver<Packet>, me: MachineId) -> Result<Packet, ClockRecvError> {
-        self.recv_on(rx, me as u64, None)
-    }
-
-    /// Receive on machine `me`'s inbox with a deadline in clock nanos.
-    pub fn recv_deadline_nanos(
-        &self,
-        rx: &Receiver<Packet>,
-        me: MachineId,
-        deadline: u64,
-    ) -> Result<Packet, ClockRecvError> {
-        self.recv_on(rx, me as u64, Some(deadline))
+        self.recv_until(rx, me as u64, None)
     }
 
     /// Mark the actor parked under `label` runnable. No-op in real mode
@@ -531,31 +514,16 @@ impl Clock {
         }
     }
 
-    /// Blocking receive on an arbitrary channel, parked under `label`.
-    /// Virtual mode: a sender must pair the send with
-    /// [`Clock::notify_label`]`(label)` or the park never wakes (packet
-    /// deliveries only wake machine-inbox labels).
-    pub fn recv_any<T>(&self, rx: &Receiver<T>, label: u64) -> Result<T, ClockRecvError> {
-        self.recv_on(rx, label, None)
-    }
-
-    /// Receive on an arbitrary channel with a deadline in clock nanos,
-    /// parked under `label` (see [`Clock::recv_any`]).
-    pub fn recv_any_deadline_nanos<T>(
-        &self,
-        rx: &Receiver<T>,
-        label: u64,
-        deadline: u64,
-    ) -> Result<T, ClockRecvError> {
-        self.recv_on(rx, label, Some(deadline))
-    }
-
     /// The one receive: every blocking wait on a channel, on either
-    /// backend, parks here. Real time blocks on the channel itself. Virtual
-    /// time drains the channel and, finding it empty, parks under `label`
-    /// until a delivery to that machine, a [`Clock::notify_label`] or the
-    /// deadline's timer wakes it — then drains again.
-    fn recv_on<T>(
+    /// backend, parks here — until `deadline` in clock nanos, or for ever
+    /// when it is `None` (which pushes no timer; `Some(u64::MAX)` would).
+    /// Real time blocks on the channel itself. Virtual time drains the
+    /// channel and, finding it empty, parks under `label` until a delivery
+    /// to that machine (a label below [`WORKER_LABEL_BASE`] is machine
+    /// `label`'s inbox), a [`Clock::notify_label`] or the deadline's timer
+    /// wakes it — then drains again. A sender on any other channel must
+    /// pair its send with `notify_label(label)`, or the park never wakes.
+    pub fn recv_until<T>(
         &self,
         rx: &Receiver<T>,
         label: u64,
@@ -614,6 +582,42 @@ impl Clock {
 impl Default for Clock {
     fn default() -> Self {
         Clock::real()
+    }
+}
+
+/// A place among the virtual clock's actors (see [`Clock::seat`]), given
+/// up exactly once: by [`release`](ActorSeat::release) or by the drop of
+/// a holder — also on unwind, so a panicking actor does not hold virtual
+/// time still for the ones waiting on it. Clones share the place: whichever
+/// holder lets go first gives it up for all of them. A no-op on the real
+/// clock.
+#[derive(Debug, Clone)]
+pub struct ActorSeat {
+    clock: Clock,
+    held: Arc<AtomicBool>,
+}
+
+impl ActorSeat {
+    /// Leave the clock's actors, unless this seat already has. If that
+    /// leaves every remaining actor parked, the clock runs on before this
+    /// returns — shutdown cascades rely on it.
+    pub fn release(&self) {
+        if !self.held.swap(false, Ordering::AcqRel) {
+            return;
+        }
+        if let ClockInner::Virtual(core) = &self.clock.inner {
+            let mut s = core.lock();
+            s.registered = s.registered.saturating_sub(1);
+            if VirtualCore::quiescent(&s) {
+                VirtualCore::advance(&mut s);
+            }
+        }
+    }
+}
+
+impl Drop for ActorSeat {
+    fn drop(&mut self) {
+        self.release();
     }
 }
 
@@ -700,7 +704,7 @@ mod tests {
     fn registered_actor_wakes_on_delivery_then_timer() {
         let clock = Clock::virtual_time(3);
         let rxs = endpoints(&clock, 1);
-        clock.register_actor();
+        let seat = clock.seat();
         // Queue a delivery while running (no advancement yet: this actor is
         // not parked), then park. The event loop runs at the park and wakes
         // us with the packet at its virtual arrival time.
@@ -712,16 +716,14 @@ mod tests {
             },
         );
         assert_eq!(clock.now_nanos(), 0, "time must not advance while running");
-        let got = clock.recv_deadline_nanos(&rxs[0], 0, 10_000_000).unwrap();
+        let got = clock.recv_until(&rxs[0], 0, Some(10_000_000)).unwrap();
         assert_eq!(got.payload, vec![9]);
         assert_eq!(clock.now_nanos(), 500_000);
         // Nothing else coming: the deadline timer fires next.
-        let err = clock
-            .recv_deadline_nanos(&rxs[0], 0, 2_000_000)
-            .unwrap_err();
+        let err = clock.recv_until(&rxs[0], 0, Some(2_000_000)).unwrap_err();
         assert_eq!(err, ClockRecvError::Timeout);
         assert_eq!(clock.now_nanos(), 2_000_000);
-        clock.deregister_actor();
+        drop(seat);
     }
 
     #[test]
@@ -732,17 +734,15 @@ mod tests {
         let digest_for = |seed: u64| -> u64 {
             let clock = Clock::virtual_time(seed);
             let rxs = endpoints(&clock, 4);
-            clock.register_actor();
+            let seat = clock.seat();
             for dst in 1..4 {
                 clock.schedule_delivery(Packet::new(0, dst, vec![dst as u8]), &NetCost::zero());
             }
             // Park until the deadline: all three deliveries fire first
             // (time 0/1), in seed order, then the timer.
-            let err = clock
-                .recv_deadline_nanos(&rxs[0], 0, 1_000_000)
-                .unwrap_err();
+            let err = clock.recv_until(&rxs[0], 0, Some(1_000_000)).unwrap_err();
             assert_eq!(err, ClockRecvError::Timeout);
-            clock.deregister_actor();
+            drop(seat);
             let sched = clock.schedule().unwrap();
             assert_eq!(sched.events, 4); // 3 deliveries + 1 timer
             sched.digest
@@ -768,25 +768,24 @@ mod tests {
         let label = WORKER_LABEL_BASE + 7;
 
         let worker = {
-            let clock = clock.clone();
-            clock.register_actor();
+            let (clock, seat) = (clock.clone(), clock.seat());
             std::thread::spawn(move || {
-                let got = clock.recv_any(&rx, label).unwrap();
+                let got = clock.recv_until(&rx, label, None).unwrap();
                 let at = clock.now_nanos();
-                clock.deregister_actor();
+                drop(seat);
                 (got, at)
             })
         };
 
-        clock.register_actor();
+        let seat = clock.seat();
         clock.sleep(Duration::from_millis(2)); // let the worker park first
         tx.send(99).unwrap();
         clock.notify_label(label);
         // Park so the ready queue gets served.
         let (_tx2, rx2) = unbounded::<Packet>();
-        let err = clock.recv_deadline_nanos(&rx2, 0, 5_000_000).unwrap_err();
+        let err = clock.recv_until(&rx2, 0, Some(5_000_000)).unwrap_err();
         assert_eq!(err, ClockRecvError::Timeout);
-        clock.deregister_actor();
+        drop(seat);
 
         let (got, at) = worker.join().unwrap();
         assert_eq!(got, 99);
@@ -801,12 +800,11 @@ mod tests {
         // would differ from run to run.
         let clock = Clock::virtual_time(4);
         let log = Arc::new(Mutex::new(Vec::new()));
-        for _ in 0..3 {
-            clock.register_actor();
-        }
+        let seats: Vec<_> = (0..3).map(|_| clock.seat()).collect();
         let threads: Vec<_> = [2u64, 0, 1]
             .into_iter()
-            .map(|id| {
+            .zip(seats)
+            .map(|(id, seat)| {
                 clock.notify_label(WORKER_LABEL_BASE + id);
                 let (clock, log) = (clock.clone(), log.clone());
                 std::thread::spawn(move || {
@@ -814,7 +812,7 @@ mod tests {
                     log.lock().unwrap().push((id, clock.now_nanos()));
                     clock.sleep(Duration::from_nanos(10 + id));
                     log.lock().unwrap().push((id, clock.now_nanos()));
-                    clock.deregister_actor();
+                    drop(seat);
                 })
             })
             .collect();
@@ -831,24 +829,22 @@ mod tests {
         // Notify a label nobody holds; a pure timed sleep must still wake
         // at its own deadline (the stale ready entry is discarded).
         let clock = Clock::virtual_time(5);
-        clock.register_actor();
+        let _seat = clock.seat();
         clock.notify_label(WORKER_LABEL_BASE + 1234);
         clock.sleep(Duration::from_millis(1));
         assert_eq!(clock.now_nanos(), 1_000_000);
-        clock.deregister_actor();
     }
 
     #[test]
-    fn recv_any_deadline_times_out_under_virtual_time() {
+    fn recv_until_times_out_under_virtual_time() {
         let clock = Clock::virtual_time(9);
         let (_tx, rx) = unbounded::<u32>();
-        clock.register_actor();
+        let _seat = clock.seat();
         let err = clock
-            .recv_any_deadline_nanos(&rx, WORKER_LABEL_BASE, 3_000_000)
+            .recv_until(&rx, WORKER_LABEL_BASE, Some(3_000_000))
             .unwrap_err();
         assert_eq!(err, ClockRecvError::Timeout);
         assert_eq!(clock.now_nanos(), 3_000_000);
-        clock.deregister_actor();
     }
 
     #[test]
@@ -856,7 +852,7 @@ mod tests {
         let clock = Clock::real();
         let (_tx, rx) = unbounded::<Packet>();
         let deadline = clock.now_nanos() + 2_000_000;
-        let err = clock.recv_deadline_nanos(&rx, 0, deadline).unwrap_err();
+        let err = clock.recv_until(&rx, 0, Some(deadline)).unwrap_err();
         assert_eq!(err, ClockRecvError::Timeout);
         assert!(clock.now_nanos() >= deadline);
         assert!(clock.schedule().is_none());

@@ -328,12 +328,11 @@ mod tests {
             .map(|d| {
                 // Enrolled before either runs: virtual time cannot move
                 // until both ops are parked on their device.
-                clock.register_actor();
-                let (clock, start) = (clock.clone(), start.clone());
+                let (seat, start) = (clock.seat(), start.clone());
                 std::thread::spawn(move || {
                     start.wait();
                     d.write(0, &[1]).unwrap();
-                    clock.deregister_actor();
+                    drop(seat);
                 })
             })
             .collect();

@@ -51,7 +51,7 @@ pub mod network;
 pub mod time;
 pub mod topology;
 
-pub use clock::{Clock, ClockRecvError, SimSchedule, WORKER_LABEL_BASE};
+pub use clock::{ActorSeat, Clock, ClockRecvError, SimSchedule, WORKER_LABEL_BASE};
 pub use cluster::SimCluster;
 pub use config::{ClusterConfig, DiskConfig, NetCost, TimeMode};
 pub use disk::SimDisk;

@@ -360,14 +360,14 @@ mod tests {
         // parks in its first receive.
         let (net, inboxes) = net_virtual(2, lan(Duration::from_millis(3), f64::INFINITY), 7);
         let clock = net.clock();
-        clock.register_actor();
+        let seat = clock.seat();
         for i in 0..10u8 {
             net.send(0, 1, vec![i]).unwrap();
         }
         for _ in 0..10 {
             clock.recv(&inboxes[1], 1).unwrap();
         }
-        clock.deregister_actor();
+        drop(seat);
         // All ten arrive at 3ms; the FIFO link lands them 1ns apart.
         assert_eq!(clock.now_nanos(), 3_000_000 + 9);
     }
@@ -379,7 +379,7 @@ mod tests {
         // receiver's link.
         let (net, inboxes) = net_virtual(2, lan(Duration::from_millis(1), 1e6), 7);
         let clock = net.clock();
-        clock.register_actor();
+        let _seat = clock.seat();
         for _ in 0..4 {
             net.send(0, 1, vec![0u8; 2000]).unwrap();
         }
@@ -387,7 +387,6 @@ mod tests {
             clock.recv(&inboxes[1], 1).unwrap();
             assert_eq!(clock.now_nanos(), 1_000_000 + k * 2_000_000);
         }
-        clock.deregister_actor();
     }
 
     #[test]

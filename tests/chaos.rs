@@ -190,6 +190,35 @@ fn lost_responses_are_replayed_not_reexecuted() {
     cluster.shutdown(driver);
 }
 
+/// A deadline that falls inside a backoff pause ends the call there: no
+/// retransmission goes out for a call nobody waits for any more. The
+/// target is dark; the 10 ms reply window lapses, the 10 ms pause would end
+/// at 20 ms, and the 15 ms deadline comes first.
+#[test]
+fn a_deadline_inside_a_backoff_pause_sends_no_retransmission() {
+    let (cluster, mut driver) = ClusterBuilder::new(1)
+        .register::<Counter>()
+        .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(0xBAC0FF))
+        .build();
+    let c = CounterClient::new_on(&mut driver, 0).unwrap();
+    driver.set_call_policy(
+        CallPolicy::reliable(Duration::from_millis(10))
+            .with_backoff(Backoff::fixed(Duration::from_millis(10)))
+            .with_deadline(Duration::from_millis(15)),
+    );
+    cluster.sim().faults().crash(0);
+    let (t0, sent) = (driver.now_nanos(), cluster.snapshot().messages_sent);
+    let err = c.add(&mut driver, 1).unwrap_err();
+    assert!(
+        matches!(err, RemoteError::DeadlineExceeded { .. }),
+        "{err:?}"
+    );
+    assert_eq!(driver.now_nanos() - t0, 15_000_000);
+    assert_eq!(driver.local_stats().calls_retried, 0);
+    assert_eq!(cluster.snapshot().messages_sent - sent, 1);
+    cluster.shutdown(driver);
+}
+
 /// The headline acceptance scenario: an E3-style workload with 5% message
 /// loss AND a mid-run machine crash completes with results identical to a
 /// zero-fault run, because the crashed object is reactivated from its

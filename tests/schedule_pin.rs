@@ -20,6 +20,7 @@ use oopp_repro::oopp::{
     RemoteClient, RemoteResult,
 };
 use oopp_repro::simnet::{ClusterConfig, FaultPlan, SimCluster, SimSchedule};
+use oopp_repro::workload::{config::ScenarioSpec, runner};
 use replica::{CoherenceMode, ReplicaConfig, ReplicaManager};
 
 /// A persistent counter: migratable, replicable, and non-idempotent, so a
@@ -288,9 +289,43 @@ fn mplite_two_rank_world() {
     );
 }
 
-/// `(events, digest)` of each scenario, recorded before the progress
-/// engine was consolidated into one `step` per lane.
+/// The composed serving scenario (DESIGN §16) with its crash and spike
+/// episodes: pooled machines, replicas, a promotion, a migration, deadlines,
+/// breakers. Its clock stays inside the runner, so the pin is an FNV-1a
+/// digest of what the run directory holds — ledger, report and the trace,
+/// whose virtual timestamps follow every wake — and the number of trace
+/// bytes. It is the run that tells apart a worker that runs a task the
+/// moment a nudge reaches it inside a call from one that first drains the
+/// rest of its channel.
+#[test]
+fn serving_scenario_through_a_crash_and_a_spike() {
+    let spec = ScenarioSpec {
+        crash_at_ms: 20,
+        spike_at_ms: 30,
+        ..ScenarioSpec::default()
+    };
+    let run = runner::run(&spec);
+    assert_eq!(run.promotions, 1);
+    let trace = run.trace.to_chrome_json();
+    let mut digest = 0xCBF2_9CE4_8422_2325u64;
+    for text in [run.ledger.to_csv(), run.report.render(), trace.clone()] {
+        for byte in text.bytes() {
+            digest = (digest ^ byte as u64).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+    assert_eq!(
+        (trace.len() as u64, digest),
+        PIN_SERVING,
+        "serving: the run moved — recorded trace bytes: {}, digest: 0x{digest:016X}",
+        trace.len()
+    );
+}
+
+/// `(events, digest)` of each scenario (trace bytes and digest for the
+/// serving one): re-record one only with a change that means to move its
+/// schedule.
 const PIN_CLASSIC: (u64, u64) = (32, 0x4170_0AB2_A67F_55BF);
 const PIN_POOLED: (u64, u64) = (236, 0xD3F9_FACE_DC3D_9446);
 const PIN_WRITE_THROUGH: (u64, u64) = (44, 0xE891_C8D0_093E_9A06);
 const PIN_MPLITE: (u64, u64) = (10, 0xE096_2B4A_A275_8F07);
+const PIN_SERVING: (u64, u64) = (1_225_888, 0xFD92_404F_CECB_CAD4);
