@@ -177,11 +177,9 @@ impl NodeCtx {
         };
         match breaker.note(failed, now, &cfg) {
             Some(Transition::Opened(failures)) => {
-                self.record_overload_marker(EventKind::BreakerOpen, dest, failures)
+                self.trace_marker(EventKind::BreakerOpen, dest, failures)
             }
-            Some(Transition::Closed) => {
-                self.record_overload_marker(EventKind::BreakerClose, dest, 0)
-            }
+            Some(Transition::Closed) => self.trace_marker(EventKind::BreakerClose, dest, 0),
             None => {}
         }
     }
@@ -328,14 +326,14 @@ impl NodeCtx {
             match breaker.admit(now, &cfg) {
                 Gate::Fail(retry_after_nanos) => {
                     bump!(self.shared.stats, breaker_fast_fails);
-                    self.record_overload_marker(EventKind::ClientFastFail, target.machine, 0);
+                    self.trace_marker(EventKind::ClientFastFail, target.machine, 0);
                     return Err(RemoteError::Overloaded {
                         queue_depth: 0,
                         retry_after_nanos,
                     });
                 }
                 Gate::Trial => {
-                    self.record_overload_marker(EventKind::BreakerHalfOpen, target.machine, 0);
+                    self.trace_marker(EventKind::BreakerHalfOpen, target.machine, 0);
                 }
                 Gate::Pass => {}
             }
@@ -352,8 +350,8 @@ impl NodeCtx {
             // A call issued mid-dispatch belongs to the serving request's
             // trace; a root call (driver code) opens a trace named after
             // its own span.
-            let (trace_id, parent_span) = match self.current_trace {
-                Some((tid, serving)) => (tid, serving),
+            let (trace_id, parent_span) = match self.serving_trace() {
+                Some(serving) => (serving.trace_id, serving.span),
                 None => (span, 0),
             };
             Some(CallTrace {
@@ -413,7 +411,8 @@ impl NodeCtx {
     fn transmit(&self, call: &OutboundCall, kind: EventKind, attempt: u32) -> Result<(), NetError> {
         let (dst, frame) = (call.target.machine, PacketBytes::clone(&call.frame));
         let req_id = call.header.req_id;
-        self.trace_call(kind, dst, call.trace.as_ref(), req_id, attempt, frame.len());
+        let len = frame.len() as u32;
+        self.trace_call(kind, dst, call.trace.as_ref(), req_id, attempt, len);
         self.net.send(self.machine, dst, frame)
     }
 
@@ -633,7 +632,7 @@ impl NodeCtx {
         let (from, routed) = (call.target, call.read_primary.is_some());
         let (kind, len) = (
             EventKind::ClientRecv,
-            result.as_ref().map_or(0, |b| b.len()),
+            result.as_ref().map_or(0, |b| b.len() as u32),
         );
         self.trace_call(
             kind,

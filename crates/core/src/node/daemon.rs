@@ -16,7 +16,7 @@ use wire::{Reader, Wire, Writer};
 
 use super::judge::{judge, Verdict};
 use super::serve::ServeOutcome;
-use super::NodeCtx;
+use super::{CallInfo, NodeCtx};
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::{Body, MigrationPayload, NodeStats, ReplicaStatus};
 use crate::future::{Pending, PendingClient};
@@ -26,7 +26,7 @@ use crate::shared::{
     bump, raise_epoch, take_live, Ask, IncomingReq, LiveObj, ObjRecord, PrimaryMeta, ReplicaMeta,
     Role, Shard,
 };
-use crate::trace::EventKind;
+use crate::trace::{EventKind, Family};
 
 /// Why a daemon handler produced no reply. Handlers return
 /// [`Handled`], so `?` carries both cases out of them.
@@ -458,13 +458,22 @@ impl NodeCtx {
     }
 
     fn migrate_inner(&mut self, obj: ObjRef, target: MachineId) -> RemoteResult<ObjRef> {
-        let span = self.migration_marker(EventKind::MigrateBegin, obj.machine, 0, 0);
+        // The move is one span: its markers share it, and a move made while
+        // serving a traced request belongs to that request's trace.
+        let mut moving = self.marker_span(Family::Migration);
+        if let (Some(t), Some(serving)) = (&mut moving, self.serving_trace()) {
+            t.trace_id = serving.trace_id;
+        }
+        let mark = |ctx: &Self, kind, peer, bytes| {
+            ctx.trace_call(kind, peer, moving.as_ref(), 0, 0, bytes)
+        };
+        mark(self, EventKind::MigrateBegin, obj.machine, 0);
         // 1. Quiesce + snapshot at the source.
         let bundle = self.call_migrate_out(obj.machine, obj.object)?;
-        self.migration_marker(
+        mark(
+            self,
             EventKind::MigrateTransfer,
             target,
-            span,
             bundle.state.0.len() as u32,
         );
         // 2. Reactivate on the target from the shipped state.
@@ -477,7 +486,7 @@ impl NodeCtx {
                 // 3. Commit: install the forwarding stub at the source.
                 match self.call_migrate_commit(obj.machine, obj.object, new_ref) {
                     Ok(()) => {
-                        self.migration_marker(EventKind::MigrateCommit, target, span, 0);
+                        mark(self, EventKind::MigrateCommit, target, 0);
                         self.beliefs.learn_move(obj, new_ref);
                         Ok(new_ref)
                     }
@@ -488,7 +497,7 @@ impl NodeCtx {
                         // its parked state survives for a later rollback.
                         let _ = self.destroy(new_ref);
                         let _ = self.call_migrate_rollback(obj.machine, obj.object);
-                        self.migration_marker(EventKind::MigrateRollback, obj.machine, span, 0);
+                        mark(self, EventKind::MigrateRollback, obj.machine, 0);
                         Err(e)
                     }
                 }
@@ -497,25 +506,10 @@ impl NodeCtx {
                 // 2'. Target dead or rejected the state: roll back — the
                 // object is restored at the source under its original id.
                 self.call_migrate_rollback(obj.machine, obj.object)?;
-                self.migration_marker(EventKind::MigrateRollback, obj.machine, span, 0);
+                mark(self, EventKind::MigrateRollback, obj.machine, 0);
                 Err(e)
             }
         }
-    }
-
-    /// Record a coordinator-side migration lifecycle marker. Pass span 0
-    /// to open the move's span; the returned id threads the later markers
-    /// of the same move together.
-    fn migration_marker(&mut self, kind: EventKind, peer: MachineId, span: u64, bytes: u32) -> u64 {
-        if self.tracer.is_none() {
-            return span;
-        }
-        let span = if span == 0 { self.alloc_span() } else { span };
-        let trace_id = self.current_trace.map(|(tid, _)| tid).unwrap_or(span);
-        if let Some(tracer) = &self.tracer {
-            tracer.record(kind, peer, trace_id, span, 0, 0, 0, bytes, "migrate".into());
-        }
-        span
     }
 
     /// Per-object served-call counters of `machine` (sorted by object id)
@@ -618,21 +612,25 @@ impl NodeCtx {
     // ------------------------------------------------------------------
 
     pub(super) fn serve_daemon(&mut self, req: IncomingReq) -> ServeOutcome {
-        let saved_trace = std::mem::replace(
-            &mut self.current_trace,
-            (req.span != 0).then_some((req.trace_id, req.span)),
-        );
+        let (reply_to, req_id) = (req.reply_to, req.req_id);
+        // Calls a verb issues inherit the request's trace (nested spans).
+        let saved = self.current_call.replace(CallInfo {
+            req_id,
+            reply_to,
+            trace: req.trace.clone(),
+        });
         // The reader borrows the request, not `self`, so handlers run with
         // the whole node at hand and no payload is ever copied.
         let mut reader = Reader::new(&req.payload);
         let outcome = match reader.take_str() {
             Ok(method) => {
-                self.trace_req(EventKind::ServerDispatch, &req, 0);
+                let trace = req.trace.as_ref();
+                self.trace_call(EventKind::ServerDispatch, reply_to, trace, req_id, 0, 0);
                 self.daemon_dispatch(method, &mut reader)
             }
             Err(e) => Err(e.into()),
         };
-        self.current_trace = saved_trace;
+        self.current_call = saved;
         let result = match outcome {
             Err(Refusal::Busy) => return ServeOutcome::Defer(req),
             Err(Refusal::Failed(e)) => Err(e),
@@ -641,7 +639,7 @@ impl NodeCtx {
                 Ok(bytes)
             }
         };
-        self.send_response(req.reply_to, req.req_id, result);
+        self.send_response(reply_to, req_id, req.trace.as_ref(), result);
         ServeOutcome::Served
     }
 

@@ -188,9 +188,7 @@ mod tests {
             reply_to: 0,
             target: HERE.object,
             payload: Vec::new().into(),
-            method: None,
-            trace_id: 0,
-            span: 0,
+            trace: None,
             ask: Ask::default(),
         }
     }

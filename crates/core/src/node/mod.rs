@@ -47,7 +47,7 @@ use crate::ids::{IdMap, ObjRef, ObjectId};
 use crate::policy::CallPolicy;
 use crate::process::{ClassRegistry, ServerObject};
 use crate::shared::{CallTrace, IncomingReq, LiveObj, SharedNode, WorkerMsg};
-use crate::trace::{EventKind, Recorder, Tracer};
+use crate::trace::{EventKind, Family, Recorder, Tracer};
 
 use beliefs::Beliefs;
 use call::OutboundCall;
@@ -55,12 +55,15 @@ pub use daemon::DAEMON_VERBS;
 
 /// Identity of an in-flight request, handed to objects that defer their
 /// replies (see [`DispatchResult::NoReply`](crate::DispatchResult::NoReply)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallInfo {
     /// Correlation id chosen by the caller.
     pub req_id: u64,
     /// Machine the response must go to.
     pub reply_to: MachineId,
+    /// The request's trace identity, for its reply's event and the spans
+    /// of the calls issued while serving it (`None` when untraced).
+    pub(crate) trace: Option<CallTrace>,
 }
 
 /// Worker-lane identity: the control channel the dispatcher routes into,
@@ -151,6 +154,8 @@ pub struct NodeCtx {
     /// frame (empty when there is none): the next call is encoded into it
     /// instead of a fresh allocation (see `retire_call`).
     spare_frame: Vec<u8>,
+    /// The request being dispatched: whom to answer, and the trace that
+    /// calls issued from inside its method inherit (nested spans).
     current_call: Option<CallInfo>,
     /// Method name and arguments of the request being dispatched, for
     /// [`request_bytes`](NodeCtx::request_bytes).
@@ -162,9 +167,6 @@ pub struct NodeCtx {
     tracer: Option<Tracer>,
     /// Monotone counter behind span-id allocation (see `alloc_span`).
     next_span: u64,
-    /// Trace identity of the request currently being dispatched, so calls
-    /// issued from inside a method inherit its trace and parent span.
-    current_trace: Option<(u64, u64)>,
     /// Absolute deadline of the request currently being dispatched, so
     /// calls issued from inside a method inherit the caller's remaining
     /// budget (deadline propagation across hops, DESIGN.md §15).
@@ -227,7 +229,6 @@ impl NodeCtx {
                 .recorder
                 .map(|r| r.tracer_lane(env.machine, lane_no as usize)),
             next_span: 1,
-            current_trace: None,
             current_deadline: None,
             steal_round: Cell::new(0),
         }
@@ -305,9 +306,10 @@ impl NodeCtx {
     // ------------------------------------------------------------------
 
     /// Record an event of a call identified by a [`CallTrace`]: the client
-    /// side of a call this node issued (`peer` = its destination), or the
-    /// reply to one it served (`peer` = the caller). No-op when tracing is
-    /// off or the call is untraced.
+    /// side of a call this node issued (`peer` = its destination), a
+    /// request it serves (`peer` = the caller), or a migration's step.
+    /// `value` lands in the `bytes` column. No-op when tracing is off or
+    /// the call is untraced.
     fn trace_call(
         &self,
         kind: EventKind,
@@ -315,7 +317,7 @@ impl NodeCtx {
         trace: Option<&CallTrace>,
         req_id: u64,
         attempt: u32,
-        bytes: usize,
+        value: u32,
     ) {
         if let (Some(tracer), Some(t)) = (&self.tracer, trace) {
             tracer.record(
@@ -326,64 +328,41 @@ impl NodeCtx {
                 t.parent_span,
                 req_id,
                 attempt,
-                bytes as u32,
+                value,
                 t.method.clone(),
             );
         }
     }
 
-    /// Record a server-side event about the admitted request `req` (peer =
-    /// its caller; `value` lands in the `bytes` column).
-    fn trace_req(&self, kind: EventKind, req: &IncomingReq, value: u32) {
-        if let (Some(tracer), Some(method)) = (&self.tracer, &req.method) {
-            tracer.record(
-                kind,
-                req.reply_to,
-                req.trace_id,
-                req.span,
-                0,
-                req.req_id,
-                0,
-                value,
-                method.clone(),
-            );
-        }
+    /// Record a marker: an origin event that opens a span of its own
+    /// rather than belonging to a call — a breaker transition, a shed, a
+    /// replica sync, a suspicion. `peer` is the machine it concerns,
+    /// `value` its scalar (the `bytes` column: a queue depth, an epoch, phi
+    /// ×1000, an MTTR in µs…) and its family names the method column.
+    /// No-op when tracing is off.
+    pub fn trace_marker(&mut self, kind: EventKind, peer: MachineId, value: u32) {
+        let span = self.marker_span(kind.family());
+        self.trace_call(kind, peer, span.as_ref(), 0, 0, value);
     }
 
-    /// Record an origin event — a marker that opens its own span rather
-    /// than belonging to a call: `value` lands in the `bytes` column and
-    /// `label` in the method column.
-    fn trace_marker(&mut self, kind: EventKind, peer: MachineId, value: u32, label: &str) {
-        if self.tracer.is_none() {
-            return;
-        }
+    /// A fresh span for a marker of `family` (its own trace), or `None`
+    /// when tracing is off.
+    fn marker_span(&mut self, family: Family) -> Option<CallTrace> {
+        debug_assert!(family != Family::Call, "a call's events belong to its span");
+        self.tracer.as_ref()?;
         let span = self.alloc_span();
-        if let Some(tracer) = &self.tracer {
-            tracer.record(kind, peer, span, span, 0, 0, 0, value, label.into());
-        }
+        Some(CallTrace {
+            trace_id: span,
+            span,
+            parent_span: 0,
+            method: family.marker_method().into(),
+        })
     }
 
-    /// Record a client-side overload marker event (breaker transitions,
-    /// fast-fails). These are origin events: `value` lands in the `bytes`
-    /// column and the peer column names the destination machine.
-    fn record_overload_marker(&mut self, kind: EventKind, dest: MachineId, value: u32) {
-        self.trace_marker(kind, dest, value, "overload");
-    }
-
-    /// Record a replica lifecycle marker in the flight recorder (no-op
-    /// when tracing is off). `peer` is the machine the event concerns;
-    /// `bytes` carries the marker's scalar payload (replica-set epoch, or
-    /// replica count for scale events).
-    pub fn replica_marker(&mut self, kind: EventKind, peer: MachineId, bytes: u32) {
-        self.trace_marker(kind, peer, bytes, "replicate");
-    }
-
-    /// Record a supervision lifecycle marker in the flight recorder (no-op
-    /// when tracing is off). `peer` is the machine the event is about;
-    /// `bytes` carries the marker's scalar payload (phi ×1000 for
-    /// suspicion events, MTTR in microseconds for reactivations).
-    pub fn supervision_marker(&mut self, kind: EventKind, peer: MachineId, bytes: u32) {
-        self.trace_marker(kind, peer, bytes, "supervise");
+    /// Trace identity of the request being dispatched, when it is traced.
+    fn serving_trace(&self) -> Option<&CallTrace> {
+        let trace = self.current_call.as_ref()?.trace.as_ref()?;
+        (trace.span != 0).then_some(trace)
     }
 
     /// Number of live objects on this node (excluding the daemon).

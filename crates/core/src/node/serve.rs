@@ -62,7 +62,7 @@ impl NodeCtx {
     ///
     /// [`send_reply`]: NodeCtx::send_reply
     pub fn current_call(&self) -> Option<CallInfo> {
-        self.current_call
+        self.current_call.clone()
     }
 
     /// Keep part of the request being dispatched alive where it arrived:
@@ -77,7 +77,7 @@ impl NodeCtx {
     /// Send a response for a call whose dispatch returned
     /// [`DispatchResult::NoReply`].
     pub fn send_reply(&mut self, call: CallInfo, result: RemoteResult<Body>) {
-        self.send_response(call.reply_to, call.req_id, result);
+        self.send_response(call.reply_to, call.req_id, call.trace.as_ref(), result);
     }
 
     /// Serve incoming requests until `dur` elapses. Lets a driver thread
@@ -262,33 +262,38 @@ impl NodeCtx {
                 if queue_gated(&ask, &self.shared.overload) {
                     ask.admitted_at = self.clock.now_nanos();
                 }
+                // The flight recorder's events all want the method name:
+                // parse it from the payload head only when tracing is on.
+                let trace = self.tracer.as_ref().map(|_| CallTrace {
+                    trace_id: header.trace.trace_id.0,
+                    span: header.trace.span.0,
+                    parent_span: 0,
+                    method: payload_method(&pkt.payload[payload.clone()]),
+                });
                 let req = IncomingReq {
                     req_id,
                     reply_to,
                     target: header.target,
-                    // The flight recorder's events all want the method
-                    // name; parse it from the payload head only when
-                    // tracing is on.
-                    method: self
-                        .tracer
-                        .as_ref()
-                        .map(|_| payload_method(&pkt.payload[payload.clone()])),
                     payload: pkt
                         .payload
                         .narrow(payload)
                         .expect("a parsed range lies inside its packet"),
-                    trace_id: header.trace.trace_id.0,
-                    span: header.trace.span.0,
+                    trace,
                     ask,
                 };
                 // At-most-once execution: a retransmitted request either
                 // replays its cached response or is dropped. Only genuinely
                 // new requests reach dispatch.
                 let verdict = self.shared.dedup.lock().admit((reply_to, req_id));
+                let admitted = match verdict {
+                    DedupVerdict::Done(_) => EventKind::ServerAdmitDone,
+                    DedupVerdict::InFlight => EventKind::ServerAdmitInFlight,
+                    DedupVerdict::New => EventKind::ServerAdmitNew,
+                };
+                self.trace_call(admitted, reply_to, req.trace.as_ref(), req_id, 0, 0);
                 match verdict {
                     DedupVerdict::Done(frame) => {
                         bump!(self.shared.stats, dup_replayed);
-                        self.trace_req(EventKind::ServerAdmitDone, &req, 0);
                         let _ = self.net.send(self.machine, reply_to, frame);
                         return;
                     }
@@ -299,37 +304,16 @@ impl NodeCtx {
                     // goes unanswered.
                     DedupVerdict::InFlight => {
                         bump!(self.shared.stats, dup_suppressed);
-                        self.trace_req(EventKind::ServerAdmitInFlight, &req, 0);
                         return;
                     }
-                    DedupVerdict::New => {
-                        self.trace_req(EventKind::ServerAdmitNew, &req, 0);
-                        if let Some(method) = &req.method {
-                            // Bound the table against requests that never
-                            // get a reply (abandoned deferred calls): a
-                            // flight-recorder table may drop stale entries,
-                            // never grow without limit.
-                            let mut spans = self.shared.serving_spans.lock();
-                            if spans.len() >= 65_536 {
-                                spans.clear();
-                            }
-                            spans.insert(
-                                (reply_to, req_id),
-                                CallTrace {
-                                    trace_id: req.trace_id,
-                                    span: req.span,
-                                    parent_span: 0,
-                                    method: method.clone(),
-                                },
-                            );
-                        }
-                    }
+                    DedupVerdict::New => {}
                 }
                 match self.try_serve(req) {
                     ServeOutcome::Served => {}
                     ServeOutcome::Defer(req) => {
                         bump!(self.shared.stats, calls_deferred);
-                        self.trace_req(EventKind::ServerDefer, &req, 0);
+                        let trace = req.trace.as_ref();
+                        self.trace_call(EventKind::ServerDefer, reply_to, trace, req_id, 0, 0);
                         self.push_deferred(req);
                     }
                 }
@@ -465,14 +449,12 @@ impl NodeCtx {
             live.calls += 1;
             drop(shard);
             bump!(self.shared.stats, calls_shed_overload);
-            self.record_overload_marker(
-                EventKind::ServerShed,
-                req.reply_to,
-                queue_depth.min(u32::MAX as u64) as u32,
-            );
+            let depth = queue_depth.min(u32::MAX as u64) as u32;
+            self.trace_marker(EventKind::ServerShed, req.reply_to, depth);
             self.send_response(
                 req.reply_to,
                 req.req_id,
+                req.trace.as_ref(),
                 Err(RemoteError::Overloaded {
                     queue_depth,
                     retry_after_nanos: self.shared.overload.retry_after.as_nanos() as u64,
@@ -480,36 +462,20 @@ impl NodeCtx {
             );
             return ServeOutcome::Served;
         }
-        // Kept aside for the `ServerDefer` event: the request itself moves
-        // into the mailbox.
+        // Parked behind a token that already exists, the request waits its
+        // mailbox turn — the M:N engine's form of a deferral — and its
+        // `ServerDefer` event needs what moves into the mailbox with it.
+        let waits = std::mem::replace(&mut live.scheduled, true);
         let (reply_to, req_id) = (req.reply_to, req.req_id);
-        let deferred = req
-            .method
-            .clone()
-            .filter(|_| req.span != 0)
-            .map(|method| CallTrace {
-                trace_id: req.trace_id,
-                span: req.span,
-                parent_span: 0,
-                method,
-            });
+        let deferred = req.trace.clone().filter(|t| waits && t.span != 0);
         live.mailbox.push_back(req);
-        let submit = !std::mem::replace(&mut live.scheduled, true);
         drop(shard);
-        if submit {
-            self.submit_task(target);
-        } else {
-            // Parked behind a token that already exists: the request waits
-            // its mailbox turn — the M:N engine's form of a deferral.
+        if waits {
             bump!(self.shared.stats, calls_deferred);
-            self.trace_call(
-                EventKind::ServerDefer,
-                reply_to,
-                deferred.as_ref(),
-                req_id,
-                0,
-                0,
-            );
+            let kind = EventKind::ServerDefer;
+            self.trace_call(kind, reply_to, deferred.as_ref(), req_id, 0, 0);
+        } else {
+            self.submit_task(target);
         }
         ServeOutcome::Served
     }
@@ -527,14 +493,15 @@ impl NodeCtx {
             }
             RemoteError::StaleReplica { rs_epoch, .. } => {
                 bump!(self.shared.stats, replica_reads_stale);
-                self.trace_req(EventKind::ReplicaStale, req, *rs_epoch as u32);
+                let (kind, epoch) = (EventKind::ReplicaStale, *rs_epoch as u32);
+                self.trace_call(kind, req.reply_to, req.trace.as_ref(), req.req_id, 0, epoch);
             }
             // The propagated deadline passed (at admission, or while the
             // request sat queued): dropped without executing.
             RemoteError::DeadlineExceeded { elapsed_nanos } => {
                 bump!(self.shared.stats, calls_deadline_expired);
                 let over = micros(*elapsed_nanos);
-                self.record_overload_marker(EventKind::ServerDeadlineDrop, req.reply_to, over);
+                self.trace_marker(EventKind::ServerDeadlineDrop, req.reply_to, over);
             }
             // CoDel-style shed: the request's queue sojourn exceeded the
             // configured target.
@@ -542,11 +509,11 @@ impl NodeCtx {
                 bump!(self.shared.stats, calls_shed_sojourn);
                 let sojourn = self.clock.now_nanos().saturating_sub(req.ask.admitted_at);
                 let waited = micros(sojourn);
-                self.record_overload_marker(EventKind::ServerSojournDrop, req.reply_to, waited);
+                self.trace_marker(EventKind::ServerSojournDrop, req.reply_to, waited);
             }
             _ => {}
         }
-        self.send_response(req.reply_to, req.req_id, Err(err));
+        self.send_response(req.reply_to, req.req_id, req.trace.as_ref(), Err(err));
     }
 
     /// Claim the next unit of work for `target` under its shard lock and
@@ -646,25 +613,24 @@ impl NodeCtx {
                     break; // the object is gone; the token dies with it
                 }
                 Step::Dispatch {
-                    req,
+                    mut req,
                     mut obj,
                     replica_hit,
                 } => {
+                    let (reply_to, req_id) = (req.reply_to, req.req_id);
                     if let Some(rs_now) = replica_hit {
                         bump!(self.shared.stats, replica_reads_served);
-                        self.trace_req(EventKind::ReplicaHit, &req, rs_now as u32);
+                        let (kind, epoch) = (EventKind::ReplicaHit, rs_now as u32);
+                        self.trace_call(kind, reply_to, req.trace.as_ref(), req_id, 0, epoch);
                     }
-                    let saved = self.current_call.replace(CallInfo {
-                        req_id: req.req_id,
-                        reply_to: req.reply_to,
-                    });
-                    let saved_args = self.current_args.replace(req.payload.clone());
                     // Calls the method issues while running inherit this
                     // request's trace identity (nested spans).
-                    let saved_trace = std::mem::replace(
-                        &mut self.current_trace,
-                        (req.span != 0).then_some((req.trace_id, req.span)),
-                    );
+                    let saved = self.current_call.replace(CallInfo {
+                        req_id,
+                        reply_to,
+                        trace: req.trace.take(),
+                    });
+                    let saved_args = self.current_args.replace(req.payload.clone());
                     // Downstream calls the method issues inherit the
                     // request's remaining deadline budget (propagation).
                     let saved_deadline = std::mem::replace(
@@ -676,21 +642,27 @@ impl NodeCtx {
                     let mut wrote = false;
                     let outcome = match reader.take_str() {
                         Ok(method) => {
-                            self.trace_req(EventKind::ServerDispatch, &req, 0);
+                            let trace = self.current_call.as_ref().and_then(|c| c.trace.as_ref());
+                            self.trace_call(
+                                EventKind::ServerDispatch,
+                                reply_to,
+                                trace,
+                                req_id,
+                                0,
+                                0,
+                            );
                             let out = obj.dispatch_named(self, method, &mut reader);
                             wrote = out.is_ok() && !obj.read_verbs().contains(&method);
                             out
                         }
                         Err(e) => Err(e.into()),
                     };
-                    self.current_call = saved;
+                    let call = std::mem::replace(&mut self.current_call, saved);
                     self.current_args = saved_args;
-                    self.current_trace = saved_trace;
                     self.current_deadline = saved_deadline;
                     // Done with the request before the reply leaves: unless
                     // the object kept part of it, the caller is then the
                     // buffer's last holder and can reuse it.
-                    let (reply_to, req_id) = (req.reply_to, req.req_id);
                     drop(req);
 
                     // The call is over: one critical section counts it (the
@@ -717,12 +689,13 @@ impl NodeCtx {
                         }
                     }
 
+                    let trace = call.and_then(|c| c.trace);
                     match outcome {
                         Ok(DispatchResult::Reply(body)) => {
-                            self.send_response(reply_to, req_id, Ok(body))
+                            self.send_response(reply_to, req_id, trace.as_ref(), Ok(body))
                         }
                         Ok(DispatchResult::NoReply) => {}
-                        Err(e) => self.send_response(reply_to, req_id, Err(e)),
+                        Err(e) => self.send_response(reply_to, req_id, trace.as_ref(), Err(e)),
                     }
                     bump!(self.shared.stats, calls_served);
                     batch += 1;
@@ -779,8 +752,7 @@ impl NodeCtx {
             match self.replica_sync_to(r, state.clone(), rs_epoch, lease_millis) {
                 Ok(()) => {
                     bump!(self.shared.stats, replica_syncs_sent);
-                    let kind = EventKind::ReplicaSync;
-                    self.trace_marker(kind, r.machine, rs_epoch as u32, kind.label());
+                    self.trace_marker(EventKind::ReplicaSync, r.machine, rs_epoch as u32);
                 }
                 Err(_) => {
                     lost = true;
@@ -807,10 +779,13 @@ impl NodeCtx {
         }
     }
 
+    /// Answer request `req_id` of `reply_to`, whose trace identity is
+    /// `trace`.
     pub(super) fn send_response(
         &mut self,
         reply_to: MachineId,
         req_id: u64,
+        trace: Option<&CallTrace>,
         result: RemoteResult<Body>,
     ) {
         // The return value's own buffer becomes the frame.
@@ -822,17 +797,8 @@ impl NodeCtx {
             .dedup
             .lock()
             .complete((reply_to, req_id), PacketBytes::clone(&frame), weight);
-        if self.tracer.is_some() {
-            let t = self.shared.serving_spans.lock().remove(&(reply_to, req_id));
-            self.trace_call(
-                EventKind::ServerReply,
-                reply_to,
-                t.as_ref(),
-                req_id,
-                0,
-                frame.len(),
-            );
-        }
+        let len = frame.len() as u32;
+        self.trace_call(EventKind::ServerReply, reply_to, trace, req_id, 0, len);
         // A dead caller is not an error for the server.
         let _ = self.net.send(self.machine, reply_to, frame);
     }

@@ -13,9 +13,9 @@
 //! counter), `Migrating` (quiesced, state parked for commit or rollback) or
 //! `Gone` (the fence / forwarding tombstone) — so every lifecycle verb is
 //! one edit of one record under one shard lock, and there is no second
-//! table to forget. The locks that remain are the shards, the dedup window
-//! and the serving-span table; they never nest, and none is held across a
-//! dispatch, a network send, or a clock park. The one machine-wide datum,
+//! table to forget. The locks that remain are the shards and the dedup
+//! window; they never nest, and neither is held across a dispatch, a
+//! network send, or a clock park. The one machine-wide datum,
 //! the supervisor lease, is an atomic.
 
 use std::collections::VecDeque;
@@ -47,12 +47,11 @@ pub(crate) struct IncomingReq {
     /// Method name + encoded arguments, still inside the packet that
     /// brought them.
     pub(crate) payload: PacketBytes,
-    /// The method name at the head of `payload`, parsed once at admission
-    /// for the flight recorder's events; `None` while tracing is off.
-    pub(crate) method: Option<std::sync::Arc<str>>,
-    /// Trace identity from the request frame (zeros when untraced).
-    pub(crate) trace_id: u64,
-    pub(crate) span: u64,
+    /// The request's trace identity — the frame's ids and the method name
+    /// at the head of `payload`, read once at admission — which every
+    /// server-side event of the request is stamped with, its reply's
+    /// included. `None` when this lane does not trace.
+    pub(crate) trace: Option<CallTrace>,
     pub(crate) ask: Ask,
 }
 
@@ -73,10 +72,11 @@ pub(crate) struct Ask {
     pub(crate) admitted_at: u64,
 }
 
-/// Trace identity of one call, kept alongside the client's outstanding
-/// entry (to stamp retransmit/recv events) and the server's serving table
-/// (to stamp the reply event).
-#[derive(Clone)]
+/// Trace identity of one call: kept in the client's outstanding entry (to
+/// stamp its retransmit/recv events), carried by the served request and
+/// then its [`CallInfo`](crate::CallInfo) (to stamp the reply), and opened
+/// fresh for a marker's own span.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CallTrace {
     pub(crate) trace_id: u64,
     pub(crate) span: u64,
@@ -376,8 +376,6 @@ pub(crate) struct SharedNode {
     /// At-most-once window, shared so any lane's `complete` is ordered
     /// against the dispatcher's `admit`.
     pub(crate) dedup: Mutex<DedupWindow>,
-    /// Traced requests admitted but not yet answered.
-    pub(crate) serving_spans: Mutex<IdMap<(MachineId, u64), CallTrace>>,
     pub(crate) stats: SharedStats,
     pub(crate) next_obj_id: AtomicU64,
     /// Daemon verbs currently parked in the dispatcher's deferred queue
@@ -402,7 +400,6 @@ impl SharedNode {
                 .collect(),
             lease: AtomicU64::new(u64::MAX),
             dedup: Mutex::new(DedupWindow::default()),
-            serving_spans: Mutex::new(IdMap::default()),
             stats: SharedStats::default(),
             next_obj_id: AtomicU64::new(DAEMON + 1),
             daemon_parked: AtomicU64::new(0),

@@ -57,193 +57,168 @@ impl TraceCtx {
     }
 }
 
-/// What happened at one point of a call's lifecycle.
+/// Which part of the runtime an event speaks for. A family decides how an
+/// event is read: only `Call` events describe a call's own lifecycle (the
+/// per-method table and the causal check read them); every other family is
+/// a marker — an origin that needs no `ClientSend` before it — exported as
+/// an instant in its own category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// Client encoded and transmitted the first copy of a request.
-    ClientSend,
-    /// Client retransmitted the identical frame after a reply window lapsed.
-    ClientRetransmit,
-    /// Client consumed the reply; the span is complete.
-    ClientRecv,
-    /// Server admitted a first-sighting request for execution.
-    ServerAdmitNew,
-    /// Server dropped a duplicate whose original is still in flight.
-    ServerAdmitInFlight,
-    /// Server replayed a cached response for an already-executed duplicate.
-    ServerAdmitDone,
-    /// Server parked the request because its target object was busy.
-    ServerDefer,
-    /// Server began executing the method body.
-    ServerDispatch,
-    /// Server transmitted the response.
-    ServerReply,
-    /// Client chased a forwarding stub: a reply said the target object had
-    /// migrated, and the engine re-issued the same request (same `req_id`)
-    /// at the object's new address.
-    ClientForward,
-    /// Migration coordinator started moving an object (quiesce requested).
-    MigrateBegin,
-    /// Source quiesced and snapshotted; state is in flight to the target.
-    MigrateTransfer,
-    /// Target activated the object; forward installed at the old address.
-    MigrateCommit,
-    /// The move failed mid-flight; the object was restored at the source
-    /// under its original identity.
-    MigrateRollback,
-    /// Failure detector crossed its suspect threshold for a machine (the
-    /// `peer` field). `bytes` carries the phi value ×1000.
-    SuspectRaised,
-    /// Failure detector declared a machine (`peer`) dead; recovery starts.
-    MachineDeclaredDead,
-    /// Supervisor reactivated one lost object onto a survivor (`peer`).
-    /// `bytes` carries the recovery's MTTR in microseconds, so E11's
-    /// per-recovery tables come straight from the trace.
-    ObjectReactivated,
-    /// A machine previously declared dead heartbeated again — the
-    /// suspicion was false. `peer` is the resurrected machine.
-    FalseSuspicion,
-    /// A read replica served a read verb under a live coherence lease.
-    ReplicaHit,
-    /// A read replica refused a read: lease expired or the caller's
-    /// replica-set epoch was ahead. The caller falls back to the primary.
-    ReplicaStale,
-    /// The primary pushed post-write state to one replica (`peer` is the
-    /// replica's machine; `bytes` is the snapshot size).
-    ReplicaSync,
-    /// The client engine redirected a read from a failed/stale replica to
-    /// the primary, reusing the same request id.
-    ReplicaFallback,
-    /// A replica was promoted to primary after the old primary's machine
-    /// died (`peer` is the machine that now hosts the primary).
-    ReplicaPromote,
-    /// The replica manager grew or shrank an object's replica set
-    /// (`bytes` carries the new replica count).
-    ReplicaScale,
-    /// Server rejected a request at admission: mailbox cap or machine
-    /// in-flight budget exceeded (`bytes` carries the observed queue
-    /// depth). The request was never queued.
-    ServerShed,
-    /// Server shed an admitted request at execution time because its
-    /// queue sojourn exceeded the CoDel target (`bytes` carries the
-    /// sojourn in microseconds).
-    ServerSojournDrop,
-    /// Server dropped a request whose propagated deadline had expired —
-    /// at admission or at execution time (`bytes` carries the overshoot
-    /// in microseconds). The work did not run.
-    ServerDeadlineDrop,
-    /// A client-side circuit breaker tripped open for a destination
-    /// machine (`peer`) after consecutive overload-class failures.
-    BreakerOpen,
-    /// The breaker's cooldown lapsed; the next call to `peer` is the
-    /// half-open trial.
-    BreakerHalfOpen,
-    /// A half-open trial succeeded; the breaker for `peer` closed.
-    BreakerClose,
-    /// A call failed fast against an open breaker — no frame was sent
-    /// (`peer` is the destination machine).
-    ClientFastFail,
+pub enum Family {
+    /// A call's lifecycle: sends, admissions, executions, replies.
+    Call,
+    /// The coordinator's steps of one live migration (DESIGN.md §9).
+    Migration,
+    /// Failure detection and recovery (DESIGN.md §10).
+    Supervision,
+    /// Replica hits, refusals, syncs and failovers (DESIGN.md §11).
+    Replication,
+    /// Sheds, drops and breaker transitions (DESIGN.md §15).
+    Overload,
 }
 
-impl EventKind {
-    /// Short stable label used in exports and summaries.
-    pub fn label(&self) -> &'static str {
+impl Family {
+    /// The method column of a marker of this family (a marker has no
+    /// method of its own).
+    pub fn marker_method(self) -> &'static str {
         match self {
-            EventKind::ClientSend => "send",
-            EventKind::ClientRetransmit => "retransmit",
-            EventKind::ClientRecv => "recv",
-            EventKind::ServerAdmitNew => "admit_new",
-            EventKind::ServerAdmitInFlight => "admit_in_flight",
-            EventKind::ServerAdmitDone => "admit_done",
-            EventKind::ServerDefer => "defer",
-            EventKind::ServerDispatch => "dispatch",
-            EventKind::ServerReply => "reply",
-            EventKind::ClientForward => "forward",
-            EventKind::MigrateBegin => "migrate_begin",
-            EventKind::MigrateTransfer => "migrate_transfer",
-            EventKind::MigrateCommit => "migrate_commit",
-            EventKind::MigrateRollback => "migrate_rollback",
-            EventKind::SuspectRaised => "suspect_raised",
-            EventKind::MachineDeclaredDead => "machine_dead",
-            EventKind::ObjectReactivated => "object_reactivated",
-            EventKind::FalseSuspicion => "false_suspicion",
-            EventKind::ReplicaHit => "replica_hit",
-            EventKind::ReplicaStale => "replica_stale",
-            EventKind::ReplicaSync => "replica_sync",
-            EventKind::ReplicaFallback => "replica_fallback",
-            EventKind::ReplicaPromote => "replica_promote",
-            EventKind::ReplicaScale => "replica_scale",
-            EventKind::ServerShed => "shed",
-            EventKind::ServerSojournDrop => "sojourn_drop",
-            EventKind::ServerDeadlineDrop => "deadline_drop",
-            EventKind::BreakerOpen => "breaker_open",
-            EventKind::BreakerHalfOpen => "breaker_half_open",
-            EventKind::BreakerClose => "breaker_close",
-            EventKind::ClientFastFail => "fast_fail",
+            Family::Call => "call",
+            Family::Migration => "migrate",
+            Family::Supervision => "supervise",
+            Family::Replication => "replicate",
+            Family::Overload => "overload",
         }
     }
 
-    /// True for the coordinator-side migration lifecycle markers. They are
-    /// root events of their own span — no `ClientSend` precedes them — so
-    /// causal checks treat them as origins, not orphans.
-    pub fn is_migration_marker(&self) -> bool {
-        matches!(
-            self,
-            EventKind::MigrateBegin
-                | EventKind::MigrateTransfer
-                | EventKind::MigrateCommit
-                | EventKind::MigrateRollback
-        )
+    /// The Chrome export's `cat` for this family's instants.
+    fn category(self) -> &'static str {
+        match self {
+            Family::Call => "reliability",
+            Family::Migration => "placement",
+            Family::Supervision => "supervision",
+            Family::Replication => "replication",
+            Family::Overload => "overload",
+        }
     }
+}
 
-    /// True for the supervisor-side lifecycle markers (suspicion, death,
-    /// reactivation). Like migration markers they are root events — causal
-    /// checks treat them as origins.
-    pub fn is_supervision_marker(&self) -> bool {
-        matches!(
-            self,
-            EventKind::SuspectRaised
-                | EventKind::MachineDeclaredDead
-                | EventKind::ObjectReactivated
-                | EventKind::FalseSuspicion
-        )
-    }
+/// The event table: every kind is one row — its variant, its stable label
+/// (used in exports and summaries) and its family — and `EventKind`,
+/// `label` and `family` are generated from it. A new kind is one row.
+macro_rules! event_kinds {
+    ($($(#[doc = $doc:literal])* $kind:ident => $label:literal, $family:ident;)*) => {
+        /// What happened at one point of a call's lifecycle, or beside it.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum EventKind {
+            $($(#[doc = $doc])* $kind,)*
+        }
 
-    /// True for the replication lifecycle markers. `ReplicaHit` and
-    /// `ReplicaStale` ride on a real request span, but sync, fallback,
-    /// promote, and scale are root events of their own span (recorded by
-    /// the primary or the replica manager, with no `ClientSend`), so
-    /// causal checks treat the whole family as origins.
-    pub fn is_replica_marker(&self) -> bool {
-        matches!(
-            self,
-            EventKind::ReplicaHit
-                | EventKind::ReplicaStale
-                | EventKind::ReplicaSync
-                | EventKind::ReplicaFallback
-                | EventKind::ReplicaPromote
-                | EventKind::ReplicaScale
-        )
-    }
+        impl EventKind {
+            /// Every kind, in table order.
+            pub const ALL: &'static [EventKind] = &[$(EventKind::$kind),*];
 
-    /// True for the overload lifecycle markers (DESIGN.md §15).
-    /// `ServerShed`, `ServerSojournDrop`, and `ServerDeadlineDrop` ride on
-    /// a real request span, but the breaker transitions and `ClientFastFail`
-    /// are recorded by the *caller's* engine without ever sending a frame —
-    /// no `ClientSend` precedes them — so causal checks treat the family
-    /// as origins.
-    pub fn is_overload_marker(&self) -> bool {
-        matches!(
-            self,
-            EventKind::ServerShed
-                | EventKind::ServerSojournDrop
-                | EventKind::ServerDeadlineDrop
-                | EventKind::BreakerOpen
-                | EventKind::BreakerHalfOpen
-                | EventKind::BreakerClose
-                | EventKind::ClientFastFail
-        )
-    }
+            /// Short stable label used in exports and summaries.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $(EventKind::$kind => $label,)*
+                }
+            }
+
+            /// The family this kind belongs to.
+            pub fn family(&self) -> Family {
+                match self {
+                    $(EventKind::$kind => Family::$family,)*
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
+    /// Client encoded and transmitted the first copy of a request.
+    ClientSend => "send", Call;
+    /// Client retransmitted the identical frame after a reply window lapsed.
+    ClientRetransmit => "retransmit", Call;
+    /// Client consumed the reply; the span is complete.
+    ClientRecv => "recv", Call;
+    /// Server admitted a first-sighting request for execution.
+    ServerAdmitNew => "admit_new", Call;
+    /// Server dropped a duplicate whose original is still in flight.
+    ServerAdmitInFlight => "admit_in_flight", Call;
+    /// Server replayed a cached response for an already-executed duplicate.
+    ServerAdmitDone => "admit_done", Call;
+    /// Server parked the request because its target object was busy.
+    ServerDefer => "defer", Call;
+    /// Server began executing the method body.
+    ServerDispatch => "dispatch", Call;
+    /// Server transmitted the response.
+    ServerReply => "reply", Call;
+    /// Client chased a forwarding stub: a reply said the target object had
+    /// migrated, and the engine re-issued the same request (same `req_id`)
+    /// at the object's new address.
+    ClientForward => "forward", Call;
+    /// Migration coordinator started moving an object (quiesce requested).
+    /// A move's markers share one span.
+    MigrateBegin => "migrate_begin", Migration;
+    /// Source quiesced and snapshotted; state is in flight to the target.
+    MigrateTransfer => "migrate_transfer", Migration;
+    /// Target activated the object; forward installed at the old address.
+    MigrateCommit => "migrate_commit", Migration;
+    /// The move failed mid-flight; the object was restored at the source
+    /// under its original identity.
+    MigrateRollback => "migrate_rollback", Migration;
+    /// Failure detector crossed its suspect threshold for a machine (the
+    /// `peer` field). `bytes` carries the phi value ×1000.
+    SuspectRaised => "suspect_raised", Supervision;
+    /// Failure detector declared a machine (`peer`) dead; recovery starts.
+    MachineDeclaredDead => "machine_dead", Supervision;
+    /// Supervisor reactivated one lost object onto a survivor (`peer`).
+    /// `bytes` carries the recovery's MTTR in microseconds, so E11's
+    /// per-recovery tables come straight from the trace.
+    ObjectReactivated => "object_reactivated", Supervision;
+    /// A machine previously declared dead heartbeated again — the
+    /// suspicion was false. `peer` is the resurrected machine.
+    FalseSuspicion => "false_suspicion", Supervision;
+    /// A read replica served a read verb under a live coherence lease
+    /// (on the request's span).
+    ReplicaHit => "replica_hit", Replication;
+    /// A read replica refused a read: lease expired or the caller's
+    /// replica-set epoch was ahead. The caller falls back to the primary.
+    ReplicaStale => "replica_stale", Replication;
+    /// A primary (or the replica manager) pushed state to one replica
+    /// (`peer` is the replica's machine).
+    ReplicaSync => "replica_sync", Replication;
+    /// The client engine redirected a read from a failed/stale replica to
+    /// the primary, reusing the same request id.
+    ReplicaFallback => "replica_fallback", Replication;
+    /// A replica was promoted to primary after the old primary's machine
+    /// died (`peer` is the machine that now hosts the primary).
+    ReplicaPromote => "replica_promote", Replication;
+    /// The replica manager grew or shrank an object's replica set
+    /// (`bytes` carries the new replica count).
+    ReplicaScale => "replica_scale", Replication;
+    /// Server rejected a request at admission: mailbox cap or machine
+    /// in-flight budget exceeded (`bytes` carries the observed queue
+    /// depth). The request was never queued.
+    ServerShed => "shed", Overload;
+    /// Server shed an admitted request at execution time because its
+    /// queue sojourn exceeded the CoDel target (`bytes` carries the
+    /// sojourn in microseconds).
+    ServerSojournDrop => "sojourn_drop", Overload;
+    /// Server dropped a request whose propagated deadline had expired —
+    /// at admission or at execution time (`bytes` carries the overshoot
+    /// in microseconds). The work did not run.
+    ServerDeadlineDrop => "deadline_drop", Overload;
+    /// A client-side circuit breaker tripped open for a destination
+    /// machine (`peer`) after consecutive overload-class failures.
+    BreakerOpen => "breaker_open", Overload;
+    /// The breaker's cooldown lapsed; the next call to `peer` is the
+    /// half-open trial.
+    BreakerHalfOpen => "breaker_half_open", Overload;
+    /// A half-open trial succeeded; the breaker for `peer` closed.
+    BreakerClose => "breaker_close", Overload;
+    /// A call failed fast against an open breaker — no frame was sent
+    /// (`peer` is the destination machine).
+    ClientFastFail => "fast_fail", Overload;
 }
 
 /// One recorded point in a call's lifecycle.
@@ -529,11 +504,9 @@ impl Trace {
         let known: HashSet<u64> = self.events.iter().map(|e| e.span_id).collect();
         let mut violations = Vec::new();
         for e in &self.events {
+            // Markers are origins: only a call's own events need a send.
             if e.kind != EventKind::ClientSend
-                && !e.kind.is_migration_marker()
-                && !e.kind.is_supervision_marker()
-                && !e.kind.is_replica_marker()
-                && !e.kind.is_overload_marker()
+                && e.kind.family() == Family::Call
                 && !sends.contains(&e.span_id)
             {
                 violations.push(format!(
@@ -625,7 +598,6 @@ impl Trace {
                 EventKind::ServerAdmitInFlight | EventKind::ServerAdmitDone => {
                     a.dups += 1;
                 }
-                EventKind::ServerDefer => {}
                 EventKind::ServerDispatch => {
                     dispatch_at.insert(e.span_id, e.at_nanos);
                     if let Some(&adm) = admit_at.get(&e.span_id) {
@@ -645,27 +617,8 @@ impl Trace {
                     a.attempts += 1;
                     a.bytes_out += e.bytes as u64;
                 }
-                EventKind::MigrateBegin
-                | EventKind::MigrateTransfer
-                | EventKind::MigrateCommit
-                | EventKind::MigrateRollback
-                | EventKind::SuspectRaised
-                | EventKind::MachineDeclaredDead
-                | EventKind::ObjectReactivated
-                | EventKind::FalseSuspicion
-                | EventKind::ReplicaHit
-                | EventKind::ReplicaStale
-                | EventKind::ReplicaSync
-                | EventKind::ReplicaFallback
-                | EventKind::ReplicaPromote
-                | EventKind::ReplicaScale
-                | EventKind::ServerShed
-                | EventKind::ServerSojournDrop
-                | EventKind::ServerDeadlineDrop
-                | EventKind::BreakerOpen
-                | EventKind::BreakerHalfOpen
-                | EventKind::BreakerClose
-                | EventKind::ClientFastFail => {}
+                // A deferral is not timed here, and markers carry no call.
+                _ => {}
             }
         }
 
@@ -704,32 +657,27 @@ impl Trace {
     /// or `chrome://tracing`).
     ///
     /// * Completed client spans become `"X"` (complete) events on the
-    ///   caller's track, send → recv.
+    ///   caller's track, send → recv (`rmi`).
     /// * Server executions become `"X"` events on the server's track,
-    ///   dispatch → reply.
-    /// * Retransmits, dedup verdicts, and deferrals become `"i"` (instant)
-    ///   events.
+    ///   dispatch → reply (`serve`).
+    /// * Every other event but an admission becomes an `"i"` (instant) in
+    ///   its family's category: a call's retransmits, chases, dedup
+    ///   verdicts and deferrals are `label:method` on the lane's track; a
+    ///   move's steps are `label:migrate` with its span; every other marker
+    ///   is `label:m<peer>` with its scalar as `value`.
+    /// * A send that never saw its recv becomes an `unanswered:method`
+    ///   instant.
     ///
     /// Timestamps are microseconds with nanosecond fractions; `pid` is the
-    /// machine id; `args` carry the causal identity (`trace_id`, `span`,
-    /// `parent_span`, `req_id`).
+    /// machine id and `tid` the recording lane; `args` carry the causal
+    /// identity (`trace_id`, `span`, `parent_span`, `req_id`).
     pub fn to_chrome_json(&self) -> String {
         use std::collections::HashMap;
-        let mut out = String::with_capacity(self.events.len() * 160 + 64);
-        out.push_str("{\"traceEvents\":[");
-        let mut first = true;
-
-        let mut emit = |out: &mut String, body: &str| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str(body);
-        };
-
-        // span → (send event index) and (dispatch event index) for pairing.
+        let mut bodies = Vec::with_capacity(self.events.len());
+        // Spans still open: a send waits for its recv, a dispatch for its
+        // reply.
         let mut open_send: HashMap<u64, &SpanEvent> = HashMap::new();
         let mut open_dispatch: HashMap<u64, &SpanEvent> = HashMap::new();
-
         for e in &self.events {
             match e.kind {
                 EventKind::ClientSend => {
@@ -740,160 +688,48 @@ impl Trace {
                 }
                 EventKind::ClientRecv => {
                     if let Some(s) = open_send.remove(&e.span_id) {
-                        let body = format!(
-                            "{{\"name\":{},\"cat\":\"rmi\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                             \"pid\":{},\"tid\":{},\"args\":{{\"trace_id\":{},\"span\":{},\
-                             \"parent_span\":{},\"req_id\":{},\"server\":{},\"attempts\":{}}}}}",
-                            json_string(&s.method),
-                            micros(s.at_nanos),
-                            micros(e.at_nanos.saturating_sub(s.at_nanos)),
-                            s.machine,
-                            s.worker,
-                            s.trace_id,
-                            s.span_id,
-                            s.parent_span,
-                            s.req_id,
-                            s.peer,
-                            e.attempt,
-                        );
-                        emit(&mut out, &body);
+                        let args = format!("\"server\":{},\"attempts\":{}", s.peer, e.attempt);
+                        bodies.push(complete(s, e, "rmi", &args));
                     }
                 }
                 EventKind::ServerReply => {
                     if let Some(d) = open_dispatch.remove(&e.span_id) {
-                        let body = format!(
-                            "{{\"name\":{},\"cat\":\"serve\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                             \"pid\":{},\"tid\":{},\"args\":{{\"trace_id\":{},\"span\":{},\
-                             \"parent_span\":{},\"req_id\":{},\"client\":{}}}}}",
-                            json_string(&d.method),
-                            micros(d.at_nanos),
-                            micros(e.at_nanos.saturating_sub(d.at_nanos)),
-                            d.machine,
-                            d.worker,
-                            d.trace_id,
-                            d.span_id,
-                            d.parent_span,
-                            d.req_id,
-                            d.peer,
-                        );
-                        emit(&mut out, &body);
+                        let args = format!("\"client\":{}", d.peer);
+                        bodies.push(complete(d, e, "serve", &args));
                     }
                 }
-                EventKind::ClientRetransmit
-                | EventKind::ServerAdmitInFlight
-                | EventKind::ServerAdmitDone
-                | EventKind::ServerDefer
-                | EventKind::ClientForward => {
-                    let name = format!("{}:{}", e.kind.label(), e.method);
-                    let body = format!(
-                        "{{\"name\":{},\"cat\":\"reliability\",\"ph\":\"i\",\"s\":\"t\",\
-                         \"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"trace_id\":{},\
-                         \"span\":{},\"req_id\":{},\"attempt\":{}}}}}",
-                        json_string(&name),
-                        micros(e.at_nanos),
-                        e.machine,
-                        e.worker,
-                        e.trace_id,
-                        e.span_id,
-                        e.req_id,
-                        e.attempt,
-                    );
-                    emit(&mut out, &body);
-                }
-                EventKind::MigrateBegin
-                | EventKind::MigrateTransfer
-                | EventKind::MigrateCommit
-                | EventKind::MigrateRollback => {
-                    let name = format!("{}:{}", e.kind.label(), e.method);
-                    let body = format!(
-                        "{{\"name\":{},\"cat\":\"placement\",\"ph\":\"i\",\"s\":\"p\",\
-                         \"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"trace_id\":{},\
-                         \"span\":{},\"target\":{},\"bytes\":{}}}}}",
-                        json_string(&name),
-                        micros(e.at_nanos),
-                        e.machine,
-                        e.worker,
-                        e.trace_id,
-                        e.span_id,
-                        e.peer,
-                        e.bytes,
-                    );
-                    emit(&mut out, &body);
-                }
-                EventKind::ReplicaHit
-                | EventKind::ReplicaStale
-                | EventKind::ReplicaSync
-                | EventKind::ReplicaFallback
-                | EventKind::ReplicaPromote
-                | EventKind::ReplicaScale => {
-                    // Replication instants in their own category so a
-                    // timeline shows hits, invalidations, and failovers
-                    // against the workload's calls.
-                    let name = format!("{}:m{}", e.kind.label(), e.peer);
-                    let body = format!(
-                        "{{\"name\":{},\"cat\":\"replication\",\"ph\":\"i\",\"s\":\"p\",\
-                         \"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"machine\":{},\
-                         \"value\":{}}}}}",
-                        json_string(&name),
-                        micros(e.at_nanos),
-                        e.machine,
-                        e.worker,
-                        e.peer,
-                        e.bytes,
-                    );
-                    emit(&mut out, &body);
-                }
-                EventKind::SuspectRaised
-                | EventKind::MachineDeclaredDead
-                | EventKind::ObjectReactivated
-                | EventKind::FalseSuspicion => {
-                    // Process-scoped instants in their own category so a
-                    // timeline shows detection and recovery against the
-                    // workload's calls. `value` is the marker's scalar
-                    // (phi ×1000 or MTTR µs).
-                    let name = format!("{}:m{}", e.kind.label(), e.peer);
-                    let body = format!(
-                        "{{\"name\":{},\"cat\":\"supervision\",\"ph\":\"i\",\"s\":\"p\",\
-                         \"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"machine\":{},\
-                         \"value\":{}}}}}",
-                        json_string(&name),
-                        micros(e.at_nanos),
-                        e.machine,
-                        e.worker,
-                        e.peer,
-                        e.bytes,
-                    );
-                    emit(&mut out, &body);
-                }
-                EventKind::ServerShed
-                | EventKind::ServerSojournDrop
-                | EventKind::ServerDeadlineDrop
-                | EventKind::BreakerOpen
-                | EventKind::BreakerHalfOpen
-                | EventKind::BreakerClose
-                | EventKind::ClientFastFail => {
-                    // Overload instants in their own category so a timeline
-                    // shows sheds, deadline drops, and breaker transitions
-                    // against the workload's calls. `value` is the marker's
-                    // scalar (queue depth, sojourn/overshoot µs).
-                    let name = format!("{}:m{}", e.kind.label(), e.peer);
-                    let body = format!(
-                        "{{\"name\":{},\"cat\":\"overload\",\"ph\":\"i\",\"s\":\"p\",\
-                         \"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{\"machine\":{},\
-                         \"value\":{}}}}}",
-                        json_string(&name),
-                        micros(e.at_nanos),
-                        e.machine,
-                        e.worker,
-                        e.peer,
-                        e.bytes,
-                    );
-                    emit(&mut out, &body);
-                }
                 EventKind::ServerAdmitNew => {}
+                kind => {
+                    let family = kind.family();
+                    let (name, scope, args) = match family {
+                        Family::Call => (
+                            e.method.to_string(),
+                            "t",
+                            format!(
+                                "\"trace_id\":{},\"span\":{},\"req_id\":{},\"attempt\":{}",
+                                e.trace_id, e.span_id, e.req_id, e.attempt
+                            ),
+                        ),
+                        Family::Migration => (
+                            e.method.to_string(),
+                            "p",
+                            format!(
+                                "\"trace_id\":{},\"span\":{},\"target\":{},\"bytes\":{}",
+                                e.trace_id, e.span_id, e.peer, e.bytes
+                            ),
+                        ),
+                        _ => (
+                            format!("m{}", e.peer),
+                            "p",
+                            format!("\"machine\":{},\"value\":{}", e.peer, e.bytes),
+                        ),
+                    };
+                    let name = format!("{}:{name}", kind.label());
+                    let cat = family.category();
+                    bodies.push(instant(&name, cat, scope, e, e.worker, &args));
+                }
             }
         }
-
         // Timed-out client spans never saw a recv; surface them as instants
         // rather than dropping them silently. (Sorted so the export is
         // byte-stable for a given trace.)
@@ -901,24 +737,46 @@ impl Trace {
         unanswered.sort_by_key(|(span, _)| *span);
         for (_, s) in unanswered {
             let name = format!("unanswered:{}", s.method);
-            let body = format!(
-                "{{\"name\":{},\"cat\":\"reliability\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                 \"pid\":{},\"tid\":{},\"args\":{{\"span\":{},\"req_id\":{}}}}}",
-                json_string(&name),
-                micros(s.at_nanos),
-                s.machine,
-                s.machine,
-                s.span_id,
-                s.req_id,
-            );
-            emit(&mut out, &body);
+            let args = format!("\"span\":{},\"req_id\":{}", s.span_id, s.req_id);
+            let tid = s.machine as u32;
+            bodies.push(instant(&name, "reliability", "t", s, tid, &args));
         }
-
-        out.push_str("],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":");
-        out.push_str(&self.dropped.to_string());
-        out.push_str("}}");
-        out
+        format!(
+            "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"dropped_events\":{}}}}}",
+            bodies.join(","),
+            self.dropped
+        )
     }
+}
+
+/// A Chrome `"X"` event from `start` to `end` on `start`'s track: the
+/// span's causal identity, then `args`.
+fn complete(start: &SpanEvent, end: &SpanEvent, cat: &str, args: &str) -> String {
+    format!(
+        "{{\"name\":{},\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\
+         \"args\":{{\"trace_id\":{},\"span\":{},\"parent_span\":{},\"req_id\":{},{args}}}}}",
+        json_string(&start.method),
+        micros(start.at_nanos),
+        micros(end.at_nanos.saturating_sub(start.at_nanos)),
+        start.machine,
+        start.worker,
+        start.trace_id,
+        start.span_id,
+        start.parent_span,
+        start.req_id,
+    )
+}
+
+/// A Chrome `"i"` event at `e`'s time on machine `e.machine`, lane `tid`;
+/// `scope` is `t` (thread) or `p` (process).
+fn instant(name: &str, cat: &str, scope: &str, e: &SpanEvent, tid: u32, args: &str) -> String {
+    format!(
+        "{{\"name\":{},\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"{scope}\",\"ts\":{},\"pid\":{},\
+         \"tid\":{tid},\"args\":{{{args}}}}}",
+        json_string(name),
+        micros(e.at_nanos),
+        e.machine,
+    )
 }
 
 /// Nanoseconds → microseconds with three decimals (Chrome `ts` is µs).
@@ -961,6 +819,23 @@ mod tests {
             bytes: 10,
             method: method.into(),
         }
+    }
+
+    /// The table's shape: 31 kinds in five families, every label distinct.
+    #[test]
+    fn every_kind_is_one_row_of_the_table() {
+        let families = [
+            Family::Call,
+            Family::Migration,
+            Family::Supervision,
+            Family::Replication,
+            Family::Overload,
+        ];
+        let sizes = families.map(|f| EventKind::ALL.iter().filter(|k| k.family() == f).count());
+        assert_eq!(sizes, [10, 4, 4, 6, 7]);
+        let labels: std::collections::HashSet<_> =
+            EventKind::ALL.iter().map(EventKind::label).collect();
+        assert_eq!(labels.len(), EventKind::ALL.len());
     }
 
     #[test]

@@ -258,7 +258,7 @@ impl ReplicaManager {
             self.lease_millis(),
         )?;
         ctx.register_replica_route_raw(primary, replicas.clone(), rs_next, C::READ_VERBS);
-        ctx.replica_marker(
+        ctx.trace_marker(
             EventKind::ReplicaScale,
             primary.machine,
             replicas.len() as u32,
@@ -294,7 +294,7 @@ impl ReplicaManager {
         }
         ctx.replica_attach(e.primary, Vec::new(), e.rs_epoch, self.write_through(), 0)?;
         ctx.drop_replica_route(e.primary);
-        ctx.replica_marker(EventKind::ReplicaScale, e.primary.machine, 0);
+        ctx.trace_marker(EventKind::ReplicaScale, e.primary.machine, 0);
         Ok(())
     }
 
@@ -344,7 +344,7 @@ impl ReplicaManager {
                         if ctx.replica_sync_to(r, s, status.rs_epoch, lease).is_ok() {
                             self.stats.syncs += 1;
                             synced += 1;
-                            ctx.replica_marker(EventKind::ReplicaSync, r.machine, 0);
+                            ctx.trace_marker(EventKind::ReplicaSync, r.machine, 0);
                         }
                     }
                     Err(_) => {} // unreachable or mid-call; next round
@@ -429,7 +429,7 @@ impl ReplicaManager {
             self.lease_millis(),
         )?;
         ctx.register_replica_route_raw(e.primary, e.replicas.clone(), e.rs_epoch, e.read_verbs);
-        ctx.replica_marker(
+        ctx.trace_marker(
             EventKind::ReplicaScale,
             e.primary.machine,
             e.replicas.len() as u32,
@@ -502,7 +502,7 @@ impl ReplicaManager {
             let old_primary = self.managed[i].primary;
             ctx.drop_replica_route(old_primary);
             ctx.register_replica_route_raw(r, rest.clone(), rs1, self.managed[i].read_verbs);
-            ctx.replica_marker(
+            ctx.trace_marker(
                 EventKind::ReplicaPromote,
                 r.machine,
                 new_epoch.min(u32::MAX as u64) as u32,

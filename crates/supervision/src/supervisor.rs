@@ -498,7 +498,7 @@ impl Supervisor {
                     self.stats.suspicions_raised += 1;
                     let phi = self.detector.phi(m, off);
                     let milli_phi = (phi * 1000.0).min(u32::MAX as f64) as u32;
-                    ctx.supervision_marker(EventKind::SuspectRaised, m, milli_phi);
+                    ctx.trace_marker(EventKind::SuspectRaised, m, milli_phi);
                 }
             }
             Verdict::Dead => {
@@ -532,7 +532,7 @@ impl Supervisor {
         recoveries: &mut Vec<Recovery>,
     ) -> RemoteResult<()> {
         self.stats.machines_declared_dead += 1;
-        ctx.supervision_marker(EventKind::MachineDeclaredDead, m, 0);
+        ctx.trace_marker(EventKind::MachineDeclaredDead, m, 0);
         // Our own routing caches must not send anyone *to* the corpse:
         // drop forwarding-chase, resolution, and replica-route entries
         // targeting it.
@@ -561,7 +561,7 @@ impl Supervisor {
                 taken.push(i);
                 self.stats.objects_reactivated += 1;
                 let micros = total.as_micros().min(u32::MAX as u128) as u32;
-                ctx.supervision_marker(EventKind::ObjectReactivated, m, micros);
+                ctx.trace_marker(EventKind::ObjectReactivated, m, micros);
                 recoveries.push(Recovery {
                     name: self.regs[i].name.clone(),
                     from: m,
@@ -657,7 +657,7 @@ impl Supervisor {
             if !*seen_alive {
                 *seen_alive = true;
                 self.stats.false_suspicions += 1;
-                ctx.supervision_marker(EventKind::FalseSuspicion, m, 0);
+                ctx.trace_marker(EventKind::FalseSuspicion, m, 0);
             }
         }
     }
