@@ -547,7 +547,8 @@ impl Trace {
         shape
     }
 
-    /// Per-method statistics, sorted by method name.
+    /// Per-method statistics of the calls in the trace (a marker makes no
+    /// row), sorted by method name.
     pub fn method_stats(&self) -> Vec<MethodStats> {
         use std::collections::HashMap;
 
@@ -572,7 +573,13 @@ impl Trace {
         let mut dispatch_at: HashMap<u64, u64> = HashMap::new();
         let mut acc: HashMap<&str, Acc> = HashMap::new();
 
-        for e in &self.events {
+        // Only a call's own events make a method's row: a marker's method
+        // column names its family, not a method.
+        for e in self
+            .events
+            .iter()
+            .filter(|e| e.kind.family() == Family::Call)
+        {
             let a = acc.entry(&e.method).or_default();
             match e.kind {
                 EventKind::ClientSend => {
@@ -617,7 +624,7 @@ impl Trace {
                     a.attempts += 1;
                     a.bytes_out += e.bytes as u64;
                 }
-                // A deferral is not timed here, and markers carry no call.
+                // A deferral is not timed here.
                 _ => {}
             }
         }
@@ -726,7 +733,7 @@ impl Trace {
                     };
                     let name = format!("{}:{name}", kind.label());
                     let cat = family.category();
-                    bodies.push(instant(&name, cat, scope, e, e.worker, &args));
+                    bodies.push(instant(&name, cat, scope, e, &args));
                 }
             }
         }
@@ -738,8 +745,7 @@ impl Trace {
         for (_, s) in unanswered {
             let name = format!("unanswered:{}", s.method);
             let args = format!("\"span\":{},\"req_id\":{}", s.span_id, s.req_id);
-            let tid = s.machine as u32;
-            bodies.push(instant(&name, "reliability", "t", s, tid, &args));
+            bodies.push(instant(&name, "reliability", "t", s, &args));
         }
         format!(
             "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"dropped_events\":{}}}}}",
@@ -767,15 +773,16 @@ fn complete(start: &SpanEvent, end: &SpanEvent, cat: &str, args: &str) -> String
     )
 }
 
-/// A Chrome `"i"` event at `e`'s time on machine `e.machine`, lane `tid`;
-/// `scope` is `t` (thread) or `p` (process).
-fn instant(name: &str, cat: &str, scope: &str, e: &SpanEvent, tid: u32, args: &str) -> String {
+/// A Chrome `"i"` event at `e`'s time on the track of the lane that
+/// recorded it; `scope` is `t` (thread) or `p` (process).
+fn instant(name: &str, cat: &str, scope: &str, e: &SpanEvent, args: &str) -> String {
     format!(
         "{{\"name\":{},\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"{scope}\",\"ts\":{},\"pid\":{},\
-         \"tid\":{tid},\"args\":{{{args}}}}}",
+         \"tid\":{},\"args\":{{{args}}}}}",
         json_string(name),
         micros(e.at_nanos),
         e.machine,
+        e.worker,
     )
 }
 
@@ -955,6 +962,25 @@ mod tests {
         assert_eq!(set.attempts, 2);
         assert_eq!(set.bytes_out, 20); // both transmissions count
         assert_eq!(set.p50_micros, 10);
+    }
+
+    /// Markers make no method row, though each names its family in the
+    /// method column.
+    #[test]
+    fn method_stats_have_a_row_per_called_method_only() {
+        let mut shed = ev(EventKind::ServerShed, 500, 9, "overload");
+        shed.attempt = 0;
+        let t = Trace {
+            events: vec![
+                ev(EventKind::MigrateBegin, 0, 8, "migrate"),
+                ev(EventKind::ClientSend, 1_000, 7, "get"),
+                shed,
+                ev(EventKind::ClientRecv, 3_000, 7, "get"),
+            ],
+            dropped: 0,
+        };
+        let methods: Vec<_> = t.method_stats().into_iter().map(|s| s.method).collect();
+        assert_eq!(methods, ["get"]);
     }
 
     #[test]
