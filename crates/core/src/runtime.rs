@@ -3,7 +3,6 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use simnet::{ActorSeat, ClusterConfig, MachineId, Metrics, MetricsSnapshot, SimCluster};
 use wire::collections::Bytes;
@@ -154,14 +153,6 @@ impl ClusterBuilder {
     /// pre-registered.
     pub fn register<T: ServerClass>(mut self) -> Self {
         self.registry.register::<T>();
-        self
-    }
-
-    /// Reply window before a call fails with
-    /// [`RemoteError::Timeout`](crate::RemoteError::Timeout). Keeps the
-    /// current retry/backoff settings (none, by default).
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.policy.timeout = timeout;
         self
     }
 

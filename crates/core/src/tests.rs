@@ -192,7 +192,7 @@ fn cluster(workers: usize) -> (Cluster, Driver) {
         .register::<Courier>()
         .register::<Counter>()
         .register::<ScaledCounter>()
-        .timeout(Duration::from_secs(10))
+        .call_policy(CallPolicy::no_retry(Duration::from_secs(10)))
         .build()
 }
 
@@ -677,7 +677,7 @@ fn self_call_deadlock_times_out() {
 
     let (cluster, mut driver) = ClusterBuilder::new(1)
         .register::<Narcissist>()
-        .timeout(Duration::from_millis(300))
+        .call_policy(CallPolicy::no_retry(Duration::from_millis(300)))
         .build();
     let n = NarcissistClient::new_on(&mut driver, 0).unwrap();
     let err = n.admire(&mut driver, n).unwrap_err();
@@ -886,7 +886,7 @@ fn cross_machine_call_cycle_times_out() {
 
     let (cluster, mut driver) = ClusterBuilder::new(2)
         .register::<Player>()
-        .timeout(Duration::from_millis(400))
+        .call_policy(CallPolicy::no_retry(Duration::from_millis(400)))
         .build();
     let a = PlayerClient::new_on(&mut driver, 0).unwrap();
     let b = PlayerClient::new_on(&mut driver, 1).unwrap();

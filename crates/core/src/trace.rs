@@ -50,13 +50,6 @@ pub struct TraceCtx {
 
 wire_struct!(TraceCtx { trace_id, span });
 
-impl TraceCtx {
-    /// True when this frame carries no trace identity.
-    pub fn is_empty(&self) -> bool {
-        self.span.0 == 0
-    }
-}
-
 /// Which part of the runtime an event speaks for. A family decides how an
 /// event is read: only `Call` events describe a call's own lifecycle (the
 /// per-method table and the causal check read them); every other family is
@@ -300,11 +293,6 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Current trace time in nanoseconds since the cluster epoch.
-    pub fn now_nanos(&self) -> u64 {
-        self.clock.now_nanos()
-    }
-
     /// Record one event, stamped with the current trace time and this
     /// machine's id.
     #[allow(clippy::too_many_arguments)]
@@ -390,11 +378,6 @@ impl Recorder {
             lanes,
             capacity,
         }
-    }
-
-    /// The handle machine `m` records through (its dispatcher lane).
-    pub fn tracer(&self, machine: MachineId) -> Tracer {
-        self.tracer_lane(machine, 0)
     }
 
     /// The handle lane `lane` of machine `m` records through. Lane 0 is the
@@ -848,7 +831,7 @@ mod tests {
     #[test]
     fn ring_retains_most_recent_events_after_wrap() {
         let rec = Recorder::new(1, 1, 4, Clock::default());
-        let tracer = rec.tracer(0);
+        let tracer = rec.tracer_lane(0, 0);
         for i in 0..10u64 {
             tracer.record(EventKind::ClientSend, 1, i, i, 0, i, 1, 10, "m".into());
         }
@@ -862,8 +845,8 @@ mod tests {
     #[test]
     fn recorder_merge_orders_events_and_counts_drops() {
         let rec = Recorder::new(2, 1, 4, Clock::default());
-        let t0 = rec.tracer(0);
-        let t1 = rec.tracer(1);
+        let t0 = rec.tracer_lane(0, 0);
+        let t1 = rec.tracer_lane(1, 0);
         t0.record(EventKind::ClientSend, 1, 5, 5, 0, 5, 1, 10, "a".into());
         t1.record(EventKind::ServerDispatch, 0, 5, 5, 0, 5, 0, 0, "a".into());
         drop((t0, t1));
@@ -887,8 +870,8 @@ mod tests {
     #[test]
     fn merge_reads_only_the_rings_already_returned() {
         let rec = Recorder::new(2, 1, 4, Clock::default());
-        let t0 = rec.tracer(0);
-        let t1 = rec.tracer(1);
+        let t0 = rec.tracer_lane(0, 0);
+        let t1 = rec.tracer_lane(1, 0);
         t0.record(EventKind::ClientSend, 1, 5, 5, 0, 5, 1, 10, "a".into());
         t1.record(EventKind::ServerDispatch, 0, 5, 5, 0, 5, 0, 0, "a".into());
         assert!(

@@ -124,13 +124,6 @@ pub enum PlacementPolicy {
     /// Never move anything — the paper's fixed placement, and the
     /// experimental control.
     Static,
-    /// Move the hottest object off any machine whose load exceeds
-    /// `overload_ratio` × the cluster mean, onto the least-loaded
-    /// machine. One move per overloaded machine per round.
-    Threshold {
-        /// Overload trigger as a multiple of mean load (e.g. `2.0`).
-        overload_ratio: f64,
-    },
     /// Repeatedly move the best-fitting object from the most- to the
     /// least-loaded machine while the extremes differ by more than
     /// `imbalance_ratio`, up to `max_moves_per_round` moves. Each
@@ -151,59 +144,11 @@ impl PlacementPolicy {
     pub fn plan(&self, samples: &[MachineSample]) -> Vec<MigrationPlan> {
         match *self {
             PlacementPolicy::Static => Vec::new(),
-            PlacementPolicy::Threshold { overload_ratio } => {
-                Self::plan_threshold(samples, overload_ratio)
-            }
             PlacementPolicy::GreedyRebalance {
                 imbalance_ratio,
                 max_moves_per_round,
             } => Self::plan_greedy(samples, imbalance_ratio, max_moves_per_round),
         }
-    }
-
-    fn plan_threshold(samples: &[MachineSample], overload_ratio: f64) -> Vec<MigrationPlan> {
-        if samples.len() < 2 {
-            return Vec::new();
-        }
-        let mean = samples.iter().map(|s| s.load()).sum::<u64>() as f64 / samples.len() as f64;
-        if mean == 0.0 {
-            return Vec::new();
-        }
-        let mut plans = Vec::new();
-        // Overload is judged on the *measured* loads; the working copy
-        // only steers targets, so a machine that just received a move
-        // doesn't become a source in the same round.
-        let mut loads: Vec<u64> = samples.iter().map(|s| s.load()).collect();
-        for (i, s) in samples.iter().enumerate() {
-            if (s.load() as f64) <= overload_ratio * mean {
-                continue;
-            }
-            let Some(&(object, load)) = s.objects.iter().max_by_key(|&&(o, c)| (c, o)) else {
-                continue;
-            };
-            if load == 0 {
-                continue;
-            }
-            let (coolest, _) = loads
-                .iter()
-                .enumerate()
-                .min_by_key(|&(m, &l)| (l, m))
-                .expect("non-empty");
-            if coolest == i {
-                continue;
-            }
-            plans.push(MigrationPlan {
-                object: ObjRef {
-                    machine: s.machine,
-                    object,
-                },
-                target: samples[coolest].machine,
-                load,
-            });
-            loads[i] -= load.min(loads[i]);
-            loads[coolest] += load;
-        }
-        plans
     }
 
     fn plan_greedy(
@@ -563,33 +508,6 @@ mod tests {
             max_moves_per_round: 8,
         };
         assert!(policy.plan(&samples).is_empty());
-        let threshold = PlacementPolicy::Threshold {
-            overload_ratio: 2.0,
-        };
-        assert!(threshold.plan(&samples).is_empty());
-    }
-
-    #[test]
-    fn threshold_moves_hottest_object_off_the_overloaded_machine() {
-        let samples = vec![
-            sample(0, &[(1, 50), (2, 800)]),
-            sample(1, &[(3, 40)]),
-            sample(2, &[(4, 30)]),
-        ];
-        let plans = PlacementPolicy::Threshold {
-            overload_ratio: 1.5,
-        }
-        .plan(&samples);
-        assert_eq!(plans.len(), 1);
-        assert_eq!(
-            plans[0].object,
-            ObjRef {
-                machine: 0,
-                object: 2
-            }
-        );
-        assert_eq!(plans[0].target, 2); // least loaded
-        assert_eq!(plans[0].load, 800);
     }
 
     #[test]
@@ -658,29 +576,5 @@ mod tests {
             plans.iter().all(|p| p.object.machine == 0 && p.target != 0),
             "moves must leave the shedding machine, got {plans:?}"
         );
-    }
-
-    #[test]
-    fn threshold_trips_on_shed_rate_alone() {
-        // Without the shed term machine 0 looks mid-pack (60 served
-        // calls); with it the machine is far past the 1.5x-mean trigger.
-        let mut shedding = sample(0, &[(1, 60)]);
-        shedding.shed = 100;
-        let samples = vec![shedding, sample(1, &[(2, 50)]), sample(2, &[(3, 40)])];
-        let plans = PlacementPolicy::Threshold {
-            overload_ratio: 1.5,
-        }
-        .plan(&samples);
-        assert_eq!(plans.len(), 1);
-        assert_eq!(plans[0].object.machine, 0);
-
-        // The same samples with the shed zeroed: balanced, no plans.
-        let mut calm = samples.clone();
-        calm[0].shed = 0;
-        assert!(PlacementPolicy::Threshold {
-            overload_ratio: 1.5,
-        }
-        .plan(&calm)
-        .is_empty());
     }
 }

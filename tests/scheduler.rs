@@ -220,7 +220,7 @@ fn single_worker_pool_survives_nested_parking() {
     let (cluster, mut driver) = ClusterBuilder::new(2)
         .sched_workers(1)
         .register::<Counter>()
-        .timeout(Duration::from_secs(5))
+        .call_policy(CallPolicy::no_retry(Duration::from_secs(5)))
         .build();
 
     let gate = BarrierClient::new_on(&mut driver, 0, 2).unwrap();
