@@ -10,8 +10,14 @@
 //! that means to move the output; say why in the commit that re-records it.
 
 use std::collections::BTreeSet;
+use std::time::Duration;
 
-use oopp_repro::oopp::{EventKind, SpanEvent, Trace};
+use oopp_repro::oopp::{
+    symbolic_addr, wire, BreakerConfig, CallPolicy, ClusterBuilder, EventKind, NodeCtx,
+    OverloadConfig, RemoteClient, RemoteResult, SpanEvent, Trace,
+};
+use oopp_repro::simnet::{ClusterConfig, FaultPlan};
+use replica::{CoherenceMode, ReplicaConfig, ReplicaManager};
 
 /// One event as a lane records it.
 #[allow(clippy::too_many_arguments)]
@@ -342,6 +348,202 @@ fn structure_is_pinned() {
             (31, "send", "child", true),
         ]
     );
+}
+
+/// A slow, persistent, replicable object: `work` parks the executing lane
+/// on the cluster clock; `count` is a read verb a replica may serve.
+#[derive(Debug, Default)]
+pub struct Slow {
+    done: u64,
+}
+
+oopp_repro::oopp::remote_class! {
+    class Slow {
+        persistent;
+        reads(count);
+        ctor();
+        /// Sleep `nanos` of cluster time, then count one unit of work.
+        fn work(&mut self, nanos: u64) -> u64;
+        /// Units of work done.
+        fn count(&mut self) -> u64;
+    }
+}
+
+impl Slow {
+    pub fn new(_ctx: &mut NodeCtx) -> RemoteResult<Self> {
+        Ok(Slow::default())
+    }
+
+    fn work(&mut self, ctx: &mut NodeCtx, nanos: u64) -> RemoteResult<u64> {
+        ctx.clock().sleep(Duration::from_nanos(nanos));
+        self.done += 1;
+        Ok(self.done)
+    }
+
+    fn count(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<u64> {
+        Ok(self.done)
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        wire::to_bytes(&self.done)
+    }
+
+    fn load_state(_ctx: &mut NodeCtx, state: &[u8]) -> RemoteResult<Self> {
+        Ok(Slow {
+            done: wire::from_bytes(state)?,
+        })
+    }
+}
+
+/// Every counter bumped at the same site as an event equals, summed over
+/// the machines and the driver, the trace's count of that event — in one
+/// traced virtual-time run with duplicates replayed and suppressed,
+/// retransmits, a breaker fast-fail, admission sheds, a deadline drop, and
+/// replica hits and a stale replica read. (`ReplicaSync` is left out: the
+/// manager's re-syncs are traced but not counted.)
+#[test]
+fn the_counters_and_the_recorder_agree() {
+    let reliable = CallPolicy::reliable(Duration::from_millis(20));
+    let plan = FaultPlan::seeded(0xC0_0417).with_drop(0.15).with_dup(0.25);
+    let (cluster, mut driver) = ClusterBuilder::new(4)
+        .sched_workers(1)
+        .register::<Slow>()
+        .overload(OverloadConfig {
+            mailbox_cap: 2,
+            ..OverloadConfig::new()
+        })
+        .sim_config(
+            ClusterConfig::zero_cost(0)
+                .with_faults(plan)
+                .with_virtual_time(0xC0_0417),
+        )
+        .call_policy(reliable)
+        .tracing(true)
+        .build();
+    let recorder = cluster.recorder().expect("tracing enabled");
+    let faults = cluster.sim().faults();
+    faults.calm();
+
+    let s = SlowClient::new_on(&mut driver, 1).unwrap();
+    let far = SlowClient::new_on(&mut driver, 3).unwrap();
+    // A replicated counter: primary on machine 0, one replica on 2, whose
+    // 20 ms lease nothing renews.
+    let dir = driver.directory();
+    let r = SlowClient::new_on(&mut driver, 0).unwrap();
+    let name = symbolic_addr(&["recorder", "Slow", "0"]);
+    dir.bind(&mut driver, name.clone(), r.obj_ref()).unwrap();
+    let cfg = ReplicaConfig {
+        mode: CoherenceMode::BoundedStaleness,
+        lease: Duration::from_millis(20),
+    };
+    let mut mgr = ReplicaManager::new(cfg, dir);
+    mgr.replicate(&mut driver, &name, &r, &[2]).unwrap();
+
+    // Replica hits, then a read the lapsed replica refuses.
+    for _ in 0..3 {
+        assert_eq!(r.count(&mut driver).unwrap(), 0);
+    }
+    driver.serve_for(Duration::from_millis(40));
+    assert_eq!(r.count(&mut driver).unwrap(), 0);
+
+    // A lossy, duplicating fabric: retransmits, replays, suppressions.
+    faults.resume();
+    for _ in 0..40 {
+        s.count(&mut driver).unwrap();
+    }
+    faults.calm();
+
+    // The worker busy for 50 ms: a 10 ms budget expires in the mailbox,
+    // and a full mailbox (cap 2) sheds two more at admission.
+    let busy = s.work_async(&mut driver, 50_000_000).unwrap();
+    driver.serve_for(Duration::from_millis(2));
+    driver.set_call_policy(reliable.with_deadline(Duration::from_millis(10)));
+    let late = s.work_async(&mut driver, 1_000_000).unwrap();
+    driver.set_call_policy(reliable);
+    let queued: Vec<_> = (0..3)
+        .map(|_| s.work_async(&mut driver, 1_000_000).unwrap())
+        .collect();
+    busy.wait(&mut driver).unwrap();
+    assert!(late.wait(&mut driver).is_err());
+    let shed = queued
+        .into_iter()
+        .filter_map(|p| p.wait(&mut driver).err())
+        .count();
+    assert_eq!(shed, 2);
+
+    // Two timeouts against a dark machine trip the breaker; the third
+    // call fails fast.
+    driver.set_call_policy(
+        CallPolicy::reliable(Duration::from_millis(10))
+            .with_max_retries(0)
+            .with_breaker(BreakerConfig {
+                failure_threshold: 2,
+                cooldown: Duration::from_millis(100),
+            }),
+    );
+    faults.crash(3);
+    for _ in 0..3 {
+        assert!(far.count(&mut driver).is_err());
+    }
+    faults.restart(3);
+    driver.set_call_policy(reliable);
+
+    let mut totals = driver.local_stats();
+    for m in 0..4 {
+        let st = driver.stats_of(m).unwrap();
+        totals.dup_replayed += st.dup_replayed;
+        totals.dup_suppressed += st.dup_suppressed;
+        totals.calls_retried += st.calls_retried;
+        totals.breaker_fast_fails += st.breaker_fast_fails;
+        totals.calls_shed_overload += st.calls_shed_overload;
+        totals.calls_deadline_expired += st.calls_deadline_expired;
+        totals.replica_reads_served += st.replica_reads_served;
+        totals.replica_reads_stale += st.replica_reads_stale;
+    }
+    cluster.shutdown(driver);
+    let trace = recorder.merge();
+    assert_eq!(trace.dropped, 0);
+
+    use EventKind::*;
+    let pairs = [
+        ("dup_replayed", totals.dup_replayed, ServerAdmitDone),
+        ("dup_suppressed", totals.dup_suppressed, ServerAdmitInFlight),
+        ("calls_retried", totals.calls_retried, ClientRetransmit),
+        (
+            "breaker_fast_fails",
+            totals.breaker_fast_fails,
+            ClientFastFail,
+        ),
+        (
+            "calls_shed_overload",
+            totals.calls_shed_overload,
+            ServerShed,
+        ),
+        (
+            "calls_deadline_expired",
+            totals.calls_deadline_expired,
+            ServerDeadlineDrop,
+        ),
+        (
+            "replica_reads_served",
+            totals.replica_reads_served,
+            ReplicaHit,
+        ),
+        (
+            "replica_reads_stale",
+            totals.replica_reads_stale,
+            ReplicaStale,
+        ),
+    ];
+    for (counter, count, kind) in pairs {
+        println!("{counter:>22} = {count:>3}  {}", kind.label());
+        assert!(count > 0, "the run never bumped {counter}");
+        assert_eq!(
+            count,
+            trace.count(kind) as u64,
+            "{counter} against {kind:?}"
+        );
+    }
 }
 
 /// `(bytes, FNV-1a digest)` of [`every_kind`]'s Chrome export.
