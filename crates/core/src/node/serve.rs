@@ -467,7 +467,7 @@ impl NodeCtx {
         // `ServerDefer` event needs what moves into the mailbox with it.
         let waits = std::mem::replace(&mut live.scheduled, true);
         let (reply_to, req_id) = (req.reply_to, req.req_id);
-        let deferred = req.trace.clone().filter(|t| waits && t.span != 0);
+        let deferred = req.trace.as_ref().filter(|t| waits && t.span != 0).cloned();
         live.mailbox.push_back(req);
         drop(shard);
         if waits {

@@ -72,7 +72,7 @@ pub enum Family {
 impl Family {
     /// The method column of a marker of this family (a marker has no
     /// method of its own).
-    pub fn marker_method(self) -> &'static str {
+    pub(crate) fn marker_method(self) -> &'static str {
         match self {
             Family::Call => "call",
             Family::Migration => "migrate",
@@ -106,9 +106,6 @@ macro_rules! event_kinds {
         }
 
         impl EventKind {
-            /// Every kind, in table order.
-            pub const ALL: &'static [EventKind] = &[$(EventKind::$kind),*];
-
             /// Short stable label used in exports and summaries.
             pub fn label(&self) -> &'static str {
                 match self {
@@ -728,7 +725,7 @@ impl Trace {
         for (_, s) in unanswered {
             let name = format!("unanswered:{}", s.method);
             let args = format!("\"span\":{},\"req_id\":{}", s.span_id, s.req_id);
-            bodies.push(instant(&name, "reliability", "t", s, &args));
+            bodies.push(instant(&name, Family::Call.category(), "t", s, &args));
         }
         format!(
             "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"dropped_events\":{}}}}}",
@@ -809,23 +806,6 @@ mod tests {
             bytes: 10,
             method: method.into(),
         }
-    }
-
-    /// The table's shape: 31 kinds in five families, every label distinct.
-    #[test]
-    fn every_kind_is_one_row_of_the_table() {
-        let families = [
-            Family::Call,
-            Family::Migration,
-            Family::Supervision,
-            Family::Replication,
-            Family::Overload,
-        ];
-        let sizes = families.map(|f| EventKind::ALL.iter().filter(|k| k.family() == f).count());
-        assert_eq!(sizes, [10, 4, 4, 6, 7]);
-        let labels: std::collections::HashSet<_> =
-            EventKind::ALL.iter().map(EventKind::label).collect();
-        assert_eq!(labels.len(), EventKind::ALL.len());
     }
 
     #[test]
