@@ -6,20 +6,32 @@
 //! (`fft->barrier()`). [`ProcessGroup`] is that array-of-remote-pointers,
 //! and [`Barrier`] the synchronization object.
 //!
-//! `Barrier` is deliberately implemented **by hand** against the raw
-//! [`ServerObject`] trait rather than through `remote_class!`: a barrier
-//! must *not* reply to `enter` until the last party arrives, which needs
-//! the deferred-reply path ([`DispatchResult::NoReply`] +
-//! [`NodeCtx::send_reply`]).
+//! A barrier must *not* reply to `enter` until the last party arrives, so
+//! its `enter` returns [`DispatchResult::NoReply`] and the last party
+//! answers every caller with [`NodeCtx::send_reply`] — a class description
+//! like any other (see `remote_class!`'s deferred replies).
 
-use wire::{Reader, Wire};
+use wire::Wire;
 
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::Body;
 use crate::future::{join, join_clients, Pending, PendingClient};
 use crate::ids::ObjRef;
 use crate::node::{CallInfo, NodeCtx};
-use crate::process::{DispatchResult, RemoteClient, ServerClass, ServerObject};
+use crate::process::{DispatchResult, RemoteClient};
+
+remote_class! {
+    /// Remote pointer to a [`Barrier`].
+    class Barrier {
+        ctor(parties: usize);
+        /// Enter the barrier and block until all parties have entered.
+        fn enter(&mut self) -> ();
+        /// How many rounds this barrier has completed.
+        fn generations(&mut self) -> u64;
+        /// How many parties the barrier waits for.
+        fn parties(&mut self) -> usize;
+    }
+}
 
 /// Server state: a rendezvous for `parties` callers.
 #[derive(Debug)]
@@ -32,7 +44,7 @@ pub struct Barrier {
 
 impl Barrier {
     /// A barrier for `parties` participants (must be ≥ 1).
-    fn make(parties: usize) -> RemoteResult<Self> {
+    fn new(_ctx: &mut NodeCtx, parties: usize) -> RemoteResult<Self> {
         if parties == 0 {
             return Err(RemoteError::app("a barrier needs at least one party"));
         }
@@ -42,99 +54,28 @@ impl Barrier {
             generations: 0,
         })
     }
-}
 
-impl ServerObject for Barrier {
-    fn class_name(&self) -> &'static str {
-        "Barrier"
-    }
-
-    fn dispatch_named(
-        &mut self,
-        ctx: &mut NodeCtx,
-        method: &str,
-        _args: &mut Reader<'_>,
-    ) -> RemoteResult<DispatchResult> {
-        match method {
-            "enter" => {
-                let call = ctx
-                    .current_call()
-                    .expect("barrier dispatched outside a call");
-                self.waiting.push(call);
-                if self.waiting.len() == self.parties {
-                    // Last party: release everyone (including this caller).
-                    self.generations += 1;
-                    for waiter in self.waiting.drain(..) {
-                        ctx.send_reply(waiter, Ok(Body::of(&())));
-                    }
-                }
-                Ok(DispatchResult::NoReply)
+    fn enter(&mut self, ctx: &mut NodeCtx) -> RemoteResult<DispatchResult> {
+        let call = ctx
+            .current_call()
+            .expect("barrier dispatched outside a call");
+        self.waiting.push(call);
+        if self.waiting.len() == self.parties {
+            // Last party: release everyone (including this caller).
+            self.generations += 1;
+            for waiter in self.waiting.drain(..) {
+                ctx.send_reply(waiter, Ok(Body::of(&())));
             }
-            "generations" => Ok(DispatchResult::Reply(Body::of(&self.generations))),
-            "parties" => Ok(DispatchResult::Reply(Body::of(&self.parties))),
-            other => Err(RemoteError::NoSuchMethod {
-                class: "Barrier".into(),
-                method: other.into(),
-            }),
         }
-    }
-}
-
-impl ServerClass for Barrier {
-    const CLASS: &'static str = "Barrier";
-
-    fn construct(_ctx: &mut NodeCtx, args: &mut Reader<'_>) -> RemoteResult<Self> {
-        let parties = usize::decode(args)?;
-        Barrier::make(parties)
-    }
-}
-
-/// Remote pointer to a [`Barrier`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BarrierClient {
-    r: ObjRef,
-}
-
-impl BarrierClient {
-    /// Create a barrier for `parties` on `machine`.
-    pub fn new_on(ctx: &mut NodeCtx, machine: usize, parties: usize) -> RemoteResult<Self> {
-        ctx.create::<Self>(machine, wire::to_bytes(&parties))
+        Ok(DispatchResult::NoReply)
     }
 
-    /// Enter the barrier and block until all parties have entered.
-    pub fn enter(&self, ctx: &mut NodeCtx) -> RemoteResult<()> {
-        ctx.call_method(self.r, "enter", |_| {})
+    fn generations(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<u64> {
+        Ok(self.generations)
     }
 
-    /// How many rounds this barrier has completed.
-    pub fn generations(&self, ctx: &mut NodeCtx) -> RemoteResult<u64> {
-        ctx.call_method(self.r, "generations", |_| {})
-    }
-
-    /// Destroy the barrier object.
-    pub fn destroy(self, ctx: &mut NodeCtx) -> RemoteResult<()> {
-        ctx.destroy(self.r)
-    }
-}
-
-impl RemoteClient for BarrierClient {
-    const CLASS: &'static str = "Barrier";
-    fn from_ref(r: ObjRef) -> Self {
-        BarrierClient { r }
-    }
-    fn obj_ref(&self) -> ObjRef {
-        self.r
-    }
-}
-
-impl Wire for BarrierClient {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.r.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> wire::WireResult<Self> {
-        Ok(BarrierClient {
-            r: ObjRef::decode(r)?,
-        })
+    fn parties(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<usize> {
+        Ok(self.parties)
     }
 }
 
@@ -270,10 +211,15 @@ mod tests {
 
     #[test]
     fn barrier_rejects_zero_parties() {
-        assert!(Barrier::make(0).is_err());
-        let b = Barrier::make(3).unwrap();
-        assert_eq!(b.parties, 3);
-        assert_eq!(b.generations, 0);
+        let (cluster, mut driver) = crate::ClusterBuilder::new(1).build();
+        let err = BarrierClient::new_on(&mut driver, 0, 0).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("a barrier needs at least one party"));
+        let b = BarrierClient::new_on(&mut driver, 0, 3).unwrap();
+        assert_eq!(b.parties(&mut driver).unwrap(), 3);
+        assert_eq!(b.generations(&mut driver).unwrap(), 0);
+        cluster.shutdown(driver);
     }
 
     #[test]

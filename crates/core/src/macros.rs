@@ -52,6 +52,23 @@
 //! method whatever calls it makes meanwhile. A method that keeps or changes
 //! the argument takes the owned type, as every method did before.
 //!
+//! # Deferred and relayed replies
+//!
+//! A method may also return the [`DispatchResult`](crate::DispatchResult)
+//! itself, whatever its declared type ([`Returns`](crate::process::Returns)):
+//!
+//! * `NoReply` when it answers later: it keeps its
+//!   [`current_call`](crate::NodeCtx::current_call) and calls
+//!   [`send_reply`](crate::NodeCtx::send_reply) with the declared type
+//!   (the group `Barrier`'s `enter`);
+//! * `Reply(Body::relaying(kept))` to send on, where they arrived, bytes of
+//!   a request it kept with [`request_bytes`](crate::NodeCtx::request_bytes)
+//!   (the FFT `BlockInbox`'s `take`; its `put` takes a view that records
+//!   the block's byte range).
+//!
+//! The client stubs do not change: a caller waits for a deferred reply
+//! like any other.
+//!
 //! # Inheritance (§3)
 //!
 //! `class Derived: Base { ... }` requires the struct `Derived` to have a
@@ -330,9 +347,9 @@ macro_rules! remote_class {
                                 // as and what is encoded as the result.
                                 $( let $marg = <_ as $crate::wire::ViewOf<'_, $mty>>::view(args)?; )*
                                 let ret = self.$method(ctx, $($marg),*)?;
-                                Ok($crate::DispatchResult::Reply(
-                                    $crate::Body::of_as::<$ret, _>(&ret),
-                                ))
+                                #[allow(unused_imports)]
+                                use $crate::process::Returns as _;
+                                Ok(ret.into_dispatch::<$ret>())
                             }
                         )*
                         _ => $crate::__dispatch_fallthrough!(

@@ -3,13 +3,12 @@
 //! In the paper, a class declaration is enough for the compiler to generate
 //! the server process, its protocol, and the client stubs. Here the
 //! [`remote_class!`](crate::remote_class) macro derives implementations of
-//! these traits; the traits themselves are public so low-level objects (like
-//! the group [`Barrier`](crate::group) with its deferred replies) can be
-//! written by hand.
+//! these traits for every class, those that answer later included: a method
+//! says what the dispatcher sends through [`Returns`].
 
 use std::collections::HashMap;
 
-use wire::Reader;
+use wire::{EncodesAs, Reader, Wire};
 
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::Body;
@@ -27,6 +26,35 @@ pub enum DispatchResult {
     /// last party arrives).
     NoReply,
 }
+
+impl DispatchResult {
+    /// A method's own `DispatchResult` goes to the dispatcher as it is.
+    /// Inherent, so it shadows [`Returns::into_dispatch`]: coherence
+    /// refuses it as a second impl of that trait.
+    #[doc(hidden)]
+    #[inline]
+    pub fn into_dispatch<T>(self) -> DispatchResult {
+        self
+    }
+}
+
+/// What a class method declared to return `T` may return: anything that
+/// [encodes as](EncodesAs) a `T`, the reply sent as the method returns; or a
+/// [`DispatchResult`] itself, for a method that answers later
+/// ([`NoReply`](DispatchResult::NoReply)) or passes on bytes it kept
+/// ([`Body::relaying`]). How `remote_class!` turns a result into a reply.
+pub trait Returns: Sized {
+    /// The reply `self` makes as a `T`.
+    #[inline]
+    fn into_dispatch<T: Wire>(self) -> DispatchResult
+    where
+        Self: EncodesAs<T>,
+    {
+        DispatchResult::Reply(Body::of_as::<T, Self>(&self))
+    }
+}
+
+impl<V> Returns for V {}
 
 /// An object living on a machine, servable as a process.
 ///

@@ -27,9 +27,10 @@
 //! `BlockInbox` object on the same machine. Inboxes are never busy (their
 //! methods return immediately or defer only their *reply*), so block
 //! transfers flow while every worker is deep inside `transform`. The inbox
-//! parks a worker's `take` with [`DispatchResult::NoReply`] until the block
-//! it asks for arrives — the same deferred-reply mechanism as the group
-//! barrier.
+//! is a class description like the worker: its `take` returns
+//! [`DispatchResult::NoReply`] until the block it asks for arrives — the
+//! same deferred reply as the group barrier's — and its `put` relays the
+//! block to a parked `take`.
 //!
 //! ## What it no longer carries
 //!
@@ -42,21 +43,34 @@
 //! rebuilt around the block where it arrived ([`Body::relaying`]).
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 
 use oopp::{
-    join, remote_class, Body, CallInfo, DispatchResult, NodeCtx, ObjRef, PacketBytes, Pending,
-    ProcessGroup, RemoteClient, RemoteError, RemoteResult, ServerClass, ServerObject,
+    join, remote_class, Body, CallInfo, DispatchResult, NodeCtx, PacketBytes, Pending,
+    ProcessGroup, RemoteClient, RemoteError, RemoteResult,
 };
 use wire::collections::{F64s, F64sView};
-use wire::{Reader, Wire};
+use wire::{Reader, ViewOf, Wire, WireResult};
 
 use crate::complex::{as_f64s, as_f64s_mut, Complex};
 use crate::dft::Direction;
 use crate::nd::Fft3;
 
 // ---------------------------------------------------------------------
-// BlockInbox: transpose-block rendezvous (hand-written ServerObject)
+// BlockInbox: transpose-block rendezvous
 // ---------------------------------------------------------------------
+
+remote_class! {
+    /// Remote pointer to a [`BlockInbox`].
+    class BlockInbox {
+        ctor();
+        /// Deposit the block worker `from` sends in exchange `epoch`.
+        fn put(&mut self, epoch: u64, from: u64, block: F64s) -> ();
+        /// The block worker `from` put for exchange `epoch`: the reply is
+        /// deferred until it is there.
+        fn take(&mut self, epoch: u64, from: u64) -> F64s;
+    }
+}
 
 /// Mailbox for transpose blocks, one per FFT worker.
 ///
@@ -72,90 +86,76 @@ pub struct BlockInbox {
     waiting: HashMap<(u64, u64), CallInfo>,
 }
 
-impl ServerObject for BlockInbox {
-    fn class_name(&self) -> &'static str {
-        "BlockInbox"
-    }
+/// The block argument of `put`, left in the request: checked as
+/// [`F64sView`] checks it, so `take` never relays a malformed block, and
+/// named by the bytes it spans there.
+struct BlockAt(Range<usize>);
 
-    fn dispatch_named(
-        &mut self,
-        ctx: &mut NodeCtx,
-        method: &str,
-        args: &mut Reader<'_>,
-    ) -> RemoteResult<DispatchResult> {
-        match method {
-            "put" => {
-                let key @ (epoch, from) = (u64::decode(args)?, u64::decode(args)?);
-                // Checked here, so `take` never relays a malformed block.
-                let start = args.position();
-                F64sView::decode(args)?;
-                let block = ctx
-                    .request_bytes(start..args.position())
-                    .ok_or_else(|| RemoteError::app("put dispatched outside its request"))?;
-                if let Some(call) = self.waiting.remove(&key) {
-                    ctx.send_reply(call, Ok(Body::relaying(block)));
-                } else if let Entry::Vacant(slot) = self.kept.entry(key) {
-                    slot.insert(block);
-                } else {
-                    return Err(RemoteError::app(format!(
-                        "two transpose blocks from worker {from} in exchange {epoch}"
-                    )));
-                }
-                Ok(DispatchResult::Reply(Body::of(&())))
-            }
-            "take" => {
-                let key @ (epoch, _) = (u64::decode(args)?, u64::decode(args)?);
-                // The worker has moved on: what an older exchange left here
-                // — a stray block, an abandoned take — nobody will ask for.
-                self.kept.retain(|&(older, _), _| older >= epoch);
-                self.waiting.retain(|&(older, _), _| older >= epoch);
-                if let Some(block) = self.kept.remove(&key) {
-                    return Ok(DispatchResult::Reply(Body::relaying(block)));
-                }
-                let Entry::Vacant(slot) = self.waiting.entry(key) else {
-                    return Err(RemoteError::app("transpose block already awaited"));
-                };
-                slot.insert(ctx.current_call().expect("dispatched outside a call"));
-                Ok(DispatchResult::NoReply)
-            }
-            other => Err(RemoteError::NoSuchMethod {
-                class: "BlockInbox".into(),
-                method: other.into(),
-            }),
-        }
+impl<'a> ViewOf<'a, F64s> for BlockAt {
+    fn view(r: &mut Reader<'a>) -> WireResult<Self> {
+        let start = r.position();
+        F64sView::decode(r)?;
+        Ok(BlockAt(start..r.position()))
     }
 }
 
-impl ServerClass for BlockInbox {
-    const CLASS: &'static str = "BlockInbox";
-    fn construct(_ctx: &mut NodeCtx, _args: &mut Reader<'_>) -> RemoteResult<Self> {
+impl BlockInbox {
+    fn new(_ctx: &mut NodeCtx) -> RemoteResult<Self> {
         Ok(BlockInbox::default())
     }
-}
 
-/// Remote pointer to a [`BlockInbox`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockInboxClient {
-    r: ObjRef,
+    fn put(
+        &mut self,
+        ctx: &mut NodeCtx,
+        epoch: u64,
+        from: u64,
+        block: BlockAt,
+    ) -> RemoteResult<()> {
+        let key = (epoch, from);
+        let block = ctx
+            .request_bytes(block.0)
+            .ok_or_else(|| RemoteError::app("put dispatched outside its request"))?;
+        if let Some(call) = self.waiting.remove(&key) {
+            ctx.send_reply(call, Ok(Body::relaying(block)));
+        } else if let Entry::Vacant(slot) = self.kept.entry(key) {
+            slot.insert(block);
+        } else {
+            return Err(RemoteError::app(format!(
+                "two transpose blocks from worker {from} in exchange {epoch}"
+            )));
+        }
+        Ok(())
+    }
+
+    fn take(&mut self, ctx: &mut NodeCtx, epoch: u64, from: u64) -> RemoteResult<DispatchResult> {
+        let key = (epoch, from);
+        // The worker has moved on: what an older exchange left here — a
+        // stray block, an abandoned take — nobody will ask for.
+        self.kept.retain(|&(older, _), _| older >= epoch);
+        self.waiting.retain(|&(older, _), _| older >= epoch);
+        if let Some(block) = self.kept.remove(&key) {
+            return Ok(DispatchResult::Reply(Body::relaying(block)));
+        }
+        let Entry::Vacant(slot) = self.waiting.entry(key) else {
+            return Err(RemoteError::app("transpose block already awaited"));
+        };
+        slot.insert(ctx.current_call().expect("dispatched outside a call"));
+        Ok(DispatchResult::NoReply)
+    }
 }
 
 impl BlockInboxClient {
-    /// Create an inbox on `machine`.
-    pub fn new_on(ctx: &mut NodeCtx, machine: usize) -> RemoteResult<Self> {
-        ctx.create::<Self>(machine, Vec::new())
-    }
-
     /// Deposit a block for exchange `epoch` from worker `from`: the
     /// concatenation of `rows` as one [`F64s`] of interleaved `re, im`
     /// doubles, each row copied once, from where it lies into the request.
-    pub fn put_async<'a>(
+    pub fn put_rows_async<'a>(
         &self,
         ctx: &mut NodeCtx,
         epoch: u64,
         from: u64,
         rows: impl Iterator<Item = &'a [Complex]> + Clone,
     ) -> RemoteResult<Pending<()>> {
-        ctx.start_method(self.r, "put", |w| {
+        ctx.start_method(self.obj_ref(), "put", |w| {
             epoch.encode(w);
             from.encode(w);
             let doubles: usize = rows.clone().map(|row| 2 * row.len()).sum();
@@ -182,7 +182,7 @@ impl BlockInboxClient {
         mut scatter: impl FnMut(usize, F64sView<'_>),
     ) -> RemoteResult<()> {
         let senders = (0..parts).filter(|&q| q != me);
-        let takes = senders.map(|q| Ok((q, self.take_async(ctx, epoch, q as u64)?)));
+        let takes = senders.map(|q| Ok((q, self.take_raw_async(ctx, epoch, q as u64)?)));
         let mut takes = takes.collect::<RemoteResult<Vec<_>>>()?.into_iter();
         let scattered = takes.try_for_each(|(q, take)| {
             let reply = ctx.wait_raw(take)?;
@@ -204,34 +204,12 @@ impl BlockInboxClient {
         scattered
     }
 
-    /// Ask for the block worker `from` put for exchange `epoch`. The reply,
-    /// deferred until the block is there, is the block: one [`F64s`], to be
+    /// [`take_async`](Self::take_async), with the reply — one [`F64s`] —
     /// read where [`wait_raw`](NodeCtx::wait_raw) hands it over.
-    pub fn take_async(&self, ctx: &mut NodeCtx, epoch: u64, from: u64) -> RemoteResult<u64> {
-        ctx.start_method_raw(self.r, "take", |w| {
+    pub fn take_raw_async(&self, ctx: &mut NodeCtx, epoch: u64, from: u64) -> RemoteResult<u64> {
+        ctx.start_method_raw(self.obj_ref(), "take", |w| {
             epoch.encode(w);
             from.encode(w);
-        })
-    }
-}
-
-impl RemoteClient for BlockInboxClient {
-    const CLASS: &'static str = "BlockInbox";
-    fn from_ref(r: ObjRef) -> Self {
-        BlockInboxClient { r }
-    }
-    fn obj_ref(&self) -> ObjRef {
-        self.r
-    }
-}
-
-impl Wire for BlockInboxClient {
-    fn encode(&self, w: &mut wire::Writer) {
-        self.r.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> wire::WireResult<Self> {
-        Ok(BlockInboxClient {
-            r: ObjRef::decode(r)?,
         })
     }
 }
@@ -440,7 +418,7 @@ impl FftWorker {
         let mut sends = Vec::with_capacity(self.parts - 1);
         for (q, inbox) in self.inboxes.iter().enumerate() {
             if q != me {
-                sends.push(inbox.put_async(ctx, epoch, self.id, runs(q))?);
+                sends.push(inbox.put_rows_async(ctx, epoch, self.id, runs(q))?);
             }
         }
         join(ctx, sends)?;
@@ -486,7 +464,7 @@ impl FftWorker {
         for (q, back) in self.gathered.chunks_exact(block).enumerate() {
             if q != me {
                 let back = std::iter::once(back);
-                sends.push(self.inboxes[q].put_async(ctx, epoch, self.id, back)?);
+                sends.push(self.inboxes[q].put_rows_async(ctx, epoch, self.id, back)?);
                 continue;
             }
             for (i, row) in back.chunks_exact(s2 * n3).enumerate() {
@@ -561,8 +539,7 @@ impl DistributedFft3 {
         // for (id = 0; id < N; id++) fft[id] = new(machine id) FFT(id);
         let mut pending_inboxes = Vec::with_capacity(parts);
         for id in 0..parts {
-            pending_inboxes
-                .push(ctx.create_async::<BlockInboxClient>(id % workers_count, Vec::new())?);
+            pending_inboxes.push(BlockInboxClient::new_on_async(ctx, id % workers_count)?);
         }
         let inboxes = oopp::join_clients(ctx, pending_inboxes)?;
         let mut pending_workers = Vec::with_capacity(parts);

@@ -32,7 +32,7 @@ fn put(
     from: u64,
     block: &[Complex],
 ) -> oopp::RemoteResult<()> {
-    let sent = inbox.put_async(d, epoch, from, std::iter::once(block));
+    let sent = inbox.put_rows_async(d, epoch, from, std::iter::once(block));
     sent?.wait(d)
 }
 
@@ -224,14 +224,14 @@ fn put_before_take_and_take_before_put_deliver_the_same_block() {
     let expected = wire::collections::F64s(as_f64s(&block).to_vec());
 
     put(d, 3, 1).unwrap();
-    let late = inbox.take_async(d, 3, 1).unwrap();
-    let early = inbox.take_async(d, 3, 2).unwrap();
+    let late = inbox.take_raw_async(d, 3, 1).unwrap();
+    let early = inbox.take_raw_async(d, 3, 2).unwrap();
     put(d, 3, 2).unwrap();
     assert_eq!(doubles(d.wait_raw(late).unwrap()).unwrap(), expected);
     assert_eq!(doubles(d.wait_raw(early).unwrap()).unwrap(), expected);
     // One taker per block.
-    let first = inbox.take_async(d, 3, 7).unwrap();
-    let second = inbox.take_async(d, 3, 7).unwrap();
+    let first = inbox.take_raw_async(d, 3, 7).unwrap();
+    let second = inbox.take_raw_async(d, 3, 7).unwrap();
     app_error(d.wait_raw(second).map(drop), "already awaited");
 
     // Exchange 3 is history once anyone takes from exchange 4: its unclaimed
@@ -239,7 +239,7 @@ fn put_before_take_and_take_before_put_deliver_the_same_block() {
     put(d, 3, 9).unwrap();
     app_error(put(d, 3, 9), "two transpose blocks from worker 9");
     put(d, 4, 1).unwrap();
-    let next = inbox.take_async(d, 4, 1).unwrap();
+    let next = inbox.take_raw_async(d, 4, 1).unwrap();
     assert_eq!(doubles(d.wait_raw(next).unwrap()).unwrap(), expected);
     put(d, 3, 9).unwrap();
     put(d, 3, 7).unwrap();

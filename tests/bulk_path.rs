@@ -273,7 +273,7 @@ fn stray_transpose_blocks_do_not_outlive_the_next_transform() {
     let idle = live();
     for stray in 0..STRAYS as u64 {
         let block = &grid[..BLOCK / 16];
-        let put = inbox.put_async(d, 0, 100 + stray, std::iter::once(block));
+        let put = inbox.put_rows_async(d, 0, 100 + stray, std::iter::once(block));
         put.unwrap().wait(d).unwrap();
     }
     let kept = live() - idle;
