@@ -2,7 +2,7 @@
 //!
 //! `run` executes a scenario end to end on the simulated cluster and
 //! writes a run directory (scenario.toml, report.txt, ledger.csv,
-//! trace.json); `analyze` recomputes the judged report from a run
+//! account.csv, trace.json); `analyze` recomputes the judged report from a run
 //! directory without re-running anything. `run -` uses the default
 //! scenario, and `SIMNET_SEED` overrides the spec's seed for replay.
 //! The process exits nonzero when an SLO gate fails, so both verbs
@@ -55,6 +55,7 @@ fn main() -> ExitCode {
                 &spec,
                 &artifacts.report,
                 &artifacts.ledger,
+                &artifacts.account,
                 Some(&artifacts.trace.to_chrome_json()),
             ) {
                 eprintln!("workload: write {}: {e}", out.display());

@@ -171,23 +171,7 @@ pub fn burn_table(rows: &[BurnRow]) -> TextTable {
 /// the fabric did about it.
 pub fn account_table(a: &ServerAccount) -> TextTable {
     let mut t = TextTable::new(&["server/fabric event", "count"]);
-    for (label, n) in [
-        ("admission sheds", a.sheds),
-        ("sojourn drops", a.sojourn_drops),
-        ("deadline drops", a.deadline_drops),
-        ("breaker opens", a.breaker_opens),
-        ("breaker closes", a.breaker_closes),
-        ("client fast-fails", a.fast_fails),
-        ("replica read hits", a.replica_hits),
-        ("replica stale refusals", a.replica_stale),
-        ("replica syncs", a.replica_syncs),
-        ("replica promotions", a.replica_promotes),
-        ("migrations committed", a.migrate_commits),
-        ("migrations rolled back", a.migrate_rollbacks),
-        ("machines declared dead", a.machines_declared_dead),
-        ("objects reactivated", a.objects_reactivated),
-        ("trace events dropped", a.dropped_events),
-    ] {
+    for (label, n) in a.rows() {
         t.row(&[label.into(), n.to_string()]);
     }
     t
@@ -224,18 +208,20 @@ pub fn build_report(spec: &ScenarioSpec, ledger: &Ledger, account: &ServerAccoun
 }
 
 /// Write the run directory: `scenario.toml`, `report.txt`,
-/// `ledger.csv`, and (when tracing was on) `trace.json`.
+/// `ledger.csv`, `account.csv`, and (when tracing was on) `trace.json`.
 pub fn write_run_dir(
     dir: &Path,
     spec: &ScenarioSpec,
     report: &RunReport,
     ledger: &Ledger,
+    account: &ServerAccount,
     trace_json: Option<&str>,
 ) -> io::Result<()> {
     fs::create_dir_all(dir)?;
     fs::write(dir.join("scenario.toml"), spec.to_toml())?;
     fs::write(dir.join("report.txt"), report.render())?;
     fs::write(dir.join("ledger.csv"), ledger.to_csv())?;
+    fs::write(dir.join("account.csv"), account.to_csv())?;
     if let Some(json) = trace_json {
         fs::write(dir.join("trace.json"), json)?;
     }
@@ -243,21 +229,14 @@ pub fn write_run_dir(
 }
 
 /// Recompute the report from a run directory: parse `scenario.toml`
-/// for the SLOs, rebuild the ledger from `ledger.csv`, and re-derive
-/// the server account from `trace.json` when present.
+/// for the SLOs, rebuild the ledger from `ledger.csv`, and read the
+/// server account back from `account.csv`.
 pub fn analyze_run_dir(dir: &Path) -> Result<RunReport, String> {
-    let spec_text = fs::read_to_string(dir.join("scenario.toml"))
-        .map_err(|e| format!("read scenario.toml: {e}"))?;
-    let spec = ScenarioSpec::from_toml(&spec_text)?;
-    let csv =
-        fs::read_to_string(dir.join("ledger.csv")).map_err(|e| format!("read ledger.csv: {e}"))?;
-    let ledger = Ledger::from_csv(&csv)?;
-    // The account can't be rebuilt from CSV; report what the trace file
-    // proves exists, or an empty account when no trace was saved.
-    let account = ServerAccount {
-        dropped_events: 0,
-        ..ServerAccount::default()
-    };
+    let read =
+        |name: &str| fs::read_to_string(dir.join(name)).map_err(|e| format!("read {name}: {e}"));
+    let spec = ScenarioSpec::from_toml(&read("scenario.toml")?)?;
+    let ledger = Ledger::from_csv(&read("ledger.csv")?)?;
+    let account = ServerAccount::from_csv(&read("account.csv")?)?;
     Ok(build_report(&spec, &ledger, &account))
 }
 
@@ -313,35 +292,57 @@ mod tests {
         assert!(text.contains("SLO: FAIL"));
     }
 
+    /// A real run, crash and spike included, written out and analyzed:
+    /// the report comes back byte for byte, account and run span too.
     #[test]
     fn run_dir_round_trips_through_analyze() {
         let dir = std::env::temp_dir().join(format!("workload-report-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let spec = ScenarioSpec::default();
-        let ledger = tiny_ledger();
-        let report = build_report(&spec, &ledger, &ServerAccount::default());
-        write_run_dir(&dir, &spec, &report, &ledger, Some("[]")).unwrap();
+        let spec = ScenarioSpec {
+            requests: 400,
+            crash_at_ms: 6,
+            spike_at_ms: 12,
+            ..ScenarioSpec::default()
+        };
+        let run = crate::runner::run(&spec);
+        assert!(run.account.counts.iter().any(|&n| n > 0));
+        let trace = run.trace.to_chrome_json();
+        write_run_dir(
+            &dir,
+            &spec,
+            &run.report,
+            &run.ledger,
+            &run.account,
+            Some(&trace),
+        )
+        .unwrap();
 
         let again = analyze_run_dir(&dir).unwrap();
-        // Analyze reproduces the judged sections byte for byte (the
-        // account differs only if a trace-fed account was used).
-        assert_eq!(again.verdicts, report.verdicts);
-        let find = |r: &RunReport, name: &str| {
-            r.sections
-                .iter()
-                .find(|(t, _)| t == name)
-                .map(|(_, tab)| tab.render())
-                .unwrap()
-        };
-        assert_eq!(
-            find(&again, "request classes"),
-            find(&report, "request classes")
-        );
-        assert_eq!(
-            find(&again, "error-budget burn (8 windows)"),
-            find(&report, "error-budget burn (8 windows)")
-        );
+        assert_eq!(again.render(), run.report.render());
+        assert_eq!(again.verdicts, run.report.verdicts);
         assert!(dir.join("trace.json").exists());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn account_csv_reads_back_only_what_it_wrote() {
+        let mut account = ServerAccount {
+            dropped_events: 7,
+            ..ServerAccount::default()
+        };
+        for (row, n) in account.counts.iter_mut().enumerate() {
+            *n = 10 * row as u64;
+        }
+        let csv = account.to_csv();
+        assert_eq!(ServerAccount::from_csv(&csv), Ok(account));
+        let lines: Vec<&str> = csv.lines().collect();
+        for bad in [
+            lines[..lines.len() - 1].join("\n"),
+            [csv.as_str(), "extra,1"].concat(),
+            csv.replacen("admission sheds", "sheds", 1),
+            csv.replacen(",10\n", ",ten\n", 1),
+        ] {
+            assert!(ServerAccount::from_csv(&bad).is_err(), "{bad:?} was read");
+        }
     }
 }

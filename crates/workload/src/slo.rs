@@ -8,9 +8,7 @@
 //! hits, promotions, migrations — and is what attributes *why* goodput
 //! was lost to the subsystem that lost it. [`Ledger::from_trace`]
 //! rebuilds a latency ledger from recorded client spans, which is how
-//! `workload analyze` can re-derive percentiles from a saved trace and
-//! how the tests cross-check the client-side ledger against the
-//! recorder.
+//! the tests cross-check the client-side ledger against the recorder.
 
 use std::collections::HashMap;
 
@@ -368,49 +366,81 @@ impl Ledger {
     }
 }
 
+/// What the [`ServerAccount`] counts, in report order: a row's label and
+/// the flight-recorder event kind whose events it counts.
+pub const ACCOUNT_ROWS: [(&str, EventKind); 14] = [
+    ("admission sheds", EventKind::ServerShed),
+    ("sojourn drops", EventKind::ServerSojournDrop),
+    ("deadline drops", EventKind::ServerDeadlineDrop),
+    ("breaker opens", EventKind::BreakerOpen),
+    ("breaker closes", EventKind::BreakerClose),
+    ("client fast-fails", EventKind::ClientFastFail),
+    ("replica read hits", EventKind::ReplicaHit),
+    ("replica stale refusals", EventKind::ReplicaStale),
+    ("replica syncs", EventKind::ReplicaSync),
+    ("replica promotions", EventKind::ReplicaPromote),
+    ("migrations committed", EventKind::MigrateCommit),
+    ("migrations rolled back", EventKind::MigrateRollback),
+    ("machines declared dead", EventKind::MachineDeclaredDead),
+    ("objects reactivated", EventKind::ObjectReactivated),
+];
+
+/// The label of the account's last row: events the recorder lost.
+const DROPPED_LABEL: &str = "trace events dropped";
+
 /// The server/fabric side of the run, distilled from the flight
 /// recorder: what the overload, replication, placement, and failure
 /// machinery actually did while the SLOs were being measured.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerAccount {
-    pub sheds: u64,
-    pub sojourn_drops: u64,
-    pub deadline_drops: u64,
-    pub breaker_opens: u64,
-    pub breaker_closes: u64,
-    pub fast_fails: u64,
-    pub replica_hits: u64,
-    pub replica_stale: u64,
-    pub replica_syncs: u64,
-    pub replica_promotes: u64,
-    pub migrate_commits: u64,
-    pub migrate_rollbacks: u64,
-    pub machines_declared_dead: u64,
-    pub objects_reactivated: u64,
+    /// Events of each row of [`ACCOUNT_ROWS`], in its order.
+    pub counts: [u64; ACCOUNT_ROWS.len()],
     /// Events lost to ring wrap-around (0 = the account is complete).
     pub dropped_events: u64,
 }
 
 impl ServerAccount {
     pub fn from_trace(trace: &Trace) -> ServerAccount {
-        let n = |k: EventKind| trace.count(k) as u64;
         ServerAccount {
-            sheds: n(EventKind::ServerShed),
-            sojourn_drops: n(EventKind::ServerSojournDrop),
-            deadline_drops: n(EventKind::ServerDeadlineDrop),
-            breaker_opens: n(EventKind::BreakerOpen),
-            breaker_closes: n(EventKind::BreakerClose),
-            fast_fails: n(EventKind::ClientFastFail),
-            replica_hits: n(EventKind::ReplicaHit),
-            replica_stale: n(EventKind::ReplicaStale),
-            replica_syncs: n(EventKind::ReplicaSync),
-            replica_promotes: n(EventKind::ReplicaPromote),
-            migrate_commits: n(EventKind::MigrateCommit),
-            migrate_rollbacks: n(EventKind::MigrateRollback),
-            machines_declared_dead: n(EventKind::MachineDeclaredDead),
-            objects_reactivated: n(EventKind::ObjectReactivated),
+            counts: ACCOUNT_ROWS.map(|(_, kind)| trace.count(kind) as u64),
             dropped_events: trace.dropped,
         }
+    }
+
+    /// `(label, count)` in report order, the dropped events last.
+    pub fn rows(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let counted = ACCOUNT_ROWS.iter().zip(self.counts);
+        let counted = counted.map(|(&(label, _), n)| (label, n));
+        counted.chain([(DROPPED_LABEL, self.dropped_events)])
+    }
+
+    /// The account as `label,count` lines: what a run directory keeps of
+    /// the recorder for `workload analyze`.
+    pub fn to_csv(&self) -> String {
+        let mut out = String::from("event,count\n");
+        for (label, n) in self.rows() {
+            out.push_str(&format!("{label},{n}\n"));
+        }
+        out
+    }
+
+    /// Read back [`to_csv`](Self::to_csv), and nothing else.
+    pub fn from_csv(text: &str) -> Result<ServerAccount, String> {
+        let not_an_account = || "account.csv is not a server account".to_string();
+        let counts = text
+            .lines()
+            .skip(1)
+            .map(|line| line.rsplit_once(',')?.1.parse().ok());
+        let counts: Vec<u64> = counts.collect::<Option<_>>().ok_or_else(not_an_account)?;
+        let (&dropped_events, counts) = counts.split_last().ok_or_else(not_an_account)?;
+        let counts = counts.try_into().map_err(|_| not_an_account())?;
+        let account = ServerAccount {
+            counts,
+            dropped_events,
+        };
+        (account.to_csv() == text)
+            .then_some(account)
+            .ok_or_else(not_an_account)
     }
 }
 

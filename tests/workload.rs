@@ -4,6 +4,7 @@
 //! closed-loop load generator — must survive its chaos schedule with
 //! green SLO gates and replay byte-identically from one seed.
 
+use oopp_repro::oopp::EventKind;
 use oopp_repro::workload::{
     config::ScenarioSpec,
     loadgen::ArrivalCurve,
@@ -52,7 +53,7 @@ fn calm_run_meets_slos_with_replicas_serving_reads() {
     assert_eq!(a.ledger.total_issued(), 300);
     assert_eq!(a.promotions, 0, "nothing crashed, nothing promotes");
     assert!(
-        a.account.replica_hits > 0,
+        a.trace.count(EventKind::ReplicaHit) > 0,
         "replicas must serve hot-feed reads"
     );
 }
