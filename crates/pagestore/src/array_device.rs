@@ -8,7 +8,7 @@
 //! unchanged.
 
 use oopp::{remote_class, NodeCtx, RemoteError, RemoteResult};
-use wire::collections::{F64s, F64sView};
+use wire::collections::{Bytes, F64s, F64sView};
 
 use crate::device::{PageDevice, PageDeviceClient};
 use crate::page::ArrayPage;
@@ -135,10 +135,7 @@ impl ArrayPageDevice {
         disk_index: usize,
         copy_from: Option<PageDeviceClient>,
     ) -> RemoteResult<Self> {
-        if n1 == 0 || n2 == 0 || n3 == 0 {
-            return Err(RemoteError::app("array page dimensions must be positive"));
-        }
-        let page_size = n1 * n2 * n3 * std::mem::size_of::<f64>() as u64;
+        let page_size = page_size_of(n1, n2, n3)?;
         let base = PageDevice::new(ctx, filename, number_of_pages, page_size, disk_index)?;
         let device = ArrayPageDevice { base, n1, n2, n3 };
         if let Some(source) = copy_from {
@@ -423,36 +420,33 @@ impl ArrayPageDevice {
 
     /// Persistence hook (§5): base geometry plus the array shape.
     pub fn save_state(&self) -> Vec<u8> {
-        let mut w = wire::Writer::new();
-        wire::Wire::encode(&wire::collections::Bytes(self.base.save_state()), &mut w);
-        wire::Wire::encode(&self.n1, &mut w);
-        wire::Wire::encode(&self.n2, &mut w);
-        wire::Wire::encode(&self.n3, &mut w);
-        w.into_bytes()
+        wire::to_bytes(&(Bytes(self.base.save_state()), self.n1, self.n2, self.n3))
     }
 
-    /// Persistence hook (§5).
+    /// Persistence hook (§5). The shape must fill the base device's pages,
+    /// as `new` makes it.
     pub fn load_state(ctx: &mut NodeCtx, state: &[u8]) -> RemoteResult<Self> {
-        let mut r = wire::Reader::new(state);
-        let base_state: wire::collections::Bytes = wire::Wire::decode(&mut r)?;
-        let n1 = u64::decode_from(&mut r)?;
-        let n2 = u64::decode_from(&mut r)?;
-        let n3 = u64::decode_from(&mut r)?;
+        let (base_state, n1, n2, n3): (Bytes, u64, u64, u64) = wire::from_bytes(state)?;
         let base = PageDevice::load_state(ctx, &base_state.0)?;
+        if page_size_of(n1, n2, n3)? != base.page_size {
+            return Err(RemoteError::app(format!(
+                "{n1}x{n2}x{n3} array pages on a device of {}-byte pages",
+                base.page_size
+            )));
+        }
         Ok(ArrayPageDevice { base, n1, n2, n3 })
     }
 }
 
-/// Tiny extension trait so `load_state` reads scalars without importing the
-/// `Wire` trait at every call site.
-trait DecodeFrom: Sized {
-    fn decode_from(r: &mut wire::Reader<'_>) -> RemoteResult<Self>;
-}
-
-impl<T: wire::Wire> DecodeFrom for T {
-    fn decode_from(r: &mut wire::Reader<'_>) -> RemoteResult<Self> {
-        Ok(T::decode(r)?)
+/// Bytes of one `n1 × n2 × n3` page of doubles.
+fn page_size_of(n1: u64, n2: u64, n3: u64) -> RemoteResult<u64> {
+    if n1 == 0 || n2 == 0 || n3 == 0 {
+        return Err(RemoteError::app("array page dimensions must be positive"));
     }
+    [n2, n3, size_of::<f64>() as u64]
+        .into_iter()
+        .try_fold(n1, u64::checked_mul)
+        .ok_or_else(|| RemoteError::app("array page size overflows"))
 }
 
 /// Client-side helper mirroring §3's "move the data to the computation":

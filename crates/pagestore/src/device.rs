@@ -17,7 +17,7 @@ use wire::wire_struct;
 pub struct PageDevice {
     filename: String,
     number_of_pages: u64,
-    page_size: u64,
+    pub(crate) page_size: u64,
     disk_index: usize,
     /// Base offset of this device's region on the shared disk.
     base: usize,
@@ -90,25 +90,13 @@ impl PageDevice {
         page_size: u64,
         disk_index: usize,
     ) -> RemoteResult<Self> {
-        if page_size == 0 {
-            return Err(RemoteError::app("page_size must be positive"));
-        }
-        let disk = ctx.disks().get(disk_index).cloned().ok_or_else(|| {
-            RemoteError::app(format!(
-                "machine {} has no disk {disk_index} (it has {})",
-                ctx.machine(),
-                ctx.disks().len()
-            ))
-        })?;
-        let needed = number_of_pages
-            .checked_mul(page_size)
-            .filter(|&n| n <= usize::MAX as u64)
-            .ok_or_else(|| RemoteError::app("device size overflows"))?;
+        let needed = region_len(number_of_pages, page_size)?;
+        let disk = local_disk(ctx, disk_index)?;
         // "Creates a file filename of NumberOfPages * PageSize bytes":
         // reserve an exclusive region so devices sharing a disk never
         // overlap.
         let base = disk
-            .alloc(needed as usize)
+            .alloc(needed)
             .map_err(|e| RemoteError::app(e.to_string()))?;
         Ok(PageDevice {
             filename,
@@ -121,15 +109,21 @@ impl PageDevice {
         })
     }
 
-    /// Reattach to an existing region (persistence restore path).
+    /// Reattach to an existing region (persistence restore path). The
+    /// snapshot may come from anywhere, so its geometry is held to what
+    /// `new` would have built: a region of whole pages on the disk.
     fn reattach(ctx: &mut NodeCtx, s: PageDeviceState) -> RemoteResult<Self> {
-        let disk = ctx.disks().get(s.disk_index).cloned().ok_or_else(|| {
-            RemoteError::app(format!(
-                "machine {} has no disk {}",
-                ctx.machine(),
-                s.disk_index
-            ))
-        })?;
+        let needed = region_len(s.number_of_pages, s.page_size)?;
+        let disk = local_disk(ctx, s.disk_index)?;
+        let end = s.base.checked_add(needed as u64);
+        if end.is_none_or(|end| end > disk.capacity() as u64) {
+            return Err(RemoteError::app(format!(
+                "device region of {needed} bytes at {} lies off disk {} ({} bytes)",
+                s.base,
+                s.disk_index,
+                disk.capacity()
+            )));
+        }
         Ok(PageDevice {
             filename: s.filename,
             number_of_pages: s.number_of_pages,
@@ -215,4 +209,27 @@ impl PageDevice {
         let s: PageDeviceState = wire::from_bytes(state)?;
         PageDevice::reattach(ctx, s)
     }
+}
+
+/// Bytes of `number_of_pages` pages of `page_size`: the region a device
+/// claims on its disk.
+fn region_len(number_of_pages: u64, page_size: u64) -> RemoteResult<usize> {
+    if page_size == 0 {
+        return Err(RemoteError::app("page_size must be positive"));
+    }
+    number_of_pages
+        .checked_mul(page_size)
+        .and_then(|n| usize::try_from(n).ok())
+        .ok_or_else(|| RemoteError::app("device size overflows"))
+}
+
+/// Local disk `disk_index` of the hosting machine.
+fn local_disk(ctx: &NodeCtx, disk_index: usize) -> RemoteResult<Arc<SimDisk>> {
+    ctx.disks().get(disk_index).cloned().ok_or_else(|| {
+        RemoteError::app(format!(
+            "machine {} has no disk {disk_index} (it has {})",
+            ctx.machine(),
+            ctx.disks().len()
+        ))
+    })
 }

@@ -6,6 +6,7 @@ use simnet::{ClusterConfig, DiskConfig};
 use wire::collections::{Bytes, F64s};
 
 use crate::array_device::sum_by_moving_data;
+use crate::device::PageDeviceState;
 use crate::{
     ArrayPage, ArrayPageDevice, ArrayPageDeviceClient, Page, PageDevice, PageDeviceClient,
 };
@@ -368,5 +369,60 @@ fn two_devices_same_machine_different_disks() {
         Page::generate(64, 2)
     );
     assert_eq!(cluster.sim().active_disks(), 2);
+    cluster.shutdown(driver);
+}
+
+/// A restored device is held to what `new` builds: pages of at least one
+/// byte, a size that fits in a `usize`, a region that lies on its disk,
+/// and an array shape that fills a page. A snapshot that broke one used
+/// to restore, and the device's first `read` then resized its page buffer
+/// to the forged page size (a capacity-overflow panic, or an abort) or
+/// overflowed `page_index * page_size`.
+#[test]
+fn restored_devices_keep_the_constructors_invariants() {
+    let (cluster, mut driver) = cluster(1);
+    let d = &mut driver;
+    let dev = ArrayPageDeviceClient::new_on(d, 0, "g".into(), 4, 2, 2, 2, 0, None).unwrap();
+    let state = d.snapshot_of(dev.obj_ref()).unwrap();
+    let (base, n1, n2, n3): (Bytes, u64, u64, u64) = wire::from_bytes(&state).unwrap();
+    let geometry: PageDeviceState = wire::from_bytes(&base.0).unwrap();
+    let forge = |edit: &dyn Fn(&mut PageDeviceState)| {
+        let mut g = geometry.clone();
+        edit(&mut g);
+        wire::to_bytes(&g)
+    };
+    let forged_devices = [
+        forge(&|g| g.page_size = 0),
+        forge(&|g| g.page_size = 1 << 40),
+        forge(&|g| g.number_of_pages = u64::MAX),
+        forge(&|g| g.base = u64::MAX - 8),
+        forge(&|g| g.base = 1 << 50),
+    ];
+    let as_array =
+        |base: &[u8], n: (u64, u64, u64)| wire::to_bytes(&(Bytes(base.to_vec()), n.0, n.1, n.2));
+    let mut forged = vec![];
+    for device in &forged_devices {
+        forged.push(("PageDevice", device.clone()));
+        forged.push(("ArrayPageDevice", as_array(device, (n1, n2, n3))));
+    }
+    for shape in [(2, 2, 3), (0, 2, 2), (1 << 32, 1 << 32, 1)] {
+        forged.push(("ArrayPageDevice", as_array(&base.0, shape)));
+    }
+    for (i, (class, state)) in forged.into_iter().enumerate() {
+        let key = oopp::symbolic_addr(&["forged", &i.to_string()]);
+        d.put_snapshot(0, &key, class, state).unwrap();
+        let restored = d.activate::<PageDeviceClient>(0, &key);
+        assert!(
+            matches!(restored, Err(RemoteError::App { .. })),
+            "forgery {i} of {class} restored as {restored:?}"
+        );
+    }
+    // The snapshot as written still restores, pages and all.
+    let page = ArrayPage::generate(2, 2, 2, 5);
+    dev.write_array(d, 3, page.clone().into_f64s()).unwrap();
+    d.put_snapshot(0, "as-written", "ArrayPageDevice", state)
+        .unwrap();
+    let back: ArrayPageDeviceClient = d.activate(0, "as-written").unwrap();
+    assert_eq!(back.read_array(d, 3).unwrap().0, page.elements());
     cluster.shutdown(driver);
 }
