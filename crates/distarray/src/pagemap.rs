@@ -76,13 +76,6 @@ impl wire::Wire for PageMap {
     }
 }
 
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Interleave the low 21 bits of three coordinates (Morton order).
 fn morton3(x: u64, y: u64, z: u64) -> u64 {
     fn spread(mut v: u64) -> u64 {
@@ -170,7 +163,7 @@ impl PageMap {
             devices,
             MapKind::Hashed,
             |l, _| l,
-            move |_, c| splitmix(seed ^ morton3(c[0], c[1], c[2])),
+            move |_, c| simnet::faults::mix(seed ^ morton3(c[0], c[1], c[2])),
         )
     }
 

@@ -104,8 +104,10 @@ impl Default for FaultPlan {
 
 /// SplitMix64 finalizer: one well-mixed word from one input word. Every
 /// seeded decision of the substrate — a packet's fate here, the virtual
-/// clock's event tiebreak — is a draw of this hash.
-pub(crate) fn mix(mut z: u64) -> u64 {
+/// clock's event tiebreak — is a draw of this hash, and so are the crates
+/// above it that hash or draw from a seed (`workload`'s request stream,
+/// `distarray`'s hashed page map).
+pub fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);

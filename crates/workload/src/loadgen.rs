@@ -260,12 +260,11 @@ impl Request {
     }
 }
 
+/// The next word of the SplitMix64 stream at `state`.
 fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let z = *state;
+    *state = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    simnet::faults::mix(z)
 }
 
 /// A seeded Zipf(s) sampler over ranks `0..n` (rank 0 is the hot head):
