@@ -16,9 +16,9 @@
 //!   parked deferred): *suppress* the copy; the original will answer.
 //! - **done** — answered already: *replay* the cached response without
 //!   re-executing.
-//! - **done, bytes dropped** — answered long enough ago that the reply's
-//!   bytes were given back (see below): *suppress* the copy. It is never
-//!   re-executed; it just cannot be answered a second time.
+//! - **done, bytes dropped** — answered, but the reply's bytes were given
+//!   back (see below): *suppress* the copy. It is never re-executed; it
+//!   just cannot be answered a second time.
 //!
 //! The window has two bounds. It remembers [`DEFAULT_DEDUP_CAPACITY`]
 //! completed **keys**, evicted FIFO: an evicted key makes a very late
@@ -27,7 +27,20 @@
 //! it holds at most [`DEDUP_BYTE_BUDGET`] of cached reply **bytes**: beyond
 //! that the oldest replies are dropped (their keys stay), so a server
 //! answering 2 MiB reads pins 64 MiB, not 1 024 × 2 MiB. Execution is at
-//! most once per retained key; replay is per retained bytes.
+//! most once per retained key; replay is per retained bytes, for callers
+//! that may retransmit.
+//!
+//! A caller under a policy of zero retries never retransmits, and its frame
+//! says so (tag `2`, [`Frame::SingleShot`](crate::frame::Frame)): no copy of
+//! that request will ever ask for its reply. Its key is kept like any other
+//! — a copy the fabric duplicates is still suppressed, never executed — but
+//! a reply heavier than its key's share of the byte budget (the budget over
+//! the key capacity: 64 KiB by default) keeps no bytes at all. Its buffer
+//! goes back to the allocator once the caller has read it, instead of
+//! waiting for 32 later replies to push it out. Lighter single-shot
+//! replies are kept as before: dropping them too moves the free of every
+//! ~100-byte reply buffer to the caller's thread, and the 64-call
+//! `split_loop` benchmark lost 8 pairs of 8 to that (p50 95 → 118 µs).
 //!
 //! In-flight entries get the same treatment. A request can be admitted and
 //! then *never* completed — the canonical case is a deferred reply whose
@@ -70,18 +83,21 @@ pub(crate) enum DedupVerdict {
 pub(crate) const DEFAULT_DEDUP_CAPACITY: usize = 1024;
 
 /// Most reply bytes the window keeps for replay. What it bounds is the
-/// *replay* horizon of large replies (32 of 2 MiB), never execution; it
-/// also keeps a bulk server's reply buffers cycling through the same few
-/// pages instead of 1 024 fresh ones.
+/// *replay* horizon of large replies to callers that may retransmit (32 of
+/// 2 MiB), never execution; it also keeps a bulk server's reply buffers
+/// cycling through the same few pages instead of 1 024 fresh ones. Over
+/// [`DEFAULT_DEDUP_CAPACITY`] it is one key's share, 64 KiB: a reply to a
+/// caller that will not retransmit is kept only up to that weight.
 pub(crate) const DEDUP_BYTE_BUDGET: usize = 64 << 20;
 
 #[derive(Debug)]
 pub(crate) struct DedupWindow {
     /// In-flight keys, each stamped with the admission sequence number that
-    /// positions it in `in_flight_order`. The stamp lets eviction tell a
-    /// live queue entry from a stale one (completed, or evicted and later
-    /// re-admitted under a fresh stamp).
-    in_flight: IdMap<ReqKey, u64>,
+    /// positions it in `in_flight_order`, and whether its caller may
+    /// retransmit it. The stamp lets eviction tell a live queue entry from
+    /// a stale one (completed, or evicted and later re-admitted under a
+    /// fresh stamp).
+    in_flight: IdMap<ReqKey, (u64, bool)>,
     in_flight_order: VecDeque<(u64, ReqKey)>,
     next_seq: u64,
     /// Completed keys and their replies; `None` once the bytes were dropped.
@@ -122,8 +138,9 @@ impl DedupWindow {
         }
     }
 
-    /// Classify an incoming request and, if new, mark it in flight.
-    pub(crate) fn admit(&mut self, key: ReqKey) -> DedupVerdict {
+    /// Classify an incoming request and, if new, mark it in flight,
+    /// remembering whether its caller may retransmit it (`resend`).
+    pub(crate) fn admit(&mut self, key: ReqKey, resend: bool) -> DedupVerdict {
         match self.done.get(&key) {
             Some(Some(reply)) => return DedupVerdict::Done(reply.frame.clone()),
             Some(None) => return DedupVerdict::InFlight,
@@ -134,27 +151,34 @@ impl DedupWindow {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.in_flight.insert(key, seq);
+        self.in_flight.insert(key, (seq, resend));
         self.in_flight_order.push_back((seq, key));
         self.evict_in_flight();
         DedupVerdict::New
     }
 
     /// Record the response `frame` sent for `key`, weighing `weight` bytes,
-    /// making later duplicates replay it. Evicts the oldest completed keys
-    /// beyond capacity, then drops the oldest reply bytes beyond the byte
-    /// budget — never the newest entry's, so the reply just sent can always
-    /// be replayed.
+    /// making later duplicates replay it — unless nobody will ask: a reply
+    /// to a caller that will not retransmit, heavier than one key's share
+    /// of the byte budget, keeps its key and none of its bytes. Evicts the
+    /// oldest completed keys beyond capacity, then drops the oldest reply
+    /// bytes beyond the byte budget — never the newest entry's, so the
+    /// reply just sent to a caller that may retransmit can always be
+    /// replayed. A key no longer in flight (evicted) counts as one whose
+    /// caller may retransmit.
     pub(crate) fn complete(&mut self, key: ReqKey, frame: PacketBytes, weight: usize) {
-        self.in_flight.remove(&key);
+        let resend = self.in_flight.remove(&key).is_none_or(|(_, resend)| resend);
         self.trim_in_flight_order();
         if self.done.contains_key(&key) {
             // Answered before (the request re-executed past a horizon):
             // the first answer stands, and stays where it is in `order`.
             return;
         }
-        self.bytes += weight;
-        self.done.insert(key, Some(Reply { frame, weight }));
+        let kept = resend || weight <= self.byte_budget / self.capacity;
+        if kept {
+            self.bytes += weight;
+        }
+        self.done.insert(key, kept.then_some(Reply { frame, weight }));
         self.order.push_back(key);
         while self.done.len() > self.capacity {
             let Some(oldest) = self.order.pop_front() else {
@@ -186,7 +210,7 @@ impl DedupWindow {
             let Some((seq, key)) = self.in_flight_order.pop_front() else {
                 break;
             };
-            if self.in_flight.get(&key) == Some(&seq) {
+            if self.is_live(seq, key) {
                 self.in_flight.remove(&key);
             }
         }
@@ -197,15 +221,20 @@ impl DedupWindow {
         if self.in_flight_order.len() > 2 * self.in_flight.len() + 64 {
             let in_flight = &self.in_flight;
             self.in_flight_order
-                .retain(|(seq, key)| in_flight.get(key) == Some(seq));
+                .retain(|(seq, key)| matches!(in_flight.get(key), Some((s, _)) if s == seq));
         }
+    }
+
+    /// The queue entry `(seq, key)` is `key`'s current admission.
+    fn is_live(&self, seq: u64, key: ReqKey) -> bool {
+        matches!(self.in_flight.get(&key), Some(&(s, _)) if s == seq)
     }
 
     /// Pop stale (completed or superseded) entries off the queue front so
     /// eviction always sees the genuinely oldest live key first.
     fn trim_in_flight_order(&mut self) {
         while let Some(&(seq, key)) = self.in_flight_order.front() {
-            if self.in_flight.get(&key) == Some(&seq) {
+            if self.is_live(seq, key) {
                 break;
             }
             self.in_flight_order.pop_front();
@@ -266,7 +295,7 @@ mod tests {
     /// Admit `key` as a duplicate and decode the reply its `Done` verdict
     /// carries back out of the frame.
     fn replay(w: &mut DedupWindow, key: ReqKey) -> RemoteResult<Vec<u8>> {
-        let verdict = w.admit(key);
+        let verdict = w.admit(key, true);
         let DedupVerdict::Done(frame) = verdict else {
             panic!("expected a replay, got {verdict:?}");
         };
@@ -282,20 +311,20 @@ mod tests {
     #[test]
     fn first_sighting_is_new_then_in_flight() {
         let mut w = DedupWindow::default();
-        assert_eq!(w.admit((3, 7)), DedupVerdict::New);
-        assert_eq!(w.admit((3, 7)), DedupVerdict::InFlight);
+        assert_eq!(w.admit((3, 7), true), DedupVerdict::New);
+        assert_eq!(w.admit((3, 7), true), DedupVerdict::InFlight);
         // A different caller with the same req_id is a different request.
-        assert_eq!(w.admit((4, 7)), DedupVerdict::New);
+        assert_eq!(w.admit((4, 7), true), DedupVerdict::New);
     }
 
     #[test]
     fn completed_requests_replay_their_response() {
         let mut w = DedupWindow::default();
-        assert_eq!(w.admit((0, 1)), DedupVerdict::New);
+        assert_eq!(w.admit((0, 1), true), DedupVerdict::New);
         complete(&mut w, (0, 1), Ok(vec![9, 9]));
         assert_eq!(replay(&mut w, (0, 1)), Ok(vec![9, 9]));
         // Errors are cached too: a failed create must not re-run either.
-        assert_eq!(w.admit((0, 2)), DedupVerdict::New);
+        assert_eq!(w.admit((0, 2), true), DedupVerdict::New);
         complete(
             &mut w,
             (0, 2),
@@ -314,7 +343,7 @@ mod tests {
         // retransmitted copy of a forwarded request replays the redirect
         // instead of re-executing — the dedup window "survives the move".
         let mut w = DedupWindow::default();
-        assert_eq!(w.admit((5, 1)), DedupVerdict::New);
+        assert_eq!(w.admit((5, 1), true), DedupVerdict::New);
         let moved = Err(RemoteError::Moved {
             to: crate::ids::ObjRef {
                 machine: 2,
@@ -329,13 +358,13 @@ mod tests {
     fn eviction_is_fifo_and_bounded() {
         let mut w = DedupWindow::new(3, DEDUP_BYTE_BUDGET);
         for id in 0..5u64 {
-            assert_eq!(w.admit((0, id)), DedupVerdict::New);
+            assert_eq!(w.admit((0, id), true), DedupVerdict::New);
             complete(&mut w, (0, id), Ok(vec![id as u8]));
         }
         assert_eq!(w.done_len(), 3);
         // The two oldest were evicted: their duplicates execute again.
-        assert_eq!(w.admit((0, 0)), DedupVerdict::New);
-        assert_eq!(w.admit((0, 1)), DedupVerdict::New);
+        assert_eq!(w.admit((0, 0), true), DedupVerdict::New);
+        assert_eq!(w.admit((0, 1), true), DedupVerdict::New);
         // The newest three still replay.
         assert_eq!(replay(&mut w, (0, 4)), Ok(vec![4]));
     }
@@ -347,7 +376,7 @@ mod tests {
         // in-flight set forever. They must now be evicted FIFO at capacity.
         let mut w = DedupWindow::new(64, DEDUP_BYTE_BUDGET);
         for id in 0..5_000u64 {
-            assert_eq!(w.admit((0, id)), DedupVerdict::New);
+            assert_eq!(w.admit((0, id), true), DedupVerdict::New);
         }
         assert!(
             w.in_flight_len() <= 64,
@@ -361,8 +390,8 @@ mod tests {
         );
         // Recent keys are still protected; ancient evicted ones re-execute
         // (the same horizon compromise the done-cache already makes).
-        assert_eq!(w.admit((0, 4_999)), DedupVerdict::InFlight);
-        assert_eq!(w.admit((0, 0)), DedupVerdict::New);
+        assert_eq!(w.admit((0, 4_999), true), DedupVerdict::InFlight);
+        assert_eq!(w.admit((0, 0), true), DedupVerdict::New);
     }
 
     #[test]
@@ -372,7 +401,7 @@ mod tests {
         // set, not to the total call count.
         let mut w = DedupWindow::new(32, DEDUP_BYTE_BUDGET);
         for id in 0..10_000u64 {
-            assert_eq!(w.admit((1, id)), DedupVerdict::New);
+            assert_eq!(w.admit((1, id), true), DedupVerdict::New);
             complete(&mut w, (1, id), Ok(vec![]));
         }
         assert_eq!(w.in_flight_len(), 0);
@@ -389,9 +418,9 @@ mod tests {
         // then finishes: its response must still enter the done cache so
         // late duplicates replay instead of re-executing.
         let mut w = DedupWindow::new(4, DEDUP_BYTE_BUDGET);
-        assert_eq!(w.admit((2, 0)), DedupVerdict::New);
+        assert_eq!(w.admit((2, 0), true), DedupVerdict::New);
         for id in 1..=8u64 {
-            assert_eq!(w.admit((2, id)), DedupVerdict::New);
+            assert_eq!(w.admit((2, id), true), DedupVerdict::New);
         }
         // (2,0) was evicted; completing it anyway records the response.
         complete(&mut w, (2, 0), Ok(vec![7]));
@@ -404,28 +433,28 @@ mod tests {
         // queue entry must not cause the fresh admission to be dropped out
         // of order or double-removed.
         let mut w = DedupWindow::new(2, DEDUP_BYTE_BUDGET);
-        assert_eq!(w.admit((3, 0)), DedupVerdict::New);
-        assert_eq!(w.admit((3, 1)), DedupVerdict::New);
-        assert_eq!(w.admit((3, 2)), DedupVerdict::New); // evicts (3,0)
-        assert_eq!(w.admit((3, 0)), DedupVerdict::New); // fresh stamp, evicts (3,1)
-        assert_eq!(w.admit((3, 0)), DedupVerdict::InFlight);
+        assert_eq!(w.admit((3, 0), true), DedupVerdict::New);
+        assert_eq!(w.admit((3, 1), true), DedupVerdict::New);
+        assert_eq!(w.admit((3, 2), true), DedupVerdict::New); // evicts (3,0)
+        assert_eq!(w.admit((3, 0), true), DedupVerdict::New); // fresh stamp, evicts (3,1)
+        assert_eq!(w.admit((3, 0), true), DedupVerdict::InFlight);
         assert!(w.in_flight_len() <= 2);
     }
 
     #[test]
     fn completing_twice_keeps_the_first_answer_and_an_exact_byte_account() {
         let mut w = DedupWindow::new(2, DEDUP_BYTE_BUDGET);
-        w.admit((1, 1));
+        w.admit((1, 1), true);
         complete(&mut w, (1, 1), Ok(vec![1; 100]));
         complete(&mut w, (1, 1), Ok(vec![2; 50])); // re-executed past a horizon
         assert_eq!(w.held_bytes(), 100);
-        w.admit((1, 2));
+        w.admit((1, 2), true);
         complete(&mut w, (1, 2), Ok(vec![3]));
         assert_eq!((w.done_len(), w.held_bytes()), (2, 101));
         // (1,1) was not evicted by its own double-complete.
         assert_eq!(replay(&mut w, (1, 1)), Ok(vec![1; 100]));
         // Count eviction gives the bytes back exactly.
-        w.admit((1, 3));
+        w.admit((1, 3), true);
         complete(&mut w, (1, 3), Ok(vec![4; 7]));
         assert_eq!((w.done_len(), w.held_bytes()), (2, 8));
     }
@@ -433,7 +462,7 @@ mod tests {
     /// Complete `ids` of caller 0, each with a reply of `len` bytes of its id.
     fn complete_all(w: &mut DedupWindow, ids: std::ops::Range<u64>, len: usize) {
         for id in ids {
-            assert_eq!(w.admit((0, id)), DedupVerdict::New);
+            assert_eq!(w.admit((0, id), true), DedupVerdict::New);
             complete(w, (0, id), Ok(vec![id as u8; len]));
         }
     }
@@ -447,7 +476,7 @@ mod tests {
         // The three oldest lost their bytes, not their keys: a duplicate is
         // suppressed — never `New`, so never executed again.
         for id in 0..3 {
-            assert_eq!(w.admit((0, id)), DedupVerdict::InFlight);
+            assert_eq!(w.admit((0, id), true), DedupVerdict::InFlight);
         }
         for id in 3..6 {
             assert_eq!(replay(&mut w, (0, id)), Ok(vec![id as u8; 100]));
@@ -455,9 +484,9 @@ mod tests {
         // Past the key horizon a duplicate executes again, as it always has.
         complete_all(&mut w, 6..10, 100);
         assert_eq!((w.done_len(), w.held_bytes()), (8, 300));
-        assert_eq!(w.admit((0, 0)), DedupVerdict::New);
-        assert_eq!(w.admit((0, 1)), DedupVerdict::New);
-        assert_eq!(w.admit((0, 2)), DedupVerdict::InFlight);
+        assert_eq!(w.admit((0, 0), true), DedupVerdict::New);
+        assert_eq!(w.admit((0, 1), true), DedupVerdict::New);
+        assert_eq!(w.admit((0, 2), true), DedupVerdict::InFlight);
     }
 
     #[test]
@@ -469,7 +498,7 @@ mod tests {
         // The next reply makes it the oldest, and over budget: dropped.
         complete_all(&mut w, 1..2, 10);
         assert_eq!(w.held_bytes(), 10);
-        assert_eq!(w.admit((0, 0)), DedupVerdict::InFlight);
+        assert_eq!(w.admit((0, 0), true), DedupVerdict::InFlight);
         assert_eq!(replay(&mut w, (0, 1)), Ok(vec![1; 10]));
     }
 
@@ -477,9 +506,9 @@ mod tests {
     fn errors_and_empty_replies_weigh_nothing_and_replay_to_the_key_horizon() {
         let mut w = DedupWindow::new(8, 300);
         let err = Err(RemoteError::NoSuchClass { class: "X".into() });
-        assert_eq!(w.admit((1, 0)), DedupVerdict::New);
+        assert_eq!(w.admit((1, 0), true), DedupVerdict::New);
         complete(&mut w, (1, 0), err.clone());
-        assert_eq!(w.admit((1, 1)), DedupVerdict::New);
+        assert_eq!(w.admit((1, 1), true), DedupVerdict::New);
         complete(&mut w, (1, 1), Ok(Vec::new()));
         assert_eq!(w.held_bytes(), 0);
         // Heavy replies push each other out by bytes; the weightless
@@ -488,8 +517,36 @@ mod tests {
         assert_eq!(w.held_bytes(), 200);
         assert_eq!(replay(&mut w, (1, 0)), err);
         assert_eq!(replay(&mut w, (1, 1)), Ok(Vec::new()));
-        assert_eq!(w.admit((0, 3)), DedupVerdict::InFlight);
+        assert_eq!(w.admit((0, 3), true), DedupVerdict::InFlight);
         assert_eq!(replay(&mut w, (0, 4)), Ok(vec![4; 200]));
+    }
+
+    #[test]
+    fn a_heavy_reply_nobody_will_ask_for_keeps_its_key_and_none_of_its_bytes() {
+        // Eight keys and 800 bytes: a share of 100 bytes per key.
+        let mut w = DedupWindow::new(8, 800);
+        let single_shot = |w: &mut DedupWindow, id: u64, len: usize| {
+            assert_eq!(w.admit((0, id), false), DedupVerdict::New);
+            complete(w, (0, id), Ok(vec![id as u8; len]));
+        };
+        single_shot(&mut w, 0, 101);
+        assert_eq!((w.done_len(), w.held_bytes()), (1, 0));
+        // A copy the fabric made is suppressed, never executed.
+        assert_eq!(w.admit((0, 0), false), DedupVerdict::InFlight);
+        // At its share or under it, a reply is kept as any other.
+        single_shot(&mut w, 1, 100);
+        assert_eq!(w.held_bytes(), 100);
+        assert_eq!(replay(&mut w, (0, 1)), Ok(vec![1; 100]));
+        // A caller that may retransmit keeps its heavy reply.
+        complete_all(&mut w, 2..3, 500);
+        assert_eq!((w.done_len(), w.held_bytes()), (3, 600));
+        assert_eq!(replay(&mut w, (0, 2)), Ok(vec![2; 500]));
+        // A key evicted from the in-flight set is one that may be resent.
+        let mut tiny = DedupWindow::new(1, 100);
+        assert_eq!(tiny.admit((1, 0), false), DedupVerdict::New);
+        assert_eq!(tiny.admit((1, 1), false), DedupVerdict::New);
+        complete(&mut tiny, (1, 0), Ok(vec![7; 300]));
+        assert_eq!(replay(&mut tiny, (1, 0)), Ok(vec![7; 300]));
     }
 
     /// A verdict as the model states it: `Done` carries the reply its frame
@@ -516,24 +573,26 @@ mod tests {
     type Kept = (RemoteResult<Vec<u8>>, usize);
 
     /// The window's contract restated on ordered maps, none of its
-    /// bookkeeping kept: in-flight keys by admission number, completed keys
-    /// by completion number, each with its reply and weight — `None` once
-    /// the bytes were dropped.
+    /// bookkeeping kept: in-flight keys by admission number with their
+    /// caller's `resend` flag, completed keys by completion number, each
+    /// with its reply and weight — `None` once the bytes were dropped, or
+    /// when nobody will ask for them.
     #[derive(Default)]
     struct Model {
         capacity: usize,
         budget: usize,
         next: u64,
-        in_flight: BTreeMap<ReqKey, u64>,
+        in_flight: BTreeMap<ReqKey, (u64, bool)>,
         admitted: BTreeMap<u64, ReqKey>,
         done: BTreeMap<ReqKey, Option<Kept>>,
         completed: BTreeMap<u64, ReqKey>,
         evicted: usize,
         dropped: usize,
+        shed: usize,
     }
 
     impl Model {
-        fn admit(&mut self, key: ReqKey) -> Seen {
+        fn admit(&mut self, key: ReqKey, resend: bool) -> Seen {
             match self.done.get(&key) {
                 Some(Some((reply, _))) => return Seen::Done(reply.clone()),
                 Some(None) => return Seen::InFlight,
@@ -541,7 +600,7 @@ mod tests {
                 None => {}
             }
             self.next += 1;
-            self.in_flight.insert(key, self.next);
+            self.in_flight.insert(key, (self.next, resend));
             self.admitted.insert(self.next, key);
             while self.in_flight.len() > self.capacity {
                 let (_, oldest) = self.admitted.pop_first().expect("over capacity");
@@ -551,14 +610,27 @@ mod tests {
         }
 
         fn complete(&mut self, key: ReqKey, reply: RemoteResult<Vec<u8>>, weight: usize) {
-            if let Some(n) = self.in_flight.remove(&key) {
-                self.admitted.remove(&n);
-            }
+            // A key evicted from the in-flight set may be retransmitted.
+            let resend = match self.in_flight.remove(&key) {
+                Some((n, resend)) => {
+                    self.admitted.remove(&n);
+                    resend
+                }
+                None => true,
+            };
             if self.done.contains_key(&key) {
                 return;
             }
             self.next += 1;
-            self.done.insert(key, Some((reply, weight)));
+            // The share rule: a reply to a caller that will not retransmit,
+            // heavier than one key's share of the budget, is not kept.
+            let kept = if resend || weight <= self.budget / self.capacity {
+                Some((reply, weight))
+            } else {
+                self.shed += 1;
+                None
+            };
+            self.done.insert(key, kept);
             self.completed.insert(self.next, key);
             while self.done.len() > self.capacity {
                 let (_, oldest) = self.completed.pop_first().expect("over capacity");
@@ -585,13 +657,15 @@ mod tests {
     }
 
     /// Seeded admit / complete / duplicate sequences from four callers
-    /// numbering their requests with strides 1, 3, 8 and 1, on windows small
-    /// enough that key eviction and byte dropping both run: every verdict,
-    /// `done_len`, `held_bytes` and `in_flight_len` agree with the model.
+    /// numbering their requests with strides 1, 3, 8 and 1, each admission
+    /// from a caller that may or may not retransmit, on windows small enough
+    /// that key eviction, byte dropping and the share rule all run: every
+    /// verdict, `done_len`, `held_bytes` and `in_flight_len` agree with the
+    /// model.
     #[test]
     fn the_window_agrees_with_a_model_on_ordered_maps() {
         const STRIDES: [u64; 4] = [1, 3, 8, 1];
-        let (mut evicted, mut dropped) = (0, 0);
+        let (mut evicted, mut dropped, mut shed) = (0, 0, 0);
         for seed in 1..=24u64 {
             let mut state = seed;
             let mut rand = move |n: usize| {
@@ -626,8 +700,10 @@ mod tests {
                 };
                 if matches!(op, 0..=3 | 7 | 8) {
                     // A fresh request, or a duplicate of one issued before.
-                    let got = seen(w.admit(key));
-                    assert_eq!(got, model.admit(key), "seed {seed}: admit {key:?}");
+                    let resend = rand(2) == 0;
+                    let got = seen(w.admit(key, resend));
+                    let want = model.admit(key, resend);
+                    assert_eq!(got, want, "seed {seed}: admit {key:?}");
                     if got == Seen::New {
                         open.push(key);
                     }
@@ -654,11 +730,13 @@ mod tests {
                     "seed {seed}: after {key:?}"
                 );
             }
-            (evicted, dropped) = (evicted + model.evicted, dropped + model.dropped);
+            evicted += model.evicted;
+            dropped += model.dropped;
+            shed += model.shed;
         }
         assert!(
-            evicted > 0 && dropped > 0,
-            "evicted {evicted}, dropped {dropped}"
+            evicted > 0 && dropped > 0 && shed > 0,
+            "evicted {evicted}, dropped {dropped}, shed {shed}"
         );
     }
 
@@ -670,7 +748,7 @@ mod tests {
         complete_all(&mut w, 0..1030, 64);
         assert_eq!(w.done_len(), DEFAULT_DEDUP_CAPACITY);
         assert_eq!(w.held_bytes(), DEFAULT_DEDUP_CAPACITY * 64);
-        assert_eq!(w.admit((0, 5)), DedupVerdict::New);
+        assert_eq!(w.admit((0, 5), true), DedupVerdict::New);
         for id in [6, 500, 1029] {
             assert_eq!(replay(&mut w, (0, id)), Ok(vec![id as u8; 64]));
         }

@@ -18,11 +18,22 @@ use crate::error::{RemoteError, RemoteResult};
 use crate::ids::{ObjRef, ObjectId};
 use crate::trace::TraceCtx;
 
-/// One frame on the wire.
+/// One frame on the wire. Its first byte is the tag, a one-byte varint:
+///
+/// | tag | frame | |
+/// |-----|-------|-|
+/// | `0` | [`Frame::Request`] | a request its sender may retransmit |
+/// | `1` | [`Frame::Response`] | the answer to a request |
+/// | `2` | [`Frame::SingleShot`] | a request its sender will never retransmit |
+///
+/// Any other tag is a typed error. The two request tags lay out the same
+/// fields: what tag `2` tells a server is that no copy of the request will
+/// ever ask for its reply again, so the reply need not be kept for replay
+/// (DESIGN.md §6).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Invoke a method on `target`. `payload` is the method name (string)
-    /// followed by the encoded arguments.
+    /// followed by the encoded arguments. The sender may retransmit it.
     Request {
         /// Caller-chosen correlation id, unique per caller.
         req_id: u64,
@@ -69,6 +80,18 @@ pub enum Frame {
         /// Encoded return value, or the failure.
         result: Result<Bytes, RemoteError>,
     },
+    /// A [`Frame::Request`] its sender will never retransmit: it was sent
+    /// under a policy of zero retries. The fields are a request's.
+    SingleShot {
+        req_id: u64,
+        reply_to: usize,
+        target: ObjectId,
+        payload: Bytes,
+        trace: TraceCtx,
+        epoch: u64,
+        rs_epoch: V64,
+        deadline: u64,
+    },
 }
 
 // Hand-written `Wire` impl instead of `wire_enum!`: the trailing `deadline`
@@ -91,6 +114,16 @@ impl Wire for Frame {
                 epoch,
                 rs_epoch,
                 deadline,
+            }
+            | Frame::SingleShot {
+                req_id,
+                reply_to,
+                target,
+                payload,
+                trace,
+                epoch,
+                rs_epoch,
+                deadline,
             } => {
                 let header = RequestHeader {
                     req_id: *req_id,
@@ -100,6 +133,7 @@ impl Wire for Frame {
                     epoch: *epoch,
                     rs_epoch: *rs_epoch,
                     deadline: *deadline,
+                    resend: matches!(self, Frame::Request { .. }),
                 };
                 header.write_prefix(payload.0.len(), w);
                 w.put_bytes(&payload.0);
@@ -119,16 +153,42 @@ impl Wire for Frame {
         let buf = r.take(r.remaining())?;
         let copy = |range: Range<usize>| Bytes(buf[range].to_vec());
         Ok(match FrameView::parse(buf)? {
-            FrameView::Request { header, payload } => Frame::Request {
-                req_id: header.req_id,
-                reply_to: header.reply_to,
-                target: header.target,
-                payload: copy(payload),
-                trace: header.trace,
-                epoch: header.epoch,
-                rs_epoch: header.rs_epoch,
-                deadline: header.deadline,
-            },
+            FrameView::Request { header, payload } => {
+                let RequestHeader {
+                    req_id,
+                    reply_to,
+                    target,
+                    trace,
+                    epoch,
+                    rs_epoch,
+                    deadline,
+                    resend,
+                } = header;
+                let payload = copy(payload);
+                if resend {
+                    Frame::Request {
+                        req_id,
+                        reply_to,
+                        target,
+                        payload,
+                        trace,
+                        epoch,
+                        rs_epoch,
+                        deadline,
+                    }
+                } else {
+                    Frame::SingleShot {
+                        req_id,
+                        reply_to,
+                        target,
+                        payload,
+                        trace,
+                        epoch,
+                        rs_epoch,
+                        deadline,
+                    }
+                }
+            }
             FrameView::Response { req_id, result } => Frame::Response {
                 req_id,
                 result: result.map(copy),
@@ -160,7 +220,7 @@ impl FrameView {
     pub(crate) fn parse(buf: &[u8]) -> WireResult<FrameView> {
         let r = &mut Reader::new(buf);
         let view = match r.take_varint()? {
-            0 => {
+            tag @ (0 | 2) => {
                 let req_id = Wire::decode(r)?;
                 let reply_to = Wire::decode(r)?;
                 let target = Wire::decode(r)?;
@@ -173,6 +233,7 @@ impl FrameView {
                     epoch: Wire::decode(r)?,
                     rs_epoch: Wire::decode(r)?,
                     deadline: if r.is_empty() { 0 } else { r.take_varint()? },
+                    resend: tag == 0,
                 };
                 FrameView::Request { header, payload }
             }
@@ -359,6 +420,10 @@ pub(crate) struct RequestHeader {
     pub(crate) epoch: u64,
     pub(crate) rs_epoch: V64,
     pub(crate) deadline: u64,
+    /// The sender may retransmit the request: tag `0` on the wire. A
+    /// request sent under a policy of zero retries is tag `2`, and its
+    /// server keeps no heavy reply for it to replay (see `dedup`).
+    pub(crate) resend: bool,
 }
 
 impl RequestHeader {
@@ -376,7 +441,7 @@ impl RequestHeader {
     }
 
     fn write_prefix(&self, payload_len: usize, w: &mut Writer) {
-        w.put_varint(0);
+        w.put_varint(if self.resend { 0 } else { 2 });
         Wire::encode(&self.req_id, w);
         Wire::encode(&self.reply_to, w);
         Wire::encode(&self.target, w);
@@ -564,6 +629,16 @@ mod tests {
                 rs_epoch: 5.into(),
                 deadline: 987_654_321_000,
             },
+            Frame::SingleShot {
+                req_id: 45,
+                reply_to: 2,
+                target: 9,
+                payload: Bytes(b"read".to_vec()),
+                trace: TraceCtx::default(),
+                epoch: 3,
+                rs_epoch: 0.into(),
+                deadline: 55,
+            },
             Frame::Response {
                 req_id: 42,
                 result: Ok(Bytes(vec![1, 2, 3])),
@@ -579,6 +654,55 @@ mod tests {
         for f in frames {
             assert_eq!(from_bytes::<Frame>(&to_bytes(&f)).unwrap(), f);
         }
+    }
+
+    /// The same request, tagged as one its sender will never retransmit.
+    fn single_shot(frame: Frame) -> Frame {
+        let Frame::Request {
+            req_id,
+            reply_to,
+            target,
+            payload,
+            trace,
+            epoch,
+            rs_epoch,
+            deadline,
+        } = frame
+        else {
+            panic!("not a request: {frame:?}");
+        };
+        Frame::SingleShot {
+            req_id,
+            reply_to,
+            target,
+            payload,
+            trace,
+            epoch,
+            rs_epoch,
+            deadline,
+        }
+    }
+
+    /// The two request tags differ in their first byte and nowhere else,
+    /// and each decodes back to its own kind.
+    #[test]
+    fn a_single_shot_request_is_a_request_tagged_two() {
+        let request = Frame::Request {
+            req_id: 7,
+            reply_to: 1,
+            target: 3,
+            payload: Bytes(b"get".to_vec()),
+            trace: TraceCtx::default(),
+            epoch: 0,
+            rs_epoch: 0.into(),
+            deadline: 0,
+        };
+        let single = single_shot(request.clone());
+        let (a, b) = (to_bytes(&request), to_bytes(&single));
+        assert_eq!((a[0], b[0]), (0, 2));
+        assert_eq!(a[1..], b[1..]);
+        assert_eq!(from_bytes::<Frame>(&a).unwrap(), request);
+        assert_eq!(from_bytes::<Frame>(&b).unwrap(), single);
     }
 
     /// The `NodeStats` encoding is protocol: field `i` (in wire order)
@@ -755,19 +879,27 @@ mod tests {
 
     /// The positional decoder the in-place parser replaced, kept as the
     /// oracle: tag, then every field through `wire`'s generic impls.
+    /// Tag `2` is tag `0` retagged.
     fn reference_decode(bytes: &[u8]) -> WireResult<Frame> {
         let r = &mut Reader::new(bytes);
         let frame = match r.take_varint()? {
-            0 => Frame::Request {
-                req_id: Wire::decode(r)?,
-                reply_to: Wire::decode(r)?,
-                target: Wire::decode(r)?,
-                payload: Wire::decode(r)?,
-                trace: Wire::decode(r)?,
-                epoch: Wire::decode(r)?,
-                rs_epoch: Wire::decode(r)?,
-                deadline: if r.is_empty() { 0 } else { r.take_varint()? },
-            },
+            tag @ (0 | 2) => {
+                let request = Frame::Request {
+                    req_id: Wire::decode(r)?,
+                    reply_to: Wire::decode(r)?,
+                    target: Wire::decode(r)?,
+                    payload: Wire::decode(r)?,
+                    trace: Wire::decode(r)?,
+                    epoch: Wire::decode(r)?,
+                    rs_epoch: Wire::decode(r)?,
+                    deadline: if r.is_empty() { 0 } else { r.take_varint()? },
+                };
+                if tag == 0 {
+                    request
+                } else {
+                    single_shot(request)
+                }
+            }
             1 => Frame::Response {
                 req_id: Wire::decode(r)?,
                 result: Wire::decode(r)?,
@@ -788,7 +920,7 @@ mod tests {
         let mut bytes = vec![0u8; rng.gen_range(0..200)];
         bytes.fill_with(|| rng.next_u64() as u8);
         if rng.gen_bool(0.5) {
-            return Frame::Request {
+            let request = Frame::Request {
                 req_id: any_u64(rng),
                 reply_to: any_u64(rng) as usize,
                 target: any_u64(rng),
@@ -800,6 +932,11 @@ mod tests {
                 epoch: any_u64(rng),
                 rs_epoch: any_u64(rng).into(),
                 deadline: if rng.gen_bool(0.5) { 0 } else { any_u64(rng) },
+            };
+            return if rng.gen_bool(0.5) {
+                request
+            } else {
+                single_shot(request)
             };
         }
         let text = || String::from_utf8_lossy(&bytes).into_owned();
@@ -827,11 +964,12 @@ mod tests {
     #[test]
     fn in_place_parser_agrees_with_the_positional_decoder_on_random_frames() {
         let rng = &mut StdRng::seed_from_u64(0x14_F4A3);
-        let (mut requests, mut with_deadline, mut errors) = (0, 0, 0);
+        let (mut requests, mut single, mut with_deadline, mut errors) = (0, 0, 0, 0);
         for _ in 0..1_000 {
             let frame = random_frame(rng);
+            single += matches!(frame, Frame::SingleShot { .. }) as u32;
             match &frame {
-                Frame::Request { deadline, .. } => {
+                Frame::Request { deadline, .. } | Frame::SingleShot { deadline, .. } => {
                     requests += 1;
                     with_deadline += (*deadline != 0) as u32;
                 }
@@ -843,9 +981,10 @@ mod tests {
             assert_eq!(from_bytes::<Frame>(&bytes).unwrap(), frame);
             assert_eq!(reference_decode(&bytes).unwrap(), frame);
         }
-        // Both kinds, deadlines present and absent, and `Err` results all
-        // came up often enough to mean something.
+        // Both kinds, both request tags, deadlines present and absent, and
+        // `Err` results all came up often enough to mean something.
         assert!((300..700).contains(&requests), "{requests} requests");
+        assert!(single > 100 && single + 100 < requests, "{single} single-shot");
         assert!(with_deadline > 100 && with_deadline + 100 < requests);
         assert!(errors > 100, "{errors} error responses");
     }
@@ -878,6 +1017,16 @@ mod tests {
                     epoch,
                     rs_epoch,
                     deadline,
+                }
+                | Frame::SingleShot {
+                    req_id,
+                    reply_to,
+                    target,
+                    payload,
+                    trace,
+                    epoch,
+                    rs_epoch,
+                    deadline,
                 } => {
                     let header = RequestHeader {
                         req_id: *req_id,
@@ -887,6 +1036,7 @@ mod tests {
                         epoch: *epoch,
                         rs_epoch: *rs_epoch,
                         deadline: *deadline,
+                        resend: matches!(frame, Frame::Request { .. }),
                     };
                     let (sealed, at) = header.seal(body_of(payload, std::mem::take(&mut spare)));
                     assert_eq!(sealed[at], payload.0[..]);
@@ -958,6 +1108,7 @@ mod tests {
             epoch: 2,
             rs_epoch: 0.into(),
             deadline: 77,
+            resend: false,
         };
         let (reference, _) = encode_response(12, Ok(Body::of(&block)));
         // Where the payload of a sealed frame lies in memory.
@@ -1027,7 +1178,10 @@ mod tests {
                 1 => {
                     let extra = rng.gen_range(1..9);
                     buf.extend((0..extra).map(|_| rng.next_u64() as u8));
-                    !matches!(frame, Frame::Request { deadline: 0, .. })
+                    !matches!(
+                        frame,
+                        Frame::Request { deadline: 0, .. } | Frame::SingleShot { deadline: 0, .. }
+                    )
                 }
                 // A frame with a few bytes flipped.
                 2 => {
@@ -1037,12 +1191,13 @@ mod tests {
                     }
                     false
                 }
-                // Noise, biased toward the two valid tags.
+                // Noise, biased toward the three valid tags and one past
+                // them.
                 _ => {
                     buf.truncate(rng.gen_range(0..64).min(buf.len()));
                     buf.fill_with(|| rng.next_u64() as u8);
                     if let Some(tag) = buf.first_mut() {
-                        *tag %= 3;
+                        *tag %= 4;
                     }
                     false
                 }
@@ -1060,8 +1215,8 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Requests with and without a deadline round-trip, and the
-            /// deadline-absent encoding is byte-identical to the classic
+            /// Requests with and without a deadline, under either request
+            /// tag, round-trip, and the deadline-absent encoding is byte-identical to the classic
             /// (pre-PR-9) wire format.
             #[test]
             fn request_roundtrips_with_and_without_deadline(
@@ -1083,7 +1238,7 @@ mod tests {
                     rs_epoch: rs_epoch.into(),
                     deadline,
                 };
-                for f in [mk(0), mk(deadline)] {
+                for f in [mk(0), mk(deadline), single_shot(mk(deadline))] {
                     prop_assert_eq!(from_bytes::<Frame>(&to_bytes(&f)).unwrap(), f);
                 }
                 let classic = classic_request_bytes(

@@ -378,6 +378,10 @@ impl NodeCtx {
             epoch: at.epoch,
             rs_epoch: at.rs_epoch.into(),
             deadline,
+            // Fixed here: a call sent under zero retries is never
+            // retransmitted, whatever policy its wait runs under, and its
+            // frame tells the server so.
+            resend: self.policy.max_retries > 0,
         };
         let mut body = Body::reusing(std::mem::take(&mut self.spare_frame));
         body.writer().put_len_prefixed(method.as_bytes());
@@ -461,7 +465,10 @@ impl NodeCtx {
     }
 
     /// Replace the reliability policy. Takes effect for the next wait; a
-    /// driver can tighten or relax it mid-program.
+    /// driver can tighten or relax it mid-program. One thing a wait cannot
+    /// change: a call sent with zero retries stays single-shot — its frame
+    /// told the server it would never be retransmitted — so raising the
+    /// budget before its wait does not make it retransmit.
     pub fn set_call_policy(&mut self, policy: CallPolicy) {
         self.policy = policy;
     }
@@ -474,7 +481,9 @@ impl NodeCtx {
     /// serving — and retransmits the identical frame (same `req_id`; the
     /// server's dedup window guarantees at-most-once execution). When the
     /// budget is exhausted the call fails with an enriched
-    /// [`RemoteError::Timeout`] naming the target and attempt count.
+    /// [`RemoteError::Timeout`] naming the target and attempt count. The
+    /// budget is the policy's at wait time, except for a call sent with
+    /// none: that one is never retransmitted.
     ///
     /// A reply that redirects the call (a forwarding stub, a fence teaching
     /// a newer epoch, a stale replica) is followed transparently, and so is
@@ -487,12 +496,13 @@ impl NodeCtx {
             self.retire_call(req_id, None);
             return Err(RemoteError::DeadlineExceeded { elapsed_nanos: 0 });
         }
-        // Absolute budget stamped at issue time; redirects and refences
-        // preserve it, so one read up front is enough.
-        let deadline_at = self
+        // Absolute budget and single-shot flag stamped at issue time;
+        // redirects and refences preserve both, so one read up front is
+        // enough.
+        let (deadline_at, resend) = self
             .outstanding
             .get(&req_id)
-            .map_or(0, |call| call.header.deadline);
+            .map_or((0, true), |call| (call.header.deadline, call.header.resend));
         let mut attempts: u32 = 1;
         // The clock is read once the wait has to block: a reply already
         // filed is taken on the loop's first pass without it. `started` is
@@ -569,7 +579,7 @@ impl NodeCtx {
                 // retransmission spends a token; a dry bucket converts the
                 // remaining retries into an immediate timeout so retries
                 // cannot amplify an overload (DESIGN.md §15).
-                let exhausted = attempts > self.policy.max_retries;
+                let exhausted = !resend || attempts > self.policy.max_retries;
                 let suppressed = !exhausted && {
                     let dest = self.outstanding.get(&req_id).map(|c| c.target.machine);
                     dest.is_some_and(|d| !self.spend_retry_token(d))
@@ -678,7 +688,8 @@ impl NodeCtx {
     /// redirect teaches, patch the stored request's header, re-encode,
     /// record the event and send — every side effect of a redirect, once.
     /// Everything the caller chose — payload, trace identity, deadline
-    /// budget — is untouched, so a re-issue is the same logical call.
+    /// budget, whether it may be retransmitted — is untouched, so a
+    /// re-issue is the same logical call.
     /// Returns the id the call now waits under; `attempts` restarts at 1
     /// unless the call merely chased its object to a new home.
     fn reissue(&mut self, req_id: u64, how: Reroute, attempts: &mut u32) -> u64 {
@@ -902,6 +913,7 @@ mod tests {
                 epoch: EPOCH,
                 rs_epoch: 0.into(),
                 deadline: 0,
+                resend: false,
             },
             payload: 0..0,
             trace: None,

@@ -283,8 +283,10 @@ impl NodeCtx {
                 };
                 // At-most-once execution: a retransmitted request either
                 // replays its cached response or is dropped. Only genuinely
-                // new requests reach dispatch.
-                let verdict = self.shared.dedup.lock().admit((reply_to, req_id));
+                // new requests reach dispatch; the window learns whether
+                // anyone may ask for their reply again.
+                let key = (reply_to, req_id);
+                let verdict = self.shared.dedup.lock().admit(key, header.resend);
                 let admitted = match verdict {
                     DedupVerdict::Done(_) => EventKind::ServerAdmitDone,
                     DedupVerdict::InFlight => EventKind::ServerAdmitInFlight,
@@ -792,7 +794,8 @@ impl NodeCtx {
         let (frame, weight) = encode_response(req_id, result);
         // Cache the response — the frame itself, shared with the packet —
         // so a retransmitted copy of this request is answered without
-        // re-executing (at-most-once).
+        // re-executing (at-most-once). A heavy reply to a caller that will
+        // not retransmit is not kept: the packet is its last holder.
         self.shared
             .dedup
             .lock()

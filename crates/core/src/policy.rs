@@ -213,7 +213,8 @@ impl Default for OverloadConfig {
 pub struct CallPolicy {
     /// Reply window per attempt.
     pub timeout: Duration,
-    /// Retransmissions after the first attempt (0 = classic single-shot).
+    /// Retransmissions after the first attempt (0 = classic single-shot,
+    /// fixed when the call is sent; see [`CallPolicy::no_retry`]).
     pub max_retries: u32,
     /// Delay schedule between attempts.
     pub backoff: Backoff,
@@ -239,6 +240,11 @@ impl CallPolicy {
     /// Single-shot semantics: one attempt, fail with
     /// [`Timeout`](crate::RemoteError::Timeout) when the window lapses.
     /// This is the default, and exactly the pre-fault-injection behavior.
+    /// Zero retries is fixed when a call is sent: its frame tells the server
+    /// it will never be retransmitted (so the server keeps no heavy reply
+    /// for a replay, DESIGN.md §6), and a later
+    /// [`set_call_policy`](crate::NodeCtx::set_call_policy) that raises the
+    /// budget before the wait does not make it retransmit.
     pub const fn no_retry(timeout: Duration) -> Self {
         CallPolicy {
             timeout,

@@ -362,9 +362,10 @@ impl Cluster {
     fn emergency_shutdown(&mut self) {
         self.sim.faults().heal_all();
         // Fire shutdown frames directly into the fabric (no driver context
-        // needed; replies land nowhere, which is fine).
+        // needed; replies land nowhere, which is fine). Nothing resends
+        // them: they are single-shot.
         for m in 0..self.workers {
-            let frame = Frame::Request {
+            let frame = Frame::SingleShot {
                 req_id: u64::MAX,
                 reply_to: self.driver_id,
                 target: crate::ids::DAEMON,

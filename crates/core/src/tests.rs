@@ -217,7 +217,10 @@ fn emergency_stop_sends_the_shutdown_verbs_payload() {
     let (cluster, mut driver) = cluster(1);
     let req_id = driver.start_shutdown(0).unwrap();
     let frame = driver.outstanding_frame(req_id).expect("call in flight");
-    let Ok(crate::frame::Frame::Request { payload, .. }) = wire::from_bytes(frame) else {
+    use crate::frame::Frame;
+    let Ok(Frame::Request { payload, .. } | Frame::SingleShot { payload, .. }) =
+        wire::from_bytes(frame)
+    else {
         panic!("not a request frame");
     };
     assert_eq!(payload.0, NodeCtx::shutdown_payload());
@@ -900,6 +903,37 @@ fn cross_machine_call_cycle_times_out() {
     // Both machines recover afterwards.
     assert_eq!(a.volley(&mut driver, 0).unwrap(), 0);
     assert_eq!(b.volley(&mut driver, 1).unwrap(), 1);
+    cluster.shutdown(driver);
+}
+
+/// Zero retries is fixed when a call is sent: a call sent under `no_retry`
+/// to a machine it cannot reach is not retransmitted when its wait runs
+/// under a retrying policy. A call sent under that policy is.
+#[test]
+fn a_call_sent_without_retries_is_never_retransmitted() {
+    let (cluster, mut driver) = ClusterBuilder::new(2)
+        .register::<Counter>()
+        .sim_config(simnet::ClusterConfig::zero_cost(0).with_virtual_time(0x51_6E))
+        .call_policy(CallPolicy::no_retry(Duration::from_millis(50)))
+        .build();
+    let counter = CounterClient::new_on(&mut driver, 1, 0).unwrap();
+    let me = driver.machine();
+    cluster.sim().faults().partition(me, 1);
+    let reliable = CallPolicy::reliable(Duration::from_millis(50));
+    let timed_out = |d: &mut Driver, sent_under: CallPolicy| {
+        d.set_call_policy(sent_under);
+        let id = d.start_method_raw(counter.obj_ref(), "value", |_| {}).unwrap();
+        d.set_call_policy(reliable);
+        let retried = d.local_stats().calls_retried;
+        let Err(RemoteError::Timeout { attempts, .. }) = d.wait_raw(id) else {
+            panic!("a partitioned call must time out");
+        };
+        (attempts, d.local_stats().calls_retried - retried)
+    };
+    let single = CallPolicy::no_retry(Duration::from_millis(50));
+    assert_eq!(timed_out(&mut driver, single), (1, 0));
+    assert_eq!(timed_out(&mut driver, reliable), (5, 4));
+    cluster.sim().faults().heal_all();
     cluster.shutdown(driver);
 }
 

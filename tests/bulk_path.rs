@@ -298,6 +298,101 @@ fn stray_transpose_blocks_do_not_outlive_the_next_transform() {
     cluster.shutdown(driver);
 }
 
+/// A transform's `take` replies — each a 1 MiB transpose block, relayed in
+/// place from the `put` that brought it — go to callers that never
+/// retransmit (the default `no_retry` policy), so the inboxes' dedup windows
+/// keep none of them: a transform in steady state leaves no large block
+/// behind. (Two machines' windows kept 4 MiB more per transform, up to
+/// their byte bound, while every reply was kept for a replay.)
+#[test]
+fn a_transform_leaves_no_reply_block_in_the_windows() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    const EDGE: usize = 64;
+    // One transpose block of a 64³ grid over two workers, in bytes.
+    const BLOCK: usize = EDGE * EDGE * EDGE / 4 * 16;
+    let (cluster, mut driver) = DistributedFft3::register(ClusterBuilder::new(2)).build();
+    let d = &mut driver;
+    let grid = vec![c64(1.0, -1.0); EDGE * EDGE * EDGE];
+    let dfft = DistributedFft3::new(d, [EDGE as u64; 3], 2).unwrap();
+    dfft.scatter(d, &grid).unwrap();
+    // Warm: each lane's spare request buffer is a block's size by now.
+    dfft.transform(d, Direction::Forward).unwrap();
+    dfft.transform(d, Direction::Inverse).unwrap();
+    let before = LARGE_LIVE.load(Relaxed);
+    dfft.transform(d, Direction::Forward).unwrap();
+    let left = LARGE_LIVE.load(Relaxed).saturating_sub(before);
+    println!(
+        "transform: {} KiB of large blocks left live, {} reply blocks (budget 0)",
+        left >> 10,
+        left / BLOCK
+    );
+    assert!(
+        left < BLOCK,
+        "one 64^3 transform left {left} bytes live: a window kept a transpose block"
+    );
+    cluster.shutdown(driver);
+}
+
+/// Replies to a caller that never retransmits (the default `no_retry`
+/// policy) heavier than one key's share of the dedup window's byte budget
+/// are not kept for replay: `READS` reads of 2 MiB leave at most one reply
+/// block live — the window held up to 32 of them while it kept every
+/// reply. A read sent again by hand is suppressed and does not run again;
+/// a `get` sent again (8 bytes, under the share) is still replayed.
+#[test]
+fn single_shot_large_replies_are_not_kept_for_replay() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (cluster, mut driver) = ClusterBuilder::new(1).build();
+    let d = &mut driver;
+    let block = DoubleBlockClient::new_on(d, 0, N).unwrap();
+    let data = pattern();
+    block.write_range(d, 0, F64s(data.clone())).unwrap();
+    let before = LARGE_LIVE.load(Relaxed);
+    for _ in 0..READS {
+        assert_eq!(block.read_range(d, 0, N).unwrap().0.len(), N);
+    }
+    let replies = LARGE_LIVE.load(Relaxed).saturating_sub(before) / PAYLOAD;
+    println!("{READS} single-shot read_range calls: {replies} large reply blocks live (budget 1)");
+    assert!(
+        replies <= 1,
+        "{READS} single-shot 2 MiB reads left {replies} reply blocks live (budget 1): \
+         the dedup window keeps replies nobody can ask for again"
+    );
+
+    let (read_frame, first) = call_keeping_frame(d, &block, "read_range", |w| {
+        0usize.encode(w);
+        N.encode(w);
+    });
+    assert_eq!(wire::from_bytes::<F64s>(&first).unwrap().0, data);
+    let (get_frame, got) = call_keeping_frame(d, &block, "get", |w| 7usize.encode(w));
+    assert_eq!(wire::from_bytes::<f64>(&got).unwrap(), data[7]);
+    // Two stats calls apart, only the first of them ran in between.
+    let s0 = d.stats_of(0).unwrap();
+    let s1 = d.stats_of(0).unwrap();
+    let me = d.machine();
+    cluster.sim().net().send(me, 0, read_frame).unwrap();
+    cluster.sim().net().send(me, 0, get_frame).unwrap();
+    // Served after both (one inbox, in order).
+    let s2 = d.stats_of(0).unwrap();
+    println!(
+        "re-sent single-shot read and get: {} replayed, {} suppressed, {} served",
+        s2.dup_replayed - s1.dup_replayed,
+        s2.dup_suppressed - s1.dup_suppressed,
+        s2.calls_served - s1.calls_served,
+    );
+    assert_eq!(
+        (s2.dup_replayed, s2.dup_suppressed),
+        (s1.dup_replayed + 1, s1.dup_suppressed + 1),
+        "the re-sent get is replayed, the re-sent read (no bytes kept) suppressed"
+    );
+    assert_eq!(
+        s2.calls_served - s1.calls_served,
+        s1.calls_served - s0.calls_served,
+        "a re-sent request ran again"
+    );
+    cluster.shutdown(driver);
+}
+
 /// Start `method(args…)` on `block`, keep the frame it put on the wire,
 /// and wait the call out.
 fn call_keeping_frame(

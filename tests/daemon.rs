@@ -100,14 +100,14 @@ fn daemon_request_frames_match_the_golden_bytes() {
         .unwrap();
     assert_eq!(
         sent_frame(&mut driver, id),
-        "00020000000000000001000000000000000015066372656174650b446f75626c65426c6f636b\
+        "02020000000000000001000000000000000015066372656174650b446f75626c65426c6f636b\
          01080000000000000000000000"
     );
 
     let id = driver.start_ping(0).unwrap();
     assert_eq!(
         sent_frame(&mut driver, id),
-        "000300000000000000010000000000000000050470696e670000000000000000000000"
+        "020300000000000000010000000000000000050470696e670000000000000000000000"
     );
 
     let replicas = vec![ObjRef {
@@ -119,7 +119,7 @@ fn daemon_request_frames_match_the_golden_bytes() {
         .unwrap();
     assert_eq!(
         sent_frame(&mut driver, id),
-        "000400000000000000010000000000000000320e7265706c6963615f617474616368\
+        "020400000000000000010000000000000000320e7265706c6963615f617474616368\
          020000000000000001010900000000000000050000000000000001c800000000000000\
          0000000000000000000000"
     );
@@ -131,7 +131,7 @@ fn daemon_request_frames_match_the_golden_bytes() {
     let id = driver.start_fence(0, obj.object, 3, to).unwrap();
     assert_eq!(
         sent_frame(&mut driver, id),
-        "0005000000000000000100000000000000001f0566656e6365020000000000000003\
+        "0205000000000000000100000000000000001f0566656e6365020000000000000003\
          000000000000000113000000000000000000000000000000000000"
     );
     cluster.shutdown(driver);
