@@ -333,11 +333,11 @@ impl<'a> F64sView<'a> {
         }
     }
 
-    /// The doubles in view, copied out.
+    /// The doubles in view, copied out: one pass, written once into an
+    /// allocation of the exact size (zero-filling it first and copying over
+    /// the zeros was a second pass over every bulk reply).
     pub fn to_vec(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.len()];
-        self.copy_to(0, &mut out);
-        out
+        self.iter().collect()
     }
 }
 
