@@ -178,7 +178,8 @@ impl DedupWindow {
         if kept {
             self.bytes += weight;
         }
-        self.done.insert(key, kept.then_some(Reply { frame, weight }));
+        self.done
+            .insert(key, kept.then_some(Reply { frame, weight }));
         self.order.push_back(key);
         while self.done.len() > self.capacity {
             let Some(oldest) = self.order.pop_front() else {

@@ -984,7 +984,10 @@ mod tests {
         // Both kinds, both request tags, deadlines present and absent, and
         // `Err` results all came up often enough to mean something.
         assert!((300..700).contains(&requests), "{requests} requests");
-        assert!(single > 100 && single + 100 < requests, "{single} single-shot");
+        assert!(
+            single > 100 && single + 100 < requests,
+            "{single} single-shot"
+        );
         assert!(with_deadline > 100 && with_deadline + 100 < requests);
         assert!(errors > 100, "{errors} error responses");
     }

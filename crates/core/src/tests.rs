@@ -922,7 +922,9 @@ fn a_call_sent_without_retries_is_never_retransmitted() {
     let reliable = CallPolicy::reliable(Duration::from_millis(50));
     let timed_out = |d: &mut Driver, sent_under: CallPolicy| {
         d.set_call_policy(sent_under);
-        let id = d.start_method_raw(counter.obj_ref(), "value", |_| {}).unwrap();
+        let id = d
+            .start_method_raw(counter.obj_ref(), "value", |_| {})
+            .unwrap();
         d.set_call_policy(reliable);
         let retried = d.local_stats().calls_retried;
         let Err(RemoteError::Timeout { attempts, .. }) = d.wait_raw(id) else {
