@@ -6,8 +6,9 @@
 # every trial is a process of its own and writes its own sample file. Each
 # sampled PC is attributed to a symbol of the object it fell in (by `nm`:
 # the benchmark binary, libc, ld.so) or to its mapping ([vdso], anonymous
-# code). Prints the top rows, then the two groups the call path is judged
-# by: hashing and clock reads. Fails on fewer than MIN_SAMPLES samples.
+# code). Prints the top rows, then the three groups the call path is judged
+# by: hashing, clock reads and handoffs (the futex `syscall`, `sched_yield`,
+# a contended lock, park/unpark). Fails on fewer than MIN_SAMPLES samples.
 # A stripped libc has dynamic symbols only, so its internal functions
 # (malloc's, say) show under the nearest exported name before them.
 #
@@ -40,6 +41,8 @@ GROUPS = [
      re.compile(r"[Ss]ip(Hasher|13|24)|sip::|hash_one|Hasher>::(write|finish)|IdHasher")),
     ("clock: [vdso], clock_gettime, Instant, Timespec, now_nanos",
      re.compile(r"\[vdso\]|clock_gettime|Instant|Timespec|now_nanos")),
+    ("handoff: futex syscall, sched_yield, Mutex::lock_contended, park/unpark",
+     re.compile(r"^syscall |sched_yield|lock_contended|(^|::)(un)?park|Parker")),
 ]
 
 tables = {}
