@@ -491,7 +491,7 @@ pub fn e7_persistence() -> Table {
         // Each verb is one call, priced by the link model: the state is
         // stored where the process lived and never crosses a link.
         let (deact, _) = priced(&cluster, "E7 deactivate", || {
-            driver.deactivate(block.obj_ref(), &key).unwrap()
+            driver.deactivate(block.obj_ref(), key.clone()).unwrap()
         });
         let mut revived = None;
         let (act, _) = priced(&cluster, "E7 activate", || {

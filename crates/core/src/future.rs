@@ -47,6 +47,12 @@ impl<T: Wire> Pending<T> {
         let bytes = ctx.wait_raw(self.req_id)?;
         Ok(wire::from_bytes(&bytes)?)
     }
+
+    /// The call's request id, for [`NodeCtx::try_take_reply`] and
+    /// [`NodeCtx::abandon_call`]: a caller that polls rather than waits.
+    pub fn req_id(&self) -> u64 {
+        self.req_id
+    }
 }
 
 /// Wait for every pending reply, in order. Returns the first error after

@@ -198,7 +198,7 @@ impl<C: RemoteClient> ProcessGroup<C> {
         let pendings: Vec<Pending<()>> = self
             .members
             .iter()
-            .map(|m| ctx.destroy_async(m.obj_ref()))
+            .map(|m| ctx.start_destroy(m.obj_ref()))
             .collect::<RemoteResult<_>>()?;
         join(ctx, pendings)?;
         Ok(())

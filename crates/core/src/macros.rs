@@ -227,7 +227,7 @@ macro_rules! remote_class {
                     self,
                     ctx: &mut $crate::NodeCtx,
                 ) -> $crate::RemoteResult<$crate::Pending<()>> {
-                    ctx.destroy_async(self.r)
+                    ctx.start_destroy(self.r)
                 }
 
                 /// Machine hosting the remote object.

@@ -648,6 +648,35 @@ impl NameService {
         })
     }
 
+    /// What a claimant does when [`bind_fenced`](Self::bind_fenced)
+    /// refuses the incarnation `fresh` it activated or promoted: another
+    /// claim moved `name` past its epoch meanwhile, so `fresh` must not keep
+    /// serving beside whatever the directory names (DESIGN.md §10.3). It is
+    /// fenced at the record's epoch — forwarding to the bound target when
+    /// `live` holds for it, destroyed behind the fence otherwise. Returns
+    /// the bound target and its epoch when `live` holds, for the claimant
+    /// to adopt.
+    pub fn stand_down(
+        &self,
+        ctx: &mut NodeCtx,
+        name: &str,
+        fresh: ObjRef,
+        live: impl FnOnce(&mut NodeCtx, ObjRef) -> bool,
+    ) -> RemoteResult<Option<(ObjRef, u64)>> {
+        let record = self.lease_of(ctx, name.to_string())?;
+        if let Some((at, epoch, false)) = record {
+            if live(ctx, at) {
+                ctx.fence_object(fresh, epoch, at)?;
+                return Ok(Some((at, epoch)));
+            }
+        }
+        if let Some((_, epoch, _)) = record {
+            ctx.set_epoch_of(fresh, epoch)?;
+        }
+        ctx.destroy(fresh)?;
+        Ok(None)
+    }
+
     /// Fenced rebind (see [`DirectoryClient::bind_fenced`]).
     pub fn bind_fenced(
         &self,
@@ -809,7 +838,7 @@ pub fn resolve_or_activate_supervised<C: crate::RemoteClient>(
     // name would flap between two live copies (split-brain).
     let mut last_err = None;
     let mut may_claim = true;
-    for _ in 0..6 {
+    'read: for _ in 0..6 {
         match dir.lease_of(ctx, addr.to_string())? {
             Some((_, _, true)) => {
                 // The supervisor gave up on this name; don't dig it up.
@@ -832,14 +861,20 @@ pub fn resolve_or_activate_supervised<C: crate::RemoteClient>(
                             }
                             match ctx.activate_fenced::<C>(m, addr, new_epoch) {
                                 Ok(client) => {
-                                    dir.bind_fenced(
-                                        ctx,
-                                        addr.to_string(),
-                                        client.obj_ref(),
-                                        new_epoch,
-                                    )?;
-                                    ctx.cache_resolve(addr, client.obj_ref());
-                                    return Ok(client);
+                                    let fresh = client.obj_ref();
+                                    if dir.bind_fenced(ctx, addr.to_string(), fresh, new_epoch)? {
+                                        ctx.cache_resolve(addr, fresh);
+                                        return Ok(client);
+                                    }
+                                    // A later claim moved the name past
+                                    // ours while we activated: stand down,
+                                    // then read the record again like any
+                                    // claimant that lost.
+                                    let answers = |ctx: &mut NodeCtx, at: ObjRef| {
+                                        ctx.ping(at.machine).is_ok()
+                                    };
+                                    dir.stand_down(ctx, addr, fresh, answers)?;
+                                    continue 'read;
                                 }
                                 Err(e) => last_err = Some(e),
                             }

@@ -2,11 +2,12 @@
 //! migration, supervision and replication verbs.
 //!
 //! The protocol is declared **once**, in the [`daemon_verbs!`] table below:
-//! each row gives a verb's wire name, its arguments in wire order and its
-//! reply type, and the macro derives from it the client stubs
-//! (`start_<verb>` / `call_<verb>`) and the server's decode-and-dispatch arm
-//! (`on_<verb>`). Adding a verb is one table row, one `on_<verb>` handler
-//! and, where callers want a friendlier signature, one public wrapper.
+//! each row gives a verb's wire name, whom it is aimed at — a machine
+//! (`MachineId`) or an object on one (`ObjRef`) — its arguments in wire
+//! order, its reply type and, for a verb callers issue synchronously, the
+//! name of its blocking stub. The macro derives from it the whole client
+//! surface and the server's decode-and-dispatch arm (`on_<verb>`). Adding
+//! a verb is one table row and one `on_<verb>` handler.
 
 use std::sync::atomic::Ordering;
 
@@ -53,21 +54,22 @@ impl From<wire::WireError> for Refusal {
 type Handled<T> = Result<T, Refusal>;
 
 /// Derive the daemon protocol from its verb table. Per row
-/// `"name" => verb(arg: Ty, ...) -> Ret;` this generates
+/// `"name" => verb(Addr, arg: Ty, ...) -> Ret[, pub sync];` this generates
 ///
-/// * `NodeCtx::start_<verb>(machine, args) -> req_id`: issue the call to
-///   `machine`'s daemon without waiting — the wire name followed by the
-///   arguments in table order, exactly like a user-class call, so the
-///   dispatch path is uniform;
-/// * `NodeCtx::<verb>_payload(args)`: the payload `start_<verb>` sends;
-/// * `NodeCtx::call_<verb>(machine, args) -> Ret`: issue, wait, decode;
-/// * one arm of `NodeCtx::daemon_dispatch`: decode the arguments in the
-///   same order, reject trailing bytes, run `self.on_<verb>(args)`, encode
-///   its reply.
+/// * `NodeCtx::start_<verb>(at, args) -> Pending<Ret>`: issue the call to
+///   the daemon of `at`'s machine without waiting — the wire name, then
+///   (when `Addr` is `ObjRef`) `at`'s object id, then the arguments in
+///   table order, exactly like a user-class call, so the dispatch path is
+///   uniform;
+/// * with `pub sync`, `NodeCtx::sync(at, args) -> Ret`: issue and wait;
+/// * one arm of `NodeCtx::daemon_dispatch`: decode the object id (for an
+///   `ObjRef` row) and the arguments in the same order, reject trailing
+///   bytes, run `self.on_<verb>([object,] args)`, encode its reply.
 macro_rules! daemon_verbs {
     ($(
         $(#[$doc:meta])*
-        $name:literal => $verb:ident ( $($arg:ident : $ty:ty),* ) -> $ret:ty;
+        $name:literal => $verb:ident($addr:ident $(, $arg:ident: $ty:ty)*) -> $ret:ty
+            $(, pub $sync:ident)?;
     )*) => { paste::paste! {
         /// Wire names of every daemon verb, in table order.
         pub const DAEMON_VERBS: &[&str] = &[$($name),*];
@@ -76,41 +78,25 @@ macro_rules! daemon_verbs {
             $(
                 $(#[$doc])*
                 ///
-                /// Asynchronous daemon stub: returns the request id for
-                /// [`wait_raw`](NodeCtx::wait_raw) /
-                /// [`try_take_reply`](NodeCtx::try_take_reply).
+                /// Asynchronous daemon stub: the reply is collected with
+                /// [`Pending::wait`] (or, by its request id,
+                /// [`try_take_reply`](NodeCtx::try_take_reply)).
                 pub fn [<start_ $verb>](
                     &mut self,
-                    machine: MachineId
+                    at: $addr
                     $(, $arg: $ty)*
-                ) -> RemoteResult<u64> {
-                    self.start_method_raw(ObjRef::daemon(machine), $name, |w| {
-                        let _ = &w;
+                ) -> RemoteResult<Pending<$ret>> {
+                    let (machine, object) = daemon_verbs!(@aim $addr at);
+                    let req_id = self.start_method_raw(ObjRef::daemon(machine), $name, |w| {
+                        if let Some(object) = object {
+                            Wire::encode(&object, w);
+                        }
                         $( Wire::encode(&$arg, w); )*
-                    })
+                    })?;
+                    Ok(Pending::new(req_id))
                 }
 
-                /// The request payload this verb's `start_` stub sends: the
-                /// wire name, then the arguments. For a frame sent without a
-                /// node context (the cluster's emergency stop).
-                #[allow(dead_code)]
-                pub(crate) fn [<$verb _payload>]($($arg: $ty),*) -> Vec<u8> {
-                    let mut w = Writer::new();
-                    w.put_len_prefixed($name.as_bytes());
-                    $( Wire::encode(&$arg, &mut w); )*
-                    w.into_bytes()
-                }
-
-                // `heartbeat` is only ever issued asynchronously.
-                #[allow(dead_code)]
-                fn [<call_ $verb>](
-                    &mut self,
-                    machine: MachineId
-                    $(, $arg: $ty)*
-                ) -> RemoteResult<$ret> {
-                    let req_id = self.[<start_ $verb>](machine $(, $arg)*)?;
-                    Ok(wire::from_bytes(&self.wait_raw(req_id)?)?)
-                }
+                daemon_verbs!(@sync [$($sync)?] $(#[$doc])* [<start_ $verb>]($addr $(, $arg: $ty)*) -> $ret);
             )*
 
             /// Server side of the table: decode `method`'s arguments from
@@ -118,12 +104,7 @@ macro_rules! daemon_verbs {
             fn daemon_dispatch(&mut self, method: &str, args: &mut Reader<'_>) -> Handled<Body> {
                 match method {
                     $(
-                        $name => {
-                            $( let $arg = <$ty as Wire>::decode(args)?; )*
-                            args.expect_end()?;
-                            let reply: $ret = self.[<on_ $verb>]($($arg),*)?;
-                            Ok(Body::of(&reply))
-                        }
+                        $name => daemon_verbs!(@serve $addr self.[<on_ $verb>](args $(, $arg: $ty)*) -> $ret),
                     )*
                     other => Err(Refusal::Failed(RemoteError::NoSuchMethod {
                         class: "<daemon>".to_string(),
@@ -133,107 +114,131 @@ macro_rules! daemon_verbs {
             }
         }
     }};
+    // A row's address: the machine whose daemon serves the verb, and the
+    // object id that leads the arguments on the wire.
+    (@aim MachineId $at:ident) => { ($at, None::<ObjectId>) };
+    (@aim ObjRef $at:ident) => { ($at.machine, Some($at.object)) };
+    (@sync [] $($row:tt)*) => {};
+    (@sync [$sync:ident] $(#$doc:tt)* $start:ident($addr:ident $(, $arg:ident: $ty:ty)*) -> $ret:ty) => {
+        $(#$doc)*
+        pub fn $sync(&mut self, at: $addr $(, $arg: $ty)*) -> RemoteResult<$ret> {
+            self.$start(at $(, $arg)*)?.wait(self)
+        }
+    };
+    // An `ObjRef` row's handler takes the object id first.
+    (@serve MachineId $($call:tt)*) => { daemon_verbs!(@decode [] $($call)*) };
+    (@serve ObjRef $($call:tt)*) => { daemon_verbs!(@decode [object] $($call)*) };
+    (@decode [$($object:ident)?] $node:ident.$on:ident($args:ident $(, $arg:ident: $ty:ty)*) -> $ret:ty) => {{
+        $( let $object = <ObjectId as Wire>::decode($args)?; )?
+        $( let $arg = <$ty as Wire>::decode($args)?; )*
+        $args.expect_end()?;
+        let reply: $ret = $node.$on($($object,)? $($arg),*)?;
+        Ok(Body::of(&reply))
+    }};
 }
 
 daemon_verbs! {
     /// Liveness probe of a machine's daemon; renews no lease.
-    "ping" => ping() -> ();
+    "ping" => ping(MachineId) -> (), pub ping;
     /// `new(machine m) Class(args...)`: construct an object of the
     /// registered `class` from its encoded constructor arguments. Replies
     /// the new object's id.
-    "create" => create(class: String, args: Bytes) -> ObjectId;
+    "create" => create(MachineId, class: String, args: Bytes) -> ObjectId;
     /// `delete ptr`: run the destructor, terminating the object-process.
-    "destroy" => destroy(object: ObjectId) -> ();
+    "destroy" => destroy(ObjRef) -> (), pub destroy;
     /// Stop the machine's serve loop (cluster shutdown).
-    "shutdown" => shutdown() -> ();
-    /// Serialize an object's state without destroying it. Fails for
-    /// non-persistent classes.
-    "snapshot" => snapshot(object: ObjectId) -> Bytes;
-    /// §5 deactivation: snapshot the object under `key`, then destroy it.
-    "deactivate" => deactivate(object: ObjectId, key: String) -> ();
+    "shutdown" => shutdown(MachineId) -> (), pub shutdown_machine;
+    /// Serialize an object's state without destroying it (persistence,
+    /// §5). Fails for non-persistent classes.
+    "snapshot" => snapshot(ObjRef) -> Bytes, pub snapshot_of;
+    /// §5 deactivation: snapshot the object under `key` on its machine,
+    /// then destroy it. Reactivate later with
+    /// [`activate`](NodeCtx::activate).
+    "deactivate" => deactivate(ObjRef, key: String) -> (), pub deactivate;
     /// §5 activation: restore the snapshot stored under `key` as a fresh
     /// process (the snapshot stays stored). Replies the new object's id.
-    "activate" => activate(key: String) -> ObjectId;
+    "activate" => activate(MachineId, key: String) -> ObjectId;
     /// Remove a stored snapshot. Replies whether one existed.
-    "drop_snapshot" => drop_snapshot(key: String) -> bool;
-    /// Store a snapshot taken elsewhere under `key`, so a crashed
-    /// machine's objects can be reactivated from a surviving copy.
-    "put_snapshot" => put_snapshot(key: String, class: String, state: Bytes) -> ();
+    "drop_snapshot" => drop_snapshot(MachineId, key: String) -> bool, pub drop_snapshot;
+    /// Store a snapshot taken elsewhere under `key` — the replication
+    /// half of crash recovery: the machine can later
+    /// [`activate`](NodeCtx::activate) it though the object never lived
+    /// there.
+    "put_snapshot" => put_snapshot(MachineId, key: String, class: String, state: Bytes) -> (),
+        pub put_snapshot;
     /// The machine's runtime counters.
-    "stats" => stats() -> NodeStats;
+    "stats" => stats(MachineId) -> NodeStats, pub stats_of;
     /// Begin a live migration: quiesce the object (its calls defer),
     /// snapshot it and park the state until the coordinator commits or
     /// rolls back. Replies the object's portable identity.
-    "migrate_out" => migrate_out(object: ObjectId) -> MigrationPayload;
+    "migrate_out" => migrate_out(ObjRef) -> MigrationPayload;
     /// Finish a migration on the source: drop the parked state and install
     /// a forwarding stub at the old address pointing at `to`.
-    "migrate_commit" => migrate_commit(object: ObjectId, to: ObjRef) -> ();
+    "migrate_commit" => migrate_commit(ObjRef, to: ObjRef) -> ();
     /// Abort a migration on the source: restore the parked state under the
     /// object's **original** id, so old pointers stay valid.
-    "migrate_rollback" => migrate_rollback(object: ObjectId) -> ();
+    "migrate_rollback" => migrate_rollback(ObjRef) -> ();
     /// Target half of a migration: restore `state` as a fresh process of
     /// `class` (like `activate`, but the state travels inline). Replies
     /// the new object's id.
-    "adopt_state" => adopt_state(class: String, state: Bytes) -> ObjectId;
+    "adopt_state" => adopt_state(MachineId, class: String, state: Bytes) -> ObjectId;
     /// Per-object served-call counters, sorted by object id — the
     /// placement subsystem's load signal.
-    "loads" => loads() -> Vec<(ObjectId, u64)>;
-    /// Fire one supervisor heartbeat at `machine` without waiting: the
-    /// reply (collected with [`try_take_reply`](NodeCtx::try_take_reply))
-    /// is the detector's liveness sample, and its arrival at the far side
-    /// renewed that machine's serving lease for `ttl_millis` (DESIGN.md
-    /// §10): once the lease expires the machine self-fences its supervised
-    /// objects.
-    "heartbeat" => heartbeat(ttl_millis: u64) -> ();
-    /// Place `object` under epoch fencing at `epoch` (supervision
+    "loads" => loads(MachineId) -> Vec<(ObjectId, u64)>, pub loads_of;
+    /// One supervisor heartbeat: the reply is the detector's liveness
+    /// sample, and its arrival at the far side renewed that machine's
+    /// serving lease for `ttl_millis` (DESIGN.md §10): once the lease
+    /// expires the machine self-fences its supervised objects.
+    "heartbeat" => heartbeat(MachineId, ttl_millis: u64) -> ();
+    /// Place the object under epoch fencing at `epoch` (supervision
     /// registration, or a takeover bumping the incarnation).
-    "set_epoch" => set_epoch(object: ObjectId, epoch: u64) -> ();
+    "set_epoch" => set_epoch(ObjRef, epoch: u64) -> ();
     /// Takeover half of a recovery: restore the snapshot under `key` *and*
     /// register it at `epoch` atomically, so no call can reach the new
     /// incarnation unfenced. Replies the new object's id.
-    "activate_fenced" => activate_fenced(key: String, epoch: u64) -> ObjectId;
-    /// Fence a (possibly still live) old incarnation after a takeover:
-    /// destroy the local object if present, record `epoch` as its fence,
-    /// and install a forwarding stub toward `to`.
-    "fence" => fence(object: ObjectId, epoch: u64, to: ObjRef) -> ();
+    "activate_fenced" => activate_fenced(MachineId, key: String, epoch: u64) -> ObjectId;
+    /// Fence a (possibly still live) old incarnation after a takeover: its
+    /// machine destroys the local object if present, records `epoch` as
+    /// its fence, and forwards stale pointers to `to`.
+    "fence" => fence(ObjRef, epoch: u64, to: ObjRef) -> (), pub fence_object;
     /// Materialize a read replica of `primary`: restore `state` as a fresh
     /// process of `class`, synced at `rs_epoch`, with a coherence lease of
     /// `lease_millis`. Replies the new object's id.
     "replica_adopt" => replica_adopt(
-        class: String, state: Bytes, primary: ObjRef, rs_epoch: u64, lease_millis: u64
+        MachineId, class: String, state: Bytes, primary: ObjRef, rs_epoch: u64, lease_millis: u64
     ) -> ObjectId;
     /// Primary→replica write propagation: overwrite the replica's state
     /// with `state` at `rs_epoch` and renew its coherence lease. A sync
     /// below the replica's current epoch only renews the lease.
-    "replica_sync" => replica_sync(
-        object: ObjectId, state: Bytes, rs_epoch: u64, lease_millis: u64
-    ) -> ();
+    "replica_sync" => replica_sync(ObjRef, state: Bytes, rs_epoch: u64, lease_millis: u64) -> (),
+        pub replica_sync_to;
     /// Lease renewal without a state transfer. Renews only if the replica
     /// is exactly at `rs_epoch`; replies `false` when it has drifted and
     /// needs a full `replica_sync`.
-    "replica_renew" => replica_renew(object: ObjectId, rs_epoch: u64, lease_millis: u64) -> bool;
-    /// Tear down a replica and install a forwarding stub toward its
-    /// primary, so stale routes heal through the `Moved` chase.
-    "replica_drop" => replica_drop(object: ObjectId) -> ();
-    /// Install (or replace) the primary-side replica-set record of
-    /// `object`: the live replicas, the current replica-set epoch, the
+    "replica_renew" => replica_renew(ObjRef, rs_epoch: u64, lease_millis: u64) -> bool,
+        pub replica_renew;
+    /// Tear down a replica (idempotent) and install a forwarding stub
+    /// toward its primary, so stale routes heal through the `Moved` chase.
+    "replica_drop" => replica_drop(ObjRef) -> (), pub replica_drop;
+    /// Install (or replace) the primary-side replica-set record of the
+    /// object: the live replicas, the current replica-set epoch, the
     /// coherence mode and the lease granted to replicas. An empty set with
     /// no lease detaches.
     "replica_attach" => replica_attach(
-        object: ObjectId, replicas: Vec<ObjRef>, rs_epoch: u64, write_through: bool,
-        lease_millis: u64
-    ) -> ();
-    /// Replication role and coherence position of `object`; both primaries
-    /// and replicas answer.
-    "replica_status" => replica_status(object: ObjectId) -> ReplicaStatus;
+        ObjRef, replicas: Vec<ObjRef>, rs_epoch: u64, write_through: bool, lease_millis: u64
+    ) -> (), pub replica_attach;
+    /// Replication role and coherence position of the object; both
+    /// primaries and replicas answer.
+    "replica_status" => replica_status(ObjRef) -> ReplicaStatus, pub replica_status_of;
     /// Failover: turn a local replica into a normal (primary-capable)
     /// object fenced at incarnation `epoch`.
-    "replica_promote" => replica_promote(object: ObjectId, epoch: u64) -> ();
+    "replica_promote" => replica_promote(ObjRef, epoch: u64) -> ();
 }
 
 impl NodeCtx {
     // ------------------------------------------------------------------
-    // Daemon conveniences (object lifecycle, persistence, introspection)
+    // Hand-written conveniences: what the table cannot say — typed
+    // clients, epoch beliefs, a loop over machines, the migration driver
     // ------------------------------------------------------------------
 
     /// `new(machine m) class(args)`: construct an object remotely, blocking
@@ -244,19 +249,10 @@ impl NodeCtx {
         class: &str,
         args: Vec<u8>,
     ) -> RemoteResult<ObjRef> {
-        let object = self.call_create(machine, class.to_string(), Bytes(args))?;
+        let object = self
+            .start_create(machine, class.to_string(), Bytes(args))?
+            .wait(self)?;
         Ok(ObjRef { machine, object })
-    }
-
-    /// Async construction by class name; pair with
-    /// [`PendingClient`] via the typed wrapper below.
-    pub fn create_object_start(
-        &mut self,
-        machine: MachineId,
-        class: &str,
-        args: Vec<u8>,
-    ) -> RemoteResult<u64> {
-        self.start_create(machine, class.to_string(), Bytes(args))
     }
 
     /// Typed remote construction (sync). Prefer the generated
@@ -275,48 +271,22 @@ impl NodeCtx {
         machine: MachineId,
         args: Vec<u8>,
     ) -> RemoteResult<PendingClient<C>> {
-        let req_id = self.create_object_start(machine, C::CLASS, args)?;
-        Ok(PendingClient::new(machine, req_id))
+        let pending = self.start_create(machine, C::CLASS.to_string(), Bytes(args))?;
+        Ok(PendingClient::new(machine, pending.req_id))
     }
 
-    /// `delete ptr`: destroy a remote object, running its destructor and
-    /// terminating its process.
-    pub fn destroy(&mut self, r: ObjRef) -> RemoteResult<()> {
-        self.call_destroy(r.machine, r.object)
-    }
-
-    /// Async destroy.
-    pub fn destroy_async(&mut self, r: ObjRef) -> RemoteResult<Pending<()>> {
-        Ok(Pending::new(self.start_destroy(r.machine, r.object)?))
-    }
-
-    /// Liveness probe of a machine's daemon.
-    pub fn ping(&mut self, machine: MachineId) -> RemoteResult<()> {
-        self.call_ping(machine)
-    }
-
-    /// Fetch a machine's runtime counters.
-    pub fn stats_of(&mut self, machine: MachineId) -> RemoteResult<NodeStats> {
-        self.call_stats(machine)
-    }
-
-    /// Serialize a remote object's state (persistence, §5).
-    pub fn snapshot_of(&mut self, r: ObjRef) -> RemoteResult<Vec<u8>> {
-        Ok(self.call_snapshot(r.machine, r.object)?.0)
-    }
-
-    /// §5 deactivation: snapshot `r` under `key` on its machine, then
-    /// destroy the live process. Reactivate later with [`activate`].
-    ///
-    /// [`activate`]: NodeCtx::activate
-    pub fn deactivate(&mut self, r: ObjRef, key: &str) -> RemoteResult<()> {
-        self.call_deactivate(r.machine, r.object, key.to_string())
+    /// The payload `start_shutdown` sends, for the cluster's emergency
+    /// stop, which has no node context to send it from.
+    pub(crate) fn shutdown_payload() -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_len_prefixed(b"shutdown");
+        w.into_bytes()
     }
 
     /// §5 activation: re-create the process stored under `key` on
     /// `machine`. The snapshot remains stored (activate is not destructive).
     pub fn activate<C: RemoteClient>(&mut self, machine: MachineId, key: &str) -> RemoteResult<C> {
-        let object = self.call_activate(machine, key.to_string())?;
+        let object = self.start_activate(machine, key.to_string())?.wait(self)?;
         Ok(C::from_ref(ObjRef { machine, object }))
     }
 
@@ -343,7 +313,9 @@ impl NodeCtx {
         key: &str,
         epoch: u64,
     ) -> RemoteResult<ObjRef> {
-        let object = self.call_activate_fenced(machine, key.to_string(), epoch)?;
+        let object = self
+            .start_activate_fenced(machine, key.to_string(), epoch)?
+            .wait(self)?;
         let r = ObjRef { machine, object };
         self.note_epoch(r, epoch);
         Ok(r)
@@ -352,35 +324,9 @@ impl NodeCtx {
     /// Register `r` for epoch fencing at `epoch` on its home machine
     /// (supervision enrollment; see DESIGN.md §10).
     pub fn set_epoch_of(&mut self, r: ObjRef, epoch: u64) -> RemoteResult<()> {
-        self.call_set_epoch(r.machine, r.object, epoch)?;
+        self.start_set_epoch(r, epoch)?.wait(self)?;
         self.note_epoch(r, epoch);
         Ok(())
-    }
-
-    /// Fence the (possibly still live) incarnation at `old` after a
-    /// takeover: its machine destroys the local copy, records `epoch`,
-    /// and forwards stale pointers to `to`.
-    pub fn fence_object(&mut self, old: ObjRef, epoch: u64, to: ObjRef) -> RemoteResult<()> {
-        self.call_fence(old.machine, old.object, epoch, to)
-    }
-
-    /// Remove a stored snapshot; true if one existed.
-    pub fn drop_snapshot(&mut self, machine: MachineId, key: &str) -> RemoteResult<bool> {
-        self.call_drop_snapshot(machine, key.to_string())
-    }
-
-    /// Store a snapshot taken elsewhere under `key` on `machine` — the
-    /// replication half of crash recovery. The snapshot can later be
-    /// [`activate`](NodeCtx::activate)d on that machine even though the
-    /// object never lived there.
-    pub fn put_snapshot(
-        &mut self,
-        machine: MachineId,
-        key: &str,
-        class: &str,
-        state: Vec<u8>,
-    ) -> RemoteResult<()> {
-        self.call_put_snapshot(machine, key.to_string(), class.to_string(), Bytes(state))
     }
 
     /// Snapshot a live object and store a copy under `key` on each of
@@ -395,14 +341,37 @@ impl NodeCtx {
     ) -> RemoteResult<()> {
         let state = self.snapshot_of(client.obj_ref())?;
         for &m in backups {
-            self.put_snapshot(m, key, C::CLASS, state.clone())?;
+            self.put_snapshot(m, key.to_string(), C::CLASS.to_string(), state.clone())?;
         }
         Ok(())
     }
 
-    /// Ask a machine's serve loop to stop (used by cluster shutdown).
-    pub fn shutdown_machine(&mut self, machine: MachineId) -> RemoteResult<()> {
-        self.call_shutdown(machine)
+    /// Materialize a read replica of `class` on `machine` from `state`,
+    /// mirroring `primary` at `rs_epoch` under a `lease_millis` coherence
+    /// lease. Returns the replica's address.
+    pub fn replica_adopt(
+        &mut self,
+        machine: MachineId,
+        class: &str,
+        state: Bytes,
+        primary: ObjRef,
+        rs_epoch: u64,
+        lease_millis: u64,
+    ) -> RemoteResult<ObjRef> {
+        let class = class.to_string();
+        let object = self
+            .start_replica_adopt(machine, class, state, primary, rs_epoch, lease_millis)?
+            .wait(self)?;
+        Ok(ObjRef { machine, object })
+    }
+
+    /// Promote the replica at `r` into a normal object fenced at `epoch`
+    /// (primary-death failover; pair with a directory CAS and a
+    /// `replica_attach` of the surviving set).
+    pub fn replica_promote(&mut self, r: ObjRef, epoch: u64) -> RemoteResult<()> {
+        self.start_replica_promote(r, epoch)?.wait(self)?;
+        self.note_epoch(r, epoch);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -469,7 +438,7 @@ impl NodeCtx {
         };
         mark(self, EventKind::MigrateBegin, obj.machine, 0);
         // 1. Quiesce + snapshot at the source.
-        let bundle = self.call_migrate_out(obj.machine, obj.object)?;
+        let bundle = self.start_migrate_out(obj)?.wait(self)?;
         mark(
             self,
             EventKind::MigrateTransfer,
@@ -477,14 +446,20 @@ impl NodeCtx {
             bundle.state.0.len() as u32,
         );
         // 2. Reactivate on the target from the shipped state.
-        match self.call_adopt_state(target, bundle.class, bundle.state) {
+        let adopted = self
+            .start_adopt_state(target, bundle.class, bundle.state)
+            .and_then(|p| p.wait(self));
+        match adopted {
             Ok(object) => {
                 let new_ref = ObjRef {
                     machine: target,
                     object,
                 };
                 // 3. Commit: install the forwarding stub at the source.
-                match self.call_migrate_commit(obj.machine, obj.object, new_ref) {
+                match self
+                    .start_migrate_commit(obj, new_ref)
+                    .and_then(|p| p.wait(self))
+                {
                     Ok(()) => {
                         mark(self, EventKind::MigrateCommit, target, 0);
                         self.beliefs.learn_move(obj, new_ref);
@@ -496,7 +471,7 @@ impl NodeCtx {
                         // to restore the source; if the source is down,
                         // its parked state survives for a later rollback.
                         let _ = self.destroy(new_ref);
-                        let _ = self.call_migrate_rollback(obj.machine, obj.object);
+                        let _ = self.start_migrate_rollback(obj).and_then(|p| p.wait(self));
                         mark(self, EventKind::MigrateRollback, obj.machine, 0);
                         Err(e)
                     }
@@ -505,106 +480,11 @@ impl NodeCtx {
             Err(e) => {
                 // 2'. Target dead or rejected the state: roll back — the
                 // object is restored at the source under its original id.
-                self.call_migrate_rollback(obj.machine, obj.object)?;
+                self.start_migrate_rollback(obj)?.wait(self)?;
                 mark(self, EventKind::MigrateRollback, obj.machine, 0);
                 Err(e)
             }
         }
-    }
-
-    /// Per-object served-call counters of `machine` (sorted by object id)
-    /// — the placement subsystem's load probe.
-    pub fn loads_of(&mut self, machine: MachineId) -> RemoteResult<Vec<(u64, u64)>> {
-        self.call_loads(machine)
-    }
-
-    // ------------------------------------------------------------------
-    // Replication control plane (driven by crates/replica's manager)
-    // ------------------------------------------------------------------
-
-    /// Materialize a read replica of `class` on `machine` from `state`,
-    /// mirroring `primary` at `rs_epoch` under a `lease_millis` coherence
-    /// lease. Returns the replica's address.
-    pub fn replica_adopt(
-        &mut self,
-        machine: MachineId,
-        class: &str,
-        state: Vec<u8>,
-        primary: ObjRef,
-        rs_epoch: u64,
-        lease_millis: u64,
-    ) -> RemoteResult<ObjRef> {
-        let object = self.call_replica_adopt(
-            machine,
-            class.to_string(),
-            Bytes(state),
-            primary,
-            rs_epoch,
-            lease_millis,
-        )?;
-        Ok(ObjRef { machine, object })
-    }
-
-    /// Push `state` at `rs_epoch` to the replica at `r`, renewing its
-    /// coherence lease.
-    pub fn replica_sync_to(
-        &mut self,
-        r: ObjRef,
-        state: Vec<u8>,
-        rs_epoch: u64,
-        lease_millis: u64,
-    ) -> RemoteResult<()> {
-        self.call_replica_sync(r.machine, r.object, Bytes(state), rs_epoch, lease_millis)
-    }
-
-    /// Renew the coherence lease of the replica at `r` if it is exactly at
-    /// `rs_epoch`; `false` means it drifted and needs a full sync.
-    pub fn replica_renew(
-        &mut self,
-        r: ObjRef,
-        rs_epoch: u64,
-        lease_millis: u64,
-    ) -> RemoteResult<bool> {
-        self.call_replica_renew(r.machine, r.object, rs_epoch, lease_millis)
-    }
-
-    /// Tear down the replica at `r` (idempotent); a forwarding stub toward
-    /// its primary heals routes that still point there.
-    pub fn replica_drop(&mut self, r: ObjRef) -> RemoteResult<()> {
-        self.call_replica_drop(r.machine, r.object)
-    }
-
-    /// Install the primary-side replica-set record on `primary`'s machine.
-    pub fn replica_attach(
-        &mut self,
-        primary: ObjRef,
-        replicas: Vec<ObjRef>,
-        rs_epoch: u64,
-        write_through: bool,
-        lease_millis: u64,
-    ) -> RemoteResult<()> {
-        self.call_replica_attach(
-            primary.machine,
-            primary.object,
-            replicas,
-            rs_epoch,
-            write_through,
-            lease_millis,
-        )
-    }
-
-    /// Replication role and coherence position of the object at `r`.
-    pub fn replica_status_of(&mut self, r: ObjRef) -> RemoteResult<ReplicaStatus> {
-        self.call_replica_status(r.machine, r.object)
-    }
-
-    /// Promote the replica at `r` into a normal object fenced at `epoch`
-    /// (primary-death failover; pair with a directory CAS and a
-    /// `replica_attach` of the surviving set).
-    pub fn replica_promote(&mut self, r: ObjRef, epoch: u64) -> RemoteResult<()> {
-        self.call_replica_promote(r.machine, r.object, epoch)?;
-        self.note_epoch(r, epoch);
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -659,8 +539,8 @@ impl NodeCtx {
     }
 
     /// The live object of `object` in its (locked) `shard`, for verbs that
-    /// read or edit its record in place; any other id is
-    /// [`refuse`](NodeCtx::refuse)d.
+    /// read or edit its record in place — checked out or not; any other id
+    /// is [`refuse`](NodeCtx::refuse)d.
     fn live<'a>(&self, shard: &'a mut Shard, object: ObjectId) -> Handled<&'a mut LiveObj> {
         match shard.get_mut(&object) {
             Some(ObjRecord::Live(live)) => Ok(live),
@@ -668,36 +548,62 @@ impl NodeCtx {
         }
     }
 
-    /// The replica role of `object` and the slot holding its process; an
-    /// id that hosts no replica is `NoSuchObject`.
-    fn replica<'a>(
-        &self,
-        shard: &'a mut Shard,
-        object: ObjectId,
-    ) -> Handled<(&'a mut ReplicaMeta, &'a mut Option<Box<dyn ServerObject>>)> {
-        let live = self.live(shard, object)?;
-        match &mut live.role {
-            Role::Replica(meta) => Ok((meta, &mut live.slot)),
+    /// [`live`](NodeCtx::live) for a verb that touches the object itself —
+    /// reads its state, replaces it, or retires it: the object and its
+    /// record's fields, borrowed apart. While a lane has the object checked
+    /// out, the verb waits (see [`checked_in`]).
+    fn idle<'a>(&self, shard: &'a mut Shard, object: ObjectId) -> Handled<Idle<'a>> {
+        match checked_in(shard, object)? {
+            Some(ObjRecord::Live(LiveObj {
+                slot: Some(obj),
+                role,
+                epoch,
+                calls,
+                ..
+            })) => Ok(Idle {
+                obj,
+                role,
+                epoch,
+                calls: *calls,
+            }),
+            other => Err(self.refuse(other.as_deref(), object)),
+        }
+    }
+
+    /// The replica metadata in `object`'s `role`; an object that is no
+    /// replica is `NoSuchObject`.
+    fn replica<'a>(&self, role: &'a mut Role, object: ObjectId) -> Handled<&'a mut ReplicaMeta> {
+        match role {
+            Role::Replica(meta) => Ok(meta),
             _ => Err(self.refuse(None, object)),
         }
     }
 
-    /// Answer every request still queued on a retired object exactly as if
-    /// each had arrived after its record changed (Moved / Fenced /
-    /// NoSuchObject / deferred): admission judges them against what the
-    /// caller left in the table. Dropping `live` afterwards runs the
-    /// destructor.
-    fn drain_retired(&mut self, live: Option<LiveObj>) {
-        let Some(live) = live else { return };
-        // The whole mailbox leaves the queue at once: release the
-        // machine-wide in-flight budget before answering each request.
-        self.shared.queued.release(live.mailbox.len() as u64);
-        for req in live.mailbox {
-            match self.serve_object(req) {
-                ServeOutcome::Served => {}
-                ServeOutcome::Defer(req) => self.push_deferred(req),
+    /// Swap `object`'s record under its shard lock, then answer the
+    /// mailbox of the live object that left. `edit` reads the record and
+    /// swaps it with [`take_live`]; once the lock is released, every
+    /// request still queued on the retired object is answered exactly as if
+    /// it had arrived after the swap (Moved / Fenced / NoSuchObject /
+    /// deferred): admission judges it against what `edit` left in the
+    /// table. Dropping the object afterwards runs its destructor.
+    fn retire<T>(
+        &mut self,
+        object: ObjectId,
+        edit: impl FnOnce(&Self, &mut Shard) -> Handled<(T, Option<LiveObj>)>,
+    ) -> Handled<T> {
+        let (out, retired) = edit(self, &mut self.shared.shard(object))?;
+        if let Some(live) = retired {
+            // The whole mailbox leaves the queue at once: release the
+            // machine-wide in-flight budget before answering each request.
+            self.shared.queued.release(live.mailbox.len() as u64);
+            for req in live.mailbox {
+                match self.serve_object(req) {
+                    ServeOutcome::Served => {}
+                    ServeOutcome::Defer(req) => self.push_deferred(req),
+                }
             }
         }
+        Ok(out)
     }
 
     /// Build an object of the registered `class` from snapshot bytes; the
@@ -744,18 +650,11 @@ impl NodeCtx {
     }
 
     fn on_destroy(&mut self, object: ObjectId) -> Handled<()> {
-        let live = {
-            let mut shard = self.shared.shard(object);
-            let live = self.live(&mut shard, object)?;
-            if live.slot.is_none() {
-                return Err(Refusal::Busy); // mid-call: destroy after
-            }
+        self.retire(object, |ctx, shard| {
             // A supervised incarnation leaves its fence behind.
-            let fence = ObjRecord::gone(live.epoch, None);
-            take_live(&mut shard, object, fence)
-        };
-        self.drain_retired(live);
-        Ok(())
+            let fence = ObjRecord::gone(*ctx.idle(shard, object)?.epoch, None);
+            Ok(((), take_live(shard, object, fence)))
+        })
     }
 
     fn on_shutdown(&mut self) -> Handled<()> {
@@ -766,23 +665,22 @@ impl NodeCtx {
 
     fn on_snapshot(&mut self, object: ObjectId) -> Handled<Bytes> {
         let mut shard = self.shared.shard(object);
-        let obj = self.live(&mut shard, object)?.slot.as_deref();
-        Ok(Bytes(obj.ok_or(Refusal::Busy)?.snapshot_state()?))
+        Ok(Bytes(self.idle(&mut shard, object)?.obj.snapshot_state()?))
     }
 
     /// A snapshot failure (a non-persistent class) leaves the object
     /// untouched.
     fn on_deactivate(&mut self, object: ObjectId, key: String) -> Handled<()> {
-        let live = {
-            let mut shard = self.shared.shard(object);
-            let live = self.live(&mut shard, object)?;
-            let obj = live.slot.as_deref().ok_or(Refusal::Busy)?;
-            let snapshot = (obj.class_name().to_string(), obj.snapshot_state()?);
-            let fence = ObjRecord::gone(live.epoch, None);
-            self.snapshots.insert(key, snapshot);
-            take_live(&mut shard, object, fence)
-        };
-        self.drain_retired(live);
+        let snapshot = self.retire(object, |ctx, shard| {
+            let idle = ctx.idle(shard, object)?;
+            let snapshot = (
+                idle.obj.class_name().to_string(),
+                idle.obj.snapshot_state()?,
+            );
+            let fence = ObjRecord::gone(*idle.epoch, None);
+            Ok((snapshot, take_live(shard, object, fence)))
+        })?;
+        self.snapshots.insert(key, snapshot);
         Ok(())
     }
 
@@ -807,37 +705,31 @@ impl NodeCtx {
     /// Quiesce + transfer: the record turns `Migrating` — the object's
     /// state parked in it, its requests deferring from here on — and a
     /// snapshot ships to the coordinator. The object is no longer live but
-    /// fully recoverable until commit.
+    /// fully recoverable until commit. The record is `Migrating` before
+    /// the mailbox drains, so the queued requests land in the deferred
+    /// queue (quiesce), not in NoSuchObject.
     fn on_migrate_out(&mut self, object: ObjectId) -> Handled<MigrationPayload> {
-        let (payload, live) = {
-            let mut shard = self.shared.shard(object);
-            let live = self.live(&mut shard, object)?;
+        self.retire(object, |ctx, shard| {
+            let idle = ctx.idle(shard, object)?;
             // Replicated objects are unmovable (DESIGN.md §11): a moving
             // primary would race its own write propagation, and a moving
             // replica is pointless — drop and re-adopt.
-            if !matches!(live.role, Role::Plain) {
+            if !matches!(idle.role, Role::Plain) {
                 return Err(RemoteError::Replicated { object }.into());
             }
-            // Busy mid-call (quiesce later); a non-persistent class fails
-            // with the object intact.
-            let obj = live.slot.as_deref().ok_or(Refusal::Busy)?;
+            // A non-persistent class fails with the object intact.
             let payload = MigrationPayload {
-                class: obj.class_name().to_string(),
-                state: Bytes(obj.snapshot_state()?),
+                class: idle.obj.class_name().to_string(),
+                state: Bytes(idle.obj.snapshot_state()?),
             };
             let parked = ObjRecord::Migrating {
                 class: payload.class.clone(),
                 state: payload.state.0.clone(),
-                epoch: live.epoch,
-                calls: live.calls,
+                epoch: *idle.epoch,
+                calls: idle.calls,
             };
-            (payload, take_live(&mut shard, object, Some(parked)))
-        };
-        // The record is `Migrating` before the mailbox drains, so the
-        // queued requests land in the deferred queue (quiesce), not in
-        // NoSuchObject.
-        self.drain_retired(live);
-        Ok(payload)
+            Ok((payload, take_live(shard, object, Some(parked))))
+        })
     }
 
     fn on_migrate_commit(&mut self, object: ObjectId, to: ObjRef) -> Handled<()> {
@@ -970,22 +862,15 @@ impl NodeCtx {
     /// tombstone, so the queued requests drained afterwards resolve
     /// against the stub.
     fn on_fence(&mut self, object: ObjectId, epoch: u64, to: ObjRef) -> Handled<()> {
-        let live = {
-            let mut shard = self.shared.shard(object);
-            let record = shard.get(&object);
-            if matches!(record, Some(ObjRecord::Live(live)) if live.slot.is_none()) {
-                return Err(Refusal::Busy); // mid-call: fence after
-            }
-            let mut fence = record.and_then(ObjRecord::epoch);
+        self.retire(object, |_, shard| {
+            let mut fence = checked_in(shard, object)?.and_then(|record| record.epoch());
             raise_epoch(&mut fence, epoch);
             let fence = ObjRecord::Gone {
                 epoch: fence,
                 forward: Some(to),
             };
-            take_live(&mut shard, object, Some(fence))
-        };
-        self.drain_retired(live);
-        Ok(())
+            Ok(((), take_live(shard, object, Some(fence))))
+        })
     }
 
     /// The replica is an ordinary object whose `Replica` role gates what
@@ -1033,10 +918,9 @@ impl NodeCtx {
     ) -> Handled<()> {
         let (fresh, class) = {
             let mut shard = self.shared.shard(object);
-            let (meta, slot) = self.replica(&mut shard, object)?;
-            // Busy mid-read: sync after.
-            let obj = slot.as_deref().ok_or(Refusal::Busy)?;
-            (rs_epoch >= meta.rs_epoch, obj.class_name())
+            let idle = self.idle(&mut shard, object)?;
+            let meta = self.replica(idle.role, object)?;
+            (rs_epoch >= meta.rs_epoch, idle.obj.class_name())
         };
         let replaced = match fresh {
             true => Some(self.restore(class, &state.0)?),
@@ -1046,10 +930,10 @@ impl NodeCtx {
         // checked the replica out meanwhile, come back once it is idle
         // rather than swap mid-read.
         let mut shard = self.shared.shard(object);
-        let (meta, slot) = self.replica(&mut shard, object)?;
-        let obj = slot.as_mut().ok_or(Refusal::Busy)?;
+        let idle = self.idle(&mut shard, object)?;
+        let meta = self.replica(idle.role, object)?;
         if let Some(replaced) = replaced {
-            *obj = replaced;
+            *idle.obj = replaced;
         }
         meta.rs_epoch = meta.rs_epoch.max(rs_epoch);
         meta.lease_until = self.lease_expiry(lease_millis);
@@ -1063,7 +947,7 @@ impl NodeCtx {
         lease_millis: u64,
     ) -> Handled<bool> {
         let mut shard = self.shared.shard(object);
-        let (meta, _) = self.replica(&mut shard, object)?;
+        let meta = self.replica(&mut self.live(&mut shard, object)?.role, object)?;
         let current = meta.rs_epoch == rs_epoch;
         if current {
             meta.lease_until = self.lease_expiry(lease_millis);
@@ -1074,26 +958,17 @@ impl NodeCtx {
     /// Idempotent. One swap: the replica goes and the forwarding stub
     /// toward its primary appears atomically.
     fn on_replica_drop(&mut self, object: ObjectId) -> Handled<()> {
-        let live = {
-            let mut shard = self.shared.shard(object);
-            let stub = match shard.get(&object) {
+        self.retire(object, |_, shard| {
+            let stub = match checked_in(shard, object)? {
                 Some(ObjRecord::Live(LiveObj {
                     role: Role::Replica(meta),
-                    slot,
                     epoch,
                     ..
-                })) => {
-                    if slot.is_none() {
-                        return Err(Refusal::Busy); // mid-read: drop after
-                    }
-                    ObjRecord::gone(*epoch, Some(meta.primary))
-                }
-                _ => return Ok(()),
+                })) => ObjRecord::gone(*epoch, Some(meta.primary)),
+                _ => return Ok(((), None)),
             };
-            take_live(&mut shard, object, stub)
-        };
-        self.drain_retired(live);
-        Ok(())
+            Ok(((), take_live(shard, object, stub)))
+        })
     }
 
     /// From here on, write verbs served by `object` bump the replica-set
@@ -1146,14 +1021,31 @@ impl NodeCtx {
     /// The manager re-attaches the surviving set afterwards.
     fn on_replica_promote(&mut self, object: ObjectId, epoch: u64) -> Handled<()> {
         let mut shard = self.shared.shard(object);
-        let live = self.live(&mut shard, object)?;
-        if live.slot.is_none() {
-            return Err(Refusal::Busy); // mid-read: promote after
+        let idle = self.idle(&mut shard, object)?;
+        if matches!(idle.role, Role::Replica(_)) {
+            *idle.role = Role::Plain;
         }
-        if matches!(live.role, Role::Replica(_)) {
-            live.role = Role::Plain;
-        }
-        raise_epoch(&mut live.epoch, epoch);
+        raise_epoch(idle.epoch, epoch);
         Ok(())
     }
+}
+
+/// `object`'s record, for a verb that touches the object itself. A live
+/// object a lane has checked out is `Busy`: the verb is parked and runs
+/// once the call has returned, so it sees the call's effect. This is the
+/// one place a verb meets a checked-out object.
+fn checked_in(shard: &mut Shard, object: ObjectId) -> Handled<Option<&mut ObjRecord>> {
+    match shard.get_mut(&object) {
+        Some(ObjRecord::Live(LiveObj { slot: None, .. })) => Err(Refusal::Busy),
+        record => Ok(record),
+    }
+}
+
+/// A checked-in live object, borrowed field by field (see
+/// [`NodeCtx::idle`]).
+struct Idle<'a> {
+    obj: &'a mut Box<dyn ServerObject>,
+    role: &'a mut Role,
+    epoch: &'a mut Option<u64>,
+    calls: u64,
 }

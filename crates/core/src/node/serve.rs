@@ -6,6 +6,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use simnet::{ClockRecvError, MachineId, Packet, PacketBytes};
+use wire::collections::Bytes;
 use wire::Reader;
 
 use super::judge::{judge, queue_gated, reads_clock, Verdict};
@@ -746,7 +747,7 @@ impl NodeCtx {
             return;
         }
         let state = match obj.snapshot_state() {
-            Ok(s) => s,
+            Ok(s) => Bytes(s),
             Err(_) => return,
         };
         let mut lost = false;

@@ -210,13 +210,14 @@ fn ping_every_machine() {
 }
 
 /// A cluster dropped without `shutdown` stops its machines with the very
-/// payload `start_shutdown` sends: the verb is spelled once, in the daemon
-/// table.
+/// payload `start_shutdown` sends.
 #[test]
 fn emergency_stop_sends_the_shutdown_verbs_payload() {
     let (cluster, mut driver) = cluster(1);
-    let req_id = driver.start_shutdown(0).unwrap();
-    let frame = driver.outstanding_frame(req_id).expect("call in flight");
+    let pending = driver.start_shutdown(0).unwrap();
+    let frame = driver
+        .outstanding_frame(pending.req_id())
+        .expect("call in flight");
     use crate::frame::Frame;
     let Ok(Frame::Request { payload, .. } | Frame::SingleShot { payload, .. }) =
         wire::from_bytes(frame)
@@ -224,7 +225,7 @@ fn emergency_stop_sends_the_shutdown_verbs_payload() {
         panic!("not a request frame");
     };
     assert_eq!(payload.0, NodeCtx::shutdown_payload());
-    driver.wait_raw(req_id).unwrap();
+    pending.wait(&mut driver).unwrap();
     drop(driver);
     drop(cluster);
 }
@@ -703,7 +704,7 @@ fn snapshot_deactivate_activate_cycle() {
 
     // Deactivate: state stored under a symbolic key, process destroyed.
     let key = symbolic_addr(&["data", "set", "DoubleBlock", "0"]);
-    driver.deactivate(d.obj_ref(), &key).unwrap();
+    driver.deactivate(d.obj_ref(), key.clone()).unwrap();
     assert!(matches!(
         d.get(&mut driver, 0),
         Err(RemoteError::NoSuchObject { .. })
@@ -725,8 +726,8 @@ fn snapshot_deactivate_activate_cycle() {
         "copies are independent"
     );
 
-    assert!(driver.drop_snapshot(1, &key).unwrap());
-    assert!(!driver.drop_snapshot(1, &key).unwrap());
+    assert!(driver.drop_snapshot(1, key.clone()).unwrap());
+    assert!(!driver.drop_snapshot(1, key.clone()).unwrap());
     let err = driver.activate::<DoubleBlockClient>(1, &key).unwrap_err();
     assert!(matches!(err, RemoteError::NoSuchSnapshot { .. }));
     cluster.shutdown(driver);
@@ -738,7 +739,7 @@ fn snapshot_of_live_object_without_destroying_it() {
     let d = DoubleBlockClient::new_on(&mut driver, 0, 2).unwrap();
     d.set(&mut driver, 1, 5.5).unwrap();
     let state = driver.snapshot_of(d.obj_ref()).unwrap();
-    assert!(!state.is_empty());
+    assert!(!state.0.is_empty());
     // Still alive.
     assert_eq!(d.get(&mut driver, 1).unwrap(), 5.5);
     cluster.shutdown(driver);
@@ -966,7 +967,7 @@ fn malformed_arguments_are_a_decode_error() {
 fn stats_count_snapshots() {
     let (cluster, mut driver) = cluster(1);
     let d = DoubleBlockClient::new_on(&mut driver, 0, 4).unwrap();
-    driver.deactivate(d.obj_ref(), "k1").unwrap();
+    driver.deactivate(d.obj_ref(), "k1".into()).unwrap();
     assert_eq!(driver.stats_of(0).unwrap().snapshots_stored, 1);
     let revived: DoubleBlockClient = driver.activate(0, "k1").unwrap();
     assert_eq!(
@@ -974,7 +975,7 @@ fn stats_count_snapshots() {
         1,
         "activate keeps the snapshot"
     );
-    driver.drop_snapshot(0, "k1").unwrap();
+    driver.drop_snapshot(0, "k1".into()).unwrap();
     assert_eq!(driver.stats_of(0).unwrap().snapshots_stored, 0);
     revived.destroy(&mut driver).unwrap();
     cluster.shutdown(driver);
@@ -996,7 +997,7 @@ fn resolve_or_activate_finds_live_then_dormant() {
 
     // Deactivate under the SAME address, drop the binding: resolution now
     // activates from the snapshot and rebinds.
-    driver.deactivate(d.obj_ref(), &addr).unwrap();
+    driver.deactivate(d.obj_ref(), addr.clone()).unwrap();
     dir.unbind(&mut driver, addr.clone()).unwrap();
     let revived: DoubleBlockClient = resolve_or_activate(&mut driver, &dir, 1, &addr).unwrap();
     assert_eq!(revived.get(&mut driver, 0).unwrap(), 2.5);

@@ -108,7 +108,7 @@ impl BlockStorage {
         let pendings: Vec<_> = self
             .devices
             .iter()
-            .map(|d| ctx.destroy_async(oopp::RemoteClient::obj_ref(d)))
+            .map(|d| ctx.start_destroy(oopp::RemoteClient::obj_ref(d)))
             .collect::<RemoteResult<_>>()?;
         oopp::join(ctx, pendings)?;
         Ok(())

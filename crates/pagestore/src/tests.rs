@@ -312,7 +312,7 @@ fn device_persistence_survives_deactivate_activate() {
         .unwrap();
 
     let key = oopp::symbolic_addr(&["data", "set", "ArrayPageDevice", "p"]);
-    driver.deactivate(dev.obj_ref(), &key).unwrap();
+    driver.deactivate(dev.obj_ref(), key.clone()).unwrap();
     assert!(dev.sum(&mut driver, 1).is_err(), "process must be gone");
 
     let revived: ArrayPageDeviceClient = driver.activate(0, &key).unwrap();
@@ -384,7 +384,7 @@ fn restored_devices_keep_the_constructors_invariants() {
     let d = &mut driver;
     let dev = ArrayPageDeviceClient::new_on(d, 0, "g".into(), 4, 2, 2, 2, 0, None).unwrap();
     let state = d.snapshot_of(dev.obj_ref()).unwrap();
-    let (base, n1, n2, n3): (Bytes, u64, u64, u64) = wire::from_bytes(&state).unwrap();
+    let (base, n1, n2, n3): (Bytes, u64, u64, u64) = wire::from_bytes(&state.0).unwrap();
     let geometry: PageDeviceState = wire::from_bytes(&base.0).unwrap();
     let forge = |edit: &dyn Fn(&mut PageDeviceState)| {
         let mut g = geometry.clone();
@@ -410,7 +410,8 @@ fn restored_devices_keep_the_constructors_invariants() {
     }
     for (i, (class, state)) in forged.into_iter().enumerate() {
         let key = oopp::symbolic_addr(&["forged", &i.to_string()]);
-        d.put_snapshot(0, &key, class, state).unwrap();
+        d.put_snapshot(0, key.clone(), class.into(), Bytes(state))
+            .unwrap();
         let restored = d.activate::<PageDeviceClient>(0, &key);
         assert!(
             matches!(restored, Err(RemoteError::App { .. })),
@@ -420,7 +421,7 @@ fn restored_devices_keep_the_constructors_invariants() {
     // The snapshot as written still restores, pages and all.
     let page = ArrayPage::generate(2, 2, 2, 5);
     dev.write_array(d, 3, page.clone().into_f64s()).unwrap();
-    d.put_snapshot(0, "as-written", "ArrayPageDevice", state)
+    d.put_snapshot(0, "as-written".into(), "ArrayPageDevice".into(), state)
         .unwrap();
     let back: ArrayPageDeviceClient = d.activate(0, "as-written").unwrap();
     assert_eq!(back.read_array(d, 3).unwrap().0, page.elements());

@@ -44,6 +44,7 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
+use oopp::wire::collections::Bytes;
 use oopp::{
     EventKind, NameService, NodeCtx, ObjRef, RemoteClient, RemoteError, RemoteResult, Takeover,
 };
@@ -331,7 +332,7 @@ impl ReplicaManager {
             let Ok(status) = ctx.replica_status_of(primary) else {
                 continue; // primary unreachable; failover is not step's job
             };
-            let mut state: Option<Vec<u8>> = None;
+            let mut state: Option<Bytes> = None;
             for r in self.managed[i].replicas.clone() {
                 match ctx.replica_renew(r, status.rs_epoch, lease) {
                     Ok(true) => self.stats.renewals += 1,
@@ -478,7 +479,16 @@ impl ReplicaManager {
             if ctx.replica_promote(r, new_epoch).is_err() {
                 continue;
             }
-            dir.bind_fenced(ctx, name.clone(), r, new_epoch)?;
+            if !dir.bind_fenced(ctx, name.clone(), r, new_epoch)? {
+                // A later claim moved the name past ours while we
+                // promoted: stand down and adopt what the directory names,
+                // as after `Recovered`.
+                let live = |_: &mut NodeCtx, at: ObjRef| at.machine != dead;
+                if let Some((at, epoch)) = dir.stand_down(ctx, &name, r, live)? {
+                    self.adopt_recovered(ctx, i, at, epoch, dead)?;
+                }
+                return Ok(None);
+            }
             let rest: Vec<ObjRef> = self.managed[i]
                 .replicas
                 .iter()

@@ -344,8 +344,8 @@ impl Supervisor {
             };
             let mut ok = true;
             for b in backups {
-                if b != current.machine && ctx.put_snapshot(b, &name, class, state.clone()).is_err()
-                {
+                let (key, class) = (name.clone(), class.to_string());
+                if b != current.machine && ctx.put_snapshot(b, key, class, state.clone()).is_err() {
                     ok = false;
                 }
             }
@@ -462,9 +462,9 @@ impl Supervisor {
         // would abandon it with its reply already in flight.
         let sent = ctx.now_nanos();
         self.last_sent.insert(m, sent);
-        if let Ok(req_id) = started {
+        if let Ok(beat) = started {
             self.in_flight.insert(
-                req_id,
+                beat.req_id(),
                 InFlight {
                     machine: m,
                     kind,
@@ -608,7 +608,21 @@ impl Supervisor {
                 let Ok(fresh) = ctx.activate_fenced_raw(target, &name, new_epoch) else {
                     continue;
                 };
-                dir.bind_fenced(ctx, name.clone(), fresh, new_epoch)?;
+                if !dir.bind_fenced(ctx, name.clone(), fresh, new_epoch)? {
+                    // A later claim moved the name past ours while we
+                    // activated: stand down and adopt what the directory
+                    // names, as after `Recovered`.
+                    let state = &self.state;
+                    let live = |_: &mut NodeCtx, at: ObjRef| {
+                        at.machine != m
+                            && matches!(state.get(&at.machine), None | Some(MState::Up { .. }))
+                    };
+                    if let Some((at, epoch)) = dir.stand_down(ctx, &name, fresh, live)? {
+                        self.regs[i].current = at;
+                        self.regs[i].epoch = epoch;
+                    }
+                    return Ok(None);
+                }
                 // Keep every *live* old home forwarding straight to the
                 // newest incarnation — without this, a pointer from two
                 // takeovers ago would chase a forward into the machine

@@ -52,7 +52,9 @@ fn main() {
 
     // ... and deactivate the live process (its pages stay on the disk).
     let snapshot_key = symbolic_addr(&["snapshots", "climate_blocks"]);
-    driver.deactivate(device.obj_ref(), &snapshot_key).unwrap();
+    driver
+        .deactivate(device.obj_ref(), snapshot_key.clone())
+        .unwrap();
     dir.unbind(&mut driver, name.clone()).unwrap();
     println!("process deactivated to snapshot {snapshot_key}");
 

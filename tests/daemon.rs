@@ -1,16 +1,18 @@
 //! The daemon protocol, declared once (DESIGN.md §4, "daemon protocol —
-//! one table"): the frames its stubs put on the wire are pinned to golden
-//! bytes, every verb of the table is driven end to end through its public
-//! wrapper, and malformed requests are typed errors on one call — never a
-//! dead machine thread.
+//! one table"): the frames its generated stubs put on the wire are pinned
+//! to golden bytes, every verb of the table is driven end to end through
+//! its stub, every verb that touches an object's process waits for a
+//! checked-out object and sees the call's effect, and malformed requests
+//! are typed errors on one call — never a dead machine thread.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
 use oopp_repro::oopp::node::DAEMON_VERBS;
+use oopp_repro::oopp::wire::collections::Bytes;
 use oopp_repro::oopp::{
-    wire, CallPolicy, ClusterBuilder, Driver, EventKind, NodeCtx, ObjRef, PacketBytes,
-    RemoteClient, RemoteError, RemoteResult,
+    wire, BarrierClient, CallPolicy, ClusterBuilder, Driver, EventKind, MigrationPayload, NodeCtx,
+    ObjRef, PacketBytes, Pending, RemoteClient, RemoteError, RemoteResult,
 };
 
 /// Persistent counter with a read verb. A state of [`UNLUCKY`] refuses to
@@ -26,12 +28,17 @@ const UNLUCKY: u64 = 13;
 oopp_repro::oopp::remote_class! {
     class Tally {
         persistent;
-        reads(total);
+        reads(total, total_after);
         ctor();
         /// Add `n`; returns the new total.
         fn add(&mut self, n: u64) -> u64;
         /// Current total (replica-servable).
         fn total(&mut self) -> u64;
+        /// Enter `gate` — parked there, the object stays checked out —
+        /// then add `n`; returns the new total.
+        fn add_after(&mut self, gate: BarrierClient, n: u64) -> u64;
+        /// Enter `gate`, then return the total (replica-servable).
+        fn total_after(&mut self, gate: BarrierClient) -> u64;
     }
 }
 
@@ -46,6 +53,16 @@ impl Tally {
     }
 
     fn total(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<u64> {
+        Ok(self.total)
+    }
+
+    fn add_after(&mut self, ctx: &mut NodeCtx, gate: BarrierClient, n: u64) -> RemoteResult<u64> {
+        gate.enter(ctx)?;
+        self.add(ctx, n)
+    }
+
+    fn total_after(&mut self, ctx: &mut NodeCtx, gate: BarrierClient) -> RemoteResult<u64> {
+        gate.enter(ctx)?;
         Ok(self.total)
     }
 
@@ -76,10 +93,12 @@ fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// The frame in flight for `req_id`, as hex; then wait the call out.
-fn sent_frame(driver: &mut Driver, req_id: u64) -> String {
-    let frame = hex(driver.outstanding_frame(req_id).expect("call in flight"));
-    driver.wait_raw(req_id).expect("daemon call");
+/// The frame in flight for `call`, as hex; then wait the call out.
+fn sent_frame<T: wire::Wire>(driver: &mut Driver, call: Pending<T>) -> String {
+    let frame = hex(driver
+        .outstanding_frame(call.req_id())
+        .expect("call in flight"));
+    call.wait(driver).expect("daemon call");
     frame
 }
 
@@ -96,7 +115,7 @@ fn daemon_request_frames_match_the_golden_bytes() {
     };
 
     let id = driver
-        .create_object_start(0, "DoubleBlock", wire::to_bytes(&8usize))
+        .start_create(0, "DoubleBlock".into(), Bytes(wire::to_bytes(&8usize)))
         .unwrap();
     assert_eq!(
         sent_frame(&mut driver, id),
@@ -115,7 +134,7 @@ fn daemon_request_frames_match_the_golden_bytes() {
         object: 9,
     }];
     let id = driver
-        .start_replica_attach(0, obj.object, replicas, 5, true, 200)
+        .start_replica_attach(obj, replicas, 5, true, 200)
         .unwrap();
     assert_eq!(
         sent_frame(&mut driver, id),
@@ -128,7 +147,7 @@ fn daemon_request_frames_match_the_golden_bytes() {
         machine: 1,
         object: 19,
     };
-    let id = driver.start_fence(0, obj.object, 3, to).unwrap();
+    let id = driver.start_fence(obj, 3, to).unwrap();
     assert_eq!(
         sent_frame(&mut driver, id),
         "0205000000000000000100000000000000001f0566656e6365020000000000000003\
@@ -137,8 +156,8 @@ fn daemon_request_frames_match_the_golden_bytes() {
     cluster.shutdown(driver);
 }
 
-/// Every verb of the table, once, end to end through its public wrapper,
-/// each returning its typed reply; the flight recorder confirms that no
+/// Every verb of the table, once, end to end through its stub (or the
+/// hand-written method that adds to it), each returning its typed reply; the flight recorder confirms that no
 /// row of the table went unserved.
 #[test]
 fn every_daemon_verb_round_trips_through_its_public_wrapper() {
@@ -154,23 +173,23 @@ fn every_daemon_verb_round_trips_through_its_public_wrapper() {
     assert!(d.stats_of(0).unwrap().objects_live >= 2, "directory + a");
     assert!(d.loads_of(0).unwrap().contains(&(a.obj_ref().object, 1)));
     let state = d.snapshot_of(a.obj_ref()).unwrap();
-    assert_eq!(state, wire::to_bytes(&5u64));
+    assert_eq!(state.0, wire::to_bytes(&5u64));
 
     // put_snapshot, activate, drop_snapshot, deactivate, activate_fenced.
-    d.put_snapshot(0, "k1", "Tally", state.clone()).unwrap();
+    d.put_snapshot(0, "k1".into(), "Tally".into(), state.clone())
+        .unwrap();
     let b: TallyClient = d.activate(0, "k1").unwrap();
     assert_eq!(b.total(d).unwrap(), 5);
-    assert!(d.drop_snapshot(0, "k1").unwrap());
-    assert!(!d.drop_snapshot(0, "k1").unwrap());
-    d.deactivate(b.obj_ref(), "k2").unwrap();
+    assert!(d.drop_snapshot(0, "k1".into()).unwrap());
+    assert!(!d.drop_snapshot(0, "k1".into()).unwrap());
+    d.deactivate(b.obj_ref(), "k2".into()).unwrap();
     let c: TallyClient = d.activate_fenced(0, "k2", 3).unwrap();
     assert_eq!(d.believed_epoch(c.obj_ref()), 3);
 
     // set_epoch, heartbeat (the lease the two supervised objects now need),
     // fence (stale pointers to `c` forward to `a`).
     d.set_epoch_of(a.obj_ref(), 2).unwrap();
-    let beat = d.start_heartbeat(0, lease).unwrap();
-    d.wait_raw(beat).unwrap();
+    d.start_heartbeat(0, lease).unwrap().wait(d).unwrap();
     assert_eq!(c.total(d).unwrap(), 5);
     d.fence_object(c.obj_ref(), 4, a.obj_ref()).unwrap();
 
@@ -191,7 +210,7 @@ fn every_daemon_verb_round_trips_through_its_public_wrapper() {
     let status = d.replica_status_of(r1).unwrap();
     assert!(!status.is_primary);
     assert_eq!((status.rs_epoch, status.replicas), (1, vec![primary]));
-    d.replica_sync_to(r1, wire::to_bytes(&9u64), 2, lease)
+    d.replica_sync_to(r1, Bytes(wire::to_bytes(&9u64)), 2, lease)
         .unwrap();
     assert!(d.replica_renew(r1, 2, lease).unwrap());
     assert!(!d.replica_renew(r1, 7, lease).unwrap(), "drifted");
@@ -238,6 +257,120 @@ fn every_daemon_verb_round_trips_through_its_public_wrapper() {
         .collect();
     assert!(unserved.is_empty(), "verbs never exercised: {unserved:?}");
     assert_eq!(DAEMON_VERBS.len(), 26);
+}
+
+/// Issue `verb` behind `held`, a call parked in `gate` with its object
+/// checked out: the verb must not be answered while the call is parked.
+/// Release the call; return what it returned and then the verb's reply.
+fn behind_parked_call<T: wire::Wire>(
+    d: &mut Driver,
+    gate: BarrierClient,
+    held: Pending<u64>,
+    verb: Pending<T>,
+) -> (u64, T) {
+    d.serve_for(Duration::from_millis(20));
+    assert!(
+        d.try_take_reply(verb.req_id()).is_none(),
+        "the verb ran on a checked-out object"
+    );
+    gate.enter(d).unwrap();
+    let returned = held.wait(d).unwrap();
+    (returned, verb.wait(d).unwrap())
+}
+
+/// The one gate (DESIGN.md §4, 3a): every verb that touches an object's
+/// process — reads its state, replaces it, or retires it — issued while a
+/// call has the object checked out waits for the call to return and sees
+/// its effect. One case per verb; on a single-lane machine the parked call
+/// keeps the dispatcher serving, so each verb does arrive mid-call.
+#[test]
+fn process_verbs_wait_for_a_checked_out_object() {
+    let (cluster, mut driver) = one_machine(false);
+    let d = &mut driver;
+    let lease = 3_600_000;
+    let gate = BarrierClient::new_on(d, 0, 2).unwrap();
+    let fresh = |d: &mut Driver| TallyClient::new_on(d, 0).unwrap();
+
+    // destroy: the call completes first.
+    let a = fresh(d);
+    let held = a.add_after_async(d, gate, 1).unwrap();
+    let verb = d.start_destroy(a.obj_ref()).unwrap();
+    assert_eq!(behind_parked_call(d, gate, held, verb), (1, ()));
+    assert!(matches!(a.total(d), Err(RemoteError::NoSuchObject { .. })));
+
+    // snapshot: the state includes the call's write.
+    let a = fresh(d);
+    let held = a.add_after_async(d, gate, 2).unwrap();
+    let verb = d.start_snapshot(a.obj_ref()).unwrap();
+    let (_, state) = behind_parked_call(d, gate, held, verb);
+    assert_eq!(state.0, wire::to_bytes(&2u64));
+
+    // deactivate: the stored snapshot includes it.
+    let a = fresh(d);
+    let held = a.add_after_async(d, gate, 3).unwrap();
+    let verb = d.start_deactivate(a.obj_ref(), "parked".into()).unwrap();
+    assert_eq!(behind_parked_call(d, gate, held, verb), (3, ()));
+    let back: TallyClient = d.activate(0, "parked").unwrap();
+    assert_eq!(back.total(d).unwrap(), 3);
+
+    // migrate_out: the shipped state includes it; roll the move back.
+    let a = fresh(d);
+    let held = a.add_after_async(d, gate, 4).unwrap();
+    let verb = d.start_migrate_out(a.obj_ref()).unwrap();
+    let (_, payload): (u64, MigrationPayload) = behind_parked_call(d, gate, held, verb);
+    assert_eq!(payload.state.0, wire::to_bytes(&4u64));
+    d.start_migrate_rollback(a.obj_ref())
+        .unwrap()
+        .wait(d)
+        .unwrap();
+    assert_eq!(a.total(d).unwrap(), 4);
+
+    // fence: the call completes first; the object is gone after.
+    let a = fresh(d);
+    let held = a.add_after_async(d, gate, 5).unwrap();
+    let verb = d.start_fence(a.obj_ref(), 7, back.obj_ref()).unwrap();
+    assert_eq!(behind_parked_call(d, gate, held, verb), (5, ()));
+    assert!(d.snapshot_of(a.obj_ref()).is_err());
+
+    // The replica verbs, behind a read parked on a replica of `primary`.
+    let primary = fresh(d).obj_ref();
+    let state = d.snapshot_of(primary).unwrap();
+    let replica = |d: &mut Driver| {
+        let r = d
+            .replica_adopt(0, "Tally", state.clone(), primary, 1, lease)
+            .unwrap();
+        TallyClient::from_ref(r)
+    };
+
+    // replica_sync: the read returns the old state, whole; the new state
+    // lands after it.
+    let r = replica(d);
+    let held = r.total_after_async(d, gate).unwrap();
+    let new_state = Bytes(wire::to_bytes(&9u64));
+    let verb = d
+        .start_replica_sync(r.obj_ref(), new_state, 2, lease)
+        .unwrap();
+    assert_eq!(behind_parked_call(d, gate, held, verb), (0, ()));
+    assert_eq!(r.total(d).unwrap(), 9);
+
+    // replica_drop: the read completes; the replica is gone after.
+    let r = replica(d);
+    let held = r.total_after_async(d, gate).unwrap();
+    let verb = d.start_replica_drop(r.obj_ref()).unwrap();
+    assert_eq!(behind_parked_call(d, gate, held, verb), (0, ()));
+    assert!(d.replica_status_of(r.obj_ref()).is_err());
+
+    // replica_promote: the read completes; the replica is a plain object
+    // after, which no longer answers `replica_status`.
+    let r = replica(d);
+    let held = r.total_after_async(d, gate).unwrap();
+    let verb = d.start_replica_promote(r.obj_ref(), 5).unwrap();
+    assert_eq!(behind_parked_call(d, gate, held, verb), (0, ()));
+    assert!(matches!(
+        d.replica_status_of(r.obj_ref()),
+        Err(RemoteError::NoSuchObject { .. })
+    ));
+    cluster.shutdown(driver);
 }
 
 /// Call daemon verb `verb` on machine 0 with the raw argument bytes `args`.
@@ -365,12 +498,11 @@ fn absurd_lease_grants_saturate() {
     a.add(d, 5).unwrap();
     d.set_epoch_of(a.obj_ref(), 1).unwrap();
 
-    let beat = d.start_heartbeat(0, u64::MAX).unwrap();
-    d.wait_raw(beat).unwrap();
+    d.start_heartbeat(0, u64::MAX).unwrap().wait(d).unwrap();
     d.ping(0).unwrap();
     assert_eq!(a.total(d).unwrap(), 5, "supervised object still served");
 
-    let state = wire::to_bytes(&5u64);
+    let state = Bytes(wire::to_bytes(&5u64));
     let r = d
         .replica_adopt(0, "Tally", state.clone(), a.obj_ref(), 1, u64::MAX)
         .unwrap();

@@ -907,7 +907,12 @@ fn hand_built_shard_snapshot_restores_and_round_trips() {
 
     let key = shard_addr(1);
     driver
-        .put_snapshot(1, &key, "DirShard", snapshot.clone())
+        .put_snapshot(
+            1,
+            key.clone(),
+            "DirShard".into(),
+            wire::collections::Bytes(snapshot.clone()),
+        )
         .unwrap();
     let shard: DirShardClient = driver.activate(1, &key).unwrap();
     assert_eq!(shard.shard_info(&mut driver).unwrap(), (1, 3));
@@ -920,7 +925,7 @@ fn hand_built_shard_snapshot_restores_and_round_trips() {
         records.replica_set(&mut driver, name).unwrap(),
         Some((vec![obj(0, 78)], 2))
     );
-    assert_eq!(driver.snapshot_of(shard.obj_ref()).unwrap(), snapshot);
+    assert_eq!(driver.snapshot_of(shard.obj_ref()).unwrap().0, snapshot);
     cluster.shutdown(driver);
 }
 

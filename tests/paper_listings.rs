@@ -169,7 +169,7 @@ fn section5_array_and_persistence() {
     // Persist one device and reactivate it; the array still answers.
     let dev0 = *array.storage().device(0);
     let key = oopp_repro::oopp::symbolic_addr(&["snapshots", "set", "0"]);
-    driver.deactivate(dev0.obj_ref(), &key).unwrap();
+    driver.deactivate(dev0.obj_ref(), key.clone()).unwrap();
     let revived: ArrayPageDeviceClient = driver.activate(dev0.machine(), &key).unwrap();
     // Rebuild the storage table with the revived device.
     let mut devices = array.storage().devices().to_vec();

@@ -564,7 +564,7 @@ fn replication_roles_die_with_their_object() {
         );
     };
 
-    d.deactivate(gone, "parked-replica").unwrap();
+    d.deactivate(gone, "parked-replica".into()).unwrap();
     check(d, gone, "deactivate (replica)", &|e| {
         matches!(e, RemoteError::NoSuchObject { .. })
     });
@@ -590,7 +590,7 @@ fn replication_roles_die_with_their_object() {
         matches!(e, RemoteError::Fenced { current_epoch: 2 })
     });
 
-    d.deactivate(primary, "parked-primary").unwrap();
+    d.deactivate(primary, "parked-primary".into()).unwrap();
     check(d, primary, "deactivate (primary)", &|e| {
         matches!(e, RemoteError::NoSuchObject { .. })
     });

@@ -37,15 +37,16 @@ fn junk(good: &[u8], rng: &mut StdRng) -> Vec<Vec<u8>> {
 
 /// Restore every junk snapshot of `live`'s class on machine 0.
 fn refuses_junk<C: RemoteClient>(d: &mut Driver, live: C, rng: &mut StdRng) {
-    let good = d.snapshot_of(live.obj_ref()).unwrap();
+    let good = d.snapshot_of(live.obj_ref()).unwrap().0;
     let (mut refused, mut built) = (0, 0);
     for (i, bad) in junk(&good, rng).into_iter().enumerate() {
         let key = symbolic_addr(&["junk", C::CLASS, &i.to_string()]);
-        d.put_snapshot(0, &key, C::CLASS, bad.clone()).unwrap();
+        d.put_snapshot(0, key.clone(), C::CLASS.into(), Bytes(bad.clone()))
+            .unwrap();
         match d.activate::<C>(0, &key) {
             Err(RemoteError::Decode { .. } | RemoteError::App { .. }) => refused += 1,
             Ok(c) => {
-                assert_eq!(d.snapshot_of(c.obj_ref()).unwrap(), bad, "{}", C::CLASS);
+                assert_eq!(d.snapshot_of(c.obj_ref()).unwrap().0, bad, "{}", C::CLASS);
                 built += 1;
             }
             Err(other) => panic!("{} restored {bad:?} as {other:?}", C::CLASS),
@@ -103,7 +104,7 @@ fn junk_migration_payloads_are_typed_errors_at_adopt_state() {
     let block = DoubleBlockClient::new_on(d, 0, 2).unwrap();
     let payload = MigrationPayload {
         class: "DoubleBlock".into(),
-        state: Bytes(d.snapshot_of(block.obj_ref()).unwrap()),
+        state: d.snapshot_of(block.obj_ref()).unwrap(),
     };
     let good = wire::to_bytes(&payload);
     let (mut refused, mut adopted) = (0, 0);
@@ -114,7 +115,7 @@ fn junk_migration_payloads_are_typed_errors_at_adopt_state() {
             Ok(reply) => {
                 let object: u64 = wire::from_bytes(&reply).unwrap();
                 let sent: MigrationPayload = wire::from_bytes(&bad).unwrap();
-                let here = d.snapshot_of(ObjRef { machine: 0, object }).unwrap();
+                let here = d.snapshot_of(ObjRef { machine: 0, object }).unwrap().0;
                 assert_eq!(here, sent.state.0);
                 adopted += 1;
             }

@@ -94,6 +94,58 @@ impl Reviver {
     }
 }
 
+/// A persistent counter whose restore claims its own name once more, once
+/// armed: a second claimant landing between a takeover's claim and its
+/// `bind_fenced`, at a point no schedule can move.
+#[derive(Debug, Default)]
+pub struct Contested {
+    total: u64,
+    /// The directory root and the name a restore of this state claims.
+    rival: Option<(ObjRef, String)>,
+}
+
+oopp_repro::oopp::remote_class! {
+    class Contested {
+        persistent;
+        ctor();
+        /// Make each later restore of this state claim `name` in `dir`.
+        fn arm(&mut self, dir: ObjRef, name: String) -> ();
+        /// Add `n`; returns the new total.
+        fn add(&mut self, n: u64) -> u64;
+    }
+}
+
+impl Contested {
+    pub fn new(_ctx: &mut NodeCtx) -> RemoteResult<Self> {
+        Ok(Contested::default())
+    }
+
+    fn arm(&mut self, _ctx: &mut NodeCtx, dir: ObjRef, name: String) -> RemoteResult<()> {
+        self.rival = Some((dir, name));
+        Ok(())
+    }
+
+    fn add(&mut self, _ctx: &mut NodeCtx, n: u64) -> RemoteResult<u64> {
+        self.total += n;
+        Ok(self.total)
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        wire::to_bytes(&(self.total, self.rival.clone()))
+    }
+
+    fn load_state(ctx: &mut NodeCtx, state: &[u8]) -> RemoteResult<Self> {
+        let (total, rival): (u64, Option<(ObjRef, String)>) = wire::from_bytes(state)?;
+        if let Some((dir, name)) = rival {
+            let dir = NameService::classic(dir);
+            if let Some((_, epoch, _)) = dir.lease_of(ctx, name.clone())? {
+                dir.claim(ctx, name, epoch)?;
+            }
+        }
+        Ok(Contested { total, rival: None })
+    }
+}
+
 /// Fast-failure call policy for supervision tests: dead machines must
 /// cost short windows, not 30-second defaults.
 fn test_policy() -> CallPolicy {
@@ -589,4 +641,101 @@ mod proptests {
             cluster.shutdown(driver);
         }
     }
+}
+
+/// Regression: a takeover whose `bind_fenced` is refused — a second claim
+/// moved the name past its epoch between its claim and its bind — used to
+/// report the incarnation it had installed, live and serving at the
+/// superseded epoch while the directory named another. The supervisor
+/// must stand that incarnation down (fenced at the record's epoch) and
+/// report no recovery.
+#[test]
+fn a_refused_takeover_bind_leaves_no_live_incarnation() {
+    let (cluster, mut driver) = ClusterBuilder::new(3)
+        .register::<Contested>()
+        .sim_config(ClusterConfig::zero_cost(0))
+        .call_policy(test_policy())
+        .build();
+    let dir = driver.directory();
+    let mut sup = Supervisor::new(test_config(), vec![1, 2], dir);
+
+    let addr = symbolic_addr(&["sup", "Contested", "0"]);
+    let c = ContestedClient::new_on(&mut driver, 1).unwrap();
+    c.add(&mut driver, 5).unwrap();
+    c.arm(&mut driver, dir.obj_ref(), addr.clone()).unwrap();
+    sup.register(&mut driver, &addr, &c, &[2]).unwrap();
+    let live_on_2 = driver.stats_of(2).unwrap().objects_live;
+    settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
+        s.detector().last_heartbeat(1).is_some()
+    });
+
+    cluster.sim().faults().crash(1);
+    // The takeover runs in the step that declares machine 1 dead: it wins
+    // the claim at epoch 2, and the restore on machine 2 claims epoch 3.
+    let recoveries = settle(&mut sup, &mut driver, Duration::from_secs(15), |s, _| {
+        s.is_dead(1)
+    });
+
+    assert!(
+        recoveries.is_empty(),
+        "refused bind reported: {recoveries:?}"
+    );
+    assert_eq!(sup.stats().objects_reactivated, 0);
+    assert_eq!(
+        driver.stats_of(2).unwrap().objects_live,
+        live_on_2,
+        "the refused incarnation is still live"
+    );
+    assert_eq!(
+        dir.lease_of(&mut driver, addr.clone()).unwrap(),
+        Some((c.obj_ref(), 3, false))
+    );
+    assert_eq!(sup.current_of(&addr), Some(c.obj_ref()));
+
+    cluster.sim().faults().restart(1);
+    cluster.shutdown(driver);
+}
+
+/// Regression: the same refusal on `resolve_or_activate_supervised`'s own
+/// claim used to hand the caller the refused incarnation. The resolver
+/// must stand it down and, with the name's record still pointing at the
+/// dead home, fail like a claimant that lost.
+#[test]
+fn a_refused_resolver_bind_leaves_no_live_incarnation() {
+    let (cluster, mut driver) = ClusterBuilder::new(3)
+        .register::<Contested>()
+        .sim_config(ClusterConfig::zero_cost(0))
+        .call_policy(test_policy())
+        .build();
+    let dir = driver.directory();
+
+    let addr = symbolic_addr(&["resolve", "Contested", "0"]);
+    let c = ContestedClient::new_on(&mut driver, 1).unwrap();
+    c.add(&mut driver, 5).unwrap();
+    c.arm(&mut driver, dir.obj_ref(), addr.clone()).unwrap();
+    dir.bind(&mut driver, addr.clone(), c.obj_ref()).unwrap();
+    driver.replicate_snapshot(&c, &addr, &[2]).unwrap();
+    let live_on_2 = driver.stats_of(2).unwrap().objects_live;
+
+    cluster.sim().faults().crash(1);
+    // The resolver claims epoch 1; the restore on machine 2 claims 2.
+    let resolved =
+        resolve_or_activate_supervised::<ContestedClient>(&mut driver, &dir, &addr, &[1, 2]);
+
+    assert!(
+        matches!(resolved, Err(RemoteError::Fenced { .. })),
+        "refused bind handed out: {resolved:?}"
+    );
+    assert_eq!(
+        driver.stats_of(2).unwrap().objects_live,
+        live_on_2,
+        "the refused incarnation is still live"
+    );
+    assert_eq!(
+        dir.lease_of(&mut driver, addr).unwrap(),
+        Some((c.obj_ref(), 2, false))
+    );
+
+    cluster.sim().faults().restart(1);
+    cluster.shutdown(driver);
 }
