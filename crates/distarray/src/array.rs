@@ -10,23 +10,12 @@
 //! an access pattern can get.
 
 use oopp::{join, NodeCtx, Pending, RemoteError, RemoteResult};
+use pagestore::{ArrayPageDeviceClient, Domain};
 use wire::collections::F64s;
-use wire::Wire;
+use wire::{Wire, WireError};
 
-use crate::domain::Domain;
 use crate::pagemap::{PageAddress, PageMap};
 use crate::storage::BlockStorage;
-
-/// How [`Array::read_with`] moves data for partially covered pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadStrategy {
-    /// Ask each device for exactly the sub-box needed (computation moves to
-    /// the data; minimal bytes on the wire).
-    SubBox,
-    /// Fetch whole pages and crop locally (data moves to the computation;
-    /// simpler servers, more bytes).
-    WholePage,
-}
 
 /// Distributed 3-D array handle — the paper's `Array` class.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,6 +26,7 @@ pub struct Array {
     map: PageMap,
 }
 
+/// A handle decodes only if it keeps what [`Array::new`] checks.
 impl Wire for Array {
     fn encode(&self, w: &mut wire::Writer) {
         self.n.encode(w);
@@ -45,12 +35,14 @@ impl Wire for Array {
         self.map.encode(w);
     }
     fn decode(r: &mut wire::Reader<'_>) -> wire::WireResult<Self> {
-        Ok(Array {
+        let array = Array {
             n: Wire::decode(r)?,
             p: Wire::decode(r)?,
             storage: Wire::decode(r)?,
             map: Wire::decode(r)?,
-        })
+        };
+        array.check().map_err(WireError::Invalid)?;
+        Ok(array)
     }
 }
 
@@ -67,30 +59,26 @@ impl Array {
         storage: BlockStorage,
         map: PageMap,
     ) -> RemoteResult<Self> {
+        let array = Array { n, p, storage, map };
+        array.check().map_err(RemoteError::app)?;
+        Ok(array)
+    }
+
+    fn check(&self) -> Result<(), &'static str> {
+        let (n, p) = (self.n, self.p);
         if p.contains(&0) || n.contains(&0) {
-            return Err(RemoteError::app(
-                "array and page dimensions must be positive",
-            ));
+            return Err("array and page dimensions must be positive");
         }
-        let grid = [
-            n[0].div_ceil(p[0]),
-            n[1].div_ceil(p[1]),
-            n[2].div_ceil(p[2]),
-        ];
-        if map.grid() != grid {
-            return Err(RemoteError::app(format!(
-                "page map grid {:?} does not match array grid {grid:?}",
-                map.grid()
-            )));
+        if n.into_iter().try_fold(1, u64::checked_mul).is_none() {
+            return Err("array size overflows");
         }
-        if map.devices() as usize > storage.len() {
-            return Err(RemoteError::app(format!(
-                "map addresses {} devices but storage holds {}",
-                map.devices(),
-                storage.len()
-            )));
+        if self.map.grid() != [0, 1, 2].map(|d| n[d].div_ceil(p[d])) {
+            return Err("page map grid does not match the array grid");
         }
-        Ok(Array { n, p, storage, map })
+        if self.map.devices() as usize > self.storage.len() {
+            return Err("page map addresses more devices than the storage holds");
+        }
+        Ok(())
     }
 
     /// Logical dimensions `(N1, N2, N3)`.
@@ -125,7 +113,7 @@ impl Array {
 
     /// Total elements.
     pub fn len(&self) -> u64 {
-        self.n[0] * self.n[1] * self.n[2]
+        self.whole().len()
     }
 
     /// Always false: zero-sized arrays are rejected at construction.
@@ -146,43 +134,28 @@ impl Array {
     /// The box of array indices covered by page `c` (edge pages are
     /// truncated to the array bounds).
     fn page_box(&self, c: [u64; 3]) -> Domain {
-        let a = [c[0] * self.p[0], c[1] * self.p[1], c[2] * self.p[2]];
-        let b = [
-            (a[0] + self.p[0]).min(self.n[0]),
-            (a[1] + self.p[1]).min(self.n[1]),
-            (a[2] + self.p[2]).min(self.n[2]),
-        ];
+        let a = [0, 1, 2].map(|d| c[d] * self.p[d]);
+        let b = [0, 1, 2].map(|d| (a[d] + self.p[d]).min(self.n[d]));
         Domain { a, b }
     }
 
-    /// Page coordinates whose boxes intersect `domain`, with the
-    /// intersection each contributes.
+    /// Page coordinates whose boxes intersect `domain`, in row-major
+    /// order, with the intersection each contributes.
     fn pages_of(&self, domain: &Domain) -> Vec<([u64; 3], Domain)> {
         if domain.is_empty() {
             return Vec::new();
         }
-        let lo = [
-            domain.a[0] / self.p[0],
-            domain.a[1] / self.p[1],
-            domain.a[2] / self.p[2],
-        ];
-        let hi = [
-            (domain.b[0] - 1) / self.p[0],
-            (domain.b[1] - 1) / self.p[1],
-            (domain.b[2] - 1) / self.p[2],
-        ];
-        let mut out = Vec::new();
-        for c1 in lo[0]..=hi[0] {
-            for c2 in lo[1]..=hi[1] {
-                for c3 in lo[2]..=hi[2] {
-                    let c = [c1, c2, c3];
-                    if let Some(inter) = domain.intersect(&self.page_box(c)) {
-                        out.push((c, inter));
-                    }
-                }
-            }
-        }
-        out
+        let pages = Domain {
+            a: [0, 1, 2].map(|d| domain.a[d] / self.p[d]),
+            b: [0, 1, 2].map(|d| (domain.b[d] - 1) / self.p[d] + 1),
+        };
+        pages
+            .points()
+            .filter_map(|(c1, c2, c3)| {
+                let c = [c1, c2, c3];
+                Some((c, domain.intersect(&self.page_box(c))?))
+            })
+            .collect()
     }
 
     /// The physical address of the page holding coordinate `c`.
@@ -201,101 +174,54 @@ impl Array {
     // I/O
     // ------------------------------------------------------------------
 
-    /// Read `domain` into a row-major buffer (the paper's
-    /// `read(subarray, domain)`), using device-side sub-box extraction.
-    pub fn read(&self, ctx: &mut NodeCtx, domain: &Domain) -> RemoteResult<Vec<f64>> {
-        self.read_with(ctx, domain, ReadStrategy::SubBox)
-    }
-
-    /// Read with an explicit transfer strategy.
-    pub fn read_with(
+    /// The split loop (§4) every operation goes through: check `domain`,
+    /// `issue` one request per page it touches — given the device, the
+    /// page's slot, the page-local box and the same box in array
+    /// coordinates — and only then wait for the replies, in page order.
+    fn split_loop<T: Wire>(
         &self,
         ctx: &mut NodeCtx,
         domain: &Domain,
-        strategy: ReadStrategy,
-    ) -> RemoteResult<Vec<f64>> {
+        mut issue: impl FnMut(
+            &mut NodeCtx,
+            &ArrayPageDeviceClient,
+            u64,
+            Domain,
+            &Domain,
+        ) -> RemoteResult<Pending<T>>,
+    ) -> RemoteResult<Vec<(Domain, T)>> {
         self.check_domain(domain)?;
-        let mut out = vec![0.0f64; domain.len() as usize];
-        // Send loop: one request per intersecting page.
-        let mut pendings: Vec<(Domain, [u64; 3], Pending<F64s>)> = Vec::new();
+        let mut boxes = Vec::new();
+        let mut pendings = Vec::new();
         for (c, inter) in self.pages_of(domain) {
             let addr = self.map.physical(c);
             let dev = self.storage.device(addr.device_id as usize);
-            let page_origin = self.page_box(c).a;
-            let pending = match strategy {
-                ReadStrategy::SubBox => {
-                    let local = inter.relative_to(page_origin);
-                    dev.read_sub_async(
-                        ctx, addr.index, local.a[0], local.b[0], local.a[1], local.b[1],
-                        local.a[2], local.b[2],
-                    )?
-                }
-                ReadStrategy::WholePage => dev.read_array_async(ctx, addr.index)?,
-            };
-            pendings.push((inter, page_origin, pending));
+            let local = inter.relative_to(self.page_box(c).a);
+            pendings.push(issue(ctx, dev, addr.index, local, &inter)?);
+            boxes.push(inter);
         }
-        // Receive loop: scatter each reply into place.
-        for (inter, page_origin, pending) in pendings {
-            let data = pending.wait(ctx)?.0;
-            match strategy {
-                ReadStrategy::SubBox => {
-                    self.scatter(&mut out, domain, &inter, &data, inter.a, inter.extent())
-                }
-                ReadStrategy::WholePage => {
-                    // Crop the sub-box out of the whole page locally.
-                    self.scatter(&mut out, domain, &inter, &data, page_origin, self.p)
-                }
+        Ok(boxes.into_iter().zip(join(ctx, pendings)?).collect())
+    }
+
+    /// Read `domain` into a row-major buffer (the paper's
+    /// `read(subarray, domain)`), using device-side sub-box extraction.
+    pub fn read(&self, ctx: &mut NodeCtx, domain: &Domain) -> RemoteResult<Vec<f64>> {
+        let replies = self.split_loop(ctx, domain, |ctx, dev, page, local, _| {
+            dev.read_sub_async(ctx, page, local)
+        })?;
+        let mut out = vec![0.0f64; domain.len() as usize];
+        for (inter, data) in replies {
+            for (dst, src) in inter.runs_in(domain).zip(inter.runs_in(&inter)) {
+                out[dst].copy_from_slice(&data.0[src]);
             }
         }
         Ok(out)
     }
 
-    /// Copy `src` (a row-major box of `src_extent` anchored at
-    /// `src_origin`) into `out` (the row-major buffer for `domain`),
-    /// restricted to `inter`.
-    fn scatter(
-        &self,
-        out: &mut [f64],
-        domain: &Domain,
-        inter: &Domain,
-        src: &[f64],
-        src_origin: [u64; 3],
-        src_extent: [u64; 3],
-    ) {
-        let de = domain.extent();
-        for i1 in inter.a[0]..inter.b[0] {
-            for i2 in inter.a[1]..inter.b[1] {
-                let src_row = ((i1 - src_origin[0]) * src_extent[1] + (i2 - src_origin[1]))
-                    * src_extent[2]
-                    + (inter.a[2] - src_origin[2]);
-                let dst_row = ((i1 - domain.a[0]) * de[1] + (i2 - domain.a[1])) * de[2]
-                    + (inter.a[2] - domain.a[2]);
-                let run = (inter.b[2] - inter.a[2]) as usize;
-                out[dst_row as usize..dst_row as usize + run]
-                    .copy_from_slice(&src[src_row as usize..src_row as usize + run]);
-            }
-        }
-    }
-
-    /// Gather the `inter` portion of `data` (the row-major buffer for
-    /// `domain`) into a contiguous row-major box.
-    fn gather(&self, data: &[f64], domain: &Domain, inter: &Domain) -> Vec<f64> {
-        let de = domain.extent();
-        let mut out = Vec::with_capacity(inter.len() as usize);
-        for i1 in inter.a[0]..inter.b[0] {
-            for i2 in inter.a[1]..inter.b[1] {
-                let row = ((i1 - domain.a[0]) * de[1] + (i2 - domain.a[1])) * de[2]
-                    + (inter.a[2] - domain.a[2]);
-                let run = (inter.b[2] - inter.a[2]) as usize;
-                out.extend_from_slice(&data[row as usize..row as usize + run]);
-            }
-        }
-        out
-    }
-
     /// Write a row-major buffer into `domain` (the paper's
     /// `write(subarray, domain)`).
     pub fn write(&self, ctx: &mut NodeCtx, domain: &Domain, data: &[f64]) -> RemoteResult<()> {
+        // A box's length is defined only once the box is checked.
         self.check_domain(domain)?;
         if data.len() as u64 != domain.len() {
             return Err(RemoteError::app(format!(
@@ -304,26 +230,10 @@ impl Array {
                 domain.len()
             )));
         }
-        let mut pendings = Vec::new();
-        for (c, inter) in self.pages_of(domain) {
-            let addr = self.map.physical(c);
-            let dev = self.storage.device(addr.device_id as usize);
-            let page_origin = self.page_box(c).a;
-            let local = inter.relative_to(page_origin);
-            let portion = self.gather(data, domain, &inter);
-            pendings.push(dev.write_sub_async(
-                ctx,
-                addr.index,
-                local.a[0],
-                local.b[0],
-                local.a[1],
-                local.b[1],
-                local.a[2],
-                local.b[2],
-                F64s(portion),
-            )?);
-        }
-        join(ctx, pendings)?;
+        self.split_loop(ctx, domain, |ctx, dev, page, local, inter| {
+            let portion = inter.runs_in(domain).flat_map(|r| &data[r]).copied();
+            dev.write_sub_async(ctx, page, local, F64s(portion.collect()))
+        })?;
         Ok(())
     }
 
@@ -346,18 +256,10 @@ impl Array {
     /// partial sums are computed by the data server processes and combined
     /// together by the Array client").
     pub fn sum(&self, ctx: &mut NodeCtx, domain: &Domain) -> RemoteResult<f64> {
-        self.check_domain(domain)?;
-        let mut pendings = Vec::new();
-        for (c, inter) in self.pages_of(domain) {
-            let addr = self.map.physical(c);
-            let dev = self.storage.device(addr.device_id as usize);
-            let local = inter.relative_to(self.page_box(c).a);
-            pendings.push(dev.sum_sub_async(
-                ctx, addr.index, local.a[0], local.b[0], local.a[1], local.b[1], local.a[2],
-                local.b[2],
-            )?);
-        }
-        Ok(join(ctx, pendings)?.into_iter().sum())
+        let parts = self.split_loop(ctx, domain, |ctx, dev, page, local, _| {
+            dev.sum_sub_async(ctx, page, local)
+        })?;
+        Ok(parts.into_iter().map(|(_, s)| s).sum())
     }
 
     /// Sum over `domain` by shipping the data to the client — the
@@ -368,79 +270,40 @@ impl Array {
 
     /// Minimum over `domain`, computed on the devices.
     pub fn min(&self, ctx: &mut NodeCtx, domain: &Domain) -> RemoteResult<f64> {
-        self.check_domain(domain)?;
-        let mut pendings = Vec::new();
-        for (c, inter) in self.pages_of(domain) {
-            let addr = self.map.physical(c);
-            let dev = self.storage.device(addr.device_id as usize);
-            let local = inter.relative_to(self.page_box(c).a);
-            pendings.push(dev.min_sub_async(
-                ctx, addr.index, local.a[0], local.b[0], local.a[1], local.b[1], local.a[2],
-                local.b[2],
-            )?);
-        }
-        Ok(join(ctx, pendings)?
+        let parts = self.split_loop(ctx, domain, |ctx, dev, page, local, _| {
+            dev.min_sub_async(ctx, page, local)
+        })?;
+        Ok(parts
             .into_iter()
+            .map(|(_, m)| m)
             .fold(f64::INFINITY, f64::min))
     }
 
     /// Maximum over `domain`, computed on the devices.
     pub fn max(&self, ctx: &mut NodeCtx, domain: &Domain) -> RemoteResult<f64> {
-        self.check_domain(domain)?;
-        let mut pendings = Vec::new();
-        for (c, inter) in self.pages_of(domain) {
-            let addr = self.map.physical(c);
-            let dev = self.storage.device(addr.device_id as usize);
-            let local = inter.relative_to(self.page_box(c).a);
-            pendings.push(dev.max_sub_async(
-                ctx, addr.index, local.a[0], local.b[0], local.a[1], local.b[1], local.a[2],
-                local.b[2],
-            )?);
-        }
-        Ok(join(ctx, pendings)?
+        let parts = self.split_loop(ctx, domain, |ctx, dev, page, local, _| {
+            dev.max_sub_async(ctx, page, local)
+        })?;
+        Ok(parts
             .into_iter()
+            .map(|(_, m)| m)
             .fold(f64::NEG_INFINITY, f64::max))
     }
 
     /// Scale `domain` in place on the devices (no data crosses the wire
     /// except the command).
     pub fn scale(&self, ctx: &mut NodeCtx, domain: &Domain, alpha: f64) -> RemoteResult<()> {
-        self.check_domain(domain)?;
-        let mut pendings = Vec::new();
-        for (c, inter) in self.pages_of(domain) {
-            let addr = self.map.physical(c);
-            let dev = self.storage.device(addr.device_id as usize);
-            let local = inter.relative_to(self.page_box(c).a);
-            pendings.push(dev.scale_sub_async(
-                ctx, addr.index, local.a[0], local.b[0], local.a[1], local.b[1], local.a[2],
-                local.b[2], alpha,
-            )?);
-        }
-        join(ctx, pendings)?;
+        self.split_loop(ctx, domain, |ctx, dev, page, local, _| {
+            dev.scale_sub_async(ctx, page, local, alpha)
+        })?;
         Ok(())
     }
 
     /// Fill `domain` with `v`.
     pub fn fill(&self, ctx: &mut NodeCtx, domain: &Domain, v: f64) -> RemoteResult<()> {
-        self.check_domain(domain)?;
-        let mut pendings = Vec::new();
-        for (c, inter) in self.pages_of(domain) {
-            let addr = self.map.physical(c);
-            let dev = self.storage.device(addr.device_id as usize);
-            let local = inter.relative_to(self.page_box(c).a);
-            pendings.push(dev.write_sub_async(
-                ctx,
-                addr.index,
-                local.a[0],
-                local.b[0],
-                local.a[1],
-                local.b[1],
-                local.a[2],
-                local.b[2],
-                F64s(vec![v; inter.len() as usize]),
-            )?);
-        }
-        join(ctx, pendings)?;
+        self.split_loop(ctx, domain, |ctx, dev, page, local, _| {
+            dev.write_sub_async(ctx, page, local, F64s(vec![v; local.len() as usize]))
+        })?;
         Ok(())
     }
 }

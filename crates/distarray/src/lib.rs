@@ -4,7 +4,8 @@
 //! hardware devices for its storage", built from:
 //!
 //! * [`Domain`] — half-open index boxes (`read`/`write`/`sum` operate on
-//!   these);
+//!   these), defined in `pagestore`, whose devices take the page-local
+//!   boxes an access splits into;
 //! * [`PageMap`] — the layout: which device, which slot, for every page;
 //!   four strategies ([round-robin](PageMap::round_robin),
 //!   [blocked](PageMap::blocked), [hashed](PageMap::hashed),
@@ -35,14 +36,13 @@
 //! ```
 
 pub mod array;
-pub mod domain;
 pub mod pagemap;
 pub mod parallel;
 pub mod storage;
 
-pub use array::{Array, ReadStrategy};
-pub use domain::Domain;
+pub use array::Array;
 pub use pagemap::{MapKind, PageAddress, PageMap};
+pub use pagestore::Domain;
 pub use parallel::{parallel_sum, ArrayWorker, ArrayWorkerClient};
 pub use storage::{register_classes, BlockStorage};
 

@@ -11,7 +11,7 @@
 //! and device count, wire-encodable (so parallel Array clients on other
 //! machines can carry them), and guaranteed bijective by construction.
 
-use wire::{wire_struct, WireResult};
+use wire::{wire_struct, Wire, WireError, WireResult};
 
 /// Physical location of one page — the paper's `PageAddress` struct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,18 +24,19 @@ pub struct PageAddress {
 
 wire_struct!(PageAddress { device_id, index });
 
-/// Layout strategy names, for display and bench tables.
+/// Layout strategy names, for display and bench tables. The discriminant
+/// is the map's tag on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MapKind {
     /// Consecutive pages go to consecutive devices.
-    RoundRobin,
+    RoundRobin = 0,
     /// Each device holds one contiguous run of pages.
-    Blocked,
+    Blocked = 1,
     /// Pages scatter pseudo-randomly (hash of the page coordinate).
-    Hashed,
+    Hashed = 2,
     /// Pages follow a Z-order (Morton) curve, round-robined over devices —
     /// preserves 3-D locality while still spreading load.
-    ZCurve,
+    ZCurve = 3,
 }
 
 impl MapKind {
@@ -56,22 +57,44 @@ pub struct PageMap {
     grid: [u64; 3],
     devices: u64,
     table: Vec<PageAddress>,
-    kind_tag: u8,
+    kind: MapKind,
 }
 
-impl wire::Wire for PageMap {
+/// A map decodes only if its table covers its grid, addresses only its
+/// devices and names a known layout.
+impl Wire for PageMap {
     fn encode(&self, w: &mut wire::Writer) {
-        wire::Wire::encode(&self.grid, w);
-        wire::Wire::encode(&self.devices, w);
-        wire::Wire::encode(&self.table, w);
-        wire::Wire::encode(&self.kind_tag, w);
+        self.grid.encode(w);
+        self.devices.encode(w);
+        self.table.encode(w);
+        (self.kind as u8).encode(w);
     }
     fn decode(r: &mut wire::Reader<'_>) -> WireResult<Self> {
+        let (grid, devices, table): ([u64; 3], u64, Vec<PageAddress>) =
+            (Wire::decode(r)?, Wire::decode(r)?, Wire::decode(r)?);
+        let kind = match u8::decode(r)? {
+            0 => MapKind::RoundRobin,
+            1 => MapKind::Blocked,
+            2 => MapKind::Hashed,
+            3 => MapKind::ZCurve,
+            tag => {
+                return Err(WireError::UnknownVariant {
+                    ty: "MapKind",
+                    tag: tag.into(),
+                })
+            }
+        };
+        if grid.into_iter().try_fold(1, u64::checked_mul) != Some(table.len() as u64) {
+            return Err(WireError::Invalid("page map table does not cover its grid"));
+        }
+        if table.iter().any(|a| a.device_id >= devices) {
+            return Err(WireError::Invalid("page map addresses a device it lacks"));
+        }
         Ok(PageMap {
-            grid: wire::Wire::decode(r)?,
-            devices: wire::Wire::decode(r)?,
-            table: wire::Wire::decode(r)?,
-            kind_tag: wire::Wire::decode(r)?,
+            grid,
+            devices,
+            table,
+            kind,
         })
     }
 }
@@ -124,17 +147,11 @@ impl PageMap {
             next_slot[device_id as usize] += 1;
             table[linear as usize] = PageAddress { device_id, index };
         }
-        let kind_tag = match kind {
-            MapKind::RoundRobin => 0,
-            MapKind::Blocked => 1,
-            MapKind::Hashed => 2,
-            MapKind::ZCurve => 3,
-        };
         PageMap {
             grid,
             devices,
             table,
-            kind_tag,
+            kind,
         }
     }
 
@@ -191,12 +208,7 @@ impl PageMap {
 
     /// Which layout built this map.
     pub fn kind(&self) -> MapKind {
-        match self.kind_tag {
-            0 => MapKind::RoundRobin,
-            1 => MapKind::Blocked,
-            2 => MapKind::Hashed,
-            _ => MapKind::ZCurve,
-        }
+        self.kind
     }
 
     /// Row-major linear index of a page coordinate.

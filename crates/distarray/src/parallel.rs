@@ -9,9 +9,9 @@
 //! every other worker.
 
 use oopp::{join, remote_class, NodeCtx, ProcessGroup, RemoteError, RemoteResult};
+use pagestore::Domain;
 
 use crate::array::Array;
-use crate::domain::Domain;
 
 /// Server state: an Array client living on a worker machine.
 #[derive(Debug)]
@@ -25,13 +25,9 @@ remote_class! {
         ctor(array: Array);
         /// Sum the slab (device-side partial sums, combined by this worker).
         fn sum(&mut self, domain: Domain) -> f64;
-        /// Fill the slab with a constant.
-        fn fill(&mut self, domain: Domain, v: f64) -> ();
         /// Read the slab and return a checksum (exercises the read path
         /// without shipping the slab back to the driver).
         fn read_checksum(&mut self, domain: Domain) -> f64;
-        /// Scale then sum: a small compute pipeline on the slab.
-        fn scaled_sum(&mut self, domain: Domain, alpha: f64) -> f64;
     }
 }
 
@@ -44,10 +40,6 @@ impl ArrayWorker {
         self.array.sum(ctx, &domain)
     }
 
-    fn fill(&mut self, ctx: &mut NodeCtx, domain: Domain, v: f64) -> RemoteResult<()> {
-        self.array.fill(ctx, &domain, v)
-    }
-
     fn read_checksum(&mut self, ctx: &mut NodeCtx, domain: Domain) -> RemoteResult<f64> {
         let data = self.array.read(ctx, &domain)?;
         // Position-weighted checksum: order-sensitive, so layout bugs show.
@@ -56,10 +48,6 @@ impl ArrayWorker {
             .enumerate()
             .map(|(i, v)| v * (1.0 + (i % 97) as f64))
             .sum())
-    }
-
-    fn scaled_sum(&mut self, ctx: &mut NodeCtx, domain: Domain, alpha: f64) -> RemoteResult<f64> {
-        Ok(self.array.sum(ctx, &domain)? * alpha)
     }
 }
 

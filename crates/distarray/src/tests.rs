@@ -2,7 +2,9 @@
 //! mirror, under every page map, including parallel clients and property
 //! tests over random domains.
 
-use oopp::{Cluster, ClusterBuilder, Driver};
+use std::time::Duration;
+
+use oopp::{CallPolicy, Cluster, ClusterBuilder, Driver, RemoteClient, RemoteError};
 use proptest::prelude::*;
 
 use crate::*;
@@ -37,6 +39,16 @@ impl Mirror {
     }
     fn sum(&self, d: &Domain) -> f64 {
         self.read(d).iter().sum()
+    }
+    fn min(&self, d: &Domain) -> f64 {
+        self.read(d).into_iter().fold(f64::INFINITY, f64::min)
+    }
+    fn max(&self, d: &Domain) -> f64 {
+        self.read(d).into_iter().fold(f64::NEG_INFINITY, f64::max)
+    }
+    fn scale(&mut self, d: &Domain, alpha: f64) {
+        let scaled: Vec<f64> = self.read(d).iter().map(|v| v * alpha).collect();
+        self.write(d, &scaled);
     }
 }
 
@@ -119,27 +131,6 @@ fn edge_pages_truncate_correctly() {
         array.sum(&mut driver, &whole).unwrap(),
         data.iter().sum::<f64>()
     );
-    cluster.shutdown(driver);
-}
-
-#[test]
-fn both_read_strategies_agree() {
-    let (cluster, mut driver) = cluster(2);
-    let array = build_array(&mut driver, [6, 6, 6], [4, 4, 4], 2, |g, d| {
-        PageMap::round_robin(g, d)
-    });
-    let whole = array.whole();
-    array
-        .write(&mut driver, &whole, &patterned(216, 4))
-        .unwrap();
-    let d = Domain::new(1, 5, 0, 6, 2, 6);
-    let sub = array
-        .read_with(&mut driver, &d, ReadStrategy::SubBox)
-        .unwrap();
-    let page = array
-        .read_with(&mut driver, &d, ReadStrategy::WholePage)
-        .unwrap();
-    assert_eq!(sub, page);
     cluster.shutdown(driver);
 }
 
@@ -291,9 +282,8 @@ fn array_worker_operations() {
     });
     let w = ArrayWorkerClient::new_on(&mut driver, 1, array.clone()).unwrap();
     let d = Domain::new(0, 4, 0, 4, 0, 4);
-    w.fill(&mut driver, d, 3.0).unwrap();
+    array.fill(&mut driver, &d, 3.0).unwrap();
     assert_eq!(w.sum(&mut driver, d).unwrap(), 192.0);
-    assert_eq!(w.scaled_sum(&mut driver, d, 0.5).unwrap(), 96.0);
     // Checksum through the worker equals checksum computed driver-side.
     let local = array.read(&mut driver, &d).unwrap();
     let expect: f64 = local
@@ -317,11 +307,83 @@ fn arrays_travel_the_wire() {
     cluster.shutdown(driver);
 }
 
+/// Junk from the wire is a typed error at once and never takes the serving
+/// machine down: an `ArrayWorker` on machine 1 is sent handles and boxes
+/// that no constructor makes — as its own constructor argument, or as the
+/// `Domain` of `sum` and `read_checksum` — and answers `ping` after each.
+#[test]
+fn junk_arrays_and_domains_are_typed_errors_at_an_array_worker() {
+    let (cluster, mut driver) = register_classes(ClusterBuilder::new(2))
+        .call_policy(CallPolicy::no_retry(Duration::from_millis(500)))
+        .build();
+    let d = &mut driver;
+    let array = build_array(d, [4, 4, 4], [2, 2, 2], 2, PageMap::round_robin);
+    let (storage, map) = (array.storage().clone(), array.map().clone());
+    // A handle is its fields in order: shape, page shape, storage, map.
+    let handle = |n: [u64; 3], p: [u64; 3], map: Vec<u8>| {
+        [wire::to_bytes(&(n, p, storage.clone())), map].concat()
+    };
+    let table = |len: usize, device_id: u64, tag: u8| {
+        let address = PageAddress {
+            device_id,
+            index: 0,
+        };
+        wire::to_bytes(&([2u64, 2, 2], 2u64, vec![address; len], tag))
+    };
+    let rr = |grid, devices| wire::to_bytes(&PageMap::round_robin(grid, devices));
+    let (big, good) = ([1 << 32, 1 << 32, 2], [4, 4, 4]);
+    let junk_handles = [
+        (
+            "a page dimension of 0",
+            handle(good, [0, 2, 2], wire::to_bytes(&map)),
+        ),
+        ("n1·n2·n3 overflows", handle(big, big, rr([1, 1, 1], 2))),
+        (
+            "a map of another grid",
+            handle(good, [2, 2, 2], rr([3, 3, 3], 2)),
+        ),
+        (
+            "more devices than storage",
+            handle(good, [2, 2, 2], rr([2, 2, 2], 3)),
+        ),
+        (
+            "a short page table",
+            handle(good, [2, 2, 2], table(7, 0, 0)),
+        ),
+        (
+            "a device past the map's",
+            handle(good, [2, 2, 2], table(8, 2, 0)),
+        ),
+        ("an unknown layout", handle(good, [2, 2, 2], table(8, 0, 9))),
+    ];
+    for (what, bytes) in junk_handles {
+        let built = d.create::<ArrayWorkerClient>(1, bytes);
+        assert!(
+            matches!(built, Err(RemoteError::Decode { .. })),
+            "{what}: {built:?}"
+        );
+        d.ping(1).unwrap();
+    }
+    let worker = ArrayWorkerClient::new_on(d, 1, array).unwrap();
+    let inverted = wire::to_bytes(&([2u64, 0, 0], [1u64, 4, 4]));
+    for method in ["sum", "read_checksum"] {
+        let got = d.call_method::<f64>(worker.obj_ref(), method, |w| w.put_bytes(&inverted));
+        assert!(
+            matches!(got, Err(RemoteError::Decode { .. })),
+            "{method}: {got:?}"
+        );
+        d.ping(1).unwrap();
+    }
+    assert_eq!(worker.sum(d, Domain::whole(4, 4, 4)).unwrap(), 0.0);
+    cluster.shutdown(driver);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random domains, random maps: the distributed array always agrees
-    /// with the local mirror.
+    /// with the local mirror — every operation that walks a box's rows on
+    /// a device or in the client.
     #[test]
     fn distributed_array_matches_mirror(
         ops in proptest::collection::vec(
@@ -351,11 +413,19 @@ proptest! {
             let buf = patterned(d.len() as usize, vs + i as u64);
             array.write(&mut driver, &d, &buf).unwrap();
             mirror.write(&d, &buf);
+            // Scale a box that crosses d's rows.
+            let widened = Domain::new(a1, b1, 0, n[1], a3, b3);
+            array.scale(&mut driver, &widened, -0.5).unwrap();
+            mirror.scale(&widened, -0.5);
             // Read back a related (possibly larger) domain and compare.
             let probe = Domain::new(0, n[0], a2, b2, 0, n[2]);
             prop_assert_eq!(array.read(&mut driver, &probe).unwrap(), mirror.read(&probe));
             let s = array.sum(&mut driver, &probe).unwrap();
             prop_assert!((s - mirror.sum(&probe)).abs() < 1e-9);
+            for q in [probe, d, widened] {
+                prop_assert_eq!(array.min(&mut driver, &q).unwrap(), mirror.min(&q));
+                prop_assert_eq!(array.max(&mut driver, &q).unwrap(), mirror.max(&q));
+            }
         }
         cluster.shutdown(driver);
     }

@@ -3,15 +3,18 @@
 //! Derivation is the paper's headline §3 example: the array device stores
 //! structured `n1 × n2 × n3` pages of doubles on top of the base
 //! [`PageDevice`] machinery, adds computations that run **next to the
-//! data** (`sum`, `min`, `max`, `scale`), and — because method dispatch
-//! falls through to the base — a plain `PageDeviceClient` works against it
-//! unchanged.
+//! data** (`sum` of a page; `sum`, `min`, `max` and `scale` of any sub-box
+//! of a page, given as a page-local [`Domain`]), and — because method
+//! dispatch falls through to the base — a plain `PageDeviceClient` works
+//! against it unchanged.
+
+use std::ops::Range;
 
 use oopp::{remote_class, NodeCtx, RemoteError, RemoteResult};
 use wire::collections::{Bytes, F64s, F64sView};
 
 use crate::device::{PageDevice, PageDeviceClient};
-use crate::page::ArrayPage;
+use crate::domain::Domain;
 
 /// Server state: a [`PageDevice`] base plus the array shape.
 #[derive(Debug)]
@@ -42,80 +45,26 @@ remote_class! {
         /// §3's device-side `sum(PageAddress)`: ships 8 bytes instead of a
         /// page — "moving the computation to the data".
         fn sum(&mut self, page_index: u64) -> f64;
-        /// Device-side minimum of a page.
-        fn min(&mut self, page_index: u64) -> f64;
-        /// Device-side maximum of a page.
-        fn max(&mut self, page_index: u64) -> f64;
-        /// Multiply every element of a page in place.
-        fn scale(&mut self, page_index: u64, alpha: f64) -> ();
         /// Fetch a page as structured doubles.
         fn read_array(&mut self, page_index: u64) -> F64s;
         /// Store a structured page.
         fn write_array(&mut self, page_index: u64, data: F64s) -> ();
-        /// Read a sub-box `[a1,b1) × [a2,b2) × [a3,b3)` of one page —
-        /// device-side extraction, shipping only what is asked for.
-        fn read_sub(
-            &mut self,
-            page_index: u64,
-            a1: u64, b1: u64,
-            a2: u64, b2: u64,
-            a3: u64, b3: u64
-        ) -> F64s;
+        /// Read a sub-box of one page — device-side extraction, shipping
+        /// only what is asked for.
+        fn read_sub(&mut self, page_index: u64, sub: Domain) -> F64s;
         /// Write a sub-box of one page (read-modify-write on the device).
-        fn write_sub(
-            &mut self,
-            page_index: u64,
-            a1: u64, b1: u64,
-            a2: u64, b2: u64,
-            a3: u64, b3: u64,
-            data: F64s
-        ) -> ();
+        fn write_sub(&mut self, page_index: u64, sub: Domain, data: F64s) -> ();
         /// Device-side sum of a sub-box of one page.
-        fn sum_sub(
-            &mut self,
-            page_index: u64,
-            a1: u64, b1: u64,
-            a2: u64, b2: u64,
-            a3: u64, b3: u64
-        ) -> f64;
+        fn sum_sub(&mut self, page_index: u64, sub: Domain) -> f64;
         /// Device-side minimum over a sub-box (+inf for an empty box).
-        fn min_sub(
-            &mut self,
-            page_index: u64,
-            a1: u64, b1: u64,
-            a2: u64, b2: u64,
-            a3: u64, b3: u64
-        ) -> f64;
+        fn min_sub(&mut self, page_index: u64, sub: Domain) -> f64;
         /// Device-side maximum over a sub-box (-inf for an empty box).
-        fn max_sub(
-            &mut self,
-            page_index: u64,
-            a1: u64, b1: u64,
-            a2: u64, b2: u64,
-            a3: u64, b3: u64
-        ) -> f64;
+        fn max_sub(&mut self, page_index: u64, sub: Domain) -> f64;
         /// Scale a sub-box in place (read-modify-write on the device).
-        fn scale_sub(
-            &mut self,
-            page_index: u64,
-            a1: u64, b1: u64,
-            a2: u64, b2: u64,
-            a3: u64, b3: u64,
-            alpha: f64
-        ) -> ();
+        fn scale_sub(&mut self, page_index: u64, sub: Domain, alpha: f64) -> ();
         /// Array shape `(n1, n2, n3)` of each page.
         fn shape(&mut self) -> (u64, u64, u64);
     }
-}
-
-/// Bounds of a sub-box within a page.
-struct SubBox {
-    a1: usize,
-    b1: usize,
-    a2: usize,
-    b2: usize,
-    a3: usize,
-    b3: usize,
 }
 
 impl ArrayPageDevice {
@@ -157,8 +106,21 @@ impl ArrayPageDevice {
         Ok(device)
     }
 
-    fn elems(&self) -> usize {
-        (self.n1 * self.n2 * self.n3) as usize
+    /// The box of one whole page.
+    fn whole(&self) -> Domain {
+        Domain::whole(self.n1, self.n2, self.n3)
+    }
+
+    /// The rows of `sub` in a page, once `sub` is checked against the
+    /// page's box.
+    fn rows(&self, sub: &Domain) -> RemoteResult<impl Iterator<Item = Range<usize>>> {
+        if !self.whole().contains_domain(sub) {
+            return Err(RemoteError::app(format!(
+                "sub-box {sub:?} invalid for page {}x{}x{}",
+                self.n1, self.n2, self.n3
+            )));
+        }
+        Ok(sub.runs_in(&self.whole()))
     }
 
     /// A page as it lies in the base device's page buffer: doubles in wire
@@ -179,51 +141,21 @@ impl ArrayPageDevice {
         self.base.write_page_raw(page_index, bytes.as_slice())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn check_sub(
-        &self,
-        a1: u64,
-        b1: u64,
-        a2: u64,
-        b2: u64,
-        a3: u64,
-        b3: u64,
-    ) -> RemoteResult<SubBox> {
-        if a1 > b1 || b1 > self.n1 || a2 > b2 || b2 > self.n2 || a3 > b3 || b3 > self.n3 {
-            return Err(RemoteError::app(format!(
-                "sub-box [{a1},{b1})x[{a2},{b2})x[{a3},{b3}) invalid for page {}x{}x{}",
-                self.n1, self.n2, self.n3
-            )));
-        }
-        Ok(SubBox {
-            a1: a1 as usize,
-            b1: b1 as usize,
-            a2: a2 as usize,
-            b2: b2 as usize,
-            a3: a3 as usize,
-            b3: b3 as usize,
-        })
+    /// A reduction over `sub`, one row at a time.
+    fn fold_rows(
+        &mut self,
+        page_index: u64,
+        sub: &Domain,
+        init: f64,
+        f: impl Fn(f64, &[f64]) -> f64,
+    ) -> RemoteResult<f64> {
+        let rows = self.rows(sub)?;
+        let page = self.load(page_index)?;
+        Ok(rows.fold(init, |acc, r| f(acc, &page[r])))
     }
 
     fn sum(&mut self, _ctx: &mut NodeCtx, page_index: u64) -> RemoteResult<f64> {
         Ok(self.page(page_index)?.iter().sum())
-    }
-
-    fn min(&mut self, _ctx: &mut NodeCtx, page_index: u64) -> RemoteResult<f64> {
-        Ok(self.page(page_index)?.iter().fold(f64::INFINITY, f64::min))
-    }
-
-    fn max(&mut self, _ctx: &mut NodeCtx, page_index: u64) -> RemoteResult<f64> {
-        let page = self.page(page_index)?;
-        Ok(page.iter().fold(f64::NEG_INFINITY, f64::max))
-    }
-
-    fn scale(&mut self, _ctx: &mut NodeCtx, page_index: u64, alpha: f64) -> RemoteResult<()> {
-        let mut data = self.load(page_index)?;
-        for v in &mut data {
-            *v *= alpha;
-        }
-        self.store(page_index, &data)
     }
 
     /// The reply is the page's bytes behind their count: never decoded.
@@ -239,177 +171,80 @@ impl ArrayPageDevice {
         page_index: u64,
         data: F64sView<'_>,
     ) -> RemoteResult<()> {
-        if data.len() != self.elems() {
+        let elems = self.whole().len() as usize;
+        if data.len() != elems {
             return Err(RemoteError::app(format!(
-                "array page of {} elements written to device expecting {}",
+                "array page of {} elements written to device expecting {elems}",
                 data.len(),
-                self.elems()
             )));
         }
         self.base.write_page_raw(page_index, data.as_le_bytes())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn read_sub(
-        &mut self,
-        _ctx: &mut NodeCtx,
-        page_index: u64,
-        a1: u64,
-        b1: u64,
-        a2: u64,
-        b2: u64,
-        a3: u64,
-        b3: u64,
-    ) -> RemoteResult<F64s> {
-        let sb = self.check_sub(a1, b1, a2, b2, a3, b3)?;
+    fn read_sub(&mut self, _ctx: &mut NodeCtx, page_index: u64, sub: Domain) -> RemoteResult<F64s> {
+        let rows = self.rows(&sub)?;
         let page = self.load(page_index)?;
-        let (n2, n3) = (self.n2 as usize, self.n3 as usize);
-        let mut out = Vec::with_capacity((sb.b1 - sb.a1) * (sb.b2 - sb.a2) * (sb.b3 - sb.a3));
-        for i1 in sb.a1..sb.b1 {
-            for i2 in sb.a2..sb.b2 {
-                let row = (i1 * n2 + i2) * n3;
-                out.extend_from_slice(&page[row + sb.a3..row + sb.b3]);
-            }
+        let mut out = Vec::with_capacity(sub.len() as usize);
+        for r in rows {
+            out.extend_from_slice(&page[r]);
         }
         Ok(F64s(out))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn write_sub(
         &mut self,
         _ctx: &mut NodeCtx,
         page_index: u64,
-        a1: u64,
-        b1: u64,
-        a2: u64,
-        b2: u64,
-        a3: u64,
-        b3: u64,
+        sub: Domain,
         data: F64sView<'_>,
     ) -> RemoteResult<()> {
-        let sb = self.check_sub(a1, b1, a2, b2, a3, b3)?;
-        let expect = (sb.b1 - sb.a1) * (sb.b2 - sb.a2) * (sb.b3 - sb.a3);
-        if data.len() != expect {
+        let rows = self.rows(&sub)?;
+        if data.len() as u64 != sub.len() {
             return Err(RemoteError::app(format!(
-                "sub-box write of {} elements, expected {expect}",
-                data.len()
+                "sub-box write of {} elements, expected {}",
+                data.len(),
+                sub.len()
             )));
         }
         let mut page = self.load(page_index)?;
-        let (n2, n3) = (self.n2 as usize, self.n3 as usize);
         // Row by row from the request; the length was checked above.
         let mut at = 0;
-        for i1 in sb.a1..sb.b1 {
-            for i2 in sb.a2..sb.b2 {
-                let row = (i1 * n2 + i2) * n3;
-                data.copy_to(at, &mut page[row + sb.a3..row + sb.b3]);
-                at += sb.b3 - sb.a3;
-            }
+        for r in rows {
+            let run = r.len();
+            data.copy_to(at, &mut page[r]);
+            at += run;
         }
         self.store(page_index, &page)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn sum_sub(
-        &mut self,
-        _ctx: &mut NodeCtx,
-        page_index: u64,
-        a1: u64,
-        b1: u64,
-        a2: u64,
-        b2: u64,
-        a3: u64,
-        b3: u64,
-    ) -> RemoteResult<f64> {
-        let sb = self.check_sub(a1, b1, a2, b2, a3, b3)?;
-        let page = self.load(page_index)?;
-        let (n2, n3) = (self.n2 as usize, self.n3 as usize);
-        let mut total = 0.0;
-        for i1 in sb.a1..sb.b1 {
-            for i2 in sb.a2..sb.b2 {
-                let row = (i1 * n2 + i2) * n3;
-                total += page[row + sb.a3..row + sb.b3].iter().sum::<f64>();
-            }
-        }
-        Ok(total)
+    /// Per-row partial sums, added in row order.
+    fn sum_sub(&mut self, _ctx: &mut NodeCtx, page_index: u64, sub: Domain) -> RemoteResult<f64> {
+        self.fold_rows(page_index, &sub, 0.0, |t, row| t + row.iter().sum::<f64>())
     }
 
-    fn fold_sub(
-        &mut self,
-        page_index: u64,
-        sb: &SubBox,
-        init: f64,
-        f: impl Fn(f64, f64) -> f64,
-    ) -> RemoteResult<f64> {
-        let page = self.load(page_index)?;
-        let (n2, n3) = (self.n2 as usize, self.n3 as usize);
-        let mut acc = init;
-        for i1 in sb.a1..sb.b1 {
-            for i2 in sb.a2..sb.b2 {
-                let row = (i1 * n2 + i2) * n3;
-                for &v in &page[row + sb.a3..row + sb.b3] {
-                    acc = f(acc, v);
-                }
-            }
-        }
-        Ok(acc)
+    fn min_sub(&mut self, _ctx: &mut NodeCtx, page_index: u64, sub: Domain) -> RemoteResult<f64> {
+        self.fold_rows(page_index, &sub, f64::INFINITY, |m, row| {
+            row.iter().copied().fold(m, f64::min)
+        })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn min_sub(
-        &mut self,
-        _ctx: &mut NodeCtx,
-        page_index: u64,
-        a1: u64,
-        b1: u64,
-        a2: u64,
-        b2: u64,
-        a3: u64,
-        b3: u64,
-    ) -> RemoteResult<f64> {
-        let sb = self.check_sub(a1, b1, a2, b2, a3, b3)?;
-        self.fold_sub(page_index, &sb, f64::INFINITY, f64::min)
+    fn max_sub(&mut self, _ctx: &mut NodeCtx, page_index: u64, sub: Domain) -> RemoteResult<f64> {
+        self.fold_rows(page_index, &sub, f64::NEG_INFINITY, |m, row| {
+            row.iter().copied().fold(m, f64::max)
+        })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn max_sub(
-        &mut self,
-        _ctx: &mut NodeCtx,
-        page_index: u64,
-        a1: u64,
-        b1: u64,
-        a2: u64,
-        b2: u64,
-        a3: u64,
-        b3: u64,
-    ) -> RemoteResult<f64> {
-        let sb = self.check_sub(a1, b1, a2, b2, a3, b3)?;
-        self.fold_sub(page_index, &sb, f64::NEG_INFINITY, f64::max)
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn scale_sub(
         &mut self,
         _ctx: &mut NodeCtx,
         page_index: u64,
-        a1: u64,
-        b1: u64,
-        a2: u64,
-        b2: u64,
-        a3: u64,
-        b3: u64,
+        sub: Domain,
         alpha: f64,
     ) -> RemoteResult<()> {
-        let sb = self.check_sub(a1, b1, a2, b2, a3, b3)?;
+        let rows = self.rows(&sub)?;
         let mut page = self.load(page_index)?;
-        let (n2, n3) = (self.n2 as usize, self.n3 as usize);
-        for i1 in sb.a1..sb.b1 {
-            for i2 in sb.a2..sb.b2 {
-                let row = (i1 * n2 + i2) * n3;
-                for v in &mut page[row + sb.a3..row + sb.b3] {
-                    *v *= alpha;
-                }
-            }
+        for r in rows {
+            page[r].iter_mut().for_each(|v| *v *= alpha);
         }
         self.store(page_index, &page)
     }
@@ -447,18 +282,4 @@ fn page_size_of(n1: u64, n2: u64, n3: u64) -> RemoteResult<u64> {
         .into_iter()
         .try_fold(n1, u64::checked_mul)
         .ok_or_else(|| RemoteError::app("array page size overflows"))
-}
-
-/// Client-side helper mirroring §3's "move the data to the computation":
-/// fetch the whole page and sum locally. Contrast with
-/// [`ArrayPageDeviceClient::sum`], which ships only the result.
-pub fn sum_by_moving_data(
-    ctx: &mut NodeCtx,
-    device: &ArrayPageDeviceClient,
-    page_index: u64,
-) -> RemoteResult<f64> {
-    let (n1, n2, n3) = device.shape(ctx)?;
-    let data = device.read_array(ctx, page_index)?;
-    let page = ArrayPage::from_f64s(n1 as usize, n2 as usize, n3 as usize, data);
-    Ok(page.sum())
 }

@@ -1,11 +1,15 @@
 //! Array subdomains — the paper's `Domain` class (§5).
 //!
 //! A domain is a half-open box `[a1,b1) × [a2,b2) × [a3,b3)` of array
-//! indices. The Array's `read`/`write`/`sum` all take one, and the
-//! page-intersection algebra below decides which pages (and which sub-box of
-//! each page) a domain touches.
+//! indices. The same type is a box on both sides of the wire: the §5
+//! `Array` splits a global domain into pages with the intersection algebra
+//! below, and each [`ArrayPageDevice`](crate::ArrayPageDevice) sub-box verb
+//! takes the page-local domain it is sent. [`Domain::runs_in`] is the one
+//! walk over a box's rows inside a row-major buffer.
 
-use wire::wire_struct;
+use std::ops::Range;
+
+use wire::{Reader, Wire, WireError, WireResult, Writer};
 
 /// A half-open 3-D index box.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,7 +20,27 @@ pub struct Domain {
     pub b: [u64; 3],
 }
 
-wire_struct!(Domain { a, b });
+/// Bounds travel as `a1 a2 a3 b1 b2 b3`; a box decodes only if `a <= b`
+/// on every axis, as [`Domain::new`] asserts.
+impl Wire for Domain {
+    fn encode(&self, w: &mut Writer) {
+        self.a.encode(w);
+        self.b.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
+        let domain = Domain {
+            a: Wire::decode(r)?,
+            b: Wire::decode(r)?,
+        };
+        if !domain.is_ordered() {
+            return Err(WireError::Invalid("domain bounds must satisfy a <= b"));
+        }
+        Ok(domain)
+    }
+    fn encoded_len_hint(&self) -> usize {
+        self.a.encoded_len_hint() + self.b.encoded_len_hint()
+    }
+}
 
 impl Domain {
     /// The box `[a1,b1) × [a2,b2) × [a3,b3)`.
@@ -36,33 +60,22 @@ impl Domain {
 
     /// The whole `[0,n1) × [0,n2) × [0,n3)` box.
     pub fn whole(n1: u64, n2: u64, n3: u64) -> Self {
-        Domain {
-            a: [0, 0, 0],
-            b: [n1, n2, n3],
-        }
+        Domain::new(0, n1, 0, n2, 0, n3)
     }
 
     /// A single point.
     pub fn point(i1: u64, i2: u64, i3: u64) -> Self {
-        Domain {
-            a: [i1, i2, i3],
-            b: [i1 + 1, i2 + 1, i3 + 1],
-        }
+        Domain::new(i1, i1 + 1, i2, i2 + 1, i3, i3 + 1)
     }
 
     /// Extent along each axis.
     pub fn extent(&self) -> [u64; 3] {
-        [
-            self.b[0] - self.a[0],
-            self.b[1] - self.a[1],
-            self.b[2] - self.a[2],
-        ]
+        [0, 1, 2].map(|d| self.b[d] - self.a[d])
     }
 
     /// Number of points.
     pub fn len(&self) -> u64 {
-        let e = self.extent();
-        e[0] * e[1] * e[2]
+        self.extent().iter().product()
     }
 
     /// True when the box contains no points.
@@ -76,23 +89,23 @@ impl Domain {
         (0..3).all(|d| self.a[d] <= p[d] && p[d] < self.b[d])
     }
 
-    /// True if `other` lies entirely inside `self`.
+    fn is_ordered(&self) -> bool {
+        (0..3).all(|d| self.a[d] <= self.b[d])
+    }
+
+    /// True if `other` lies entirely inside `self`. An empty box lies
+    /// anywhere; an inverted one (some `a > b`) nowhere.
     pub fn contains_domain(&self, other: &Domain) -> bool {
-        other.is_empty() || (0..3).all(|d| self.a[d] <= other.a[d] && other.b[d] <= self.b[d])
+        other.is_ordered()
+            && (other.is_empty()
+                || (0..3).all(|d| self.a[d] <= other.a[d] && other.b[d] <= self.b[d]))
     }
 
     /// The common box, or `None` when disjoint (or the overlap is empty).
     pub fn intersect(&self, other: &Domain) -> Option<Domain> {
-        let mut a = [0u64; 3];
-        let mut b = [0u64; 3];
-        for d in 0..3 {
-            a[d] = self.a[d].max(other.a[d]);
-            b[d] = self.b[d].min(other.b[d]);
-            if a[d] >= b[d] {
-                return None;
-            }
-        }
-        Some(Domain { a, b })
+        let a = [0, 1, 2].map(|d| self.a[d].max(other.a[d]));
+        let b = [0, 1, 2].map(|d| self.b[d].min(other.b[d]));
+        (0..3).all(|d| a[d] < b[d]).then_some(Domain { a, b })
     }
 
     /// Translate so that `origin` becomes zero — the page-local coordinates
@@ -101,17 +114,34 @@ impl Domain {
     /// # Panics
     /// If the domain does not lie at or above `origin` on every axis.
     pub fn relative_to(&self, origin: [u64; 3]) -> Domain {
-        let mut a = [0u64; 3];
-        let mut b = [0u64; 3];
-        for d in 0..3 {
-            assert!(self.a[d] >= origin[d], "domain below origin on axis {d}");
-            a[d] = self.a[d] - origin[d];
-            b[d] = self.b[d] - origin[d];
+        assert!(
+            (0..3).all(|d| self.a[d] >= origin[d]),
+            "domain {self:?} below origin {origin:?}"
+        );
+        let shift = |x: [u64; 3]| [0, 1, 2].map(|d| x[d] - origin[d]);
+        Domain {
+            a: shift(self.a),
+            b: shift(self.b),
         }
-        Domain { a, b }
     }
 
-    /// Row-major iteration over all points (for tests and small domains).
+    /// The rows of `self` inside the row-major buffer that holds `outer`:
+    /// one range of buffer offsets per `(i1, i2)`, in row-major order, and
+    /// none for an empty box. `outer` must contain `self`.
+    pub fn runs_in(&self, outer: &Domain) -> impl Iterator<Item = Range<usize>> {
+        debug_assert!(outer.contains_domain(self), "{self:?} outside {outer:?}");
+        let (a, b, o, e) = (self.a, self.b, outer.a, outer.extent());
+        let rows = if self.is_empty() { 0..0 } else { a[0]..b[0] };
+        rows.flat_map(move |i1| {
+            (a[1]..b[1]).map(move |i2| {
+                let start = (((i1 - o[0]) * e[1] + i2 - o[1]) * e[2] + a[2] - o[2]) as usize;
+                start..start + (b[2] - a[2]) as usize
+            })
+        })
+    }
+
+    /// Row-major iteration over all points (small domains: a page grid, a
+    /// test mirror).
     pub fn points(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         let (a, b) = (self.a, self.b);
         (a[0]..b[0]).flat_map(move |i1| {
@@ -219,6 +249,38 @@ mod tests {
         // More parts than extent: degenerate slabs dropped.
         let tiny = Domain::new(0, 2, 0, 1, 0, 1);
         assert_eq!(tiny.split_axis0(5).len(), 2);
+    }
+
+    #[test]
+    fn runs_walk_a_box_inside_its_enclosing_buffer() {
+        let outer = Domain::new(1, 4, 0, 3, 2, 6);
+        let runs: Vec<_> = Domain::new(2, 4, 1, 3, 3, 5).runs_in(&outer).collect();
+        assert_eq!(runs, vec![17..19, 21..23, 29..31, 33..35]);
+        let offsets: Vec<usize> = runs.into_iter().flatten().collect();
+        let expect: Vec<usize> = Domain::new(2, 4, 1, 3, 3, 5)
+            .points()
+            .map(|(i1, i2, i3)| (((i1 - 1) * 3 + i2) * 4 + i3 - 2) as usize)
+            .collect();
+        assert_eq!(offsets, expect);
+        assert_eq!(outer.runs_in(&outer).flatten().count() as u64, outer.len());
+        // An empty box has no rows, wherever it lies.
+        assert_eq!(Domain::new(9, 9, 0, 3, 2, 6).runs_in(&outer).count(), 0);
+        assert_eq!(Domain::new(1, 4, 0, 3, 9, 9).runs_in(&outer).count(), 0);
+    }
+
+    #[test]
+    fn an_inverted_box_is_contained_nowhere_and_never_decodes() {
+        let inverted = Domain {
+            a: [2, 0, 0],
+            b: [1, 4, 4],
+        };
+        assert!(!Domain::whole(4, 4, 4).contains_domain(&inverted));
+        let bytes = wire::to_bytes(&inverted);
+        assert_eq!(bytes.len(), 48);
+        assert!(matches!(
+            wire::from_bytes::<Domain>(&bytes),
+            Err(WireError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! reinterpreted as an `n1 × n2 × n3` block of doubles; and an
 //! [`ArrayPageDevice`] is the **derived process** that stores array pages
 //! and can run computations (like [`sum`](ArrayPageDeviceClient::sum))
-//! next to the data.
+//! next to the data. Its sub-box verbs take a page-local [`Domain`], the
+//! §5 box type that `distarray` splits an array access with.
 //!
 //! Created remotely, a device is exactly the paper's listing:
 //!
@@ -37,10 +38,12 @@
 
 pub mod array_device;
 pub mod device;
+pub mod domain;
 pub mod page;
 
 pub use array_device::{ArrayPageDevice, ArrayPageDeviceClient};
 pub use device::{PageDevice, PageDeviceClient};
+pub use domain::Domain;
 pub use page::{ArrayPage, Page};
 
 #[cfg(test)]

@@ -26,22 +26,12 @@ impl Page {
     /// (splitmix64 over the seed, no external dependencies) so tests and
     /// benchmarks can produce distinguishable pages cheaply.
     pub fn generate(n: usize, seed: u64) -> Self {
-        let mut data = Vec::with_capacity(n);
-        let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        while data.len() < n {
-            let mut z = state;
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            for b in z.to_le_bytes() {
-                if data.len() == n {
-                    break;
-                }
-                data.push(b);
-            }
+        Page {
+            data: splitmix64(seed)
+                .flat_map(u64::to_le_bytes)
+                .take(n)
+                .collect(),
         }
-        Page { data }
     }
 
     /// Page size in bytes.
@@ -68,6 +58,19 @@ impl Page {
     pub fn from_bytes(b: Bytes) -> Self {
         Page { data: b.0 }
     }
+}
+
+/// The splitmix64 stream over `seed` that both `generate`s draw from.
+fn splitmix64(seed: u64) -> impl Iterator<Item = u64> {
+    const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut state = seed;
+    std::iter::repeat_with(move || {
+        state = state.wrapping_add(GAMMA);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    })
 }
 
 /// A page carrying an `n1 × n2 × n3` block of doubles — the paper's
@@ -110,17 +113,10 @@ impl ArrayPage {
 
     /// Deterministic pseudo-random page (values in [0, 1)).
     pub fn generate(n1: usize, n2: usize, n3: usize, seed: u64) -> Self {
-        let n = n1 * n2 * n3;
-        let mut data = Vec::with_capacity(n);
-        let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        for _ in 0..n {
-            let mut z = state;
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            data.push((z >> 11) as f64 / (1u64 << 53) as f64);
-        }
+        let data = splitmix64(seed)
+            .map(|z| (z >> 11) as f64 / (1u64 << 53) as f64)
+            .take(n1 * n2 * n3)
+            .collect();
         ArrayPage { n1, n2, n3, data }
     }
 
@@ -207,11 +203,7 @@ impl ArrayPage {
     /// Reinterpret as an unstructured [`Page`] (derived → base, "moving the
     /// data to the computation" ships the raw bytes).
     pub fn into_page(self) -> Page {
-        let mut bytes = Vec::with_capacity(self.byte_len());
-        for v in &self.data {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        Page::new(bytes)
+        Page::new(self.data.iter().flat_map(|v| v.to_le_bytes()).collect())
     }
 
     /// Reinterpret an unstructured page as an array page.

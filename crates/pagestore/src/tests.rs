@@ -5,10 +5,9 @@ use oopp::{join, Cluster, ClusterBuilder, Driver, RemoteClient, RemoteError};
 use simnet::{ClusterConfig, DiskConfig};
 use wire::collections::{Bytes, F64s};
 
-use crate::array_device::sum_by_moving_data;
 use crate::device::PageDeviceState;
 use crate::{
-    ArrayPage, ArrayPageDevice, ArrayPageDeviceClient, Page, PageDevice, PageDeviceClient,
+    ArrayPage, ArrayPageDevice, ArrayPageDeviceClient, Domain, Page, PageDevice, PageDeviceClient,
 };
 
 fn cluster(workers: usize) -> (Cluster, Driver) {
@@ -100,7 +99,7 @@ fn the_page_buffer_holds_the_page_asked_for_and_junk_never_reaches_the_disk() {
         Err(RemoteError::App { .. })
     ));
     assert!(matches!(
-        dev.write_sub(d, 1, 0, 2, 0, 2, 0, 1, F64s(vec![99.0; 5])),
+        dev.write_sub(d, 1, Domain::new(0, 2, 0, 2, 0, 1), F64s(vec![99.0; 5])),
         Err(RemoteError::App { .. })
     ));
     assert_eq!(dev.read_array(d, 1).unwrap(), page(1));
@@ -171,7 +170,7 @@ fn array_device_sum_both_directions_agree() {
     // double result = blocks->sum(PageAddress);  (computation → data)
     let remote = blocks.sum(&mut driver, 4).unwrap();
     // read whole page, sum locally            (data → computation)
-    let local = sum_by_moving_data(&mut driver, &blocks, 4).unwrap();
+    let local: f64 = blocks.read_array(&mut driver, 4).unwrap().0.iter().sum();
 
     assert!((remote - expected).abs() < 1e-9);
     assert!((local - expected).abs() < 1e-9);
@@ -191,10 +190,11 @@ fn array_device_reductions_and_scale() {
         page.elements_mut()[i] = *v;
     }
     dev.write_array(&mut driver, 0, page.into_f64s()).unwrap();
-    assert_eq!(dev.min(&mut driver, 0).unwrap(), -5.0);
-    assert_eq!(dev.max(&mut driver, 0).unwrap(), 9.0);
+    let whole = Domain::whole(2, 2, 2);
+    assert_eq!(dev.min_sub(&mut driver, 0, whole).unwrap(), -5.0);
+    assert_eq!(dev.max_sub(&mut driver, 0, whole).unwrap(), 9.0);
     assert_eq!(dev.sum(&mut driver, 0).unwrap(), 19.0);
-    dev.scale(&mut driver, 0, 2.0).unwrap();
+    dev.scale_sub(&mut driver, 0, whole, 2.0).unwrap();
     assert_eq!(dev.sum(&mut driver, 0).unwrap(), 38.0);
     assert_eq!(dev.shape(&mut driver).unwrap(), (2, 2, 2));
     cluster.shutdown(driver);
@@ -206,22 +206,45 @@ fn sub_box_read_write_sum() {
     let dev =
         ArrayPageDeviceClient::new_on(&mut driver, 0, "s".into(), 1, 4, 4, 4, 0, None).unwrap();
     // Write the sub-box [1,3)x[1,3)x[1,3) with ones.
-    dev.write_sub(&mut driver, 0, 1, 3, 1, 3, 1, 3, F64s(vec![1.0; 8]))
-        .unwrap();
+    dev.write_sub(
+        &mut driver,
+        0,
+        Domain::new(1, 3, 1, 3, 1, 3),
+        F64s(vec![1.0; 8]),
+    )
+    .unwrap();
     assert_eq!(dev.sum(&mut driver, 0).unwrap(), 8.0);
-    assert_eq!(dev.sum_sub(&mut driver, 0, 1, 3, 1, 3, 1, 3).unwrap(), 8.0);
-    assert_eq!(dev.sum_sub(&mut driver, 0, 0, 1, 0, 4, 0, 4).unwrap(), 0.0);
+    assert_eq!(
+        dev.sum_sub(&mut driver, 0, Domain::new(1, 3, 1, 3, 1, 3))
+            .unwrap(),
+        8.0
+    );
+    assert_eq!(
+        dev.sum_sub(&mut driver, 0, Domain::new(0, 1, 0, 4, 0, 4))
+            .unwrap(),
+        0.0
+    );
     // Read a sub-box straddling the written region.
-    let got = dev.read_sub(&mut driver, 0, 0, 2, 1, 2, 1, 3).unwrap();
+    let got = dev
+        .read_sub(&mut driver, 0, Domain::new(0, 2, 1, 2, 1, 3))
+        .unwrap();
     assert_eq!(got.0, vec![0.0, 0.0, 1.0, 1.0]);
     // Degenerate (empty) boxes are fine.
     assert_eq!(
-        dev.read_sub(&mut driver, 0, 2, 2, 0, 4, 0, 4).unwrap().0,
+        dev.read_sub(&mut driver, 0, Domain::new(2, 2, 0, 4, 0, 4))
+            .unwrap()
+            .0,
         Vec::<f64>::new()
     );
     // Invalid boxes are rejected.
-    assert!(dev.read_sub(&mut driver, 0, 3, 2, 0, 4, 0, 4).is_err());
-    assert!(dev.read_sub(&mut driver, 0, 0, 5, 0, 4, 0, 4).is_err());
+    let inverted = Domain {
+        a: [3, 0, 0],
+        b: [2, 4, 4],
+    };
+    assert!(dev.read_sub(&mut driver, 0, inverted).is_err());
+    assert!(dev
+        .read_sub(&mut driver, 0, Domain::new(0, 5, 0, 4, 0, 4))
+        .is_err());
     cluster.shutdown(driver);
 }
 
