@@ -9,6 +9,7 @@
 use crate::complex::Complex;
 use crate::dft::Direction;
 use crate::radix2::Radix2;
+use crate::tile::table_width;
 
 /// Precomputed Bluestein plan for size `n`.
 #[derive(Debug, Clone)]
@@ -107,23 +108,23 @@ impl Bluestein {
         }
     }
 
-    /// Transform every column of the row-major `[n][width]` matrix `data`
-    /// in place. The chirp convolution works on one contiguous line, so
-    /// this is the one column form that gathers each column into a line
-    /// and scatters it back.
+    /// Transform every column of the row table `rows` — `n` rows of one
+    /// width, wherever each lies — in place. The chirp convolution works on
+    /// one contiguous line, so this is the one column form that gathers
+    /// each column into a line and scatters it back.
     ///
     /// # Panics
-    /// If `data.len() != self.len() * width`.
-    pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
-        assert_eq!(data.len(), self.n * width, "buffer must be [n][width]");
+    /// If `rows` is not `n` rows of one width.
+    pub(crate) fn process_table(&self, rows: &mut [&mut [Complex]], dir: Direction) {
+        let width = table_width(rows, self.n);
         let mut line = vec![Complex::ZERO; self.n];
         for col in 0..width {
-            for (j, slot) in line.iter_mut().enumerate() {
-                *slot = data[j * width + col];
+            for (slot, row) in line.iter_mut().zip(rows.iter()) {
+                *slot = row[col];
             }
             self.process(&mut line, dir);
-            for (j, &v) in line.iter().enumerate() {
-                data[j * width + col] = v;
+            for (&v, row) in line.iter().zip(rows.iter_mut()) {
+                row[col] = v;
             }
         }
     }

@@ -35,19 +35,24 @@
 //! ## What it no longer carries
 //!
 //! A process's own data is a memory access; only remote data is a message.
-//! The block a worker keeps — its planes × its own columns — is copied
-//! slab → `gathered` and back, and never enters an inbox: a group of one
-//! sends no transpose message at all. A block that does travel is touched
-//! twice: gathered from the slab rows into the `put` request, and scattered
-//! from the `take` reply — which *is* that request's buffer, the frame
-//! rebuilt around the block where it arrived ([`Body::relaying`]).
+//! The block a worker keeps — its planes × its own columns — is never
+//! copied: the axis-0 pass runs over a row table
+//! (`Fft3::process_axis0_rows`) whose rows for the worker's own planes
+//! are runs of its slab, where they lie, and whose other rows are those of
+//! `gathered`, which holds only the blocks other workers sent. A group of
+//! one sends no transpose message and copies nothing. A block that does
+//! travel is touched twice: gathered from the slab rows into the `put`
+//! request, and scattered from the `take` reply — which *is* that
+//! request's buffer, the frame rebuilt around the block where it arrived
+//! ([`Body::relaying`]).
 
+use std::cell::Cell;
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 
 use oopp::{
-    join, remote_class, Body, CallInfo, DispatchResult, NodeCtx, PacketBytes, Pending,
-    ProcessGroup, RemoteClient, RemoteError, RemoteResult,
+    join, remote_class, Body, CallInfo, DispatchResult, NodeCtx, ObjRef, PacketBytes, Pending,
+    PendingClient, ProcessGroup, RemoteClient, RemoteError, RemoteResult,
 };
 use wire::collections::{F64s, F64sView};
 use wire::{Reader, ViewOf, Wire, WireResult};
@@ -232,14 +237,16 @@ pub struct FftWorker {
     epoch: u64,
     phase: Phase,
     plan: Fft3,
-    /// The one scratch: the `[n1][n2/P][n3]` buffer the forward transpose
-    /// is collected into, transformed along axis 0 in place and sent back
-    /// from.
+    /// The one scratch: the other workers' blocks of the forward transpose,
+    /// `[n1 − n1/P][n2/P][n3]` — every plane but this worker's own, in
+    /// order — collected into, transformed along axis 0 in place beside the
+    /// block that never leaves the slab, and sent back from.
     gathered: Vec<Complex>,
 }
 
 /// Where a worker stands in one `transform`: which exchange it has sent
-/// and not yet collected. Each phase is accepted in one state only.
+/// and not yet collected. Each phase is accepted in one state only;
+/// `restart` in any.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
     Idle,
@@ -286,6 +293,10 @@ remote_class! {
         fn transform_exchange(&mut self, sign: i64) -> ();
         /// Phase 3: collect the return blocks and reassemble the slab.
         fn transform_finish(&mut self) -> ();
+        /// Back to no phase at exchange `epoch`, wherever a failed
+        /// transform left this worker: the driver's recovery, one epoch for
+        /// the whole group above every exchange already sent.
+        fn restart(&mut self, epoch: u64) -> ();
         /// Identification (id, group size).
         fn describe(&mut self) -> (u64, u64);
     }
@@ -315,20 +326,20 @@ impl FftWorker {
         }
         let shape = [n1 as usize, n2 as usize, n3 as usize];
         let parts = parts as usize;
-        // A slab or the transposed buffer: the same count either way. Sized
-        // before the plan is, which allocates by the edge lengths too.
+        // The slab, and the `P − 1` blocks of it the other workers send.
+        // Sized before the plan is, which allocates by the edge lengths too.
         let too_large = || RemoteError::app(format!("no memory for a {n1}x{n2}x{n3} grid"));
         let cells = (shape[0] / parts)
             .checked_mul(shape[1])
             .and_then(|cells| cells.checked_mul(shape[2]))
             .ok_or_else(too_large)?;
-        let zeros = || -> RemoteResult<Vec<Complex>> {
+        let zeros = |cells: usize| -> RemoteResult<Vec<Complex>> {
             let mut buf = Vec::new();
             buf.try_reserve_exact(cells).map_err(|_| too_large())?;
             buf.resize(cells, Complex::ZERO);
             Ok(buf)
         };
-        let (slab, gathered) = (zeros()?, zeros()?);
+        let (slab, gathered) = (zeros(cells)?, zeros(cells / parts * (parts - 1))?);
         Ok(FftWorker {
             id,
             shape,
@@ -399,8 +410,8 @@ impl FftWorker {
         self.plan.process_planes(&mut self.slab, dir);
 
         // The forward-transpose block for worker q is my planes x q's
-        // columns: per plane, one run of rows. My own goes straight to
-        // where the exchange would have put it, the others to their inboxes.
+        // columns: per plane, one run of rows. My own stays where it is,
+        // the others go to their inboxes.
         let epoch = self.next_epoch();
         self.phase = Phase::Sent { epoch, dir };
         let me = self.id as usize;
@@ -411,10 +422,6 @@ impl FftWorker {
                 &slab[run..run + s2 * n3]
             })
         };
-        let own = &mut self.gathered[me * s1 * s2 * n3..][..s1 * s2 * n3];
-        for (dst, run) in own.chunks_exact_mut(s2 * n3).zip(runs(me)) {
-            dst.copy_from_slice(run);
-        }
         let mut sends = Vec::with_capacity(self.parts - 1);
         for (q, inbox) in self.inboxes.iter().enumerate() {
             if q != me {
@@ -447,30 +454,34 @@ impl FftWorker {
 
         // Collect the forward-transpose blocks (all in flight: the driver
         // joined transform_local across the whole group). Worker q's block
-        // is planes `[q·s1, (q+1)·s1)` of the [n1][s2][n3] buffer: one run.
+        // is its planes of the axis-0 columns: one run of `gathered`, which
+        // holds every plane but mine.
+        let slot = |q: usize| if q < me { q } else { q - 1 };
         let gathered = &mut self.gathered;
         self.inboxes[me].collect(ctx, epoch, me, self.parts, block, |q, from| {
-            from.copy_to(0, as_f64s_mut(&mut gathered[q * block..][..block]));
+            from.copy_to(0, as_f64s_mut(&mut gathered[slot(q) * block..][..block]));
         })?;
 
-        // Axis-0 FFTs on the columns I now own.
-        self.plan.process_axis0(&mut self.gathered, dir);
+        // Axis-0 FFTs on the columns I now own. Row i of the table is plane
+        // i's part of them: a run of my slab for my own planes, a row of
+        // `gathered` for every other.
+        let row = s2 * n3;
+        let planes = self.slab.chunks_exact_mut(n2 * n3);
+        let own = planes.map(|plane| &mut plane[me * row..][..row]);
+        let (before, after) = self.gathered.split_at_mut(me * block);
+        let (before, after) = (before.chunks_exact_mut(row), after.chunks_exact_mut(row));
+        let mut rows: Vec<&mut [Complex]> = before.chain(own).chain(after).collect();
+        self.plan.process_axis0_rows(&mut rows, dir);
 
-        // Send the blocks back (worker q's planes are contiguous runs); my
-        // own planes x my own columns go back into the slab rows as they are.
+        // Send the other workers' blocks back (each is one run); mine is
+        // back in the slab already.
         let epoch = self.next_epoch();
         self.phase = Phase::Returned { epoch };
+        let peers = (0..self.parts).filter(|&q| q != me);
         let mut sends = Vec::with_capacity(self.parts - 1);
-        for (q, back) in self.gathered.chunks_exact(block).enumerate() {
-            if q != me {
-                let back = std::iter::once(back);
-                sends.push(self.inboxes[q].put_rows_async(ctx, epoch, self.id, back)?);
-                continue;
-            }
-            for (i, row) in back.chunks_exact(s2 * n3).enumerate() {
-                let run = (i * n2 + me * s2) * n3;
-                self.slab[run..run + s2 * n3].copy_from_slice(row);
-            }
+        for (q, back) in peers.zip(self.gathered.chunks_exact(block)) {
+            let back = std::iter::once(back);
+            sends.push(self.inboxes[q].put_rows_async(ctx, epoch, self.id, back)?);
         }
         join(ctx, sends)?;
         Ok(())
@@ -499,6 +510,12 @@ impl FftWorker {
         })
     }
 
+    fn restart(&mut self, _ctx: &mut NodeCtx, epoch: u64) -> RemoteResult<()> {
+        self.phase = Phase::Idle;
+        self.epoch = epoch;
+        Ok(())
+    }
+
     /// The epoch of the exchange about to be sent.
     fn next_epoch(&mut self) -> u64 {
         self.epoch += 1;
@@ -510,14 +527,35 @@ impl FftWorker {
 // Driver-side handle
 // ---------------------------------------------------------------------
 
+/// Wait for every construction in `pending`, recording in `made` each that
+/// succeeded; the first error wins once all have answered.
+fn join_recorded<C: RemoteClient>(
+    ctx: &mut NodeCtx,
+    pending: Vec<PendingClient<C>>,
+    made: &mut Vec<ObjRef>,
+) -> RemoteResult<Vec<C>> {
+    let mut waited = Vec::with_capacity(pending.len());
+    for p in pending {
+        let client = p.wait(ctx);
+        if let Ok(c) = &client {
+            made.push(c.obj_ref());
+        }
+        waited.push(client);
+    }
+    waited.into_iter().collect()
+}
+
 /// Driver handle for a group of FFT worker processes — the paper's master
 /// program, packaged.
 #[derive(Debug)]
 pub struct DistributedFft3 {
     shape: [u64; 3],
     parts: usize,
-    workers: ProcessGroup<FftWorkerClient>,
+    pub(crate) workers: ProcessGroup<FftWorkerClient>,
     inboxes: ProcessGroup<BlockInboxClient>,
+    /// Transforms begun: attempt `a` runs exchanges `2(a − 1)` and
+    /// `2(a − 1) + 1`, so `2a` is above every exchange it could have sent.
+    attempts: Cell<u64>,
 }
 
 impl DistributedFft3 {
@@ -530,23 +568,43 @@ impl DistributedFft3 {
     /// machine, round-robin), then `SetGroup` each with the deep-copied
     /// tables.
     ///
-    /// `shape[0]` and `shape[1]` must be divisible by `parts`.
+    /// `shape[0]` and `shape[1]` must be divisible by `parts`. On any error
+    /// every process created so far is destroyed before it is returned.
     pub fn new(ctx: &mut NodeCtx, shape: [u64; 3], parts: usize) -> RemoteResult<Self> {
         if parts == 0 {
             return Err(RemoteError::app("need at least one FFT process"));
         }
-        let workers_count = ctx.workers();
+        let mut made = Vec::with_capacity(2 * parts);
+        let group = Self::create(ctx, shape, parts, &mut made);
+        if group.is_err() {
+            // Best effort: the error that matters is the one being returned.
+            let destroys = made.iter().map(|&obj| ctx.start_destroy(obj));
+            let destroys: Vec<_> = destroys.filter_map(Result::ok).collect();
+            let _ = join(ctx, destroys);
+        }
+        group
+    }
+
+    /// The processes of [`new`](Self::new), each one recorded in `made` as
+    /// soon as its constructor has answered.
+    fn create(
+        ctx: &mut NodeCtx,
+        shape: [u64; 3],
+        parts: usize,
+        made: &mut Vec<ObjRef>,
+    ) -> RemoteResult<Self> {
+        let machines = ctx.workers();
         // for (id = 0; id < N; id++) fft[id] = new(machine id) FFT(id);
         let mut pending_inboxes = Vec::with_capacity(parts);
         for id in 0..parts {
-            pending_inboxes.push(BlockInboxClient::new_on_async(ctx, id % workers_count)?);
+            pending_inboxes.push(BlockInboxClient::new_on_async(ctx, id % machines)?);
         }
-        let inboxes = oopp::join_clients(ctx, pending_inboxes)?;
+        let inboxes = join_recorded(ctx, pending_inboxes, made)?;
         let mut pending_workers = Vec::with_capacity(parts);
         for id in 0..parts {
             pending_workers.push(FftWorkerClient::new_on_async(
                 ctx,
-                id % workers_count,
+                id % machines,
                 id as u64,
                 shape[0],
                 shape[1],
@@ -554,7 +612,7 @@ impl DistributedFft3 {
                 parts as u64,
             )?);
         }
-        let workers = ProcessGroup::from_members(oopp::join_clients(ctx, pending_workers)?);
+        let workers = ProcessGroup::from_members(join_recorded(ctx, pending_workers, made)?);
         // for (id = 0; id < N; id++) fft[id]->SetGroup(N, fft);
         workers.par_each(ctx, |ctx, w, _| {
             w.set_group_async(ctx, workers.members().to_vec(), inboxes.clone())
@@ -564,6 +622,7 @@ impl DistributedFft3 {
             parts,
             workers,
             inboxes: ProcessGroup::from_members(inboxes),
+            attempts: Cell::new(0),
         })
     }
 
@@ -629,12 +688,24 @@ impl DistributedFft3 {
     /// group is joined between the three internal phases (local FFTs,
     /// transpose+axis-0, transpose back) so any number of workers may
     /// share a machine without deadlock.
+    ///
+    /// A transform that fails part-way leaves no worker mid-phase: before
+    /// its error is returned every worker is restarted at one exchange
+    /// epoch above all this group has used, so the next transform runs
+    /// (and a take drops the blocks the failed one left in an inbox).
     pub fn transform(&self, ctx: &mut NodeCtx, dir: Direction) -> RemoteResult<()> {
+        let attempt = self.attempts.get() + 1;
+        self.attempts.set(attempt);
         let (sign, fft) = (dir.sign() as i64, &self.workers);
-        fft.par_each(ctx, |ctx, w, _| w.transform_local_async(ctx, sign))?;
-        fft.par_each(ctx, |ctx, w, _| w.transform_exchange_async(ctx, sign))?;
-        fft.par_each(ctx, |ctx, w, _| w.transform_finish_async(ctx))?;
-        Ok(())
+        let phases = fft
+            .par_each(ctx, |ctx, w, _| w.transform_local_async(ctx, sign))
+            .and_then(|_| fft.par_each(ctx, |ctx, w, _| w.transform_exchange_async(ctx, sign)))
+            .and_then(|_| fft.par_each(ctx, |ctx, w, _| w.transform_finish_async(ctx)));
+        if phases.is_err() {
+            // Best effort: the error that matters is the phase's.
+            let _ = fft.par_each(ctx, |ctx, w, _| w.restart_async(ctx, 2 * attempt));
+        }
+        phases.map(drop)
     }
 
     /// Destroy the worker and inbox processes.

@@ -69,19 +69,14 @@ impl Grid3 {
     pub fn data_mut(&mut self) -> &mut [Complex] {
         &mut self.data
     }
-
-    /// Consume into the flat buffer.
-    pub fn into_data(self) -> Vec<Complex> {
-        self.data
-    }
 }
 
 /// 3-D FFT plan: a 2-D plan for the `n2 × n3` planes and a 1-D plan for
 /// axis 0.
 ///
 /// The two passes are public because a slab decomposition runs them apart,
-/// with a transpose between: [`FftWorker`](crate::FftWorker) and the
-/// message-passing baseline call the same two functions
+/// with a transpose between: [`FftWorker`](crate::FftWorker) (axis 0 over
+/// a row table) and the message-passing baseline call the same two sweeps
 /// [`process`](Self::process) does.
 #[derive(Debug, Clone)]
 pub struct Fft3 {
@@ -137,6 +132,18 @@ impl Fft3 {
     pub fn process_axis0(&self, columns: &mut [Complex], dir: Direction) {
         let width = columns.len() / self.shape[0];
         self.axis0.process_columns(columns, width, dir);
+    }
+
+    /// Axis 0 over a row table: `rows[i]` is plane `i`'s part of the
+    /// columns, wherever it lies — in a slab-decomposed transform, a run of
+    /// the worker's own slab for its own planes and a row of the receive
+    /// buffer for every other plane. The same sweep as
+    /// [`process_axis0`](Self::process_axis0), value for value.
+    ///
+    /// # Panics
+    /// If `rows` is not `n1` rows of one width.
+    pub(crate) fn process_axis0_rows(&self, rows: &mut [&mut [Complex]], dir: Direction) {
+        self.axis0.process_table(rows, dir);
     }
 
     /// Out-of-place convenience.

@@ -287,8 +287,9 @@ fn in_build<T>(baseline: bool, f: impl FnOnce() -> T) -> T {
 }
 
 /// Both builds of the sweep `==` the old kernels, for every kind of line:
-/// one line, rows (tile edges: fewer rows than a run, a run and one more,
-/// a plane's worth), columns (the widths above). Radix-4 at n = 4…1 024,
+/// one line, rows (block edges: fewer rows than a run, a run and one more,
+/// the row scratch's width and one more, a plane's worth), columns (the
+/// widths above). Radix-4 at n = 4…1 024,
 /// radix-2 at n = 2…512 — powers of four included, where no plan picks it.
 /// On an AVX2 host nothing else runs the baseline build.
 #[test]
@@ -323,8 +324,10 @@ fn both_builds_of_the_kernel_equal_the_old_kernels() {
                     None => r2.process(&mut new, dir),
                 });
                 assert!(new == old, "line, {what}");
-                // Rows.
-                for rows in [1, tile::RUN - 1, tile::RUN, tile::RUN + 1, 64] {
+                // Rows: fewer than a run, a run and one more, a scratch's
+                // worth and one more, a plane's worth.
+                let (run, scratch) = (tile::RUN, tile::ROWS);
+                for rows in [1, run - 1, run, run + 1, scratch, scratch + 1, 64] {
                     let x = seeded(n * rows, (n + rows) as u64);
                     let mut old = x.clone();
                     old.chunks_exact_mut(n).for_each(|row| reference(row, dir));
@@ -359,4 +362,98 @@ fn both_builds_of_the_kernel_equal_the_old_kernels() {
 #[should_panic(expected = "not whole rows of 4")]
 fn rows_reject_a_buffer_that_is_not_whole_rows() {
     Fft::new(4).process_rows(&mut [Complex::ZERO; 6], Direction::Forward);
+}
+
+/// Where the rows of an `n`-row table lie in two buffers, in the order they
+/// are placed there: `(row, buffer, gap before it)`. The rows go in a
+/// scrambled order (`7k + 3 mod n`, a permutation while 7 does not divide
+/// `n`), each into buffer 0 or 1 by no stride a kernel could follow, a gap
+/// of 0–2 values after the row before it — the way a worker's table finds
+/// runs of its slab and rows of a receive buffer.
+fn spread_layout(n: usize) -> Vec<(usize, usize, usize)> {
+    assert!(!n.is_multiple_of(7));
+    (0..n)
+        .map(|k| ((7 * k + 3) % n, (k * k / 3) % 2, (5 * k) % 3))
+        .collect()
+}
+
+/// The rows of the `[n][width]` matrix `x` written into two buffers as
+/// [`spread_layout`] places them; every gap holds a value no transform of
+/// these inputs makes.
+fn spread(x: &[Complex], n: usize, width: usize) -> [Vec<Complex>; 2] {
+    let junk = c64(1e300, -1e300);
+    let mut buffers = [Vec::new(), Vec::new()];
+    for (row, buffer, gap) in spread_layout(n) {
+        let buffer = &mut buffers[buffer];
+        buffer.extend(std::iter::repeat_n(junk, gap));
+        buffer.extend_from_slice(&x[row * width..][..width]);
+    }
+    buffers
+}
+
+/// The row table of what [`spread`] wrote: row `i` where it put row `i`.
+fn spread_table(buffers: &mut [Vec<Complex>; 2], n: usize, width: usize) -> Vec<&mut [Complex]> {
+    let mut rest = buffers.each_mut().map(|b| b.as_mut_slice());
+    let mut rows: Vec<Option<&mut [Complex]>> = (0..n).map(|_| None).collect();
+    for (row, buffer, gap) in spread_layout(n) {
+        let here = std::mem::take(&mut rest[buffer]);
+        let (this, after) = here[gap..].split_at_mut(width);
+        rows[row] = Some(this);
+        rest[buffer] = after;
+    }
+    rows.into_iter().map(Option::unwrap).collect()
+}
+
+/// The row table form of every plan, in both builds, `==` the old kernels
+/// line by line, with the rows spread over two buffers at arbitrary offsets
+/// in a scrambled order (as a worker's axis-0 table finds them: runs of its
+/// slab, rows of what it received) — and nothing between the rows touched.
+/// Radix-4, radix-2 (at powers of four too, where no plan picks it) and
+/// Bluestein sizes.
+#[test]
+fn row_tables_anywhere_equal_the_old_kernels() {
+    let pow2 = (1..=7).map(|k| 1usize << k);
+    let bluestein = [12usize, 60];
+    for baseline in [false, true] {
+        for n in pow2.clone().chain(bluestein) {
+            let plan = Fft::new(n);
+            for width in [1usize, 3, 65, 130] {
+                for dir in BOTH {
+                    let what = format!("n={n} width={width} {dir:?} baseline={baseline}");
+                    let x = seeded(n * width, (3 * n + width) as u64);
+                    let mut old = x.clone();
+                    if plan.is_radix2() {
+                        columns_by_line(&mut old, width, |line| pow2_reference(line, dir));
+                    } else {
+                        columns_by_line(&mut old, width, |line| plan.process(line, dir));
+                    }
+                    let mut new = spread(&x, n, width);
+                    in_build(baseline, || {
+                        plan.process_table(&mut spread_table(&mut new, n, width), dir)
+                    });
+                    assert!(new == spread(&old, n, width), "{what}");
+                    if !n.is_power_of_two() {
+                        continue;
+                    }
+                    let mut old = x.clone();
+                    columns_by_line(&mut old, width, |line| radix2_reference(line, dir));
+                    let mut new = spread(&x, n, width);
+                    in_build(baseline, || {
+                        let rows = &mut spread_table(&mut new, n, width);
+                        Radix2::new(n).process_table(rows, dir)
+                    });
+                    assert!(new == spread(&old, n, width), "radix-2, {what}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "a row table must be 4 rows of one width")]
+fn a_row_table_of_unequal_rows_is_refused() {
+    let mut rows = [[Complex::ZERO; 3]; 4];
+    let [a, b, c, d] = rows.each_mut().map(|row| &mut row[..]);
+    let mut table = [a, b, c, &mut d[..2]];
+    Fft::new(4).process_table(&mut table, Direction::Forward);
 }

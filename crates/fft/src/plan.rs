@@ -5,7 +5,7 @@ use crate::complex::Complex;
 use crate::dft::Direction;
 use crate::radix2::Radix2;
 use crate::radix4::{is_power_of_four, Radix4};
-use crate::tile::assert_whole_rows;
+use crate::tile::{assert_whole_rows, row_table};
 
 #[derive(Debug, Clone)]
 enum Strategy {
@@ -97,7 +97,22 @@ impl Fft {
         match &self.strategy {
             Strategy::Radix2(p) => p.process_columns(data, width, dir),
             Strategy::Radix4(p) => p.process_columns(data, width, dir),
-            Strategy::Bluestein(p) => p.process_columns(data, width, dir),
+            Strategy::Bluestein(p) => p.process_table(&mut row_table(data, self.n, width), dir),
+        }
+    }
+
+    /// Transform every column of the row table `rows` in place: `n` rows of
+    /// one width, each wherever it lies — the runs of a slab and the rows
+    /// of a receive buffer, say — through the sweep
+    /// [`process_columns`](Self::process_columns) runs, value for value.
+    ///
+    /// # Panics
+    /// If `rows` is not `n` rows of one width.
+    pub(crate) fn process_table(&self, rows: &mut [&mut [Complex]], dir: Direction) {
+        match &self.strategy {
+            Strategy::Radix2(p) => p.process_table(rows, dir),
+            Strategy::Radix4(p) => p.process_table(rows, dir),
+            Strategy::Bluestein(p) => p.process_table(rows, dir),
         }
     }
 

@@ -2,14 +2,14 @@
 //!
 //! Laid out like [`Radix4`](crate::radix4::Radix4): the bit reversal, the
 //! twiddles per stage in the order they are read, a conjugated copy for the
-//! inverse, a first stage that multiplies nothing, one sweep of
-//! `tile.rs` for lines, rows and columns.
+//! inverse, a first stage that multiplies nothing, the inverse's `1/n` in
+//! the last stage, one sweep of `tile.rs` for lines, rows and columns.
 
 use std::ops::Range;
 
 use crate::complex::Complex;
 use crate::dft::Direction;
-use crate::tile::{runs, sweep, Butterfly, Lines, Run, Stages, Twiddle};
+use crate::tile::{runs, sweep, Butterfly, Lines, Rows, Run, Stages, Twiddle};
 
 /// Precomputed machinery for power-of-two transforms.
 #[derive(Debug, Clone)]
@@ -24,16 +24,48 @@ pub struct Radix2 {
 }
 
 /// One butterfly: row 1 times its twiddle (none in the first stage), then
-/// sum and difference.
-struct Pair(Option<Twiddle>);
+/// sum and difference, each times `scale` when `SCALED` (the inverse's
+/// last stage).
+struct Pair<const SCALED: bool> {
+    twiddle: Option<Twiddle>,
+    scale: f64,
+}
 
-impl Butterfly<2> for Pair {
+impl<const SCALED: bool> Butterfly<2> for Pair<SCALED> {
     #[inline(always)]
     fn run<const R: usize>(&self, [a, mut b]: [Run<R>; 2]) -> [Run<R>; 2] {
-        if let Some(w) = self.0 {
+        if let Some(w) = self.twiddle {
             b = b.twiddle(w);
         }
-        [a + b, a - b]
+        let out = [a + b, a - b];
+        if SCALED {
+            out.map(|run| run.scale(self.scale))
+        } else {
+            out
+        }
+    }
+}
+
+impl Radix2 {
+    /// One stage: the butterflies of every group of `2·half` rows.
+    #[inline(always)]
+    fn stage<'a, const SCALED: bool>(
+        &self,
+        mut rows: impl Rows<'a>,
+        half: usize,
+        twiddles: &[Twiddle],
+        cols: &Range<usize>,
+    ) {
+        let scale = 1.0 / self.n as f64;
+        for _ in 0..self.n / (2 * half) {
+            let group;
+            (group, rows) = rows.split(2 * half);
+            let (lo, hi) = group.split(half);
+            for (j, (r0, r1)) in lo.each().zip(hi.each()).enumerate() {
+                let twiddle = twiddles.get(j).copied();
+                runs(Pair::<SCALED> { twiddle, scale }, [r0, r1], cols);
+            }
+        }
     }
 }
 
@@ -43,18 +75,16 @@ impl Stages for Radix2 {
     }
 
     #[inline(always)]
-    fn stages<const INVERSE: bool>(&self, data: &mut [Complex], width: usize, cols: &Range<usize>) {
+    fn stages<'a, const INVERSE: bool>(&self, mut rows: impl Rows<'a>, cols: &Range<usize>) {
         let mut twiddles = &self.twiddles[INVERSE as usize][..];
         let mut half = 1;
         while 2 * half <= self.n {
             let stage;
             (stage, twiddles) = twiddles.split_at(if half == 1 { 0 } else { half });
-            for group in data.chunks_exact_mut(2 * half * width) {
-                let (lo, hi) = group.split_at_mut(half * width);
-                let rows = lo.chunks_exact_mut(width).zip(hi.chunks_exact_mut(width));
-                for (j, (r0, r1)) in rows.enumerate() {
-                    runs(Pair(stage.get(j).copied()), [r0, r1], cols);
-                }
+            if INVERSE && 2 * half == self.n {
+                self.stage::<true>(rows.by_ref(), half, stage, cols);
+            } else {
+                self.stage::<false>(rows.by_ref(), half, stage, cols);
             }
             half *= 2;
         }
@@ -110,7 +140,7 @@ impl Radix2 {
     /// If `data.len() != self.len()`.
     pub fn process(&self, data: &mut [Complex], dir: Direction) {
         assert_eq!(data.len(), self.n, "buffer length must equal plan size");
-        sweep(self, data, Lines::Columns(1), dir);
+        sweep(self, Lines::Columns(data, 1), dir);
     }
 
     /// Transform every column of the row-major `[n][width]` matrix `data`
@@ -119,7 +149,17 @@ impl Radix2 {
     /// # Panics
     /// If `data.len() != self.len() * width`.
     pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
-        sweep(self, data, Lines::Columns(width), dir);
+        sweep(self, Lines::Columns(data, width), dir);
+    }
+
+    /// Transform every column of the row table `rows` — `n` rows of one
+    /// width, each wherever it lies — in place, as
+    /// [`process_columns`](Self::process_columns) does a matrix's.
+    ///
+    /// # Panics
+    /// If `rows` is not `n` rows of one width.
+    pub(crate) fn process_table(&self, rows: &mut [&mut [Complex]], dir: Direction) {
+        sweep(self, Lines::Table(rows), dir);
     }
 
     /// Transform every row of the row-major `[rows][n]` matrix `data` in
@@ -128,7 +168,7 @@ impl Radix2 {
     /// # Panics
     /// If `data` is not whole rows of `n`.
     pub fn process_rows(&self, data: &mut [Complex], dir: Direction) {
-        sweep(self, data, Lines::Rows, dir);
+        sweep(self, Lines::Rows(data), dir);
     }
 }
 

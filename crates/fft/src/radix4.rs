@@ -7,14 +7,15 @@
 //! digit reversal, and per stage the three twiddles of each butterfly side
 //! by side, once as they are and once conjugated for the inverse. The first
 //! stage's twiddles are all 1 and it multiplies nothing; `±i` is a swap and
-//! a negation. Lines, rows and columns all go through the one sweep of
-//! `tile.rs`, a run of values per butterfly.
+//! a negation; the inverse's last stage multiplies its outputs by `1/n`.
+//! Lines, rows and columns all go through the one sweep of `tile.rs`, a run
+//! of values per butterfly.
 
 use std::ops::Range;
 
 use crate::complex::Complex;
 use crate::dft::Direction;
-use crate::tile::{runs, sweep, Butterfly, Lines, Run, Stages, Twiddle};
+use crate::tile::{runs, sweep, Butterfly, Lines, Rows, Run, Stages, Twiddle};
 
 /// Precomputed radix-4 plan.
 #[derive(Debug, Clone)]
@@ -34,24 +35,59 @@ pub fn is_power_of_four(n: usize) -> bool {
 }
 
 /// One butterfly: rows 1–3 times their twiddles (none in the first stage,
-/// whose twiddles are all 1), then the four outputs. The rotation of
-/// `b - d` is by `-i` forward and by `+i` inverse.
-struct Quad<const INVERSE: bool>(Option<[Twiddle; 3]>);
+/// whose twiddles are all 1), then the four outputs, each times `scale`
+/// when `SCALED` (the inverse's last stage). The rotation of `b - d` is by
+/// `-i` forward and by `+i` inverse.
+struct Quad<const INVERSE: bool, const SCALED: bool> {
+    twiddles: Option<[Twiddle; 3]>,
+    scale: f64,
+}
 
-impl<const INVERSE: bool> Butterfly<4> for Quad<INVERSE> {
+impl<const INVERSE: bool, const SCALED: bool> Butterfly<4> for Quad<INVERSE, SCALED> {
     #[inline(always)]
     fn run<const R: usize>(&self, [a, mut b, mut c, mut d]: [Run<R>; 4]) -> [Run<R>; 4] {
-        if let Some([wb, wc, wd]) = self.0 {
+        if let Some([wb, wc, wd]) = self.twiddles {
             [b, c, d] = [b.twiddle(wb), c.twiddle(wc), d.twiddle(wd)];
         }
         let (ac_sum, ac_diff) = (a + c, a - c);
         let (bd_sum, bd_diff) = (b + d, (b - d).rotate::<INVERSE>());
-        [
+        let out = [
             ac_sum + bd_sum,
             ac_diff + bd_diff,
             ac_sum - bd_sum,
             ac_diff - bd_diff,
-        ]
+        ];
+        if SCALED {
+            out.map(|run| run.scale(self.scale))
+        } else {
+            out
+        }
+    }
+}
+
+impl Radix4 {
+    /// One stage: the butterflies of every group of `4·quarter` rows.
+    #[inline(always)]
+    fn stage<'a, const INVERSE: bool, const SCALED: bool>(
+        &self,
+        mut rows: impl Rows<'a>,
+        quarter: usize,
+        twiddles: &[[Twiddle; 3]],
+        cols: &Range<usize>,
+    ) {
+        let scale = 1.0 / self.n as f64;
+        for _ in 0..self.n / (4 * quarter) {
+            let group;
+            (group, rows) = rows.split(4 * quarter);
+            let (lo, hi) = group.split(2 * quarter);
+            let ((q0, q1), (q2, q3)) = (lo.split(quarter), hi.split(quarter));
+            let quads = q0.each().zip(q1.each()).zip(q2.each()).zip(q3.each());
+            for (j, (((r0, r1), r2), r3)) in quads.enumerate() {
+                let twiddles = twiddles.get(j).copied();
+                let butterfly = Quad::<INVERSE, SCALED> { twiddles, scale };
+                runs(butterfly, [r0, r1, r2, r3], cols);
+            }
+        }
     }
 }
 
@@ -61,21 +97,16 @@ impl Stages for Radix4 {
     }
 
     #[inline(always)]
-    fn stages<const INVERSE: bool>(&self, data: &mut [Complex], width: usize, cols: &Range<usize>) {
+    fn stages<'a, const INVERSE: bool>(&self, mut rows: impl Rows<'a>, cols: &Range<usize>) {
         let mut twiddles = &self.twiddles[INVERSE as usize][..];
         let mut quarter = 1;
         while 4 * quarter <= self.n {
             let stage;
             (stage, twiddles) = twiddles.split_at(if quarter == 1 { 0 } else { quarter });
-            let rows = quarter * width;
-            for group in data.chunks_exact_mut(4 * rows) {
-                let (lo, hi) = group.split_at_mut(2 * rows);
-                let ((q0, q1), (q2, q3)) = (lo.split_at_mut(rows), hi.split_at_mut(rows));
-                let [q0, q1, q2, q3] = [q0, q1, q2, q3].map(|q| q.chunks_exact_mut(width));
-                for (j, (((r0, r1), r2), r3)) in q0.zip(q1).zip(q2).zip(q3).enumerate() {
-                    let butterfly = Quad::<INVERSE>(stage.get(j).copied());
-                    runs(butterfly, [r0, r1, r2, r3], cols);
-                }
+            if INVERSE && 4 * quarter == self.n {
+                self.stage::<INVERSE, true>(rows.by_ref(), quarter, stage, cols);
+            } else {
+                self.stage::<INVERSE, false>(rows.by_ref(), quarter, stage, cols);
             }
             quarter *= 4;
         }
@@ -141,7 +172,7 @@ impl Radix4 {
     /// If `data.len() != self.len()`.
     pub fn process(&self, data: &mut [Complex], dir: Direction) {
         assert_eq!(data.len(), self.n, "buffer length must equal plan size");
-        sweep(self, data, Lines::Columns(1), dir);
+        sweep(self, Lines::Columns(data, 1), dir);
     }
 
     /// Transform every column of the row-major `[n][width]` matrix `data`
@@ -150,7 +181,17 @@ impl Radix4 {
     /// # Panics
     /// If `data.len() != self.len() * width`.
     pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
-        sweep(self, data, Lines::Columns(width), dir);
+        sweep(self, Lines::Columns(data, width), dir);
+    }
+
+    /// Transform every column of the row table `rows` — `n` rows of one
+    /// width, each wherever it lies — in place, as
+    /// [`process_columns`](Self::process_columns) does a matrix's.
+    ///
+    /// # Panics
+    /// If `rows` is not `n` rows of one width.
+    pub(crate) fn process_table(&self, rows: &mut [&mut [Complex]], dir: Direction) {
+        sweep(self, Lines::Table(rows), dir);
     }
 
     /// Transform every row of the row-major `[rows][n]` matrix `data` in
@@ -159,7 +200,7 @@ impl Radix4 {
     /// # Panics
     /// If `data` is not whole rows of `n`.
     pub fn process_rows(&self, data: &mut [Complex], dir: Direction) {
-        sweep(self, data, Lines::Rows, dir);
+        sweep(self, Lines::Rows(data), dir);
     }
 }
 

@@ -344,10 +344,12 @@ fn distributed_equals_local_element_for_element() {
 
 /// The phases of one two-worker 64³ `transform` as the workers run them,
 /// without the runtime: `process_planes` on each slab, the forward
-/// transpose (a worker's own block slab → `gathered`; the other's gathered
-/// into a message buffer and scattered out of it), `process_axis0`, the
-/// transpose back. Six block copies of 1 MiB per worker and transform.
-/// Returns the time spent in (planes, axis 0, copies).
+/// transpose (a block that leaves its worker gathered from the slab into a
+/// message buffer and scattered out of it into the receiver's `gathered`),
+/// axis 0 over each worker's row table (its own block where it lies in its
+/// slab, the other's in `gathered`), the transpose back. Four block copies
+/// of 1 MiB per worker and transform. Returns the time spent in (planes,
+/// axis 0, copies).
 fn replay_transform(
     plan: &Fft3,
     dir: Direction,
@@ -359,8 +361,10 @@ fn replay_transform(
     let [n1, n2, n3] = plan.shape();
     let parts = slabs.len();
     let (s1, s2) = (n1 / parts, n2 / parts);
-    let (block, rows) = (s1 * s2 * n3, s2 * n3);
+    let (block, row) = (s1 * s2 * n3, s2 * n3);
     let run = |i: usize, q: usize| (i * n2 + q * s2) * n3;
+    // Where worker q keeps worker p's block: `gathered` skips q's own.
+    let slot = |p: usize, q: usize| if p < q { p } else { p - 1 };
 
     let t0 = Instant::now();
     for slab in slabs.iter_mut() {
@@ -369,30 +373,33 @@ fn replay_transform(
     let t1 = Instant::now();
     for (p, slab) in slabs.iter().enumerate() {
         for (q, into) in gathered.iter_mut().enumerate() {
-            let into = &mut into[p * block..][..block];
-            let target = if p == q { &mut *into } else { &mut *message };
-            for (i, dst) in target.chunks_exact_mut(rows).enumerate() {
-                dst.copy_from_slice(&slab[run(i, q)..][..rows]);
+            if p == q {
+                continue;
             }
-            if p != q {
-                into.copy_from_slice(message);
+            for (i, dst) in message.chunks_exact_mut(row).enumerate() {
+                dst.copy_from_slice(&slab[run(i, q)..][..row]);
             }
+            into[slot(p, q) * block..][..block].copy_from_slice(message);
         }
     }
     let t2 = Instant::now();
-    for columns in gathered.iter_mut() {
-        plan.process_axis0(columns, dir);
+    for (q, (slab, others)) in slabs.iter_mut().zip(gathered.iter_mut()).enumerate() {
+        let planes = slab.chunks_exact_mut(n2 * n3);
+        let own = planes.map(|plane| &mut plane[q * row..][..row]);
+        let (before, after) = others.split_at_mut(q * block);
+        let (before, after) = (before.chunks_exact_mut(row), after.chunks_exact_mut(row));
+        let mut rows: Vec<&mut [Complex]> = before.chain(own).chain(after).collect();
+        plan.process_axis0_rows(&mut rows, dir);
     }
     let t3 = Instant::now();
     for (q, from) in gathered.iter().enumerate() {
         for (p, slab) in slabs.iter_mut().enumerate() {
-            let mut back = &from[p * block..][..block];
-            if p != q {
-                message.copy_from_slice(back);
-                back = message;
+            if p == q {
+                continue;
             }
-            for (i, row) in back.chunks_exact(rows).enumerate() {
-                slab[run(i, q)..][..rows].copy_from_slice(row);
+            message.copy_from_slice(&from[slot(p, q) * block..][..block]);
+            for (i, back) in message.chunks_exact(row).enumerate() {
+                slab[run(i, q)..][..row].copy_from_slice(back);
             }
         }
     }
@@ -422,7 +429,7 @@ fn replay_of_one_fft3d_op_splits_worker_time_into_arithmetic_and_copies() {
             .collect::<Vec<_>>()
     };
     let mut slabs = load();
-    let mut gathered = vec![vec![Complex::ZERO; cells / PARTS]; PARTS];
+    let mut gathered = vec![vec![Complex::ZERO; cells / PARTS / PARTS * (PARTS - 1)]; PARTS];
     let mut message = vec![Complex::ZERO; cells / PARTS / PARTS];
     // One transform, in the dispatched build or in the baseline build.
     let mut op = |baseline: bool, dir, slabs: &mut [Vec<Complex>]| {
@@ -467,6 +474,58 @@ fn replay_of_one_fft3d_op_splits_worker_time_into_arithmetic_and_copies() {
     }
     println!("this host dispatches to the {} build", builds[0]);
     assert!(max_error(&slabs.concat(), grid.data()) < 1e-9);
+}
+
+/// A `new` whose workers refuse to be built — a shape the slabs do not
+/// divide, a grid too large to allocate — used to return its error with
+/// every process it had made still alive: the inboxes, and any worker
+/// that was built. Now it destroys them first, and a later group starts
+/// from the same count of live objects.
+#[test]
+fn a_refused_new_leaves_no_process_behind() {
+    let (cluster, mut driver) = cluster(2);
+    let d = &mut driver;
+    let live =
+        |d: &mut Driver| -> u64 { (0..2).map(|m| d.stats_of(m).unwrap().objects_live).sum() };
+    let before = live(d);
+    let refused = DistributedFft3::new(d, [6, 4, 4], 4).map(drop);
+    app_error(refused, "not divisible into 4 slabs");
+    assert_eq!(live(d), before, "an indivisible shape");
+    let refused = DistributedFft3::new(d, [1 << 20; 3], 2).map(drop);
+    app_error(refused, "no memory for a");
+    assert_eq!(live(d), before, "a grid too large to allocate");
+
+    let dfft = DistributedFft3::new(d, [4, 4, 4], 2).unwrap();
+    assert_eq!(live(d), before + 4, "two workers, two inboxes");
+    dfft.destroy(d).unwrap();
+    assert_eq!(live(d), before);
+    cluster.shutdown(driver);
+}
+
+/// A transform that failed part-way used to leave a worker mid-phase, and a
+/// worker mid-phase refuses every later `transform_local` as out of order:
+/// the group was wedged for good, however often the driver retried. Here
+/// worker 1 runs a phase 1 on its own, as a transform that failed after
+/// it would leave it. The next transform fails, as it must; it leaves the
+/// group restarted, and the one after it equals `Fft3`'s.
+#[test]
+fn a_transform_that_fails_part_way_does_not_wedge_the_group() {
+    let shape = [8usize, 8, 4];
+    let grid = sample_grid(shape, 13);
+    let expected = Fft3::new(shape).transform(&grid, Direction::Forward);
+    let (cluster, mut driver) = cluster(2);
+    let d = &mut driver;
+    let dfft = DistributedFft3::new(d, [8, 8, 4], 2).unwrap();
+    dfft.scatter(d, grid.data()).unwrap();
+    dfft.transform(d, Direction::Forward).unwrap();
+
+    dfft.workers.member(1).transform_local(d, -1).unwrap();
+    app_error(dfft.transform(d, Direction::Forward), "out of order");
+    // Both failures moved slab planes: start from the grid again.
+    dfft.scatter(d, grid.data()).unwrap();
+    dfft.transform(d, Direction::Forward).unwrap();
+    assert!(dfft.gather(d).unwrap() == expected.data());
+    cluster.shutdown(driver);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! The one sweep both power-of-two kernels run, for every kind of line —
-//! the columns of a row-major `[n][width]` matrix, its rows, a single line —
-//! and everything about it that is not a radix's own butterflies: tiles of
+//! the columns of a row-major `[n][width]` matrix or of a table of rows,
+//! the rows of a row-major `[rows][n]` matrix, a single line — and
+//! everything about it that is not a radix's own butterflies: tiles of
 //! columns, runs of values per butterfly, the transposed row scratch, the
 //! twiddles' form and the two builds (DESIGN §4 3d). Every output is bit
 //! for bit what a line-at-a-time kernel computes.
@@ -20,45 +21,132 @@ const TILE: usize = 64;
 /// build spills its locals (DESIGN §4 3d).
 pub(crate) const RUN: usize = 2;
 
+/// Rows a row pass transposes into its scratch at a time: the scratch's
+/// width, so each load of a butterfly's twiddles serves `ROWS / RUN` runs.
+/// A constant, not a parameter: measured against 2, 4 and 16 (DESIGN §4 3d).
+pub(crate) const ROWS: usize = 8;
+
 /// One radix's butterflies, as the sweep drives them.
 pub(crate) trait Stages {
     /// `reversal()[i]` is the index whose value the stages expect at `i`;
     /// its length is the transform's size.
     fn reversal(&self) -> &[u32];
 
-    /// Every stage's butterflies, unscaled, on columns `cols` of the
-    /// row-major `[n][width]` matrix `data`, whose rows are in reversed
-    /// order. Implementations are `#[inline(always)]`, so that each build
-    /// of the sweep compiles them for its own target features.
-    fn stages<const INVERSE: bool>(&self, data: &mut [Complex], width: usize, cols: &Range<usize>);
+    /// Every stage's butterflies on columns `cols` of the `n` rows `rows`,
+    /// whose contents are in reversed order; the inverse's last stage
+    /// scales its outputs by `1/n`. Implementations are `#[inline(always)]`,
+    /// so that each build of the sweep compiles them for its own target
+    /// features.
+    fn stages<'a, const INVERSE: bool>(&self, rows: impl Rows<'a>, cols: &Range<usize>);
 }
 
-/// One butterfly of a stage: what it makes of `ROWS` runs, one per row.
+/// One butterfly of a stage: what it makes of `N` runs, one per row.
 /// Passed by value, so that its twiddles stay in registers.
-pub(crate) trait Butterfly<const ROWS: usize> {
+pub(crate) trait Butterfly<const N: usize> {
     /// The butterfly on runs of `R` values. `#[inline(always)]`.
-    fn run<const R: usize>(&self, runs: [Run<R>; ROWS]) -> [Run<R>; ROWS];
+    fn run<const R: usize>(&self, runs: [Run<R>; N]) -> [Run<R>; N];
 }
 
-/// Where the values of a buffer's transforms lie.
-#[derive(Clone, Copy)]
-pub(crate) enum Lines {
-    /// Down the columns of a row-major `[n][width]` matrix.
-    Columns(usize),
+/// Rows of one width a sweep runs down, wherever they lie: the rows of a
+/// row-major matrix ([`Matrix`]), or a table of row slices. The sweep is
+/// written once over this and compiled for each: a table costs a load per
+/// row per butterfly, which a matrix computes (DESIGN §4 3d).
+pub(crate) trait Rows<'a>: Sized {
+    /// Each row, in order.
+    fn each(self) -> impl Iterator<Item = &'a mut [Complex]>;
+    /// The first `mid` rows, and the rest.
+    fn split(self, mid: usize) -> (Self, Self);
+    /// The same rows, borrowed for a shorter while.
+    fn by_ref(&mut self) -> impl Rows<'_>;
+}
+
+/// The rows of a row-major `[rows][width]` matrix, `width > 0`.
+pub(crate) struct Matrix<'a> {
+    data: &'a mut [Complex],
+    width: usize,
+}
+
+impl<'a> Rows<'a> for Matrix<'a> {
+    #[inline(always)]
+    fn each(self) -> impl Iterator<Item = &'a mut [Complex]> {
+        self.data.chunks_exact_mut(self.width)
+    }
+
+    #[inline(always)]
+    fn split(self, mid: usize) -> (Self, Self) {
+        let (lo, hi) = self.data.split_at_mut(mid * self.width);
+        let width = self.width;
+        (Matrix { data: lo, width }, Matrix { data: hi, width })
+    }
+
+    #[inline(always)]
+    fn by_ref(&mut self) -> impl Rows<'_> {
+        Matrix {
+            data: &mut *self.data,
+            width: self.width,
+        }
+    }
+}
+
+impl<'a> Rows<'a> for &'a mut [&mut [Complex]] {
+    #[inline(always)]
+    fn each(self) -> impl Iterator<Item = &'a mut [Complex]> {
+        self.iter_mut().map(|row| &mut **row)
+    }
+
+    #[inline(always)]
+    fn split(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+
+    #[inline(always)]
+    fn by_ref(&mut self) -> impl Rows<'_> {
+        &mut **self
+    }
+}
+
+/// Where the values of a sweep's transforms lie.
+pub(crate) enum Lines<'a, 'r> {
+    /// Down the columns of a row-major `[n][width]` matrix; a line is the
+    /// matrix of one column.
+    Columns(&'a mut [Complex], usize),
+    /// Down the columns of a table of `n` rows of one width, each wherever
+    /// it lies.
+    Table(&'a mut [&'r mut [Complex]]),
     /// Along the rows of a row-major `[rows][n]` matrix.
-    Rows,
+    Rows(&'a mut [Complex]),
 }
 
-/// Transform the lines of `data` with `plan`, in the build of the sweep
+/// The row table of the row-major `[n][width]` matrix `data`: its rows, in
+/// order, where they lie.
+///
+/// # Panics
+/// If `data.len() != n * width`.
+pub(crate) fn row_table(data: &mut [Complex], n: usize, width: usize) -> Vec<&mut [Complex]> {
+    assert_eq!(data.len(), n * width, "buffer must be [n][width]");
+    if width == 0 {
+        return (0..n).map(|_| <&mut [Complex]>::default()).collect();
+    }
+    data.chunks_exact_mut(width).collect()
+}
+
+/// Transform the lines of `lines` with `plan`, in the build of the sweep
 /// the CPU runs ([`avx2`]).
 ///
 /// # Panics
-/// If `data` is not a whole number of lines.
-pub(crate) fn sweep<S: Stages>(plan: &S, data: &mut [Complex], lines: Lines, dir: Direction) {
+/// If the lines are not whole: a matrix of other than `n` rows, a table of
+/// other than `n` rows or of rows of unequal widths, rows of other than `n`
+/// values.
+pub(crate) fn sweep<S: Stages>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
     let n = plan.reversal().len();
-    match lines {
-        Lines::Columns(width) => assert_eq!(data.len(), n * width, "buffer must be [n][width]"),
-        Lines::Rows => assert_whole_rows(data.len(), n),
+    match &lines {
+        Lines::Columns(data, width) => {
+            assert_eq!(data.len(), n * width, "buffer must be [n][width]")
+        }
+        Lines::Table(rows) => {
+            table_width(rows, n);
+        }
+        Lines::Rows(data) => assert_whole_rows(data.len(), n),
     }
     if n <= 1 {
         return;
@@ -67,9 +155,22 @@ pub(crate) fn sweep<S: Stages>(plan: &S, data: &mut [Complex], lines: Lines, dir
     if avx2() {
         // SAFETY: `sweep_avx2` asks only that the CPU has AVX2, which
         // `avx2` has just checked.
-        return unsafe { sweep_avx2(plan, data, lines, dir) };
+        return unsafe { sweep_avx2(plan, lines, dir) };
     }
-    sweep_baseline(plan, data, lines, dir)
+    sweep_baseline(plan, lines, dir)
+}
+
+/// The width of the row table `rows`.
+///
+/// # Panics
+/// Unless `rows` is `n` rows of one width.
+pub(crate) fn table_width(rows: &[&mut [Complex]], n: usize) -> usize {
+    let width = rows.first().map_or(0, |row| row.len());
+    assert!(
+        rows.len() == n && rows.iter().all(|row| row.len() == width),
+        "a row table must be {n} rows of one width"
+    );
+    width
 }
 
 /// Panics unless `len` values are whole rows of `n`.
@@ -95,8 +196,8 @@ pub(crate) fn avx2() -> bool {
 }
 
 /// The sweep for any CPU: SSE2 on `x86_64`.
-fn sweep_baseline<S: Stages>(plan: &S, data: &mut [Complex], lines: Lines, dir: Direction) {
-    by_direction(plan, data, lines, dir)
+fn sweep_baseline<S: Stages>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
+    by_direction(plan, lines, dir)
 }
 
 /// The sweep compiled for AVX2: 256-bit vectors for the runs.
@@ -105,51 +206,63 @@ fn sweep_baseline<S: Stages>(plan: &S, data: &mut [Complex], lines: Lines, dir: 
 /// Outside code built for AVX2 a call is `unsafe`: the CPU must have AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn sweep_avx2<S: Stages>(plan: &S, data: &mut [Complex], lines: Lines, dir: Direction) {
-    by_direction(plan, data, lines, dir)
+fn sweep_avx2<S: Stages>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
+    by_direction(plan, lines, dir)
 }
 
 #[inline(always)]
-fn by_direction<S: Stages>(plan: &S, data: &mut [Complex], lines: Lines, dir: Direction) {
+fn by_direction<S: Stages>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
     match dir {
-        Direction::Forward => by_lines::<S, false>(plan, data, lines),
-        Direction::Inverse => by_lines::<S, true>(plan, data, lines),
+        Direction::Forward => by_lines::<S, false>(plan, lines),
+        Direction::Inverse => by_lines::<S, true>(plan, lines),
     }
 }
 
 #[inline(always)]
-fn by_lines<S: Stages, const INVERSE: bool>(plan: &S, data: &mut [Complex], lines: Lines) {
+fn by_lines<S: Stages, const INVERSE: bool>(plan: &S, lines: Lines<'_, '_>) {
     let reversal = plan.reversal();
     let n = reversal.len();
     match lines {
         // A line, compiled for its one column: through the arm below, where
         // every butterfly is a run of one value of unknown width, it read
         // twice as slow as the old line kernel.
-        Lines::Columns(1) => in_place::<S, INVERSE>(plan, data, 1, 0..1),
-        Lines::Columns(width) => {
-            for cols in tiles(width) {
-                in_place::<S, INVERSE>(plan, data, width, cols);
-            }
+        Lines::Columns(data, 1) => in_place::<S, INVERSE>(plan, Matrix { data, width: 1 }, 0..1),
+        Lines::Columns(data, width) => by_tiles::<S, INVERSE>(plan, Matrix { data, width }, width),
+        Lines::Table(rows) => {
+            let width = rows[0].len();
+            by_tiles::<S, INVERSE>(plan, rows, width);
         }
-        Lines::Rows => {
-            // Always `RUN` columns wide, so that the sweep is compiled for
+        Lines::Rows(data) => {
+            // Always `ROWS` columns wide, so that the sweep is compiled for
             // that width: a last block of fewer rows leaves stale columns,
             // transformed and never copied back.
-            let mut scratch = vec![Complex::ZERO; n * RUN];
-            for rows in data.chunks_mut(n * RUN) {
-                for (to, &j) in scratch.chunks_exact_mut(RUN).zip(reversal) {
+            let mut scratch = vec![Complex::ZERO; n * ROWS];
+            for rows in data.chunks_mut(n * ROWS) {
+                for (to, &j) in scratch.chunks_exact_mut(ROWS).zip(reversal) {
                     for (v, row) in to.iter_mut().zip(rows.chunks_exact(n)) {
                         *v = row[j as usize];
                     }
                 }
-                tile::<S, INVERSE>(plan, &mut scratch, RUN, 0..RUN);
-                for (i, from) in scratch.chunks_exact(RUN).enumerate() {
+                let matrix = Matrix {
+                    data: &mut scratch,
+                    width: ROWS,
+                };
+                plan.stages::<INVERSE>(matrix, &(0..ROWS));
+                for (i, from) in scratch.chunks_exact(ROWS).enumerate() {
                     for (v, row) in from.iter().zip(rows.chunks_exact_mut(n)) {
                         row[i] = *v;
                     }
                 }
             }
         }
+    }
+}
+
+/// [`in_place`] on every tile of `rows`, `width` columns wide.
+#[inline(always)]
+fn by_tiles<'a, S: Stages, const INVERSE: bool>(plan: &S, mut rows: impl Rows<'a>, width: usize) {
+    for cols in tiles(width) {
+        in_place::<S, INVERSE>(plan, rows.by_ref(), cols);
     }
 }
 
@@ -160,78 +273,57 @@ fn tiles(width: usize) -> impl Iterator<Item = Range<usize>> {
         .map(move |c| c..(c + TILE).min(width))
 }
 
-/// Columns `cols` of `data` put in reversed order, then [`tile`].
+/// Columns `cols` of `rows` put in reversed order, then every stage on
+/// them.
 #[inline(always)]
-fn in_place<S: Stages, const INVERSE: bool>(
+fn in_place<'a, S: Stages, const INVERSE: bool>(
     plan: &S,
-    data: &mut [Complex],
-    width: usize,
+    mut rows: impl Rows<'a>,
     cols: Range<usize>,
 ) {
     for (i, &j) in plan.reversal().iter().enumerate() {
         let j = j as usize;
         if i < j {
             // Value by value: `swap_with_slice` read 15–20 % slower.
-            let (lo, hi) = data.split_at_mut(j * width);
-            let pairs = lo[i * width..][cols.clone()]
-                .iter_mut()
-                .zip(&mut hi[cols.clone()]);
-            for (a, b) in pairs {
+            let (lo, hi) = rows.by_ref().split(j);
+            let (a, b) = (lo.each().nth(i), hi.each().next());
+            let (a, b) = (a.expect("row i < j"), b.expect("row j < n"));
+            for (a, b) in a[cols.clone()].iter_mut().zip(&mut b[cols.clone()]) {
                 std::mem::swap(a, b);
             }
         }
     }
-    tile::<S, INVERSE>(plan, data, width, cols);
-}
-
-/// Every stage on columns `cols` of `data`, rows reversed, then the
-/// inverse's `1/n`.
-#[inline(always)]
-fn tile<S: Stages, const INVERSE: bool>(
-    plan: &S,
-    data: &mut [Complex],
-    width: usize,
-    cols: Range<usize>,
-) {
-    plan.stages::<INVERSE>(data, width, &cols);
-    if INVERSE {
-        let k = 1.0 / plan.reversal().len() as f64;
-        for row in data.chunks_exact_mut(width) {
-            for v in &mut row[cols.clone()] {
-                *v = v.scale(k);
-            }
-        }
-    }
+    plan.stages::<INVERSE>(rows, &cols);
 }
 
 /// `b` on columns `cols` of `rows`: `RUN` values of each row at a time,
 /// then what is left one value at a time.
 #[inline(always)]
-pub(crate) fn runs<const ROWS: usize>(
-    b: impl Butterfly<ROWS>,
-    rows: [&mut [Complex]; ROWS],
+pub(crate) fn runs<const N: usize>(
+    b: impl Butterfly<N>,
+    rows: [&mut [Complex]; N],
     cols: &Range<usize>,
 ) {
     let mut rows = rows.map(|row| &mut row[cols.clone()]);
     let (len, mut at) = (cols.len(), 0);
     while at + RUN <= len {
-        run::<ROWS, RUN>(&b, &mut rows, at);
+        run::<N, RUN>(&b, &mut rows, at);
         at += RUN;
     }
     while at < len {
-        run::<ROWS, 1>(&b, &mut rows, at);
+        run::<N, 1>(&b, &mut rows, at);
         at += 1;
     }
 }
 
 /// `b` on the values `at..at + R` of every row of `rows`.
 #[inline(always)]
-fn run<const ROWS: usize, const R: usize>(
-    b: &impl Butterfly<ROWS>,
-    rows: &mut [&mut [Complex]; ROWS],
+fn run<const N: usize, const R: usize>(
+    b: &impl Butterfly<N>,
+    rows: &mut [&mut [Complex]; N],
     at: usize,
 ) {
-    let mut runs = [Run([Complex::ZERO; R]); ROWS];
+    let mut runs = [Run([Complex::ZERO; R]); N];
     for (run, row) in runs.iter_mut().zip(rows.iter()) {
         run.0.copy_from_slice(&row[at..at + R]);
     }
@@ -277,6 +369,16 @@ impl<const R: usize> Run<R> {
         let Twiddle { re, im } = w;
         for v in &mut self.0 {
             *v = c64(v.re * re.re + v.im * im.re, v.im * re.im + v.re * im.im);
+        }
+        self
+    }
+
+    /// Every value times the real `k`, to the bit what
+    /// [`Complex::scale`] computes.
+    #[inline(always)]
+    pub(crate) fn scale(mut self, k: f64) -> Self {
+        for v in &mut self.0 {
+            *v = v.scale(k);
         }
         self
     }

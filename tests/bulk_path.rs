@@ -206,10 +206,10 @@ const GET_BLOCKS_AT_PARENT: usize = 8;
 /// per worker and exchange, the one `put` request the block for the other
 /// worker is gathered into — which the inbox keeps and then *is* the `take`
 /// reply, finished around the block where it arrived — 2 workers × 2
-/// exchanges. The block a worker keeps goes slab → `gathered` → slab and
-/// the buffer the axis-0 pass works in is the worker's own, built once, so
-/// a fifth block is a copy of the transpose come back: the relay not in
-/// place. (78 before a message had one buffer: a gathered copy, packed
+/// exchanges. The block a worker keeps never leaves its slab (the axis-0
+/// pass runs over a row table of slab runs and `gathered` rows) and
+/// `gathered` is the worker's own buffer, built once, so a fifth block is
+/// a copy of the transpose come back: the relay not in place. (78 before a message had one buffer: a gathered copy, packed
 /// doubles, argument buffer, request frame, retransmission copy and the
 /// inbox's `Vec<f64>` per block, four more per reply. 14 while every
 /// exchange allocated its gather buffer; 12 while a worker mailed itself
