@@ -272,27 +272,29 @@ pub fn e4_fft() -> Table {
             oopp_grid == expected.data() && mpi_grid == expected.data(),
             "E4 P={parts}: both models must compute the local transform, bit for bit"
         );
-        // The slab algorithm's traffic (DESIGN §3): three phases of one
-        // call per worker, and per exchange a `put` and a `take` per worker
-        // and peer; each transpose moves (P-1)/P of the grid in and out.
+        // The slab algorithm's traffic (DESIGN §3): two phases of one
+        // call per worker, and in the one exchange a `put` and a `take`
+        // per worker and peer; the transpose moves (P-1)/P of the grid in
+        // and out.
         let p = parts as u64;
-        assert_eq!(delta.messages_sent, 3 * 2 * p + 2 * p * 4 * (p - 1));
-        // ... and its time on the link model. Message passing pays, per
-        // transpose, a latency and the P − 1 blocks a rank's link takes in
-        // one after another; the object framework pays the same and eight
-        // latencies more, whatever P — the driver's three calls (six) and
-        // the `put` reply each of the two exchanges waits for. One process
-        // exchanges nothing. The slack is header bytes.
+        assert_eq!(delta.messages_sent, 4 * p * p);
+        // ... and its time on the link model. Both models transpose once
+        // per transform. Message passing pays a latency and the P − 1
+        // blocks a rank's link takes in one after another; the object
+        // framework pays the same and five latencies more, whatever P —
+        // the driver's two calls (four) and the `put` reply the exchange
+        // waits for. One process exchanges nothing. The slack is header
+        // bytes.
         let (lat, slack) = (lan().latency, Duration::from_micros(1) * parts as u32);
         let block = (shape.iter().product::<usize>() * 16) / (parts * parts);
-        let exchanges = if parts > 1 { 2 } else { 0 };
+        let exchanges = if parts > 1 { 1 } else { 0 };
         let transposes =
             (lat + transfer_time((parts - 1) * block, lan().bytes_per_sec)) * exchanges;
         assert!(
             mpi_time >= transposes && mpi_time < transposes + slack,
             "E4 P={parts}: mplite {mpi_time:?} against {transposes:?}"
         );
-        let rmi = mpi_time + lat * (6 + exchanges);
+        let rmi = mpi_time + lat * (4 + exchanges);
         assert!(
             oopp_time >= rmi && oopp_time < rmi + slack,
             "E4 P={parts}: oopp {oopp_time:?} against {rmi:?}"

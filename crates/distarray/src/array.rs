@@ -86,11 +86,6 @@ impl Array {
         self.n
     }
 
-    /// Page dimensions `(n1, n2, n3)`.
-    pub fn page_dims(&self) -> [u64; 3] {
-        self.p
-    }
-
     /// The page grid (pages per axis).
     pub fn grid(&self) -> [u64; 3] {
         self.map.grid()

@@ -2,15 +2,22 @@
 //! computation of a Fourier transform".
 //!
 //! A 3-D array of shape `n1 × n2 × n3` is slab-decomposed over `P` worker
-//! processes (worker `p` owns planes `i1 ∈ [p·n1/P, (p+1)·n1/P)`). One
-//! distributed transform is:
+//! processes (worker `p` loads planes `i1 ∈ [p·n1/P, (p+1)·n1/P)`). Each
+//! worker holds whichever [`Layout`] its last pass left: its planes, whole
+//! along axes 1 and 2, or its columns `i2 ∈ [p·n2/P, (p+1)·n2/P)` of every
+//! plane, whole along axis 0. One distributed transform is:
 //!
-//! 1. each worker runs 2-D FFTs (axes 1, 2) on its planes;
-//! 2. a global **transpose**: every worker sends every other worker one
+//! 1. each worker runs the passes over the axes it holds — 2-D FFTs on its
+//!    planes, or the axis-0 FFTs on its columns;
+//! 2. one global **transpose**: every worker sends every other worker one
 //!    block (the paper's inter-process communication "implemented by
-//!    executing methods on remote objects");
-//! 3. each worker runs the axis-0 FFTs on the columns it now owns;
-//! 4. a transpose back, so the output is distributed like the input.
+//!    executing methods on remote objects") and now holds the other layout;
+//! 3. each worker runs the passes over the axes it now holds.
+//!
+//! A forward from planes ends in columns, and the inverse that follows
+//! starts there, as FFTW-MPI's transposed output does: no transform
+//! transposes back. [`DistributedFft3::gather`] reads the grid in either
+//! layout.
 //!
 //! The master-side code is exactly the paper's listing: create `N`
 //! processes with `new(machine id) FFT(id)`, tell each about the group with
@@ -41,7 +48,7 @@
 //! are runs of its slab, where they lie, and whose other rows are those of
 //! `gathered`, which holds only the blocks other workers sent. A group of
 //! one sends no transpose message and copies nothing. A block that does
-//! travel is touched twice: gathered from the slab rows into the `put`
+//! travel is touched twice: gathered from the held rows into the `put`
 //! request, and scattered from the `take` reply — which *is* that
 //! request's buffer, the frame rebuilt around the block where it arrived
 //! ([`Body::relaying`]).
@@ -55,7 +62,7 @@ use oopp::{
     PendingClient, ProcessGroup, RemoteClient, RemoteError, RemoteResult,
 };
 use wire::collections::{F64s, F64sView};
-use wire::{Reader, ViewOf, Wire, WireResult};
+use wire::{EncodesAs, Reader, ViewOf, Wire, WireResult, Writer};
 
 use crate::complex::{as_f64s, as_f64s_mut, Complex};
 use crate::dft::Direction;
@@ -223,6 +230,25 @@ impl BlockInboxClient {
 // FftWorker: the paper's `class FFT`
 // ---------------------------------------------------------------------
 
+/// Which part of the grid a worker holds whole: where its last pass left
+/// it. A transform runs the passes over the axes held, exchanges once and
+/// runs the rest, so every transform flips it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// The worker's planes `[id·n1/P, (id+1)·n1/P)`, whole along axes 1
+    /// and 2, in its slab: what `load_slab` and `restart` leave.
+    Planes,
+    /// The worker's columns `[id·n2/P, (id+1)·n2/P)` of every plane, whole
+    /// along axis 0: runs of its slab for its own planes, rows of
+    /// `gathered` for every other.
+    Columns,
+}
+
+wire::wire_enum!(Layout {
+    0 => Planes,
+    1 => Columns,
+});
+
 /// Server state of one FFT process (the paper's `FFT` class: `id`, `N`,
 /// `FFT *fft` — here the deep-copied peer table, §4).
 #[derive(Debug)]
@@ -234,30 +260,30 @@ pub struct FftWorker {
     peers: Vec<FftWorkerClient>,
     inboxes: Vec<BlockInboxClient>,
     slab: Vec<Complex>,
+    /// Which values of `slab` and `gathered` are the grid's.
+    layout: Layout,
     epoch: u64,
     phase: Phase,
     plan: Fft3,
-    /// The one scratch: the other workers' blocks of the forward transpose,
-    /// `[n1 − n1/P][n2/P][n3]` — every plane but this worker's own, in
-    /// order — collected into, transformed along axis 0 in place beside the
-    /// block that never leaves the slab, and sent back from.
+    /// The one scratch, read in [`Layout::Columns`] only: this worker's
+    /// columns of every plane but its own, `[n1 − n1/P][n2/P][n3]` in plane
+    /// order — the other workers' blocks, collected into, transformed along
+    /// axis 0 in place beside the block that never leaves the slab, and
+    /// sent back from.
     gathered: Vec<Complex>,
 }
 
-/// Where a worker stands in one `transform`: which exchange it has sent
-/// and not yet collected. Each phase is accepted in one state only;
-/// `restart` in any.
+/// Where a worker stands in one `transform`: whether it has sent the
+/// blocks of an exchange it has not collected. `transform_local` is
+/// accepted when idle only, `transform_exchange` after it only; `restart`
+/// in either.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
     Idle,
-    /// `transform_local` ran in `dir` and sent the forward blocks of `epoch`.
+    /// `transform_local` ran in `dir` and sent the blocks of `epoch`.
     Sent {
         epoch: u64,
         dir: Direction,
-    },
-    /// `transform_exchange` sent the return blocks of `epoch`.
-    Returned {
-        epoch: u64,
     },
 }
 
@@ -281,24 +307,49 @@ remote_class! {
         /// this process.
         fn set_group(&mut self, peers: Vec<FftWorkerClient>, inboxes: Vec<BlockInboxClient>) -> ();
         /// Load this worker's slab (planes `[id·n1/P, (id+1)·n1/P)`),
-        /// interleaved re/im.
+        /// interleaved re/im: the worker holds planes.
         fn load_slab(&mut self, data: F64s) -> ();
-        /// Read the slab back.
-        fn read_slab(&mut self) -> F64s;
-        /// Phase 1 of `transform(sign, a)`: local 2-D FFTs on this
-        /// worker's planes, then send the forward-transpose blocks.
+        /// The layout this worker holds and its part of the grid in it,
+        /// row-major: its planes (`[n1/P][n2][n3]`) or its columns of
+        /// every plane (`[n1][n2/P][n3]`).
+        fn read_slab(&mut self) -> (Layout, F64s);
+        /// Phase 1 of `transform(sign, a)`: the passes over the axes this
+        /// worker holds, then its block for every other worker sent.
         fn transform_local(&mut self, sign: i64) -> ();
-        /// Phase 2: collect the transpose blocks, run the axis-0 FFTs,
-        /// send the blocks back.
+        /// Phase 2: collect every other worker's block, then the passes
+        /// over the axes this worker now holds.
         fn transform_exchange(&mut self, sign: i64) -> ();
-        /// Phase 3: collect the return blocks and reassemble the slab.
-        fn transform_finish(&mut self) -> ();
-        /// Back to no phase at exchange `epoch`, wherever a failed
-        /// transform left this worker: the driver's recovery, one epoch for
-        /// the whole group above every exchange already sent.
+        /// Back to no phase and to planes at exchange `epoch`, wherever a
+        /// failed transform left this worker: the driver's recovery, one
+        /// epoch for the whole group above every exchange already sent.
         fn restart(&mut self, epoch: u64) -> ();
         /// Identification (id, group size).
         fn describe(&mut self) -> (u64, u64);
+    }
+}
+
+/// What `read_slab` answers, written from where the worker holds its
+/// values straight into the reply: the layout, then the doubles.
+struct Held<'a>(&'a FftWorker);
+
+impl EncodesAs<(Layout, F64s)> for Held<'_> {
+    fn encode_as(&self, w: &mut Writer) {
+        let worker = self.0;
+        worker.layout.encode(w);
+        w.put_varint(2 * worker.slab.len() as u64);
+        match worker.layout {
+            Layout::Planes => w.put_f64s(as_f64s(&worker.slab)),
+            Layout::Columns => {
+                for i in 0..worker.shape[0] {
+                    w.put_f64s(as_f64s(worker.column_row(i)));
+                }
+            }
+        }
+    }
+
+    fn encoded_len_as(&self) -> usize {
+        let doubles = 2 * self.0.slab.len();
+        1 + wire::varint::encoded_len(doubles as u64) + 8 * doubles
     }
 }
 
@@ -347,6 +398,7 @@ impl FftWorker {
             peers: Vec::new(),
             inboxes: Vec::new(),
             slab,
+            layout: Layout::Planes,
             epoch: 0,
             phase: Phase::Idle,
             plan: Fft3::new(shape),
@@ -377,24 +429,75 @@ impl FftWorker {
             return Err(RemoteError::app("the slab loaded has the wrong size"));
         }
         data.copy_to(0, slab);
+        self.layout = Layout::Planes;
         Ok(())
     }
 
-    /// The reply is encoded from the slab itself.
-    fn read_slab(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<&[f64]> {
-        Ok(as_f64s(&self.slab))
+    /// The reply is encoded from the slab and `gathered` themselves.
+    fn read_slab(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<Held<'_>> {
+        Ok(Held(self))
     }
 
     fn describe(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<(u64, u64)> {
         Ok((self.id, self.parts as u64))
     }
 
-    /// Why three phases instead of one `transform` method: a machine may
+    /// The length of one row of the columns a worker holds,
+    /// `(n2/P)·n3`, and the number of planes a worker loads, `n1/P`.
+    fn row_and_planes(&self) -> (usize, usize) {
+        let [n1, n2, n3] = self.shape;
+        (n2 / self.parts * n3, n1 / self.parts)
+    }
+
+    /// Row `i` of the columns this worker holds, plane `i`'s part of them:
+    /// a run of its slab for its own planes, a row of `gathered` for every
+    /// other.
+    fn column_row(&self, i: usize) -> &[Complex] {
+        let ((row, s1), me) = (self.row_and_planes(), self.id as usize);
+        let own = me * s1..(me + 1) * s1;
+        if own.contains(&i) {
+            let plane = self.shape[1] * self.shape[2];
+            &self.slab[(i - own.start) * plane + me * row..][..row]
+        } else {
+            let g = if i < own.start { i } else { i - s1 };
+            &self.gathered[g * row..][..row]
+        }
+    }
+
+    /// Row `i` of the block this worker sends worker `q`: from planes, its
+    /// plane `i`'s run of `q`'s columns; from columns, `q`'s plane `i`'s
+    /// run of its own.
+    fn block_row(&self, q: usize, i: usize) -> &[Complex] {
+        let (row, s1) = self.row_and_planes();
+        match self.layout {
+            Layout::Planes => &self.slab[i * self.shape[1] * self.shape[2] + q * row..][..row],
+            Layout::Columns => self.column_row(q * s1 + i),
+        }
+    }
+
+    /// The passes over the axes this worker holds, where the values lie.
+    fn run_passes(&mut self, dir: Direction) {
+        match self.layout {
+            Layout::Planes => self.plan.process_planes(&mut self.slab, dir),
+            Layout::Columns => {
+                // Axis 0 over a row table: `column_row`'s rows, mutable.
+                let ((row, s1), me) = (self.row_and_planes(), self.id as usize);
+                let planes = self.slab.chunks_exact_mut(self.shape[1] * self.shape[2]);
+                let own = planes.map(|plane| &mut plane[me * row..][..row]);
+                let (before, after) = self.gathered.split_at_mut(me * s1 * row);
+                let (before, after) = (before.chunks_exact_mut(row), after.chunks_exact_mut(row));
+                let mut rows: Vec<&mut [Complex]> = before.chain(own).chain(after).collect();
+                self.plan.process_axis0_rows(&mut rows, dir);
+            }
+        }
+    }
+
+    /// Why two phases instead of one `transform` method: a machine may
     /// host several workers, and a nested dispatch cannot resume the one
     /// beneath it on the stack. Each phase therefore performs all of its
     /// **sends before any wait**, and the driver joins the whole group
-    /// between phases, so every wait's data is already in flight no matter
-    /// how dispatches nest (see DESIGN.md §4.1).
+    /// between them, so every `take`'s block is already in its inbox no
+    /// matter how dispatches nest (see DESIGN.md §4.1).
     fn transform_local(&mut self, ctx: &mut NodeCtx, sign: i64) -> RemoteResult<()> {
         if self.inboxes.is_empty() {
             return Err(RemoteError::app("SetGroup must be called before transform"));
@@ -403,29 +506,19 @@ impl FftWorker {
             return Err(RemoteError::app("transform phases called out of order"));
         }
         let dir = direction(sign)?;
-        let [n1, n2, n3] = self.shape;
-        let (s1, s2) = (n1 / self.parts, n2 / self.parts);
+        self.run_passes(dir);
 
-        // 2-D FFTs (axes 1, 2) on each local plane.
-        self.plan.process_planes(&mut self.slab, dir);
-
-        // The forward-transpose block for worker q is my planes x q's
-        // columns: per plane, one run of rows. My own stays where it is,
-        // the others go to their inboxes.
+        // Worker q's block is one row of the held layout per plane q is
+        // about to hold. A worker's own block stays where it is, the
+        // others go to their inboxes.
         let epoch = self.next_epoch();
         self.phase = Phase::Sent { epoch, dir };
-        let me = self.id as usize;
-        let slab = &self.slab;
-        let runs = |q: usize| {
-            (0..s1).map(move |i| {
-                let run = (i * n2 + q * s2) * n3;
-                &slab[run..run + s2 * n3]
-            })
-        };
+        let ((_, s1), me) = (self.row_and_planes(), self.id as usize);
         let mut sends = Vec::with_capacity(self.parts - 1);
         for (q, inbox) in self.inboxes.iter().enumerate() {
             if q != me {
-                sends.push(inbox.put_rows_async(ctx, epoch, self.id, runs(q))?);
+                let rows = (0..s1).map(|i| self.block_row(q, i));
+                sends.push(inbox.put_rows_async(ctx, epoch, self.id, rows)?);
             }
         }
         join(ctx, sends)?;
@@ -446,72 +539,43 @@ impl FftWorker {
         }
         // Whatever the exchange finds, the worker is free to start over.
         self.phase = Phase::Idle;
-        let [n1, n2, n3] = self.shape;
-        let (s1, s2) = (n1 / self.parts, n2 / self.parts);
-        // One block: a worker's planes x another's columns.
-        let block = s1 * s2 * n3;
-        let me = self.id as usize;
+        let ((row, s1), me) = (self.row_and_planes(), self.id as usize);
+        let block = s1 * row;
 
-        // Collect the forward-transpose blocks (all in flight: the driver
-        // joined transform_local across the whole group). Worker q's block
-        // is its planes of the axis-0 columns: one run of `gathered`, which
-        // holds every plane but mine.
-        let slot = |q: usize| if q < me { q } else { q - 1 };
-        let gathered = &mut self.gathered;
-        self.inboxes[me].collect(ctx, epoch, me, self.parts, block, |q, from| {
-            from.copy_to(0, as_f64s_mut(&mut gathered[slot(q) * block..][..block]));
-        })?;
-
-        // Axis-0 FFTs on the columns I now own. Row i of the table is plane
-        // i's part of them: a run of my slab for my own planes, a row of
-        // `gathered` for every other.
-        let row = s2 * n3;
-        let planes = self.slab.chunks_exact_mut(n2 * n3);
-        let own = planes.map(|plane| &mut plane[me * row..][..row]);
-        let (before, after) = self.gathered.split_at_mut(me * block);
-        let (before, after) = (before.chunks_exact_mut(row), after.chunks_exact_mut(row));
-        let mut rows: Vec<&mut [Complex]> = before.chain(own).chain(after).collect();
-        self.plan.process_axis0_rows(&mut rows, dir);
-
-        // Send the other workers' blocks back (each is one run); mine is
-        // back in the slab already.
-        let epoch = self.next_epoch();
-        self.phase = Phase::Returned { epoch };
-        let peers = (0..self.parts).filter(|&q| q != me);
-        let mut sends = Vec::with_capacity(self.parts - 1);
-        for (q, back) in peers.zip(self.gathered.chunks_exact(block)) {
-            let back = std::iter::once(back);
-            sends.push(self.inboxes[q].put_rows_async(ctx, epoch, self.id, back)?);
-        }
-        join(ctx, sends)?;
-        Ok(())
-    }
-
-    fn transform_finish(&mut self, ctx: &mut NodeCtx) -> RemoteResult<()> {
-        let Phase::Returned { epoch } = self.phase else {
-            return Err(RemoteError::app(
-                "transform_finish before transform_exchange",
-            ));
-        };
-        self.phase = Phase::Idle;
-        let [n1, n2, n3] = self.shape;
-        let (s1, s2) = (n1 / self.parts, n2 / self.parts);
-        let me = self.id as usize;
-
-        // Worker q's block is my planes x its columns: per plane, one run
-        // of rows of the slab.
-        let slab = &mut self.slab;
-        self.inboxes[me].collect(ctx, epoch, me, self.parts, s1 * s2 * n3, |q, from| {
-            for i in 0..s1 {
-                let run = (i * n2 + q * s2) * n3;
-                let dst = &mut slab[run..run + s2 * n3];
-                from.copy_to(2 * i * s2 * n3, as_f64s_mut(dst));
+        // Collect the other workers' blocks (all in flight: the driver
+        // joined transform_local across the whole group).
+        let inbox = &self.inboxes[me];
+        match self.layout {
+            Layout::Planes => {
+                // Worker q's block is its planes of my columns: one run of
+                // `gathered`, which holds every plane but mine.
+                let slot = |q: usize| if q < me { q } else { q - 1 };
+                let gathered = &mut self.gathered;
+                inbox.collect(ctx, epoch, me, self.parts, block, |q, from| {
+                    from.copy_to(0, as_f64s_mut(&mut gathered[slot(q) * block..][..block]));
+                })?;
+                self.layout = Layout::Columns;
             }
-        })
+            Layout::Columns => {
+                // Worker q's block is my planes of its columns: per plane,
+                // one run of the slab.
+                let (plane, slab) = (self.shape[1] * self.shape[2], &mut self.slab);
+                inbox.collect(ctx, epoch, me, self.parts, block, |q, from| {
+                    for i in 0..s1 {
+                        let run = &mut slab[i * plane + q * row..][..row];
+                        from.copy_to(2 * i * row, as_f64s_mut(run));
+                    }
+                })?;
+                self.layout = Layout::Planes;
+            }
+        }
+        self.run_passes(dir);
+        Ok(())
     }
 
     fn restart(&mut self, _ctx: &mut NodeCtx, epoch: u64) -> RemoteResult<()> {
         self.phase = Phase::Idle;
+        self.layout = Layout::Planes;
         self.epoch = epoch;
         Ok(())
     }
@@ -553,8 +617,8 @@ pub struct DistributedFft3 {
     parts: usize,
     pub(crate) workers: ProcessGroup<FftWorkerClient>,
     inboxes: ProcessGroup<BlockInboxClient>,
-    /// Transforms begun: attempt `a` runs exchanges `2(a − 1)` and
-    /// `2(a − 1) + 1`, so `2a` is above every exchange it could have sent.
+    /// Transforms begun: attempt `a` runs exchange `a − 1`, so `a` is
+    /// above every exchange it could have sent.
     attempts: Cell<u64>,
 }
 
@@ -667,17 +731,39 @@ impl DistributedFft3 {
         Ok(())
     }
 
-    /// Collect the distributed grid back into one buffer.
+    /// Collect the distributed grid back into one buffer, in whichever
+    /// layout the workers hold. Workers in different layouts — one loaded
+    /// alone after a transform — are a `RemoteError::app`, never a grid
+    /// cut two ways.
     pub fn gather(&self, ctx: &mut NodeCtx) -> RemoteResult<Vec<Complex>> {
-        let (fft, slab) = (&self.workers, self.slab_elems());
-        let slabs = fft.par_each(ctx, |ctx, w, _| w.read_slab_async(ctx))?;
+        let [_, n2, n3] = self.shape.map(|n| n as usize);
+        let (slab, row) = (self.slab_elems(), n2 / self.parts * n3);
+        let held = self
+            .workers
+            .par_each(ctx, |ctx, w, _| w.read_slab_async(ctx))?;
+        let layout = held[0].0;
+        if held.iter().any(|(other, _)| *other != layout) {
+            return Err(RemoteError::app(
+                "the workers hold different layouts: no grid to gather",
+            ));
+        }
         let mut out = vec![Complex::ZERO; self.parts * slab];
-        for (s, dst) in slabs.iter().zip(out.chunks_exact_mut(slab)) {
-            let dst = as_f64s_mut(dst);
-            if s.0.len() != dst.len() {
+        for (p, (_, doubles)) in held.iter().enumerate() {
+            if doubles.0.len() != 2 * slab {
                 return Err(RemoteError::app("a worker's slab has the wrong size"));
             }
-            dst.copy_from_slice(&s.0);
+            match layout {
+                Layout::Planes => {
+                    as_f64s_mut(&mut out[p * slab..][..slab]).copy_from_slice(&doubles.0)
+                }
+                // Worker p's columns of plane i, for every plane.
+                Layout::Columns => {
+                    for (i, from) in doubles.0.chunks_exact(2 * row).enumerate() {
+                        let dst = &mut out[i * n2 * n3 + p * row..][..row];
+                        as_f64s_mut(dst).copy_from_slice(from);
+                    }
+                }
+            }
         }
         Ok(out)
     }
@@ -685,25 +771,27 @@ impl DistributedFft3 {
     /// The paper's parallel invocation:
     /// `for (id = 0; id < N; id++) fft[id]->transform(sign, a);` —
     /// issued as the split loop, so all workers run concurrently. The
-    /// group is joined between the three internal phases (local FFTs,
-    /// transpose+axis-0, transpose back) so any number of workers may
-    /// share a machine without deadlock.
+    /// group is joined between the two internal phases (the passes over
+    /// the axes each worker holds and the sends; the takes and the other
+    /// passes) so any number of workers may share a machine without
+    /// deadlock. The workers end in the other layout: [`gather`](Self::gather)
+    /// reads either, and the next transform starts from where this one
+    /// stopped.
     ///
     /// A transform that fails part-way leaves no worker mid-phase: before
-    /// its error is returned every worker is restarted at one exchange
-    /// epoch above all this group has used, so the next transform runs
-    /// (and a take drops the blocks the failed one left in an inbox).
+    /// its error is returned every worker is restarted, in planes, at one
+    /// exchange epoch above all this group has used, so the next transform
+    /// runs (and a take drops the blocks the failed one left in an inbox).
     pub fn transform(&self, ctx: &mut NodeCtx, dir: Direction) -> RemoteResult<()> {
         let attempt = self.attempts.get() + 1;
         self.attempts.set(attempt);
         let (sign, fft) = (dir.sign() as i64, &self.workers);
         let phases = fft
             .par_each(ctx, |ctx, w, _| w.transform_local_async(ctx, sign))
-            .and_then(|_| fft.par_each(ctx, |ctx, w, _| w.transform_exchange_async(ctx, sign)))
-            .and_then(|_| fft.par_each(ctx, |ctx, w, _| w.transform_finish_async(ctx)));
+            .and_then(|_| fft.par_each(ctx, |ctx, w, _| w.transform_exchange_async(ctx, sign)));
         if phases.is_err() {
             // Best effort: the error that matters is the phase's.
-            let _ = fft.par_each(ctx, |ctx, w, _| w.restart_async(ctx, 2 * attempt));
+            let _ = fft.par_each(ctx, |ctx, w, _| w.restart_async(ctx, attempt));
         }
         phases.map(drop)
     }

@@ -15,7 +15,8 @@
 //! * [`Fft2`]/[`Fft3`] row–column 2-D/3-D transforms;
 //! * [`DistributedFft3`] — the paper's §4 example: slab decomposition over
 //!   a group of [`FftWorker`] object-processes exchanging transpose blocks
-//!   by remote method invocation.
+//!   by remote method invocation, one transpose per transform: a worker
+//!   holds whichever [`Layout`] (planes or columns) its last pass left.
 //!
 //! ```
 //! use fft::{c64, dft, Direction, Fft, max_error, Complex};
@@ -40,7 +41,9 @@ mod tile;
 pub use bluestein::Bluestein;
 pub use complex::{as_f64s, as_f64s_mut, c64, max_error, Complex};
 pub use dft::{dft, Direction};
-pub use distributed::{BlockInbox, BlockInboxClient, DistributedFft3, FftWorker, FftWorkerClient};
+pub use distributed::{
+    BlockInbox, BlockInboxClient, DistributedFft3, FftWorker, FftWorkerClient, Layout,
+};
 pub use nd::{dft3, Fft3, Grid3};
 pub use nd2::{Fft2, Grid2};
 pub use plan::Fft;

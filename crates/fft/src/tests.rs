@@ -110,9 +110,8 @@ fn invalid_configurations_are_rejected() {
     // a raw worker rejects it.
     let w = FftWorkerClient::new_on(&mut driver, 0, 0, 4, 4, 4, 1).unwrap();
     assert!(w.transform_local(&mut driver, -1).is_err());
-    // ... and the later phases reject out-of-order invocation.
+    // ... and the exchange rejects out-of-order invocation.
     assert!(w.transform_exchange(&mut driver, -1).is_err());
-    assert!(w.transform_finish(&mut driver).is_err());
     cluster.shutdown(driver);
 }
 
@@ -121,9 +120,10 @@ fn invalid_configurations_are_rejected() {
 /// come from the inbox's own worker — used to index `gathered`/`slab`
 /// unchecked: the machine's thread panicked and the driver's call never
 /// returned. The first is the phase's `App` error, the second the `put`'s
-/// own, the last two are never asked for; the worker stays usable, and the
-/// cluster shuts down cleanly. Worker 0 of a group of two is the real one;
-/// this test plays worker 1.
+/// own, the last two are never asked for — in either exchange, planes to
+/// columns and columns to planes; the worker stays usable, and the cluster
+/// shuts down cleanly. Worker 0 of a group of two is the real one; this
+/// test plays worker 1.
 #[test]
 fn stray_transpose_blocks_are_refused_not_indexed() {
     const SHAPE: [usize; 3] = [4, 4, 2];
@@ -148,21 +148,27 @@ fn stray_transpose_blocks_are_refused_not_indexed() {
     let zeros = [Complex::ZERO; BLOCK];
     let junk = [c64(7.0, -7.0); BLOCK];
 
-    // The worker's exchanges are epochs 0, 1, 2, ... in order. Too short
-    // (the parent's panic was an index out of range where it is scattered).
+    // The worker's exchanges are epochs 0, 1, 2, ... in order; a refused
+    // exchange leaves the layout it started from. Planes to columns first:
+    // too short (the parent's panic was an index out of range where it is
+    // scattered), then a second block from the same worker — refused where
+    // it is put, and the first one stands.
     load(d);
     put(d, 0, 1, &one).unwrap();
     w.transform_local(d, -1).unwrap();
     app_error(w.transform_exchange(d, -1), "block of 2 doubles");
-    // A second block from the same worker: refused where it is put, and the
-    // first one stands.
     put(d, 1, 1, &zeros).unwrap();
     app_error(put(d, 1, 1, &junk), "two transpose blocks from worker 1");
-    // The return exchange checks the same way.
     w.transform_local(d, -1).unwrap();
     w.transform_exchange(d, -1).unwrap();
+    // Columns to planes checks the same way.
     put(d, 2, 1, &one).unwrap();
-    app_error(w.transform_finish(d), "block of 2 doubles");
+    w.transform_local(d, -1).unwrap();
+    app_error(w.transform_exchange(d, -1), "block of 2 doubles");
+    put(d, 3, 1, &zeros).unwrap();
+    app_error(put(d, 3, 1, &junk), "two transpose blocks from worker 1");
+    w.transform_local(d, -1).unwrap();
+    w.transform_exchange(d, -1).unwrap();
 
     // A slab of the wrong size (here: half a complex value) is refused too.
     assert!(w
@@ -171,24 +177,42 @@ fn stray_transpose_blocks_are_refused_not_indexed() {
 
     // None of it wedged the worker, and blocks from a worker the group does
     // not have (the parent indexed `gathered` with them) or from worker 0
-    // itself are never looked at: a whole transform still agrees with the
-    // local one. What worker 1 returns is cut from the local result.
-    let expected = Fft3::new(SHAPE).transform(&grid, Direction::Forward);
-    let returned: Vec<Complex> = (0..2)
-        .flat_map(|plane| expected.data()[(plane * 4 + 2) * 2..][..2 * 2].to_vec())
-        .collect();
+    // itself are never looked at: a forward from planes holds the local
+    // result's columns, and the inverse from there takes them back to the
+    // planes loaded. What worker 1 returns is its columns of worker 0's
+    // planes after the inverse's axis-0 pass.
+    let plan = Fft3::new(SHAPE);
+    let expected = plan.transform(&grid, Direction::Forward);
+    let mut axis0 = expected.clone();
+    plan.process_axis0(axis0.data_mut(), Direction::Inverse);
+    let columns = |g: &Grid3, planes: std::ops::Range<usize>, first: usize| -> Vec<Complex> {
+        planes
+            .flat_map(|plane| g.data()[(plane * 4 + first) * 2..][..2 * 2].to_vec())
+            .collect()
+    };
+    let returned = columns(&axis0, 0..2, 2);
     load(d);
-    for (epoch, block) in [(3, &zeros[..]), (4, &returned[..])] {
+    for (epoch, block) in [(4, &zeros[..]), (5, &returned[..])] {
         put(d, epoch, 5, &junk).unwrap();
         put(d, epoch, 0, &junk).unwrap();
         put(d, epoch, 1, block).unwrap();
     }
+    let read = |d: &mut Driver| {
+        let (layout, doubles) = w.read_slab(d).unwrap();
+        let mut got = vec![Complex::ZERO; 2 * BLOCK];
+        as_f64s_mut(&mut got).copy_from_slice(&doubles.0);
+        (layout, got)
+    };
     w.transform_local(d, -1).unwrap();
     w.transform_exchange(d, -1).unwrap();
-    w.transform_finish(d).unwrap();
-    let mut got = vec![Complex::ZERO; 2 * BLOCK];
-    as_f64s_mut(&mut got).copy_from_slice(&w.read_slab(d).unwrap().0);
-    assert!(max_error(&got, &expected.data()[..2 * BLOCK]) < 1e-9);
+    let (layout, got) = read(d);
+    assert_eq!(layout, Layout::Columns);
+    assert!(max_error(&got, &columns(&expected, 0..4, 0)) < 1e-9);
+    w.transform_local(d, 1).unwrap();
+    w.transform_exchange(d, 1).unwrap();
+    let (layout, got) = read(d);
+    assert_eq!(layout, Layout::Planes);
+    assert!(max_error(&got, &grid.data()[..2 * BLOCK]) < 1e-9);
     cluster.shutdown(driver);
 }
 
@@ -249,10 +273,10 @@ fn put_before_take_and_take_before_put_deliver_the_same_block() {
 }
 
 /// What one forward `transform` puts on a free fabric, for the CI log: per
-/// phase a request and a reply per worker, per exchange a `put` and a `take`
-/// (two messages each) per worker and peer — and each block that leaves its
-/// worker travels twice, into the peer's inbox and out of it, while the
-/// block a worker keeps never travels.
+/// phase a request and a reply per worker, and in its one exchange a `put`
+/// and a `take` (two messages each) per worker and peer — so `4·P²` — and
+/// each block that leaves its worker travels twice, into the peer's inbox
+/// and out of it, while the block a worker keeps never travels.
 #[test]
 fn transpose_traffic_is_what_the_remote_blocks_cost() {
     let shape = [16usize; 3];
@@ -266,12 +290,12 @@ fn transpose_traffic_is_what_the_remote_blocks_cost() {
         dfft.transform(&mut driver, Direction::Forward).unwrap();
         let sent = cluster.snapshot().since(&before);
         let p = parts as u64;
-        let payload = 2 * 2 * grid_bytes * (p - 1) / p;
+        let payload = 2 * grid_bytes * (p - 1) / p;
         println!(
             "transpose_traffic P={parts}: {} messages, {} bytes ({payload} of blocks)",
             sent.messages_sent, sent.bytes_sent
         );
-        assert_eq!(sent.messages_sent, 3 * 2 * p + 2 * p * 4 * (p - 1));
+        assert_eq!(sent.messages_sent, 4 * p * p);
         // Around the blocks: a frame's header, a method name, two integers.
         let framing = sent.bytes_sent - payload;
         assert!(framing <= 64 * sent.messages_sent, "{framing} bytes");
@@ -279,12 +303,12 @@ fn transpose_traffic_is_what_the_remote_blocks_cost() {
     }
 }
 
-/// `transform_finish` straight after `transform_local` used to be accepted:
-/// it took the *forward* blocks (the same size as the return blocks) for the
-/// return blocks and scattered them into the slab. `sign as i32` ran
-/// `1 << 32` and `0` as an inverse, and nothing held phase 2 to the sign of
-/// phase 1. Each is an `App` error now, and none of them moves the worker
-/// out of the phase it is in.
+/// A third phase straight after the first used to be accepted: it took the
+/// *forward* blocks (the same size as the return blocks) for the return
+/// blocks and scattered them into the slab. `sign as i32` ran `1 << 32`
+/// and `0` as an inverse, and nothing held phase 2 to the sign of phase 1.
+/// Each is an `App` error now, and none of them moves the worker out of
+/// the phase it is in.
 #[test]
 fn phases_out_of_order_and_bad_signs_are_app_error() {
     let (cluster, mut driver) = cluster(1);
@@ -297,26 +321,24 @@ fn phases_out_of_order_and_bad_signs_are_app_error() {
         .unwrap();
 
     w.transform_local(d, -1).unwrap();
-    // The skipped exchange (accepted at the parent), and a second phase 1.
-    app_error(w.transform_finish(d), "before transform_exchange");
+    // A second phase 1.
     app_error(w.transform_local(d, -1), "out of order");
     // Phase 2 in another direction than phase 1, or in none.
     app_error(w.transform_exchange(d, 1), "after transform_local(-1)");
     app_error(w.transform_exchange(d, 0), "sign must be");
     w.transform_exchange(d, -1).unwrap();
     app_error(w.transform_exchange(d, -1), "before transform_local");
-    app_error(w.transform_local(d, -1), "out of order");
-    w.transform_finish(d).unwrap();
-    app_error(w.transform_finish(d), "before transform_exchange");
     // Not a sign: nothing runs, the worker stays idle.
     for sign in [0, 2, -2, 1 << 32, i64::MIN] {
         app_error(w.transform_local(d, sign), "sign must be");
     }
 
     // Every refusal left the phase alone: that was one clean transform.
+    let (layout, doubles) = w.read_slab(d).unwrap();
     let mut got = vec![Complex::ZERO; grid.data().len()];
-    as_f64s_mut(&mut got).copy_from_slice(&w.read_slab(d).unwrap().0);
+    as_f64s_mut(&mut got).copy_from_slice(&doubles.0);
     let expected = Fft3::new([4, 4, 2]).transform(&grid, Direction::Forward);
+    assert_eq!(layout, Layout::Columns);
     assert!(got == expected.data());
     cluster.shutdown(driver);
 }
@@ -342,17 +364,20 @@ fn distributed_equals_local_element_for_element() {
     }
 }
 
-/// The phases of one two-worker 64³ `transform` as the workers run them,
-/// without the runtime: `process_planes` on each slab, the forward
-/// transpose (a block that leaves its worker gathered from the slab into a
-/// message buffer and scattered out of it into the receiver's `gathered`),
-/// axis 0 over each worker's row table (its own block where it lies in its
-/// slab, the other's in `gathered`), the transpose back. Four block copies
-/// of 1 MiB per worker and transform. Returns the time spent in (planes,
+/// One two-worker 64³ `transform` as the workers run it, without the
+/// runtime, from the layout `*columns` says they hold into the other. From
+/// planes: `process_planes` on each slab, the exchange (a block that leaves
+/// its worker gathered from the slab into a message buffer and scattered
+/// out of it into the receiver's `gathered`), axis 0 over each worker's row
+/// table (its own block where it lies in its slab, the other's in
+/// `gathered`). From columns: the same three steps backwards, the exchange
+/// from `gathered` into the receiver's slab runs. Two block copies of
+/// 1 MiB per worker and transform. Returns the time spent in (planes,
 /// axis 0, copies).
 fn replay_transform(
     plan: &Fft3,
     dir: Direction,
+    columns: &mut bool,
     slabs: &mut [Vec<Complex>],
     gathered: &mut [Vec<Complex>],
     message: &mut [Complex],
@@ -366,49 +391,71 @@ fn replay_transform(
     // Where worker q keeps worker p's block: `gathered` skips q's own.
     let slot = |p: usize, q: usize| if p < q { p } else { p - 1 };
 
+    let planes = |slabs: &mut [Vec<Complex>]| {
+        for slab in slabs.iter_mut() {
+            plan.process_planes(slab, dir);
+        }
+    };
+    let axis0 = |slabs: &mut [Vec<Complex>], gathered: &mut [Vec<Complex>]| {
+        for (q, (slab, others)) in slabs.iter_mut().zip(gathered.iter_mut()).enumerate() {
+            let planes = slab.chunks_exact_mut(n2 * n3);
+            let own = planes.map(|plane| &mut plane[q * row..][..row]);
+            let (before, after) = others.split_at_mut(q * block);
+            let (before, after) = (before.chunks_exact_mut(row), after.chunks_exact_mut(row));
+            let mut rows: Vec<&mut [Complex]> = before.chain(own).chain(after).collect();
+            plan.process_axis0_rows(&mut rows, dir);
+        }
+    };
+    let to_columns =
+        |slabs: &[Vec<Complex>], gathered: &mut [Vec<Complex>], message: &mut [Complex]| {
+            for (p, slab) in slabs.iter().enumerate() {
+                for (q, into) in gathered.iter_mut().enumerate() {
+                    if p != q {
+                        for (i, dst) in message.chunks_exact_mut(row).enumerate() {
+                            dst.copy_from_slice(&slab[run(i, q)..][..row]);
+                        }
+                        into[slot(p, q) * block..][..block].copy_from_slice(message);
+                    }
+                }
+            }
+        };
+    let to_planes =
+        |slabs: &mut [Vec<Complex>], gathered: &[Vec<Complex>], message: &mut [Complex]| {
+            for (q, from) in gathered.iter().enumerate() {
+                for (p, slab) in slabs.iter_mut().enumerate() {
+                    if p != q {
+                        message.copy_from_slice(&from[slot(p, q) * block..][..block]);
+                        for (i, back) in message.chunks_exact(row).enumerate() {
+                            slab[run(i, q)..][..row].copy_from_slice(back);
+                        }
+                    }
+                }
+            }
+        };
+
     let t0 = Instant::now();
-    for slab in slabs.iter_mut() {
-        plan.process_planes(slab, dir);
-    }
-    let t1 = Instant::now();
-    for (p, slab) in slabs.iter().enumerate() {
-        for (q, into) in gathered.iter_mut().enumerate() {
-            if p == q {
-                continue;
-            }
-            for (i, dst) in message.chunks_exact_mut(row).enumerate() {
-                dst.copy_from_slice(&slab[run(i, q)..][..row]);
-            }
-            into[slot(p, q) * block..][..block].copy_from_slice(message);
-        }
-    }
-    let t2 = Instant::now();
-    for (q, (slab, others)) in slabs.iter_mut().zip(gathered.iter_mut()).enumerate() {
-        let planes = slab.chunks_exact_mut(n2 * n3);
-        let own = planes.map(|plane| &mut plane[q * row..][..row]);
-        let (before, after) = others.split_at_mut(q * block);
-        let (before, after) = (before.chunks_exact_mut(row), after.chunks_exact_mut(row));
-        let mut rows: Vec<&mut [Complex]> = before.chain(own).chain(after).collect();
-        plan.process_axis0_rows(&mut rows, dir);
-    }
-    let t3 = Instant::now();
-    for (q, from) in gathered.iter().enumerate() {
-        for (p, slab) in slabs.iter_mut().enumerate() {
-            if p == q {
-                continue;
-            }
-            message.copy_from_slice(&from[slot(p, q) * block..][..block]);
-            for (i, back) in message.chunks_exact(row).enumerate() {
-                slab[run(i, q)..][..row].copy_from_slice(back);
-            }
-        }
-    }
-    let t4 = Instant::now();
-    [t1 - t0, t3 - t2, (t2 - t1) + (t4 - t3)]
+    let split = if *columns {
+        axis0(slabs, gathered);
+        let t1 = Instant::now();
+        to_planes(slabs, gathered, message);
+        let t2 = Instant::now();
+        planes(slabs);
+        [Instant::now() - t2, t1 - t0, t2 - t1]
+    } else {
+        planes(slabs);
+        let t1 = Instant::now();
+        to_columns(slabs, gathered, message);
+        let t2 = Instant::now();
+        axis0(slabs, gathered);
+        [t1 - t0, Instant::now() - t2, t2 - t1]
+    };
+    *columns = !*columns;
+    split
 }
 
-/// Where the worker time of one `fft3d` op (a forward and an inverse 64³
-/// transform over two workers) goes, so the ROADMAP's split can be re-read:
+/// Where the worker time of one `fft3d` op (a forward 64³ transform over
+/// two workers from planes to columns, and the inverse back) goes, so the
+/// ROADMAP's split can be re-read:
 /// `cargo test --release -p fft --lib replay -- --ignored --nocapture`, on
 /// one pinned CPU (`taskset -c 1`) to compare with the benchmark. Both
 /// builds of the kernel are read, one op each in turn: the one this host
@@ -431,27 +478,49 @@ fn replay_of_one_fft3d_op_splits_worker_time_into_arithmetic_and_copies() {
     let mut slabs = load();
     let mut gathered = vec![vec![Complex::ZERO; cells / PARTS / PARTS * (PARTS - 1)]; PARTS];
     let mut message = vec![Complex::ZERO; cells / PARTS / PARTS];
+    let mut columns = false;
     // One transform, in the dispatched build or in the baseline build.
-    let mut op = |baseline: bool, dir, slabs: &mut [Vec<Complex>]| {
-        let mut go = || replay_transform(&plan, dir, slabs, &mut gathered, &mut message);
-        if baseline {
-            tile::baseline_only(go)
-        } else {
-            go()
+    let mut op =
+        |baseline: bool, dir, slabs: &mut [Vec<Complex>], gathered: &mut [Vec<Complex>]| {
+            let mut go =
+                || replay_transform(&plan, dir, &mut columns, slabs, gathered, &mut message);
+            if baseline {
+                tile::baseline_only(go)
+            } else {
+                go()
+            }
+        };
+    // The grid the workers hold in columns: worker q's rows of plane i are
+    // its own slab's run for its own planes, `gathered`'s for the others.
+    let held = |slabs: &[Vec<Complex>], gathered: &[Vec<Complex>]| {
+        let (plane, s1) = (cells / shape[0], shape[0] / PARTS);
+        let row = plane / PARTS;
+        let mut out = vec![Complex::ZERO; cells];
+        for i in 0..shape[0] {
+            for q in 0..PARTS {
+                let from = if i / s1 == q {
+                    &slabs[q][(i % s1) * plane + q * row..][..row]
+                } else {
+                    let g = if i < q * s1 { i } else { i - s1 };
+                    &gathered[q][g * row..][..row]
+                };
+                out[i * plane + q * row..][..row].copy_from_slice(from);
+            }
         }
+        out
     };
 
-    // The replay is the workers' dataflow: a forward equals `Fft3`, and the
-    // inverse takes it back, in either build.
+    // The replay is the workers' dataflow: a forward from planes equals
+    // `Fft3`, and the inverse from columns takes it back, in either build.
     let forward = plan.transform(&grid, Direction::Forward);
     for baseline in [false, true] {
         slabs = load();
-        op(baseline, Direction::Forward, &mut slabs);
+        op(baseline, Direction::Forward, &mut slabs, &mut gathered);
         assert!(
-            slabs.concat() == forward.data(),
+            held(&slabs, &gathered) == forward.data(),
             "baseline build: {baseline}"
         );
-        op(baseline, Direction::Inverse, &mut slabs);
+        op(baseline, Direction::Inverse, &mut slabs, &mut gathered);
     }
 
     let builds = [if tile::avx2() { "avx2" } else { "baseline" }, "baseline"];
@@ -459,7 +528,7 @@ fn replay_of_one_fft3d_op_splits_worker_time_into_arithmetic_and_copies() {
     for _ in 0..OPS {
         for (b, sum) in split.iter_mut().enumerate() {
             for dir in [Direction::Forward, Direction::Inverse] {
-                let took = op(b == 1, dir, &mut slabs);
+                let took = op(b == 1, dir, &mut slabs, &mut gathered);
                 sum.iter_mut().zip(took).for_each(|(sum, t)| *sum += t);
             }
         }
@@ -525,6 +594,70 @@ fn a_transform_that_fails_part_way_does_not_wedge_the_group() {
     dfft.scatter(d, grid.data()).unwrap();
     dfft.transform(d, Direction::Forward).unwrap();
     assert!(dfft.gather(d).unwrap() == expected.data());
+    cluster.shutdown(driver);
+}
+
+/// A worker holds whichever layout its last pass left — planes after a
+/// `scatter`, columns after a transform from planes, planes again after
+/// the next — and `gather` reads either. Every sequence of three
+/// directions (`FFF` … `III`) from a fresh `scatter`, read back after each
+/// step, agrees with `Fft3` applied in the same sequence: at P = 1, 2 and
+/// 4, and with four workers on one machine and on two, where a lane serves
+/// one worker's phase nested inside another's.
+#[test]
+fn every_sequence_of_directions_agrees_with_the_local_transform_in_either_layout() {
+    let shape = [8usize, 8, 4];
+    let grid = sample_grid(shape, 17);
+    let plan = Fft3::new(shape);
+    for (machines, parts) in [(1, 1), (2, 2), (4, 4), (1, 4), (2, 4)] {
+        let (cluster, mut driver) = cluster(machines);
+        let d = &mut driver;
+        let dfft = DistributedFft3::new(d, [8, 8, 4], parts).unwrap();
+        for sequence in 0..8u32 {
+            let dirs = (0..3).map(|step| match sequence >> (2 - step) & 1 {
+                0 => Direction::Forward,
+                _ => Direction::Inverse,
+            });
+            let name: String = dirs
+                .clone()
+                .map(|dir| format!("{dir:?}")[..1].to_string())
+                .collect();
+            dfft.scatter(d, grid.data()).unwrap();
+            let mut expected = grid.clone();
+            for (step, dir) in dirs.enumerate() {
+                dfft.transform(d, dir).unwrap();
+                plan.process(&mut expected, dir);
+                let err = max_error(&dfft.gather(d).unwrap(), expected.data());
+                assert!(
+                    err < 1e-9,
+                    "{parts} workers on {machines} machines, {name} step {step}: error {err}"
+                );
+            }
+        }
+        dfft.destroy(d).unwrap();
+        cluster.shutdown(driver);
+    }
+}
+
+/// A group whose workers hold different layouts has no grid to gather:
+/// here a transform leaves both in columns and a `load_slab` on worker 0
+/// alone puts it back in planes. `gather` refuses that as an `App` error
+/// rather than cut the grid two ways, and the next `scatter` puts the
+/// group back in step.
+#[test]
+fn gather_refuses_a_group_in_mixed_layouts() {
+    let shape = [4usize, 4, 2];
+    let grid = sample_grid(shape, 19);
+    let (cluster, mut driver) = cluster(2);
+    let d = &mut driver;
+    let dfft = DistributedFft3::new(d, [4, 4, 2], 2).unwrap();
+    dfft.scatter(d, grid.data()).unwrap();
+    dfft.transform(d, Direction::Forward).unwrap();
+    let slab = wire::collections::F64s(as_f64s(&grid.data()[..16]).to_vec());
+    dfft.workers.member(0).load_slab(d, slab).unwrap();
+    app_error(dfft.gather(d).map(drop), "different layouts");
+    dfft.scatter(d, grid.data()).unwrap();
+    assert!(dfft.gather(d).unwrap() == grid.data());
     cluster.shutdown(driver);
 }
 

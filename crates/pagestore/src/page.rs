@@ -181,11 +181,6 @@ impl ArrayPage {
         &self.data
     }
 
-    /// Mutable flat access.
-    pub fn elements_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Convert to the wire payload type (dimensions are carried by the
     /// device, which knows its page shape).
     pub fn into_f64s(self) -> F64s {

@@ -182,13 +182,7 @@ fn array_device_reductions_and_scale() {
     let (cluster, mut driver) = cluster(1);
     let dev =
         ArrayPageDeviceClient::new_on(&mut driver, 0, "r".into(), 2, 2, 2, 2, 0, None).unwrap();
-    let mut page = ArrayPage::zeroed(2, 2, 2);
-    for (i, v) in [3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, 6.0]
-        .iter()
-        .enumerate()
-    {
-        page.elements_mut()[i] = *v;
-    }
+    let page = ArrayPage::new(2, 2, 2, vec![3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, 6.0]);
     dev.write_array(&mut driver, 0, page.into_f64s()).unwrap();
     let whole = Domain::whole(2, 2, 2);
     assert_eq!(dev.min_sub(&mut driver, 0, whole).unwrap(), -5.0);

@@ -206,6 +206,17 @@ struct InFlight {
     sent: u64,
 }
 
+/// A takeover to run: registration `reg`, lost with machine `dead`,
+/// detected `detect` after its last acknowledged heartbeat and first tried
+/// at cluster-clock nanos `begun`.
+#[derive(Debug, Clone, Copy)]
+struct Loss {
+    reg: usize,
+    dead: usize,
+    detect: Duration,
+    begun: u64,
+}
+
 /// Step-driven self-healing controller. See the module docs for the
 /// protocol; see [`SupervisorConfig`] for tuning.
 #[derive(Debug)]
@@ -233,6 +244,11 @@ pub struct Supervisor {
     last_sent: HashMap<usize, u64>,
     in_flight: HashMap<u64, InFlight>,
     regs: Vec<Registration>,
+    /// Takeovers another claimant's claim beat while the record still
+    /// named the dead machine, each with the cluster-clock nanos it is
+    /// tried again at: that claimant may give up — a resolver with no live
+    /// candidate — and leave the name claimed and bound to the corpse.
+    lost_claims: Vec<(Loss, u64)>,
     stats: SupervisionStats,
 }
 
@@ -266,6 +282,7 @@ impl Supervisor {
             last_sent: HashMap::new(),
             in_flight: HashMap::new(),
             regs: Vec::new(),
+            lost_claims: Vec::new(),
             stats: SupervisionStats::default(),
         }
     }
@@ -398,6 +415,7 @@ impl Supervisor {
                 None => {}
             }
         }
+        self.retry_lost_claims(ctx, now, &mut recoveries)?;
         Ok(recoveries)
     }
 
@@ -554,22 +572,16 @@ impl Supervisor {
         let lost: Vec<usize> = (0..self.regs.len())
             .filter(|&i| self.regs[i].current.machine == m)
             .collect();
-        for i in lost {
+        for reg in lost {
             let begun = ctx.now_nanos();
-            if self.takeover(ctx, i, m)?.is_some() {
-                let total = detect + Duration::from_nanos(ctx.now_nanos().saturating_sub(begun));
-                taken.push(i);
-                self.stats.objects_reactivated += 1;
-                let micros = total.as_micros().min(u32::MAX as u128) as u32;
-                ctx.trace_marker(EventKind::ObjectReactivated, m, micros);
-                recoveries.push(Recovery {
-                    name: self.regs[i].name.clone(),
-                    from: m,
-                    to: self.regs[i].current,
-                    epoch: self.regs[i].epoch,
-                    detect,
-                    total,
-                });
+            let loss = Loss {
+                reg,
+                dead: m,
+                detect,
+                begun,
+            };
+            if self.recover(ctx, loss, recoveries)? {
+                taken.push(reg);
             }
         }
         self.state.insert(
@@ -582,11 +594,66 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Reactivate registration `i` away from dead machine `m`. Returns
-    /// the old incarnation on success (for later re-fencing), `None` when
-    /// someone else recovered it, holds the claim, or the name is gone.
-    fn takeover(&mut self, ctx: &mut NodeCtx, i: usize, m: usize) -> RemoteResult<Option<ObjRef>> {
-        let dir = self.dir;
+    /// Take registration `loss.reg` away from its dead machine and
+    /// account for it. True when this supervisor moved it.
+    fn recover(
+        &mut self,
+        ctx: &mut NodeCtx,
+        loss: Loss,
+        recoveries: &mut Vec<Recovery>,
+    ) -> RemoteResult<bool> {
+        if self.takeover(ctx, loss)?.is_none() {
+            return Ok(false);
+        }
+        let total = loss.detect + Duration::from_nanos(ctx.now_nanos().saturating_sub(loss.begun));
+        self.stats.objects_reactivated += 1;
+        let micros = total.as_micros().min(u32::MAX as u128) as u32;
+        ctx.trace_marker(EventKind::ObjectReactivated, loss.dead, micros);
+        let reg = &self.regs[loss.reg];
+        recoveries.push(Recovery {
+            name: reg.name.clone(),
+            from: loss.dead,
+            to: reg.current,
+            epoch: reg.epoch,
+            detect: loss.detect,
+            total,
+        });
+        Ok(true)
+    }
+
+    /// Try again each takeover a rival's claim beat a lease ago, while its
+    /// machine is still dead: the rival has had a lease to bind, and
+    /// `take_over` adopts what it bound, or claims the name at the epoch
+    /// the rival left it at. A bind refused in between stands down (DESIGN
+    /// §10.3), so the retry cannot leave two live incarnations.
+    fn retry_lost_claims(
+        &mut self,
+        ctx: &mut NodeCtx,
+        now: u64,
+        recoveries: &mut Vec<Recovery>,
+    ) -> RemoteResult<()> {
+        let state = &self.state;
+        let (due, later): (Vec<_>, _) = std::mem::take(&mut self.lost_claims)
+            .into_iter()
+            .filter(|(loss, _)| matches!(state.get(&loss.dead), Some(MState::Dead { .. })))
+            .partition(|&(_, at)| at <= now);
+        self.lost_claims = later;
+        for (loss, _) in due {
+            if self.recover(ctx, loss, recoveries)? {
+                if let Some(MState::Dead { taken, .. }) = self.state.get_mut(&loss.dead) {
+                    taken.push(loss.reg);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Reactivate registration `loss.reg` away from its dead machine.
+    /// Returns the old incarnation on success (for later re-fencing),
+    /// `None` when someone else recovered it, holds the claim (then it is
+    /// tried again a lease later), or the name is gone.
+    fn takeover(&mut self, ctx: &mut NodeCtx, loss: Loss) -> RemoteResult<Option<ObjRef>> {
+        let (dir, i, m) = (self.dir, loss.reg, loss.dead);
         let name = self.regs[i].name.clone();
         let new_epoch = match dir.take_over(ctx, &name, m)? {
             Takeover::Won { epoch } => epoch,
@@ -597,7 +664,12 @@ impl Supervisor {
                 self.regs[i].epoch = epoch;
                 return Ok(None);
             }
-            Takeover::Gone | Takeover::Lost => return Ok(None),
+            Takeover::Lost => {
+                let retry = ctx.now_nanos() + self.config.lease_ttl.as_nanos() as u64;
+                self.lost_claims.push((loss, retry));
+                return Ok(None);
+            }
+            Takeover::Gone => return Ok(None),
         };
         let targets = self.rank_survivors(ctx, &self.regs[i].backups.clone(), m);
         for attempt in 0..self.config.restart.max_attempts() {

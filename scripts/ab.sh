@@ -9,8 +9,10 @@
 # the change first in odd ones — each `--workload W --seconds S`, one JSON
 # line per run. Prints the CHANGES.md table: per end-to-end metric of
 # BENCHMARK.json, both medians, the base's interquartile range and the
-# pairs the change won. Each trial pins itself to one CPU, as in the
-# benchmark's own runs; judge a claim on an otherwise idle machine.
+# pairs the change won, then each pair's `op_p50_us` as base/change in run
+# order, where a host switching speed modes mid-run shows. Each trial pins
+# itself to one CPU, as in the benchmark's own runs; judge a claim on an
+# otherwise idle machine.
 #
 #   scripts/ab.sh <base-rev> <workload> [pairs] [seconds]   (default 10 pairs of 4 s)
 #
@@ -78,5 +80,8 @@ for name, direction in better.items():
     wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(b, c))
     ratio = mc / mb if mb else float("nan")
     print(f"| {name} ({unit}) | {mb:.4g} | {mc:.4g} | {ratio:.3f} | {q[2] - q[0]:.3g} | {wins}/{pairs} |")
+p50 = lambda side, i: sides[side][i]["metrics"]["op_p50_us"]["value"]
+print("\nop_p50_us by pair, base/change, in run order: "
+      + ", ".join(f"{p50('base', i):.4g}/{p50('change', i):.4g}" for i in range(pairs)))
 print(f"\nruns: {runs}")
 EOF

@@ -203,18 +203,20 @@ fn a_bulk_call_stays_within_its_allocation_budget() {
 const GET_BLOCKS_AT_PARENT: usize = 8;
 
 /// Large blocks one 64³ two-worker `transform` allocates, and its budget:
-/// per worker and exchange, the one `put` request the block for the other
-/// worker is gathered into — which the inbox keeps and then *is* the `take`
-/// reply, finished around the block where it arrived — 2 workers × 2
-/// exchanges. The block a worker keeps never leaves its slab (the axis-0
-/// pass runs over a row table of slab runs and `gathered` rows) and
-/// `gathered` is the worker's own buffer, built once, so a fifth block is
-/// a copy of the transpose come back: the relay not in place. (78 before a message had one buffer: a gathered copy, packed
-/// doubles, argument buffer, request frame, retransmission copy and the
-/// inbox's `Vec<f64>` per block, four more per reply. 14 while every
-/// exchange allocated its gather buffer; 12 while a worker mailed itself
-/// its own block and every reply was a fresh buffer.)
-const TRANSFORM_BLOCKS: usize = 4;
+/// per worker, the one `put` request its block for the other worker is
+/// gathered into in the transform's one exchange — which the inbox keeps
+/// and then *is* the `take` reply, finished around the block where it
+/// arrived — 2 workers × 1 exchange. The block a worker keeps never leaves
+/// its slab (the axis-0 pass runs over a row table of slab runs and
+/// `gathered` rows) and `gathered` is the worker's own buffer, built once,
+/// so a third block is a copy of the transpose come back: the relay not in
+/// place. (4 while every transform transposed back to planes; 78 before a
+/// message had one buffer: a gathered copy, packed doubles, argument
+/// buffer, request frame, retransmission copy and the inbox's `Vec<f64>`
+/// per block, four more per reply. 14 while every exchange allocated its
+/// gather buffer; 12 while a worker mailed itself its own block and every
+/// reply was a fresh buffer.)
+const TRANSFORM_BLOCKS: usize = 2;
 
 /// The §4 transpose, as a budget: what one `transform` of a 64³ grid over
 /// two workers may allocate in blocks of a MiB.

@@ -146,6 +146,78 @@ impl Contested {
     }
 }
 
+/// A directory in front of the real one which, armed with a name, lets a
+/// rival claimant win that name's claim between a takeover's read of the
+/// lease and its own claim — a point no schedule can move. The rival is a
+/// `resolve_or_activate_supervised` caller that found the home dead, won
+/// the claim and had no live candidate to activate: it leaves the name
+/// claimed and still bound to the dead machine.
+#[derive(Debug)]
+pub struct Strander {
+    dir: NameService,
+    armed: Option<String>,
+}
+
+oopp_repro::oopp::remote_class! {
+    class Strander {
+        ctor(dir: ObjRef);
+        /// Strand `name` at the next claim of it.
+        fn arm(&mut self, name: String) -> ();
+        /// The directory's verbs a supervisor calls, passed on.
+        fn lease_of(&mut self, name: String) -> Option<(ObjRef, u64, bool)>;
+        fn claim(&mut self, name: String, expect: u64) -> Option<u64>;
+        fn bind_fenced(&mut self, name: String, target: ObjRef, epoch: u64) -> bool;
+        fn poison(&mut self, name: String) -> ();
+        fn purge_replicas_on(&mut self, machine: usize) -> usize;
+    }
+}
+
+impl Strander {
+    pub fn new(_ctx: &mut NodeCtx, dir: ObjRef) -> RemoteResult<Self> {
+        let dir = NameService::classic(dir);
+        Ok(Strander { dir, armed: None })
+    }
+
+    fn arm(&mut self, _ctx: &mut NodeCtx, name: String) -> RemoteResult<()> {
+        self.armed = Some(name);
+        Ok(())
+    }
+
+    fn lease_of(
+        &mut self,
+        ctx: &mut NodeCtx,
+        name: String,
+    ) -> RemoteResult<Option<(ObjRef, u64, bool)>> {
+        self.dir.lease_of(ctx, name)
+    }
+
+    fn claim(&mut self, ctx: &mut NodeCtx, name: String, expect: u64) -> RemoteResult<Option<u64>> {
+        if self.armed.as_ref() == Some(&name) {
+            self.armed = None;
+            self.dir.claim(ctx, name.clone(), expect)?;
+        }
+        self.dir.claim(ctx, name, expect)
+    }
+
+    fn bind_fenced(
+        &mut self,
+        ctx: &mut NodeCtx,
+        name: String,
+        target: ObjRef,
+        epoch: u64,
+    ) -> RemoteResult<bool> {
+        self.dir.bind_fenced(ctx, name, target, epoch)
+    }
+
+    fn poison(&mut self, ctx: &mut NodeCtx, name: String) -> RemoteResult<()> {
+        self.dir.poison(ctx, name)
+    }
+
+    fn purge_replicas_on(&mut self, ctx: &mut NodeCtx, machine: usize) -> RemoteResult<usize> {
+        self.dir.purge_replicas_on(ctx, machine)
+    }
+}
+
 /// Fast-failure call policy for supervision tests: dead machines must
 /// cost short windows, not 30-second defaults.
 fn test_policy() -> CallPolicy {
@@ -734,6 +806,71 @@ fn a_refused_resolver_bind_leaves_no_live_incarnation() {
     assert_eq!(
         dir.lease_of(&mut driver, addr).unwrap(),
         Some((c.obj_ref(), 2, false))
+    );
+
+    cluster.sim().faults().restart(1);
+    cluster.shutdown(driver);
+}
+
+/// Regression: a takeover that read `Lost` — a rival won the claim between
+/// its read of the lease and its own claim — never tried again, so when the
+/// rival was a resolver with no live candidate the name stayed claimed and
+/// bound to the dead machine for good. The supervisor tries again a lease
+/// later, claims the name at the epoch the rival left, and binds a live
+/// incarnation.
+#[test]
+fn a_takeover_lost_to_a_stranded_claim_is_tried_again() {
+    let (cluster, mut driver) = ClusterBuilder::new(3)
+        .register::<PCounter>()
+        .register::<Strander>()
+        .sim_config(ClusterConfig::zero_cost(0))
+        .call_policy(test_policy())
+        .build();
+    let dir = driver.directory();
+    let strander = StranderClient::new_on(&mut driver, 0, dir.obj_ref()).unwrap();
+    let via = NameService::classic(strander.obj_ref());
+    let mut sup = Supervisor::new(test_config(), vec![1, 2], via);
+
+    let addr = symbolic_addr(&["sup", "stranded", "0"]);
+    let c = PCounterClient::new_on(&mut driver, 1).unwrap();
+    c.add(&mut driver, 5).unwrap();
+    sup.register(&mut driver, &addr, &c, &[2]).unwrap();
+    strander.arm(&mut driver, addr.clone()).unwrap();
+    settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
+        s.detector().last_heartbeat(1).is_some()
+    });
+
+    cluster.sim().faults().crash(1);
+    // The takeover reads epoch 1, the rival claims epoch 2 before it, and
+    // the takeover reads `Lost`: the name is stranded on the corpse.
+    let mut recoveries = settle(&mut sup, &mut driver, Duration::from_secs(15), |s, _| {
+        s.is_dead(1)
+    });
+    assert!(recoveries.is_empty(), "{recoveries:?}");
+    assert_eq!(
+        dir.lease_of(&mut driver, addr.clone()).unwrap(),
+        Some((c.obj_ref(), 2, false))
+    );
+
+    // A lease later the supervisor claims epoch 3 and binds on the backup.
+    recoveries.extend(settle(
+        &mut sup,
+        &mut driver,
+        Duration::from_secs(15),
+        |_, r| !r.is_empty(),
+    ));
+    assert_eq!(recoveries.len(), 1);
+    let r = &recoveries[0];
+    assert_eq!((r.from, r.to.machine, r.epoch), (1, 2, 3));
+    assert_eq!(sup.current_of(&addr), Some(r.to));
+    assert_eq!(sup.stats().objects_reactivated, 1);
+    assert_eq!(
+        dir.lease_of(&mut driver, addr.clone()).unwrap(),
+        Some((r.to, 3, false))
+    );
+    assert_eq!(
+        PCounterClient::from_ref(r.to).total(&mut driver).unwrap(),
+        5
     );
 
     cluster.sim().faults().restart(1);
