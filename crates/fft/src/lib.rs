@@ -10,8 +10,9 @@
 //!   (arbitrary n) 1-D transforms behind the size-dispatching [`Fft`] plan,
 //!   for one line, every row or every column of a matrix: each power-of-two
 //!   radix is one sweep over a tile of columns, a run of values per
-//!   butterfly, compiled twice and run in its AVX2 build where the CPU has
-//!   it — the same spectra, bit for bit, either way;
+//!   butterfly, compiled three times — baseline, AVX2, AVX-512, each with
+//!   its own run width — and run in the widest build the CPU has: the same
+//!   spectra, bit for bit, in every build;
 //! * [`Fft2`]/[`Fft3`] row–column 2-D/3-D transforms;
 //! * [`DistributedFft3`] — the paper's §4 example: slab decomposition over
 //!   a group of [`FftWorker`] object-processes exchanging transpose blocks

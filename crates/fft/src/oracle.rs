@@ -7,6 +7,7 @@
 
 use crate::complex::{c64, Complex};
 use crate::dft::Direction;
+use crate::tile::Build;
 use crate::*;
 
 /// `Radix2::process` as it was.
@@ -276,26 +277,28 @@ fn fft3_equals_the_old_passes_and_the_definition() {
     }
 }
 
-/// Which build of the kernel a test runs: the one this host dispatches to,
-/// or the baseline build every other host runs.
-fn in_build<T>(baseline: bool, f: impl FnOnce() -> T) -> T {
-    if baseline {
-        tile::baseline_only(f)
-    } else {
-        f()
-    }
+/// Every build of the sweep this CPU runs, narrowest first, printed with
+/// the one it dispatches to.
+fn builds_here() -> Vec<Build> {
+    let builds: Vec<Build> = Build::runnable().collect();
+    let names: Vec<&str> = builds.iter().map(|b| b.name()).collect();
+    println!(
+        "builds checked: {}; this host dispatches to the {} build",
+        names.join(", "),
+        Build::detect().name()
+    );
+    builds
 }
 
-/// Both builds of the sweep `==` the old kernels, for every kind of line:
-/// one line, rows (block edges: fewer rows than a run, a run and one more,
-/// the row scratch's width and one more, a plane's worth), columns (the
-/// widths above). Radix-4 at n = 4…1 024,
+/// Every build of the sweep this CPU runs `==` the old kernels, for every
+/// kind of line: one line, rows (block edges: fewer rows than the build's
+/// run, a run and one more, the row scratch's width and one more, a
+/// plane's worth), columns (the widths above). Radix-4 at n = 4…1 024,
 /// radix-2 at n = 2…512 — powers of four included, where no plan picks it.
-/// On an AVX2 host nothing else runs the baseline build.
+/// Nothing else runs a build narrower than the host's widest.
 #[test]
-fn both_builds_of_the_kernel_equal_the_old_kernels() {
-    let host = if tile::avx2() { "avx2" } else { "baseline" };
-    println!("this host dispatches to the {host} build; both are checked");
+fn every_build_of_the_kernel_equals_the_old_kernels() {
+    let builds = builds_here();
     let radix4 = (1..=5).map(|k| 1usize << (2 * k));
     let radix2 = (1..=9).map(|k| 1usize << k);
     let plans = radix4.map(|n| (n, true)).chain(radix2.map(|n| (n, false)));
@@ -308,31 +311,32 @@ fn both_builds_of_the_kernel_equal_the_old_kernels() {
             }
         };
         let (r4, r2) = (four.then(|| Radix4::new(n)), Radix2::new(n));
-        for baseline in [false, true] {
+        for &build in &builds {
             for dir in BOTH {
                 let what = format!(
-                    "n={n} radix-{} {dir:?} baseline={baseline}",
-                    if four { 4 } else { 2 }
+                    "n={n} radix-{} {dir:?} {} build",
+                    if four { 4 } else { 2 },
+                    build.name()
                 );
                 // One line.
                 let x = seeded(n, n as u64);
                 let mut old = x.clone();
                 reference(&mut old, dir);
                 let mut new = x;
-                in_build(baseline, || match &r4 {
+                tile::forced(build, || match &r4 {
                     Some(p) => p.process(&mut new, dir),
                     None => r2.process(&mut new, dir),
                 });
                 assert!(new == old, "line, {what}");
                 // Rows: fewer than a run, a run and one more, a scratch's
                 // worth and one more, a plane's worth.
-                let (run, scratch) = (tile::RUN, tile::ROWS);
+                let (run, scratch) = (build.run(), tile::ROWS);
                 for rows in [1, run - 1, run, run + 1, scratch, scratch + 1, 64] {
                     let x = seeded(n * rows, (n + rows) as u64);
                     let mut old = x.clone();
                     old.chunks_exact_mut(n).for_each(|row| reference(row, dir));
                     let mut new = x;
-                    in_build(baseline, || match &r4 {
+                    tile::forced(build, || match &r4 {
                         Some(p) => p.process_rows(&mut new, dir),
                         None => r2.process_rows(&mut new, dir),
                     });
@@ -347,7 +351,7 @@ fn both_builds_of_the_kernel_equal_the_old_kernels() {
                     let mut old = x.clone();
                     columns_by_line(&mut old, width, |line| reference(line, dir));
                     let mut new = x;
-                    in_build(baseline, || match &r4 {
+                    tile::forced(build, || match &r4 {
                         Some(p) => p.process_columns(&mut new, width, dir),
                         None => r2.process_columns(&mut new, width, dir),
                     });
@@ -404,7 +408,8 @@ fn spread_table(buffers: &mut [Vec<Complex>; 2], n: usize, width: usize) -> Vec<
     rows.into_iter().map(Option::unwrap).collect()
 }
 
-/// The row table form of every plan, in both builds, `==` the old kernels
+/// The row table form of every plan, in every build this CPU runs, `==`
+/// the old kernels
 /// line by line, with the rows spread over two buffers at arbitrary offsets
 /// in a scrambled order (as a worker's axis-0 table finds them: runs of its
 /// slab, rows of what it received) — and nothing between the rows touched.
@@ -414,12 +419,12 @@ fn spread_table(buffers: &mut [Vec<Complex>; 2], n: usize, width: usize) -> Vec<
 fn row_tables_anywhere_equal_the_old_kernels() {
     let pow2 = (1..=7).map(|k| 1usize << k);
     let bluestein = [12usize, 60];
-    for baseline in [false, true] {
+    for build in builds_here() {
         for n in pow2.clone().chain(bluestein) {
             let plan = Fft::new(n);
             for width in [1usize, 3, 65, 130] {
                 for dir in BOTH {
-                    let what = format!("n={n} width={width} {dir:?} baseline={baseline}");
+                    let what = format!("n={n} width={width} {dir:?} {} build", build.name());
                     let x = seeded(n * width, (3 * n + width) as u64);
                     let mut old = x.clone();
                     if plan.is_radix2() {
@@ -428,7 +433,7 @@ fn row_tables_anywhere_equal_the_old_kernels() {
                         columns_by_line(&mut old, width, |line| plan.process(line, dir));
                     }
                     let mut new = spread(&x, n, width);
-                    in_build(baseline, || {
+                    tile::forced(build, || {
                         plan.process_table(&mut spread_table(&mut new, n, width), dir)
                     });
                     assert!(new == spread(&old, n, width), "{what}");
@@ -438,7 +443,7 @@ fn row_tables_anywhere_equal_the_old_kernels() {
                     let mut old = x.clone();
                     columns_by_line(&mut old, width, |line| radix2_reference(line, dir));
                     let mut new = spread(&x, n, width);
-                    in_build(baseline, || {
+                    tile::forced(build, || {
                         let rows = &mut spread_table(&mut new, n, width);
                         Radix2::new(n).process_table(rows, dir)
                     });

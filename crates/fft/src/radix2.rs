@@ -49,7 +49,7 @@ impl<const SCALED: bool> Butterfly<2> for Pair<SCALED> {
 impl Radix2 {
     /// One stage: the butterflies of every group of `2·half` rows.
     #[inline(always)]
-    fn stage<'a, const SCALED: bool>(
+    fn stage<'a, const SCALED: bool, const RUN: usize>(
         &self,
         mut rows: impl Rows<'a>,
         half: usize,
@@ -63,7 +63,7 @@ impl Radix2 {
             let (lo, hi) = group.split(half);
             for (j, (r0, r1)) in lo.each().zip(hi.each()).enumerate() {
                 let twiddle = twiddles.get(j).copied();
-                runs(Pair::<SCALED> { twiddle, scale }, [r0, r1], cols);
+                runs::<2, RUN>(Pair::<SCALED> { twiddle, scale }, [r0, r1], cols);
             }
         }
     }
@@ -75,16 +75,20 @@ impl Stages for Radix2 {
     }
 
     #[inline(always)]
-    fn stages<'a, const INVERSE: bool>(&self, mut rows: impl Rows<'a>, cols: &Range<usize>) {
+    fn stages<'a, const INVERSE: bool, const RUN: usize>(
+        &self,
+        mut rows: impl Rows<'a>,
+        cols: &Range<usize>,
+    ) {
         let mut twiddles = &self.twiddles[INVERSE as usize][..];
         let mut half = 1;
         while 2 * half <= self.n {
             let stage;
             (stage, twiddles) = twiddles.split_at(if half == 1 { 0 } else { half });
             if INVERSE && 2 * half == self.n {
-                self.stage::<true>(rows.by_ref(), half, stage, cols);
+                self.stage::<true, RUN>(rows.by_ref(), half, stage, cols);
             } else {
-                self.stage::<false>(rows.by_ref(), half, stage, cols);
+                self.stage::<false, RUN>(rows.by_ref(), half, stage, cols);
             }
             half *= 2;
         }

@@ -68,7 +68,7 @@ impl<const INVERSE: bool, const SCALED: bool> Butterfly<4> for Quad<INVERSE, SCA
 impl Radix4 {
     /// One stage: the butterflies of every group of `4·quarter` rows.
     #[inline(always)]
-    fn stage<'a, const INVERSE: bool, const SCALED: bool>(
+    fn stage<'a, const INVERSE: bool, const SCALED: bool, const RUN: usize>(
         &self,
         mut rows: impl Rows<'a>,
         quarter: usize,
@@ -85,7 +85,7 @@ impl Radix4 {
             for (j, (((r0, r1), r2), r3)) in quads.enumerate() {
                 let twiddles = twiddles.get(j).copied();
                 let butterfly = Quad::<INVERSE, SCALED> { twiddles, scale };
-                runs(butterfly, [r0, r1, r2, r3], cols);
+                runs::<4, RUN>(butterfly, [r0, r1, r2, r3], cols);
             }
         }
     }
@@ -97,16 +97,20 @@ impl Stages for Radix4 {
     }
 
     #[inline(always)]
-    fn stages<'a, const INVERSE: bool>(&self, mut rows: impl Rows<'a>, cols: &Range<usize>) {
+    fn stages<'a, const INVERSE: bool, const RUN: usize>(
+        &self,
+        mut rows: impl Rows<'a>,
+        cols: &Range<usize>,
+    ) {
         let mut twiddles = &self.twiddles[INVERSE as usize][..];
         let mut quarter = 1;
         while 4 * quarter <= self.n {
             let stage;
             (stage, twiddles) = twiddles.split_at(if quarter == 1 { 0 } else { quarter });
             if INVERSE && 4 * quarter == self.n {
-                self.stage::<INVERSE, true>(rows.by_ref(), quarter, stage, cols);
+                self.stage::<INVERSE, true, RUN>(rows.by_ref(), quarter, stage, cols);
             } else {
-                self.stage::<INVERSE, false>(rows.by_ref(), quarter, stage, cols);
+                self.stage::<INVERSE, false, RUN>(rows.by_ref(), quarter, stage, cols);
             }
             quarter *= 4;
         }

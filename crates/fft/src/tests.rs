@@ -457,14 +457,20 @@ fn replay_transform(
 /// two workers from planes to columns, and the inverse back) goes, so the
 /// ROADMAP's split can be re-read:
 /// `cargo test --release -p fft --lib replay -- --ignored --nocapture`, on
-/// one pinned CPU (`taskset -c 1`) to compare with the benchmark. Both
-/// builds of the kernel are read, one op each in turn: the one this host
-/// dispatches to and the baseline build every other host runs.
+/// one pinned CPU (`taskset -c 1`) to compare with the benchmark. Every
+/// build of the kernel this host runs is read, a block of ops each in
+/// turn: the one it dispatches to and the narrower ones other hosts run.
 #[test]
 #[ignore = "prints a timing split; meaningful in --release only"]
 fn replay_of_one_fft3d_op_splits_worker_time_into_arithmetic_and_copies() {
     const PARTS: usize = 2;
     const OPS: u32 = 200;
+    // Ops of one build in a row, the builds alternating block by block:
+    // timed op by op, each right after an AVX-512 op, the baseline build
+    // read up to 27 % slower than in a replay without the AVX-512 build
+    // (likely the lower clock a CPU keeps for a while after 512-bit
+    // arithmetic); in blocks, within the host's noise of it.
+    const BLOCK: u32 = 20;
     let shape = [64usize; 3];
     let plan = Fft3::new(shape);
     let grid = sample_grid(shape, 11);
@@ -479,17 +485,12 @@ fn replay_of_one_fft3d_op_splits_worker_time_into_arithmetic_and_copies() {
     let mut gathered = vec![vec![Complex::ZERO; cells / PARTS / PARTS * (PARTS - 1)]; PARTS];
     let mut message = vec![Complex::ZERO; cells / PARTS / PARTS];
     let mut columns = false;
-    // One transform, in the dispatched build or in the baseline build.
-    let mut op =
-        |baseline: bool, dir, slabs: &mut [Vec<Complex>], gathered: &mut [Vec<Complex>]| {
-            let mut go =
-                || replay_transform(&plan, dir, &mut columns, slabs, gathered, &mut message);
-            if baseline {
-                tile::baseline_only(go)
-            } else {
-                go()
-            }
-        };
+    // One transform, in the given build.
+    let mut op = |build, dir, slabs: &mut [Vec<Complex>], gathered: &mut [Vec<Complex>]| {
+        tile::forced(build, || {
+            replay_transform(&plan, dir, &mut columns, slabs, gathered, &mut message)
+        })
+    };
     // The grid the workers hold in columns: worker q's rows of plane i are
     // its own slab's run for its own planes, `gathered`'s for the others.
     let held = |slabs: &[Vec<Complex>], gathered: &[Vec<Complex>]| {
@@ -511,37 +512,44 @@ fn replay_of_one_fft3d_op_splits_worker_time_into_arithmetic_and_copies() {
     };
 
     // The replay is the workers' dataflow: a forward from planes equals
-    // `Fft3`, and the inverse from columns takes it back, in either build.
+    // `Fft3`, and the inverse from columns takes it back, in every build.
     let forward = plan.transform(&grid, Direction::Forward);
-    for baseline in [false, true] {
+    let builds: Vec<tile::Build> = tile::Build::runnable().collect();
+    for &build in &builds {
         slabs = load();
-        op(baseline, Direction::Forward, &mut slabs, &mut gathered);
+        op(build, Direction::Forward, &mut slabs, &mut gathered);
         assert!(
             held(&slabs, &gathered) == forward.data(),
-            "baseline build: {baseline}"
+            "{} build",
+            build.name()
         );
-        op(baseline, Direction::Inverse, &mut slabs, &mut gathered);
+        op(build, Direction::Inverse, &mut slabs, &mut gathered);
     }
 
-    let builds = [if tile::avx2() { "avx2" } else { "baseline" }, "baseline"];
-    let mut split = [[std::time::Duration::ZERO; 3]; 2];
-    for _ in 0..OPS {
-        for (b, sum) in split.iter_mut().enumerate() {
-            for dir in [Direction::Forward, Direction::Inverse] {
-                let took = op(b == 1, dir, &mut slabs, &mut gathered);
-                sum.iter_mut().zip(took).for_each(|(sum, t)| *sum += t);
+    let mut split = vec![[std::time::Duration::ZERO; 3]; builds.len()];
+    for _ in 0..OPS / BLOCK {
+        for (&build, sum) in builds.iter().zip(&mut split) {
+            for _ in 0..BLOCK {
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let took = op(build, dir, &mut slabs, &mut gathered);
+                    sum.iter_mut().zip(took).for_each(|(sum, t)| *sum += t);
+                }
             }
         }
     }
-    for (build, split) in builds.iter().zip(split) {
+    for (build, split) in builds.iter().zip(split).rev() {
         let [planes, axis0, copies] = split.map(|t| t.as_secs_f64() * 1e3 / f64::from(OPS));
         println!(
-            "one fft3d op, worker phases replayed, {build} build: planes {planes:.2} ms + \
+            "one fft3d op, worker phases replayed, {} build: planes {planes:.2} ms + \
              axis 0 {axis0:.2} ms = {:.2} ms arithmetic, {copies:.2} ms of block copies",
+            build.name(),
             planes + axis0
         );
     }
-    println!("this host dispatches to the {} build", builds[0]);
+    println!(
+        "this host dispatches to the {} build",
+        tile::Build::detect().name()
+    );
     assert!(max_error(&slabs.concat(), grid.data()) < 1e-9);
 }
 

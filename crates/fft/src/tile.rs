@@ -3,8 +3,8 @@
 //! the rows of a row-major `[rows][n]` matrix, a single line — and
 //! everything about it that is not a radix's own butterflies: tiles of
 //! columns, runs of values per butterfly, the transposed row scratch, the
-//! twiddles' form and the two builds (DESIGN §4 3d). Every output is bit
-//! for bit what a line-at-a-time kernel computes.
+//! twiddles' form and the three builds (DESIGN §4 3d). Every output is bit
+//! for bit what a line-at-a-time kernel computes, in every build.
 
 use std::ops::Range;
 
@@ -13,18 +13,84 @@ use crate::dft::Direction;
 
 /// Columns per tile. A constant, not a parameter: 64 and 128 run alike,
 /// and at 32 the benchmark's `[64][2048]` column pass loses its gain on
-/// AVX2 (DESIGN §4 3d).
+/// AVX2 and AVX-512 (DESIGN §4 3d).
 const TILE: usize = 64;
 
-/// Complex values per run. A constant, not a parameter: 2 and 4 read
-/// alike on AVX2, 4 is slower on the baseline build, and at 8 the baseline
-/// build spills its locals (DESIGN §4 3d).
-pub(crate) const RUN: usize = 2;
-
 /// Rows a row pass transposes into its scratch at a time: the scratch's
-/// width, so each load of a butterfly's twiddles serves `ROWS / RUN` runs.
-/// A constant, not a parameter: measured against 2, 4 and 16 (DESIGN §4 3d).
+/// width, so each load of a butterfly's twiddles serves `ROWS / RUN` runs
+/// (`RUN` is the build's, [`Build::run`]). A constant, not a parameter:
+/// measured against 2, 4 and 16 (DESIGN §4 3d).
 pub(crate) const ROWS: usize = 8;
+
+/// A build of the sweep: the one `#[inline(always)]` sweep compiled for a
+/// set of target features, with its own run width. [`sweep`] runs the
+/// widest the CPU has ([`Build::detect`]); every build computes the same
+/// spectra, bit for bit (no FMA, no intrinsics).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Build {
+    /// Any CPU: SSE2 on `x86_64`, the only build on other targets.
+    Baseline,
+    /// `#[target_feature(enable = "avx2")]`: 256-bit vectors.
+    Avx2,
+    /// `#[target_feature(enable = "avx512f")]`: 512-bit vectors.
+    Avx512,
+}
+
+impl Build {
+    /// Every build, narrowest first.
+    const ALL: [Build; 3] = [Build::Baseline, Build::Avx2, Build::Avx512];
+
+    /// Complex values per run in this build — one vector register's worth
+    /// in each vector build. Constants, not parameters: 4 is slower in the
+    /// baseline build and no faster in the AVX2 one, and 8 spills the
+    /// AVX-512 build's inverse (DESIGN §4 3d).
+    pub(crate) const fn run(self) -> usize {
+        match self {
+            Build::Baseline | Build::Avx2 => 2,
+            Build::Avx512 => 4,
+        }
+    }
+
+    /// The build's name, as tests and the replay print it.
+    #[cfg(test)]
+    pub(crate) const fn name(self) -> &'static str {
+        match self {
+            Build::Baseline => "baseline",
+            Build::Avx2 => "avx2",
+            Build::Avx512 => "avx512",
+        }
+    }
+
+    /// True when the CPU has exactly the features this build's
+    /// `#[target_feature]` enables (std caches the answer).
+    fn runs_here(self) -> bool {
+        match self {
+            Build::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx2 => std::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx512 => std::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Build::Avx2 | Build::Avx512 => false,
+        }
+    }
+
+    /// Every build this CPU runs, narrowest first.
+    pub(crate) fn runnable() -> impl Iterator<Item = Build> {
+        Build::ALL.into_iter().filter(|build| build.runs_here())
+    }
+
+    /// The build [`sweep`] runs: the widest this CPU runs (in a test, the
+    /// one [`forced`] names, once its features are confirmed too).
+    pub(crate) fn detect() -> Build {
+        #[cfg(test)]
+        if let Some(build) = FORCED.get() {
+            assert!(build.runs_here(), "this CPU cannot run the {build:?} build");
+            return build;
+        }
+        Build::runnable().last().unwrap_or(Build::Baseline)
+    }
+}
 
 /// One radix's butterflies, as the sweep drives them.
 pub(crate) trait Stages {
@@ -33,11 +99,16 @@ pub(crate) trait Stages {
     fn reversal(&self) -> &[u32];
 
     /// Every stage's butterflies on columns `cols` of the `n` rows `rows`,
-    /// whose contents are in reversed order; the inverse's last stage
-    /// scales its outputs by `1/n`. Implementations are `#[inline(always)]`,
-    /// so that each build of the sweep compiles them for its own target
-    /// features.
-    fn stages<'a, const INVERSE: bool>(&self, rows: impl Rows<'a>, cols: &Range<usize>);
+    /// whose contents are in reversed order, `RUN` values of each row at a
+    /// time ([`runs`]); the inverse's last stage scales its outputs by
+    /// `1/n`. Implementations are `#[inline(always)]`, so that each build
+    /// of the sweep compiles them for its own target features and run
+    /// width.
+    fn stages<'a, const INVERSE: bool, const RUN: usize>(
+        &self,
+        rows: impl Rows<'a>,
+        cols: &Range<usize>,
+    );
 }
 
 /// One butterfly of a stage: what it makes of `N` runs, one per row.
@@ -130,8 +201,8 @@ pub(crate) fn row_table(data: &mut [Complex], n: usize, width: usize) -> Vec<&mu
     data.chunks_exact_mut(width).collect()
 }
 
-/// Transform the lines of `lines` with `plan`, in the build of the sweep
-/// the CPU runs ([`avx2`]).
+/// Transform the lines of `lines` with `plan`, in the widest build of the
+/// sweep the CPU runs ([`Build::detect`]).
 ///
 /// # Panics
 /// If the lines are not whole: a matrix of other than `n` rows, a table of
@@ -152,10 +223,15 @@ pub(crate) fn sweep<S: Stages>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
-        // SAFETY: `sweep_avx2` asks only that the CPU has AVX2, which
-        // `avx2` has just checked.
-        return unsafe { sweep_avx2(plan, lines, dir) };
+    // SAFETY: each vector build asks only that the CPU has the features its
+    // `#[target_feature]` enables, and each arm runs only after `detect`
+    // confirmed exactly those features for the build it returned.
+    unsafe {
+        match Build::detect() {
+            Build::Avx512 => return sweep_avx512(plan, lines, dir),
+            Build::Avx2 => return sweep_avx2(plan, lines, dir),
+            Build::Baseline => {}
+        }
     }
     sweep_baseline(plan, lines, dir)
 }
@@ -181,56 +257,57 @@ pub(crate) fn assert_whole_rows(len: usize, n: usize) {
     );
 }
 
-/// True when [`sweep`] runs its AVX2 build: on an `x86_64` CPU that has
-/// AVX2 (and in a test, unless inside `baseline_only`).
-pub(crate) fn avx2() -> bool {
-    #[cfg(test)]
-    if BASELINE_ONLY.get() {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    let avx2 = std::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let avx2 = false;
-    avx2
-}
-
 /// The sweep for any CPU: SSE2 on `x86_64`.
 fn sweep_baseline<S: Stages>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
-    by_direction(plan, lines, dir)
+    by_direction::<S, { Build::Baseline.run() }>(plan, lines, dir)
 }
 
-/// The sweep compiled for AVX2: 256-bit vectors for the runs.
+/// The sweep compiled for AVX2: a run in one 256-bit register.
 ///
 /// # Safety
 /// Outside code built for AVX2 a call is `unsafe`: the CPU must have AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn sweep_avx2<S: Stages>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
-    by_direction(plan, lines, dir)
+    by_direction::<S, { Build::Avx2.run() }>(plan, lines, dir)
+}
+
+/// The sweep compiled for AVX-512: a run in one 512-bit register.
+///
+/// # Safety
+/// Outside code built for AVX-512 a call is `unsafe`: the CPU must have
+/// AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn sweep_avx512<S: Stages>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
+    by_direction::<S, { Build::Avx512.run() }>(plan, lines, dir)
 }
 
 #[inline(always)]
-fn by_direction<S: Stages>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
+fn by_direction<S: Stages, const RUN: usize>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
     match dir {
-        Direction::Forward => by_lines::<S, false>(plan, lines),
-        Direction::Inverse => by_lines::<S, true>(plan, lines),
+        Direction::Forward => by_lines::<S, false, RUN>(plan, lines),
+        Direction::Inverse => by_lines::<S, true, RUN>(plan, lines),
     }
 }
 
 #[inline(always)]
-fn by_lines<S: Stages, const INVERSE: bool>(plan: &S, lines: Lines<'_, '_>) {
+fn by_lines<S: Stages, const INVERSE: bool, const RUN: usize>(plan: &S, lines: Lines<'_, '_>) {
     let reversal = plan.reversal();
     let n = reversal.len();
     match lines {
         // A line, compiled for its one column: through the arm below, where
         // every butterfly is a run of one value of unknown width, it read
         // twice as slow as the old line kernel.
-        Lines::Columns(data, 1) => in_place::<S, INVERSE>(plan, Matrix { data, width: 1 }, 0..1),
-        Lines::Columns(data, width) => by_tiles::<S, INVERSE>(plan, Matrix { data, width }, width),
+        Lines::Columns(data, 1) => {
+            in_place::<S, INVERSE, RUN>(plan, Matrix { data, width: 1 }, 0..1)
+        }
+        Lines::Columns(data, width) => {
+            by_tiles::<S, INVERSE, RUN>(plan, Matrix { data, width }, width)
+        }
         Lines::Table(rows) => {
             let width = rows[0].len();
-            by_tiles::<S, INVERSE>(plan, rows, width);
+            by_tiles::<S, INVERSE, RUN>(plan, rows, width);
         }
         Lines::Rows(data) => {
             // Always `ROWS` columns wide, so that the sweep is compiled for
@@ -247,7 +324,7 @@ fn by_lines<S: Stages, const INVERSE: bool>(plan: &S, lines: Lines<'_, '_>) {
                     data: &mut scratch,
                     width: ROWS,
                 };
-                plan.stages::<INVERSE>(matrix, &(0..ROWS));
+                plan.stages::<INVERSE, RUN>(matrix, &(0..ROWS));
                 for (i, from) in scratch.chunks_exact(ROWS).enumerate() {
                     for (v, row) in from.iter().zip(rows.chunks_exact_mut(n)) {
                         row[i] = *v;
@@ -260,9 +337,13 @@ fn by_lines<S: Stages, const INVERSE: bool>(plan: &S, lines: Lines<'_, '_>) {
 
 /// [`in_place`] on every tile of `rows`, `width` columns wide.
 #[inline(always)]
-fn by_tiles<'a, S: Stages, const INVERSE: bool>(plan: &S, mut rows: impl Rows<'a>, width: usize) {
+fn by_tiles<'a, S: Stages, const INVERSE: bool, const RUN: usize>(
+    plan: &S,
+    mut rows: impl Rows<'a>,
+    width: usize,
+) {
     for cols in tiles(width) {
-        in_place::<S, INVERSE>(plan, rows.by_ref(), cols);
+        in_place::<S, INVERSE, RUN>(plan, rows.by_ref(), cols);
     }
 }
 
@@ -276,7 +357,7 @@ fn tiles(width: usize) -> impl Iterator<Item = Range<usize>> {
 /// Columns `cols` of `rows` put in reversed order, then every stage on
 /// them.
 #[inline(always)]
-fn in_place<'a, S: Stages, const INVERSE: bool>(
+fn in_place<'a, S: Stages, const INVERSE: bool, const RUN: usize>(
     plan: &S,
     mut rows: impl Rows<'a>,
     cols: Range<usize>,
@@ -293,13 +374,13 @@ fn in_place<'a, S: Stages, const INVERSE: bool>(
             }
         }
     }
-    plan.stages::<INVERSE>(rows, &cols);
+    plan.stages::<INVERSE, RUN>(rows, &cols);
 }
 
 /// `b` on columns `cols` of `rows`: `RUN` values of each row at a time,
 /// then what is left one value at a time.
 #[inline(always)]
-pub(crate) fn runs<const N: usize>(
+pub(crate) fn runs<const N: usize, const RUN: usize>(
     b: impl Butterfly<N>,
     rows: [&mut [Complex]; N],
     cols: &Range<usize>,
@@ -422,14 +503,40 @@ impl<const R: usize> std::ops::Sub for Run<R> {
 
 #[cfg(test)]
 thread_local! {
-    static BASELINE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static FORCED: std::cell::Cell<Option<Build>> = const { std::cell::Cell::new(None) };
 }
 
-/// `f`, with every [`sweep`] on this thread running the baseline build.
+/// `f`, with every [`sweep`] on this thread running `build`.
+///
+/// # Panics
+/// In the first sweep, if this CPU cannot run `build`.
 #[cfg(test)]
-pub(crate) fn baseline_only<T>(f: impl FnOnce() -> T) -> T {
-    let was = BASELINE_ONLY.replace(true);
+pub(crate) fn forced<T>(build: Build, f: impl FnOnce() -> T) -> T {
+    let was = FORCED.replace(Some(build));
     let out = f();
-    BASELINE_ONLY.set(was);
+    FORCED.set(was);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Build;
+
+    /// The dispatcher runs the widest build the CPU reports, asked here
+    /// feature by feature: on an AVX-512 host, a detection that fell back
+    /// to AVX2 fails.
+    #[test]
+    fn the_dispatched_build_is_the_widest_the_cpu_reports() {
+        #[cfg(target_arch = "x86_64")]
+        let widest = if std::is_x86_feature_detected!("avx512f") {
+            Build::Avx512
+        } else if std::is_x86_feature_detected!("avx2") {
+            Build::Avx2
+        } else {
+            Build::Baseline
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let widest = Build::Baseline;
+        assert_eq!(Build::detect(), widest);
+    }
 }

@@ -12,18 +12,24 @@
 # pairs the change won, then each pair's `op_p50_us` as base/change in run
 # order, where a host switching speed modes mid-run shows. Each trial pins
 # itself to one CPU, as in the benchmark's own runs; judge a claim on an
-# otherwise idle machine.
+# otherwise idle machine. A SEED is passed to both sides as `--seed` (the
+# benchmark's default seed without one), so a claim's held-out-seed run is
+# the same command with one more argument.
 #
-#   scripts/ab.sh <base-rev> <workload> [pairs] [seconds]   (default 10 pairs of 4 s)
+#   scripts/ab.sh <base-rev> <workload> [pairs] [seconds] [seed]   (default 10 pairs of 4 s)
 #
-# The runs land in target/ab/runs.*; CI smoke-tests the script with
-# `scripts/ab.sh HEAD null_rmi 1 1`.
+# The runs land in target/ab/runs.*: one JSON line per run (`base.<i>.json`,
+# `change.<i>.json`) and `summary.json`, the table's numbers and each pair's
+# `op_p50_us`. CI smoke-tests the script with `scripts/ab.sh HEAD null_rmi 1 1`.
 set -euo pipefail
-usage="usage: scripts/ab.sh <base-rev> <workload> [pairs] [seconds]"
+usage="usage: scripts/ab.sh <base-rev> <workload> [pairs] [seconds] [seed]"
 base=${1:?$usage}
 workload=${2:?$usage}
 pairs=${3:-10}
 seconds=${4:-4}
+seed=${5:-}
+seed_args=()
+[ -z "$seed" ] || seed_args=(--seed "$seed")
 cd "$(git rev-parse --show-toplevel)"
 
 sha=$(git rev-parse --verify --quiet "$base^{commit}") || { echo "no commit $base" >&2; exit 2; }
@@ -49,15 +55,15 @@ for ((i = 0; i < pairs; i++)); do
     order=(base change)
     ((i % 2 == 0)) || order=(change base)
     for side in "${order[@]}"; do
-        "${bin[$side]}" --workload "$workload" --seconds "$seconds" >"$runs/$side.$i.json"
+        "${bin[$side]}" --workload "$workload" --seconds "$seconds" "${seed_args[@]}" >"$runs/$side.$i.json"
     done
 done
 
 dirty=$(git status --porcelain --untracked-files=no | grep -q . && echo ", uncommitted changes" || true)
-python3 - "$runs" "$pairs" "$workload" "$seconds" "${sha:0:7}" "$(git rev-parse --short HEAD)$dirty" <<'EOF'
+python3 - "$runs" "$pairs" "$workload" "$seconds" "${sha:0:7}" "$(git rev-parse --short HEAD)$dirty" "$seed" <<'EOF'
 import json, statistics, sys
 
-runs, pairs, workload, seconds, base, change = sys.argv[1:]
+runs, pairs, workload, seconds, base, change, seed = sys.argv[1:]
 pairs = int(pairs)
 better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
 read = lambda side, i: json.load(open(f"{runs}/{side}.{i}.json"))
@@ -67,10 +73,12 @@ for side, results in sides.items():
         if not r.get("correct", False) or r.get("failed", 0):
             print(f"warning: a {side} run was incorrect or failed ops: {r}", file=sys.stderr)
 
-print(f"`scripts/ab.sh {base} {workload} {pairs} {seconds}`: base {base}, change {change}, "
-      f"{pairs} pairs of {seconds} s in ABBA order\n")
+command = f"scripts/ab.sh {base} {workload} {pairs} {seconds}" + (f" {seed}" if seed else "")
+print(f"`{command}`: base {base}, change {change}, {pairs} pairs of {seconds} s in ABBA order, "
+      f"seed {seed or 'the benchmark default'}\n")
 print("| metric | base median | change median | change / base | base IQR | change wins |")
 print("|---|---|---|---|---|---|")
+table = []
 for name, direction in better.items():
     values = {s: [r["metrics"][name]["value"] for r in rs] for s, rs in sides.items()}
     unit = sides["base"][0]["metrics"][name]["unit"]
@@ -80,8 +88,19 @@ for name, direction in better.items():
     wins = sum((y < x) if direction == "lower" else (y > x) for x, y in zip(b, c))
     ratio = mc / mb if mb else float("nan")
     print(f"| {name} ({unit}) | {mb:.4g} | {mc:.4g} | {ratio:.3f} | {q[2] - q[0]:.3g} | {wins}/{pairs} |")
+    table.append({"metric": name, "unit": unit, "better": direction, "base_median": mb,
+                  "change_median": mc, "change_over_base": ratio, "base_iqr": q[2] - q[0],
+                  "change_wins": wins})
 p50 = lambda side, i: sides[side][i]["metrics"]["op_p50_us"]["value"]
 print("\nop_p50_us by pair, base/change, in run order: "
       + ", ".join(f"{p50('base', i):.4g}/{p50('change', i):.4g}" for i in range(pairs)))
+summary = {"command": command, "base": base, "change": change, "workload": workload,
+           "pairs": pairs, "seconds": float(seconds), "seed": int(seed) if seed else None,
+           "metrics": table,
+           "op_p50_us_pairs": [{"base": p50("base", i), "change": p50("change", i)}
+                               for i in range(pairs)]}
+with open(f"{runs}/summary.json", "w") as f:
+    json.dump(summary, f, indent=1)
+    f.write("\n")
 print(f"\nruns: {runs}")
 EOF

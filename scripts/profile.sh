@@ -6,11 +6,15 @@
 # every trial is a process of its own and writes its own sample file. Each
 # sampled PC is attributed to a symbol of the object it fell in (by `nm`:
 # the benchmark binary, libc, ld.so) or to its mapping ([vdso], anonymous
-# code). Prints the top rows, then the three groups the call path is judged
-# by: hashing, clock reads and handoffs (the futex `syscall`, `sched_yield`,
-# a contended lock, park/unpark). Fails on fewer than MIN_SAMPLES samples.
-# A stripped libc has dynamic symbols only, so its internal functions
-# (malloc's, say) show under the nearest exported name before them.
+# code). Prints the top rows, then the four groups the call path is judged
+# by: hashing, clock reads, handoffs (the futex `syscall`, `sched_yield`,
+# a contended lock, park/unpark) and copies (libc's memmove and memcpy).
+# Fails on fewer than MIN_SAMPLES samples. A stripped libc has dynamic
+# symbols only, so its internal functions (malloc's, say) show under the
+# nearest exported name before them; the string routines the sampler found
+# with `dlsym` (memmove, memcpy, memset, memcmp, strlen: the IFUNC
+# implementations the process calls) are added to its table as
+# `memmove (ifunc)` and so on, one name per address.
 #
 #   scripts/profile.sh <workload> [seconds]     (default 2 s; TOP=n rows, default 25)
 #
@@ -25,7 +29,7 @@ cd "$(git rev-parse --show-toplevel)"
 out=$PWD/target/profile
 mkdir -p "$out"
 run=$(mktemp -d "$out/run.XXXXXX")
-cc -O2 -shared -fPIC -o "$out/sampler.so" scripts/sampler.c
+cc -O2 -shared -fPIC -o "$out/sampler.so" scripts/sampler.c -ldl
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 bin=$PWD/benchmark/target/release/oopp-benchmark
 SAMPLER_DIR=$run LD_PRELOAD=$out/sampler.so \
@@ -43,6 +47,8 @@ GROUPS = [
      re.compile(r"\[vdso\]|clock_gettime|Instant|Timespec|now_nanos")),
     ("handoff: futex syscall, sched_yield, Mutex::lock_contended, park/unpark",
      re.compile(r"^syscall |sched_yield|lock_contended|(^|::)(un)?park|Parker")),
+    ("copies: libc's memmove, memcpy (ifunc)",
+     re.compile(r"^(memmove|memcpy)[/ ].*\(ifunc\)")),
 ]
 
 tables = {}
@@ -71,14 +77,32 @@ def is_pie(path):
     except OSError:
         return False
 
+named = set()
+def add_routines(path, found):
+    """Name the `dlsym` addresses `found` ({address: [names]}) in the
+    table of `path`, once: the IFUNC implementations a stripped libc
+    hides behind its nearest exported symbol."""
+    if path in named:
+        return
+    named.add(path)
+    addrs, names = symbols(path)
+    rows = list(zip(addrs, names))
+    rows += [(a, "/".join(sorted(ns)) + " (ifunc)") for a, ns in found.items()]
+    rows.sort()
+    tables[path] = ([a for a, _ in rows], [n for _, n in rows])
+
 counts, processes, total = collections.Counter(), 0, 0
 for prof in glob.glob(os.path.join(run, "prof.*")):
-    maps, pcs, base = [], [], {}
+    maps, pcs, base, routines = [], [], {}, {}
     with open(prof) as f:
         lines = iter(f.read().splitlines())
         for line in lines:
             if line == "pcs":
                 break
+            if line.startswith("sym "):
+                _, addr, name = line.split()
+                routines.setdefault(int(addr, 16), []).append(name)
+                continue
             parts = line.split(maxsplit=5)
             start, end = (int(x, 16) for x in parts[0].split("-"))
             path = parts[5] if len(parts) == 6 else ""
@@ -90,6 +114,14 @@ for prof in glob.glob(os.path.join(run, "prof.*")):
     processes += 1
     maps.sort()
     starts = [m[0] for m in maps]
+    found = collections.defaultdict(dict)
+    for addr, names in routines.items():
+        i = bisect.bisect_right(starts, addr) - 1
+        if i >= 0 and addr < maps[i][1] and maps[i][2].startswith("/"):
+            path = maps[i][2]
+            found[path][addr - base[path] if is_pie(path) else addr] = names
+    for path, by_addr in found.items():
+        add_routines(path, by_addr)
     for pc in pcs:
         i = bisect.bisect_right(starts, pc) - 1
         if i < 0 or pc >= maps[i][1]:
