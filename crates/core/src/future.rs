@@ -55,6 +55,35 @@ impl<T: Wire> Pending<T> {
     }
 }
 
+/// A call in flight that [`issue_each`] can give up.
+pub trait Issued {
+    /// Give the call up: forget its reply, or destroy the object it made.
+    fn give_up(self, ctx: &mut NodeCtx);
+}
+
+impl<T> Issued for Pending<T> {
+    fn give_up(self, ctx: &mut NodeCtx) {
+        ctx.abandon_call(self.req_id);
+    }
+}
+
+/// The send-loop of the split loop: `issue` a call per item, in order. If
+/// one fails to issue, every call already issued is given up before the
+/// error is returned, so none pins its frame or leaves an object behind.
+pub fn issue_each<I, P: Issued>(
+    ctx: &mut NodeCtx,
+    items: impl IntoIterator<Item = I>,
+    mut issue: impl FnMut(&mut NodeCtx, I) -> RemoteResult<P>,
+) -> RemoteResult<Vec<P>> {
+    let mut issued = Vec::new();
+    for item in items {
+        let call = issue(ctx, item)
+            .inspect_err(|_| issued.drain(..).for_each(|call: P| call.give_up(ctx)))?;
+        issued.push(call);
+    }
+    Ok(issued)
+}
+
 /// Wait for every pending reply, in order. Returns the first error after
 /// draining the rest (so no reply is leaked into the stash).
 pub fn join<T: Wire>(ctx: &mut NodeCtx, pendings: Vec<Pending<T>>) -> RemoteResult<Vec<T>> {
@@ -112,6 +141,13 @@ impl<C: RemoteClient> PendingClient<C> {
             machine: self.machine,
             object,
         }))
+    }
+}
+
+impl<C: RemoteClient> Issued for PendingClient<C> {
+    fn give_up(self, ctx: &mut NodeCtx) {
+        let made = self.wait(ctx).map(|c| c.obj_ref());
+        let _ = made.and_then(|obj| ctx.start_destroy(obj)?.wait(ctx));
     }
 }
 

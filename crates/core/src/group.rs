@@ -15,7 +15,7 @@ use wire::Wire;
 
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::Body;
-use crate::future::{join, join_clients, Pending, PendingClient};
+use crate::future::{issue_each, join, join_clients, Pending};
 use crate::ids::ObjRef;
 use crate::node::{CallInfo, NodeCtx};
 use crate::process::{DispatchResult, RemoteClient};
@@ -100,9 +100,9 @@ impl<C: RemoteClient> ProcessGroup<C> {
         n: usize,
         mut make_args: impl FnMut(usize) -> Vec<u8>,
     ) -> RemoteResult<Self> {
-        let pendings: Vec<PendingClient<C>> = (0..n)
-            .map(|id| ctx.create_async::<C>(id, make_args(id)))
-            .collect::<RemoteResult<_>>()?;
+        let pendings = issue_each(ctx, 0..n, |ctx, id| {
+            ctx.create_async::<C>(id, make_args(id))
+        })?;
         Ok(ProcessGroup {
             members: join_clients(ctx, pendings)?,
         })
@@ -140,12 +140,8 @@ impl<C: RemoteClient> ProcessGroup<C> {
         ctx: &mut NodeCtx,
         mut start: impl FnMut(&mut NodeCtx, &C, usize) -> RemoteResult<Pending<T>>,
     ) -> RemoteResult<Vec<T>> {
-        let pendings: Vec<Pending<T>> = self
-            .members
-            .iter()
-            .enumerate()
-            .map(|(id, m)| start(ctx, m, id))
-            .collect::<RemoteResult<_>>()?;
+        let members = self.members.iter().enumerate();
+        let pendings = issue_each(ctx, members, |ctx, (id, m)| start(ctx, m, id))?;
         join(ctx, pendings)
     }
 
@@ -195,11 +191,7 @@ impl<C: RemoteClient> ProcessGroup<C> {
 
     /// Destroy every member (in parallel).
     pub fn destroy(self, ctx: &mut NodeCtx) -> RemoteResult<()> {
-        let pendings: Vec<Pending<()>> = self
-            .members
-            .iter()
-            .map(|m| ctx.start_destroy(m.obj_ref()))
-            .collect::<RemoteResult<_>>()?;
+        let pendings = issue_each(ctx, &self.members, |ctx, m| ctx.start_destroy(m.obj_ref()))?;
         join(ctx, pendings)?;
         Ok(())
     }

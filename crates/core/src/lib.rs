@@ -65,7 +65,7 @@ pub mod trace;
 pub use array::{ByteBlock, ByteBlockClient, DoubleBlock, DoubleBlockClient};
 pub use error::{RemoteError, RemoteResult};
 pub use frame::{Body, MigrationPayload, NodeStats, ReplicaStatus};
-pub use future::{join, join_clients, Pending, PendingClient};
+pub use future::{issue_each, join, join_clients, Issued, Pending, PendingClient};
 pub use group::{Barrier, BarrierClient, ProcessGroup};
 pub use ids::{ObjRef, ObjectId, DAEMON};
 pub use naming::{

@@ -9,7 +9,7 @@
 //! devices move in parallel; the [`PageMap`] decides how much parallelism
 //! an access pattern can get.
 
-use oopp::{join, NodeCtx, Pending, RemoteError, RemoteResult};
+use oopp::{issue_each, join, NodeCtx, Pending, RemoteError, RemoteResult};
 use pagestore::{ArrayPageDeviceClient, Domain};
 use wire::collections::F64s;
 use wire::{Wire, WireError};
@@ -186,16 +186,15 @@ impl Array {
         ) -> RemoteResult<Pending<T>>,
     ) -> RemoteResult<Vec<(Domain, T)>> {
         self.check_domain(domain)?;
-        let mut boxes = Vec::new();
-        let mut pendings = Vec::new();
-        for (c, inter) in self.pages_of(domain) {
+        let pages = self.pages_of(domain);
+        let pendings = issue_each(ctx, &pages, |ctx, &(c, ref inter)| {
             let addr = self.map.physical(c);
             let dev = self.storage.device(addr.device_id as usize);
             let local = inter.relative_to(self.page_box(c).a);
-            pendings.push(issue(ctx, dev, addr.index, local, &inter)?);
-            boxes.push(inter);
-        }
-        Ok(boxes.into_iter().zip(join(ctx, pendings)?).collect())
+            issue(ctx, dev, addr.index, local, inter)
+        })?;
+        let boxes = pages.into_iter().map(|(_, inter)| inter);
+        Ok(boxes.zip(join(ctx, pendings)?).collect())
     }
 
     /// Read `domain` into a row-major buffer (the paper's

@@ -8,7 +8,7 @@
 //! I/O fanning out to the devices from *its* machine, concurrently with
 //! every other worker.
 
-use oopp::{join, remote_class, NodeCtx, ProcessGroup, RemoteError, RemoteResult};
+use oopp::{issue_each, join, remote_class, NodeCtx, ProcessGroup, RemoteError, RemoteResult};
 use pagestore::Domain;
 
 use crate::array::Array;
@@ -63,24 +63,17 @@ pub fn parallel_sum(
         return Err(RemoteError::app("need at least one client"));
     }
     let workers = ctx.workers();
-    let mut pending_workers = Vec::with_capacity(clients);
-    for i in 0..clients {
-        pending_workers.push(ArrayWorkerClient::new_on_async(
-            ctx,
-            i % workers,
-            array.clone(),
-        )?);
-    }
+    let pending_workers = issue_each(ctx, 0..clients, |ctx, i| {
+        ArrayWorkerClient::new_on_async(ctx, i % workers, array.clone())
+    })?;
     let group: ProcessGroup<ArrayWorkerClient> =
         ProcessGroup::from_members(oopp::join_clients(ctx, pending_workers)?);
     let slabs = domain.split_axis0(clients as u64);
     // Send loop: one slab per worker (extra workers idle if the domain is
     // shallow); receive loop: combine.
-    let pendings: Vec<_> = slabs
-        .iter()
-        .enumerate()
-        .map(|(i, slab)| group.member(i % group.len()).sum_async(ctx, *slab))
-        .collect::<RemoteResult<_>>()?;
+    let pendings = issue_each(ctx, slabs.iter().enumerate(), |ctx, (i, slab)| {
+        group.member(i % group.len()).sum_async(ctx, *slab)
+    })?;
     let total: f64 = join(ctx, pendings)?.into_iter().sum();
     group.destroy(ctx)?;
     Ok(total)

@@ -1,7 +1,7 @@
 //! Block storage — "a BlockStorage object represents the available hardware
 //! storage, where array data pages are stored" (§5).
 
-use oopp::{join_clients, NodeCtx, RemoteError, RemoteResult};
+use oopp::{issue_each, join_clients, NodeCtx, RemoteError, RemoteResult};
 use pagestore::{ArrayPageDevice, ArrayPageDeviceClient};
 use wire::Wire;
 
@@ -60,23 +60,21 @@ impl BlockStorage {
             return Err(RemoteError::app("disks_per_machine must be positive"));
         }
         let workers = ctx.workers();
-        let pendings: Vec<_> = (0..device_count)
-            .map(|d| {
-                let machine = d % workers;
-                let disk = (d / workers) % disks_per_machine;
-                ArrayPageDeviceClient::new_on_async(
-                    ctx,
-                    machine,
-                    format!("{name}.{d}"),
-                    pages_per_device,
-                    n1,
-                    n2,
-                    n3,
-                    disk,
-                    None,
-                )
-            })
-            .collect::<RemoteResult<_>>()?;
+        let pendings = issue_each(ctx, 0..device_count, |ctx, d| {
+            let machine = d % workers;
+            let disk = (d / workers) % disks_per_machine;
+            ArrayPageDeviceClient::new_on_async(
+                ctx,
+                machine,
+                format!("{name}.{d}"),
+                pages_per_device,
+                n1,
+                n2,
+                n3,
+                disk,
+                None,
+            )
+        })?;
         Ok(BlockStorage {
             devices: join_clients(ctx, pendings)?,
         })
@@ -105,11 +103,8 @@ impl BlockStorage {
 
     /// Destroy every device process (in parallel).
     pub fn destroy(self, ctx: &mut NodeCtx) -> RemoteResult<()> {
-        let pendings: Vec<_> = self
-            .devices
-            .iter()
-            .map(|d| ctx.start_destroy(oopp::RemoteClient::obj_ref(d)))
-            .collect::<RemoteResult<_>>()?;
+        let devices = self.devices.iter().map(oopp::RemoteClient::obj_ref);
+        let pendings = issue_each(ctx, devices, |ctx, d| ctx.start_destroy(d))?;
         oopp::join(ctx, pendings)?;
         Ok(())
     }

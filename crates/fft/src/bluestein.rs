@@ -4,12 +4,14 @@
 //! The DFT is rewritten as a chirp convolution:
 //! `X_k = w_k · Σ_j (x_j w_j) · c_{k−j}` with `w_j = e^{-iπ j²/n}` and
 //! `c_j = e^{+iπ j²/n}`, evaluated with two radix-2 FFTs of size
-//! `m = next_pow2(2n − 1)`.
+//! `m = next_pow2(2n − 1)`. The inner plan is radix-2 whatever `m` is: at
+//! n = 5, 17 or 100, `m` is a power of four, and a radix-4 plan there would
+//! move the spectra's last bits.
 
 use crate::complex::Complex;
 use crate::dft::Direction;
 use crate::radix2::Radix2;
-use crate::tile::table_width;
+use crate::tile::{assert_whole_rows, row_table, sweep, table_width, Lines};
 
 /// Precomputed Bluestein plan for size `n`.
 #[derive(Debug, Clone)]
@@ -45,14 +47,13 @@ impl Bluestein {
                 kernel[m - j] = w.conj();
             }
         }
-        let mut kernel_fft = kernel;
-        inner.process(&mut kernel_fft, Direction::Forward);
+        sweep(&inner, Lines::Columns(&mut kernel, 1), Direction::Forward);
         Bluestein {
             n,
             m,
             inner,
             chirp,
-            kernel_fft,
+            kernel_fft: kernel,
         }
     }
 
@@ -90,11 +91,11 @@ impl Bluestein {
             a[j] = data[j] * self.chirp[j];
         }
         // Convolve via the precomputed kernel FFT.
-        self.inner.process(&mut a, Direction::Forward);
+        sweep(&self.inner, Lines::Columns(&mut a, 1), Direction::Forward);
         for (av, kv) in a.iter_mut().zip(&self.kernel_fft) {
             *av *= *kv;
         }
-        self.inner.process(&mut a, Direction::Inverse);
+        sweep(&self.inner, Lines::Columns(&mut a, 1), Direction::Inverse);
         // X_k = chirp_k * conv_k.
         for k in 0..n {
             data[k] = self.chirp[k] * a[k];
@@ -108,14 +109,28 @@ impl Bluestein {
         }
     }
 
-    /// Transform every column of the row table `rows` — `n` rows of one
-    /// width, wherever each lies — in place. The chirp convolution works on
-    /// one contiguous line, so this is the one column form that gathers
-    /// each column into a line and scatters it back.
+    /// Transform `lines` in place, as [`Fft`](crate::Fft) hands them over.
+    /// The chirp convolution works on one contiguous line: a row is one,
+    /// and a column of a matrix or of a row table is gathered into one and
+    /// scattered back.
     ///
     /// # Panics
-    /// If `rows` is not `n` rows of one width.
-    pub(crate) fn process_table(&self, rows: &mut [&mut [Complex]], dir: Direction) {
+    /// If `lines` is not whole lines of `n`.
+    pub(crate) fn run(&self, lines: Lines<'_, '_>, dir: Direction) {
+        match lines {
+            Lines::Columns(line, 1) => self.process(line, dir),
+            Lines::Columns(data, width) => self.columns(&mut row_table(data, self.n, width), dir),
+            Lines::Table(rows) => self.columns(rows, dir),
+            Lines::Rows(data) => {
+                assert_whole_rows(data.len(), self.n);
+                data.chunks_exact_mut(self.n)
+                    .for_each(|row| self.process(row, dir));
+            }
+        }
+    }
+
+    /// Every column of the row table `rows`, one line at a time.
+    fn columns(&self, rows: &mut [&mut [Complex]], dir: Direction) {
         let width = table_width(rows, self.n);
         let mut line = vec![Complex::ZERO; self.n];
         for col in 0..width {

@@ -31,13 +31,12 @@
 //! object, §2). If peers pushed transpose blocks at the worker object
 //! itself, every worker would be waiting for objects that cannot serve:
 //! a distributed deadlock. Each worker therefore pairs with a separate
-//! `BlockInbox` object on the same machine. Inboxes are never busy (their
-//! methods return immediately or defer only their *reply*), so block
-//! transfers flow while every worker is deep inside `transform`. The inbox
-//! is a class description like the worker: its `take` returns
-//! [`DispatchResult::NoReply`] until the block it asks for arrives — the
-//! same deferred reply as the group barrier's — and its `put` relays the
-//! block to a parked `take`.
+//! `BlockInbox` object on the same machine. Inboxes are never busy — each
+//! method answers at once — so block transfers flow while every worker is
+//! deep inside `transform`. The inbox only keeps blocks: the driver joins
+//! phase 1, whose `put`s every worker joins, before any phase-2 `take` is
+//! sent, so a `take` finds its block there or is refused at once, and it
+//! relays the block as its reply where the `put` brought it.
 //!
 //! ## What it no longer carries
 //!
@@ -58,8 +57,8 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 
 use oopp::{
-    join, remote_class, Body, CallInfo, DispatchResult, NodeCtx, ObjRef, PacketBytes, Pending,
-    PendingClient, ProcessGroup, RemoteClient, RemoteError, RemoteResult,
+    issue_each, join, remote_class, Body, DispatchResult, Issued, NodeCtx, ObjRef, PacketBytes,
+    Pending, PendingClient, ProcessGroup, RemoteClient, RemoteError, RemoteResult,
 };
 use wire::collections::{F64s, F64sView};
 use wire::{EncodesAs, Reader, ViewOf, Wire, WireResult, Writer};
@@ -78,8 +77,8 @@ remote_class! {
         ctor();
         /// Deposit the block worker `from` sends in exchange `epoch`.
         fn put(&mut self, epoch: u64, from: u64, block: F64s) -> ();
-        /// The block worker `from` put for exchange `epoch`: the reply is
-        /// deferred until it is there.
+        /// The block worker `from` put for exchange `epoch`, refused if it
+        /// is not there.
         fn take(&mut self, epoch: u64, from: u64) -> F64s;
     }
 }
@@ -94,8 +93,6 @@ pub struct BlockInbox {
     /// Blocks put and not yet taken, by exchange epoch and sender: the
     /// block's encoding, where it arrived.
     kept: HashMap<(u64, u64), PacketBytes>,
-    /// Takes that came before their block: the `put` answers them.
-    waiting: HashMap<(u64, u64), CallInfo>,
 }
 
 /// The block argument of `put`, left in the request: checked as
@@ -123,36 +120,28 @@ impl BlockInbox {
         from: u64,
         block: BlockAt,
     ) -> RemoteResult<()> {
-        let key = (epoch, from);
         let block = ctx
             .request_bytes(block.0)
             .ok_or_else(|| RemoteError::app("put dispatched outside its request"))?;
-        if let Some(call) = self.waiting.remove(&key) {
-            ctx.send_reply(call, Ok(Body::relaying(block)));
-        } else if let Entry::Vacant(slot) = self.kept.entry(key) {
-            slot.insert(block);
-        } else {
+        let Entry::Vacant(slot) = self.kept.entry((epoch, from)) else {
             return Err(RemoteError::app(format!(
                 "two transpose blocks from worker {from} in exchange {epoch}"
             )));
-        }
+        };
+        slot.insert(block);
         Ok(())
     }
 
-    fn take(&mut self, ctx: &mut NodeCtx, epoch: u64, from: u64) -> RemoteResult<DispatchResult> {
-        let key = (epoch, from);
-        // The worker has moved on: what an older exchange left here — a
-        // stray block, an abandoned take — nobody will ask for.
+    fn take(&mut self, _ctx: &mut NodeCtx, epoch: u64, from: u64) -> RemoteResult<DispatchResult> {
+        // The worker has moved on: a block an older exchange left here
+        // nobody will ask for.
         self.kept.retain(|&(older, _), _| older >= epoch);
-        self.waiting.retain(|&(older, _), _| older >= epoch);
-        if let Some(block) = self.kept.remove(&key) {
-            return Ok(DispatchResult::Reply(Body::relaying(block)));
-        }
-        let Entry::Vacant(slot) = self.waiting.entry(key) else {
-            return Err(RemoteError::app("transpose block already awaited"));
-        };
-        slot.insert(ctx.current_call().expect("dispatched outside a call"));
-        Ok(DispatchResult::NoReply)
+        let block = self.kept.remove(&(epoch, from)).ok_or_else(|| {
+            RemoteError::app(format!(
+                "no transpose block from worker {from} in exchange {epoch}"
+            ))
+        })?;
+        Ok(DispatchResult::Reply(Body::relaying(block)))
     }
 }
 
@@ -194,10 +183,13 @@ impl BlockInboxClient {
         mut scatter: impl FnMut(usize, F64sView<'_>),
     ) -> RemoteResult<()> {
         let senders = (0..parts).filter(|&q| q != me);
-        let takes = senders.map(|q| Ok((q, self.take_raw_async(ctx, epoch, q as u64)?)));
-        let mut takes = takes.collect::<RemoteResult<Vec<_>>>()?.into_iter();
+        let takes = issue_each(ctx, senders.clone(), |ctx, q| {
+            self.take_async(ctx, epoch, q as u64)
+        })?;
+        let mut takes = senders.zip(takes);
         let scattered = takes.try_for_each(|(q, take)| {
-            let reply = ctx.wait_raw(take)?;
+            // The reply is read where it arrived, not decoded into an `F64s`.
+            let reply = ctx.wait_raw(take.req_id())?;
             let r = &mut Reader::new(&reply);
             let block = F64sView::decode(r)?;
             r.expect_end()?;
@@ -212,17 +204,8 @@ impl BlockInboxClient {
             Ok(())
         });
         // After an error nobody waits for the rest.
-        takes.for_each(|(_, take)| ctx.abandon_call(take));
+        takes.for_each(|(_, take)| take.give_up(ctx));
         scattered
-    }
-
-    /// [`take_async`](Self::take_async), with the reply — one [`F64s`] —
-    /// read where [`wait_raw`](NodeCtx::wait_raw) hands it over.
-    pub fn take_raw_async(&self, ctx: &mut NodeCtx, epoch: u64, from: u64) -> RemoteResult<u64> {
-        ctx.start_method_raw(self.obj_ref(), "take", |w| {
-            epoch.encode(w);
-            from.encode(w);
-        })
     }
 }
 
@@ -262,7 +245,6 @@ pub struct FftWorker {
     slab: Vec<Complex>,
     /// Which values of `slab` and `gathered` are the grid's.
     layout: Layout,
-    epoch: u64,
     phase: Phase,
     plan: Fft3,
     /// The one scratch, read in [`Layout::Columns`] only: this worker's
@@ -314,15 +296,15 @@ remote_class! {
         /// every plane (`[n1][n2/P][n3]`).
         fn read_slab(&mut self) -> (Layout, F64s);
         /// Phase 1 of `transform(sign, a)`: the passes over the axes this
-        /// worker holds, then its block for every other worker sent.
-        fn transform_local(&mut self, sign: i64) -> ();
+        /// worker holds, then its block for every other worker sent, as
+        /// exchange `epoch` (the driver's number for this transform).
+        fn transform_local(&mut self, sign: i64, epoch: u64) -> ();
         /// Phase 2: collect every other worker's block, then the passes
         /// over the axes this worker now holds.
         fn transform_exchange(&mut self, sign: i64) -> ();
-        /// Back to no phase and to planes at exchange `epoch`, wherever a
-        /// failed transform left this worker: the driver's recovery, one
-        /// epoch for the whole group above every exchange already sent.
-        fn restart(&mut self, epoch: u64) -> ();
+        /// Back to no phase and to planes, wherever a failed transform
+        /// left this worker: the driver's recovery.
+        fn restart(&mut self) -> ();
         /// Identification (id, group size).
         fn describe(&mut self) -> (u64, u64);
     }
@@ -399,7 +381,6 @@ impl FftWorker {
             inboxes: Vec::new(),
             slab,
             layout: Layout::Planes,
-            epoch: 0,
             phase: Phase::Idle,
             plan: Fft3::new(shape),
             gathered,
@@ -492,13 +473,16 @@ impl FftWorker {
         }
     }
 
-    /// Why two phases instead of one `transform` method: a machine may
-    /// host several workers, and a nested dispatch cannot resume the one
-    /// beneath it on the stack. Each phase therefore performs all of its
-    /// **sends before any wait**, and the driver joins the whole group
-    /// between them, so every `take`'s block is already in its inbox no
-    /// matter how dispatches nest (see DESIGN.md §4.1).
-    fn transform_local(&mut self, ctx: &mut NodeCtx, sign: i64) -> RemoteResult<()> {
+    /// Why two phases instead of one `transform` method: the driver's
+    /// join between them does two jobs. A machine may host several
+    /// workers and a nested dispatch cannot resume the one beneath it on
+    /// the stack, so each phase performs all of its **sends before any
+    /// wait**; and every `take`'s block is already in its inbox, so the
+    /// `take` relays it in place. Both one-method `transform`s prototyped
+    /// at commit `303f6d9` kept one job only: sending first copied every
+    /// block, joining the `put`s behind a barrier deadlocked co-located
+    /// workers (DESIGN.md §4.1).
+    fn transform_local(&mut self, ctx: &mut NodeCtx, sign: i64, epoch: u64) -> RemoteResult<()> {
         if self.inboxes.is_empty() {
             return Err(RemoteError::app("SetGroup must be called before transform"));
         }
@@ -511,16 +495,13 @@ impl FftWorker {
         // Worker q's block is one row of the held layout per plane q is
         // about to hold. A worker's own block stays where it is, the
         // others go to their inboxes.
-        let epoch = self.next_epoch();
         self.phase = Phase::Sent { epoch, dir };
         let ((_, s1), me) = (self.row_and_planes(), self.id as usize);
-        let mut sends = Vec::with_capacity(self.parts - 1);
-        for (q, inbox) in self.inboxes.iter().enumerate() {
-            if q != me {
-                let rows = (0..s1).map(|i| self.block_row(q, i));
-                sends.push(inbox.put_rows_async(ctx, epoch, self.id, rows)?);
-            }
-        }
+        let peers = self.inboxes.iter().enumerate().filter(|&(q, _)| q != me);
+        let sends = issue_each(ctx, peers, |ctx, (q, inbox)| {
+            let rows = (0..s1).map(|i| self.block_row(q, i));
+            inbox.put_rows_async(ctx, epoch, self.id, rows)
+        })?;
         join(ctx, sends)?;
         Ok(())
     }
@@ -573,17 +554,10 @@ impl FftWorker {
         Ok(())
     }
 
-    fn restart(&mut self, _ctx: &mut NodeCtx, epoch: u64) -> RemoteResult<()> {
+    fn restart(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<()> {
         self.phase = Phase::Idle;
         self.layout = Layout::Planes;
-        self.epoch = epoch;
         Ok(())
-    }
-
-    /// The epoch of the exchange about to be sent.
-    fn next_epoch(&mut self) -> u64 {
-        self.epoch += 1;
-        self.epoch - 1
     }
 }
 
@@ -617,9 +591,9 @@ pub struct DistributedFft3 {
     parts: usize,
     pub(crate) workers: ProcessGroup<FftWorkerClient>,
     inboxes: ProcessGroup<BlockInboxClient>,
-    /// Transforms begun: attempt `a` runs exchange `a − 1`, so `a` is
-    /// above every exchange it could have sent.
-    attempts: Cell<u64>,
+    /// Transforms begun: transform `k` runs exchange `k`, whether it
+    /// succeeds or fails.
+    exchanges: Cell<u64>,
 }
 
 impl DistributedFft3 {
@@ -659,24 +633,16 @@ impl DistributedFft3 {
     ) -> RemoteResult<Self> {
         let machines = ctx.workers();
         // for (id = 0; id < N; id++) fft[id] = new(machine id) FFT(id);
-        let mut pending_inboxes = Vec::with_capacity(parts);
-        for id in 0..parts {
-            pending_inboxes.push(BlockInboxClient::new_on_async(ctx, id % machines)?);
-        }
-        let inboxes = join_recorded(ctx, pending_inboxes, made)?;
-        let mut pending_workers = Vec::with_capacity(parts);
-        for id in 0..parts {
-            pending_workers.push(FftWorkerClient::new_on_async(
-                ctx,
-                id % machines,
-                id as u64,
-                shape[0],
-                shape[1],
-                shape[2],
-                parts as u64,
-            )?);
-        }
-        let workers = ProcessGroup::from_members(join_recorded(ctx, pending_workers, made)?);
+        // An issue that fails destroys the processes issued before it.
+        let inboxes = issue_each(ctx, 0..parts, |ctx, id| {
+            BlockInboxClient::new_on_async(ctx, id % machines)
+        })?;
+        let inboxes = join_recorded(ctx, inboxes, made)?;
+        let workers = issue_each(ctx, 0..parts, |ctx, id| {
+            let [n1, n2, n3] = shape;
+            FftWorkerClient::new_on_async(ctx, id % machines, id as u64, n1, n2, n3, parts as u64)
+        })?;
+        let workers = ProcessGroup::from_members(join_recorded(ctx, workers, made)?);
         // for (id = 0; id < N; id++) fft[id]->SetGroup(N, fft);
         workers.par_each(ctx, |ctx, w, _| {
             w.set_group_async(ctx, workers.members().to_vec(), inboxes.clone())
@@ -686,7 +652,7 @@ impl DistributedFft3 {
             parts,
             workers,
             inboxes: ProcessGroup::from_members(inboxes),
-            attempts: Cell::new(0),
+            exchanges: Cell::new(0),
         })
     }
 
@@ -773,25 +739,29 @@ impl DistributedFft3 {
     /// issued as the split loop, so all workers run concurrently. The
     /// group is joined between the two internal phases (the passes over
     /// the axes each worker holds and the sends; the takes and the other
-    /// passes) so any number of workers may share a machine without
-    /// deadlock. The workers end in the other layout: [`gather`](Self::gather)
+    /// passes). That join lets any number of workers share a machine
+    /// without deadlock, and it puts every block in its inbox before any
+    /// `take` asks, so each is relayed in place: both one-method
+    /// `transform`s prototyped kept only one of the two (DESIGN.md §4.1).
+    /// The workers end in the other layout: [`gather`](Self::gather)
     /// reads either, and the next transform starts from where this one
     /// stopped.
     ///
-    /// A transform that fails part-way leaves no worker mid-phase: before
-    /// its error is returned every worker is restarted, in planes, at one
-    /// exchange epoch above all this group has used, so the next transform
-    /// runs (and a take drops the blocks the failed one left in an inbox).
+    /// Each transform, failed or not, gets the next exchange number. One
+    /// that fails part-way leaves no worker mid-phase: before its error is
+    /// returned every worker is restarted in planes, so the next transform
+    /// runs (and its `take`s drop the blocks the failed one left in an
+    /// inbox).
     pub fn transform(&self, ctx: &mut NodeCtx, dir: Direction) -> RemoteResult<()> {
-        let attempt = self.attempts.get() + 1;
-        self.attempts.set(attempt);
+        let epoch = self.exchanges.get();
+        self.exchanges.set(epoch + 1);
         let (sign, fft) = (dir.sign() as i64, &self.workers);
         let phases = fft
-            .par_each(ctx, |ctx, w, _| w.transform_local_async(ctx, sign))
+            .par_each(ctx, |ctx, w, _| w.transform_local_async(ctx, sign, epoch))
             .and_then(|_| fft.par_each(ctx, |ctx, w, _| w.transform_exchange_async(ctx, sign)));
         if phases.is_err() {
             // Best effort: the error that matters is the phase's.
-            let _ = fft.par_each(ctx, |ctx, w, _| w.restart_async(ctx, attempt));
+            let _ = fft.par_each(ctx, |ctx, w, _| w.restart_async(ctx));
         }
         phases.map(drop)
     }

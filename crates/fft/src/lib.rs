@@ -6,7 +6,7 @@
 //!
 //! * [`Complex`] arithmetic (no external numerics crates);
 //! * a naive [`dft`](mod@dft) as the testing oracle;
-//! * [`Radix2`]/[`Radix4`] (iterative Cooley–Tukey) and [`Bluestein`]
+//! * radix-2/radix-4 (iterative Cooley–Tukey) and [`Bluestein`]
 //!   (arbitrary n) 1-D transforms behind the size-dispatching [`Fft`] plan,
 //!   for one line, every row or every column of a matrix: each power-of-two
 //!   radix is one sweep over a tile of columns, a run of values per
@@ -35,8 +35,8 @@ pub mod distributed;
 pub mod nd;
 pub mod nd2;
 pub mod plan;
-pub mod radix2;
-pub mod radix4;
+mod radix2;
+mod radix4;
 mod tile;
 
 pub use bluestein::Bluestein;
@@ -48,8 +48,6 @@ pub use distributed::{
 pub use nd::{dft3, Fft3, Grid3};
 pub use nd2::{Fft2, Grid2};
 pub use plan::Fft;
-pub use radix2::Radix2;
-pub use radix4::Radix4;
 
 #[cfg(test)]
 mod oracle;

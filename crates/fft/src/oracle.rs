@@ -7,7 +7,9 @@
 
 use crate::complex::{c64, Complex};
 use crate::dft::Direction;
-use crate::tile::Build;
+use crate::radix2::Radix2;
+use crate::radix4::Radix4;
+use crate::tile::{sweep, Build, Lines};
 use crate::*;
 
 /// `Radix2::process` as it was.
@@ -178,7 +180,7 @@ fn lines_equal_the_old_kernels_for_every_power_of_two() {
             let mut old = x.clone();
             radix2_reference(&mut old, dir);
             let mut new = x.clone();
-            Radix2::new(n).process(&mut new, dir);
+            sweep(&Radix2::new(n), Lines::Columns(&mut new, 1), dir);
             assert_eq!(new, old, "radix-2 n={n} {dir:?}");
         }
     }
@@ -209,7 +211,7 @@ fn columns_equal_the_old_kernels_line_by_line() {
             let mut old = x.clone();
             columns_by_line(&mut old, 65, |line| radix2_reference(line, dir));
             let mut new = x;
-            Radix2::new(n).process_columns(&mut new, 65, dir);
+            sweep(&Radix2::new(n), Lines::Columns(&mut new, 65), dir);
             assert!(new == old, "radix-2 n={n} {dir:?}");
         }
     }
@@ -219,7 +221,6 @@ fn columns_equal_the_old_kernels_line_by_line() {
 fn bluestein_columns_equal_its_lines() {
     for n in [12usize, 60] {
         let plan = Fft::new(n);
-        assert!(!plan.is_radix2());
         for width in [1usize, 3, 65] {
             for dir in BOTH {
                 let x = seeded(n * width, (n * width) as u64);
@@ -311,6 +312,10 @@ fn every_build_of_the_kernel_equals_the_old_kernels() {
             }
         };
         let (r4, r2) = (four.then(|| Radix4::new(n)), Radix2::new(n));
+        let kernel = |lines: Lines<'_, '_>, dir| match &r4 {
+            Some(p) => sweep(p, lines, dir),
+            None => sweep(&r2, lines, dir),
+        };
         for &build in &builds {
             for dir in BOTH {
                 let what = format!(
@@ -323,10 +328,7 @@ fn every_build_of_the_kernel_equals_the_old_kernels() {
                 let mut old = x.clone();
                 reference(&mut old, dir);
                 let mut new = x;
-                tile::forced(build, || match &r4 {
-                    Some(p) => p.process(&mut new, dir),
-                    None => r2.process(&mut new, dir),
-                });
+                tile::forced(build, || kernel(Lines::Columns(&mut new, 1), dir));
                 assert!(new == old, "line, {what}");
                 // Rows: fewer than a run, a run and one more, a scratch's
                 // worth and one more, a plane's worth.
@@ -336,10 +338,7 @@ fn every_build_of_the_kernel_equals_the_old_kernels() {
                     let mut old = x.clone();
                     old.chunks_exact_mut(n).for_each(|row| reference(row, dir));
                     let mut new = x;
-                    tile::forced(build, || match &r4 {
-                        Some(p) => p.process_rows(&mut new, dir),
-                        None => r2.process_rows(&mut new, dir),
-                    });
+                    tile::forced(build, || kernel(Lines::Rows(&mut new), dir));
                     assert!(new == old, "{rows} rows, {what}");
                 }
                 // Columns.
@@ -351,10 +350,7 @@ fn every_build_of_the_kernel_equals_the_old_kernels() {
                     let mut old = x.clone();
                     columns_by_line(&mut old, width, |line| reference(line, dir));
                     let mut new = x;
-                    tile::forced(build, || match &r4 {
-                        Some(p) => p.process_columns(&mut new, width, dir),
-                        None => r2.process_columns(&mut new, width, dir),
-                    });
+                    tile::forced(build, || kernel(Lines::Columns(&mut new, width), dir));
                     assert!(new == old, "width {width}, {what}");
                 }
             }
@@ -427,7 +423,7 @@ fn row_tables_anywhere_equal_the_old_kernels() {
                     let what = format!("n={n} width={width} {dir:?} {} build", build.name());
                     let x = seeded(n * width, (3 * n + width) as u64);
                     let mut old = x.clone();
-                    if plan.is_radix2() {
+                    if n.is_power_of_two() {
                         columns_by_line(&mut old, width, |line| pow2_reference(line, dir));
                     } else {
                         columns_by_line(&mut old, width, |line| plan.process(line, dir));
@@ -445,7 +441,7 @@ fn row_tables_anywhere_equal_the_old_kernels() {
                     let mut new = spread(&x, n, width);
                     tile::forced(build, || {
                         let rows = &mut spread_table(&mut new, n, width);
-                        Radix2::new(n).process_table(rows, dir)
+                        sweep(&Radix2::new(n), Lines::Table(rows), dir)
                     });
                     assert!(new == spread(&old, n, width), "radix-2, {what}");
                 }
@@ -461,4 +457,46 @@ fn a_row_table_of_unequal_rows_is_refused() {
     let [a, b, c, d] = rows.each_mut().map(|row| &mut row[..]);
     let mut table = [a, b, c, &mut d[..2]];
     Fft::new(4).process_table(&mut table, Direction::Forward);
+}
+
+/// FNV-1a over the bit patterns of the parts of `values`, in order.
+fn fnv1a(values: &[Complex]) -> u64 {
+    let bytes = values
+        .iter()
+        .flat_map(|v| [v.re, v.im])
+        .flat_map(|x| x.to_bits().to_le_bytes());
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The spectra of every kind of plan, pinned to the bit in every build:
+/// Bluestein sizes whose inner size `m` is a power of two (3, 12, 60) or
+/// of four (5, 17, 100) — the tolerance tests would not notice the inner
+/// plan change radix — and radix-2 and radix-4 sizes. `(n, forward,
+/// inverse)` digests of a seeded input, recorded before the plans' sweep
+/// moved into `Fft`.
+#[test]
+fn spectra_equal_their_pinned_digests() {
+    const PINS: [(usize, u64, u64); 10] = [
+        (3, 0xe85a_53e8_d663_db26, 0x7315_f667_c5b9_0e05),
+        (5, 0x7b30_c53e_7fbf_0461, 0xa2b9_3b8d_3297_7a68),
+        (12, 0xba0c_5014_ef6e_9af0, 0x6129_ca1b_478f_8e15),
+        (17, 0x2635_4ff3_d123_9fd0, 0x7fbf_44a5_73a9_17da),
+        (60, 0xd421_0b88_e92e_ed1a, 0x1090_16c7_8158_009d),
+        (100, 0x596a_ea8e_5358_b124, 0x6b88_eb06_6ac8_5d79),
+        (8, 0xc141_f5c7_5c9d_3dbd, 0xc1ce_d3f4_c1d2_6412),
+        (16, 0x5516_7835_8851_7cb2, 0xa882_894c_adc5_b486),
+        (128, 0xc0d3_7d48_0851_c0e7, 0xb9e8_9857_7397_0c29),
+        (256, 0x5353_63b7_a5b6_476b, 0xcc6a_00ff_48e5_f55e),
+    ];
+    for build in builds_here() {
+        for (n, forward, inverse) in PINS {
+            let (plan, x) = (Fft::new(n), seeded(n, n as u64));
+            let got = tile::forced(build, || {
+                [plan.forward(&x), plan.inverse(&x)].map(|y| fnv1a(&y))
+            });
+            assert_eq!(got, [forward, inverse], "n={n} {} build", build.name());
+        }
+    }
 }

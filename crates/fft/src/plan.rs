@@ -5,7 +5,7 @@ use crate::complex::Complex;
 use crate::dft::Direction;
 use crate::radix2::Radix2;
 use crate::radix4::{is_power_of_four, Radix4};
-use crate::tile::{assert_whole_rows, row_table};
+use crate::tile::{sweep, Lines};
 
 #[derive(Debug, Clone)]
 enum Strategy {
@@ -56,23 +56,23 @@ impl Fft {
         false
     }
 
-    /// True when a power-of-two fast path (radix-2 or radix-4) is in use.
-    pub fn is_radix2(&self) -> bool {
-        matches!(self.strategy, Strategy::Radix2(_) | Strategy::Radix4(_))
-    }
-
-    /// True when the radix-4 path specifically is in use.
-    pub fn is_radix4(&self) -> bool {
-        matches!(self.strategy, Strategy::Radix4(_))
-    }
-
-    /// In-place transform.
-    pub fn process(&self, data: &mut [Complex], dir: Direction) {
+    /// Every form below, one dispatch: the sweep of `tile.rs` for a power
+    /// of two, the chirp convolution otherwise.
+    fn run(&self, lines: Lines<'_, '_>, dir: Direction) {
         match &self.strategy {
-            Strategy::Radix2(p) => p.process(data, dir),
-            Strategy::Radix4(p) => p.process(data, dir),
-            Strategy::Bluestein(p) => p.process(data, dir),
+            Strategy::Radix2(p) => sweep(p, lines, dir),
+            Strategy::Radix4(p) => sweep(p, lines, dir),
+            Strategy::Bluestein(p) => p.run(lines, dir),
         }
+    }
+
+    /// In-place transform: the one column of an `[n][1]` matrix.
+    ///
+    /// # Panics
+    /// If `data.len() != self.len()`.
+    pub fn process(&self, data: &mut [Complex], dir: Direction) {
+        assert_eq!(data.len(), self.n, "buffer length must equal plan size");
+        self.run(Lines::Columns(data, 1), dir);
     }
 
     /// Transform every column of the row-major `[n][width]` matrix `data`
@@ -94,11 +94,7 @@ impl Fft {
     /// # Panics
     /// If `data.len() != self.len() * width`.
     pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
-        match &self.strategy {
-            Strategy::Radix2(p) => p.process_columns(data, width, dir),
-            Strategy::Radix4(p) => p.process_columns(data, width, dir),
-            Strategy::Bluestein(p) => p.process_table(&mut row_table(data, self.n, width), dir),
-        }
+        self.run(Lines::Columns(data, width), dir);
     }
 
     /// Transform every column of the row table `rows` in place: `n` rows of
@@ -109,11 +105,7 @@ impl Fft {
     /// # Panics
     /// If `rows` is not `n` rows of one width.
     pub(crate) fn process_table(&self, rows: &mut [&mut [Complex]], dir: Direction) {
-        match &self.strategy {
-            Strategy::Radix2(p) => p.process_table(rows, dir),
-            Strategy::Radix4(p) => p.process_table(rows, dir),
-            Strategy::Bluestein(p) => p.process_table(rows, dir),
-        }
+        self.run(Lines::Table(rows), dir);
     }
 
     /// Transform every row of the row-major `[rows][n]` matrix `data` in
@@ -124,16 +116,7 @@ impl Fft {
     /// # Panics
     /// If `data` is not whole rows of `n`.
     pub fn process_rows(&self, data: &mut [Complex], dir: Direction) {
-        match &self.strategy {
-            Strategy::Radix2(p) => p.process_rows(data, dir),
-            Strategy::Radix4(p) => p.process_rows(data, dir),
-            Strategy::Bluestein(p) => {
-                assert_whole_rows(data.len(), self.n);
-                for row in data.chunks_exact_mut(self.n) {
-                    p.process(row, dir);
-                }
-            }
-        }
+        self.run(Lines::Rows(data), dir);
     }
 
     /// Out-of-place transform.
@@ -162,11 +145,20 @@ mod tests {
 
     #[test]
     fn plan_picks_the_right_strategy() {
-        assert!(Fft::new(64).is_radix4(), "64 = 4^3");
-        assert!(Fft::new(128).is_radix2(), "128 = 2^7, not a power of 4");
-        assert!(!Fft::new(128).is_radix4());
-        assert!(!Fft::new(60).is_radix2());
-        assert!(Fft::new(1).is_radix2());
+        let strategy = |n| Fft::new(n).strategy;
+        assert!(matches!(strategy(64), Strategy::Radix4(_)), "64 = 4^3");
+        assert!(
+            matches!(strategy(128), Strategy::Radix2(_)),
+            "2^7, not a power of 4"
+        );
+        assert!(matches!(strategy(60), Strategy::Bluestein(_)));
+        assert!(matches!(strategy(1), Strategy::Radix2(_)));
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer length")]
+    fn wrong_buffer_length_panics() {
+        Fft::new(8).process(&mut [Complex::ZERO; 4], Direction::Forward);
     }
 
     #[test]

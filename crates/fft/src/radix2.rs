@@ -8,12 +8,11 @@
 use std::ops::Range;
 
 use crate::complex::Complex;
-use crate::dft::Direction;
-use crate::tile::{runs, sweep, Butterfly, Lines, Rows, Run, Stages, Twiddle};
+use crate::tile::{runs, Butterfly, Rows, Run, Stages, Twiddle};
 
 /// Precomputed machinery for power-of-two transforms.
 #[derive(Debug, Clone)]
-pub struct Radix2 {
+pub(crate) struct Radix2 {
     n: usize,
     /// The bit reversal of `0..n`.
     reversal: Vec<u32>,
@@ -127,60 +126,19 @@ impl Radix2 {
             twiddles,
         }
     }
-
-    /// Transform size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Never constructed empty (n = 1 is the minimum meaningful size).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// In-place transform: the one column of an `[n][1]` matrix.
-    ///
-    /// # Panics
-    /// If `data.len() != self.len()`.
-    pub fn process(&self, data: &mut [Complex], dir: Direction) {
-        assert_eq!(data.len(), self.n, "buffer length must equal plan size");
-        sweep(self, Lines::Columns(data, 1), dir);
-    }
-
-    /// Transform every column of the row-major `[n][width]` matrix `data`
-    /// in place, a tile of columns at a time.
-    ///
-    /// # Panics
-    /// If `data.len() != self.len() * width`.
-    pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
-        sweep(self, Lines::Columns(data, width), dir);
-    }
-
-    /// Transform every column of the row table `rows` — `n` rows of one
-    /// width, each wherever it lies — in place, as
-    /// [`process_columns`](Self::process_columns) does a matrix's.
-    ///
-    /// # Panics
-    /// If `rows` is not `n` rows of one width.
-    pub(crate) fn process_table(&self, rows: &mut [&mut [Complex]], dir: Direction) {
-        sweep(self, Lines::Table(rows), dir);
-    }
-
-    /// Transform every row of the row-major `[rows][n]` matrix `data` in
-    /// place, a few rows at a time as the columns of a small tile.
-    ///
-    /// # Panics
-    /// If `data` is not whole rows of `n`.
-    pub fn process_rows(&self, data: &mut [Complex], dir: Direction) {
-        sweep(self, Lines::Rows(data), dir);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::{c64, max_error};
-    use crate::dft::dft;
+    use crate::dft::{dft, Direction};
+    use crate::tile::{sweep, Lines};
+
+    /// The sweep over one line.
+    fn process(plan: &Radix2, line: &mut [Complex], dir: Direction) {
+        sweep(plan, Lines::Columns(line, 1), dir);
+    }
 
     fn ramp(n: usize) -> Vec<Complex> {
         (0..n)
@@ -195,7 +153,7 @@ mod tests {
             let plan = Radix2::new(n);
             let x = ramp(n);
             let mut fast = x.clone();
-            plan.process(&mut fast, Direction::Forward);
+            process(&plan, &mut fast, Direction::Forward);
             let slow = dft(&x, Direction::Forward);
             assert!(
                 max_error(&fast, &slow) < 1e-8 * n as f64,
@@ -211,8 +169,8 @@ mod tests {
         let plan = Radix2::new(n);
         let x = ramp(n);
         let mut y = x.clone();
-        plan.process(&mut y, Direction::Forward);
-        plan.process(&mut y, Direction::Inverse);
+        process(&plan, &mut y, Direction::Forward);
+        process(&plan, &mut y, Direction::Inverse);
         assert!(max_error(&x, &y) < 1e-10);
     }
 
@@ -220,7 +178,7 @@ mod tests {
     fn size_one_is_identity() {
         let plan = Radix2::new(1);
         let mut x = vec![c64(3.0, -4.0)];
-        plan.process(&mut x, Direction::Forward);
+        process(&plan, &mut x, Direction::Forward);
         assert_eq!(x, vec![c64(3.0, -4.0)]);
     }
 
@@ -228,14 +186,6 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn non_power_of_two_panics() {
         let _ = Radix2::new(12);
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer length")]
-    fn wrong_buffer_length_panics() {
-        let plan = Radix2::new(8);
-        let mut x = vec![Complex::ZERO; 4];
-        plan.process(&mut x, Direction::Forward);
     }
 
     #[test]
@@ -247,15 +197,15 @@ mod tests {
         let alpha = c64(2.0, -1.0);
 
         let mut fx = x.clone();
-        plan.process(&mut fx, Direction::Forward);
+        process(&plan, &mut fx, Direction::Forward);
         let mut fy = y.clone();
-        plan.process(&mut fy, Direction::Forward);
+        process(&plan, &mut fy, Direction::Forward);
         let combined_then: Vec<Complex> =
             fx.iter().zip(&fy).map(|(a, b)| *a * alpha + *b).collect();
 
         let mut combined_first: Vec<Complex> =
             x.iter().zip(&y).map(|(a, b)| *a * alpha + *b).collect();
-        plan.process(&mut combined_first, Direction::Forward);
+        process(&plan, &mut combined_first, Direction::Forward);
 
         assert!(max_error(&combined_first, &combined_then) < 1e-9);
     }

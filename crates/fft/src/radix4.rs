@@ -14,12 +14,11 @@
 use std::ops::Range;
 
 use crate::complex::Complex;
-use crate::dft::Direction;
-use crate::tile::{runs, sweep, Butterfly, Lines, Rows, Run, Stages, Twiddle};
+use crate::tile::{runs, Butterfly, Rows, Run, Stages, Twiddle};
 
 /// Precomputed radix-4 plan.
 #[derive(Debug, Clone)]
-pub struct Radix4 {
+pub(crate) struct Radix4 {
     n: usize,
     /// The base-4 digit reversal of `0..n`.
     reversal: Vec<u32>,
@@ -159,60 +158,19 @@ impl Radix4 {
             twiddles,
         }
     }
-
-    /// Transform size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Never empty (n ≥ 1).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// In-place transform: the one column of an `[n][1]` matrix.
-    ///
-    /// # Panics
-    /// If `data.len() != self.len()`.
-    pub fn process(&self, data: &mut [Complex], dir: Direction) {
-        assert_eq!(data.len(), self.n, "buffer length must equal plan size");
-        sweep(self, Lines::Columns(data, 1), dir);
-    }
-
-    /// Transform every column of the row-major `[n][width]` matrix `data`
-    /// in place, a tile of columns at a time.
-    ///
-    /// # Panics
-    /// If `data.len() != self.len() * width`.
-    pub fn process_columns(&self, data: &mut [Complex], width: usize, dir: Direction) {
-        sweep(self, Lines::Columns(data, width), dir);
-    }
-
-    /// Transform every column of the row table `rows` — `n` rows of one
-    /// width, each wherever it lies — in place, as
-    /// [`process_columns`](Self::process_columns) does a matrix's.
-    ///
-    /// # Panics
-    /// If `rows` is not `n` rows of one width.
-    pub(crate) fn process_table(&self, rows: &mut [&mut [Complex]], dir: Direction) {
-        sweep(self, Lines::Table(rows), dir);
-    }
-
-    /// Transform every row of the row-major `[rows][n]` matrix `data` in
-    /// place, a few rows at a time as the columns of a small tile.
-    ///
-    /// # Panics
-    /// If `data` is not whole rows of `n`.
-    pub fn process_rows(&self, data: &mut [Complex], dir: Direction) {
-        sweep(self, Lines::Rows(data), dir);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::{c64, max_error};
-    use crate::dft::dft;
+    use crate::dft::{dft, Direction};
+    use crate::tile::{sweep, Lines};
+
+    /// The sweep over one line.
+    fn process(plan: &Radix4, line: &mut [Complex], dir: Direction) {
+        sweep(plan, Lines::Columns(line, 1), dir);
+    }
     use crate::radix2::Radix2;
 
     fn signal(n: usize) -> Vec<Complex> {
@@ -237,7 +195,7 @@ mod tests {
             let plan = Radix4::new(n);
             let x = signal(n);
             let mut fast = x.clone();
-            plan.process(&mut fast, Direction::Forward);
+            process(&plan, &mut fast, Direction::Forward);
             let slow = dft(&x, Direction::Forward);
             let err = max_error(&fast, &slow);
             assert!(err < 1e-8 * n.max(1) as f64, "n={n}: error {err}");
@@ -249,9 +207,13 @@ mod tests {
         let n = 256;
         let x = signal(n);
         let mut via4 = x.clone();
-        Radix4::new(n).process(&mut via4, Direction::Forward);
+        process(&Radix4::new(n), &mut via4, Direction::Forward);
         let mut via2 = x.clone();
-        Radix2::new(n).process(&mut via2, Direction::Forward);
+        sweep(
+            &Radix2::new(n),
+            Lines::Columns(&mut via2, 1),
+            Direction::Forward,
+        );
         assert!(max_error(&via4, &via2) < 1e-9);
     }
 
@@ -261,8 +223,8 @@ mod tests {
         let plan = Radix4::new(n);
         let x = signal(n);
         let mut y = x.clone();
-        plan.process(&mut y, Direction::Forward);
-        plan.process(&mut y, Direction::Inverse);
+        process(&plan, &mut y, Direction::Forward);
+        process(&plan, &mut y, Direction::Inverse);
         assert!(max_error(&x, &y) < 1e-10);
     }
 
@@ -276,7 +238,7 @@ mod tests {
     fn size_one_is_identity() {
         let plan = Radix4::new(1);
         let mut x = vec![c64(2.0, -3.0)];
-        plan.process(&mut x, Direction::Forward);
+        process(&plan, &mut x, Direction::Forward);
         assert_eq!(x, vec![c64(2.0, -3.0)]);
     }
 }

@@ -109,7 +109,7 @@ fn invalid_configurations_are_rejected() {
     // Transform before SetGroup is impossible through the public API, but
     // a raw worker rejects it.
     let w = FftWorkerClient::new_on(&mut driver, 0, 0, 4, 4, 4, 1).unwrap();
-    assert!(w.transform_local(&mut driver, -1).is_err());
+    assert!(w.transform_local(&mut driver, -1, 0).is_err());
     // ... and the exchange rejects out-of-order invocation.
     assert!(w.transform_exchange(&mut driver, -1).is_err());
     cluster.shutdown(driver);
@@ -148,26 +148,26 @@ fn stray_transpose_blocks_are_refused_not_indexed() {
     let zeros = [Complex::ZERO; BLOCK];
     let junk = [c64(7.0, -7.0); BLOCK];
 
-    // The worker's exchanges are epochs 0, 1, 2, ... in order; a refused
-    // exchange leaves the layout it started from. Planes to columns first:
+    // The exchanges are numbered 0, 1, 2, ... in order, as the driver
+    // numbers them; a refused exchange leaves the layout it started from. Planes to columns first:
     // too short (the parent's panic was an index out of range where it is
     // scattered), then a second block from the same worker — refused where
     // it is put, and the first one stands.
     load(d);
     put(d, 0, 1, &one).unwrap();
-    w.transform_local(d, -1).unwrap();
+    w.transform_local(d, -1, 0).unwrap();
     app_error(w.transform_exchange(d, -1), "block of 2 doubles");
     put(d, 1, 1, &zeros).unwrap();
     app_error(put(d, 1, 1, &junk), "two transpose blocks from worker 1");
-    w.transform_local(d, -1).unwrap();
+    w.transform_local(d, -1, 1).unwrap();
     w.transform_exchange(d, -1).unwrap();
     // Columns to planes checks the same way.
     put(d, 2, 1, &one).unwrap();
-    w.transform_local(d, -1).unwrap();
+    w.transform_local(d, -1, 2).unwrap();
     app_error(w.transform_exchange(d, -1), "block of 2 doubles");
     put(d, 3, 1, &zeros).unwrap();
     app_error(put(d, 3, 1, &junk), "two transpose blocks from worker 1");
-    w.transform_local(d, -1).unwrap();
+    w.transform_local(d, -1, 3).unwrap();
     w.transform_exchange(d, -1).unwrap();
 
     // A slab of the wrong size (here: half a complex value) is refused too.
@@ -203,12 +203,12 @@ fn stray_transpose_blocks_are_refused_not_indexed() {
         as_f64s_mut(&mut got).copy_from_slice(&doubles.0);
         (layout, got)
     };
-    w.transform_local(d, -1).unwrap();
+    w.transform_local(d, -1, 4).unwrap();
     w.transform_exchange(d, -1).unwrap();
     let (layout, got) = read(d);
     assert_eq!(layout, Layout::Columns);
     assert!(max_error(&got, &columns(&expected, 0..4, 0)) < 1e-9);
-    w.transform_local(d, 1).unwrap();
+    w.transform_local(d, 1, 5).unwrap();
     w.transform_exchange(d, 1).unwrap();
     let (layout, got) = read(d);
     assert_eq!(layout, Layout::Planes);
@@ -234,41 +234,40 @@ fn a_grid_too_large_is_an_app_error_and_the_machine_lives() {
     cluster.shutdown(driver);
 }
 
-/// The inbox hands over the block whichever of `put` and `take` comes
-/// first, and a `take` drops what older exchanges left behind: blocks
-/// nobody took, takes nobody answered.
+/// The inbox hands a `take` the block put before it, once, and refuses a
+/// `take` whose block is not there at once: the driver joins every `put`
+/// before it sends a `take`, so none has anything to wait for. A `take`
+/// drops the blocks older exchanges left behind.
 #[test]
-fn put_before_take_and_take_before_put_deliver_the_same_block() {
+fn a_take_gets_the_block_put_before_it_or_is_refused() {
     let (cluster, mut driver) = cluster(1);
     let d = &mut driver;
     let inbox = BlockInboxClient::new_on(d, 0).unwrap();
     let block = [c64(1.0, -2.0), c64(0.25, 8.0), c64(-3.0, 0.0)];
     let put = |d: &mut Driver, epoch, from| put(d, inbox, epoch, from, &block);
-    let doubles = |reply: oopp::PacketBytes| wire::from_bytes::<wire::collections::F64s>(&reply);
     let expected = wire::collections::F64s(as_f64s(&block).to_vec());
 
     put(d, 3, 1).unwrap();
-    let late = inbox.take_raw_async(d, 3, 1).unwrap();
-    let early = inbox.take_raw_async(d, 3, 2).unwrap();
+    assert_eq!(inbox.take(d, 3, 1).unwrap(), expected);
+    // One taker per block, and no take before its block.
+    app_error(
+        inbox.take(d, 3, 1).map(drop),
+        "no transpose block from worker 1 in exchange 3",
+    );
+    app_error(
+        inbox.take(d, 3, 2).map(drop),
+        "no transpose block from worker 2 in exchange 3",
+    );
     put(d, 3, 2).unwrap();
-    assert_eq!(doubles(d.wait_raw(late).unwrap()).unwrap(), expected);
-    assert_eq!(doubles(d.wait_raw(early).unwrap()).unwrap(), expected);
-    // One taker per block.
-    let first = inbox.take_raw_async(d, 3, 7).unwrap();
-    let second = inbox.take_raw_async(d, 3, 7).unwrap();
-    app_error(d.wait_raw(second).map(drop), "already awaited");
+    assert_eq!(inbox.take(d, 3, 2).unwrap(), expected);
 
     // Exchange 3 is history once anyone takes from exchange 4: its unclaimed
-    // block may be put again, its parked take is never answered.
+    // block is dropped, and may be put again.
     put(d, 3, 9).unwrap();
     app_error(put(d, 3, 9), "two transpose blocks from worker 9");
     put(d, 4, 1).unwrap();
-    let next = inbox.take_raw_async(d, 4, 1).unwrap();
-    assert_eq!(doubles(d.wait_raw(next).unwrap()).unwrap(), expected);
+    assert_eq!(inbox.take(d, 4, 1).unwrap(), expected);
     put(d, 3, 9).unwrap();
-    put(d, 3, 7).unwrap();
-    assert!(d.try_take_reply(first).is_none());
-    d.abandon_call(first);
     cluster.shutdown(driver);
 }
 
@@ -320,9 +319,9 @@ fn phases_out_of_order_and_bad_signs_are_app_error() {
     w.load_slab(d, wire::collections::F64s(as_f64s(grid.data()).to_vec()))
         .unwrap();
 
-    w.transform_local(d, -1).unwrap();
+    w.transform_local(d, -1, 0).unwrap();
     // A second phase 1.
-    app_error(w.transform_local(d, -1), "out of order");
+    app_error(w.transform_local(d, -1, 1), "out of order");
     // Phase 2 in another direction than phase 1, or in none.
     app_error(w.transform_exchange(d, 1), "after transform_local(-1)");
     app_error(w.transform_exchange(d, 0), "sign must be");
@@ -330,7 +329,7 @@ fn phases_out_of_order_and_bad_signs_are_app_error() {
     app_error(w.transform_exchange(d, -1), "before transform_local");
     // Not a sign: nothing runs, the worker stays idle.
     for sign in [0, 2, -2, 1 << 32, i64::MIN] {
-        app_error(w.transform_local(d, sign), "sign must be");
+        app_error(w.transform_local(d, sign, 1), "sign must be");
     }
 
     // Every refusal left the phase alone: that was one clean transform.
@@ -596,7 +595,7 @@ fn a_transform_that_fails_part_way_does_not_wedge_the_group() {
     dfft.scatter(d, grid.data()).unwrap();
     dfft.transform(d, Direction::Forward).unwrap();
 
-    dfft.workers.member(1).transform_local(d, -1).unwrap();
+    dfft.workers.member(1).transform_local(d, -1, 1).unwrap();
     app_error(dfft.transform(d, Direction::Forward), "out of order");
     // Both failures moved slab planes: start from the grid again.
     dfft.scatter(d, grid.data()).unwrap();

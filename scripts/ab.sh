@@ -19,8 +19,10 @@
 #   scripts/ab.sh <base-rev> <workload> [pairs] [seconds] [seed]   (default 10 pairs of 4 s)
 #
 # The runs land in target/ab/runs.*: one JSON line per run (`base.<i>.json`,
-# `change.<i>.json`) and `summary.json`, the table's numbers and each pair's
-# `op_p50_us`. CI smoke-tests the script with `scripts/ab.sh HEAD null_rmi 1 1`.
+# `change.<i>.json`), `summary.json`, the table's numbers and each pair's
+# `op_p50_us`, and `set.json`, `{summary, base_runs, change_runs}` with the
+# runs in order: one set of a committed BENCH_<pr>.json, less its `role`.
+# CI smoke-tests the script with `scripts/ab.sh HEAD null_rmi 1 1`.
 set -euo pipefail
 usage="usage: scripts/ab.sh <base-rev> <workload> [pairs] [seconds] [seed]"
 base=${1:?$usage}
@@ -99,8 +101,11 @@ summary = {"command": command, "base": base, "change": change, "workload": workl
            "metrics": table,
            "op_p50_us_pairs": [{"base": p50("base", i), "change": p50("change", i)}
                                for i in range(pairs)]}
-with open(f"{runs}/summary.json", "w") as f:
-    json.dump(summary, f, indent=1)
-    f.write("\n")
+for name, value in [("summary", summary),
+                    ("set", {"summary": summary, "base_runs": sides["base"],
+                             "change_runs": sides["change"]})]:
+    with open(f"{runs}/{name}.json", "w") as f:
+        json.dump(value, f, indent=1)
+        f.write("\n")
 print(f"\nruns: {runs}")
 EOF

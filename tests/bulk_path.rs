@@ -15,7 +15,8 @@ use oopp_repro::fft::{c64, Complex, Direction, DistributedFft3};
 use oopp_repro::oopp::wire::collections::F64s;
 use oopp_repro::oopp::wire::{self, Wire};
 use oopp_repro::oopp::{
-    Backoff, CallPolicy, ClusterBuilder, DoubleBlockClient, Driver, RemoteClient,
+    Backoff, CallPolicy, ClusterBuilder, DoubleBlockClient, Driver, ObjRef, ProcessGroup,
+    RemoteClient, RemoteError,
 };
 use oopp_repro::simnet::{ClusterConfig, FaultPlan};
 
@@ -195,6 +196,47 @@ fn a_bulk_call_stays_within_its_allocation_budget() {
         live >> 20,
         (WINDOW_BUDGET >> 20) + 16
     );
+    cluster.shutdown(driver);
+}
+
+/// A split loop that fails to issue a call gives back the calls it already
+/// issued: a `par_each` of 2 MiB writes over a live block and a machine the
+/// cluster does not have is `BadMachine`, and the write issued to the block
+/// leaves no request frame pinned on the node. At the parent of the PR
+/// that gives them back, one more ordinary write then left 2 048 KiB of
+/// large blocks live: the stranded frame, in its retransmission slot for
+/// good.
+#[test]
+fn a_failed_split_loop_strands_nothing() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (cluster, mut driver) = ClusterBuilder::new(1).build();
+    let d = &mut driver;
+    let block = DoubleBlockClient::new_on(d, 0, N).unwrap();
+    let data = pattern();
+    // Warm: the node's spare request frame is a write's size by now.
+    for _ in 0..2 {
+        block.write_range(d, 0, F64s(data.clone())).unwrap();
+    }
+    let object = block.obj_ref().object;
+    let nowhere = DoubleBlockClient::from_ref(ObjRef {
+        machine: 99,
+        object,
+    });
+    let group = ProcessGroup::from_members(vec![block, nowhere]);
+    let before = LARGE_LIVE.load(Relaxed);
+    let failed = group.par_each(d, |d, b, _| b.write_range_async(d, 0, F64s(data.clone())));
+    assert!(
+        matches!(failed, Err(RemoteError::BadMachine { machine: 99, .. })),
+        "{failed:?}"
+    );
+    block.write_range(d, 0, F64s(data.clone())).unwrap();
+    let left = LARGE_LIVE.load(Relaxed).saturating_sub(before);
+    println!("a failed split loop, then a write: {} KiB of large blocks left live (budget: under one block)", left >> 10);
+    assert!(
+        left < PAYLOAD,
+        "{left} bytes live after a failed split loop and a write: an issued call was stranded"
+    );
+    assert_eq!(block.read_range(d, 0, N).unwrap().0, data);
     cluster.shutdown(driver);
 }
 
