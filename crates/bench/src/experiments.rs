@@ -28,8 +28,8 @@ use workload::loadgen::{ClosedLoop, ReqClass, Zipf};
 use workload::slo::ClassLedger;
 
 use crate::{
-    lan, lan_config, method_stats_table, modeled, ms, priced, ratio, spinny_config, us, GroupTable,
-    GroupTableClient, Syncer, SyncerClient, Table,
+    assert_audit_clean, lan, lan_config, method_stats_table, modeled, ms, priced, ratio,
+    spinny_config, us, GroupTable, GroupTableClient, Syncer, SyncerClient, Table,
 };
 
 /// E1 (§2): cost of remote object semantics — creation, method call,
@@ -76,7 +76,9 @@ pub fn e1_rmi_overhead() -> Vec<Table> {
     }
     let recorder = cluster.recorder().expect("tracing enabled");
     cluster.shutdown(driver);
-    vec![t, method_stats_table(&recorder.merge())]
+    let trace = recorder.merge();
+    assert_audit_clean(&trace, "E1");
+    vec![t, method_stats_table(&trace)]
 }
 
 /// The device fixture of E2, E3 and E8: an [`ArrayPageDevice`] of `pages`
@@ -209,8 +211,10 @@ pub fn e3_parallel_io() -> Vec<Table> {
         );
         let recorder = cluster.recorder().expect("tracing enabled");
         cluster.shutdown(driver);
+        let trace = recorder.merge();
+        assert_audit_clean(&trace, &format!("E3 N={n}"));
         // One per-method table is enough; keep the widest configuration.
-        last_trace = Some(recorder.merge());
+        last_trace = Some(trace);
 
         // The message-passing baseline: n servers + 1 client.
         let mut mp_cfg = spinny_config();
@@ -676,6 +680,7 @@ pub fn e9_faults() -> Vec<Table> {
             FaultPlan::seeded(0xE9).with_drop(p)
         };
         let (data, retries, drops, elapsed, trace) = run(plan);
+        assert_audit_clean(&trace, &format!("E9 {p}"));
         assert!(
             data == baseline,
             "E9 {p}: a lossy run must compute the clean run's data"
@@ -904,6 +909,7 @@ pub fn e10_placement() -> Vec<Table> {
         let moves = balancer.moves_executed();
         cluster.shutdown(driver);
         let trace = recorder.merge();
+        assert_audit_clean(&trace, "E10");
         // Slice at the marker: per-call latency over the second half of
         // the run, after the balancer converged.
         let cutoff = trace
@@ -2462,6 +2468,7 @@ pub fn e16_workload() -> Vec<Table> {
             a.ledger.read.ok + a.ledger.write.ok,
             "trace-derived completions must match the client ledger"
         );
+        assert_audit_clean(&a.trace, "E16");
     }
 
     let verdicts = workload::report::verdict_table(&a.report.verdicts);

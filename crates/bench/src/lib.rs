@@ -54,6 +54,17 @@ pub fn spinny_config() -> ClusterConfig {
     }
 }
 
+/// Assert that a traced run kept every rule of the audit (DESIGN.md §8):
+/// causality, at most once, no late work, and no events lost.
+pub fn assert_audit_clean(trace: &oopp::Trace, what: &str) {
+    let lines: Vec<String> = trace.audit().iter().map(|v| v.to_string()).collect();
+    assert!(
+        lines.is_empty(),
+        "{what}: the audit failed:\n{}",
+        lines.join("\n")
+    );
+}
+
 /// Render a merged flight-recorder trace as a per-method table: how many
 /// calls each method made, how many wire transmissions they cost, and the
 /// client-observed latency distribution (see `oopp::trace`).

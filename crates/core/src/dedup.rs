@@ -668,15 +668,8 @@ mod tests {
         const STRIDES: [u64; 4] = [1, 3, 8, 1];
         let (mut evicted, mut dropped, mut shed) = (0, 0, 0);
         for seed in 1..=24u64 {
-            let mut state = seed;
-            let mut rand = move |n: usize| {
-                // splitmix64
-                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                ((z ^ (z >> 31)) % n as u64) as usize
-            };
+            let mut case = simnet::sweep::Case::new(seed);
+            let mut rand = move |n: usize| case.below(n as u64) as usize;
             let (capacity, budget) = (2 + rand(14), 50 * (1 + rand(8)));
             let mut w = DedupWindow::new(capacity, budget);
             let mut model = Model {

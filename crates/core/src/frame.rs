@@ -600,7 +600,7 @@ node_stats! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
+    use simnet::sweep::Case;
     use wire::{from_bytes, to_bytes};
 
     #[test]
@@ -912,14 +912,14 @@ mod tests {
 
     /// A value of any magnitude: small ones take one varint byte, the
     /// rest up to ten.
-    fn any_u64(rng: &mut StdRng) -> u64 {
-        rng.next_u64() >> rng.gen_range(0..64)
+    fn any_u64(rng: &mut Case) -> u64 {
+        rng.next_u64() >> rng.range(0..64)
     }
 
-    fn random_frame(rng: &mut StdRng) -> Frame {
-        let mut bytes = vec![0u8; rng.gen_range(0..200)];
+    fn random_frame(rng: &mut Case) -> Frame {
+        let mut bytes = vec![0u8; rng.range(0..200)];
         bytes.fill_with(|| rng.next_u64() as u8);
-        if rng.gen_bool(0.5) {
+        if rng.coin(0.5) {
             let request = Frame::Request {
                 req_id: any_u64(rng),
                 reply_to: any_u64(rng) as usize,
@@ -931,16 +931,16 @@ mod tests {
                 },
                 epoch: any_u64(rng),
                 rs_epoch: any_u64(rng).into(),
-                deadline: if rng.gen_bool(0.5) { 0 } else { any_u64(rng) },
+                deadline: if rng.coin(0.5) { 0 } else { any_u64(rng) },
             };
-            return if rng.gen_bool(0.5) {
+            return if rng.coin(0.5) {
                 request
             } else {
                 single_shot(request)
             };
         }
         let text = || String::from_utf8_lossy(&bytes).into_owned();
-        let result = match rng.gen_range(0..5) {
+        let result = match rng.range(0..5) {
             0 => Err(RemoteError::App { detail: text() }),
             1 => Err(RemoteError::NoSuchMethod {
                 class: text(),
@@ -963,7 +963,7 @@ mod tests {
 
     #[test]
     fn in_place_parser_agrees_with_the_positional_decoder_on_random_frames() {
-        let rng = &mut StdRng::seed_from_u64(0x14_F4A3);
+        let rng = &mut Case::new(0x14_F4A3);
         let (mut requests, mut single, mut with_deadline, mut errors) = (0, 0, 0, 0);
         for _ in 0..1_000 {
             let frame = random_frame(rng);
@@ -998,7 +998,7 @@ mod tests {
     /// — with a fresh buffer or a reused one, whatever it held before.
     #[test]
     fn frames_sealed_around_their_body_are_the_frames_the_codec_encodes() {
-        let rng = &mut StdRng::seed_from_u64(0x16_5EA1);
+        let rng = &mut Case::new(0x16_5EA1);
         let mut spare = Vec::new();
         for _ in 0..1_000 {
             let frame = random_frame(rng);
@@ -1100,7 +1100,7 @@ mod tests {
     /// the one `Body::of` the same value makes — a response or a request.
     #[test]
     fn a_relayed_body_stays_where_it_arrived_or_is_copied_and_seals_alike() {
-        let rng = &mut StdRng::seed_from_u64(0x21_4E1A);
+        let rng = &mut Case::new(0x21_4E1A);
         let mut block = Bytes(vec![0u8; 5_000]);
         block.0.fill_with(|| rng.next_u64() as u8);
         let header = RequestHeader {
@@ -1163,7 +1163,7 @@ mod tests {
     /// range out, as `from_bytes::<Frame>` does, would panic).
     #[test]
     fn junk_truncated_and_trailing_buffers_are_typed_errors_never_panics() {
-        let rng = &mut StdRng::seed_from_u64(0x14_D00D);
+        let rng = &mut Case::new(0x14_D00D);
         let mut rejected = 0;
         for i in 0..10_000 {
             let frame = random_frame(rng);
@@ -1173,13 +1173,13 @@ mod tests {
                 // before its trailing deadline is still a frame — the
                 // deadline-free one — so leave "may parse" to the oracle.)
                 0 => {
-                    buf.truncate(rng.gen_range(0..buf.len()));
+                    buf.truncate(rng.range(0..buf.len()));
                     false
                 }
                 // A whole frame, then garbage — which only a request without
                 // a deadline could take for one.
                 1 => {
-                    let extra = rng.gen_range(1..9);
+                    let extra = rng.range(1..9);
                     buf.extend((0..extra).map(|_| rng.next_u64() as u8));
                     !matches!(
                         frame,
@@ -1188,8 +1188,8 @@ mod tests {
                 }
                 // A frame with a few bytes flipped.
                 2 => {
-                    for _ in 0..rng.gen_range(1..4) {
-                        let at = rng.gen_range(0..buf.len());
+                    for _ in 0..rng.range(1..4) {
+                        let at = rng.range(0..buf.len());
                         buf[at] = rng.next_u64() as u8;
                     }
                     false
@@ -1197,7 +1197,7 @@ mod tests {
                 // Noise, biased toward the three valid tags and one past
                 // them.
                 _ => {
-                    buf.truncate(rng.gen_range(0..64).min(buf.len()));
+                    buf.truncate(rng.range(0..64).min(buf.len()));
                     buf.fill_with(|| rng.next_u64() as u8);
                     if let Some(tag) = buf.first_mut() {
                         *tag %= 4;
@@ -1215,42 +1215,46 @@ mod tests {
 
     mod frame_props {
         use super::*;
-        use proptest::prelude::*;
 
-        proptest! {
-            /// Requests with and without a deadline, under either request
-            /// tag, round-trip, and the deadline-absent encoding is byte-identical to the classic
-            /// (pre-PR-9) wire format.
-            #[test]
-            fn request_roundtrips_with_and_without_deadline(
-                req_id in any::<u64>(),
-                reply_to in 0usize..1024,
-                target in any::<u64>(),
-                payload in proptest::collection::vec(any::<u8>(), 0..64),
-                epoch in any::<u64>(),
-                rs_epoch in any::<u64>(),
-                deadline in any::<u64>(),
-            ) {
-                let mk = |deadline| Frame::Request {
-                    req_id,
-                    reply_to,
-                    target,
-                    payload: Bytes(payload.clone()),
-                    trace: TraceCtx::default(),
-                    epoch,
-                    rs_epoch: rs_epoch.into(),
-                    deadline,
-                };
-                for f in [mk(0), mk(deadline), single_shot(mk(deadline))] {
-                    prop_assert_eq!(from_bytes::<Frame>(&to_bytes(&f)).unwrap(), f);
-                }
-                let classic = classic_request_bytes(
-                    req_id, reply_to, target, &payload,
-                    TraceCtx::default(), epoch, rs_epoch,
-                );
-                prop_assert_eq!(to_bytes(&mk(0)), classic.clone());
-                prop_assert_eq!(from_bytes::<Frame>(&classic).unwrap(), mk(0));
-            }
+        /// Requests with and without a deadline, under either request tag,
+        /// round-trip, and the deadline-absent encoding is byte-identical to
+        /// the classic (pre-PR-9) wire format.
+        #[test]
+        fn request_roundtrips_with_and_without_deadline() {
+            simnet::sweep::cases(
+                "frame_props::request_roundtrips_with_and_without_deadline",
+                64,
+                |c| {
+                    let (req_id, reply_to, target) =
+                        (c.next_u64(), c.range(0usize..1024), c.next_u64());
+                    let payload = c.bytes(0..64);
+                    let (epoch, rs_epoch, deadline) = (c.next_u64(), c.next_u64(), c.next_u64());
+                    let mk = |deadline| Frame::Request {
+                        req_id,
+                        reply_to,
+                        target,
+                        payload: Bytes(payload.clone()),
+                        trace: TraceCtx::default(),
+                        epoch,
+                        rs_epoch: rs_epoch.into(),
+                        deadline,
+                    };
+                    for f in [mk(0), mk(deadline), single_shot(mk(deadline))] {
+                        assert_eq!(from_bytes::<Frame>(&to_bytes(&f)).unwrap(), f);
+                    }
+                    let classic = classic_request_bytes(
+                        req_id,
+                        reply_to,
+                        target,
+                        &payload,
+                        TraceCtx::default(),
+                        epoch,
+                        rs_epoch,
+                    );
+                    assert_eq!(to_bytes(&mk(0)), classic);
+                    assert_eq!(from_bytes::<Frame>(&classic).unwrap(), mk(0));
+                },
+            );
         }
     }
 }

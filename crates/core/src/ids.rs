@@ -76,11 +76,6 @@ impl ObjRef {
             object: DAEMON,
         }
     }
-
-    /// True if this points at a daemon rather than a user object.
-    pub fn is_daemon(&self) -> bool {
-        self.object == DAEMON
-    }
 }
 
 #[cfg(test)]
@@ -101,12 +96,7 @@ mod tests {
     fn daemon_refs() {
         let d = ObjRef::daemon(3);
         assert_eq!(d.machine, 3);
-        assert!(d.is_daemon());
-        assert!(!ObjRef {
-            machine: 3,
-            object: 1
-        }
-        .is_daemon());
+        assert_eq!(d.object, DAEMON);
     }
 
     #[test]

@@ -79,7 +79,8 @@ pub use process::{ClassRegistry, DispatchResult, RemoteClient, ServerClass, Serv
 pub use runtime::{Cluster, ClusterBuilder, Driver};
 pub use simnet::PacketBytes;
 pub use trace::{
-    EventKind, MethodStats, Recorder, SpanEvent, Trace, TraceCtx, DEFAULT_TRACE_CAPACITY,
+    EventKind, MethodStats, Recorder, Rule, SpanEvent, Trace, TraceCtx, Violation,
+    DEFAULT_TRACE_CAPACITY,
 };
 
 // Re-exported for macro expansion and downstream convenience.

@@ -941,7 +941,7 @@ pub fn migrate_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
+    use simnet::sweep::Case;
 
     #[test]
     fn symbolic_addresses_compose() {
@@ -1015,27 +1015,27 @@ mod tests {
         assert!(DirShard::new(ctx, 5, 5).is_err() && DirShard::new(ctx, 0, 0).is_err());
         assert!(DirShard::new(ctx, 0, 1 << 32).is_err());
 
-        let rng = &mut StdRng::seed_from_u64(0x15_5EA7);
+        let rng = &mut Case::new(0x15_5EA7);
         let (mut rejected, mut restored) = (0, 0);
         for i in 0..10_000 {
             let mut buf = good.clone();
             match i % 4 {
-                0 => buf.truncate(rng.gen_range(0..buf.len())),
+                0 => buf.truncate(rng.range(0..buf.len())),
                 1 => {
-                    for _ in 0..rng.gen_range(1..4) {
-                        let at = rng.gen_range(0..buf.len());
-                        buf[at] ^= 1 << rng.gen_range(0..8);
+                    for _ in 0..rng.range(1..4) {
+                        let at = rng.range(0..buf.len());
+                        buf[at] ^= 1 << rng.range(0..8);
                     }
                 }
                 // The header fields (index, total, record count) replaced
                 // by anything at all, `u64::MAX` records included.
                 2 => {
-                    let at = 8 * rng.gen_range(0..3);
-                    let field = rng.next_u64() >> rng.gen_range(0..64);
+                    let at = 8 * rng.range(0..3);
+                    let field = rng.next_u64() >> rng.range(0..64);
                     buf[at..at + 8].copy_from_slice(&field.to_le_bytes());
                 }
                 _ => {
-                    buf.truncate(rng.gen_range(0..64));
+                    buf.truncate(rng.range(0..64));
                     buf.fill_with(|| rng.next_u64() as u8);
                 }
             }

@@ -477,23 +477,19 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use simnet::sweep::cases;
 
-        proptest! {
-            /// The schedule contract, for *any* bit pattern in `factor`
-            /// (NaN, infinities, negatives included): `delay` is total
-            /// (never panics), non-decreasing in the retry number, and
-            /// never exceeds `cap`.
-            #[test]
-            fn delay_is_total_monotone_and_capped(
-                initial_ns in 0u64..5_000_000_000,
-                factor in proptest::num::f64::ANY,
-                cap_ns in 0u64..5_000_000_000,
-            ) {
+        /// The schedule contract, for *any* bit pattern in `factor` (NaN,
+        /// infinities, negatives included): `delay` is total (never
+        /// panics), non-decreasing in the retry number, and never exceeds
+        /// `cap`.
+        #[test]
+        fn delay_is_total_monotone_and_capped() {
+            cases("properties::delay_is_total_monotone_and_capped", 64, |c| {
                 let b = Backoff {
-                    initial: Duration::from_nanos(initial_ns),
-                    factor,
-                    cap: Duration::from_nanos(cap_ns),
+                    initial: Duration::from_nanos(c.range(0u64..5_000_000_000)),
+                    factor: c.any_f64(),
+                    cap: Duration::from_nanos(c.range(0u64..5_000_000_000)),
                 };
                 // Total, including extreme retry counts.
                 let _ = b.delay(0);
@@ -502,31 +498,32 @@ mod tests {
                 let mut prev = Duration::ZERO;
                 for n in 1..64u32 {
                     let d = b.delay(n);
-                    prop_assert!(d <= b.cap);
-                    prop_assert!(d >= prev);
+                    assert!(d <= b.cap);
+                    assert!(d >= prev);
                     prev = d;
                 }
-            }
+            });
+        }
 
-            /// Constructor clamping means the constructed schedule always
-            /// starts at `min(initial, cap)` — a shrinking factor can't
-            /// push later delays below the first.
-            #[test]
-            fn constructed_schedule_floor_is_first_delay(
-                initial_ns in 0u64..1_000_000_000,
-                factor in proptest::num::f64::ANY,
-                cap_ns in 0u64..1_000_000_000,
-            ) {
-                let b = Backoff::exponential(
-                    Duration::from_nanos(initial_ns),
-                    factor,
-                    Duration::from_nanos(cap_ns),
-                );
-                let first = b.delay(1);
-                for n in 2..32u32 {
-                    prop_assert!(b.delay(n) >= first);
-                }
-            }
+        /// Constructor clamping means the constructed schedule always
+        /// starts at `min(initial, cap)` — a shrinking factor can't push
+        /// later delays below the first.
+        #[test]
+        fn constructed_schedule_floor_is_first_delay() {
+            cases(
+                "properties::constructed_schedule_floor_is_first_delay",
+                64,
+                |c| {
+                    let initial = Duration::from_nanos(c.range(0u64..1_000_000_000));
+                    let factor = c.any_f64();
+                    let cap = Duration::from_nanos(c.range(0u64..1_000_000_000));
+                    let b = Backoff::exponential(initial, factor, cap);
+                    let first = b.delay(1);
+                    for n in 2..32u32 {
+                        assert!(b.delay(n) >= first);
+                    }
+                },
+            );
         }
     }
 }

@@ -35,6 +35,9 @@ use parking_lot::Mutex;
 use simnet::{Clock, MachineId};
 use wire::{wire_struct, V64};
 
+mod audit;
+pub use audit::{Rule, Violation};
+
 /// Per-call trace identity carried in every request frame.
 ///
 /// Both fields travel as varints: an untraced frame (`trace_id == span ==
@@ -52,9 +55,9 @@ wire_struct!(TraceCtx { trace_id, span });
 
 /// Which part of the runtime an event speaks for. A family decides how an
 /// event is read: only `Call` events describe a call's own lifecycle (the
-/// per-method table and the causal check read them); every other family is
-/// a marker — an origin that needs no `ClientSend` before it — exported as
-/// an instant in its own category.
+/// per-method table and the audit's causality rule read them); every other
+/// family is a marker — an origin that needs no `ClientSend` before it —
+/// exported as an instant in its own category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// A call's lifecycle: sends, admissions, executions, replies.
@@ -470,42 +473,6 @@ impl Trace {
         self.count(EventKind::ClientRetransmit)
     }
 
-    /// Causal-integrity check: every retransmit and server event must
-    /// belong to a span that recorded a `ClientSend`, and parent spans must
-    /// exist. Returns human-readable violations (empty = sound).
-    pub fn causal_violations(&self) -> Vec<String> {
-        use std::collections::HashSet;
-        let sends: HashSet<u64> = self
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::ClientSend)
-            .map(|e| e.span_id)
-            .collect();
-        let known: HashSet<u64> = self.events.iter().map(|e| e.span_id).collect();
-        let mut violations = Vec::new();
-        for e in &self.events {
-            // Markers are origins: only a call's own events need a send.
-            if e.kind != EventKind::ClientSend
-                && e.kind.family() == Family::Call
-                && !sends.contains(&e.span_id)
-            {
-                violations.push(format!(
-                    "{} for span {:#x} ({}) has no originating send",
-                    e.kind.label(),
-                    e.span_id,
-                    e.method
-                ));
-            }
-            if e.parent_span != 0 && !known.contains(&e.parent_span) {
-                violations.push(format!(
-                    "span {:#x} ({}) names unknown parent {:#x}",
-                    e.span_id, e.method, e.parent_span
-                ));
-            }
-        }
-        violations
-    }
-
     /// Timestamp-free shape of the run: one tuple per event, ordered by
     /// span then lifecycle, for comparing deterministic replays. Two runs
     /// under the same seed and workload must produce equal structures even
@@ -893,7 +860,7 @@ mod tests {
             assert_eq!(trace.count(kind), 9, "{}", kind.label());
         }
         assert_eq!(trace.dropped, 0);
-        assert!(trace.causal_violations().is_empty());
+        assert!(trace.audit().is_empty());
     }
 
     #[test]
@@ -948,20 +915,20 @@ mod tests {
 
     #[test]
     fn causal_violations_catch_orphan_retransmits() {
+        let mut retransmit = ev(EventKind::ClientRetransmit, 1, 1, "m");
+        retransmit.attempt = 2;
         let sound = Trace {
-            events: vec![
-                ev(EventKind::ClientSend, 0, 1, "m"),
-                ev(EventKind::ClientRetransmit, 1, 1, "m"),
-            ],
+            events: vec![ev(EventKind::ClientSend, 0, 1, "m"), retransmit.clone()],
             dropped: 0,
         };
-        assert!(sound.causal_violations().is_empty());
+        assert!(sound.audit().is_empty());
 
+        retransmit.span_id = 2;
         let orphan = Trace {
-            events: vec![ev(EventKind::ClientRetransmit, 1, 2, "m")],
+            events: vec![retransmit],
             dropped: 0,
         };
-        assert_eq!(orphan.causal_violations().len(), 1);
+        assert_eq!(orphan.audit().len(), 1);
     }
 
     #[test]
@@ -1002,11 +969,7 @@ mod tests {
             dropped: 0,
         };
         // Markers have no ClientSend; they must not read as orphans.
-        assert!(
-            t.causal_violations().is_empty(),
-            "{:?}",
-            t.causal_violations()
-        );
+        assert!(t.audit().is_empty(), "{:?}", t.audit());
         let json = t.to_chrome_json();
         assert!(json.contains("migrate_begin:migrate"));
         assert!(json.contains("migrate_rollback:migrate"));
@@ -1024,7 +987,7 @@ mod tests {
             ],
             dropped: 0,
         };
-        assert!(t.causal_violations().is_empty());
+        assert!(t.audit().is_empty());
         let stats = t.method_stats();
         assert_eq!(stats[0].attempts, 2);
         assert_eq!(stats[0].calls, 1);

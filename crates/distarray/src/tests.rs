@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use oopp::{CallPolicy, Cluster, ClusterBuilder, Driver, RemoteClient, RemoteError};
-use proptest::prelude::*;
+use simnet::sweep::cases;
 
 use crate::*;
 
@@ -378,25 +378,22 @@ fn junk_arrays_and_domains_are_typed_errors_at_an_array_worker() {
     cluster.shutdown(driver);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Random domains, random maps: the distributed array always agrees
-    /// with the local mirror — every operation that walks a box's rows on
-    /// a device or in the client.
-    #[test]
-    fn distributed_array_matches_mirror(
-        ops in proptest::collection::vec(
-            (0u64..6, 0u64..6, 0u64..6, 1u64..4, 1u64..4, 1u64..4, 0u64..1000),
-            1..6
-        ),
-        map_choice in 0u8..4,
-        seed in 0u64..100,
-    ) {
+/// Random domains, random maps: the distributed array always agrees with
+/// the local mirror — every operation that walks a box's rows on a device
+/// or in the client.
+#[test]
+fn distributed_array_matches_mirror() {
+    cases("distributed_array_matches_mirror", 12, |c| {
+        let ops = c.vec(1..6, |c| {
+            let corner = [c.range(0u64..6), c.range(0u64..6), c.range(0u64..6)];
+            let extent = [c.range(1u64..4), c.range(1u64..4), c.range(1u64..4)];
+            (corner, extent, c.range(0u64..1000))
+        });
+        let (map_choice, seed) = (c.range(0u8..4), c.range(0u64..100));
         let n = [6u64, 6, 6];
         let p = [4u64, 3, 2];
         let (cluster, mut driver) = cluster(2);
-        let map_of = move |g: [u64;3], d: u64| match map_choice {
+        let map_of = move |g: [u64; 3], d: u64| match map_choice {
             0 => PageMap::round_robin(g, d),
             1 => PageMap::blocked(g, d),
             2 => PageMap::hashed(g, d, seed),
@@ -404,11 +401,11 @@ proptest! {
         };
         let array = build_array(&mut driver, n, p, 2, map_of);
         let mut mirror = Mirror::new(n);
-        for (i, (a1, a2, a3, e1, e2, e3, vs)) in ops.into_iter().enumerate() {
+        for (i, ([a1, a2, a3], [e1, e2, e3], vs)) in ops.into_iter().enumerate() {
             let b1 = (a1 + e1).min(n[0]);
             let b2 = (a2 + e2).min(n[1]);
             let b3 = (a3 + e3).min(n[2]);
-            let a1 = a1.min(b1); let a2 = a2.min(b2); let a3 = a3.min(b3);
+            let (a1, a2, a3) = (a1.min(b1), a2.min(b2), a3.min(b3));
             let d = Domain::new(a1, b1, a2, b2, a3, b3);
             let buf = patterned(d.len() as usize, vs + i as u64);
             array.write(&mut driver, &d, &buf).unwrap();
@@ -419,16 +416,19 @@ proptest! {
             mirror.scale(&widened, -0.5);
             // Read back a related (possibly larger) domain and compare.
             let probe = Domain::new(0, n[0], a2, b2, 0, n[2]);
-            prop_assert_eq!(array.read(&mut driver, &probe).unwrap(), mirror.read(&probe));
+            assert_eq!(
+                array.read(&mut driver, &probe).unwrap(),
+                mirror.read(&probe)
+            );
             let s = array.sum(&mut driver, &probe).unwrap();
-            prop_assert!((s - mirror.sum(&probe)).abs() < 1e-9);
+            assert!((s - mirror.sum(&probe)).abs() < 1e-9);
             for q in [probe, d, widened] {
-                prop_assert_eq!(array.min(&mut driver, &q).unwrap(), mirror.min(&q));
-                prop_assert_eq!(array.max(&mut driver, &q).unwrap(), mirror.max(&q));
+                assert_eq!(array.min(&mut driver, &q).unwrap(), mirror.min(&q));
+                assert_eq!(array.max(&mut driver, &q).unwrap(), mirror.max(&q));
             }
         }
         cluster.shutdown(driver);
-    }
+    });
 }
 
 #[test]

@@ -21,23 +21,6 @@ impl Direction {
             Direction::Inverse => 1.0,
         }
     }
-
-    /// The paper's integer `sign` convention (−1 forward, +1 inverse).
-    pub fn from_sign(sign: i32) -> Direction {
-        if sign < 0 {
-            Direction::Forward
-        } else {
-            Direction::Inverse
-        }
-    }
-
-    /// The opposite direction.
-    pub fn reverse(self) -> Direction {
-        match self {
-            Direction::Forward => Direction::Inverse,
-            Direction::Inverse => Direction::Forward,
-        }
-    }
 }
 
 /// Naive DFT: exact definition, O(n²). Used to validate the fast paths and
@@ -126,10 +109,8 @@ mod tests {
 
     #[test]
     fn direction_helpers() {
-        assert_eq!(Direction::from_sign(-1), Direction::Forward);
-        assert_eq!(Direction::from_sign(1), Direction::Inverse);
-        assert_eq!(Direction::Forward.reverse(), Direction::Inverse);
         assert_eq!(Direction::Forward.sign(), -1.0);
+        assert_eq!(Direction::Inverse.sign(), 1.0);
     }
 
     #[test]

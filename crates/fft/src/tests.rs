@@ -1,8 +1,8 @@
 //! Distributed FFT tests: the §4 listing end-to-end, checked against the
 //! local 3-D transform, plus property tests of transform invariants.
 
+use oopp::simnet::sweep::{cases, Case};
 use oopp::{Cluster, ClusterBuilder, Driver};
-use proptest::prelude::*;
 
 use crate::*;
 
@@ -12,14 +12,8 @@ fn cluster(workers: usize) -> (Cluster, Driver) {
 
 fn sample_grid(shape: [usize; 3], seed: u64) -> Grid3 {
     let n = shape[0] * shape[1] * shape[2];
-    let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut next = move || {
-        let mut z = state;
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-    };
+    let mut case = Case::new(seed);
+    let mut next = move || case.range(-0.5..0.5);
     Grid3::new(shape, (0..n).map(|_| c64(next(), next())).collect())
 }
 
@@ -688,43 +682,51 @@ fn complex_slices_read_and_write_as_interleaved_doubles_where_they_lie() {
     assert!(as_f64s(&[]).is_empty());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Parseval's theorem holds for the plan across random sizes/inputs.
-    #[test]
-    fn parseval_holds(n in 1usize..80, seed in 0u64..1000) {
+/// Parseval's theorem holds for the plan across random sizes/inputs.
+#[test]
+fn parseval_holds() {
+    cases("parseval_holds", 8, |c| {
+        let (n, seed) = (c.range(1usize..80), c.range(0u64..1000));
         let plan = Fft::new(n);
         let grid = sample_grid([n, 1, 1], seed);
         let x = grid.data();
         let y = plan.forward(x);
         let ex: f64 = x.iter().map(|v| v.norm_sqr()).sum();
         let ey: f64 = y.iter().map(|v| v.norm_sqr()).sum();
-        prop_assert!((ey - ex * n as f64).abs() < 1e-6 * (1.0 + ex) * n as f64);
-    }
+        assert!((ey - ex * n as f64).abs() < 1e-6 * (1.0 + ex) * n as f64);
+    });
+}
 
-    /// forward then inverse is the identity for arbitrary sizes.
-    #[test]
-    fn roundtrip_holds(n in 1usize..64, seed in 0u64..1000) {
+/// forward then inverse is the identity for arbitrary sizes.
+#[test]
+fn roundtrip_holds() {
+    cases("roundtrip_holds", 8, |c| {
+        let (n, seed) = (c.range(1usize..64), c.range(0u64..1000));
         let plan = Fft::new(n);
         let grid = sample_grid([n, 1, 1], seed);
         let back = plan.inverse(&plan.forward(grid.data()));
-        prop_assert!(max_error(grid.data(), &back) < 1e-8);
-    }
+        assert!(max_error(grid.data(), &back) < 1e-8);
+    });
+}
 
-    /// The fast plan agrees with the O(n²) definition.
-    #[test]
-    fn fast_matches_slow(n in 1usize..40, seed in 0u64..1000) {
+/// The fast plan agrees with the O(n²) definition.
+#[test]
+fn fast_matches_slow() {
+    cases("fast_matches_slow", 8, |c| {
+        let (n, seed) = (c.range(1usize..40), c.range(0u64..1000));
         let plan = Fft::new(n);
         let grid = sample_grid([n, 1, 1], seed);
         let fast = plan.forward(grid.data());
         let slow = dft(grid.data(), Direction::Forward);
-        prop_assert!(max_error(&fast, &slow) < 1e-7);
-    }
+        assert!(max_error(&fast, &slow) < 1e-7);
+    });
+}
 
-    /// Time shift ⇔ frequency phase ramp (shift theorem).
-    #[test]
-    fn shift_theorem(n in 2usize..48, shift in 1usize..8, seed in 0u64..1000) {
+/// Time shift ⇔ frequency phase ramp (shift theorem).
+#[test]
+fn shift_theorem() {
+    cases("shift_theorem", 8, |c| {
+        let (n, shift, seed) = (c.range(2usize..48), c.range(1usize..8), c.range(0u64..1000));
         let shift = shift % n;
         let plan = Fft::new(n);
         let grid = sample_grid([n, 1, 1], seed);
@@ -734,7 +736,7 @@ proptest! {
         let fs = plan.forward(&shifted);
         for k in 0..n {
             let phase = Complex::cis(std::f64::consts::TAU * (k * shift) as f64 / n as f64);
-            prop_assert!((fs[k] - fx[k] * phase).abs() < 1e-7 * (1.0 + fx[k].abs()));
+            assert!((fs[k] - fx[k] * phase).abs() < 1e-7 * (1.0 + fx[k].abs()));
         }
-    }
+    });
 }

@@ -178,20 +178,6 @@ impl Comm {
         let bytes = self.recv(src, tag)?;
         wire::from_bytes(&bytes).map_err(|e| MpError::Decode(e.to_string()))
     }
-
-    /// Combined send + receive with one partner (deadlock-free because
-    /// sends never block).
-    pub fn sendrecv(
-        &mut self,
-        dst: usize,
-        send_tag: u64,
-        payload: &[u8],
-        src: usize,
-        recv_tag: u64,
-    ) -> MpResult<Vec<u8>> {
-        self.send(dst, send_tag, payload)?;
-        self.recv(src, recv_tag)
-    }
 }
 
 #[cfg(test)]
@@ -292,18 +278,6 @@ mod tests {
         // Rank 1's stopwatch stops at its send, one latency in.
         assert_eq!(results[0], (100_000, 3_600_000_000_000));
         assert_eq!(results[1], (50_000, 3_600_000_000_000));
-    }
-
-    #[test]
-    fn sendrecv_exchanges_with_partner() {
-        let world = MpiWorld::new(ClusterConfig::zero_cost(2));
-        let (results, _) = world.run(|comm| {
-            let partner = 1 - comm.rank();
-            let mine = vec![comm.rank() as u8; 3];
-            comm.sendrecv(partner, 5, &mine, partner, 5).unwrap()
-        });
-        assert_eq!(results[0], vec![1, 1, 1]);
-        assert_eq!(results[1], vec![0, 0, 0]);
     }
 
     #[test]

@@ -60,17 +60,11 @@ impl Page {
     }
 }
 
-/// The splitmix64 stream over `seed` that both `generate`s draw from.
+/// The splitmix64 stream over `seed` that both `generate`s draw from:
+/// `simnet`'s mix of `seed`, `seed + γ`, `seed + 2γ`, …
 fn splitmix64(seed: u64) -> impl Iterator<Item = u64> {
     const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut state = seed;
-    std::iter::repeat_with(move || {
-        state = state.wrapping_add(GAMMA);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    })
+    (0u64..).map(move |k| simnet::faults::mix(seed.wrapping_add(k.wrapping_mul(GAMMA))))
 }
 
 /// A page carrying an `n1 × n2 × n3` block of doubles — the paper's
@@ -135,11 +129,6 @@ impl ArrayPage {
         self.data.is_empty()
     }
 
-    /// Size in bytes when stored on a device.
-    pub fn byte_len(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
-    }
-
     fn offset(&self, i1: usize, i2: usize, i3: usize) -> usize {
         debug_assert!(i1 < self.n1 && i2 < self.n2 && i3 < self.n3);
         (i1 * self.n2 + i2) * self.n3 + i3
@@ -185,14 +174,6 @@ impl ArrayPage {
     /// device, which knows its page shape).
     pub fn into_f64s(self) -> F64s {
         F64s(self.data)
-    }
-
-    /// Build from a wire payload with the given shape.
-    ///
-    /// # Panics
-    /// If `data.0.len() != n1 * n2 * n3`.
-    pub fn from_f64s(n1: usize, n2: usize, n3: usize, data: F64s) -> Self {
-        ArrayPage::new(n1, n2, n3, data.0)
     }
 
     /// Reinterpret as an unstructured [`Page`] (derived → base, "moving the
@@ -251,7 +232,6 @@ mod tests {
         assert_eq!(p.elements()[23], 7.0);
         assert_eq!(p.dims(), (2, 3, 4));
         assert_eq!(p.len(), 24);
-        assert_eq!(p.byte_len(), 192);
     }
 
     #[test]
@@ -279,7 +259,7 @@ mod tests {
     fn array_page_to_page_roundtrip() {
         let p = ArrayPage::generate(3, 4, 5, 17);
         let raw = p.clone().into_page();
-        assert_eq!(raw.len(), p.byte_len());
+        assert_eq!(raw.len(), 8 * p.len());
         let back = ArrayPage::from_page(3, 4, 5, raw);
         assert_eq!(back, p);
     }
@@ -289,13 +269,6 @@ mod tests {
     fn from_page_rejects_wrong_shape() {
         let raw = Page::zeroed(64);
         let _ = ArrayPage::from_page(2, 2, 3, raw); // needs 96 bytes
-    }
-
-    #[test]
-    fn array_page_f64s_roundtrip() {
-        let p = ArrayPage::generate(2, 2, 2, 3);
-        let back = ArrayPage::from_f64s(2, 2, 2, p.clone().into_f64s());
-        assert_eq!(back, p);
     }
 
     #[test]

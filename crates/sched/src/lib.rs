@@ -27,8 +27,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// SplitMix64 finalizer: the same bit mixer simnet's virtual clock uses for
-/// event tiebreaks, duplicated here so `sched` stays dependency-free.
+/// SplitMix64 finalizer: `simnet::faults::mix`, duplicated because
+/// `benchmark/` calls it and a `sched → simnet` edge would change the graph
+/// `benchmark/Cargo.lock` records.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

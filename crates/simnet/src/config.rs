@@ -70,14 +70,6 @@ impl DiskConfig {
         self.seek.is_zero() && !self.bytes_per_sec.is_finite()
     }
 
-    /// A commodity spinning disk: ~4ms seek, ~150 MB/s transfer.
-    pub fn hdd() -> Self {
-        DiskConfig {
-            seek: Duration::from_millis(4),
-            bytes_per_sec: 150e6,
-        }
-    }
-
     /// A fast NVMe-class device: ~20µs access, ~3 GB/s transfer.
     pub fn nvme() -> Self {
         DiskConfig {
@@ -214,20 +206,19 @@ mod tests {
 
     #[test]
     fn disk_presets_are_costed() {
-        assert!(!DiskConfig::hdd().is_zero());
         assert!(!DiskConfig::nvme().is_zero());
-        assert!(DiskConfig::hdd().seek > DiskConfig::nvme().seek);
+        assert!(DiskConfig::zero().seek < DiskConfig::nvme().seek);
     }
 
     #[test]
     fn builders_override_fields() {
         let c = ClusterConfig::zero_cost(2)
-            .with_disk(DiskConfig::hdd())
+            .with_disk(DiskConfig::nvme())
             .with_disks_per_machine(3)
             .with_disk_capacity(1 << 20);
         assert_eq!(c.disks_per_machine, 3);
         assert_eq!(c.disk_capacity, 1 << 20);
-        assert_eq!(c.disk, DiskConfig::hdd());
+        assert_eq!(c.disk, DiskConfig::nvme());
     }
 
     #[test]

@@ -102,20 +102,23 @@ impl Default for FaultPlan {
     }
 }
 
+/// SplitMix64's increment: the golden ratio in 64 bits.
+pub(crate) const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// SplitMix64 finalizer: one well-mixed word from one input word. Every
 /// seeded decision of the substrate — a packet's fate here, the virtual
 /// clock's event tiebreak — is a draw of this hash, and so are the crates
 /// above it that hash or draw from a seed (`workload`'s request stream,
 /// `distarray`'s hashed page map).
 pub fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
+    z = z.wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
 }
 
 /// Uniform f64 in [0, 1) from the top 53 bits of a hash.
-fn unit(h: u64) -> f64 {
+pub(crate) fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 

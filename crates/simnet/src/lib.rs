@@ -24,7 +24,8 @@
 //! function, charged on the virtual clock only (a real-time fabric
 //! delivers directly and refuses a cost it could not charge); a disk
 //! queues its ops behind one watermark on either clock; the counters are
-//! one table ([`metrics`]); every seeded draw is one hash; every
+//! one table ([`metrics`]); every seeded draw is one hash, and every
+//! randomized test draws its cases from one runner ([`sweep`]); every
 //! `Duration` becomes clock nanos in one saturating conversion
 //! ([`time::after`]).
 //!
@@ -48,6 +49,7 @@ pub mod faults;
 pub mod message;
 pub mod metrics;
 pub mod network;
+pub mod sweep;
 pub mod time;
 pub mod topology;
 

@@ -200,11 +200,6 @@ impl MetricsSnapshot {
     pub fn total_fault_drops(&self) -> u64 {
         self.faults_dropped + self.partition_dropped + self.crash_dropped
     }
-
-    /// Number of machines that sent at least one message.
-    pub fn active_senders(&self) -> usize {
-        self.per_machine_sent.iter().filter(|&&c| c > 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +228,6 @@ mod tests {
         assert_eq!(s.disk_bytes_read, 4096);
         assert_eq!(s.disk_bytes_written, 512);
         assert_eq!(s.disk_busy_nanos, 3_000);
-        assert_eq!(s.active_senders(), 2);
     }
 
     #[test]

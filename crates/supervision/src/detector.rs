@@ -305,56 +305,57 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
+        use oopp::simnet::sweep::cases;
 
-        proptest! {
-            /// Monotonicity is the detector's core contract: more silence
-            /// never lowers suspicion, for any heartbeat history.
-            #[test]
-            fn phi_is_monotone_in_silence(
-                periods in proptest::collection::vec(1u64..200, 2..80),
-                probe_a in 0u64..50_000,
-                probe_b in 0u64..50_000,
-            ) {
+        /// Monotonicity is the detector's core contract: more silence never
+        /// lowers suspicion, for any heartbeat history.
+        #[test]
+        fn phi_is_monotone_in_silence() {
+            cases("properties::phi_is_monotone_in_silence", 64, |c| {
+                let periods = c.vec(2..80, |c| c.range(1u64..200));
+                let (probe_a, probe_b) = (c.range(0u64..50_000), c.range(0u64..50_000));
                 let mut d = FailureDetector::new(DetectorConfig::default());
                 let mut t = 0u64;
                 for p in &periods {
                     t += p;
                     d.heartbeat(0, ms(t));
                 }
-                let (lo, hi) = if probe_a <= probe_b { (probe_a, probe_b) } else { (probe_b, probe_a) };
+                let (lo, hi) = (probe_a.min(probe_b), probe_a.max(probe_b));
                 let phi_lo = d.phi(0, ms(t + lo));
                 let phi_hi = d.phi(0, ms(t + hi));
-                prop_assert!(phi_hi >= phi_lo - 1e-12);
-                prop_assert!(phi_lo.is_finite() && phi_hi.is_finite());
-            }
+                assert!(phi_hi >= phi_lo - 1e-12);
+                assert!(phi_lo.is_finite() && phi_hi.is_finite());
+            });
+        }
 
-            /// Verdicts escalate in threshold order for any config where
-            /// suspect_phi <= dead_phi.
-            #[test]
-            fn verdict_ordering_respects_thresholds(
-                suspect in 0.5f64..4.0,
-                extra in 0.1f64..6.0,
-                probe in 0u64..30_000,
-            ) {
-                let cfg = DetectorConfig {
-                    suspect_phi: suspect,
-                    dead_phi: suspect + extra,
-                    ..DetectorConfig::default()
-                };
-                let mut d = FailureDetector::new(cfg);
-                for i in 0..40u64 {
-                    d.heartbeat(0, ms(i * 20));
-                }
-                let now = ms(39 * 20 + probe);
-                let phi = d.phi(0, now);
-                let v = d.verdict(0, now);
-                match v {
-                    Verdict::Dead => prop_assert!(phi >= cfg.dead_phi),
-                    Verdict::Suspect => prop_assert!(phi >= cfg.suspect_phi && phi < cfg.dead_phi),
-                    Verdict::Alive => prop_assert!(phi < cfg.suspect_phi),
-                }
-            }
+        /// Verdicts escalate in threshold order for any config where
+        /// suspect_phi <= dead_phi.
+        #[test]
+        fn verdict_ordering_respects_thresholds() {
+            cases(
+                "properties::verdict_ordering_respects_thresholds",
+                64,
+                |c| {
+                    let (suspect, extra) = (c.range(0.5..4.0), c.range(0.1..6.0));
+                    let probe = c.range(0u64..30_000);
+                    let cfg = DetectorConfig {
+                        suspect_phi: suspect,
+                        dead_phi: suspect + extra,
+                        ..DetectorConfig::default()
+                    };
+                    let mut d = FailureDetector::new(cfg);
+                    for i in 0..40u64 {
+                        d.heartbeat(0, ms(i * 20));
+                    }
+                    let now = ms(39 * 20 + probe);
+                    let phi = d.phi(0, now);
+                    match d.verdict(0, now) {
+                        Verdict::Dead => assert!(phi >= cfg.dead_phi),
+                        Verdict::Suspect => assert!(phi >= cfg.suspect_phi && phi < cfg.dead_phi),
+                        Verdict::Alive => assert!(phi < cfg.suspect_phi),
+                    }
+                },
+            );
         }
     }
 }

@@ -151,10 +151,7 @@ impl ScenarioSpec {
     /// taking precedence — the same one-line replay knob the chaos
     /// soak uses.
     pub fn effective_seed(&self) -> u64 {
-        std::env::var("SIMNET_SEED")
-            .ok()
-            .and_then(|s| int(s.trim()))
-            .unwrap_or(self.seed)
+        simnet::sweep::env_seed().unwrap_or(self.seed)
     }
 
     /// The SLO gate list in evaluation order.

@@ -66,23 +66,23 @@ fn main() {
     cluster.sim().faults().calm();
     cluster.shutdown(driver);
     let trace = recorder.merge();
+    let violations = trace.audit();
 
     println!("workload checksum {checksum:.1}; fabric dropped {dropped} frames, driver retried {retried} calls");
     println!(
-        "{} span events ({} sends, {} retransmits, {} dedup replays); causal check: {}",
+        "{} span events ({} sends, {} retransmits, {} dedup replays); audit: {} violations",
         trace.events.len(),
         trace.count(EventKind::ClientSend),
         trace.retransmits(),
         trace.count(EventKind::ServerAdmitDone),
-        if trace.causal_violations().is_empty() {
-            "ok"
-        } else {
-            "VIOLATED"
-        },
+        violations.len(),
     );
+    for v in &violations {
+        println!("  {v}");
+    }
     assert!(
-        trace.causal_violations().is_empty(),
-        "trace must be causally sound"
+        violations.is_empty(),
+        "the run must keep every rule of the audit"
     );
 
     println!("\nper-method flight-recorder account:");

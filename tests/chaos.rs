@@ -455,7 +455,16 @@ fn traced_chaos_run(
     let recorder = cluster.recorder().expect("tracing enabled");
     cluster.sim().faults().calm();
     cluster.shutdown(driver);
-    (out, recorder.merge(), retried, fabric)
+    let trace = recorder.merge();
+    assert_audit_is_clean(&trace);
+    (out, trace, retried, fabric)
+}
+
+/// Every rule of the audit holds over a traced run (DESIGN §8).
+fn assert_audit_is_clean(trace: &oopp_repro::oopp::Trace) {
+    let violations = trace.audit();
+    let lines: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+    assert!(lines.is_empty(), "the audit failed:\n{}", lines.join("\n"));
 }
 
 /// The flight recorder must agree with the reliability layer's own
@@ -498,40 +507,15 @@ fn trace_retransmits_cross_check_fault_counters() {
 
 /// Causality: every retransmit, server admit, dispatch, and reply event
 /// belongs to a span that recorded an originating `ClientSend`, and every
-/// retransmitted `req_id` pairs 1:1 with its original send.
+/// retransmitted `req_id` pairs 1:1 with its original send — the audit's
+/// causality rule, which `traced_chaos_run` holds the run to.
 #[test]
 fn every_retransmit_links_to_its_original_span() {
-    use oopp_repro::oopp::EventKind;
-    use std::collections::HashMap;
-
     let plan = FaultPlan::seeded(0xCAFE).with_drop(0.10).with_dup(0.05);
     let (_, trace, retried, _) = traced_chaos_run(2, 32, plan);
     assert!(retried > 0);
+    assert!(trace.retransmits() > 0, "the audit had retransmits to pair");
 
-    let violations = trace.causal_violations();
-    assert!(violations.is_empty(), "causal violations: {violations:?}");
-
-    // Each retransmitted span has exactly one original ClientSend, with the
-    // same req_id and method.
-    let mut sends: HashMap<u64, (&str, u64)> = HashMap::new();
-    for e in &trace.events {
-        if e.kind == EventKind::ClientSend {
-            let prev = sends.insert(e.span_id, (&e.method, e.req_id));
-            assert!(prev.is_none(), "span {:#x} sent twice", e.span_id);
-        }
-    }
-    for e in &trace.events {
-        if e.kind == EventKind::ClientRetransmit {
-            let (method, req_id) = sends[&e.span_id];
-            assert_eq!(*e.method, *method);
-            assert_eq!(e.req_id, req_id);
-            assert!(e.attempt >= 2, "a retransmit is never the first attempt");
-        }
-    }
-
-    // And the nested-call structure is visible: worker-side create calls
-    // issued by the directory bootstrap aside, every span with a parent
-    // names a span that exists.
     let export = trace.to_chrome_json();
     assert!(export.contains("\"traceEvents\""));
     assert_eq!(export.matches('{').count(), export.matches('}').count());
@@ -559,16 +543,19 @@ fn same_seed_replays_identical_span_tree() {
 
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use oopp_repro::simnet::sweep::cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(5))]
-        /// Any seeded plan with drop p < 1 eventually delivers every
-        /// retried call exactly once: the counter ends exactly at the call
-        /// count, never above (duplicate execution) or below (lost call).
-        #[test]
-        fn retried_calls_deliver_exactly_once(seed: u64, drop_p in 0.0..0.25f64) {
-            let plan = FaultPlan::seeded(seed).with_drop(drop_p).with_dup(drop_p / 2.0);
+    /// Any seeded plan with drop p < 1 eventually delivers every retried
+    /// call exactly once: the counter ends exactly at the call count,
+    /// never above (duplicate execution) or below (lost call), and the
+    /// traced run keeps every rule of the audit.
+    #[test]
+    fn retried_calls_deliver_exactly_once() {
+        cases("proptests::retried_calls_deliver_exactly_once", 5, |c| {
+            let (seed, drop_p) = (c.next_u64(), c.range(0.0..0.25));
+            let plan = FaultPlan::seeded(seed)
+                .with_drop(drop_p)
+                .with_dup(drop_p / 2.0);
             let policy = CallPolicy::reliable(Duration::from_millis(80))
                 .with_max_retries(10)
                 .with_backoff(Backoff::fixed(Duration::from_millis(5)));
@@ -576,17 +563,20 @@ mod proptests {
                 .register::<Counter>()
                 .sim_config(ClusterConfig::zero_cost(0).with_faults(plan))
                 .call_policy(policy)
+                .tracing(true)
                 .build();
-            let c = CounterClient::new_on(&mut driver, 0).unwrap();
+            let recorder = cluster.recorder().expect("tracing enabled");
+            let counter = CounterClient::new_on(&mut driver, 0).unwrap();
             const CALLS: u64 = 12;
             for _ in 0..CALLS {
-                c.add(&mut driver, 1).unwrap();
+                counter.add(&mut driver, 1).unwrap();
             }
-            let total = c.total(&mut driver).unwrap();
+            let total = counter.total(&mut driver).unwrap();
             cluster.sim().faults().calm();
             cluster.shutdown(driver);
-            prop_assert_eq!(total, CALLS);
-        }
+            assert_audit_is_clean(&recorder.merge());
+            assert_eq!(total, CALLS);
+        });
     }
 }
 
@@ -706,15 +696,6 @@ mod soak {
                 sup.stats()
             );
             driver.serve_for(Duration::from_millis(2));
-        }
-    }
-
-    /// Parse a `SIMNET_SEED` value: `0x…` hex or plain decimal.
-    fn parse_seed(s: &str) -> Option<u64> {
-        let s = s.trim();
-        match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-            Some(hex) => u64::from_str_radix(&hex.replace('_', ""), 16).ok(),
-            None => s.replace('_', "").parse().ok(),
         }
     }
 
@@ -932,10 +913,7 @@ mod soak {
     /// Default seed for the soak tests; override with `SIMNET_SEED=…`
     /// (hex `0x…` or decimal) to replay a failure printed by CI.
     fn seed_from_env() -> u64 {
-        std::env::var("SIMNET_SEED")
-            .ok()
-            .and_then(|s| parse_seed(&s))
-            .unwrap_or(0x50AC_C0DE_D00D_5EED)
+        oopp_repro::simnet::sweep::env_seed().unwrap_or(0x50AC_C0DE_D00D_5EED)
     }
 
     fn repro_line(seed: u64, test: &str) -> String {

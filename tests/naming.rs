@@ -15,10 +15,8 @@ use oopp_repro::oopp::{
     DirShardClient, DirectoryClient, Driver, NameService, NodeCtx, ObjRef, RemoteClient,
     RemoteError, RemoteResult, Takeover, DIRSVC_PREFIX,
 };
+use oopp_repro::simnet::sweep::{cases, Case};
 use oopp_repro::simnet::ClusterConfig;
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn build() -> (Cluster, Driver, NameService) {
     build_sharded(0)
@@ -332,212 +330,147 @@ impl ModelRec {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
+/// One step of an interleaving: (verb, name index, expected epoch,
+/// machine).
+type Op = (u8, usize, u64, usize);
 
-    /// Any interleaving of claimers, membership CASes, poisons, fenced
-    /// rebinds, and declare-dead purges — two logical actors over two
-    /// names — leaves the directory in exactly the state the sequential
-    /// model predicts, with epochs and rs_epochs never regressing.
-    #[test]
-    fn interleaved_claims_and_purges_match_the_sequential_model(
-        ops in proptest::collection::vec((0u8..6u8, 0usize..2usize, 0u64..4u64, 0usize..2usize), 1..24)
-    ) {
-        let (cluster, mut driver, dir) = build();
-        let names = [
-            symbolic_addr(&["naming", "p", "0"]),
-            symbolic_addr(&["naming", "p", "1"]),
-        ];
-        let mut model: Vec<ModelRec> = Vec::new();
-        for (i, name) in names.iter().enumerate() {
-            let target = obj(0, 100 + i as u64);
-            dir.bind(&mut driver, name.clone(), target).unwrap();
-            model.push(ModelRec::fresh(target, 0));
-        }
+/// Up to 23 steps over two names and two machines.
+fn interleaving(c: &mut Case) -> Vec<Op> {
+    c.vec(1..24, |c| {
+        let (kind, n) = (c.range(0u8..6), c.range(0usize..2));
+        (kind, n, c.range(0u64..4), c.range(0usize..2))
+    })
+}
 
-        for (kind, n, e, m) in ops {
-            let name = names[n].clone();
-            let rec = &mut model[n];
-            match kind {
-                // claim(expect = e)
-                0 => {
-                    let got = dir.claim(&mut driver, name, e).unwrap();
-                    let want = if !rec.poisoned && rec.epoch == e {
-                        rec.epoch += 1;
-                        Some(rec.epoch)
-                    } else {
-                        None
-                    };
-                    prop_assert_eq!(got, want);
-                }
-                // set_replicas([replica on machine m], expect = e)
-                1 => {
-                    let replicas = vec![obj(m, 200 + m as u64)];
-                    let got = dir.set_replicas(&mut driver, name, replicas.clone(), e).unwrap();
-                    let want = if !rec.poisoned && rec.rs_epoch == e {
-                        rec.replicas = replicas;
-                        rec.rs_epoch += 1;
-                        Some(rec.rs_epoch)
-                    } else {
-                        None
-                    };
-                    prop_assert_eq!(got, want);
-                }
-                // purge_replicas_on(m) — sweeps every record
-                2 => {
-                    let got = dir.purge_replicas_on(&mut driver, m).unwrap();
-                    let mut want = 0;
-                    for r in model.iter_mut() {
-                        let before = r.replicas.len();
-                        r.replicas.retain(|rep| rep.machine != m);
-                        if r.replicas.len() != before {
-                            r.rs_epoch += 1;
-                            want += 1;
-                        }
-                    }
-                    prop_assert_eq!(got, want);
-                }
-                // poison
-                3 => {
-                    dir.poison(&mut driver, name).unwrap();
-                    rec.poisoned = true;
-                }
-                // bind_fenced(target, epoch = e)
-                4 => {
-                    let target = obj(m, 300 + e);
-                    let got = dir.bind_fenced(&mut driver, name, target, e).unwrap();
-                    let want = if rec.epoch <= e {
-                        rec.target = target;
-                        rec.epoch = e;
-                        rec.poisoned = false;
-                        rec.replicas.clear();
-                        rec.rs_epoch += 1;
-                        true
-                    } else {
-                        false
-                    };
-                    prop_assert_eq!(got, want);
-                }
-                // plain bind: fresh incarnation at the old epoch, set gone
-                _ => {
-                    let target = obj(m, 400 + e);
-                    dir.bind(&mut driver, name, target).unwrap();
-                    *rec = ModelRec::fresh(target, rec.epoch);
-                }
-            }
-
-            // The directory must agree with the model after every op.
-            for (i, name) in names.iter().enumerate() {
-                let r = &model[i];
-                prop_assert_eq!(
-                    dir.lease_of(&mut driver, name.clone()).unwrap(),
-                    Some((r.target, r.epoch, r.poisoned))
-                );
-                prop_assert_eq!(
-                    dir.replica_set(&mut driver, name.clone()).unwrap(),
-                    Some((r.replicas.clone(), r.rs_epoch))
-                );
-            }
-        }
-        cluster.shutdown(driver);
+/// Run `ops` on a directory of `shards` shards (0: unsharded) over the two
+/// `names`, checking every record against the sequential model after each.
+fn matches_the_sequential_model(shards: u32, names: &[String], ops: Vec<Op>) {
+    let (cluster, mut driver, dir) = build_sharded(shards);
+    let mut model: Vec<ModelRec> = Vec::new();
+    for (i, name) in names.iter().enumerate() {
+        let target = obj(0, 100 + i as u64);
+        dir.bind(&mut driver, name.clone(), target).unwrap();
+        model.push(ModelRec::fresh(target, 0));
     }
 
-    /// The same interleavings against the *sharded* control plane — one
-    /// name per shard of a 2-shard map, so every op exercises the routing
-    /// facade — must match the same sequential model: partitioning the
-    /// records cannot change a single record's CAS semantics.
-    #[test]
-    fn sharded_interleavings_match_the_sequential_model(
-        ops in proptest::collection::vec((0u8..6u8, 0usize..2usize, 0u64..4u64, 0usize..2usize), 1..24)
-    ) {
-        let (cluster, mut driver, dir) = build_sharded(2);
-        let names = names_on_shards("prop", 2, &[0, 1]);
-        let mut model: Vec<ModelRec> = Vec::new();
-        for (i, name) in names.iter().enumerate() {
-            let target = obj(0, 100 + i as u64);
-            dir.bind(&mut driver, name.clone(), target).unwrap();
-            model.push(ModelRec::fresh(target, 0));
-        }
-
-        for (kind, n, e, m) in ops {
-            let name = names[n].clone();
-            let rec = &mut model[n];
-            match kind {
-                0 => {
-                    let got = dir.claim(&mut driver, name, e).unwrap();
-                    let want = if !rec.poisoned && rec.epoch == e {
-                        rec.epoch += 1;
-                        Some(rec.epoch)
-                    } else {
-                        None
-                    };
-                    prop_assert_eq!(got, want);
-                }
-                1 => {
-                    let replicas = vec![obj(m, 200 + m as u64)];
-                    let got = dir.set_replicas(&mut driver, name, replicas.clone(), e).unwrap();
-                    let want = if !rec.poisoned && rec.rs_epoch == e {
-                        rec.replicas = replicas;
-                        rec.rs_epoch += 1;
-                        Some(rec.rs_epoch)
-                    } else {
-                        None
-                    };
-                    prop_assert_eq!(got, want);
-                }
-                2 => {
-                    let got = dir.purge_replicas_on(&mut driver, m).unwrap();
-                    let mut want = 0;
-                    for r in model.iter_mut() {
-                        let before = r.replicas.len();
-                        r.replicas.retain(|rep| rep.machine != m);
-                        if r.replicas.len() != before {
-                            r.rs_epoch += 1;
-                            want += 1;
-                        }
+    for (kind, n, e, m) in ops {
+        let name = names[n].clone();
+        let rec = &mut model[n];
+        match kind {
+            // claim(expect = e)
+            0 => {
+                let got = dir.claim(&mut driver, name, e).unwrap();
+                let want = if !rec.poisoned && rec.epoch == e {
+                    rec.epoch += 1;
+                    Some(rec.epoch)
+                } else {
+                    None
+                };
+                assert_eq!(got, want);
+            }
+            // set_replicas([replica on machine m], expect = e)
+            1 => {
+                let replicas = vec![obj(m, 200 + m as u64)];
+                let got = dir
+                    .set_replicas(&mut driver, name, replicas.clone(), e)
+                    .unwrap();
+                let want = if !rec.poisoned && rec.rs_epoch == e {
+                    rec.replicas = replicas;
+                    rec.rs_epoch += 1;
+                    Some(rec.rs_epoch)
+                } else {
+                    None
+                };
+                assert_eq!(got, want);
+            }
+            // purge_replicas_on(m) — sweeps every record
+            2 => {
+                let got = dir.purge_replicas_on(&mut driver, m).unwrap();
+                let mut want = 0;
+                for r in model.iter_mut() {
+                    let before = r.replicas.len();
+                    r.replicas.retain(|rep| rep.machine != m);
+                    if r.replicas.len() != before {
+                        r.rs_epoch += 1;
+                        want += 1;
                     }
-                    prop_assert_eq!(got, want);
                 }
-                3 => {
-                    dir.poison(&mut driver, name).unwrap();
-                    rec.poisoned = true;
-                }
-                4 => {
-                    let target = obj(m, 300 + e);
-                    let got = dir.bind_fenced(&mut driver, name, target, e).unwrap();
-                    let want = if rec.epoch <= e {
-                        rec.target = target;
-                        rec.epoch = e;
-                        rec.poisoned = false;
-                        rec.replicas.clear();
-                        rec.rs_epoch += 1;
-                        true
-                    } else {
-                        false
-                    };
-                    prop_assert_eq!(got, want);
-                }
-                _ => {
-                    let target = obj(m, 400 + e);
-                    dir.bind(&mut driver, name, target).unwrap();
-                    *rec = ModelRec::fresh(target, rec.epoch);
-                }
+                assert_eq!(got, want);
             }
-
-            for (i, name) in names.iter().enumerate() {
-                let r = &model[i];
-                prop_assert_eq!(
-                    dir.lease_of(&mut driver, name.clone()).unwrap(),
-                    Some((r.target, r.epoch, r.poisoned))
-                );
-                prop_assert_eq!(
-                    dir.replica_set(&mut driver, name.clone()).unwrap(),
-                    Some((r.replicas.clone(), r.rs_epoch))
-                );
+            // poison
+            3 => {
+                dir.poison(&mut driver, name).unwrap();
+                rec.poisoned = true;
+            }
+            // bind_fenced(target, epoch = e)
+            4 => {
+                let target = obj(m, 300 + e);
+                let got = dir.bind_fenced(&mut driver, name, target, e).unwrap();
+                let want = if rec.epoch <= e {
+                    rec.target = target;
+                    rec.epoch = e;
+                    rec.poisoned = false;
+                    rec.replicas.clear();
+                    rec.rs_epoch += 1;
+                    true
+                } else {
+                    false
+                };
+                assert_eq!(got, want);
+            }
+            // plain bind: fresh incarnation at the old epoch, set gone
+            _ => {
+                let target = obj(m, 400 + e);
+                dir.bind(&mut driver, name, target).unwrap();
+                *rec = ModelRec::fresh(target, rec.epoch);
             }
         }
-        cluster.shutdown(driver);
+
+        // The directory must agree with the model after every op.
+        for (i, name) in names.iter().enumerate() {
+            let r = &model[i];
+            assert_eq!(
+                dir.lease_of(&mut driver, name.clone()).unwrap(),
+                Some((r.target, r.epoch, r.poisoned))
+            );
+            assert_eq!(
+                dir.replica_set(&mut driver, name.clone()).unwrap(),
+                Some((r.replicas.clone(), r.rs_epoch))
+            );
+        }
     }
+    cluster.shutdown(driver);
+}
+
+/// Any interleaving of claimers, membership CASes, poisons, fenced
+/// rebinds, and declare-dead purges — two logical actors over two names —
+/// leaves the directory in exactly the state the sequential model
+/// predicts, with epochs and rs_epochs never regressing.
+#[test]
+fn interleaved_claims_and_purges_match_the_sequential_model() {
+    let names = [
+        symbolic_addr(&["naming", "p", "0"]),
+        symbolic_addr(&["naming", "p", "1"]),
+    ];
+    cases(
+        "interleaved_claims_and_purges_match_the_sequential_model",
+        40,
+        |c| matches_the_sequential_model(0, &names, interleaving(c)),
+    );
+}
+
+/// The same interleavings against the *sharded* control plane — one name
+/// per shard of a 2-shard map, so every op exercises the routing facade —
+/// must match the same sequential model: partitioning the records cannot
+/// change a single record's CAS semantics.
+#[test]
+fn sharded_interleavings_match_the_sequential_model() {
+    let names = names_on_shards("prop", 2, &[0, 1]);
+    cases(
+        "sharded_interleavings_match_the_sequential_model",
+        40,
+        |c| matches_the_sequential_model(2, &names, interleaving(c)),
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -953,17 +886,17 @@ fn the_root_directory_refuses_to_migrate() {
 fn run_directory_script(shards: u32) -> Vec<String> {
     let (cluster, mut driver, dir) = build_sharded(shards);
     let d = &mut driver;
-    let rng = &mut StdRng::seed_from_u64(0x15_D1CE);
+    let rng = &mut Case::new(0x15_D1CE);
     let names: Vec<String> = (0..8)
         .map(|i| symbolic_addr(&["naming", "equiv", &i.to_string()]))
         .collect();
     let mut out = Vec::new();
     for step in 0..400 {
-        let name = names[rng.gen_range(0..names.len())].clone();
-        let expect = rng.gen_range_u64(0..4);
-        let machine = rng.gen_range(0..3);
-        let target = obj(machine, 100 + rng.gen_range_u64(0..8));
-        let answer = match rng.gen_range(0..12) {
+        let name = names[rng.range(0..names.len())].clone();
+        let expect = rng.range(0..4);
+        let machine = rng.range(0..3);
+        let target = obj(machine, 100 + rng.range(0..8));
+        let answer = match rng.range(0..12) {
             0 => format!("bind {:?}", dir.bind(d, name, target)),
             1 => format!("lookup {:?}", dir.lookup(d, name)),
             2 => format!("unbind {:?}", dir.unbind(d, name)),

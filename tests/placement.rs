@@ -584,41 +584,37 @@ fn balancer_skips_replicated_primaries_and_recovers_after_unreplicate() {
 
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use oopp_repro::simnet::sweep::cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4))]
-        /// Any seeded sequence of migrations is invisible to the
-        /// computation: every intermediate total matches the no-migration
-        /// run bit for bit (per-object call linearizability), including
-        /// under loss + duplication, where retransmitted calls cross the
-        /// move and must still execute exactly once (the dedup guarantee
-        /// carried by the forwarding stub).
-        #[test]
-        fn seeded_migrations_preserve_linearizability(
-            seed: u64,
-            drop_p in 0.0..0.12f64,
-        ) {
-            // Derive a schedule from the seed (SplitMix-style), avoiding
-            // any randomness at execution time.
-            let mut s = seed;
-            let mut next = || {
-                s = s.wrapping_add(0x9E3779B97F4A7C15);
-                let mut z = s;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                (z ^ (z >> 31)) as usize
-            };
-            let schedule: Vec<(usize, usize)> =
-                (0..6).map(|_| (next(), next())).collect();
+    /// Any seeded sequence of migrations is invisible to the computation:
+    /// every intermediate total matches the no-migration run bit for bit
+    /// (per-object call linearizability), including under loss +
+    /// duplication, where retransmitted calls cross the move and must
+    /// still execute exactly once (the dedup guarantee carried by the
+    /// forwarding stub).
+    #[test]
+    fn seeded_migrations_preserve_linearizability() {
+        cases(
+            "proptests::seeded_migrations_preserve_linearizability",
+            4,
+            |c| {
+                let (seed, drop_p) = (c.next_u64(), c.range(0.0..0.12));
+                // The schedule is drawn up front: no randomness at execution
+                // time.
+                let schedule: Vec<(usize, usize)> = (0..6)
+                    .map(|_| (c.next_u64() as usize, c.next_u64() as usize))
+                    .collect();
 
-            let baseline = migration_workload(3, 6, FaultPlan::none(), &[], false);
-            let migrated = migration_workload(3, 6, FaultPlan::none(), &schedule, true);
-            prop_assert_eq!(&baseline, &migrated);
+                let baseline = migration_workload(3, 6, FaultPlan::none(), &[], false);
+                let migrated = migration_workload(3, 6, FaultPlan::none(), &schedule, true);
+                assert_eq!(&baseline, &migrated);
 
-            let plan = FaultPlan::seeded(seed).with_drop(drop_p).with_dup(drop_p / 2.0);
-            let chaotic = migration_workload(3, 6, plan, &schedule, true);
-            prop_assert_eq!(&baseline, &chaotic);
-        }
+                let plan = FaultPlan::seeded(seed)
+                    .with_drop(drop_p)
+                    .with_dup(drop_p / 2.0);
+                let chaotic = migration_workload(3, 6, plan, &schedule, true);
+                assert_eq!(&baseline, &chaotic);
+            },
+        );
     }
 }

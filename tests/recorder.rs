@@ -4,7 +4,7 @@
 //! retransmit, a forward and a nested span, every marker family, orphans, a
 //! send nobody answered — recorded by two machines with two lanes each. The
 //! Chrome export (its length and FNV-1a digest), the per-method table, the
-//! causal check and the timestamp-free structure of that trace are pinned
+//! audit and the timestamp-free structure of that trace are pinned
 //! here, so a change to the recorder's vocabulary or its writers that moves
 //! one byte of what it exports fails by name. A pin moves only with a change
 //! that means to move the output; say why in the commit that re-records it.
@@ -284,14 +284,194 @@ fn method_stats_are_pinned() {
     );
 }
 
+/// The audit of the synthetic trace: today's two causality lines (the
+/// orphan execution and the unknown parent) and the incomplete line its
+/// dropped events earn. Span 1's retransmit repeats its send, span 3's
+/// deadline drop is answered and never run, and no request runs twice.
 #[test]
-fn causal_violations_are_pinned() {
+fn the_audit_is_pinned() {
     assert_eq!(
-        every_kind().causal_violations(),
+        audit_lines(&every_kind()),
         [
-            "dispatch for span 0x1e (ghost) has no originating send",
-            "span 0x1f (child) names unknown parent 0x63",
+            "Causality: dispatch for span 0x1e (ghost) has no originating send [m1/1 @ 9700 ns]",
+            "Causality: span 0x1f (child) names unknown parent 0x63 [m0/0 @ 9800 ns]",
+            "Incomplete: 3 events lost to ring wrap-around",
         ]
+    );
+}
+
+/// The audit of `trace`, a line per violation.
+fn audit_lines(trace: &Trace) -> Vec<String> {
+    trace.audit().iter().map(|v| v.to_string()).collect()
+}
+
+/// The audit of a one-rule trace: `events` and nothing dropped.
+fn audit_of(events: Vec<SpanEvent>) -> Vec<String> {
+    audit_lines(&Trace { events, dropped: 0 })
+}
+
+/// A call from the driver (machine 2) to machine 1: its send, admission,
+/// run and reply.
+fn served_call(at: u64, span: u64, req: u64) -> Vec<SpanEvent> {
+    use EventKind::*;
+    let id = (span, span, 0);
+    vec![
+        ev(at, ClientSend, (2, 0), 1, id, req, 1, 30, "add"),
+        ev(at + 100, ServerAdmitNew, (1, 0), 2, id, req, 0, 0, "add"),
+        ev(at + 200, ServerDispatch, (1, 1), 2, id, req, 0, 0, "add"),
+        ev(at + 300, ServerReply, (1, 1), 2, id, req, 0, 16, "add"),
+    ]
+}
+
+#[test]
+fn the_audit_names_a_request_that_ran_twice() {
+    let mut events = served_call(1_000, 7, 40);
+    // The window forgot the first run: the retransmit is admitted anew.
+    events.extend([
+        ev(
+            1_400,
+            EventKind::ClientRetransmit,
+            (2, 0),
+            1,
+            (7, 7, 0),
+            40,
+            2,
+            30,
+            "add",
+        ),
+        ev(
+            1_500,
+            EventKind::ServerAdmitNew,
+            (1, 0),
+            2,
+            (7, 7, 0),
+            40,
+            0,
+            0,
+            "add",
+        ),
+        ev(
+            1_600,
+            EventKind::ServerDispatch,
+            (1, 0),
+            2,
+            (7, 7, 0),
+            40,
+            0,
+            0,
+            "add",
+        ),
+    ]);
+    assert_eq!(
+        audit_of(events),
+        [
+            "AtMostOnce: request 40 from m2 (add) ran 2 times; the dedup window keeps 1024 keys \
+          (DESIGN §6) and m1 admitted 0 others between its first and last runs \
+          [m1/1 @ 1200 ns, m1/0 @ 1600 ns]"
+        ]
+    );
+}
+
+/// A daemon verb that waits for its object is refused `Busy`, deferred
+/// and tried again: each attempt records a dispatch, and all of them are
+/// one run of one admission. A second admission that runs is not.
+#[test]
+fn the_audit_counts_a_deferred_verbs_attempts_as_one_run() {
+    use EventKind::*;
+    let id = (12, 12, 0);
+    let mut events = vec![
+        ev(1_000, ClientSend, (2, 0), 1, id, 45, 1, 30, "destroy"),
+        ev(1_100, ServerAdmitNew, (1, 0), 2, id, 45, 0, 0, "destroy"),
+        ev(1_100, ServerDispatch, (1, 0), 2, id, 45, 0, 0, "destroy"),
+        ev(1_100, ServerDefer, (1, 0), 2, id, 45, 0, 0, "destroy"),
+        ev(1_200, ServerDispatch, (1, 0), 2, id, 45, 0, 0, "destroy"),
+        ev(1_300, ServerDispatch, (1, 0), 2, id, 45, 0, 0, "destroy"),
+        ev(1_300, ServerReply, (1, 0), 2, id, 45, 0, 8, "destroy"),
+    ];
+    assert_eq!(audit_of(events.clone()), Vec::<String>::new());
+    events.extend([
+        ev(1_400, ServerAdmitNew, (1, 0), 2, id, 45, 0, 0, "destroy"),
+        ev(1_500, ServerDispatch, (1, 0), 2, id, 45, 0, 0, "destroy"),
+    ]);
+    assert_eq!(audit_of(events).len(), 1);
+}
+
+#[test]
+fn the_audit_names_work_run_after_its_deadline_drop() {
+    use EventKind::*;
+    let id = (8, 8, 0);
+    let mut events = vec![
+        ev(1_000, ClientSend, (2, 0), 1, id, 41, 1, 30, "add"),
+        ev(1_100, ServerAdmitNew, (1, 0), 2, id, 41, 0, 0, "add"),
+        // Dropped at execution time on lane 1 — and run there anyway.
+        ev(
+            2_000,
+            ServerDeadlineDrop,
+            (1, 1),
+            2,
+            (90, 90, 0),
+            0,
+            0,
+            5,
+            "overload",
+        ),
+        ev(2_000, ServerDispatch, (1, 1), 2, id, 41, 0, 0, "add"),
+        ev(2_100, ServerReply, (1, 1), 2, id, 41, 0, 16, "add"),
+    ];
+    assert_eq!(
+        audit_of(events.clone()),
+        [
+            "NoLateWork: m1 ran request 41 from m2 (add) after a deadline_drop \
+          [m1/1 @ 2000 ns, m1/1 @ 2000 ns]"
+        ]
+    );
+    // Answered with the error instead, at the same instant as a sibling
+    // call the lane ran: clean.
+    events.remove(3);
+    events.extend(served_call(1_800, 9, 42));
+    events.sort_by_key(|e| e.at_nanos);
+    assert_eq!(audit_of(events), Vec::<String>::new());
+}
+
+#[test]
+fn the_audit_allows_one_run_on_the_replica_a_fallback_left() {
+    use EventKind::*;
+    let id = (10, 10, 0);
+    let mut events = vec![
+        ev(1_000, ClientSend, (2, 0), 0, id, 43, 1, 30, "count"),
+        // The replica on machine 0 runs the read, its reply is lost...
+        ev(1_100, ServerAdmitNew, (0, 0), 2, id, 43, 0, 0, "count"),
+        ev(1_200, ServerDispatch, (0, 0), 2, id, 43, 0, 0, "count"),
+        ev(1_300, ServerReply, (0, 0), 2, id, 43, 0, 16, "count"),
+        // ...and the caller falls back to the primary on machine 1.
+        ev(5_000, ReplicaFallback, (2, 0), 1, id, 43, 2, 30, "count"),
+        ev(5_100, ServerAdmitNew, (1, 0), 2, id, 43, 0, 0, "count"),
+        ev(5_200, ServerDispatch, (1, 0), 2, id, 43, 0, 0, "count"),
+        ev(5_300, ServerReply, (1, 0), 2, id, 43, 0, 16, "count"),
+        ev(5_400, ClientRecv, (2, 0), 1, id, 43, 2, 16, "count"),
+    ];
+    assert_eq!(audit_of(events.clone()), Vec::<String>::new());
+    // Without the fallback, the second run is one too many.
+    events.remove(4);
+    assert_eq!(audit_of(events).len(), 1);
+}
+
+#[test]
+fn the_audit_names_a_retransmit_with_no_send() {
+    let events = vec![ev(
+        1_000,
+        EventKind::ClientRetransmit,
+        (2, 0),
+        1,
+        (11, 11, 0),
+        44,
+        2,
+        30,
+        "add",
+    )];
+    assert_eq!(
+        audit_of(events),
+        ["Causality: retransmit for span 0xb (add) has no originating send [m2/0 @ 1000 ns]"]
     );
 }
 
@@ -503,6 +683,7 @@ fn the_counters_and_the_recorder_agree() {
     cluster.shutdown(driver);
     let trace = recorder.merge();
     assert_eq!(trace.dropped, 0);
+    assert_eq!(audit_lines(&trace), Vec::<String>::new());
 
     use EventKind::*;
     let pairs = [
@@ -548,3 +729,42 @@ fn the_counters_and_the_recorder_agree() {
 
 /// `(bytes, FNV-1a digest)` of [`every_kind`]'s Chrome export.
 const PIN_EXPORT: (usize, u64) = (4_564, 0x25CC_39D9_FB5B_0628);
+
+/// Calls that expire while they wait behind a slow one are dropped, at
+/// admission (no pool: the dispatcher is busy running the slow call) or in
+/// the mailbox (a pool), and never run: in every case the drops happen, the
+/// object counts the slow call alone, and the traced run keeps every rule
+/// of the audit.
+#[test]
+fn calls_that_expire_while_they_wait_are_dropped_not_run() {
+    let name = "calls_that_expire_while_they_wait_are_dropped_not_run";
+    oopp_repro::simnet::sweep::cases(name, 8, |c| {
+        let (cluster, mut driver) = ClusterBuilder::new(1)
+            .sched_workers(c.range(0usize..3))
+            .register::<Slow>()
+            .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(c.next_u64()))
+            .tracing(true)
+            .build();
+        let recorder = cluster.recorder().expect("tracing enabled");
+        let s = SlowClient::new_on(&mut driver, 0).unwrap();
+        let busy_ms = c.range(5u64..40);
+        let busy = s.work_async(&mut driver, busy_ms * 1_000_000).unwrap();
+        let budget = Duration::from_millis(c.range(1..busy_ms));
+        let policy = driver.call_policy();
+        driver.set_call_policy(policy.with_deadline(budget));
+        let late: Vec<_> = (0..c.range(1usize..5))
+            .map(|_| s.work_async(&mut driver, 1_000).unwrap())
+            .collect();
+        driver.set_call_policy(policy);
+        busy.wait(&mut driver).unwrap();
+        for call in late {
+            assert!(call.wait(&mut driver).is_err());
+        }
+        let ran = s.count(&mut driver).unwrap();
+        cluster.shutdown(driver);
+        let trace = recorder.merge();
+        assert_eq!(audit_lines(&trace), Vec::<String>::new());
+        assert!(trace.count(EventKind::ServerDeadlineDrop) > 0);
+        assert_eq!(ran, 1, "only the slow call ran");
+    });
+}

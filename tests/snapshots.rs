@@ -13,13 +13,13 @@ use oopp_repro::oopp::{
     MigrationPayload, ObjRef, RemoteClient, RemoteError,
 };
 use oopp_repro::pagestore::{ArrayPageDevice, ArrayPageDeviceClient, PageDevice, PageDeviceClient};
+use oopp_repro::simnet::sweep::Case;
 use oopp_repro::wire::collections::{Bytes, F64s};
 use oopp_repro::workload::{Feed, FeedClient, Session, SessionClient, User, UserClient};
-use rand::prelude::*;
 use wire::{Reader, V64};
 
 /// `good` broken every way a restore must survive.
-fn junk(good: &[u8], rng: &mut StdRng) -> Vec<Vec<u8>> {
+fn junk(good: &[u8], rng: &mut Case) -> Vec<Vec<u8>> {
     let mut junk: Vec<Vec<u8>> = (0..good.len()).map(|n| good[..n].to_vec()).collect();
     junk.push([good, &[0]].concat());
     for words in 1..=6 {
@@ -36,7 +36,7 @@ fn junk(good: &[u8], rng: &mut StdRng) -> Vec<Vec<u8>> {
 }
 
 /// Restore every junk snapshot of `live`'s class on machine 0.
-fn refuses_junk<C: RemoteClient>(d: &mut Driver, live: C, rng: &mut StdRng) {
+fn refuses_junk<C: RemoteClient>(d: &mut Driver, live: C, rng: &mut Case) {
     let good = d.snapshot_of(live.obj_ref()).unwrap().0;
     let (mut refused, mut built) = (0, 0);
     for (i, bad) in junk(&good, rng).into_iter().enumerate() {
@@ -68,7 +68,7 @@ fn junk_snapshots_are_typed_errors_for_every_persistent_class() {
         .call_policy(CallPolicy::no_retry(Duration::from_millis(500)))
         .build();
     let d = &mut driver;
-    let rng = &mut StdRng::seed_from_u64(0x5AA9_5407);
+    let rng = &mut Case::new(0x5AA9_5407);
 
     let doubles = DoubleBlockClient::new_on(d, 0, 3).unwrap();
     doubles
@@ -100,7 +100,7 @@ fn junk_migration_payloads_are_typed_errors_at_adopt_state() {
         .call_policy(CallPolicy::no_retry(Duration::from_millis(500)))
         .build();
     let d = &mut driver;
-    let rng = &mut StdRng::seed_from_u64(0xAD0_9757);
+    let rng = &mut Case::new(0xAD0_9757);
     let block = DoubleBlockClient::new_on(d, 0, 2).unwrap();
     let payload = MigrationPayload {
         class: "DoubleBlock".into(),

@@ -641,20 +641,18 @@ fn unrecoverable_names_are_poisoned_not_retried_forever() {
 
 mod proptests {
     use super::*;
-    use proptest::prelude::*;
+    use oopp_repro::simnet::sweep::cases;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4))]
-        /// Partition chaos never loses or doubles an acknowledged write,
-        /// at any partition timing: every successful `add` returns a
-        /// strictly larger total (a split brain shows up as a repeated or
-        /// regressed total from the second copy), and after healing, the
-        /// surviving incarnation's total equals the last acknowledged one.
-        #[test]
-        fn partitions_never_lose_or_double_acknowledged_writes(
-            partition_after in 1usize..6,
-            rounds in 8usize..14,
-        ) {
+    /// Partition chaos never loses or doubles an acknowledged write, at
+    /// any partition timing: every successful `add` returns a strictly
+    /// larger total (a split brain shows up as a repeated or regressed
+    /// total from the second copy), and after healing, the surviving
+    /// incarnation's total equals the last acknowledged one.
+    #[test]
+    fn partitions_never_lose_or_double_acknowledged_writes() {
+        let name = "proptests::partitions_never_lose_or_double_acknowledged_writes";
+        cases(name, 4, |c| {
+            let (partition_after, rounds) = (c.range(1usize..6), c.range(8usize..14));
             let (cluster, mut driver) = ClusterBuilder::new(3)
                 .register::<PCounter>()
                 .sim_config(ClusterConfig::zero_cost(0))
@@ -683,7 +681,7 @@ mod proptests {
                 // the re-resolved address next round.
                 let target = PCounterClient::from_ref(sup.current_of(&addr).unwrap());
                 if let Ok(total) = target.add(&mut driver, 1) {
-                    prop_assert!(
+                    assert!(
                         total > last_total,
                         "total regressed or repeated: {total} after {last_total}"
                     );
@@ -705,13 +703,13 @@ mod proptests {
             });
             let live = PCounterClient::from_ref(sup.current_of(&addr).unwrap());
             let final_total = live.total(&mut driver).unwrap();
-            prop_assert!(
+            assert!(
                 final_total == last_total,
                 "acknowledged writes lost or doubled: {final_total} != {last_total}"
             );
 
             cluster.shutdown(driver);
-        }
+        });
     }
 }
 
