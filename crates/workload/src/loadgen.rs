@@ -7,7 +7,7 @@
 //! clock (`driver.now_nanos()`), so under `with_virtual_time(seed)` the
 //! whole load schedule, including the diurnal sine, is deterministic.
 //!
-//! The request mix is seeded SplitMix64: feed reads follow a Zipf
+//! The request mix is one seeded [`Case`] stream: feed reads follow a Zipf
 //! popularity (feed 0 is the hot head), session validations are
 //! uniform, and `write_permille` of requests are writes split across
 //! feed posts, user follows, and session touches.
@@ -17,6 +17,7 @@ use std::time::Duration;
 
 use oopp::wire::Wire;
 use oopp::{NodeCtx, Pending, RemoteError, RemoteResult};
+use simnet::sweep::Case;
 use simnet::time::after;
 
 use crate::slo::Ledger;
@@ -260,19 +261,14 @@ impl Request {
     }
 }
 
-/// The next word of the SplitMix64 stream at `state`.
-fn splitmix(state: &mut u64) -> u64 {
-    let z = *state;
-    *state = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    simnet::faults::mix(z)
-}
-
 /// A seeded Zipf(s) sampler over ranks `0..n` (rank 0 is the hot head):
-/// one SplitMix64 stream walked against the cumulative weights
+/// one [`Case`] stream walked against the cumulative weights
 /// `1 / (k + 1)^s`. The same seed draws the same ranks on every host —
 /// the schedule every experiment table and `workload` run replays.
+/// [`RequestMix`] interleaves its uniform draws with
+/// [`sample`](Self::sample) on the same stream.
 pub struct Zipf {
-    rng: u64,
+    rng: Case,
     cdf: Vec<f64>,
 }
 
@@ -285,19 +281,16 @@ impl Zipf {
             acc += 1.0 / ((k + 1) as f64).powf(s);
             cdf.push(acc);
         }
-        Zipf { rng: seed, cdf }
-    }
-
-    /// The next raw word of the stream: [`RequestMix`] interleaves its
-    /// uniform draws with [`sample`](Self::sample) on one seed.
-    fn next_u64(&mut self) -> u64 {
-        splitmix(&mut self.rng)
+        Zipf {
+            rng: Case::new(seed),
+            cdf,
+        }
     }
 
     /// The next rank.
     pub fn sample(&mut self) -> usize {
         let last = self.cdf.len() - 1;
-        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * self.cdf[last];
+        let u = self.rng.range(0.0..self.cdf[last]);
         self.cdf.iter().position(|&c| u < c).unwrap_or(last)
     }
 }
@@ -312,29 +305,29 @@ impl RequestMix {
 
     /// The next request, given the population sizes.
     pub fn next(&mut self, users: usize, sessions: usize) -> Request {
-        let is_write = self.zipf.next_u64() % 1000 < self.write_permille as u64;
-        if is_write {
-            match self.zipf.next_u64() % 4 {
+        let rng = &mut self.zipf.rng;
+        if rng.below(1000) < self.write_permille as u64 {
+            match rng.below(4) {
                 // Half the writes land on feeds — the write burst the
                 // replica coherence has to absorb.
                 0 | 1 => Request::FeedPost {
                     feed: self.zipf.sample(),
                 },
                 2 => Request::UserFollow {
-                    user: (self.zipf.next_u64() % users as u64) as usize,
+                    user: rng.below(users as u64) as usize,
                 },
                 _ => Request::SessionTouch {
-                    session: (self.zipf.next_u64() % sessions as u64) as usize,
+                    session: rng.below(sessions as u64) as usize,
                 },
             }
-        } else if self.zipf.next_u64() % 10 < 7 {
+        } else if rng.below(10) < 7 {
             // 70% of reads hit feeds (Zipf); 30% validate sessions.
             Request::FeedRead {
                 feed: self.zipf.sample(),
             }
         } else {
             Request::SessionValidate {
-                session: (self.zipf.next_u64() % sessions as u64) as usize,
+                session: rng.below(sessions as u64) as usize,
             }
         }
     }
