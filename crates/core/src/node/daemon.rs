@@ -504,9 +504,12 @@ impl NodeCtx {
         let mut reader = Reader::new(&req.payload);
         let outcome = match reader.take_str() {
             Ok(method) => {
-                let trace = req.trace.as_ref();
-                self.trace_call(EventKind::ServerDispatch, reply_to, trace, req_id, 0, 0);
-                self.daemon_dispatch(method, &mut reader)
+                let outcome = self.daemon_dispatch(method, &mut reader);
+                // A verb refused `Busy` did not run: it is deferred, not dispatched.
+                if !matches!(outcome, Err(Refusal::Busy)) {
+                    self.trace_request(EventKind::ServerDispatch, &req, 0);
+                }
+                outcome
             }
             Err(e) => Err(e.into()),
         };

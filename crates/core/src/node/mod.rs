@@ -334,9 +334,16 @@ impl NodeCtx {
         }
     }
 
-    /// Record a marker: an origin event that opens a span of its own
-    /// rather than belonging to a call — a breaker transition, a shed, a
-    /// replica sync, a suspicion. `peer` is the machine it concerns,
+    /// Record an event of `req`, a request this node serves, on the
+    /// request's own span (`peer` = its caller): an admission, a deferral,
+    /// a dispatch, a replica's verdict, a shed or a drop.
+    fn trace_request(&self, kind: EventKind, req: &IncomingReq, value: u32) {
+        self.trace_call(kind, req.reply_to, req.trace.as_ref(), req.req_id, 0, value);
+    }
+
+    /// Record a marker: an origin event about no single request, with a
+    /// span of its own — a breaker transition, a fast-fail, a replica
+    /// sync, a suspicion. `peer` is the machine it concerns,
     /// `value` its scalar (the `bytes` column: a queue depth, an epoch, phi
     /// ×1000, an MTTR in µs…) and its family names the method column.
     /// No-op when tracing is off.

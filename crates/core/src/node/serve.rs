@@ -293,7 +293,7 @@ impl NodeCtx {
                     DedupVerdict::InFlight => EventKind::ServerAdmitInFlight,
                     DedupVerdict::New => EventKind::ServerAdmitNew,
                 };
-                self.trace_call(admitted, reply_to, req.trace.as_ref(), req_id, 0, 0);
+                self.trace_request(admitted, &req, 0);
                 match verdict {
                     DedupVerdict::Done(frame) => {
                         bump!(self.shared.stats, dup_replayed);
@@ -315,8 +315,7 @@ impl NodeCtx {
                     ServeOutcome::Served => {}
                     ServeOutcome::Defer(req) => {
                         bump!(self.shared.stats, calls_deferred);
-                        let trace = req.trace.as_ref();
-                        self.trace_call(EventKind::ServerDefer, reply_to, trace, req_id, 0, 0);
+                        self.trace_request(EventKind::ServerDefer, &req, 0);
                         self.push_deferred(req);
                     }
                 }
@@ -453,7 +452,7 @@ impl NodeCtx {
             drop(shard);
             bump!(self.shared.stats, calls_shed_overload);
             let depth = queue_depth.min(u32::MAX as u64) as u32;
-            self.trace_marker(EventKind::ServerShed, req.reply_to, depth);
+            self.trace_request(EventKind::ServerShed, &req, depth);
             self.send_response(
                 req.reply_to,
                 req.req_id,
@@ -466,17 +465,15 @@ impl NodeCtx {
             return ServeOutcome::Served;
         }
         // Parked behind a token that already exists, the request waits its
-        // mailbox turn — the M:N engine's form of a deferral — and its
-        // `ServerDefer` event needs what moves into the mailbox with it.
+        // mailbox turn — the M:N engine's form of a deferral.
         let waits = std::mem::replace(&mut live.scheduled, true);
-        let (reply_to, req_id) = (req.reply_to, req.req_id);
-        let deferred = req.trace.as_ref().filter(|t| waits && t.span != 0).cloned();
+        if waits {
+            self.trace_request(EventKind::ServerDefer, &req, 0);
+        }
         live.mailbox.push_back(req);
         drop(shard);
         if waits {
             bump!(self.shared.stats, calls_deferred);
-            let kind = EventKind::ServerDefer;
-            self.trace_call(kind, reply_to, deferred.as_ref(), req_id, 0, 0);
         } else {
             self.submit_task(target);
         }
@@ -496,23 +493,20 @@ impl NodeCtx {
             }
             RemoteError::StaleReplica { rs_epoch, .. } => {
                 bump!(self.shared.stats, replica_reads_stale);
-                let (kind, epoch) = (EventKind::ReplicaStale, *rs_epoch as u32);
-                self.trace_call(kind, req.reply_to, req.trace.as_ref(), req.req_id, 0, epoch);
+                self.trace_request(EventKind::ReplicaStale, req, *rs_epoch as u32);
             }
             // The propagated deadline passed (at admission, or while the
             // request sat queued): dropped without executing.
             RemoteError::DeadlineExceeded { elapsed_nanos } => {
                 bump!(self.shared.stats, calls_deadline_expired);
-                let over = micros(*elapsed_nanos);
-                self.trace_marker(EventKind::ServerDeadlineDrop, req.reply_to, over);
+                self.trace_request(EventKind::ServerDeadlineDrop, req, micros(*elapsed_nanos));
             }
             // CoDel-style shed: the request's queue sojourn exceeded the
             // configured target.
             RemoteError::Overloaded { .. } => {
                 bump!(self.shared.stats, calls_shed_sojourn);
                 let sojourn = self.clock.now_nanos().saturating_sub(req.ask.admitted_at);
-                let waited = micros(sojourn);
-                self.trace_marker(EventKind::ServerSojournDrop, req.reply_to, waited);
+                self.trace_request(EventKind::ServerSojournDrop, req, micros(sojourn));
             }
             _ => {}
         }
@@ -623,8 +617,7 @@ impl NodeCtx {
                     let (reply_to, req_id) = (req.reply_to, req.req_id);
                     if let Some(rs_now) = replica_hit {
                         bump!(self.shared.stats, replica_reads_served);
-                        let (kind, epoch) = (EventKind::ReplicaHit, rs_now as u32);
-                        self.trace_call(kind, reply_to, req.trace.as_ref(), req_id, 0, epoch);
+                        self.trace_request(EventKind::ReplicaHit, &req, rs_now as u32);
                     }
                     // Calls the method issues while running inherit this
                     // request's trace identity (nested spans).

@@ -55,9 +55,10 @@ wire_struct!(TraceCtx { trace_id, span });
 
 /// Which part of the runtime an event speaks for. A family decides how an
 /// event is read: only `Call` events describe a call's own lifecycle (the
-/// per-method table and the audit's causality rule read them); every other
-/// family is a marker — an origin that needs no `ClientSend` before it —
-/// exported as an instant in its own category.
+/// per-method table and the audit's causality rule read them); an event of
+/// any other family needs no `ClientSend` before it — a marker, or a
+/// replica's verdict or a refusal on a request's span — and is exported
+/// as an instant in its own category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// A call's lifecycle: sends, admissions, executions, replies.
@@ -191,7 +192,8 @@ event_kinds! {
     ReplicaScale => "replica_scale", Replication;
     /// Server rejected a request at admission: mailbox cap or machine
     /// in-flight budget exceeded (`bytes` carries the observed queue
-    /// depth). The request was never queued.
+    /// depth). The request was never queued. This and the two drops ride
+    /// the refused request's span.
     ServerShed => "shed", Overload;
     /// Server shed an admitted request at execution time because its
     /// queue sojourn exceeded the CoDel target (`bytes` carries the
@@ -617,8 +619,9 @@ impl Trace {
     /// * Every other event but an admission becomes an `"i"` (instant) in
     ///   its family's category: a call's retransmits, chases, dedup
     ///   verdicts and deferrals are `label:method` on the lane's track; a
-    ///   move's steps are `label:migrate` with its span; every other marker
-    ///   is `label:m<peer>` with its scalar as `value`.
+    ///   move's steps are `label:migrate` with its span; every other event
+    ///   — a marker, or a request's replica verdict, shed or drop — is
+    ///   `label:m<peer>` with its scalar as `value`.
     /// * A send that never saw its recv becomes an `unanswered:method`
     ///   instant.
     ///

@@ -6,7 +6,7 @@ use std::fmt;
 
 use simnet::MachineId;
 
-use super::EventKind::{self, *};
+use super::EventKind::*;
 use super::{Family, SpanEvent, Trace};
 use crate::dedup::DEFAULT_DEDUP_CAPACITY;
 
@@ -111,9 +111,7 @@ fn causality(events: &[SpanEvent]) -> Vec<Violation> {
 }
 
 /// One dispatch per `(reply_to, req_id)`. A read that fell back from a
-/// replica may also have run once on the replica it left. The daemon
-/// records a dispatch per attempt of a verb refused `Busy` and deferred, so
-/// a deferred request runs once per admission on a machine. A move's chase
+/// replica may also have run once on the replica it left. A move's chase
 /// (its old home never ran it) and a refence (a fresh id) are not excused,
 /// nor is a run past the dedup window's horizon: the line says how many
 /// keys came between.
@@ -124,27 +122,9 @@ fn at_most_once(events: &[SpanEvent]) -> Vec<Violation> {
     }
     let mut out = Vec::new();
     for (key, runs) in runs.into_iter().filter(|(_, runs)| runs.len() > 1) {
-        let seen = |kind: EventKind, m: MachineId| {
-            let of = |e: &&SpanEvent| e.kind == kind && e.machine == m;
-            events
-                .iter()
-                .filter(of)
-                .filter(|e| (e.peer, e.req_id) == key)
-                .count()
-        };
         let machines: BTreeSet<MachineId> = runs.iter().map(|e| e.machine).collect();
-        let ran: usize = machines
-            .iter()
-            .map(|&m| {
-                let here = runs.iter().filter(|e| e.machine == m).count();
-                match seen(ServerDefer, m) {
-                    0 => here,
-                    _ => here.min(seen(ServerAdmitNew, m).max(1)),
-                }
-            })
-            .sum();
         let fell_back = |e: &SpanEvent| e.kind == ReplicaFallback && (e.machine, e.req_id) == key;
-        if ran < 2 || (ran == 2 && machines.len() == 2 && events.iter().any(fell_back)) {
+        if runs.len() == 2 && machines.len() == 2 && events.iter().any(fell_back) {
             continue;
         }
         let (first, last) = (runs[0], runs[runs.len() - 1]);
@@ -154,6 +134,7 @@ fn at_most_once(events: &[SpanEvent]) -> Vec<Violation> {
             .filter(|e| (first.at_nanos..=last.at_nanos).contains(&e.at_nanos))
             .filter(|e| (e.peer, e.req_id) != key)
             .count();
+        let ran = runs.len();
         let detail = format!(
             "request {} from m{} ({}) ran {ran} times; the dedup window keeps \
              {DEFAULT_DEDUP_CAPACITY} keys (DESIGN §6) and m{} admitted {between} others \
@@ -165,65 +146,27 @@ fn at_most_once(events: &[SpanEvent]) -> Vec<Violation> {
     out
 }
 
-/// A deadline or sojourn drop is a marker: it names its caller (`peer`)
-/// but not the request. Its lane answers the dropped request at once, so
-/// each drop, in time order, takes the earliest free reply of that lane to
-/// that caller, at or after the drop, to a request that never ran on that
-/// machine (a reply stamped with the drop's instant may have been sent
-/// just before it). A drop no such reply answers is late work if a request
-/// of that caller, admitted there and unanswered at the drop, ran there
-/// from then on.
+/// A deadline or sojourn drop rides the span of the request it refused,
+/// so the request is its `(machine, caller, req_id)`: no dispatch of that
+/// key on that machine may come at or after the drop.
 fn no_late_work(events: &[SpanEvent]) -> Vec<Violation> {
-    let ran: HashSet<_> = events
+    // Walked backwards, so a key's first drop is the one kept.
+    let dropped: HashMap<_, _> = events
         .iter()
-        .filter(|e| e.kind == ServerDispatch)
-        .map(|e| (e.machine, e.peer, e.req_id))
-        .collect();
-    let (mut answered, mut out) = (HashSet::new(), Vec::new());
-    for drop in events
-        .iter()
+        .rev()
         .filter(|e| matches!(e.kind, ServerDeadlineDrop | ServerSojournDrop))
-    {
-        let lane = (drop.machine, drop.worker, drop.peer);
-        let answer = events
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.kind == ServerReply && (r.machine, r.worker, r.peer) == lane)
-            .filter(|(i, r)| r.at_nanos >= drop.at_nanos && !answered.contains(i))
-            .find(|(_, r)| !ran.contains(&(r.machine, r.peer, r.req_id)));
-        match answer {
-            Some((i, _)) => {
-                answered.insert(i);
-            }
-            None => out.extend(late_run(events, drop)),
-        }
-    }
-    out
-}
-
-/// The first request of `drop`'s caller, admitted on its machine and
-/// unanswered at the drop, that ran there from then on — on the drop's
-/// own lane if one did.
-fn late_run(events: &[SpanEvent], drop: &SpanEvent) -> Option<Violation> {
-    let (machine, caller, at) = (drop.machine, drop.peer, drop.at_nanos);
-    let mine: Vec<&SpanEvent> = events
-        .iter()
-        .filter(|e| e.machine == machine && e.peer == caller)
+        .map(|drop| ((drop.machine, drop.peer, drop.req_id), drop))
         .collect();
-    let (mut admitted, mut answered) = (HashSet::new(), HashSet::new());
-    for e in &mine {
-        match e.kind {
-            ServerAdmitNew if e.at_nanos <= at => admitted.insert(e.req_id),
-            ServerReply if e.at_nanos < at => answered.insert(e.req_id),
-            _ => false,
-        };
-    }
-    let run = mine
-        .iter()
-        .filter(|e| e.kind == ServerDispatch && e.at_nanos >= at)
-        .filter(|e| admitted.contains(&e.req_id) && !answered.contains(&e.req_id))
-        .min_by_key(|e| (e.worker != drop.worker, e.at_nanos))?;
-    let (req, method, kind) = (run.req_id, &run.method, drop.kind.label());
-    let detail = format!("m{machine} ran request {req} from m{caller} ({method}) after a {kind}");
-    Some(breach(Rule::NoLateWork, detail, &[drop, run]))
+    let late = |run: &SpanEvent| {
+        let (machine, caller, req) = (run.machine, run.peer, run.req_id);
+        let drop = dropped.get(&(machine, caller, req))?;
+        (drop.at_nanos <= run.at_nanos).then(|| {
+            let (method, kind) = (&run.method, drop.kind.label());
+            let detail =
+                format!("m{machine} ran request {req} from m{caller} ({method}) after a {kind}");
+            breach(Rule::NoLateWork, detail, &[drop, run])
+        })
+    };
+    let runs = events.iter().filter(|e| e.kind == ServerDispatch);
+    runs.filter_map(late).collect()
 }

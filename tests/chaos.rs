@@ -751,7 +751,9 @@ mod soak {
             .register::<SoakCell>()
             .sim_config(config)
             .call_policy(soak_policy())
+            .tracing(virtual_time)
             .build();
+        let recorder = cluster.recorder();
         let clock = cluster.sim().clock().clone();
         let dir = driver.directory();
         let mut sup = Supervisor::new(soak_config(), SUPERVISED.to_vec(), dir);
@@ -890,7 +892,17 @@ mod soak {
             Ok(()) => {
                 cluster.sim().faults().calm();
                 cluster.shutdown(driver);
-                Ok(())
+                // The virtual run is traced whole and keeps every rule.
+                let trace = recorder.map(|r| r.merge()).unwrap_or_default();
+                let violations: Vec<String> = trace.audit().iter().map(|v| v.to_string()).collect();
+                if violations.is_empty() {
+                    return Ok(());
+                }
+                Err(SoakFailure {
+                    episode: episodes,
+                    schedule: clock.schedule(),
+                    message: format!("the audit of the run: {}", violations.join("; ")),
+                })
             }
             Err(payload) => {
                 let message = payload

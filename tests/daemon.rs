@@ -282,10 +282,13 @@ fn behind_parked_call<T: wire::Wire>(
 /// process — reads its state, replaces it, or retires it — issued while a
 /// call has the object checked out waits for the call to return and sees
 /// its effect. One case per verb; on a single-lane machine the parked call
-/// keeps the dispatcher serving, so each verb does arrive mid-call.
+/// keeps the dispatcher serving, so each verb does arrive mid-call. A verb
+/// is refused `Busy` and tried again on every turn of the dispatcher until
+/// the call returns, yet its request records one dispatch: the run.
 #[test]
 fn process_verbs_wait_for_a_checked_out_object() {
-    let (cluster, mut driver) = one_machine(false);
+    let (cluster, mut driver) = one_machine(true);
+    let recorder = cluster.recorder().expect("tracing is on");
     let d = &mut driver;
     let lease = 3_600_000;
     let gate = BarrierClient::new_on(d, 0, 2).unwrap();
@@ -371,6 +374,21 @@ fn process_verbs_wait_for_a_checked_out_object() {
         Err(RemoteError::NoSuchObject { .. })
     ));
     cluster.shutdown(driver);
+
+    let trace = recorder.merge();
+    let of = |kind: EventKind| trace.events.iter().filter(move |e| e.kind == kind);
+    let deferred: BTreeSet<(u64, &str)> = of(EventKind::ServerDefer)
+        .map(|e| (e.span_id, &*e.method))
+        .collect();
+    // On the real clock a verb the dispatcher reaches only after its call
+    // returned runs at once; the verbs that were deferred are checked.
+    assert!(!deferred.is_empty(), "no verb was deferred");
+    for (span, verb) in deferred {
+        let runs = of(EventKind::ServerDispatch)
+            .filter(|e| e.span_id == span)
+            .count();
+        assert_eq!(runs, 1, "{verb} (span {span:#x}) dispatched {runs} times");
+    }
 }
 
 /// Call daemon verb `verb` on machine 0 with the raw argument bytes `args`.

@@ -48,8 +48,9 @@ fn ev(
     }
 }
 
-/// A marker: an origin event with a span of its own, as `NodeCtx` records
-/// one (trace id = span, no request id, no attempt).
+/// A marker: an origin event about no single request, with a span of its
+/// own, as `NodeCtx` records one (trace id = span, no request id, no
+/// attempt).
 fn marker(
     at_nanos: u64,
     kind: EventKind,
@@ -117,12 +118,12 @@ fn every_kind() -> Trace {
         marker(7_200, ReplicaSync, m1, 0, 17, 0, "replicate"),
         marker(7_300, ReplicaPromote, m1, 0, 18, 0, "replicate"),
         marker(7_400, ReplicaScale, m1, 0, 19, 2, "replicate"),
-        // Span 5, `scan`: m1 lane 0 → m0, never answered.
+        // Span 5, `scan`: m1 lane 0 → m0, shed at admission; the refusal
+        // never reaches the caller.
         ev(8_000, ClientSend, m1, 0, (5, 5, 0), 9, 1, 20, "scan"),
         ev(9_000, ClientRecv, m0, 1, (1, 1, 0), 1, 2, 24, "get"),
-        // The overload family.
-        marker(9_100, ServerShed, m1, 0, 20, 64, "overload"),
-        marker(9_200, ServerSojournDrop, m1w1, 0, 21, 900, "overload"),
+        ev(9_100, ServerShed, m0, 1, (5, 5, 0), 9, 0, 64, "scan"),
+        // The overload family's markers.
         marker(9_300, BreakerOpen, m0, 1, 22, 5, "overload"),
         marker(9_400, BreakerHalfOpen, m0, 1, 23, 0, "overload"),
         marker(9_500, BreakerClose, m0, 1, 24, 0, "overload"),
@@ -141,6 +142,18 @@ fn every_kind() -> Trace {
             "ghost",
         ),
         ev(9_800, ClientSend, m0, 1, (31, 31, 99), 12, 1, 8, "child"),
+        // ...which m1 lane 1 drops after a long wait in its mailbox.
+        ev(
+            9_900,
+            ServerSojournDrop,
+            m1w1,
+            0,
+            (31, 31, 0),
+            12,
+            0,
+            900,
+            "child",
+        ),
     ];
     Trace { events, dropped: 3 }
 }
@@ -373,29 +386,44 @@ fn the_audit_names_a_request_that_ran_twice() {
 }
 
 /// A daemon verb that waits for its object is refused `Busy`, deferred
-/// and tried again: each attempt records a dispatch, and all of them are
-/// one run of one admission. A second admission that runs is not.
+/// and tried again: only the attempt that runs records a dispatch, so its
+/// attempts are one run. A dispatch per attempt, or a second admission
+/// that runs, is more than one.
 #[test]
 fn the_audit_counts_a_deferred_verbs_attempts_as_one_run() {
     use EventKind::*;
     let id = (12, 12, 0);
-    let mut events = vec![
+    let ran = |at| ev(at, ServerDispatch, (1, 0), 2, id, 45, 0, 0, "destroy");
+    let events = vec![
         ev(1_000, ClientSend, (2, 0), 1, id, 45, 1, 30, "destroy"),
         ev(1_100, ServerAdmitNew, (1, 0), 2, id, 45, 0, 0, "destroy"),
-        ev(1_100, ServerDispatch, (1, 0), 2, id, 45, 0, 0, "destroy"),
         ev(1_100, ServerDefer, (1, 0), 2, id, 45, 0, 0, "destroy"),
-        ev(1_200, ServerDispatch, (1, 0), 2, id, 45, 0, 0, "destroy"),
-        ev(1_300, ServerDispatch, (1, 0), 2, id, 45, 0, 0, "destroy"),
+        ran(1_300),
         ev(1_300, ServerReply, (1, 0), 2, id, 45, 0, 8, "destroy"),
     ];
     assert_eq!(audit_of(events.clone()), Vec::<String>::new());
-    events.extend([
+    let mut per_attempt = events.clone();
+    per_attempt.extend([ran(1_100), ran(1_200)]);
+    per_attempt.sort_by_key(|e| e.at_nanos);
+    assert_eq!(
+        audit_of(per_attempt),
+        [
+            "AtMostOnce: request 45 from m2 (destroy) ran 3 times; the dedup window keeps 1024 \
+          keys (DESIGN §6) and m1 admitted 0 others between its first and last runs \
+          [m1/0 @ 1100 ns, m1/0 @ 1200 ns, m1/0 @ 1300 ns]"
+        ]
+    );
+    let mut readmitted = events;
+    readmitted.extend([
         ev(1_400, ServerAdmitNew, (1, 0), 2, id, 45, 0, 0, "destroy"),
-        ev(1_500, ServerDispatch, (1, 0), 2, id, 45, 0, 0, "destroy"),
+        ran(1_500),
     ]);
-    assert_eq!(audit_of(events).len(), 1);
+    assert_eq!(audit_of(readmitted).len(), 1);
 }
 
+/// A drop rides the span of the request it refused: a run of that
+/// request on that machine at or after the drop is late work, and a
+/// sibling's run at the drop's instant is not.
 #[test]
 fn the_audit_names_work_run_after_its_deadline_drop() {
     use EventKind::*;
@@ -404,17 +432,7 @@ fn the_audit_names_work_run_after_its_deadline_drop() {
         ev(1_000, ClientSend, (2, 0), 1, id, 41, 1, 30, "add"),
         ev(1_100, ServerAdmitNew, (1, 0), 2, id, 41, 0, 0, "add"),
         // Dropped at execution time on lane 1 — and run there anyway.
-        ev(
-            2_000,
-            ServerDeadlineDrop,
-            (1, 1),
-            2,
-            (90, 90, 0),
-            0,
-            0,
-            5,
-            "overload",
-        ),
+        ev(2_000, ServerDeadlineDrop, (1, 1), 2, id, 41, 0, 5, "add"),
         ev(2_000, ServerDispatch, (1, 1), 2, id, 41, 0, 0, "add"),
         ev(2_100, ServerReply, (1, 1), 2, id, 41, 0, 16, "add"),
     ];
@@ -431,6 +449,34 @@ fn the_audit_names_work_run_after_its_deadline_drop() {
     events.extend(served_call(1_800, 9, 42));
     events.sort_by_key(|e| e.at_nanos);
     assert_eq!(audit_of(events), Vec::<String>::new());
+}
+
+/// Request A is dropped and runs anyway; later the same lane refuses
+/// request B of the same caller with an error reply. That reply answers
+/// B, not A: judged by request key, the audit names A's run.
+#[test]
+fn the_audit_names_a_dropped_request_that_ran_beside_a_later_refusal() {
+    use EventKind::*;
+    let (a, b) = ((8, 8, 0), (9, 9, 0));
+    let lane = (1, 1);
+    let events = vec![
+        ev(1_000, ClientSend, (2, 0), 1, a, 41, 1, 30, "add"),
+        ev(1_100, ServerAdmitNew, (1, 0), 2, a, 41, 0, 0, "add"),
+        ev(1_500, ClientSend, (2, 0), 1, b, 42, 1, 30, "add"),
+        ev(1_600, ServerAdmitNew, (1, 0), 2, b, 42, 0, 0, "add"),
+        ev(2_000, ServerDeadlineDrop, lane, 2, a, 41, 0, 5, "add"),
+        ev(2_100, ServerDispatch, lane, 2, a, 41, 0, 0, "add"),
+        ev(2_200, ServerReply, lane, 2, a, 41, 0, 16, "add"),
+        ev(3_000, ServerDeadlineDrop, lane, 2, b, 42, 0, 7, "add"),
+        ev(3_000, ServerReply, lane, 2, b, 42, 0, 12, "add"),
+    ];
+    assert_eq!(
+        audit_of(events),
+        [
+            "NoLateWork: m1 ran request 41 from m2 (add) after a deadline_drop \
+          [m1/1 @ 2000 ns, m1/1 @ 2100 ns]"
+        ]
+    );
 }
 
 #[test]
@@ -506,6 +552,7 @@ fn structure_is_pinned() {
             (3, "replica_stale", "put", false),
             (3, "send", "put", false),
             (5, "send", "scan", false),
+            (5, "shed", "scan", false),
             (10, "migrate_begin", "migrate", false),
             (10, "migrate_commit", "migrate", false),
             (10, "migrate_transfer", "migrate", false),
@@ -518,14 +565,13 @@ fn structure_is_pinned() {
             (17, "replica_sync", "replicate", false),
             (18, "replica_promote", "replicate", false),
             (19, "replica_scale", "replicate", false),
-            (20, "shed", "overload", false),
-            (21, "sojourn_drop", "overload", false),
             (22, "breaker_open", "overload", false),
             (23, "breaker_half_open", "overload", false),
             (24, "breaker_close", "overload", false),
             (25, "fast_fail", "overload", false),
             (30, "dispatch", "ghost", false),
             (31, "send", "child", true),
+            (31, "sojourn_drop", "child", false),
         ]
     );
 }
@@ -580,7 +626,8 @@ impl Slow {
 /// traced virtual-time run with duplicates replayed and suppressed,
 /// retransmits, a breaker fast-fail, admission sheds, a deadline drop, and
 /// replica hits and a stale replica read. (`ReplicaSync` is left out: the
-/// manager's re-syncs are traced but not counted.)
+/// manager's re-syncs are traced but not counted.) Each shed and drop
+/// names the request it refused.
 #[test]
 fn the_counters_and_the_recorder_agree() {
     let reliable = CallPolicy::reliable(Duration::from_millis(20));
@@ -725,10 +772,26 @@ fn the_counters_and_the_recorder_agree() {
             "{counter} against {kind:?}"
         );
     }
+    // A refusal rides the span of the request it refused: each names a
+    // send of this trace by span and request id.
+    let sent: BTreeSet<(u64, u64)> = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == ClientSend)
+        .map(|e| (e.span_id, e.req_id))
+        .collect();
+    for refusal in trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, ServerShed | ServerDeadlineDrop))
+    {
+        let key = (refusal.span_id, refusal.req_id);
+        assert!(sent.contains(&key), "{refusal:?} names no send");
+    }
 }
 
 /// `(bytes, FNV-1a digest)` of [`every_kind`]'s Chrome export.
-const PIN_EXPORT: (usize, u64) = (4_564, 0x25CC_39D9_FB5B_0628);
+const PIN_EXPORT: (usize, u64) = (4_564, 0xC0FF_CCB4_C804_82E0);
 
 /// Calls that expire while they wait behind a slow one are dropped, at
 /// admission (no pool: the dispatcher is busy running the slow call) or in
