@@ -3,8 +3,9 @@
 //! A caller under a retrying [`CallPolicy`](crate::CallPolicy) retransmits
 //! the same request frame (same `req_id`) when a reply window lapses. The
 //! lapse proves nothing about the first copy: it may have been dropped, or
-//! executed with only its *response* dropped, or it may still be parked in
-//! the server's deferred queue. Executing a retransmitted copy again would
+//! executed with only its *response* dropped, or it may still be waiting
+//! in its object's record on the server — in the mailbox, or for a
+//! migration to end. Executing a retransmitted copy again would
 //! break non-idempotent methods (`create`, `activate`, accumulating
 //! updates), so every server keeps a [`DedupWindow`] keyed on
 //! `(reply_to, req_id)` — unique per caller, since each caller numbers its
@@ -13,7 +14,7 @@
 //! Four states per key:
 //! - **new** — never seen: execute it (and remember it is in flight).
 //! - **in flight** — received but not yet answered (executing now, or
-//!   parked deferred): *suppress* the copy; the original will answer.
+//!   waiting for its object): *suppress* the copy; the original will answer.
 //! - **done** — answered already: *replay* the cached response without
 //!   re-executing.
 //! - **done, bytes dropped** — answered, but the reply's bytes were given

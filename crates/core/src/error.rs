@@ -34,7 +34,7 @@ pub enum RemoteError {
     /// policy the usual cause in oopp programs is distributed deadlock:
     /// object A's method is blocked on a call to object B while B's method
     /// is blocked on a call back to A (each request parked in the other's
-    /// deferred queue). With retries enabled, exhausting them usually means
+    /// mailbox). With retries enabled, exhausting them usually means
     /// the target machine is crashed or partitioned away — the caller can
     /// fail over via snapshot reactivation (see
     /// [`resolve_or_activate_supervised`](crate::naming::resolve_or_activate_supervised)).

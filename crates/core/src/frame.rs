@@ -551,7 +551,7 @@ node_stats! {
     /// (the original executed; only its response had been lost).
     counter dup_replayed;
     /// Duplicate requests dropped because the original was still being
-    /// served (or parked deferred) when the copy arrived.
+    /// served (or waiting for its object) when the copy arrived.
     counter dup_suppressed;
     /// Requests answered with a forwarding redirect because their target
     /// object had migrated away from this machine.

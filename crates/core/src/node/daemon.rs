@@ -16,7 +16,6 @@ use wire::collections::Bytes;
 use wire::{Reader, Wire, Writer};
 
 use super::judge::{judge, Verdict};
-use super::serve::ServeOutcome;
 use super::{CallInfo, NodeCtx};
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::{Body, MigrationPayload, NodeStats, ReplicaStatus};
@@ -24,7 +23,7 @@ use crate::future::{Pending, PendingClient};
 use crate::ids::{ObjRef, ObjectId, DAEMON};
 use crate::process::{RemoteClient, ServerObject};
 use crate::shared::{
-    bump, raise_epoch, take_live, Ask, IncomingReq, LiveObj, ObjRecord, PrimaryMeta, ReplicaMeta,
+    bump, raise_epoch, swap_record, Ask, IncomingReq, LiveObj, ObjRecord, PrimaryMeta, ReplicaMeta,
     Role, Shard,
 };
 use crate::trace::{EventKind, Family};
@@ -33,8 +32,8 @@ use crate::trace::{EventKind, Family};
 /// [`Handled`], so `?` carries both cases out of them.
 enum Refusal {
     /// The verb's object is checked out by a lane (or mid-migration):
-    /// park the request and retry once the machine has made progress.
-    Busy,
+    /// park the request on that object's record (see `park_verb`).
+    Busy(ObjectId),
     /// Answer the caller with this error.
     Failed(RemoteError),
 }
@@ -488,10 +487,10 @@ impl NodeCtx {
     }
 
     // ------------------------------------------------------------------
-    // Serving the daemon (dispatcher lane)
+    // Serving the daemon (any lane: a parked verb runs on its object's)
     // ------------------------------------------------------------------
 
-    pub(super) fn serve_daemon(&mut self, req: IncomingReq) -> ServeOutcome {
+    pub(super) fn serve_daemon(&mut self, req: IncomingReq) {
         let (reply_to, req_id) = (req.reply_to, req.req_id);
         // Calls a verb issues inherit the request's trace (nested spans).
         let saved = self.current_call.replace(CallInfo {
@@ -506,7 +505,7 @@ impl NodeCtx {
             Ok(method) => {
                 let outcome = self.daemon_dispatch(method, &mut reader);
                 // A verb refused `Busy` did not run: it is deferred, not dispatched.
-                if !matches!(outcome, Err(Refusal::Busy)) {
+                if !matches!(outcome, Err(Refusal::Busy(_))) {
                     self.trace_request(EventKind::ServerDispatch, &req, 0);
                 }
                 outcome
@@ -515,7 +514,7 @@ impl NodeCtx {
         };
         self.current_call = saved;
         let result = match outcome {
-            Err(Refusal::Busy) => return ServeOutcome::Defer(req),
+            Err(Refusal::Busy(object)) => return self.park_verb(req, object),
             Err(Refusal::Failed(e)) => Err(e),
             Ok(bytes) => {
                 bump!(self.shared.stats, calls_served);
@@ -523,13 +522,31 @@ impl NodeCtx {
             }
         };
         self.send_response(reply_to, req_id, req.trace.as_ref(), result);
-        ServeOutcome::Served
+    }
+
+    /// Park `req`, a verb refused `Busy`, on `object`'s record (the token
+    /// holder runs it when the running call returns), behind the verbs
+    /// parked there and ahead of every call: a verb waits for one call,
+    /// never for a queue. A record that changed meanwhile runs it again.
+    fn park_verb(&mut self, mut req: IncomingReq, object: ObjectId) {
+        let mut shard = self.shared.shard(object);
+        let queue = match shard.get_mut(&object) {
+            Some(ObjRecord::Live(live)) if live.scheduled => &mut live.mailbox,
+            Some(ObjRecord::Migrating { waiting, .. }) => waiting,
+            _ => {
+                drop(shard);
+                return self.serve_daemon(req);
+            }
+        };
+        self.park(&mut req);
+        let at = queue.iter().take_while(|r| r.target == DAEMON).count();
+        queue.insert(at, req);
     }
 
     /// What a lifecycle verb aimed at `object` is told when its `record`
     /// is not a live object: the request pipeline's answer for a caller
-    /// with no epoch belief — a quiesced (mid-migration) id asks the caller
-    /// to retry, a forwarded one redirects, a fenced one says so, and
+    /// with no epoch belief — a quiesced (mid-migration) id parks the
+    /// verb, a forwarded one redirects, a fenced one says so, and
     /// anything else (`None` included) never existed here.
     fn refuse(&self, record: Option<&ObjRecord>, object: ObjectId) -> Refusal {
         // Neither clock nor lease gates anything but a live object.
@@ -537,7 +554,7 @@ impl NodeCtx {
         match judge(record, here, &ask, &[], 0, u64::MAX, &self.shared.overload) {
             Verdict::Reject(err) | Verdict::Quarantine { err, .. } => Refusal::Failed(err),
             // (`Serve` is for live records, which no caller passes.)
-            Verdict::Defer | Verdict::Serve { .. } => Refusal::Busy,
+            Verdict::Defer | Verdict::Serve { .. } => Refusal::Busy(object),
         }
     }
 
@@ -582,29 +599,21 @@ impl NodeCtx {
         }
     }
 
-    /// Swap `object`'s record under its shard lock, then answer the
-    /// mailbox of the live object that left. `edit` reads the record and
-    /// swaps it with [`take_live`]; once the lock is released, every
-    /// request still queued on the retired object is answered exactly as if
-    /// it had arrived after the swap (Moved / Fenced / NoSuchObject /
-    /// deferred): admission judges it against what `edit` left in the
-    /// table. Dropping the object afterwards runs its destructor.
+    /// Swap `object`'s record under its shard lock, then re-admit the
+    /// requests that waited in the old one (a mailbox, a migration's
+    /// waiters). `edit` swaps it with [`swap_record`]; once the lock is
+    /// released, each waiting request is admitted as if it had arrived
+    /// after the swap: a call is judged against what `edit` left in the
+    /// table, a verb gets its own answer. Dropping the old object
+    /// afterwards runs its destructor.
     fn retire<T>(
         &mut self,
         object: ObjectId,
-        edit: impl FnOnce(&Self, &mut Shard) -> Handled<(T, Option<LiveObj>)>,
+        edit: impl FnOnce(&Self, &mut Shard) -> Handled<(T, Option<ObjRecord>)>,
     ) -> Handled<T> {
-        let (out, retired) = edit(self, &mut self.shared.shard(object))?;
-        if let Some(live) = retired {
-            // The whole mailbox leaves the queue at once: release the
-            // machine-wide in-flight budget before answering each request.
-            self.shared.queued.release(live.mailbox.len() as u64);
-            for req in live.mailbox {
-                match self.serve_object(req) {
-                    ServeOutcome::Served => {}
-                    ServeOutcome::Defer(req) => self.push_deferred(req),
-                }
-            }
+        let (out, mut retired) = edit(self, &mut self.shared.shard(object))?;
+        for req in self.shared.drain(&mut retired) {
+            self.admit(req);
         }
         Ok(out)
     }
@@ -619,11 +628,8 @@ impl NodeCtx {
     /// [`restore`](NodeCtx::restore) from the snapshot stored under `key`
     /// (which stays stored).
     fn restore_snapshot(&mut self, key: String) -> RemoteResult<Box<dyn ServerObject>> {
-        let (class, state) = self
-            .snapshots
-            .get(&key)
-            .cloned()
-            .ok_or(RemoteError::NoSuchSnapshot { key })?;
+        let stored = self.shared.snapshots.lock().get(&key).cloned();
+        let (class, state) = stored.ok_or(RemoteError::NoSuchSnapshot { key })?;
         self.restore(&class, &state)
     }
 
@@ -639,7 +645,7 @@ impl NodeCtx {
 
     // ------------------------------------------------------------------
     // Verb handlers (`daemon_dispatch` decodes the arguments and calls
-    // these; they run on the dispatcher lane)
+    // these)
     // ------------------------------------------------------------------
 
     fn on_ping(&mut self) -> Handled<()> {
@@ -656,7 +662,7 @@ impl NodeCtx {
         self.retire(object, |ctx, shard| {
             // A supervised incarnation leaves its fence behind.
             let fence = ObjRecord::gone(*ctx.idle(shard, object)?.epoch, None);
-            Ok(((), take_live(shard, object, fence)))
+            Ok(((), swap_record(shard, object, fence)))
         })
     }
 
@@ -681,9 +687,9 @@ impl NodeCtx {
                 idle.obj.snapshot_state()?,
             );
             let fence = ObjRecord::gone(*idle.epoch, None);
-            Ok((snapshot, take_live(shard, object, fence)))
+            Ok((snapshot, swap_record(shard, object, fence)))
         })?;
-        self.snapshots.insert(key, snapshot);
+        self.shared.snapshots.lock().insert(key, snapshot);
         Ok(())
     }
 
@@ -693,11 +699,11 @@ impl NodeCtx {
     }
 
     fn on_drop_snapshot(&mut self, key: String) -> Handled<bool> {
-        Ok(self.snapshots.remove(&key).is_some())
+        Ok(self.shared.snapshots.lock().remove(&key).is_some())
     }
 
     fn on_put_snapshot(&mut self, key: String, class: String, state: Bytes) -> Handled<()> {
-        self.snapshots.insert(key, (class, state.0));
+        self.shared.snapshots.lock().insert(key, (class, state.0));
         Ok(())
     }
 
@@ -706,11 +712,10 @@ impl NodeCtx {
     }
 
     /// Quiesce + transfer: the record turns `Migrating` — the object's
-    /// state parked in it, its requests deferring from here on — and a
-    /// snapshot ships to the coordinator. The object is no longer live but
-    /// fully recoverable until commit. The record is `Migrating` before
-    /// the mailbox drains, so the queued requests land in the deferred
-    /// queue (quiesce), not in NoSuchObject.
+    /// state parked in it, its requests waiting in it from here on (the
+    /// queued ones too: quiesce) — and a snapshot ships to the
+    /// coordinator. The object is no longer live but fully recoverable
+    /// until commit.
     fn on_migrate_out(&mut self, object: ObjectId) -> Handled<MigrationPayload> {
         self.retire(object, |ctx, shard| {
             let idle = ctx.idle(shard, object)?;
@@ -730,40 +735,41 @@ impl NodeCtx {
                 state: payload.state.0.clone(),
                 epoch: *idle.epoch,
                 calls: idle.calls,
+                waiting: Default::default(),
             };
-            Ok((payload, take_live(shard, object, Some(parked))))
+            Ok((payload, swap_record(shard, object, Some(parked))))
         })
     }
 
+    /// The parked state goes; the forwarding stub (and the fence, if the
+    /// object had one) stays, and the requests that waited out the move
+    /// are answered `Moved`.
     fn on_migrate_commit(&mut self, object: ObjectId, to: ObjRef) -> Handled<()> {
-        let mut shard = self.shared.shard(object);
-        match shard.get_mut(&object) {
-            Some(record @ ObjRecord::Migrating { .. }) => {
-                // The parked state goes; the forwarding stub (and the
-                // fence, if the object had one) stays.
-                *record = ObjRecord::Gone {
-                    epoch: record.epoch(),
+        self.retire(object, |ctx, shard| match shard.get(&object) {
+            Some(ObjRecord::Migrating { epoch, .. }) => {
+                bump!(ctx.shared.stats, migrated_out);
+                let stub = ObjRecord::Gone {
+                    epoch: *epoch,
                     forward: Some(to),
                 };
-                bump!(self.shared.stats, migrated_out);
-                Ok(())
+                Ok(((), swap_record(shard, object, Some(stub))))
             }
             // Dedup normally absorbs commit retransmits; this arm
             // keeps the verb idempotent even across a dedup reset.
             Some(ObjRecord::Gone {
                 forward: Some(at), ..
-            }) if *at == to => Ok(()),
+            }) if *at == to => Ok(((), None)),
             _ => Err(
                 RemoteError::app(format!("migrate_commit: object {object} is not migrating"))
                     .into(),
             ),
-        }
+        })
     }
 
-    /// The record stays `Migrating` — requests keep deferring, even ones a
-    /// nested serve inside `restore` admits — until the restored object is
-    /// swapped in. A failed restore leaves the state parked rather than
-    /// lose the object; a later rollback can retry.
+    /// The record stays `Migrating` — requests keep waiting in it, even
+    /// ones a nested serve inside `restore` admits — until the restored
+    /// object is swapped in. A failed restore leaves the state parked
+    /// rather than lose the object; a later rollback can retry.
     fn on_migrate_rollback(&mut self, object: ObjectId) -> Handled<()> {
         let (class, state) = match self.shared.shard(object).get(&object) {
             Some(ObjRecord::Migrating { class, state, .. }) => (class.clone(), state.clone()),
@@ -779,16 +785,17 @@ impl NodeCtx {
         let obj = self.restore(&class, &state)?;
         // Restore under the ORIGINAL id: every pointer minted before the
         // aborted move stays valid, no directory update needed.
-        if let Some(record) = self.shared.shard(object).get_mut(&object) {
-            if let ObjRecord::Migrating { epoch, calls, .. } = *record {
-                *record = ObjRecord::Live(LiveObj {
+        self.retire(object, |_, shard| match shard.get(&object) {
+            Some(&ObjRecord::Migrating { epoch, calls, .. }) => {
+                let live = LiveObj {
                     epoch,
                     calls,
                     ..LiveObj::new(obj)
-                });
+                };
+                Ok(((), swap_record(shard, object, Some(ObjRecord::Live(live)))))
             }
-        }
-        Ok(())
+            _ => Ok(((), None)),
+        })
     }
 
     /// Reactivation half of a migration: build the object from its shipped
@@ -862,8 +869,8 @@ impl NodeCtx {
     /// Idempotent: fencing an already-fenced or never-lived id just
     /// (re)installs the epoch and the forwarding stub. One swap retires
     /// the local object (or its parked migration state) and leaves the
-    /// tombstone, so the queued requests drained afterwards resolve
-    /// against the stub.
+    /// tombstone, so the requests that waited in it resolve against the
+    /// stub.
     fn on_fence(&mut self, object: ObjectId, epoch: u64, to: ObjRef) -> Handled<()> {
         self.retire(object, |_, shard| {
             let mut fence = checked_in(shard, object)?.and_then(|record| record.epoch());
@@ -872,7 +879,7 @@ impl NodeCtx {
                 epoch: fence,
                 forward: Some(to),
             };
-            Ok(((), take_live(shard, object, Some(fence))))
+            Ok(((), swap_record(shard, object, Some(fence))))
         })
     }
 
@@ -970,7 +977,7 @@ impl NodeCtx {
                 })) => ObjRecord::gone(*epoch, Some(meta.primary)),
                 _ => return Ok(((), None)),
             };
-            Ok(((), take_live(shard, object, stub)))
+            Ok(((), swap_record(shard, object, stub)))
         })
     }
 
@@ -1034,12 +1041,13 @@ impl NodeCtx {
 }
 
 /// `object`'s record, for a verb that touches the object itself. A live
-/// object a lane has checked out is `Busy`: the verb is parked and runs
-/// once the call has returned, so it sees the call's effect. This is the
-/// one place a verb meets a checked-out object.
+/// object a lane has checked out is `Busy`: the verb is parked at the head
+/// of its mailbox and runs once the call has returned, before any call
+/// queued behind it, so it sees the call's effect. This is the one place a
+/// verb meets a checked-out object.
 fn checked_in(shard: &mut Shard, object: ObjectId) -> Handled<Option<&mut ObjRecord>> {
     match shard.get_mut(&object) {
-        Some(ObjRecord::Live(LiveObj { slot: None, .. })) => Err(Refusal::Busy),
+        Some(ObjRecord::Live(LiveObj { slot: None, .. })) => Err(Refusal::Busy(object)),
         record => Ok(record),
     }
 }

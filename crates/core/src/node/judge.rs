@@ -20,8 +20,8 @@ pub(crate) enum Verdict {
     /// dispatch. `replica_hit` is the replica-set epoch when a replica
     /// serves the read.
     Serve { replica_hit: Option<u64> },
-    /// Quiesced mid-migration (`Migrating` records only): park the request
-    /// and retry once the move commits or rolls back.
+    /// Quiesced mid-migration (`Migrating` records only): the request
+    /// waits in the record until the move commits or rolls back.
     Defer,
     /// Answer `err` without touching the object.
     Reject(RemoteError),
@@ -190,6 +190,7 @@ mod tests {
             payload: Vec::new().into(),
             trace: None,
             ask: Ask::default(),
+            waited: false,
         }
     }
 
@@ -231,6 +232,7 @@ mod tests {
             state: Vec::new(),
             epoch,
             calls: 0,
+            waiting: VecDeque::new(),
         }
     }
 

@@ -33,7 +33,6 @@ mod judge;
 mod serve;
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -136,16 +135,9 @@ pub struct NodeCtx {
     /// The machine's thread-shared server state: the object table, dedup
     /// window, counters, and the scheduler handle.
     shared: Arc<SharedNode>,
-    /// Requests this lane must retry later (daemon verbs that reported
-    /// Busy, requests for mid-migration objects). Dispatcher-only in
-    /// practice; lane-local always.
-    deferred: VecDeque<IncomingReq>,
     /// Replies that have arrived for calls still `outstanding`, each still
     /// inside the packet that brought it.
     replies: IdMap<u64, Result<PacketBytes, RemoteError>>,
-    /// Passivated object states (daemon verbs `deactivate`/`activate`).
-    /// Dispatcher-local: only daemon verbs touch it.
-    snapshots: HashMap<String, (String, Vec<u8>)>,
     /// Everything this lane believes about the objects, machines and
     /// names it calls.
     beliefs: Beliefs,
@@ -183,7 +175,6 @@ impl std::fmt::Debug for NodeCtx {
             .field("machine", &self.machine)
             .field("lane", &self.lane_no)
             .field("objects", &self.shared.objects_live())
-            .field("deferred", &self.deferred.len())
             .finish()
     }
 }
@@ -211,9 +202,7 @@ impl NodeCtx {
             registry: env.registry.clone(),
             disks: env.disks.to_vec(),
             shared: env.shared.clone(),
-            deferred: VecDeque::new(),
             replies: IdMap::default(),
-            snapshots: HashMap::new(),
             beliefs: Beliefs::new(env.workers + 1),
             outstanding: IdMap::default(),
             spare_frame: Vec::new(),
@@ -384,7 +373,7 @@ impl NodeCtx {
     pub fn local_stats(&self) -> NodeStats {
         self.shared.stats.snapshot(
             self.shared.objects_live() as u64,
-            self.snapshots.len() as u64,
+            self.shared.snapshots.lock().len() as u64,
         )
     }
 

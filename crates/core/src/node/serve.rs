@@ -17,14 +17,9 @@ use crate::frame::{encode_response, Body, FrameView};
 use crate::ids::{ObjectId, DAEMON};
 use crate::process::{DispatchResult, ServerObject};
 use crate::shared::{
-    bump, raise_epoch, take_live, Ask, CallTrace, IncomingReq, ObjRecord, Role, WorkerMsg,
+    bump, raise_epoch, swap_record, Ask, CallTrace, IncomingReq, ObjRecord, Role, WorkerMsg,
 };
 use crate::trace::EventKind;
-
-pub(super) enum ServeOutcome {
-    Served,
-    Defer(IncomingReq),
-}
 
 /// How many mailbox entries one task token executes before re-parking the
 /// object on the worker's own deque. Bounds how long a hot object
@@ -45,6 +40,9 @@ enum Step {
         reqs: Vec<IncomingReq>,
         err: RemoteError,
     },
+    /// A daemon verb parked behind the call that had the object checked
+    /// out: no gate judges it, and it holds no slot of the in-flight gauge.
+    Verb(IncomingReq),
     /// Gates passed: the object is checked out, dispatch the request.
     Dispatch {
         req: IncomingReq,
@@ -102,12 +100,9 @@ impl NodeCtx {
     /// aimed at this node still get served.
     pub fn poll(&mut self) {
         while let LaneRole::Dispatcher(inbox) = &self.role {
-            match inbox.try_recv() {
-                Ok(p) => self.handle_packet(p),
-                Err(_) => break,
-            }
+            let Ok(p) = inbox.try_recv() else { break };
+            self.handle_packet(p);
         }
-        self.drain_deferred();
     }
 
     /// The progress engine, one turn of it: receive one thing on this
@@ -167,10 +162,7 @@ impl NodeCtx {
             },
         };
         match msg {
-            WorkerMsg::Packet(pkt) => {
-                self.handle_packet(pkt);
-                self.drain_deferred();
-            }
+            WorkerMsg::Packet(pkt) => self.handle_packet(pkt),
             // "The queues may have work": run one task now, re-entrantly
             // inside a call (the wait that follows still sees whatever
             // else is in the channel first).
@@ -281,6 +273,7 @@ impl NodeCtx {
                         .expect("a parsed range lies inside its packet"),
                     trace,
                     ask,
+                    waited: false,
                 };
                 // At-most-once execution: a retransmitted request either
                 // replays its cached response or is dropped. Only genuinely
@@ -300,7 +293,7 @@ impl NodeCtx {
                         let _ = self.net.send(self.machine, reply_to, frame);
                         return;
                     }
-                    // The original is still being served (or parked) and
+                    // The original is still being served (or waiting) and
                     // will answer — or it answered so long ago that the
                     // window gave the reply's bytes back (DESIGN.md §6):
                     // the request is not executed again, and this copy
@@ -311,14 +304,7 @@ impl NodeCtx {
                     }
                     DedupVerdict::New => {}
                 }
-                match self.try_serve(req) {
-                    ServeOutcome::Served => {}
-                    ServeOutcome::Defer(req) => {
-                        bump!(self.shared.stats, calls_deferred);
-                        self.trace_request(EventKind::ServerDefer, &req, 0);
-                        self.push_deferred(req);
-                    }
-                }
+                self.admit(req);
             }
             FrameView::Response { req_id, result } => {
                 // Responses for calls issued by another lane of this
@@ -349,38 +335,10 @@ impl NodeCtx {
         }
     }
 
-    /// Park a request in this lane's deferred queue, keeping the shared
-    /// count of parked daemon verbs exact — workers read it to know when
-    /// the dispatcher needs a retry kick (see `run_object`).
-    pub(super) fn push_deferred(&mut self, req: IncomingReq) {
-        if req.target == DAEMON {
-            self.shared.daemon_parked.fetch_add(1, Ordering::Relaxed);
-        }
-        self.deferred.push_back(req);
-    }
-
-    fn drain_deferred(&mut self) {
-        loop {
-            let mut progressed = false;
-            for _ in 0..self.deferred.len() {
-                let Some(req) = self.deferred.pop_front() else {
-                    break;
-                };
-                if req.target == DAEMON {
-                    self.shared.daemon_parked.fetch_sub(1, Ordering::Relaxed);
-                }
-                match self.try_serve(req) {
-                    ServeOutcome::Served => progressed = true,
-                    ServeOutcome::Defer(req) => self.push_deferred(req),
-                }
-            }
-            if !progressed || self.deferred.is_empty() {
-                break;
-            }
-        }
-    }
-
-    fn try_serve(&mut self, req: IncomingReq) -> ServeOutcome {
+    /// Admit a new request — or re-admit one whose object's record was
+    /// swapped while it waited there: a daemon verb runs (or parks on its
+    /// object), a call joins its object's mailbox or gets its answer.
+    pub(super) fn admit(&mut self, req: IncomingReq) {
         if req.target == DAEMON {
             self.serve_daemon(req)
         } else {
@@ -388,14 +346,22 @@ impl NodeCtx {
         }
     }
 
-    /// Admission (dispatcher lane): park the request in its target's
-    /// mailbox and mint a task token if the object does not already have
-    /// one. A live object's gates — fences, leases, replica coherence —
-    /// are judged at **execution** time in `next_step`, under the same
-    /// shard lock, so a gate change landing between admission and
-    /// execution still wins; an id with no live object is judged right
-    /// here.
-    pub(super) fn serve_object(&mut self, req: IncomingReq) -> ServeOutcome {
+    /// Count and trace `req`'s wait for its object, once per request.
+    pub(super) fn park(&self, req: &mut IncomingReq) {
+        if !std::mem::replace(&mut req.waited, true) {
+            bump!(self.shared.stats, calls_deferred);
+            self.trace_request(EventKind::ServerDefer, req, 0);
+        }
+    }
+
+    /// Admission: queue the request in its target's mailbox and mint a
+    /// task token if the object does not already have one. A live
+    /// object's gates — fences, leases, replica coherence — are judged at
+    /// **execution** time in `next_step`, under the same shard lock, so a
+    /// gate change landing between admission and execution still wins; an
+    /// id with no live object is judged right here, and a migrating one
+    /// keeps the request until its move ends.
+    fn serve_object(&mut self, mut req: IncomingReq) {
         let (target, ask) = (req.target, req.ask);
         // Admission-time deadline check: work whose caller has already
         // given up is dropped *before* it costs a mailbox slot. Checked
@@ -403,7 +369,7 @@ impl NodeCtx {
         if ask.deadline != 0 && ask.admitted_at >= ask.deadline {
             let elapsed_nanos = ask.admitted_at - ask.deadline;
             self.reject(&req, RemoteError::DeadlineExceeded { elapsed_nanos });
-            return ServeOutcome::Served;
+            return;
         }
         let mut shard = self.shared.shard(target);
         let live = match shard.get_mut(&target) {
@@ -427,11 +393,18 @@ impl NodeCtx {
                         err
                     }
                     // (`Serve` is for live records only.)
-                    Verdict::Defer | Verdict::Serve { .. } => return ServeOutcome::Defer(req),
+                    Verdict::Defer | Verdict::Serve { .. } => {
+                        let Some(ObjRecord::Migrating { waiting, .. }) = record else {
+                            unreachable!("judge defers only migrating records");
+                        };
+                        self.park(&mut req);
+                        waiting.push_back(req);
+                        return;
+                    }
                 };
                 drop(shard);
                 self.reject(&req, err);
-                return ServeOutcome::Served;
+                return;
             }
         };
         // Admission control (DESIGN.md §15): a full per-object mailbox or
@@ -462,22 +435,19 @@ impl NodeCtx {
                     retry_after_nanos: self.shared.overload.retry_after.as_nanos() as u64,
                 }),
             );
-            return ServeOutcome::Served;
+            return;
         }
-        // Parked behind a token that already exists, the request waits its
-        // mailbox turn — the M:N engine's form of a deferral.
+        // Queued behind a token that already exists, the request waits its
+        // mailbox turn: a deferral.
         let waits = std::mem::replace(&mut live.scheduled, true);
         if waits {
-            self.trace_request(EventKind::ServerDefer, &req, 0);
+            self.park(&mut req);
         }
         live.mailbox.push_back(req);
         drop(shard);
-        if waits {
-            bump!(self.shared.stats, calls_deferred);
-        } else {
+        if !waits {
             self.submit_task(target);
         }
-        ServeOutcome::Served
     }
 
     /// Answer `req` with the rejection a gate decided; the error says which
@@ -530,6 +500,9 @@ impl NodeCtx {
             live.scheduled = false;
             return Step::Done;
         };
+        if req.target == DAEMON {
+            return Step::Verb(req);
+        }
         // The request left its mailbox: give its slot back to the
         // machine-wide in-flight budget whatever happens next.
         self.shared.queued.release(1);
@@ -565,12 +538,10 @@ impl NodeCtx {
                 // Defense in depth on top of the lease: the superseded
                 // incarnation goes, a bare fence stays.
                 let fence = ObjRecord::gone(Some(epoch), None);
+                let mut old = swap_record(&mut shard, target, fence);
+                // Quarantined requests leave their mailbox for good.
                 let mut reqs = vec![req];
-                if let Some(live) = take_live(&mut shard, target, fence) {
-                    // Quarantined requests leave their mailbox for good.
-                    self.shared.queued.release(live.mailbox.len() as u64);
-                    reqs.extend(live.mailbox);
-                }
+                reqs.extend(self.shared.drain(&mut old));
                 Step::Quarantine { reqs, err }
             }
             (Verdict::Serve { .. } | Verdict::Defer, _) => {
@@ -599,10 +570,8 @@ impl NodeCtx {
             }
             match self.next_step(target) {
                 Step::Done => break,
-                Step::Reject { req, err } => {
-                    self.reject(&req, err);
-                    batch += 1;
-                }
+                Step::Reject { req, err } => self.reject(&req, err),
+                Step::Verb(req) => self.serve_daemon(req),
                 Step::Quarantine { reqs, err } => {
                     for req in reqs {
                         self.reject(&req, err.clone());
@@ -664,10 +633,11 @@ impl NodeCtx {
                     // The call is over: one critical section counts it (the
                     // placement subsystem's load signal) and checks the object
                     // back in. The record is still live — lifecycle verbs
-                    // report Busy (never retire an object) while its slot is
-                    // checked out. Only a replicated primary that just served
-                    // a write stays out a little longer: propagation happens
-                    // while this lane still owns the object.
+                    // park behind the call (never retire an object) while
+                    // its slot is checked out. Only a replicated primary
+                    // that just served a write stays out a little longer:
+                    // propagation happens while this lane still owns the
+                    // object.
                     let mut owned = Some(obj);
                     if let Some(ObjRecord::Live(live)) = self.shared.shard(target).get_mut(&target)
                     {
@@ -694,17 +664,9 @@ impl NodeCtx {
                         Err(e) => self.send_response(reply_to, req_id, trace.as_ref(), Err(e)),
                     }
                     bump!(self.shared.stats, calls_served);
-                    batch += 1;
                 }
             }
-        }
-        // A lifecycle verb may be parked in the dispatcher's deferred
-        // queue waiting for this object to go idle. The dispatcher blocks
-        // on its network inbox, so wake it with an empty loopback packet
-        // (decode fails harmlessly; the serve loop retries its deferred
-        // queue after every receive).
-        if self.lane_no != 0 && self.shared.daemon_parked.load(Ordering::Relaxed) > 0 {
-            let _ = self.net.send(self.machine, self.machine, Vec::new());
+            batch += 1;
         }
     }
 

@@ -10,15 +10,16 @@
 //! **One record per object.** The sharded object table is the only home of
 //! per-object server state: an id maps to one [`ObjRecord`] — `Live` (the
 //! process, its mailbox, its fencing epoch, its replication role, its load
-//! counter), `Migrating` (quiesced, state parked for commit or rollback) or
+//! counter), `Migrating` (quiesced, state and waiting requests parked) or
 //! `Gone` (the fence / forwarding tombstone) — so every lifecycle verb is
-//! one edit of one record under one shard lock, and there is no second
-//! table to forget. The locks that remain are the shards and the dedup
-//! window; they never nest, and neither is held across a dispatch, a
-//! network send, or a clock park. The one machine-wide datum,
-//! the supervisor lease, is an atomic.
+//! one edit of one record under one shard lock, a request that must wait
+//! for its object waits in that record, and there is no second queue or
+//! table to forget. The locks that remain are the shards, the dedup window
+//! and the snapshot store; they never nest, and none is held across a
+//! dispatch, a network send, or a clock park. The supervisor lease is an
+//! atomic.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::channel::{unbounded, Sender};
@@ -53,6 +54,8 @@ pub(crate) struct IncomingReq {
     /// included. `None` when this lane does not trace.
     pub(crate) trace: Option<CallTrace>,
     pub(crate) ask: Ask,
+    /// Already counted as deferred (see `NodeCtx::park`).
+    pub(crate) waited: bool,
 }
 
 /// The part of a request's header its gates read (see `node::judge`).
@@ -90,12 +93,13 @@ pub(crate) enum ObjRecord {
     Live(LiveObj),
     /// Mid-migration: quiesced, its snapshot parked until the coordinator
     /// commits (→ `Gone` with a forward) or rolls back (→ `Live` again,
-    /// same id, same epoch, same load counter). Requests defer meanwhile.
+    /// same id, same epoch, same load counter). Requests wait in `waiting`.
     Migrating {
         class: String,
         state: Vec<u8>,
         epoch: Option<u64>,
         calls: u64,
+        waiting: VecDeque<IncomingReq>,
     },
     /// The object is no longer here: `forward` redirects stale pointers
     /// (a committed migration, a takeover, a dropped replica); with no
@@ -113,7 +117,7 @@ pub(crate) enum ObjRecord {
 pub(crate) struct LiveObj {
     /// The object itself; `None` while a lane is executing a call on it.
     pub(crate) slot: Option<Box<dyn ServerObject>>,
-    /// Admitted requests awaiting execution, FIFO.
+    /// Admitted requests awaiting execution, FIFO, behind any parked verbs.
     pub(crate) mailbox: VecDeque<IncomingReq>,
     /// True while a task token for this object exists (queued or running).
     /// At most one token at a time is what serializes the object: whoever
@@ -196,20 +200,16 @@ pub(crate) fn raise_epoch(epoch: &mut Option<u64>, to: u64) {
 pub(crate) type Shard = IdMap<ObjectId, ObjRecord>;
 
 /// Replace `object`'s record with `leave` (or nothing) and hand back the
-/// live object that was there, if one was — mailbox, process and all. The
-/// caller holds the shard lock, so the swap is what every other lane sees.
-pub(crate) fn take_live(
+/// one that was there. The caller holds the shard lock, so the swap is
+/// what every other lane sees.
+pub(crate) fn swap_record(
     shard: &mut Shard,
     object: ObjectId,
     leave: Option<ObjRecord>,
-) -> Option<LiveObj> {
-    let old = match leave {
+) -> Option<ObjRecord> {
+    match leave {
         Some(record) => shard.insert(object, record),
         None => shard.remove(&object),
-    };
-    match old {
-        Some(ObjRecord::Live(live)) => Some(live),
-        _ => None,
     }
 }
 
@@ -362,7 +362,8 @@ impl Pool {
 }
 
 /// One machine's thread-shared state: everything the dispatcher lane and
-/// the worker lanes touch together.
+/// the worker lanes (which also run the daemon verbs parked on objects)
+/// touch together.
 pub(crate) struct SharedNode {
     /// The object table, sharded by id: one record per object.
     pub(crate) shards: Vec<Mutex<Shard>>,
@@ -378,10 +379,8 @@ pub(crate) struct SharedNode {
     pub(crate) dedup: Mutex<DedupWindow>,
     pub(crate) stats: SharedStats,
     pub(crate) next_obj_id: AtomicU64,
-    /// Daemon verbs currently parked in the dispatcher's deferred queue
-    /// (they reported Busy against a checked-out object). Workers read
-    /// this when an object goes idle to know the dispatcher needs a kick.
-    pub(crate) daemon_parked: AtomicU64,
+    /// Passivated object states by key (`deactivate`, `activate`).
+    pub(crate) snapshots: Mutex<HashMap<String, (String, Vec<u8>)>>,
     pub(crate) pool: Pool,
     /// Admission-control knobs (immutable after build).
     pub(crate) overload: OverloadConfig,
@@ -402,7 +401,7 @@ impl SharedNode {
             dedup: Mutex::new(DedupWindow::default()),
             stats: SharedStats::default(),
             next_obj_id: AtomicU64::new(DAEMON + 1),
-            daemon_parked: AtomicU64::new(0),
+            snapshots: Mutex::default(),
             pool,
             overload,
             queued: DepthGauge::new(),
@@ -430,6 +429,20 @@ impl SharedNode {
                     .count()
             })
             .sum()
+    }
+
+    /// Take out the requests waiting in `record`, which just left the
+    /// table; a mailbox's calls give their in-flight slots back.
+    pub(crate) fn drain(&self, record: &mut Option<ObjRecord>) -> VecDeque<IncomingReq> {
+        match record {
+            Some(ObjRecord::Live(live)) => {
+                let calls = live.mailbox.iter().filter(|r| r.target != DAEMON).count();
+                self.queued.release(calls as u64);
+                std::mem::take(&mut live.mailbox)
+            }
+            Some(ObjRecord::Migrating { waiting, .. }) => std::mem::take(waiting),
+            _ => VecDeque::new(),
+        }
     }
 
     /// Make `live` reachable under `id`.

@@ -655,8 +655,8 @@ fn busy_object_defers_requests_instead_of_failing() {
 #[test]
 fn self_call_deadlock_times_out() {
     // An object calling a method on *itself* through its own remote pointer
-    // is the minimal distributed deadlock: its own request sits in the
-    // deferred queue while it waits. The engine must convert this to a
+    // is the minimal distributed deadlock: its own request sits in its
+    // mailbox while it waits. The engine must convert this to a
     // Timeout, not hang.
     #[derive(Debug)]
     pub struct Narcissist;

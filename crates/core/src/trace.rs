@@ -619,9 +619,10 @@ impl Trace {
     /// * Every other event but an admission becomes an `"i"` (instant) in
     ///   its family's category: a call's retransmits, chases, dedup
     ///   verdicts and deferrals are `label:method` on the lane's track; a
-    ///   move's steps are `label:migrate` with its span; every other event
-    ///   — a marker, or a request's replica verdict, shed or drop — is
-    ///   `label:m<peer>` with its scalar as `value`.
+    ///   move's steps are `label:migrate` with its span; a request's
+    ///   replica verdict, shed or drop is `label:method` on the lane's
+    ///   track with its span, its `req_id` and its scalar as `value`; a
+    ///   marker is `label:m<peer>` with its scalar as `value`.
     /// * A send that never saw its recv becomes an `unanswered:method`
     ///   instant.
     ///
@@ -659,14 +660,17 @@ impl Trace {
                 kind => {
                     let family = kind.family();
                     let (name, scope, args) = match family {
-                        Family::Call => (
-                            e.method.to_string(),
-                            "t",
-                            format!(
-                                "\"trace_id\":{},\"span\":{},\"req_id\":{},\"attempt\":{}",
-                                e.trace_id, e.span_id, e.req_id, e.attempt
-                            ),
-                        ),
+                        _ if e.req_id != 0 => {
+                            let (key, value) = match family {
+                                Family::Call => ("attempt", e.attempt),
+                                _ => ("value", e.bytes),
+                            };
+                            let (trace, span, req) = (e.trace_id, e.span_id, e.req_id);
+                            let args = format!(
+                                "\"trace_id\":{trace},\"span\":{span},\"req_id\":{req},\"{key}\":{value}"
+                            );
+                            (e.method.to_string(), "t", args)
+                        }
                         Family::Migration => (
                             e.method.to_string(),
                             "p",

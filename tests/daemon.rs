@@ -14,6 +14,7 @@ use oopp_repro::oopp::{
     wire, BarrierClient, CallPolicy, ClusterBuilder, Driver, EventKind, MigrationPayload, NodeCtx,
     ObjRef, PacketBytes, Pending, RemoteClient, RemoteError, RemoteResult,
 };
+use oopp_repro::simnet::ClusterConfig;
 
 /// Persistent counter with a read verb. A state of [`UNLUCKY`] refuses to
 /// be restored anywhere but machine 0 — the lever that fails a migration
@@ -79,10 +80,13 @@ impl Tally {
     }
 }
 
-/// One worker machine (0) plus the driver endpoint (1). A short single-shot
-/// policy: a request the daemon mishandles must fail the test fast.
-fn one_machine(tracing: bool) -> (oopp_repro::oopp::Cluster, Driver) {
+/// One worker machine (0) plus the driver endpoint (1), with `workers`
+/// scheduler lanes (0: the classic engine). A short single-shot policy: a
+/// request the daemon mishandles must fail the test fast.
+fn one_machine(tracing: bool, workers: usize) -> (oopp_repro::oopp::Cluster, Driver) {
     ClusterBuilder::new(1)
+        .sched_workers(workers)
+        .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(0xDAE_4014))
         .register::<Tally>()
         .call_policy(CallPolicy::no_retry(Duration::from_millis(500)))
         .tracing(tracing)
@@ -108,7 +112,7 @@ fn sent_frame<T: wire::Wire>(driver: &mut Driver, call: Pending<T>) -> String {
 /// matters: request ids count up from the cluster directory's `create`.
 #[test]
 fn daemon_request_frames_match_the_golden_bytes() {
-    let (cluster, mut driver) = one_machine(false);
+    let (cluster, mut driver) = one_machine(false, 0);
     let obj = ObjRef {
         machine: 0,
         object: 2,
@@ -161,7 +165,7 @@ fn daemon_request_frames_match_the_golden_bytes() {
 /// row of the table went unserved.
 #[test]
 fn every_daemon_verb_round_trips_through_its_public_wrapper() {
-    let (cluster, mut driver) = one_machine(true);
+    let (cluster, mut driver) = one_machine(true, 0);
     let recorder = cluster.recorder().expect("tracing is on");
     let d = &mut driver;
     let lease = 3_600_000;
@@ -259,15 +263,18 @@ fn every_daemon_verb_round_trips_through_its_public_wrapper() {
     assert_eq!(DAEMON_VERBS.len(), 26);
 }
 
-/// Issue `verb` behind `held`, a call parked in `gate` with its object
-/// checked out: the verb must not be answered while the call is parked.
-/// Release the call; return what it returned and then the verb's reply.
+/// Let `held`, a call that enters `gate`, reach it — parked there, it
+/// keeps its object checked out — then issue a verb with `issue`: the verb
+/// must not be answered while the call is parked. Release the call;
+/// return what it returned and then the verb's reply.
 fn behind_parked_call<T: wire::Wire>(
     d: &mut Driver,
     gate: BarrierClient,
     held: Pending<u64>,
-    verb: Pending<T>,
+    issue: impl FnOnce(&mut Driver) -> Pending<T>,
 ) -> (u64, T) {
+    d.serve_for(Duration::from_millis(20));
+    let verb = issue(d);
     d.serve_for(Duration::from_millis(20));
     assert!(
         d.try_take_reply(verb.req_id()).is_none(),
@@ -281,14 +288,25 @@ fn behind_parked_call<T: wire::Wire>(
 /// The one gate (DESIGN.md §4, 3a): every verb that touches an object's
 /// process — reads its state, replaces it, or retires it — issued while a
 /// call has the object checked out waits for the call to return and sees
-/// its effect. One case per verb; on a single-lane machine the parked call
-/// keeps the dispatcher serving, so each verb does arrive mid-call. A verb
-/// is refused `Busy` and tried again on every turn of the dispatcher until
-/// the call returns, yet its request records one dispatch: the run.
+/// its effect. One case per verb, on the classic engine and on a
+/// one-worker pool: on the classic machine the parked call keeps the
+/// dispatcher serving, on the pool it holds the only worker, so each verb
+/// does arrive mid-call. A verb is refused `Busy` once and parked on its
+/// object, ahead of the calls queued behind the running one; its request
+/// records one deferral and one dispatch, and the machine sends nothing
+/// but requests and their replies — two messages per request sent, no
+/// wake-up packet to itself.
 #[test]
 fn process_verbs_wait_for_a_checked_out_object() {
-    let (cluster, mut driver) = one_machine(true);
+    for workers in [0, 1] {
+        verbs_wait_for_a_checked_out_object(workers);
+    }
+}
+
+fn verbs_wait_for_a_checked_out_object(workers: usize) {
+    let (cluster, mut driver) = one_machine(true, workers);
     let recorder = cluster.recorder().expect("tracing is on");
+    let metrics = cluster.metrics().clone();
     let d = &mut driver;
     let lease = 3_600_000;
     let gate = BarrierClient::new_on(d, 0, 2).unwrap();
@@ -297,30 +315,41 @@ fn process_verbs_wait_for_a_checked_out_object() {
     // destroy: the call completes first.
     let a = fresh(d);
     let held = a.add_after_async(d, gate, 1).unwrap();
-    let verb = d.start_destroy(a.obj_ref()).unwrap();
-    assert_eq!(behind_parked_call(d, gate, held, verb), (1, ()));
+    assert_eq!(
+        behind_parked_call(d, gate, held, |d| d.start_destroy(a.obj_ref()).unwrap()),
+        (1, ())
+    );
     assert!(matches!(a.total(d), Err(RemoteError::NoSuchObject { .. })));
 
-    // snapshot: the state includes the call's write.
+    // snapshot: the state includes the call's write, and not the write of
+    // the call queued behind it — the verb waits for one call, not a queue.
     let a = fresh(d);
     let held = a.add_after_async(d, gate, 2).unwrap();
-    let verb = d.start_snapshot(a.obj_ref()).unwrap();
-    let (_, state) = behind_parked_call(d, gate, held, verb);
-    assert_eq!(state.0, wire::to_bytes(&2u64));
+    let mut queued = None;
+    let (_, state) = behind_parked_call(d, gate, held, |d| {
+        queued = Some(a.add_async(d, 10).unwrap());
+        d.start_snapshot(a.obj_ref()).unwrap()
+    });
+    assert_eq!(state.0, wire::to_bytes(&2u64), "workers {workers}");
+    assert_eq!(queued.unwrap().wait(d).unwrap(), 12);
 
     // deactivate: the stored snapshot includes it.
     let a = fresh(d);
     let held = a.add_after_async(d, gate, 3).unwrap();
-    let verb = d.start_deactivate(a.obj_ref(), "parked".into()).unwrap();
-    assert_eq!(behind_parked_call(d, gate, held, verb), (3, ()));
+    assert_eq!(
+        behind_parked_call(d, gate, held, |d| d
+            .start_deactivate(a.obj_ref(), "parked".into())
+            .unwrap()),
+        (3, ())
+    );
     let back: TallyClient = d.activate(0, "parked").unwrap();
     assert_eq!(back.total(d).unwrap(), 3);
 
     // migrate_out: the shipped state includes it; roll the move back.
     let a = fresh(d);
     let held = a.add_after_async(d, gate, 4).unwrap();
-    let verb = d.start_migrate_out(a.obj_ref()).unwrap();
-    let (_, payload): (u64, MigrationPayload) = behind_parked_call(d, gate, held, verb);
+    let (_, payload): (u64, MigrationPayload) =
+        behind_parked_call(d, gate, held, |d| d.start_migrate_out(a.obj_ref()).unwrap());
     assert_eq!(payload.state.0, wire::to_bytes(&4u64));
     d.start_migrate_rollback(a.obj_ref())
         .unwrap()
@@ -331,8 +360,12 @@ fn process_verbs_wait_for_a_checked_out_object() {
     // fence: the call completes first; the object is gone after.
     let a = fresh(d);
     let held = a.add_after_async(d, gate, 5).unwrap();
-    let verb = d.start_fence(a.obj_ref(), 7, back.obj_ref()).unwrap();
-    assert_eq!(behind_parked_call(d, gate, held, verb), (5, ()));
+    assert_eq!(
+        behind_parked_call(d, gate, held, |d| d
+            .start_fence(a.obj_ref(), 7, back.obj_ref())
+            .unwrap()),
+        (5, ())
+    );
     assert!(d.snapshot_of(a.obj_ref()).is_err());
 
     // The replica verbs, behind a read parked on a replica of `primary`.
@@ -350,25 +383,35 @@ fn process_verbs_wait_for_a_checked_out_object() {
     let r = replica(d);
     let held = r.total_after_async(d, gate).unwrap();
     let new_state = Bytes(wire::to_bytes(&9u64));
-    let verb = d
-        .start_replica_sync(r.obj_ref(), new_state, 2, lease)
-        .unwrap();
-    assert_eq!(behind_parked_call(d, gate, held, verb), (0, ()));
+    assert_eq!(
+        behind_parked_call(d, gate, held, |d| d
+            .start_replica_sync(r.obj_ref(), new_state, 2, lease)
+            .unwrap()),
+        (0, ())
+    );
     assert_eq!(r.total(d).unwrap(), 9);
 
     // replica_drop: the read completes; the replica is gone after.
     let r = replica(d);
     let held = r.total_after_async(d, gate).unwrap();
-    let verb = d.start_replica_drop(r.obj_ref()).unwrap();
-    assert_eq!(behind_parked_call(d, gate, held, verb), (0, ()));
+    assert_eq!(
+        behind_parked_call(d, gate, held, |d| d
+            .start_replica_drop(r.obj_ref())
+            .unwrap()),
+        (0, ())
+    );
     assert!(d.replica_status_of(r.obj_ref()).is_err());
 
     // replica_promote: the read completes; the replica is a plain object
     // after, which no longer answers `replica_status`.
     let r = replica(d);
     let held = r.total_after_async(d, gate).unwrap();
-    let verb = d.start_replica_promote(r.obj_ref(), 5).unwrap();
-    assert_eq!(behind_parked_call(d, gate, held, verb), (0, ()));
+    assert_eq!(
+        behind_parked_call(d, gate, held, |d| d
+            .start_replica_promote(r.obj_ref(), 5)
+            .unwrap()),
+        (0, ())
+    );
     assert!(matches!(
         d.replica_status_of(r.obj_ref()),
         Err(RemoteError::NoSuchObject { .. })
@@ -378,16 +421,92 @@ fn process_verbs_wait_for_a_checked_out_object() {
     let trace = recorder.merge();
     let of = |kind: EventKind| trace.events.iter().filter(move |e| e.kind == kind);
     let deferred: BTreeSet<(u64, &str)> = of(EventKind::ServerDefer)
+        .filter(|e| DAEMON_VERBS.contains(&&*e.method))
         .map(|e| (e.span_id, &*e.method))
         .collect();
-    // On the real clock a verb the dispatcher reaches only after its call
-    // returned runs at once; the verbs that were deferred are checked.
-    assert!(!deferred.is_empty(), "no verb was deferred");
+    assert_eq!(
+        deferred.len(),
+        8,
+        "workers {workers}: one deferral per verb"
+    );
     for (span, verb) in deferred {
-        let runs = of(EventKind::ServerDispatch)
-            .filter(|e| e.span_id == span)
-            .count();
-        assert_eq!(runs, 1, "{verb} (span {span:#x}) dispatched {runs} times");
+        let count = |kind| of(kind).filter(|e| e.span_id == span).count();
+        let runs = (
+            count(EventKind::ServerDefer),
+            count(EventKind::ServerDispatch),
+        );
+        assert_eq!(runs, (1, 1), "workers {workers}: {verb} (span {span:#x})");
+    }
+    // No retransmits under `no_retry`, and every request is answered.
+    let sent = metrics.snapshot().messages_sent;
+    let requests = of(EventKind::ClientSend).count() as u64;
+    assert_eq!(
+        sent,
+        2 * requests,
+        "workers {workers}: a message besides a request or a reply"
+    );
+}
+
+/// A request that arrives for a migrating object waits in the object's
+/// record and is judged twice: when it arrives, and at the swap that ends
+/// the move. After a rollback the waiting call joins the restored
+/// object's mailbox (behind the waiting verb); after a commit it is
+/// answered `Moved` and its caller chases the forward to the new home.
+/// Each waiting request records one deferral.
+#[test]
+fn requests_wait_out_a_migration_in_the_record() {
+    for workers in [0, 1] {
+        let (cluster, mut driver) = one_machine(true, workers);
+        let recorder = cluster.recorder().expect("tracing is on");
+        let d = &mut driver;
+        let a = TallyClient::new_on(d, 0).unwrap();
+        a.add(d, 2).unwrap();
+        let unanswered = |d: &mut Driver, ids: &[u64]| {
+            d.serve_for(Duration::from_millis(20));
+            for &id in ids {
+                assert!(d.try_take_reply(id).is_none(), "answered mid-migration");
+            }
+        };
+
+        d.start_migrate_out(a.obj_ref()).unwrap().wait(d).unwrap();
+        let call = a.add_async(d, 3).unwrap();
+        let verb = d.start_snapshot(a.obj_ref()).unwrap();
+        let mut waited = vec![call.req_id(), verb.req_id()];
+        unanswered(d, &waited);
+        d.start_migrate_rollback(a.obj_ref())
+            .unwrap()
+            .wait(d)
+            .unwrap();
+        assert_eq!(verb.wait(d).unwrap().0, wire::to_bytes(&2u64));
+        assert_eq!(call.wait(d).unwrap(), 5);
+
+        let payload = d.start_migrate_out(a.obj_ref()).unwrap().wait(d).unwrap();
+        let call = a.add_async(d, 4).unwrap();
+        waited.push(call.req_id());
+        unanswered(d, &waited[2..]);
+        let object = d
+            .start_adopt_state(1, payload.class, payload.state)
+            .unwrap()
+            .wait(d)
+            .unwrap();
+        let to = ObjRef { machine: 1, object };
+        d.start_migrate_commit(a.obj_ref(), to)
+            .unwrap()
+            .wait(d)
+            .unwrap();
+        assert_eq!(call.wait(d).unwrap(), 9);
+        assert_eq!(d.stats_of(0).unwrap().calls_deferred, 3);
+        cluster.shutdown(driver);
+
+        let trace = recorder.merge();
+        for id in waited {
+            let defers = trace
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::ServerDefer && e.machine == 0 && e.req_id == id)
+                .count();
+            assert_eq!(defers, 1, "workers {workers}: request {id}");
+        }
     }
 }
 
@@ -402,7 +521,7 @@ fn raw_call(driver: &mut Driver, verb: &str, args: &[u8]) -> RemoteResult<Packet
 /// fail (or succeed) as that one call; the machine keeps serving.
 #[test]
 fn junk_daemon_requests_are_typed_errors_on_one_call() {
-    let (cluster, mut driver) = one_machine(false);
+    let (cluster, mut driver) = one_machine(false, 0);
     let d = &mut driver;
 
     match raw_call(d, "no_such_verb", &[]) {
@@ -468,7 +587,7 @@ fn junk_daemon_requests_are_typed_errors_on_one_call() {
 /// any other verb's; live objects and tombstones still take the epoch.
 #[test]
 fn set_epoch_on_an_id_that_never_lived_is_refused() {
-    let (cluster, mut driver) = one_machine(false);
+    let (cluster, mut driver) = one_machine(false, 0);
     let d = &mut driver;
     let a = TallyClient::new_on(d, 0).unwrap();
     let never = ObjRef {
@@ -510,7 +629,7 @@ fn set_epoch_on_an_id_that_never_lived_is_refused() {
 /// past, lease (release). It must saturate to "never expires".
 #[test]
 fn absurd_lease_grants_saturate() {
-    let (cluster, mut driver) = one_machine(false);
+    let (cluster, mut driver) = one_machine(false, 0);
     let d = &mut driver;
     let a = TallyClient::new_on(d, 0).unwrap();
     a.add(d, 5).unwrap();

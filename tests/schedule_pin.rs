@@ -115,9 +115,10 @@ fn assert_pinned(name: &str, got: SimSchedule, events: u64, digest: u64) {
 
 /// The classic engine (no pool): a nested call from machine 1 reaches its
 /// target on machine 0 while the driver is migrating that target to
-/// machine 2. The nested request lands mid-migration, waits in machine 0's
-/// deferred queue, is answered `Moved` at the commit, and the relay chases
-/// it to the new home — where it executes once.
+/// machine 2. The nested request lands mid-migration, waits in the
+/// target's `Migrating` record, is re-admitted and answered `Moved` at the
+/// commit's swap, and the relay chases it to the new home — where it
+/// executes once.
 #[test]
 fn classic_nested_call_deferred_mid_migration() {
     let (cluster, mut driver) = ClusterBuilder::new(3)
@@ -324,8 +325,8 @@ fn serving_scenario_through_a_crash_and_a_spike() {
 /// `(events, digest)` of each scenario (trace bytes and digest for the
 /// serving one): re-record one only with a change that means to move its
 /// schedule.
-const PIN_CLASSIC: (u64, u64) = (32, 0x4170_0AB2_A67F_55BF);
+const PIN_CLASSIC: (u64, u64) = (32, 0x98FF_79B7_D72A_C5D3);
 const PIN_POOLED: (u64, u64) = (236, 0xD3F9_FACE_DC3D_9446);
 const PIN_WRITE_THROUGH: (u64, u64) = (44, 0xE891_C8D0_093E_9A06);
 const PIN_MPLITE: (u64, u64) = (10, 0xE096_2B4A_A275_8F07);
-const PIN_SERVING: (u64, u64) = (1_225_888, 0xFD92_404F_CECB_CAD4);
+const PIN_SERVING: (u64, u64) = (1_259_407, 0x52E0_7AD4_1BCD_0EC1);

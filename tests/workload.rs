@@ -95,3 +95,42 @@ fn chaos_run_promotes_survives_and_replays_byte_identically() {
         );
     }
 }
+
+/// An overloaded run — a two-deep mailbox, a one-millisecond deadline and
+/// six clients per feed against a slow service — sheds requests at
+/// admission and drops others whose deadline passed while they queued,
+/// and its trace still holds every event and passes the audit: no
+/// request runs after its drop, none runs twice.
+#[test]
+fn overloaded_run_sheds_and_drops_and_audits_clean() {
+    let spec = ScenarioSpec {
+        users: 8,
+        sessions: 8,
+        feeds: 4,
+        clients: 24,
+        requests: 600,
+        mailbox_cap: 2,
+        deadline_ms: 1,
+        service_us: 400,
+        curve: ArrivalCurve::Steady,
+        ..ScenarioSpec::default()
+    };
+    let a = runner::run(&spec);
+    let trace = &a.trace;
+    let count = |kind| trace.count(kind);
+    eprintln!(
+        "shed {} deadline drops {} sojourn drops {} dropped events {}",
+        count(EventKind::ServerShed),
+        count(EventKind::ServerDeadlineDrop),
+        count(EventKind::ServerSojournDrop),
+        trace.dropped
+    );
+    assert!(count(EventKind::ServerShed) > 0, "nothing was shed");
+    assert!(
+        count(EventKind::ServerDeadlineDrop) + count(EventKind::ServerSojournDrop) > 0,
+        "nothing was dropped"
+    );
+    assert_eq!(trace.dropped, 0, "the recorder lost events");
+    let violations = trace.audit();
+    assert!(violations.is_empty(), "audit: {violations:?}");
+}
