@@ -32,27 +32,23 @@
 //! that may retransmit.
 //!
 //! A caller under a policy of zero retries never retransmits, and its frame
-//! says so (tag `2`, [`Frame::SingleShot`](crate::frame::Frame)): no copy of
-//! that request will ever ask for its reply. Its key is kept like any other
-//! — a copy the fabric duplicates is still suppressed, never executed — but
-//! a reply heavier than its key's share of the byte budget (the budget over
-//! the key capacity: 64 KiB by default) keeps no bytes at all. Its buffer
-//! goes back to the allocator once the caller has read it, instead of
-//! waiting for 32 later replies to push it out. Lighter single-shot
-//! replies are kept as before: dropping them too moves the free of every
-//! ~100-byte reply buffer to the caller's thread, and the 64-call
-//! `split_loop` benchmark lost 8 pairs of 8 to that (p50 95 → 118 µs).
+//! says so (tag `2`, [`Frame::SingleShot`](crate::frame::Frame)). Its key is
+//! kept like any other — a copy the fabric duplicates is still suppressed —
+//! but a reply heavier than its key's share of the byte budget
+//! ([`KEY_SHARE`]) keeps no bytes: its buffer is freed once the caller has
+//! read it. Lighter single-shot replies are kept, because the window is also
+//! the server's recycler: [`complete`](DedupWindow::complete) hands back
+//! every frame it lets go of, and the serving lane builds its next replies
+//! in them (`frame::FramePool`) — by then the caller has long let go.
 //!
-//! In-flight entries get the same treatment. A request can be admitted and
-//! then *never* completed — the canonical case is a deferred reply whose
-//! object is destroyed before it answers (a `Barrier` torn down with
-//! waiters parked: `enter` returns `NoReply` and the stored `CallInfo` is
-//! dropped with the object). Before this bound existed, each such key sat
-//! in the in-flight set forever; a long-lived server accumulated them
-//! without limit. Now the oldest in-flight keys are evicted FIFO beyond
-//! `capacity`, with the same horizon compromise: a duplicate of an evicted
-//! in-flight request becomes executable again.
+//! In-flight keys are bounded the same way: a request admitted and never
+//! completed (a deferred reply whose object is destroyed first) ages to the
+//! front, and the oldest in-flight keys are evicted FIFO beyond `capacity`.
+//!
+//! One map holds every key, in flight or done: admitting a request is one
+//! lookup, answering it one more, plus one per key it evicts.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 use simnet::{MachineId, PacketBytes};
@@ -86,32 +82,46 @@ pub(crate) const DEFAULT_DEDUP_CAPACITY: usize = 1024;
 /// Most reply bytes the window keeps for replay. What it bounds is the
 /// *replay* horizon of large replies to callers that may retransmit (32 of
 /// 2 MiB), never execution; it also keeps a bulk server's reply buffers
-/// cycling through the same few pages instead of 1 024 fresh ones. Over
-/// [`DEFAULT_DEDUP_CAPACITY`] it is one key's share, 64 KiB: a reply to a
-/// caller that will not retransmit is kept only up to that weight.
+/// cycling through the same few pages instead of 1 024 fresh ones.
 pub(crate) const DEDUP_BYTE_BUDGET: usize = 64 << 20;
+
+/// One key's share of the byte budget, 64 KiB: the heaviest reply kept for
+/// a caller that will not retransmit, and the heaviest frame a lane keeps
+/// to build light frames in (`frame::FramePool`).
+pub(crate) const KEY_SHARE: usize = DEDUP_BYTE_BUDGET / DEFAULT_DEDUP_CAPACITY;
 
 #[derive(Debug)]
 pub(crate) struct DedupWindow {
-    /// In-flight keys, each stamped with the admission sequence number that
-    /// positions it in `in_flight_order`, and whether its caller may
-    /// retransmit it. The stamp lets eviction tell a live queue entry from
-    /// a stale one (completed, or evicted and later re-admitted under a
-    /// fresh stamp).
-    in_flight: IdMap<ReqKey, (u64, bool)>,
+    /// Every key the window knows, in flight or done.
+    keys: IdMap<ReqKey, Slot>,
+    /// How many of `keys` are in flight.
+    in_flight: usize,
+    /// In-flight keys by admission stamp, oldest first, kept only once the
+    /// in-flight count has passed capacity (see `evict_in_flight`); empty
+    /// otherwise. Holds stale entries too: keys completed or evicted since.
     in_flight_order: VecDeque<(u64, ReqKey)>,
     next_seq: u64,
-    /// Completed keys and their replies; `None` once the bytes were dropped.
-    done: IdMap<ReqKey, Option<Reply>>,
     /// Completed keys, oldest first.
     order: VecDeque<ReqKey>,
     /// How many keys at the front of `order` the byte bound has already
     /// passed over: none of them holds reply bytes any more.
     stripped: usize,
-    /// Reply bytes held in `done`.
+    /// Reply bytes held in `keys`.
     bytes: usize,
     capacity: usize,
     byte_budget: usize,
+}
+
+/// What the window knows of one key.
+#[derive(Debug)]
+enum Slot {
+    /// Admitted, not answered: the admission stamp, which tells a live
+    /// `in_flight_order` entry from a stale one, and whether the caller
+    /// may retransmit the request.
+    InFlight { seq: u64, resend: bool },
+    /// Answered; `None` once the reply's bytes were dropped, or when nobody
+    /// will ask for them.
+    Done(Option<Reply>),
 }
 
 /// A cached reply: the response frame as it was sent, held by reference
@@ -127,10 +137,10 @@ struct Reply {
 impl DedupWindow {
     pub(crate) fn new(capacity: usize, byte_budget: usize) -> Self {
         DedupWindow {
-            in_flight: IdMap::default(),
+            keys: IdMap::default(),
+            in_flight: 0,
             in_flight_order: VecDeque::new(),
             next_seq: 0,
-            done: IdMap::default(),
             order: VecDeque::new(),
             stripped: 0,
             bytes: 0,
@@ -142,19 +152,28 @@ impl DedupWindow {
     /// Classify an incoming request and, if new, mark it in flight,
     /// remembering whether its caller may retransmit it (`resend`).
     pub(crate) fn admit(&mut self, key: ReqKey, resend: bool) -> DedupVerdict {
-        match self.done.get(&key) {
-            Some(Some(reply)) => return DedupVerdict::Done(reply.frame.clone()),
-            Some(None) => return DedupVerdict::InFlight,
-            None => {}
-        }
-        if self.in_flight.contains_key(&key) {
-            return DedupVerdict::InFlight;
-        }
+        let slot = match self.keys.entry(key) {
+            Entry::Occupied(slot) => {
+                return match slot.get() {
+                    Slot::Done(Some(reply)) => DedupVerdict::Done(reply.frame.clone()),
+                    Slot::Done(None) | Slot::InFlight { .. } => DedupVerdict::InFlight,
+                }
+            }
+            Entry::Vacant(slot) => slot,
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.in_flight.insert(key, (seq, resend));
-        self.in_flight_order.push_back((seq, key));
-        self.evict_in_flight();
+        slot.insert(Slot::InFlight { seq, resend });
+        self.in_flight += 1;
+        if !self.in_flight_order.is_empty() {
+            self.in_flight_order.push_back((seq, key));
+            if self.in_flight_order.len() > 2 * self.in_flight + 64 {
+                self.in_flight_order.clear();
+            }
+        }
+        if self.in_flight > self.capacity {
+            self.evict_in_flight();
+        }
         DedupVerdict::New
     }
 
@@ -165,106 +184,82 @@ impl DedupWindow {
     /// oldest completed keys beyond capacity, then drops the oldest reply
     /// bytes beyond the byte budget — never the newest entry's, so the
     /// reply just sent to a caller that may retransmit can always be
-    /// replayed. A key no longer in flight (evicted) counts as one whose
-    /// caller may retransmit.
-    pub(crate) fn complete(&mut self, key: ReqKey, frame: PacketBytes, weight: usize) {
-        let resend = self.in_flight.remove(&key).is_none_or(|(_, resend)| resend);
-        self.trim_in_flight_order();
-        if self.done.contains_key(&key) {
+    /// replayed — and hands each frame it lets go of to `evicted`. A key no
+    /// longer in flight (evicted) counts as one whose caller may
+    /// retransmit.
+    pub(crate) fn complete(
+        &mut self,
+        key: ReqKey,
+        frame: PacketBytes,
+        weight: usize,
+        mut evicted: impl FnMut(PacketBytes),
+    ) {
+        let slot = self.keys.get_mut(&key);
+        let resend = match slot.as_deref() {
             // Answered before (the request re-executed past a horizon):
             // the first answer stands, and stays where it is in `order`.
-            return;
-        }
+            Some(Slot::Done(_)) => return,
+            Some(&Slot::InFlight { resend, .. }) => resend,
+            None => true,
+        };
         let kept = resend || weight <= self.byte_budget / self.capacity;
-        if kept {
-            self.bytes += weight;
+        self.bytes += if kept { weight } else { 0 };
+        let done = Slot::Done(kept.then_some(Reply { frame, weight }));
+        match slot {
+            Some(slot) => {
+                *slot = done;
+                self.in_flight -= 1;
+            }
+            None => {
+                self.keys.insert(key, done);
+            }
         }
-        self.done
-            .insert(key, kept.then_some(Reply { frame, weight }));
         self.order.push_back(key);
-        while self.done.len() > self.capacity {
-            let Some(oldest) = self.order.pop_front() else {
-                break;
-            };
-            if let Some(Some(reply)) = self.done.remove(&oldest) {
+        if self.order.len() > self.capacity {
+            let oldest = self.order.pop_front().expect("the window is over capacity");
+            if let Some(Slot::Done(Some(reply))) = self.keys.remove(&oldest) {
                 self.bytes -= reply.weight;
+                evicted(reply.frame);
             }
             self.stripped = self.stripped.saturating_sub(1);
         }
         while self.bytes > self.byte_budget && self.stripped + 1 < self.order.len() {
             let key = self.order[self.stripped];
             self.stripped += 1;
-            if let Some(slot) = self.done.get_mut(&key) {
-                let held = slot.as_ref().map_or(0, |reply| reply.weight);
-                if held > 0 {
-                    self.bytes -= held;
-                    *slot = None;
+            if let Some(Slot::Done(slot)) = self.keys.get_mut(&key) {
+                if let Some(reply) = slot.take_if(|reply| reply.weight > 0) {
+                    self.bytes -= reply.weight;
+                    evicted(reply.frame);
                 }
             }
         }
     }
 
     /// Bound the in-flight set: drop the oldest live keys beyond capacity
-    /// (abandoned deferred calls are the ones that age to the front), and
-    /// keep the order queue itself from accumulating stale entries.
+    /// (abandoned deferred calls are the ones that age to the front). Runs
+    /// only past capacity: the first time, it orders the in-flight keys by
+    /// admission; from then on every admission joins the queue, until
+    /// stale entries dominate it and `admit` drops it, to be ordered afresh
+    /// the next time the count passes capacity — amortized O(1) per call.
     fn evict_in_flight(&mut self) {
-        while self.in_flight.len() > self.capacity {
-            let Some((seq, key)) = self.in_flight_order.pop_front() else {
-                break;
-            };
-            if self.is_live(seq, key) {
-                self.in_flight.remove(&key);
+        if self.in_flight_order.is_empty() {
+            let live = self.keys.iter().filter_map(|(&key, slot)| match *slot {
+                Slot::InFlight { seq, .. } => Some((seq, key)),
+                Slot::Done(_) => None,
+            });
+            self.in_flight_order.extend(live);
+            self.in_flight_order.make_contiguous().sort_unstable();
+        }
+        while self.in_flight > self.capacity {
+            let (seq, key) = self
+                .in_flight_order
+                .pop_front()
+                .expect("live keys are queued");
+            if matches!(self.keys.get(&key), Some(&Slot::InFlight { seq: s, .. }) if s == seq) {
+                self.keys.remove(&key);
+                self.in_flight -= 1;
             }
         }
-        self.trim_in_flight_order();
-        // The queue holds one entry per admission, not per live key; churn
-        // (admit + complete) leaves stale entries behind the front. Compact
-        // once the backlog dominates, which amortizes to O(1) per call.
-        if self.in_flight_order.len() > 2 * self.in_flight.len() + 64 {
-            let in_flight = &self.in_flight;
-            self.in_flight_order
-                .retain(|(seq, key)| matches!(in_flight.get(key), Some((s, _)) if s == seq));
-        }
-    }
-
-    /// The queue entry `(seq, key)` is `key`'s current admission.
-    fn is_live(&self, seq: u64, key: ReqKey) -> bool {
-        matches!(self.in_flight.get(&key), Some(&(s, _)) if s == seq)
-    }
-
-    /// Pop stale (completed or superseded) entries off the queue front so
-    /// eviction always sees the genuinely oldest live key first.
-    fn trim_in_flight_order(&mut self) {
-        while let Some(&(seq, key)) = self.in_flight_order.front() {
-            if self.is_live(seq, key) {
-                break;
-            }
-            self.in_flight_order.pop_front();
-        }
-    }
-
-    /// Completed entries currently protected against re-execution.
-    #[cfg(test)]
-    pub(crate) fn done_len(&self) -> usize {
-        self.done.len()
-    }
-
-    /// Reply bytes currently held for replay.
-    #[cfg(test)]
-    pub(crate) fn held_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Keys admitted but not yet completed.
-    #[cfg(test)]
-    pub(crate) fn in_flight_len(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    /// Internal queue length, including stale entries awaiting compaction.
-    #[cfg(test)]
-    pub(crate) fn in_flight_order_len(&self) -> usize {
-        self.in_flight_order.len()
     }
 }
 
@@ -282,6 +277,28 @@ mod tests {
     use crate::error::{RemoteError, RemoteResult};
     use crate::frame::{encode_response, Body, Frame};
 
+    impl DedupWindow {
+        /// Completed keys, protected against re-execution.
+        fn done_len(&self) -> usize {
+            self.order.len()
+        }
+
+        /// Reply bytes held for replay.
+        fn held_bytes(&self) -> usize {
+            self.bytes
+        }
+
+        /// Keys admitted but not yet completed.
+        fn in_flight_len(&self) -> usize {
+            self.in_flight
+        }
+
+        /// The in-flight admission queue's length, stale entries included.
+        fn in_flight_order_len(&self) -> usize {
+            self.in_flight_order.len()
+        }
+    }
+
     /// Answer `key` with `result` the way a node does: the reply encoded
     /// into a response frame, the frame handed to the window.
     fn complete(w: &mut DedupWindow, key: ReqKey, result: RemoteResult<Vec<u8>>) {
@@ -291,7 +308,7 @@ mod tests {
             body
         });
         let (frame, weight) = encode_response(key.1, body);
-        w.complete(key, frame, weight);
+        w.complete(key, frame, weight, |_| {});
     }
 
     /// Admit `key` as a duplicate and decode the reply its `Done` verdict
@@ -716,7 +733,7 @@ mod tests {
                         body
                     });
                     let (frame, weight) = encode_response(key.1, body);
-                    w.complete(key, frame, weight);
+                    w.complete(key, frame, weight, |_| {});
                     model.complete(key, reply, weight);
                 }
                 assert_eq!(
@@ -733,6 +750,69 @@ mod tests {
             evicted > 0 && dropped > 0 && shed > 0,
             "evicted {evicted}, dropped {dropped}, shed {shed}"
         );
+    }
+
+    /// Complete `id` of caller 0 with a reply of `len` bytes, and return
+    /// the frame sent beside the frames the window handed back.
+    fn complete_keeping(
+        w: &mut DedupWindow,
+        id: u64,
+        len: usize,
+    ) -> (PacketBytes, Vec<PacketBytes>) {
+        w.admit((0, id), true);
+        let mut body = Body::with_capacity(len);
+        body.writer().put_bytes(&vec![id as u8; len]);
+        let (frame, weight) = encode_response(id, Ok(body));
+        let mut evicted = Vec::new();
+        w.complete((0, id), frame.clone(), weight, |f| evicted.push(f));
+        (frame, evicted)
+    }
+
+    /// Every frame the window lets go of — by the key bound or by the byte
+    /// bound — is handed back, once, and only when it goes: the frames sent
+    /// for evicted keys and for stripped bytes, and no other. A frame a
+    /// replay still holds is handed back too, but cannot become a spare
+    /// (`PacketBytes::into_spare`) while the replay's holder reads it.
+    #[test]
+    fn complete_hands_back_exactly_the_frames_it_lets_go_of() {
+        // Three keys, and bytes for two replies of 100.
+        let mut w = DedupWindow::new(3, 200);
+        let mut sent = Vec::new();
+        let mut handed = Vec::new();
+        for (id, len) in [(0, 100), (1, 0), (2, 100), (3, 100), (4, 10), (5, 10)] {
+            let (frame, evicted) = complete_keeping(&mut w, id, len);
+            sent.push(frame);
+            handed.push(evicted);
+        }
+        let which = |evicted: &[PacketBytes]| -> Vec<usize> {
+            evicted
+                .iter()
+                .map(|f| sent.iter().position(|s| s.shares_buffer_with(f)).unwrap())
+                .collect()
+        };
+        let handed: Vec<Vec<usize>> = handed.iter().map(|e| which(e)).collect();
+        // 3 evicts key 0 by count; 4 evicts key 1 by count (an empty reply
+        // is a frame too), then 2's bytes by the byte bound (210 > 200); 5
+        // evicts key 2, whose frame went already.
+        assert_eq!(
+            handed,
+            [vec![], vec![], vec![], vec![0], vec![1, 2], vec![]]
+        );
+        assert_eq!((w.done_len(), w.held_bytes()), (3, 120));
+
+        // A replay holds the frame of 3; the window lets it go past the key
+        // bound and hands it back, but the replay's holder still reads it.
+        let DedupVerdict::Done(replayed) = w.admit((0, 3), true) else {
+            panic!("3 replays");
+        };
+        drop(std::mem::take(&mut sent));
+        let (_, evicted) = complete_keeping(&mut w, 6, 10);
+        assert_eq!(evicted.len(), 1);
+        assert!(evicted[0].shares_buffer_with(&replayed));
+        let evicted = evicted.into_iter().next().unwrap();
+        let evicted = evicted.into_spare().expect_err("a replay still holds it");
+        drop(replayed);
+        assert!(evicted.into_spare().is_ok(), "its last holder may reuse it");
     }
 
     #[test]

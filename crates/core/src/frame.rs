@@ -9,11 +9,12 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use simnet::PacketBytes;
+use simnet::{PacketBytes, Spare};
 use wire::collections::Bytes;
 use wire::varint::MAX_VARINT_LEN;
 use wire::{wire_struct, EncodesAs, Reader, Wire, WireError, WireResult, Writer, V64};
 
+use crate::dedup::KEY_SHARE;
 use crate::error::{RemoteError, RemoteResult};
 use crate::ids::{ObjRef, ObjectId};
 use crate::trace::TraceCtx;
@@ -281,18 +282,35 @@ pub struct Body {
     w: Writer,
     /// Where the body starts in `w`; at least [`PREFIX_ROOM`].
     start: usize,
+    /// The reference-count header of the retired frame whose buffer `w`
+    /// writes into, which the finished frame goes back into; `None` for a
+    /// buffer of the body's own.
+    header: Option<Spare>,
 }
 
 impl Body {
-    /// An empty body in `spare`'s allocation: a retired message's buffer,
-    /// or an empty `Vec` — then the buffer starts small and only a bulk
-    /// append makes room for itself and the tail at once.
-    pub(crate) fn reusing(mut spare: Vec<u8>) -> Self {
-        spare.clear();
-        spare.resize(PREFIX_ROOM, 0);
+    /// An empty body in a lane's spare frame (see [`FramePool`]): a retired
+    /// message's buffer and header — or, with no spare, an empty `Vec`, and
+    /// then the buffer starts small and only a bulk append makes room for
+    /// itself and the tail at once.
+    pub(crate) fn reusing(spare: Option<Spare>) -> Self {
+        Body::in_buffer(spare, 0)
+    }
+
+    /// An empty body with room for `room` bytes, prefix room included, in
+    /// `spare` (grown to fit if need be) or in a buffer of its own.
+    fn in_buffer(spare: Option<Spare>, room: usize) -> Self {
+        let (mut buf, header) = match spare {
+            Some(mut spare) => (spare.take(), Some(spare)),
+            None => (Vec::new(), None),
+        };
+        buf.clear();
+        buf.reserve_exact(room);
+        buf.resize(PREFIX_ROOM, 0);
         Body {
-            w: Writer::appending_to(spare).tail_room(TAIL_ROOM),
+            w: Writer::appending_to(buf).tail_room(TAIL_ROOM),
             start: PREFIX_ROOM,
+            header,
         }
     }
 
@@ -305,11 +323,17 @@ impl Body {
 
     /// `value` encoded as a body that decodes as a `T`: `T` itself, or a
     /// borrow of the same data that [encodes alike](EncodesAs) — a slice of
-    /// the object's own state written straight into the reply. How
-    /// `remote_class!` encodes what a method returns.
+    /// the object's own state written straight into the reply. In a buffer
+    /// of its own; `remote_class!` encodes what a method returns the same
+    /// way, in the serving lane's spare frame when it has one that fits.
     pub fn of_as<T: Wire, V: EncodesAs<T>>(value: &V) -> Self {
-        let room = 2 * PREFIX_ROOM + value.encoded_len_as();
-        let mut body = Body::reusing(Vec::with_capacity(room));
+        Body::of_as_in::<T, V>(None, reply_room::<T, V>(value), value)
+    }
+
+    /// [`of_as`](Self::of_as) in `spare`, when there is one, sized for
+    /// `room` bytes (see `reply_room`).
+    fn of_as_in<T: Wire, V: EncodesAs<T>>(spare: Option<Spare>, room: usize, value: &V) -> Self {
+        let mut body = Body::in_buffer(spare, room);
         value.encode_as(&mut body.w);
         body
     }
@@ -317,7 +341,7 @@ impl Body {
     /// An empty body with room for `payload` bytes, for a bulk payload
     /// written in pieces; write to it through [`writer`](Self::writer).
     pub fn with_capacity(payload: usize) -> Self {
-        Body::reusing(Vec::with_capacity(PREFIX_ROOM + payload + TAIL_ROOM))
+        Body::in_buffer(None, PREFIX_ROOM + payload + TAIL_ROOM)
     }
 
     /// `bytes` as a body, in a buffer of their own sized for them.
@@ -341,6 +365,7 @@ impl Body {
                 Body {
                     w: Writer::appending_to(buf).tail_room(TAIL_ROOM),
                     start: range.start,
+                    header: None,
                 }
             }
             Ok((buf, range)) => Body::copying(&buf[range]),
@@ -371,8 +396,95 @@ impl Body {
             .expect("a prefix fits its room");
         buf.copy_within(end.., start);
         buf.truncate(end);
-        let frame = PacketBytes::from(buf).narrow(start..end);
+        let frame = match self.header {
+            Some(header) => header.seal(buf, start..end),
+            None => PacketBytes::from(buf).narrow(start..end),
+        };
         frame.expect("the frame lies inside its buffer")
+    }
+}
+
+/// The bytes a reply body of `value` is sized for: room in front, the
+/// value, and the response prefix on its way to the front.
+fn reply_room<T: Wire, V: EncodesAs<T>>(value: &V) -> usize {
+    2 * PREFIX_ROOM + value.encoded_len_as()
+}
+
+/// The retired frames a lane builds its next frames in (DESIGN.md §4 3c),
+/// each buffer with its reference-count header: request frames come back
+/// when their call retires, reply frames when the dedup window evicts
+/// them. A call in steady state then allocates nothing on either side.
+///
+/// Its bounds are limits the runtime has anyway. A frame heavier than one
+/// key's share of the dedup window's byte budget ([`KEY_SHARE`]) is never
+/// kept among the light ones — a bulk reply is freed as it always was —
+/// and a heavy *request* frame is kept only while it is the last frame its
+/// lane retired: the one spare a bulk writer reuses, as it always was. The
+/// light frames kept are never more than the most calls this lane has had
+/// in flight at once (one, for a lane that only serves: the reply it is
+/// building).
+#[derive(Debug, Default)]
+pub(crate) struct FramePool {
+    /// Light retired frames, the newest last.
+    light: Vec<Spare>,
+    /// The last retired request frame heavier than [`KEY_SHARE`].
+    heavy: Option<Spare>,
+    /// The most of this lane's calls ever in flight at once.
+    in_flight: usize,
+}
+
+impl FramePool {
+    /// This lane has `calls` in flight now.
+    pub(crate) fn note_in_flight(&mut self, calls: usize) {
+        self.in_flight = self.in_flight.max(calls);
+    }
+
+    /// An empty body for a request, whose size is not known yet: in the
+    /// heavy spare when there is one — a bulk writer's next request is
+    /// another bulk write — else in the newest light one.
+    pub(crate) fn request(&mut self) -> Body {
+        Body::reusing(self.heavy.take().or_else(|| self.light.pop()))
+    }
+
+    /// `value` as a reply body: in a light spare when the reply is light,
+    /// in a buffer of its own otherwise.
+    pub(crate) fn reply<T: Wire, V: EncodesAs<T>>(&mut self, value: &V) -> Body {
+        let room = reply_room::<T, V>(value);
+        let spare = if room <= KEY_SHARE {
+            self.light.pop()
+        } else {
+            None
+        };
+        Body::of_as_in::<T, V>(spare, room, value)
+    }
+
+    /// Keep the frame of a call that retired, if nobody else holds it. A
+    /// heavy spare is kept only while it is the last frame retired.
+    pub(crate) fn retired(&mut self, frame: PacketBytes) {
+        if let Ok(spare) = frame.into_spare() {
+            if spare.capacity() > KEY_SHARE {
+                self.heavy = Some(spare);
+            } else {
+                self.heavy = None;
+                self.keep(spare);
+            }
+        }
+    }
+
+    /// Keep a reply frame the dedup window evicted, if nobody else holds
+    /// it and it is light.
+    pub(crate) fn evicted(&mut self, frame: PacketBytes) {
+        if let Ok(spare) = frame.into_spare() {
+            if spare.capacity() <= KEY_SHARE {
+                self.keep(spare);
+            }
+        }
+    }
+
+    fn keep(&mut self, spare: Spare) {
+        if self.light.len() < self.in_flight.max(1) {
+            self.light.push(spare);
+        }
     }
 }
 
@@ -999,11 +1111,11 @@ mod tests {
     #[test]
     fn frames_sealed_around_their_body_are_the_frames_the_codec_encodes() {
         let rng = &mut Case::new(0x16_5EA1);
-        let mut spare = Vec::new();
+        let mut spare = None;
         for _ in 0..1_000 {
             let frame = random_frame(rng);
             let reference = to_bytes(&frame);
-            let body_of = |payload: &Bytes, spare: Vec<u8>| {
+            let body_of = |payload: &Bytes, spare: Option<Spare>| {
                 let mut body = Body::reusing(spare);
                 assert_eq!(body.len(), 0);
                 body.writer().put_bytes(&payload.0);
@@ -1056,8 +1168,9 @@ mod tests {
                 }
             };
             assert_eq!(sealed, reference);
-            // The next frame is built in this one's allocation.
-            spare = sealed.into_unshared().unwrap_or_default();
+            // The next frame is built in this one's allocations.
+            spare = sealed.into_spare().ok();
+            assert!(spare.is_some(), "the sealed frame has no other holder");
         }
         assert_eq!(Body::of(&(7u32, "x".to_string())).len(), 4 + 2);
     }
@@ -1073,7 +1186,7 @@ mod tests {
         let (owned, weight) = sealed(Body::of(&F64s(doubles.clone())));
         let (borrowed, same) = sealed(Body::of_as::<F64s, _>(&doubles.as_slice()));
         assert_eq!((&borrowed, same), (&owned, weight));
-        let room = |frame: PacketBytes| frame.into_unshared().unwrap().capacity();
+        let room = |frame: PacketBytes| frame.into_spare().unwrap().capacity();
         assert_eq!(room(borrowed), room(owned));
         let (owned, _) = sealed(Body::of(&Bytes(bytes.clone())));
         let (borrowed, _) = sealed(Body::of_as::<Bytes, _>(&bytes.as_slice()));
@@ -1083,7 +1196,7 @@ mod tests {
     /// A request carrying `block` as its last argument, and the bytes of it
     /// an object would keep with `request_bytes`.
     fn put_request(header: &RequestHeader, block: &Bytes) -> (PacketBytes, PacketBytes) {
-        let mut body = Body::reusing(Vec::new());
+        let mut body = Body::reusing(None);
         body.writer().put_len_prefixed(b"put");
         7u64.encode(body.writer());
         block.encode(body.writer());

@@ -349,7 +349,7 @@ macro_rules! remote_class {
                                 let ret = self.$method(ctx, $($marg),*)?;
                                 #[allow(unused_imports)]
                                 use $crate::process::Returns as _;
-                                Ok(ret.into_dispatch::<$ret>())
+                                Ok(ret.into_dispatch::<$ret>(ctx))
                             }
                         )*
                         _ => $crate::__dispatch_fallthrough!(

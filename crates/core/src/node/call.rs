@@ -4,6 +4,7 @@
 //! its targets lives in `beliefs`; this module decides what a reply means
 //! for the call it answers ([`verdict`]) and acts on it.
 
+use std::collections::hash_map::Entry;
 use std::ops::Range;
 
 use simnet::network::NetError;
@@ -49,6 +50,20 @@ pub(super) struct OutboundCall {
     /// the replica stops answering. `None` once redirected (or for every
     /// non-replica-routed call).
     read_primary: Option<ObjRef>,
+    /// The reply, once it has arrived and until the wait for it takes it,
+    /// still inside the packet that brought it.
+    reply: Option<RemoteResult<PacketBytes>>,
+}
+
+impl OutboundCall {
+    /// File the reply that arrived in `packet`: its return value's bytes,
+    /// or the error it carries.
+    pub(super) fn file(&mut self, packet: PacketBytes, result: RemoteResult<Range<usize>>) {
+        self.reply = Some(result.map(|range| {
+            let reply = packet.narrow(range);
+            reply.expect("a parsed range lies inside its packet")
+        }));
+    }
 }
 
 /// How an outstanding call is re-issued after a redirecting verdict (see
@@ -358,7 +373,7 @@ impl NodeCtx {
                 trace_id,
                 span,
                 parent_span,
-                method: method.into(),
+                method: self.names.get(method),
             })
         } else {
             None
@@ -383,7 +398,7 @@ impl NodeCtx {
             // frame tells the server so.
             resend: self.policy.max_retries > 0,
         };
-        let mut body = Body::reusing(std::mem::take(&mut self.spare_frame));
+        let mut body = self.frames.request();
         body.writer().put_len_prefixed(method.as_bytes());
         encode_args(body.writer());
         let (frame, payload) = header.seal(body);
@@ -395,6 +410,7 @@ impl NodeCtx {
             trace: call_trace,
             hops: 0,
             read_primary: at.read_primary,
+            reply: None,
         };
         if self.transmit(&call, EventKind::ClientSend, 1).is_err() {
             self.breaker_note(target.machine, Some(true));
@@ -406,6 +422,7 @@ impl NodeCtx {
         // are exhausted). On a lossy fabric the send above may silently
         // vanish; the stored frame is what wait_raw resends.
         self.outstanding.insert(req_id, call);
+        self.frames.note_in_flight(self.outstanding.len());
         Ok(req_id)
     }
 
@@ -493,16 +510,9 @@ impl NodeCtx {
         // A zero reply window can never be satisfied: surface a typed
         // error instead of busy-looping through instant timeouts.
         if timeout.is_zero() {
-            self.retire_call(req_id, None);
+            self.abandon_call(req_id);
             return Err(RemoteError::DeadlineExceeded { elapsed_nanos: 0 });
         }
-        // Absolute budget and single-shot flag stamped at issue time;
-        // redirects and refences preserve both, so one read up front is
-        // enough.
-        let (deadline_at, resend) = self
-            .outstanding
-            .get(&req_id)
-            .map_or((0, true), |call| (call.header.deadline, call.header.resend));
         let mut attempts: u32 = 1;
         // The clock is read once the wait has to block: a reply already
         // filed is taken on the loop's first pass without it. `started` is
@@ -513,16 +523,35 @@ impl NodeCtx {
         let mut window = None;
         let mut pause = None;
         loop {
-            if let Some(result) = self.replies.remove(&req_id) {
+            // One lookup a pass: the call's absolute budget and single-shot
+            // flag, stamped at issue time (redirects and refences preserve
+            // both), and — when its reply is filed — the call itself, out
+            // of the table.
+            let (deadline_at, resend, answered) = match self.outstanding.entry(req_id) {
+                Entry::Occupied(slot) => {
+                    let (deadline, resend) = (slot.get().header.deadline, slot.get().header.resend);
+                    (
+                        deadline,
+                        resend,
+                        slot.get().reply.is_some().then(|| slot.remove()),
+                    )
+                }
+                Entry::Vacant(_) => (0, true, None),
+            };
+            if let Some(mut call) = answered {
+                let result = call.reply.take().expect("an answered call has its reply");
                 // Only an error can be anything but the call's answer.
                 let ruling = match &result {
-                    Err(err) => self.rule(req_id, Event::Reply(err)),
+                    Err(err) => verdict(&call, Event::Reply(err), self.machines()),
                     Ok(_) => Verdict::Surface(None),
                 };
                 match ruling {
-                    Verdict::Ignore => continue,
+                    Verdict::Ignore => {
+                        self.outstanding.insert(req_id, call);
+                        continue;
+                    }
                     Verdict::Reissue(how) => {
-                        req_id = self.reissue(req_id, how, &mut attempts);
+                        req_id = self.reissue(call, how, &mut attempts);
                         (window, pause) = (None, None);
                         continue;
                     }
@@ -530,10 +559,10 @@ impl NodeCtx {
                         // The common answer — nothing to trace, nothing to
                         // learn — goes straight to `retire_call`.
                         if self.tracer.is_some() || lesson.is_some() {
-                            self.note_answer(req_id, attempts, &result, lesson);
+                            self.note_answer(&call, attempts, &result, lesson);
                         }
                         let failed = result.as_ref().err().is_some_and(Self::is_overload_failure);
-                        self.retire_call(req_id, Some(failed));
+                        self.retire_call(call, Some(failed));
                         return result;
                     }
                 }
@@ -545,7 +574,9 @@ impl NodeCtx {
             if deadline_at != 0 {
                 let now = self.clock.now_nanos();
                 if now >= deadline_at {
-                    self.retire_call(req_id, Some(true));
+                    if let Some(call) = self.outstanding.remove(&req_id) {
+                        self.retire_call(call, Some(true));
+                    }
                     return Err(RemoteError::DeadlineExceeded {
                         elapsed_nanos: now - deadline_at,
                     });
@@ -585,15 +616,20 @@ impl NodeCtx {
                     dest.is_some_and(|d| !self.spend_retry_token(d))
                 };
                 if exhausted || suppressed {
-                    if let Verdict::Reissue(how) = self.rule(req_id, Event::Exhausted) {
-                        req_id = self.reissue(req_id, how, &mut attempts);
-                        window = None;
-                        continue;
-                    }
-                    let target = self.retire_call(req_id, Some(true)).unwrap_or(ObjRef {
+                    let mut target = ObjRef {
                         machine: self.machine,
                         object: DAEMON,
-                    });
+                    };
+                    if let Some(call) = self.outstanding.remove(&req_id) {
+                        if let Verdict::Reissue(how) =
+                            verdict(&call, Event::Exhausted, self.machines())
+                        {
+                            req_id = self.reissue(call, how, &mut attempts);
+                            window = None;
+                            continue;
+                        }
+                        target = self.retire_call(call, Some(true));
+                    }
                     return Err(RemoteError::Timeout {
                         machine: target.machine,
                         object: target.object,
@@ -617,28 +653,16 @@ impl NodeCtx {
         }
     }
 
-    /// [`verdict`] on `event` for the outstanding call `req_id` (an event
-    /// for a call nobody is waiting on surfaces).
-    fn rule(&self, req_id: u64, event: Event<'_>) -> Verdict {
-        let call = self.outstanding.get(&req_id);
-        call.map_or(Verdict::Surface(None), |c| {
-            verdict(c, event, self.machines())
-        })
-    }
-
-    /// Before the outstanding call `req_id` retires with `result` as its
-    /// answer: record the receipt, and learn what a redirect it may not
-    /// follow still teaches.
+    /// Before the outstanding `call` retires with `result` as its answer:
+    /// record the receipt, and learn what a redirect it may not follow
+    /// still teaches.
     fn note_answer(
         &mut self,
-        req_id: u64,
+        call: &OutboundCall,
         attempts: u32,
         result: &RemoteResult<PacketBytes>,
         lesson: Option<Reroute>,
     ) {
-        let Some(call) = self.outstanding.get(&req_id) else {
-            return;
-        };
         let (from, routed) = (call.target, call.read_primary.is_some());
         let (kind, len) = (
             EventKind::ClientRecv,
@@ -648,7 +672,7 @@ impl NodeCtx {
             kind,
             from.machine,
             call.trace.as_ref(),
-            req_id,
+            call.header.req_id,
             attempts,
             len,
         );
@@ -684,18 +708,17 @@ impl NodeCtx {
         }
     }
 
-    /// Re-issue the outstanding call `req_id` along `how`: learn what the
-    /// redirect teaches, patch the stored request's header, re-encode,
-    /// record the event and send — every side effect of a redirect, once.
+    /// Re-issue the outstanding `call`, taken out of the table, along
+    /// `how`: learn what the redirect teaches, patch the stored request's
+    /// header, re-encode, record the event, send and put the call back —
+    /// every side effect of a redirect, once.
     /// Everything the caller chose — payload, trace identity, deadline
     /// budget, whether it may be retransmitted — is untouched, so a
     /// re-issue is the same logical call.
     /// Returns the id the call now waits under; `attempts` restarts at 1
     /// unless the call merely chased its object to a new home.
-    fn reissue(&mut self, req_id: u64, how: Reroute, attempts: &mut u32) -> u64 {
-        let Some(mut call) = self.outstanding.remove(&req_id) else {
-            return req_id;
-        };
+    fn reissue(&mut self, mut call: OutboundCall, how: Reroute, attempts: &mut u32) -> u64 {
+        let req_id = call.header.req_id;
         self.learn(call.target, call.read_primary.is_some(), how, true);
         // A fence rejection is cached in the server's dedup window under
         // the old id, so a refence needs a **fresh** one; a move or a
@@ -845,9 +868,13 @@ impl NodeCtx {
     /// caller measures itself (heartbeats). No retransmission, no `Moved`
     /// chase: absent replies are simply not there yet.
     pub fn try_take_reply(&mut self, req_id: u64) -> Option<RemoteResult<PacketBytes>> {
-        let result = self.replies.remove(&req_id)?;
+        let Entry::Occupied(slot) = self.outstanding.entry(req_id) else {
+            return None;
+        };
+        let mut call = slot.get().reply.is_some().then(|| slot.remove())?;
+        let result = call.reply.take()?;
         let failed = result.as_ref().err().is_some_and(Self::is_overload_failure);
-        self.retire_call(req_id, Some(failed));
+        self.retire_call(call, Some(failed));
         Some(result)
     }
 
@@ -855,26 +882,24 @@ impl NodeCtx {
     /// dropped on the floor instead of accumulating. Heartbeats to a dead
     /// machine are abandoned once the detector has made up its mind.
     pub fn abandon_call(&mut self, req_id: u64) {
-        self.retire_call(req_id, None);
-        self.replies.remove(&req_id);
+        if let Some(call) = self.outstanding.remove(&req_id) {
+            self.retire_call(call, None);
+        }
     }
 
-    /// The one way an issued call leaves `outstanding` for good: drop its
-    /// retransmission slot and tell the destination's breaker how it ended
-    /// (see [`breaker_note`](Self::breaker_note)) — so no exit, however
-    /// unusual, can strand a half-open trial (`reissue` does the same for
-    /// a machine the call leaves on the way). Returns where the call was
-    /// last addressed. The frame's buffer, when this slot was its last
-    /// holder (the receiver is done with it and kept no part), becomes the
-    /// node's spare for the next call: a node that sends requests of a
-    /// size keeps reusing one allocation of that size.
-    fn retire_call(&mut self, req_id: u64, failed: Option<bool>) -> Option<ObjRef> {
-        let call = self.outstanding.remove(&req_id)?;
+    /// The one way an issued call, out of `outstanding`, ends for good:
+    /// drop its retransmission slot and tell the destination's breaker how
+    /// it ended (see [`breaker_note`](Self::breaker_note)) — so no exit,
+    /// however unusual, can strand a half-open trial (`reissue` does the
+    /// same for a machine the call leaves on the way). Returns where the
+    /// call was last addressed. The frame, when this slot was its last
+    /// holder (the receiver is done with it and kept no part), goes back to
+    /// the lane's [`FramePool`](crate::frame::FramePool), buffer and
+    /// header: the next call is built in it.
+    fn retire_call(&mut self, call: OutboundCall, failed: Option<bool>) -> ObjRef {
         self.breaker_note(call.target.machine, failed);
-        if let Some(buf) = call.frame.into_unshared() {
-            self.spare_frame = buf;
-        }
-        Some(call.target)
+        self.frames.retired(call.frame);
+        call.target
     }
 }
 
@@ -919,6 +944,7 @@ mod tests {
             trace: None,
             hops,
             read_primary,
+            reply: None,
         }
     }
 

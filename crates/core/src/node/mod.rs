@@ -17,7 +17,8 @@
 //! matter how many workers the machine runs. A cycle of cross-object waits
 //! (A's method calls B while B's method calls A on the same lanes) is a
 //! genuine distributed deadlock; the engine converts it into
-//! [`RemoteError::Timeout`] rather than hanging forever.
+//! [`RemoteError::Timeout`](crate::RemoteError::Timeout) rather than
+//! hanging forever.
 //!
 //! The engine is split along its roles: `call` issues requests and waits
 //! for replies (the client role) and `beliefs` is what that role has
@@ -33,6 +34,8 @@ mod judge;
 mod serve;
 
 use std::cell::Cell;
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,9 +43,9 @@ use crossbeam::channel::Receiver;
 use simnet::{ActorSeat, Clock, MachineId, Network, Packet, PacketBytes, SimDisk};
 use wire::Reader;
 
-use crate::error::RemoteError;
-use crate::frame::NodeStats;
-use crate::ids::{IdMap, ObjRef, ObjectId};
+use crate::dedup::DEFAULT_DEDUP_CAPACITY;
+use crate::frame::{FramePool, NodeStats};
+use crate::ids::{IdHasher, IdMap, ObjRef, ObjectId};
 use crate::policy::CallPolicy;
 use crate::process::{ClassRegistry, ServerObject};
 use crate::shared::{CallTrace, IncomingReq, LiveObj, SharedNode, WorkerMsg};
@@ -135,17 +138,14 @@ pub struct NodeCtx {
     /// The machine's thread-shared server state: the object table, dedup
     /// window, counters, and the scheduler handle.
     shared: Arc<SharedNode>,
-    /// Replies that have arrived for calls still `outstanding`, each still
-    /// inside the packet that brought it.
-    replies: IdMap<u64, Result<PacketBytes, RemoteError>>,
     /// Everything this lane believes about the objects, machines and
     /// names it calls.
     beliefs: Beliefs,
+    /// This lane's calls in flight, each with its reply once it arrives.
     outstanding: IdMap<u64, OutboundCall>,
-    /// The buffer of the last call retired with nobody else holding its
-    /// frame (empty when there is none): the next call is encoded into it
-    /// instead of a fresh allocation (see `retire_call`).
-    spare_frame: Vec<u8>,
+    /// The retired frames this lane builds its next requests and replies
+    /// in, instead of fresh allocations.
+    frames: FramePool,
     /// The request being dispatched: whom to answer, and the trace that
     /// calls issued from inside its method inherit (nested spans).
     current_call: Option<CallInfo>,
@@ -157,6 +157,8 @@ pub struct NodeCtx {
     policy: CallPolicy,
     /// Flight recorder handle; `None` (the default) disables tracing.
     tracer: Option<Tracer>,
+    /// The method names this lane's traced events carry, each allocated once.
+    names: Names,
     /// Monotone counter behind span-id allocation (see `alloc_span`).
     next_span: u64,
     /// Absolute deadline of the request currently being dispatched, so
@@ -202,10 +204,9 @@ impl NodeCtx {
             registry: env.registry.clone(),
             disks: env.disks.to_vec(),
             shared: env.shared.clone(),
-            replies: IdMap::default(),
             beliefs: Beliefs::new(env.workers + 1),
             outstanding: IdMap::default(),
-            spare_frame: Vec::new(),
+            frames: FramePool::default(),
             current_call: None,
             current_args: None,
             // Lane 0 starts at `stride` (so id 0 stays unused, and with
@@ -217,6 +218,7 @@ impl NodeCtx {
             tracer: env
                 .recorder
                 .map(|r| r.tracer_lane(env.machine, lane_no as usize)),
+            names: Names::default(),
             next_span: 1,
             current_deadline: None,
             steal_round: Cell::new(0),
@@ -351,7 +353,7 @@ impl NodeCtx {
             trace_id: span,
             span,
             parent_span: 0,
-            method: family.marker_method().into(),
+            method: self.names.get(family.marker_method()),
         })
     }
 
@@ -394,8 +396,30 @@ impl NodeCtx {
     }
 }
 
-/// First len-prefixed string of a request payload — the method name. Only
-/// the flight recorder calls this; malformed payloads trace as `"?"`.
-fn payload_method(payload: &[u8]) -> Arc<str> {
-    Reader::new(payload).take_str().unwrap_or("?").into()
+/// The method names a lane's traced events carry, interned: a traced call
+/// or request clones its name's `Arc` instead of allocating one. Names from
+/// the lane's own calls and from the requests it serves; past as many
+/// names as the dedup window has keys — a peer sending junk names — a name
+/// is allocated as it comes, and not kept.
+#[derive(Default)]
+struct Names(HashSet<Arc<str>, BuildHasherDefault<IdHasher>>);
+
+impl Names {
+    /// `name`, interned.
+    fn get(&mut self, name: &str) -> Arc<str> {
+        if let Some(name) = self.0.get(name) {
+            return name.clone();
+        }
+        let name: Arc<str> = name.into();
+        if self.0.len() < DEFAULT_DEDUP_CAPACITY {
+            self.0.insert(name.clone());
+        }
+        name
+    }
+
+    /// The method name at the head of a request payload — its first
+    /// len-prefixed string — interned; a malformed payload traces as `"?"`.
+    fn of_payload(&mut self, payload: &[u8]) -> Arc<str> {
+        self.get(Reader::new(payload).take_str().unwrap_or("?"))
+    }
 }

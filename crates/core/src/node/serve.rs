@@ -7,10 +7,10 @@ use std::time::Duration;
 
 use simnet::{ClockRecvError, MachineId, Packet, PacketBytes};
 use wire::collections::Bytes;
-use wire::Reader;
+use wire::{EncodesAs, Reader, Wire};
 
 use super::judge::{judge, queue_gated, reads_clock, Verdict};
-use super::{payload_method, CallInfo, LaneRole, NodeCtx};
+use super::{CallInfo, LaneRole, NodeCtx};
 use crate::dedup::DedupVerdict;
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::{encode_response, Body, FrameView};
@@ -73,6 +73,12 @@ impl NodeCtx {
         self.current_args.as_ref()?.slice(range)
     }
 
+    /// `value` as the body of a reply this lane sends: in one of its spare
+    /// frames when the reply is light (see [`FramePool`](crate::frame::FramePool)).
+    pub(crate) fn reply_body<T: Wire, V: EncodesAs<T>>(&mut self, value: &V) -> Body {
+        self.frames.reply::<T, V>(value)
+    }
+
     /// Send a response for a call whose dispatch returned
     /// [`DispatchResult::NoReply`].
     pub fn send_reply(&mut self, call: CallInfo, result: RemoteResult<Body>) {
@@ -95,7 +101,7 @@ impl NodeCtx {
 
     /// Drain whatever is already in the inbox without blocking. The
     /// supervisor's step loop interleaves this with its own bookkeeping:
-    /// heartbeat replies land in the reply table for
+    /// heartbeat replies land in their calls' slots for
     /// [`try_take_reply`](NodeCtx::try_take_reply) while any requests
     /// aimed at this node still get served.
     pub fn poll(&mut self) {
@@ -257,11 +263,11 @@ impl NodeCtx {
                 }
                 // The flight recorder's events all want the method name:
                 // parse it from the payload head only when tracing is on.
-                let trace = self.tracer.as_ref().map(|_| CallTrace {
+                let trace = self.tracer.is_some().then(|| CallTrace {
                     trace_id: header.trace.trace_id.0,
                     span: header.trace.span.0,
                     parent_span: 0,
-                    method: payload_method(&pkt.payload[payload.clone()]),
+                    method: self.names.of_payload(&pkt.payload[payload.clone()]),
                 });
                 let req = IncomingReq {
                     req_id,
@@ -321,15 +327,11 @@ impl NodeCtx {
                     }
                     return;
                 }
-                // Replies for calls nobody is waiting on anymore (timed
-                // out, abandoned) are dropped, not hoarded: the reply
-                // table only ever holds answers someone can still take.
-                if self.outstanding.contains_key(&req_id) {
-                    let result = result.map(|range| {
-                        let reply = pkt.payload.narrow(range);
-                        reply.expect("a parsed range lies inside its packet")
-                    });
-                    self.replies.insert(req_id, result);
+                // A reply is filed in its call's own slot. One for a call
+                // nobody is waiting on any more (timed out, abandoned) is
+                // dropped, not hoarded.
+                if let Some(call) = self.outstanding.get_mut(&req_id) {
+                    call.file(pkt.payload, result);
                 }
             }
         }
@@ -751,11 +753,17 @@ impl NodeCtx {
         // Cache the response — the frame itself, shared with the packet —
         // so a retransmitted copy of this request is answered without
         // re-executing (at-most-once). A heavy reply to a caller that will
-        // not retransmit is not kept: the packet is its last holder.
+        // not retransmit is not kept: the packet is its last holder. The
+        // frames the window lets go of come back to this lane, to build
+        // its next replies in.
+        let frames = &mut self.frames;
+        let key = (reply_to, req_id);
         self.shared
             .dedup
             .lock()
-            .complete((reply_to, req_id), PacketBytes::clone(&frame), weight);
+            .complete(key, PacketBytes::clone(&frame), weight, |f| {
+                frames.evicted(f)
+            });
         let len = frame.len() as u32;
         self.trace_call(EventKind::ServerReply, reply_to, trace, req_id, 0, len);
         // A dead caller is not an error for the server.

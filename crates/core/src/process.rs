@@ -33,7 +33,7 @@ impl DispatchResult {
     /// refuses it as a second impl of that trait.
     #[doc(hidden)]
     #[inline]
-    pub fn into_dispatch<T>(self) -> DispatchResult {
+    pub fn into_dispatch<T>(self, _ctx: &mut NodeCtx) -> DispatchResult {
         self
     }
 }
@@ -42,15 +42,17 @@ impl DispatchResult {
 /// [encodes as](EncodesAs) a `T`, the reply sent as the method returns; or a
 /// [`DispatchResult`] itself, for a method that answers later
 /// ([`NoReply`](DispatchResult::NoReply)) or passes on bytes it kept
-/// ([`Body::relaying`]). How `remote_class!` turns a result into a reply.
+/// ([`Body::relaying`]). How `remote_class!` turns a result into a reply,
+/// encoded as [`Body::of_as`] would, in a spare frame of the lane serving
+/// the call (`ctx`) when it has one.
 pub trait Returns: Sized {
     /// The reply `self` makes as a `T`.
     #[inline]
-    fn into_dispatch<T: Wire>(self) -> DispatchResult
+    fn into_dispatch<T: Wire>(self, ctx: &mut NodeCtx) -> DispatchResult
     where
         Self: EncodesAs<T>,
     {
-        DispatchResult::Reply(Body::of_as::<T, Self>(&self))
+        DispatchResult::Reply(ctx.reply_body::<T, Self>(&self))
     }
 }
 

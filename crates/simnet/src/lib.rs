@@ -58,7 +58,7 @@ pub use cluster::SimCluster;
 pub use config::{ClusterConfig, DiskConfig, NetCost, TimeMode};
 pub use disk::SimDisk;
 pub use faults::{FaultInjector, FaultPlan};
-pub use message::{MachineId, Packet, PacketBytes};
+pub use message::{MachineId, Packet, PacketBytes, Spare};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use network::Network;
 pub use topology::TopologySpec;

@@ -19,7 +19,11 @@ pub type MachineId = usize;
 /// every holder — the fabric, a duplicate the fault layer delivers, the
 /// sender's retransmission slot, the receiver, a part of the message the
 /// receiver keeps ([`slice`](Self::slice)) — is a clone of the handle, never
-/// of the bytes. The buffer is freed when its last holder lets go.
+/// of the bytes. The buffer is freed when its last holder lets go — or,
+/// when that holder is the one that will build the next message, given
+/// back whole with [`into_spare`](Self::into_spare): buffer and
+/// reference-count header, the message's two allocations, ready for
+/// [`Spare::seal`].
 #[derive(Clone)]
 pub struct PacketBytes {
     buf: Arc<Vec<u8>>,
@@ -36,6 +40,7 @@ impl PacketBytes {
 
     /// [`slice`](Self::slice) for a holder that is done with the rest: this
     /// handle itself shrinks to `range`, the reference count is not touched.
+    #[inline]
     pub fn narrow(mut self, range: Range<usize>) -> Option<PacketBytes> {
         if range.start > range.end || range.end > self.len() {
             return None;
@@ -45,17 +50,27 @@ impl PacketBytes {
         Some(self)
     }
 
-    /// The buffer itself, if this is its last holder — for a sender that
-    /// gives a retired message's allocation to its next one. `None` (and
-    /// nothing lost) while anyone else still holds the bytes.
-    pub fn into_unshared(self) -> Option<Vec<u8>> {
-        self.into_unshared_range().ok().map(|(buf, _)| buf)
+    /// Both allocations of this message — its buffer and the header that
+    /// counts its holders — if this is the last holder, for a sender that
+    /// builds its next message in them. While anyone else still holds the
+    /// bytes, the handle back, nothing lost: no buffer is reused while
+    /// someone can read it.
+    #[inline]
+    pub fn into_spare(self) -> Result<Spare, PacketBytes> {
+        let PacketBytes {
+            buf: mut header,
+            range,
+        } = self;
+        match Arc::get_mut(&mut header).map(std::mem::take) {
+            Some(buf) => Ok(Spare { buf, header }),
+            None => Err(PacketBytes { buf: header, range }),
+        }
     }
 
-    /// [`into_unshared`](Self::into_unshared) for a holder that goes on
-    /// with the bytes either way: the buffer and where these bytes lie in
-    /// it — for a receiver that sends a part it kept onward in the buffer it
-    /// arrived in — or, while anyone else holds the buffer, the handle back.
+    /// The buffer itself and where these bytes lie in it, if this is its
+    /// last holder — for a receiver that sends a part it kept onward in the
+    /// buffer it arrived in — or, while anyone else holds the buffer, the
+    /// handle back.
     pub fn into_unshared_range(self) -> Result<(Vec<u8>, Range<usize>), PacketBytes> {
         let PacketBytes { buf, range } = self;
         match Arc::try_unwrap(buf) {
@@ -73,6 +88,7 @@ impl PacketBytes {
 impl Deref for PacketBytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.buf[self.range.clone()]
     }
@@ -91,6 +107,47 @@ impl From<Vec<u8>> for PacketBytes {
             buf: Arc::new(buf),
             range,
         }
+    }
+}
+
+/// A retired message nobody else holds, taken apart: its buffer, and the
+/// reference-count header that shared it (see
+/// [`PacketBytes::into_spare`]). A sender writes its next message into the
+/// buffer ([`take`](Self::take)) and [`seals`](Self::seal) it back into the
+/// header, so a message built in a spare allocates nothing.
+#[derive(Debug)]
+pub struct Spare {
+    buf: Vec<u8>,
+    /// Holds an empty `Vec` until `seal`; never shared.
+    header: Arc<Vec<u8>>,
+}
+
+impl Spare {
+    /// The buffer's capacity: the largest message it holds without growing.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// The buffer, moved out for writing; the header stays behind, empty,
+    /// until [`seal`](Self::seal) puts a buffer back.
+    #[inline]
+    pub fn take(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.buf)
+    }
+
+    /// `buf` as a message in this header: the bytes `range` of it, or
+    /// `None` when `range` does not lie inside it.
+    #[inline]
+    pub fn seal(mut self, buf: Vec<u8>, range: Range<usize>) -> Option<PacketBytes> {
+        let whole = 0..buf.len();
+        let held = Arc::get_mut(&mut self.header).expect("a spare's header is never shared");
+        *held = buf;
+        PacketBytes {
+            buf: self.header,
+            range: whole,
+        }
+        .narrow(range)
     }
 }
 
@@ -203,8 +260,31 @@ mod tests {
         let mid = mid.into_unshared_range().unwrap_err();
         assert_eq!(&*mid, &[2, 3, 4, 5, 6, 7]);
         assert!(mid.shares_buffer_with(&whole));
+        let mid = mid.into_spare().unwrap_err();
+        assert!(mid.shares_buffer_with(&whole));
         drop(whole);
         let (buf, range) = mid.into_unshared_range().unwrap();
         assert_eq!((buf, range), ((0u8..10).collect(), 2..8));
+    }
+
+    #[test]
+    fn a_spare_is_the_last_holders_buffer_and_header_and_seals_a_new_message() {
+        let first = PacketBytes::from(vec![7u8; 64]);
+        let held = first.slice(8..16).unwrap();
+        // Someone still reads it: no spare, the handle back.
+        let first = first.into_spare().unwrap_err();
+        drop(held);
+        let mut spare = first.into_spare().unwrap();
+        assert_eq!(spare.capacity(), 64);
+        let mut buf = spare.take();
+        assert_eq!(buf.capacity(), 64);
+        buf.clear();
+        buf.extend_from_slice(b"next message");
+        let next = spare.seal(buf, 5..12).unwrap();
+        assert_eq!(&*next, b"message");
+        // A range outside the buffer is refused, as `narrow` refuses it.
+        let mut spare = next.into_spare().unwrap();
+        let buf = spare.take();
+        assert!(spare.seal(buf, 0..13).is_none());
     }
 }

@@ -30,12 +30,18 @@ macro_rules! cell {
 }
 
 /// The counter table: one row per counter, `scalar` (one cluster-wide
-/// count) or `per_machine` (one count per endpoint). From it come the live
-/// [`Metrics`], its constructor, the [`MetricsSnapshot`] copy and the
-/// snapshot difference — so a new counter is one row plus the `record_*`
-/// that bumps it, and cannot be forgotten in any of them.
+/// count) or `per_machine` (one count per endpoint). The `totals` above
+/// the rows have no live counter: each is the sum of a `per_machine` row
+/// of the same snapshot, so recording a packet bumps no cluster-wide
+/// counter. From the table come the live [`Metrics`], its constructor, the
+/// [`MetricsSnapshot`] copy and the snapshot difference — so a new counter
+/// is one row plus the `record_*` that bumps it, and cannot be forgotten in
+/// any of them.
 macro_rules! metrics {
-    ($( $(#[$doc:meta])* $kind:ident $name:ident; )*) => {
+    (
+        totals { $( $(#[$tdoc:meta])* $total:ident = $of:ident; )* }
+        $( $(#[$doc:meta])* $kind:ident $name:ident; )*
+    ) => {
         /// Live counters shared by every component of a cluster.
         #[derive(Debug)]
         pub struct Metrics {
@@ -45,6 +51,7 @@ macro_rules! metrics {
         /// Point-in-time copy of [`Metrics`], cheap to diff.
         #[derive(Debug, Clone, Default, PartialEq, Eq)]
         pub struct MetricsSnapshot {
+            $( $(#[$tdoc])* pub $total: u64, )*
             $( $(#[$doc])* pub $name: cell!(copy $kind), )*
         }
 
@@ -58,9 +65,12 @@ macro_rules! metrics {
 
             /// Copy every counter.
             pub fn snapshot(&self) -> MetricsSnapshot {
-                MetricsSnapshot {
+                let mut snapshot = MetricsSnapshot {
                     $( $name: cell!(load $kind self.$name), )*
-                }
+                    ..MetricsSnapshot::default()
+                };
+                $( snapshot.$total = snapshot.$of.iter().sum(); )*
+                snapshot
             }
         }
 
@@ -70,6 +80,7 @@ macro_rules! metrics {
             /// underflows.
             pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
                 MetricsSnapshot {
+                    $( $total: self.$total.saturating_sub(earlier.$total), )*
                     $( $name: cell!(since $kind self.$name, earlier.$name), )*
                 }
             }
@@ -78,10 +89,12 @@ macro_rules! metrics {
 }
 
 metrics! {
-    /// Total messages injected into the network.
-    scalar messages_sent;
-    /// Total payload bytes injected into the network.
-    scalar bytes_sent;
+    totals {
+        /// Total messages injected into the network.
+        messages_sent = per_machine_sent;
+        /// Total payload bytes injected into the network.
+        bytes_sent = per_machine_bytes_sent;
+    }
     /// Messages sent, per source machine.
     per_machine per_machine_sent;
     /// Payload bytes injected, per source machine: a machine serving hot
@@ -125,8 +138,6 @@ metrics! {
 impl Metrics {
     /// Record one message of `bytes` payload from `src`.
     pub fn record_send(&self, src: usize, bytes: usize) {
-        self.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
         if let Some(c) = self.per_machine_sent.get(src) {
             c.fetch_add(1, Ordering::Relaxed);
         }
@@ -233,10 +244,12 @@ mod tests {
     #[test]
     fn out_of_range_machine_ids_are_ignored() {
         let m = Metrics::new(1);
-        m.record_send(5, 10); // machine 5 doesn't exist; totals still count
+        // Machine 5 doesn't exist: no row counts it, and the totals are
+        // the rows' sums.
+        m.record_send(5, 10);
         m.record_delivery(9, 10);
         let s = m.snapshot();
-        assert_eq!(s.messages_sent, 1);
+        assert_eq!(s.messages_sent, 0);
         assert_eq!(s.per_machine_sent, vec![0]);
         assert_eq!(s.per_machine_bytes_received, vec![0]);
     }

@@ -524,11 +524,11 @@ mod tests {
         assert_eq!(s.per_machine_bytes_sent, vec![30, 0]);
         assert_eq!(s.per_machine_bytes_received, vec![0, 60]);
         // Still held three times over: nobody can take the buffer ...
-        assert!(frame.into_unshared().is_none());
-        assert!(first.payload.into_unshared().is_none());
+        assert!(frame.into_spare().is_err());
+        assert!(first.payload.into_spare().is_err());
         drop(buffer);
         // ... until the last holder does, whole.
-        assert_eq!(second.payload.into_unshared().unwrap().len(), 100);
+        assert_eq!(second.payload.into_spare().unwrap().capacity(), 100);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! The bulk byte path (DESIGN.md §4 "byte path", §6): what a 2 MiB transfer
-//! may allocate, what the dedup window may keep, and that bounding the
-//! window's bytes never lets a request execute twice.
+//! The byte path (DESIGN.md §4 "byte path", §6): what a call of each kind
+//! costs — the counted cost table — what a 2 MiB transfer may allocate,
+//! what the dedup window may keep, and that bounding the window's bytes
+//! never lets a request execute twice.
 //!
 //! The allocation budget is counted, not timed, so it holds on any machine:
-//! a copy that comes back, or a window that stops giving bytes back, fails
-//! here with the count in the message.
+//! a copy that comes back, a buffer that stops being reused, or a window
+//! that stops giving bytes back, fails here with the count in the message.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -13,21 +14,23 @@ use std::time::Duration;
 
 use oopp_repro::fft::{c64, Complex, Direction, DistributedFft3};
 use oopp_repro::oopp::wire::collections::F64s;
+use oopp_repro::oopp::wire::EncodesAs;
 use oopp_repro::oopp::wire::{self, Wire};
 use oopp_repro::oopp::{
-    Backoff, CallPolicy, ClusterBuilder, DoubleBlockClient, Driver, ObjRef, ProcessGroup,
-    RemoteClient, RemoteError,
+    join, Backoff, CallPolicy, Cluster, ClusterBuilder, DoubleBlockClient, Driver, ObjRef,
+    ProcessGroup, RemoteClient, RemoteError, DEFAULT_TRACE_CAPACITY,
 };
 use oopp_repro::simnet::{ClusterConfig, FaultPlan};
 
 /// Blocks at least this big are "large": a bulk payload or a copy of one.
 const LARGE: usize = 64 << 10;
 
-/// Large blocks allocated so far, large bytes currently live, and blocks of
-/// any size allocated so far.
+/// Large blocks allocated so far, large bytes currently live, and blocks
+/// and bytes of any size allocated so far.
 static LARGE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
 static LARGE_LIVE: AtomicUsize = AtomicUsize::new(0);
 static ALL_BLOCKS: AtomicUsize = AtomicUsize::new(0);
+static ALL_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// `System`, counting large blocks. A `realloc` that ends large counts as
 /// a block of its own: growing a buffer into the MiB range is an allocation
@@ -36,6 +39,7 @@ struct Counting;
 
 fn note_alloc(size: usize) {
     ALL_BLOCKS.fetch_add(1, Relaxed);
+    ALL_BYTES.fetch_add(size, Relaxed);
     if size >= LARGE {
         LARGE_BLOCKS.fetch_add(1, Relaxed);
         LARGE_LIVE.fetch_add(size, Relaxed);
@@ -169,16 +173,17 @@ fn a_bulk_call_stays_within_its_allocation_budget() {
          a copy came back, or the spare request frame is gone"
     );
 
-    // A null call, all sizes: one `get` allocated 8 blocks at the parent
-    // (three request buffers grown from empty, two reply buffers, the
-    // dedup and reply-table entries around them).
+    // A null call, all sizes, before the server's dedup window has evicted
+    // a reply to build the next one in: the reply's buffer and header (see
+    // `GET_BLOCKS`). After that, none: the cost table below.
     let _ = block.get(d, 7).unwrap();
     let (blocks, v) = all_blocks_during(|| block.get(d, 7).unwrap());
     assert_eq!(v, data[7]);
-    println!("get: {blocks} blocks of any size (parent {GET_BLOCKS_AT_PARENT})");
+    println!("get: {blocks} blocks of any size (budget {GET_BLOCKS})");
     assert!(
-        blocks <= GET_BLOCKS_AT_PARENT,
-        "one get allocated {blocks} blocks, {GET_BLOCKS_AT_PARENT} at the parent"
+        blocks <= GET_BLOCKS,
+        "one get allocated {blocks} blocks (budget {GET_BLOCKS}): \
+         the request no longer reuses its retired frame"
     );
 
     // The window gives reply bytes back: 200 reads leave at most its byte
@@ -240,9 +245,189 @@ fn a_failed_split_loop_strands_nothing() {
     cluster.shutdown(driver);
 }
 
-/// Blocks of any size one `DoubleBlock::get` allocated at the parent of the
-/// PR that gave a message one buffer, measured with this test.
-const GET_BLOCKS_AT_PARENT: usize = 8;
+/// Blocks of any size one `DoubleBlock::get` may allocate while the
+/// server's dedup window is not yet full: the reply's buffer and its
+/// reference-count header, both recycled once the window evicts. (8 before
+/// a message had one buffer: three request buffers grown from empty, two
+/// reply buffers, the dedup and reply-table entries around them; 3 while a
+/// request built its frame header afresh.)
+const GET_BLOCKS: usize = 2;
+
+/// What one operation of a kind costs, per op: heap blocks, bytes and
+/// large blocks allocated (on any thread), and frames and payload bytes on
+/// the wire.
+#[derive(Debug)]
+struct Cost {
+    allocs: f64,
+    bytes: f64,
+    large: f64,
+    frames: f64,
+    wire: f64,
+}
+
+/// The cost of `op`, averaged over `ops` runs of it on `cluster`.
+fn cost_per_op(cluster: &Cluster, ops: u64, mut op: impl FnMut()) -> Cost {
+    // The snapshots allocate: taken outside the counted span.
+    let net = cluster.snapshot();
+    let counters = [&ALL_BLOCKS, &ALL_BYTES, &LARGE_BLOCKS];
+    let before = counters.map(|c| c.load(Relaxed));
+    for _ in 0..ops {
+        op();
+    }
+    let [blocks, bytes, large] = [0, 1, 2].map(|i| counters[i].load(Relaxed) - before[i]);
+    let net = cluster.snapshot().since(&net);
+    let per_op = |n: u64| n as f64 / ops as f64;
+    Cost {
+        allocs: per_op(blocks as u64),
+        bytes: per_op(bytes as u64),
+        large: per_op(large as u64),
+        frames: per_op(net.messages_sent),
+        wire: per_op(net.bytes_sent),
+    }
+}
+
+/// Print `row` of the cost table and hold it to its pinned allocations,
+/// large blocks, frames and wire bytes per op, within 0.001 of each.
+fn pin(row: &str, cost: Cost, [allocs, large, frames, wire]: [f64; 4]) {
+    println!(
+        "{row:<32} {:>8.3} allocs {:>10.1} B {:>6.3} large {:>7.3} frames {:>10.1} wire B",
+        cost.allocs, cost.bytes, cost.large, cost.frames, cost.wire
+    );
+    let near = |got: f64, want: f64| (got - want).abs() <= 0.001;
+    assert!(
+        near(cost.allocs, allocs)
+            && near(cost.large, large)
+            && near(cost.frames, frames)
+            && near(cost.wire, wire),
+        "{row}: {cost:?} per op; pinned: {allocs} allocs, {large} large, \
+         {frames} frames, {wire} wire bytes"
+    );
+}
+
+/// Past the window's 1 024 keys on every server, so replies are built in
+/// the frames it evicts.
+const WARM_KEYS: u64 = 1_100;
+
+/// Null calls that fill every lane's trace ring: from then on an event
+/// overwrites the oldest instead of growing the ring.
+const WARM_TRACED: u64 = DEFAULT_TRACE_CAPACITY as u64 / 2;
+
+/// The counted cost table (ROADMAP item 1(a)): per kind of operation, what
+/// it allocates on every thread of the cluster and what it puts on the
+/// wire, in steady state, through the public API — pinned, so a call that
+/// starts allocating again fails here with its row. A call reuses the
+/// frame of a retired call; a reply is built in a frame the dedup window
+/// evicted; a traced call clones its method name. The rows at the parent
+/// of the PR that pinned them, in allocations per op: a null `set` + `get`
+/// 6, traced 10, a 64-call round 320 (5 a call), `read_range` 4 (two of
+/// them 2 MiB), `write_range` 3, a transform pair 217 (four of them large)
+/// — and the same frames and wire bytes as now.
+#[test]
+fn the_call_path_costs_what_its_cost_table_pins() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    for traced in [false, true] {
+        let (cluster, mut driver) = ClusterBuilder::new(1).tracing(traced).build();
+        let d = &mut driver;
+        let block = DoubleBlockClient::new_on(d, 0, 8).unwrap();
+        let null = |d: &mut Driver| {
+            block.set(d, 3, 1.5).unwrap();
+            assert_eq!(block.get(d, 3).unwrap(), 1.5);
+        };
+        for _ in 0..if traced { WARM_TRACED } else { WARM_KEYS } {
+            null(d);
+        }
+        let row = if traced {
+            "null set + get, traced"
+        } else {
+            "null set + get"
+        };
+        let cost = cost_per_op(&cluster, 2_000, || null(d));
+        pin(
+            row,
+            cost,
+            [0.0, 0.0, 4.0, if traced { 136.0 } else { 108.0 }],
+        );
+        cluster.shutdown(driver);
+    }
+
+    // The §4 split loop over two machines: the caller's own two `Vec`s, of
+    // pendings and of results, and nothing per call.
+    const CALLS: usize = 64;
+    let (cluster, mut driver) = ClusterBuilder::new(2).build();
+    let d = &mut driver;
+    let blocks: Vec<_> = (0..CALLS)
+        .map(|k| DoubleBlockClient::new_on(d, k % 2, 8).unwrap())
+        .collect();
+    let round = |d: &mut Driver| {
+        let mut pending = Vec::with_capacity(CALLS);
+        for block in &blocks {
+            pending.push(block.get_async(d, 0).unwrap());
+        }
+        assert_eq!(join(d, pending).unwrap(), [0.0; CALLS]);
+    };
+    for _ in 0..2 * WARM_KEYS / CALLS as u64 {
+        round(d);
+    }
+    let cost = cost_per_op(&cluster, 100, || round(d));
+    pin(
+        "64 get_async + join, 2 machines",
+        cost,
+        [2.0, 0.0, 128.0, 3456.0],
+    );
+    cluster.shutdown(driver);
+
+    // 2 MiB each way: a read's reply frame and the caller's `Vec<f64>` are
+    // the payload's two large blocks; a write, sent from a borrow of the
+    // caller's data, reuses its retired request frame.
+    let (cluster, mut driver) = ClusterBuilder::new(1).build();
+    let d = &mut driver;
+    let block = DoubleBlockClient::new_on(d, 0, N).unwrap();
+    let data = pattern();
+    let write = |d: &mut Driver| {
+        d.call_method::<()>(block.obj_ref(), "write_range", |w| {
+            0usize.encode(w);
+            EncodesAs::<F64s>::encode_as(&data.as_slice(), w);
+        })
+        .unwrap()
+    };
+    let read = |d: &mut Driver| assert_eq!(block.read_range(d, 0, N).unwrap().0.len(), N);
+    for _ in 0..WARM_KEYS {
+        block.get(d, 0).unwrap();
+    }
+    for _ in 0..4 {
+        write(d);
+        read(d);
+    }
+    let cost = cost_per_op(&cluster, 20, || read(d));
+    pin("read_range 2 MiB", cost, [3.0, 2.0, 2.0, 2_097_214.0]);
+    let cost = cost_per_op(&cluster, 20, || write(d));
+    pin("write_range 2 MiB", cost, [0.0, 0.0, 2.0, 2_097_212.0]);
+    cluster.shutdown(driver);
+
+    // The 64³ transform over two workers, forward and back.
+    const EDGE: usize = 64;
+    let (cluster, mut driver) = DistributedFft3::register(ClusterBuilder::new(2)).build();
+    let d = &mut driver;
+    let grid: Vec<Complex> = (0..EDGE * EDGE * EDGE)
+        .map(|i| c64((i % 17) as f64, (i % 5) as f64 - 2.0))
+        .collect();
+    let dfft = DistributedFft3::new(d, [EDGE as u64; 3], 2).unwrap();
+    dfft.scatter(d, &grid).unwrap();
+    let pair = |d: &mut Driver| {
+        dfft.transform(d, Direction::Forward).unwrap();
+        dfft.transform(d, Direction::Inverse).unwrap();
+    };
+    for _ in 0..2 {
+        pair(d);
+    }
+    let cost = cost_per_op(&cluster, 4, || pair(d));
+    pin(
+        "64^3 transform pair, 2 workers",
+        cost,
+        [197.0, 4.0, 32.0, 8_389_704.0],
+    );
+    cluster.shutdown(driver);
+}
 
 /// Large blocks one 64³ two-worker `transform` allocates, and its budget:
 /// per worker, the one `put` request its block for the other worker is

@@ -578,6 +578,73 @@ mod proptests {
             assert_eq!(total, CALLS);
         });
     }
+
+    /// Servers build their replies in the frames their dedup windows
+    /// evicted, and callers their requests in the frames of retired calls:
+    /// no buffer may be reused while anyone still reads it. Rounds of
+    /// retried `add`s, one to each of eight counters on two machines, on
+    /// a virtual-time fabric that drops and duplicates packets: past 2 048
+    /// calls every window has evicted and recycled reply frames, some
+    /// replies are replays of a kept frame, and every reply — first answer
+    /// or replay — is the exact running total. The network's totals are
+    /// the sums of its per-machine rows across the run.
+    #[test]
+    fn recycled_frames_never_change_a_reply_or_a_replay() {
+        const COUNTERS: u64 = 8;
+        const ROUNDS: u64 = 264;
+        const _: () = assert!(COUNTERS * ROUNDS > 2 * 1024);
+        let mut replayed = 0;
+        cases(
+            "proptests::recycled_frames_never_change_a_reply_or_a_replay",
+            3,
+            |c| {
+                let (seed, drop_p) = (c.next_u64(), c.range(0.02..0.1));
+                let plan = FaultPlan::seeded(seed).with_drop(drop_p).with_dup(drop_p);
+                let (cluster, mut driver) = ClusterBuilder::new(2)
+                    .register::<Counter>()
+                    .sim_config(
+                        ClusterConfig::zero_cost(0)
+                            .with_virtual_time(seed)
+                            .with_faults(plan),
+                    )
+                    .call_policy(chaos_policy().with_max_retries(20))
+                    .build();
+                let d = &mut driver;
+                let counters: Vec<_> = (0..COUNTERS)
+                    .map(|k| CounterClient::new_on(d, k as usize % 2).unwrap())
+                    .collect();
+                let mut totals = vec![0u64; COUNTERS as usize];
+                for round in 1..=ROUNDS {
+                    let pending: Vec<_> = counters
+                        .iter()
+                        .zip(1..)
+                        .map(|(counter, k)| counter.add_async(d, round * k).unwrap())
+                        .collect();
+                    let got = join(d, pending).unwrap();
+                    for ((total, k), got) in totals.iter_mut().zip(1..).zip(got) {
+                        *total += round * k;
+                        assert_eq!(got, *total, "counter {k}, round {round}");
+                    }
+                }
+                cluster.sim().faults().calm();
+                replayed += (0..2)
+                    .map(|m| d.stats_of(m).unwrap().dup_replayed)
+                    .sum::<u64>();
+                let net = cluster.snapshot();
+                assert!(
+                    net.faults_dropped > 0 && net.faults_duplicated > 0,
+                    "{net:?}"
+                );
+                assert_eq!(net.messages_sent, net.per_machine_sent.iter().sum::<u64>());
+                assert_eq!(
+                    net.bytes_sent,
+                    net.per_machine_bytes_sent.iter().sum::<u64>()
+                );
+                cluster.shutdown(driver);
+            },
+        );
+        assert!(replayed > 0, "no reply was replayed from a kept frame");
+    }
 }
 
 // ---------------------------------------------------------------------
