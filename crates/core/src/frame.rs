@@ -7,7 +7,6 @@
 //! minimal.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use simnet::{PacketBytes, Spare};
 use wire::collections::Bytes;
@@ -17,7 +16,7 @@ use wire::{wire_struct, EncodesAs, Reader, Wire, WireError, WireResult, Writer, 
 use crate::dedup::KEY_SHARE;
 use crate::error::{RemoteError, RemoteResult};
 use crate::ids::{ObjRef, ObjectId};
-use crate::trace::TraceCtx;
+use crate::trace::{EventKind, TraceCtx};
 
 /// One frame on the wire. Its first byte is the tag, a one-byte varint:
 ///
@@ -603,110 +602,80 @@ wire_struct!(ReplicaStatus {
     replicas
 });
 
-/// The counter table: one row per [`NodeStats`] field, in **wire order**
-/// (rows are append-only; the order is protocol). A `counter` row is an
-/// atomic in the machine's `SharedStats` that lanes bump; a `given` row is
-/// computed by whoever takes the snapshot. From the table come the public
-/// struct, its `Wire` impl, the atomics and `SharedStats::snapshot` — so a
-/// new counter is one row, and cannot be forgotten or mis-ordered anywhere.
-macro_rules! node_stats {
-    ($( $(#[$doc:meta])* $kind:ident $name:ident; )*) => {
-        /// Per-machine runtime counters, returned by
-        /// [`NodeCtx::stats_of`](crate::NodeCtx::stats_of).
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct NodeStats {
-            $( $(#[$doc])* pub $name: u64, )*
-        }
-
-        wire_struct!(NodeStats { $($name),* });
-
-        node_stats!(@split [] [] $($kind $name;)*);
-    };
-    (@split [$($c:ident)*] [$($g:ident)*] counter $name:ident; $($rest:tt)*) => {
-        node_stats!(@split [$($c)* $name] [$($g)*] $($rest)*);
-    };
-    (@split [$($c:ident)*] [$($g:ident)*] given $name:ident; $($rest:tt)*) => {
-        node_stats!(@split [$($c)*] [$($g)* $name] $($rest)*);
-    };
-    (@split [$($c:ident)*] [$($g:ident)*]) => {
-        /// Machine-wide counters. Atomics, not a mutex: every lane bumps
-        /// them on every call and nobody reads them until a `stats` verb
-        /// asks.
-        #[derive(Default)]
-        pub(crate) struct SharedStats {
-            $( pub(crate) $c: AtomicU64, )*
-        }
-
-        impl SharedStats {
-            pub(crate) fn snapshot(&self, $($g: u64),*) -> NodeStats {
-                NodeStats {
-                    $( $g, )*
-                    $( $c: self.$c.load(Ordering::Relaxed), )*
-                }
-            }
-        }
-    };
-}
-
-node_stats! {
-    /// Live (constructed, not yet destroyed) user objects.
-    given objects_live;
-    /// Requests this machine has served to completion.
-    counter calls_served;
-    /// Requests that had to be parked because their target was busy.
-    counter calls_deferred;
-    /// Snapshots currently stored on this machine.
-    given snapshots_stored;
-    /// Outbound requests this machine retransmitted (client role).
-    counter calls_retried;
-    /// Duplicate requests answered from the dedup window's response cache
-    /// (the original executed; only its response had been lost).
-    counter dup_replayed;
-    /// Duplicate requests dropped because the original was still being
-    /// served (or waiting for its object) when the copy arrived.
-    counter dup_suppressed;
-    /// Requests answered with a forwarding redirect because their target
-    /// object had migrated away from this machine.
-    counter calls_forwarded;
-    /// Objects this machine adopted through live migration.
-    counter migrated_in;
-    /// Objects this machine migrated away (forwarding stubs installed).
-    counter migrated_out;
-    /// Supervisor heartbeats this machine has answered (lease renewals).
-    counter heartbeats_served;
-    /// Requests rejected with [`RemoteError::Fenced`] — stale-epoch
-    /// callers plus calls refused because the serving lease had expired.
-    counter calls_fenced;
-    /// Read verbs served by replicas hosted on this machine.
-    counter replica_reads_served;
-    /// Requests a replica refused with [`RemoteError::StaleReplica`]
-    /// (expired coherence lease or caller ahead of the sync epoch).
-    counter replica_reads_stale;
-    /// Write propagations (`replica_sync`) this machine's primaries pushed.
-    counter replica_syncs_sent;
-    /// Symbolic-name resolutions answered from this node's resolve cache
-    /// (no directory round-trip).
-    counter dir_cache_hits;
-    /// Resolve-cache misses — resolutions that had to fall through to the
-    /// control plane (a directory or shard lookup).
-    counter dir_cache_misses;
-    /// Requests rejected at admission with
-    /// [`RemoteError::Overloaded`] — mailbox cap
-    /// or machine in-flight budget exceeded (never queued).
-    counter calls_shed_overload;
-    /// Admitted requests shed at execution time because their queue
-    /// sojourn exceeded the CoDel-style target (DESIGN.md §15).
-    counter calls_shed_sojourn;
-    /// Requests dropped (at admission or execution) because their
-    /// propagated deadline had already expired.
-    counter calls_deadline_expired;
-    /// Outbound calls failed fast by an open circuit breaker without
-    /// touching the network (client role).
-    counter breaker_fast_fails;
-    /// Retransmissions suppressed by an exhausted retry budget (client
-    /// role): the retry would have amplified a brownout, so the call
-    /// surfaced its timeout instead.
-    counter retries_suppressed;
+simnet::counters! {
+    note EventKind;
+    wire wire_struct;
+    /// Machine-wide counters. Atomics, not a mutex: every lane bumps them
+    /// on every call and nobody reads them until a `stats` verb asks. A
+    /// row that names an event is bumped by that event's one emission
+    /// path, `NodeCtx::trace_call`, traced or not, and by nothing else.
+    pub(crate) struct SharedStats;
+    /// Per-machine runtime counters, returned by
+    /// [`NodeCtx::stats_of`](crate::NodeCtx::stats_of). One row per field,
+    /// in **wire order** (rows are append-only; the order is protocol).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct NodeStats {
+        /// Live (constructed, not yet destroyed) user objects.
+        given objects_live;
+        /// Requests this machine has served to completion.
+        /// Bumped once the handler returns, not by `ServerDispatch`: `stats` never counts itself.
+        counter calls_served;
+        /// Requests that had to be parked because their target was busy.
+        counter calls_deferred = ServerDefer;
+        /// Snapshots currently stored on this machine.
+        given snapshots_stored;
+        /// Outbound requests this machine retransmitted (client role).
+        counter calls_retried = ClientRetransmit;
+        /// Duplicate requests answered from the dedup window's response cache
+        /// (the original executed; only its response had been lost).
+        counter dup_replayed = ServerAdmitDone;
+        /// Duplicate requests dropped because the original was still being
+        /// served (or waiting for its object) when the copy arrived.
+        counter dup_suppressed = ServerAdmitInFlight;
+        /// Requests answered with a forwarding redirect because their target
+        /// object had migrated away from this machine.
+        counter calls_forwarded;
+        /// Objects this machine adopted through live migration.
+        counter migrated_in;
+        /// Objects this machine migrated away (forwarding stubs installed).
+        counter migrated_out;
+        /// Supervisor heartbeats this machine has answered (lease renewals).
+        counter heartbeats_served;
+        /// Requests rejected with [`RemoteError::Fenced`] — stale-epoch
+        /// callers plus calls refused because the serving lease had expired.
+        counter calls_fenced;
+        /// Read verbs served by replicas hosted on this machine.
+        counter replica_reads_served = ReplicaHit;
+        /// Requests a replica refused with [`RemoteError::StaleReplica`]
+        /// (expired coherence lease or caller ahead of the sync epoch).
+        counter replica_reads_stale = ReplicaStale;
+        /// Write propagations (`replica_sync`) this machine's primaries pushed.
+        /// Not bumped by `ReplicaSync`, which the replica manager's re-syncs also record.
+        counter replica_syncs_sent;
+        /// Symbolic-name resolutions answered from this node's resolve cache
+        /// (no directory round-trip).
+        counter dir_cache_hits;
+        /// Resolve-cache misses — resolutions that had to fall through to the
+        /// control plane (a directory or shard lookup).
+        counter dir_cache_misses;
+        /// Requests rejected at admission with
+        /// [`RemoteError::Overloaded`] — mailbox cap
+        /// or machine in-flight budget exceeded (never queued).
+        counter calls_shed_overload = ServerShed;
+        /// Admitted requests shed at execution time because their queue
+        /// sojourn exceeded the CoDel-style target (DESIGN.md §15).
+        counter calls_shed_sojourn = ServerSojournDrop;
+        /// Requests dropped (at admission or execution) because their
+        /// propagated deadline had already expired.
+        counter calls_deadline_expired = ServerDeadlineDrop;
+        /// Outbound calls failed fast by an open circuit breaker without
+        /// touching the network (client role).
+        counter breaker_fast_fails = ClientFastFail;
+        /// Retransmissions suppressed by an exhausted retry budget (client
+        /// role): the retry would have amplified a brownout, so the call
+        /// surfaced its timeout instead.
+        counter retries_suppressed;
+    }
 }
 
 #[cfg(test)]
@@ -863,9 +832,9 @@ mod tests {
     /// field of the same name.
     #[test]
     fn shared_stats_snapshot_fills_every_field_by_name() {
-        let stats = SharedStats::default();
-        stats.calls_served.store(5, Ordering::Relaxed);
-        stats.retries_suppressed.store(9, Ordering::Relaxed);
+        let stats = SharedStats::new(0);
+        stats.calls_served.add(5);
+        stats.retries_suppressed.add(9);
         let snap = stats.snapshot(3, 4);
         let want = NodeStats {
             objects_live: 3,

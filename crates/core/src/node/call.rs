@@ -20,7 +20,7 @@ use crate::future::Pending;
 use crate::ids::{ObjRef, DAEMON};
 use crate::policy::{BreakerConfig, CallPolicy};
 use crate::process::RemoteClient;
-use crate::shared::{bump, CallTrace};
+use crate::shared::CallTrace;
 use crate::trace::{EventKind, TraceCtx};
 
 /// An issued request kept around for retransmission: the encoded frame is
@@ -223,7 +223,7 @@ impl NodeCtx {
             *tokens -= 1000;
             true
         } else {
-            bump!(self.shared.stats, retries_suppressed);
+            self.shared.stats.retries_suppressed.bump();
             false
         }
     }
@@ -340,7 +340,6 @@ impl NodeCtx {
         if let Some((breaker, cfg, now)) = self.breaker(target.machine) {
             match breaker.admit(now, &cfg) {
                 Gate::Fail(retry_after_nanos) => {
-                    bump!(self.shared.stats, breaker_fast_fails);
                     self.trace_marker(EventKind::ClientFastFail, target.machine, 0);
                     return Err(RemoteError::Overloaded {
                         queue_depth: 0,
@@ -646,7 +645,6 @@ impl NodeCtx {
             }
             if let Some(call) = self.outstanding.get(&req_id) {
                 let _ = self.transmit(call, EventKind::ClientRetransmit, attempts + 1);
-                bump!(self.shared.stats, calls_retried);
             }
             attempts += 1;
             window = None;
@@ -844,9 +842,9 @@ impl NodeCtx {
     pub fn cached_resolve(&self, addr: &str) -> Option<ObjRef> {
         let hit = self.beliefs.name(addr);
         if hit.is_some() {
-            bump!(self.shared.stats, dir_cache_hits);
+            self.shared.stats.dir_cache_hits.bump();
         } else {
-            bump!(self.shared.stats, dir_cache_misses);
+            self.shared.stats.dir_cache_misses.bump();
         }
         hit
     }

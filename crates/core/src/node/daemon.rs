@@ -23,8 +23,8 @@ use crate::future::{Pending, PendingClient};
 use crate::ids::{ObjRef, ObjectId, DAEMON};
 use crate::process::{RemoteClient, ServerObject};
 use crate::shared::{
-    bump, raise_epoch, swap_record, Ask, IncomingReq, LiveObj, ObjRecord, PrimaryMeta, ReplicaMeta,
-    Role, Shard,
+    raise_epoch, swap_record, Ask, IncomingReq, LiveObj, ObjRecord, PrimaryMeta, ReplicaMeta, Role,
+    Shard,
 };
 use crate::trace::{EventKind, Family};
 
@@ -517,7 +517,7 @@ impl NodeCtx {
             Err(Refusal::Busy(object)) => return self.park_verb(req, object),
             Err(Refusal::Failed(e)) => Err(e),
             Ok(bytes) => {
-                bump!(self.shared.stats, calls_served);
+                self.shared.stats.calls_served.bump();
                 Ok(bytes)
             }
         };
@@ -747,7 +747,7 @@ impl NodeCtx {
     fn on_migrate_commit(&mut self, object: ObjectId, to: ObjRef) -> Handled<()> {
         self.retire(object, |ctx, shard| match shard.get(&object) {
             Some(ObjRecord::Migrating { epoch, .. }) => {
-                bump!(ctx.shared.stats, migrated_out);
+                ctx.shared.stats.migrated_out.bump();
                 let stub = ObjRecord::Gone {
                     epoch: *epoch,
                     forward: Some(to),
@@ -802,7 +802,7 @@ impl NodeCtx {
     /// snapshot under a fresh local id.
     fn on_adopt_state(&mut self, class: String, state: Bytes) -> Handled<ObjectId> {
         let obj = self.restore(&class, &state.0)?;
-        bump!(self.shared.stats, migrated_in);
+        self.shared.stats.migrated_in.bump();
         Ok(self.adopt(obj).object)
     }
 
@@ -835,7 +835,7 @@ impl NodeCtx {
     fn on_heartbeat(&mut self, ttl_millis: u64) -> Handled<()> {
         let lease = self.lease_expiry(ttl_millis);
         self.shared.lease.store(lease, Ordering::Relaxed);
-        bump!(self.shared.stats, heartbeats_served);
+        self.shared.stats.heartbeats_served.bump();
         Ok(())
     }
 

@@ -299,8 +299,10 @@ impl NodeCtx {
     /// Record an event of a call identified by a [`CallTrace`]: the client
     /// side of a call this node issued (`peer` = its destination), a
     /// request it serves (`peer` = the caller), or a migration's step.
-    /// `value` lands in the `bytes` column. No-op when tracing is off or
-    /// the call is untraced.
+    /// `value` lands in the `bytes` column. The [`NodeStats`] row that
+    /// names `kind`, if one does, counts it here, traced or not; the
+    /// record itself is a no-op when tracing is off or the call is
+    /// untraced.
     fn trace_call(
         &self,
         kind: EventKind,
@@ -310,6 +312,7 @@ impl NodeCtx {
         attempt: u32,
         value: u32,
     ) {
+        self.shared.stats.note(kind);
         if let (Some(tracer), Some(t)) = (&self.tracer, trace) {
             tracer.record(
                 kind,

@@ -17,7 +17,7 @@ use crate::frame::{encode_response, Body, FrameView};
 use crate::ids::{ObjectId, DAEMON};
 use crate::process::{DispatchResult, ServerObject};
 use crate::shared::{
-    bump, raise_epoch, swap_record, Ask, CallTrace, IncomingReq, ObjRecord, Role, WorkerMsg,
+    raise_epoch, swap_record, Ask, CallTrace, IncomingReq, ObjRecord, Role, WorkerMsg,
 };
 use crate::trace::EventKind;
 
@@ -295,7 +295,6 @@ impl NodeCtx {
                 self.trace_request(admitted, &req, 0);
                 match verdict {
                     DedupVerdict::Done(frame) => {
-                        bump!(self.shared.stats, dup_replayed);
                         let _ = self.net.send(self.machine, reply_to, frame);
                         return;
                     }
@@ -304,10 +303,7 @@ impl NodeCtx {
                     // window gave the reply's bytes back (DESIGN.md §6):
                     // the request is not executed again, and this copy
                     // goes unanswered.
-                    DedupVerdict::InFlight => {
-                        bump!(self.shared.stats, dup_suppressed);
-                        return;
-                    }
+                    DedupVerdict::InFlight => return,
                     DedupVerdict::New => {}
                 }
                 self.admit(req);
@@ -351,7 +347,6 @@ impl NodeCtx {
     /// Count and trace `req`'s wait for its object, once per request.
     pub(super) fn park(&self, req: &mut IncomingReq) {
         if !std::mem::replace(&mut req.waited, true) {
-            bump!(self.shared.stats, calls_deferred);
             self.trace_request(EventKind::ServerDefer, req, 0);
         }
     }
@@ -425,7 +420,6 @@ impl NodeCtx {
             // pressure even though the call never ran.
             live.calls += 1;
             drop(shard);
-            bump!(self.shared.stats, calls_shed_overload);
             let depth = queue_depth.min(u32::MAX as u64) as u32;
             self.trace_request(EventKind::ServerShed, &req, depth);
             self.send_response(
@@ -457,26 +451,19 @@ impl NodeCtx {
     fn reject(&mut self, req: &IncomingReq, err: RemoteError) {
         let micros = |nanos: u64| (nanos / 1_000).min(u32::MAX as u64) as u32;
         match &err {
-            RemoteError::Fenced { .. } => {
-                bump!(self.shared.stats, calls_fenced);
-            }
-            RemoteError::Moved { .. } => {
-                bump!(self.shared.stats, calls_forwarded);
-            }
+            RemoteError::Fenced { .. } => self.shared.stats.calls_fenced.bump(),
+            RemoteError::Moved { .. } => self.shared.stats.calls_forwarded.bump(),
             RemoteError::StaleReplica { rs_epoch, .. } => {
-                bump!(self.shared.stats, replica_reads_stale);
                 self.trace_request(EventKind::ReplicaStale, req, *rs_epoch as u32);
             }
             // The propagated deadline passed (at admission, or while the
             // request sat queued): dropped without executing.
             RemoteError::DeadlineExceeded { elapsed_nanos } => {
-                bump!(self.shared.stats, calls_deadline_expired);
                 self.trace_request(EventKind::ServerDeadlineDrop, req, micros(*elapsed_nanos));
             }
             // CoDel-style shed: the request's queue sojourn exceeded the
             // configured target.
             RemoteError::Overloaded { .. } => {
-                bump!(self.shared.stats, calls_shed_sojourn);
                 let sojourn = self.clock.now_nanos().saturating_sub(req.ask.admitted_at);
                 self.trace_request(EventKind::ServerSojournDrop, req, micros(sojourn));
             }
@@ -587,7 +574,6 @@ impl NodeCtx {
                 } => {
                     let (reply_to, req_id) = (req.reply_to, req.req_id);
                     if let Some(rs_now) = replica_hit {
-                        bump!(self.shared.stats, replica_reads_served);
                         self.trace_request(EventKind::ReplicaHit, &req, rs_now as u32);
                     }
                     // Calls the method issues while running inherit this
@@ -665,7 +651,7 @@ impl NodeCtx {
                         Ok(DispatchResult::NoReply) => {}
                         Err(e) => self.send_response(reply_to, req_id, trace.as_ref(), Err(e)),
                     }
-                    bump!(self.shared.stats, calls_served);
+                    self.shared.stats.calls_served.bump();
                 }
             }
             batch += 1;
@@ -711,7 +697,7 @@ impl NodeCtx {
         for r in replicas {
             match self.replica_sync_to(r, state.clone(), rs_epoch, lease_millis) {
                 Ok(()) => {
-                    bump!(self.shared.stats, replica_syncs_sent);
+                    self.shared.stats.replica_syncs_sent.bump();
                     self.trace_marker(EventKind::ReplicaSync, r.machine, rs_epoch as u32);
                 }
                 Err(_) => {

@@ -241,15 +241,6 @@ pub(crate) struct PrimaryMeta {
     pub(crate) lease_millis: u64,
 }
 
-macro_rules! bump {
-    ($stats:expr, $field:ident) => {
-        $stats
-            .$field
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    };
-}
-pub(crate) use bump;
-
 /// Message on a worker lane's control channel, fed by the dispatcher.
 pub(crate) enum WorkerMsg {
     /// A response frame for a call this lane issued (routed by
@@ -399,7 +390,7 @@ impl SharedNode {
                 .collect(),
             lease: AtomicU64::new(u64::MAX),
             dedup: Mutex::new(DedupWindow::default()),
-            stats: SharedStats::default(),
+            stats: SharedStats::new(0),
             next_obj_id: AtomicU64::new(DAEMON + 1),
             snapshots: Mutex::default(),
             pool,

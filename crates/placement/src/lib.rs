@@ -23,7 +23,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use oopp::{NodeCtx, ObjRef, RemoteError};
+use oopp::{NodeCtx, NodeStats, ObjRef, RemoteError};
 
 /// One machine's load over the window since the previous poll.
 ///
@@ -223,7 +223,7 @@ pub struct Balancer {
     cooldown_rounds: u32,
     cooldown: u32,
     prev_object_calls: HashMap<usize, HashMap<u64, u64>>,
-    prev_node: HashMap<usize, (u64, u64, u64)>,
+    prev_node: HashMap<usize, NodeStats>,
     unmovable: HashSet<ObjRef>,
     pinned: HashSet<ObjRef>,
     replicated: HashSet<ObjRef>,
@@ -299,13 +299,8 @@ impl Balancer {
             // A dark machine costs one probe window per step, not two.
             let Ok(stats) = ctx.stats_of(m) else { continue };
             let Ok(loads) = ctx.loads_of(m) else { continue };
-            // Both admission rejections and sojourn drops are turned-away
-            // demand; either alone means the machine is past saturation.
-            let shed_total = stats.calls_shed_overload + stats.calls_shed_sojourn;
-            let prev = self
-                .prev_node
-                .insert(m, (stats.calls_served, stats.calls_deferred, shed_total));
-            let (pc, pd, ps) = prev.unwrap_or((0, 0, 0));
+            let prev = self.prev_node.insert(m, stats).unwrap_or_default();
+            let delta = stats.since(&prev);
             let prev_objects = self.prev_object_calls.entry(m).or_default();
             let mut objects = Vec::with_capacity(loads.len());
             for &(o, c) in &loads {
@@ -317,9 +312,11 @@ impl Balancer {
             prev_objects.retain(|o, _| loads.binary_search_by_key(o, |&(id, _)| id).is_ok());
             samples.push(MachineSample {
                 machine: m,
-                calls: stats.calls_served.saturating_sub(pc),
-                deferred: stats.calls_deferred.saturating_sub(pd),
-                shed: shed_total.saturating_sub(ps),
+                calls: delta.calls_served,
+                deferred: delta.calls_deferred,
+                // Both admission rejections and sojourn drops are turned-away
+                // demand; either alone means the machine is past saturation.
+                shed: delta.calls_shed_overload + delta.calls_shed_sojourn,
                 objects,
             });
         }

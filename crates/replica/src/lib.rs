@@ -93,9 +93,9 @@ pub struct ReplicaStats {
     pub replicas_dropped: u64,
     /// Replicas promoted to primary after a primary-machine death.
     pub promotions: u64,
-    /// Full state pushes performed by [`step`](ReplicaManager::step)
-    /// (write-through pushes by the primary are counted in
-    /// [`NodeStats`](oopp::NodeStats), not here).
+    /// Full state pushes performed by [`step`](ReplicaManager::step); each
+    /// records `ReplicaSync`, as a primary's write-through push (counted in
+    /// [`NodeStats`](oopp::NodeStats)) does, so neither count derives from it.
     pub syncs: u64,
     /// Lease renewals performed by [`step`](ReplicaManager::step).
     pub renewals: u64,

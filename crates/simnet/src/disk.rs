@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 
 use crate::clock::Clock;
 use crate::config::DiskConfig;
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::time::{nanos, transfer_time};
 
 /// Errors from disk operations.
@@ -64,7 +64,7 @@ pub struct SimDisk {
     /// lock: under virtual time a thread blocked on a mutex is invisible to
     /// the clock's quiescence rule and would deadlock the simulation.
     busy_until: Mutex<u64>,
-    ops: AtomicU64,
+    ops: Counter,
     next_alloc: AtomicU64,
 }
 
@@ -72,7 +72,7 @@ impl fmt::Debug for SimDisk {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimDisk")
             .field("capacity", &self.capacity)
-            .field("ops", &self.ops.load(Ordering::Relaxed))
+            .field("ops", &self.ops.get())
             .finish()
     }
 }
@@ -99,7 +99,7 @@ impl SimDisk {
             metrics,
             clock,
             busy_until: Mutex::new(0),
-            ops: AtomicU64::new(0),
+            ops: Counter::default(),
             next_alloc: AtomicU64::new(0),
         }
     }
@@ -139,7 +139,7 @@ impl SimDisk {
     /// Operations (reads + writes) performed on this device so far. E5 uses
     /// this to count how many devices a page map actually engaged.
     pub fn op_count(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
+        self.ops.get()
     }
 
     fn check_bounds(&self, offset: usize, len: usize) -> Result<(), DiskError> {
@@ -157,7 +157,8 @@ impl SimDisk {
     }
 
     /// One device operation over `[offset, offset + len)`: bounds, the
-    /// copy, then the modeled time. Returns the device time it took.
+    /// copy, then the modeled time, counted in its kind's `[count, bytes]`
+    /// rows and the shared busy time.
     ///
     /// The op is scheduled from the instant it was issued, behind whatever
     /// the device already has queued, and the caller sleeps on the clock
@@ -167,8 +168,9 @@ impl SimDisk {
         &self,
         offset: usize,
         len: usize,
+        [count, bytes]: [&Counter; 2],
         copy: impl FnOnce(&mut [u8]),
-    ) -> Result<u64, DiskError> {
+    ) -> Result<(), DiskError> {
         self.check_bounds(offset, len)?;
         let transfer = transfer_time(len, self.config.bytes_per_sec);
         let busy = nanos(self.config.seek.saturating_add(transfer));
@@ -184,22 +186,23 @@ impl SimDisk {
             };
             self.clock.sleep_until_nanos(done);
         }
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        Ok(busy)
+        self.ops.bump();
+        count.bump();
+        bytes.add(len as u64);
+        self.metrics.disk_busy_nanos.add(busy);
+        Ok(())
     }
 
     /// Read `buf.len()` bytes starting at `offset`.
     pub fn read(&self, offset: usize, buf: &mut [u8]) -> Result<(), DiskError> {
-        let busy = self.op(offset, buf.len(), |data| buf.copy_from_slice(data))?;
-        self.metrics.record_disk_read(buf.len(), busy);
-        Ok(())
+        let rows = [&self.metrics.disk_reads, &self.metrics.disk_bytes_read];
+        self.op(offset, buf.len(), rows, |data| buf.copy_from_slice(data))
     }
 
     /// Write `data` starting at `offset`.
     pub fn write(&self, offset: usize, data: &[u8]) -> Result<(), DiskError> {
-        let busy = self.op(offset, data.len(), |store| store.copy_from_slice(data))?;
-        self.metrics.record_disk_write(data.len(), busy);
-        Ok(())
+        let rows = [&self.metrics.disk_writes, &self.metrics.disk_bytes_written];
+        self.op(offset, data.len(), rows, |to| to.copy_from_slice(data))
     }
 }
 

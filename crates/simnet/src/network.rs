@@ -177,7 +177,9 @@ impl Network {
     ) -> Result<(), NetError> {
         let payload = payload.into();
         let route = self.routes.get(dst).ok_or(NetError::NoSuchMachine(dst))?;
-        self.metrics.record_send(src, payload.len());
+        let m = &self.metrics;
+        m.per_machine_sent.add(src, 1);
+        m.per_machine_bytes_sent.add(src, payload.len() as u64);
         let (copies, extra_delay) = match self.faults.verdict(src, dst) {
             Verdict::Deliver {
                 copies,
@@ -186,26 +188,26 @@ impl Network {
                 // Loopback never traverses the fabric, so it dodges the
                 // spike (matching the verdict's delay exemption).
                 if src != dst && self.faults.is_spiked(dst) {
-                    self.metrics.record_spike_delay();
+                    m.spike_delayed.bump();
                 }
                 (copies, extra_delay)
             }
             Verdict::DropRandom => {
-                self.metrics.record_fault_drop();
+                m.faults_dropped.bump();
                 return Ok(());
             }
             Verdict::DropPartitioned => {
-                self.metrics.record_partition_drop();
+                m.partition_dropped.bump();
                 return Ok(());
             }
             Verdict::DropCrashed => {
-                self.metrics.record_crash_drop();
+                m.crash_dropped.bump();
                 return Ok(());
             }
         };
         let packet = Packet::new(src, dst, payload);
         if copies == 2 {
-            self.metrics.record_fault_dup();
+            m.faults_duplicated.bump();
             self.deliver(route, packet.clone(), extra_delay)?;
         }
         self.deliver(route, packet, extra_delay)
@@ -222,8 +224,8 @@ impl Network {
             Route::Direct(tx) => {
                 // Nowhere to apply a delay, and none to apply: `build`
                 // refused a cost or a delaying plan, `spike` is refused.
-                self.metrics.record_delivery(dst, packet.len());
-                tx.send(packet).map_err(|_| NetError::Disconnected(dst))
+                let delivered = hand_over(tx, packet, &self.metrics);
+                delivered.then_some(()).ok_or(NetError::Disconnected(dst))
             }
             Route::Sim => {
                 let mut cost = self.topology.cost(src, dst);
@@ -259,15 +261,17 @@ pub(crate) fn link_delivery(
     done
 }
 
-/// Put a packet whose link delay has elapsed into its machine's inbox and
-/// count it — delivered, or lost because the machine shut down meanwhile.
+/// Put a packet into its machine's inbox — at once on the real-time route,
+/// once its link delay has elapsed on the virtual one — and count it:
+/// delivered, or lost because the machine shut down meanwhile.
 pub(crate) fn hand_over(inbox: &Sender<Packet>, packet: Packet, metrics: &Metrics) -> bool {
     let (dst, bytes) = (packet.dst, packet.len());
     let delivered = inbox.send(packet).is_ok();
     if delivered {
-        metrics.record_delivery(dst, bytes);
+        metrics.per_machine_received.add(dst, 1);
+        metrics.per_machine_bytes_received.add(dst, bytes as u64);
     } else {
-        metrics.record_delivery_dropped();
+        metrics.deliveries_dropped.bump();
     }
     delivered
 }
@@ -457,6 +461,20 @@ mod tests {
         let s = net.metrics().snapshot();
         assert_eq!(s.deliveries_dropped, 1);
         assert_eq!(s.per_machine_received, vec![0, 0]);
+    }
+
+    #[test]
+    fn a_real_time_send_to_a_dead_inbox_is_counted_dropped_not_received() {
+        let (net, mut inboxes) = net(2, TopologySpec::Uniform(NetCost::zero()));
+        drop(inboxes.remove(1));
+        assert_eq!(
+            net.send(0, 1, vec![1, 2, 3]),
+            Err(NetError::Disconnected(1))
+        );
+        let s = net.metrics().snapshot();
+        assert_eq!(s.deliveries_dropped, 1);
+        assert_eq!(s.per_machine_received, vec![0, 0]);
+        assert_eq!(s.per_machine_bytes_received, vec![0, 0]);
     }
 
     #[test]

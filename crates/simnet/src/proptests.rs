@@ -75,7 +75,8 @@ fn metrics_deltas_add_up() {
         let before = m.snapshot();
         let mut total_bytes = 0u64;
         for (src, bytes) in &sends {
-            m.record_send(*src, *bytes);
+            m.per_machine_sent.add(*src, 1);
+            m.per_machine_bytes_sent.add(*src, *bytes as u64);
             total_bytes += *bytes as u64;
         }
         let delta = m.snapshot().since(&before);

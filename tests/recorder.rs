@@ -621,13 +621,12 @@ impl Slow {
     }
 }
 
-/// Every counter bumped at the same site as an event equals, summed over
-/// the machines and the driver, the trace's count of that event — in one
+/// Every `NodeStats` row that names an event equals, summed over the
+/// machines and the driver, the trace's count of that event — in one
 /// traced virtual-time run with duplicates replayed and suppressed,
-/// retransmits, a breaker fast-fail, admission sheds, a deadline drop, and
-/// replica hits and a stale replica read. (`ReplicaSync` is left out: the
-/// manager's re-syncs are traced but not counted.) Each shed and drop
-/// names the request it refused.
+/// retransmits, a breaker fast-fail, deferrals, admission sheds, a
+/// deadline drop, a sojourn drop, and replica hits and a stale replica
+/// read. Each shed and drop names the request it refused.
 #[test]
 fn the_counters_and_the_recorder_agree() {
     let reliable = CallPolicy::reliable(Duration::from_millis(20));
@@ -637,6 +636,7 @@ fn the_counters_and_the_recorder_agree() {
         .register::<Slow>()
         .overload(OverloadConfig {
             mailbox_cap: 2,
+            sojourn_target: Duration::from_millis(20),
             ..OverloadConfig::new()
         })
         .sim_config(
@@ -680,8 +680,10 @@ fn the_counters_and_the_recorder_agree() {
     }
     faults.calm();
 
-    // The worker busy for 50 ms: a 10 ms budget expires in the mailbox,
-    // and a full mailbox (cap 2) sheds two more at admission.
+    // The worker busy for 50 ms: the calls behind it are deferred, a 10 ms
+    // budget expires in the mailbox, a full mailbox (cap 2) sheds two more
+    // at admission, and the one it kept waits past the 20 ms sojourn
+    // target.
     let busy = s.work_async(&mut driver, 50_000_000).unwrap();
     driver.serve_for(Duration::from_millis(2));
     driver.set_call_policy(reliable.with_deadline(Duration::from_millis(10)));
@@ -696,7 +698,7 @@ fn the_counters_and_the_recorder_agree() {
         .into_iter()
         .filter_map(|p| p.wait(&mut driver).err())
         .count();
-    assert_eq!(shed, 2);
+    assert_eq!(shed, 3);
 
     // Two timeouts against a dark machine trip the breaker; the third
     // call fails fast.
@@ -715,17 +717,12 @@ fn the_counters_and_the_recorder_agree() {
     faults.restart(3);
     driver.set_call_policy(reliable);
 
-    let mut totals = driver.local_stats();
+    let mut totals = driver.local_stats().mirrored();
     for m in 0..4 {
-        let st = driver.stats_of(m).unwrap();
-        totals.dup_replayed += st.dup_replayed;
-        totals.dup_suppressed += st.dup_suppressed;
-        totals.calls_retried += st.calls_retried;
-        totals.breaker_fast_fails += st.breaker_fast_fails;
-        totals.calls_shed_overload += st.calls_shed_overload;
-        totals.calls_deadline_expired += st.calls_deadline_expired;
-        totals.replica_reads_served += st.replica_reads_served;
-        totals.replica_reads_stale += st.replica_reads_stale;
+        let rows = driver.stats_of(m).unwrap().mirrored();
+        for (total, (_, _, count)) in totals.iter_mut().zip(rows) {
+            total.2 += count;
+        }
     }
     cluster.shutdown(driver);
     let trace = recorder.merge();
@@ -733,37 +730,8 @@ fn the_counters_and_the_recorder_agree() {
     assert_eq!(audit_lines(&trace), Vec::<String>::new());
 
     use EventKind::*;
-    let pairs = [
-        ("dup_replayed", totals.dup_replayed, ServerAdmitDone),
-        ("dup_suppressed", totals.dup_suppressed, ServerAdmitInFlight),
-        ("calls_retried", totals.calls_retried, ClientRetransmit),
-        (
-            "breaker_fast_fails",
-            totals.breaker_fast_fails,
-            ClientFastFail,
-        ),
-        (
-            "calls_shed_overload",
-            totals.calls_shed_overload,
-            ServerShed,
-        ),
-        (
-            "calls_deadline_expired",
-            totals.calls_deadline_expired,
-            ServerDeadlineDrop,
-        ),
-        (
-            "replica_reads_served",
-            totals.replica_reads_served,
-            ReplicaHit,
-        ),
-        (
-            "replica_reads_stale",
-            totals.replica_reads_stale,
-            ReplicaStale,
-        ),
-    ];
-    for (counter, count, kind) in pairs {
+    assert_eq!(totals.len(), 10, "the rows that name an event");
+    for (counter, kind, count) in totals {
         println!("{counter:>22} = {count:>3}  {}", kind.label());
         assert!(count > 0, "the run never bumped {counter}");
         assert_eq!(
@@ -783,7 +751,7 @@ fn the_counters_and_the_recorder_agree() {
     for refusal in trace
         .events
         .iter()
-        .filter(|e| matches!(e.kind, ServerShed | ServerDeadlineDrop))
+        .filter(|e| matches!(e.kind, ServerShed | ServerDeadlineDrop | ServerSojournDrop))
     {
         let key = (refusal.span_id, refusal.req_id);
         assert!(sent.contains(&key), "{refusal:?} names no send");
