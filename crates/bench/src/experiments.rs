@@ -854,7 +854,7 @@ pub fn e10_placement() -> Vec<Table> {
                 b
             })
             .collect();
-        let mut balancer = Balancer::new(policy, (0..WORKERS).collect()).with_cooldown(1);
+        let mut balancer = Balancer::new(policy, (0..WORKERS).collect());
         balancer.pin(driver.directory().obj_ref());
         // The coldest object stays put in every run so the chaos variant
         // can deterministically aim a migration at the crashed machine.
@@ -1004,25 +1004,6 @@ pub fn e10_placement() -> Vec<Table> {
     vec![t, method_stats_table(&balanced.trace)]
 }
 
-/// The supervision cadence of E11 and E14's chaos phase: a 10 ms heartbeat
-/// the detector expects, a `lease_ttl` lease, two restart attempts 10 ms
-/// apart.
-fn supervisor_config(lease_ttl: Duration) -> supervision::SupervisorConfig {
-    let heartbeat_interval = Duration::from_millis(10);
-    supervision::SupervisorConfig {
-        heartbeat_interval,
-        lease_ttl,
-        detector: supervision::DetectorConfig {
-            expected_interval: heartbeat_interval,
-            ..Default::default()
-        },
-        restart: supervision::RestartPolicy::Retries {
-            max_retries: 2,
-            backoff: Backoff::fixed(heartbeat_interval),
-        },
-    }
-}
-
 /// E11 (DESIGN.md §10): self-healing under the E10-style Zipf workload.
 ///
 /// Supervised [`HotBlock`]s live on machines 1–3 (machine 0 keeps the
@@ -1083,7 +1064,7 @@ pub fn e11_self_healing() -> Vec<Table> {
             .call_policy(call_policy)
             .build();
         let dir = driver.directory();
-        let mut sup = Supervisor::new(supervisor_config(LEASE), HOMES.to_vec(), dir);
+        let mut sup = Supervisor::new(LEASE, HOMES.to_vec(), dir);
 
         // Object k lives on HOMES[k % 3]; the hottest (k = 0) on machine 1,
         // which is the machine every fault variant kills.
@@ -1954,8 +1935,7 @@ pub fn e14_dirsvc() -> Vec<Table> {
         let mut svc = DirService::new(
             DirServiceConfig {
                 read_replicas: 0,
-                snapshot_backups: 2,
-                supervisor: supervisor_config(Duration::from_millis(500)),
+                lease_ttl: Duration::from_millis(500),
                 ..DirServiceConfig::default()
             },
             vec![1, 2, 3],

@@ -74,7 +74,7 @@ pub use naming::{
     DIRSVC_PREFIX,
 };
 pub use node::{CallInfo, NodeCtx, DEFAULT_TIMEOUT};
-pub use policy::{Backoff, BreakerConfig, CallPolicy, OverloadConfig, RetryBudgetConfig};
+pub use policy::{Backoff, BreakerConfig, CallPolicy, OverloadConfig};
 pub use process::{ClassRegistry, DispatchResult, RemoteClient, ServerClass, ServerObject};
 pub use runtime::{Cluster, ClusterBuilder, Driver};
 pub use simnet::PacketBytes;

@@ -18,7 +18,9 @@ use crate::error::{RemoteError, RemoteResult};
 use crate::frame::{Body, RequestHeader};
 use crate::future::Pending;
 use crate::ids::{ObjRef, DAEMON};
-use crate::policy::{BreakerConfig, CallPolicy};
+use crate::policy::{
+    BreakerConfig, CallPolicy, RETRY_BUCKET_MILLITOKENS, RETRY_DEPOSIT_MILLITOKENS,
+};
 use crate::process::RemoteClient;
 use crate::shared::CallTrace;
 use crate::trace::{EventKind, TraceCtx};
@@ -215,7 +217,7 @@ impl NodeCtx {
     /// `dest`. Returns `false` — and counts a suppressed retry — when the
     /// bucket is dry, in which case the caller must not retransmit.
     fn spend_retry_token(&mut self, dest: MachineId) -> bool {
-        if self.policy.retry_budget.is_none() {
+        if !self.policy.retry_budget {
             return true;
         }
         let tokens = &mut self.beliefs.peer(dest).retry_millitokens;
@@ -354,9 +356,9 @@ impl NodeCtx {
         }
         // Each admitted first attempt earns the destination's retry bucket
         // a deposit; retransmissions later spend from it (see `wait_raw`).
-        if let Some(rb) = self.policy.retry_budget {
+        if self.policy.retry_budget {
             let tokens = &mut self.beliefs.peer(target.machine).retry_millitokens;
-            *tokens = (*tokens + rb.deposit_millitokens as u64).min(rb.max_millitokens as u64);
+            *tokens = (*tokens + RETRY_DEPOSIT_MILLITOKENS).min(RETRY_BUCKET_MILLITOKENS);
         }
         let req_id = self.alloc_req_id();
         let call_trace = if self.tracer.is_some() {

@@ -11,7 +11,7 @@ use wire::Reader;
 
 use crate::error::RemoteError;
 use crate::ids::ObjRef;
-use crate::policy::OverloadConfig;
+use crate::policy::{OverloadConfig, RETRY_AFTER_NANOS};
 use crate::shared::{Ask, LiveObj, ObjRecord, Role};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -85,7 +85,7 @@ pub(crate) fn judge(
                 // Depth includes this request: a zero depth is reserved
                 // for client-side breaker fast-fails.
                 queue_depth: live.mailbox.len() as u64 + 1,
-                retry_after_nanos: overload.retry_after.as_nanos() as u64,
+                retry_after_nanos: RETRY_AFTER_NANOS,
             });
         }
     }

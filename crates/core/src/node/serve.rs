@@ -15,6 +15,7 @@ use crate::dedup::DedupVerdict;
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::{encode_response, Body, FrameView};
 use crate::ids::{ObjectId, DAEMON};
+use crate::policy::RETRY_AFTER_NANOS;
 use crate::process::{DispatchResult, ServerObject};
 use crate::shared::{
     raise_epoch, swap_record, Ask, CallTrace, IncomingReq, ObjRecord, Role, WorkerMsg,
@@ -428,7 +429,7 @@ impl NodeCtx {
                 req.trace.as_ref(),
                 Err(RemoteError::Overloaded {
                     queue_depth,
-                    retry_after_nanos: self.shared.overload.retry_after.as_nanos() as u64,
+                    retry_after_nanos: RETRY_AFTER_NANOS,
                 }),
             );
             return;

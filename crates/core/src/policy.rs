@@ -132,39 +132,21 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Token-bucket retry budget (DESIGN.md §15): caps the *ratio* of
-/// retransmissions to first attempts so retries cannot amplify a brownout.
-///
-/// Accounting is in millitokens per destination machine. Every first
-/// attempt deposits `deposit_millitokens` (capped at `max_millitokens`);
-/// every retransmission spends 1000. When the bucket cannot cover a
-/// retransmission, the retry is suppressed and the call surfaces its
-/// timeout immediately — with `deposit_millitokens = 100`, sustained retry
-/// volume is capped at ~10% of call volume.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryBudgetConfig {
-    /// Millitokens deposited per first attempt (1000 = one retry banked
-    /// per call; 100 = one retry per ten calls).
-    pub deposit_millitokens: u32,
-    /// Bucket capacity — bounds the burst of retries after an idle period.
-    pub max_millitokens: u32,
-}
+/// Millitokens a first attempt deposits in its destination's retry bucket
+/// when [`CallPolicy::retry_budget`] is on (DESIGN.md §15). Every
+/// retransmission spends 1000; when the bucket cannot cover one the retry
+/// is suppressed and the call surfaces its timeout at once, so sustained
+/// retry volume is capped at ~10% of call volume.
+pub(crate) const RETRY_DEPOSIT_MILLITOKENS: u64 = 100;
 
-impl RetryBudgetConfig {
-    /// A sensible default: 10% sustained retry ratio, burst of 10 retries.
-    pub const fn new() -> Self {
-        RetryBudgetConfig {
-            deposit_millitokens: 100,
-            max_millitokens: 10_000,
-        }
-    }
-}
+/// Capacity of a destination's retry bucket: bounds the burst of retries
+/// after an idle period to ten.
+pub(crate) const RETRY_BUCKET_MILLITOKENS: u64 = 10_000;
 
-impl Default for RetryBudgetConfig {
-    fn default() -> Self {
-        RetryBudgetConfig::new()
-    }
-}
+/// Backoff hint stamped into server-side
+/// [`Overloaded`](crate::RemoteError::Overloaded) rejections
+/// (`retry_after_nanos`): 1 ms.
+pub(crate) const RETRY_AFTER_NANOS: u64 = 1_000_000;
 
 /// Server-side admission-control knobs (DESIGN.md §15), set cluster-wide
 /// via `ClusterBuilder::overload`. The defaults are deliberately generous
@@ -184,20 +166,16 @@ pub struct OverloadConfig {
     /// this is shed at execution time instead of running late.
     /// `Duration::ZERO` (the default) disables sojourn shedding.
     pub sojourn_target: Duration,
-    /// Backoff hint stamped into `Overloaded` rejections
-    /// (`retry_after_nanos`).
-    pub retry_after: Duration,
 }
 
 impl OverloadConfig {
     /// Generous defaults: 4096-deep mailboxes, 65 536 in-flight, sojourn
-    /// shedding off, 1 ms retry hint.
+    /// shedding off.
     pub const fn new() -> Self {
         OverloadConfig {
             mailbox_cap: 4096,
             inflight_cap: 65_536,
             sojourn_target: Duration::ZERO,
-            retry_after: Duration::from_millis(1),
         }
     }
 }
@@ -227,8 +205,10 @@ pub struct CallPolicy {
     pub deadline: Duration,
     /// Per-destination circuit breaker; `None` (the default) disables it.
     pub breaker: Option<BreakerConfig>,
-    /// Token-bucket retry budget; `None` (the default) disables it.
-    pub retry_budget: Option<RetryBudgetConfig>,
+    /// Token-bucket retry budget: each first attempt deposits
+    /// 0.1 retry in its destination's bucket (capped at 10) and each
+    /// retransmission spends one. `false` (the default) disables it.
+    pub retry_budget: bool,
     /// Exempt this call from circuit breakers. Set by
     /// [`CallPolicy::probe`]: supervision probes *are* the evidence that
     /// decides whether a machine is dead — a breaker that swallows them
@@ -252,7 +232,7 @@ impl CallPolicy {
             backoff: Backoff::fixed(Duration::ZERO),
             deadline: Duration::ZERO,
             breaker: None,
-            retry_budget: None,
+            retry_budget: false,
             breaker_exempt: false,
         }
     }
@@ -302,8 +282,8 @@ impl CallPolicy {
     }
 
     /// Enable the token-bucket retry budget (builder style).
-    pub fn with_retry_budget(mut self, budget: RetryBudgetConfig) -> Self {
-        self.retry_budget = Some(budget);
+    pub fn with_retry_budget(mut self) -> Self {
+        self.retry_budget = true;
         self
     }
 
@@ -449,7 +429,7 @@ mod tests {
         let p = CallPolicy::default();
         assert_eq!(p.deadline, Duration::ZERO);
         assert!(p.breaker.is_none());
-        assert!(p.retry_budget.is_none());
+        assert!(!p.retry_budget);
         assert!(!p.breaker_exempt);
 
         let p = CallPolicy::reliable(Duration::from_millis(100))
@@ -458,10 +438,10 @@ mod tests {
                 failure_threshold: 3,
                 cooldown: Duration::from_millis(50),
             })
-            .with_retry_budget(RetryBudgetConfig::new());
+            .with_retry_budget();
         assert_eq!(p.deadline, Duration::from_millis(250));
         assert_eq!(p.breaker.unwrap().failure_threshold, 3);
-        assert_eq!(p.retry_budget.unwrap().deposit_millitokens, 100);
+        assert!(p.retry_budget);
         // The overload knobs ride along without disturbing retry basics.
         assert_eq!(p.max_attempts(), 5);
     }

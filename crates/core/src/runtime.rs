@@ -118,9 +118,9 @@ impl ClusterBuilder {
     }
 
     /// Per-machine overload protection (DESIGN.md §15): mailbox caps, the
-    /// machine-wide in-flight budget, the CoDel-style sojourn target, and
-    /// the `retry_after` hint stamped on [`RemoteError::Overloaded`]
-    /// rejections. The defaults ([`OverloadConfig::new`]) are generous
+    /// machine-wide in-flight budget and the CoDel-style sojourn target.
+    /// Every [`RemoteError::Overloaded`] rejection they cause carries a
+    /// 1 ms retry hint. The defaults ([`OverloadConfig::new`]) are generous
     /// enough that well-behaved workloads never notice them.
     ///
     /// [`RemoteError::Overloaded`]: crate::RemoteError::Overloaded

@@ -28,14 +28,19 @@
 //! snapshot backups of unreplicated shards).
 
 use std::collections::HashSet;
+use std::time::Duration;
 
 use oopp::naming::shard_addr;
 use oopp::{DirShardClient, NameService, NodeCtx, ObjRef, RemoteClient, RemoteError, RemoteResult};
 use placement::{probe_loads, rank_by_load};
 use replica::{ReplicaConfig, ReplicaManager};
-use supervision::{Recovery, Supervisor, SupervisorConfig};
+use supervision::{Recovery, Supervisor};
 
-/// Tuning for a [`DirService`].
+/// Snapshot backup machines per unreplicated shard.
+const SNAPSHOT_BACKUPS: usize = 2;
+
+/// Tuning for a [`DirService`]. An unreplicated shard's snapshot goes to
+/// the two least-loaded monitored machines besides its own.
 #[derive(Debug, Clone)]
 pub struct DirServiceConfig {
     /// Read replicas per shard. `0` keeps shards unreplicated: recovery
@@ -43,10 +48,8 @@ pub struct DirServiceConfig {
     /// read replicas per shard with write-through coherence; recovery is
     /// replica promotion.
     pub read_replicas: usize,
-    /// Snapshot backup machines per unreplicated shard (min 1).
-    pub snapshot_backups: usize,
-    /// Supervision tuning (heartbeats, lease TTL, detector, restarts).
-    pub supervisor: SupervisorConfig,
+    /// The supervisor's serving lease (see [`Supervisor::new`]).
+    pub lease_ttl: Duration,
     /// Replication tuning (coherence mode, replica lease).
     pub replica: ReplicaConfig,
 }
@@ -55,8 +58,7 @@ impl Default for DirServiceConfig {
     fn default() -> Self {
         DirServiceConfig {
             read_replicas: 0,
-            snapshot_backups: 2,
-            supervisor: SupervisorConfig::default(),
+            lease_ttl: Duration::from_millis(200),
             replica: ReplicaConfig::default(),
         }
     }
@@ -84,7 +86,6 @@ pub struct DirService {
     ns: NameService,
     machines: Vec<usize>,
     read_replicas: usize,
-    snapshot_backups: usize,
     supervisor: Supervisor,
     replicas: ReplicaManager,
     /// Machines currently believed dead — the edge detector that fires
@@ -102,8 +103,7 @@ impl DirService {
             ns,
             machines: machines.clone(),
             read_replicas: config.read_replicas,
-            snapshot_backups: config.snapshot_backups.max(1),
-            supervisor: Supervisor::new(config.supervisor, machines, ns),
+            supervisor: Supervisor::new(config.lease_ttl, machines, ns),
             replicas: ReplicaManager::new(config.replica, ns),
             dead: HashSet::new(),
         }
@@ -159,7 +159,7 @@ impl DirService {
                 })?;
             let client: DirShardClient = RemoteClient::from_ref(seat);
             if self.read_replicas == 0 {
-                let backups = self.pick_targets(ctx, seat.machine, self.snapshot_backups);
+                let backups = self.pick_targets(ctx, seat.machine, SNAPSHOT_BACKUPS);
                 if backups.is_empty() {
                     return Err(RemoteError::app(format!(
                         "{name}: no live backup machine for the shard snapshot"
@@ -222,6 +222,6 @@ mod tests {
     fn default_config_is_unreplicated_with_two_backups() {
         let c = DirServiceConfig::default();
         assert_eq!(c.read_replicas, 0);
-        assert_eq!(c.snapshot_backups, 2);
+        assert_eq!(SNAPSHOT_BACKUPS, 2);
     }
 }

@@ -16,8 +16,8 @@
 //! cluster, and the balancer's decisions under a seeded workload are
 //! deterministic. Execution adds two dampers the pure plan can't express:
 //! a **cooldown** (after any round that migrates, the balancer sits out
-//! the next `cooldown_rounds` polls, so two policies reacting to each
-//! other's traffic can't thrash an object back and forth) and an
+//! the next round, so two policies reacting to each other's traffic can't
+//! thrash an object back and forth) and an
 //! **unmovable set** (objects whose migration failed — e.g. a
 //! non-persistent class — are not proposed again).
 
@@ -220,8 +220,8 @@ impl PlacementPolicy {
 pub struct Balancer {
     policy: PlacementPolicy,
     machines: Vec<usize>,
-    cooldown_rounds: u32,
-    cooldown: u32,
+    /// The previous round migrated: sit this one out.
+    cooling: bool,
     prev_object_calls: HashMap<usize, HashMap<u64, u64>>,
     prev_node: HashMap<usize, NodeStats>,
     unmovable: HashSet<ObjRef>,
@@ -232,14 +232,13 @@ pub struct Balancer {
 }
 
 impl Balancer {
-    /// A balancer managing `machines` under `policy`, with a default
-    /// hysteresis of one round.
+    /// A balancer managing `machines` under `policy`, with a hysteresis
+    /// of one round.
     pub fn new(policy: PlacementPolicy, machines: Vec<usize>) -> Self {
         Balancer {
             policy,
             machines,
-            cooldown_rounds: 1,
-            cooldown: 0,
+            cooling: false,
             prev_object_calls: HashMap::new(),
             prev_node: HashMap::new(),
             unmovable: HashSet::new(),
@@ -248,13 +247,6 @@ impl Balancer {
             moves_executed: 0,
             moves_skipped_replicated: 0,
         }
-    }
-
-    /// Rounds to sit out after a round that migrated (0 disables the
-    /// damper).
-    pub fn with_cooldown(mut self, rounds: u32) -> Self {
-        self.cooldown_rounds = rounds;
-        self
     }
 
     /// Never propose moving `obj` (e.g. an object with machine-local
@@ -324,14 +316,14 @@ impl Balancer {
     }
 
     /// One control round: poll, plan, execute. Returns the plans that
-    /// were actually executed. During a cooldown the balancer still polls
-    /// (so the deltas stay one window wide) but plans nothing. A failed
-    /// move is the balancer's to absorb, never the caller's: it rolls back
-    /// and its object is not proposed again.
+    /// were actually executed. In the round after one that migrated (the
+    /// cooldown) the balancer still polls, so the deltas stay one window
+    /// wide, but plans nothing. A failed move is the balancer's to absorb,
+    /// never the caller's: it rolls back and its object is not proposed
+    /// again.
     pub fn step(&mut self, ctx: &mut NodeCtx) -> Vec<MigrationPlan> {
         let samples = self.sample(ctx);
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
+        if std::mem::take(&mut self.cooling) {
             return Vec::new();
         }
         let mut executed = Vec::new();
@@ -371,9 +363,7 @@ impl Balancer {
                 }
             }
         }
-        if !executed.is_empty() {
-            self.cooldown = self.cooldown_rounds;
-        }
+        self.cooling = !executed.is_empty();
         executed
     }
 }

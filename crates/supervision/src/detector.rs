@@ -8,8 +8,8 @@
 //! probability that a heartbeat would still be outstanding at time `t`
 //! given the empirical inter-arrival distribution. `phi = 1` means the
 //! silence would be this long in ~10% of healthy windows, `phi = 3` in
-//! ~0.1%. Callers choose thresholds, and thereby their own false-positive
-//! rate, without touching the detector.
+//! ~0.1%. The thresholds are fixed at those two levels: `phi >= 1`
+//! reads [`Verdict::Suspect`], `phi >= 3` reads [`Verdict::Dead`].
 //!
 //! The implementation is **pure**: time enters only as explicit `Duration`
 //! offsets from an origin the caller picks, so unit tests drive the clock
@@ -18,45 +18,28 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
-/// Tuning for a [`FailureDetector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorConfig {
-    /// Heartbeat period the supervisor intends to send at. Used as the
-    /// prior mean until enough real intervals accumulate.
-    pub expected_interval: Duration,
-    /// Sliding-window length (number of inter-arrival samples kept).
-    pub window: usize,
-    /// Suspicion level at which a machine becomes [`Verdict::Suspect`].
-    pub suspect_phi: f64,
-    /// Suspicion level at which a machine becomes [`Verdict::Dead`].
-    pub dead_phi: f64,
-    /// Floor on the interval standard deviation, as a fraction of the
-    /// mean. A perfectly regular simulated fabric would otherwise drive
-    /// the std toward zero and make phi explode on the first late beat.
-    pub min_std_fraction: f64,
-}
+use crate::HEARTBEAT_INTERVAL;
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            expected_interval: Duration::from_millis(20),
-            window: 64,
-            suspect_phi: 1.0,
-            dead_phi: 3.0,
-            min_std_fraction: 0.25,
-        }
-    }
-}
+/// Inter-arrival samples kept per machine (the sliding window).
+const WINDOW: usize = 64;
+/// Suspicion level at which a machine becomes [`Verdict::Suspect`].
+const SUSPECT_PHI: f64 = 1.0;
+/// Suspicion level at which a machine becomes [`Verdict::Dead`].
+const DEAD_PHI: f64 = 3.0;
+/// Floor on the interval standard deviation, as a fraction of the mean. A
+/// perfectly regular simulated fabric would otherwise drive the std toward
+/// zero and make phi explode on the first late beat.
+const MIN_STD_FRACTION: f64 = 0.25;
 
 /// Three-state liveness assessment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Heartbeats arriving within the learned distribution.
     Alive,
-    /// Unusually silent (`phi >= suspect_phi`): stop trusting, start
-    /// watching. Not yet grounds for takeover.
+    /// Unusually silent (`phi >= 1`): stop trusting, start watching. Not
+    /// yet grounds for takeover.
     Suspect,
-    /// Silent beyond plausibility (`phi >= dead_phi`).
+    /// Silent beyond plausibility (`phi >= 3`).
     Dead,
 }
 
@@ -68,33 +51,20 @@ struct History {
     intervals: VecDeque<f64>,
 }
 
-/// Suspicion accumulator over a set of machines.
-#[derive(Debug)]
+/// Suspicion accumulator over a set of machines. The default has no
+/// observations yet.
+#[derive(Debug, Default)]
 pub struct FailureDetector {
-    config: DetectorConfig,
     histories: HashMap<usize, History>,
 }
 
 impl FailureDetector {
-    /// A detector with no observations yet.
-    pub fn new(config: DetectorConfig) -> Self {
-        FailureDetector {
-            config,
-            histories: HashMap::new(),
-        }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
-    }
-
     /// Record a heartbeat from `machine` observed at offset `now`.
     pub fn heartbeat(&mut self, machine: usize, now: Duration) {
         let h = self.histories.entry(machine).or_default();
         if let Some(last) = h.last {
             if now > last {
-                if h.intervals.len() >= self.config.window.max(1) {
+                if h.intervals.len() >= WINDOW {
                     h.intervals.pop_front();
                 }
                 h.intervals.push_back((now - last).as_secs_f64());
@@ -115,20 +85,17 @@ impl FailureDetector {
     /// `0.0` until the first heartbeat: a machine that has never spoken
     /// is booting, not dying, and suspecting it would make every cluster
     /// start-up a mass false positive. After the first heartbeat the
-    /// configured `expected_interval` serves as the distribution's prior
-    /// mean until the window fills with real samples.
+    /// supervisor's [`HEARTBEAT_INTERVAL`] serves as the distribution's
+    /// prior mean until the first real interval arrives.
     pub fn phi(&self, machine: usize, now: Duration) -> f64 {
         let Some(h) = self.histories.get(&machine) else {
             return 0.0;
         };
         let Some(last) = h.last else { return 0.0 };
         let elapsed = now.saturating_sub(last).as_secs_f64();
-        let prior = self.config.expected_interval.as_secs_f64();
         let (mean, std) = if h.intervals.is_empty() {
-            (
-                prior,
-                prior * self.config.min_std_fraction.max(f64::EPSILON),
-            )
+            let prior = HEARTBEAT_INTERVAL.as_secs_f64();
+            (prior, prior * MIN_STD_FRACTION)
         } else {
             let n = h.intervals.len() as f64;
             let mean = h.intervals.iter().sum::<f64>() / n;
@@ -138,7 +105,7 @@ impl FailureDetector {
                 .map(|x| (x - mean) * (x - mean))
                 .sum::<f64>()
                 / n;
-            let floor = mean * self.config.min_std_fraction.max(f64::EPSILON);
+            let floor = mean * MIN_STD_FRACTION;
             (mean, var.sqrt().max(floor).max(1e-9))
         };
         // Tail probability of a normal N(mean, std) at `elapsed`, via the
@@ -162,9 +129,9 @@ impl FailureDetector {
     /// Threshold [`phi`](FailureDetector::phi) into a [`Verdict`].
     pub fn verdict(&self, machine: usize, now: Duration) -> Verdict {
         let phi = self.phi(machine, now);
-        if phi >= self.config.dead_phi {
+        if phi >= DEAD_PHI {
             Verdict::Dead
-        } else if phi >= self.config.suspect_phi {
+        } else if phi >= SUSPECT_PHI {
             Verdict::Suspect
         } else {
             Verdict::Alive
@@ -186,7 +153,7 @@ mod tests {
     }
 
     fn fed_detector(beats: u64, period: u64) -> FailureDetector {
-        let mut d = FailureDetector::new(DetectorConfig::default());
+        let mut d = FailureDetector::default();
         for i in 0..beats {
             d.heartbeat(7, ms(i * period));
         }
@@ -195,7 +162,7 @@ mod tests {
 
     #[test]
     fn silent_from_birth_is_not_suspected() {
-        let d = FailureDetector::new(DetectorConfig::default());
+        let d = FailureDetector::default();
         assert_eq!(d.phi(3, ms(10_000)), 0.0);
         assert_eq!(d.verdict(3, ms(10_000)), Verdict::Alive);
     }
@@ -240,35 +207,9 @@ mod tests {
     }
 
     #[test]
-    fn higher_dead_threshold_tolerates_longer_silence() {
-        // The tunable false-positive contract: raising dead_phi strictly
-        // delays the Dead verdict for the same observation stream.
-        let mut touchy = FailureDetector::new(DetectorConfig {
-            dead_phi: 1.5,
-            ..DetectorConfig::default()
-        });
-        let mut patient = FailureDetector::new(DetectorConfig {
-            dead_phi: 8.0,
-            ..DetectorConfig::default()
-        });
-        for i in 0..50u64 {
-            touchy.heartbeat(1, ms(i * 20));
-            patient.heartbeat(1, ms(i * 20));
-        }
-        let t0 = 49 * 20;
-        let first_dead = |d: &FailureDetector| {
-            (0..20_000u64)
-                .step_by(5)
-                .find(|&x| d.verdict(1, ms(t0 + x)) == Verdict::Dead)
-                .expect("eventually dead")
-        };
-        assert!(first_dead(&touchy) < first_dead(&patient));
-    }
-
-    #[test]
     fn jittery_fabric_earns_more_patience_than_a_steady_one() {
-        let mut steady = FailureDetector::new(DetectorConfig::default());
-        let mut jittery = FailureDetector::new(DetectorConfig::default());
+        let mut steady = FailureDetector::default();
+        let mut jittery = FailureDetector::default();
         let mut t_s = 0u64;
         let mut t_j = 0u64;
         for i in 0..60u64 {
@@ -314,7 +255,7 @@ mod tests {
             cases("properties::phi_is_monotone_in_silence", 64, |c| {
                 let periods = c.vec(2..80, |c| c.range(1u64..200));
                 let (probe_a, probe_b) = (c.range(0u64..50_000), c.range(0u64..50_000));
-                let mut d = FailureDetector::new(DetectorConfig::default());
+                let mut d = FailureDetector::default();
                 let mut t = 0u64;
                 for p in &periods {
                     t += p;
@@ -328,31 +269,25 @@ mod tests {
             });
         }
 
-        /// Verdicts escalate in threshold order for any config where
-        /// suspect_phi <= dead_phi.
+        /// Verdicts escalate in threshold order: every phi reads the
+        /// verdict its band of the two thresholds names.
         #[test]
         fn verdict_ordering_respects_thresholds() {
             cases(
                 "properties::verdict_ordering_respects_thresholds",
                 64,
                 |c| {
-                    let (suspect, extra) = (c.range(0.5..4.0), c.range(0.1..6.0));
                     let probe = c.range(0u64..30_000);
-                    let cfg = DetectorConfig {
-                        suspect_phi: suspect,
-                        dead_phi: suspect + extra,
-                        ..DetectorConfig::default()
-                    };
-                    let mut d = FailureDetector::new(cfg);
+                    let mut d = FailureDetector::default();
                     for i in 0..40u64 {
                         d.heartbeat(0, ms(i * 20));
                     }
                     let now = ms(39 * 20 + probe);
                     let phi = d.phi(0, now);
                     match d.verdict(0, now) {
-                        Verdict::Dead => assert!(phi >= cfg.dead_phi),
-                        Verdict::Suspect => assert!(phi >= cfg.suspect_phi && phi < cfg.dead_phi),
-                        Verdict::Alive => assert!(phi < cfg.suspect_phi),
+                        Verdict::Dead => assert!(phi >= DEAD_PHI),
+                        Verdict::Suspect => assert!((SUSPECT_PHI..DEAD_PHI).contains(&phi)),
+                        Verdict::Alive => assert!(phi < SUSPECT_PHI),
                     }
                 },
             );

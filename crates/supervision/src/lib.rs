@@ -7,8 +7,8 @@
 //! 1. **Failure detection** ([`FailureDetector`]): the supervisor
 //!    heartbeats every machine over the ordinary RMI fabric; a
 //!    phi-accrual suspicion accumulator turns inter-arrival statistics
-//!    into a continuous suspicion level with caller-chosen
-//!    false-positive thresholds ([`DetectorConfig`]).
+//!    into a continuous suspicion level, read against two fixed
+//!    thresholds (suspect at `phi >= 1`, dead at `phi >= 3`).
 //! 2. **Epoch-fenced leases** (in `oopp` core): every supervised object
 //!    incarnation carries a monotonically increasing epoch recorded in
 //!    the naming directory; request frames carry the caller's believed
@@ -21,8 +21,9 @@
 //!    lease), every registered object of the lost machine is reactivated
 //!    from its replicated snapshot on a live backup chosen by the
 //!    placement load signals, rebound at a higher epoch won through a
-//!    CAS in the directory, with per-recovery MTTR accounting; restart
-//!    policies cap the attempts and poison unrecoverable names.
+//!    CAS in the directory, with per-recovery MTTR accounting; a takeover
+//!    makes three attempts, one heartbeat interval apart, and then
+//!    poisons the unrecoverable name.
 //!
 //! See `DESIGN.md` §10 for the full protocol walk-through, including why
 //! a false suspicion (partition, stall) cannot produce split-brain
@@ -32,5 +33,5 @@
 mod detector;
 mod supervisor;
 
-pub use detector::{DetectorConfig, FailureDetector, Verdict};
-pub use supervisor::{Recovery, RestartPolicy, SupervisionStats, Supervisor, SupervisorConfig};
+pub use detector::{FailureDetector, Verdict};
+pub use supervisor::{Recovery, SupervisionStats, Supervisor, HEARTBEAT_INTERVAL};

@@ -39,80 +39,20 @@ use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use oopp::{
-    Backoff, CallPolicy, EventKind, NameService, NodeCtx, ObjRef, RemoteClient, RemoteResult,
-    Takeover,
+    CallPolicy, EventKind, NameService, NodeCtx, ObjRef, RemoteClient, RemoteResult, Takeover,
 };
 use placement::{probe_loads, rank_by_load};
 
-use crate::detector::{DetectorConfig, FailureDetector, Verdict};
+use crate::detector::{FailureDetector, Verdict};
 
-/// What to do when a takeover attempt fails (no live backup, activation
-/// refused, snapshot missing).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RestartPolicy {
-    /// One attempt; failure immediately poisons the name.
-    OneShot,
-    /// Retry up to `max_retries` additional times, pausing per `backoff`
-    /// between attempts (the supervisor keeps serving while it waits).
-    /// Exhaustion poisons the name.
-    Retries {
-        /// Additional attempts after the first.
-        max_retries: u32,
-        /// Pause schedule between attempts.
-        backoff: Backoff,
-    },
-}
+/// Heartbeat (and dead-machine probe) period: the failure detector's
+/// prior mean, and the pause between takeover attempts.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(10);
 
-impl RestartPolicy {
-    fn max_attempts(&self) -> u32 {
-        match *self {
-            RestartPolicy::OneShot => 1,
-            RestartPolicy::Retries { max_retries, .. } => 1 + max_retries,
-        }
-    }
-
-    fn delay(&self, attempt: u32) -> Duration {
-        match *self {
-            RestartPolicy::OneShot => Duration::ZERO,
-            RestartPolicy::Retries { backoff, .. } => backoff.delay(attempt),
-        }
-    }
-}
-
-/// Tuning for a [`Supervisor`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupervisorConfig {
-    /// Heartbeat (and dead-machine probe) period.
-    pub heartbeat_interval: Duration,
-    /// Serving-lease lifetime granted by each heartbeat. Must comfortably
-    /// exceed `heartbeat_interval` (several missed beats should not
-    /// expire a healthy machine's lease) and bounds how early a takeover
-    /// may start after the last acknowledged heartbeat.
-    pub lease_ttl: Duration,
-    /// Failure-detector tuning. `expected_interval` should match
-    /// `heartbeat_interval`.
-    pub detector: DetectorConfig,
-    /// Takeover retry discipline.
-    pub restart: RestartPolicy,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        let heartbeat_interval = Duration::from_millis(20);
-        SupervisorConfig {
-            heartbeat_interval,
-            lease_ttl: Duration::from_millis(200),
-            detector: DetectorConfig {
-                expected_interval: heartbeat_interval,
-                ..DetectorConfig::default()
-            },
-            restart: RestartPolicy::Retries {
-                max_retries: 2,
-                backoff: Backoff::fixed(Duration::from_millis(20)),
-            },
-        }
-    }
-}
+/// Attempts a takeover makes before it poisons the name (no live backup,
+/// activation refused, snapshot missing), one [`HEARTBEAT_INTERVAL`]
+/// apart; the supervisor keeps serving while it waits.
+const TAKEOVER_ATTEMPTS: u32 = 3;
 
 /// Lifetime counters of one supervisor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -130,7 +70,7 @@ pub struct SupervisionStats {
     pub machines_declared_dead: u64,
     /// Objects successfully reactivated on a survivor.
     pub objects_reactivated: u64,
-    /// Takeovers that exhausted the restart policy.
+    /// Takeovers that exhausted their attempts.
     pub recoveries_failed: u64,
     /// Names poisoned after a failed recovery.
     pub names_poisoned: u64,
@@ -218,10 +158,11 @@ struct Loss {
 }
 
 /// Step-driven self-healing controller. See the module docs for the
-/// protocol; see [`SupervisorConfig`] for tuning.
+/// protocol.
 #[derive(Debug)]
 pub struct Supervisor {
-    config: SupervisorConfig,
+    /// Serving-lease lifetime granted by each heartbeat.
+    lease_ttl: Duration,
     machines: Vec<usize>,
     dir: NameService,
     detector: FailureDetector,
@@ -257,12 +198,17 @@ impl Supervisor {
     /// naming directory `dir`. The driver's own machine (and the
     /// directory's) must not be in `machines`: the supervision root
     /// cannot fail over itself.
-    pub fn new(config: SupervisorConfig, machines: Vec<usize>, dir: NameService) -> Self {
+    ///
+    /// Each heartbeat grants a serving lease of `lease_ttl`. It must
+    /// comfortably exceed [`HEARTBEAT_INTERVAL`] (several missed beats
+    /// should not expire a healthy machine's lease), and it bounds how
+    /// early a takeover may start after the last acknowledged heartbeat.
+    pub fn new(lease_ttl: Duration, machines: Vec<usize>, dir: NameService) -> Self {
         let state = machines
             .iter()
             .map(|&m| (m, MState::Up { suspected: false }))
             .collect();
-        let mut detector = FailureDetector::new(config.detector);
+        let mut detector = FailureDetector::default();
         // Seed every history with an enrollment-time sample: a machine
         // that dies before its first heartbeat reply must still
         // accumulate suspicion (an empty history reads as "never heard
@@ -272,7 +218,7 @@ impl Supervisor {
         }
         Supervisor {
             detector,
-            config,
+            lease_ttl,
             machines,
             dir,
             start: None,
@@ -391,7 +337,7 @@ impl Supervisor {
         // they require a fully expired heartbeat as evidence, and reap
         // collects replies before it abandons anything.
         if let Some(prev) = self.last_step {
-            if now.saturating_sub(prev) > self.config.lease_ttl.as_nanos() as u64 / 2 {
+            if now.saturating_sub(prev) > self.lease_ttl.as_nanos() as u64 / 2 {
                 self.stats.stalls_absorbed += 1;
             }
         }
@@ -443,7 +389,7 @@ impl Supervisor {
                     }
                     BeatKind::Probe => self.note_resurrection(ctx, fl.machine),
                 }
-            } else if now.saturating_sub(fl.sent) > self.config.lease_ttl.as_nanos() as u64 {
+            } else if now.saturating_sub(fl.sent) > self.lease_ttl.as_nanos() as u64 {
                 ctx.abandon_call(id);
                 self.in_flight.remove(&id);
                 // A whole lease passed since the actual send and the
@@ -460,7 +406,7 @@ impl Supervisor {
     /// Send the next heartbeat or probe to `m` if its period elapsed.
     fn pump(&mut self, ctx: &mut NodeCtx, m: usize, now: u64, kind: BeatKind) {
         let due = match self.last_sent.get(&m) {
-            Some(&t) => now.saturating_sub(t) >= self.config.heartbeat_interval.as_nanos() as u64,
+            Some(&t) => now.saturating_sub(t) >= HEARTBEAT_INTERVAL.as_nanos() as u64,
             None => true,
         };
         if !due {
@@ -468,7 +414,7 @@ impl Supervisor {
         }
         let started = match kind {
             BeatKind::Beat => {
-                let ttl = self.config.lease_ttl.as_millis() as u64;
+                let ttl = self.lease_ttl.as_millis() as u64;
                 ctx.start_heartbeat(m, ttl)
             }
             // Probes must not renew the lease: a plain daemon ping.
@@ -531,9 +477,7 @@ impl Supervisor {
                 // live machines of ack opportunities, and the silence the
                 // supervisor caused is not evidence against them.
                 let last = self.detector.last_heartbeat(m).unwrap_or_default();
-                if self.beat_expired.contains(&m)
-                    && off.saturating_sub(last) >= self.config.lease_ttl
-                {
+                if self.beat_expired.contains(&m) && off.saturating_sub(last) >= self.lease_ttl {
                     let detect = off.saturating_sub(last);
                     self.declare_dead(ctx, m, detect, recoveries)?;
                 }
@@ -564,7 +508,7 @@ impl Supervisor {
         // partition seated on the corpse must cost one short window, not
         // a full retry cycle that starves everyone else's heartbeats.
         let saved = ctx.call_policy();
-        ctx.set_call_policy(CallPolicy::probe(self.config.lease_ttl));
+        ctx.set_call_policy(CallPolicy::probe(self.lease_ttl));
         let purged = self.dir.purge_replicas_on(ctx, m);
         ctx.set_call_policy(saved);
         purged?;
@@ -665,16 +609,16 @@ impl Supervisor {
                 return Ok(None);
             }
             Takeover::Lost => {
-                let retry = ctx.now_nanos() + self.config.lease_ttl.as_nanos() as u64;
+                let retry = ctx.now_nanos() + self.lease_ttl.as_nanos() as u64;
                 self.lost_claims.push((loss, retry));
                 return Ok(None);
             }
             Takeover::Gone => return Ok(None),
         };
         let targets = self.rank_survivors(ctx, &self.regs[i].backups.clone(), m);
-        for attempt in 0..self.config.restart.max_attempts() {
+        for attempt in 0..TAKEOVER_ATTEMPTS {
             if attempt > 0 {
-                ctx.serve_for(self.config.restart.delay(attempt));
+                ctx.serve_for(HEARTBEAT_INTERVAL);
             }
             for &target in &targets {
                 let Ok(fresh) = ctx.activate_fenced_raw(target, &name, new_epoch) else {
@@ -713,7 +657,7 @@ impl Supervisor {
                 return Ok(Some(old));
             }
         }
-        // Restart policy exhausted: the name is unrecoverable. Poison it
+        // Every attempt failed: the name is unrecoverable. Poison it
         // so resolvers stop exhuming it, and say so in the stats.
         dir.poison(ctx, name)?;
         self.stats.recoveries_failed += 1;
@@ -727,7 +671,7 @@ impl Supervisor {
     /// window, not a full retry cycle.
     fn rank_survivors(&mut self, ctx: &mut NodeCtx, backups: &[usize], dead: usize) -> Vec<usize> {
         let saved = ctx.call_policy();
-        ctx.set_call_policy(CallPolicy::probe(self.config.lease_ttl));
+        ctx.set_call_policy(CallPolicy::probe(self.lease_ttl));
         let up = backups
             .iter()
             .copied()

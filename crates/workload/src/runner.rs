@@ -16,8 +16,7 @@
 use std::time::Duration;
 
 use oopp::{
-    Backoff, BreakerConfig, CallPolicy, ClusterBuilder, OverloadConfig, RemoteClient,
-    RetryBudgetConfig, Trace,
+    Backoff, BreakerConfig, CallPolicy, ClusterBuilder, OverloadConfig, RemoteClient, Trace,
 };
 use placement::{Balancer, PlacementPolicy};
 use replica::{CoherenceMode, ReplicaConfig, ReplicaManager};
@@ -71,7 +70,7 @@ fn client_policy(spec: &ScenarioSpec) -> CallPolicy {
             failure_threshold: 8,
             cooldown: Duration::from_millis(50),
         })
-        .with_retry_budget(RetryBudgetConfig::default())
+        .with_retry_budget()
 }
 
 /// The wider policy for control work (deploy, replicate, migrate):
@@ -128,8 +127,7 @@ pub fn run(spec: &ScenarioSpec) -> RunArtifacts {
             max_moves_per_round: 2,
         },
         spread,
-    )
-    .with_cooldown(1);
+    );
     balancer.pin(driver.directory().obj_ref());
     // Shard seats are ordinary objects on worker machines; the control
     // plane must never be rebalanced out from under its own resolvers.

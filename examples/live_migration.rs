@@ -62,8 +62,7 @@ fn main() {
             max_moves_per_round: 2,
         },
         vec![0, 1, 2],
-    )
-    .with_cooldown(1);
+    );
     balancer.pin(dir.obj_ref());
     for round in 0..6 {
         for b in &hot {

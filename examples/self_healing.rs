@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use oopp::{symbolic_addr, Backoff, CallPolicy, ClusterBuilder, DoubleBlockClient, RemoteClient};
 use simnet::ClusterConfig;
-use supervision::{DetectorConfig, RestartPolicy, Supervisor, SupervisorConfig};
+use supervision::Supervisor;
 
 fn main() {
     // Three workers; machine 0 hosts the naming directory. Calls into a
@@ -27,21 +27,9 @@ fn main() {
     let dir = driver.directory();
 
     // The supervisor lives in the driver and is stepped cooperatively: it
-    // pumps lease-renewing heartbeats to machines 1 and 2 and judges
-    // silence with a phi-accrual detector.
-    let config = SupervisorConfig {
-        heartbeat_interval: Duration::from_millis(10),
-        lease_ttl: Duration::from_millis(150),
-        detector: DetectorConfig {
-            expected_interval: Duration::from_millis(10),
-            ..DetectorConfig::default()
-        },
-        restart: RestartPolicy::Retries {
-            max_retries: 2,
-            backoff: Backoff::fixed(Duration::from_millis(10)),
-        },
-    };
-    let mut sup = Supervisor::new(config, vec![1, 2], dir);
+    // pumps heartbeats granting a 150 ms lease to machines 1 and 2 every
+    // 10 ms and judges silence with a phi-accrual detector.
+    let mut sup = Supervisor::new(Duration::from_millis(150), vec![1, 2], dir);
 
     // A block on machine 1, registered for supervision with machine 2 as
     // its snapshot backup. Registration binds the name at epoch 1 and

@@ -8,7 +8,7 @@
 //! that stops giving bytes back, fails here with the count in the message.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -17,8 +17,8 @@ use oopp_repro::oopp::wire::collections::F64s;
 use oopp_repro::oopp::wire::EncodesAs;
 use oopp_repro::oopp::wire::{self, Wire};
 use oopp_repro::oopp::{
-    join, Backoff, CallPolicy, Cluster, ClusterBuilder, DoubleBlockClient, Driver, ObjRef,
-    ProcessGroup, RemoteClient, RemoteError, DEFAULT_TRACE_CAPACITY,
+    join, Backoff, CallPolicy, Cluster, ClusterBuilder, DoubleBlockClient, Driver, NodeCtx, ObjRef,
+    ProcessGroup, RemoteClient, RemoteError, RemoteResult, DEFAULT_TRACE_CAPACITY,
 };
 use oopp_repro::simnet::{ClusterConfig, FaultPlan};
 
@@ -304,6 +304,35 @@ fn pin(row: &str, cost: Cost, [allocs, large, frames, wire]: [f64; 4]) {
     );
 }
 
+/// Whether a `Gate::hold` may return.
+static GATE_OPEN: AtomicBool = AtomicBool::new(true);
+
+/// Holds the one thread of its machine until [`GATE_OPEN`] is set, so the
+/// requests sent to that machine meanwhile queue in its inbox.
+#[derive(Debug, Default)]
+pub struct Gate;
+
+oopp_repro::oopp::remote_class! {
+    class Gate {
+        ctor();
+        /// Spin until the gate opens.
+        fn hold(&mut self) -> ();
+    }
+}
+
+impl Gate {
+    pub fn new(_ctx: &mut NodeCtx) -> RemoteResult<Self> {
+        Ok(Gate)
+    }
+
+    fn hold(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<()> {
+        while !GATE_OPEN.load(Relaxed) {
+            std::thread::yield_now();
+        }
+        Ok(())
+    }
+}
+
 /// Past the window's 1 024 keys on every server, so replies are built in
 /// the frames it evicts.
 const WARM_KEYS: u64 = 1_100;
@@ -353,7 +382,7 @@ fn the_call_path_costs_what_its_cost_table_pins() {
     // The §4 split loop over two machines: the caller's own two `Vec`s, of
     // pendings and of results, and nothing per call.
     const CALLS: usize = 64;
-    let (cluster, mut driver) = ClusterBuilder::new(2).build();
+    let (cluster, mut driver) = ClusterBuilder::new(2).register::<Gate>().build();
     let d = &mut driver;
     let blocks: Vec<_> = (0..CALLS)
         .map(|k| DoubleBlockClient::new_on(d, k % 2, 8).unwrap())
@@ -368,6 +397,32 @@ fn the_call_path_costs_what_its_cost_table_pins() {
     for _ in 0..2 * WARM_KEYS / CALLS as u64 {
         round(d);
     }
+    // One more warm-up round queues as deep as a round can, in every
+    // inbox: each server's thread is held until all its requests sit in
+    // its inbox, and the driver joins only once all the replies sit in
+    // its own. Every inbox has then grown to a round's peak before the
+    // counted rounds, whose queues may run as deep (a growth in them read
+    // 2.010 allocations per op).
+    let servers = [0, 1];
+    let gates = servers.map(|m| GateClient::new_on(d, m).unwrap());
+    let received = |m: usize| cluster.snapshot().per_machine_received[m];
+    let wait_for = |m: usize, n: u64| {
+        while received(m) < n {
+            std::thread::yield_now();
+        }
+    };
+    let (me, before) = (d.machine(), servers.map(received));
+    let mine_before = received(me);
+    GATE_OPEN.store(false, Relaxed);
+    let held: Vec<_> = gates.iter().map(|g| g.hold_async(d).unwrap()).collect();
+    let pending: Vec<_> = blocks.iter().map(|b| b.get_async(d, 0).unwrap()).collect();
+    for (m, n) in servers.into_iter().zip(before) {
+        wait_for(m, n + 1 + (CALLS / 2) as u64);
+    }
+    GATE_OPEN.store(true, Relaxed);
+    wait_for(me, mine_before + 2 + CALLS as u64);
+    join(d, held).unwrap();
+    assert_eq!(join(d, pending).unwrap(), [0.0; CALLS]);
     let cost = cost_per_op(&cluster, 100, || round(d));
     pin(
         "64 get_async + join, 2 machines",

@@ -657,7 +657,7 @@ mod soak {
 
     use oopp_repro::oopp::{wire, Driver};
     use oopp_repro::simnet::SimSchedule;
-    use supervision::{DetectorConfig, RestartPolicy, Supervisor, SupervisorConfig};
+    use supervision::Supervisor;
 
     /// Persistent cell for the soak ledger: every acknowledged `add` must
     /// be visible in every later total, exactly once, across any number
@@ -728,21 +728,7 @@ mod soak {
             .with_backoff(Backoff::fixed(Duration::from_millis(5)))
     }
 
-    fn soak_config() -> SupervisorConfig {
-        let heartbeat_interval = Duration::from_millis(10);
-        SupervisorConfig {
-            heartbeat_interval,
-            lease_ttl: Duration::from_millis(150),
-            detector: DetectorConfig {
-                expected_interval: heartbeat_interval,
-                ..DetectorConfig::default()
-            },
-            restart: RestartPolicy::Retries {
-                max_retries: 2,
-                backoff: Backoff::fixed(Duration::from_millis(10)),
-            },
-        }
-    }
+    const SOAK_LEASE_TTL: Duration = Duration::from_millis(150);
 
     /// Step the supervisor until `done` (panic after `limit`).
     fn settle(
@@ -823,7 +809,7 @@ mod soak {
         let recorder = cluster.recorder();
         let clock = cluster.sim().clock().clone();
         let dir = driver.directory();
-        let mut sup = Supervisor::new(soak_config(), SUPERVISED.to_vec(), dir);
+        let mut sup = Supervisor::new(SOAK_LEASE_TTL, SUPERVISED.to_vec(), dir);
 
         // One supervised cell per supervised machine; the other two act
         // as snapshot backups, so one faulted machine at a time always
@@ -1067,8 +1053,7 @@ mod soak {
         let mut svc = DirService::new(
             DirServiceConfig {
                 read_replicas: 0,
-                snapshot_backups: 2,
-                supervisor: soak_config(),
+                lease_ttl: SOAK_LEASE_TTL,
                 ..DirServiceConfig::default()
             },
             vec![1, 2, 3],

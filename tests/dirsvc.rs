@@ -23,7 +23,6 @@ use oopp_repro::oopp::{
 };
 use oopp_repro::simnet::ClusterConfig;
 use replica::{CoherenceMode, ReplicaConfig};
-use supervision::{DetectorConfig, RestartPolicy, SupervisorConfig};
 
 /// Fast-failure policy: dead shard seats must cost short windows.
 fn fast_policy() -> CallPolicy {
@@ -34,22 +33,9 @@ fn fast_policy() -> CallPolicy {
 
 /// Service tuning scaled to the zero-cost virtual fabric.
 fn svc_config(read_replicas: usize) -> DirServiceConfig {
-    let heartbeat_interval = Duration::from_millis(10);
     DirServiceConfig {
         read_replicas,
-        snapshot_backups: 2,
-        supervisor: SupervisorConfig {
-            heartbeat_interval,
-            lease_ttl: Duration::from_millis(150),
-            detector: DetectorConfig {
-                expected_interval: heartbeat_interval,
-                ..DetectorConfig::default()
-            },
-            restart: RestartPolicy::Retries {
-                max_retries: 2,
-                backoff: Backoff::fixed(Duration::from_millis(10)),
-            },
-        },
+        lease_ttl: Duration::from_millis(150),
         replica: ReplicaConfig {
             mode: CoherenceMode::WriteThrough,
             lease: Duration::from_secs(30),

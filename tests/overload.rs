@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use oopp_repro::oopp::{
     wire, Backoff, BreakerConfig, CallPolicy, ClusterBuilder, DoubleBlockClient, Driver, NodeCtx,
-    OverloadConfig, RemoteClient, RemoteError, RemoteResult, RetryBudgetConfig,
+    OverloadConfig, RemoteClient, RemoteError, RemoteResult,
 };
 use oopp_repro::simnet::ClusterConfig;
 
@@ -579,10 +579,7 @@ fn retry_budget_suppresses_retransmission_storms() {
         .with_max_retries(5)
         .with_backoff(Backoff::fixed(Duration::from_millis(1)));
 
-    driver.set_call_policy(storm_policy.with_retry_budget(RetryBudgetConfig {
-        deposit_millitokens: 100,
-        max_millitokens: 1_000,
-    }));
+    driver.set_call_policy(storm_policy.with_retry_budget());
     match s.count(&mut driver).unwrap_err() {
         RemoteError::Timeout { attempts, .. } => {
             assert_eq!(attempts, 1, "a dry budget must suppress every retransmit")

@@ -315,8 +315,7 @@ fn balancer_spreads_hot_objects_and_cooldown_prevents_thrash() {
             max_moves_per_round: 2,
         },
         vec![0, 1, 2],
-    )
-    .with_cooldown(1);
+    );
     balancer.pin(driver.directory().obj_ref());
 
     let drive_round = |driver: &mut oopp_repro::oopp::Driver, counters: &[PCounterClient]| {
@@ -533,7 +532,7 @@ fn balancer_skips_replicated_primaries_and_recovers_after_unreplicate() {
 
     // Phase A — footprint fed: the plan for the hot cell is skipped
     // outright; no migration is even attempted on the wire.
-    let mut fed = Balancer::new(policy(), vec![0, 1, 2]).with_cooldown(0);
+    let mut fed = Balancer::new(policy(), vec![0, 1, 2]);
     fed.pin(dir.obj_ref());
     fed.pin(warm.obj_ref());
     fed.set_replicated([mgr.primary_of(&addr).unwrap()]);
@@ -551,7 +550,7 @@ fn balancer_skips_replicated_primaries_and_recovers_after_unreplicate() {
     for _ in 0..8 {
         warm.add(&mut driver, 1).unwrap();
     }
-    let mut blind = Balancer::new(policy(), vec![0, 1, 2]).with_cooldown(0);
+    let mut blind = Balancer::new(policy(), vec![0, 1, 2]);
     blind.pin(dir.obj_ref());
     blind.pin(warm.obj_ref());
     blind.step(&mut driver);

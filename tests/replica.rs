@@ -624,7 +624,7 @@ fn settle(
 /// replica, even if no `ReplicaManager` ever reacts.
 #[test]
 fn declare_dead_purges_replica_records_from_the_directory() {
-    use supervision::{DetectorConfig, RestartPolicy, Supervisor, SupervisorConfig};
+    use supervision::Supervisor;
 
     let (cluster, mut driver) = ClusterBuilder::new(4)
         .register::<RCounter>()
@@ -633,23 +633,7 @@ fn declare_dead_purges_replica_records_from_the_directory() {
         .call_policy(test_policy())
         .build();
     let dir = driver.directory();
-    let heartbeat_interval = Duration::from_millis(10);
-    let mut sup = Supervisor::new(
-        SupervisorConfig {
-            heartbeat_interval,
-            lease_ttl: Duration::from_millis(150),
-            detector: DetectorConfig {
-                expected_interval: heartbeat_interval,
-                ..DetectorConfig::default()
-            },
-            restart: RestartPolicy::Retries {
-                max_retries: 2,
-                backoff: Backoff::fixed(Duration::from_millis(10)),
-            },
-        },
-        vec![1, 2],
-        dir,
-    );
+    let mut sup = Supervisor::new(Duration::from_millis(150), vec![1, 2], dir);
 
     let name = symbolic_addr(&["replica", "RCounter", "0"]);
     let c = RCounterClient::new_on(&mut driver, 1).unwrap();

@@ -6,17 +6,17 @@
 //! self-fencing under a partition-induced *false* suspicion (zero
 //! split-brain writes), the CAS-arbitrated recovery race (exactly one
 //! activation no matter how many clients notice the crash), stale
-//! moved-cache invalidation when a forward's target dies, and restart
-//! policies that poison unrecoverable names.
+//! moved-cache invalidation when a forward's target dies, and takeovers
+//! that poison unrecoverable names after three attempts.
 
 use std::time::{Duration, Instant};
 
 use oopp_repro::oopp::{
     join, resolve_or_activate_supervised, symbolic_addr, wire, Backoff, CallPolicy, ClusterBuilder,
-    Driver, NameService, NodeCtx, ObjRef, RemoteClient, RemoteError, RemoteResult,
+    Driver, EventKind, NameService, NodeCtx, ObjRef, RemoteClient, RemoteError, RemoteResult,
 };
 use oopp_repro::simnet::ClusterConfig;
-use supervision::{DetectorConfig, RestartPolicy, Supervisor, SupervisorConfig};
+use supervision::{Supervisor, HEARTBEAT_INTERVAL};
 
 /// Persistent, deliberately non-idempotent counter: every recovered total
 /// is evidence about exactly-once execution and snapshot fidelity.
@@ -226,23 +226,9 @@ fn test_policy() -> CallPolicy {
         .with_backoff(Backoff::fixed(Duration::from_millis(5)))
 }
 
-/// Supervisor tuning scaled to a zero-cost fabric, with a lease long
-/// enough that a scheduler hiccup on the test thread cannot expire it.
-fn test_config() -> SupervisorConfig {
-    let heartbeat_interval = Duration::from_millis(10);
-    SupervisorConfig {
-        heartbeat_interval,
-        lease_ttl: Duration::from_millis(150),
-        detector: DetectorConfig {
-            expected_interval: heartbeat_interval,
-            ..DetectorConfig::default()
-        },
-        restart: RestartPolicy::Retries {
-            max_retries: 2,
-            backoff: Backoff::fixed(Duration::from_millis(10)),
-        },
-    }
-}
+/// A lease long enough that a scheduler hiccup on the test thread cannot
+/// expire it.
+const LEASE_TTL: Duration = Duration::from_millis(150);
 
 /// Step the supervisor until `done` says so (or panic after `limit`),
 /// collecting every completed recovery along the way.
@@ -278,7 +264,7 @@ fn healthy_cluster_is_never_declared_dead() {
         .call_policy(test_policy())
         .build();
     let dir = driver.directory();
-    let mut sup = Supervisor::new(test_config(), vec![1, 2], dir);
+    let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2], dir);
 
     let c = PCounterClient::new_on(&mut driver, 1).unwrap();
     sup.register(
@@ -323,8 +309,7 @@ fn crashed_machine_is_detected_and_its_object_reactivated() {
         .call_policy(test_policy())
         .build();
     let dir = driver.directory();
-    let cfg = test_config();
-    let mut sup = Supervisor::new(cfg, vec![1, 2], dir);
+    let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2], dir);
 
     let addr = symbolic_addr(&["sup", "PCounter", "0"]);
     let c = PCounterClient::new_on(&mut driver, 1).unwrap();
@@ -357,7 +342,7 @@ fn crashed_machine_is_detected_and_its_object_reactivated() {
     // MTTR is real and bounded: detection alone must span the lease TTL
     // (takeover before that would race the old lease), and the whole
     // recovery stays within interactive bounds even on a loaded CI box.
-    assert!(r.detect >= cfg.lease_ttl, "detect {:?}", r.detect);
+    assert!(r.detect >= LEASE_TTL, "detect {:?}", r.detect);
     assert!(r.total >= r.detect);
     assert!(r.total < Duration::from_secs(10), "MTTR {:?}", r.total);
 
@@ -394,7 +379,7 @@ fn partition_false_suspicion_cannot_split_the_brain() {
         .call_policy(test_policy())
         .build();
     let dir = driver.directory();
-    let mut sup = Supervisor::new(test_config(), vec![1, 2], dir);
+    let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2], dir);
 
     let addr = symbolic_addr(&["sup", "PCounter", "0"]);
     let c = PCounterClient::new_on(&mut driver, 1).unwrap();
@@ -536,7 +521,7 @@ fn stale_moved_cache_entries_die_with_their_target_machine() {
         .call_policy(test_policy())
         .build();
     let dir = driver.directory();
-    let mut sup = Supervisor::new(test_config(), vec![1, 2, 3], dir);
+    let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2, 3], dir);
 
     let addr = symbolic_addr(&["sup", "PCounter", "0"]);
     let c = PCounterClient::new_on(&mut driver, 1).unwrap();
@@ -593,7 +578,7 @@ fn stale_moved_cache_entries_die_with_their_target_machine() {
     cluster.shutdown(driver);
 }
 
-/// Restart-policy exhaustion: when every backup is gone too, the
+/// Takeover exhaustion: when every backup is gone too, the
 /// supervisor gives up deliberately — the name is poisoned so resolvers
 /// stop exhuming it, and the failure is visible in the stats.
 #[test]
@@ -604,7 +589,7 @@ fn unrecoverable_names_are_poisoned_not_retried_forever() {
         .call_policy(test_policy())
         .build();
     let dir = driver.directory();
-    let mut sup = Supervisor::new(test_config(), vec![1, 2], dir);
+    let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2], dir);
 
     let addr = symbolic_addr(&["sup", "PCounter", "0"]);
     let c = PCounterClient::new_on(&mut driver, 1).unwrap();
@@ -639,6 +624,69 @@ fn unrecoverable_names_are_poisoned_not_retried_forever() {
     cluster.shutdown(driver);
 }
 
+/// The takeover schedule: with its only backup alive but holding no
+/// snapshot, a takeover tries the activation three times, one heartbeat
+/// interval apart on the virtual clock, and then poisons the name.
+#[test]
+fn a_failing_takeover_tries_three_times_a_heartbeat_apart_then_poisons() {
+    let (cluster, mut driver) = ClusterBuilder::new(3)
+        .register::<PCounter>()
+        .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(0x7A4E))
+        .call_policy(test_policy())
+        .tracing(true)
+        .build();
+    let recorder = cluster.recorder().expect("tracing enabled");
+    let dir = driver.directory();
+    let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2], dir);
+
+    let addr = symbolic_addr(&["sup", "PCounter", "schedule"]);
+    let c = PCounterClient::new_on(&mut driver, 1).unwrap();
+    sup.register(&mut driver, &addr, &c, &[2]).unwrap();
+    settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
+        s.detector().last_heartbeat(1).is_some()
+    });
+
+    // The backup stays up, but has nothing to restore.
+    assert!(driver.drop_snapshot(2, addr.clone()).unwrap());
+    cluster.sim().faults().crash(1);
+    settle(&mut sup, &mut driver, Duration::from_secs(30), |s, _| {
+        s.stats().names_poisoned > 0
+    });
+
+    let stats = sup.stats();
+    assert_eq!(stats.recoveries_failed, 1, "{stats:?}");
+    assert_eq!(stats.names_poisoned, 1, "{stats:?}");
+    assert_eq!(stats.objects_reactivated, 0, "{stats:?}");
+    assert!(!sup.is_dead(2), "the backup must stay up: {stats:?}");
+    assert_eq!(dir.lookup(&mut driver, addr.clone()).unwrap(), None);
+    let err = resolve_or_activate_supervised::<PCounterClient>(&mut driver, &dir, &addr, &[2])
+        .unwrap_err();
+    assert!(err.to_string().contains("poisoned"), "{err}");
+
+    cluster.sim().faults().restart(1);
+    cluster.shutdown(driver);
+    let sends: Vec<u64> = recorder
+        .merge()
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::ClientSend && &*e.method == "activate_fenced")
+        .map(|e| {
+            assert_eq!(e.peer, 2, "an activation aimed off the backup: {e:?}");
+            e.at_nanos
+        })
+        .collect();
+    assert_eq!(sends.len(), 3, "activation sends at {sends:?}");
+    // A pause of one heartbeat interval, plus the few virtual nanoseconds
+    // the failed activation's round trip takes on the zero-cost fabric.
+    let pause = HEARTBEAT_INTERVAL.as_nanos() as u64;
+    for gap in sends.windows(2).map(|w| w[1] - w[0]) {
+        assert!(
+            (pause..pause + 1_000).contains(&gap),
+            "activation sends at {sends:?}"
+        );
+    }
+}
+
 mod proptests {
     use super::*;
     use oopp_repro::simnet::sweep::cases;
@@ -659,7 +707,7 @@ mod proptests {
                 .call_policy(test_policy())
                 .build();
             let dir = driver.directory();
-            let mut sup = Supervisor::new(test_config(), vec![1, 2], dir);
+            let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2], dir);
 
             let addr = symbolic_addr(&["sup", "PCounter", "prop"]);
             let c = PCounterClient::new_on(&mut driver, 1).unwrap();
@@ -727,7 +775,7 @@ fn a_refused_takeover_bind_leaves_no_live_incarnation() {
         .call_policy(test_policy())
         .build();
     let dir = driver.directory();
-    let mut sup = Supervisor::new(test_config(), vec![1, 2], dir);
+    let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2], dir);
 
     let addr = symbolic_addr(&["sup", "Contested", "0"]);
     let c = ContestedClient::new_on(&mut driver, 1).unwrap();
@@ -827,7 +875,7 @@ fn a_takeover_lost_to_a_stranded_claim_is_tried_again() {
     let dir = driver.directory();
     let strander = StranderClient::new_on(&mut driver, 0, dir.obj_ref()).unwrap();
     let via = NameService::classic(strander.obj_ref());
-    let mut sup = Supervisor::new(test_config(), vec![1, 2], via);
+    let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2], via);
 
     let addr = symbolic_addr(&["sup", "stranded", "0"]);
     let c = PCounterClient::new_on(&mut driver, 1).unwrap();
