@@ -397,7 +397,7 @@ pub fn e6_array_sum() -> Table {
     // client's receive link — exactly the regime where extra clients help.
     let thin = simnet::NetCost::lan(50, 1.0);
     let mut cfg = lan_config();
-    cfg.topology = simnet::TopologySpec::Uniform(thin);
+    cfg.link = thin;
     let (cluster, mut driver) = register_classes(ClusterBuilder::new(devices))
         .sim_config(cfg)
         .build();

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use oopp::{remote_class, BarrierClient, NodeCtx, ObjRef, RemoteResult};
 use simnet::time::transfer_time;
-use simnet::{Clock, ClusterConfig, DiskConfig, MetricsSnapshot, NetCost, TopologySpec};
+use simnet::{Clock, ClusterConfig, DiskConfig, MetricsSnapshot, NetCost};
 
 pub mod experiments;
 
@@ -33,7 +33,7 @@ pub fn lan() -> NetCost {
 pub fn lan_config() -> ClusterConfig {
     ClusterConfig {
         machines: 0, // set by the builder / world
-        topology: TopologySpec::Uniform(lan()),
+        link: lan(),
         disk: DiskConfig::nvme(),
         disks_per_machine: 1,
         disk_capacity: 256 << 20,

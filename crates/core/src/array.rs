@@ -10,18 +10,17 @@
 //! [`DoubleBlock`] is that `double[1024]` as a process: a block of f64s
 //! living on a remote machine, with element access, bulk range transfer, and
 //! a few device-side reductions (so E8's shared-memory computing processes
-//! have something to compute). [`ByteBlock`] is the raw-byte analogue.
-//! Both are **persistent** (§5): a block can be deactivated to a snapshot
-//! and reactivated later.
+//! have something to compute). It is **persistent** (§5): a block can be
+//! deactivated to a snapshot and reactivated later.
 //!
 //! The bulk verbs touch each byte once on the server and allocate nothing
 //! there: `write_range`, `dot_range` and `axpy_range` take a view of their
-//! argument where it arrived ([`F64sView`], `&[u8]`), `read_range` returns
-//! a borrow of the block and the reply is encoded from it — the
-//! [`remote_class!`](crate::macros) contract's view forms. The clients are
-//! the declared ones: `F64s` / `Bytes` in, `F64s` / `Bytes` out.
+//! argument where it arrived ([`F64sView`]), `read_range` returns a borrow
+//! of the block and the reply is encoded from it — the
+//! [`remote_class!`](crate::macros) contract's view forms. The client is
+//! the declared one: `F64s` in, `F64s` out.
 
-use wire::collections::{Bytes, F64s, F64sView};
+use wire::collections::{F64s, F64sView};
 
 use crate::error::{RemoteError, RemoteResult};
 use crate::node::NodeCtx;
@@ -163,86 +162,5 @@ impl DoubleBlock {
     pub fn load_state(_ctx: &mut NodeCtx, state: &[u8]) -> RemoteResult<Self> {
         let data: F64s = wire::from_bytes(state)?;
         Ok(DoubleBlock { data: data.0 })
-    }
-}
-
-/// Server state for a remote block of raw bytes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ByteBlock {
-    data: Vec<u8>,
-}
-
-remote_class! {
-    /// Remote pointer to a block of bytes on another machine.
-    class ByteBlock {
-        persistent;
-        ctor(n: usize);
-        /// One-byte store.
-        fn set(&mut self, i: usize, v: u8) -> ();
-        /// One-byte load.
-        fn get(&mut self, i: usize) -> u8;
-        /// Number of bytes.
-        fn len(&mut self) -> usize;
-        /// Bulk read of `[start, start+len)`.
-        fn read_range(&mut self, start: usize, len: usize) -> Bytes;
-        /// Bulk write starting at `start`.
-        fn write_range(&mut self, start: usize, data: Bytes) -> ();
-    }
-}
-
-impl ByteBlock {
-    fn check_range(&self, start: usize, len: usize) -> RemoteResult<()> {
-        if start
-            .checked_add(len)
-            .is_none_or(|end| end > self.data.len())
-        {
-            return Err(RemoteError::app(format!(
-                "range [{start}, {start}+{len}) out of bounds for block of {}",
-                self.data.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Constructor: allocate `n` zeroed bytes.
-    pub fn new(_ctx: &mut NodeCtx, n: usize) -> RemoteResult<Self> {
-        Ok(ByteBlock { data: vec![0; n] })
-    }
-
-    fn set(&mut self, _ctx: &mut NodeCtx, i: usize, v: u8) -> RemoteResult<()> {
-        self.check_range(i, 1)?;
-        self.data[i] = v;
-        Ok(())
-    }
-
-    fn get(&mut self, _ctx: &mut NodeCtx, i: usize) -> RemoteResult<u8> {
-        self.check_range(i, 1)?;
-        Ok(self.data[i])
-    }
-
-    fn len(&mut self, _ctx: &mut NodeCtx) -> RemoteResult<usize> {
-        Ok(self.data.len())
-    }
-
-    fn read_range(&mut self, _ctx: &mut NodeCtx, start: usize, len: usize) -> RemoteResult<&[u8]> {
-        self.check_range(start, len)?;
-        Ok(&self.data[start..start + len])
-    }
-
-    fn write_range(&mut self, _ctx: &mut NodeCtx, start: usize, data: &[u8]) -> RemoteResult<()> {
-        self.check_range(start, data.len())?;
-        self.data[start..start + data.len()].copy_from_slice(data);
-        Ok(())
-    }
-
-    /// Persistence hook (§5).
-    pub fn save_state(&self) -> Vec<u8> {
-        wire::to_bytes_as::<Bytes, _>(&self.data.as_slice())
-    }
-
-    /// Persistence hook (§5).
-    pub fn load_state(_ctx: &mut NodeCtx, state: &[u8]) -> RemoteResult<Self> {
-        let data: Bytes = wire::from_bytes(state)?;
-        Ok(ByteBlock { data: data.0 })
     }
 }

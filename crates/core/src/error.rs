@@ -82,8 +82,8 @@ pub enum RemoteError {
     },
     /// The object is the primary of a live replica set and therefore
     /// unmovable: migrating it would strand the replicas' write-through
-    /// routes. Unreplicate first, or use
-    /// `ReplicaManager::unreplicate_then_migrate` to do both in one step.
+    /// routes. Unreplicate it first (`ReplicaManager::unreplicate`), then
+    /// migrate it.
     Replicated { object: u64 },
     /// The call's propagated deadline expired before the work ran — at the
     /// client (budget spent waiting), at admission, or at execution time
@@ -210,7 +210,8 @@ impl fmt::Display for RemoteError {
             RemoteError::Replicated { object } => {
                 write!(
                     f,
-                    "object {object} is replicated and unmovable; unreplicate                      first (or scale the replica set instead)"
+                    "object {object} is replicated and unmovable; unreplicate \
+                     first (or scale the replica set instead)"
                 )
             }
             RemoteError::DeadlineExceeded { elapsed_nanos } => {
@@ -261,9 +262,9 @@ mod tests {
     use super::*;
     use wire::{from_bytes, to_bytes};
 
-    #[test]
-    fn errors_roundtrip_the_wire() {
-        for e in [
+    /// One value of each `wire_enum!` variant, in tag order.
+    fn one_of_each() -> [RemoteError; 16] {
+        [
             RemoteError::NoSuchObject {
                 machine: 3,
                 object: 17,
@@ -318,8 +319,26 @@ mod tests {
                 queue_depth: 4096,
                 retry_after_nanos: 2_000_000,
             },
-        ] {
+        ]
+    }
+
+    #[test]
+    fn errors_roundtrip_the_wire() {
+        for e in one_of_each() {
             assert_eq!(from_bytes::<RemoteError>(&to_bytes(&e)).unwrap(), e);
+        }
+    }
+
+    /// A message is one sentence on one line: a lost `\` continuation in a
+    /// string literal shows as a run of spaces or a line break.
+    #[test]
+    fn every_variant_renders_as_one_line_without_double_spaces() {
+        for e in one_of_each() {
+            let text = e.to_string();
+            assert!(
+                !text.contains('\n') && !text.contains("  "),
+                "{e:?} renders {text:?}"
+            );
         }
     }
 

@@ -16,7 +16,6 @@ use wire::Wire;
 use crate::error::{RemoteError, RemoteResult};
 use crate::frame::Body;
 use crate::future::{issue_each, join, join_clients, Pending};
-use crate::ids::ObjRef;
 use crate::node::{CallInfo, NodeCtx};
 use crate::process::{DispatchResult, RemoteClient};
 
@@ -128,11 +127,6 @@ impl<C: RemoteClient> ProcessGroup<C> {
         &self.members[id]
     }
 
-    /// The raw remote pointers (what `SetGroup` ships to every member).
-    pub fn refs(&self) -> Vec<ObjRef> {
-        self.members.iter().map(|m| m.obj_ref()).collect()
-    }
-
     /// The paper's parallel loop: issue `start(ctx, member, id)` for every
     /// member (the send half), then collect every reply (the receive half).
     pub fn par_each<T: Wire>(
@@ -175,20 +169,6 @@ impl<C: RemoteClient> ProcessGroup<C> {
         })
     }
 
-    /// The sequential loop the paper contrasts against: each call completes
-    /// before the next is issued.
-    pub fn seq_each<T: Wire>(
-        &self,
-        ctx: &mut NodeCtx,
-        mut call: impl FnMut(&mut NodeCtx, &C, usize) -> RemoteResult<T>,
-    ) -> RemoteResult<Vec<T>> {
-        self.members
-            .iter()
-            .enumerate()
-            .map(|(id, m)| call(ctx, m, id))
-            .collect()
-    }
-
     /// Destroy every member (in parallel).
     pub fn destroy(self, ctx: &mut NodeCtx) -> RemoteResult<()> {
         let pendings = issue_each(ctx, &self.members, |ctx, m| ctx.start_destroy(m.obj_ref()))?;
@@ -200,6 +180,7 @@ impl<C: RemoteClient> ProcessGroup<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::ObjRef;
 
     #[test]
     fn barrier_rejects_zero_parties() {
@@ -239,6 +220,6 @@ mod tests {
         assert_eq!(g.len(), 2);
         assert!(!g.is_empty());
         assert_eq!(g.member(1).obj_ref().machine, 1);
-        assert_eq!(g.refs().len(), 2);
+        assert_eq!(g.members().len(), 2);
     }
 }

@@ -62,7 +62,7 @@ pub mod runtime;
 pub(crate) mod shared;
 pub mod trace;
 
-pub use array::{ByteBlock, ByteBlockClient, DoubleBlock, DoubleBlockClient};
+pub use array::{DoubleBlock, DoubleBlockClient};
 pub use error::{RemoteError, RemoteResult};
 pub use frame::{Body, MigrationPayload, NodeStats, ReplicaStatus};
 pub use future::{issue_each, join, join_clients, Issued, Pending, PendingClient};

@@ -222,14 +222,6 @@ macro_rules! remote_class {
                     ctx.destroy(self.r)
                 }
 
-                /// Asynchronous destroy.
-                pub fn destroy_async(
-                    self,
-                    ctx: &mut $crate::NodeCtx,
-                ) -> $crate::RemoteResult<$crate::Pending<()>> {
-                    ctx.start_destroy(self.r)
-                }
-
                 /// Machine hosting the remote object.
                 pub fn machine(&self) -> usize {
                     self.r.machine

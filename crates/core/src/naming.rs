@@ -399,14 +399,25 @@ impl DirShard {
     }
 
     /// Restore a partition from its snapshot (the `persistent;` contract).
+    /// Only what [`save_state`](Self::save_state) writes is accepted: names
+    /// strictly increasing and nothing after the last entry.
     pub fn load_state(_ctx: &mut NodeCtx, state: &[u8]) -> RemoteResult<Self> {
         let r = &mut wire::Reader::new(state);
         let (index, total, count) = <(u64, u64, u64) as wire::Wire>::decode(r)?;
         let mut entries = BTreeMap::new();
         for _ in 0..count {
             let (name, record) = <(String, LeaseRecord) as wire::Wire>::decode(r)?;
+            if entries
+                .last_key_value()
+                .is_some_and(|(last, _)| *last >= name)
+            {
+                return Err(
+                    wire::WireError::Invalid("DirShard snapshot names out of order").into(),
+                );
+            }
             entries.insert(name, record);
         }
+        r.expect_end()?;
         Self::seated(index, total, entries)
     }
 

@@ -116,22 +116,6 @@ pub struct BreakerConfig {
     pub cooldown: Duration,
 }
 
-impl BreakerConfig {
-    /// A sensible default: 5 consecutive failures, 100 ms cooldown.
-    pub const fn new() -> Self {
-        BreakerConfig {
-            failure_threshold: 5,
-            cooldown: Duration::from_millis(100),
-        }
-    }
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig::new()
-    }
-}
-
 /// Millitokens a first attempt deposits in its destination's retry bucket
 /// when [`CallPolicy::retry_budget`] is on (DESIGN.md §15). Every
 /// retransmission spends 1000; when the bucket cannot cover one the retry
@@ -287,11 +271,6 @@ impl CallPolicy {
         self
     }
 
-    /// Total attempts this policy allows (first send + retries).
-    pub fn max_attempts(&self) -> u32 {
-        1 + self.max_retries
-    }
-
     /// A probe policy: one attempt, short window, no backoff. Liveness
     /// checks against possibly-dead machines (supervision pings, the
     /// detector's bookkeeping calls) must fail *fast* — a probe that
@@ -401,7 +380,6 @@ mod tests {
     fn no_retry_matches_classic_semantics() {
         let p = CallPolicy::no_retry(Duration::from_secs(30));
         assert_eq!(p.max_retries, 0);
-        assert_eq!(p.max_attempts(), 1);
         assert_eq!(p.timeout, Duration::from_secs(30));
     }
 
@@ -416,7 +394,7 @@ mod tests {
     #[test]
     fn probe_is_single_shot_and_cheap() {
         let p = CallPolicy::probe(Duration::from_millis(40));
-        assert_eq!(p.max_attempts(), 1);
+        assert_eq!(p.max_retries, 0);
         assert_eq!(p.timeout, Duration::from_millis(40));
         // No hidden backoff: a probe that fails, fails now.
         assert_eq!(p.backoff.delay(1), Duration::ZERO);
@@ -443,7 +421,7 @@ mod tests {
         assert_eq!(p.breaker.unwrap().failure_threshold, 3);
         assert!(p.retry_budget);
         // The overload knobs ride along without disturbing retry basics.
-        assert_eq!(p.max_attempts(), 5);
+        assert_eq!(p.max_retries, 4);
     }
 
     #[test]
@@ -451,7 +429,7 @@ mod tests {
         let p = CallPolicy::reliable(Duration::from_millis(100))
             .with_max_retries(7)
             .with_backoff(Backoff::fixed(Duration::from_millis(5)));
-        assert_eq!(p.max_attempts(), 8);
+        assert_eq!(p.max_retries, 7);
         assert_eq!(p.backoff.delay(3), Duration::from_millis(5));
     }
 

@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 use simnet::{ActorSeat, ClusterConfig, MachineId, Metrics, MetricsSnapshot, SimCluster};
 use wire::collections::Bytes;
 
-use crate::array::{ByteBlock, DoubleBlock};
+use crate::array::DoubleBlock;
 use crate::frame::Frame;
 use crate::group::Barrier;
 use crate::naming::{
@@ -64,7 +64,6 @@ impl ClusterBuilder {
         );
         let mut registry = ClassRegistry::new();
         registry.register::<DoubleBlock>();
-        registry.register::<ByteBlock>();
         registry.register::<Barrier>();
         registry.register::<Directory>();
         registry.register::<DirShard>();
@@ -139,7 +138,7 @@ impl ClusterBuilder {
         self
     }
 
-    /// Replace the substrate configuration (topology, disks, costs). The
+    /// Replace the substrate configuration (link cost, disks, faults). The
     /// machine count in `cfg` is overridden to `workers + 1` — the extra
     /// endpoint is the driver's.
     pub fn sim_config(mut self, mut cfg: ClusterConfig) -> Self {
@@ -149,7 +148,7 @@ impl ClusterBuilder {
     }
 
     /// Register a user class for remote construction. Built-ins
-    /// ([`DoubleBlock`], [`ByteBlock`], [`Barrier`], [`Directory`]) are
+    /// ([`DoubleBlock`], [`Barrier`], [`Directory`], [`DirShard`]) are
     /// pre-registered.
     pub fn register<T: ServerClass>(mut self) -> Self {
         self.registry.register::<T>();

@@ -407,16 +407,6 @@ fn empty_bulk_ranges_roundtrip() {
         assert_eq!(d.dot_range(&mut driver, start, F64s(vec![])).unwrap(), 0.0);
     }
     assert_eq!(d.sum_range(&mut driver, 0, 8).unwrap(), 12.0);
-    let b = ByteBlockClient::new_on(&mut driver, 0, 4).unwrap();
-    b.write_range(&mut driver, 4, wire::collections::Bytes(vec![]))
-        .unwrap();
-    assert_eq!(b.read_range(&mut driver, 4, 0).unwrap().0, Vec::<u8>::new());
-    let past = b.write_range(&mut driver, 3, wire::collections::Bytes(vec![1, 2]));
-    assert_eq!(
-        past.unwrap_err(),
-        RemoteError::app("range [3, 3+2) out of bounds for block of 4")
-    );
-    assert_eq!(b.read_range(&mut driver, 0, 4).unwrap().0, vec![0; 4]);
     cluster.shutdown(driver);
 }
 
@@ -438,19 +428,6 @@ fn a_view_argument_reads_its_own_request_across_nested_calls() {
         let landed = to.read_range(&mut driver, 0, payload.len()).unwrap();
         assert_eq!(landed.0, payload);
     }
-    cluster.shutdown(driver);
-}
-
-#[test]
-fn byte_blocks_work() {
-    let (cluster, mut driver) = cluster(1);
-    let b = ByteBlockClient::new_on(&mut driver, 0, 16).unwrap();
-    b.set(&mut driver, 3, 0xab).unwrap();
-    assert_eq!(b.get(&mut driver, 3).unwrap(), 0xab);
-    b.write_range(&mut driver, 8, wire::collections::Bytes(vec![1, 2, 3]))
-        .unwrap();
-    assert_eq!(b.read_range(&mut driver, 8, 3).unwrap().0, vec![1, 2, 3]);
-    assert_eq!(b.len(&mut driver).unwrap(), 16);
     cluster.shutdown(driver);
 }
 
@@ -1017,27 +994,14 @@ fn group_destroy_removes_all_members() {
     let (cluster, mut driver) = cluster(3);
     let group: ProcessGroup<ComputerClient> =
         ProcessGroup::create(&mut driver, 3, |id| wire::to_bytes(&(id as u64))).unwrap();
-    let refs = group.refs();
+    let members = group.members().to_vec();
     group.destroy(&mut driver).unwrap();
-    for r in refs {
-        let c = ComputerClient::from_ref(r);
+    for c in members {
         assert!(matches!(
             c.stashed(&mut driver),
             Err(RemoteError::NoSuchObject { .. })
         ));
     }
-    cluster.shutdown(driver);
-}
-
-#[test]
-fn seq_each_preserves_order_and_sequencing() {
-    let (cluster, mut driver) = cluster(2);
-    let group: ProcessGroup<ComputerClient> =
-        ProcessGroup::create(&mut driver, 2, |id| wire::to_bytes(&(id as u64))).unwrap();
-    let ids = group
-        .seq_each(&mut driver, |ctx, m, _| m.describe(ctx).map(|(id, _)| id))
-        .unwrap();
-    assert_eq!(ids, vec![0, 1]);
     cluster.shutdown(driver);
 }
 

@@ -1,8 +1,7 @@
 //! Complex arithmetic, from scratch (no external numerics crates).
 
-use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Mul, MulAssign, Sub, SubAssign};
 
 /// A double-precision complex number.
 ///
@@ -57,11 +56,6 @@ impl Complex {
     /// 0 + 1i.
     pub const I: Complex = c64(0.0, 1.0);
 
-    /// A real number as a complex.
-    pub const fn from_re(re: f64) -> Complex {
-        c64(re, 0.0)
-    }
-
     /// `e^{iθ}` — the unit phasor at angle `theta`.
     pub fn cis(theta: f64) -> Complex {
         c64(theta.cos(), theta.sin())
@@ -82,27 +76,9 @@ impl Complex {
         self.norm_sqr().sqrt()
     }
 
-    /// Argument in `(-π, π]`.
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
-    /// Multiplicative inverse.
-    ///
-    /// Dividing by zero yields infinities, as with `f64`.
-    pub fn recip(self) -> Complex {
-        let d = self.norm_sqr();
-        c64(self.re / d, -self.im / d)
-    }
-
     /// Scale by a real factor.
     pub fn scale(self, k: f64) -> Complex {
         c64(self.re * k, self.im * k)
-    }
-
-    /// True when either component is NaN.
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
     }
 }
 
@@ -133,31 +109,6 @@ impl Mul for Complex {
     }
 }
 
-impl Div for Complex {
-    type Output = Complex;
-    #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // z/w = z * w^{-1} by definition
-    fn div(self, rhs: Complex) -> Complex {
-        self * rhs.recip()
-    }
-}
-
-impl Neg for Complex {
-    type Output = Complex;
-    #[inline]
-    fn neg(self) -> Complex {
-        c64(-self.re, -self.im)
-    }
-}
-
-impl Mul<f64> for Complex {
-    type Output = Complex;
-    #[inline]
-    fn mul(self, k: f64) -> Complex {
-        self.scale(k)
-    }
-}
-
 impl AddAssign for Complex {
     #[inline]
     fn add_assign(&mut self, rhs: Complex) {
@@ -185,16 +136,6 @@ impl Sum for Complex {
     }
 }
 
-impl fmt::Display for Complex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.im >= 0.0 {
-            write!(f, "{}+{}i", self.re, self.im)
-        } else {
-            write!(f, "{}{}i", self.re, self.im)
-        }
-    }
-}
-
 /// Maximum absolute componentwise difference between two spectra — the
 /// error metric used by the FFT tests.
 pub fn max_error(a: &[Complex], b: &[Complex]) -> f64 {
@@ -216,11 +157,7 @@ mod tests {
         assert_eq!(a + b, c64(4.0, 1.0));
         assert_eq!(a - b, c64(-2.0, 3.0));
         assert_eq!(a * b, c64(5.0, 5.0)); // (1+2i)(3-i) = 3 - i + 6i + 2 = 5 + 5i
-        assert_eq!(-a, c64(-1.0, -2.0));
-        assert_eq!(a * 2.0, c64(2.0, 4.0));
-        let q = a / b;
-        let back = q * b;
-        assert!((back - a).abs() < 1e-12);
+        assert_eq!(a.scale(2.0), c64(2.0, 4.0));
     }
 
     #[test]
@@ -229,8 +166,6 @@ mod tests {
         assert_eq!(z.conj(), c64(3.0, -4.0));
         assert_eq!(z.norm_sqr(), 25.0);
         assert_eq!(z.abs(), 5.0);
-        assert!((c64(0.0, 1.0).arg() - std::f64::consts::FRAC_PI_2).abs() < 1e-15);
-        assert_eq!(Complex::ONE.arg(), 0.0);
     }
 
     #[test]
@@ -244,12 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn recip_is_inverse() {
-        let z = c64(2.5, -1.5);
-        assert!((z * z.recip() - Complex::ONE).abs() < 1e-15);
-    }
-
-    #[test]
     fn assign_ops_and_sum() {
         let mut z = Complex::ONE;
         z += Complex::I;
@@ -258,12 +187,6 @@ mod tests {
         assert_eq!(z, c64(-1.0, 0.0));
         let total: Complex = [Complex::ONE, Complex::I, c64(1.0, 1.0)].into_iter().sum();
         assert_eq!(total, c64(2.0, 2.0));
-    }
-
-    #[test]
-    fn display_formats_sign() {
-        assert_eq!(c64(1.0, 2.0).to_string(), "1+2i");
-        assert_eq!(c64(1.0, -2.0).to_string(), "1-2i");
     }
 
     #[test]

@@ -94,7 +94,7 @@ mod tests {
             if k == freq {
                 assert!((v.abs() - n as f64).abs() < 1e-9);
             } else {
-                assert!(v.abs() < 1e-9, "leakage at bin {k}: {v}");
+                assert!(v.abs() < 1e-9, "leakage at bin {k}: {v:?}");
             }
         }
     }

@@ -13,7 +13,8 @@
 //!   butterfly, compiled three times — baseline, AVX2, AVX-512, each with
 //!   its own run width — and run in the widest build the CPU has: the same
 //!   spectra, bit for bit, in every build;
-//! * [`Fft2`]/[`Fft3`] row–column 2-D/3-D transforms;
+//! * [`Fft3`], the row–column 3-D transform: each plane's rows, then its
+//!   columns, then axis 0;
 //! * [`DistributedFft3`] — the paper's §4 example: slab decomposition over
 //!   a group of [`FftWorker`] object-processes exchanging transpose blocks
 //!   by remote method invocation, one transpose per transform: a worker
@@ -33,7 +34,6 @@ pub mod complex;
 pub mod dft;
 pub mod distributed;
 pub mod nd;
-pub mod nd2;
 pub mod plan;
 mod radix2;
 mod radix4;
@@ -46,7 +46,6 @@ pub use distributed::{
     BlockInbox, BlockInboxClient, DistributedFft3, FftWorker, FftWorkerClient, Layout,
 };
 pub use nd::{dft3, Fft3, Grid3};
-pub use nd2::{Fft2, Grid2};
 pub use plan::Fft;
 
 #[cfg(test)]

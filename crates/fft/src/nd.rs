@@ -6,7 +6,6 @@
 
 use crate::complex::Complex;
 use crate::dft::Direction;
-use crate::nd2::Fft2;
 use crate::plan::Fft;
 
 /// Row-major 3-D buffer of complex values.
@@ -71,8 +70,8 @@ impl Grid3 {
     }
 }
 
-/// 3-D FFT plan: a 2-D plan for the `n2 × n3` planes and a 1-D plan for
-/// axis 0.
+/// 3-D FFT plan: one 1-D plan per axis. A plane's 2-D transform is its
+/// rows (length `n3`), then its columns (length `n2`).
 ///
 /// The two passes are public because a slab decomposition runs them apart,
 /// with a transpose between: [`FftWorker`](crate::FftWorker) (axis 0 over
@@ -81,7 +80,8 @@ impl Grid3 {
 #[derive(Debug, Clone)]
 pub struct Fft3 {
     shape: [usize; 3],
-    planes: Fft2,
+    rows: Fft,
+    columns: Fft,
     axis0: Fft,
 }
 
@@ -90,7 +90,8 @@ impl Fft3 {
     pub fn new(shape: [usize; 3]) -> Self {
         Fft3 {
             shape,
-            planes: Fft2::new([shape[1], shape[2]]),
+            rows: Fft::new(shape[2]),
+            columns: Fft::new(shape[1]),
             axis0: Fft::new(shape[0]),
         }
     }
@@ -116,10 +117,11 @@ impl Fft3 {
     /// # Panics
     /// If `slab` is not a whole number of planes.
     pub fn process_planes(&self, slab: &mut [Complex], dir: Direction) {
-        let plane = self.shape[1] * self.shape[2];
-        assert_eq!(slab.len() % plane, 0, "slab must be whole planes");
-        for plane in slab.chunks_exact_mut(plane) {
-            self.planes.process_plane(plane, dir);
+        let [_, n2, n3] = self.shape;
+        assert_eq!(slab.len() % (n2 * n3), 0, "slab must be whole planes");
+        for plane in slab.chunks_exact_mut(n2 * n3) {
+            self.rows.process_rows(plane, dir);
+            self.columns.process_columns(plane, n3, dir);
         }
     }
 

@@ -77,7 +77,8 @@ fn radix4_reference(data: &mut [Complex], dir: Direction) {
         }
     }
     let conj = dir == Direction::Inverse;
-    let rot = if conj { Complex::I } else { -Complex::I };
+    // -i as negating `Complex::I` gives it: re is -0.0, not 0.0.
+    let rot = if conj { Complex::I } else { c64(-0.0, -1.0) };
     let mut len = 4;
     while len <= n {
         let quarter = len / 4;

@@ -1,5 +1,5 @@
 //! Collective operations over a [`Comm`]: barrier, broadcast, reduce,
-//! allreduce, gather, scatter, allgather, alltoall.
+//! allreduce, alltoall.
 //!
 //! Algorithms are the textbook ones (binomial trees, dissemination
 //! barrier); tags are drawn from a reserved space keyed by a per-`Comm`
@@ -127,74 +127,6 @@ impl Comm {
         wire::from_bytes(&bytes).map_err(|e| crate::MpError::Decode(e.to_string()))
     }
 
-    /// Gather one payload per rank at `root` (in rank order). Non-roots
-    /// return `None`.
-    pub fn gather(&mut self, root: usize, data: Vec<u8>) -> MpResult<Option<Vec<Vec<u8>>>> {
-        let size = self.size();
-        let rank = self.rank();
-        let tag = self.coll_tag(0);
-        let result = if rank == root {
-            let mut all = vec![Vec::new(); size];
-            all[rank] = data;
-            for (r, slot) in all.iter_mut().enumerate() {
-                if r != root {
-                    *slot = self.recv(r, tag)?;
-                }
-            }
-            Some(all)
-        } else {
-            self.send(root, tag, &data)?;
-            None
-        };
-        self.finish_collective();
-        Ok(result)
-    }
-
-    /// Scatter one payload per rank from `root`; every rank returns its
-    /// piece. Non-root callers pass `None`.
-    pub fn scatter(&mut self, root: usize, data: Option<Vec<Vec<u8>>>) -> MpResult<Vec<u8>> {
-        let size = self.size();
-        let rank = self.rank();
-        let tag = self.coll_tag(0);
-        let piece = if rank == root {
-            let mut data = data.expect("root must supply scatter data");
-            assert_eq!(data.len(), size, "scatter needs one piece per rank");
-            for (r, piece) in data.iter().enumerate() {
-                if r != root {
-                    self.send(r, tag, piece)?;
-                }
-            }
-            std::mem::take(&mut data[rank])
-        } else {
-            self.recv(root, tag)?
-        };
-        self.finish_collective();
-        Ok(piece)
-    }
-
-    /// Every rank gathers every rank's payload (gather + bcast shape, done
-    /// pairwise).
-    pub fn allgather(&mut self, data: Vec<u8>) -> MpResult<Vec<Vec<u8>>> {
-        let size = self.size();
-        let rank = self.rank();
-        let tag = self.coll_tag(0);
-        for r in 0..size {
-            if r != rank {
-                self.send(r, tag, &data)?;
-            }
-        }
-        let mut all = vec![Vec::new(); size];
-        for (r, slot) in all.iter_mut().enumerate() {
-            if r == rank {
-                *slot = data.clone();
-            } else {
-                *slot = self.recv(r, tag)?;
-            }
-        }
-        self.finish_collective();
-        Ok(all)
-    }
-
     /// Personalized all-to-all: rank `i` sends `data[j]` to rank `j` and
     /// returns what every rank sent to `i` — the transpose primitive of the
     /// distributed FFT.
@@ -306,37 +238,6 @@ mod tests {
         assert_eq!(mins, vec![3.0; 5]);
         let (maxs, _) = world(5).run(|c| c.allreduce_f64(-(c.rank() as f64), Op::Max).unwrap());
         assert_eq!(maxs, vec![0.0; 5]);
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let (results, _) = world(4).run(|c| c.gather(2, vec![c.rank() as u8]).unwrap());
-        assert_eq!(results[2], Some(vec![vec![0u8], vec![1], vec![2], vec![3]]));
-        assert_eq!(results[0], None);
-    }
-
-    #[test]
-    fn scatter_delivers_pieces() {
-        let (results, _) = world(3).run(|c| {
-            let data = if c.rank() == 0 {
-                Some(vec![b"a".to_vec(), b"bb".to_vec(), b"ccc".to_vec()])
-            } else {
-                None
-            };
-            c.scatter(0, data).unwrap()
-        });
-        assert_eq!(
-            results,
-            vec![b"a".to_vec(), b"bb".to_vec(), b"ccc".to_vec()]
-        );
-    }
-
-    #[test]
-    fn allgather_gives_everyone_everything() {
-        let (results, _) = world(3).run(|c| c.allgather(vec![c.rank() as u8 * 10]).unwrap());
-        for r in results {
-            assert_eq!(r, vec![vec![0u8], vec![10], vec![20]]);
-        }
     }
 
     #[test]

@@ -346,11 +346,11 @@ fn costed_disks_still_roundtrip() {
     // cost-independent.
     let (cluster, mut driver) = ClusterBuilder::new(2)
         .register::<PageDevice>()
-        .sim_config(
-            ClusterConfig::zero_cost(0)
-                .with_disk(DiskConfig::nvme())
-                .with_disk_capacity(1 << 20),
-        )
+        .sim_config(ClusterConfig {
+            disk: DiskConfig::nvme(),
+            disk_capacity: 1 << 20,
+            ..ClusterConfig::zero_cost(0)
+        })
         .build();
     let store = PageDeviceClient::new_on(&mut driver, 1, "c".into(), 4, 4096, 0).unwrap();
     let page = Page::generate(4096, 1);
@@ -369,7 +369,10 @@ fn costed_disks_still_roundtrip() {
 fn two_devices_same_machine_different_disks() {
     let (cluster, mut driver) = ClusterBuilder::new(1)
         .register::<PageDevice>()
-        .sim_config(ClusterConfig::zero_cost(0).with_disks_per_machine(2))
+        .sim_config(ClusterConfig {
+            disks_per_machine: 2,
+            ..ClusterConfig::zero_cost(0)
+        })
         .build();
     let d0 = PageDeviceClient::new_on(&mut driver, 0, "a".into(), 2, 64, 0).unwrap();
     let d1 = PageDeviceClient::new_on(&mut driver, 0, "b".into(), 2, 64, 1).unwrap();

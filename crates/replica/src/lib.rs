@@ -299,24 +299,6 @@ impl ReplicaManager {
         Ok(())
     }
 
-    /// Dissolve `name`'s replica set and then migrate the (now
-    /// unreplicated) primary to `target`, rebinding the name through the
-    /// directory. The one-step answer to
-    /// [`RemoteError::Replicated`]: a
-    /// replicated primary refuses `migrate` because a moving primary would
-    /// race its own write propagation, so the set must be torn down first.
-    /// Returns the primary's new address. Re-replicate at the new home
-    /// afterwards if read scaling is still wanted.
-    pub fn unreplicate_then_migrate(
-        &mut self,
-        ctx: &mut NodeCtx,
-        name: &str,
-        target: usize,
-    ) -> RemoteResult<ObjRef> {
-        self.unreplicate(ctx, name)?;
-        oopp::naming::migrate_bound(ctx, &self.dir, name, target)
-    }
-
     /// One maintenance round: renew every replica's coherence lease, and
     /// push fresh state to any replica that has drifted behind the
     /// primary's replica-set epoch (the bounded-staleness re-sync path;

@@ -41,8 +41,8 @@ impl SimCluster {
     ///
     /// # Panics
     /// If `config` has no machines, or asks a real-time fabric to charge a
-    /// link cost or a fault-plan delay (see [`crate::network`]): everything
-    /// costed runs `with_virtual_time`.
+    /// link cost (see [`crate::network`]): everything costed runs
+    /// `with_virtual_time`.
     pub fn new(config: ClusterConfig) -> Self {
         assert!(config.machines > 0, "a cluster needs at least one machine");
         let clock = match config.time {
@@ -53,7 +53,7 @@ impl SimCluster {
         let faults = Arc::new(FaultState::new(config.faults.clone(), config.machines));
         let (network, inbox_rxs) = Network::build(
             config.machines,
-            config.topology,
+            config.link,
             metrics.clone(),
             faults,
             clock.clone(),
@@ -163,7 +163,10 @@ mod tests {
 
     #[test]
     fn builds_machines_with_disks() {
-        let c = SimCluster::new(ClusterConfig::zero_cost(3).with_disks_per_machine(2));
+        let c = SimCluster::new(ClusterConfig {
+            disks_per_machine: 2,
+            ..ClusterConfig::zero_cost(3)
+        });
         assert_eq!(c.machines(), 3);
         assert_eq!(c.disks(0).len(), 2);
         assert_eq!(c.disk(2, 1).capacity(), c.config().disk_capacity);
@@ -203,11 +206,11 @@ mod tests {
 
     #[test]
     fn active_disks_counts_touched_devices() {
-        let c = SimCluster::new(
-            ClusterConfig::zero_cost(4)
-                .with_disk(DiskConfig::zero())
-                .with_disk_capacity(1024),
-        );
+        let c = SimCluster::new(ClusterConfig {
+            disk: DiskConfig::zero(),
+            disk_capacity: 1024,
+            ..ClusterConfig::zero_cost(4)
+        });
         assert_eq!(c.active_disks(), 0);
         c.disk(0, 0).write(0, &[1]).unwrap();
         c.disk(2, 0).write(0, &[1]).unwrap();
@@ -217,7 +220,10 @@ mod tests {
 
     #[test]
     fn disks_are_independent_per_machine() {
-        let c = SimCluster::new(ClusterConfig::zero_cost(2).with_disk_capacity(64));
+        let c = SimCluster::new(ClusterConfig {
+            disk_capacity: 64,
+            ..ClusterConfig::zero_cost(2)
+        });
         c.disk(0, 0).write(0, &[7]).unwrap();
         let mut buf = [0u8; 1];
         c.disk(1, 0).read(0, &mut buf).unwrap();

@@ -3,9 +3,9 @@
 use std::time::Duration;
 
 use crate::faults::FaultPlan;
-use crate::topology::TopologySpec;
 
-/// Cost of sending one message over one link.
+/// Cost of sending one message over one link. A cluster has one: every
+/// pair of distinct machines pays it, and loopback (src == dst) is free.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetCost {
     /// One-way propagation latency (paid once per message, overlappable
@@ -37,12 +37,6 @@ impl NetCost {
             latency: Duration::from_micros(latency_us),
             bytes_per_sec: gbps * 1e9 / 8.0,
         }
-    }
-}
-
-impl Default for NetCost {
-    fn default() -> Self {
-        NetCost::zero()
     }
 }
 
@@ -79,18 +73,11 @@ impl DiskConfig {
     }
 }
 
-impl Default for DiskConfig {
-    fn default() -> Self {
-        DiskConfig::zero()
-    }
-}
-
 /// Which time backend a cluster runs on (see [`crate::Clock`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TimeMode {
     /// Wall-clock time (the default), for fabrics with nothing to charge:
-    /// a cluster with a costed topology or a delaying fault plan must be
-    /// [`Virtual`](TimeMode::Virtual).
+    /// a cluster with a costed link must be [`Virtual`](TimeMode::Virtual).
     #[default]
     Real,
     /// Deterministic discrete-event virtual time, seeded. Modeled delays
@@ -108,8 +95,8 @@ pub struct ClusterConfig {
     /// Number of machine endpoints (the oopp runtime typically asks for
     /// `workers + 1`, reserving the last id for the driver).
     pub machines: usize,
-    /// Network topology and link costs.
-    pub topology: TopologySpec,
+    /// What a message between two distinct machines costs.
+    pub link: NetCost,
     /// Performance model for each disk.
     pub disk: DiskConfig,
     /// Locally attached disks per machine.
@@ -129,7 +116,7 @@ impl ClusterConfig {
     pub fn zero_cost(n: usize) -> Self {
         ClusterConfig {
             machines: n,
-            topology: TopologySpec::Uniform(NetCost::zero()),
+            link: NetCost::zero(),
             disk: DiskConfig::zero(),
             disks_per_machine: 1,
             disk_capacity: 64 << 20,
@@ -144,7 +131,7 @@ impl ClusterConfig {
     pub fn lan(n: usize, latency_us: u64, gbps: f64) -> Self {
         ClusterConfig {
             machines: n,
-            topology: TopologySpec::Uniform(NetCost::lan(latency_us, gbps)),
+            link: NetCost::lan(latency_us, gbps),
             disk: DiskConfig::zero(),
             disks_per_machine: 1,
             disk_capacity: 64 << 20,
@@ -165,24 +152,6 @@ impl ClusterConfig {
         self.time = TimeMode::Virtual { seed };
         self
     }
-
-    /// Override the disk model (builder style).
-    pub fn with_disk(mut self, disk: DiskConfig) -> Self {
-        self.disk = disk;
-        self
-    }
-
-    /// Override disks per machine (builder style).
-    pub fn with_disks_per_machine(mut self, n: usize) -> Self {
-        self.disks_per_machine = n;
-        self
-    }
-
-    /// Override per-disk capacity in bytes (builder style).
-    pub fn with_disk_capacity(mut self, bytes: usize) -> Self {
-        self.disk_capacity = bytes;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -193,7 +162,7 @@ mod tests {
     fn zero_configs_report_zero() {
         assert!(NetCost::zero().is_zero());
         assert!(DiskConfig::zero().is_zero());
-        assert!(ClusterConfig::zero_cost(4).topology.is_zero());
+        assert!(ClusterConfig::zero_cost(4).link.is_zero());
     }
 
     #[test]
@@ -211,17 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn builders_override_fields() {
-        let c = ClusterConfig::zero_cost(2)
-            .with_disk(DiskConfig::nvme())
-            .with_disks_per_machine(3)
-            .with_disk_capacity(1 << 20);
-        assert_eq!(c.disks_per_machine, 3);
-        assert_eq!(c.disk_capacity, 1 << 20);
-        assert_eq!(c.disk, DiskConfig::nvme());
-    }
-
-    #[test]
     fn time_mode_builders() {
         let c = ClusterConfig::zero_cost(2);
         assert_eq!(c.time, TimeMode::Real);
@@ -229,15 +187,5 @@ mod tests {
         assert_eq!(c.time, TimeMode::Real);
         let c = c.with_virtual_time(42);
         assert_eq!(c.time, TimeMode::Virtual { seed: 42 });
-    }
-
-    #[test]
-    fn racks_zero_requires_both_links_zero() {
-        let spec = TopologySpec::Racks {
-            rack_size: 4,
-            intra: NetCost::zero(),
-            inter: NetCost::lan(10, 1.0),
-        };
-        assert!(!spec.is_zero());
     }
 }

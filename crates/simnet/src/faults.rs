@@ -1,7 +1,7 @@
 //! Seeded, deterministic fault injection for the simulated fabric.
 //!
 //! A [`FaultPlan`] gives every link an independent, **seeded** probability
-//! of dropping, duplicating, or delaying each packet. Decisions are pure
+//! of dropping or duplicating each packet. Decisions are pure
 //! functions of `(seed, src, dst, per-link sequence number)` — a SplitMix64
 //! hash, not a shared RNG — so a chaos test replays the identical fault
 //! pattern run after run regardless of thread interleaving, as long as each
@@ -35,10 +35,6 @@ pub struct FaultPlan {
     pub drop_p: f64,
     /// Probability a packet is delivered twice.
     pub dup_p: f64,
-    /// Probability a packet pays extra delay.
-    pub delay_p: f64,
-    /// Upper bound of the extra delay, drawn uniformly from `[0, max_delay]`.
-    pub max_delay: Duration,
 }
 
 impl FaultPlan {
@@ -48,8 +44,6 @@ impl FaultPlan {
             seed: 0,
             drop_p: 0.0,
             dup_p: 0.0,
-            delay_p: 0.0,
-            max_delay: Duration::ZERO,
         }
     }
 
@@ -76,29 +70,9 @@ impl FaultPlan {
         self
     }
 
-    /// Delay each packet with probability `p` by up to `max_delay`.
-    pub fn with_delay(mut self, p: f64, max_delay: Duration) -> Self {
-        assert!((0.0..=1.0).contains(&p), "delay probability out of range");
-        self.delay_p = p;
-        self.max_delay = max_delay;
-        self
-    }
-
     /// True if this plan never injects anything.
     pub fn is_noop(&self) -> bool {
-        self.drop_p == 0.0 && self.dup_p == 0.0 && self.delay_p == 0.0
-    }
-
-    /// True if this plan can inject extra delay (which only a virtual-time
-    /// fabric can apply: a real-time one refuses such a plan).
-    pub fn has_delay(&self) -> bool {
-        self.delay_p > 0.0 && !self.max_delay.is_zero()
-    }
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::none()
+        self.drop_p == 0.0 && self.dup_p == 0.0
     }
 }
 
@@ -126,7 +100,7 @@ pub(crate) fn unit(h: u64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
     /// Deliver `copies` copies (1 normally, 2 when duplicated), each after
-    /// `extra_delay` of injected latency.
+    /// `extra_delay` of injected latency (a load spike's).
     Deliver { copies: u8, extra_delay: Duration },
     /// Source or destination machine is crashed.
     DropCrashed,
@@ -176,10 +150,6 @@ impl FaultState {
         }
     }
 
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     fn link(&self, src: MachineId, dst: MachineId) -> usize {
         src * self.machines + dst
     }
@@ -226,7 +196,7 @@ impl FaultState {
         }
         // Load spike at the destination: every inbound packet pays the
         // scripted extra delay. Deterministic (no hash draw) and composes
-        // with the seeded plan's own delay below.
+        // with the seeded plan's drops and duplicates below.
         let spike = Duration::from_nanos(self.spike_nanos(dst));
         if self.plan.is_noop() || self.plan_suppressed.load(Ordering::Relaxed) {
             if spike.is_zero() {
@@ -247,14 +217,9 @@ impl FaultState {
         } else {
             1
         };
-        let extra_delay = if self.plan.has_delay() && unit(mix(h ^ 3)) < self.plan.delay_p {
-            self.plan.max_delay.mul_f64(unit(mix(h ^ 4)))
-        } else {
-            Duration::ZERO
-        };
         Verdict::Deliver {
             copies,
-            extra_delay: extra_delay.saturating_add(spike),
+            extra_delay: spike,
         }
     }
 
@@ -384,7 +349,7 @@ impl FaultInjector {
         self.state.is_partitioned(a, b)
     }
 
-    /// Mute the seeded probabilistic plan (drops, dups, delays). Scripted
+    /// Mute the seeded probabilistic plan (drops, dups). Scripted
     /// crashes and partitions still apply. Note that calm segments
     /// do not consume link sequence numbers, so the replay property holds
     /// as long as calm/resume points are program-deterministic.
@@ -609,42 +574,36 @@ mod tests {
 
     #[test]
     fn spike_composes_with_the_seeded_plan() {
-        let max = Duration::from_millis(5);
         let spike = Duration::from_millis(7);
-        let planned = FaultState::new(FaultPlan::seeded(9).with_delay(1.0, max), 2);
-        let spiked = FaultState::new(FaultPlan::seeded(9).with_delay(1.0, max), 2);
+        let plan = FaultPlan::seeded(9).with_drop(0.2).with_dup(0.3);
+        let planned = FaultState::new(plan.clone(), 2);
+        let spiked = FaultState::new(plan, 2);
         spiked.spiked[1].store(spike.as_nanos() as u64, Ordering::Relaxed);
         spiked.activate();
-        for _ in 0..50 {
-            let (a, b) = (planned.verdict(0, 1), spiked.verdict(0, 1));
-            match (a, b) {
+        let (mut dropped, mut doubled) = (0, 0);
+        for _ in 0..200 {
+            match (planned.verdict(0, 1), spiked.verdict(0, 1)) {
+                (Verdict::DropRandom, Verdict::DropRandom) => dropped += 1,
                 (
                     Verdict::Deliver {
-                        extra_delay: base, ..
+                        copies,
+                        extra_delay: Duration::ZERO,
                     },
                     Verdict::Deliver {
-                        extra_delay: total, ..
+                        copies: spiked_copies,
+                        extra_delay,
                     },
-                ) => assert_eq!(total, base + spike, "spike must add on top of the plan"),
+                ) => {
+                    assert_eq!(spiked_copies, copies, "the spike draws nothing");
+                    assert_eq!(extra_delay, spike, "every delivery pays the spike");
+                    doubled += usize::from(copies == 2);
+                }
                 other => panic!("unexpected verdicts {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn delay_draws_are_bounded() {
-        let max = Duration::from_millis(5);
-        let s = FaultState::new(FaultPlan::seeded(9).with_delay(1.0, max), 2);
-        let mut saw_nonzero = false;
-        for _ in 0..100 {
-            match s.verdict(0, 1) {
-                Verdict::Deliver { extra_delay, .. } => {
-                    assert!(extra_delay <= max);
-                    saw_nonzero |= !extra_delay.is_zero();
-                }
-                v => panic!("unexpected verdict {v:?}"),
-            }
-        }
-        assert!(saw_nonzero, "delay plan never delayed");
+        assert!(
+            dropped > 0 && doubled > 0,
+            "{dropped} dropped, {doubled} doubled"
+        );
     }
 }

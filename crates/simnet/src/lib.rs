@@ -20,7 +20,8 @@
 //! wall-clock, or a seeded discrete-event simulation that replays bit for
 //! bit — and everything that waits, charges a delay or stamps an event
 //! does it on that clock, through one blocking receive and one sleep. A
-//! link's cost is [`TopologySpec::cost`]; when a packet lands is one
+//! cluster has one link cost, [`ClusterConfig::link`], paid between distinct
+//! machines and not on loopback; when a packet lands is one
 //! function, charged on the virtual clock only (a real-time fabric
 //! delivers directly and refuses a cost it could not charge); a disk
 //! queues its ops behind one watermark on either clock; the counters are
@@ -51,7 +52,7 @@ pub mod metrics;
 pub mod network;
 pub mod sweep;
 pub mod time;
-pub mod topology;
+mod topology;
 
 pub use clock::{ActorSeat, Clock, ClockRecvError, SimSchedule, WORKER_LABEL_BASE};
 pub use cluster::SimCluster;
@@ -61,7 +62,6 @@ pub use faults::{FaultInjector, FaultPlan};
 pub use message::{MachineId, Packet, PacketBytes, Spare};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use network::Network;
-pub use topology::TopologySpec;
 
 #[cfg(test)]
 mod proptests;

@@ -16,8 +16,8 @@
 //! routes, fixed when it is built:
 //!
 //! * **virtual time** — a delivery is a clock event: no threads, no
-//!   wall-clock sleeping, and every modeled delay (a costed topology, a
-//!   delaying fault plan, a load spike) is exact and deterministic;
+//!   wall-clock sleeping, and every modeled delay (a costed link, a load
+//!   spike) is exact and deterministic;
 //! * **real time** — `send` pushes straight into the destination inbox,
 //!   channel-fast. There is nowhere to apply a delay, so a fabric with one
 //!   to apply is refused when it is built: modeled time is the virtual
@@ -34,7 +34,7 @@ use crate::faults::{FaultInjector, FaultState, Verdict};
 use crate::message::{MachineId, Packet, PacketBytes};
 use crate::metrics::Metrics;
 use crate::time::{after, transfer_time};
-use crate::topology::TopologySpec;
+use crate::topology;
 
 /// Error returned by [`Network::send`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +69,9 @@ enum Route {
 #[derive(Clone)]
 pub struct Network {
     routes: Arc<Vec<Route>>,
-    topology: TopologySpec,
+    /// What a message between two distinct machines pays; loopback is
+    /// free.
+    link: NetCost,
     metrics: Arc<Metrics>,
     faults: Arc<FaultState>,
     clock: Clock,
@@ -88,25 +90,20 @@ impl Network {
     /// and one inbox receiver per machine.
     ///
     /// # Panics
-    /// On a real clock, if the topology has a cost or the fault plan a
-    /// delay: a real-time fabric delivers directly and would charge neither.
+    /// On a real clock, if the link has a cost: a real-time fabric delivers
+    /// directly and would not charge it.
     pub(crate) fn build(
         machines: usize,
-        topology: TopologySpec,
+        link: NetCost,
         metrics: Arc<Metrics>,
         faults: Arc<FaultState>,
         clock: Clock,
     ) -> (Network, Vec<Receiver<Packet>>) {
         assert!(
-            clock.is_virtual() || (topology.is_zero() && !faults.plan().has_delay()),
-            "a real-time fabric delivers directly and cannot charge {}; modeled delays are \
-             charged on the virtual clock: build the cluster on virtual time \
-             (`ClusterConfig::with_virtual_time`)",
-            if topology.is_zero() {
-                "the delay of its fault plan (`FaultPlan::with_delay`)"
-            } else {
-                "a costed topology"
-            }
+            clock.is_virtual() || link.is_zero(),
+            "a real-time fabric delivers directly and cannot charge a costed link; modeled \
+             delays are charged on the virtual clock: build the cluster on virtual time \
+             (`ClusterConfig::with_virtual_time`)"
         );
         let mut routes = Vec::with_capacity(machines);
         let mut inboxes = Vec::with_capacity(machines);
@@ -128,7 +125,7 @@ impl Network {
         (
             Network {
                 routes: Arc::new(routes),
-                topology,
+                link,
                 metrics,
                 faults,
                 clock,
@@ -223,12 +220,12 @@ impl Network {
         match route {
             Route::Direct(tx) => {
                 // Nowhere to apply a delay, and none to apply: `build`
-                // refused a cost or a delaying plan, `spike` is refused.
+                // refused a cost, `spike` is refused.
                 let delivered = hand_over(tx, packet, &self.metrics);
                 delivered.then_some(()).ok_or(NetError::Disconnected(dst))
             }
             Route::Sim => {
-                let mut cost = self.topology.cost(src, dst);
+                let mut cost = topology::cost(self.link, src, dst);
                 cost.latency = cost.latency.saturating_add(extra_delay);
                 // A dead inbox is only discoverable when the event fires:
                 // it is counted then, not surfaced here.
@@ -279,37 +276,32 @@ pub(crate) fn hand_over(inbox: &Sender<Packet>, packet: Packet, metrics: &Metric
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::NetCost;
     use std::time::{Duration, Instant};
 
     use crate::faults::FaultPlan;
 
-    fn net(machines: usize, spec: TopologySpec) -> (Network, Vec<Receiver<Packet>>) {
-        net_faulty(machines, spec, FaultPlan::none())
+    fn net(machines: usize, link: NetCost) -> (Network, Vec<Receiver<Packet>>) {
+        net_faulty(machines, link, FaultPlan::none())
     }
 
     fn net_faulty(
         machines: usize,
-        spec: TopologySpec,
+        link: NetCost,
         plan: FaultPlan,
     ) -> (Network, Vec<Receiver<Packet>>) {
         Network::build(
             machines,
-            spec,
+            link,
             Arc::new(Metrics::new(machines)),
             Arc::new(FaultState::new(plan, machines)),
             Clock::real(),
         )
     }
 
-    fn net_virtual(
-        machines: usize,
-        spec: TopologySpec,
-        seed: u64,
-    ) -> (Network, Vec<Receiver<Packet>>) {
+    fn net_virtual(machines: usize, link: NetCost, seed: u64) -> (Network, Vec<Receiver<Packet>>) {
         Network::build(
             machines,
-            spec,
+            link,
             Arc::new(Metrics::new(machines)),
             Arc::new(FaultState::new(FaultPlan::none(), machines)),
             Clock::virtual_time(seed),
@@ -318,7 +310,7 @@ mod tests {
 
     #[test]
     fn zero_cost_delivery_is_direct_and_ordered() {
-        let (net, inboxes) = net(2, TopologySpec::Uniform(NetCost::zero()));
+        let (net, inboxes) = net(2, NetCost::zero());
         for i in 0..10u8 {
             net.send(0, 1, vec![i]).unwrap();
         }
@@ -329,22 +321,22 @@ mod tests {
 
     #[test]
     fn unknown_destination_errors() {
-        let (net, _inboxes) = net(2, TopologySpec::Uniform(NetCost::zero()));
+        let (net, _inboxes) = net(2, NetCost::zero());
         assert_eq!(net.send(0, 9, vec![]), Err(NetError::NoSuchMachine(9)));
     }
 
     #[test]
     fn dropped_inbox_is_disconnected() {
-        let (net, inboxes) = net(2, TopologySpec::Uniform(NetCost::zero()));
+        let (net, inboxes) = net(2, NetCost::zero());
         drop(inboxes);
         assert_eq!(net.send(0, 1, vec![1]), Err(NetError::Disconnected(1)));
     }
 
-    fn lan(latency: Duration, bytes_per_sec: f64) -> TopologySpec {
-        TopologySpec::Uniform(NetCost {
+    fn lan(latency: Duration, bytes_per_sec: f64) -> NetCost {
+        NetCost {
             latency,
             bytes_per_sec,
-        })
+        }
     }
 
     #[test]
@@ -406,7 +398,7 @@ mod tests {
 
     #[test]
     fn metrics_count_sends_and_deliveries() {
-        let (net, inboxes) = net(3, TopologySpec::Uniform(NetCost::zero()));
+        let (net, inboxes) = net(3, NetCost::zero());
         net.send(0, 1, vec![0u8; 5]).unwrap();
         net.send(2, 1, vec![0u8; 7]).unwrap();
         inboxes[1].recv().unwrap();
@@ -423,11 +415,7 @@ mod tests {
     fn fault_drops_show_up_as_received_byte_asymmetry() {
         // Machine 1 sits behind a lossy link: bytes_sent counts everything,
         // but its per_machine_bytes_received only counts what survived.
-        let (net, inboxes) = net_faulty(
-            2,
-            TopologySpec::Uniform(NetCost::zero()),
-            FaultPlan::seeded(3).with_drop(0.5),
-        );
+        let (net, inboxes) = net_faulty(2, NetCost::zero(), FaultPlan::seeded(3).with_drop(0.5));
         for _ in 0..40 {
             net.send(0, 1, vec![0u8; 10]).unwrap();
         }
@@ -444,7 +432,7 @@ mod tests {
 
     #[test]
     fn machines_reports_endpoint_count() {
-        let (net, _rx) = net(5, TopologySpec::Uniform(NetCost::zero()));
+        let (net, _rx) = net(5, NetCost::zero());
         assert_eq!(net.machines(), 5);
         assert_eq!(net.clone().machines(), 5);
     }
@@ -465,7 +453,7 @@ mod tests {
 
     #[test]
     fn a_real_time_send_to_a_dead_inbox_is_counted_dropped_not_received() {
-        let (net, mut inboxes) = net(2, TopologySpec::Uniform(NetCost::zero()));
+        let (net, mut inboxes) = net(2, NetCost::zero());
         drop(inboxes.remove(1));
         assert_eq!(
             net.send(0, 1, vec![1, 2, 3]),
@@ -479,11 +467,7 @@ mod tests {
 
     #[test]
     fn plan_drops_are_counted_and_silent() {
-        let (net, inboxes) = net_faulty(
-            2,
-            TopologySpec::Uniform(NetCost::zero()),
-            FaultPlan::seeded(11).with_drop(0.5),
-        );
+        let (net, inboxes) = net_faulty(2, NetCost::zero(), FaultPlan::seeded(11).with_drop(0.5));
         for i in 0..100u8 {
             net.send(0, 1, vec![i]).unwrap(); // loss never errors the sender
         }
@@ -503,11 +487,7 @@ mod tests {
 
     #[test]
     fn plan_duplicates_deliver_twice() {
-        let (net, inboxes) = net_faulty(
-            2,
-            TopologySpec::Uniform(NetCost::zero()),
-            FaultPlan::seeded(5).with_dup(1.0),
-        );
+        let (net, inboxes) = net_faulty(2, NetCost::zero(), FaultPlan::seeded(5).with_dup(1.0));
         net.send(0, 1, vec![9]).unwrap();
         assert_eq!(inboxes[1].recv().unwrap().payload, vec![9]);
         assert_eq!(inboxes[1].recv().unwrap().payload, vec![9]);
@@ -522,11 +502,7 @@ mod tests {
     /// range's length, whatever the buffer holds around it.
     #[test]
     fn a_sent_range_is_shared_not_copied_and_counted_by_its_own_length() {
-        let (net, inboxes) = net_faulty(
-            2,
-            TopologySpec::Uniform(NetCost::zero()),
-            FaultPlan::seeded(5).with_dup(1.0),
-        );
+        let (net, inboxes) = net_faulty(2, NetCost::zero(), FaultPlan::seeded(5).with_dup(1.0));
         let buffer = PacketBytes::from((0u8..100).collect::<Vec<_>>());
         let frame = buffer.slice(10..40).unwrap();
         // The sender keeps its handle (a retransmission slot would).
@@ -551,7 +527,7 @@ mod tests {
 
     #[test]
     fn crashed_machine_is_dark_until_restart() {
-        let (net, inboxes) = net(2, TopologySpec::Uniform(NetCost::zero()));
+        let (net, inboxes) = net(2, NetCost::zero());
         let inj = net.fault_injector();
         inj.crash(1);
         net.send(0, 1, vec![1]).unwrap(); // inbound: dropped
@@ -566,7 +542,7 @@ mod tests {
 
     #[test]
     fn partition_drops_are_counted() {
-        let (net, inboxes) = net(3, TopologySpec::Uniform(NetCost::zero()));
+        let (net, inboxes) = net(3, NetCost::zero());
         let inj = net.fault_injector();
         inj.partition(0, 1);
         net.send(0, 1, vec![1]).unwrap();
@@ -585,10 +561,10 @@ mod tests {
         // serialized per receiver — but zero wall-clock sleeping.
         let (net, inboxes) = net_virtual(
             2,
-            TopologySpec::Uniform(NetCost {
+            NetCost {
                 latency: Duration::from_secs(3),
                 bytes_per_sec: 1e3,
-            }),
+            },
             7,
         );
         let t0 = Instant::now();
@@ -619,25 +595,16 @@ mod tests {
         expected = "build the cluster on virtual time (`ClusterConfig::with_virtual_time`)"
     )]
     fn spike_is_refused_where_no_delivery_can_be_delayed() {
-        let (net, _inboxes) = net(2, TopologySpec::Uniform(NetCost::zero()));
+        let (net, _inboxes) = net(2, NetCost::zero());
         net.fault_injector().spike(1, Duration::from_millis(5));
     }
 
     #[test]
     #[should_panic(
-        expected = "cannot charge a costed topology; modeled delays are charged on the virtual clock: build the cluster on virtual time (`ClusterConfig::with_virtual_time`)"
+        expected = "cannot charge a costed link; modeled delays are charged on the virtual clock: build the cluster on virtual time (`ClusterConfig::with_virtual_time`)"
     )]
     fn a_costed_topology_is_refused_on_the_real_clock() {
-        let _ = net(2, TopologySpec::Uniform(NetCost::lan(50, 10.0)));
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "cannot charge the delay of its fault plan (`FaultPlan::with_delay`); modeled delays are charged on the virtual clock: build the cluster on virtual time (`ClusterConfig::with_virtual_time`)"
-    )]
-    fn a_delaying_fault_plan_is_refused_on_the_real_clock() {
-        let plan = FaultPlan::seeded(1).with_delay(0.5, Duration::from_millis(1));
-        let _ = net_faulty(2, TopologySpec::Uniform(NetCost::zero()), plan);
+        let _ = net(2, NetCost::lan(50, 10.0));
     }
 
     #[test]
@@ -655,7 +622,7 @@ mod tests {
 
     #[test]
     fn a_spiked_delivery_is_late_and_counted_on_the_virtual_route() {
-        let (net, inboxes) = net_virtual(3, TopologySpec::Uniform(NetCost::zero()), 7);
+        let (net, inboxes) = net_virtual(3, NetCost::zero(), 7);
         let inj = net.fault_injector();
         inj.spike(1, Duration::from_secs(7));
         // No registered actors: each send drains the event loop inline.
@@ -683,7 +650,7 @@ mod tests {
     #[test]
     fn virtual_network_is_deterministic_across_runs() {
         let run = |seed: u64| {
-            let (net, inboxes) = net_virtual(3, TopologySpec::Uniform(NetCost::zero()), seed);
+            let (net, inboxes) = net_virtual(3, NetCost::zero(), seed);
             for i in 0..10u8 {
                 net.send(0, 1 + (i as usize % 2), vec![i]).unwrap();
             }
@@ -705,11 +672,8 @@ mod tests {
     #[test]
     fn seeded_loss_pattern_is_reproducible_across_networks() {
         let survivors = |seed: u64| -> Vec<u8> {
-            let (net, inboxes) = net_faulty(
-                2,
-                TopologySpec::Uniform(NetCost::zero()),
-                FaultPlan::seeded(seed).with_drop(0.3),
-            );
+            let (net, inboxes) =
+                net_faulty(2, NetCost::zero(), FaultPlan::seeded(seed).with_drop(0.3));
             for i in 0..50u8 {
                 net.send(0, 1, vec![i]).unwrap();
             }

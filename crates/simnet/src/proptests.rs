@@ -1,15 +1,17 @@
-//! Property tests for the substrate: cost-model arithmetic, topology
-//! classification, metrics accounting, and disk allocation invariants.
+//! Property tests for the substrate: cost-model arithmetic, the link's
+//! charge, metrics accounting, and disk allocation invariants.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::clock::Clock;
 use crate::config::{DiskConfig, NetCost};
 use crate::disk::SimDisk;
+use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::Metrics;
+use crate::network::Network;
 use crate::sweep::cases;
 use crate::time::transfer_time;
-use crate::topology::TopologySpec;
 
 /// transfer_time is monotone in bytes and inversely monotone in rate.
 #[test]
@@ -23,46 +25,36 @@ fn transfer_time_monotone() {
     });
 }
 
-/// Uniform topology: loopback free, all distinct pairs equal.
+/// One link: a message between distinct machines pays its latency in
+/// either direction; loopback is free.
 #[test]
 fn uniform_topology_is_uniform() {
     cases("uniform_topology_is_uniform", 64, |c| {
-        let (src, dst) = (c.range(0usize..64), c.range(0usize..64));
-        let lat_us = c.range(0u64..1000);
-        let t = TopologySpec::Uniform(NetCost::lan(lat_us, 1.0));
-        let cost = t.cost(src, dst);
-        if src == dst {
-            assert!(cost.is_zero());
-        } else {
-            assert_eq!(cost.latency, Duration::from_micros(lat_us));
-            // Symmetric.
-            assert_eq!(t.cost(dst, src).latency, cost.latency);
-        }
-    });
-}
-
-/// Rack topology classifies by rack id, symmetrically.
-#[test]
-fn rack_topology_classifies() {
-    cases("rack_topology_classifies", 64, |c| {
-        let (src, dst) = (c.range(0usize..64), c.range(0usize..64));
-        let rack = c.range(1usize..9);
-        let intra = NetCost::lan(5, 10.0);
-        let inter = NetCost::lan(50, 1.0);
-        let t = TopologySpec::Racks {
-            rack_size: rack,
-            intra,
-            inter,
+        let (src, dst) = (c.range(0usize..8), c.range(0usize..8));
+        let latency = Duration::from_micros(c.range(0u64..1000));
+        let landed = |from: usize, to: usize| {
+            let link = NetCost {
+                latency,
+                bytes_per_sec: f64::INFINITY,
+            };
+            let (net, _inboxes) = Network::build(
+                8,
+                link,
+                Arc::new(Metrics::new(8)),
+                Arc::new(FaultState::new(FaultPlan::none(), 8)),
+                Clock::virtual_time(1),
+            );
+            // No registered actors: the send runs the event loop itself.
+            net.send(from, to, vec![0]).unwrap();
+            net.clock().now_nanos()
         };
-        let cost = t.cost(src, dst);
-        if src == dst {
-            assert!(cost.is_zero());
-        } else if src / rack == dst / rack {
-            assert_eq!(cost.latency, intra.latency);
+        let expect = if src == dst {
+            0
         } else {
-            assert_eq!(cost.latency, inter.latency);
-        }
-        assert_eq!(t.cost(dst, src).latency, cost.latency);
+            latency.as_nanos() as u64
+        };
+        assert_eq!(landed(src, dst), expect);
+        assert_eq!(landed(dst, src), expect);
     });
 }
 
@@ -135,21 +127,5 @@ fn disk_regions_are_independent() {
         disk.read(b, &mut got_b).unwrap();
         assert_eq!(got_a, data_a);
         assert_eq!(got_b, data_b);
-    });
-}
-
-/// The cost honours the spec kind.
-#[test]
-fn build_matches_spec() {
-    cases("build_matches_spec", 64, |c| {
-        let (lat, rack) = (c.range(0u64..100), c.range(1usize..5));
-        let uni = TopologySpec::Uniform(NetCost::lan(lat, 1.0));
-        assert_eq!(uni.cost(0, 1).latency, Duration::from_micros(lat));
-        let racks = TopologySpec::Racks {
-            rack_size: rack,
-            intra: NetCost::zero(),
-            inter: NetCost::lan(lat, 1.0),
-        };
-        assert!(racks.cost(0, rack).latency >= racks.cost(0, 0).latency);
     });
 }

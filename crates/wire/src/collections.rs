@@ -5,9 +5,6 @@
 //! bytes and blocks of doubles — get dedicated wrapper types, [`Bytes`] and
 //! [`F64s`], whose encodings are bulk copies.
 
-use std::collections::HashMap;
-use std::hash::Hash;
-
 use crate::codec::{EncodesAs, ViewOf, Wire};
 use crate::error::{WireError, WireResult};
 use crate::reader::Reader;
@@ -68,18 +65,6 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
-impl<T: Wire> Wire for Box<T> {
-    fn encode(&self, w: &mut Writer) {
-        (**self).encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(Box::new(T::decode(r)?))
-    }
-    fn encoded_len_hint(&self) -> usize {
-        (**self).encoded_len_hint()
-    }
-}
-
 impl<T: Wire, E: Wire> Wire for Result<T, E> {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -120,26 +105,6 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
     }
 }
 
-impl<K: Wire + Eq + Hash, V: Wire> Wire for HashMap<K, V> {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.len() as u64);
-        for (k, v) in self {
-            k.encode(w);
-            v.encode(w);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        let len = r.take_len(2)?;
-        let mut out = HashMap::with_capacity(len);
-        for _ in 0..len {
-            let k = K::decode(r)?;
-            let v = V::decode(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
-    }
-}
-
 macro_rules! wire_tuple {
     ($($name:ident),+) => {
         impl<$($name: Wire),+> Wire for ($($name,)+) {
@@ -164,8 +129,6 @@ wire_tuple!(A);
 wire_tuple!(A, B);
 wire_tuple!(A, B, C);
 wire_tuple!(A, B, C, D);
-wire_tuple!(A, B, C, D, E);
-wire_tuple!(A, B, C, D, E, F);
 
 /// Raw byte payload with a bulk (memcpy-style) encoding.
 ///
@@ -203,18 +166,6 @@ impl EncodesAs<Bytes> for &[u8] {
     #[inline]
     fn encoded_len_as(&self) -> usize {
         crate::varint::encoded_len(self.len() as u64) + self.len()
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(v: Vec<u8>) -> Self {
-        Bytes(v)
-    }
-}
-
-impl From<Bytes> for Vec<u8> {
-    fn from(b: Bytes) -> Self {
-        b.0
     }
 }
 
@@ -362,18 +313,6 @@ impl EncodesAs<F64s> for F64sView<'_> {
     }
 }
 
-impl From<Vec<f64>> for F64s {
-    fn from(v: Vec<f64>) -> Self {
-        F64s(v)
-    }
-}
-
-impl From<F64s> for Vec<f64> {
-    fn from(b: F64s) -> Self {
-        b.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,27 +372,13 @@ mod tests {
         rt((1u8,));
         rt((1u8, 2u16));
         rt((1u8, "x".to_string(), 3.5f64));
-        rt((1u8, 2u8, 3u8, 4u8, 5u8, 6u8));
+        rt((1u8, 2u8, 3u8, 4u8));
     }
 
     #[test]
     fn fixed_arrays_roundtrip() {
         rt([1u32, 2, 3]);
         rt([0.5f64; 4]);
-    }
-
-    #[test]
-    fn hashmap_roundtrips() {
-        let mut m = HashMap::new();
-        m.insert("a".to_string(), 1u32);
-        m.insert("b".to_string(), 2u32);
-        rt(m);
-        rt(HashMap::<u64, u64>::new());
-    }
-
-    #[test]
-    fn box_roundtrips() {
-        rt(Box::new(17u64));
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub enum WireError {
     InvalidBool(u8),
     /// An `Option` tag byte was neither 0 nor 1.
     InvalidOptionTag(u8),
-    /// A `char` was not a valid Unicode scalar value.
-    InvalidChar(u32),
     /// A string payload was not valid UTF-8.
     InvalidUtf8,
     /// An enum discriminant did not correspond to any known variant.
@@ -49,7 +47,6 @@ impl fmt::Display for WireError {
             WireError::VarintOverflow => write!(f, "varint exceeded maximum width"),
             WireError::InvalidBool(b) => write!(f, "invalid bool byte {b:#04x}"),
             WireError::InvalidOptionTag(b) => write!(f, "invalid Option tag byte {b:#04x}"),
-            WireError::InvalidChar(c) => write!(f, "invalid char scalar value {c:#x}"),
             WireError::InvalidUtf8 => write!(f, "string payload is not valid UTF-8"),
             WireError::UnknownVariant { ty, tag } => {
                 write!(f, "unknown variant tag {tag} for enum {ty}")

@@ -1,13 +1,13 @@
 //! [`Wire`] implementations for primitive scalars.
 //!
 //! Conventions:
-//! * `u8`/`i8`/`bool` are single bytes.
+//! * `u8`/`bool` are single bytes.
 //! * Wider integers and floats are fixed-width little-endian — remote array
 //!   elements (§2 of the paper: `data[7] = 3.1415`) must encode to exactly
 //!   `size_of::<T>()` bytes so the bulk encodings in `collections` can be a
 //!   straight memcpy.
-//! * `usize`/`isize` travel as varints: they are lengths and indices, almost
-//!   always small, and their in-memory width is platform-dependent.
+//! * `usize` travels as a varint: it is a length or an index, almost always
+//!   small, and its in-memory width is platform-dependent.
 
 use crate::codec::Wire;
 use crate::error::{WireError, WireResult};
@@ -20,18 +20,6 @@ impl Wire for u8 {
     }
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
         r.take_u8()
-    }
-    fn encoded_len_hint(&self) -> usize {
-        1
-    }
-}
-
-impl Wire for i8 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_i8(*self);
-    }
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        r.take_i8()
     }
     fn encoded_len_hint(&self) -> usize {
         1
@@ -76,12 +64,8 @@ wire_fixed! {
     u16 => (put_u16, take_u16),
     u32 => (put_u32, take_u32),
     u64 => (put_u64, take_u64),
-    u128 => (put_u128, take_u128),
-    i16 => (put_i16, take_i16),
     i32 => (put_i32, take_i32),
     i64 => (put_i64, take_i64),
-    i128 => (put_i128, take_i128),
-    f32 => (put_f32, take_f32),
     f64 => (put_f64, take_f64),
 }
 
@@ -94,15 +78,6 @@ impl Wire for usize {
     }
     fn encoded_len_hint(&self) -> usize {
         crate::varint::encoded_len(*self as u64)
-    }
-}
-
-impl Wire for isize {
-    fn encode(&self, w: &mut Writer) {
-        w.put_signed_varint(*self as i64);
-    }
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        Ok(r.take_signed_varint()? as isize)
     }
 }
 
@@ -142,19 +117,6 @@ impl From<V64> for u64 {
     }
 }
 
-impl Wire for char {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(*self as u32);
-    }
-    fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
-        let scalar = r.take_u32()?;
-        char::from_u32(scalar).ok_or(WireError::InvalidChar(scalar))
-    }
-    fn encoded_len_hint(&self) -> usize {
-        4
-    }
-}
-
 impl Wire for () {
     fn encode(&self, _w: &mut Writer) {}
     fn decode(_r: &mut Reader<'_>) -> WireResult<Self> {
@@ -178,17 +140,12 @@ mod tests {
     fn integer_roundtrips() {
         rt(0u8);
         rt(255u8);
-        rt(-128i8);
         rt(u16::MAX);
-        rt(i16::MIN);
         rt(u32::MAX);
         rt(i32::MIN);
         rt(u64::MAX);
         rt(i64::MIN);
-        rt(u128::MAX);
-        rt(i128::MIN);
         rt(usize::MAX);
-        rt(isize::MIN);
     }
 
     #[test]
@@ -199,7 +156,6 @@ mod tests {
         rt(f64::NEG_INFINITY);
         rt(f64::MIN_POSITIVE);
         rt(std::f64::consts::PI);
-        rt(1.5f32);
         // NaN != NaN, so check bit pattern instead.
         let bytes = to_bytes(&f64::NAN);
         assert!(from_bytes::<f64>(&bytes).unwrap().is_nan());
@@ -210,19 +166,6 @@ mod tests {
         rt(true);
         rt(false);
         assert_eq!(from_bytes::<bool>(&[2]), Err(WireError::InvalidBool(2)));
-    }
-
-    #[test]
-    fn char_roundtrips_and_rejects_surrogates() {
-        rt('a');
-        rt('é');
-        rt('🦀');
-        // 0xD800 is a surrogate, not a valid scalar value.
-        let bytes = to_bytes(&0xD800u32);
-        assert_eq!(
-            from_bytes::<char>(&bytes),
-            Err(WireError::InvalidChar(0xD800))
-        );
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
-    /// Decode a zigzag+varint-encoded signed value.
-    #[inline]
-    pub fn take_signed_varint(&mut self) -> WireResult<i64> {
-        Ok(varint::zigzag_decode(self.take_varint()?))
-    }
-
     /// Decode a declared element count, validating it against the bytes
     /// remaining so a corrupt length cannot trigger a huge allocation.
     ///
@@ -133,13 +127,8 @@ take_le! {
     take_u16: u16,
     take_u32: u32,
     take_u64: u64,
-    take_u128: u128,
-    take_i8: i8,
-    take_i16: i16,
     take_i32: i32,
     take_i64: i64,
-    take_i128: i128,
-    take_f32: f32,
     take_f64: f64,
 }
 
@@ -153,12 +142,12 @@ mod tests {
         let mut w = Writer::new();
         w.put_u32(12345);
         w.put_f64(-2.5);
-        w.put_i16(-7);
+        w.put_i64(-7);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.take_u32().unwrap(), 12345);
         assert_eq!(r.take_f64().unwrap(), -2.5);
-        assert_eq!(r.take_i16().unwrap(), -7);
+        assert_eq!(r.take_i64().unwrap(), -7);
         r.expect_end().unwrap();
     }
 

@@ -51,18 +51,6 @@ pub fn read_u64(buf: &[u8]) -> WireResult<(u64, usize)> {
     })
 }
 
-/// ZigZag-encode a signed integer so small negative values stay short.
-#[inline]
-pub fn zigzag_encode(value: i64) -> u64 {
-    ((value << 1) ^ (value >> 63)) as u64
-}
-
-/// Inverse of [`zigzag_encode`].
-#[inline]
-pub fn zigzag_decode(value: u64) -> i64 {
-    ((value >> 1) as i64) ^ -((value & 1) as i64)
-}
-
 /// Number of bytes [`write_u64`] will emit for `value`.
 #[inline]
 pub fn encoded_len(value: u64) -> usize {
@@ -148,32 +136,6 @@ mod tests {
         let mut buf = [0xffu8; 10];
         buf[9] = 0x02;
         assert_eq!(read_u64(&buf), Err(WireError::VarintOverflow));
-    }
-
-    #[test]
-    fn zigzag_roundtrips() {
-        for v in [
-            0i64,
-            -1,
-            1,
-            -2,
-            2,
-            i64::MIN,
-            i64::MAX,
-            -123456789,
-            987654321,
-        ] {
-            assert_eq!(zigzag_decode(zigzag_encode(v)), v);
-        }
-    }
-
-    #[test]
-    fn zigzag_keeps_small_magnitudes_small() {
-        assert_eq!(zigzag_encode(0), 0);
-        assert_eq!(zigzag_encode(-1), 1);
-        assert_eq!(zigzag_encode(1), 2);
-        assert_eq!(zigzag_encode(-2), 3);
-        assert!(encoded_len(zigzag_encode(-64)) == 1);
     }
 
     #[test]

@@ -109,12 +109,6 @@ impl Writer {
         varint::write_u64(&mut self.buf, v);
     }
 
-    /// Append a zigzag+varint-encoded signed value.
-    #[inline]
-    pub fn put_signed_varint(&mut self, v: i64) {
-        varint::write_u64(&mut self.buf, varint::zigzag_encode(v));
-    }
-
     /// Append a length prefix followed by raw bytes.
     #[inline]
     pub fn put_len_prefixed(&mut self, bytes: &[u8]) {
@@ -167,13 +161,8 @@ put_le! {
     put_u16: u16,
     put_u32: u32,
     put_u64: u64,
-    put_u128: u128,
-    put_i8: i8,
-    put_i16: i16,
     put_i32: i32,
     put_i64: i64,
-    put_i128: i128,
-    put_f32: f32,
     put_f64: f64,
 }
 
@@ -231,12 +220,5 @@ mod tests {
         let at = w.as_slice().as_ptr();
         w.reserve(32);
         assert_eq!(w.as_slice().as_ptr(), at);
-    }
-
-    #[test]
-    fn signed_varint_small_negative_is_short() {
-        let mut w = Writer::new();
-        w.put_signed_varint(-1);
-        assert_eq!(w.len(), 1);
     }
 }

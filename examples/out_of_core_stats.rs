@@ -10,15 +10,15 @@ use std::time::Duration;
 
 use distarray::{parallel_sum, register_classes, Array, BlockStorage, PageMap};
 use oopp::ClusterBuilder;
-use simnet::{ClusterConfig, NetCost, TopologySpec};
+use simnet::{ClusterConfig, NetCost};
 
 fn main() {
     // A costed network so the two strategies differ measurably — on the
     // virtual clock, where costs are charged: every time below is modeled.
     let workers = 4;
     let config = ClusterConfig {
-        machines: 0,                                             // overridden by the builder
-        topology: TopologySpec::Uniform(NetCost::lan(50, 10.0)), // 50µs, 10 Gb/s
+        machines: 0,                  // overridden by the builder
+        link: NetCost::lan(50, 10.0), // 50µs, 10 Gb/s
         disk: simnet::DiskConfig::nvme(),
         disks_per_machine: 1,
         disk_capacity: 256 << 20,

@@ -7,7 +7,7 @@ use oopp_repro::mplite::apps::{fft_run, pageio_run, IoMode};
 use oopp_repro::mplite::{MpiWorld, Op};
 use oopp_repro::oopp::{join, ClusterBuilder};
 use oopp_repro::pagestore::{Page, PageDevice, PageDeviceClient};
-use oopp_repro::simnet::{ClusterConfig, DiskConfig, NetCost, TopologySpec};
+use oopp_repro::simnet::{ClusterConfig, DiskConfig, NetCost};
 
 fn sample(shape: [usize; 3]) -> Vec<Complex> {
     let n = shape[0] * shape[1] * shape[2];
@@ -88,19 +88,15 @@ fn pageio_traffic_comparable_across_models() {
     assert_eq!(oopp_delta.messages_sent, 2 * n as u64);
 }
 
-/// A costed rack topology end to end: correctness is cost-independent, and
-/// a call costs what its path does — the driver sits in a rack of its own,
-/// so its round trip to any worker is two inter-rack link crossings.
+/// A costed link end to end: correctness is cost-independent, and a call
+/// costs what its path does — the driver's round trip to a worker is one
+/// request and one reply, each crossing the link once.
 #[test]
-fn costed_rack_topology_end_to_end() {
-    let inter = NetCost::lan(100, 1.0);
+fn costed_link_end_to_end() {
+    let link = NetCost::lan(100, 1.0);
     let config = ClusterConfig {
         machines: 0,
-        topology: TopologySpec::Racks {
-            rack_size: 2,
-            intra: NetCost::lan(20, 10.0),
-            inter,
-        },
+        link,
         disk: DiskConfig::nvme(),
         disks_per_machine: 1,
         disk_capacity: 8 << 20,
@@ -115,13 +111,9 @@ fn costed_rack_topology_end_to_end() {
     let (rtt, sent) = (driver.now_nanos() - t0, cluster.snapshot().since(&before));
     let wire = |machine: usize| {
         let bytes = sent.per_machine_bytes_sent[machine] as usize;
-        simnet::time::nanos(inter.latency + simnet::time::transfer_time(bytes, inter.bytes_per_sec))
+        simnet::time::nanos(link.latency + simnet::time::transfer_time(bytes, link.bytes_per_sec))
     };
-    assert_eq!(
-        rtt,
-        wire(4) + wire(3),
-        "request and reply, one inter-rack link each"
-    );
+    assert_eq!(rtt, wire(4) + wire(3), "request and reply, one link each");
     let shape = [8usize, 8, 4];
     let data = sample(shape);
     let expected = Fft3::new(shape).transform(&Grid3::new(shape, data.clone()), Direction::Forward);
@@ -142,15 +134,6 @@ fn collectives_agree_with_serial_reference() {
     });
     let expect: f64 = (0..7).map(|r| (r * r) as f64).sum();
     assert_eq!(sums, vec![expect; 7]);
-
-    let (gathered, _) = world.run(|c| {
-        let piece = vec![c.rank() as u8 + 1];
-        c.gather(3, piece).unwrap()
-    });
-    assert_eq!(
-        gathered[3].as_ref().unwrap().concat(),
-        vec![1, 2, 3, 4, 5, 6, 7]
-    );
 }
 
 /// The driver can interleave work against both models' substrates in one

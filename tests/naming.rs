@@ -862,6 +862,47 @@ fn hand_built_shard_snapshot_restores_and_round_trips() {
     cluster.shutdown(driver);
 }
 
+/// A shard snapshot holds its names strictly increasing, as `save_state`
+/// writes them: two names out of order, or one name twice, is a typed
+/// error at activation, not a partition that silently sorts or drops them.
+#[test]
+fn shard_snapshots_with_names_out_of_order_are_refused() {
+    let (cluster, mut driver, _dir) = build();
+    for (i, names) in [["oopp://b", "oopp://a"], ["oopp://a", "oopp://a"]]
+        .iter()
+        .enumerate()
+    {
+        let mut w = wire::Writer::new();
+        for field in [0u64, 1, 2] {
+            wire::Wire::encode(&field, &mut w);
+        }
+        for name in names {
+            wire::Wire::encode(&name.to_string(), &mut w);
+            wire::Wire::encode(&obj(1, 77), &mut w);
+            wire::Wire::encode(&1u64, &mut w);
+            wire::Wire::encode(&false, &mut w);
+            wire::Wire::encode(&Vec::<ObjRef>::new(), &mut w);
+            wire::Wire::encode(&0u64, &mut w);
+        }
+        let key = symbolic_addr(&["naming", "unsorted", &i.to_string()]);
+        driver
+            .put_snapshot(
+                1,
+                key.clone(),
+                "DirShard".into(),
+                wire::collections::Bytes(w.into_bytes()),
+            )
+            .unwrap();
+        let restored = driver.activate::<DirShardClient>(1, &key);
+        assert!(
+            matches!(restored, Err(RemoteError::Decode { .. })),
+            "{names:?}: {restored:?}"
+        );
+    }
+    driver.ping(1).unwrap();
+    cluster.shutdown(driver);
+}
+
 /// The root is the plain, non-persistent base class on machine 0: it
 /// arbitrates every takeover, so it is the one object that cannot move —
 /// which is also what keeps it out of the balancer's plans.

@@ -11,8 +11,8 @@
 use std::time::{Duration, Instant};
 
 use oopp_repro::oopp::{
-    symbolic_addr, wire, Backoff, CallPolicy, ClusterBuilder, NodeCtx, ProcessGroup, RemoteClient,
-    RemoteError, RemoteResult,
+    migrate_bound, symbolic_addr, wire, Backoff, CallPolicy, ClusterBuilder, NodeCtx, ProcessGroup,
+    RemoteClient, RemoteError, RemoteResult,
 };
 use oopp_repro::simnet::ClusterConfig;
 use replica::{CoherenceMode, ReplicaConfig, ReplicaManager};
@@ -372,9 +372,9 @@ fn primary_crash_promotes_a_replica_with_state_intact() {
 }
 
 /// Replicated objects are unmovable (DESIGN.md §11): migration refuses
-/// both the primary and its replicas with the typed `Replicated` error,
-/// and `unreplicate_then_migrate` is the one-step escape hatch — tear the
-/// set down, move the primary, rebind the name.
+/// both the primary and its replicas with the typed `Replicated` error;
+/// the way out is to tear the set down (`unreplicate`), then move the
+/// primary and rebind the name (`migrate_bound`).
 #[test]
 fn replicated_objects_refuse_migration_until_unreplicated() {
     let (cluster, mut driver, c, name, mut mgr, replicas) =
@@ -392,7 +392,9 @@ fn replicated_objects_refuse_migration_until_unreplicated() {
         "got {err}"
     );
 
-    let moved = mgr.unreplicate_then_migrate(&mut driver, &name, 3).unwrap();
+    mgr.unreplicate(&mut driver, &name).unwrap();
+    let dir = driver.directory();
+    let moved = migrate_bound(&mut driver, &dir, &name, 3).unwrap();
     assert_eq!(moved.machine, 3);
     assert!(mgr.primary_of(&name).is_none());
     // The name follows the object: a fresh resolve reaches the new home.

@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use oopp_repro::oopp::{
-    symbolic_addr, wire, ByteBlockClient, CallPolicy, ClusterBuilder, DoubleBlockClient, Driver,
+    symbolic_addr, wire, CallPolicy, ClusterBuilder, DirShardClient, DoubleBlockClient, Driver,
     MigrationPayload, ObjRef, RemoteClient, RemoteError,
 };
 use oopp_repro::pagestore::{ArrayPageDevice, ArrayPageDeviceClient, PageDevice, PageDeviceClient};
@@ -75,9 +75,14 @@ fn junk_snapshots_are_typed_errors_for_every_persistent_class() {
         .write_range(d, 0, F64s(vec![1.5, -2.0, 0.25]))
         .unwrap();
     refuses_junk(d, doubles, rng);
-    let bytes = ByteBlockClient::new_on(d, 0, 5).unwrap();
-    bytes.write_range(d, 1, Bytes(vec![7, 8, 9])).unwrap();
-    refuses_junk(d, bytes, rng);
+    let shard = DirShardClient::new_on(d, 0, 0, 1).unwrap();
+    for name in ["oopp://junk/b", "oopp://junk/a"] {
+        shard
+            .as_base()
+            .bind(d, name.into(), doubles.obj_ref())
+            .unwrap();
+    }
+    refuses_junk(d, shard, rng);
     let device = PageDeviceClient::new_on(d, 0, "junk".into(), 4, 64, 0).unwrap();
     refuses_junk(d, device, rng);
     let array = ArrayPageDeviceClient::new_on(d, 0, "a".into(), 2, 2, 2, 2, 0, None).unwrap();
