@@ -13,7 +13,7 @@ use std::time::Duration;
 use distarray::{register_classes, Array, BlockStorage, Domain, PageMap};
 use fft::{c64, Complex, Direction, DistributedFft3, Fft3, Grid3};
 use mplite::apps::{fft_run, pageio_run, IoMode};
-use mplite::{MpiWorld, Op};
+use mplite::MpiWorld;
 use oopp::{
     join, Backoff, BarrierClient, BreakerConfig, CallPolicy, ClusterBuilder, DoubleBlockClient,
     OverloadConfig, RemoteClient, RemoteError,
@@ -1491,7 +1491,7 @@ pub fn a2_collectives() -> Table {
             let t0 = c.now_nanos();
             c.barrier().unwrap();
             let t1 = c.now_nanos();
-            c.allreduce_f64(c.rank() as f64, Op::Sum).unwrap();
+            c.allreduce_f64(c.rank() as f64).unwrap();
             (t1 - t0, c.now_nanos() - t1)
         });
         let slowest = |phase: fn(&(u64, u64)) -> u64| {

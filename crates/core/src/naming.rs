@@ -638,54 +638,47 @@ impl NameService {
         self.on(ctx, name, |ctx, dir, name| dir.claim(ctx, name, expect))
     }
 
-    /// The one takeover arbitration (DESIGN.md §10.3): given that `name`'s
-    /// home machine `dead` is gone, read its lease, claim it at the read
-    /// epoch, and after a lost CAS read it once more. The winner alone may
-    /// activate or promote a new incarnation and `bind_fenced` it at the
-    /// won epoch.
-    pub fn take_over(&self, ctx: &mut NodeCtx, name: &str, dead: usize) -> RemoteResult<Takeover> {
-        let Some((bound, epoch, false)) = self.lease_of(ctx, name.to_string())? else {
-            return Ok(Takeover::Gone);
-        };
-        if bound.machine != dead {
-            return Ok(Takeover::Recovered { at: bound, epoch });
-        }
-        if let Some(epoch) = self.claim(ctx, name.to_string(), epoch)? {
-            return Ok(Takeover::Won { epoch });
-        }
-        Ok(match self.lease_of(ctx, name.to_string())? {
-            Some((at, epoch, false)) if at.machine != dead => Takeover::Recovered { at, epoch },
-            _ => Takeover::Lost,
-        })
-    }
-
-    /// What a claimant does when [`bind_fenced`](Self::bind_fenced)
-    /// refuses the incarnation `fresh` it activated or promoted: another
-    /// claim moved `name` past its epoch meanwhile, so `fresh` must not keep
-    /// serving beside whatever the directory names (DESIGN.md §10.3). It is
-    /// fenced at the record's epoch — forwarding to the bound target when
-    /// `live` holds for it, destroyed behind the fence otherwise. Returns
-    /// the bound target and its epoch when `live` holds, for the claimant
-    /// to adopt.
-    pub fn stand_down(
+    /// The one takeover transaction (DESIGN.md §10.3) of a name lost with
+    /// machine `dead`, given the lease record the caller `read`: claim the
+    /// name at the read epoch and, as the winner, make the new incarnation
+    /// with `place` and [`bind_fenced`](Self::bind_fenced) it at the won
+    /// epoch. A refused bind stands it down, fenced at the record's epoch:
+    /// forwarding to the bound target if that is off `dead` and `live`,
+    /// destroyed otherwise. Every other end answers by what the record names.
+    pub fn recover(
         &self,
         ctx: &mut NodeCtx,
         name: &str,
-        fresh: ObjRef,
+        dead: usize,
+        read: Option<(ObjRef, u64, bool)>,
+        place: impl FnOnce(&mut NodeCtx, u64) -> Option<ObjRef>,
         live: impl FnOnce(&mut NodeCtx, ObjRef) -> bool,
-    ) -> RemoteResult<Option<(ObjRef, u64)>> {
+    ) -> RemoteResult<Takeover> {
+        let epoch = match read {
+            Some((at, epoch, false)) if at.machine == dead => epoch,
+            _ => return Ok(Takeover::named(read, dead)),
+        };
+        let Some(epoch) = self.claim(ctx, name.to_string(), epoch)? else {
+            return Ok(Takeover::named(self.lease_of(ctx, name.to_string())?, dead));
+        };
+        let Some(fresh) = place(ctx, epoch) else {
+            return Ok(Takeover::Won { epoch });
+        };
+        if self.bind_fenced(ctx, name.to_string(), fresh, epoch)? {
+            return Ok(Takeover::Bound { at: fresh, epoch });
+        }
         let record = self.lease_of(ctx, name.to_string())?;
-        if let Some((at, epoch, false)) = record {
-            if live(ctx, at) {
+        match record {
+            Some((at, epoch, false)) if at.machine != dead && live(ctx, at) => {
                 ctx.fence_object(fresh, epoch, at)?;
-                return Ok(Some((at, epoch)));
             }
+            Some((_, epoch, _)) => {
+                ctx.set_epoch_of(fresh, epoch)?;
+                ctx.destroy(fresh)?;
+            }
+            None => ctx.destroy(fresh)?,
         }
-        if let Some((_, epoch, _)) = record {
-            ctx.set_epoch_of(fresh, epoch)?;
-        }
-        ctx.destroy(fresh)?;
-        Ok(None)
+        Ok(Takeover::named(record, dead))
     }
 
     /// Fenced rebind (see [`DirectoryClient::bind_fenced`]).
@@ -759,19 +752,31 @@ impl NameService {
 
 wire::wire_struct!(NameService { root, shards });
 
-/// What [`NameService::take_over`] found.
+/// How [`NameService::recover`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Takeover {
     /// The name is unbound or poisoned: there is nothing to recover.
     Gone,
-    /// The name is already bound off the dead machine: adopt incarnation
-    /// `at`, fenced at `epoch`.
+    /// The name is bound off the dead machine: adopt `at`, fenced at `epoch`.
     Recovered { at: ObjRef, epoch: u64 },
-    /// Another claimant won the CAS and the record still points at the
-    /// dead machine: its recovery is in flight.
+    /// A later claim holds the name and the record still names the dead
+    /// machine: that claimant's recovery is in flight, or it gave up.
     Lost,
-    /// This caller won the claim: bind the new incarnation at `epoch`.
+    /// This caller holds the claim at `epoch`; `place` found nowhere.
     Won { epoch: u64 },
+    /// The fresh incarnation `at` is bound at `epoch`.
+    Bound { at: ObjRef, epoch: u64 },
+}
+
+impl Takeover {
+    /// What a lease record means to a claimant of a name lost with `dead`.
+    fn named(record: Option<(ObjRef, u64, bool)>, dead: usize) -> Takeover {
+        match record {
+            Some((at, epoch, false)) if at.machine != dead => Takeover::Recovered { at, epoch },
+            Some((_, _, false)) => Takeover::Lost,
+            _ => Takeover::Gone,
+        }
+    }
 }
 
 /// Dereference a symbolic address — the paper's
@@ -837,20 +842,19 @@ pub fn resolve_or_activate_supervised<C: crate::RemoteClient>(
         }
         ctx.invalidate_resolve(addr);
     }
-    // Recovery is arbitrated through the name's lease epoch: the
-    // directory's `claim` is a CAS, so of N clients that all watched the
-    // home machine die, exactly one bumps the epoch and activates a
-    // replica. A loser's claim fails — the epoch moved under it — and it
-    // never claims again in this invocation (claiming the *bumped* epoch
-    // would re-open the double-activation it just lost); it waits for the
-    // winner's `bind_fenced` and adopts that incarnation, or gives up
-    // with [`Fenced`](crate::RemoteError::Fenced) so the caller
-    // re-resolves. Without the claim, both clients would activate and the
-    // name would flap between two live copies (split-brain).
+    // Recovery is arbitrated by [`NameService::recover`]: its claim is a CAS
+    // at the epoch this resolver read, so of N clients that watched the home
+    // machine die exactly one activates a replica. A loser never claims again
+    // in this invocation (claiming the *bumped* epoch would re-open the
+    // double activation it just lost): it adopts the winner's incarnation,
+    // or gives up with [`Fenced`](crate::RemoteError::Fenced) so the caller
+    // re-resolves. Without the claim the name would flap between two live
+    // copies (split-brain).
     let mut last_err = None;
     let mut may_claim = true;
-    'read: for _ in 0..6 {
-        match dir.lease_of(ctx, addr.to_string())? {
+    for _ in 0..6 {
+        let read = dir.lease_of(ctx, addr.to_string())?;
+        match read {
             Some((_, _, true)) => {
                 // The supervisor gave up on this name; don't dig it up.
                 return Err(crate::RemoteError::app(format!(
@@ -863,41 +867,36 @@ pub fn resolve_or_activate_supervised<C: crate::RemoteClient>(
                     ctx.cache_resolve(addr, r);
                     return Ok(C::from_ref(r));
                 }
-                if may_claim {
-                    may_claim = false;
-                    if let Some(new_epoch) = dir.claim(ctx, addr.to_string(), epoch)? {
+                if std::mem::take(&mut may_claim) {
+                    let place = |ctx: &mut NodeCtx, epoch| {
                         for &m in candidates {
                             if m == r.machine || ctx.ping(m).is_err() {
                                 continue;
                             }
-                            match ctx.activate_fenced::<C>(m, addr, new_epoch) {
-                                Ok(client) => {
-                                    let fresh = client.obj_ref();
-                                    if dir.bind_fenced(ctx, addr.to_string(), fresh, new_epoch)? {
-                                        ctx.cache_resolve(addr, fresh);
-                                        return Ok(client);
-                                    }
-                                    // A later claim moved the name past
-                                    // ours while we activated: stand down,
-                                    // then read the record again like any
-                                    // claimant that lost.
-                                    let answers = |ctx: &mut NodeCtx, at: ObjRef| {
-                                        ctx.ping(at.machine).is_ok()
-                                    };
-                                    dir.stand_down(ctx, addr, fresh, answers)?;
-                                    continue 'read;
-                                }
+                            match ctx.activate_fenced::<C>(m, addr, epoch) {
+                                Ok(client) => return Some(client.obj_ref()),
                                 Err(e) => last_err = Some(e),
                             }
                         }
+                        None
+                    };
+                    let answers = |ctx: &mut NodeCtx, at: ObjRef| ctx.ping(at.machine).is_ok();
+                    match dir.recover(ctx, addr, r.machine, read, place, answers)? {
+                        Takeover::Bound { at, .. } => {
+                            ctx.cache_resolve(addr, at);
+                            return Ok(C::from_ref(at));
+                        }
                         // We hold the claim but found no live candidate;
                         // surface the activation failure.
-                        break;
+                        Takeover::Won { .. } => break,
+                        // Another incarnation is bound, or the name went.
+                        Takeover::Recovered { .. } | Takeover::Gone => continue,
+                        Takeover::Lost => {}
                     }
                 }
-                // Claim lost (now or in an earlier round): a concurrent
-                // takeover is in flight. Serve for a beat to let the
-                // winner's bind land, then re-read.
+                // A rival's claim holds the name: its takeover is in
+                // flight. Serve for a beat to let the winner's bind land,
+                // then re-read.
                 last_err = Some(crate::RemoteError::Fenced {
                     current_epoch: epoch,
                 });

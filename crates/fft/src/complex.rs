@@ -1,6 +1,5 @@
 //! Complex arithmetic, from scratch (no external numerics crates).
 
-use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Sub, SubAssign};
 
 /// A double-precision complex number.
@@ -130,12 +129,6 @@ impl MulAssign for Complex {
     }
 }
 
-impl Sum for Complex {
-    fn sum<I: Iterator<Item = Complex>>(iter: I) -> Complex {
-        iter.fold(Complex::ZERO, Add::add)
-    }
-}
-
 /// Maximum absolute componentwise difference between two spectra — the
 /// error metric used by the FFT tests.
 pub fn max_error(a: &[Complex], b: &[Complex]) -> f64 {
@@ -185,8 +178,6 @@ mod tests {
         z -= c64(1.0, 0.0);
         z *= c64(0.0, 1.0);
         assert_eq!(z, c64(-1.0, 0.0));
-        let total: Complex = [Complex::ONE, Complex::I, c64(1.0, 1.0)].into_iter().sum();
-        assert_eq!(total, c64(2.0, 2.0));
     }
 
     #[test]

@@ -8,27 +8,6 @@
 
 use crate::comm::{Comm, MpResult};
 
-/// Reduction operators for the `*_f64` collectives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
-    /// Addition.
-    Sum,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-}
-
-impl Op {
-    fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            Op::Sum => a + b,
-            Op::Min => a.min(b),
-            Op::Max => a.max(b),
-        }
-    }
-}
-
 /// Base of the reserved collective tag space (user tags must stay below).
 pub const COLLECTIVE_TAG_BASE: u64 = 1 << 48;
 
@@ -93,9 +72,8 @@ impl Comm {
         Ok(data)
     }
 
-    /// Binomial-tree reduction of one `f64` to `root`. Non-roots return
-    /// `None`.
-    pub fn reduce_f64(&mut self, root: usize, value: f64, op: Op) -> MpResult<Option<f64>> {
+    /// Binomial-tree sum of one `f64` to `root`. Non-roots return `None`.
+    pub fn reduce_f64(&mut self, root: usize, value: f64) -> MpResult<Option<f64>> {
         let size = self.size();
         let rank = self.rank();
         let vrank = (rank + size - root) % size;
@@ -112,7 +90,7 @@ impl Comm {
             } else if (vrank | bit) < size {
                 let child = ((vrank | bit) + root) % size;
                 let v: f64 = self.recv_val(child, tag)?;
-                acc = op.apply(acc, v);
+                acc += v;
             }
             bit <<= 1;
         }
@@ -120,9 +98,9 @@ impl Comm {
         Ok(if rank == root { Some(acc) } else { None })
     }
 
-    /// Reduce to rank 0 then broadcast: every rank gets the result.
-    pub fn allreduce_f64(&mut self, value: f64, op: Op) -> MpResult<f64> {
-        let reduced = self.reduce_f64(0, value, op)?;
+    /// Sum to rank 0 then broadcast: every rank gets the result.
+    pub fn allreduce_f64(&mut self, value: f64) -> MpResult<f64> {
+        let reduced = self.reduce_f64(0, value)?;
         let bytes = self.bcast(0, reduced.map(|v| wire::to_bytes(&v)).unwrap_or_default())?;
         wire::from_bytes(&bytes).map_err(|e| crate::MpError::Decode(e.to_string()))
     }
@@ -179,7 +157,6 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::MpiWorld;
     use simnet::ClusterConfig;
 
@@ -220,8 +197,7 @@ mod tests {
     #[test]
     fn reduce_sums_at_root() {
         for n in [1, 2, 3, 5, 8] {
-            let (results, _) =
-                world(n).run(|c| c.reduce_f64(0, (c.rank() + 1) as f64, Op::Sum).unwrap());
+            let (results, _) = world(n).run(|c| c.reduce_f64(0, (c.rank() + 1) as f64).unwrap());
             let expect = (n * (n + 1)) as f64 / 2.0;
             assert_eq!(results[0], Some(expect));
             for r in &results[1..] {
@@ -232,12 +208,8 @@ mod tests {
 
     #[test]
     fn allreduce_min_max_sum() {
-        let (sums, _) = world(5).run(|c| c.allreduce_f64(c.rank() as f64, Op::Sum).unwrap());
+        let (sums, _) = world(5).run(|c| c.allreduce_f64(c.rank() as f64).unwrap());
         assert_eq!(sums, vec![10.0; 5]);
-        let (mins, _) = world(5).run(|c| c.allreduce_f64(c.rank() as f64 + 3.0, Op::Min).unwrap());
-        assert_eq!(mins, vec![3.0; 5]);
-        let (maxs, _) = world(5).run(|c| c.allreduce_f64(-(c.rank() as f64), Op::Max).unwrap());
-        assert_eq!(maxs, vec![0.0; 5]);
     }
 
     #[test]
@@ -272,7 +244,7 @@ mod tests {
         let (results, _) = world(4).run(|c| {
             let mut acc = Vec::new();
             for round in 0..5 {
-                let s = c.allreduce_f64((c.rank() + round) as f64, Op::Sum).unwrap();
+                let s = c.allreduce_f64((c.rank() + round) as f64).unwrap();
                 c.barrier().unwrap();
                 acc.push(s);
             }

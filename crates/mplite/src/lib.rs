@@ -10,13 +10,13 @@
 //! tagged point-to-point messages and the classic collectives.
 //!
 //! ```
-//! use mplite::{MpiWorld, Op};
+//! use mplite::MpiWorld;
 //! use simnet::ClusterConfig;
 //!
 //! let world = MpiWorld::new(ClusterConfig::zero_cost(4));
 //! let (sums, _metrics) = world.run(|comm| {
 //!     let mine = (comm.rank() + 1) as f64;
-//!     comm.allreduce_f64(mine, Op::Sum).unwrap()
+//!     comm.allreduce_f64(mine).unwrap()
 //! });
 //! assert_eq!(sums, vec![10.0; 4]);
 //! ```
@@ -26,6 +26,5 @@ pub mod collectives;
 pub mod comm;
 pub mod world;
 
-pub use collectives::Op;
 pub use comm::{Comm, MpError, MpResult};
 pub use world::MpiWorld;

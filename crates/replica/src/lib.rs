@@ -33,13 +33,14 @@
 //! Replica-set *membership* is arbitrated through the naming directory
 //! exactly like incarnation takeovers: `set_replicas` is a CAS on the
 //! record's replica-set epoch, so of two racing managers exactly one
-//! installs its set. When the primary's machine dies, the manager wins
-//! the name's incarnation `claim` (the same CAS the supervisor uses),
-//! promotes a surviving replica in place — no snapshot restore, the
-//! replica *is* a live copy — and re-binds the name fenced at the new
-//! epoch. Replicated objects are **unmovable**: `migrate_out` refuses
-//! them, because a migration's forwarding stub would bypass the
-//! coherence gate (scale the replica set instead; see DESIGN.md §11).
+//! installs its set. When the primary's machine dies, the manager runs
+//! the supervisor's takeover transaction, [`NameService::recover`]: it
+//! wins the name's incarnation claim, promotes a surviving replica in
+//! place — no snapshot restore, the replica *is* a live copy — and
+//! re-binds the name fenced at the new epoch. Replicated objects are
+//! **unmovable**: `migrate_out` refuses them, because a migration's
+//! forwarding stub would bypass the coherence gate (scale the replica set
+//! instead; see DESIGN.md §11).
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -342,8 +343,8 @@ impl ReplicaManager {
     /// CAS-promote a surviving replica into the primary role. Returns the
     /// promotions performed as `(name, new_primary)`.
     ///
-    /// Promotion goes through the supervisor's takeover arbitration —
-    /// [`NameService::take_over`], a CAS on the name's incarnation epoch —
+    /// Promotion is the supervisor's takeover transaction —
+    /// [`NameService::recover`], a CAS on the name's incarnation epoch —
     /// so a manager racing a snapshot-restoring supervisor cannot split
     /// the brain: exactly one wins the claim, and the loser adopts the
     /// winner's incarnation once it is bound.
@@ -421,10 +422,11 @@ impl ReplicaManager {
     }
 
     /// Promote a surviving replica of entry `i` whose primary died on
-    /// `dead`. Returns the new primary, or `None` when the claim was
-    /// lost (a supervisor takeover is in flight — adopt its outcome) or
-    /// no replica survived (the supervisor's snapshot path is the only
-    /// recovery left).
+    /// `dead`, through the directory's takeover transaction. Returns the
+    /// new primary, or `None` when someone else recovered the name (adopted
+    /// here), another claim is in flight, or no replica survived (the
+    /// supervisor's snapshot path is the only recovery left: the claimed
+    /// epoch is the one its takeover reads and claims past).
     fn failover(
         &mut self,
         ctx: &mut NodeCtx,
@@ -433,8 +435,22 @@ impl ReplicaManager {
     ) -> RemoteResult<Option<ObjRef>> {
         let dir = self.dir;
         let name = self.managed[i].name.clone();
-        let new_epoch = match dir.take_over(ctx, &name, dead)? {
-            Takeover::Won { epoch } => epoch,
+        let read = dir.lease_of(ctx, name.clone())?;
+        // The promoted replica's write-version, read before promoting: the
+        // new primary must continue the epoch stream at or above it.
+        let mut version = 0;
+        let mut survivors = self.managed[i].replicas.iter().copied();
+        let place = |ctx: &mut NodeCtx, epoch| {
+            survivors.find(|&r| {
+                if r.machine == dead || ctx.ping(r.machine).is_err() {
+                    return false;
+                }
+                version = ctx.replica_status_of(r).map(|s| s.rs_epoch).unwrap_or(0);
+                ctx.replica_promote(r, epoch).is_ok()
+            })
+        };
+        let (r, new_epoch) = match dir.recover(ctx, &name, dead, read, place, |_, _| true)? {
+            Takeover::Bound { at, epoch } => (at, epoch),
             Takeover::Recovered { at, epoch } => {
                 // Someone else already recovered the name (supervisor
                 // restore or a racing manager): adopt the new incarnation.
@@ -443,75 +459,44 @@ impl ReplicaManager {
                 self.adopt_recovered(ctx, i, at, epoch, dead)?;
                 return Ok(None);
             }
-            Takeover::Gone | Takeover::Lost => return Ok(None),
+            Takeover::Gone | Takeover::Lost | Takeover::Won { .. } => return Ok(None),
         };
-        let candidates: Vec<ObjRef> = self.managed[i]
+        let rest: Vec<ObjRef> = self.managed[i]
             .replicas
             .iter()
             .copied()
-            .filter(|r| r.machine != dead)
+            .filter(|&x| x != r && x.machine != dead)
             .collect();
-        for r in candidates {
-            if ctx.ping(r.machine).is_err() {
-                continue;
-            }
-            // Capture the replica's write-version before promoting: the
-            // new primary must continue the epoch stream at or above it.
-            let version = ctx.replica_status_of(r).map(|s| s.rs_epoch).unwrap_or(0);
-            if ctx.replica_promote(r, new_epoch).is_err() {
-                continue;
-            }
-            if !dir.bind_fenced(ctx, name.clone(), r, new_epoch)? {
-                // A later claim moved the name past ours while we
-                // promoted: stand down and adopt what the directory names,
-                // as after `Recovered`.
-                let live = |_: &mut NodeCtx, at: ObjRef| at.machine != dead;
-                if let Some((at, epoch)) = dir.stand_down(ctx, &name, r, live)? {
-                    self.adopt_recovered(ctx, i, at, epoch, dead)?;
-                }
-                return Ok(None);
-            }
-            let rest: Vec<ObjRef> = self.managed[i]
-                .replicas
-                .iter()
-                .copied()
-                .filter(|&x| x != r && x.machine != dead)
-                .collect();
-            let rs_now = dir
-                .replica_set(ctx, name.clone())?
-                .map(|(_, rs)| rs)
-                .unwrap_or(0);
-            let rs1 = dir
-                .set_replicas(ctx, name.clone(), rest.clone(), rs_now)?
-                .unwrap_or(rs_now);
-            ctx.replica_attach(
-                r,
-                rest.clone(),
-                version.max(rs1),
-                self.write_through(),
-                self.lease_millis(),
-            )?;
-            let old_primary = self.managed[i].primary;
-            ctx.drop_replica_route(old_primary);
-            ctx.register_replica_route_raw(r, rest.clone(), rs1, self.managed[i].read_verbs);
-            ctx.trace_marker(
-                EventKind::ReplicaPromote,
-                r.machine,
-                new_epoch.min(u32::MAX as u64) as u32,
-            );
-            let e = &mut self.managed[i];
-            e.primary = r;
-            e.epoch = new_epoch;
-            e.rs_epoch = rs1;
-            e.replicas = rest;
-            self.stats.promotions += 1;
-            self.stats.replicas_dropped += 1; // the promoted one left the set
-            return Ok(Some(r));
-        }
-        // Claim held but no live replica: nothing to promote. Leave the
-        // claimed epoch for the supervisor's snapshot restore (its
-        // `bind_fenced` at new_epoch will still land).
-        Ok(None)
+        let rs_now = dir
+            .replica_set(ctx, name.clone())?
+            .map(|(_, rs)| rs)
+            .unwrap_or(0);
+        let rs1 = dir
+            .set_replicas(ctx, name.clone(), rest.clone(), rs_now)?
+            .unwrap_or(rs_now);
+        ctx.replica_attach(
+            r,
+            rest.clone(),
+            version.max(rs1),
+            self.write_through(),
+            self.lease_millis(),
+        )?;
+        let old_primary = self.managed[i].primary;
+        ctx.drop_replica_route(old_primary);
+        ctx.register_replica_route_raw(r, rest.clone(), rs1, self.managed[i].read_verbs);
+        ctx.trace_marker(
+            EventKind::ReplicaPromote,
+            r.machine,
+            new_epoch.min(u32::MAX as u64) as u32,
+        );
+        let e = &mut self.managed[i];
+        e.primary = r;
+        e.epoch = new_epoch;
+        e.rs_epoch = rs1;
+        e.replicas = rest;
+        self.stats.promotions += 1;
+        self.stats.replicas_dropped += 1; // the promoted one left the set
+        Ok(Some(r))
     }
 
     /// Adopt an incarnation someone else recovered: drop our route and

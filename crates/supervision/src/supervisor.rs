@@ -21,7 +21,7 @@
 //! to supervised objects with [`Fenced`](oopp::RemoteError::Fenced).
 //! Taking over after that point cannot split the brain: the old
 //! incarnation is self-fenced, the new one carries a higher epoch won by
-//! the directory's CAS ([`NameService::take_over`]), and stale pointers
+//! the directory's CAS ([`NameService::recover`]), and stale pointers
 //! learn the new epoch from the fence replies.
 //!
 //! ## Resurrection
@@ -35,7 +35,7 @@
 //! heartbeats again. The ordering is the whole point: resuming heartbeats
 //! first would revive the old incarnations' lease while two copies exist.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Duration;
 
 use oopp::{
@@ -183,12 +183,13 @@ pub struct Supervisor {
     /// itself is late.
     beat_expired: HashSet<usize>,
     last_sent: HashMap<usize, u64>,
-    in_flight: HashMap<u64, InFlight>,
+    in_flight: BTreeMap<u64, InFlight>,
     regs: Vec<Registration>,
-    /// Takeovers another claimant's claim beat while the record still
-    /// named the dead machine, each with the cluster-clock nanos it is
-    /// tried again at: that claimant may give up — a resolver with no live
-    /// candidate — and leave the name claimed and bound to the corpse.
+    /// Takeovers that answered [`Takeover::Lost`] — another claim holds the
+    /// name, lost or refused ours, while the record still names the dead
+    /// machine — each with the cluster-clock nanos it is tried again at:
+    /// that claimant may give up — a resolver with no live candidate — and
+    /// leave the name claimed and bound to the corpse.
     lost_claims: Vec<(Loss, u64)>,
     stats: SupervisionStats,
 }
@@ -226,7 +227,7 @@ impl Supervisor {
             last_step: None,
             beat_expired: HashSet::new(),
             last_sent: HashMap::new(),
-            in_flight: HashMap::new(),
+            in_flight: BTreeMap::new(),
             regs: Vec::new(),
             lost_claims: Vec::new(),
             stats: SupervisionStats::default(),
@@ -291,12 +292,7 @@ impl Supervisor {
     pub fn checkpoint(&mut self, ctx: &mut NodeCtx) -> usize {
         let mut refreshed = 0;
         let live: Vec<usize> = (0..self.regs.len())
-            .filter(|&i| {
-                matches!(
-                    self.state.get(&self.regs[i].current.machine),
-                    None | Some(MState::Up { .. })
-                )
-            })
+            .filter(|&i| self.is_up(self.regs[i].current.machine))
             .collect();
         for i in live {
             let (current, class) = (self.regs[i].current, self.regs[i].class);
@@ -370,9 +366,9 @@ impl Supervisor {
         Duration::from_nanos(t.saturating_sub(self.start.unwrap_or(0)))
     }
 
-    /// Collect heartbeat/probe replies; expire requests nothing will
-    /// answer. A reply that is an *error* (the fabric is up but the
-    /// daemon refused) still proves the machine is alive — it counts.
+    /// Collect heartbeat/probe replies in request order; expire requests
+    /// nothing will answer. A reply that is an *error* (the fabric is up but
+    /// the daemon refused) still proves the machine is alive — it counts.
     fn reap(&mut self, ctx: &mut NodeCtx, now: u64) {
         let ids: Vec<u64> = self.in_flight.keys().copied().collect();
         for id in ids {
@@ -538,27 +534,79 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Take registration `loss.reg` away from its dead machine and
-    /// account for it. True when this supervisor moved it.
+    /// Take registration `loss.reg` away from its dead machine through the
+    /// directory's takeover transaction, [`NameService::recover`], placing
+    /// the new incarnation on the least-loaded live backup, and account for
+    /// the outcome. True when this supervisor moved it.
     fn recover(
         &mut self,
         ctx: &mut NodeCtx,
         loss: Loss,
         recoveries: &mut Vec<Recovery>,
     ) -> RemoteResult<bool> {
-        if self.takeover(ctx, loss)?.is_none() {
-            return Ok(false);
+        let (dir, i, m) = (self.dir, loss.reg, loss.dead);
+        let name = self.regs[i].name.clone();
+        let read = dir.lease_of(ctx, name.clone())?;
+        let place = |ctx: &mut NodeCtx, epoch| {
+            let targets = self.rank_survivors(ctx, &self.regs[i].backups, m);
+            for attempt in 0..TAKEOVER_ATTEMPTS {
+                if attempt > 0 {
+                    ctx.serve_for(HEARTBEAT_INTERVAL);
+                }
+                for &target in &targets {
+                    if let Ok(fresh) = ctx.activate_fenced_raw(target, &name, epoch) {
+                        return Some(fresh);
+                    }
+                }
+            }
+            None
+        };
+        let live = |_: &mut NodeCtx, at: ObjRef| self.is_up(at.machine);
+        let (fresh, epoch) = match dir.recover(ctx, &name, m, read, place, live)? {
+            Takeover::Bound { at, epoch } => (at, epoch),
+            Takeover::Recovered { at, epoch } => {
+                // A client's supervised resolution or a replica promotion
+                // beat us to it; adopt.
+                self.regs[i].current = at;
+                self.regs[i].epoch = epoch;
+                return Ok(false);
+            }
+            Takeover::Lost => {
+                let retry = ctx.now_nanos() + self.lease_ttl.as_nanos() as u64;
+                self.lost_claims.push((loss, retry));
+                return Ok(false);
+            }
+            Takeover::Won { .. } => {
+                // Every attempt failed: the name is unrecoverable. Poison it
+                // so resolvers stop exhuming it, and say so in the stats.
+                dir.poison(ctx, name)?;
+                self.stats.recoveries_failed += 1;
+                self.stats.names_poisoned += 1;
+                return Ok(false);
+            }
+            Takeover::Gone => return Ok(false),
+        };
+        // Keep every *live* old home forwarding straight to the newest
+        // incarnation — without this, a pointer from two takeovers ago would
+        // chase a forward into the machine that died in between.
+        for &h in &self.regs[i].history {
+            if h.machine != m && self.is_up(h.machine) {
+                let _ = ctx.fence_object(h, epoch, fresh);
+            }
         }
+        let reg = &mut self.regs[i];
+        reg.history.push(reg.current);
+        reg.current = fresh;
+        reg.epoch = epoch;
         let total = loss.detect + Duration::from_nanos(ctx.now_nanos().saturating_sub(loss.begun));
         self.stats.objects_reactivated += 1;
         let micros = total.as_micros().min(u32::MAX as u128) as u32;
-        ctx.trace_marker(EventKind::ObjectReactivated, loss.dead, micros);
-        let reg = &self.regs[loss.reg];
+        ctx.trace_marker(EventKind::ObjectReactivated, m, micros);
         recoveries.push(Recovery {
-            name: reg.name.clone(),
-            from: loss.dead,
-            to: reg.current,
-            epoch: reg.epoch,
+            name,
+            from: m,
+            to: fresh,
+            epoch,
             detect: loss.detect,
             total,
         });
@@ -567,9 +615,9 @@ impl Supervisor {
 
     /// Try again each takeover a rival's claim beat a lease ago, while its
     /// machine is still dead: the rival has had a lease to bind, and
-    /// `take_over` adopts what it bound, or claims the name at the epoch
-    /// the rival left it at. A bind refused in between stands down (DESIGN
-    /// §10.3), so the retry cannot leave two live incarnations.
+    /// [`NameService::recover`] adopts what it bound, or claims the name at
+    /// the epoch the rival left it at. A bind refused in between stands
+    /// down (DESIGN §10.3), so the retry cannot leave two live incarnations.
     fn retry_lost_claims(
         &mut self,
         ctx: &mut NodeCtx,
@@ -592,93 +640,25 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Reactivate registration `loss.reg` away from its dead machine.
-    /// Returns the old incarnation on success (for later re-fencing),
-    /// `None` when someone else recovered it, holds the claim (then it is
-    /// tried again a lease later), or the name is gone.
-    fn takeover(&mut self, ctx: &mut NodeCtx, loss: Loss) -> RemoteResult<Option<ObjRef>> {
-        let (dir, i, m) = (self.dir, loss.reg, loss.dead);
-        let name = self.regs[i].name.clone();
-        let new_epoch = match dir.take_over(ctx, &name, m)? {
-            Takeover::Won { epoch } => epoch,
-            Takeover::Recovered { at, epoch } => {
-                // A client's supervised resolution or a replica promotion
-                // beat us to it; adopt.
-                self.regs[i].current = at;
-                self.regs[i].epoch = epoch;
-                return Ok(None);
-            }
-            Takeover::Lost => {
-                let retry = ctx.now_nanos() + self.lease_ttl.as_nanos() as u64;
-                self.lost_claims.push((loss, retry));
-                return Ok(None);
-            }
-            Takeover::Gone => return Ok(None),
-        };
-        let targets = self.rank_survivors(ctx, &self.regs[i].backups.clone(), m);
-        for attempt in 0..TAKEOVER_ATTEMPTS {
-            if attempt > 0 {
-                ctx.serve_for(HEARTBEAT_INTERVAL);
-            }
-            for &target in &targets {
-                let Ok(fresh) = ctx.activate_fenced_raw(target, &name, new_epoch) else {
-                    continue;
-                };
-                if !dir.bind_fenced(ctx, name.clone(), fresh, new_epoch)? {
-                    // A later claim moved the name past ours while we
-                    // activated: stand down and adopt what the directory
-                    // names, as after `Recovered`.
-                    let state = &self.state;
-                    let live = |_: &mut NodeCtx, at: ObjRef| {
-                        at.machine != m
-                            && matches!(state.get(&at.machine), None | Some(MState::Up { .. }))
-                    };
-                    if let Some((at, epoch)) = dir.stand_down(ctx, &name, fresh, live)? {
-                        self.regs[i].current = at;
-                        self.regs[i].epoch = epoch;
-                    }
-                    return Ok(None);
-                }
-                // Keep every *live* old home forwarding straight to the
-                // newest incarnation — without this, a pointer from two
-                // takeovers ago would chase a forward into the machine
-                // that died in between.
-                for h in self.regs[i].history.clone() {
-                    let live = h.machine != m
-                        && matches!(self.state.get(&h.machine), None | Some(MState::Up { .. }));
-                    if live {
-                        let _ = ctx.fence_object(h, new_epoch, fresh);
-                    }
-                }
-                let old = self.regs[i].current;
-                self.regs[i].history.push(old);
-                self.regs[i].current = fresh;
-                self.regs[i].epoch = new_epoch;
-                return Ok(Some(old));
-            }
-        }
-        // Every attempt failed: the name is unrecoverable. Poison it
-        // so resolvers stop exhuming it, and say so in the stats.
-        dir.poison(ctx, name)?;
-        self.stats.recoveries_failed += 1;
-        self.stats.names_poisoned += 1;
-        Ok(None)
-    }
-
     /// The live backups of a registration, least loaded first, excluding
     /// the dead machine and anything else not currently Up. Runs under a
     /// probe call policy: a backup that just died must cost one short
     /// window, not a full retry cycle.
-    fn rank_survivors(&mut self, ctx: &mut NodeCtx, backups: &[usize], dead: usize) -> Vec<usize> {
+    fn rank_survivors(&self, ctx: &mut NodeCtx, backups: &[usize], dead: usize) -> Vec<usize> {
         let saved = ctx.call_policy();
         ctx.set_call_policy(CallPolicy::probe(self.lease_ttl));
         let up = backups
             .iter()
             .copied()
-            .filter(|&b| b != dead && matches!(self.state.get(&b), None | Some(MState::Up { .. })));
+            .filter(|&b| b != dead && self.is_up(b));
         let ranked = rank_by_load(&probe_loads(ctx, up));
         ctx.set_call_policy(saved);
         ranked
+    }
+
+    /// Is `machine` Up, or not supervised by this supervisor at all?
+    fn is_up(&self, machine: usize) -> bool {
+        matches!(self.state.get(&machine), None | Some(MState::Up { .. }))
     }
 
     /// A probe reply arrived from a machine we declared dead.

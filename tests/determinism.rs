@@ -13,9 +13,11 @@ use std::time::Duration;
 
 use oopp_repro::oopp::wire::collections::F64s;
 use oopp_repro::oopp::{
-    join, symbolic_addr, Backoff, CallPolicy, ClusterBuilder, DoubleBlockClient, ObjRef,
+    join, symbolic_addr, Backoff, CallPolicy, ClusterBuilder, DoubleBlockClient, Driver, EventKind,
+    ObjRef,
 };
 use oopp_repro::simnet::{ClusterConfig, FaultPlan, SimSchedule};
+use supervision::Supervisor;
 
 fn chaos_policy() -> CallPolicy {
     CallPolicy::reliable(Duration::from_millis(150))
@@ -232,4 +234,69 @@ fn distinct_seeds_explore_distinct_steal_orders() {
         "8 seeds produced only {} distinct pooled schedule digest(s)",
         digests.len()
     );
+}
+
+/// Step `sup` until `done` holds, serving 2 ms of virtual time between
+/// steps.
+fn step_until(
+    sup: &mut Supervisor,
+    driver: &mut Driver,
+    mut done: impl FnMut(&Supervisor) -> bool,
+) {
+    for _ in 0..5_000 {
+        sup.step(driver).unwrap();
+        if done(sup) {
+            return;
+        }
+        driver.serve_for(Duration::from_millis(2));
+    }
+    panic!("supervisor did not settle: {:?}", sup.stats());
+}
+
+/// A supervised virtual-time run on 4 workers: machines 2 and 3 are cut
+/// off together, declared dead, and healed together, so one reap can find
+/// both false suspicions. Returns the machines of the `FalseSuspicion`
+/// markers in recorded order.
+fn double_false_suspicion(seed: u64) -> Vec<usize> {
+    let (cluster, mut driver) = ClusterBuilder::new(4)
+        .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(seed))
+        .call_policy(chaos_policy())
+        .tracing(true)
+        .build();
+    let lease = Duration::from_millis(150);
+    let mut sup = Supervisor::new(lease, vec![1, 2, 3, 4], driver.directory());
+    // Warm the detector with real heartbeat rounds.
+    let mut warm = 0;
+    step_until(&mut sup, &mut driver, |_| {
+        warm += 1;
+        warm == 8
+    });
+    let faults = cluster.sim().faults();
+    faults.isolate(2, &[0, 1, 3, 4]);
+    faults.isolate(3, &[0, 1, 2, 4]);
+    step_until(&mut sup, &mut driver, |s| s.is_dead(2) && s.is_dead(3));
+    faults.rejoin(2, &[0, 1, 3, 4]);
+    faults.rejoin(3, &[0, 1, 2, 4]);
+    step_until(&mut sup, &mut driver, |s| !s.is_dead(2) && !s.is_dead(3));
+
+    let recorder = cluster.recorder().expect("tracing enabled");
+    cluster.shutdown(driver);
+    let trace = recorder.merge();
+    let marked = trace
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::FalseSuspicion);
+    marked.map(|e| e.peer).collect()
+}
+
+/// The supervisor reaps replies in request order, not hash order: two
+/// false suspicions found by one reap are recorded in the same order on
+/// every same-seed run.
+#[test]
+fn same_seed_records_a_double_false_suspicion_in_one_order() {
+    let first = double_false_suspicion(7);
+    assert_eq!(first.len(), 2, "markers {first:?}");
+    for run in 1..8 {
+        assert_eq!(double_false_suspicion(7), first, "run {run}");
+    }
 }

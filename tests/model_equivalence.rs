@@ -4,7 +4,7 @@
 
 use oopp_repro::fft::{c64, max_error, Complex, Direction, DistributedFft3, Fft3, Grid3};
 use oopp_repro::mplite::apps::{fft_run, pageio_run, IoMode};
-use oopp_repro::mplite::{MpiWorld, Op};
+use oopp_repro::mplite::MpiWorld;
 use oopp_repro::oopp::{join, ClusterBuilder};
 use oopp_repro::pagestore::{Page, PageDevice, PageDeviceClient};
 use oopp_repro::simnet::{ClusterConfig, DiskConfig, NetCost};
@@ -130,7 +130,7 @@ fn collectives_agree_with_serial_reference() {
     let world = MpiWorld::new(ClusterConfig::zero_cost(7));
     let (sums, _) = world.run(|c| {
         let v = (c.rank() * c.rank()) as f64;
-        c.allreduce_f64(v, Op::Sum).unwrap()
+        c.allreduce_f64(v).unwrap()
     });
     let expect: f64 = (0..7).map(|r| (r * r) as f64).sum();
     assert_eq!(sums, vec![expect; 7]);

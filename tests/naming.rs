@@ -156,14 +156,33 @@ impl Rival {
     }
 }
 
-/// `NameService::take_over`, the one takeover arbitration the supervisor
-/// and the replica manager share, answers every state of a lease record.
-/// For the lost-CAS rows a rival on machine 1 claims the same name while
-/// the driver's take-over runs: every hop costs 1 ms of virtual time, so
-/// the directory sees the driver's first `lease_of` (at 1 ms), the rival's
-/// `claim` (2 ms), the driver's `claim` (3 ms), the rival's rebind, if it
-/// makes one (4 ms), and the driver's second `lease_of` (5 ms), in that
-/// order.
+/// What a row's takeover meets besides the driver's own steps.
+#[derive(Debug, Clone, Copy)]
+enum Act {
+    /// No rival, and `place` finds nowhere.
+    Nowhere,
+    /// The rival claims the name first (rebinding it to the given target,
+    /// if any), and `place` finds nowhere.
+    Races(Option<ObjRef>),
+    /// `place` makes a fresh object on machine 1, bound unopposed.
+    Fresh,
+    /// `place` makes a fresh object on machine 1 after the rival claims the
+    /// name once more (rebinding it to the given target, if any): the bind
+    /// is refused.
+    Refused(Option<ObjRef>),
+}
+
+/// `NameService::recover`, the one takeover transaction the supervisor, the
+/// replica manager and the supervised resolver share, answers every state
+/// of a lease record. For the lost-CAS rows a rival on machine 1 claims the
+/// same name while the driver's takeover runs: every hop costs 1 ms of
+/// virtual time, so the directory sees the driver's `lease_of` (at 1 ms),
+/// the rival's `claim` (2 ms), the driver's `claim` (3 ms), the rival's
+/// rebind, if it makes one (4 ms), and the driver's second `lease_of`
+/// (5 ms), in that order. For the refused rows the rival claims inside
+/// `place`, after the driver's claim and before its bind; the refused
+/// incarnation stands down, so machine 1 ends each row with the objects it
+/// began it with.
 #[test]
 fn take_over_answers_every_state_of_the_lease() {
     const DEAD: usize = 2;
@@ -176,25 +195,41 @@ fn take_over_answers_every_state_of_the_lease() {
     cluster.sim().faults().crash(DEAD);
     let (home, away, new) = (obj(DEAD, 10), obj(1, 11), obj(1, 12));
 
-    // (row, bound at epoch 1, poisoned, the rival's rebind target if it
-    // races, expected outcome)
+    // (row, bound at epoch 1, poisoned, what the takeover meets, expected
+    // outcome; `None` for `Bound` at the fresh object)
+    use Act::{Fresh, Nowhere, Races, Refused};
     use Takeover::{Gone, Lost, Won};
-    let recovered = |at, epoch| Takeover::Recovered { at, epoch };
+    let recovered = |at, epoch| Some(Takeover::Recovered { at, epoch });
     let rows = [
-        ("unbound", None, false, None, Gone),
-        ("poisoned", Some(home), true, None, Gone),
-        ("bound-away", Some(away), false, None, recovered(away, 1)),
-        ("claim-won", Some(home), false, None, Won { epoch: 2 }),
-        ("lost", Some(home), false, Some(None), Lost),
+        ("unbound", None, false, Nowhere, Some(Gone)),
+        ("poisoned", Some(home), true, Nowhere, Some(Gone)),
+        ("bound-away", Some(away), false, Nowhere, recovered(away, 1)),
+        (
+            "claim-won",
+            Some(home),
+            false,
+            Nowhere,
+            Some(Won { epoch: 2 }),
+        ),
+        ("lost", Some(home), false, Races(None), Some(Lost)),
         (
             "lost-rebound",
             Some(home),
             false,
-            Some(Some(new)),
+            Races(Some(new)),
             recovered(new, 2),
         ),
+        ("bound", Some(home), false, Fresh, None),
+        (
+            "refused-rebound",
+            Some(home),
+            false,
+            Refused(Some(new)),
+            recovered(new, 3),
+        ),
+        ("refused", Some(home), false, Refused(None), Some(Lost)),
     ];
-    for (row, bound, poisoned, race, expected) in rows {
+    for (row, bound, poisoned, act, expected) in rows {
         let name = symbolic_addr(&["naming", "take-over", row]);
         if let Some(target) = bound {
             assert!(dir
@@ -204,12 +239,37 @@ fn take_over_answers_every_state_of_the_lease() {
         if poisoned {
             dir.poison(&mut driver, name.clone()).unwrap();
         }
-        let racing = race.map(|rebind| {
-            rival
-                .claim_async(&mut driver, name.clone(), 1, rebind)
-                .unwrap()
+        let live_on_1 = driver.stats_of(1).unwrap().objects_live;
+        let racing = match act {
+            Races(rebind) => Some(
+                rival
+                    .claim_async(&mut driver, name.clone(), 1, rebind)
+                    .unwrap(),
+            ),
+            _ => None,
+        };
+        let mut fresh = None;
+        let place = |ctx: &mut NodeCtx, epoch| {
+            match act {
+                Nowhere | Races(_) => return None,
+                Fresh => {}
+                Refused(rebind) => {
+                    let won = rival.claim(ctx, name.clone(), epoch, rebind).unwrap();
+                    assert_eq!(won, Some(epoch + 1), "row {row}: rival");
+                }
+            }
+            let made = RivalClient::new_on(ctx, 1, dir.obj_ref()).unwrap();
+            fresh = Some(made.obj_ref());
+            fresh
+        };
+        let read = dir.lease_of(&mut driver, name.clone()).unwrap();
+        let outcome = dir
+            .recover(&mut driver, &name, DEAD, read, place, |_, _| true)
+            .unwrap();
+        let expected = expected.unwrap_or_else(|| Takeover::Bound {
+            at: fresh.unwrap(),
+            epoch: 2,
         });
-        let outcome = dir.take_over(&mut driver, &name, DEAD).unwrap();
         assert_eq!(outcome, expected, "row {row}");
         if let Some(pending) = racing {
             assert_eq!(
@@ -218,6 +278,9 @@ fn take_over_answers_every_state_of_the_lease() {
                 "row {row}: rival"
             );
         }
+        let live_now = driver.stats_of(1).unwrap().objects_live;
+        let made = matches!(act, Fresh) as u64;
+        assert_eq!(live_now, live_on_1 + made, "row {row}: incarnations");
     }
     cluster.shutdown(driver);
 }

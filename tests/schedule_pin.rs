@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use oopp_repro::mplite::{MpiWorld, Op};
+use oopp_repro::mplite::MpiWorld;
 use oopp_repro::oopp::{
     join, symbolic_addr, wire, Backoff, BarrierClient, CallPolicy, ClusterBuilder, NodeCtx,
     RemoteClient, RemoteResult,
@@ -271,9 +271,7 @@ fn mplite_two_rank_world() {
         let peer = 1 - comm.rank();
         comm.send(peer, 7, &[comm.rank() as u8; 64]).unwrap();
         let got = comm.recv(peer, 7).unwrap();
-        let sum = comm
-            .allreduce_f64(comm.rank() as f64 + 1.0, Op::Sum)
-            .unwrap();
+        let sum = comm.allreduce_f64(comm.rank() as f64 + 1.0).unwrap();
         comm.barrier().unwrap();
         comm.set_timeout(Duration::from_millis(3));
         assert!(comm.recv(peer, 99).is_err());

@@ -148,14 +148,16 @@ impl Contested {
 
 /// A directory in front of the real one which, armed with a name, lets a
 /// rival claimant win that name's claim between a takeover's read of the
-/// lease and its own claim — a point no schedule can move. The rival is a
-/// `resolve_or_activate_supervised` caller that found the home dead, won
-/// the claim and had no live candidate to activate: it leaves the name
+/// lease and its own claim — or, armed for the bind, between the takeover's
+/// claim and its `bind_fenced` — at a point no schedule can move. The rival
+/// is a `resolve_or_activate_supervised` caller that found the home dead,
+/// won the claim and had no live candidate to activate: it leaves the name
 /// claimed and still bound to the dead machine.
 #[derive(Debug)]
 pub struct Strander {
     dir: NameService,
     armed: Option<String>,
+    armed_bind: Option<String>,
 }
 
 oopp_repro::oopp::remote_class! {
@@ -163,6 +165,8 @@ oopp_repro::oopp::remote_class! {
         ctor(dir: ObjRef);
         /// Strand `name` at the next claim of it.
         fn arm(&mut self, name: String) -> ();
+        /// Strand `name` at the next fenced bind of it.
+        fn arm_bind(&mut self, name: String) -> ();
         /// The directory's verbs a supervisor calls, passed on.
         fn lease_of(&mut self, name: String) -> Option<(ObjRef, u64, bool)>;
         fn claim(&mut self, name: String, expect: u64) -> Option<u64>;
@@ -175,11 +179,20 @@ oopp_repro::oopp::remote_class! {
 impl Strander {
     pub fn new(_ctx: &mut NodeCtx, dir: ObjRef) -> RemoteResult<Self> {
         let dir = NameService::classic(dir);
-        Ok(Strander { dir, armed: None })
+        Ok(Strander {
+            dir,
+            armed: None,
+            armed_bind: None,
+        })
     }
 
     fn arm(&mut self, _ctx: &mut NodeCtx, name: String) -> RemoteResult<()> {
         self.armed = Some(name);
+        Ok(())
+    }
+
+    fn arm_bind(&mut self, _ctx: &mut NodeCtx, name: String) -> RemoteResult<()> {
+        self.armed_bind = Some(name);
         Ok(())
     }
 
@@ -206,6 +219,12 @@ impl Strander {
         target: ObjRef,
         epoch: u64,
     ) -> RemoteResult<bool> {
+        if self.armed_bind.as_ref() == Some(&name) {
+            self.armed_bind = None;
+            if let Some((_, now, _)) = self.dir.lease_of(ctx, name.clone())? {
+                self.dir.claim(ctx, name.clone(), now)?;
+            }
+        }
         self.dir.bind_fenced(ctx, name, target, epoch)
     }
 
@@ -913,6 +932,71 @@ fn a_takeover_lost_to_a_stranded_claim_is_tried_again() {
     assert_eq!(
         dir.lease_of(&mut driver, addr.clone()).unwrap(),
         Some((r.to, 3, false))
+    );
+    assert_eq!(
+        PCounterClient::from_ref(r.to).total(&mut driver).unwrap(),
+        5
+    );
+
+    cluster.sim().faults().restart(1);
+    cluster.shutdown(driver);
+}
+
+/// Regression: a takeover whose `bind_fenced` was refused while the record
+/// still named the dead machine stood its incarnation down and never tried
+/// again: the name stayed claimed and bound to the corpse with no live
+/// incarnation anywhere. The refusal answers `Lost`, like a lost claim, so
+/// the supervisor tries again a lease later and binds a live incarnation.
+#[test]
+fn a_takeover_refused_by_a_stranded_claim_is_tried_again() {
+    let (cluster, mut driver) = ClusterBuilder::new(3)
+        .register::<PCounter>()
+        .register::<Strander>()
+        .sim_config(ClusterConfig::zero_cost(0))
+        .call_policy(test_policy())
+        .build();
+    let dir = driver.directory();
+    let strander = StranderClient::new_on(&mut driver, 0, dir.obj_ref()).unwrap();
+    let via = NameService::classic(strander.obj_ref());
+    let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2], via);
+
+    let addr = symbolic_addr(&["sup", "stranded-bind", "0"]);
+    let c = PCounterClient::new_on(&mut driver, 1).unwrap();
+    c.add(&mut driver, 5).unwrap();
+    sup.register(&mut driver, &addr, &c, &[2]).unwrap();
+    strander.arm_bind(&mut driver, addr.clone()).unwrap();
+    settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
+        s.detector().last_heartbeat(1).is_some()
+    });
+
+    cluster.sim().faults().crash(1);
+    // The takeover claims epoch 2 and activates on machine 2; the rival
+    // claims epoch 3 before the bind, which is refused. The record still
+    // names the corpse.
+    let mut recoveries = settle(&mut sup, &mut driver, Duration::from_secs(15), |s, _| {
+        s.is_dead(1)
+    });
+    assert!(recoveries.is_empty(), "{recoveries:?}");
+    assert_eq!(
+        dir.lease_of(&mut driver, addr.clone()).unwrap(),
+        Some((c.obj_ref(), 3, false))
+    );
+
+    // A lease later the supervisor claims epoch 4 and binds on the backup.
+    recoveries.extend(settle(
+        &mut sup,
+        &mut driver,
+        Duration::from_secs(3),
+        |_, r| !r.is_empty(),
+    ));
+    assert_eq!(recoveries.len(), 1);
+    let r = &recoveries[0];
+    assert_eq!((r.from, r.to.machine, r.epoch), (1, 2, 4));
+    assert_eq!(sup.current_of(&addr), Some(r.to));
+    assert_eq!(sup.stats().objects_reactivated, 1);
+    assert_eq!(
+        dir.lease_of(&mut driver, addr.clone()).unwrap(),
+        Some((r.to, 4, false))
     );
     assert_eq!(
         PCounterClient::from_ref(r.to).total(&mut driver).unwrap(),
