@@ -1080,7 +1080,7 @@ pub fn e11_self_healing() -> Vec<Table> {
         }
         const VICTIM: usize = 1;
         let peers: Vec<usize> = (0..=WORKERS).filter(|&p| p != VICTIM).collect();
-        // Warm the detector with a few real heartbeat rounds.
+        // A few real heartbeat rounds before the first strike.
         for _ in 0..8 {
             sup.step(&mut driver).unwrap();
             driver.serve_for(Duration::from_millis(3));
@@ -1943,18 +1943,10 @@ pub fn e14_dirsvc() -> Vec<Table> {
         );
         assert_eq!(svc.attach(&mut driver).unwrap(), CHAOS_SHARDS as usize);
         let hammers = deploy(&mut driver, 4..MACHINES);
-        // Warm the detector, then snapshot every partition: takeover
-        // restores the last checkpoint, which must include every binding.
-        loop {
-            svc.step(&mut driver).unwrap();
-            let warm = [1usize, 2, 3]
-                .iter()
-                .all(|&m| svc.supervisor().detector().last_heartbeat(m).is_some());
-            if warm {
-                break;
-            }
-            driver.serve_for(Duration::from_millis(2));
-        }
+        // One step sends the first heartbeats (it does not wait for their
+        // acks), then snapshot every partition: takeover restores the last
+        // checkpoint, which must include every binding.
+        svc.step(&mut driver).unwrap();
         assert_eq!(svc.checkpoint(&mut driver), CHAOS_SHARDS as usize);
 
         let t0 = driver.now_nanos();

@@ -880,7 +880,7 @@ impl NodeCtx {
 
     /// Abandon an in-flight call: its reply, if it ever arrives, is
     /// dropped on the floor instead of accumulating. Heartbeats to a dead
-    /// machine are abandoned once the detector has made up its mind.
+    /// machine are abandoned once a whole lease has passed unanswered.
     pub fn abandon_call(&mut self, req_id: u64) {
         if let Some(call) = self.outstanding.remove(&req_id) {
             self.retire_call(call, None);

@@ -184,8 +184,8 @@ daemon_verbs! {
     /// Per-object served-call counters, sorted by object id — the
     /// placement subsystem's load signal.
     "loads" => loads(MachineId) -> Vec<(ObjectId, u64)>, pub loads_of;
-    /// One supervisor heartbeat: the reply is the detector's liveness
-    /// sample, and its arrival at the far side renewed that machine's
+    /// One supervisor heartbeat: the reply is the supervisor's liveness
+    /// evidence, and its arrival at the far side renewed that machine's
     /// serving lease for `ttl_millis` (DESIGN.md §10): once the lease
     /// expires the machine self-fences its supervised objects.
     "heartbeat" => heartbeat(MachineId, ttl_millis: u64) -> ();
@@ -829,7 +829,7 @@ impl NodeCtx {
         Ok(loads)
     }
 
-    /// The reply is the detector's interval sample. Arrival also renews
+    /// The reply is the supervisor's liveness evidence. Arrival also renews
     /// the serving lease — the machine may serve supervised objects for
     /// another `ttl_millis` from *now*.
     fn on_heartbeat(&mut self, ttl_millis: u64) -> Handled<()> {

@@ -338,8 +338,8 @@ impl NodeCtx {
     /// Record a marker: an origin event about no single request, with a
     /// span of its own — a breaker transition, a fast-fail, a replica
     /// sync, a suspicion. `peer` is the machine it concerns,
-    /// `value` its scalar (the `bytes` column: a queue depth, an epoch, phi
-    /// ×1000, an MTTR in µs…) and its family names the method column.
+    /// `value` its scalar (the `bytes` column: a queue depth, an epoch, a silence
+    /// in ms, an MTTR in µs…) and its family names the method column.
     /// No-op when tracing is off.
     pub fn trace_marker(&mut self, kind: EventKind, peer: MachineId, value: u32) {
         let span = self.marker_span(kind.family());

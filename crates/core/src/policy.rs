@@ -273,7 +273,7 @@ impl CallPolicy {
 
     /// A probe policy: one attempt, short window, no backoff. Liveness
     /// checks against possibly-dead machines (supervision pings, the
-    /// detector's bookkeeping calls) must fail *fast* — a probe that
+    /// supervisor's bookkeeping calls) must fail *fast* — a probe that
     /// inherits a chaos-hardened retry budget turns every dead-machine
     /// touch into seconds of retransmission. Derived from the per-attempt
     /// window so cost scales with the caller's latency expectations.

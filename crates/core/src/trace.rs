@@ -160,10 +160,10 @@ event_kinds! {
     /// The move failed mid-flight; the object was restored at the source
     /// under its original identity.
     MigrateRollback => "migrate_rollback", Migration;
-    /// Failure detector crossed its suspect threshold for a machine (the
-    /// `peer` field). `bytes` carries the phi value ×1000.
+    /// A machine's (`peer`) first heartbeat to go a whole lease unanswered
+    /// since its last ack. `bytes` carries the milliseconds since that ack.
     SuspectRaised => "suspect_raised", Supervision;
-    /// Failure detector declared a machine (`peer`) dead; recovery starts.
+    /// Supervisor declared a machine (`peer`) dead; recovery starts.
     MachineDeclaredDead => "machine_dead", Supervision;
     /// Supervisor reactivated one lost object onto a survivor (`peer`).
     /// `bytes` carries the recovery's MTTR in microseconds, so E11's

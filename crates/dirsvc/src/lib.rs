@@ -9,7 +9,7 @@
 //!
 //! * unreplicated shards are registered with a [`Supervisor`]: their
 //!   partitions are snapshot-replicated to backup machines and a primary
-//!   crash heals by phi-accrual detection → CAS lease claim → fenced
+//!   crash heals by lease-lapse detection → CAS lease claim → fenced
 //!   snapshot takeover;
 //! * replicated shards (`read_replicas > 0`) are materialized through a
 //!   [`ReplicaManager`] with write-through coherence: reads of the
@@ -109,7 +109,7 @@ impl DirService {
         }
     }
 
-    /// The wrapped supervisor (detector state, supervision counters).
+    /// The wrapped supervisor (heartbeat state, supervision counters).
     pub fn supervisor(&self) -> &Supervisor {
         &self.supervisor
     }

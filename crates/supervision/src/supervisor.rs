@@ -4,15 +4,16 @@
 //! also hosts the naming directory — machine 0 is the supervision root
 //! and is not itself supervised). Like the placement `Balancer` it is a
 //! step-driven controller: [`Supervisor::step`] pumps heartbeats, reaps
-//! replies into the phi-accrual detector, and when a machine's suspicion
-//! crosses the dead threshold *and* its serving lease has verifiably
-//! lapsed, reactivates every registered object of that machine from its
-//! replicated snapshot on a surviving backup.
+//! their replies, and when a machine has let a heartbeat go a whole lease
+//! unanswered *and* its serving lease has verifiably lapsed — `lease_ttl`
+//! since its last acknowledged heartbeat — reactivates every registered
+//! object of that machine from its replicated snapshot on a surviving
+//! backup.
 //!
 //! ## Why the lease gate
 //!
-//! The detector can be wrong — a partition looks exactly like a crash
-//! from here. Safety therefore never rests on the verdict alone. Every
+//! Silence can mislead — a partition looks exactly like a crash from
+//! here. Safety therefore never rests on detection alone. Every
 //! supervised object is enrolled for epoch fencing on its home machine,
 //! and that machine's willingness to serve it is a *lease* renewed only
 //! by our heartbeats. When we stop hearing a machine, it has also stopped
@@ -43,10 +44,8 @@ use oopp::{
 };
 use placement::{probe_loads, rank_by_load};
 
-use crate::detector::{FailureDetector, Verdict};
-
-/// Heartbeat (and dead-machine probe) period: the failure detector's
-/// prior mean, and the pause between takeover attempts.
+/// Heartbeat (and dead-machine probe) period, and the pause between
+/// takeover attempts.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Attempts a takeover makes before it poisons the name (no live backup,
@@ -57,11 +56,11 @@ const TAKEOVER_ATTEMPTS: u32 = 3;
 /// Lifetime counters of one supervisor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisionStats {
-    /// Machines whose suspicion crossed the suspect threshold (counted
-    /// once per suspicion episode).
+    /// Suspicion episodes: a machine's first heartbeat that went a whole
+    /// lease unanswered since its last acknowledged one.
     pub suspicions_raised: u64,
     /// Machines that answered probes after being declared dead. This is
-    /// the detector's observable false-positive count, with one caveat: a
+    /// the supervisor's observable false-positive count, with one caveat: a
     /// machine that genuinely crashed and was later restarted also lands
     /// here — from the supervisor's seat the two are indistinguishable,
     /// and both require the same re-fencing before rejoin.
@@ -93,7 +92,7 @@ pub struct Recovery {
     /// The new incarnation's fencing epoch.
     pub epoch: u64,
     /// Detection latency: time from the machine's last acknowledged
-    /// heartbeat to the dead verdict. An upper bound on true detection
+    /// heartbeat to the conviction. An upper bound on true detection
     /// time — the crash happened somewhere inside this window.
     pub detect: Duration,
     /// Full MTTR: `detect` plus the reactivation work (claim, choose
@@ -118,9 +117,7 @@ struct Registration {
 
 #[derive(Debug)]
 enum MState {
-    Up {
-        suspected: bool,
-    },
+    Up,
     Dead {
         /// Indices of registrations taken away from this machine; kept so
         /// a resurrection can re-fence their stale incarnations here
@@ -165,7 +162,10 @@ pub struct Supervisor {
     lease_ttl: Duration,
     machines: Vec<usize>,
     dir: NameService,
-    detector: FailureDetector,
+    /// Offset of each machine's last acknowledged heartbeat (or, after a
+    /// resurrection, of its readmission). A machine with no entry counts
+    /// its silence from the supervisor's origin.
+    last_ack: HashMap<usize, Duration>,
     /// Clock origin in cluster-clock nanos, anchored at the first `step`
     /// (the constructor has no `NodeCtx`, hence no clock to read).
     start: Option<u64>,
@@ -205,20 +205,9 @@ impl Supervisor {
     /// should not expire a healthy machine's lease), and it bounds how
     /// early a takeover may start after the last acknowledged heartbeat.
     pub fn new(lease_ttl: Duration, machines: Vec<usize>, dir: NameService) -> Self {
-        let state = machines
-            .iter()
-            .map(|&m| (m, MState::Up { suspected: false }))
-            .collect();
-        let mut detector = FailureDetector::default();
-        // Seed every history with an enrollment-time sample: a machine
-        // that dies before its first heartbeat reply must still
-        // accumulate suspicion (an empty history reads as "never heard
-        // from" and pins phi at 0).
-        for &m in &machines {
-            detector.heartbeat(m, Duration::ZERO);
-        }
+        let state = machines.iter().map(|&m| (m, MState::Up)).collect();
         Supervisor {
-            detector,
+            last_ack: HashMap::new(),
             lease_ttl,
             machines,
             dir,
@@ -239,9 +228,11 @@ impl Supervisor {
         self.stats
     }
 
-    /// The failure detector (for inspecting phi levels).
-    pub fn detector(&self) -> &FailureDetector {
-        &self.detector
+    /// Offset from this supervisor's first step of `machine`'s last
+    /// acknowledged heartbeat (or of its readmission after a resurrection);
+    /// `None` until one is acknowledged.
+    pub fn last_heartbeat(&self, machine: usize) -> Option<Duration> {
+        self.last_ack.get(&machine).copied()
     }
 
     /// Is `machine` currently declared dead?
@@ -315,10 +306,9 @@ impl Supervisor {
         refreshed
     }
 
-    /// One control round: pump heartbeats and probes, fold replies into
-    /// the detector, execute takeovers for machines that crossed the dead
-    /// threshold with a lapsed lease, and advance resurrections. Returns
-    /// the takeovers completed this round.
+    /// One control round: pump heartbeats and probes, reap their replies,
+    /// execute takeovers for machines convicted with a lapsed lease, and
+    /// advance resurrections. Returns the takeovers completed this round.
     ///
     /// Errors are remote-fatal only: an unreachable *directory* aborts
     /// the step (the arbiter is gone; nothing safe can happen). Failures
@@ -343,7 +333,7 @@ impl Supervisor {
         let mut recoveries = Vec::new();
         for m in self.machines.clone() {
             match self.state.get(&m) {
-                Some(MState::Up { .. }) => {
+                Some(MState::Up) => {
                     self.pump(ctx, m, now, BeatKind::Beat);
                     self.judge(ctx, m, now, &mut recoveries)?;
                 }
@@ -369,6 +359,8 @@ impl Supervisor {
     /// Collect heartbeat/probe replies in request order; expire requests
     /// nothing will answer. A reply that is an *error* (the fabric is up but
     /// the daemon refused) still proves the machine is alive — it counts.
+    /// A machine's first heartbeat to expire since its last ack raises a
+    /// suspicion.
     fn reap(&mut self, ctx: &mut NodeCtx, now: u64) {
         let ids: Vec<u64> = self.in_flight.keys().copied().collect();
         for id in ids {
@@ -379,8 +371,7 @@ impl Supervisor {
                 self.in_flight.remove(&id);
                 match fl.kind {
                     BeatKind::Beat => {
-                        let off = self.offset(now);
-                        self.detector.heartbeat(fl.machine, off);
+                        self.last_ack.insert(fl.machine, self.offset(now));
                         self.beat_expired.remove(&fl.machine);
                     }
                     BeatKind::Probe => self.note_resurrection(ctx, fl.machine),
@@ -392,8 +383,11 @@ impl Supervisor {
                 // reply slot is still empty *at this poll*: that is a
                 // complete, stall-immune round-trip opportunity the
                 // machine failed. Conviction evidence.
-                if fl.kind == BeatKind::Beat {
-                    self.beat_expired.insert(fl.machine);
+                if fl.kind == BeatKind::Beat && self.beat_expired.insert(fl.machine) {
+                    self.stats.suspicions_raised += 1;
+                    let silent = self.silence(fl.machine, now).as_millis();
+                    let millis = silent.min(u32::MAX as u128) as u32;
+                    ctx.trace_marker(EventKind::SuspectRaised, fl.machine, millis);
                 }
             }
         }
@@ -432,12 +426,26 @@ impl Supervisor {
                 },
             );
         }
-        // A synchronous send failure (machine thread gone) is itself a
-        // liveness datum; the missing heartbeat raises phi on its own.
+        // A synchronous send failure (machine thread gone) records no beat:
+        // the silence since the last ack keeps growing on its own.
     }
 
-    /// Evaluate an Up machine's verdict; escalate to takeover when the
-    /// verdict is Dead *and* the lease has verifiably lapsed.
+    /// Time from `m`'s last acknowledged heartbeat (the origin, if none)
+    /// to cluster-clock instant `now`.
+    fn silence(&self, m: usize, now: u64) -> Duration {
+        let last = self.last_ack.get(&m).copied().unwrap_or_default();
+        self.offset(now).saturating_sub(last)
+    }
+
+    /// Convict an Up machine, and take its objects over, once its lease has
+    /// verifiably lapsed: `lease_ttl` without an acknowledged heartbeat, at
+    /// which point it is self-fenced whether dead or merely unreachable.
+    /// Conviction also requires a fully expired heartbeat — one this
+    /// supervisor sent, waited a whole lease on, and found unanswered at a
+    /// poll. Silence alone is not enough: a control-loop stall (a takeover,
+    /// a purge against a corpse) starves live machines of ack
+    /// opportunities, and the silence the supervisor caused is not evidence
+    /// against them.
     fn judge(
         &mut self,
         ctx: &mut NodeCtx,
@@ -445,39 +453,9 @@ impl Supervisor {
         now: u64,
         recoveries: &mut Vec<Recovery>,
     ) -> RemoteResult<()> {
-        let off = self.offset(now);
-        let verdict = self.detector.verdict(m, off);
-        let Some(MState::Up { suspected }) = self.state.get_mut(&m) else {
-            return Ok(());
-        };
-        match verdict {
-            Verdict::Alive => *suspected = false,
-            Verdict::Suspect => {
-                if !*suspected {
-                    *suspected = true;
-                    self.stats.suspicions_raised += 1;
-                    let phi = self.detector.phi(m, off);
-                    let milli_phi = (phi * 1000.0).min(u32::MAX as f64) as u32;
-                    ctx.trace_marker(EventKind::SuspectRaised, m, milli_phi);
-                }
-            }
-            Verdict::Dead => {
-                // The lease gate: takeover only after the machine has
-                // gone `lease_ttl` without an acknowledged heartbeat, at
-                // which point it is self-fenced whether dead or merely
-                // unreachable. Conviction additionally requires a fully
-                // expired heartbeat — one this supervisor sent, waited a
-                // whole lease on, and found unanswered at a poll. A calm
-                // detection window alone is not enough: a control-loop
-                // stall (a takeover, a purge against a corpse) starves
-                // live machines of ack opportunities, and the silence the
-                // supervisor caused is not evidence against them.
-                let last = self.detector.last_heartbeat(m).unwrap_or_default();
-                if self.beat_expired.contains(&m) && off.saturating_sub(last) >= self.lease_ttl {
-                    let detect = off.saturating_sub(last);
-                    self.declare_dead(ctx, m, detect, recoveries)?;
-                }
-            }
+        let detect = self.silence(m, now);
+        if self.beat_expired.contains(&m) && detect >= self.lease_ttl {
+            self.declare_dead(ctx, m, detect, recoveries)?;
         }
         Ok(())
     }
@@ -658,7 +636,7 @@ impl Supervisor {
 
     /// Is `machine` Up, or not supervised by this supervisor at all?
     fn is_up(&self, machine: usize) -> bool {
-        matches!(self.state.get(&machine), None | Some(MState::Up { .. }))
+        matches!(self.state.get(&machine), None | Some(MState::Up))
     }
 
     /// A probe reply arrived from a machine we declared dead.
@@ -674,8 +652,8 @@ impl Supervisor {
 
     /// Drive a resurrected machine back to Up: re-fence its stale
     /// incarnations (each fence makes the machine destroy its copy and
-    /// forward to the takeover home), and only when none remain, forget
-    /// its old heartbeat rhythm and readmit it. Until then it gets no
+    /// forward to the takeover home), and only when none remain, readmit
+    /// it. Until then it gets no
     /// heartbeats, so its lease stays expired — the safety net under any
     /// fence we could not yet deliver.
     fn advance_resurrection(&mut self, ctx: &mut NodeCtx, m: usize) {
@@ -709,18 +687,15 @@ impl Supervisor {
             *taken = remaining;
         }
         if done {
-            self.detector.forget(m);
             // The probe replies that proved the resurrection are liveness
-            // evidence: seed the fresh history with one sample so a
-            // machine killed again *before its first post-readmission
-            // heartbeat* still accumulates suspicion (an empty history
-            // would read as "never heard from", i.e. phi = 0, forever).
-            self.detector.heartbeat(m, self.offset(ctx.now_nanos()));
+            // evidence: the readmitted machine's silence counts from now,
+            // not from its last heartbeat before the death.
+            self.last_ack.insert(m, self.offset(ctx.now_nanos()));
             self.last_sent.remove(&m);
             // Stale expiry evidence from the death must not convict the
             // readmitted machine before its first fresh heartbeat.
             self.beat_expired.remove(&m);
-            self.state.insert(m, MState::Up { suspected: false });
+            self.state.insert(m, MState::Up);
         }
     }
 }

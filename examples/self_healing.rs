@@ -28,7 +28,8 @@ fn main() {
 
     // The supervisor lives in the driver and is stepped cooperatively: it
     // pumps heartbeats granting a 150 ms lease to machines 1 and 2 every
-    // 10 ms and judges silence with a phi-accrual detector.
+    // 10 ms, and convicts a machine once a heartbeat to it went a whole
+    // lease unanswered and 150 ms passed since its last acknowledged one.
     let mut sup = Supervisor::new(Duration::from_millis(150), vec![1, 2], dir);
 
     // A block on machine 1, registered for supervision with machine 2 as
@@ -47,7 +48,7 @@ fn main() {
         block.machine()
     );
 
-    // Let the detector build an inter-arrival history, then kill the home.
+    // Let a few heartbeat rounds run, then kill the home.
     let warm = Instant::now() + Duration::from_millis(120);
     while Instant::now() < warm {
         sup.step(&mut driver).unwrap();

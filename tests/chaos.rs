@@ -825,9 +825,7 @@ mod soak {
             addrs.push(addr);
         }
         settle(&mut sup, &mut driver, Duration::from_secs(10), |s| {
-            SUPERVISED
-                .iter()
-                .all(|&m| s.detector().last_heartbeat(m).is_some())
+            SUPERVISED.iter().all(|&m| s.last_heartbeat(m).is_some())
         });
 
         let mut acked = vec![0u64; addrs.len()];
@@ -1088,7 +1086,7 @@ mod soak {
         settle_svc(&mut svc, &mut driver, &mut |s| {
             [1, 2, 3]
                 .iter()
-                .all(|&m| s.supervisor().detector().last_heartbeat(m).is_some())
+                .all(|&m| s.supervisor().last_heartbeat(m).is_some())
         });
 
         let mut ledger: Vec<(String, ObjRef)> = Vec::new();

@@ -265,7 +265,7 @@ fn double_false_suspicion(seed: u64) -> Vec<usize> {
         .build();
     let lease = Duration::from_millis(150);
     let mut sup = Supervisor::new(lease, vec![1, 2, 3, 4], driver.directory());
-    // Warm the detector with real heartbeat rounds.
+    // A few real heartbeat rounds before the partition.
     let mut warm = 0;
     step_until(&mut sup, &mut driver, |_| {
         warm += 1;

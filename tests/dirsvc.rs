@@ -172,11 +172,11 @@ fn unreplicated_shard_survives_primary_crash_by_snapshot_takeover() {
     let ledger = bind_ledger(&ns, &mut driver, "take", 2);
     assert_eq!(svc.checkpoint(&mut driver), 4);
 
-    // Warm the detector so it has inter-arrival evidence to judge.
+    // Wait until heartbeats flow to every shard's machine.
     settle(&mut svc, &mut driver, Duration::from_secs(5), |s, _| {
         [1, 2, 3]
             .iter()
-            .all(|&m| s.supervisor().detector().last_heartbeat(m).is_some())
+            .all(|&m| s.supervisor().last_heartbeat(m).is_some())
     });
 
     // Machine 1 seats shard 1 (round-robin placement over 4 workers).
@@ -290,7 +290,7 @@ fn replicated_shard_survives_primary_crash_by_promotion() {
     settle(&mut svc, &mut driver, Duration::from_secs(5), |s, _| {
         [1, 2, 3]
             .iter()
-            .all(|&m| s.supervisor().detector().last_heartbeat(m).is_some())
+            .all(|&m| s.supervisor().last_heartbeat(m).is_some())
     });
 
     cluster.sim().faults().crash(1);
@@ -299,9 +299,9 @@ fn replicated_shard_survives_primary_crash_by_promotion() {
     });
 
     // Shard 1 healed by promotion; nothing was supervised, so no
-    // snapshot takeovers at all. (The dead-probe stalls can push the
-    // phi detector into false-suspecting another machine — its shard
-    // then *also* heals by promotion, which the audit below covers.)
+    // snapshot takeovers at all. (The dead-probe stalls can hold another
+    // machine's acks past a lease — its shard then *also* heals by
+    // promotion, which the audit below covers.)
     assert!(healed.takeovers.is_empty());
     let (_, promoted) = healed
         .promotions
@@ -313,8 +313,8 @@ fn replicated_shard_survives_primary_crash_by_promotion() {
 
     // The machine comes back (blank) and the fleet is readmitted, so
     // heartbeat cadence normalizes and lease renewal resumes — with a
-    // machine permanently dark, every probe window widens the phi
-    // detector's suspicion of the survivors.
+    // machine permanently dark, every probe window stalls the control
+    // loop and delays the survivors' heartbeats.
     cluster.sim().faults().restart(1);
     settle(&mut svc, &mut driver, Duration::from_secs(30), |s, _| {
         [1, 2, 3].iter().all(|&m| !s.is_dead(m))

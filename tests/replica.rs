@@ -646,11 +646,10 @@ fn declare_dead_purges_replica_records_from_the_directory() {
     assert_eq!(replicas[0].machine, 2);
     let (_, rs_before) = dir.replica_set(&mut driver, name.clone()).unwrap().unwrap();
 
-    // Warm the detector, then kill the *replica's* machine. The manager
-    // is deliberately never told: the supervisor alone must clean up.
-    settle(&mut sup, &mut driver, |s| {
-        s.detector().last_heartbeat(2).is_some()
-    });
+    // Wait for heartbeats to flow, then kill the *replica's* machine. The
+    // manager is deliberately never told: the supervisor alone must clean
+    // up.
+    settle(&mut sup, &mut driver, |s| s.last_heartbeat(2).is_some());
     cluster.sim().faults().crash(2);
     settle(&mut sup, &mut driver, |s| s.is_dead(2));
 

@@ -1,7 +1,7 @@
 //! Self-healing suite (DESIGN.md §10).
 //!
 //! Exercises the supervision stack end to end: heartbeat failure
-//! detection with phi-accrual verdicts, epoch-fenced takeover of a
+//! detection on lease evidence, epoch-fenced takeover of a
 //! crashed machine's objects from replicated snapshots, lease-based
 //! self-fencing under a partition-induced *false* suspicion (zero
 //! split-brain writes), the CAS-arbitrated recovery race (exactly one
@@ -305,6 +305,7 @@ fn healthy_cluster_is_never_declared_dead() {
     assert_eq!(c.total(&mut driver).unwrap(), adds);
 
     let stats = sup.stats();
+    assert_eq!(stats.suspicions_raised, 0, "{stats:?}");
     assert_eq!(stats.machines_declared_dead, 0, "{stats:?}");
     assert_eq!(stats.false_suspicions, 0, "{stats:?}");
     assert_eq!(stats.objects_reactivated, 0, "{stats:?}");
@@ -315,6 +316,76 @@ fn healthy_cluster_is_never_declared_dead() {
     }
 
     cluster.shutdown(driver);
+}
+
+/// A machine's last heartbeat is the last one it acknowledged: there is
+/// none before the first reply is reaped, and the first step only sends.
+#[test]
+fn no_heartbeat_is_reported_before_one_is_acknowledged() {
+    let (cluster, mut driver) = ClusterBuilder::new(3)
+        .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(0x1A57))
+        .call_policy(test_policy())
+        .build();
+    let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2], driver.directory());
+    assert_eq!(sup.last_heartbeat(1), None);
+
+    sup.step(&mut driver).unwrap();
+    assert_eq!(sup.last_heartbeat(1), None, "the first step only sends");
+
+    settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
+        s.last_heartbeat(1).is_some()
+    });
+    let last = sup.last_heartbeat(1).unwrap();
+    assert!(last > Duration::ZERO, "acknowledged at {last:?}");
+
+    cluster.shutdown(driver);
+}
+
+/// A crash raises one suspicion — the first heartbeat that went a whole
+/// lease unanswered, carrying the milliseconds since the last ack — and
+/// then one conviction, both about the crashed machine.
+#[test]
+fn a_crash_is_suspected_once_then_declared_dead() {
+    let (cluster, mut driver) = ClusterBuilder::new(3)
+        .register::<PCounter>()
+        .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(0x5D5A))
+        .call_policy(test_policy())
+        .tracing(true)
+        .build();
+    let recorder = cluster.recorder().expect("tracing enabled");
+    let mut sup = Supervisor::new(LEASE_TTL, vec![1, 2], driver.directory());
+    let c = PCounterClient::new_on(&mut driver, 1).unwrap();
+    let addr = symbolic_addr(&["sup", "PCounter", "suspect"]);
+    sup.register(&mut driver, &addr, &c, &[2]).unwrap();
+    settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
+        s.last_heartbeat(1).is_some() && s.last_heartbeat(2).is_some()
+    });
+
+    cluster.sim().faults().crash(1);
+    let recoveries = settle(&mut sup, &mut driver, Duration::from_secs(15), |_, r| {
+        !r.is_empty()
+    });
+    assert_eq!(recoveries.len(), 1);
+    let detect_ms = recoveries[0].detect.as_millis();
+    assert_eq!(sup.stats().suspicions_raised, 1, "{:?}", sup.stats());
+
+    cluster.sim().faults().restart(1);
+    cluster.shutdown(driver);
+    let events = recorder.merge().events;
+    let of = |kind| -> Vec<_> { events.iter().filter(|e| e.kind == kind).collect() };
+    let (suspect, dead) = (
+        of(EventKind::SuspectRaised),
+        of(EventKind::MachineDeclaredDead),
+    );
+    assert_eq!((suspect.len(), dead.len()), (1, 1), "{suspect:?} {dead:?}");
+    let (suspect, dead) = (suspect[0], dead[0]);
+    assert_eq!((suspect.peer, dead.peer), (1, 1));
+    assert!(suspect.at_nanos <= dead.at_nanos, "{suspect:?} {dead:?}");
+    let silent_ms = u128::from(suspect.bytes);
+    assert!(
+        0 < silent_ms && silent_ms <= detect_ms,
+        "suspected after {silent_ms} ms, convicted after {detect_ms} ms"
+    );
 }
 
 /// The tentpole path: a crashed machine is detected, its supervised
@@ -340,9 +411,9 @@ fn crashed_machine_is_detected_and_its_object_reactivated() {
     }
     assert_eq!(sup.checkpoint(&mut driver), 1);
 
-    // Warm the detector so it has an inter-arrival distribution to judge.
+    // Wait until heartbeats flow to both machines.
     settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
-        s.detector().last_heartbeat(1).is_some() && s.detector().last_heartbeat(2).is_some()
+        s.last_heartbeat(1).is_some() && s.last_heartbeat(2).is_some()
     });
 
     cluster.sim().faults().crash(1);
@@ -408,7 +479,7 @@ fn partition_false_suspicion_cannot_split_the_brain() {
     }
     assert_eq!(sup.checkpoint(&mut driver), 1);
     settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
-        s.detector().last_heartbeat(1).is_some()
+        s.last_heartbeat(1).is_some()
     });
 
     // Cut machine 1 off from the whole cluster — workers AND the driver
@@ -550,7 +621,7 @@ fn stale_moved_cache_entries_die_with_their_target_machine() {
     }
     assert_eq!(sup.checkpoint(&mut driver), 1);
     settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
-        s.detector().last_heartbeat(1).is_some()
+        s.last_heartbeat(1).is_some()
     });
 
     // First failure: 1 dies, object recovers onto 2 (the least-loaded
@@ -614,7 +685,7 @@ fn unrecoverable_names_are_poisoned_not_retried_forever() {
     let c = PCounterClient::new_on(&mut driver, 1).unwrap();
     sup.register(&mut driver, &addr, &c, &[2]).unwrap();
     settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
-        s.detector().last_heartbeat(1).is_some()
+        s.last_heartbeat(1).is_some()
     });
 
     // Home AND its only backup die.
@@ -662,7 +733,7 @@ fn a_failing_takeover_tries_three_times_a_heartbeat_apart_then_poisons() {
     let c = PCounterClient::new_on(&mut driver, 1).unwrap();
     sup.register(&mut driver, &addr, &c, &[2]).unwrap();
     settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
-        s.detector().last_heartbeat(1).is_some()
+        s.last_heartbeat(1).is_some()
     });
 
     // The backup stays up, but has nothing to restore.
@@ -732,7 +803,7 @@ mod proptests {
             let c = PCounterClient::new_on(&mut driver, 1).unwrap();
             sup.register(&mut driver, &addr, &c, &[2]).unwrap();
             settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
-                s.detector().last_heartbeat(1).is_some()
+                s.last_heartbeat(1).is_some()
             });
 
             let mut last_total = 0u64;
@@ -803,7 +874,7 @@ fn a_refused_takeover_bind_leaves_no_live_incarnation() {
     sup.register(&mut driver, &addr, &c, &[2]).unwrap();
     let live_on_2 = driver.stats_of(2).unwrap().objects_live;
     settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
-        s.detector().last_heartbeat(1).is_some()
+        s.last_heartbeat(1).is_some()
     });
 
     cluster.sim().faults().crash(1);
@@ -902,7 +973,7 @@ fn a_takeover_lost_to_a_stranded_claim_is_tried_again() {
     sup.register(&mut driver, &addr, &c, &[2]).unwrap();
     strander.arm(&mut driver, addr.clone()).unwrap();
     settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
-        s.detector().last_heartbeat(1).is_some()
+        s.last_heartbeat(1).is_some()
     });
 
     cluster.sim().faults().crash(1);
@@ -966,7 +1037,7 @@ fn a_takeover_refused_by_a_stranded_claim_is_tried_again() {
     sup.register(&mut driver, &addr, &c, &[2]).unwrap();
     strander.arm_bind(&mut driver, addr.clone()).unwrap();
     settle(&mut sup, &mut driver, Duration::from_secs(5), |s, _| {
-        s.detector().last_heartbeat(1).is_some()
+        s.last_heartbeat(1).is_some()
     });
 
     cluster.sim().faults().crash(1);
