@@ -1577,7 +1577,7 @@ pub fn a3_deepcopy() -> Table {
     t
 }
 
-/// E13 (DESIGN.md §13): M:N work-stealing scheduler throughput on a skewed
+/// E13 (DESIGN.md §13): M:N scheduler throughput on a skewed
 /// workload, at 100× the E10 object population.
 ///
 /// 1600 objects spread over 4 machines, a Zipf(0.9) client stream of
@@ -1586,8 +1586,8 @@ pub fn a3_deepcopy() -> Table {
 /// 2 and 4 worker lanes per machine; everything rides one virtual clock,
 /// so "makespan" is the modeled completion time and the speedup column is
 /// host-independent. The final per-object hit counts must be identical
-/// across engines: however lanes steal the mailboxes, no call to an object
-/// is lost or served twice.
+/// across engines: whichever lane pops an object's token, no call to an
+/// object is lost or served twice.
 pub fn e13_sched() -> Vec<Table> {
     const MACHINES: usize = 4;
     const NOBJ: usize = 1600; // 100x E10's population

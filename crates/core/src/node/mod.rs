@@ -6,7 +6,7 @@
 //! requests on behalf of the code currently running on it. Execution of
 //! object mailboxes happens either inline on the dispatcher (the classic
 //! single-threaded profile, still the default) or on an M:N pool of worker
-//! lanes with per-worker work-stealing deques (DESIGN.md §13) — each worker
+//! lanes that share the machine's one run queue (DESIGN.md §13) — each worker
 //! lane is itself a `NodeCtx` sharing the machine's `SharedNode` state, so
 //! methods running on a worker issue remote calls exactly like the paper's
 //! sequential RMI model prescribes.
@@ -33,7 +33,6 @@ mod daemon;
 mod judge;
 mod serve;
 
-use std::cell::Cell;
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
@@ -69,12 +68,11 @@ pub struct CallInfo {
 }
 
 /// Worker-lane identity: the control channel the dispatcher routes into,
-/// the virtual-clock park label, and this worker's own work-stealing deque.
+/// the virtual-clock park label, and the lane's index in its pool.
 pub(crate) struct WorkerLane {
     pub(crate) rx: Receiver<WorkerMsg>,
     pub(crate) label: u64,
     pub(crate) index: usize,
-    pub(crate) deque: sched::Worker<ObjectId>,
 }
 
 /// What every lane of one machine is built from.
@@ -165,10 +163,6 @@ pub struct NodeCtx {
     /// calls issued from inside a method inherit the caller's remaining
     /// budget (deadline propagation across hops, DESIGN.md §15).
     current_deadline: Option<u64>,
-    /// Round counter feeding the seeded steal-order permutation. A `Cell`
-    /// so a worker can scan for a task while holding its lane (borrowed
-    /// from `role`) for the park that follows an empty scan.
-    steal_round: Cell<u64>,
 }
 
 impl std::fmt::Debug for NodeCtx {
@@ -221,7 +215,6 @@ impl NodeCtx {
             names: Names::default(),
             next_span: 1,
             current_deadline: None,
-            steal_round: Cell::new(0),
         }
     }
 

@@ -22,10 +22,11 @@ use crate::shared::{
 };
 use crate::trace::EventKind;
 
-/// How many mailbox entries one task token executes before re-parking the
-/// object on the worker's own deque. Bounds how long a hot object
-/// monopolizes a worker, and is what puts continuations where siblings can
-/// steal them.
+/// How many mailbox entries one task token executes before its lane puts
+/// the token back at the front of the machine's run queue. An idle lane
+/// may then take the rest of the mailbox; otherwise the yielding lane takes
+/// it straight back. It bounds nothing on a one-lane pool: calls admitted
+/// to other objects meanwhile wait for the whole mailbox.
 const MAILBOX_BATCH: usize = 16;
 
 /// What `next_step` decided for the head of an object's mailbox.
@@ -126,9 +127,9 @@ impl NodeCtx {
     /// call (the M:N analogue of the classic engine serving other objects
     /// while blocked). The scan before the park is what makes nudges
     /// race-free: a task whose nudge a busier step took still sits in the
-    /// queues the scan reads, and a task admitted *after* the scan sends a
-    /// fresh message the park sees at once — so no token strands in the
-    /// injector behind a blocked lane.
+    /// run queue the scan reads, and a task admitted *after* the scan sends
+    /// a fresh message the park sees at once — so no token strands in the
+    /// run queue behind a blocked lane.
     pub(super) fn step(&mut self, deadline: Option<u64>) -> Result<(), ClockRecvError> {
         let msg = match &self.role {
             LaneRole::Dispatcher(inbox) => {
@@ -200,39 +201,23 @@ impl NodeCtx {
         while self.alive && self.step(None).is_ok() {}
     }
 
-    /// Pop the next runnable object: own deque first (locality), then the
-    /// machine's injector (fresh admissions), then steal from siblings in
-    /// the seed-determined order for this `(worker, round)`.
+    /// Pop the next runnable object off the front of the machine's run
+    /// queue: a yielded token before the admissions behind it.
     fn find_task(&self) -> Option<ObjectId> {
-        let LaneRole::Worker(lane) = &self.role else {
-            return None;
-        };
-        if let Some(obj) = lane.deque.pop() {
-            return Some(obj);
-        }
-        let pool = &self.shared.pool;
-        if let Some(obj) = pool.injector.pop() {
-            return Some(obj);
-        }
-        let round = self.steal_round.get();
-        self.steal_round.set(round.wrapping_add(1));
-        pool.steal_order
-            .victims(lane.index, round, pool.stealers.len())
-            .into_iter()
-            .find_map(|victim| pool.stealers[victim].steal().success())
+        self.shared.pool.run_queue.pop()
     }
 
     /// Hand an object with fresh mailbox work to the execution layer: the
-    /// pool's injector, or — on a machine with no workers — an immediate
-    /// inline run (the classic single-threaded profile, where this call
-    /// happens at the same point the old engine dispatched the request).
+    /// back of the pool's run queue, or — on a machine with no workers — an
+    /// immediate inline run (the classic single-threaded profile, where this
+    /// call happens at the same point the old engine dispatched the request).
     fn submit_task(&mut self, target: ObjectId) {
         let pool = &self.shared.pool;
         if pool.workers() == 0 {
             self.run_object(target);
             return;
         }
-        pool.injector.push(target);
+        pool.run_queue.push(target);
         pool.nudge(&self.clock);
     }
 
@@ -541,22 +526,19 @@ impl NodeCtx {
     }
 
     /// Execute `target`'s mailbox: the body of one scheduler task. Runs
-    /// up to `MAILBOX_BATCH` requests, then re-parks the object on this
-    /// worker's own deque (stealable by idle siblings) — or keeps going
-    /// inline when there is no pool. Run-to-completion per request; the
-    /// object is owned by exactly one lane for the duration.
+    /// up to `MAILBOX_BATCH` requests, then puts the token back at the
+    /// front of the run queue — or keeps going inline when there is no
+    /// pool. Run-to-completion per request; the object is owned by exactly
+    /// one lane for the duration.
     pub(crate) fn run_object(&mut self, target: ObjectId) {
         let mut batch = 0usize;
         loop {
-            if batch >= MAILBOX_BATCH {
-                if let LaneRole::Worker(lane) = &self.role {
-                    // Yield the rest of the mailbox: the token moves to this
-                    // worker's deque, where a sibling can steal it.
-                    // `scheduled` stays true — the token still exists.
-                    lane.deque.push(target);
-                    self.shared.pool.nudge(&self.clock);
-                    return;
-                }
+            if batch >= MAILBOX_BATCH && matches!(self.role, LaneRole::Worker(_)) {
+                // Yield the rest of the mailbox ahead of later admissions.
+                // `scheduled` stays true — the token still exists.
+                self.shared.pool.run_queue.push_front(target);
+                self.shared.pool.nudge(&self.clock);
+                return;
             }
             match self.next_step(target) {
                 Step::Done => break,

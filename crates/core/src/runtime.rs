@@ -79,13 +79,13 @@ impl ClusterBuilder {
         }
     }
 
-    /// Attach an M:N work-stealing execution pool of `n` worker lanes to
-    /// every machine (DESIGN.md §13). With `n = 0` (the default) each
-    /// machine is the classic single thread: the dispatcher executes
-    /// objects inline. With `n > 0` the dispatcher only admits requests to
-    /// per-object mailboxes; `n` extra OS threads per machine execute them,
-    /// stealing mailbox tasks from each other when their own deques run
-    /// dry. Per-object sequential-server semantics are preserved either
+    /// Attach an M:N execution pool of `n` worker lanes to every machine
+    /// (DESIGN.md §13). With `n = 0` (the default) each machine is the
+    /// classic single thread: the dispatcher executes objects inline. With
+    /// `n > 0` the dispatcher only admits requests to per-object mailboxes
+    /// and queues their task tokens on the machine's one run queue; `n`
+    /// extra OS threads per machine take tokens off its front and execute
+    /// them. Per-object sequential-server semantics are preserved either
     /// way.
     pub fn sched_workers(mut self, n: usize) -> Self {
         assert!(
@@ -197,15 +197,11 @@ impl ClusterBuilder {
                 sim.clock().clone(),
             ))
         });
-        // Victim permutations derive from the simulation seed so a virtual-
-        // time run replays its steal order exactly (tests/determinism.rs).
-        let steal_seed = sim.clock().seed().unwrap_or(0x9e37_79b9_7f4a_7c15);
-
         // What a lane of machine `m` is built from, around that machine's
         // thread-shared server state and its pool of `lanes` workers; and
         // the workers' own halves.
         let machine_env = |m: MachineId, lanes: usize| {
-            let (pool, lanes) = Pool::new(m, lanes, steal_seed);
+            let (pool, lanes) = Pool::new(m, lanes);
             let env = MachineEnv {
                 machine: m,
                 workers,

@@ -2,7 +2,7 @@
 //!
 //! A machine used to be exactly one thread: one `NodeCtx` owned the object
 //! table, the dedup window and every gate, and served its inbox in a loop.
-//! With the work-stealing scheduler (DESIGN.md §13) a machine is one
+//! With the M:N scheduler (DESIGN.md §13) a machine is one
 //! **dispatcher** lane (the network endpoint: admission, daemon verbs,
 //! response routing) plus zero or more **worker** lanes that execute object
 //! mailboxes. Everything both sides touch lives here.
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
-use sched::{DepthGauge, Injector, StealOrder, Stealer};
+use sched::{DepthGauge, Injector};
 use simnet::{Clock, MachineId, Packet, PacketBytes, WORKER_LABEL_BASE};
 
 use crate::dedup::DedupWindow;
@@ -252,56 +252,40 @@ pub(crate) enum WorkerMsg {
     Shutdown,
 }
 
-/// Shared half of a machine's M:N work-stealing pool (DESIGN.md §13): the
-/// overflow injector, each worker's steal handle and control channel, and
-/// the idle map the dispatcher consults to wake exactly one sleeper per new
-/// task. A pool of zero workers is the classic single-threaded machine
-/// (still the default, and the driver's): its dispatcher runs every object
-/// task inline (`submit_task`).
+/// Shared half of a machine's M:N pool (DESIGN.md §13): its one run queue
+/// of task tokens, each worker's control channel, and the idle map the
+/// dispatcher consults to wake exactly one sleeper per new task. A pool of
+/// zero workers is the classic single-threaded machine (still the default,
+/// and the driver's): its dispatcher runs every object task inline
+/// (`submit_task`).
 pub(crate) struct Pool {
-    pub(crate) injector: Injector<ObjectId>,
-    pub(crate) stealers: Vec<Stealer<ObjectId>>,
+    /// Admission pushes at the back, a token that yields its lane goes
+    /// back at the front, and a lane takes work from the front.
+    pub(crate) run_queue: Injector<ObjectId>,
     pub(crate) txs: Vec<Sender<WorkerMsg>>,
     /// Virtual-clock park labels, one per worker (`WORKER_LABEL_BASE`-offset).
     pub(crate) labels: Vec<u64>,
     /// Which workers are parked idle (not mid-task, not mid-wait).
     pub(crate) idle: Mutex<Vec<bool>>,
-    /// Seeded victim permutations: same `SIMNET_SEED`, same steal order.
-    pub(crate) steal_order: StealOrder,
 }
 
 impl Pool {
     /// Machine `machine`'s pool of `workers` lanes, and the lanes' own
-    /// halves: a deque, a control channel and a virtual-clock park label
-    /// each. Victim permutations derive from `steal_seed`, so a
-    /// virtual-time run replays its steal order exactly.
-    pub(crate) fn new(
-        machine: MachineId,
-        workers: usize,
-        steal_seed: u64,
-    ) -> (Self, Vec<WorkerLane>) {
+    /// halves: a control channel and a virtual-clock park label each.
+    pub(crate) fn new(machine: MachineId, workers: usize) -> (Self, Vec<WorkerLane>) {
         let mut pool = Pool {
-            injector: Injector::new(),
-            stealers: Vec::with_capacity(workers),
+            run_queue: Injector::new(),
             txs: Vec::with_capacity(workers),
             labels: Vec::with_capacity(workers),
             idle: Mutex::new(vec![false; workers]),
-            steal_order: StealOrder::new(sched::mix64(steal_seed ^ (machine as u64 + 1))),
         };
         let lanes = (0..workers)
             .map(|index| {
                 let (tx, rx) = unbounded();
-                let deque = sched::Worker::new();
                 let label = WORKER_LABEL_BASE + (machine as u64) * 256 + index as u64;
-                pool.stealers.push(deque.stealer());
                 pool.txs.push(tx);
                 pool.labels.push(label);
-                WorkerLane {
-                    rx,
-                    label,
-                    index,
-                    deque,
-                }
+                WorkerLane { rx, label, index }
             })
             .collect();
         (pool, lanes)
@@ -318,7 +302,7 @@ impl Pool {
         clock.notify_label(self.labels[i]);
     }
 
-    /// A task just landed in the injector: wake the first idle worker, or
+    /// A task just landed in the run queue: wake the first idle worker, or
     /// — when nobody is idle — every worker, because a "busy" worker may
     /// be parked inside a re-entrant wait and can run the task in place
     /// (that is what keeps a 1-worker pool live across nested same-machine

@@ -107,8 +107,6 @@ pub struct ReplicaStats {
 struct Managed {
     name: String,
     primary: ObjRef,
-    /// Incarnation epoch of the primary (the directory lease's epoch).
-    epoch: u64,
     replicas: Vec<ObjRef>,
     /// Replica-set *membership* epoch, from the directory CAS.
     rs_epoch: u64,
@@ -207,7 +205,7 @@ impl ReplicaManager {
         }
         let dir = self.dir;
         let primary = client.obj_ref();
-        let Some((bound, epoch, poisoned)) = dir.lease_of(ctx, name.to_string())? else {
+        let Some((bound, _, poisoned)) = dir.lease_of(ctx, name.to_string())? else {
             return Err(RemoteError::app(format!(
                 "{name}: not bound in the directory; bind (or register with the supervisor) first"
             )));
@@ -269,7 +267,6 @@ impl ReplicaManager {
         self.managed.push(Managed {
             name: name.to_string(),
             primary,
-            epoch,
             replicas: replicas.clone(),
             rs_epoch: rs_next,
             read_verbs: C::READ_VERBS,
@@ -451,12 +448,12 @@ impl ReplicaManager {
         };
         let (r, new_epoch) = match dir.recover(ctx, &name, dead, read, place, |_, _| true)? {
             Takeover::Bound { at, epoch } => (at, epoch),
-            Takeover::Recovered { at, epoch } => {
+            Takeover::Recovered { at, .. } => {
                 // Someone else already recovered the name (supervisor
                 // restore or a racing manager): adopt the new incarnation.
                 // Its replica set was cleared by `bind_fenced`; rebuilding
                 // is a fresh `replicate` decision, not ours to make here.
-                self.adopt_recovered(ctx, i, at, epoch, dead)?;
+                self.adopt_recovered(ctx, i, at, dead)?;
                 return Ok(None);
             }
             Takeover::Gone | Takeover::Lost | Takeover::Won { .. } => return Ok(None),
@@ -491,7 +488,6 @@ impl ReplicaManager {
         );
         let e = &mut self.managed[i];
         e.primary = r;
-        e.epoch = new_epoch;
         e.rs_epoch = rs1;
         e.replicas = rest;
         self.stats.promotions += 1;
@@ -508,7 +504,6 @@ impl ReplicaManager {
         ctx: &mut NodeCtx,
         i: usize,
         bound: ObjRef,
-        epoch: u64,
         dead: usize,
     ) -> RemoteResult<()> {
         let stale: Vec<ObjRef> = self.managed[i]
@@ -524,7 +519,6 @@ impl ReplicaManager {
         ctx.drop_replica_route(self.managed[i].primary);
         let e = &mut self.managed[i];
         e.primary = bound;
-        e.epoch = epoch;
         e.replicas.clear();
         Ok(())
     }
@@ -542,13 +536,12 @@ impl ReplicaManager {
             let lease = dir.lease_of(ctx, name.clone())?;
             let set = dir.replica_set(ctx, name.clone())?;
             match (lease, set) {
-                (Some((bound, epoch, false)), Some((replicas, rs))) => {
+                (Some((bound, _, false)), Some((replicas, rs))) => {
                     let e = &mut self.managed[i];
                     if e.primary != bound {
                         ctx.drop_replica_route(e.primary);
                     }
                     e.primary = bound;
-                    e.epoch = epoch;
                     e.replicas = replicas.clone();
                     e.rs_epoch = rs;
                     if replicas.is_empty() {

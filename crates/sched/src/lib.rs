@@ -1,27 +1,24 @@
-//! Work-stealing scheduler primitives for the M:N object scheduler.
+//! Scheduler primitives for the M:N object scheduler.
 //!
 //! The paper's machine model is thousands of live objects, each a sequential
 //! server. One OS thread per machine serializes them; this crate supplies the
 //! pieces that let a small pool of workers serve them concurrently while each
 //! object still runs one call at a time:
 //!
-//! * [`Worker`] / [`Stealer`] — a work-stealing deque: two handles on one
-//!   locked `VecDeque`. The owning worker pushes and pops tasks LIFO at the
-//!   back (the object it readied last, still cache-warm); thieves steal FIFO
-//!   from the front.
-//! * [`Injector`] — a shared FIFO inbox for tasks produced off-pool (the
-//!   machine's dispatcher thread admitting requests).
-//! * [`StealOrder`] — a seeded victim permutation, so that under virtual time
-//!   the order in which an idle worker probes its peers is a replayable
-//!   function of `(seed, thief, round)` rather than of OS scheduling noise.
+//! * [`Injector`] — a machine's one run queue of task tokens: admission
+//!   pushes at the back, a token that yields its worker goes back at the
+//!   front ([`Injector::push_front`]), and a worker takes the front.
 //! * [`DepthGauge`] — an admitted-minus-drained counter for bounded queueing.
+//! * [`Worker`] / [`Stealer`] / [`Steal`] — a work-stealing deque (two
+//!   handles on one locked `VecDeque`). The runtime no longer uses it; it
+//!   stays only for the `sched.*` probes of the wall-clock benchmark.
 //!
-//! Tasks carry no locking themselves: the deque hands out each pushed value
-//! exactly once (to the owner or to one thief), which is the scheduler-side
-//! half of the run-to-completion guarantee. The object-side half (an object
-//! is owned by at most one worker at a time) lives in `oopp::node`: each
-//! object has one task token, queued once, so the deque only has to hand a
-//! token out once — which a lock does without any `unsafe` code.
+//! Tasks carry no locking themselves: a queue hands out each pushed value
+//! exactly once, which is the scheduler-side half of the run-to-completion
+//! guarantee. The object-side half (an object is owned by at most one worker
+//! at a time) lives in `oopp::node`: each object has one task token, queued
+//! once, so the queue only has to hand a token out once — which a lock does
+//! without any `unsafe` code.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,8 +125,8 @@ impl<T> Stealer<T> {
     }
 }
 
-/// A shared FIFO inbox: the machine dispatcher pushes admitted tasks here;
-/// idle workers drain it before stealing from peers.
+/// A shared FIFO run queue: the machine dispatcher pushes admitted tasks at
+/// the back, workers pop the front.
 pub struct Injector<T> {
     q: Mutex<VecDeque<T>>,
 }
@@ -144,6 +141,11 @@ impl<T> Injector<T> {
     /// Enqueue at the back.
     pub fn push(&self, v: T) {
         lock(&self.q).push_back(v);
+    }
+
+    /// Enqueue at the front: the next [`pop`](Injector::pop) takes it.
+    pub fn push_front(&self, v: T) {
+        lock(&self.q).push_front(v);
     }
 
     /// Dequeue from the front.
@@ -169,11 +171,11 @@ impl<T> Default for Injector<T> {
 }
 
 /// A depth gauge for bounded queues: a lock-free admitted-minus-drained
-/// counter with a compare-and-swap admission check. The scheduler's
-/// mailboxes are unbounded deques (`Worker`/`Injector`); when a consumer
-/// wants *bounded* queueing — oopp's per-machine in-flight budget — it
-/// pairs them with a `DepthGauge` so admission can reject before pushing
-/// rather than discover overload after the queue has already grown.
+/// counter with a compare-and-swap admission check. The scheduler's run
+/// queue is unbounded (`Injector`); when a consumer wants *bounded*
+/// queueing — oopp's per-machine in-flight budget — it pairs it with a
+/// `DepthGauge` so admission can reject before pushing rather than
+/// discover overload after the queue has already grown.
 #[derive(Debug, Default)]
 pub struct DepthGauge {
     depth: AtomicU64,
@@ -217,39 +219,6 @@ impl DepthGauge {
     /// Current depth (racy; admission hints and stats).
     pub fn depth(&self) -> u64 {
         self.depth.load(Ordering::Relaxed)
-    }
-}
-
-/// Seeded victim selection. For a pool of `n` workers, thief `w` on its
-/// `round`-th probe visits the other `n - 1` workers in a permutation that
-/// is a pure function of `(seed, w, round)` — deterministic under virtual
-/// time, varied across seeds so steal patterns actually differ per run.
-#[derive(Debug, Clone, Copy)]
-pub struct StealOrder {
-    seed: u64,
-}
-
-impl StealOrder {
-    pub fn new(seed: u64) -> Self {
-        StealOrder { seed }
-    }
-
-    /// The permutation of victim indices (excluding `thief`) for this probe.
-    pub fn victims(&self, thief: usize, round: u64, n: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = (0..n).filter(|&i| i != thief).collect();
-        if v.len() < 2 {
-            return v;
-        }
-        // Fisher–Yates driven by a splitmix stream keyed off (seed, thief,
-        // round). Each swap draws a fresh mixed word.
-        let key = mix64(self.seed ^ (thief as u64).wrapping_mul(0x9E37_79B9) ^ round);
-        let mut state = key;
-        for i in (1..v.len()).rev() {
-            state = mix64(state);
-            let j = (state % (i as u64 + 1)) as usize;
-            v.swap(i, j);
-        }
-        v
     }
 }
 
@@ -406,29 +375,14 @@ mod tests {
     }
 
     #[test]
-    fn steal_order_is_a_seeded_permutation() {
-        let order = StealOrder::new(42);
-        let v = order.victims(1, 0, 5);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 2, 3, 4], "must visit every peer once");
-        // Pure function of (seed, thief, round).
-        assert_eq!(v, StealOrder::new(42).victims(1, 0, 5));
-        // Distinct seeds produce at least one distinct permutation across a
-        // handful of probes.
-        let differs = (0..8u64)
-            .any(|r| StealOrder::new(1).victims(0, r, 5) != StealOrder::new(2).victims(0, r, 5));
-        assert!(differs, "seeds 1 and 2 gave identical steal orders");
-        // Rounds reshuffle too.
-        let differs = (1..8u64).any(|r| order.victims(0, r, 5) != order.victims(0, 0, 5));
-        assert!(differs, "steal order never varied across rounds");
-    }
-
-    #[test]
-    fn steal_order_handles_tiny_pools() {
-        let order = StealOrder::new(7);
-        assert!(order.victims(0, 0, 1).is_empty());
-        assert_eq!(order.victims(0, 3, 2), vec![1]);
+    fn injector_push_front_is_popped_next() {
+        let inj: Injector<u32> = Injector::new();
+        inj.push(1);
+        inj.push(2);
+        inj.push_front(3);
+        assert_eq!(inj.pop(), Some(3));
+        assert_eq!(inj.pop(), Some(1));
+        assert_eq!(inj.pop(), Some(2));
     }
 
     #[test]

@@ -398,14 +398,6 @@ impl Clock {
         matches!(self.inner, ClockInner::Virtual(_))
     }
 
-    /// The virtual seed, if virtual.
-    pub fn seed(&self) -> Option<u64> {
-        match &self.inner {
-            ClockInner::Real { .. } => None,
-            ClockInner::Virtual(core) => Some(core.seed),
-        }
-    }
-
     /// The recorded schedule so far, if virtual.
     pub fn schedule(&self) -> Option<SimSchedule> {
         match &self.inner {

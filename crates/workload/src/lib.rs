@@ -1,7 +1,7 @@
 //! Macro-workload serving scenario + SLO harness (DESIGN.md §16).
 //!
 //! Every subsystem shipped so far — migration/placement, self-healing,
-//! read replication, virtual time, work-stealing lanes, the sharded
+//! read replication, virtual time, M:N worker lanes, the sharded
 //! directory, overload control — has only ever been exercised by its
 //! own targeted experiment. This crate composes all of them into the
 //! standing end-to-end scenario the ROADMAP calls E16: a

@@ -123,8 +123,8 @@ fn distinct_seeds_explore_distinct_interleavings() {
 
 /// The M:N scheduler must not cost determinism: with a 4-lane pool on
 /// every machine, the same seed still replays byte-for-byte — worker
-/// wakeups and steal order ride the same seeded virtual clock as
-/// everything else (DESIGN.md §13).
+/// wakeups, and with them which lane pops which task token, ride the same
+/// seeded virtual clock as everything else (DESIGN.md §13).
 #[test]
 fn same_seed_replays_byte_identical_traces_with_pool() {
     let (data_a, trace_a, retried_a, sched_a) = traced_virtual_run_pooled(0xB00_57EA1, 4);
@@ -221,9 +221,10 @@ fn same_seed_replays_byte_identical_sharded_directory_runs() {
     assert!(sched_a.events > 0);
 }
 
-/// Different seeds must explore different pooled interleavings: the steal
-/// order is a seeded permutation, so two seeds that agree on everything
-/// else still schedule mailboxes differently.
+/// Different seeds must explore different pooled interleavings: the
+/// clock's tie order is seeded, so two seeds that agree on everything else
+/// still order lane wakeups, and with them which lane runs which mailbox,
+/// differently.
 #[test]
 fn distinct_seeds_explore_distinct_steal_orders() {
     let digests: HashSet<u64> = (0..8u64)

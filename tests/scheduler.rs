@@ -1,12 +1,14 @@
-//! M:N work-stealing scheduler suite (DESIGN.md §13).
+//! M:N scheduler suite (DESIGN.md §13).
 //!
 //! A machine with `sched_workers(n)` is a dispatcher lane plus `n` worker
-//! lanes executing per-object mailboxes; these tests pin the contracts the
-//! pool must not bend: sequential-server semantics per object, at-most-once
-//! execution under duplicate-heavy fabrics hammered from multiple lanes,
+//! lanes executing per-object mailboxes whose task tokens share the
+//! machine's one run queue; these tests pin the contracts the pool must not
+//! bend: sequential-server semantics per object, at-most-once execution
+//! under duplicate-heavy fabrics hammered from multiple lanes,
 //! execution-time (not admission-time) epoch fencing, the `serve_for`
-//! virtual-time deadline, and liveness of a one-worker pool across nested
-//! same-machine calls.
+//! virtual-time deadline, liveness of a one-worker pool across nested
+//! same-machine calls, and the run queue's yield order (a yielded token
+//! before later admissions).
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -34,6 +36,8 @@ oopp_repro::oopp::remote_class! {
         /// Enter `b` (a nested remote call that parks this object until
         /// the barrier releases), then return the total.
         fn park_then_total(&mut self, b: BarrierClient) -> u64;
+        /// Sleep `micros` on the cluster clock, then return its reading.
+        fn work(&mut self, micros: u64) -> u64;
     }
 }
 
@@ -54,6 +58,11 @@ impl Counter {
     fn park_then_total(&mut self, ctx: &mut NodeCtx, b: BarrierClient) -> RemoteResult<u64> {
         b.enter(ctx)?;
         Ok(self.total)
+    }
+
+    fn work(&mut self, ctx: &mut NodeCtx, micros: u64) -> RemoteResult<u64> {
+        ctx.clock().sleep(Duration::from_micros(micros));
+        Ok(ctx.now_nanos())
     }
 }
 
@@ -232,5 +241,34 @@ fn single_worker_pool_survives_nested_parking() {
     assert_eq!(b.add(&mut driver, 3).expect("B starved behind parked A"), 3);
     gate.enter(&mut driver).unwrap();
     assert_eq!(parked.wait(&mut driver).unwrap(), 0);
+    cluster.shutdown(driver);
+}
+
+/// The yield rule: a token that has run a batch of its mailbox goes back at
+/// the front of the machine's run queue, so on a one-lane pool the lane
+/// takes the hot object's mailbox straight back, and a call admitted to a
+/// cold object behind it waits for all of it. A token put back at the
+/// queue's tail lets the cold call in after the first batch (1.6 ms into the
+/// 2 ms of hot work).
+#[test]
+fn a_yielding_lane_takes_its_mailbox_back_before_later_admissions() {
+    let (cluster, mut driver) = ClusterBuilder::new(2)
+        .sched_workers(1)
+        .register::<Counter>()
+        .sim_config(ClusterConfig::zero_cost(0).with_virtual_time(31))
+        .build();
+    let hot = CounterClient::new_on(&mut driver, 1).unwrap();
+    let cold = CounterClient::new_on(&mut driver, 1).unwrap();
+
+    let hot_calls: Vec<_> = (0..20)
+        .map(|_| hot.work_async(&mut driver, 100).unwrap())
+        .collect();
+    let cold_call = cold.work_async(&mut driver, 0).unwrap();
+    let hot_last = *join(&mut driver, hot_calls).unwrap().last().unwrap();
+    let cold_at = cold_call.wait(&mut driver).unwrap();
+    assert!(
+        cold_at >= hot_last,
+        "the cold call ran at {cold_at} ns, before the hot object's last call ({hot_last} ns)"
+    );
     cluster.shutdown(driver);
 }
