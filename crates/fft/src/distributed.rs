@@ -349,8 +349,10 @@ impl FftWorker {
                 "worker id {id} out of range for {parts} parts"
             )));
         }
-        if n1 == 0 || n2 == 0 || n3 == 0 {
-            return Err(RemoteError::app(format!("empty grid {n1}x{n2}x{n3}")));
+        if ![n1, n2, n3].iter().all(|n| n.is_power_of_two()) {
+            return Err(RemoteError::app(format!(
+                "grid {n1}x{n2}x{n3}: every edge must be a power of two"
+            )));
         }
         if !n1.is_multiple_of(parts) || !n2.is_multiple_of(parts) {
             return Err(RemoteError::app(format!(
@@ -606,8 +608,9 @@ impl DistributedFft3 {
     /// machine, round-robin), then `SetGroup` each with the deep-copied
     /// tables.
     ///
-    /// `shape[0]` and `shape[1]` must be divisible by `parts`. On any error
-    /// every process created so far is destroyed before it is returned.
+    /// Every edge must be a power of two, and `shape[0]` and `shape[1]`
+    /// divisible by `parts`. On any error every process created so far is
+    /// destroyed before it is returned.
     pub fn new(ctx: &mut NodeCtx, shape: [u64; 3], parts: usize) -> RemoteResult<Self> {
         if parts == 0 {
             return Err(RemoteError::app("need at least one FFT process"));

@@ -6,13 +6,13 @@
 //!
 //! * [`Complex`] arithmetic (no external numerics crates);
 //! * a naive [`dft`](mod@dft) as the testing oracle;
-//! * radix-2/radix-4 (iterative Cooley–Tukey) and [`Bluestein`]
-//!   (arbitrary n) 1-D transforms behind the size-dispatching [`Fft`] plan,
-//!   for one line, every row or every column of a matrix: each power-of-two
-//!   radix is one sweep over a tile of columns, a run of values per
-//!   butterfly, compiled three times — baseline, AVX2, AVX-512, each with
-//!   its own run width — and run in the widest build the CPU has: the same
-//!   spectra, bit for bit, in every build;
+//! * radix-2/radix-4 (iterative Cooley–Tukey) 1-D transforms of
+//!   power-of-two sizes behind the size-dispatching [`Fft`] plan, for one
+//!   line, every row or every column of a matrix: each radix is one sweep
+//!   over a tile of columns, a run of values per butterfly, compiled three
+//!   times — baseline, AVX2, AVX-512, each with its own run width — and run
+//!   in the widest build the CPU has: the same spectra, bit for bit, in
+//!   every build;
 //! * [`Fft3`], the row–column 3-D transform: each plane's rows, then its
 //!   columns, then axis 0;
 //! * [`DistributedFft3`] — the paper's §4 example: slab decomposition over
@@ -29,7 +29,6 @@
 //! assert!(max_error(&fast, &slow) < 1e-9);
 //! ```
 
-pub mod bluestein;
 pub mod complex;
 pub mod dft;
 pub mod distributed;
@@ -39,7 +38,6 @@ mod radix2;
 mod radix4;
 mod tile;
 
-pub use bluestein::Bluestein;
 pub use complex::{as_f64s, as_f64s_mut, c64, max_error, Complex};
 pub use dft::{dft, Direction};
 pub use distributed::{

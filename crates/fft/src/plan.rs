@@ -1,6 +1,5 @@
 //! Size-dispatching FFT plans.
 
-use crate::bluestein::Bluestein;
 use crate::complex::Complex;
 use crate::dft::Direction;
 use crate::radix2::Radix2;
@@ -11,17 +10,16 @@ use crate::tile::{sweep, Lines};
 enum Strategy {
     Radix2(Radix2),
     Radix4(Radix4),
-    Bluestein(Box<Bluestein>),
 }
 
-/// A reusable 1-D FFT plan: radix-4 for powers of four, radix-2 for other
-/// powers of two, Bluestein otherwise.
+/// A reusable 1-D FFT plan of a power-of-two size: radix-4 for powers of
+/// four, radix-2 for the other powers of two.
 ///
 /// ```
 /// use fft::{Fft, Direction, Complex, c64};
 ///
-/// let plan = Fft::new(12); // not a power of two — Bluestein under the hood
-/// let x: Vec<Complex> = (0..12).map(|i| c64(i as f64, 0.0)).collect();
+/// let plan = Fft::new(32); // 2^5, not a power of four — radix-2
+/// let x: Vec<Complex> = (0..32).map(|i| c64(i as f64, 0.0)).collect();
 /// let y = plan.forward(&x);
 /// let back = plan.transform(&y, Direction::Inverse);
 /// assert!(fft::max_error(&x, &back) < 1e-9);
@@ -33,15 +31,19 @@ pub struct Fft {
 }
 
 impl Fft {
-    /// Plan a transform of size `n ≥ 1`.
+    /// Plan a transform of size `n`.
+    ///
+    /// # Panics
+    /// If `n` is not a power of two (1 is one).
     pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "transform size must be at least 1");
+        assert!(
+            n.is_power_of_two(),
+            "transform size must be a power of two, got {n}"
+        );
         let strategy = if is_power_of_four(n) && n > 1 {
             Strategy::Radix4(Radix4::new(n))
-        } else if n.is_power_of_two() {
-            Strategy::Radix2(Radix2::new(n))
         } else {
-            Strategy::Bluestein(Box::new(Bluestein::new(n)))
+            Strategy::Radix2(Radix2::new(n))
         };
         Fft { n, strategy }
     }
@@ -56,13 +58,12 @@ impl Fft {
         false
     }
 
-    /// Every form below, one dispatch: the sweep of `tile.rs` for a power
-    /// of two, the chirp convolution otherwise.
+    /// Every form below, one dispatch: the sweep of `tile.rs` with the
+    /// plan's radix.
     fn run(&self, lines: Lines<'_, '_>, dir: Direction) {
         match &self.strategy {
             Strategy::Radix2(p) => sweep(p, lines, dir),
             Strategy::Radix4(p) => sweep(p, lines, dir),
-            Strategy::Bluestein(p) => p.run(lines, dir),
         }
     }
 
@@ -77,8 +78,8 @@ impl Fft {
 
     /// Transform every column of the row-major `[n][width]` matrix `data`
     /// in place — how every strided axis of a 2-D or 3-D transform is run:
-    /// no column is gathered into a line (but for Bluestein sizes), and a
-    /// butterfly's twiddles are read once for a run of columns.
+    /// no column is gathered into a line, and a butterfly's twiddles are
+    /// read once for a run of columns.
     ///
     /// ```
     /// use fft::{c64, Complex, Direction, Fft};
@@ -110,8 +111,7 @@ impl Fft {
 
     /// Transform every row of the row-major `[rows][n]` matrix `data` in
     /// place — how the contiguous axis of a 2-D or 3-D transform is run:
-    /// a few rows at a time through the sweep the columns go through (but
-    /// for Bluestein sizes, whose rows go one by one).
+    /// a few rows at a time through the sweep the columns go through.
     ///
     /// # Panics
     /// If `data` is not whole rows of `n`.
@@ -151,8 +151,13 @@ mod tests {
             matches!(strategy(128), Strategy::Radix2(_)),
             "2^7, not a power of 4"
         );
-        assert!(matches!(strategy(60), Strategy::Bluestein(_)));
         assert!(matches!(strategy(1), Strategy::Radix2(_)));
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn a_size_that_is_not_a_power_of_two_panics() {
+        Fft::new(12);
     }
 
     #[test]
@@ -163,7 +168,7 @@ mod tests {
 
     #[test]
     fn all_sizes_match_reference() {
-        for n in 1..=48 {
+        for n in (0..=6).map(|k| 1 << k) {
             let plan = Fft::new(n);
             let x: Vec<Complex> = (0..n)
                 .map(|i| c64((i as f64).sqrt(), (i % 3) as f64 - 1.0))
@@ -175,8 +180,8 @@ mod tests {
 
     #[test]
     fn rows_are_lines_for_every_strategy() {
-        // Radix-4, radix-2, Bluestein.
-        for n in [16, 8, 12] {
+        // Radix-4, radix-2.
+        for n in [16, 8] {
             let plan = Fft::new(n);
             for dir in [Direction::Forward, Direction::Inverse] {
                 let x: Vec<Complex> = (0..5 * n).map(|i| c64(i as f64, 0.5)).collect();
@@ -191,7 +196,7 @@ mod tests {
 
     #[test]
     fn forward_inverse_roundtrip() {
-        for n in [8, 13, 27, 64, 100] {
+        for n in [8, 64] {
             let plan = Fft::new(n);
             let x: Vec<Complex> = (0..n).map(|i| c64(i as f64, -(i as f64))).collect();
             let back = plan.inverse(&plan.forward(&x));

@@ -98,8 +98,7 @@ impl Radix2 {
     /// Plan a transform of size `n`.
     ///
     /// # Panics
-    /// If `n` is not a power of two (use [`Fft`](crate::plan::Fft) for
-    /// arbitrary sizes).
+    /// If `n` is not a power of two.
     pub fn new(n: usize) -> Self {
         assert!(
             n.is_power_of_two(),

@@ -93,8 +93,8 @@ fn more_processes_than_machines_works() {
 fn invalid_configurations_are_rejected() {
     let (cluster, mut driver) = cluster(2);
     // Shape not divisible by parts.
-    assert!(DistributedFft3::new(&mut driver, [6, 4, 4], 4).is_err());
-    assert!(DistributedFft3::new(&mut driver, [4, 6, 4], 4).is_err());
+    assert!(DistributedFft3::new(&mut driver, [2, 4, 4], 4).is_err());
+    assert!(DistributedFft3::new(&mut driver, [4, 2, 4], 4).is_err());
     // Zero parts.
     assert!(DistributedFft3::new(&mut driver, [4, 4, 4], 0).is_err());
     // Scatter with the wrong size.
@@ -547,10 +547,11 @@ fn replay_of_one_fft3d_op_splits_worker_time_into_arithmetic_and_copies() {
 }
 
 /// A `new` whose workers refuse to be built — a shape the slabs do not
-/// divide, a grid too large to allocate — used to return its error with
-/// every process it had made still alive: the inboxes, and any worker
-/// that was built. Now it destroys them first, and a later group starts
-/// from the same count of live objects.
+/// divide, an edge with no plan (not a power of two), a grid too large to
+/// allocate — used to return its error with every process it had made
+/// still alive: the inboxes, and any worker that was built. Now it
+/// destroys them first, and a later group starts from the same count of
+/// live objects.
 #[test]
 fn a_refused_new_leaves_no_process_behind() {
     let (cluster, mut driver) = cluster(2);
@@ -558,9 +559,12 @@ fn a_refused_new_leaves_no_process_behind() {
     let live =
         |d: &mut Driver| -> u64 { (0..2).map(|m| d.stats_of(m).unwrap().objects_live).sum() };
     let before = live(d);
-    let refused = DistributedFft3::new(d, [6, 4, 4], 4).map(drop);
+    let refused = DistributedFft3::new(d, [2, 4, 4], 4).map(drop);
     app_error(refused, "not divisible into 4 slabs");
     assert_eq!(live(d), before, "an indivisible shape");
+    let refused = DistributedFft3::new(d, [6, 4, 4], 2).map(drop);
+    app_error(refused, "power of two");
+    assert_eq!(live(d), before, "an edge that is not a power of two");
     let refused = DistributedFft3::new(d, [1 << 20; 3], 2).map(drop);
     app_error(refused, "no memory for a");
     assert_eq!(live(d), before, "a grid too large to allocate");
@@ -664,10 +668,10 @@ fn gather_refuses_a_group_in_mixed_layouts() {
 
 #[test]
 fn workers_report_identity() {
-    let (cluster, mut driver) = cluster(3);
-    let dfft = DistributedFft3::new(&mut driver, [6, 6, 2], 3).unwrap();
+    let (cluster, mut driver) = cluster(2);
+    let dfft = DistributedFft3::new(&mut driver, [4, 4, 2], 2).unwrap();
     // describe goes through the same RMI path as transform.
-    let w = FftWorkerClient::new_on(&mut driver, 1, 7, 3, 3, 2, 9).unwrap_err();
+    let w = FftWorkerClient::new_on(&mut driver, 1, 7, 4, 4, 2, 2).unwrap_err();
     assert!(matches!(w, oopp::RemoteError::App { .. })); // id out of range
     let _ = dfft;
     cluster.shutdown(driver);
@@ -686,7 +690,7 @@ fn complex_slices_read_and_write_as_interleaved_doubles_where_they_lie() {
 #[test]
 fn parseval_holds() {
     cases("parseval_holds", 8, |c| {
-        let (n, seed) = (c.range(1usize..80), c.range(0u64..1000));
+        let (n, seed) = (1 << c.range(0usize..7), c.range(0u64..1000));
         let plan = Fft::new(n);
         let grid = sample_grid([n, 1, 1], seed);
         let x = grid.data();
@@ -697,11 +701,11 @@ fn parseval_holds() {
     });
 }
 
-/// forward then inverse is the identity for arbitrary sizes.
+/// forward then inverse is the identity for every power-of-two size.
 #[test]
 fn roundtrip_holds() {
     cases("roundtrip_holds", 8, |c| {
-        let (n, seed) = (c.range(1usize..64), c.range(0u64..1000));
+        let (n, seed) = (1 << c.range(0usize..6), c.range(0u64..1000));
         let plan = Fft::new(n);
         let grid = sample_grid([n, 1, 1], seed);
         let back = plan.inverse(&plan.forward(grid.data()));
@@ -713,7 +717,7 @@ fn roundtrip_holds() {
 #[test]
 fn fast_matches_slow() {
     cases("fast_matches_slow", 8, |c| {
-        let (n, seed) = (c.range(1usize..40), c.range(0u64..1000));
+        let (n, seed) = (1 << c.range(0usize..6), c.range(0u64..1000));
         let plan = Fft::new(n);
         let grid = sample_grid([n, 1, 1], seed);
         let fast = plan.forward(grid.data());
@@ -726,7 +730,11 @@ fn fast_matches_slow() {
 #[test]
 fn shift_theorem() {
     cases("shift_theorem", 8, |c| {
-        let (n, shift, seed) = (c.range(2usize..48), c.range(1usize..8), c.range(0u64..1000));
+        let (n, shift, seed) = (
+            1 << c.range(1usize..6),
+            c.range(1usize..8),
+            c.range(0u64..1000),
+        );
         let shift = shift % n;
         let plan = Fft::new(n);
         let grid = sample_grid([n, 1, 1], seed);

@@ -188,19 +188,6 @@ pub(crate) enum Lines<'a, 'r> {
     Rows(&'a mut [Complex]),
 }
 
-/// The row table of the row-major `[n][width]` matrix `data`: its rows, in
-/// order, where they lie.
-///
-/// # Panics
-/// If `data.len() != n * width`.
-pub(crate) fn row_table(data: &mut [Complex], n: usize, width: usize) -> Vec<&mut [Complex]> {
-    assert_eq!(data.len(), n * width, "buffer must be [n][width]");
-    if width == 0 {
-        return (0..n).map(|_| <&mut [Complex]>::default()).collect();
-    }
-    data.chunks_exact_mut(width).collect()
-}
-
 /// Transform the lines of `lines` with `plan`, in the widest build of the
 /// sweep the CPU runs ([`Build::detect`]).
 ///
@@ -215,9 +202,17 @@ pub(crate) fn sweep<S: Stages>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
             assert_eq!(data.len(), n * width, "buffer must be [n][width]")
         }
         Lines::Table(rows) => {
-            table_width(rows, n);
+            let width = rows.first().map_or(0, |row| row.len());
+            assert!(
+                rows.len() == n && rows.iter().all(|row| row.len() == width),
+                "a row table must be {n} rows of one width"
+            );
         }
-        Lines::Rows(data) => assert_whole_rows(data.len(), n),
+        Lines::Rows(data) => assert!(
+            data.len().is_multiple_of(n),
+            "buffer of {} values is not whole rows of {n}",
+            data.len()
+        ),
     }
     if n <= 1 {
         return;
@@ -234,27 +229,6 @@ pub(crate) fn sweep<S: Stages>(plan: &S, lines: Lines<'_, '_>, dir: Direction) {
         }
     }
     sweep_baseline(plan, lines, dir)
-}
-
-/// The width of the row table `rows`.
-///
-/// # Panics
-/// Unless `rows` is `n` rows of one width.
-pub(crate) fn table_width(rows: &[&mut [Complex]], n: usize) -> usize {
-    let width = rows.first().map_or(0, |row| row.len());
-    assert!(
-        rows.len() == n && rows.iter().all(|row| row.len() == width),
-        "a row table must be {n} rows of one width"
-    );
-    width
-}
-
-/// Panics unless `len` values are whole rows of `n`.
-pub(crate) fn assert_whole_rows(len: usize, n: usize) {
-    assert!(
-        len.is_multiple_of(n),
-        "buffer of {len} values is not whole rows of {n}"
-    );
 }
 
 /// The sweep for any CPU: SSE2 on `x86_64`.

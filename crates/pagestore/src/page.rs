@@ -1,5 +1,6 @@
 //! Pages: the transfer containers of the paper's §2–§3.
 
+use simnet::sweep::Case;
 use wire::collections::{Bytes, F64s};
 
 /// A block of unstructured data — the paper's `Page` class.
@@ -23,11 +24,12 @@ impl Page {
     }
 
     /// The paper's `GenerateDataPage()`: a deterministic pseudo-random page
-    /// (splitmix64 over the seed, no external dependencies) so tests and
-    /// benchmarks can produce distinguishable pages cheaply.
+    /// (`simnet`'s SplitMix64 stream over the seed) so tests and benchmarks
+    /// can produce distinguishable pages cheaply.
     pub fn generate(n: usize, seed: u64) -> Self {
+        let mut case = Case::new(seed);
         Page {
-            data: splitmix64(seed)
+            data: std::iter::repeat_with(|| case.next_u64())
                 .flat_map(u64::to_le_bytes)
                 .take(n)
                 .collect(),
@@ -58,13 +60,6 @@ impl Page {
     pub fn from_bytes(b: Bytes) -> Self {
         Page { data: b.0 }
     }
-}
-
-/// The splitmix64 stream over `seed` that both `generate`s draw from:
-/// `simnet`'s mix of `seed`, `seed + γ`, `seed + 2γ`, …
-fn splitmix64(seed: u64) -> impl Iterator<Item = u64> {
-    const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-    (0u64..).map(move |k| simnet::faults::mix(seed.wrapping_add(k.wrapping_mul(GAMMA))))
 }
 
 /// A page carrying an `n1 × n2 × n3` block of doubles — the paper's
@@ -107,10 +102,8 @@ impl ArrayPage {
 
     /// Deterministic pseudo-random page (values in [0, 1)).
     pub fn generate(n1: usize, n2: usize, n3: usize, seed: u64) -> Self {
-        let data = splitmix64(seed)
-            .map(|z| (z >> 11) as f64 / (1u64 << 53) as f64)
-            .take(n1 * n2 * n3)
-            .collect();
+        let mut case = Case::new(seed);
+        let data = (0..n1 * n2 * n3).map(|_| case.range(0.0..1.0)).collect();
         ArrayPage { n1, n2, n3, data }
     }
 
@@ -275,6 +268,25 @@ mod tests {
     #[should_panic(expected = "n1*n2*n3")]
     fn new_rejects_wrong_length() {
         let _ = ArrayPage::new(2, 2, 2, vec![0.0; 7]);
+    }
+
+    /// A change to either stream moves every page a test or benchmark
+    /// generates.
+    #[test]
+    fn generated_pages_are_pinned() {
+        assert_eq!(
+            Page::generate(16, 17).bytes(),
+            [99, 115, 227, 46, 240, 117, 132, 128, 209, 237, 232, 180, 98, 255, 52, 100]
+        );
+        assert_eq!(
+            ArrayPage::generate(2, 2, 1, 5).elements(),
+            [
+                0.386768045983934,
+                0.7523070158382239,
+                0.2327091656774618,
+                0.09933941132660251
+            ]
+        );
     }
 
     #[test]

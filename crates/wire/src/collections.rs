@@ -31,7 +31,8 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn decode(r: &mut Reader<'_>) -> WireResult<Self> {
         let len = r.take_len(1)?;
-        let mut out = Vec::with_capacity(len);
+        // Reserve no more than the bytes left hold: a junk count is not memory.
+        let mut out = Vec::with_capacity(len.min(r.remaining() / size_of::<T>().max(1)));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }

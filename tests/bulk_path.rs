@@ -826,3 +826,18 @@ fn a_retransmitted_frame_is_shared_and_still_executes_once() {
     assert!(stats.dup_replayed + stats.dup_suppressed > 0, "{stats:?}");
     cluster.shutdown(driver);
 }
+
+/// A count prefix is not a promise of memory: an 8 KiB buffer that claims
+/// 8 000 pairs of `u64` (128 KB in memory) holds 511 of them, and decoding
+/// it reserves no more than those — no large block — before it fails.
+#[test]
+fn a_junk_count_reserves_no_more_than_the_bytes_hold() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut w = wire::Writer::new();
+    w.put_varint(8_000);
+    let mut junk = w.into_bytes();
+    junk.resize(8 << 10, 0xab);
+    let (blocks, decoded) = large_blocks_during(|| wire::from_bytes::<Vec<(u64, u64)>>(&junk));
+    assert!(decoded.is_err());
+    assert_eq!(blocks, 0, "a junk count reserved {blocks} large blocks");
+}
